@@ -59,8 +59,8 @@
 // Coldstart mode (-coldstart) benchmarks the persistent-snapshot path: it
 // builds a dataset engine from scratch, saves a snapshot, cold-starts a
 // second engine from the file alone, asserts the answers are byte-identical
-// and that the load beats the build by at least 10x; its -json output is
-// the committed BENCH_snapshot.json:
+// and that the load beats the build by at least 5x and reads the file at
+// 150 MB/s or more; its -json output is the committed BENCH_snapshot.json:
 //
 //	psibench -coldstart [-index race] [-shards 4] [-scale tiny] [-seed 1]
 //	         [-queries 12] [-snapfile s.psisnap] [-json]

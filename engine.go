@@ -432,26 +432,23 @@ func NewDatasetEngine(ds []*Graph, opts EngineOptions) (*Engine, error) {
 		}
 		e.installState(e.newState(snap, indexes))
 	} else {
-		for _, kind := range kinds {
-			x, berr := index.Build(context.Background(), kind, ds, index.Options{
-				Workers: opts.IndexWorkers,
-				Pool:    e.pool,
-				Shards:  opts.Shards,
-			})
-			if berr != nil {
-				for _, built := range indexes {
-					built.Close()
-				}
-				e.Close()
-				return nil, fmt.Errorf("psi: building FTV index: %w", berr)
-			}
-			if sh, ok := x.(*index.Sharded); ok && e.shardK == 0 && sh.Shards() > 1 {
-				// Every portfolio entry shards identically; record the
-				// effective (dataset-clamped) count once.
-				e.shardK = sh.Shards()
-				e.shardEmits = make([]int64, e.shardK)
-			}
-			indexes = append(indexes, x)
+		// One portfolio build: the dataset's features are extracted once
+		// and every kind (and shard) is folded from them.
+		built, berr := index.BuildPortfolio(context.Background(), kinds, ds, index.Options{
+			Workers: opts.IndexWorkers,
+			Pool:    e.pool,
+			Shards:  opts.Shards,
+		})
+		if berr != nil {
+			e.Close()
+			return nil, fmt.Errorf("psi: building FTV index: %w", berr)
+		}
+		indexes = built
+		if sh, ok := built[0].(*index.Sharded); ok && sh.Shards() > 1 {
+			// Every portfolio entry shards identically; record the
+			// effective (dataset-clamped) count once.
+			e.shardK = sh.Shards()
+			e.shardEmits = make([]int64, e.shardK)
 		}
 		st := &dsState{ds: ds, indexes: indexes}
 		st.dispose = func() {

@@ -8,6 +8,7 @@ package psi_test
 // surface and the corrupt-file fail-closed guarantee.
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -279,5 +280,54 @@ func TestEngineSnapshotMismatch(t *testing.T) {
 		t.Error("corrupted snapshot loaded")
 	} else if !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("corrupt-load error %q does not mention checksum", err)
+	}
+}
+
+// TestSnapshotFromParentCommit is the backward-compatibility fixture:
+// testdata/parent_portfolio_k2.psnap was written by the commit before the
+// index build moved to one shared extraction and flat postings
+// (testdata/parent_portfolio_k2.go.txt is the program that wrote it: seven
+// small graphs, one with labels beyond the packed-key range, one edgeless;
+// ftv+grapes+ggsx at K=2). Today's code must load it, answer as a fresh
+// build over the same graphs does, and write it back — from the loaded
+// engine and from the fresh build alike — byte for byte.
+func TestSnapshotFromParentCommit(t *testing.T) {
+	const fixture = "testdata/parent_portfolio_k2.psnap"
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: fixture})
+	if err != nil {
+		t.Fatalf("loading the parent-written snapshot: %v", err)
+	}
+	defer loaded.Close()
+	ds := loaded.Dataset()
+	if len(ds) != 7 || loaded.Shards() != 2 {
+		t.Fatalf("fixture loaded as %d graphs, %d shards; want 7, 2", len(ds), loaded.Shards())
+	}
+	fresh, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	var queries []*psi.Graph
+	for i, g := range ds[:6] { // the seventh graph is edgeless
+		queries = append(queries, psi.ExtractQuery(g, 2+i%3, int64(70+i)))
+	}
+	queries = append(queries, psi.MustNewGraph("edgeless", []psi.Label{0}, nil))
+	assertSameAnswers(t, "parent snapshot vs fresh build", snapAnswers(t, fresh, queries), snapAnswers(t, loaded, queries))
+	for name, e := range map[string]*psi.Engine{"loaded": loaded, "fresh": fresh} {
+		path := filepath.Join(t.TempDir(), "resaved.psnap")
+		if err := e.SaveSnapshot(path); err != nil {
+			t.Fatalf("%s: re-save: %v", name, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s engine's snapshot differs from the parent-written file (%d bytes vs %d)", name, len(got), len(want))
+		}
 	}
 }

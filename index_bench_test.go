@@ -7,9 +7,14 @@ package psi_test
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	psi "github.com/psi-graph/psi"
+	"github.com/psi-graph/psi/internal/ftv"
+	"github.com/psi-graph/psi/internal/gen"
+	"github.com/psi-graph/psi/internal/index"
 )
 
 func indexBenchFixture(b *testing.B) ([]*psi.Graph, []*psi.Graph) {
@@ -80,6 +85,72 @@ func BenchmarkIndexFixedAnswer(b *testing.B) {
 		q := queries[i%len(queries)]
 		if _, err := eng.Query(context.Background(), q, 0); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// The two dataset shapes of the repo benchmark's FTV workloads
+// (bench/spec.go): ftv_stragglers' 40 graphs of ~300 nodes over 4 labels,
+// and ftv_selective's 300 graphs of ~50 nodes over 8 labels — small,
+// label-poor graphs in which every feature recurs thousands of times — plus
+// the opposite end of the range, which the harness does not cover: one
+// sparse 8000-vertex graph over 300 labels (the paper's PPI/PDBS-style
+// shape), where nearly every path is its own feature and any per-feature
+// scratch proportional to the vertex count dominates the build. The
+// micro-benchmarks below iterate on the index-build path without the 40 s
+// harness; run with -benchmem.
+var buildBenchShapes = []struct {
+	name string
+	cfg  gen.SyntheticConfig
+}{
+	{"40x300n4l", gen.SyntheticConfig{NumGraphs: 40, AvgNodes: 300, NodeSpread: 100, Density: 8.0 / 300, Labels: 4}},
+	{"300x50n8l", gen.SyntheticConfig{NumGraphs: 300, AvgNodes: 50, NodeSpread: 16, Density: 5.0 / 50, Labels: 8}},
+	{"1x8000n300l", gen.SyntheticConfig{NumGraphs: 1, AvgNodes: 8000, Density: 3.0 / 8000, Labels: 300}}, // 12k edges
+}
+
+// BenchmarkExtractFeatures is the shared path-feature pass alone, over the
+// whole dataset on the default pool, with and without Grapes' locations.
+func BenchmarkExtractFeatures(b *testing.B) {
+	for _, shape := range buildBenchShapes {
+		ds := gen.Synthetic(shape.cfg, 20170321)
+		for _, locs := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/locations=%v", shape.name, locs), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := ftv.ExtractDatasetFeatures(context.Background(), nil, ds, ftv.DefaultMaxPathLen, locs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkBuildPortfolio is the whole build — one extraction, every kind
+// folded — as the stragglers workload (three kinds, K=1) and the selective
+// workload (ftv alone, K=2) configure it.
+func BenchmarkBuildPortfolio(b *testing.B) {
+	for _, shape := range buildBenchShapes {
+		ds := gen.Synthetic(shape.cfg, 20170321)
+		for _, pf := range []struct {
+			kinds  []string
+			shards int
+		}{
+			{[]string{"ftv", "grapes", "ggsx"}, 1},
+			{[]string{"ftv"}, 2},
+		} {
+			b.Run(fmt.Sprintf("%s/%s/K=%d", shape.name, strings.Join(pf.kinds, "+"), pf.shards), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					built, err := index.BuildPortfolio(context.Background(), pf.kinds, ds, index.Options{Shards: pf.shards})
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, x := range built {
+						x.Close()
+					}
+				}
+			})
 		}
 	}
 }

@@ -1,0 +1,212 @@
+package ftv
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"github.com/psi-graph/psi/internal/graph"
+)
+
+// find returns the position of the feature with the given label sequence.
+func find(f *Features, labels []graph.Label) (int, bool) {
+	for i := 0; i < f.Len(); i++ {
+		if slices.Equal(f.Labels(i), labels) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// oracleFeature is one feature as the naive extractor sees it.
+type oracleFeature struct {
+	labels []graph.Label
+	count  int32
+	locs   []int32
+}
+
+// oracleExtract is the map-based extractor the trie-walking one replaced,
+// kept as the differential oracle: it rebuilds the label sequence of every
+// enumerated path, keys a map by it and collects locations in hash sets.
+// Features come back in canonical order.
+func oracleExtract(g *graph.Graph, maxLen int) []oracleFeature {
+	type acc struct {
+		labels []graph.Label
+		count  int32
+		locs   map[int32]struct{}
+	}
+	byKey := map[string]*acc{}
+	g.EnumeratePaths(maxLen, func(path []int32) {
+		labels := g.LabelPath(path)
+		key := PathKey(labels)
+		a := byKey[key]
+		if a == nil {
+			a = &acc{labels: labels, locs: map[int32]struct{}{}}
+			byKey[key] = a
+		}
+		a.count++
+		for _, v := range path {
+			a.locs[v] = struct{}{}
+		}
+	})
+	out := make([]oracleFeature, 0, len(byKey))
+	for _, a := range byKey {
+		f := oracleFeature{labels: a.labels, count: a.count}
+		for v := range a.locs {
+			f.locs = append(f.locs, v)
+		}
+		slices.Sort(f.locs)
+		out = append(out, f)
+	}
+	slices.SortFunc(out, func(a, b oracleFeature) int { return slices.Compare(a.labels, b.labels) })
+	return out
+}
+
+// randomGraph draws n vertices with labels from pick and about degree·n/2
+// random edges.
+func randomGraph(r *rand.Rand, n int, degree float64, pick func() graph.Label) *graph.Graph {
+	b := graph.NewBuilder(fmt.Sprintf("rand-%d", n))
+	for v := 0; v < n; v++ {
+		b.AddVertex(pick())
+	}
+	for e := 0; n > 1 && e < int(degree*float64(n)/2); e++ {
+		u, v := r.Intn(n), r.Intn(n)
+		if u != v && !b.HasEdgePending(u, v) {
+			if err := b.AddEdge(u, v); err != nil {
+				panic(err) // both endpoints exist
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+func assertMatchesOracle(t *testing.T, name string, g *graph.Graph, maxLen int) {
+	t.Helper()
+	want := oracleExtract(g, maxLen)
+	for _, withLocs := range []bool{false, true} {
+		got := ExtractFeatures(g, maxLen, withLocs)
+		if got.Len() != len(want) {
+			t.Fatalf("%s maxLen=%d locs=%v: %d features, oracle has %d", name, maxLen, withLocs, got.Len(), len(want))
+		}
+		for i, w := range want {
+			// Equal label sequences at equal positions: the extractor's
+			// order is the oracle's sorted (canonical) order.
+			if !slices.Equal(got.Labels(i), w.labels) || got.Count(i) != w.count {
+				t.Fatalf("%s maxLen=%d: feature %d = (%v, %d), oracle (%v, %d)", name, maxLen, i, got.Labels(i), got.Count(i), w.labels, w.count)
+			}
+			if withLocs && !slices.Equal(got.Locations(i), w.locs) {
+				t.Fatalf("%s maxLen=%d: feature %v locations %v, oracle %v", name, maxLen, w.labels, got.Locations(i), w.locs)
+			}
+			if !withLocs && got.Locations(i) != nil {
+				t.Fatalf("%s: locations reported though not tracked", name)
+			}
+		}
+	}
+}
+
+// TestExtractFeaturesMatchesOracle: the trie-walking extractor and the naive
+// map-based one agree on (labels, count, locations) — on random graphs for
+// maxLen 1..6, with labels beyond the 12-bit packed-key range, at the
+// 63/64/65-vertex bitset word edges, on edgeless and empty graphs, and on
+// large many-label graphs, where the location sets of rare features stay
+// lists and those of common ones spill to bitset rows within one extraction.
+func TestExtractFeaturesMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	small := func() graph.Label { return graph.Label(r.Intn(3)) }
+	wide := func() graph.Label { return graph.Label(4090 + r.Intn(12)) } // straddles 4095
+	mixed := func() graph.Label {
+		if r.Intn(2) == 0 {
+			return graph.Label(r.Intn(2))
+		}
+		return graph.Label(1<<20 + r.Intn(2))
+	}
+	for maxLen := 1; maxLen <= 6; maxLen++ {
+		for _, n := range []int{2, 9, 30, 63, 64, 65} {
+			assertMatchesOracle(t, fmt.Sprintf("small-%d", n), randomGraph(r, n, 2.5, small), maxLen)
+			assertMatchesOracle(t, fmt.Sprintf("wide-%d", n), randomGraph(r, n, 2.5, wide), maxLen)
+		}
+		assertMatchesOracle(t, "mixed-40", randomGraph(r, 40, 3, mixed), maxLen)
+		assertMatchesOracle(t, "dense-12", randomGraph(r, 12, 6, small), maxLen)
+		assertMatchesOracle(t, "edgeless", graph.MustNew("edgeless", []graph.Label{0, 1, 1}, nil), maxLen)
+		assertMatchesOracle(t, "empty", graph.MustNew("empty", nil, nil), maxLen)
+	}
+	// Half the vertices share label 0, the rest spread over 200 labels: the
+	// all-zero features recur thousands of times, most others once or twice.
+	skewed := func() graph.Label { return graph.Label(max(0, r.Intn(400)-199)) }
+	many := func() graph.Label { return graph.Label(r.Intn(300)) }
+	for maxLen := 1; maxLen <= 4; maxLen++ {
+		assertMatchesOracle(t, "skewed-1500", randomGraph(r, 1500, 3, skewed), maxLen)
+		assertMatchesOracle(t, "sparse-3000", randomGraph(r, 3000, 3, many), maxLen)
+	}
+}
+
+// TestExtractLocationForms pins the premise of the large-graph cases above:
+// such an extraction really holds location sets in both forms, and the
+// scratch of a large sparse graph stays proportional to what its paths touch
+// rather than to features × vertices.
+func TestExtractLocationForms(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	g := randomGraph(r, 1500, 3, func() graph.Label { return graph.Label(max(0, r.Intn(400)-199)) })
+	e := newExtractor(context.Background(), g, true)
+	g.WalkPaths(4, 0, e.visit)
+	lists, rows := 0, len(e.rows)/e.words
+	for _, l := range e.lists {
+		if l != nil {
+			lists++
+		}
+	}
+	if lists == 0 || rows == 0 {
+		t.Fatalf("%d list-form and %d row-form location sets, want both", lists, rows)
+	}
+	if slots := e.trie.Len(); rows > slots/10 {
+		t.Errorf("%d of %d slots spilled to a %d-word row; a sparse many-label graph should keep most as lists", rows, slots, e.words)
+	}
+}
+
+// flipContext reports cancellation from its n-th Err call on: a context that
+// is cancelled while an extraction is under way.
+type flipContext struct {
+	context.Context
+	calls atomic.Int32
+	n     int32
+}
+
+func (c *flipContext) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestExtractFeaturesCancelMidGraph: the periodic check inside the
+// enumeration notices a cancellation that arrives after extraction started.
+// K24 holds about 1.7 billion simple paths of up to 6 edges, so returning at
+// all within the test timeout means the walk was abandoned.
+func TestExtractFeaturesCancelMidGraph(t *testing.T) {
+	b := graph.NewBuilder("clique")
+	const n = 24
+	for v := 0; v < n; v++ {
+		b.AddVertex(graph.Label(v % 2))
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if err := b.AddEdge(u, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, withLocs := range []bool{false, true} {
+		ctx := &flipContext{Context: context.Background(), n: 3} // upfront check, one periodic check, then cancelled
+		feats, err := ExtractFeaturesContext(ctx, b.MustBuild(), 6, withLocs)
+		if !errors.Is(err, context.Canceled) || feats != nil {
+			t.Fatalf("locations=%v: got (%v, %v), want (nil, context.Canceled)", withLocs, feats, err)
+		}
+		if got := ctx.calls.Load(); got < 3 || got > 4 {
+			t.Errorf("locations=%v: %d context checks, want the walk to stop at the third", withLocs, got)
+		}
+	}
+}

@@ -8,7 +8,6 @@ package ftv
 import (
 	"context"
 	"encoding/binary"
-	"sort"
 	"sync"
 
 	"github.com/psi-graph/psi/internal/exec"
@@ -275,139 +274,6 @@ func DecodePathKey(key string) []graph.Label {
 	return out
 }
 
-// PathFeature is one extracted path feature of a graph: its label sequence,
-// its number of (directed) occurrences, and optionally the set of vertices
-// touched by any occurrence (Grapes' location information).
-type PathFeature struct {
-	Labels    []graph.Label
-	Count     int32
-	Locations []int32 // sorted unique vertex IDs; nil when not tracked
-}
-
-// ExtractFeatures enumerates every simple path of 1..maxLen edges of g (in
-// both directions, as the DFS from every start vertex naturally does) and
-// aggregates them by label sequence. When withLocations is true each
-// feature also records the vertices covered by its occurrences.
-func ExtractFeatures(g *graph.Graph, maxLen int, withLocations bool) map[Key]*PathFeature {
-	feats, _ := ExtractFeaturesContext(context.Background(), g, maxLen, withLocations)
-	return feats
-}
-
-// extractCancelCheckEvery is how many enumerated paths pass between context
-// checks during extraction — frequent enough that cancelling an index build
-// takes effect mid-graph, rare enough to stay off the enumeration hot path.
-const extractCancelCheckEvery = 1 << 12
-
-// ExtractFeaturesContext is ExtractFeatures with cooperative cancellation:
-// the enumeration checks ctx every few thousand paths and abandons the graph
-// with ctx's error when it has been cancelled. Dense graphs can hold billions
-// of bounded simple paths, so an uncancellable extraction would pin a worker
-// long after its query or build was abandoned.
-func ExtractFeaturesContext(ctx context.Context, g *graph.Graph, maxLen int, withLocations bool) (map[Key]*PathFeature, error) {
-	// Upfront check so an already-cancelled build aborts even on graphs
-	// too small to reach the periodic mid-enumeration check.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	feats := make(map[Key]*PathFeature)
-	var locSets map[Key]map[int32]struct{}
-	if withLocations {
-		locSets = make(map[Key]map[int32]struct{})
-	}
-	labelBuf := make([]graph.Label, 0, maxLen+1)
-	var (
-		sinceCheck int
-		cancelled  bool
-	)
-	g.EnumeratePathsWhile(maxLen, func(path []int32) bool {
-		if sinceCheck++; sinceCheck >= extractCancelCheckEvery {
-			sinceCheck = 0
-			if ctx.Err() != nil {
-				cancelled = true
-				return false
-			}
-		}
-		labelBuf = labelBuf[:0]
-		for _, v := range path {
-			labelBuf = append(labelBuf, g.Label(int(v)))
-		}
-		key := MakeKey(labelBuf)
-		f := feats[key]
-		if f == nil {
-			lbls := make([]graph.Label, len(labelBuf))
-			copy(lbls, labelBuf)
-			f = &PathFeature{Labels: lbls}
-			feats[key] = f
-		}
-		f.Count++
-		if withLocations {
-			set := locSets[key]
-			if set == nil {
-				set = make(map[int32]struct{})
-				locSets[key] = set
-			}
-			for _, v := range path {
-				set[v] = struct{}{}
-			}
-		}
-		return true
-	})
-	if cancelled {
-		return nil, ctx.Err()
-	}
-	if withLocations {
-		for key, set := range locSets {
-			locs := make([]int32, 0, len(set))
-			for v := range set {
-				locs = append(locs, v)
-			}
-			sortInt32(locs)
-			feats[key].Locations = locs
-		}
-	}
-	return feats, nil
-}
-
-// ExtractDatasetFeatures extracts the path features of every dataset graph
-// across the pool's workers (nil selects the shared default pool) and returns
-// them positionally: out[i] holds graph i's features. Because consumers fold
-// the results in slice order, index builds are deterministic regardless of
-// worker count — only the wall-clock time changes. Cancelling ctx aborts
-// extraction (including mid-graph, via ExtractFeaturesContext) and returns
-// the context's error.
-func ExtractDatasetFeatures(ctx context.Context, p *exec.Pool, ds []*graph.Graph, maxLen int, withLocations bool) ([]map[Key]*PathFeature, error) {
-	out := make([]map[Key]*PathFeature, len(ds))
-	if len(ds) <= 1 {
-		for i, g := range ds {
-			feats, err := ExtractFeaturesContext(ctx, g, maxLen, withLocations)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = feats
-		}
-		return out, nil
-	}
-	if p == nil {
-		p = exec.Default()
-	}
-	grp := p.NewGroup(ctx)
-	for i := range ds {
-		i := i
-		grp.Go(func(gctx context.Context) error {
-			feats, err := ExtractFeaturesContext(gctx, ds[i], maxLen, withLocations)
-			if err != nil {
-				return err
-			}
-			out[i] = feats
-			return nil
-		})
-	}
-	if err := grp.Wait(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // QueryFeature is a maximal path of the query with its occurrence count —
 // what Grapes/GGSX look up in their indexes at query time.
 type QueryFeature struct {
@@ -433,8 +299,4 @@ func QueryFeatures(q *graph.Graph, maxLen int) map[Key]*QueryFeature {
 		f.Count++
 	}
 	return out
-}
-
-func sortInt32(a []int32) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 }

@@ -3,6 +3,7 @@ package ftv
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/psi-graph/psi/internal/exec"
@@ -39,22 +40,22 @@ func TestExtractFeaturesPathGraph(t *testing.T) {
 	// path 0(a)-1(b)-2(c): directed paths: a-b, b-a, b-c, c-b, a-b-c, c-b-a
 	g := graph.MustNew("p", []graph.Label{10, 11, 12}, [][2]int{{0, 1}, {1, 2}})
 	feats := ExtractFeatures(g, 4, true)
-	if len(feats) != 6 {
-		t.Fatalf("got %d features, want 6", len(feats))
+	if feats.Len() != 6 {
+		t.Fatalf("got %d features, want 6", feats.Len())
 	}
-	f := feats[MakeKey([]graph.Label{10, 11, 12})]
-	if f == nil || f.Count != 1 {
-		t.Fatalf("a-b-c feature = %+v", f)
+	f, ok := find(feats, []graph.Label{10, 11, 12})
+	if !ok || feats.Count(f) != 1 {
+		t.Fatalf("a-b-c feature: found=%v", ok)
 	}
-	if len(f.Locations) != 3 {
-		t.Errorf("a-b-c locations = %v, want all 3 vertices", f.Locations)
+	if len(feats.Locations(f)) != 3 {
+		t.Errorf("a-b-c locations = %v, want all 3 vertices", feats.Locations(f))
 	}
-	f2 := feats[MakeKey([]graph.Label{11, 10})]
-	if f2 == nil || f2.Count != 1 {
-		t.Fatalf("b-a feature = %+v", f2)
+	f2, ok := find(feats, []graph.Label{11, 10})
+	if !ok || feats.Count(f2) != 1 {
+		t.Fatalf("b-a feature: found=%v", ok)
 	}
-	if len(f2.Locations) != 2 {
-		t.Errorf("b-a locations = %v", f2.Locations)
+	if len(feats.Locations(f2)) != 2 {
+		t.Errorf("b-a locations = %v", feats.Locations(f2))
 	}
 }
 
@@ -62,17 +63,17 @@ func TestExtractFeaturesCountsMultipleOccurrences(t *testing.T) {
 	// star: center label 0, two leaves label 1: path 1-0 occurs twice
 	g := graph.MustNew("s", []graph.Label{0, 1, 1}, [][2]int{{0, 1}, {0, 2}})
 	feats := ExtractFeatures(g, 2, false)
-	f := feats[MakeKey([]graph.Label{1, 0})]
-	if f == nil || f.Count != 2 {
-		t.Fatalf("leaf-center feature = %+v, want count 2", f)
+	f, ok := find(feats, []graph.Label{1, 0})
+	if !ok || feats.Count(f) != 2 {
+		t.Fatalf("leaf-center feature: found=%v, want count 2", ok)
 	}
-	if f.Locations != nil {
+	if feats.Locations(f) != nil {
 		t.Error("locations must be nil when not requested")
 	}
 	// 1-0-1 path occurs twice (both directions)
-	f2 := feats[MakeKey([]graph.Label{1, 0, 1})]
-	if f2 == nil || f2.Count != 2 {
-		t.Fatalf("leaf-center-leaf feature = %+v, want count 2", f2)
+	f2, ok := find(feats, []graph.Label{1, 0, 1})
+	if !ok || feats.Count(f2) != 2 {
+		t.Fatalf("leaf-center-leaf feature: found=%v, want count 2", ok)
 	}
 }
 
@@ -278,13 +279,13 @@ func TestExtractFeaturesContextCancel(t *testing.T) {
 	}
 	// The context-free wrapper still works and agrees with itself.
 	feats := ExtractFeatures(g, 2, false)
-	if len(feats) == 0 {
+	if feats.Len() == 0 {
 		t.Fatal("extraction produced no features")
 	}
 }
 
 // TestExtractDatasetFeaturesDeterministicAcrossPools: pooled extraction is
-// positional, so any worker count yields identical per-graph feature maps.
+// positional, so any worker count yields identical per-graph features.
 func TestExtractDatasetFeaturesDeterministicAcrossPools(t *testing.T) {
 	var ds []*graph.Graph
 	for i := 0; i < 6; i++ {
@@ -307,27 +308,14 @@ func TestExtractDatasetFeaturesDeterministicAcrossPools(t *testing.T) {
 	if len(f1) != len(ds) || len(f4) != len(ds) {
 		t.Fatalf("positional results missing: %d, %d", len(f1), len(f4))
 	}
-	for i := range ds {
-		if len(f1[i]) != len(f4[i]) {
-			t.Fatalf("graph %d: %d features vs %d", i, len(f1[i]), len(f4[i]))
-		}
-		for key, a := range f1[i] {
-			bf := f4[i][key]
-			if bf == nil || bf.Count != a.Count || len(bf.Locations) != len(a.Locations) {
-				t.Fatalf("graph %d key %v: %+v vs %+v", i, key.Labels(), a, bf)
-			}
-			for j := range a.Locations {
-				if a.Locations[j] != bf.Locations[j] {
-					t.Fatalf("graph %d key %v: locations differ", i, key.Labels())
-				}
-			}
-		}
-	}
-	// And both agree with the sequential per-graph extraction.
+	// Both agree with each other and with the sequential per-graph
+	// extraction, feature for feature.
 	for i, g := range ds {
-		seq := ExtractFeatures(g, 4, true)
-		if len(seq) != len(f1[i]) {
-			t.Fatalf("graph %d: pooled %d features vs sequential %d", i, len(f1[i]), len(seq))
+		if !reflect.DeepEqual(f1[i], f4[i]) {
+			t.Fatalf("graph %d: features differ between pool sizes 1 and 4", i)
+		}
+		if seq := ExtractFeatures(g, 4, true); !reflect.DeepEqual(seq, f1[i]) {
+			t.Fatalf("graph %d: pooled features differ from sequential", i)
 		}
 	}
 }

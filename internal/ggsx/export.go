@@ -8,74 +8,27 @@ package ggsx
 // reconstructs the trie node-for-node.
 
 import (
-	"sort"
 	"time"
 
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
-	"github.com/psi-graph/psi/internal/vf2"
 )
 
 func init() {
 	index.RegisterRestorer(Kind, restore)
 }
 
-// ExportFeatures implements index.FeatureExporter: depth-first with children
-// in ascending label order — the snapshot format's lexicographic canon.
+// ExportFeatures implements index.FeatureExporter: the trie's preorder walk,
+// which is the snapshot format's lexicographic canon.
 func (x *Index) ExportFeatures(visit func(labels []graph.Label, postings []index.FeaturePosting) error) error {
-	var labels []graph.Label
-	var walk func(n *suffixNode) error
-	walk = func(n *suffixNode) error {
-		if len(n.counts) > 0 {
-			ps := make([]index.FeaturePosting, 0, len(n.counts))
-			for gid, c := range n.counts {
-				ps = append(ps, index.FeaturePosting{GraphID: gid, Count: c})
-			}
-			index.SortPostings(ps)
-			if err := visit(labels, ps); err != nil {
-				return err
-			}
-		}
-		kids := make([]graph.Label, 0, len(n.children))
-		for l := range n.children {
-			kids = append(kids, l)
-		}
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-		for _, l := range kids {
-			labels = append(labels, l)
-			if err := walk(n.children[l]); err != nil {
-				return err
-			}
-			labels = labels[:len(labels)-1]
-		}
-		return nil
-	}
-	return walk(x.root)
+	return x.trie.ExportFeatures(visit)
 }
 
 // restore rebuilds a GGSX index from exported features, plus fresh per-graph
 // VF2 matchers; no path enumeration runs.
 func restore(ds []*graph.Graph, maxPathLen int, opts index.Options, feats []index.ExportedFeature) (index.Index, error) {
-	o := Options{MaxPathLen: maxPathLen, Pool: opts.Pool}.withDefaults()
 	start := time.Now()
-	x := &Index{ds: ds, opts: o, root: newSuffixNode(), verifier: make([]*vf2.Matcher, len(ds))}
-	for id := range ds {
-		x.verifier[id] = vf2.New(ds[id])
-	}
-	for _, f := range feats {
-		for _, p := range f.Postings {
-			x.insert(p.GraphID, f.Labels, p.Count)
-		}
-	}
-	x.stats = index.Stats{
-		Name:         x.Name(),
-		Kind:         Kind,
-		Graphs:       len(ds),
-		MaxPathLen:   o.MaxPathLen,
-		Features:     x.featureCount(),
-		Nodes:        x.nodeCount(),
-		BuildTime:    time.Since(start),
-		BuildWorkers: index.PoolWorkers(opts.Pool),
-	}
+	x := newIndex(ds, Options{MaxPathLen: maxPathLen, Pool: opts.Pool}.withDefaults(), index.RestoreTrie(feats, false))
+	x.stats.BuildTime = time.Since(start)
 	return x, nil
 }

@@ -12,12 +12,11 @@
 // constant-factor storage layout.
 //
 // The index implements the unified filtering-index contract of
-// internal/index: construction fans feature extraction out on the shared
-// execution pool (replacing the previous sequential insert loop) and folds
-// the per-graph results into the suffix trie in graph-ID order, so the built
-// index is identical for every worker count; filtering goes through the
-// shared presence/frequency pruning, and FilterStream emits candidates
-// incrementally.
+// internal/index: it is folded by the shared build pipeline from the path
+// features that pipeline extracts once for every kind, in graph-ID order, so
+// the built index is identical for every worker count; filtering goes
+// through the shared presence/frequency pruning, and FilterStream emits
+// candidates incrementally.
 package ggsx
 
 import (
@@ -36,13 +35,9 @@ import (
 const Kind = "ggsx"
 
 func init() {
-	index.Register(Kind, func(ctx context.Context, ds []*graph.Graph, opts index.Options) (index.Index, error) {
-		x, err := BuildContext(ctx, ds, Options{MaxPathLen: opts.MaxPathLen, Pool: opts.Pool})
-		if err != nil {
-			return nil, err
-		}
-		return x, nil
-	})
+	index.Register(Kind, func(ds []*graph.Graph, ex index.Extraction, opts index.Options) index.Index {
+		return fold(ds, ex, Options{MaxPathLen: opts.MaxPathLen, Pool: opts.Pool})
+	}, false)
 }
 
 // Options configures index construction.
@@ -63,23 +58,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// suffixNode is one node of the suffix trie. Because every suffix of every
-// enumerated path is itself an enumerated path (suffixes of simple paths
-// are simple paths), counts at inner nodes are exact occurrence counts.
-type suffixNode struct {
-	children map[graph.Label]*suffixNode
-	counts   map[int]int32 // graphID -> occurrences of the sequence
-}
-
-func newSuffixNode() *suffixNode {
-	return &suffixNode{children: make(map[graph.Label]*suffixNode)}
-}
-
 // Index is a built GGSX index. Safe for concurrent use once built.
 type Index struct {
 	ds       []*graph.Graph
 	opts     Options
-	root     *suffixNode
+	trie     *index.Trie    // the suffix trie: counts at every path feature's node
 	verifier []*vf2.Matcher // per-graph VF2 matcher with prebuilt label index
 	stats    index.Stats
 }
@@ -96,51 +79,43 @@ func Build(ds []*graph.Graph, opts Options) *Index {
 	return x
 }
 
-// BuildContext constructs the suffix trie, extracting features from dataset
-// graphs across the pool's workers and folding them into the trie in
-// graph-ID order — deterministic output for every worker count. Cancelling
-// ctx aborts the build and returns the context's error.
+// BuildContext constructs the index through the shared build pipeline: the
+// dataset's features are extracted across the pool's workers and folded
+// into the trie in graph-ID order — deterministic output for every worker
+// count. Cancelling ctx aborts the build and returns the context's error.
 func BuildContext(ctx context.Context, ds []*graph.Graph, opts Options) (*Index, error) {
-	opts = opts.withDefaults()
-	start := time.Now()
-	feats, err := ftv.ExtractDatasetFeatures(ctx, opts.Pool, ds, opts.MaxPathLen, false)
+	x, err := index.Build(ctx, Kind, ds, index.Options{MaxPathLen: opts.MaxPathLen, Pool: opts.Pool})
 	if err != nil {
 		return nil, err
 	}
-	x := &Index{ds: ds, opts: opts, root: newSuffixNode(), verifier: make([]*vf2.Matcher, len(ds))}
-	for id, fs := range feats {
-		for _, f := range fs {
-			x.insert(id, f.Labels, f.Count)
-		}
-		x.verifier[id] = vf2.New(ds[id])
+	return x.(*Index), nil
+}
+
+// fold is the registered index.BuildFunc.
+func fold(ds []*graph.Graph, ex index.Extraction, opts Options) *Index {
+	start := time.Now()
+	x := newIndex(ds, opts.withDefaults(), index.FoldTrie(ex.Features, false))
+	x.stats.BuildTime = ex.Time + time.Since(start)
+	return x
+}
+
+// newIndex wraps a built trie with the per-graph verifiers and statistics;
+// the caller sets BuildTime.
+func newIndex(ds []*graph.Graph, opts Options, trie *index.Trie) *Index {
+	x := &Index{ds: ds, opts: opts, trie: trie, verifier: make([]*vf2.Matcher, len(ds))}
+	for id, g := range ds {
+		x.verifier[id] = vf2.New(g)
 	}
 	x.stats = index.Stats{
 		Name:         x.Name(),
 		Kind:         Kind,
 		Graphs:       len(ds),
 		MaxPathLen:   opts.MaxPathLen,
-		Features:     x.featureCount(),
-		Nodes:        x.nodeCount(),
-		BuildTime:    time.Since(start),
+		Features:     trie.Features(),
+		Nodes:        trie.Nodes(),
 		BuildWorkers: index.PoolWorkers(opts.Pool),
 	}
-	return x, nil
-}
-
-func (x *Index) insert(graphID int, labels []graph.Label, count int32) {
-	node := x.root
-	for _, l := range labels {
-		child := node.children[l]
-		if child == nil {
-			child = newSuffixNode()
-			node.children[l] = child
-		}
-		node = child
-	}
-	if node.counts == nil {
-		node.counts = make(map[int]int32)
-	}
-	node.counts[graphID] += count
+	return x
 }
 
 // Name implements ftv.Index.
@@ -158,67 +133,22 @@ func (x *Index) Stats() index.Stats { return x.stats }
 // Close implements index.Index; GGSX owns no resources.
 func (x *Index) Close() {}
 
-// nodeCount reports the number of suffix-trie nodes (diagnostics).
-func (x *Index) nodeCount() int {
-	var walk func(n *suffixNode) int
-	walk = func(n *suffixNode) int {
-		c := 1
-		for _, ch := range n.children {
-			c += walk(ch)
-		}
-		return c
-	}
-	return walk(x.root)
-}
-
-// featureCount reports the number of distinct indexed label sequences.
-func (x *Index) featureCount() int {
-	var walk func(n *suffixNode) int
-	walk = func(n *suffixNode) int {
-		c := 0
-		if len(n.counts) > 0 {
-			c = 1
-		}
-		for _, ch := range n.children {
-			c += walk(ch)
-		}
-		return c
-	}
-	return walk(x.root)
-}
-
-// lookup returns per-graph occurrence counts for a label sequence, nil if
-// the sequence is absent from every graph.
-func (x *Index) lookup(labels []graph.Label) map[int]int32 {
-	node := x.root
-	for _, l := range labels {
-		node = node.children[l]
-		if node == nil {
-			return nil
-		}
-	}
-	return node.counts
-}
-
-// lookupPostings adapts lookup to the shared filter plumbing.
-func (x *Index) lookupPostings(labels []graph.Label) (index.Postings, bool) {
-	counts := x.lookup(labels)
-	if counts == nil {
-		return nil, false
-	}
-	return index.MapPostings(counts), true
+// lookup adapts the trie to the shared filter plumbing.
+func (x *Index) lookup(labels []graph.Label) (index.Postings, bool) {
+	posts, _ := x.trie.Lookup(labels)
+	return posts, posts != nil
 }
 
 // Filter implements ftv.Index using presence and frequency pruning over the
 // query's maximal paths.
 func (x *Index) Filter(q *graph.Graph) []int {
-	return index.FilterByFeatures(len(x.ds), ftv.QueryFeatures(q, x.opts.MaxPathLen), x.lookupPostings)
+	return index.FilterByFeatures(len(x.ds), ftv.QueryFeatures(q, x.opts.MaxPathLen), x.lookup)
 }
 
 // FilterStream implements index.Index: surviving graph IDs are emitted
 // incrementally in ascending order.
 func (x *Index) FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error {
-	return index.StreamByFeatures(ctx, len(x.ds), ftv.QueryFeatures(q, x.opts.MaxPathLen), x.lookupPostings, emit)
+	return index.StreamByFeatures(ctx, len(x.ds), ftv.QueryFeatures(q, x.opts.MaxPathLen), x.lookup, emit)
 }
 
 // Verify implements ftv.Index: VF2 against the whole stored graph (GGSX

@@ -3,11 +3,13 @@ package ggsx
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
+	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/vf2"
 )
 
@@ -34,13 +36,13 @@ func TestBuildAndName(t *testing.T) {
 
 func TestLookupCounts(t *testing.T) {
 	x := Build(smallDataset(), Options{})
-	counts := x.lookup([]graph.Label{0, 1})
+	counts, ok := x.lookup([]graph.Label{0, 1})
 	// g0: edge 0(0)-1(1) one occurrence of (0,1); g1 same; g2: center label
 	// 1 is vertex 0, leaves label 0: path (0,1) = leaf->center occurs 3×.
-	if counts[0] != 1 || counts[1] != 1 || counts[2] != 3 {
-		t.Errorf("counts(0,1) = %v", counts)
+	if want := (index.Postings{{Graph: 0, Count: 1}, {Graph: 1, Count: 1}, {Graph: 2, Count: 3}}); !ok || !slices.Equal(counts, want) {
+		t.Errorf("counts(0,1) = %v, want %v", counts, want)
 	}
-	if x.lookup([]graph.Label{42}) != nil {
+	if _, ok := x.lookup([]graph.Label{42}); ok {
 		t.Error("unknown label should have no postings")
 	}
 }

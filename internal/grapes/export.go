@@ -1,17 +1,15 @@
 package grapes
 
 // Snapshot support: Grapes' half of the index.FeatureExporter/RegisterRestorer
-// contract. Export walks the trie depth-first with children in ascending
-// label order, which emits features in exactly the lexicographic order the
-// snapshot format canonicalizes on; restore re-inserts them. Both directions
-// preserve the location sets, so a restored index prunes verification to the
-// same candidate components as the saved one.
+// contract. Export is the trie's preorder walk, which emits features in
+// exactly the lexicographic order the snapshot format canonicalizes on;
+// restore re-inserts them. Both directions preserve the location sets, so a
+// restored index prunes verification to the same candidate components as
+// the saved one.
 
 import (
-	"sort"
 	"time"
 
-	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 )
@@ -22,72 +20,15 @@ func init() {
 
 // ExportFeatures implements index.FeatureExporter.
 func (x *Index) ExportFeatures(visit func(labels []graph.Label, postings []index.FeaturePosting) error) error {
-	var labels []graph.Label
-	var walk func(n *trieNode) error
-	walk = func(n *trieNode) error {
-		if len(n.postings) > 0 {
-			ps := make([]index.FeaturePosting, 0, len(n.postings))
-			for gid, p := range n.postings {
-				ps = append(ps, index.FeaturePosting{GraphID: gid, Count: p.count, Locations: p.locations})
-			}
-			index.SortPostings(ps)
-			if err := visit(labels, ps); err != nil {
-				return err
-			}
-		}
-		kids := make([]graph.Label, 0, len(n.children))
-		for l := range n.children {
-			kids = append(kids, l)
-		}
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-		for _, l := range kids {
-			labels = append(labels, l)
-			if err := walk(n.children[l]); err != nil {
-				return err
-			}
-			labels = labels[:len(labels)-1]
-		}
-		return nil
-	}
-	return walk(x.trie.root)
+	return x.trie.ExportFeatures(visit)
 }
 
-// restore rebuilds a Grapes index from exported features. Each feature was
-// exported from exactly one trie node, so re-inserting every (labels,
-// postings) pair reconstructs the trie node-for-node — no path enumeration.
+// restore rebuilds a Grapes index from exported features; no path
+// enumeration runs.
 func restore(ds []*graph.Graph, maxPathLen int, opts index.Options, feats []index.ExportedFeature) (index.Index, error) {
-	o := Options{MaxPathLen: maxPathLen, Workers: opts.Workers, Pool: opts.Pool}.withDefaults()
 	start := time.Now()
-	x := &Index{ds: ds, opts: o, trie: newPathTrie()}
-	for _, f := range feats {
-		node := x.trie.root
-		for _, l := range f.Labels {
-			child := node.children[l]
-			if child == nil {
-				child = newTrieNode()
-				node.children[l] = child
-			}
-			node = child
-		}
-		if node.postings == nil {
-			node.postings = make(map[int]*posting, len(f.Postings))
-		}
-		for _, p := range f.Postings {
-			node.postings[p.GraphID] = &posting{count: p.Count, locations: p.Locations}
-		}
-	}
-	if o.Workers > 1 {
-		x.vpool = exec.New(o.Workers)
-	}
-	x.stats = index.Stats{
-		Name:         x.Name(),
-		Kind:         Kind,
-		Graphs:       len(ds),
-		MaxPathLen:   o.MaxPathLen,
-		Features:     x.trie.featureCount(),
-		Nodes:        x.trie.nodeCount(),
-		BuildTime:    time.Since(start),
-		BuildWorkers: index.PoolWorkers(opts.Pool),
-	}
+	o := Options{MaxPathLen: maxPathLen, Workers: opts.Workers, Pool: opts.Pool}.withDefaults()
+	x := newIndex(ds, o, index.RestoreTrie(feats, true))
+	x.stats.BuildTime = time.Since(start)
 	return x, nil
 }

@@ -13,10 +13,11 @@
 // paper's figures are instances of this index with 1 and 4 workers.
 //
 // The index implements the unified filtering-index contract of
-// internal/index: construction fans feature extraction out on the shared
-// execution pool (deterministic for every pool size, cancellable through a
-// context), filtering goes through the shared presence/frequency pruning,
-// and FilterStream emits candidates incrementally so verification can begin
+// internal/index: it is folded by the shared build pipeline from the path
+// features (with locations) that pipeline extracts once for every kind
+// (deterministic for every pool size, cancellable through a context),
+// filtering goes through the shared presence/frequency pruning, and
+// FilterStream emits candidates incrementally so verification can begin
 // before filtering finishes.
 package grapes
 
@@ -24,7 +25,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,17 +41,9 @@ import (
 const Kind = "grapes"
 
 func init() {
-	index.Register(Kind, func(ctx context.Context, ds []*graph.Graph, opts index.Options) (index.Index, error) {
-		x, err := BuildContext(ctx, ds, Options{
-			MaxPathLen: opts.MaxPathLen,
-			Workers:    opts.Workers,
-			Pool:       opts.Pool,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return x, nil
-	})
+	index.Register(Kind, func(ds []*graph.Graph, ex index.Extraction, opts index.Options) index.Index {
+		return fold(ds, ex, Options{MaxPathLen: opts.MaxPathLen, Workers: opts.Workers, Pool: opts.Pool})
+	}, true)
 }
 
 // Options configures index construction and verification.
@@ -82,8 +76,8 @@ func (o Options) withDefaults() Options {
 type Index struct {
 	ds    []*graph.Graph
 	opts  Options
-	trie  *pathTrie
-	vpool *exec.Pool // dedicated verification pool when Workers > 1
+	trie  *index.Trie // path trie: postings with location sets
+	vpool *exec.Pool  // dedicated verification pool when Workers > 1
 	stats index.Stats
 }
 
@@ -98,22 +92,32 @@ func Build(ds []*graph.Graph, opts Options) *Index {
 	return x
 }
 
-// BuildContext constructs the index, extracting features from dataset graphs
-// across the pool's workers. The trie is assembled from the per-graph results
-// in graph-ID order, so the built index is byte-identical regardless of the
-// pool's worker count. Cancelling ctx aborts the build — including mid-graph
-// on dense inputs — and returns the context's error.
+// BuildContext constructs the index through the shared build pipeline: the
+// dataset's features are extracted, with locations, across the pool's
+// workers and folded into the trie in graph-ID order, so the built index is
+// byte-identical regardless of the pool's worker count. Cancelling ctx
+// aborts the build — including mid-graph on dense inputs — and returns the
+// context's error.
 func BuildContext(ctx context.Context, ds []*graph.Graph, opts Options) (*Index, error) {
-	opts = opts.withDefaults()
-	start := time.Now()
-	feats, err := ftv.ExtractDatasetFeatures(ctx, opts.Pool, ds, opts.MaxPathLen, true)
+	x, err := index.Build(ctx, Kind, ds, index.Options{MaxPathLen: opts.MaxPathLen, Workers: opts.Workers, Pool: opts.Pool})
 	if err != nil {
 		return nil, err
 	}
-	x := &Index{ds: ds, opts: opts, trie: newPathTrie()}
-	for id, fs := range feats {
-		x.trie.insert(id, fs)
-	}
+	return x.(*Index), nil
+}
+
+// fold is the registered index.BuildFunc.
+func fold(ds []*graph.Graph, ex index.Extraction, opts Options) *Index {
+	start := time.Now()
+	x := newIndex(ds, opts.withDefaults(), index.FoldTrie(ex.Features, true))
+	x.stats.BuildTime = ex.Time + time.Since(start)
+	return x
+}
+
+// newIndex wraps a built trie with the verification pool and statistics;
+// the caller sets BuildTime.
+func newIndex(ds []*graph.Graph, opts Options, trie *index.Trie) *Index {
+	x := &Index{ds: ds, opts: opts, trie: trie}
 	if opts.Workers > 1 {
 		x.vpool = exec.New(opts.Workers)
 	}
@@ -122,12 +126,11 @@ func BuildContext(ctx context.Context, ds []*graph.Graph, opts Options) (*Index,
 		Kind:         Kind,
 		Graphs:       len(ds),
 		MaxPathLen:   opts.MaxPathLen,
-		Features:     x.trie.featureCount(),
-		Nodes:        x.trie.nodeCount(),
-		BuildTime:    time.Since(start),
+		Features:     trie.Features(),
+		Nodes:        trie.Nodes(),
 		BuildWorkers: index.PoolWorkers(opts.Pool),
 	}
-	return x, nil
+	return x
 }
 
 // Close releases the dedicated verification pool of a Workers>1 index.
@@ -148,40 +151,15 @@ func (x *Index) Dataset() []*graph.Graph { return x.ds }
 func (x *Index) MaxPathLen() int { return x.opts.MaxPathLen }
 
 // TrieNodes reports the size of the underlying trie (diagnostics).
-func (x *Index) TrieNodes() int { return x.trie.nodeCount() }
+func (x *Index) TrieNodes() int { return x.trie.Nodes() }
 
 // Stats implements index.Index.
 func (x *Index) Stats() index.Stats { return x.stats }
 
-// lookup adapts the trie's postings to the shared filter plumbing.
+// lookup adapts the trie to the shared filter plumbing.
 func (x *Index) lookup(labels []graph.Label) (index.Postings, bool) {
-	postings := x.trie.lookup(labels)
-	if postings == nil {
-		return nil, false
-	}
-	return triePostings(postings), true
-}
-
-// triePostings adapts the trie's location-bearing postings map to
-// index.Postings.
-type triePostings map[int]*posting
-
-func (m triePostings) Len() int { return len(m) }
-
-func (m triePostings) Count(graphID int) (int32, bool) {
-	p, ok := m[graphID]
-	if !ok {
-		return 0, false
-	}
-	return p.count, true
-}
-
-func (m triePostings) Range(f func(graphID int, count int32) bool) {
-	for id, p := range m {
-		if !f(id, p.count) {
-			return
-		}
-	}
+	posts, _ := x.trie.Lookup(labels)
+	return posts, posts != nil
 }
 
 // Filter implements ftv.Index: a graph survives iff it contains every
@@ -198,39 +176,60 @@ func (x *Index) FilterStream(ctx context.Context, q *graph.Graph, emit func(grap
 
 // CandidateVertices returns the union of the location sets of the query's
 // maximal paths within dataset graph graphID — the vertices any embedding
-// of q in that graph must lie inside. The boolean is false when the graph
-// fails the filter (some path missing or too rare).
+// of q in that graph must lie inside, ascending. The boolean is false when
+// the graph fails the filter (some path missing or too rare) or graphID is
+// out of range.
 func (x *Index) CandidateVertices(q *graph.Graph, graphID int) ([]int32, bool) {
+	if graphID < 0 || graphID >= len(x.ds) {
+		return nil, false
+	}
+	n := x.ds[graphID].N()
 	feats := ftv.QueryFeatures(q, x.opts.MaxPathLen)
 	if len(feats) == 0 {
-		g := x.ds[graphID]
-		all := make([]int32, g.N())
+		all := make([]int32, n)
 		for i := range all {
 			all[i] = int32(i)
 		}
 		return all, true
 	}
-	seen := make(map[int32]struct{})
+	if n == 0 {
+		// Nothing to embed into — and a tombstoned slot's placeholder under
+		// a restored mutable store, whose stale locations nothing bounds.
+		return nil, false
+	}
+	// The location lists are sorted, unique and below n (built so, checked
+	// by index.Restore); OR them into a reusable bitset and read the union
+	// back in order.
+	words := (n + 63) / 64
+	buf := unionPool.Get().(*[]uint64)
+	defer unionPool.Put(buf)
+	set := append((*buf)[:0], make([]uint64, words)...)
+	*buf = set
 	for _, f := range feats {
-		postings := x.trie.lookup(f.Labels)
-		if postings == nil {
+		posts, locs := x.trie.Lookup(f.Labels)
+		at, ok := posts.Find(graphID)
+		if !ok || posts[at].Count < f.Count {
 			return nil, false
 		}
-		p := postings[graphID]
-		if p == nil || p.count < f.Count {
-			return nil, false
-		}
-		for _, v := range p.locations {
-			seen[v] = struct{}{}
+		for _, v := range locs[at] {
+			set[v>>6] |= 1 << (v & 63)
 		}
 	}
-	out := make([]int32, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
+	size := 0
+	for _, w := range set {
+		size += bits.OnesCount64(w)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]int32, 0, size)
+	for i, w := range set {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, int32(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
 	return out, true
 }
+
+// unionPool recycles CandidateVertices' bitsets across verifications.
+var unionPool = sync.Pool{New: func() any { return new([]uint64) }}
 
 // Verify implements ftv.Index: it extracts the relevant connected components
 // of the candidate graph (via location information) and runs VF2 on each,
@@ -240,6 +239,9 @@ func (x *Index) CandidateVertices(q *graph.Graph, graphID int) ([]int32, bool) {
 func (x *Index) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
+	}
+	if graphID < 0 || graphID >= len(x.ds) {
+		return false, fmt.Errorf("grapes: graph ID %d out of range [0,%d)", graphID, len(x.ds))
 	}
 	g := x.ds[graphID]
 	if q.N() == 0 {

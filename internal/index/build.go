@@ -1,0 +1,166 @@
+package index
+
+// The index-build pipeline. Every build — a single index, a sharded one, an
+// engine's whole portfolio, the mutable store's kind × shard grid, a shard
+// rebuilt on compaction — is the same three steps: extract each dataset
+// graph's path features exactly once (with locations iff a requested kind
+// reads them), route graph g to shard g mod K, and fold every (kind, shard)
+// index from its graphs' features in graph-ID order. Extraction dominates a
+// build and is identical across kinds and shards, so its cost no longer
+// scales with the portfolio; folding in ID order is what makes every posting
+// list born sorted and the output independent of the pool size.
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"sync"
+	"time"
+
+	"github.com/psi-graph/psi/internal/ftv"
+	"github.com/psi-graph/psi/internal/graph"
+)
+
+// Extraction is the input of a fold: the path features of the graphs being
+// indexed, extracted once by the pipeline.
+type Extraction struct {
+	// Features[i] holds the features of dataset graph i, in canonical
+	// order. They carry locations iff some kind of the build declared it
+	// needs them; a fold must copy whatever it keeps, except location
+	// lists, which it may alias (nothing else of the extraction outlives
+	// the build).
+	Features []*ftv.Features
+	// Time is the share of the extraction's wall time charged to these
+	// graphs; a fold adds its own duration for Stats.BuildTime.
+	Time time.Duration
+}
+
+// BuildFunc folds an index of one kind over ds from its graphs' extracted
+// features. It does not enumerate paths itself.
+type BuildFunc func(ds []*graph.Graph, ex Extraction, opts Options) Index
+
+type builder struct {
+	fold      BuildFunc
+	locations bool
+}
+
+var (
+	registryMu sync.RWMutex
+	registry   = map[string]builder{}
+)
+
+// Register makes a kind's fold available under its name. needsLocations
+// declares that the fold reads the features' location lists, which the
+// pipeline then extracts. Implementations call it from init; registering a
+// duplicate kind panics.
+func Register(kind string, fold BuildFunc, needsLocations bool) {
+	registryMu.Lock()
+	defer registryMu.Unlock()
+	if _, dup := registry[kind]; dup {
+		panic("index: duplicate kind " + kind)
+	}
+	registry[kind] = builder{fold: fold, locations: needsLocations}
+}
+
+// Kinds lists the registered kinds, sorted.
+func Kinds() []string {
+	registryMu.RLock()
+	defer registryMu.RUnlock()
+	out := make([]string, 0, len(registry))
+	for k := range registry {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// BuildGrid is the pipeline: it returns grid[i][s], the index of kinds[i]
+// over shard s of ds under opts.Shards-way round-robin partitioning (below 1
+// means 1; the count is not clamped to len(ds), so a shard may be empty).
+// Extraction fans out on opts.Pool and is cancellable through ctx, mid-graph
+// included; the folds run on the caller's goroutine. The output is identical
+// for every pool size.
+func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, opts Options) ([][]Index, error) {
+	builders := make([]builder, len(kinds))
+	locations := false
+	registryMu.RLock()
+	for i, kind := range kinds {
+		b, ok := registry[kind]
+		if !ok {
+			registryMu.RUnlock()
+			return nil, fmt.Errorf("index: unknown kind %q (registered: %v)", kind, Kinds())
+		}
+		builders[i] = b
+		locations = locations || b.locations
+	}
+	registryMu.RUnlock()
+	if opts.MaxPathLen <= 0 {
+		opts.MaxPathLen = ftv.DefaultMaxPathLen
+	}
+	k := max(opts.Shards, 1)
+	opts.Shards = 0 // a fold builds one unsharded index
+
+	start := time.Now()
+	feats, err := ftv.ExtractDatasetFeatures(ctx, opts.Pool, ds, opts.MaxPathLen, locations)
+	if err != nil {
+		return nil, err
+	}
+	extract := time.Since(start)
+
+	shards := make([]struct {
+		ds []*graph.Graph
+		ex Extraction
+	}, k)
+	for g := range ds {
+		sh := &shards[ShardOf(g, k)]
+		sh.ds = append(sh.ds, ds[g])
+		sh.ex.Features = append(sh.ex.Features, feats[g])
+	}
+	for s := range shards {
+		if len(ds) > 0 {
+			shards[s].ex.Time = extract * time.Duration(len(shards[s].ds)) / time.Duration(len(ds))
+		}
+	}
+	grid := make([][]Index, len(kinds))
+	for i, b := range builders {
+		grid[i] = make([]Index, k)
+		for s, sh := range shards {
+			grid[i][s] = b.fold(sh.ds, sh.ex, opts)
+		}
+	}
+	return grid, nil
+}
+
+// BuildPortfolio builds one index per kind over one dataset from a single
+// feature extraction. With opts.Shards >= 2 every entry is a Sharded index
+// over the same partitioning (the shard count clamped to len(ds) — a shard
+// with no graphs would be dead weight — and to at least 1); otherwise every
+// entry is the plain monolithic index. Answers are byte-identical at any
+// shard count.
+func BuildPortfolio(ctx context.Context, kinds []string, ds []*graph.Graph, opts Options) ([]Index, error) {
+	sharded := opts.Shards >= 2
+	opts.Shards = min(opts.Shards, len(ds))
+	grid, err := BuildGrid(ctx, kinds, ds, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Index, len(kinds))
+	for i, subs := range grid {
+		if sharded {
+			out[i] = NewShardedFrom(ds, kinds[i], subs)
+		} else {
+			out[i] = subs[0]
+		}
+	}
+	return out, nil
+}
+
+// Build constructs an index of the registered kind: a portfolio of one. The
+// build is cancellable through ctx and deterministic for any opts.Pool size.
+func Build(ctx context.Context, kind string, ds []*graph.Graph, opts Options) (Index, error) {
+	built, err := BuildPortfolio(ctx, []string{kind}, ds, opts)
+	if err != nil {
+		return nil, err
+	}
+	return built[0], nil
+}

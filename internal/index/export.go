@@ -9,13 +9,12 @@ package index
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
-	"github.com/psi-graph/psi/internal/vf2"
 )
 
 // FeaturePosting is one graph's entry in an exported feature's posting list.
@@ -101,10 +100,34 @@ func Restore(kind string, ds []*graph.Graph, maxPathLen int, opts Options, feats
 	if fn == nil {
 		return nil, fmt.Errorf("index: no restorer for kind %q", kind)
 	}
-	for _, f := range feats {
-		for _, p := range f.Postings {
+	// The indexes keep features, postings and locations in the export's
+	// canonical order and search them by it — and Grapes indexes a bitset of
+	// the graph's vertices by its locations — so a file that breaks the
+	// order or the bounds is rejected here rather than answered from wrongly.
+	for i, f := range feats {
+		if i > 0 && CompareLabelSeqs(feats[i-1].Labels, f.Labels) >= 0 {
+			return nil, fmt.Errorf("index: restoring %q: feature %d out of canonical order", kind, i)
+		}
+		for j, p := range f.Postings {
 			if p.GraphID < 0 || p.GraphID >= len(ds) {
 				return nil, fmt.Errorf("index: restoring %q: posting graph ID %d out of range [0,%d)", kind, p.GraphID, len(ds))
+			}
+			if j > 0 && f.Postings[j-1].GraphID >= p.GraphID {
+				return nil, fmt.Errorf("index: restoring %q: feature %d postings not ascending by graph ID", kind, i)
+			}
+			// A zero-vertex graph with postings is a tombstoned slot's
+			// placeholder under a mutable store's snapshot: the sub-index
+			// still carries the dead graph's features until compaction, no
+			// query reaches them (the masked view skips dead slots), so
+			// there is no vertex count left to hold them to.
+			n := ds[p.GraphID].N()
+			for l, v := range p.Locations {
+				if v < 0 || (n > 0 && int(v) >= n) {
+					return nil, fmt.Errorf("index: restoring %q: location %d out of range for graph %d (n=%d)", kind, v, p.GraphID, n)
+				}
+				if l > 0 && p.Locations[l-1] >= v {
+					return nil, fmt.Errorf("index: restoring %q: feature %d locations in graph %d not ascending", kind, i, p.GraphID)
+				}
 			}
 		}
 	}
@@ -112,30 +135,9 @@ func Restore(kind string, ds []*graph.Graph, maxPathLen int, opts Options, feats
 }
 
 // CompareLabelSeqs orders label sequences lexicographically (shorter prefix
-// first) — the canonical feature order of the snapshot format.
-func CompareLabelSeqs(a, b []graph.Label) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}
-
-// SortPostings orders a posting list by ascending graph ID, in place — the
-// canonical posting order of the snapshot format.
-func SortPostings(ps []FeaturePosting) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].GraphID < ps[j].GraphID })
-}
+// first) — the canonical feature order of the snapshot format, and the order
+// ftv.Features and every index keep their features in.
+func CompareLabelSeqs(a, b []graph.Label) int { return slices.Compare(a, b) }
 
 // Subs returns the per-shard sub-indexes in shard order — the snapshot
 // layer's decomposition surface, mirroring NewShardedFrom's assembly one.
@@ -156,36 +158,25 @@ func init() {
 	RegisterRestorer(KindPath, restorePath)
 }
 
-// ExportFeatures implements FeatureExporter for the flat path index.
+// ExportFeatures implements FeatureExporter for the flat path index, whose
+// features and postings are stored in the canonical order already.
 func (x *Path) ExportFeatures(visit func(labels []graph.Label, postings []FeaturePosting) error) error {
-	keys := make([][]graph.Label, 0, len(x.postings))
-	byIdx := make([]ftv.Key, 0, len(x.postings))
-	for key := range x.postings {
-		keys = append(keys, key.Labels())
-		byIdx = append(byIdx, key)
-	}
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return CompareLabelSeqs(keys[order[i]], keys[order[j]]) < 0 })
-	for _, i := range order {
-		m := x.postings[byIdx[i]]
-		ps := make([]FeaturePosting, 0, len(m))
-		for gid, c := range m {
-			ps = append(ps, FeaturePosting{GraphID: gid, Count: c})
+	for _, ft := range x.feats {
+		ps := make([]FeaturePosting, len(ft.list))
+		for i, e := range ft.list {
+			ps[i] = FeaturePosting{GraphID: int(e.Graph), Count: e.Count}
 		}
-		SortPostings(ps)
-		if err := visit(keys[i], ps); err != nil {
+		if err := visit(ft.labels, ps); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// restorePath rebuilds the flat path index: posting maps straight from the
-// exported lists, fresh VF2 matchers per graph. No path enumeration runs,
-// which is where the cold-start speedup comes from.
+// restorePath rebuilds the flat path index: label sequences and posting
+// lists carved from one slab each straight from the exported lists (Restore
+// has checked their order), fresh VF2 matchers per graph. No path
+// enumeration runs, which is where the cold-start speedup comes from.
 func restorePath(ds []*graph.Graph, maxPathLen int, opts Options, feats []ExportedFeature) (Index, error) {
 	if maxPathLen <= 0 {
 		maxPathLen = ftv.DefaultMaxPathLen
@@ -194,28 +185,23 @@ func restorePath(ds []*graph.Graph, maxPathLen int, opts Options, feats []Export
 	x := &Path{
 		ds:         ds,
 		maxPathLen: maxPathLen,
-		postings:   make(map[ftv.Key]MapPostings, len(feats)),
-		verifier:   make([]*vf2.Matcher, len(ds)),
+		feats:      make([]pathFeature, len(feats)),
 	}
-	for id := range ds {
-		x.verifier[id] = vf2.New(ds[id])
-	}
+	nLabels, nPostings := 0, 0
 	for _, f := range feats {
-		m := make(MapPostings, len(f.Postings))
-		for _, p := range f.Postings {
-			m[p.GraphID] = p.Count
+		nLabels += len(f.Labels)
+		nPostings += len(f.Postings)
+	}
+	labelSlab := make([]graph.Label, 0, nLabels)
+	listSlab := make([]Posting, 0, nPostings)
+	for at, f := range feats {
+		l, p := len(labelSlab), len(listSlab)
+		labelSlab = append(labelSlab, f.Labels...)
+		for _, e := range f.Postings {
+			listSlab = append(listSlab, Posting{Graph: int32(e.GraphID), Count: e.Count})
 		}
-		x.postings[ftv.MakeKey(f.Labels)] = m
+		x.feats[at] = pathFeature{labels: labelSlab[l:len(labelSlab):len(labelSlab)], list: listSlab[p:len(listSlab):len(listSlab)]}
 	}
-	x.stats = Stats{
-		Name:         x.Name(),
-		Kind:         KindPath,
-		Graphs:       len(ds),
-		MaxPathLen:   maxPathLen,
-		Features:     len(x.postings),
-		Nodes:        len(x.postings),
-		BuildTime:    time.Since(start),
-		BuildWorkers: PoolWorkers(opts.Pool),
-	}
+	x.finish(ds, time.Since(start), opts.Pool)
 	return x, nil
 }

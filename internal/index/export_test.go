@@ -10,6 +10,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	_ "github.com/psi-graph/psi/internal/ggsx"
@@ -102,6 +103,80 @@ func TestExportUnsupportedKind(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsMalformedFeatures: the indexes search features, postings
+// and locations by their canonical order and Grapes indexes a per-graph
+// bitset by its locations, so Restore refuses input that breaks the order or
+// the bounds instead of answering (or panicking) from it later.
+func TestRestoreRejectsMalformedFeatures(t *testing.T) {
+	ds := randomDataset(rand.New(rand.NewSource(3)), 5, 8, 2)
+	x, err := index.Build(context.Background(), "grapes", ds, index.Options{MaxPathLen: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	good, maxLen, err := index.Export(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A feature with two postings or more, the first with two locations or more.
+	// (Not the first feature, so that it has a predecessor to swap with.)
+	at := 1 + slices.IndexFunc(good[1:], func(f index.ExportedFeature) bool {
+		return len(f.Postings) >= 2 && len(f.Postings[0].Locations) >= 2
+	})
+	if at < 1 {
+		t.Fatal("fixture has no feature to corrupt")
+	}
+	n := int32(ds[good[at].Postings[0].GraphID].N())
+	cases := []struct {
+		name    string
+		corrupt func(feats []index.ExportedFeature, f *index.ExportedFeature)
+	}{
+		{"feature order", func(feats []index.ExportedFeature, _ *index.ExportedFeature) {
+			feats[at-1], feats[at] = feats[at], feats[at-1]
+		}},
+		{"posting order", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
+			f.Postings[0], f.Postings[1] = f.Postings[1], f.Postings[0]
+		}},
+		{"graph ID range", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
+			f.Postings[len(f.Postings)-1].GraphID = len(ds)
+		}},
+		{"location beyond the graph", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
+			locs := f.Postings[0].Locations
+			locs[len(locs)-1] = n
+		}},
+		{"negative location", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
+			f.Postings[0].Locations[0] = -1
+		}},
+		{"location order", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
+			locs := f.Postings[0].Locations
+			locs[0], locs[1] = locs[1], locs[0]
+		}},
+		{"duplicate location", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
+			locs := f.Postings[0].Locations
+			locs[1] = locs[0]
+		}},
+	}
+	for _, tc := range cases {
+		feats := make([]index.ExportedFeature, len(good))
+		for i, f := range good {
+			feats[i] = index.ExportedFeature{Labels: f.Labels, Postings: slices.Clone(f.Postings)}
+			for j := range feats[i].Postings {
+				feats[i].Postings[j].Locations = slices.Clone(f.Postings[j].Locations)
+			}
+		}
+		tc.corrupt(feats, &feats[at])
+		if y, err := index.Restore("grapes", ds, maxLen, index.Options{}, feats); err == nil {
+			y.Close()
+			t.Errorf("%s: Restore accepted the corrupted features", tc.name)
+		}
+	}
+	if y, err := index.Restore("grapes", ds, maxLen, index.Options{}, good); err != nil {
+		t.Fatalf("Restore rejected the untouched export: %v", err)
+	} else {
+		y.Close()
+	}
+}
+
 func TestShardedSubsAndShardDataset(t *testing.T) {
 	ds := randomDataset(rand.New(rand.NewSource(2)), 7, 6, 2)
 	x, err := index.BuildSharded(context.Background(), index.KindPath, ds, index.Options{Shards: 3})
@@ -146,9 +221,10 @@ func TestCompareLabelSeqs(t *testing.T) {
 	}
 }
 
-// TestExportKeyFallback forces the string-key fallback of ftv.MakeKey (labels
-// beyond the 12-bit packing range) through the export path, so the decode in
-// Path.ExportFeatures is covered for both key forms.
+// TestExportKeyFallback takes labels beyond the 12-bit range ftv.Key packs
+// (the form query features are keyed by) through build, export, restore and
+// lookup: the index stores and compares whole label sequences, so wide
+// labels must round-trip like narrow ones.
 func TestExportKeyFallback(t *testing.T) {
 	big := graph.Label(1 << 13) // exceeds the packed-key label width
 	g := graph.MustNew("big", []graph.Label{big, big + 1}, [][2]int{{0, 1}})

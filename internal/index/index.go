@@ -12,14 +12,16 @@
 // interface.
 //
 // Implementations register a builder under a kind name ("ftv", "grapes",
-// "ggsx") at init time; Build dispatches on the kind, so callers that import
-// the implementation packages can construct any index uniformly.
+// "ggsx") at init time; BuildGrid, the one build pipeline (build.go),
+// extracts a dataset's path features once and folds every requested kind and
+// shard from them, so callers that import the implementation packages can
+// construct any index — or a whole portfolio — uniformly.
 package index
 
 import (
+	"cmp"
 	"context"
-	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -66,7 +68,8 @@ type FilterStreamer interface {
 // left untouched — concurrent queries against it keep their answers — so a
 // mutable dataset layer can swap the returned index in copy-on-write style.
 // Kinds that cannot append cheaply (the trie-backed indexes) simply do not
-// implement it and are rebuilt shard-locally instead.
+// implement it and are rebuilt shard-locally instead, together, from one
+// feature extraction.
 type Inserter interface {
 	WithGraph(ctx context.Context, g *graph.Graph) (Index, error)
 }
@@ -86,9 +89,12 @@ type Stats struct {
 	// Features is the number of distinct indexed path features.
 	Features int `json:"features"`
 	// Nodes is the size of the backing structure (trie/suffix-trie nodes,
-	// or hash-map entries for the flat path index).
+	// or array entries for the flat path index).
 	Nodes int `json:"nodes"`
-	// BuildTime is the wall-clock construction time.
+	// BuildTime is the wall-clock time until the index was usable: the
+	// feature extraction it was folded from — shared with every other kind
+	// and shard of the same build, and counted in each; a shard of a grid
+	// is charged its graphs' share of it — plus its own fold.
 	BuildTime time.Duration `json:"build_ns"`
 	// BuildWorkers is the extraction parallelism the build ran with.
 	BuildWorkers int `json:"build_workers"`
@@ -120,86 +126,26 @@ type Options struct {
 	Shards int
 }
 
-// BuildFunc constructs an Index of one kind over a dataset.
-type BuildFunc func(ctx context.Context, ds []*graph.Graph, opts Options) (Index, error)
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]BuildFunc{}
-)
-
-// Register makes a builder available under a kind name. Implementations call
-// it from init; registering a duplicate kind panics.
-func Register(kind string, b BuildFunc) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[kind]; dup {
-		panic("index: duplicate kind " + kind)
-	}
-	registry[kind] = b
+// Posting is one entry of a feature's posting list: the feature occurs
+// Count times in dataset graph Graph.
+type Posting struct {
+	Graph int32
+	Count int32
 }
 
-// Kinds lists the registered kinds, sorted.
-func Kinds() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+// Postings is one path feature's per-graph occurrence counts in ascending
+// graph-ID order — the common shape the shared filter logic consumes
+// regardless of whether the backing structure is a trie (Grapes, GGSX) or a
+// flat sorted array (FTV). Builds fold graphs in ID order, so the lists are
+// born sorted.
+type Postings []Posting
 
-// Build constructs an index of the registered kind. The build is cancellable
-// through ctx and deterministic for any opts.Pool size. With opts.Shards >= 2
-// the dataset is partitioned and the result is a Sharded index of that kind;
-// its answers are byte-identical to the monolithic build.
-func Build(ctx context.Context, kind string, ds []*graph.Graph, opts Options) (Index, error) {
-	if opts.Shards >= 2 {
-		return BuildSharded(ctx, kind, ds, opts)
-	}
-	registryMu.RLock()
-	b := registry[kind]
-	registryMu.RUnlock()
-	if b == nil {
-		return nil, fmt.Errorf("index: unknown kind %q (registered: %v)", kind, Kinds())
-	}
-	return b(ctx, ds, opts)
-}
-
-// Postings is one path feature's per-graph occurrence counts — the common
-// shape the shared filter logic consumes regardless of whether the backing
-// structure is a trie (Grapes), a suffix trie (GGSX) or a flat map (FTV).
-type Postings interface {
-	// Len is the number of graphs the feature occurs in.
-	Len() int
-	// Count returns the feature's occurrence count in graphID; ok is false
-	// when the feature does not occur there.
-	Count(graphID int) (int32, bool)
-	// Range visits every (graph, count) pair until f returns false.
-	Range(f func(graphID int, count int32) bool)
-}
-
-// MapPostings adapts the plain map representation to Postings.
-type MapPostings map[int]int32
-
-// Len implements Postings.
-func (m MapPostings) Len() int { return len(m) }
-
-// Count implements Postings.
-func (m MapPostings) Count(graphID int) (int32, bool) {
-	c, ok := m[graphID]
-	return c, ok
-}
-
-// Range implements Postings.
-func (m MapPostings) Range(f func(graphID int, count int32) bool) {
-	for id, c := range m {
-		if !f(id, c) {
-			return
-		}
-	}
+// Find returns the position of graphID's entry by binary search; ok is
+// false when the feature does not occur in that graph.
+func (p Postings) Find(graphID int) (int, bool) {
+	return slices.BinarySearchFunc(p, graphID, func(e Posting, id int) int {
+		return cmp.Compare(int(e.Graph), id)
+	})
 }
 
 // LookupFunc resolves one query feature's postings; ok is false when the
@@ -223,9 +169,10 @@ func FilterByFeatures(nGraphs int, feats map[ftv.Key]*ftv.QueryFeature, lookup L
 
 // StreamByFeatures is the streaming form of FilterByFeatures: surviving
 // graph IDs are emitted in ascending order as soon as each graph has been
-// checked against every feature, driven by the rarest feature's postings so
-// per-graph work is bounded by the feature count. emit returning false
-// abandons the scan; ctx cancellation ends it with the context's error.
+// checked against every feature — an intersection of sorted posting lists
+// driven by the rarest feature's, so per-graph work is bounded by the
+// feature count. emit returning false abandons the scan; ctx cancellation
+// ends it with the context's error.
 func StreamByFeatures(ctx context.Context, nGraphs int, feats map[ftv.Key]*ftv.QueryFeature, lookup LookupFunc, emit func(graphID int) bool) error {
 	if len(feats) == 0 {
 		// No path features (edgeless query): every graph is a candidate.
@@ -240,48 +187,50 @@ func StreamByFeatures(ctx context.Context, nGraphs int, feats map[ftv.Key]*ftv.Q
 		return nil
 	}
 	type need struct {
-		p   Postings
-		min int32
+		list Postings
+		min  int32
+		next int // merge cursor: entries before it are below every remaining candidate
 	}
 	needs := make([]need, 0, len(feats))
 	for _, f := range feats {
 		p, ok := lookup(f.Labels)
-		if !ok || p.Len() == 0 {
+		if !ok || len(p) == 0 {
 			return nil // feature absent everywhere: no candidates
 		}
-		needs = append(needs, need{p: p, min: f.Count})
+		needs = append(needs, need{list: p, min: f.Count})
 	}
-	// Drive the scan with the rarest feature; the others are point lookups.
+	// Drive the scan with the rarest feature's list; it ascends, so every
+	// other list is consumed by a cursor that only moves forward.
 	driver := 0
 	for i, n := range needs {
-		if n.p.Len() < needs[driver].p.Len() {
+		if len(n.list) < len(needs[driver].list) {
 			driver = i
 		}
 	}
-	candidates := make([]int, 0, needs[driver].p.Len())
-	needs[driver].p.Range(func(id int, c int32) bool {
-		if c >= needs[driver].min {
-			candidates = append(candidates, id)
+	for _, d := range needs[driver].list {
+		if d.Count < needs[driver].min {
+			continue
 		}
-		return true
-	})
-	sort.Ints(candidates)
-	for _, id := range candidates {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		ok := true
-		for i, n := range needs {
+		for i := range needs {
+			n := &needs[i]
 			if i == driver {
 				continue
 			}
-			c, present := n.p.Count(id)
-			if !present || c < n.min {
+			at, _ := n.list[n.next:].Find(int(d.Graph))
+			n.next += at
+			if n.next == len(n.list) {
+				return nil // a required feature occurs in no graph from here on
+			}
+			if e := n.list[n.next]; e.Graph != d.Graph || e.Count < n.min {
 				ok = false
 				break
 			}
 		}
-		if ok && !emit(id) {
+		if ok && !emit(int(d.Graph)) {
 			return nil
 		}
 	}

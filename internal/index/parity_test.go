@@ -282,3 +282,46 @@ func indexOfKind(t *testing.T, kind string) int {
 	t.Fatalf("kind %q not registered", kind)
 	return -1
 }
+
+// TestVerifyRejectsOutOfRangeGraphID: a graph ID outside the dataset is an
+// error from every kind's Verify — built or restored from exported features —
+// never a panic, and Grapes' CandidateVertices reports such a graph as
+// failing the filter.
+func TestVerifyRejectsOutOfRangeGraphID(t *testing.T) {
+	ds := randomDataset(rand.New(rand.NewSource(5)), 4, 7, 2)
+	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})
+	for _, kind := range index.Kinds() {
+		built, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer built.Close()
+		feats, maxLen, err := index.Export(built)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := index.Restore(kind, ds, maxLen, index.Options{}, feats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer restored.Close()
+		for _, tc := range []struct {
+			name string
+			x    index.Index
+		}{{"built", built}, {"restored", restored}} {
+			for _, id := range []int{-1, len(ds), len(ds) + 100} {
+				if ok, err := tc.x.Verify(context.Background(), q, id); err == nil || ok {
+					t.Errorf("%s %s: Verify(graph %d) = %v, %v; want an out-of-range error", kind, tc.name, id, ok, err)
+				}
+				if g, isGrapes := tc.x.(*grapes.Index); isGrapes {
+					if vs, ok := g.CandidateVertices(q, id); ok || vs != nil {
+						t.Errorf("grapes %s: CandidateVertices(graph %d) = %v, %v; want nil, false", tc.name, id, vs, ok)
+					}
+				}
+			}
+			if _, err := tc.x.Verify(context.Background(), q, len(ds)-1); err != nil {
+				t.Errorf("%s %s: Verify(last graph): %v", kind, tc.name, err)
+			}
+		}
+	}
+}

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/psi-graph/psi/internal/graph"
 )
@@ -34,8 +33,8 @@ import (
 const shardStreamBuf = 64
 
 // Sharded is a dataset index partitioned into K per-shard sub-indexes.
-// Construct with BuildSharded (or index.Build with Options.Shards set); safe
-// for concurrent queries once built.
+// Construct with BuildSharded (or Build/BuildPortfolio with Options.Shards
+// set); safe for concurrent queries once built.
 type Sharded struct {
 	ds     []*graph.Graph
 	shards []Index
@@ -58,58 +57,30 @@ func shardDataset(ds []*graph.Graph, s, k int) []*graph.Graph {
 }
 
 // BuildSharded partitions ds into opts.Shards round-robin shards and builds
-// one index of the registered kind per shard, each through the shared exec
-// pool (opts.Pool), so builds remain deterministic at any worker count. The
+// one index of the registered kind per shard through BuildGrid — a
+// portfolio of one kind that is a Sharded index even at a single shard. The
 // shard count is clamped to len(ds) — a shard with no graphs would be dead
 // weight — and to at least 1.
 func BuildSharded(ctx context.Context, kind string, ds []*graph.Graph, opts Options) (*Sharded, error) {
-	k := opts.Shards
-	if k < 1 {
-		k = 1
+	opts.Shards = min(opts.Shards, len(ds))
+	grid, err := BuildGrid(ctx, []string{kind}, ds, opts)
+	if err != nil {
+		return nil, err
 	}
-	if k > len(ds) {
-		k = len(ds)
-	}
-	subOpts := opts
-	subOpts.Shards = 0 // sub-builds are monolithic: no recursive sharding
-	start := time.Now()
-	x := &Sharded{ds: ds, k: k, shards: make([]Index, k)}
-	for s := 0; s < k; s++ {
-		sub, err := Build(ctx, kind, shardDataset(ds, s, k), subOpts)
-		if err != nil {
-			for _, built := range x.shards[:s] {
-				built.Close()
-			}
-			return nil, fmt.Errorf("index: building shard %d/%d: %w", s, k, err)
-		}
-		x.shards[s] = sub
-	}
-	x.stats = Stats{
-		Name:         x.Name(),
-		Kind:         kind,
-		Graphs:       len(ds),
-		ShardCount:   k,
-		BuildTime:    time.Since(start),
-		BuildWorkers: PoolWorkers(opts.Pool),
-	}
-	for _, sub := range x.shards {
-		st := sub.Stats()
-		x.stats.MaxPathLen = st.MaxPathLen
-		x.stats.Features += st.Features
-		x.stats.Nodes += st.Nodes
-		x.stats.Shards = append(x.stats.Shards, st)
-	}
-	return x, nil
+	return NewShardedFrom(ds, kind, grid[0]), nil
 }
 
 // NewShardedFrom assembles a Sharded view over pre-built per-shard
-// sub-indexes — the mutable dataset layer's entry point, which maintains the
-// sub-indexes itself (copy-on-write inserts, shard-local rebuilds) and needs
-// the shard count to stay fixed across mutations. Unlike BuildSharded the
-// shard count is NOT clamped to len(ds): a shard may legitimately be empty
-// after deletions or before its first ingest. subs[s] must index exactly
-// shardDataset(ds, s, len(subs)); ownership of the sub-indexes stays with the
-// caller (Close on the result closes them, as with BuildSharded).
+// sub-indexes, one row of BuildGrid's output — also the mutable dataset
+// layer's entry point, which maintains the sub-indexes itself (copy-on-write
+// inserts, shard-local rebuilds) and needs the shard count to stay fixed
+// across mutations. Unlike BuildSharded the shard count is NOT clamped to
+// len(ds): a shard may legitimately be empty after deletions or before its
+// first ingest. subs[s] must index exactly shardDataset(ds, s, len(subs));
+// ownership of the sub-indexes stays with the caller (Close on the result
+// closes them, as with BuildSharded). The aggregate BuildTime is the sum of
+// the sub-indexes': a grid charges each shard its graphs' share of the
+// shared extraction, so the sum is extraction plus this kind's folds.
 func NewShardedFrom(ds []*graph.Graph, kind string, subs []Index) *Sharded {
 	k := len(subs)
 	x := &Sharded{ds: ds, k: k, shards: subs}
@@ -125,6 +96,7 @@ func NewShardedFrom(ds []*graph.Graph, kind string, subs []Index) *Sharded {
 		x.stats.Features += st.Features
 		x.stats.Nodes += st.Nodes
 		x.stats.BuildTime += st.BuildTime
+		x.stats.BuildWorkers = st.BuildWorkers
 		x.stats.Shards = append(x.stats.Shards, st)
 	}
 	return x

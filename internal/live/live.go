@@ -181,24 +181,14 @@ func NewStore(ctx context.Context, ds []*graph.Graph, opts Options) (*Store, err
 		st.byHandle[h] = slot
 		st.local[slot%k] = append(st.local[slot%k], g)
 	}
-	for _, kind := range st.kinds {
-		subs := make([]index.Index, k)
-		for s := 0; s < k; s++ {
-			sub, err := index.Build(ctx, kind, st.local[s], st.ixOpts)
-			if err != nil {
-				for _, built := range subs[:s] {
-					built.Close()
-				}
-				for _, prev := range st.kinds {
-					for _, built := range st.grid[prev] {
-						built.Close()
-					}
-				}
-				return nil, fmt.Errorf("live: building %s shard %d/%d: %w", kind, s, k, err)
-			}
-			subs[s] = sub
-		}
-		st.grid[kind] = subs
+	gridOpts := ixOpts
+	gridOpts.Shards = k
+	grid, err := index.BuildGrid(ctx, st.kinds, ds, gridOpts)
+	if err != nil {
+		return nil, fmt.Errorf("live: building the index grid: %w", err)
+	}
+	for i, kind := range st.kinds {
+		st.grid[kind] = grid[i]
 	}
 	st.installLocked(1)
 	return st, nil
@@ -394,7 +384,8 @@ var errNoInserter = fmt.Errorf("live: kind does not support incremental insert")
 // rebuildShard produces the replacement sub-index of every kind for one
 // shard without touching store state, so a failure aborts the mutation
 // cleanly. incremental, when non-nil, is tried first per kind and may
-// return errNoInserter to fall back to the full rebuild over newLocal.
+// return errNoInserter; the kinds it leaves over are rebuilt over newLocal
+// together, from one feature extraction.
 func (st *Store) rebuildShard(ctx context.Context, shard int, newLocal []*graph.Graph, incremental func(cur index.Index) (index.Index, error)) (map[string]index.Index, error) {
 	fresh := make(map[string]index.Index, len(st.kinds))
 	abort := func() {
@@ -402,26 +393,32 @@ func (st *Store) rebuildShard(ctx context.Context, shard int, newLocal []*graph.
 			sub.Close()
 		}
 	}
+	var rebuild []string
 	for _, kind := range st.kinds {
-		var sub index.Index
-		var err error
-		if incremental != nil {
-			sub, err = incremental(st.grid[kind][shard])
-			if err == errNoInserter {
-				sub, err = nil, nil
-			} else if err != nil {
-				abort()
-				return nil, fmt.Errorf("live: incremental %s update of shard %d: %w", kind, shard, err)
-			}
+		if incremental == nil {
+			rebuild = append(rebuild, kind)
+			continue
 		}
-		if sub == nil {
-			sub, err = index.Build(ctx, kind, newLocal, st.ixOpts)
-			if err != nil {
-				abort()
-				return nil, fmt.Errorf("live: rebuilding %s shard %d: %w", kind, shard, err)
-			}
+		sub, err := incremental(st.grid[kind][shard])
+		switch {
+		case err == errNoInserter:
+			rebuild = append(rebuild, kind)
+		case err != nil:
+			abort()
+			return nil, fmt.Errorf("live: incremental %s update of shard %d: %w", kind, shard, err)
+		default:
+			fresh[kind] = sub
 		}
-		fresh[kind] = sub
+	}
+	if len(rebuild) > 0 {
+		grid, err := index.BuildGrid(ctx, rebuild, newLocal, st.ixOpts) // one shard
+		if err != nil {
+			abort()
+			return nil, fmt.Errorf("live: rebuilding %v shard %d: %w", rebuild, shard, err)
+		}
+		for i, kind := range rebuild {
+			fresh[kind] = grid[i][0]
+		}
 	}
 	return fresh, nil
 }

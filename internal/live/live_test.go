@@ -287,13 +287,19 @@ var testCloses atomic.Int64
 const kindCounting = "test-close-counting"
 
 func init() {
-	index.Register(kindCounting, func(ctx context.Context, ds []*graph.Graph, opts index.Options) (index.Index, error) {
-		x, err := index.BuildPath(ctx, ds, opts)
-		if err != nil {
-			return nil, err
-		}
-		return closeCounting{inner: x, closes: &testCloses}, nil
-	})
+	index.Register(kindCounting, func(ds []*graph.Graph, _ index.Extraction, opts index.Options) index.Index {
+		return closeCounting{inner: buildPath(ds, opts), closes: &testCloses}
+	}, false)
+}
+
+// buildPath is the body of the test kinds' folds: a flat path index built
+// on its own (the extraction handed to the fold goes unused), for wrapping.
+func buildPath(ds []*graph.Graph, opts index.Options) *index.Path {
+	x, err := index.BuildPath(context.Background(), ds, opts)
+	if err != nil {
+		panic(err) // unreachable: the background context never cancels
+	}
+	return x
 }
 
 // TestSubIndexLifecycle pins the refcounting contract: a sub-index shared by

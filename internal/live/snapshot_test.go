@@ -297,14 +297,10 @@ const stressKind = "test-stress-counting"
 
 func registerStressKind() {
 	stressOnce.Do(func() {
-		index.Register(stressKind, func(ctx context.Context, ds []*graph.Graph, opts index.Options) (index.Index, error) {
-			x, err := index.BuildPath(ctx, ds, opts)
-			if err != nil {
-				return nil, err
-			}
+		index.Register(stressKind, func(ds []*graph.Graph, _ index.Extraction, opts index.Options) index.Index {
 			stressBuilds.Add(1)
-			return closeCounting{inner: x, closes: &stressCloses}, nil
-		})
+			return closeCounting{inner: buildPath(ds, opts), closes: &stressCloses}
+		}, false)
 	})
 }
 

@@ -18,8 +18,9 @@
 // file fails closed with a checksum error — never a partial engine. The
 // model layer then re-validates shape (array lengths must agree across
 // sections) and structure (every graph passes graph.FromCSR's full
-// invariant check, every posting's graph ID and location set is
-// bounds-checked) before any index is restored.
+// invariant check; index.Restore rejects features, postings or locations
+// that are out of canonical order or out of bounds) before any index is
+// built from them.
 //
 // # The mmap-forward contract
 //
@@ -44,7 +45,7 @@
 //   - Indexes: per (kind, shard), the features in canonical lexicographic
 //     order — per-feature label-sequence lengths, flat labels, per-feature
 //     posting counts, flat graph IDs / occurrence counts / location
-//     lengths / locations. Kind-specific structure (hash map, trie, suffix
+//     lengths / locations. Kind-specific structure (sorted array, trie, suffix
 //     trie) is rebuilt by the kind's registered index.RestoreFunc; VF2
 //     verifier state is recomputed (it is derived, cheap, and
 //     deterministic).

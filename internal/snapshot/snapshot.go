@@ -207,16 +207,6 @@ func Load(path string, ixOpts index.Options) (m *Model, err error) {
 				return nil, err
 			}
 			subDS := index.ShardDataset(m.Graphs, s, m.Shards)
-			var localAlive []bool
-			if m.Mutable {
-				localAlive = make([]bool, 0, len(subDS))
-				for slot := s; slot < len(m.Alive); slot += m.Shards {
-					localAlive = append(localAlive, m.Alive[slot])
-				}
-			}
-			if err := checkLocations(feats, subDS, localAlive, kind, s); err != nil {
-				return nil, err
-			}
 			sub, err := index.Restore(kind, subDS, m.MaxPathLen[kind], ixOpts, feats)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot: restoring %s shard %d: %w", kind, s, err)
@@ -468,30 +458,4 @@ func decodeFeatures(r *reader, prefix string) ([]index.ExportedFeature, error) {
 		return nil, fmt.Errorf("snapshot: %s: trailing feature array entries", prefix)
 	}
 	return feats, nil
-}
-
-// checkLocations bounds-checks every posting's graph ID and location set
-// against the shard's dataset before the kind-specific restorer runs.
-// localAlive, when non-nil, is the shard's slice of the liveness bitmap:
-// a tombstoned slot's sub-index legitimately still carries the dead graph's
-// features until compaction, but the slot-space graph array already holds a
-// zero-vertex placeholder there, so those locations are checked only for
-// non-negativity — queries can never reach them (the masked view skips dead
-// slots) and the next compaction sheds them.
-func checkLocations(feats []index.ExportedFeature, subDS []*graph.Graph, localAlive []bool, kind string, shard int) error {
-	for _, f := range feats {
-		for _, p := range f.Postings {
-			if p.GraphID < 0 || p.GraphID >= len(subDS) {
-				return fmt.Errorf("snapshot: %s shard %d: posting graph ID %d out of range [0,%d)", kind, shard, p.GraphID, len(subDS))
-			}
-			n := subDS[p.GraphID].N()
-			dead := localAlive != nil && !localAlive[p.GraphID]
-			for _, v := range p.Locations {
-				if v < 0 || (!dead && int(v) >= n) {
-					return fmt.Errorf("snapshot: %s shard %d: location %d out of range for graph %d (n=%d)", kind, shard, v, p.GraphID, n)
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/exec"
 	_ "github.com/psi-graph/psi/internal/ggsx"
 	_ "github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
@@ -456,5 +457,59 @@ func TestSaveAtomicReplace(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("leftover files after save: %v", entries)
+	}
+}
+
+// TestPortfolioBuildDeterministic: one {ftv, grapes, ggsx} portfolio build
+// over a K-way grid — a single feature extraction — at pool sizes 1 and 4,
+// and separate single-kind, single-shard builds (buildModel), all export
+// identical features and serialize to identical snapshot bytes.
+func TestPortfolioBuildDeterministic(t *testing.T) {
+	ds := testDataset(t, 10)
+	kinds := []string{index.KindPath, "grapes", "ggsx"}
+	save := func(m *Model) []byte {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "snap.psi")
+		if err := Save(path, m); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, k := range []int{1, 3} {
+		separate := buildModel(t, ds, kinds, k)
+		wantBytes := save(separate)
+		for _, workers := range []int{1, 4} {
+			pool := exec.New(workers)
+			grid, err := index.BuildGrid(context.Background(), kinds, ds, index.Options{MaxPathLen: 3, Shards: k, Pool: pool})
+			pool.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &Model{Shards: k, Kinds: kinds, Graphs: ds, MaxPathLen: map[string]int{}, Indexes: map[string][]index.Index{}}
+			for i, kind := range kinds {
+				m.Indexes[kind] = grid[i]
+				m.MaxPathLen[kind] = 3
+				for s, sub := range grid[i] {
+					got, _, err := index.Export(sub)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, _, err := index.Export(separate.Indexes[kind][s])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("K=%d workers=%d: %s shard %d exports differ between the portfolio and the single-kind build", k, workers, kind, s)
+					}
+				}
+			}
+			if !reflect.DeepEqual(save(m), wantBytes) {
+				t.Errorf("K=%d workers=%d: portfolio snapshot bytes differ from the single-kind builds'", k, workers)
+			}
+		}
 	}
 }

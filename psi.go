@@ -236,10 +236,11 @@ func NewGGSX(dataset []*Graph) FilterIndex {
 	return ggsx.Build(dataset, ggsx.Options{})
 }
 
-// NewPathIndex builds the flat path-based FTV baseline index (hash map from
-// packed label sequence to per-graph counts, VF2 verification against whole
-// graphs) — the third alternative in the filtering-index portfolio, with
-// the same filtering power as GGSX at a different constant factor.
+// NewPathIndex builds the flat path-based FTV baseline index (a sorted array
+// of label sequences, each with its sorted per-graph count list; VF2
+// verification against whole graphs) — the third alternative in the filtering-index
+// portfolio, with the same filtering power as GGSX at a different constant
+// factor.
 func NewPathIndex(dataset []*Graph) FilterIndex {
 	x, err := indexpkg.BuildPath(context.Background(), dataset, indexpkg.Options{})
 	if err != nil {
