@@ -16,8 +16,11 @@ import (
 
 	psi "github.com/psi-graph/psi"
 	"github.com/psi-graph/psi/internal/core"
+	"github.com/psi-graph/psi/internal/exec"
+	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/harness"
+	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/rewrite"
 )
 
@@ -123,12 +126,12 @@ func BenchmarkGrapesFilter(b *testing.B) {
 	}
 }
 
-// ftvAnswerBench builds the GGSX index over the Tiny synthetic dataset and
-// a workload of queries with non-trivial candidate sets — the fixture for
-// the sequential-vs-parallel FTVAnswer comparison. GGSX verifies against
-// whole stored graphs (no location pruning), so per-candidate verification
-// carries enough work for the fan-out to pay.
-func ftvAnswerBench() (psi.FTVIndex, []*psi.Graph) {
+// answerBench builds the GGSX index over the Tiny synthetic dataset and a
+// workload of queries with non-trivial candidate sets — the fixture for the
+// sequential-vs-pooled answer comparison. GGSX verifies against whole stored
+// graphs (no location pruning), so per-candidate verification carries enough
+// work for the fan-out to pay.
+func answerBench() (psi.FilterIndex, []*psi.Graph) {
 	ds := psi.GenerateSynthetic(psi.Tiny, 1)
 	x := psi.NewGGSX(ds)
 	var queries []*psi.Graph
@@ -140,50 +143,35 @@ func ftvAnswerBench() (psi.FTVIndex, []*psi.Graph) {
 	return x, queries
 }
 
-// BenchmarkFTVAnswerSequential is the baseline: candidates verified one
-// after another on the caller's goroutine.
-func BenchmarkFTVAnswerSequential(b *testing.B) {
-	x, queries := ftvAnswerBench()
+// BenchmarkAnswerSequential is the baseline: the sequential oracle, filter
+// then candidates verified one after another on the caller's goroutine.
+func BenchmarkAnswerSequential(b *testing.B) {
+	x, queries := answerBench()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
-			if _, err := psi.FTVAnswer(context.Background(), x, q); err != nil {
+			if _, err := ftv.Answer(context.Background(), x, q); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 }
 
-// BenchmarkFTVAnswerParallel fans the verification stage out across the
-// shared worker pool (one worker per CPU). On a ≥4-core machine this is the
-// ≥2× win the Ψ-framework's verification-stage parallelism predicts; results
-// are byte-identical to the sequential pipeline (see
-// TestFTVAnswerParallelMatchesSequential).
-func BenchmarkFTVAnswerParallel(b *testing.B) {
-	x, queries := ftvAnswerBench()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, q := range queries {
-			if _, err := psi.FTVAnswerParallel(context.Background(), x, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkFTVAnswerWorkers pins explicit pool sizes so the scaling curve is
-// visible on any machine regardless of GOMAXPROCS.
-func BenchmarkFTVAnswerWorkers(b *testing.B) {
-	x, queries := ftvAnswerBench()
+// BenchmarkAnswerWorkers runs the streaming filter→verify pipeline at pinned
+// pool sizes so the scaling curve is visible on any machine regardless of
+// GOMAXPROCS; answers are byte-identical to the sequential oracle (see
+// TestPooledAnswerMatchesSequential).
+func BenchmarkAnswerWorkers(b *testing.B) {
+	x, queries := answerBench()
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(byThreads(w), func(b *testing.B) {
+			pool := exec.New(w)
+			defer pool.Close()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
-					if _, err := psi.FTVAnswerWithOptions(context.Background(), x, q,
-						psi.FTVAnswerOptions{MaxWorkers: w}); err != nil {
+					if _, err := index.Answer(context.Background(), x, q, pool); err != nil {
 						b.Fatal(err)
 					}
 				}

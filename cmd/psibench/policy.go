@@ -107,12 +107,12 @@ func runPolicySweep(scale psi.Scale, scaleName, indexSpec string, seed int64, qu
 	}
 
 	ds := psi.GeneratePPI(scale, seed)
-	race, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds, IndexPolicy: psi.IndexRace, CacheSize: -1})
+	race, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds, IndexPolicy: psi.IndexRace})
 	if err != nil {
 		return err
 	}
 	defer race.Close()
-	auto, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds, IndexPolicy: psi.IndexAuto, CacheSize: -1})
+	auto, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds, IndexPolicy: psi.IndexAuto})
 	if err != nil {
 		return err
 	}
@@ -181,7 +181,7 @@ func runPolicySweep(scale psi.Scale, scaleName, indexSpec string, seed int64, qu
 			soloBest = kind
 		}
 	}
-	fixed, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Index: soloBest, CacheSize: -1})
+	fixed, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Index: soloBest})
 	if err != nil {
 		return err
 	}

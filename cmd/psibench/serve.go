@@ -70,7 +70,7 @@ func runServeBench(scale psi.Scale, scaleName, indexSpec string, seed int64, que
 		return err
 	}
 	ds := psi.GeneratePPI(scale, seed)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds, Shards: shards, CacheSize: -1})
+	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds, Shards: shards})
 	if err != nil {
 		return err
 	}

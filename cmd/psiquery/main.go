@@ -23,12 +23,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	psi "github.com/psi-graph/psi"
 	"github.com/psi-graph/psi/internal/graph"
-	"github.com/psi-graph/psi/internal/rewrite"
 )
 
 func main() {
@@ -57,7 +55,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	kinds, err := parseRewritings(*rewrFlag)
+	kinds, err := psi.ParseRewritings(*rewrFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -88,7 +86,7 @@ func main() {
 		runQueries(eng, queries, len(ds), 0, *jsonFlag)
 		return
 	}
-	opts.Algorithms, err = parseAlgorithms(*algosFlag)
+	opts.Algorithms, err = psi.ParseAlgorithms(*algosFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -156,41 +154,6 @@ func runQueries(eng *psi.Engine, queries []*graph.Graph, datasetSize, limit int,
 				q.Name(), res.Found, res.Winner, res.Kind, res.Elapsed.Round(time.Microsecond), note)
 		}
 	}
-}
-
-func parseAlgorithms(s string) ([]psi.Algorithm, error) {
-	var algos []psi.Algorithm
-	for _, name := range strings.Split(s, ",") {
-		switch strings.TrimSpace(name) {
-		case "GQL":
-			algos = append(algos, psi.GraphQL)
-		case "SPA":
-			algos = append(algos, psi.SPath)
-		case "QSI":
-			algos = append(algos, psi.QuickSI)
-		case "VF2":
-			algos = append(algos, psi.VF2)
-		default:
-			return nil, fmt.Errorf("unknown algorithm %q", name)
-		}
-	}
-	return algos, nil
-}
-
-func parseRewritings(s string) ([]rewrite.Kind, error) {
-	var kinds []rewrite.Kind
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "Or" { // accept the paper's figure shorthand
-			name = "Orig"
-		}
-		k, err := rewrite.ParseKind(name)
-		if err != nil {
-			return nil, err
-		}
-		kinds = append(kinds, k)
-	}
-	return kinds, nil
 }
 
 func readFile(path string) ([]*graph.Graph, error) {

@@ -79,7 +79,6 @@ import (
 	psi "github.com/psi-graph/psi"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/graph"
-	"github.com/psi-graph/psi/internal/rewrite"
 	"github.com/psi-graph/psi/internal/server"
 )
 
@@ -315,7 +314,7 @@ func engineFromSnapshot(path string, explicit map[string]bool, indexSpec, policy
 
 // buildEngine constructs the NFV or FTV engine the dataset shape calls for.
 func buildEngine(ds []*graph.Graph, algos, rewritings, mode, indexSpec, policy string, shards, workers, compactEvery int, timeout time.Duration, mutable bool) (*psi.Engine, error) {
-	kinds, err := parseRewritings(rewritings)
+	kinds, err := psi.ParseRewritings(rewritings)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +339,7 @@ func buildEngine(ds []*graph.Graph, algos, rewritings, mode, indexSpec, policy s
 		opts.CompactEvery = compactEvery
 		return psi.NewDatasetEngine(ds, opts)
 	}
-	opts.Algorithms, err = parseAlgorithms(algos)
+	opts.Algorithms, err = psi.ParseAlgorithms(algos)
 	if err != nil {
 		return nil, err
 	}
@@ -361,41 +360,6 @@ func describe(eng *psi.Engine) string {
 			len(ds), eng.IndexPolicy(), sharding, strings.Join(names, ","))
 	}
 	return fmt.Sprintf("NFV: %d vertices, mode=%s", eng.Graph().N(), eng.Mode())
-}
-
-func parseAlgorithms(s string) ([]psi.Algorithm, error) {
-	var algos []psi.Algorithm
-	for _, name := range strings.Split(s, ",") {
-		switch strings.TrimSpace(name) {
-		case "GQL":
-			algos = append(algos, psi.GraphQL)
-		case "SPA":
-			algos = append(algos, psi.SPath)
-		case "QSI":
-			algos = append(algos, psi.QuickSI)
-		case "VF2":
-			algos = append(algos, psi.VF2)
-		default:
-			return nil, fmt.Errorf("unknown algorithm %q", name)
-		}
-	}
-	return algos, nil
-}
-
-func parseRewritings(s string) ([]rewrite.Kind, error) {
-	var kinds []rewrite.Kind
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "Or" { // the paper's figure shorthand
-			name = "Orig"
-		}
-		k, err := rewrite.ParseKind(name)
-		if err != nil {
-			return nil, err
-		}
-		kinds = append(kinds, k)
-	}
-	return kinds, nil
 }
 
 func fatal(err error) {

@@ -30,35 +30,66 @@
 //		[]psi.Rewriting{psi.Orig, psi.DND})
 //	embs, err := m.Match(context.Background(), q, 1000)
 //
-// # Concurrency architecture
+// # Execution pipeline
+//
+// A dataset (FTV) query has exactly one implementation, and every entry
+// point — Engine.Query, Plan+Execute, AnswerStream, AnswerStreamResult — is
+// a collector of a few lines over it. One function owns each step:
+//
+//	plan             Engine.Plan               kind, policy, epoch, deadline
+//	policy decision  Engine.decide             bandit verdict: solo arm or race
+//	arms             Engine.answer             1 (fixed index, learned solo) or all
+//	race of arms     IndexRacer.Stream         a solo run is a race of one
+//	per-arm filter   FilterIndex.FilterStream  ascending candidates, incrementally
+//	ordered verify   index.StreamVerified      pool fan-out, in-order flush
+//	candidate race   core.raceInstances        one Verify per prepared rewriting
+//	adoption         core.streamRace           first arm to emit owns the output
+//	emit / collect   Engine.answer             caller's emit, or QueryResult.GraphIDs
+//
+// Engine.answer pins the current epoch's state, asks the policy which arms
+// run, and hands them to the state's core.IndexRacer. Stream rewrites the
+// query once per configured rewriting (the instances serve every candidate
+// of every arm), then starts each arm's FilterStream → StreamVerified
+// pipeline: a candidate begins its rewriting race the moment the filter
+// surfaces it, and verified graph IDs are flushed in filter order as soon
+// as each ID and every candidate before it has settled, so the caller sees
+// the ascending answer incrementally. The first arm to emit a verified ID
+// is adopted — streamRace, the same state machine Racer.RaceStream uses for
+// matcher attempts — and the others are cancelled and drained. Around it
+// sit the two pieces of engine policy, each written once: the per-query
+// budget (runBudgeted: a query that hits the cap comes back Killed, not as
+// an error) and solo→escalate (soloFirst: a learned solo arm that overruns
+// its solo budget before surfacing output falls back to the full race).
+// NFV (single stored graph) queries share both and differ only in what is
+// raced: Racer.Race adopts the first attempt to finish — the paper's
+// semantics — and Racer.RaceStream the first to emit.
 //
 // All parallelism flows through one shared bounded execution layer
-// (internal/exec): a pool of persistent workers, one per CPU by default,
-// used by both the Ψ races and the filter-then-verify pipeline. The pool
-// offers two submission modes matched to the two shapes of parallel work:
+// (internal/exec): a pool of persistent workers, one per CPU by default.
+// The pool offers two submission modes matched to the two shapes of
+// parallel work:
 //
 // Fan-out (hard-bounded). Independent candidate-graph verifications —
-// FTVAnswerParallel, the cached wrapper from NewCachedFTVParallel, and the
-// candidate loop of FTVRacer.Answer — queue onto the workers, so at most
+// StreamVerified's candidate loop — queue onto the workers, so at most
 // pool-size candidates are in flight regardless of how many the filter
-// returns. A query with hundreds of candidates no longer multiplies
-// goroutines by rewritings: in-flight work is bounded by
-// pool size × rewritings instead of candidates × rewritings.
+// returns: in-flight work is bounded by pool size × rewritings instead of
+// candidates × rewritings.
 //
 // Races (guaranteed concurrency). The attempts inside one race (Racer.Race,
-// FTVRacer.Verify) reuse idle pool workers but are never queued behind a
-// saturated pool: a race's semantics require every attempt to run
-// concurrently, because the first finisher cancels the rest and a straggler
-// attempt may only terminate when cancelled. When workers are busy, attempts
-// run on transient goroutines whose count is bounded by the small, fixed
-// attempt count of the race.
+// the per-candidate rewriting race) reuse idle pool workers but are never
+// queued behind a saturated pool: a race's semantics require every attempt
+// to run concurrently, because the first finisher cancels the rest and a
+// straggler attempt may only terminate when cancelled. When workers are
+// busy, attempts run on transient goroutines whose count is bounded by the
+// small, fixed attempt count of the race.
 //
-// Determinism: parallel answers are assembled positionally from the
-// filter's ascending candidate order, so FTVAnswerParallel returns IDs
-// byte-identical to FTVAnswer, and cached statistics are unchanged. Racing
-// itself is inherently nondeterministic in *which* attempt wins, never in
-// the answer. Panics inside attempts or verifications are recovered and
-// surfaced as errors rather than crashing the process.
+// Determinism: answers are assembled positionally from the filter's
+// ascending candidate order, so the pooled pipeline returns IDs
+// byte-identical to the sequential reference (internal/ftv.Answer) at any
+// pool size. Racing itself is inherently nondeterministic in *which*
+// attempt wins, never in the answer. Panics inside attempts or
+// verifications are recovered and surfaced as errors rather than crashing
+// the process.
 //
 // # Engine and streaming architecture
 //
@@ -72,14 +103,14 @@
 // first-result latency is the fastest attempt's time-to-first-embedding,
 // not its time-to-full-enumeration (on the recorded baseline, a four-order-
 // of-magnitude difference for enumeration-heavy queries; BENCH_engine.json).
-// The FTV side streams too: FTVRacer.AnswerStream surfaces each containing
-// graph ID as soon as its raced verification and all earlier candidates
-// settle, preserving the ascending answer order incrementally.
+// The FTV side streams too (see Execution pipeline above): each containing
+// graph ID surfaces as soon as its raced verification and all earlier
+// candidates settle, preserving the ascending answer order incrementally.
 //
 // Engine is the serving facade over all of it: a long-lived object owning
 // the stored graph or dataset, the prebuilt matcher portfolio, label
-// frequencies, the FTV index with its iGQ-style result cache, the shared
-// execution pool and the prediction policy. Query processing splits into
+// frequencies, the filtering-index portfolio, the shared execution pool and
+// the prediction policy. Query processing splits into
 // Plan — attempt-portfolio selection per the engine's Mode: a full race
 // (ModeRace), the model's predicted single attempt with race fallback
 // (ModePredict), or a fixed single attempt (ModeSingle) — and Execute,
@@ -102,11 +133,12 @@
 // with its sorted per-graph count list), Grapes (a path trie with location
 // information and component-restricted verification) and GGSX (a path
 // suffix trie verified against whole graphs). The contract is the narrow
-// FTVIndex core — Name/Dataset/Filter/Verify — plus FilterStream, which
-// emits surviving candidates incrementally in ascending order, and Stats,
-// which reports build provenance. All three share one presence/frequency pruning
-// implementation and one build pipeline (next paragraph). Construct through
-// NewPathIndex, NewGrapes, NewGGSX, or BuildIndex("ftv"|"grapes"|"ggsx").
+// filter-then-verify core — Name/Dataset/Filter/Verify — plus FilterStream,
+// which emits surviving candidates incrementally in ascending order, and
+// Stats, which reports build provenance. All three share one
+// presence/frequency pruning implementation and one build pipeline (next
+// paragraph). Construct through NewPathIndex, NewGrapes, NewGGSX, or
+// BuildIndex("ftv"|"grapes"|"ggsx").
 //
 // Index build pipeline: every build — one index, a sharded one, a dataset
 // Engine's whole portfolio, the mutable store's kind × shard grid, a shard
@@ -155,9 +187,10 @@
 //	res, _ := eng.Query(ctx, q, 0)
 //	for _, a := range res.IndexAttempts { report(a.Name, a.Winner, a.Elapsed) }
 //
-// With a single index (the default) the engine keeps the fixed policy:
-// filter → raced verification behind the iGQ-style result cache, unchanged.
-// Plan.IndexPolicy records which policy a planned query will run.
+// With a single index (the default) the engine keeps the fixed policy: the
+// same pipeline as a race of one arm, reported the same way (Winner is the
+// index's name, IndexAttempts has one entry). Plan.IndexPolicy records
+// which policy a planned query will run.
 //
 // # Sharding architecture
 //
@@ -184,9 +217,9 @@
 // whose answers diverge from K=1.
 //
 // Because Sharded implements the same Index contract as the monolithic
-// kinds, it composes with everything above it unchanged: FTVRacer races
-// rewritings inside sharded verification, and core.IndexRacer races whole
-// sharded pipelines against each other ("Grapes/1×4" vs "GGSX×4"). On the
+// kinds, it composes with everything above it unchanged: rewritings race
+// inside sharded verification, and core.IndexRacer races whole sharded
+// pipelines against each other ("Grapes/1×4" vs "GGSX×4"). On the
 // one core BENCH_shard.json was recorded on, K>1 bought no wall-clock (the
 // shard scans time-slice the core; expect parity, not speedup); on
 // multicore, shard scans spread across cores,
@@ -318,7 +351,7 @@
 // routes verification back through the slot space.
 //
 // Epochs. Every mutation publishes a fresh immutable snapshot — dense
-// dataset, masked index per kind, rewired racer and result cache — under a
+// dataset, masked index per kind, and the racer wired over them — under a
 // bumped epoch number. Queries acquire the current snapshot with a
 // lock-free load-ref-recheck and hold it to completion: a query planned at
 // epoch 5 answers epoch 5 even if ten mutations land mid-flight, and

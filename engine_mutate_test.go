@@ -175,7 +175,6 @@ func TestMutableEngineConcurrentChurn(t *testing.T) {
 		Shards:       2,
 		Mutable:      true,
 		CompactEvery: 2,
-		CacheSize:    -1, // answer live: the churn must hit the index, not a cache
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,16 +258,14 @@ func TestMutableEngineConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestMutableEngineCacheFreshness pins the engine-internal iGQ cache's
-// correctness across mutations: a cached answer must never replay after the
-// dataset changes, because each epoch gets a fresh cache.
-func TestMutableEngineCacheFreshness(t *testing.T) {
+// TestMutableEngineFreshness pins a repeated query's correctness across
+// mutations on a fixed-policy engine: the answer must follow the dataset,
+// because every epoch gets fresh query-serving state.
+func TestMutableEngineFreshness(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
 		Indexes: []string{"ftv"},
 		Mutable: true,
-		// CacheSize 0 = default-sized cache, fixed policy: the config where
-		// staleness would bite.
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +277,8 @@ func TestMutableEngineCacheFreshness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-query to warm the cache, then ingest a copy of the donor graph:
-	// the query must now also match the newcomer.
+	// Repeat the query, then ingest a copy of the donor graph: the query
+	// must now also match the newcomer.
 	if _, err := eng.Query(context.Background(), q, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +292,7 @@ func TestMutableEngineCacheFreshness(t *testing.T) {
 	}
 	newID := len(eng.Dataset()) - 1
 	if !slices.Contains(after.GraphIDs, newID) {
-		t.Fatalf("after ingest: answer %v misses the new graph %d (stale cache?); before was %v",
+		t.Fatalf("after ingest: answer %v misses the new graph %d (stale state?); before was %v",
 			after.GraphIDs, newID, first.GraphIDs)
 	}
 	// And after removing it the answer must shrink back.

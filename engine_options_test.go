@@ -5,6 +5,7 @@ package psi_test
 // any dataset extraction is paid for — with messages naming the offender.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,6 +50,55 @@ func TestParseIndexSpec(t *testing.T) {
 				t.Errorf("ParseIndexSpec(%q) = %v, want %v", c.spec, got, c.want)
 				break
 			}
+		}
+	}
+}
+
+// TestParseAlgorithmsAndRewritings covers the flag parsers psiquery and
+// psiserve share: comma-separated names, whitespace tolerated, the paper's
+// "Or" shorthand for Orig, and an error naming any unknown or empty element.
+func TestParseAlgorithmsAndRewritings(t *testing.T) {
+	algoCases := []struct {
+		in      string
+		want    []psi.Algorithm
+		wantErr string
+	}{
+		{in: "GQL,SPA", want: []psi.Algorithm{psi.GraphQL, psi.SPath}},
+		{in: " VF2 , QSI ", want: []psi.Algorithm{psi.VF2, psi.QuickSI}},
+		{in: "GQL,TurboISO", wantErr: `unknown algorithm "TurboISO"`},
+		{in: "GQL,,SPA", wantErr: `unknown algorithm ""`},
+		{in: "", wantErr: "unknown algorithm"},
+	}
+	for _, c := range algoCases {
+		got, err := psi.ParseAlgorithms(c.in)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("ParseAlgorithms(%q) err = %v, want substring %q", c.in, err, c.wantErr)
+			}
+		} else if err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("ParseAlgorithms(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	rewritingCases := []struct {
+		in      string
+		want    []psi.Rewriting
+		wantErr string
+	}{
+		{in: "Orig,DND", want: []psi.Rewriting{psi.Orig, psi.DND}},
+		{in: " ILF , ILF+IND ", want: []psi.Rewriting{psi.ILF, psi.ILFIND}},
+		{in: "Or,IND", want: []psi.Rewriting{psi.Orig, psi.IND}},
+		{in: "Orig,Shuffle", wantErr: `unknown rewriting "Shuffle"`},
+		{in: "Orig,,DND", wantErr: `unknown rewriting ""`},
+		{in: "", wantErr: "unknown rewriting"},
+	}
+	for _, c := range rewritingCases {
+		got, err := psi.ParseRewritings(c.in)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("ParseRewritings(%q) err = %v, want substring %q", c.in, err, c.wantErr)
+			}
+		} else if err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("ParseRewritings(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
 }

@@ -107,16 +107,16 @@ func TestShardedEngineRaceParity(t *testing.T) {
 	}
 }
 
-// TestShardedEngineCacheReplayBalance pins the documented ShardBalance
-// semantics: every engine-executed query counts, including replays served
-// by the engine-level result cache — the tally tracks query traffic per
-// shard, not distinct answers. (Server-layer cache replays bypass the
-// engine and are covered by the internal/server tests.)
-func TestShardedEngineCacheReplayBalance(t *testing.T) {
+// TestShardedEngineRepeatBalance pins the documented ShardBalance
+// semantics: every engine-executed query counts, repeats included — the
+// tally tracks query traffic per shard, not distinct answers. (Server-layer
+// cache replays bypass the engine and are covered by the internal/server
+// tests.)
+func TestShardedEngineRepeatBalance(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
 		Index:  "ftv",
-		Shards: 2, // fixed policy with the default engine cache enabled
+		Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,21 +135,18 @@ func TestShardedEngineCacheReplayBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !slices.Equal(replay.GraphIDs, first.GraphIDs) {
-		t.Fatalf("cached replay answered %v, fresh %v", replay.GraphIDs, first.GraphIDs)
-	}
-	if cs, ok := eng.CacheStats(); !ok || cs.ExactHits == 0 {
-		t.Fatalf("second query not served by the engine cache: %+v", cs)
+		t.Fatalf("repeat answered %v, first %v", replay.GraphIDs, first.GraphIDs)
 	}
 	var sum int64
 	for _, n := range eng.ShardBalance() {
 		sum += n
 	}
 	if want := int64(2 * len(first.GraphIDs)); sum != want {
-		t.Errorf("shard balance sums to %d after a fresh query and a cache replay, want %d (both executions count)",
+		t.Errorf("shard balance sums to %d after a query and its repeat, want %d (both executions count)",
 			sum, want)
 	}
 	if c := eng.Counters(); c.ShardedQueries != 2 {
-		t.Errorf("ShardedQueries = %d, want 2 (replays are executed queries)", c.ShardedQueries)
+		t.Errorf("ShardedQueries = %d, want 2 (repeats are executed queries)", c.ShardedQueries)
 	}
 }
 
@@ -159,10 +156,9 @@ func TestShardedEngineCacheReplayBalance(t *testing.T) {
 func TestShardedEngineKillCounter(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Index:     "ftv",
-		Shards:    2,
-		Timeout:   time.Nanosecond,
-		CacheSize: -1,
+		Index:   "ftv",
+		Shards:  2,
+		Timeout: time.Nanosecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -77,7 +77,6 @@ func TestEngineConcurrentNFVCallers(t *testing.T) {
 					_ = eng.Counters()
 					_ = eng.WinCounts()
 					_ = eng.Attempts()
-					_, _ = eng.CacheStats()
 				}
 			}
 		}(gi)
@@ -156,7 +155,6 @@ func TestEngineConcurrentDatasetCallers(t *testing.T) {
 					default:
 						_ = eng.IndexStats()
 						_ = eng.IndexPolicy()
-						_, _ = eng.CacheStats()
 						_ = eng.Counters()
 						_ = eng.WinCounts()
 					}

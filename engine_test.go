@@ -2,7 +2,7 @@ package psi_test
 
 // Tests for the plan/execute Engine facade: planning policies, execution
 // parity with the free-function paths, streaming, deadlines and the FTV
-// pipeline behind the result cache.
+// pipeline.
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
+	"github.com/psi-graph/psi/internal/ftv"
 )
 
 func engineFixture(t *testing.T) (*psi.Graph, *psi.Graph) {
@@ -312,7 +313,7 @@ func TestEnginePlanRejectsForeignAndNil(t *testing.T) {
 	}
 }
 
-func TestDatasetEngineMatchesFTVAnswer(t *testing.T) {
+func TestDatasetEngineMatchesSequentialOracle(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
 	q := psi.ExtractQuery(ds[0], 4, 9)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
@@ -322,7 +323,7 @@ func TestDatasetEngineMatchesFTVAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	want, err := psi.FTVAnswer(context.Background(), psi.NewGrapes(ds, 1), q)
+	want, err := ftv.Answer(context.Background(), psi.NewGrapes(ds, 1), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,30 +335,19 @@ func TestDatasetEngineMatchesFTVAnswer(t *testing.T) {
 		t.Errorf("dataset engine planned %v, want ftv", res.Kind)
 	}
 	if len(res.GraphIDs) != len(want) {
-		t.Fatalf("engine answered %v, FTVAnswer %v", res.GraphIDs, want)
+		t.Fatalf("engine answered %v, the sequential oracle %v", res.GraphIDs, want)
 	}
 	for i := range want {
 		if res.GraphIDs[i] != want[i] {
-			t.Fatalf("engine answered %v, FTVAnswer %v", res.GraphIDs, want)
+			t.Fatalf("engine answered %v, the sequential oracle %v", res.GraphIDs, want)
 		}
-	}
-	// Repeat query: the result cache must serve it and stats must move.
-	if _, err := eng.Query(context.Background(), q, 0); err != nil {
-		t.Fatal(err)
-	}
-	stats, ok := eng.CacheStats()
-	if !ok {
-		t.Fatal("dataset engine should have a result cache by default")
-	}
-	if stats.ExactHits == 0 {
-		t.Errorf("repeated query not served from cache: %+v", stats)
 	}
 }
 
 func TestDatasetEngineAnswerStream(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
 	q := psi.ExtractQuery(ds[0], 3, 7)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{CacheSize: -1})
+	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,9 +414,6 @@ func TestEngineOwnedPoolAndAccessors(t *testing.T) {
 	if got := eng.Attempts(); len(got) != 4 { // 2 algorithms × 2 rewritings
 		t.Errorf("default portfolio has %d attempts, want 4", len(got))
 	}
-	if _, ok := eng.CacheStats(); ok {
-		t.Error("NFV engine must not report cache stats")
-	}
 	if _, err := eng.Query(context.Background(), q, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +460,7 @@ func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer race.Close()
-	fixed, err := psi.NewDatasetEngine(ds, psi.EngineOptions{CacheSize: -1})
+	fixed, err := psi.NewDatasetEngine(ds, psi.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,8 +592,7 @@ func TestDatasetEngineIndexPolicyOptions(t *testing.T) {
 	if single.IndexPolicy() != psi.IndexFixed {
 		t.Errorf("single-index policy = %q, want fixed", single.IndexPolicy())
 	}
-	// Fixed policy over a portfolio consults only the first index but
-	// still answers correctly (and keeps the cache).
+	// Fixed policy over a portfolio consults only the first index.
 	fixed, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
 		Indexes: []string{"ggsx", "grapes"}, IndexPolicy: psi.IndexFixed,
 	})
@@ -617,17 +603,11 @@ func TestDatasetEngineIndexPolicyOptions(t *testing.T) {
 	if fixed.IndexPolicy() != psi.IndexFixed {
 		t.Errorf("fixed policy = %q", fixed.IndexPolicy())
 	}
-	if _, ok := fixed.CacheStats(); !ok {
-		t.Error("fixed-policy engine should keep the result cache")
-	}
 	race, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "ggsx"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer race.Close()
-	if _, ok := race.CacheStats(); ok {
-		t.Error("racing engine must not report cache stats (cache is per-index)")
-	}
 	if _, err := psi.NewDatasetEngine(ds, psi.EngineOptions{IndexPolicy: "tournament"}); err == nil {
 		t.Error("unknown index policy must fail")
 	}

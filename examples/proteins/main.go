@@ -61,7 +61,7 @@ func main() {
 // measure runs the verification of every (query, candidate) pair under the
 // cap, prints a small latency profile, and returns the total time (killed
 // verifications counted at the cap).
-func measure(queries []*psi.Graph, verify func(context.Context, *psi.Graph, int) error, index psi.FTVIndex) time.Duration {
+func measure(queries []*psi.Graph, verify func(context.Context, *psi.Graph, int) error, index psi.FilterIndex) time.Duration {
 	var times []time.Duration
 	killed := 0
 	for _, q := range queries {

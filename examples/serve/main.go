@@ -78,7 +78,7 @@ func main() {
 	fmt.Printf("repeat query: %s", cached)
 
 	// 3. Operational state: engine counters, per-index build provenance,
-	// win tallies, cache effectiveness.
+	// win tallies, result-cache effectiveness.
 	resp, err = http.Get(base + "/stats")
 	if err != nil {
 		log.Fatal(err)

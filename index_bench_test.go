@@ -68,12 +68,11 @@ func BenchmarkIndexRaceAnswer(b *testing.B) {
 }
 
 // BenchmarkIndexFixedAnswer is the single-index baseline the race is
-// compared against (Grapes, no result cache so every query runs live).
+// compared against (Grapes alone).
 func BenchmarkIndexFixedAnswer(b *testing.B) {
 	ds, queries := indexBenchFixture(b)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Index:     "grapes",
-		CacheSize: -1,
+		Index: "grapes",
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
-	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/rewrite"
 )
 
@@ -28,12 +27,8 @@ type FTVRacer struct {
 	// Frequencies are dataset-wide label frequencies for ILF rewritings;
 	// NewFTVRacer fills them in.
 	Frequencies rewrite.Frequencies
-	// Pool is the shared execution layer: Answer fans candidate graphs
-	// out across its workers (hard-bounded), and each candidate's
-	// rewriting race submits its attempts through the same pool. nil
-	// selects the shared default pool. In-flight goroutines are therefore
-	// bounded by pool size × len(Rewritings) instead of
-	// #candidates × len(Rewritings).
+	// Pool is the execution layer the rewriting race submits its attempts
+	// through; nil selects the shared default pool.
 	Pool *exec.Pool
 }
 
@@ -75,10 +70,28 @@ type FTVResult struct {
 // Attempts go through the racer's pool (guaranteed-concurrency submit), so
 // idle workers are reused but the race never serializes.
 func (f *FTVRacer) Verify(ctx context.Context, q *graph.Graph, graphID int) (FTVResult, error) {
-	if len(f.Rewritings) == 0 {
+	return raceInstances(ctx, f.Pool, f.Index, f.Rewritings, instances(q, f.Frequencies, f.Rewritings), graphID)
+}
+
+// instances rewrites q once per kind. The result depends only on the query,
+// the frequencies and the kind, so a pipeline run prepares the instances once
+// and hands them to every candidate's race.
+func instances(q *graph.Graph, freqs rewrite.Frequencies, kinds []rewrite.Kind) []*graph.Graph {
+	qs := make([]*graph.Graph, len(kinds))
+	for i, k := range kinds {
+		qs[i], _ = rewrite.Apply(q, freqs, k, 0)
+	}
+	return qs
+}
+
+// raceInstances is the per-candidate rewriting race: one verification of
+// dataset graph graphID per prepared instance (qs[i] is the query under
+// kinds[i]), first finisher wins, the rest are cancelled. nil pool selects
+// the shared default pool.
+func raceInstances(ctx context.Context, pool *exec.Pool, x ftv.Index, kinds []rewrite.Kind, qs []*graph.Graph, graphID int) (FTVResult, error) {
+	if len(kinds) == 0 {
 		return FTVResult{}, errors.New("psi: FTVRacer needs at least one rewriting")
 	}
-	pool := f.Pool
 	if pool == nil {
 		pool = exec.Default()
 	}
@@ -89,10 +102,9 @@ func (f *FTVRacer) Verify(ctx context.Context, q *graph.Graph, graphID int) (FTV
 		contained bool
 		err       error
 	}
-	ch := make(chan outcome, len(f.Rewritings))
+	ch := make(chan outcome, len(kinds))
 	start := time.Now()
-	for _, k := range f.Rewritings {
-		k := k
+	for i, k := range kinds {
 		pool.Go(func() {
 			o := outcome{kind: k}
 			defer func() {
@@ -101,12 +113,11 @@ func (f *FTVRacer) Verify(ctx context.Context, q *graph.Graph, graphID int) (FTV
 				}
 				ch <- o
 			}()
-			q2, _ := rewrite.Apply(q, f.Frequencies, k, 0)
-			o.contained, o.err = f.Index.Verify(raceCtx, q2, graphID)
+			o.contained, o.err = x.Verify(raceCtx, qs[i], graphID)
 		})
 	}
 	var errs []error
-	for n := 0; n < len(f.Rewritings); n++ {
+	for n := 0; n < len(kinds); n++ {
 		o := <-ch
 		if o.err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", o.kind, o.err))
@@ -119,49 +130,4 @@ func (f *FTVRacer) Verify(ctx context.Context, q *graph.Graph, graphID int) (FTV
 		return FTVResult{}, err
 	}
 	return FTVResult{}, errors.Join(errs...)
-}
-
-// Answer runs the full decision pipeline with raced verification: filtering
-// happens once on the original query (isomorphic rewritings produce the
-// same filter outcome), then the candidates fan out across the pool's
-// workers (at most pool-size candidates in flight), each verified by a race
-// of the configured rewritings. The answer is assembled positionally, so
-// the returned IDs are identical to sequential verification: ascending.
-func (f *FTVRacer) Answer(ctx context.Context, q *graph.Graph) ([]int, error) {
-	var out []int
-	err := f.AnswerStream(ctx, q, func(id int) bool {
-		out = append(out, id)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AnswerStream is the streaming form of Answer: each containing graph ID is
-// handed to emit as soon as its raced verification — and that of every
-// candidate before it — has settled, so the caller observes answers
-// incrementally yet in the same ascending order Answer returns. When the
-// wrapped index implements the unified streaming-filter contract
-// (index.FilterStreamer — every index built by this module does), filtering
-// and verification overlap: candidates begin their rewriting race the moment
-// the filter surfaces them, before the remaining dataset has been scanned.
-// emit returning false cancels the outstanding verifications and ends the
-// stream with a nil error. emit is called from verification goroutines under
-// an internal lock and must not block — in particular, it must not wait on
-// work that only proceeds after AnswerStream returns.
-func (f *FTVRacer) AnswerStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error {
-	check := func(gctx context.Context, id int) (bool, error) {
-		res, err := f.Verify(gctx, q, id)
-		return res.Contained, err
-	}
-	if fs, ok := f.Index.(index.FilterStreamer); ok {
-		return index.StreamVerified(ctx, f.Pool,
-			func(fctx context.Context, femit func(int) bool) error {
-				return fs.FilterStream(fctx, q, femit)
-			},
-			emit, check)
-	}
-	return ftv.StreamCandidates(ctx, f.Pool, f.Index.Filter(q), emit, check)
 }

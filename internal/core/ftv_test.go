@@ -10,6 +10,7 @@ import (
 	"github.com/psi-graph/psi/internal/ggsx"
 	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
+	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/rewrite"
 	"github.com/psi-graph/psi/internal/vf2"
 )
@@ -46,18 +47,18 @@ func TestFTVRacerNeedsRewritings(t *testing.T) {
 func TestFTVRacerAnswerMatchesPlainPipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ds := buildDataset(r, 6, 14, 3)
-	for _, idx := range []ftv.Index{
+	for _, idx := range []index.Index{
 		grapes.Build(ds, grapes.Options{MaxPathLen: 3}),
 		ggsx.Build(ds, ggsx.Options{MaxPathLen: 3}),
 	} {
-		f := NewFTVRacer(idx, []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.DND})
+		f := NewIndexRacer([]index.Index{idx}, []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.DND})
 		for trial := 0; trial < 8; trial++ {
 			q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
 			want, err := ftv.Answer(context.Background(), idx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := f.Answer(context.Background(), q)
+			got, _, err := collect(context.Background(), f, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,10 +80,10 @@ func TestFTVRacerAnswerMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	ds := buildDataset(r, 5, 12, 3)
 	x := grapes.Build(ds, grapes.Options{})
-	f := NewFTVRacer(x, append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...))
+	f := NewIndexRacer([]index.Index{x}, append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...))
 	for trial := 0; trial < 6; trial++ {
 		q := extractQuery(r, ds[r.Intn(len(ds))], 3)
-		got, err := f.Answer(context.Background(), q)
+		got, _, err := collect(context.Background(), f, q)
 		if err != nil {
 			t.Fatal(err)
 		}

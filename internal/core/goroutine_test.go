@@ -11,6 +11,7 @@ import (
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
+	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/match"
 	"github.com/psi-graph/psi/internal/rewrite"
 	"github.com/psi-graph/psi/internal/vf2"
@@ -75,7 +76,7 @@ func TestFTVRacerAnswerBoundsGoroutines(t *testing.T) {
 	x := newGatedIndex(candidates)
 	pool := exec.New(workers)
 	defer pool.Close()
-	f := NewFTVRacer(x, kinds)
+	f := NewIndexRacer([]index.Index{lifted{x}}, kinds)
 	f.Pool = pool
 
 	before := runtime.NumGoroutine()
@@ -83,7 +84,7 @@ func TestFTVRacerAnswerBoundsGoroutines(t *testing.T) {
 	var answer []int
 	go func() {
 		var err error
-		answer, err = f.Answer(context.Background(), x.ds[0])
+		answer, _, err = collect(context.Background(), f, x.ds[0])
 		done <- err
 	}()
 

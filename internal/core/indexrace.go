@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
@@ -32,19 +31,18 @@ import (
 type IndexRacer struct {
 	// Indexes are the raced alternatives, in portfolio order.
 	Indexes []index.Index
-	// Rewritings are raced per candidate inside every index attempt,
-	// exactly as FTVRacer does for a single index.
+	// Rewritings are raced per candidate inside every index attempt (§8.1).
 	Rewritings []rewrite.Kind
 	// Pool sizes the per-attempt verification pools (nil: CPU count) and
-	// carries the degenerate single-index pipeline. Attempts do NOT share
-	// one pool: each index races on a dedicated pool created at first
-	// use, because a hung or straggling index could otherwise occupy
-	// every shared worker and starve the eventual winner's verifications
-	// — the race must guarantee each contender independent progress, just
-	// as matcher races guarantee every attempt its own concurrency.
+	// carries a single-arm pipeline. Raced attempts do NOT share one pool:
+	// each index races on a dedicated pool created at first use, because a
+	// hung or straggling index could otherwise occupy every shared worker
+	// and starve the eventual winner's verifications — the race must
+	// guarantee each contender independent progress, just as matcher races
+	// guarantee every attempt its own concurrency.
 	Pool *exec.Pool
 
-	racers  []*FTVRacer
+	freqs   rewrite.Frequencies
 	poolsMu sync.Mutex
 	pools   []*exec.Pool
 }
@@ -54,12 +52,8 @@ type IndexRacer struct {
 // per-candidate rewriting race.
 func NewIndexRacer(xs []index.Index, kinds []rewrite.Kind) *IndexRacer {
 	r := &IndexRacer{Indexes: xs, Rewritings: kinds}
-	var freqs rewrite.Frequencies
 	if len(xs) > 0 {
-		freqs = rewrite.FrequenciesOfDataset(xs[0].Dataset())
-	}
-	for _, x := range xs {
-		r.racers = append(r.racers, &FTVRacer{Index: x, Rewritings: kinds, Frequencies: freqs})
+		r.freqs = rewrite.FrequenciesOfDataset(xs[0].Dataset())
 	}
 	return r
 }
@@ -74,7 +68,7 @@ func (r *IndexRacer) attemptPools() []*exec.Pool {
 		if r.Pool != nil {
 			w = r.Pool.Workers()
 		}
-		r.pools = make([]*exec.Pool, len(r.racers))
+		r.pools = make([]*exec.Pool, len(r.Indexes))
 		for i := range r.pools {
 			r.pools[i] = exec.New(w)
 		}
@@ -92,27 +86,6 @@ func (r *IndexRacer) Close() {
 	for _, p := range r.pools {
 		p.Close()
 	}
-}
-
-// Name identifies the configuration, e.g. "Ψ(FTV|Grapes/1|GGSX: Or/DND)".
-func (r *IndexRacer) Name() string {
-	s := "Ψ("
-	for i, x := range r.Indexes {
-		if i > 0 {
-			s += "|"
-		}
-		s += x.Name()
-	}
-	s += ":"
-	for i, k := range r.Rewritings {
-		if i > 0 {
-			s += "/"
-		} else {
-			s += " "
-		}
-		s += k.String()
-	}
-	return s + ")"
 }
 
 // IndexAttempt reports one index's run inside a race.
@@ -135,255 +108,99 @@ type IndexAttempt struct {
 
 // IndexRaceResult is the outcome of one index race.
 type IndexRaceResult struct {
-	// GraphIDs is the winning pipeline's answer, ascending (filled by
-	// Answer; AnswerStream hands IDs to the caller's emit instead).
-	GraphIDs []int
 	// Winner is the adopted index's name.
 	Winner string
 	// WinnerIndex is the adopted index's position in the portfolio.
 	WinnerIndex int
-	// Attempts reports every index's run, in portfolio order.
+	// Attempts reports every raced arm's run, in the order the arms were
+	// given (portfolio order for a full race).
 	Attempts []IndexAttempt
 	// Elapsed is the wall-clock time of the whole race.
 	Elapsed time.Duration
 }
 
-// Answer races the portfolio and collects the winning pipeline's ascending
-// graph IDs.
-func (r *IndexRacer) Answer(ctx context.Context, q *graph.Graph) (IndexRaceResult, error) {
-	var out []int
-	res, err := r.AnswerStream(ctx, q, func(id int) bool {
-		out = append(out, id)
-		return true
-	})
-	if err != nil {
-		return IndexRaceResult{}, err
-	}
-	res.GraphIDs = out
-	return res, nil
-}
-
-// AnswerArm runs a single portfolio arm's pipeline alone — no race, no
-// adoption — and collects its ascending graph IDs. This is the execution a
-// learned planning policy buys when it trusts one index for a query class:
-// the answer is identical to a full race's (every index is exact) at 1/n of
-// the started work.
-func (r *IndexRacer) AnswerArm(ctx context.Context, q *graph.Graph, arm int) (IndexRaceResult, error) {
-	var out []int
-	res, err := r.AnswerStreamArm(ctx, q, arm, func(id int) bool {
-		out = append(out, id)
-		return true
-	})
-	if err != nil {
-		return IndexRaceResult{}, err
-	}
-	res.GraphIDs = out
-	return res, nil
-}
-
-// AnswerStreamArm is AnswerArm with the verified graph IDs streamed into
-// emit in ascending order. The solo pipeline runs on the racer's shared
-// pool: with no contending attempts there is nothing to starve.
-func (r *IndexRacer) AnswerStreamArm(ctx context.Context, q *graph.Graph, arm int, emit func(graphID int) bool) (IndexRaceResult, error) {
-	if arm < 0 || arm >= len(r.racers) {
-		return IndexRaceResult{}, fmt.Errorf("psi: index arm %d out of range [0,%d)", arm, len(r.racers))
-	}
-	start := time.Now()
-	fr := &FTVRacer{
-		Index:       r.racers[arm].Index,
-		Rewritings:  r.racers[arm].Rewritings,
-		Frequencies: r.racers[arm].Frequencies,
-		Pool:        r.Pool,
-	}
-	emitted := 0
-	err := fr.AnswerStream(ctx, q, func(id int) bool {
-		emitted++
-		return emit(id)
-	})
-	if err != nil {
-		return IndexRaceResult{}, err
-	}
-	elapsed := time.Since(start)
-	return IndexRaceResult{
-		Winner:      r.Indexes[arm].Name(),
-		WinnerIndex: arm,
-		Elapsed:     elapsed,
-		Attempts: []IndexAttempt{{
-			Name:    r.Indexes[arm].Name(),
-			Winner:  true,
-			Emitted: emitted,
-			Elapsed: elapsed,
-		}},
-	}, nil
-}
-
-// AnswerStream races every index's streaming filter→verify pipeline and
-// streams the adopted winner's verified graph IDs into emit, in ascending
-// order. The first index to emit a verified candidate claims the output
-// stream; the other attempts are cancelled immediately through their
-// contexts and drain before AnswerStream returns, so a race leaves no
-// goroutines behind (the per-attempt metrics in the result record the
-// cancellations). An attempt that completes with an empty answer before
-// anyone emits wins the race — all indexes are exact, so the answer is
-// empty. emit must not block; returning false stops the winner and ends the
-// race successfully with the IDs seen so far.
-func (r *IndexRacer) AnswerStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) (IndexRaceResult, error) {
-	n := len(r.racers)
-	if n == 0 {
+// Stream is the one FTV query pipeline: it races the streaming filter→verify
+// pipeline of every listed arm (portfolio positions; none means the whole
+// portfolio) and streams the adopted winner's verified graph IDs into emit,
+// in ascending order. The query is rewritten once per configured kind and
+// the prepared instances serve every candidate's rewriting race in every
+// arm. The first arm to emit a verified candidate claims the output stream;
+// the other arms are cancelled immediately through their contexts and drain
+// before Stream returns, so a race leaves no goroutines behind (the
+// per-attempt metrics in the result record the cancellations). An arm that
+// completes with an empty answer before anyone emits wins the race — all
+// indexes are exact, so the answer is empty. A single arm — a fixed index, or
+// the one a learned policy trusts for the query's class — is a race of one:
+// the same answer (every index is exact) at 1/n of the started work, on the
+// racer's shared pool, since with no contenders there is nothing to starve.
+// emit is called from verification goroutines, one call at a time; the
+// ordered stream waits for it, so it must not block on work that only
+// proceeds after Stream returns. Returning false stops the winner and ends
+// the race successfully with the IDs seen so far.
+func (r *IndexRacer) Stream(ctx context.Context, q *graph.Graph, arms []int, emit func(graphID int) bool) (IndexRaceResult, error) {
+	if len(r.Indexes) == 0 {
 		return IndexRaceResult{}, errors.New("psi: IndexRacer needs at least one index")
 	}
+	if len(arms) == 0 {
+		arms = make([]int, len(r.Indexes))
+		for i := range arms {
+			arms[i] = i
+		}
+	}
+	for _, a := range arms {
+		if a < 0 || a >= len(r.Indexes) {
+			return IndexRaceResult{}, fmt.Errorf("psi: index arm %d out of range [0,%d)", a, len(r.Indexes))
+		}
+	}
+	var dedicated []*exec.Pool
+	if len(arms) > 1 {
+		dedicated = r.attemptPools()
+	}
+	qs := instances(q, r.freqs, r.Rewritings)
+	label := func(i int) string { return r.Indexes[arms[i]].Name() }
+	// Dedicated goroutine per arm: arms block waiting on pool Groups, so
+	// running them *on* pool workers could starve a small pool into deadlock.
+	spawn := func(task func()) { go task() }
 	start := time.Now()
-	if n == 1 {
-		// A portfolio of one is a plain streaming answer, no adoption.
-		fr := &FTVRacer{
-			Index:       r.racers[0].Index,
-			Rewritings:  r.racers[0].Rewritings,
-			Frequencies: r.racers[0].Frequencies,
-			Pool:        r.Pool,
-		}
-		emitted := 0
-		err := fr.AnswerStream(ctx, q, func(id int) bool {
-			emitted++
-			return emit(id)
-		})
-		if err != nil {
-			return IndexRaceResult{}, err
-		}
-		elapsed := time.Since(start)
-		return IndexRaceResult{
-			Winner:      r.Indexes[0].Name(),
-			WinnerIndex: 0,
-			Elapsed:     elapsed,
-			Attempts: []IndexAttempt{{
-				Name:    r.Indexes[0].Name(),
-				Winner:  true,
-				Emitted: emitted,
-				Elapsed: elapsed,
-			}},
-		}, nil
-	}
-	pools := r.attemptPools()
-	raceCtx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-	ctxs := make([]context.Context, n)
-	cancels := make([]context.CancelFunc, n)
-	for i := range ctxs {
-		ctxs[i], cancels[i] = context.WithCancel(raceCtx)
-	}
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-	var adopted atomic.Int32
-	adopted.Store(-1)
-	type outcome struct {
-		idx     int
-		emitted int
-		lost    bool // stopped because another attempt owns the stream
-		err     error
-		elapsed time.Duration
-	}
-	ch := make(chan outcome, n)
-	for i := range r.racers {
-		i := i
-		// Dedicated goroutine per attempt: attempts block waiting on pool
-		// Groups, so running them *on* pool workers could starve a small
-		// pool into deadlock. Race attempts need guaranteed concurrency.
-		go func() {
-			o := outcome{idx: i}
-			defer func() {
-				if rec := recover(); rec != nil {
-					o.err = fmt.Errorf("psi: index attempt panic: %v", rec)
-				}
-				o.elapsed = time.Since(start)
-				ch <- o
-			}()
-			fr := &FTVRacer{
-				Index:       r.racers[i].Index,
-				Rewritings:  r.racers[i].Rewritings,
-				Frequencies: r.racers[i].Frequencies,
-				Pool:        pools[i],
+	emitted := 0 // only the adopted arm ever gets past claim
+	winner, lanes, err := streamRace(ctx, len(arms), label, spawn, true,
+		func(actx context.Context, i int, claim func() bool) error {
+			x, pool := r.Indexes[arms[i]], r.Pool
+			if dedicated != nil {
+				pool = dedicated[arms[i]]
 			}
-			err := fr.AnswerStream(ctxs[i], q, func(id int) bool {
-				if adopted.Load() != int32(i) {
-					if !adopted.CompareAndSwap(-1, int32(i)) {
-						// Raced the winner to its first emission and lost.
-						o.lost = true
+			return index.StreamVerified(actx, pool,
+				func(fctx context.Context, femit func(int) bool) error {
+					return x.FilterStream(fctx, q, femit)
+				},
+				func(id int) bool {
+					if !claim() {
 						return false
 					}
-					// First verified candidate of the whole race: this
-					// pipeline now owns the output; cancel the rest.
-					for j, c := range cancels {
-						if j != i {
-							c()
-						}
-					}
-				}
-				o.emitted++
-				return emit(id)
-			})
-			if !o.lost {
-				o.err = err
-			}
-		}()
+					emitted++
+					return emit(id)
+				},
+				func(gctx context.Context, id int) (bool, error) {
+					res, err := raceInstances(gctx, pool, x, r.Rewritings, qs, id)
+					return res.Contained, err
+				})
+		})
+	if err != nil {
+		return IndexRaceResult{}, err
 	}
-	res := IndexRaceResult{WinnerIndex: -1, Attempts: make([]IndexAttempt, n)}
-	var errs []error
-	failed := false
-	var raceErr error
-	for done := 0; done < n; done++ {
-		o := <-ch
-		att := &res.Attempts[o.idx]
-		att.Name = r.Indexes[o.idx].Name()
-		att.Emitted = o.emitted
-		att.Elapsed = o.elapsed
-		switch {
-		case o.lost:
-			att.Cancelled = true
-		case o.err != nil:
-			if int(adopted.Load()) == o.idx {
-				// The adopted pipeline died mid-stream: partial output may
-				// have reached the caller, so the race as a whole fails
-				// rather than silently switching winners.
-				failed = true
-				raceErr = fmt.Errorf("%s: %w", att.Name, o.err)
-			} else if ctxs[o.idx].Err() != nil && ctx.Err() == nil {
-				// Cut off by the adoption (not by the caller): a loser.
-				att.Cancelled = true
-			} else {
-				att.Err = o.err.Error()
-				errs = append(errs, fmt.Errorf("%s: %w", att.Name, o.err))
-			}
-		case int(adopted.Load()) == o.idx:
-			// The adopted winner ran to completion (or the caller's emit
-			// stopped it): the race is decided. Keep draining the losers so
-			// the race leaves nothing running.
-			att.Winner = true
-			res.Winner = att.Name
-			res.WinnerIndex = o.idx
-			cancelAll()
-		case adopted.CompareAndSwap(-1, int32(o.idx)):
-			// Completed with an empty answer before anyone emitted: the
-			// answer is empty (every index is exact), so this attempt wins.
-			att.Winner = true
-			res.Winner = att.Name
-			res.WinnerIndex = o.idx
-			cancelAll()
-		default:
-			// Completed empty after another attempt was adopted.
-			att.Cancelled = ctxs[o.idx].Err() != nil && ctx.Err() == nil
+	res := IndexRaceResult{
+		WinnerIndex: arms[winner],
+		Attempts:    make([]IndexAttempt, len(arms)),
+		Elapsed:     time.Since(start),
+	}
+	for i, ln := range lanes {
+		res.Attempts[i] = IndexAttempt{Name: label(i), Cancelled: ln.cancelled, Elapsed: ln.elapsed}
+		if ln.err != nil {
+			res.Attempts[i].Err = ln.err.Error()
 		}
 	}
-	res.Elapsed = time.Since(start)
-	if failed {
-		return IndexRaceResult{}, raceErr
-	}
-	if res.WinnerIndex < 0 {
-		if err := ctx.Err(); err != nil {
-			return IndexRaceResult{}, err
-		}
-		return IndexRaceResult{}, errors.Join(errs...)
-	}
+	won := &res.Attempts[winner]
+	won.Winner, won.Emitted = true, emitted
+	res.Winner = won.Name
 	return res, nil
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
+	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/rewrite"
@@ -22,7 +24,8 @@ type stubIndex struct {
 	ds        []*graph.Graph
 	ids       []int
 	verify    func(ctx context.Context, graphID int) (bool, error)
-	cancelled atomic.Int64 // verifications that ended on ctx cancellation
+	onVerify  func(q *graph.Graph) // optional: observes the query instance each verification receives
+	cancelled atomic.Int64         // verifications that ended on ctx cancellation
 	stats     index.Stats
 }
 
@@ -41,18 +44,13 @@ func (x *stubIndex) Close()                    {}
 func (x *stubIndex) Filter(*graph.Graph) []int { return append([]int(nil), x.ids...) }
 
 func (x *stubIndex) FilterStream(ctx context.Context, q *graph.Graph, emit func(int) bool) error {
-	for _, id := range x.ids {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !emit(id) {
-			return nil
-		}
-	}
-	return nil
+	return lifted{x}.FilterStream(ctx, q, emit)
 }
 
 func (x *stubIndex) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
+	if x.onVerify != nil {
+		x.onVerify(q)
+	}
 	ok, err := x.verify(ctx, graphID)
 	if err != nil && ctx.Err() != nil {
 		x.cancelled.Add(1)
@@ -69,6 +67,35 @@ func blockingVerify(ctx context.Context, graphID int) (bool, error) {
 func instantVerify(ctx context.Context, graphID int) (bool, error) { return true, nil }
 
 var orig = []rewrite.Kind{rewrite.Orig}
+
+// lifted raises a Filter-only ftv.Index test double to the index.Index
+// contract the pipeline consumes: FilterStream replays Filter's list.
+type lifted struct{ ftv.Index }
+
+func (l lifted) Stats() index.Stats { return index.Stats{} }
+func (l lifted) Close()             {}
+func (l lifted) FilterStream(ctx context.Context, q *graph.Graph, emit func(int) bool) error {
+	for _, id := range l.Filter(q) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if !emit(id) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// collect runs r.Stream over the given arms (none: the whole portfolio) and
+// gathers the streamed answer.
+func collect(ctx context.Context, r *IndexRacer, q *graph.Graph, arms ...int) ([]int, IndexRaceResult, error) {
+	var ids []int
+	res, err := r.Stream(ctx, q, arms, func(id int) bool {
+		ids = append(ids, id)
+		return true
+	})
+	return ids, res, err
+}
 
 // TestIndexRaceAdoptsFirstEmitterAndCancelsLoser is the core acceptance
 // scenario: two indexes race, the fast one emits a verified candidate and
@@ -111,7 +138,7 @@ func TestIndexRaceAdoptsFirstEmitterAndCancelsLoser(t *testing.T) {
 	// Warm up so the racer's per-attempt pools exist before the baseline,
 	// then drain leftover start tokens so the measured race re-observes
 	// the slow index actually starting.
-	if _, err := r.Answer(context.Background(), ds[0]); err != nil {
+	if _, _, err := collect(context.Background(), r, ds[0]); err != nil {
 		t.Fatal(err)
 	}
 	for drained := false; !drained; {
@@ -123,15 +150,15 @@ func TestIndexRaceAdoptsFirstEmitterAndCancelsLoser(t *testing.T) {
 	}
 	slow.cancelled.Store(0)
 	before := runtime.NumGoroutine()
-	res, err := r.Answer(context.Background(), ds[0])
+	ids, res, err := collect(context.Background(), r, ds[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Winner != "fast" || res.WinnerIndex != 1 {
 		t.Fatalf("winner = %q (%d), want fast", res.Winner, res.WinnerIndex)
 	}
-	if len(res.GraphIDs) != 3 {
-		t.Errorf("GraphIDs = %v, want [0 1 2]", res.GraphIDs)
+	if len(ids) != 3 {
+		t.Errorf("GraphIDs = %v, want [0 1 2]", ids)
 	}
 	if len(res.Attempts) != 2 {
 		t.Fatalf("Attempts = %+v, want 2", res.Attempts)
@@ -166,12 +193,12 @@ func TestIndexRaceRepeatedNoLeak(t *testing.T) {
 	r.Pool = pool
 	defer r.Close()
 	// Warm-up so transient infrastructure exists before the baseline.
-	if _, err := r.Answer(context.Background(), ds[0]); err != nil {
+	if _, _, err := collect(context.Background(), r, ds[0]); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 200; i++ {
-		res, err := r.Answer(context.Background(), ds[0])
+		_, res, err := collect(context.Background(), r, ds[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,15 +226,15 @@ func TestIndexRaceEmptyAnswerWins(t *testing.T) {
 	r := NewIndexRacer([]index.Index{slow, empty}, orig)
 	defer r.Close()
 	r.Pool = pool
-	res, err := r.Answer(context.Background(), ds[0])
+	ids, res, err := collect(context.Background(), r, ds[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Winner != "empty" {
 		t.Fatalf("winner = %q, want empty", res.Winner)
 	}
-	if len(res.GraphIDs) != 0 {
-		t.Errorf("GraphIDs = %v, want none", res.GraphIDs)
+	if len(ids) != 0 {
+		t.Errorf("GraphIDs = %v, want none", ids)
 	}
 }
 
@@ -218,11 +245,11 @@ func TestIndexRaceSingleIndexDegenerates(t *testing.T) {
 	only := &stubIndex{name: "only", ds: ds, ids: []int{0, 2}, verify: instantVerify}
 	r := NewIndexRacer([]index.Index{only}, orig)
 	defer r.Close()
-	res, err := r.Answer(context.Background(), ds[0])
+	ids, res, err := collect(context.Background(), r, ds[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Winner != "only" || len(res.GraphIDs) != 2 {
+	if res.Winner != "only" || len(ids) != 2 {
 		t.Fatalf("res = %+v", res)
 	}
 	if len(res.Attempts) != 1 || !res.Attempts[0].Winner || res.Attempts[0].Emitted != 2 {
@@ -240,7 +267,7 @@ func TestIndexRaceAllFail(t *testing.T) {
 	b := &stubIndex{name: "b", ds: ds, ids: []int{0}, verify: failing}
 	r := NewIndexRacer([]index.Index{a, b}, orig)
 	defer r.Close()
-	_, err := r.Answer(context.Background(), ds[0])
+	_, _, err := collect(context.Background(), r, ds[0])
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -259,7 +286,7 @@ func TestIndexRaceCallerCancel(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, err := r.Answer(ctx, ds[0])
+	_, _, err := collect(ctx, r, ds[0])
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -274,7 +301,7 @@ func TestIndexRaceEmitStop(t *testing.T) {
 	r := NewIndexRacer([]index.Index{fast, slow}, orig)
 	defer r.Close()
 	var got []int
-	res, err := r.AnswerStream(context.Background(), ds[0], func(id int) bool {
+	res, err := r.Stream(context.Background(), ds[0], nil, func(id int) bool {
 		got = append(got, id)
 		return false
 	})
@@ -286,5 +313,57 @@ func TestIndexRaceEmitStop(t *testing.T) {
 	}
 	if res.Winner != "fast" {
 		t.Errorf("winner = %q", res.Winner)
+	}
+}
+
+// TestStreamRewritesQueryOncePerKind: the rewritten instances depend only on
+// (query, frequencies, kind), so one pipeline run prepares them once and
+// every candidate's race in every arm reuses them — a three-index race of a
+// 40-candidate query under {Orig, DND} hands Verify at most two distinct
+// query graphs, not one fresh permutation per candidate × rewriting × index.
+// The single-candidate FTVRacer.Verify keeps working on its own.
+func TestStreamRewritesQueryOncePerKind(t *testing.T) {
+	const candidates = 40
+	kinds := []rewrite.Kind{rewrite.Orig, rewrite.DND}
+	ds := newStubDataset(candidates)
+	ids := make([]int, candidates)
+	for i := range ids {
+		ids[i] = i
+	}
+	var (
+		mu        sync.Mutex
+		instances = map[*graph.Graph]int{}
+	)
+	record := func(q *graph.Graph) {
+		mu.Lock()
+		instances[q]++
+		mu.Unlock()
+	}
+	var xs []index.Index
+	for _, name := range []string{"a", "b", "c"} {
+		xs = append(xs, &stubIndex{name: name, ds: ds, ids: ids, verify: instantVerify, onVerify: record})
+	}
+	r := NewIndexRacer(xs, kinds)
+	defer r.Close()
+	q := graph.MustNew("q", []graph.Label{0, 1, 0}, [][2]int{{0, 1}, {1, 2}})
+	got, _, err := collect(context.Background(), r, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != candidates {
+		t.Fatalf("answered %d ids, want %d", len(got), candidates)
+	}
+	mu.Lock() // a candidate race's losing rewriting may still be finishing
+	if len(instances) == 0 || len(instances) > len(kinds) {
+		t.Errorf("%d distinct query graphs reached Verify, want at most %d", len(instances), len(kinds))
+	}
+	if instances[q] != 0 {
+		t.Error("the caller's own query graph reached Verify: instances must be the prepared rewritings")
+	}
+	mu.Unlock()
+	f := NewFTVRacer(xs[0], kinds)
+	res, err := f.Verify(context.Background(), q, 0)
+	if err != nil || !res.Contained {
+		t.Fatalf("FTVRacer.Verify = %+v, %v", res, err)
 	}
 }

@@ -196,119 +196,177 @@ func (r *Racer) RaceStream(ctx context.Context, q *graph.Graph, limit int, attem
 	if pool == nil {
 		pool = exec.Default()
 	}
-	raceCtx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-	// Per-attempt contexts so adoption can kill every contender except the
-	// adopted one while it keeps streaming.
-	ctxs := make([]context.Context, len(attempts))
-	cancels := make([]context.CancelFunc, len(attempts))
-	for i := range attempts {
-		ctxs[i], cancels[i] = context.WithCancel(raceCtx)
-	}
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-	var adopted atomic.Int32
-	adopted.Store(-1)
-	type outcome struct {
-		idx     int
-		emitted int
-		lost    bool // stopped because another attempt owns the stream
-		err     error
-	}
-	ch := make(chan outcome, len(attempts))
 	start := time.Now()
-	for i, a := range attempts {
-		idx, a := i, a
-		pool.Go(func() {
-			o := outcome{idx: idx}
-			defer func() {
-				if rec := recover(); rec != nil {
-					o.err = fmt.Errorf("psi: attempt panic: %v", rec)
-				}
-				ch <- o
-			}()
+	found := 0 // only the adopted attempt ever gets past claim
+	label := func(i int) string { return attempts[i].Label() }
+	// The race is decided the moment the adopted attempt finishes; cancelled
+	// losers exit on their own, so nobody waits for them (drain false).
+	winner, _, err := streamRace(ctx, len(attempts), label, pool.Go, false,
+		func(actx context.Context, i int, claim func() bool) error {
+			a := attempts[i]
 			q2, perm := rewrite.Apply(q, r.Frequencies, a.Rewriting, a.Seed)
-			s := match.SinkFunc(func(e match.Embedding) bool {
-				if adopted.Load() != int32(idx) {
-					if !adopted.CompareAndSwap(-1, int32(idx)) {
-						o.lost = true
-						return false
-					}
-					// First emission of the whole race: this attempt now
-					// owns the output; stop the others immediately.
-					for j, c := range cancels {
-						if j != idx {
-							c()
-						}
-					}
+			var invalid error
+			err := match.Stream(actx, a.Matcher, q2, limit, match.SinkFunc(func(e match.Embedding) bool {
+				if !claim() {
+					return false
 				}
 				if a.Rewriting != rewrite.Orig {
 					e = rewrite.MapBack(e, perm)
 				}
 				if r.Validate {
 					if verr := match.VerifyEmbedding(q, attemptGraph(a), e); verr != nil {
-						o.err = fmt.Errorf("psi: winner %s emitted invalid embedding: %w", a.Label(), verr)
+						invalid = fmt.Errorf("psi: winner %s emitted invalid embedding: %w", a.Label(), verr)
 						return false
 					}
 				}
-				o.emitted++
+				found++
 				return sink.Emit(e)
+			}))
+			if invalid != nil {
+				return invalid
+			}
+			return err
+		})
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Found:       found,
+		Winner:      attempts[winner],
+		WinnerIndex: winner,
+		Elapsed:     time.Since(start),
+		Attempts:    len(attempts),
+	}, nil
+}
+
+// lane is one contender's report from streamRace.
+type lane struct {
+	// cancelled marks a loser cut off by the adoption (not by the caller).
+	cancelled bool
+	// err is a loser's own failure, nil otherwise.
+	err error
+	// elapsed runs from race start until the contender finished or was cut off.
+	elapsed time.Duration
+}
+
+// streamRace is the adopt-first-emitter race, the one state machine behind
+// Racer.RaceStream (matcher attempts) and IndexRacer.Stream (whole index
+// pipelines). It starts n contenders through spawn, each with its own
+// cancellable context. A contender calls claim before surfacing each result:
+// the first claim of the race adopts that contender — it owns the output from
+// then on and every other contender is cancelled — and claim returns false to
+// a contender that lost, which must then stop emitting. A contender that
+// completes cleanly without ever emitting, before anyone was adopted, wins an
+// empty race: all contenders compute the same answer, so it is empty. If the
+// adopted contender fails mid-stream the race fails rather than switching
+// winners (partial output may have reached the caller); if nobody wins, the
+// caller's context error or the joined contender errors are returned, each
+// prefixed with label(i). A panicking contender is isolated and reported as
+// that contender's error.
+//
+// With drain set streamRace returns only after every contender has finished,
+// so nothing it started outlives it and lanes describes all n; otherwise it
+// returns as soon as the race is decided and the losers exit on their own.
+func streamRace(ctx context.Context, n int, label func(i int) string, spawn func(task func()), drain bool,
+	run func(ctx context.Context, i int, claim func() bool) error) (winner int, lanes []lane, err error) {
+	raceCtx, cancelAll := context.WithCancel(ctx)
+	defer cancelAll()
+	// Per-contender contexts so adoption can kill every contender except the
+	// adopted one while it keeps streaming.
+	ctxs := make([]context.Context, n)
+	cancels := make([]context.CancelFunc, n)
+	for i := range ctxs {
+		ctxs[i], cancels[i] = context.WithCancel(raceCtx)
+	}
+	var adopted atomic.Int32
+	adopted.Store(-1)
+	// claim reports whether contender i owns the output, adopting it if
+	// nobody does yet.
+	claim := func(i int) bool {
+		if adopted.Load() == int32(i) {
+			return true
+		}
+		if !adopted.CompareAndSwap(-1, int32(i)) {
+			return false
+		}
+		for j, c := range cancels {
+			if j != i {
+				c()
+			}
+		}
+		return true
+	}
+	type outcome struct {
+		idx     int
+		lost    bool // stopped because another contender owns the stream
+		err     error
+		elapsed time.Duration
+	}
+	ch := make(chan outcome, n)
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		spawn(func() {
+			o := outcome{idx: i}
+			defer func() {
+				if rec := recover(); rec != nil {
+					o.err = fmt.Errorf("psi: attempt panic: %v", rec)
+				}
+				o.elapsed = time.Since(start)
+				ch <- o
+			}()
+			err := run(ctxs[i], i, func() bool {
+				if !claim(i) {
+					o.lost = true
+				}
+				return !o.lost
 			})
-			err := match.Stream(ctxs[idx], a.Matcher, q2, limit, s)
-			if o.err == nil && !o.lost {
+			if !o.lost {
 				o.err = err
 			}
 		})
 	}
+	winner = -1
+	lanes = make([]lane, n)
 	var errs []error
-	for n := 0; n < len(attempts); n++ {
+	var failed error
+	for done := 0; done < n && (drain || (winner < 0 && failed == nil)); done++ {
 		o := <-ch
+		ln := &lanes[o.idx]
+		ln.elapsed = o.elapsed
+		cutOff := ctxs[o.idx].Err() != nil && ctx.Err() == nil
 		switch {
 		case o.lost:
-			// A loser that raced the winner to its first emission; its
-			// outcome carries no information.
+			// Raced the winner to its first emission and lost.
+			ln.cancelled = true
+		case o.err != nil && int(adopted.Load()) == o.idx:
+			// The adopted contender died mid-stream (the caller's
+			// cancellation, or a failure of its own).
+			failed = fmt.Errorf("%s: %w", label(o.idx), o.err)
+		case o.err != nil && cutOff:
+			ln.cancelled = true
 		case o.err != nil:
-			if int(adopted.Load()) == o.idx {
-				// The adopted attempt died mid-stream (cancellation from
-				// the parent, or an invalid embedding under Validate). The
-				// sink may hold partial output, so the race as a whole
-				// fails rather than silently switching winners.
-				return Result{}, fmt.Errorf("%s: %w", attempts[o.idx].Label(), o.err)
-			}
-			errs = append(errs, fmt.Errorf("%s: %w", attempts[o.idx].Label(), o.err))
-		case int(adopted.Load()) == o.idx:
+			ln.err = o.err
+			errs = append(errs, fmt.Errorf("%s: %w", label(o.idx), o.err))
+		case claim(o.idx):
 			// The adopted winner ran to completion (or the caller's sink
-			// stopped it): the race is decided.
+			// stopped it), or this contender completed empty before anyone
+			// emitted: the race is decided.
+			winner = o.idx
 			cancelAll()
-			return Result{
-				Found:       o.emitted,
-				Winner:      attempts[o.idx],
-				WinnerIndex: o.idx,
-				Elapsed:     time.Since(start),
-				Attempts:    len(attempts),
-			}, nil
-		case adopted.CompareAndSwap(-1, int32(o.idx)):
-			// Completed with zero embeddings before anyone emitted: an
-			// empty answer wins the race (all attempts are isomorphic, so
-			// they would all come up empty).
-			cancelAll()
-			return Result{
-				Winner:      attempts[o.idx],
-				WinnerIndex: o.idx,
-				Elapsed:     time.Since(start),
-				Attempts:    len(attempts),
-			}, nil
 		default:
-			// Completed empty after another attempt was adopted; ignore.
+			// Completed empty after another contender was adopted.
+			ln.cancelled = cutOff
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
+	switch {
+	case failed != nil:
+		return -1, nil, failed
+	case winner >= 0:
+		return winner, lanes, nil
+	case ctx.Err() != nil:
+		return -1, nil, ctx.Err()
 	}
-	return Result{}, errors.Join(errs...)
+	return -1, nil, errors.Join(errs...)
 }
 
 // attemptGraph extracts the stored graph from matchers that expose it; used

@@ -6,6 +6,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"github.com/psi-graph/psi/internal/gql"
 	"github.com/psi-graph/psi/internal/graph"
+	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/match"
 	"github.com/psi-graph/psi/internal/rewrite"
 	"github.com/psi-graph/psi/internal/spath"
@@ -237,40 +239,28 @@ func TestRacedMatcherStreams(t *testing.T) {
 	}
 }
 
-// TestFTVRacerAnswerStreamMatchesAnswer: the streamed IDs must be exactly
-// Answer's ascending IDs, and stopping early must truncate cleanly.
-func TestFTVRacerAnswerStreamMatchesAnswer(t *testing.T) {
+// TestStreamEarlyStopIsAnswerPrefix: stopping a single-arm stream early must
+// truncate cleanly to a prefix of the full ascending answer.
+func TestStreamEarlyStopIsAnswerPrefix(t *testing.T) {
 	x := newGatedIndex(20)
 	close(x.release) // verifications pass immediately
-	f := NewFTVRacer(x, []rewrite.Kind{rewrite.Orig, rewrite.DND})
+	f := NewIndexRacer([]index.Index{lifted{x}}, []rewrite.Kind{rewrite.Orig, rewrite.DND})
 	q := x.ds[0]
-	want, err := f.Answer(context.Background(), q)
+	want, _, err := collect(context.Background(), f, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []int
-	if err := f.AnswerStream(context.Background(), q, func(id int) bool {
-		got = append(got, id)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d ids, Answer returned %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("order diverges at %d: stream %v vs answer %v", i, got, want)
-		}
+	if len(want) != 20 || !slices.IsSorted(want) {
+		t.Fatalf("full stream %v, want 20 ascending ids", want)
 	}
 	var firstThree []int
-	if err := f.AnswerStream(context.Background(), q, func(id int) bool {
+	if _, err := f.Stream(context.Background(), q, nil, func(id int) bool {
 		firstThree = append(firstThree, id)
 		return len(firstThree) < 3
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(firstThree) != 3 || firstThree[0] != want[0] || firstThree[2] != want[2] {
+	if !slices.Equal(firstThree, want[:3]) {
 		t.Fatalf("early-stopped stream %v is not the answer prefix of %v", firstThree, want)
 	}
 }

@@ -8,9 +8,7 @@ package ftv
 import (
 	"context"
 	"encoding/binary"
-	"sync"
 
-	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/graph"
 )
 
@@ -40,7 +38,9 @@ type Index interface {
 }
 
 // Answer runs the full decision pipeline — filter, then verify every
-// candidate sequentially — and returns the IDs of graphs containing q.
+// candidate sequentially — and returns the IDs of graphs containing q. It is
+// the reference the streaming pipeline (index.StreamVerified and everything
+// built on it) is tested against, not a serving path.
 func Answer(ctx context.Context, x Index, q *graph.Graph) ([]int, error) {
 	var out []int
 	for _, id := range x.Filter(q) {
@@ -53,150 +53,6 @@ func Answer(ctx context.Context, x Index, q *graph.Graph) ([]int, error) {
 		}
 	}
 	return out, nil
-}
-
-// ParallelAnswer is Answer with the verification stage fanned out across the
-// pool's workers (nil selects the shared default pool). Candidates verify
-// independently — the stage the paper identifies as the dominant cost — while
-// the answer is assembled positionally, so the returned IDs are identical,
-// byte for byte, to the sequential pipeline's ascending order. The first
-// verification error cancels the remaining candidates.
-func ParallelAnswer(ctx context.Context, x Index, q *graph.Graph, p *exec.Pool) ([]int, error) {
-	return VerifyCandidates(ctx, p, x.Filter(q), func(gctx context.Context, id int) (bool, error) {
-		return x.Verify(gctx, q, id)
-	})
-}
-
-// VerifyCandidates runs check over a candidate ID list across the pool's
-// workers and returns the IDs that checked out, preserving the input order.
-// It is the collecting wrapper over StreamCandidates, the one
-// fan-out-and-assemble shape shared by ParallelAnswer, the cached wrapper,
-// and the FTV racer's candidate loop.
-func VerifyCandidates(ctx context.Context, p *exec.Pool, ids []int, check func(ctx context.Context, id int) (bool, error)) ([]int, error) {
-	var out []int
-	err := StreamCandidates(ctx, p, ids, func(id int) bool {
-		out = append(out, id)
-		return true
-	}, check)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StreamCandidates is the streaming form of VerifyCandidates: check fans out
-// over ids across the pool's workers (nil selects the shared default pool;
-// one candidate runs on the caller's goroutine), and each ID that checks out
-// is handed to emit as soon as it — and every candidate before it — has been
-// decided, so emissions arrive incrementally yet in exactly the input order.
-// emit returning false cancels the remaining verifications and ends the
-// stream with a nil error; the first check error cancels the rest and is
-// returned. emit runs under an internal lock and must not block.
-func StreamCandidates(ctx context.Context, p *exec.Pool, ids []int, emit func(id int) bool, check func(ctx context.Context, id int) (bool, error)) error {
-	n := len(ids)
-	if n <= 1 {
-		for _, id := range ids {
-			ok, err := check(ctx, id)
-			if err != nil {
-				return err
-			}
-			if ok && !emit(id) {
-				return nil
-			}
-		}
-		return nil
-	}
-	if p == nil {
-		p = exec.Default()
-	}
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	const (
-		pending = uint8(iota)
-		hit
-		miss
-	)
-	var (
-		mu      sync.Mutex
-		state   = make([]uint8, n)
-		next    int // first undecided position: everything before it is emitted or skipped
-		stopped bool
-	)
-	grp := p.NewGroup(sctx)
-	for i := range ids {
-		i := i
-		grp.Go(func(gctx context.Context) error {
-			ok, err := check(gctx, ids[i])
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if stopped {
-				return nil
-			}
-			if ok {
-				state[i] = hit
-			} else {
-				state[i] = miss
-			}
-			// Flush the newly contiguous decided prefix in input order.
-			for next < n && state[next] != pending {
-				if state[next] == hit && !emit(ids[next]) {
-					stopped = true
-					cancel()
-					return nil
-				}
-				next++
-			}
-			return nil
-		})
-	}
-	err := grp.Wait()
-	mu.Lock()
-	wasStopped := stopped
-	mu.Unlock()
-	if wasStopped {
-		return nil
-	}
-	return err
-}
-
-// ParallelHits evaluates check(ctx, i) for every i in [0, n) across the
-// pool's workers (nil selects the shared default pool; n <= 1 runs on the
-// caller's goroutine) and returns the outcomes indexed positionally. The
-// first error cancels the remaining work and is returned.
-func ParallelHits(ctx context.Context, p *exec.Pool, n int, check func(ctx context.Context, i int) (bool, error)) ([]bool, error) {
-	hits := make([]bool, n)
-	if n <= 1 {
-		for i := range hits {
-			ok, err := check(ctx, i)
-			if err != nil {
-				return nil, err
-			}
-			hits[i] = ok
-		}
-		return hits, nil
-	}
-	if p == nil {
-		p = exec.Default()
-	}
-	grp := p.NewGroup(ctx)
-	for i := range hits {
-		i := i
-		grp.Go(func(gctx context.Context) error {
-			ok, err := check(gctx, i)
-			if err != nil {
-				return err
-			}
-			hits[i] = ok
-			return nil
-		})
-	}
-	if err := grp.Wait(); err != nil {
-		return nil, err
-	}
-	return hits, nil
 }
 
 // Key is a comparable path-feature key. Label sequences of up to

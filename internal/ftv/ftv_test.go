@@ -183,77 +183,6 @@ func TestMakeKeyDistinguishesSequences(t *testing.T) {
 	}
 }
 
-// slowIndex adds artificial per-candidate work so parallel speedup and
-// cancellation behavior are observable.
-type slowIndex struct {
-	fakeIndex
-	errOn int // graph ID whose verification fails, -1 for none
-}
-
-func (s *slowIndex) Verify(ctx context.Context, q *graph.Graph, id int) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	if id == s.errOn {
-		return false, fmt.Errorf("verify %d failed", id)
-	}
-	return id%3 != 1, nil
-}
-
-func TestParallelAnswerMatchesSequential(t *testing.T) {
-	ids := make([]int, 40)
-	for i := range ids {
-		ids[i] = i
-	}
-	x := &slowIndex{fakeIndex: fakeIndex{filtered: ids}, errOn: -1}
-	want, err := Answer(context.Background(), x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		p := exec.New(workers)
-		got, err := ParallelAnswer(context.Background(), x, nil, p)
-		p.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: ParallelAnswer = %v, want %v", workers, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: ParallelAnswer = %v, want %v", workers, got, want)
-			}
-		}
-	}
-}
-
-func TestParallelAnswerPropagatesError(t *testing.T) {
-	ids := make([]int, 20)
-	for i := range ids {
-		ids[i] = i
-	}
-	x := &slowIndex{fakeIndex: fakeIndex{filtered: ids}, errOn: 7}
-	p := exec.New(4)
-	defer p.Close()
-	if _, err := ParallelAnswer(context.Background(), x, nil, p); err == nil {
-		t.Fatal("expected verification error to propagate")
-	}
-}
-
-func TestParallelAnswerContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ids := make([]int, 20)
-	for i := range ids {
-		ids[i] = i
-	}
-	x := &slowIndex{fakeIndex: fakeIndex{filtered: ids}, errOn: -1}
-	if _, err := ParallelAnswer(ctx, x, nil, nil); err == nil {
-		t.Fatal("expected context error")
-	}
-}
-
 // TestExtractFeaturesContextCancel: a cancelled context aborts extraction
 // mid-graph and reports the cancellation.
 func TestExtractFeaturesContextCancel(t *testing.T) {

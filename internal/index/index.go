@@ -55,13 +55,6 @@ type Index interface {
 	Close()
 }
 
-// FilterStreamer is the streaming-filter capability on its own; consumers
-// holding only an ftv.Index (the pre-unification contract) type-assert to it
-// to upgrade to the pipelined filter→verify path.
-type FilterStreamer interface {
-	FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error
-}
-
 // Inserter is the optional incremental-maintenance capability of an index:
 // WithGraph derives a NEW index over the old dataset plus one appended graph
 // without re-extracting the features of the existing graphs. The receiver is
@@ -242,11 +235,13 @@ func StreamByFeatures(ctx context.Context, nGraphs int, feats map[ftv.Key]*ftv.Q
 // filter keeps scanning — the streaming-first shape of the match pipeline
 // applied to the FTV decision problem. Verified IDs are handed to emit in
 // filter order (ascending for contract-conforming filters) as soon as each
-// ID and every candidate before it has been decided. emit returning false
-// cancels the outstanding work and ends the stream with a nil error; the
-// first verification error cancels the rest and is returned; a ctx
-// cancellation that cut the filter short is returned as the context's error,
-// never silently surfaced as a complete (empty) answer.
+// ID and every candidate before it has been decided. emit is called from
+// verification goroutines, one call at a time and outside the pipeline's
+// internal lock; it should still not block, since the ordered stream waits
+// for it. emit returning false cancels the outstanding work and ends the
+// stream with a nil error; the first verification error cancels the rest and
+// is returned; a ctx cancellation that cut the filter short is returned as
+// the context's error, never silently surfaced as a complete (empty) answer.
 //
 // The filter runs on the caller's goroutine, with the pool providing
 // backpressure; callers must not invoke StreamVerified from inside a task
@@ -268,8 +263,14 @@ func StreamVerified(ctx context.Context, p *exec.Pool, filter func(ctx context.C
 		state     []uint8
 		next      int // first undecided position: everything before is settled
 		stopped   bool
+		flushing  bool // a task is handing the decided prefix to emit
 		truncated bool
 	)
+	emitUnlocked := func(id int) bool {
+		mu.Unlock()
+		defer mu.Lock() // re-taken even if emit panics: the task's deferred Unlock needs it held
+		return emit(id)
+	}
 	grp := p.NewGroup(sctx)
 	ferr := filter(sctx, func(id int) bool {
 		if grp.Context().Err() != nil {
@@ -298,15 +299,25 @@ func StreamVerified(ctx context.Context, p *exec.Pool, filter func(ctx context.C
 			} else {
 				state[pos] = miss
 			}
+			if flushing {
+				return nil // the active flusher picks this position up
+			}
 			// Flush the newly contiguous decided prefix in filter order.
+			// emit runs with the state lock released — a slow consumer (a
+			// server flushing a line per ID) must not stall the filter and
+			// the other verifications — and flushing keeps it to one
+			// goroutine at a time, so emissions stay serialized and ordered.
+			flushing = true
 			for next < len(ids) && state[next] != pending {
-				if state[next] == hit && !emit(ids[next]) {
+				id, isHit := ids[next], state[next] == hit
+				next++
+				if isHit && !emitUnlocked(id) {
 					stopped = true
 					cancel()
-					return nil
+					break
 				}
-				next++
 			}
+			flushing = false
 			return nil
 		})
 		return true

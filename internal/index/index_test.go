@@ -3,8 +3,12 @@ package index
 import (
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
@@ -228,6 +232,124 @@ func TestStreamVerifiedErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestStreamVerifiedTable pins the ordered fan-out's contract over a plain
+// candidate list at several pool sizes: verified IDs arrive in filter order
+// however the checks complete, the first check error cancels the rest and is
+// returned, a context cancelled before the call is reported rather than read
+// as an empty answer, and the degenerate 0- and 1-candidate lists work.
+func TestStreamVerifiedTable(t *testing.T) {
+	boom := errors.New("boom")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	upTo := func(n int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+		return ids
+	}
+	cases := []struct {
+		name    string
+		ctx     context.Context
+		ids     []int
+		errOn   int // candidate whose check fails, -1 for none
+		want    []int
+		wantErr error
+	}{
+		{name: "out-of-order completion", ctx: context.Background(), ids: upTo(40), errOn: -1,
+			want: []int{0, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24, 26, 27, 29, 30, 32, 33, 35, 36, 38, 39}},
+		{name: "first error cancels the rest", ctx: context.Background(), ids: upTo(20), errOn: 7, wantErr: boom},
+		{name: "pre-cancelled context", ctx: cancelled, ids: upTo(20), errOn: -1, wantErr: context.Canceled},
+		{name: "no candidates", ctx: context.Background(), errOn: -1},
+		{name: "one candidate", ctx: context.Background(), ids: []int{5}, errOn: -1, want: []int{5}},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2, 4, 8} {
+			pool := exec.New(workers)
+			filter := func(ctx context.Context, emit func(int) bool) error {
+				for _, id := range tc.ids {
+					if !emit(id) {
+						return nil
+					}
+				}
+				return nil
+			}
+			check := func(ctx context.Context, id int) (bool, error) {
+				if err := ctx.Err(); err != nil {
+					return false, err
+				}
+				if id == tc.errOn {
+					return false, boom
+				}
+				if id%4 == 0 {
+					// Early candidates settle late, so later ones are
+					// decided first and must wait their turn.
+					time.Sleep(200 * time.Microsecond)
+				}
+				return id%3 != 1, nil
+			}
+			var got []int
+			err := StreamVerified(tc.ctx, pool, filter, func(id int) bool {
+				got = append(got, id)
+				return true
+			}, check)
+			pool.Close()
+			if !errors.Is(err, tc.wantErr) {
+				t.Errorf("%s, %d workers: err = %v, want %v", tc.name, workers, err, tc.wantErr)
+			}
+			if tc.wantErr == nil && !slices.Equal(got, tc.want) {
+				t.Errorf("%s, %d workers: emitted %v, want %v", tc.name, workers, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestStreamVerifiedSlowEmitDoesNotStallVerification: emit runs outside the
+// pipeline's state lock, so a consumer stuck on the first ID (a server
+// flushing to a slow client) holds up only the ordered stream — the filter
+// keeps scanning and every other candidate still gets verified. A panicking
+// emit surfaces as the stream's error instead of wedging the lock.
+func TestStreamVerifiedSlowEmitDoesNotStallVerification(t *testing.T) {
+	pool := exec.New(2)
+	defer pool.Close()
+	const n = 20
+	filter := func(ctx context.Context, emit func(int) bool) error {
+		for id := 0; id < n; id++ {
+			if !emit(id) {
+				return nil
+			}
+		}
+		return nil
+	}
+	var checked atomic.Int64
+	allChecked := make(chan struct{})
+	check := func(ctx context.Context, id int) (bool, error) {
+		if checked.Add(1) == n {
+			close(allChecked)
+		}
+		return true, nil
+	}
+	var got []int
+	err := StreamVerified(context.Background(), pool, filter, func(id int) bool {
+		if id == 0 {
+			select {
+			case <-allChecked:
+			case <-time.After(5 * time.Second):
+				t.Error("verification stalled behind a slow emit")
+			}
+		}
+		got = append(got, id)
+		return true
+	}, check)
+	if err != nil || len(got) != n || !slices.IsSorted(got) {
+		t.Fatalf("stream = %v, %v; want %d ascending ids", got, err, n)
+	}
+	err = StreamVerified(context.Background(), pool, filter, func(int) bool { panic("consumer bug") }, check)
+	if err == nil || !strings.Contains(err.Error(), "consumer bug") {
+		t.Fatalf("panicking emit = %v, want its panic reported as the stream's error", err)
+	}
+}
+
 // TestStreamVerifiedCancelNotSilentlyEmpty proves a cancelled pipeline
 // reports the cancellation instead of a complete-looking empty answer.
 func TestStreamVerifiedCancelNotSilentlyEmpty(t *testing.T) {
@@ -257,7 +379,7 @@ func TestStreamVerifiedCancelNotSilentlyEmpty(t *testing.T) {
 	}
 }
 
-func TestAnswerMatchesFTVAnswer(t *testing.T) {
+func TestAnswerMatchesSequentialOracle(t *testing.T) {
 	ds := smallDataset()
 	x, err := BuildPath(context.Background(), ds, Options{})
 	if err != nil {

@@ -22,14 +22,12 @@ import (
 	psi "github.com/psi-graph/psi"
 )
 
-// coalesceFixture builds a racing FTV engine with the engine-side cache
-// off and a server with the result cache off, so every answer observed in
-// these tests comes from a live execution or a shared flight — never from
-// a cache.
+// coalesceFixture builds a racing FTV engine and a server with the result
+// cache off, so every answer observed in these tests comes from a live
+// execution or a shared flight — never from a cache.
 func coalesceFixture(t *testing.T, engOpts psi.EngineOptions, srvOpts Options) (*Server, *psi.Graph) {
 	t.Helper()
 	ds := psi.GeneratePPI(psi.Tiny, 1)
-	engOpts.CacheSize = -1
 	if len(engOpts.Indexes) == 0 && engOpts.Index == "" {
 		engOpts.Index = "ftv"
 	}

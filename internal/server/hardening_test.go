@@ -204,7 +204,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 			t.Fatalf("snapshot file missing: %v", err)
 		}
 
-		cold, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: path, CacheSize: -1})
+		cold, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: path})
 		if err != nil {
 			t.Fatalf("cold-start from server snapshot: %v", err)
 		}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
-	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 )
 
@@ -502,7 +501,6 @@ type StatsResponse struct {
 	Engine        psi.EngineCounters  `json:"engine"`
 	Wins          map[string]int64    `json:"wins,omitempty"`
 	Indexes       []psi.IndexStats    `json:"indexes,omitempty"`
-	EngineCache   *ftv.CacheStats     `json:"engine_cache,omitempty"`
 	ResultCache   *cacheCounters      `json:"result_cache,omitempty"`
 	Policy        *psi.PolicySnapshot `json:"policy,omitempty"`
 }
@@ -539,9 +537,6 @@ func (s *Server) Stats() StatsResponse {
 	resp.Engine = eng.Counters()
 	resp.Wins = eng.WinCounts()
 	resp.Indexes = eng.IndexStats()
-	if cs, ok := eng.CacheStats(); ok {
-		resp.EngineCache = &cs
-	}
 	if snap, ok := eng.PolicyStats(); ok {
 		resp.Policy = &snap
 	}
@@ -625,13 +620,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(winners)
 	for _, name := range winners {
 		fmt.Fprintf(w, "psi_engine_wins_total{winner=%q} %d\n", name, st.Wins[name])
-	}
-	if st.EngineCache != nil {
-		p("psi_engine_cache_exact_hits_total", st.EngineCache.ExactHits)
-		p("psi_engine_cache_sub_prunes_total", st.EngineCache.SubPrunes)
-		p("psi_engine_cache_super_accepts_total", st.EngineCache.SuperAccepts)
-		p("psi_engine_cache_verifications_total", st.EngineCache.Verifications)
-		p("psi_engine_cache_misses_total", st.EngineCache.Misses)
 	}
 }
 

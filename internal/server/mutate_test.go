@@ -18,13 +18,13 @@ import (
 	"github.com/psi-graph/psi/internal/graph"
 )
 
-// mutableFixture builds a small mutable FTV engine (two shards, no engine
-// cache) plus a query with a non-empty answer contained in ds[0].
+// mutableFixture builds a small mutable FTV engine (two shards) plus a
+// query with a non-empty answer contained in ds[0].
 func mutableFixture(t *testing.T) (*psi.Engine, *psi.Graph, []*psi.Graph) {
 	t.Helper()
 	ds := psi.GeneratePPI(psi.Tiny, 1)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Index: "ftv", Mutable: true, Shards: 2, CacheSize: -1,
+		Index: "ftv", Mutable: true, Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ import (
 func datasetFixture(t *testing.T) (*psi.Engine, *psi.Graph) {
 	t.Helper()
 	ds := psi.GeneratePPI(psi.Tiny, 1)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Index: "ftv", CacheSize: -1})
+	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Index: "ftv"})
 	if err != nil {
 		t.Fatal(err)
 	}

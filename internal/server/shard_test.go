@@ -22,10 +22,9 @@ func shardedFixture(t *testing.T, timeout time.Duration) (*psi.Engine, *psi.Grap
 	t.Helper()
 	ds := psi.GeneratePPI(psi.Tiny, 1)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Index:     "ftv",
-		Shards:    3,
-		Timeout:   timeout,
-		CacheSize: -1,
+		Index:   "ftv",
+		Shards:  3,
+		Timeout: timeout,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,89 +1,50 @@
 package psi_test
 
-// End-to-end checks that the parallel FTV pipeline is a pure wall-clock
-// optimization: answers are byte-identical to the sequential pipeline across
-// indexes, worker counts, and the cached wrapper.
+// End-to-end check that the pooled streaming pipeline is a pure wall-clock
+// optimization: answers are byte-identical to the sequential oracle across
+// index kinds and worker counts.
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	psi "github.com/psi-graph/psi"
+	"github.com/psi-graph/psi/internal/exec"
+	"github.com/psi-graph/psi/internal/ftv"
+	"github.com/psi-graph/psi/internal/index"
 )
 
-func ftvFixtures(t *testing.T) ([]*psi.Graph, []psi.FTVIndex, []*psi.Graph) {
-	t.Helper()
+func TestPooledAnswerMatchesSequential(t *testing.T) {
 	ds := psi.GenerateSynthetic(psi.Tiny, 1)
-	indexes := []psi.FTVIndex{psi.NewGGSX(ds), psi.NewGrapes(ds, 1), psi.NewPathIndex(ds)}
+	indexes := []psi.FilterIndex{psi.NewGGSX(ds), psi.NewGrapes(ds, 1), psi.NewPathIndex(ds)}
 	var queries []*psi.Graph
 	for i, g := range ds {
 		queries = append(queries,
 			psi.ExtractQuery(g, 4, int64(10+i)),
 			psi.ExtractQuery(g, 9, int64(50+i)))
 	}
-	return ds, indexes, queries
-}
-
-func TestFTVAnswerParallelMatchesSequential(t *testing.T) {
-	_, indexes, queries := ftvFixtures(t)
 	ctx := context.Background()
-	for _, x := range indexes {
-		for qi, q := range queries {
-			want, err := psi.FTVAnswer(ctx, x, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := psi.FTVAnswerParallel(ctx, x, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameIDs(t, x.Name(), qi, "FTVAnswerParallel", got, want)
-			for _, w := range []int{1, 2, 3, 8} {
-				got, err := psi.FTVAnswerWithOptions(ctx, x, q, psi.FTVAnswerOptions{MaxWorkers: w})
+	for _, workers := range []int{0, 1, 2, 3, 8} { // 0: the shared default pool
+		var pool *exec.Pool
+		if workers > 0 {
+			pool = exec.New(workers)
+			defer pool.Close()
+		}
+		for _, x := range indexes {
+			for qi, q := range queries {
+				want, err := ftv.Answer(ctx, x, q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSameIDs(t, x.Name(), qi, "FTVAnswerWithOptions", got, want)
+				got, err := index.Answer(ctx, x, q, pool)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s query %d, %d workers: pooled answer %v, sequential %v", x.Name(), qi, workers, got, want)
+				}
 			}
-		}
-	}
-}
-
-func TestCachedFTVParallelMatchesSequential(t *testing.T) {
-	_, indexes, queries := ftvFixtures(t)
-	ctx := context.Background()
-	x := indexes[0]
-	seq := psi.NewCachedFTV(x, 0)
-	par := psi.NewCachedFTVParallel(x, 0)
-	// Run the workload twice so the second pass exercises cache hits and
-	// containment pruning in both wrappers.
-	for pass := 0; pass < 2; pass++ {
-		for qi, q := range queries {
-			want, err := seq.Answer(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := par.Answer(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameIDs(t, x.Name(), qi, "CachedFTVParallel", got, want)
-		}
-	}
-	ss, ps := seq.Stats(), par.Stats()
-	if ss != ps {
-		t.Errorf("cache statistics diverged: sequential %+v, parallel %+v", ss, ps)
-	}
-}
-
-func assertSameIDs(t *testing.T, index string, qi int, what string, got, want []int) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s query %d: %s = %v, want %v", index, qi, what, got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s query %d: %s = %v, want %v", index, qi, what, got, want)
 		}
 	}
 }

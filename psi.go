@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"github.com/psi-graph/psi/internal/core"
-	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/ggsx"
@@ -52,14 +50,12 @@ type (
 	Racer = core.Racer
 	// RaceResult is the outcome of a race, including winner provenance.
 	RaceResult = core.Result
-	// FTVIndex is the narrow filter-then-verify contract the racers and
-	// the result cache consume; FilterIndex extends it.
-	FTVIndex = ftv.Index
 	// FilterIndex is the unified filtering-index contract implemented by
-	// every index built here (path-based FTV, Grapes, GGSX): the FTVIndex
-	// core plus streaming candidate emission (FilterStream) and build
-	// statistics (Stats). The Engine races FilterIndexes against each
-	// other exactly as it races matching algorithms.
+	// every index built here (path-based FTV, Grapes, GGSX): the
+	// filter-then-verify core (Name/Dataset/Filter/Verify) plus streaming
+	// candidate emission (FilterStream) and build statistics (Stats). The
+	// Engine races FilterIndexes against each other exactly as it races
+	// matching algorithms.
 	FilterIndex = indexpkg.Index
 	// IndexStats describes a built filtering index (build time, feature
 	// and node counts, extraction parallelism).
@@ -75,6 +71,25 @@ type (
 	// (queries, kills, attempt fan-out); see Engine.Counters.
 	EngineCounters = metrics.CountersSnapshot
 )
+
+// Streaming types, re-exported from the internal substrate.
+type (
+	// Sink receives embeddings as a streaming search finds them; Emit
+	// returning false stops the search.
+	Sink = match.Sink
+	// SinkFunc adapts a function to the Sink interface.
+	SinkFunc = match.SinkFunc
+	// StreamMatcher is the streaming face of a Matcher. All matchers
+	// built by this module implement it.
+	StreamMatcher = match.StreamMatcher
+)
+
+// MatchStream streams m's embeddings for q into sink: natively when m
+// implements StreamMatcher (every matcher built by this module does),
+// otherwise by materializing Match's slice and replaying it.
+func MatchStream(ctx context.Context, m Matcher, q *Graph, limit int, sink Sink) error {
+	return match.Stream(ctx, m, q, limit, sink)
+}
 
 // Rewriting identifies one of the paper's query rewritings.
 type Rewriting = rewrite.Kind
@@ -210,8 +225,8 @@ func VerifyEmbedding(q, g *Graph, emb Embedding) error {
 }
 
 // CanonicalQueryKey serializes q after a deterministic structure-driven
-// vertex ordering — the cache key the iGQ-style result cache and the
-// serving layer's shared result cache agree on. It is not a complete
+// vertex ordering — the key of the serving layer's shared result cache and
+// of its in-flight query coalescing. It is not a complete
 // canonical form (graph canonization is GI-hard): isomorphic queries may
 // receive different keys — a missed cache hit, never a wrong one — while
 // equal keys always denote identical serialized structures, so exact hits
@@ -223,8 +238,7 @@ func CanonicalQueryKey(q *Graph) string { return ftv.CanonicalKey(q) }
 // Grapes/1 and Grapes/4 are workers=1 and workers=4). The build's feature
 // extraction fans out across the shared execution pool with deterministic
 // output. The result implements the unified FilterIndex contract — it can
-// be raced against other indexes by a dataset Engine — and still satisfies
-// the narrower FTVIndex everywhere the racers and cache expect one.
+// be raced against other indexes by a dataset Engine or an IndexRacer.
 func NewGrapes(dataset []*Graph, workers int) FilterIndex {
 	return grapes.Build(dataset, grapes.Options{Workers: workers})
 }
@@ -274,116 +288,17 @@ func NewShardedIndex(ctx context.Context, kind string, dataset []*Graph, shards,
 }
 
 // NewIndexRacer races the given filtering indexes per query with the given
-// rewritings raced per candidate inside each; see Engine's race policy for
-// the serving-shaped form.
+// rewritings raced per candidate inside each; its Stream method is the one
+// FTV query pipeline (a single arm is a race of one). See Engine's race
+// policy for the serving-shaped form.
 func NewIndexRacer(indexes []FilterIndex, kinds []Rewriting) *IndexRacer {
 	return core.NewIndexRacer(indexes, kinds)
 }
 
 // NewFTVRacer wraps an FTV index so that every candidate-graph verification
 // races the given query rewritings (§8.1 of the paper).
-func NewFTVRacer(x FTVIndex, kinds []Rewriting) *FTVRacer {
+func NewFTVRacer(x FilterIndex, kinds []Rewriting) *FTVRacer {
 	return core.NewFTVRacer(x, kinds)
-}
-
-// CachedFTV is an iGQ-style query-result cache layered over any FTV index
-// (reference [19] of the paper); see internal/ftv.Cached.
-type CachedFTV = ftv.Cached
-
-// NewCachedFTV wraps an FTV index with an iGQ-style result cache holding up
-// to maxEntries remembered queries (0 means 128). Use its Answer method in
-// place of FTVAnswer.
-func NewCachedFTV(x FTVIndex, maxEntries int) *CachedFTV {
-	return ftv.NewCached(x, maxEntries)
-}
-
-// NewCachedFTVParallel is NewCachedFTV with the residual verifications (the
-// candidates the cache could not resolve) fanned out across the shared
-// worker pool. Answers and cache statistics are identical to NewCachedFTV.
-func NewCachedFTVParallel(x FTVIndex, maxEntries int) *CachedFTV {
-	return ftv.NewCachedParallel(x, maxEntries, nil)
-}
-
-// FTVAnswer runs the plain filter-then-verify pipeline sequentially and
-// returns the IDs of dataset graphs containing q.
-func FTVAnswer(ctx context.Context, x FTVIndex, q *Graph) ([]int, error) {
-	return ftv.Answer(ctx, x, q)
-}
-
-// FTVAnswerParallel is FTVAnswer with the verification stage fanned out
-// across the shared worker pool (sized by the machine's CPU count). The
-// returned IDs are identical to FTVAnswer's — ascending graph IDs — only
-// the wall-clock time changes.
-func FTVAnswerParallel(ctx context.Context, x FTVIndex, q *Graph) ([]int, error) {
-	return ftv.ParallelAnswer(ctx, x, q, nil)
-}
-
-// FTVAnswerOptions tunes FTVAnswerWithOptions.
-type FTVAnswerOptions struct {
-	// MaxWorkers caps the number of concurrent candidate verifications.
-	// 0 uses the shared default pool (one worker per CPU); 1 degenerates
-	// to the sequential pipeline.
-	MaxWorkers int
-}
-
-// sizedPools caches process-wide pools for explicit MaxWorkers values, so
-// per-query calls do not pay pool construction and teardown. The cache is
-// bounded with least-recently-used eviction: a server deriving MaxWorkers
-// from load cannot accrete unbounded idle workers, and an unseen size
-// always gets a cached pool by displacing the size touched longest ago —
-// never a throwaway pool built and torn down per call.
-var (
-	sizedPoolsMu sync.Mutex
-	sizedPools   = map[int]*exec.Pool{}
-	sizedPoolLRU []int // sizes, least-recently-used first
-)
-
-const maxCachedPoolSizes = 16
-
-// sizedPool returns the cached pool for the given worker count, creating it
-// (and evicting the least-recently-used size when the cache is full) on
-// first sight. Evicted pools are closed; in-flight queries on them degrade
-// gracefully to transient goroutines rather than failing.
-func sizedPool(workers int) *exec.Pool {
-	sizedPoolsMu.Lock()
-	defer sizedPoolsMu.Unlock()
-	if p, ok := sizedPools[workers]; ok {
-		touchSizedPool(workers)
-		return p
-	}
-	if len(sizedPools) >= maxCachedPoolSizes {
-		oldest := sizedPoolLRU[0]
-		sizedPoolLRU = sizedPoolLRU[1:]
-		sizedPools[oldest].Close()
-		delete(sizedPools, oldest)
-	}
-	p := exec.New(workers)
-	sizedPools[workers] = p
-	sizedPoolLRU = append(sizedPoolLRU, workers)
-	return p
-}
-
-// touchSizedPool moves workers to the most-recently-used end of the LRU
-// order. Caller holds sizedPoolsMu.
-func touchSizedPool(workers int) {
-	for i, w := range sizedPoolLRU {
-		if w == workers {
-			sizedPoolLRU = append(append(sizedPoolLRU[:i:i], sizedPoolLRU[i+1:]...), workers)
-			return
-		}
-	}
-}
-
-// FTVAnswerWithOptions runs the filter-then-verify pipeline with explicit
-// parallelism options.
-func FTVAnswerWithOptions(ctx context.Context, x FTVIndex, q *Graph, opts FTVAnswerOptions) ([]int, error) {
-	if opts.MaxWorkers == 1 {
-		return ftv.Answer(ctx, x, q)
-	}
-	if opts.MaxWorkers <= 0 {
-		return ftv.ParallelAnswer(ctx, x, q, nil)
-	}
-	return ftv.ParallelAnswer(ctx, x, q, sizedPool(opts.MaxWorkers))
 }
 
 // ComputeStats summarizes one graph.

@@ -2,9 +2,11 @@ package psi_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	psi "github.com/psi-graph/psi"
+	"github.com/psi-graph/psi/internal/ftv"
 )
 
 func storedGraph() *psi.Graph {
@@ -122,7 +124,7 @@ func TestFTVPipelineAPI(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 7)
 	x := psi.NewGrapes(ds, 2)
 	q := psi.ExtractQuery(ds[0], 5, 99)
-	ids, err := psi.FTVAnswer(context.Background(), x, q)
+	ids, err := ftv.Answer(context.Background(), x, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,18 +137,22 @@ func TestFTVPipelineAPI(t *testing.T) {
 	if !found {
 		t.Error("source graph must contain the extracted query")
 	}
-	// raced variant returns the same answer
-	racer := psi.NewFTVRacer(x, []psi.Rewriting{psi.Orig, psi.ILF, psi.DND})
-	ids2, err := racer.Answer(context.Background(), q)
-	if err != nil {
+	// the raced pipeline streams the same answer
+	racer := psi.NewIndexRacer([]psi.FilterIndex{x}, []psi.Rewriting{psi.Orig, psi.ILF, psi.DND})
+	defer racer.Close()
+	var ids2 []int
+	if _, err := racer.Stream(context.Background(), q, nil, func(id int) bool {
+		ids2 = append(ids2, id)
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != len(ids2) {
+	if !slices.Equal(ids, ids2) {
 		t.Errorf("raced answer %v != plain answer %v", ids2, ids)
 	}
 	// GGSX agrees too
 	x2 := psi.NewGGSX(ds)
-	ids3, err := psi.FTVAnswer(context.Background(), x2, q)
+	ids3, err := ftv.Answer(context.Background(), x2, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,29 +206,6 @@ func TestBuilderAPI(t *testing.T) {
 	}
 }
 
-func TestCachedFTVAPI(t *testing.T) {
-	ds := psi.GeneratePPI(psi.Tiny, 8)
-	x := psi.NewGrapes(ds, 2)
-	cached := psi.NewCachedFTV(x, 16)
-	q := psi.ExtractQuery(ds[0], 5, 3)
-	want, err := psi.FTVAnswer(context.Background(), x, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ { // second round hits the cache
-		got, err := cached.Answer(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("cached answer %v, plain answer %v", got, want)
-		}
-	}
-	if cached.Stats().ExactHits != 1 {
-		t.Errorf("stats = %+v, want one exact hit", cached.Stats())
-	}
-}
-
 // TestFilterIndexFacade exercises the unified filtering-index exports: the
 // registry lists all three kinds, BuildIndex constructs any of them, and
 // every built index answers identically through the FTV pipeline.
@@ -246,7 +229,7 @@ func TestFilterIndexFacade(t *testing.T) {
 		if st := x.Stats(); st.Kind != kind || st.Graphs != len(ds) {
 			t.Errorf("%s Stats = %+v", kind, st)
 		}
-		got, err := psi.FTVAnswer(context.Background(), x, q)
+		got, err := ftv.Answer(context.Background(), x, q)
 		x.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +260,7 @@ func TestFilterIndexFacade(t *testing.T) {
 	if st := sh.Stats(); st.ShardCount != 2 || len(st.Shards) != 2 {
 		t.Errorf("sharded Stats = %+v, want ShardCount 2 with per-shard breakdown", st)
 	}
-	got, err := psi.FTVAnswer(context.Background(), sh, q)
+	got, err := ftv.Answer(context.Background(), sh, q)
 	if err != nil {
 		t.Fatal(err)
 	}

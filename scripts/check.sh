@@ -65,13 +65,14 @@ echo "== policy smoke =="
 # enforced end to end.
 go run ./cmd/psibench -policysweep -scale=tiny -queries 4 -dur 150ms > /dev/null
 
-echo "== coverage gate (internal/index, internal/rewrite, internal/predict, internal/metrics, internal/live, internal/snapshot) =="
+echo "== coverage gate (internal/core, internal/index, internal/rewrite, internal/predict, internal/metrics, internal/live, internal/snapshot) =="
 # Per-package coverage for the packages this repo's correctness arguments
-# lean on hardest (the filtering/sharding contract, the rewriting
-# round-trip, the learned planning policy's evidence rules, the
-# operational counters, the epoch-versioned mutation store, and the
-# persistent snapshot format); regressing below the floor fails the gate.
-cov_out=$(go test -cover ./internal/index ./internal/rewrite ./internal/predict ./internal/metrics ./internal/live ./internal/snapshot)
+# lean on hardest (the one race/stream pipeline every query runs through,
+# the filtering/sharding contract, the rewriting round-trip, the learned
+# planning policy's evidence rules, the operational counters, the
+# epoch-versioned mutation store, and the persistent snapshot format);
+# regressing below the floor fails the gate.
+cov_out=$(go test -cover ./internal/core ./internal/index ./internal/rewrite ./internal/predict ./internal/metrics ./internal/live ./internal/snapshot)
 echo "$cov_out"
 echo "$cov_out" | awk '
     /coverage:/ {

@@ -130,7 +130,6 @@ func newSnapshotEngine(opts EngineOptions) (*Engine, error) {
 	if err := e.configurePortfolio(opts, m.Kinds); err != nil {
 		return fail(err)
 	}
-	var indexes []FilterIndex
 	if m.Mutable {
 		handles := make([]live.Handle, len(m.Handles))
 		for i, h := range m.Handles {
@@ -157,21 +156,10 @@ func newSnapshotEngine(opts EngineOptions) (*Engine, error) {
 		if serr != nil {
 			return fail(serr)
 		}
-		e.store = store
-		if store.Shards() > 1 {
-			e.shardK = store.Shards()
-			e.shardEmits = make([]int64, e.shardK)
-		}
-		snap := store.Current()
-		for _, kind := range m.Kinds {
-			indexes = append(indexes, snap.Index(kind))
-		}
-		e.installState(e.newState(snap, indexes))
+		e.adoptStore(store)
 	} else {
-		if m.Shards > 1 {
-			e.shardK = m.Shards
-			e.shardEmits = make([]int64, e.shardK)
-		}
+		e.setShards(m.Shards)
+		var indexes []FilterIndex
 		for _, kind := range m.Kinds {
 			if subs := m.Indexes[kind]; len(subs) > 1 {
 				indexes = append(indexes, index.NewShardedFrom(m.Graphs, kind, subs))
@@ -179,19 +167,8 @@ func newSnapshotEngine(opts EngineOptions) (*Engine, error) {
 				indexes = append(indexes, subs[0])
 			}
 		}
-		st := &dsState{ds: m.Graphs, indexes: indexes}
-		st.dispose = func() {
-			if st.ixRacer != nil {
-				st.ixRacer.Close()
-			}
-			for _, x := range st.indexes {
-				x.Close()
-			}
-		}
-		e.wireState(st)
-		st.refs.Store(1)
-		e.dsst.Store(st)
+		e.installStatic(m.Graphs, indexes)
 	}
-	e.finishPortfolio(opts, indexes)
+	e.finishPortfolio(opts)
 	return e, nil
 }
