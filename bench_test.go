@@ -75,8 +75,8 @@ func BenchmarkRewritingCost(b *testing.B) {
 }
 
 // benchMatcher measures matching a planted 16-edge query (limit 1000).
-func benchMatcher(b *testing.B, algo psi.Algorithm) {
-	g := psi.GenerateYeastLike(psi.Tiny, 1)
+func benchMatcher(b *testing.B, algo psi.Algorithm, scale psi.Scale) {
+	g := psi.GenerateYeastLike(scale, 1)
 	q := psi.ExtractQuery(g, 16, 7)
 	m := psi.MustNewMatcher(algo, g)
 	b.ReportAllocs()
@@ -88,10 +88,30 @@ func benchMatcher(b *testing.B, algo psi.Algorithm) {
 	}
 }
 
-func BenchmarkMatchVF2(b *testing.B)     { benchMatcher(b, psi.VF2) }
-func BenchmarkMatchQuickSI(b *testing.B) { benchMatcher(b, psi.QuickSI) }
-func BenchmarkMatchGraphQL(b *testing.B) { benchMatcher(b, psi.GraphQL) }
-func BenchmarkMatchSPath(b *testing.B)   { benchMatcher(b, psi.SPath) }
+func BenchmarkMatchVF2(b *testing.B)     { benchMatcher(b, psi.VF2, psi.Tiny) }
+func BenchmarkMatchQuickSI(b *testing.B) { benchMatcher(b, psi.QuickSI, psi.Tiny) }
+func BenchmarkMatchGraphQL(b *testing.B) { benchMatcher(b, psi.GraphQL, psi.Tiny) }
+func BenchmarkMatchSPath(b *testing.B)   { benchMatcher(b, psi.SPath, psi.Tiny) }
+
+// The default NFV portfolio's two matchers at the repo benchmark's scale
+// (the nfv_race stored-graph shape), where per-query signature and
+// candidate-set work shows; at Tiny it does not.
+func BenchmarkMatchGraphQLPaper(b *testing.B) { benchMatcher(b, psi.GraphQL, psi.Paper) }
+func BenchmarkMatchSPathPaper(b *testing.B)   { benchMatcher(b, psi.SPath, psi.Paper) }
+
+// BenchmarkMatcherBuild measures each matcher's indexing phase over the
+// paper-scale yeast graph: what NewEngine pays per portfolio algorithm.
+func BenchmarkMatcherBuild(b *testing.B) {
+	g := psi.GenerateYeastLike(psi.Paper, 1)
+	for _, algo := range []psi.Algorithm{psi.GraphQL, psi.SPath, psi.VF2, psi.QuickSI} {
+		b.Run(string(algo), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				psi.MustNewMatcher(algo, g)
+			}
+		})
+	}
+}
 
 // BenchmarkGrapesIndexBuild measures FTV index construction over the
 // Tiny PPI dataset with 4 workers.

@@ -125,6 +125,29 @@
 //	eng.QueryStream(ctx, q, 1000,                      // streaming form
 //		psi.SinkFunc(func(e psi.Embedding) bool { return consume(e) }))
 //
+// Matcher substrate: the two matchers of the default NFV portfolio keep
+// their per-vertex state flat and sorted, with no map on the stored graph
+// or on the query. sPath's index is one distance signature per stored
+// vertex: for each radius d = 1..4, a row of (label, count) entries sorted
+// by label saying how many vertices of each label lie within distance d.
+// All rows of all vertices are carved from one slab behind one offsets
+// array (row (v, d) is entry v·radius + d−1). Rows are cumulative — within
+// d, not at exactly d — because that is what the filter compares: an
+// embedding can only shrink distances, so a query vertex may map to a
+// stored vertex only if, at every radius and for every label, it sees no
+// more such vertices than the stored vertex does. With the running sums
+// stored, that test is a two-cursor merge of two sorted rows per radius and
+// allocates nothing. The index is built by one batched bounded BFS
+// (graph.BFSBatches): 64 sources share a machine word per vertex, so a
+// level of 64 searches is one sweep over the frontier's adjacency, and each
+// level's newly reached bits are counted per source in (label, vertex)
+// order, which is what makes every row come out sorted with 64 counters of
+// scratch and nothing sized by the label alphabet. A query's signatures come
+// from the same routine. Candidate sets, in sPath and GraphQL alike, are
+// one bitset over the stored vertices per query vertex (match.VertexSet):
+// the membership test in the search's inner loop is a bit test, and a
+// path's head candidates iterate in ascending vertex order without a sort.
+//
 // # Filtering-index architecture
 //
 // Dataset (multi-graph) queries go through a filtering index, and the

@@ -96,14 +96,14 @@ func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, si
 		return nil
 	}
 	budget := match.NewBudget(ctx)
-	cand, err := m.candidates(q, budget)
+	cand, candSet, err := m.candidates(q, budget)
 	if err != nil {
 		return err
 	}
 	if cand == nil {
 		return nil // some query vertex has no candidates
 	}
-	if err := m.refineCandidates(q, cand, budget); err != nil {
+	if err := m.refineCandidates(q, cand, candSet, budget); err != nil {
 		return err
 	}
 	for _, c := range cand {
@@ -111,21 +111,12 @@ func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, si
 			return nil
 		}
 	}
-	order := m.searchOrder(q, cand)
-	candSet := make([]map[int32]bool, q.N())
-	for u := range cand {
-		set := make(map[int32]bool, len(cand[u]))
-		for _, v := range cand[u] {
-			set[v] = true
-		}
-		candSet[u] = set
-	}
 	s := &searcher{
 		m:       m,
 		q:       q,
 		cand:    cand,
 		candSet: candSet,
-		order:   order,
+		order:   m.searchOrder(q, cand),
 		emb:     make(match.Embedding, q.N()),
 		used:    make([]bool, m.g.N()),
 		col:     col,
@@ -137,48 +128,41 @@ func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, si
 	return col.FinishStream(s.step(0))
 }
 
-// candidates builds the initial per-query-vertex candidate lists using
-// label, degree, and signature-containment filters. It returns nil if any
-// list is empty.
-func (m *Matcher) candidates(q *graph.Graph, budget *match.Budget) ([][]int32, error) {
+// candidates builds the initial per-query-vertex candidates using label,
+// degree, and signature-containment filters: as ascending lists, which the
+// join enumerates and orders by, and as the same sets for membership tests.
+// It returns nil if any list is empty.
+func (m *Matcher) candidates(q *graph.Graph, budget *match.Budget) ([][]int32, []match.VertexSet, error) {
 	qsig := make([][]graph.Label, q.N())
 	for u := 0; u < q.N(); u++ {
 		qsig[u] = signature(q, u)
 	}
 	cand := make([][]int32, q.N())
+	candSet := match.NewVertexSets(q.N(), m.g.N())
 	for u := 0; u < q.N(); u++ {
 		for _, v := range m.g.VerticesWithLabel(q.Label(u)) {
 			if err := budget.Step(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if m.g.Degree(int(v)) >= q.Degree(u) && sigContains(m.sig[v], qsig[u]) {
 				cand[u] = append(cand[u], v)
+				candSet[u].Add(v)
 			}
 		}
 		if len(cand[u]) == 0 {
-			return nil, nil
+			return nil, nil, nil
 		}
 	}
-	return cand, nil
+	return cand, candSet, nil
 }
 
 // refineCandidates applies the pseudo subgraph isomorphism refinement: for
 // up to m.refine iterations, a candidate v for query vertex u survives only
 // if the neighbours of u can be matched to *distinct* neighbours of v, each
 // within its own candidate list (a bipartite feasibility test solved with
-// Kuhn's augmenting paths). The iteration stops early at a fixpoint.
-func (m *Matcher) refineCandidates(q *graph.Graph, cand [][]int32, budget *match.Budget) error {
-	inCand := make([]map[int32]bool, q.N())
-	rebuild := func(u int) {
-		set := make(map[int32]bool, len(cand[u]))
-		for _, v := range cand[u] {
-			set[v] = true
-		}
-		inCand[u] = set
-	}
-	for u := range cand {
-		rebuild(u)
-	}
+// Kuhn's augmenting paths). The iteration stops early at a fixpoint. Pruned
+// candidates leave both cand and candSet.
+func (m *Matcher) refineCandidates(q *graph.Graph, cand [][]int32, candSet []match.VertexSet, budget *match.Budget) error {
 	for iter := 0; iter < m.refine; iter++ {
 		changed := false
 		for u := 0; u < q.N(); u++ {
@@ -187,16 +171,16 @@ func (m *Matcher) refineCandidates(q *graph.Graph, cand [][]int32, budget *match
 				if err := budget.Step(); err != nil {
 					return err
 				}
-				if m.neighborhoodFeasible(q, u, v, inCand) {
+				// The test reads the sets of u's neighbours, never u's own,
+				// so v can leave candSet[u] at once.
+				if m.neighborhoodFeasible(q, u, v, candSet) {
 					kept = append(kept, v)
 				} else {
+					candSet[u].Remove(v)
 					changed = true
 				}
 			}
 			cand[u] = kept
-			if changed {
-				rebuild(u)
-			}
 		}
 		if !changed {
 			break
@@ -208,7 +192,7 @@ func (m *Matcher) refineCandidates(q *graph.Graph, cand [][]int32, budget *match
 // neighborhoodFeasible runs the bipartite matching between N_q(u) and
 // N_g(v): every query neighbour needs its own distinct graph neighbour that
 // is one of its candidates.
-func (m *Matcher) neighborhoodFeasible(q *graph.Graph, u int, v int32, inCand []map[int32]bool) bool {
+func (m *Matcher) neighborhoodFeasible(q *graph.Graph, u int, v int32, candSet []match.VertexSet) bool {
 	qn := q.Neighbors(u)
 	gn := m.g.Neighbors(int(v))
 	if len(qn) > len(gn) {
@@ -223,7 +207,7 @@ func (m *Matcher) neighborhoodFeasible(q *graph.Graph, u int, v int32, inCand []
 	try = func(qi int, visited []bool) bool {
 		uq := qn[qi]
 		for gi, vg := range gn {
-			if visited[gi] || !inCand[uq][vg] {
+			if visited[gi] || !candSet[uq].Has(vg) {
 				continue
 			}
 			visited[gi] = true
@@ -292,7 +276,7 @@ type searcher struct {
 	m       *Matcher
 	q       *graph.Graph
 	cand    [][]int32
-	candSet []map[int32]bool
+	candSet []match.VertexSet
 	order   []int32
 	emb     match.Embedding
 	used    []bool
@@ -338,7 +322,7 @@ func (s *searcher) step(i int) error {
 			if err := s.budget.Step(); err != nil {
 				return err
 			}
-			if !s.candSet[u][v] {
+			if !s.candSet[u].Has(v) {
 				continue
 			}
 			if err := check(v); err != nil {

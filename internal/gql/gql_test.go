@@ -111,7 +111,7 @@ func TestSearchOrderStartsAtSmallestCandidateList(t *testing.T) {
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
 	q := graph.MustNew("q", []graph.Label{0, 0, 2}, [][2]int{{0, 1}, {1, 2}})
 	m := New(g)
-	cand, err := m.candidates(q, newTestBudget())
+	cand, _, err := m.candidates(q, newTestBudget())
 	if err != nil || cand == nil {
 		t.Fatalf("candidates: %v %v", cand, err)
 	}

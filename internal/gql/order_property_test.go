@@ -17,7 +17,7 @@ func TestSearchOrderProperty(t *testing.T) {
 		g := randomGraphGQL(r, 15+r.Intn(10), 3)
 		m := New(g)
 		q := randomConnectedGQL(r, 3+r.Intn(7), 3)
-		cand, err := m.candidates(q, newTestBudget())
+		cand, _, err := m.candidates(q, newTestBudget())
 		if err != nil {
 			return false
 		}
@@ -77,23 +77,25 @@ func TestRefinementSoundnessProperty(t *testing.T) {
 		start := r.Intn(g.N())
 		ids := bfsVertices(g, start, k)
 		q, new2old := g.InducedSubgraph("q", ids)
-		cand, err := m.candidates(q, newTestBudget())
+		cand, candSet, err := m.candidates(q, newTestBudget())
 		if err != nil || cand == nil {
 			return false // planted query must have candidates
 		}
-		if err := m.refineCandidates(q, cand, newTestBudget()); err != nil {
+		if err := m.refineCandidates(q, cand, candSet, newTestBudget()); err != nil {
 			return false
 		}
 		for u := 0; u < q.N(); u++ {
-			found := false
-			for _, v := range cand[u] {
-				if v == new2old[u] {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !candSet[u].Has(new2old[u]) {
 				return false // pruned the true image: unsound
+			}
+			// The list and the set stay the same candidates.
+			if candSet[u].Len() != len(cand[u]) {
+				return false
+			}
+			for _, v := range cand[u] {
+				if !candSet[u].Has(v) {
+					return false
+				}
 			}
 		}
 		return true

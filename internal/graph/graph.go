@@ -194,6 +194,11 @@ func (g *Graph) LabelFrequencies() map[Label]int {
 // DistinctLabels returns the number of distinct vertex labels.
 func (g *Graph) DistinctLabels() int { return len(g.lblVals) }
 
+// LabelValues returns the distinct vertex labels in ascending order. With
+// VerticesWithLabel it walks the vertices in (label, ID) order. Callers must
+// not modify the returned slice.
+func (g *Graph) LabelValues() []Label { return g.lblVals }
+
 // VerticesWithLabel returns the ascending list of vertices carrying label l
 // (empty if none), as a subslice of the graph's precomputed label index.
 // Callers must not modify the returned slice. This is the O(log L) range

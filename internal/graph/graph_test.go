@@ -239,25 +239,6 @@ func TestPermuteRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestBFSDistances(t *testing.T) {
-	// path 0-1-2-3 plus isolated 4
-	g := MustNew("p", []Label{0, 0, 0, 0, 0}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	d := g.BFSDistances(0, -1)
-	want := []int{0, 1, 2, 3, -1}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("BFSDistances = %v, want %v", d, want)
-		}
-	}
-	d2 := g.BFSDistances(0, 2)
-	if d2[3] != -1 {
-		t.Errorf("depth-capped BFS should not reach vertex 3: %v", d2)
-	}
-	if d2[2] != 2 {
-		t.Errorf("depth-capped BFS should reach vertex 2 at distance 2: %v", d2)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := MustNew("c", []Label{0, 0, 0, 0, 0}, [][2]int{{0, 1}, {3, 4}})
 	comps := g.ConnectedComponents()

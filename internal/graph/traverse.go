@@ -2,30 +2,47 @@ package graph
 
 import "sort"
 
-// BFSDistances returns the shortest-path distance (in edges) from src to
-// every vertex, with -1 for unreachable vertices. maxDepth < 0 means
-// unbounded; otherwise exploration stops after maxDepth levels.
-func (g *Graph) BFSDistances(src, maxDepth int) []int {
-	dist := make([]int, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int32{int32(src)}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if maxDepth >= 0 && dist[v] >= maxDepth {
-			continue
+// BFSBatches runs a breadth-first search bounded to maxDepth levels from
+// every vertex of g, 64 sources per batch: one machine word per vertex holds
+// the batch's sources that have reached it, so a level of all 64 searches is
+// one sweep over the frontier's adjacency instead of 64. Batch b's sources
+// are vertices 64b..64b+63 (the last batch may be partial); source first+i
+// is bit i.
+//
+// After each level d = 1..maxDepth of each batch, level(first, d, reached)
+// is called with reached[v] holding bit i iff v lies at distance exactly d
+// from source first+i. Every level of every batch is reported, empty ones
+// included; batches come in ascending order of first, levels in ascending
+// order within a batch. reached is reused: level must not retain it.
+func (g *Graph) BFSBatches(maxDepth int, level func(first, depth int, reached []uint64)) {
+	n := g.N()
+	seen := make([]uint64, n)
+	frontier := make([]uint64, n)
+	next := make([]uint64, n)
+	for first := 0; first < n; first += 64 {
+		clear(seen)
+		clear(frontier)
+		for i := 0; i < 64 && first+i < n; i++ {
+			seen[first+i] = 1 << i
+			frontier[first+i] = 1 << i
 		}
-		for _, w := range g.Neighbors(int(v)) {
-			if dist[w] < 0 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
+		for d := 1; d <= maxDepth; d++ {
+			clear(next)
+			for v, f := range frontier {
+				if f != 0 {
+					for _, w := range g.Neighbors(v) {
+						next[w] |= f
+					}
+				}
 			}
+			for v, s := range seen {
+				next[v] &^= s
+				seen[v] = s | next[v]
+			}
+			level(first, d, next)
+			frontier, next = next, frontier
 		}
 	}
-	return dist
 }
 
 // ConnectedComponents returns the vertex sets of the connected components,

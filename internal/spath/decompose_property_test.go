@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/psi-graph/psi/internal/graph"
+	"github.com/psi-graph/psi/internal/match"
 )
 
 // Property: for random queries, the shortest-path decomposition (i) covers
@@ -14,7 +15,7 @@ import (
 func TestDecomposeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		q := randomQuerySPA(r, 2+r.Intn(14), 3)
+		q := sparseGraph(r, 2+r.Intn(14), 2, []graph.Label{0, 1, 2})
 		paths := decompose(q, DefaultMaxPathLen)
 		covered := make(map[[2]int32]bool)
 		seenV := make(map[int32]bool)
@@ -51,21 +52,19 @@ func TestDecomposeProperty(t *testing.T) {
 func TestOrderPathsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		q := randomQuerySPA(r, 3+r.Intn(10), 3)
+		q := sparseGraph(r, 3+r.Intn(10), 2, []graph.Label{0, 1, 2})
 		paths := decompose(q, DefaultMaxPathLen)
-		cand := make([]map[int32]bool, q.N())
+		cand := match.NewVertexSets(q.N(), 5)
 		for u := range cand {
-			set := make(map[int32]bool)
 			for k := 0; k < 1+r.Intn(5); k++ {
-				set[int32(k)] = true
+				cand[u].Add(int32(k))
 			}
-			cand[u] = set
 		}
 		orderPaths(paths, cand)
 		est := func(p []int32) float64 {
 			e := 1.0
 			for _, u := range p {
-				e *= float64(len(cand[u]))
+				e *= float64(cand[u].Len())
 			}
 			return e
 		}
@@ -79,21 +78,4 @@ func TestOrderPathsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
-}
-
-func randomQuerySPA(r *rand.Rand, n, labels int) *graph.Graph {
-	b := graph.NewBuilder("q")
-	for i := 0; i < n; i++ {
-		b.AddVertex(graph.Label(r.Intn(labels)))
-	}
-	// possibly disconnected: random edges only
-	for i := 0; i < n; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !b.HasEdgePending(u, v) {
-			if err := b.AddEdge(u, v); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return b.MustBuild()
 }

@@ -10,6 +10,7 @@ package spath
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"github.com/psi-graph/psi/internal/graph"
@@ -25,11 +26,8 @@ const DefaultMaxPathLen = 4
 
 // Matcher is an sPath instance bound to a stored graph.
 type Matcher struct {
-	g      *graph.Graph
-	radius int
-	// sig[v][d-1] maps label -> number of vertices with that label at
-	// distance exactly d from v. Containment tests use cumulative sums.
-	sig [][]map[graph.Label]int32
+	g   *graph.Graph
+	sig signatures // of g
 }
 
 // New builds the sPath distance-wise signature index with DefaultRadius.
@@ -40,12 +38,11 @@ func NewWithRadius(g *graph.Graph, radius int) *Matcher {
 	if radius < 1 {
 		radius = 1
 	}
-	m := &Matcher{g: g, radius: radius}
-	m.sig = make([][]map[graph.Label]int32, g.N())
-	for v := 0; v < g.N(); v++ {
-		m.sig[v] = distanceSignature(g, v, radius)
-	}
-	return m
+	sig := buildSignatures(g, radius)
+	// The slab lives as long as the matcher: drop the spare capacity (up to
+	// a quarter) that appending left.
+	sig.rows = slices.Clone(sig.rows)
+	return &Matcher{g: g, sig: sig}
 }
 
 // Name implements match.Matcher.
@@ -53,49 +50,6 @@ func (m *Matcher) Name() string { return "SPA" }
 
 // Graph returns the stored graph.
 func (m *Matcher) Graph() *graph.Graph { return m.g }
-
-// distanceSignature computes, for each distance 1..radius, the multiset of
-// labels at exactly that distance from v.
-func distanceSignature(g *graph.Graph, v, radius int) []map[graph.Label]int32 {
-	sig := make([]map[graph.Label]int32, radius)
-	for d := range sig {
-		sig[d] = make(map[graph.Label]int32)
-	}
-	dist := g.BFSDistances(v, radius)
-	for w, d := range dist {
-		if d >= 1 && d <= radius {
-			sig[d-1][g.Label(w)]++
-		}
-	}
-	return sig
-}
-
-// sigContains checks cumulative containment: for every radius d and label l,
-// the query vertex must not see more l-labeled vertices within distance d
-// than the candidate graph vertex does. (Embeddings can only shrink
-// distances, so cumulative counts are monotone under subgraph isomorphism.)
-func sigContains(gSig, qSig []map[graph.Label]int32) bool {
-	cumG := make(map[graph.Label]int32)
-	cumQ := make(map[graph.Label]int32)
-	d := len(qSig)
-	if len(gSig) < d {
-		d = len(gSig)
-	}
-	for i := 0; i < d; i++ {
-		for l, c := range gSig[i] {
-			cumG[l] += c
-		}
-		for l, c := range qSig[i] {
-			cumQ[l] += c
-		}
-		for l, c := range cumQ {
-			if cumG[l] < c {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // Match implements match.Matcher by collecting the stream into a slice.
 func (m *Matcher) Match(ctx context.Context, q *graph.Graph, limit int) ([]match.Embedding, error) {
@@ -140,23 +94,23 @@ func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, si
 
 // candidates computes per-query-vertex candidate sets by label, degree and
 // distance-signature containment. Returns nil if any set is empty.
-func (m *Matcher) candidates(q *graph.Graph, budget *match.Budget) ([]map[int32]bool, error) {
-	cand := make([]map[int32]bool, q.N())
+func (m *Matcher) candidates(q *graph.Graph, budget *match.Budget) ([]match.VertexSet, error) {
+	qSig := buildSignatures(q, m.sig.radius)
+	cand := match.NewVertexSets(q.N(), m.g.N())
 	for u := 0; u < q.N(); u++ {
-		qSig := distanceSignature(q, u, m.radius)
-		set := make(map[int32]bool)
+		empty := true
 		for _, v := range m.g.VerticesWithLabel(q.Label(u)) {
 			if err := budget.Step(); err != nil {
 				return nil, err
 			}
-			if m.g.Degree(int(v)) >= q.Degree(u) && sigContains(m.sig[v], qSig) {
-				set[v] = true
+			if m.g.Degree(int(v)) >= q.Degree(u) && m.sig.contains(int(v), &qSig, u) {
+				cand[u].Add(v)
+				empty = false
 			}
 		}
-		if len(set) == 0 {
+		if empty {
 			return nil, nil
 		}
-		cand[u] = set
 	}
 	return cand, nil
 }
@@ -265,11 +219,15 @@ func decompose(q *graph.Graph, maxLen int) [][]int32 {
 // result size) — with ties broken by first-vertex ID. Joining the most
 // selective path first minimizes intermediate results, as in the original
 // algorithm.
-func orderPaths(paths [][]int32, cand []map[int32]bool) {
+func orderPaths(paths [][]int32, cand []match.VertexSet) {
+	size := make([]float64, len(cand))
+	for u := range cand {
+		size[u] = float64(cand[u].Len())
+	}
 	est := func(p []int32) float64 {
 		e := 1.0
 		for _, u := range p {
-			e *= float64(len(cand[u]))
+			e *= size[u]
 		}
 		return e
 	}
@@ -285,7 +243,7 @@ func orderPaths(paths [][]int32, cand []map[int32]bool) {
 type searcher struct {
 	m      *Matcher
 	q      *graph.Graph
-	cand   []map[int32]bool
+	cand   []match.VertexSet
 	paths  [][]int32
 	emb    match.Embedding
 	used   []bool
@@ -317,49 +275,47 @@ func (s *searcher) matchPath(pi, pos int) error {
 		}
 		return s.matchPath(pi, pos+1)
 	}
-	try := func(v int32) error {
-		if err := s.budget.Step(); err != nil {
-			return err
-		}
-		if s.used[v] || !s.cand[u][v] {
-			return nil
-		}
-		// Verify all edges back into the partial embedding, so cross-path
-		// edges incident to u are enforced as soon as u is placed.
-		for _, w := range s.q.Neighbors(int(u)) {
-			if img := s.emb[w]; img >= 0 &&
-				!s.m.g.HasEdgeLabeled(int(img), int(v), s.q.EdgeLabel(int(u), int(w))) {
-				return nil
-			}
-		}
-		s.emb[u] = v
-		s.used[v] = true
-		if err := s.matchPath(pi, pos+1); err != nil {
-			return err
-		}
-		s.used[v] = false
-		s.emb[u] = -1
-		return nil
-	}
 	if prevMapped >= 0 {
 		for _, v := range s.m.g.Neighbors(int(prevMapped)) {
-			if err := try(v); err != nil {
+			if err := s.try(pi, pos, u, v); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	// Path head: iterate the candidate set in ascending vertex order for
-	// determinism.
-	heads := make([]int32, 0, len(s.cand[u]))
-	for v := range s.cand[u] {
-		heads = append(heads, v)
-	}
-	sort.Slice(heads, func(i, j int) bool { return heads[i] < heads[j] })
-	for _, v := range heads {
-		if err := try(v); err != nil {
+	// Path head: the candidate set iterates in ascending vertex order.
+	for v := s.cand[u].Next(0); v >= 0; v = s.cand[u].Next(v + 1) {
+		if err := s.try(pi, pos, u, v); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// try places query vertex u = paths[pi][pos] on stored vertex v, if v is a
+// free candidate whose edges agree with the partial embedding, and carries
+// the search on from there.
+func (s *searcher) try(pi, pos int, u, v int32) error {
+	if err := s.budget.Step(); err != nil {
+		return err
+	}
+	if s.used[v] || !s.cand[u].Has(v) {
+		return nil
+	}
+	// Verify all edges back into the partial embedding, so cross-path
+	// edges incident to u are enforced as soon as u is placed.
+	for _, w := range s.q.Neighbors(int(u)) {
+		if img := s.emb[w]; img >= 0 &&
+			!s.m.g.HasEdgeLabeled(int(img), int(v), s.q.EdgeLabel(int(u), int(w))) {
+			return nil
+		}
+	}
+	s.emb[u] = v
+	s.used[v] = true
+	if err := s.matchPath(pi, pos+1); err != nil {
+		return err
+	}
+	s.used[v] = false
+	s.emb[u] = -1
 	return nil
 }
