@@ -155,7 +155,19 @@
 // flat path-based FTV baseline (one array of label sequences, sorted, each
 // with its sorted per-graph count list), Grapes (a path trie with location
 // information and component-restricted verification) and GGSX (a path
-// suffix trie verified against whole graphs). The contract is the narrow
+// suffix trie verified against whole graphs). Grapes' location info — per
+// feature and graph, the set of vertices the feature's occurrences touch —
+// keeps one representation from the path DFS to VF2 (ftv.LocSets): a set is a
+// bitset row over its graph's vertices when it has at least two members per
+// row word and an ascending vertex-ID list otherwise, whichever is smaller, a
+// function of the set alone; rows and lists sit in one slab each and a
+// posting refers to its set by four bytes. Verification ORs the query
+// features' sets into one mask, finds the mask's connected components on the
+// stored graph's own adjacency, and runs the graph's prebuilt VF2 matcher
+// restricted to each component big enough for the query (a query with a
+// vertex on no path is bounded by no location and is verified against the
+// whole graph): no subgraph, map or builder per candidate. IndexStats reports
+// the bytes the sets hold and how many took each form. The contract is the narrow
 // filter-then-verify core — Name/Dataset/Filter/Verify — plus FilterStream,
 // which emits surviving candidates incrementally in ascending order, and
 // Stats, which reports build provenance. All three share one
@@ -168,7 +180,9 @@
 // rebuilt on compaction — is extract once → fold per kind and shard → flat
 // postings. Each dataset graph's path features are extracted exactly once
 // per build, fanned out across the execution pool, with Grapes' locations
-// only when a requested kind reads them; the extractor walks a label trie
+// only when a requested kind reads them (already in their stored form, so
+// the fold appends each graph's slab to the index's and nothing is
+// re-encoded); the extractor walks a label trie
 // alongside the path DFS, so a path costs one table probe, not a label
 // slice and a hashed key. The per-graph results come out flat and in the
 // snapshot format's canonical order; graph g is routed to shard g mod K and

@@ -207,6 +207,69 @@ func TestEngineSnapshotRoundTripMutable(t *testing.T) {
 	}
 }
 
+// TestEngineSnapshotResaveByteIdentical: the snapshot is the one place a
+// location set changes form — expanded to vertex IDs on save, packed again on
+// load — and the round trip loses nothing: an engine loaded from a snapshot
+// saves the very bytes it was loaded from. Static and sharded, and mutable
+// with a tombstoned slot, whose zero-vertex placeholder has no vertex count to
+// pack the dead graph's locations against.
+func TestEngineSnapshotResaveByteIdentical(t *testing.T) {
+	ds := psi.GeneratePPI(psi.Tiny, 6)
+	kinds := []string{"ftv", "grapes", "ggsx"}
+	for _, tc := range []struct {
+		name string
+		opts psi.EngineOptions
+	}{
+		{"static", psi.EngineOptions{Indexes: kinds}},
+		{"static K=2", psi.EngineOptions{Indexes: kinds, Shards: 2}},
+		{"mutable", psi.EngineOptions{Indexes: kinds, Mutable: true, CompactEvery: 100}},
+		{"mutable K=2", psi.EngineOptions{Indexes: kinds, Shards: 2, Mutable: true, CompactEvery: 100}},
+	} {
+		orig, err := psi.NewDatasetEngine(ds, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.opts.Mutable {
+			// One removal, far below the compaction threshold: the slot
+			// stays, tombstoned, with its features still in the sub-indexes.
+			h, err := orig.AddGraph(context.Background(), mutablePool(70, 1)[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dead := range []psi.GraphHandle{orig.Handles()[1], h} {
+				if compacted, err := orig.RemoveGraph(context.Background(), dead); err != nil || compacted {
+					t.Fatalf("%s: remove: compacted=%v err=%v", tc.name, compacted, err)
+				}
+			}
+		}
+		first := filepath.Join(t.TempDir(), "first.psnap")
+		if err := orig.SaveSnapshot(first); err != nil {
+			t.Fatalf("%s: save: %v", tc.name, err)
+		}
+		orig.Close()
+		loaded, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: first, Mutable: tc.opts.Mutable, CompactEvery: tc.opts.CompactEvery})
+		if err != nil {
+			t.Fatalf("%s: load: %v", tc.name, err)
+		}
+		second := filepath.Join(t.TempDir(), "second.psnap")
+		if err := loaded.SaveSnapshot(second); err != nil {
+			t.Fatalf("%s: re-save: %v", tc.name, err)
+		}
+		loaded.Close()
+		a, err := os.ReadFile(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: the re-saved snapshot (%d bytes) differs from the one it was loaded from (%d bytes)", tc.name, len(b), len(a))
+		}
+	}
+}
+
 // TestEngineSnapshotMismatch: every way the options can contradict the
 // snapshot must fail closed — and a corrupted file must never produce an
 // engine.

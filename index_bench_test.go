@@ -8,13 +8,17 @@ package psi_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	psi "github.com/psi-graph/psi"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
+	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/workload"
 )
 
 func indexBenchFixture(b *testing.B) ([]*psi.Graph, []*psi.Graph) {
@@ -127,7 +131,10 @@ func BenchmarkExtractFeatures(b *testing.B) {
 
 // BenchmarkBuildPortfolio is the whole build — one extraction, every kind
 // folded — as the stragglers workload (three kinds, K=1) and the selective
-// workload (ftv alone, K=2) configure it.
+// workload (ftv alone, K=2) configure it, and Grapes alone, the one kind that
+// keeps locations. Builds with Grapes report what its location sets hold
+// (loc-MB) and the share stored as bitset rows (loc-rows): all of them on the
+// first two shapes, none on the sparse one.
 func BenchmarkBuildPortfolio(b *testing.B) {
 	for _, shape := range buildBenchShapes {
 		ds := gen.Synthetic(shape.cfg, 20170321)
@@ -137,6 +144,7 @@ func BenchmarkBuildPortfolio(b *testing.B) {
 		}{
 			{[]string{"ftv", "grapes", "ggsx"}, 1},
 			{[]string{"ftv"}, 2},
+			{[]string{"grapes"}, 1},
 		} {
 			b.Run(fmt.Sprintf("%s/%s/K=%d", shape.name, strings.Join(pf.kinds, "+"), pf.shards), func(b *testing.B) {
 				b.ReportAllocs()
@@ -146,10 +154,55 @@ func BenchmarkBuildPortfolio(b *testing.B) {
 						b.Fatal(err)
 					}
 					for _, x := range built {
+						if st := x.Stats(); st.LocationBytes > 0 {
+							b.ReportMetric(float64(st.LocationBytes)/(1<<20), "loc-MB")
+							b.ReportMetric(float64(st.LocationRows)/float64(st.LocationRows+st.LocationLists), "loc-rows")
+						}
 						x.Close()
 					}
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkGrapesVerify is Grapes' verification stage alone, one operation per
+// (query, candidate graph) pair the filter lets through, a query's candidates
+// in a row as the pipeline verifies them, on the two shapes
+// whose location sets take opposite forms: ftv_stragglers' label-poor graphs,
+// where every set is a bitset row and the union covers most of the graph, and
+// the sparse many-label graph, where every set is a short list and the union
+// is a few components of a few vertices.
+func BenchmarkGrapesVerify(b *testing.B) {
+	for _, shape := range []int{0, 2} {
+		ds := gen.Synthetic(buildBenchShapes[shape].cfg, 20170321)
+		x := grapes.Build(ds, grapes.Options{})
+		type pair struct {
+			q  *psi.Graph
+			id int
+		}
+		var pairs []pair
+		for _, q := range workload.Generate(ds, []int{8, 12, 16}, 8, 1) {
+			for _, id := range x.Filter(q.Graph) {
+				pairs = append(pairs, pair{q.Graph, id})
+			}
+		}
+		b.Run(buildBenchShapes[shape].name, func(b *testing.B) {
+			b.ReportAllocs()
+			took := make([]time.Duration, b.N)
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				start := time.Now()
+				if _, err := x.Verify(context.Background(), p.q, p.id); err != nil {
+					b.Fatal(err)
+				}
+				took[i] = time.Since(start)
+			}
+			// The mean is a few straggler pairs' VF2 search; the median is
+			// what a candidate costs.
+			slices.Sort(took)
+			b.ReportMetric(float64(took[len(took)/2].Nanoseconds()), "p50-ns")
+		})
+		x.Close()
 	}
 }

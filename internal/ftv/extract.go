@@ -3,7 +3,8 @@ package ftv
 // Path-feature extraction: the one pass every filtering index is folded
 // from. A graph's features are the label sequences of its simple paths of
 // 1..maxLen edges, each with its number of directed occurrences and,
-// optionally, the vertices those occurrences touch (Grapes' locations).
+// optionally, the set of vertices those occurrences touch (Grapes'
+// locations), held from here to verification in one form (LocSets).
 //
 // The enumeration is graph.WalkPaths' DFS, in which every node below a start
 // vertex is one path occurrence, so the extractor does O(1) work per node:
@@ -31,8 +32,9 @@ type Features struct {
 	labels  []graph.Label // the label sequences, concatenated
 	ends    []int32       // feature i's labels end at labels[ends[i]]
 	counts  []int32
-	locs    []int32 // the location lists, concatenated
-	locEnds []int32 // like ends, into locs; nil when locations were not tracked
+	words   int      // the graph's bitset row length
+	locs    LocSets  // the location sets
+	locRefs []LocRef // feature i's set in locs; nil when locations were not tracked
 }
 
 // Len is the number of distinct features.
@@ -44,13 +46,18 @@ func (f *Features) Labels(i int) []graph.Label { return f.labels[start(f.ends, i
 // Count returns feature i's number of directed occurrences.
 func (f *Features) Count(i int) int32 { return f.counts[i] }
 
-// Locations returns the sorted unique vertex IDs feature i's occurrences
-// touch; nil when locations were not tracked. Callers must not modify it.
+// LocSets returns the slab holding the features' location sets, and LocRef
+// feature i's set in it, when locations were tracked.
+func (f *Features) LocSets() *LocSets   { return &f.locs }
+func (f *Features) LocRef(i int) LocRef { return f.locRefs[i] }
+
+// Locations expands feature i's location set to the ascending vertex IDs its
+// occurrences touch; nil when locations were not tracked.
 func (f *Features) Locations(i int) []int32 {
-	if f.locEnds == nil {
+	if f.locRefs == nil {
 		return nil
 	}
-	return f.locs[start(f.locEnds, i):f.locEnds[i]]
+	return f.locs.AppendIDs(nil, f.locRefs[i], f.words)
 }
 
 func start(ends []int32, i int) int32 {
@@ -103,10 +110,10 @@ type extractor struct {
 	trie  *LabelTrie
 	count []int32 // per slot: occurrences
 
-	// Locations, one set of vertices per slot (see locate). words is ⌈n/64⌉,
-	// the length of a bitset row over the graph's vertices, and 0 when
-	// locations are not tracked. locRef[s] says where slot s's set is: r > 0
-	// is the r-1'th row of rows, r < 0 is lists[-r-1], 0 is nowhere yet.
+	// Locations, one set of vertices per slot (see locate). words is
+	// Words(n), the length of a bitset row over the graph's vertices, and 0
+	// when locations are not tracked. locRef[s] says where slot s's set is:
+	// r > 0 is the r-1'th row of rows, r < 0 is lists[-r-1], 0 is nowhere yet.
 	words  int
 	locRef []int32
 	lists  [][]int32
@@ -124,7 +131,7 @@ func newExtractor(ctx context.Context, g *graph.Graph, withLocations bool) *extr
 		count:   []int32{0},
 	}
 	if withLocations {
-		e.words = (g.N() + 63) / 64
+		e.words = Words(g.N())
 		e.locRef = []int32{0}
 	}
 	return e
@@ -203,7 +210,10 @@ func (e *extractor) row(ref int32) []uint64 {
 	return e.rows[int(ref-1)*e.words : int(ref)*e.words]
 }
 
-// features flattens the aggregates into canonical order, sized exactly.
+// features flattens the aggregates into canonical order, sized exactly. A
+// slot's scratch form records how its occurrences happened to arrive — a row
+// may have spilled on duplicates and hold few vertices — so the stored form
+// is chosen here, from the set itself.
 func (e *extractor) features() *Features {
 	nFeats, nLabels := 0, 0
 	for s := int32(1); int(s) < e.trie.Len(); s++ {
@@ -216,20 +226,31 @@ func (e *extractor) features() *Features {
 		labels: make([]graph.Label, 0, nLabels),
 		ends:   make([]int32, 0, nFeats),
 		counts: make([]int32, 0, nFeats),
+		words:  e.words,
 	}
 	withLocations := e.words > 0
 	if withLocations {
-		nLocs := 0 // slots that are not features hold nothing
+		// Slots that are not features hold nothing. A scratch list is
+		// shorter than a row even before its duplicates go.
+		rowWords, listIDs := 0, 0
 		for i, list := range e.lists {
 			slices.Sort(list)
 			e.lists[i] = slices.Compact(list)
-			nLocs += len(e.lists[i])
+			listIDs += len(e.lists[i])
 		}
-		for _, word := range e.rows {
-			nLocs += bits.OnesCount64(word)
+		for at := 0; at < len(e.rows); at += e.words {
+			members := 0
+			for _, word := range e.rows[at : at+e.words] {
+				members += bits.OnesCount64(word)
+			}
+			if RowForm(members, e.words) {
+				rowWords += e.words
+			} else {
+				listIDs += members
+			}
 		}
-		f.locs = make([]int32, 0, nLocs)
-		f.locEnds = make([]int32, 0, nFeats)
+		f.locs.Reserve(rowWords, listIDs)
+		f.locRefs = make([]LocRef, 0, nFeats)
 	}
 	e.trie.Walk(func(s int32, labels []graph.Label) {
 		if len(labels) < 2 {
@@ -240,15 +261,10 @@ func (e *extractor) features() *Features {
 		f.counts = append(f.counts, e.count[s])
 		if withLocations {
 			if ref := e.locRef[s]; ref < 0 {
-				f.locs = append(f.locs, e.lists[-ref-1]...)
+				f.locRefs = append(f.locRefs, f.locs.AppendList(e.lists[-ref-1], e.words))
 			} else {
-				for i, word := range e.row(ref) {
-					for ; word != 0; word &= word - 1 {
-						f.locs = append(f.locs, int32(i<<6+bits.TrailingZeros64(word)))
-					}
-				}
+				f.locRefs = append(f.locRefs, f.locs.AppendRow(e.row(ref)))
 			}
-			f.locEnds = append(f.locEnds, int32(len(f.locs)))
 		}
 	})
 	return f
@@ -278,7 +294,6 @@ func ExtractDatasetFeatures(ctx context.Context, p *exec.Pool, ds []*graph.Graph
 	}
 	grp := p.NewGroup(ctx)
 	for i := range ds {
-		i := i
 		grp.Go(func(gctx context.Context) error {
 			feats, err := ExtractFeaturesContext(gctx, ds[i], maxLen, withLocations)
 			if err != nil {

@@ -28,7 +28,7 @@ func (x *Index) ExportFeatures(visit func(labels []graph.Label, postings []index
 // VF2 matchers; no path enumeration runs.
 func restore(ds []*graph.Graph, maxPathLen int, opts index.Options, feats []index.ExportedFeature) (index.Index, error) {
 	start := time.Now()
-	x := newIndex(ds, Options{MaxPathLen: maxPathLen, Pool: opts.Pool}.withDefaults(), index.RestoreTrie(feats, false))
+	x := newIndex(ds, Options{MaxPathLen: maxPathLen, Pool: opts.Pool}.withDefaults(), index.RestoreTrie(ds, feats, false))
 	x.stats.BuildTime = time.Since(start)
 	return x, nil
 }

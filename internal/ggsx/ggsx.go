@@ -94,7 +94,7 @@ func BuildContext(ctx context.Context, ds []*graph.Graph, opts Options) (*Index,
 // fold is the registered index.BuildFunc.
 func fold(ds []*graph.Graph, ex index.Extraction, opts Options) *Index {
 	start := time.Now()
-	x := newIndex(ds, opts.withDefaults(), index.FoldTrie(ex.Features, false))
+	x := newIndex(ds, opts.withDefaults(), index.FoldTrie(ds, ex.Features, false))
 	x.stats.BuildTime = ex.Time + time.Since(start)
 	return x
 }

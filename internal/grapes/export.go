@@ -28,7 +28,7 @@ func (x *Index) ExportFeatures(visit func(labels []graph.Label, postings []index
 func restore(ds []*graph.Graph, maxPathLen int, opts index.Options, feats []index.ExportedFeature) (index.Index, error) {
 	start := time.Now()
 	o := Options{MaxPathLen: maxPathLen, Workers: opts.Workers, Pool: opts.Pool}.withDefaults()
-	x := newIndex(ds, o, index.RestoreTrie(feats, true))
+	x := newIndex(ds, o, index.RestoreTrie(ds, feats, true))
 	x.stats.BuildTime = time.Since(start)
 	return x, nil
 }

@@ -5,7 +5,11 @@
 // information (which vertices each path touches). At query time the
 // query's maximal paths prune the dataset by presence and frequency; the
 // surviving graphs' location info yields the relevant connected components,
-// each of which is verified with VF2.
+// each of which is verified with VF2. A location set keeps one form from the
+// path DFS to that verification (ftv.LocSets: a bitset row over its graph's
+// vertices or a vertex-ID list, whichever is smaller), the components are
+// found on the stored graph under the sets' union, and VF2 searches the stored
+// graph restricted to a component — nothing is rebuilt per candidate.
 //
 // Grapes is a multi-threaded design: both index construction (across
 // dataset graphs) and verification (across extracted components) use a
@@ -25,7 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,6 +38,7 @@ import (
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/match"
 	"github.com/psi-graph/psi/internal/vf2"
 )
 
@@ -74,11 +79,38 @@ func (o Options) withDefaults() Options {
 
 // Index is a built Grapes index over a dataset. Safe for concurrent use.
 type Index struct {
-	ds    []*graph.Graph
-	opts  Options
-	trie  *index.Trie // path trie: postings with location sets
-	vpool *exec.Pool  // dedicated verification pool when Workers > 1
-	stats index.Stats
+	ds       []*graph.Graph
+	opts     Options
+	trie     *index.Trie    // path trie: postings with location sets
+	verifier []*vf2.Matcher // per-graph VF2 matcher with prebuilt label index
+	vpool    *exec.Pool     // dedicated verification pool when Workers > 1
+	stats    index.Stats
+	last     atomic.Pointer[queryPlan]
+}
+
+// queryPlan is what filtering and verification derive from the query alone.
+// The pipeline filters a query once and then verifies it against one
+// candidate graph after another, so the index keeps the last query's plan
+// rather than extract its maximal paths again per candidate. Query graphs
+// are immutable, which makes the pointer a sound key; concurrent queries
+// overwrite each other's plan and merely recompute.
+type queryPlan struct {
+	q         *graph.Graph
+	feats     map[ftv.Key]*ftv.QueryFeature
+	unbounded bool // q has a vertex of degree 0, which no location bounds
+	connected bool
+}
+
+func (x *Index) plan(q *graph.Graph) *queryPlan {
+	if p := x.last.Load(); p != nil && p.q == q {
+		return p
+	}
+	p := &queryPlan{q: q, feats: ftv.QueryFeatures(q, x.opts.MaxPathLen), connected: q.IsConnected()}
+	for v := 0; v < q.N() && !p.unbounded; v++ {
+		p.unbounded = q.Degree(v) == 0
+	}
+	x.last.Store(p)
+	return p
 }
 
 // Build constructs the index; see BuildContext for the cancellable form.
@@ -109,7 +141,7 @@ func BuildContext(ctx context.Context, ds []*graph.Graph, opts Options) (*Index,
 // fold is the registered index.BuildFunc.
 func fold(ds []*graph.Graph, ex index.Extraction, opts Options) *Index {
 	start := time.Now()
-	x := newIndex(ds, opts.withDefaults(), index.FoldTrie(ex.Features, true))
+	x := newIndex(ds, opts.withDefaults(), index.FoldTrie(ds, ex.Features, true))
 	x.stats.BuildTime = ex.Time + time.Since(start)
 	return x
 }
@@ -117,18 +149,25 @@ func fold(ds []*graph.Graph, ex index.Extraction, opts Options) *Index {
 // newIndex wraps a built trie with the verification pool and statistics;
 // the caller sets BuildTime.
 func newIndex(ds []*graph.Graph, opts Options, trie *index.Trie) *Index {
-	x := &Index{ds: ds, opts: opts, trie: trie}
+	x := &Index{ds: ds, opts: opts, trie: trie, verifier: make([]*vf2.Matcher, len(ds))}
+	for id, g := range ds {
+		x.verifier[id] = vf2.New(g)
+	}
 	if opts.Workers > 1 {
 		x.vpool = exec.New(opts.Workers)
 	}
+	locs := trie.LocSets()
 	x.stats = index.Stats{
-		Name:         x.Name(),
-		Kind:         Kind,
-		Graphs:       len(ds),
-		MaxPathLen:   opts.MaxPathLen,
-		Features:     trie.Features(),
-		Nodes:        trie.Nodes(),
-		BuildWorkers: index.PoolWorkers(opts.Pool),
+		Name:          x.Name(),
+		Kind:          Kind,
+		Graphs:        len(ds),
+		MaxPathLen:    opts.MaxPathLen,
+		Features:      trie.Features(),
+		Nodes:         trie.Nodes(),
+		BuildWorkers:  index.PoolWorkers(opts.Pool),
+		LocationBytes: locs.Bytes(),
+		LocationRows:  locs.Rows(),
+		LocationLists: locs.Lists(),
 	}
 	return x
 }
@@ -165,75 +204,130 @@ func (x *Index) lookup(labels []graph.Label) (index.Postings, bool) {
 // Filter implements ftv.Index: a graph survives iff it contains every
 // maximal path of the query at least as often as the query does.
 func (x *Index) Filter(q *graph.Graph) []int {
-	return index.FilterByFeatures(len(x.ds), ftv.QueryFeatures(q, x.opts.MaxPathLen), x.lookup)
+	return index.FilterByFeatures(len(x.ds), x.plan(q).feats, x.lookup)
 }
 
 // FilterStream implements index.Index: surviving graph IDs are emitted
 // incrementally in ascending order.
 func (x *Index) FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error {
-	return index.StreamByFeatures(ctx, len(x.ds), ftv.QueryFeatures(q, x.opts.MaxPathLen), x.lookup, emit)
+	return index.StreamByFeatures(ctx, len(x.ds), x.plan(q).feats, x.lookup, emit)
 }
 
-// CandidateVertices returns the union of the location sets of the query's
-// maximal paths within dataset graph graphID — the vertices any embedding
-// of q in that graph must lie inside, ascending. The boolean is false when
-// the graph fails the filter (some path missing or too rare) or graphID is
-// out of range.
+// scratch is the per-verification working memory, recycled across calls:
+// bitsets over the candidate graph's vertices and the component search's
+// stack.
+type scratch struct {
+	mask  match.VertexSet // the union of the query features' location sets
+	rest  match.VertexSet // components: the mask's vertices not yet in one
+	stack []int32
+	comps []uint64 // the components that could host the query, one row each
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// locate sets s.mask to the union of the location sets of the query's
+// maximal paths within dataset graph graphID — the vertices any embedding of
+// q in that graph must lie inside: one OR per word of a row, one bit per
+// member of a list. Locations bound only query vertices that lie on a path,
+// so a query with a vertex of degree 0 is bounded by nothing: its mask is the
+// whole graph. False when the graph fails the filter (some path missing or
+// too rare).
+func (x *Index) locate(p *queryPlan, graphID int, s *scratch) bool {
+	n := x.ds[graphID].N()
+	s.mask = slices.Grow(s.mask[:0], ftv.Words(n))[:ftv.Words(n)]
+	clear(s.mask)
+	if n == 0 && len(p.feats) > 0 {
+		// Nothing to embed into — and a tombstoned slot's placeholder under
+		// a restored mutable store, whose stale locations nothing bounds.
+		return false
+	}
+	sets := x.trie.LocSets()
+	for _, f := range p.feats {
+		posts, locs := x.trie.Lookup(f.Labels)
+		at, ok := posts.Find(graphID)
+		if !ok || posts[at].Count < f.Count {
+			return false
+		}
+		sets.Union(locs[at], s.mask)
+	}
+	if p.unbounded {
+		for v := 0; v < n; v++ {
+			s.mask.Add(int32(v))
+		}
+	}
+	return true
+}
+
+// CandidateVertices reads locate's mask out in ascending order. The boolean
+// is false when the graph fails the filter or graphID is out of range.
 func (x *Index) CandidateVertices(q *graph.Graph, graphID int) ([]int32, bool) {
 	if graphID < 0 || graphID >= len(x.ds) {
 		return nil, false
 	}
-	n := x.ds[graphID].N()
-	feats := ftv.QueryFeatures(q, x.opts.MaxPathLen)
-	if len(feats) == 0 {
-		all := make([]int32, n)
-		for i := range all {
-			all[i] = int32(i)
-		}
-		return all, true
-	}
-	if n == 0 {
-		// Nothing to embed into — and a tombstoned slot's placeholder under
-		// a restored mutable store, whose stale locations nothing bounds.
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	if !x.locate(x.plan(q), graphID, s) {
 		return nil, false
 	}
-	// The location lists are sorted, unique and below n (built so, checked
-	// by index.Restore); OR them into a reusable bitset and read the union
-	// back in order.
-	words := (n + 63) / 64
-	buf := unionPool.Get().(*[]uint64)
-	defer unionPool.Put(buf)
-	set := append((*buf)[:0], make([]uint64, words)...)
-	*buf = set
-	for _, f := range feats {
-		posts, locs := x.trie.Lookup(f.Labels)
-		at, ok := posts.Find(graphID)
-		if !ok || posts[at].Count < f.Count {
-			return nil, false
-		}
-		for _, v := range locs[at] {
-			set[v>>6] |= 1 << (v & 63)
-		}
-	}
-	size := 0
-	for _, w := range set {
-		size += bits.OnesCount64(w)
-	}
-	out := make([]int32, 0, size)
-	for i, w := range set {
-		for ; w != 0; w &= w - 1 {
-			out = append(out, int32(i<<6+bits.TrailingZeros64(w)))
-		}
+	out := make([]int32, 0, s.mask.Len())
+	for v := s.mask.Next(0); v >= 0; v = s.mask.Next(v + 1) {
+		out = append(out, v)
 	}
 	return out, true
 }
 
-// unionPool recycles CandidateVertices' bitsets across verifications.
-var unionPool = sync.Pool{New: func() any { return new([]uint64) }}
+// components splits s.mask into the connected components of the subgraph of
+// g it induces — a search over g's adjacency that steps only onto mask
+// vertices — and keeps, as rows of s.comps, those with at least minN vertices and minM
+// edges. It returns how many it kept.
+func (s *scratch) components(g *graph.Graph, minN, minM int) int {
+	words := len(s.mask)
+	s.rest = append(s.rest[:0], s.mask...)
+	s.comps = s.comps[:0]
+	kept := 0
+	for start := s.rest.Next(0); start >= 0; start = s.rest.Next(start + 1) {
+		s.comps = slices.Grow(s.comps, words)[:(kept+1)*words]
+		comp := s.comp(kept)
+		clear(comp)
+		s.rest.Remove(start)
+		comp.Add(start)
+		s.stack = append(s.stack[:0], start)
+		n, halfEdges := 0, 0
+		for len(s.stack) > 0 {
+			v := s.stack[len(s.stack)-1]
+			s.stack = s.stack[:len(s.stack)-1]
+			n++
+			for _, w := range g.Neighbors(int(v)) {
+				if !s.mask.Has(w) {
+					continue
+				}
+				halfEdges++
+				if s.rest.Has(w) {
+					s.rest.Remove(w)
+					comp.Add(w)
+					s.stack = append(s.stack, w)
+				}
+			}
+		}
+		if n >= minN && halfEdges/2 >= minM {
+			kept++
+		} else {
+			s.comps = s.comps[:kept*words]
+		}
+	}
+	return kept
+}
 
-// Verify implements ftv.Index: it extracts the relevant connected components
-// of the candidate graph (via location information) and runs VF2 on each,
-// in parallel across opts.Workers workers, stopping at the first match —
+// comp returns the i'th row of s.comps.
+func (s *scratch) comp(i int) match.VertexSet {
+	words := len(s.mask)
+	return s.comps[i*words : (i+1)*words]
+}
+
+// Verify implements ftv.Index: the query's location info in the candidate
+// graph is split into connected components and each one big enough for q is
+// checked by VF2 restricted to it on the stored graph — no subgraph is built
+// — in parallel across opts.Workers workers, stopping at the first match,
 // matching the paper's modification of Grapes to "return after the first
 // match of the query graph".
 func (x *Index) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
@@ -243,48 +337,34 @@ func (x *Index) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, 
 	if graphID < 0 || graphID >= len(x.ds) {
 		return false, fmt.Errorf("grapes: graph ID %d out of range [0,%d)", graphID, len(x.ds))
 	}
-	g := x.ds[graphID]
 	if q.N() == 0 {
 		return true, nil
 	}
-	vertices, ok := x.CandidateVertices(q, graphID)
-	if !ok {
+	m, p := x.verifier[graphID], x.plan(q)
+	if p.unbounded {
+		return m.Contains(ctx, q) // see locate
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	if !x.locate(p, graphID, s) {
 		return false, nil
 	}
-	sub, _ := g.InducedSubgraph(g.Name()+"#cand", vertices)
 	// Disconnected queries cannot be confined to a single component.
-	if !q.IsConnected() {
-		return containsQ(ctx, q, sub)
+	if !p.connected {
+		return m.ContainsWithin(ctx, q, s.mask)
 	}
-	comps := sub.ConnectedComponents()
 	// Components too small to host the query are skipped outright.
-	var work []*graph.Graph
-	for _, comp := range comps {
-		if len(comp) < q.N() {
-			continue
-		}
-		cg, _ := sub.InducedSubgraph("comp", comp)
-		if cg.M() < q.M() {
-			continue
-		}
-		work = append(work, cg)
-	}
-	if len(work) == 0 {
-		return false, nil
-	}
-	if x.vpool == nil || len(work) == 1 {
-		for _, cg := range work {
-			found, err := containsQ(ctx, q, cg)
-			if err != nil {
-				return false, err
-			}
-			if found {
-				return true, nil
+	kept := s.components(x.ds[graphID], q.N(), q.M())
+	if x.vpool == nil || kept <= 1 {
+		for i := 0; i < kept; i++ {
+			found, err := m.ContainsWithin(ctx, q, s.comp(i))
+			if err != nil || found {
+				return found, err
 			}
 		}
 		return false, nil
 	}
-	return x.verifyParallel(ctx, q, work)
+	return x.verifyParallel(ctx, q, m, s, kept)
 }
 
 // errComponentFound aborts the remaining component checks once any component
@@ -296,13 +376,12 @@ var errComponentFound = errors.New("grapes: component match found")
 // success cancels the remaining work. The dedicated pool keeps this nested
 // fan-out off the shared pool, where a racer already running this
 // verification inside a pool task would deadlock a single-worker pool.
-func (x *Index) verifyParallel(ctx context.Context, q *graph.Graph, work []*graph.Graph) (bool, error) {
+func (x *Index) verifyParallel(ctx context.Context, q *graph.Graph, m *vf2.Matcher, s *scratch, kept int) (bool, error) {
 	var found atomic.Bool
 	grp := x.vpool.NewGroup(ctx)
-	for _, cg := range work {
-		cg := cg
+	for i := 0; i < kept; i++ {
 		grp.Go(func(gctx context.Context) error {
-			ok, err := containsQ(gctx, q, cg)
+			ok, err := m.ContainsWithin(gctx, q, s.comp(i))
 			if err != nil {
 				return err
 			}
@@ -324,12 +403,4 @@ func (x *Index) verifyParallel(ctx context.Context, q *graph.Graph, work []*grap
 		return false, err
 	}
 	return false, nil
-}
-
-func containsQ(ctx context.Context, q, g *graph.Graph) (bool, error) {
-	embs, err := vf2.Match(ctx, q, g, 1)
-	if err != nil {
-		return false, err
-	}
-	return len(embs) > 0, nil
 }

@@ -3,12 +3,15 @@ package grapes
 import (
 	"context"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
+	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/vf2"
 )
 
@@ -175,6 +178,168 @@ func TestVerifyDisconnectedQuery(t *testing.T) {
 	if err != nil || !ok {
 		t.Errorf("disconnected query should verify: %v %v", ok, err)
 	}
+}
+
+// TestVerifyVertexOnNoPath: locations bound only query vertices that lie on a
+// path feature. A query with a vertex of degree 0 passes the filter on its
+// edges alone, and the location union then holds no vertex to map the isolated
+// one to — verification has to fall back to the whole graph, as FTV and GGSX
+// do, or the raced answer depends on who wins.
+func TestVerifyVertexOnNoPath(t *testing.T) {
+	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}}) // A–B + isolated C
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		want bool
+	}{
+		{"A-B, C", graph.MustNew("g", []graph.Label{0, 1, 2}, [][2]int{{0, 1}}), true},
+		{"A-B, C-D", graph.MustNew("g", []graph.Label{0, 1, 2, 3}, [][2]int{{0, 1}, {2, 3}}), true},
+		{"A-B, D", graph.MustNew("g", []graph.Label{0, 1, 3}, [][2]int{{0, 1}}), false},
+	} {
+		for _, workers := range []int{1, 4} {
+			x := Build([]*graph.Graph{tc.g}, Options{Workers: workers})
+			if got := x.Filter(q); len(got) != 1 {
+				t.Fatalf("%s: Filter = %v, want the graph kept", tc.name, got)
+			}
+			got, err := x.Verify(context.Background(), q, 0)
+			if err != nil || got != tc.want {
+				t.Errorf("%s, workers=%d: Verify = %v, %v; want %v", tc.name, workers, got, err, tc.want)
+			}
+			if verts, ok := x.CandidateVertices(q, 0); !ok || len(verts) != tc.g.N() {
+				t.Errorf("%s: CandidateVertices = %v, %v; want every vertex", tc.name, verts, ok)
+			}
+			x.Close()
+		}
+	}
+}
+
+// mixedDataset is graphs of both kinds in one index: small or label-poor ones,
+// whose location sets are all bitset rows, and 70-to-140-vertex ones over many
+// labels, most of whose features touch too few vertices for a row to pay.
+func mixedDataset(r *rand.Rand) []*graph.Graph {
+	var ds []*graph.Graph
+	ds = append(ds, randomDataset(r, 4, 10+r.Intn(30), 2)...)
+	ds = append(ds, randomDataset(r, 3, 70+r.Intn(70), 2+r.Intn(2))...)
+	ds = append(ds, randomDataset(r, 3, 70+r.Intn(70), 12+r.Intn(12))...)
+	r.Shuffle(len(ds), func(i, j int) { ds[i], ds[j] = ds[j], ds[i] })
+	return ds
+}
+
+// disjointUnion is a and b side by side, with extra isolated vertices.
+func disjointUnion(a, b *graph.Graph, isolated ...graph.Label) *graph.Graph {
+	bl := graph.NewBuilder("q")
+	for _, g := range []*graph.Graph{a, b} {
+		base := bl.N()
+		for v := 0; v < g.N(); v++ {
+			bl.AddVertex(g.Label(v))
+		}
+		g.Edges(func(u, v int) {
+			if err := bl.AddEdge(base+u, base+v); err != nil {
+				panic(err)
+			}
+		})
+	}
+	for _, l := range isolated {
+		bl.AddVertex(l)
+	}
+	return bl.MustBuild()
+}
+
+// TestDifferentialAgainstFTVAndBruteForce: over datasets holding location
+// sets of both forms in one index, Grapes with 1 and 4 workers — through the
+// sequential filter→verify and the pooled streaming pipeline, and restored
+// from its exported features — answers every connected, disconnected and
+// isolated-vertex query as the flat path index and a brute-force VF2 scan of
+// the dataset do.
+func TestDifferentialAgainstFTVAndBruteForce(t *testing.T) {
+	ctx := context.Background()
+	empty := graph.MustNew("none", nil, nil)
+	for seed := int64(1); seed <= 6; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		ds := mixedDataset(r)
+		flat, err := index.BuildPath(ctx, ds, index.Options{MaxPathLen: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x1 := Build(ds, Options{Workers: 1, MaxPathLen: 3})
+		x4 := Build(ds, Options{Workers: 4, MaxPathLen: 3})
+		if st := x1.Stats(); st.LocationRows == 0 || st.LocationLists == 0 {
+			t.Fatalf("seed %d: fixture has %d row sets and %d list sets; want both forms", seed, st.LocationRows, st.LocationLists)
+		}
+		feats, maxLen, err := index.Export(x1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := index.Restore(Kind, ds, maxLen, index.Options{}, feats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 30; trial++ {
+			a := extractQuery(r, ds[r.Intn(len(ds))], 1+r.Intn(5))
+			b := extractQuery(r, ds[r.Intn(len(ds))], 1+r.Intn(3))
+			var q *graph.Graph
+			switch trial % 3 {
+			case 0:
+				q = a
+			case 1:
+				q = disjointUnion(a, b)
+			default:
+				q = disjointUnion(a, empty, b.Label(0))
+			}
+			want := bruteForceAnswer(ds, q)
+			for name, got := range map[string]func() ([]int, error){
+				"FTV":               func() ([]int, error) { return ftv.Answer(ctx, flat, q) },
+				"Grapes/1":          func() ([]int, error) { return ftv.Answer(ctx, x1, q) },
+				"Grapes/4":          func() ([]int, error) { return ftv.Answer(ctx, x4, q) },
+				"Grapes/1 streamed": func() ([]int, error) { return index.Answer(ctx, x1, q, nil) },
+				"Grapes/4 streamed": func() ([]int, error) { return index.Answer(ctx, x4, q, nil) },
+				"Grapes/1 restored": func() ([]int, error) { return ftv.Answer(ctx, restored, q) },
+			} {
+				ids, err := got()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(ids, want) {
+					t.Fatalf("seed %d trial %d (%d vertices, %d edges, connected=%v): %s answered %v, brute force %v",
+						seed, trial, q.N(), q.M(), q.IsConnected(), name, ids, want)
+				}
+			}
+		}
+		x1.Close()
+		x4.Close()
+		restored.Close()
+	}
+}
+
+// TestConcurrentQueries: different queries interleaved on one index — they
+// overwrite each other's remembered query plan and share the scratch pool —
+// answer as they do alone.
+func TestConcurrentQueries(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	ds := mixedDataset(r)
+	x := Build(ds, Options{Workers: 2, MaxPathLen: 3})
+	defer x.Close()
+	queries := make([]*graph.Graph, 8)
+	want := make([][]int, len(queries))
+	for i := range queries {
+		queries[i] = extractQuery(r, ds[r.Intn(len(ds))], 1+r.Intn(5))
+		want[i] = bruteForceAnswer(ds, queries[i])
+	}
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				got, err := ftv.Answer(context.Background(), x, q)
+				if err != nil || !slices.Equal(got, want[i]) {
+					t.Errorf("query %d round %d: answered %v, %v; want %v", i, round, got, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestVerifyCancelled(t *testing.T) {

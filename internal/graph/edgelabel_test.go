@@ -118,19 +118,6 @@ func TestPermutePreservesEdgeLabels(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraphPreservesEdgeLabels(t *testing.T) {
-	g := edgeLabeledGraph(t)
-	sub, new2old := g.InducedSubgraph("sub", []int32{0, 1, 2})
-	sub.LabeledEdges(func(u, v int, l Label) {
-		if g.EdgeLabel(int(new2old[u]), int(new2old[v])) != l {
-			t.Errorf("edge (%d,%d) label %d differs from original", u, v, l)
-		}
-	})
-	if sub.M() != 3 {
-		t.Errorf("induced edge count = %d", sub.M())
-	}
-}
-
 func TestCloneEqualWithEdgeLabels(t *testing.T) {
 	g := edgeLabeledGraph(t)
 	h := g.Clone("c")

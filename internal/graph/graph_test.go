@@ -253,23 +253,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := testGraph(t)
-	sub, new2old := g.InducedSubgraph("sub", []int32{0, 1, 2})
-	if sub.N() != 3 || sub.M() != 3 {
-		t.Fatalf("induced triangle: n=%d m=%d", sub.N(), sub.M())
-	}
-	for nw, old := range new2old {
-		if sub.Label(nw) != g.Label(int(old)) {
-			t.Errorf("label mismatch at new vertex %d", nw)
-		}
-	}
-	sub2, _ := g.InducedSubgraph("sub2", []int32{0, 3})
-	if sub2.M() != 0 {
-		t.Errorf("induced {0,3} should have no edges, got %d", sub2.M())
-	}
-}
-
 func TestEnumeratePathsCountsOnPathGraph(t *testing.T) {
 	// path 0-1-2: directed simple paths of >=1 edge:
 	// len1: 0-1,1-0,1-2,2-1 (4); len2: 0-1-2, 2-1-0 (2) => 6

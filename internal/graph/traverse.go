@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "slices"
 
 // BFSBatches runs a breadth-first search bounded to maxDepth levels from
 // every vertex of g, 64 sources per batch: one machine word per vertex holds
@@ -68,7 +68,7 @@ func (g *Graph) ConnectedComponents() [][]int32 {
 				}
 			}
 		}
-		sortInt32(comp)
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
@@ -81,33 +81,6 @@ func (g *Graph) IsConnected() bool {
 		return true
 	}
 	return len(g.ConnectedComponents()) == 1
-}
-
-// InducedSubgraph returns the subgraph induced by the given vertices along
-// with the mapping from new vertex IDs to the original IDs. The vertex list
-// may be unsorted; duplicates are rejected implicitly by the builder
-// producing duplicate edges only if input has duplicates, so callers should
-// pass distinct vertices.
-func (g *Graph) InducedSubgraph(name string, vertices []int32) (*Graph, []int32) {
-	old2new := make(map[int32]int32, len(vertices))
-	new2old := make([]int32, len(vertices))
-	b := NewBuilder(name)
-	for i, v := range vertices {
-		old2new[v] = int32(i)
-		new2old[i] = v
-		b.AddVertex(g.labels[v])
-	}
-	for _, v := range vertices {
-		els := g.EdgeLabels(int(v))
-		for i, w := range g.Neighbors(int(v)) {
-			if nw, ok := old2new[w]; ok && w > v {
-				// Safe: endpoints exist and are distinct by construction.
-				_ = b.AddLabeledEdge(int(old2new[v]), int(nw), els[i])
-			}
-		}
-	}
-	sub := b.MustBuild()
-	return sub, new2old
 }
 
 // EnumeratePaths performs a DFS from every vertex and invokes visit once per
@@ -239,8 +212,4 @@ func (g *Graph) LabelPath(path []int32) []Label {
 		out[i] = g.labels[v]
 	}
 	return out
-}
-
-func sortInt32(a []int32) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 }

@@ -13,8 +13,9 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/gen"
 	_ "github.com/psi-graph/psi/internal/ggsx"
-	_ "github.com/psi-graph/psi/internal/grapes"
+	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 )
@@ -61,6 +62,14 @@ func TestExportRestoreParityAllKinds(t *testing.T) {
 			defer y.Close()
 			if y.Stats().Features != x.Stats().Features || y.Stats().Nodes != x.Stats().Nodes {
 				t.Fatalf("%s restored shape %+v != built %+v", kind, y.Stats(), x.Stats())
+			}
+			// Location sets are packed on restore by the rule the extraction
+			// stored them by, and expand to the IDs they were packed from.
+			if xs, ys := x.Stats(), y.Stats(); xs.LocationBytes != ys.LocationBytes || xs.LocationRows != ys.LocationRows || xs.LocationLists != ys.LocationLists {
+				t.Fatalf("%s restored location sets %+v != built %+v", kind, ys, xs)
+			}
+			if back, _, err := index.Export(y); err != nil || !reflect.DeepEqual(back, feats) {
+				t.Fatalf("%s: export of the restored index differs from the export it was restored from (%v)", kind, err)
 			}
 			for qi, q := range queries {
 				want, err := index.Answer(context.Background(), x, q, nil)
@@ -174,6 +183,127 @@ func TestRestoreRejectsMalformedFeatures(t *testing.T) {
 		t.Fatalf("Restore rejected the untouched export: %v", err)
 	} else {
 		y.Close()
+	}
+}
+
+// TestRestoreOntoZeroVertexPlaceholder: a mutable store's snapshot replaces a
+// tombstoned slot's graph with a zero-vertex placeholder while the sub-index
+// still carries the dead graph's postings. Their locations have no vertex
+// count to be packed against — a bitset row over no vertices holds nothing —
+// so they stay lists, survive a second export untouched (the file stays
+// byte-identical), and are never read by a query.
+func TestRestoreOntoZeroVertexPlaceholder(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	ds := randomDataset(r, 5, 80, 8) // rows of 2 words: sets of 2 and 3 vertices stay lists
+	x, err := index.Build(context.Background(), "grapes", ds, index.Options{MaxPathLen: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	feats, maxLen, err := index.Export(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dead = 2
+	slots := slices.Clone(ds)
+	slots[dead] = graph.NewBuilder("live:dead-slot").MustBuild()
+	y, err := index.Restore("grapes", slots, maxLen, index.Options{}, feats)
+	if err != nil {
+		t.Fatalf("restore over a placeholder: %v", err)
+	}
+	defer y.Close()
+	if back, _, err := index.Export(y); err != nil || !reflect.DeepEqual(back, feats) {
+		t.Fatalf("the placeholder's locations did not survive the round trip (%v)", err)
+	}
+	xs, ys := x.Stats(), y.Stats()
+	if xs.LocationRows == 0 || xs.LocationLists == 0 {
+		t.Fatalf("fixture stores %d rows and %d lists; want both forms", xs.LocationRows, xs.LocationLists)
+	}
+	if ys.LocationRows >= xs.LocationRows || ys.LocationRows+ys.LocationLists != xs.LocationRows+xs.LocationLists {
+		t.Errorf("restored %d rows + %d lists from %d + %d: the dead graph's rows should have become lists", ys.LocationRows, ys.LocationLists, xs.LocationRows, xs.LocationLists)
+	}
+	g := y.(*grapes.Index)
+	for qi := 0; qi < 6; qi++ {
+		q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(3))
+		for id := range ds {
+			want, err := x.Verify(context.Background(), q, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := y.Verify(context.Background(), q, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id == dead {
+				want = false
+				if vs, ok := g.CandidateVertices(q, id); ok || vs != nil {
+					t.Errorf("query %d: CandidateVertices on the placeholder = %v, %v", qi, vs, ok)
+				}
+			}
+			if got != want {
+				t.Errorf("query %d graph %d: restored Verify = %v, want %v", qi, id, got, want)
+			}
+		}
+	}
+}
+
+// TestLocationStats: Stats makes the adaptive choice of location-set form
+// visible. Label-poor graphs, whose every feature covers most of a graph, are
+// stored as rows only; a sparse graph over many labels, where nearly every
+// path is its own feature, keeps lists — there a row per set would be
+// hundreds of megabytes — and holds exactly the vertex IDs the former
+// []int32-per-posting layout held, minus 20 of that layout's 24 header bytes
+// a set.
+func TestLocationStats(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   gen.SyntheticConfig
+		forms func(rows, lists int) bool
+	}{
+		{"label-poor", gen.SyntheticConfig{NumGraphs: 2, AvgNodes: 300, NodeSpread: 100, Density: 8.0 / 300, Labels: 4},
+			func(rows, lists int) bool { return lists == 0 && rows > 0 }},
+		{"sparse many-label", gen.SyntheticConfig{NumGraphs: 1, AvgNodes: 8000, Density: 3.0 / 8000, Labels: 300},
+			func(rows, lists int) bool { return lists > 100*max(rows, 1) }},
+	} {
+		ds := gen.Synthetic(tc.cfg, 20170321)
+		x, err := index.Build(context.Background(), "grapes", ds, index.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := x.Stats()
+		feats, _, err := index.Export(x)
+		x.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sets, ids, best int64
+		for _, f := range feats {
+			for _, p := range f.Postings {
+				sets++
+				ids += int64(len(p.Locations))
+				best += min(4*int64(len(p.Locations)), 8*int64((ds[p.GraphID].N()+63)/64))
+			}
+		}
+		if int64(st.LocationRows+st.LocationLists) != sets || !tc.forms(st.LocationRows, st.LocationLists) {
+			t.Errorf("%s: %d rows + %d lists for %d sets", tc.name, st.LocationRows, st.LocationLists, sets)
+		}
+		if want := best + 4*sets; st.LocationBytes != want {
+			t.Errorf("%s: LocationBytes = %d, want %d (each set in its smaller form + a 4-byte reference)", tc.name, st.LocationBytes, want)
+		}
+		if slabs, before := st.LocationBytes-4*sets, 4*ids; slabs > before {
+			t.Errorf("%s: the slabs hold %d bytes, the ID lists they replace held %d", tc.name, slabs, before)
+		}
+		t.Logf("%s: %d sets (%d rows, %d lists) in %d bytes; as []int32 per posting: %d", tc.name, sets, st.LocationRows, st.LocationLists, st.LocationBytes, 4*ids+24*sets)
+	}
+	for _, kind := range []string{index.KindPath, "ggsx"} {
+		x, err := index.Build(context.Background(), kind, randomDataset(rand.New(rand.NewSource(1)), 3, 8, 2), index.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := x.Stats(); st.LocationBytes != 0 || st.LocationRows != 0 || st.LocationLists != 0 {
+			t.Errorf("%s keeps no locations but reports %+v", kind, st)
+		}
+		x.Close()
 	}
 }
 

@@ -91,6 +91,15 @@ type Stats struct {
 	BuildTime time.Duration `json:"build_ns"`
 	// BuildWorkers is the extraction parallelism the build ran with.
 	BuildWorkers int `json:"build_workers"`
+	// LocationBytes is the memory held by the location sets of a kind that
+	// keeps them (Grapes): the row slab, the list slab and one 4-byte
+	// reference per posting. LocationRows and LocationLists count the sets
+	// stored as bitset rows over their graph's vertices and as vertex-ID
+	// lists — whichever is smaller for each set (ftv.RowForm). All zero for
+	// kinds without locations; a Sharded index reports its shards' sums.
+	LocationBytes int64 `json:"location_bytes,omitempty"`
+	LocationRows  int   `json:"location_rows,omitempty"`
+	LocationLists int   `json:"location_lists,omitempty"`
 	// ShardCount is the partition count of a Sharded index (0 for
 	// monolithic indexes).
 	ShardCount int `json:"shard_count,omitempty"`

@@ -15,6 +15,7 @@ package index_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -179,33 +180,50 @@ func TestCrossIndexParity(t *testing.T) {
 		xs := buildAll(t, ds, 3, pool)
 		for qi := 0; qi < 3; qi++ {
 			q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
-			want := trueAnswers(t, ds, q)
-			for _, x := range xs {
-				cands := x.Filter(q)
-				if !isSuperset(cands, want) {
-					t.Fatalf("seed %d q%d: %s Filter %v misses true answers %v",
-						seed, qi, x.Name(), cands, want)
-				}
-				got, err := ftv.Answer(context.Background(), x, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameInts(got, want) {
-					t.Fatalf("seed %d q%d: %s Answer = %v, want %v",
-						seed, qi, x.Name(), got, want)
-				}
-				// The streaming pipeline must produce the identical answer.
-				streamed, err := index.Answer(context.Background(), x, q, pool)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameInts(streamed, want) {
-					t.Fatalf("seed %d q%d: %s streaming Answer = %v, want %v",
-						seed, qi, x.Name(), streamed, want)
-				}
-			}
+			checkParity(t, fmt.Sprintf("seed %d q%d", seed, qi), ds, xs, q, pool)
 		}
 		closeAll(xs)
+	}
+	// A query vertex on no path feature (A–B + isolated C): the filter keeps
+	// the graph on the edge alone, and Grapes' locations say nothing about
+	// where C may go.
+	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}})
+	for name, g := range map[string]*graph.Graph{
+		"A-B, C":   graph.MustNew("g", []graph.Label{0, 1, 2}, [][2]int{{0, 1}}),
+		"A-B, C-D": graph.MustNew("g", []graph.Label{0, 1, 2, 3}, [][2]int{{0, 1}, {2, 3}}),
+	} {
+		ds := []*graph.Graph{g, graph.MustNew("other", []graph.Label{0, 1}, [][2]int{{0, 1}})}
+		xs := buildAll(t, ds, 3, pool)
+		checkParity(t, name, ds, xs, q, pool)
+		closeAll(xs)
+	}
+}
+
+// checkParity holds every index to the brute-force answer for one query:
+// Filter keeps every true answer, and the sequential and the streaming
+// pipeline both return exactly the true answers.
+func checkParity(t *testing.T, tag string, ds []*graph.Graph, xs []index.Index, q *graph.Graph, pool *exec.Pool) {
+	t.Helper()
+	want := trueAnswers(t, ds, q)
+	for _, x := range xs {
+		cands := x.Filter(q)
+		if !isSuperset(cands, want) {
+			t.Fatalf("%s: %s Filter %v misses true answers %v", tag, x.Name(), cands, want)
+		}
+		got, err := ftv.Answer(context.Background(), x, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameInts(got, want) {
+			t.Fatalf("%s: %s Answer = %v, want %v", tag, x.Name(), got, want)
+		}
+		streamed, err := index.Answer(context.Background(), x, q, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameInts(streamed, want) {
+			t.Fatalf("%s: %s streaming Answer = %v, want %v", tag, x.Name(), streamed, want)
+		}
 	}
 }
 

@@ -96,6 +96,9 @@ func NewShardedFrom(ds []*graph.Graph, kind string, subs []Index) *Sharded {
 		x.stats.Features += st.Features
 		x.stats.Nodes += st.Nodes
 		x.stats.BuildTime += st.BuildTime
+		x.stats.LocationBytes += st.LocationBytes
+		x.stats.LocationRows += st.LocationRows
+		x.stats.LocationLists += st.LocationLists
 		x.stats.BuildWorkers = st.BuildWorkers
 		x.stats.Shards = append(x.stats.Shards, st)
 	}

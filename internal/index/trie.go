@@ -4,7 +4,8 @@ package index
 // path from the root to a node spells a label sequence, and a node whose
 // sequence is an indexed feature carries that feature's posting list —
 // ascending by graph ID, like every posting list — and, for Grapes, the
-// parallel list of location sets. A node's children are kept ascending by
+// parallel list of references to the postings' location sets, which the trie
+// holds in one ftv.LocSets. A node's children are kept ascending by
 // label, so a preorder walk visits the features in the snapshot format's
 // canonical order without sorting anything. (GGSX's suffix trie is this same
 // structure: every suffix of an enumerated path is itself an enumerated
@@ -22,13 +23,15 @@ import (
 type Trie struct {
 	nodes    []trieNode // nodes[0] is the root
 	features int        // nodes carrying postings
+	ds       []*graph.Graph
+	locs     ftv.LocSets
 }
 
 type trieNode struct {
 	labels []graph.Label // the children's labels, ascending
 	kids   []int32       // parallel to labels: positions in Trie.nodes
 	posts  Postings
-	locs   [][]int32 // parallel to posts: sorted unique vertex IDs; nil without locations
+	locs   []ftv.LocRef // parallel to posts: sets in Trie.locs; nil without locations
 }
 
 // node returns the position of the node spelling labels, creating the nodes
@@ -49,14 +52,15 @@ func (t *Trie) node(labels []graph.Label) int32 {
 	return at
 }
 
-// FoldTrie builds the trie over graphs 0..len(feats)-1 from their extracted
-// features. The first pass finds or creates every feature's node and sizes
-// its posting list; the lists are then carved from one slab and filled graph
-// by graph, which leaves them ascending with no sort and no spare capacity.
-// withLocations keeps the features' location lists beside the postings,
-// aliasing the extraction's storage.
-func FoldTrie(feats []*ftv.Features, withLocations bool) *Trie {
-	t := &Trie{nodes: make([]trieNode, 1)}
+// FoldTrie builds the trie over graphs ds from their extracted features,
+// feats[g] being ds[g]'s. The first pass finds or creates every feature's
+// node and sizes its posting list; the lists are then carved from one slab
+// and filled graph by graph, which leaves them ascending with no sort and no
+// spare capacity. withLocations keeps the features' location sets: each
+// graph's slab is appended to the trie's as it is, so a set keeps the form
+// the extraction gave it.
+func FoldTrie(ds []*graph.Graph, feats []*ftv.Features, withLocations bool) *Trie {
+	t := &Trie{nodes: make([]trieNode, 1), ds: ds}
 	var (
 		nodeOf []int32 // per (graph, feature) pair, in fold order
 		lens   []int32 // per node: graphs its sequence occurs in
@@ -72,46 +76,69 @@ func FoldTrie(feats []*ftv.Features, withLocations bool) *Trie {
 		}
 	}
 	postSlab := make([]Posting, len(nodeOf))
-	var locSlab [][]int32
+	var refSlab []ftv.LocRef
 	if withLocations {
-		locSlab = make([][]int32, len(nodeOf))
+		refSlab = make([]ftv.LocRef, len(nodeOf))
+		rowWords, listIDs := 0, 0
+		for _, f := range feats {
+			r, l := f.LocSets().Size()
+			rowWords, listIDs = rowWords+r, listIDs+l
+		}
+		t.locs.Reserve(rowWords, listIDs)
 	}
 	next := 0
 	for g, f := range feats {
+		var rowBase, listBase int32
+		if withLocations {
+			rowBase, listBase = t.locs.AppendAll(f.LocSets())
+		}
 		for i := 0; i < f.Len(); i++ {
 			n := &t.nodes[nodeOf[next]]
 			if n.posts == nil {
 				size := lens[nodeOf[next]]
 				n.posts, postSlab = postSlab[:0:size], postSlab[size:]
 				if withLocations {
-					n.locs, locSlab = locSlab[:0:size], locSlab[size:]
+					n.locs, refSlab = refSlab[:0:size], refSlab[size:]
 				}
 				t.features++
 			}
 			next++
 			n.posts = append(n.posts, Posting{Graph: int32(g), Count: f.Count(i)})
 			if withLocations {
-				n.locs = append(n.locs, f.Locations(i))
+				n.locs = append(n.locs, f.LocRef(i).Shifted(rowBase, listBase))
 			}
 		}
 	}
 	return t
 }
 
-// RestoreTrie rebuilds a trie from exported features (whose order Restore
-// has checked): each feature was exported from exactly one node, so
-// re-inserting every (labels, postings) pair reconstructs the trie node for
-// node, with no path enumeration.
-func RestoreTrie(feats []ExportedFeature, withLocations bool) *Trie {
-	t := &Trie{nodes: make([]trieNode, 1), features: len(feats)}
-	total := 0
+// RestoreTrie rebuilds a trie over graphs ds from exported features (whose
+// order and bounds Restore has checked): each feature was exported from
+// exactly one node, so re-inserting every (labels, postings) pair
+// reconstructs the trie node for node, with no path enumeration.
+// withLocations packs the postings' location IDs into the form a set over
+// its graph takes (ftv.RowForm) — the same one the extraction gave it.
+func RestoreTrie(ds []*graph.Graph, feats []ExportedFeature, withLocations bool) *Trie {
+	t := &Trie{nodes: make([]trieNode, 1), features: len(feats), ds: ds}
+	total, rowWords, listIDs := 0, 0, 0
 	for _, f := range feats {
 		total += len(f.Postings)
+		if !withLocations {
+			continue
+		}
+		for _, p := range f.Postings {
+			if words := ftv.Words(ds[p.GraphID].N()); ftv.RowForm(len(p.Locations), words) {
+				rowWords += words
+			} else {
+				listIDs += len(p.Locations)
+			}
+		}
 	}
 	postSlab := make([]Posting, 0, total)
-	var locSlab [][]int32
+	var refSlab []ftv.LocRef
 	if withLocations {
-		locSlab = make([][]int32, 0, total)
+		refSlab = make([]ftv.LocRef, 0, total)
+		t.locs.Reserve(rowWords, listIDs)
 	}
 	for _, f := range feats {
 		n := &t.nodes[t.node(f.Labels)]
@@ -119,21 +146,21 @@ func RestoreTrie(feats []ExportedFeature, withLocations bool) *Trie {
 		for _, p := range f.Postings {
 			postSlab = append(postSlab, Posting{Graph: int32(p.GraphID), Count: p.Count})
 			if withLocations {
-				locSlab = append(locSlab, p.Locations)
+				refSlab = append(refSlab, t.locs.AppendList(p.Locations, ftv.Words(ds[p.GraphID].N())))
 			}
 		}
 		n.posts = postSlab[from:len(postSlab):len(postSlab)]
 		if withLocations {
-			n.locs = locSlab[from:len(locSlab):len(locSlab)]
+			n.locs = refSlab[from:len(refSlab):len(refSlab)]
 		}
 	}
 	return t
 }
 
 // Lookup returns the posting list of an exact label sequence and, for a trie
-// with locations, the parallel location sets; posts is nil when the sequence
-// is not an indexed feature.
-func (t *Trie) Lookup(labels []graph.Label) (posts Postings, locs [][]int32) {
+// with locations, the parallel references into LocSets; posts is nil when the
+// sequence is not an indexed feature.
+func (t *Trie) Lookup(labels []graph.Label) (posts Postings, locs []ftv.LocRef) {
 	n := &t.nodes[0]
 	for _, l := range labels {
 		i, ok := slices.BinarySearch(n.labels, l)
@@ -145,6 +172,10 @@ func (t *Trie) Lookup(labels []graph.Label) (posts Postings, locs [][]int32) {
 	return n.posts, n.locs
 }
 
+// LocSets returns the location sets the postings refer to; empty for a trie
+// without locations.
+func (t *Trie) LocSets() *ftv.LocSets { return &t.locs }
+
 // Nodes reports the number of trie nodes, the root included.
 func (t *Trie) Nodes() int { return len(t.nodes) }
 
@@ -152,17 +183,31 @@ func (t *Trie) Nodes() int { return len(t.nodes) }
 func (t *Trie) Features() int { return t.features }
 
 // ExportFeatures visits every feature in canonical order — the
-// FeatureExporter walk shared by the trie-backed kinds.
+// FeatureExporter walk shared by the trie-backed kinds. The export is where
+// location sets leave their stored form: each is expanded to ascending vertex
+// IDs, one allocation per feature.
 func (t *Trie) ExportFeatures(visit func(labels []graph.Label, postings []FeaturePosting) error) error {
 	var labels []graph.Label
 	var walk func(n *trieNode) error
 	walk = func(n *trieNode) error {
 		if len(n.posts) > 0 {
 			ps := make([]FeaturePosting, len(n.posts))
+			var ids []int32
+			if n.locs != nil {
+				members := 0
+				for i, e := range n.posts {
+					members += t.locs.Members(n.locs[i], ftv.Words(t.ds[e.Graph].N()))
+				}
+				ids = make([]int32, 0, members)
+			}
 			for i, e := range n.posts {
 				ps[i] = FeaturePosting{GraphID: int(e.Graph), Count: e.Count}
 				if n.locs != nil {
-					ps[i].Locations = n.locs[i]
+					from := len(ids)
+					ids = t.locs.AppendIDs(ids, n.locs[i], ftv.Words(t.ds[e.Graph].N()))
+					if len(ids) > from { // the empty set is nil, as the snapshot decodes it
+						ps[i].Locations = ids[from:len(ids):len(ids)]
+					}
 				}
 			}
 			if err := visit(labels, ps); err != nil {

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -151,6 +152,44 @@ func TestKilledShardedQueryNeverCached(t *testing.T) {
 	}
 	if c := eng.Counters(); c.ShardedKilled == 0 {
 		t.Errorf("engine counters %+v missing sharded kills", c)
+	}
+}
+
+// TestStatsReportsLocationSets: an operator reads off /stats how much memory
+// Grapes' location sets hold and which form they took, per shard and summed;
+// a kind that keeps no locations says nothing.
+func TestStatsReportsLocationSets(t *testing.T) {
+	eng, err := psi.NewDatasetEngine(psi.GeneratePPI(psi.Tiny, 1), psi.EngineOptions{
+		Indexes: []string{"ftv", "grapes"},
+		Shards:  2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ts := httptest.NewServer(New(eng, Options{}))
+	defer ts.Close()
+	_, data := getStats(t, ts.URL)
+	var stats StatsResponse
+	if err := json.Unmarshal(data, &stats); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range stats.Indexes {
+		var held int64
+		sets := 0
+		for _, sh := range x.Shards {
+			held += sh.LocationBytes
+			sets += sh.LocationRows + sh.LocationLists
+		}
+		if x.LocationBytes != held || x.LocationRows+x.LocationLists != sets {
+			t.Errorf("%s: %d location bytes in %d sets, shards sum to %d in %d", x.Kind, x.LocationBytes, x.LocationRows+x.LocationLists, held, sets)
+		}
+		if (x.Kind == "grapes") != (x.LocationBytes > 0) {
+			t.Errorf("%s reports %d location bytes", x.Kind, x.LocationBytes)
+		}
+	}
+	if n := strings.Count(string(data), `"location_bytes"`); n != 3 { // grapes and its two shards
+		t.Errorf("/stats mentions location_bytes %d times, want 3: %s", n, data)
 	}
 }
 

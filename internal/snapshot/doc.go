@@ -48,7 +48,13 @@
 //     lengths / locations. Kind-specific structure (sorted array, trie, suffix
 //     trie) is rebuilt by the kind's registered index.RestoreFunc; VF2
 //     verifier state is recomputed (it is derived, cheap, and
-//     deterministic).
+//     deterministic). Locations are written as ascending vertex IDs whatever
+//     form the index holds them in (ftv.LocSets: a bitset row or an ID list
+//     per set): the export expands every set and the restore packs it again
+//     by the same rule, so the file does not depend on the in-memory layout,
+//     a loaded engine re-saves the bytes it was loaded from, and format
+//     version 1 still covers it. The price is the file's size — IDs are the
+//     larger form wherever the index chose rows.
 //   - Live store (mutable engines only): the slot-space liveness bitmap,
 //     per-slot public handles, per-shard tombstone counters, and the epoch
 //     and next-handle counters, so mutation history, handle identity and

@@ -43,6 +43,16 @@ func (m *Matcher) Match(ctx context.Context, q *graph.Graph, limit int) ([]match
 // MatchStream implements match.StreamMatcher: embeddings are emitted into
 // sink as the search discovers them.
 func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, sink match.Sink) error {
+	return m.stream(ctx, q, limit, nil, sink)
+}
+
+// stream is MatchStream over the subgraph of the stored graph induced by
+// allowed (nil: the whole graph). Vertices outside the set are skipped as
+// start candidates, as anchor neighbours and in the lookahead counts; since
+// candidates are tried in ascending ID order either way, the search visits
+// the same states, in the same order, as a matcher built over the induced
+// subgraph would — without building it.
+func (m *Matcher) stream(ctx context.Context, q *graph.Graph, limit int, allowed match.VertexSet, sink match.Sink) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -60,16 +70,20 @@ func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, si
 		order:  order,
 		anchor: anchor,
 		coreQ:  make([]int32, q.N()),
-		coreG:  make([]int32, m.g.N()),
-		inG:    make([]bool, m.g.N()),
+		taken:  make([]uint8, m.g.N()),
 		col:    col,
 		budget: match.NewBudget(ctx),
 	}
 	for i := range s.coreQ {
 		s.coreQ[i] = -1
 	}
-	for i := range s.coreG {
-		s.coreG[i] = -1
+	if allowed != nil {
+		for v := range s.taken {
+			s.taken[v] = outside
+		}
+		for v := allowed.Next(0); v >= 0; v = allowed.Next(v + 1) {
+			s.taken[v] = 0
+		}
 	}
 	return col.FinishStream(s.search(0))
 }
@@ -77,15 +91,23 @@ func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, si
 // Contains reports whether q is subgraph-isomorphic to the stored graph
 // (the decision problem solved in the FTV verification stage).
 func (m *Matcher) Contains(ctx context.Context, q *graph.Graph) (bool, error) {
-	embs, err := m.Match(ctx, q, 1)
-	if err != nil {
-		return false, err
-	}
-	return len(embs) > 0, nil
+	return m.ContainsWithin(ctx, q, nil)
 }
 
-// Match runs VF2 once without retaining an index; convenient for one-shot
-// verification calls (e.g. against extracted components in Grapes).
+// ContainsWithin reports whether q is subgraph-isomorphic to the subgraph of
+// the stored graph induced by allowed, a set over its vertices (nil: the
+// whole graph) — how Grapes verifies a query against a connected component of
+// its location info.
+func (m *Matcher) ContainsWithin(ctx context.Context, q *graph.Graph, allowed match.VertexSet) (bool, error) {
+	found := false
+	err := m.stream(ctx, q, 1, allowed, match.SinkFunc(func(match.Embedding) bool {
+		found = true
+		return false
+	}))
+	return found, err
+}
+
+// Match runs VF2 once without retaining a matcher.
 func Match(ctx context.Context, q, g *graph.Graph, limit int) ([]match.Embedding, error) {
 	return New(g).Match(ctx, q, limit)
 }
@@ -95,11 +117,18 @@ type state struct {
 	order  []int32 // static visit order: order[depth] is the query vertex matched at depth
 	anchor []int32 // anchor[depth]: earlier-placed query neighbor of order[depth], or -1
 	coreQ  []int32 // query vertex -> matched graph vertex or -1
-	coreG  []int32 // graph vertex -> matched query vertex or -1
-	inG    []bool  // graph vertex matched
+	// taken says, per graph vertex, why no query vertex may be mapped to it
+	// now — it is matched, or lies outside the allowed set — or 0 when one
+	// may: one byte to test in the inner loops, restricted search or not.
+	taken  []uint8
 	col    *match.Collector
 	budget *match.Budget
 }
+
+const (
+	matched = 1 + iota
+	outside
+)
 
 // visitPlan precomputes the order in which query vertices are matched,
 // together with each step's anchor. Because the matched query set at depth d
@@ -168,21 +197,19 @@ func (s *state) search(depth int) error {
 		if err := s.budget.Step(); err != nil {
 			return err
 		}
-		if s.inG[v] || s.g.Label(int(v)) != s.q.Label(u) {
+		if s.taken[v] != 0 || s.g.Label(int(v)) != s.q.Label(u) {
 			continue
 		}
 		if !s.feasible(u, v) {
 			continue
 		}
 		s.coreQ[u] = v
-		s.coreG[v] = int32(u)
-		s.inG[v] = true
+		s.taken[v] = matched
 		if err := s.search(depth + 1); err != nil {
 			return err
 		}
 		s.coreQ[u] = -1
-		s.coreG[v] = -1
-		s.inG[v] = false
+		s.taken[v] = 0
 	}
 	return nil
 }
@@ -216,7 +243,7 @@ func (s *state) feasible(u int, v int32) bool {
 	}
 	termG, newG := 0, 0
 	for _, w := range s.g.Neighbors(int(v)) {
-		if s.inG[w] {
+		if s.taken[w] != 0 {
 			continue
 		}
 		if s.adjacentToMatchedG(w) {
@@ -245,7 +272,7 @@ func (s *state) adjacentToMatchedQ(w int32) bool {
 
 func (s *state) adjacentToMatchedG(w int32) bool {
 	for _, x := range s.g.Neighbors(int(w)) {
-		if s.inG[x] {
+		if s.taken[x] == matched {
 			return true
 		}
 	}

@@ -31,11 +31,12 @@ echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
 
 echo "== bench smoke (1 iteration) =="
-# Every root benchmark once, BenchmarkExtractFeatures and
-# BenchmarkBuildPortfolio (the index-build path over the repo benchmark's two
-# dataset shapes and one large sparse many-label graph) and
-# BenchmarkMatcherBuild and BenchmarkMatch*Paper (the matchers' indexing
-# phase and query path at the nfv_race scale) included.
+# Every root benchmark once, BenchmarkExtractFeatures,
+# BenchmarkBuildPortfolio and BenchmarkGrapesVerify (the index-build path and
+# Grapes' verification over the repo benchmark's two dataset shapes and one
+# large sparse many-label graph, which between them store location sets in
+# both forms) and BenchmarkMatcherBuild and BenchmarkMatch*Paper (the
+# matchers' indexing phase and query path at the nfv_race scale) included.
 go test -run='^$' -bench=. -benchtime=1x .
 
 echo "== bench module (vet + tests against this root) =="
@@ -67,15 +68,17 @@ echo "== policy smoke =="
 # enforced end to end.
 go run ./cmd/psibench -policysweep -scale=tiny -queries 4 -dur 150ms > /dev/null
 
-echo "== coverage gate (internal/core, internal/index, internal/rewrite, internal/predict, internal/metrics, internal/live, internal/snapshot, internal/spath, internal/gql, internal/match) =="
+echo "== coverage gate (internal/core, internal/index, internal/rewrite, internal/predict, internal/metrics, internal/live, internal/snapshot, internal/spath, internal/gql, internal/match, internal/grapes, internal/ftv) =="
 # Per-package coverage for the packages this repo's correctness arguments
 # lean on hardest (the one race/stream pipeline every query runs through,
 # the filtering/sharding contract, the rewriting round-trip, the learned
 # planning policy's evidence rules, the operational counters, the
 # epoch-versioned mutation store, the persistent snapshot format, and the
 # default NFV portfolio's two matchers with the contract and candidate sets
-# they share); regressing below the floor fails the gate.
-cov_out=$(go test -cover ./internal/core ./internal/index ./internal/rewrite ./internal/predict ./internal/metrics ./internal/live ./internal/snapshot ./internal/spath ./internal/gql ./internal/match)
+# they share, and the feature extraction with its location sets and the one
+# index kind that verifies through them); regressing below the floor fails
+# the gate.
+cov_out=$(go test -cover ./internal/core ./internal/index ./internal/rewrite ./internal/predict ./internal/metrics ./internal/live ./internal/snapshot ./internal/spath ./internal/gql ./internal/match ./internal/grapes ./internal/ftv)
 echo "$cov_out"
 echo "$cov_out" | awk '
     /coverage:/ {
