@@ -350,7 +350,7 @@ func describe(eng *psi.Engine) string {
 	if ds := eng.Dataset(); ds != nil {
 		names := make([]string, 0, len(eng.IndexStats()))
 		for _, st := range eng.IndexStats() {
-			names = append(names, st.Name)
+			names = append(names, fmt.Sprintf("%s (%d postings, %d bytes)", st.Name, st.Postings, st.PostingBytes))
 		}
 		sharding := ""
 		if k := eng.Shards(); k > 1 {

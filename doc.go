@@ -153,9 +153,12 @@
 // Dataset (multi-graph) queries go through a filtering index, and the
 // module ships three alternatives behind one contract (FilterIndex): the
 // flat path-based FTV baseline (one array of label sequences, sorted, each
-// with its sorted per-graph count list), Grapes (a path trie with location
+// with its per-graph count list), Grapes (a path trie with location
 // information and component-restricted verification) and GGSX (a path
-// suffix trie verified against whole graphs). Grapes' location info — per
+// suffix trie verified against whole graphs). All three index each
+// undirected label path once (orientation, below) and keep its counts in
+// packed posting lists read through one forward cursor (packed postings,
+// below). Grapes' location info — per
 // feature and graph, the set of vertices the feature's occurrences touch —
 // keeps one representation from the path DFS to VF2 (ftv.LocSets): a set is a
 // bitset row over its graph's vertices when it has at least two members per
@@ -187,10 +190,11 @@
 // slice and a hashed key. The per-graph results come out flat and in the
 // snapshot format's canonical order; graph g is routed to shard g mod K and
 // every (kind, shard) index is folded from its graphs' features in graph-ID
-// order, so posting lists — ascending (graph, count) slices carved from one
-// slab, in the flat index and in both tries alike — are born sorted, the
-// filter intersects them with merge cursors, the snapshot export is a plain
-// walk, and a build is byte-identical at any worker count. Cancelling the
+// order, so posting lists — measured in a first pass, carved from one byte
+// slab with no slack and filled in a second, in the flat index and in both
+// tries alike — are born sorted, the filter intersects them with forward
+// cursors, the snapshot export is a plain walk, and a build is
+// byte-identical at any worker count. Cancelling the
 // build's context aborts it even mid-graph (dense graphs hold billions of
 // bounded simple paths). The cost of a portfolio is therefore one
 // extraction plus cheap folds, not one extraction per kind and shard.
@@ -198,6 +202,47 @@
 // extraction's wall time (counted in every kind folded from it; within a
 // sharded kind each shard is charged its graphs' share) plus the kind's own
 // fold.
+//
+// Orientation: an undirected path reads as a label sequence L from one end
+// and as reverse(L) from the other, and the DFS from every vertex meets it
+// from both. The two spellings occur equally often in every graph —
+// reversing an occurrence's vertices is a bijection — and touch the same
+// vertices, so an index that stored both would hold every count and every
+// Grapes location set twice. Each path is stored once, under its oriented
+// spelling: the lexicographically smaller of the two (ftv.Oriented; a
+// palindrome is its own mirror). The extractor still walks both directions
+// but aggregates only into oriented trie slots, decided once per slot, so
+// features, postings, location sets, the fold and the snapshot's index
+// sections all halve. Queries pay for it in one place: maximality depends on
+// the end a path is walked from, so a query may spell L more often than
+// reverse(L); ftv.QueryFeatures folds the two into one feature under the
+// oriented spelling that requires the larger count — a graph holds both
+// equally often, so the candidate set is exactly the one the two separate
+// lookups gave. (Orientation picks the spelling of one feature; "canonical
+// order" elsewhere in this package is the lexicographic order of the
+// features among themselves. They are different things.) Snapshots written
+// before orientation hold both spellings; index.Restore drops a reversed
+// spelling only when its oriented twin is present with identical postings,
+// counts and locations, and refuses the file otherwise, since dropping an
+// unmatched one would turn "occurs in these graphs" into "occurs nowhere".
+//
+// Packed postings: a feature's posting list is its (graph, count) pairs in
+// ascending graph order as two unsigned varints each — the gap from one past
+// the previous posting's graph, and the count — about two bytes a posting on
+// dense graph IDs and small counts (IndexStats.Postings / PostingBytes say
+// exactly). A list longer than 64 postings starts with a skip table of one
+// fixed-width entry per further block of 64: the smallest graph the block
+// could begin with and the block's byte offset. Every reader goes through
+// one cursor (index.Cursor) whose contract is forward-only: Next steps,
+// Seek(graph) moves to the first posting at or past graph — binary search
+// over the skip table, then at most one block decoded — and reports the
+// posting's ordinal in the list (which indexes Grapes' parallel location
+// references) and its count; targets must not decrease, and a smaller one
+// panics rather than report a passed-over graph as absent. The filter's
+// intersection, Grapes' per-candidate location lookup and the flat index's
+// copy-on-write append are all ascending, so none of them needs more. There
+// is one representation: built, sharded, grown by AddGraph, compacted and
+// restored indexes of every kind hold the same bytes.
 //
 // Candidate emission is streaming-first: the decision pipeline overlaps
 // filtering with verification, starting a candidate's (rewriting-raced)
@@ -375,9 +420,10 @@
 // any mutation to exactly one shard, and because slot assignment is
 // monotone, an AddGraph always appends to its shard's tail — which the
 // flat path index absorbs copy-on-write (index.Inserter: the new sub-index
-// shares every untouched posting map with its predecessor and clones only
-// the maps the new graph's features touch). Kinds without incremental
-// insert fall back to rebuilding that one shard, never the dataset.
+// shares every untouched posting list with its predecessor and re-allocates,
+// one posting longer, only the lists the new graph's features touch). Kinds
+// without incremental insert fall back to rebuilding that one shard, never
+// the dataset.
 //
 // Tombstones. RemoveGraph replaces the slot's graph with a zero-vertex
 // placeholder — O(1) on the index side, since a placeholder matches no

@@ -350,13 +350,15 @@ func TestEngineSnapshotMismatch(t *testing.T) {
 // testdata/parent_portfolio_k2.psnap was written by the commit before the
 // index build moved to one shared extraction and flat postings
 // (testdata/parent_portfolio_k2.go.txt is the program that wrote it: seven
-// small graphs, one with labels beyond the packed-key range, one edgeless;
-// ftv+grapes+ggsx at K=2). Today's code must load it, answer as a fresh
-// build over the same graphs does, and write it back — from the loaded
-// engine and from the fresh build alike — byte for byte.
+// small graphs, one with labels in the thousands, one edgeless;
+// ftv+grapes+ggsx at K=2). It predates orientation too: every path is in it
+// under both spellings. Today's code must load it, answer as a fresh build
+// over the same graphs does, and write it back — from the loaded engine and
+// from the fresh build alike — to the same bytes, which hold each path once:
+// still format v1, about half the index sections, readable again.
 func TestSnapshotFromParentCommit(t *testing.T) {
 	const fixture = "testdata/parent_portfolio_k2.psnap"
-	want, err := os.ReadFile(fixture)
+	old, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,17 +382,27 @@ func TestSnapshotFromParentCommit(t *testing.T) {
 	}
 	queries = append(queries, psi.MustNewGraph("edgeless", []psi.Label{0}, nil))
 	assertSameAnswers(t, "parent snapshot vs fresh build", snapAnswers(t, fresh, queries), snapAnswers(t, loaded, queries))
+	resaved := map[string][]byte{}
 	for name, e := range map[string]*psi.Engine{"loaded": loaded, "fresh": fresh} {
 		path := filepath.Join(t.TempDir(), "resaved.psnap")
 		if err := e.SaveSnapshot(path); err != nil {
 			t.Fatalf("%s: re-save: %v", name, err)
 		}
-		got, err := os.ReadFile(path)
-		if err != nil {
+		if resaved[name], err = os.ReadFile(path); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s engine's snapshot differs from the parent-written file (%d bytes vs %d)", name, len(got), len(want))
+		again, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: path})
+		if err != nil {
+			t.Fatalf("%s: loading the re-saved snapshot: %v", name, err)
 		}
+		assertSameAnswers(t, name+" re-saved vs fresh build", snapAnswers(t, fresh, queries), snapAnswers(t, again, queries))
+		again.Close()
+	}
+	if !bytes.Equal(resaved["loaded"], resaved["fresh"]) {
+		t.Errorf("loaded engine re-saves %d bytes, fresh build %d: not the same file", len(resaved["loaded"]), len(resaved["fresh"]))
+	}
+	// The graphs and the section table do not shrink; the features halve.
+	if got := len(resaved["loaded"]); got < len(old)*45/100 || got > len(old)*65/100 {
+		t.Errorf("re-saved snapshot is %d bytes, the both-spellings file %d: want roughly half", got, len(old))
 	}
 }

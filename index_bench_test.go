@@ -132,9 +132,10 @@ func BenchmarkExtractFeatures(b *testing.B) {
 // BenchmarkBuildPortfolio is the whole build — one extraction, every kind
 // folded — as the stragglers workload (three kinds, K=1) and the selective
 // workload (ftv alone, K=2) configure it, and Grapes alone, the one kind that
-// keeps locations. Builds with Grapes report what its location sets hold
-// (loc-MB) and the share stored as bitset rows (loc-rows): all of them on the
-// first two shapes, none on the sparse one.
+// keeps locations. Every build reports what a posting of its first index
+// costs, skip tables included (bytes/posting); builds with Grapes report what
+// its location sets hold (loc-MB) and the share stored as bitset rows
+// (loc-rows): all of them on the first two shapes, none on the sparse one.
 func BenchmarkBuildPortfolio(b *testing.B) {
 	for _, shape := range buildBenchShapes {
 		ds := gen.Synthetic(shape.cfg, 20170321)
@@ -153,6 +154,8 @@ func BenchmarkBuildPortfolio(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
+					first := built[0].Stats()
+					b.ReportMetric(float64(first.PostingBytes)/float64(first.Postings), "bytes/posting")
 					for _, x := range built {
 						if st := x.Stats(); st.LocationBytes > 0 {
 							b.ReportMetric(float64(st.LocationBytes)/(1<<20), "loc-MB")

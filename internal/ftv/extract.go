@@ -2,17 +2,22 @@ package ftv
 
 // Path-feature extraction: the one pass every filtering index is folded
 // from. A graph's features are the label sequences of its simple paths of
-// 1..maxLen edges, each with its number of directed occurrences and,
-// optionally, the set of vertices those occurrences touch (Grapes'
-// locations), held from here to verification in one form (LocSets).
+// 1..maxLen edges, each under its oriented spelling only (Oriented: the
+// mirror spelling has the same count and locations, so it is never stored),
+// with its number of directed occurrences and, optionally, the set of
+// vertices those occurrences touch (Grapes' locations), held from here to
+// verification in one form (LocSets).
 //
 // The enumeration is graph.WalkPaths' DFS, in which every node below a start
 // vertex is one path occurrence, so the extractor does O(1) work per node:
 // it walks a per-graph LabelTrie alongside the DFS — the slot of a path is
 // the child, under the path's last label, of its prefix's slot: one table
-// probe — bumps the slot's count, and records the path's vertices in the
-// slot's location set (slotLocs). No label slice, key or hash set is built
-// per path, and the same code serves any label width and any maxLen.
+// probe — bumps the slot's count and, when the slot is an oriented spelling
+// (decided once, when the slot is made), records the path's vertices in the
+// slot's location set (locate). The DFS meets every undirected path from
+// both ends; the end that spells it backwards costs the probe and an
+// increment nobody reads. No label slice, key or hash set is built per path,
+// and the same code serves any label width and any maxLen.
 
 import (
 	"context"
@@ -23,9 +28,10 @@ import (
 	"github.com/psi-graph/psi/internal/graph"
 )
 
-// Features is one graph's path features in canonical order — label
-// sequences ascending lexicographically, a shorter prefix first, the feature
-// order of the snapshot format — stored flat: indexes folded from the
+// Features is one graph's path features — each undirected label path once,
+// under its oriented spelling — in canonical order — label sequences
+// ascending lexicographically, a shorter prefix first, the feature order of
+// the snapshot format — stored flat: indexes folded from the
 // features of graphs 0..n-1 in that order get posting lists that are born
 // sorted. Immutable once extracted.
 type Features struct {
@@ -43,7 +49,9 @@ func (f *Features) Len() int { return len(f.counts) }
 // Labels returns feature i's label sequence. Callers must not modify it.
 func (f *Features) Labels(i int) []graph.Label { return f.labels[start(f.ends, i):f.ends[i]] }
 
-// Count returns feature i's number of directed occurrences.
+// Count returns feature i's number of directed occurrences: simple paths as
+// vertex sequences that spell it, so an undirected path that reads the same
+// from both ends counts twice.
 func (f *Features) Count(i int) int32 { return f.counts[i] }
 
 // LocSets returns the slab holding the features' location sets, and LocRef
@@ -69,8 +77,9 @@ func start(ends []int32, i int) int32 {
 
 // ExtractFeatures enumerates every simple path of 1..maxLen edges of g (in
 // both directions, as the DFS from every start vertex naturally does) and
-// aggregates them by label sequence. When withLocations is true each
-// feature also records the vertices covered by its occurrences.
+// aggregates the occurrences that spell an oriented label sequence by that
+// sequence. When withLocations is true each feature also records the
+// vertices covered by its occurrences.
 func ExtractFeatures(g *graph.Graph, maxLen int, withLocations bool) *Features {
 	// The background context never cancels, so the error is always nil.
 	feats, _ := ExtractFeaturesContext(context.Background(), g, maxLen, withLocations)
@@ -102,13 +111,15 @@ func ExtractFeaturesContext(ctx context.Context, g *graph.Graph, maxLen int, wit
 }
 
 // extractor is the per-graph label trie grown alongside the path DFS, with
-// the per-slot aggregates. A slot of two or more labels is a feature.
+// the per-slot aggregates. An oriented slot of two or more labels is a
+// feature; the others are only stepped through.
 type extractor struct {
 	ctx     context.Context
 	vlabels []graph.Label
 
-	trie  *LabelTrie
-	count []int32 // per slot: occurrences
+	trie     *LabelTrie
+	oriented []bool  // per slot: its sequence is an oriented spelling
+	count    []int32 // per slot: occurrences
 
 	// Locations, one set of vertices per slot (see locate). words is
 	// Words(n), the length of a bitset row over the graph's vertices, and 0
@@ -125,10 +136,11 @@ type extractor struct {
 
 func newExtractor(ctx context.Context, g *graph.Graph, withLocations bool) *extractor {
 	e := &extractor{
-		ctx:     ctx,
-		vlabels: g.Labels(),
-		trie:    NewLabelTrie(),
-		count:   []int32{0},
+		ctx:      ctx,
+		vlabels:  g.Labels(),
+		trie:     NewLabelTrie(),
+		oriented: []bool{true},
+		count:    []int32{0},
 	}
 	if withLocations {
 		e.words = Words(g.N())
@@ -142,6 +154,7 @@ func newExtractor(ctx context.Context, g *graph.Graph, withLocations bool) *extr
 func (e *extractor) visit(parent int32, path []int32) (int32, bool) {
 	slot := e.trie.Child(parent, e.vlabels[path[len(path)-1]])
 	if int(slot) == len(e.count) {
+		e.oriented = append(e.oriented, e.orientedPath(path))
 		e.count = append(e.count, 0)
 		if e.words > 0 {
 			e.locRef = append(e.locRef, 0)
@@ -150,8 +163,10 @@ func (e *extractor) visit(parent int32, path []int32) (int32, bool) {
 	if len(path) == 1 {
 		return slot, true // a start vertex: a trie node, not a path
 	}
+	// A mirror spelling is counted too and dropped in features(): the
+	// increment is cheaper than a data-dependent branch on every path.
 	e.count[slot]++
-	if e.words > 0 {
+	if e.words > 0 && e.oriented[slot] {
 		e.locate(slot, path)
 	}
 	if e.sinceCheck++; e.sinceCheck >= extractCancelCheckEvery {
@@ -162,6 +177,17 @@ func (e *extractor) visit(parent int32, path []int32) (int32, bool) {
 		}
 	}
 	return slot, true
+}
+
+// orientedPath is Oriented of the path's label sequence, read off its
+// vertices.
+func (e *extractor) orientedPath(path []int32) bool {
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		if a, b := e.vlabels[path[i]], e.vlabels[path[j]]; a != b {
+			return a < b
+		}
+	}
+	return true
 }
 
 // locate adds one occurrence's vertices to its slot's location set, which is
@@ -217,7 +243,7 @@ func (e *extractor) row(ref int32) []uint64 {
 func (e *extractor) features() *Features {
 	nFeats, nLabels := 0, 0
 	for s := int32(1); int(s) < e.trie.Len(); s++ {
-		if d := e.trie.Depth(s); d >= 2 {
+		if d := e.trie.Depth(s); d >= 2 && e.oriented[s] {
 			nFeats++
 			nLabels += d
 		}
@@ -253,7 +279,7 @@ func (e *extractor) features() *Features {
 		f.locRefs = make([]LocRef, 0, nFeats)
 	}
 	e.trie.Walk(func(s int32, labels []graph.Label) {
-		if len(labels) < 2 {
+		if len(labels) < 2 || !e.oriented[s] {
 			return
 		}
 		f.labels = append(f.labels, labels...)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/graph"
 )
 
@@ -31,8 +32,9 @@ type oracleFeature struct {
 
 // oracleExtract is the map-based extractor the trie-walking one replaced,
 // kept as the differential oracle: it rebuilds the label sequence of every
-// enumerated path, keys a map by it and collects locations in hash sets.
-// Features come back in canonical order.
+// enumerated path — under the spelling it was walked in, oriented or not —
+// keys a map by it and collects locations in hash sets. Features come back in
+// canonical order.
 func oracleExtract(g *graph.Graph, maxLen int) []oracleFeature {
 	type acc struct {
 		labels []graph.Label
@@ -41,8 +43,11 @@ func oracleExtract(g *graph.Graph, maxLen int) []oracleFeature {
 	}
 	byKey := map[string]*acc{}
 	g.EnumeratePaths(maxLen, func(path []int32) {
-		labels := g.LabelPath(path)
-		key := PathKey(labels)
+		labels := make([]graph.Label, len(path))
+		for i, v := range path {
+			labels[i] = g.Label(int(v))
+		}
+		key := fmt.Sprint(labels)
 		a := byKey[key]
 		if a == nil {
 			a = &acc{labels: labels, locs: map[int32]struct{}{}}
@@ -84,9 +89,34 @@ func randomGraph(r *rand.Rand, n int, degree float64, pick func() graph.Label) *
 	return b.MustBuild()
 }
 
+// assertMirrorsAgree checks the invariant orientation rests on: in an
+// enumeration that knows nothing of it, a label sequence and its reverse have
+// equal counts and equal location sets.
+func assertMirrorsAgree(t *testing.T, name string, all []oracleFeature) {
+	t.Helper()
+	for _, f := range all {
+		mirror := slices.Clone(f.labels)
+		slices.Reverse(mirror)
+		at, ok := slices.BinarySearchFunc(all, mirror, func(o oracleFeature, l []graph.Label) int { return slices.Compare(o.labels, l) })
+		if !ok {
+			t.Fatalf("%s: %v enumerated but its reverse never", name, f.labels)
+		}
+		if m := all[at]; m.count != f.count || !slices.Equal(m.locs, f.locs) {
+			t.Fatalf("%s: %v has (%d, %v) but its reverse (%d, %v)", name, f.labels, f.count, f.locs, m.count, m.locs)
+		}
+	}
+}
+
 func assertMatchesOracle(t *testing.T, name string, g *graph.Graph, maxLen int) {
 	t.Helper()
-	want := oracleExtract(g, maxLen)
+	all := oracleExtract(g, maxLen)
+	assertMirrorsAgree(t, name, all)
+	var want []oracleFeature // what the extractor keeps: the oriented spellings
+	for _, f := range all {
+		if Oriented(f.labels) {
+			want = append(want, f)
+		}
+	}
 	for _, withLocs := range []bool{false, true} {
 		got := ExtractFeatures(g, maxLen, withLocs)
 		if got.Len() != len(want) {
@@ -109,8 +139,10 @@ func assertMatchesOracle(t *testing.T, name string, g *graph.Graph, maxLen int) 
 }
 
 // TestExtractFeaturesMatchesOracle: the trie-walking extractor and the naive
-// map-based one agree on (labels, count, locations) — on random graphs for
-// maxLen 1..6, with labels beyond the 12-bit packed-key range, at the
+// map-based one agree on (labels, count, locations) of every oriented
+// spelling, and the naive one finds nothing under a mirror spelling that its
+// oriented twin lacks — on random graphs for maxLen 1..6, with labels of any
+// width, at the
 // 63/64/65-vertex bitset word edges, on edgeless and empty graphs, and on
 // large many-label graphs, where the location sets of rare features stay
 // lists and those of common ones spill to bitset rows within one extraction.
@@ -141,6 +173,32 @@ func TestExtractFeaturesMatchesOracle(t *testing.T) {
 	for maxLen := 1; maxLen <= 4; maxLen++ {
 		assertMatchesOracle(t, "skewed-1500", randomGraph(r, 1500, 3, skewed), maxLen)
 		assertMatchesOracle(t, "sparse-3000", randomGraph(r, 3000, 3, many), maxLen)
+	}
+}
+
+// TestMirrorSpellingsAgree runs the same two checks where orientation is most
+// likely to go wrong: both generated dataset shapes, and graphs whose label
+// runs are palindromes, constant, or barely there.
+func TestMirrorSpellingsAgree(t *testing.T) {
+	cases := map[string]*graph.Graph{
+		"single-edge":      graph.MustNew("e", []graph.Label{3, 1}, [][2]int{{0, 1}}),
+		"single-edge-same": graph.MustNew("e", []graph.Label{2, 2}, [][2]int{{0, 1}}),
+		"isolated":         graph.MustNew("i", []graph.Label{0, 1, 0, 1, 2}, [][2]int{{1, 2}}),
+		"palindrome-path":  graph.MustNew("p", []graph.Label{1, 2, 3, 2, 1}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}}),
+		"palindrome-cycle": graph.MustNew("c", []graph.Label{1, 2, 1, 2, 1, 2}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}}),
+		"near-palindrome":  graph.MustNew("n", []graph.Label{1, 2, 2, 1, 3}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}),
+		"one-label-clique": graph.MustNew("k", []graph.Label{7, 7, 7, 7, 7}, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}}),
+	}
+	for i, g := range gen.Synthetic(gen.SyntheticConfig{NumGraphs: 6, AvgNodes: 24, NodeSpread: 10, Density: 0.12, Labels: 3}, 21) {
+		cases[fmt.Sprintf("synthetic-%d", i)] = g
+	}
+	for i, g := range gen.PPI(gen.PPIConfig{NumGraphs: 4, AvgNodes: 40, NodeSpread: 10, AvgDegree: 5, Labels: 4, LabelsPer: 3, IsolatedPct: 0.1}, 22) {
+		cases[fmt.Sprintf("ppi-%d", i)] = g
+	}
+	for name, g := range cases {
+		for maxLen := 1; maxLen <= 5; maxLen++ {
+			assertMatchesOracle(t, name, g, maxLen)
+		}
 	}
 }
 

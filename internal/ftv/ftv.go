@@ -7,7 +7,7 @@ package ftv
 
 import (
 	"context"
-	"encoding/binary"
+	"slices"
 
 	"github.com/psi-graph/psi/internal/graph"
 )
@@ -55,104 +55,110 @@ func Answer(ctx context.Context, x Index, q *graph.Graph) ([]int, error) {
 	return out, nil
 }
 
-// Key is a comparable path-feature key. Label sequences of up to
-// DefaultMaxPathLen edges (5 labels) whose labels all fit in 12 bits — true
-// of every paper dataset, whose alphabets top out at 184 — pack into a
-// single uint64 with zero allocation; longer sequences or larger labels
-// fall back to the allocating string encoding of PathKey. The two forms
-// never collide: packed keys are non-zero while fallback keys leave packed
-// at zero.
-type Key struct {
-	packed uint64
-	str    string
-}
-
-const (
-	packedKeyLabels    = DefaultMaxPathLen + 1 // vertices on a 4-edge path
-	packedKeyLabelBits = 12
-	packedKeyLabelMax  = 1<<packedKeyLabelBits - 1
-)
-
-// MakeKey encodes a label sequence as a map key, packing when possible.
-func MakeKey(labels []graph.Label) Key {
-	if len(labels) <= packedKeyLabels {
-		v := uint64(len(labels) + 1)
-		for _, l := range labels {
-			if uint32(l) > packedKeyLabelMax {
-				return Key{str: PathKey(labels)}
-			}
-			v = v<<packedKeyLabelBits | uint64(l)
-		}
-		return Key{packed: v}
-	}
-	return Key{str: PathKey(labels)}
-}
-
-// Labels decodes the key back into its label sequence; used by diagnostics
-// and tests.
-func (k Key) Labels() []graph.Label {
-	if k.packed == 0 {
-		return DecodePathKey(k.str)
-	}
-	// The packed form is (len+1) << (12·len) | labels, so the length is
-	// the unique n with packed >> (12·n) == n+1.
-	for n := 0; n <= packedKeyLabels; n++ {
-		if k.packed>>(packedKeyLabelBits*n) == uint64(n+1) {
-			out := make([]graph.Label, n)
-			v := k.packed
-			for i := n - 1; i >= 0; i-- {
-				out[i] = graph.Label(v & packedKeyLabelMax)
-				v >>= packedKeyLabelBits
-			}
-			return out
+// Oriented reports whether labels is the oriented spelling of its path: an
+// undirected path reads as a label sequence L from one end and as reverse(L)
+// from the other, it occurs equally often under both (reversing an
+// occurrence's vertices is a bijection between them) and the two touch the
+// same vertices, so an index stores the path once, under the spelling that is
+// lexicographically no larger. A palindrome is its own mirror and oriented.
+func Oriented(labels []graph.Label) bool {
+	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {
+		if labels[i] != labels[j] {
+			return labels[i] < labels[j]
 		}
 	}
-	return nil
+	return true
 }
 
-// PathKey encodes a label sequence as a string usable as a map key — the
-// allocating fallback encoding behind MakeKey.
-func PathKey(labels []graph.Label) string {
-	buf := make([]byte, 4*len(labels))
-	for i, l := range labels {
-		binary.BigEndian.PutUint32(buf[4*i:], uint32(l))
-	}
-	return string(buf)
-}
-
-// DecodePathKey inverts PathKey; used by diagnostics and tests.
-func DecodePathKey(key string) []graph.Label {
-	b := []byte(key)
-	out := make([]graph.Label, len(b)/4)
-	for i := range out {
-		out[i] = graph.Label(binary.BigEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// QueryFeature is a maximal path of the query with its occurrence count —
-// what Grapes/GGSX look up in their indexes at query time.
+// QueryFeature is a maximal path of the query, under its oriented spelling,
+// with the number of occurrences a graph containing the query must have —
+// what every path index looks up at query time.
 type QueryFeature struct {
 	Labels []graph.Label
 	Count  int32
 }
 
-// QueryFeatures extracts the query's maximal paths (up to maxLen edges) and
-// groups them by label sequence with occurrence counts. Occurrence counts of
-// maximal paths are a lower bound on total path occurrences in any graph
-// containing the query, so frequency pruning against indexed counts is
-// sound.
-func QueryFeatures(q *graph.Graph, maxLen int) map[Key]*QueryFeature {
-	out := make(map[Key]*QueryFeature)
-	for _, p := range q.MaximalPaths(maxLen) {
-		lbls := q.LabelPath(p)
-		key := MakeKey(lbls)
-		f := out[key]
-		if f == nil {
-			f = &QueryFeature{Labels: lbls}
-			out[key] = f
+// QueryFeatures extracts the query's maximal paths of up to maxLen edges — a
+// DFS path from any start vertex that cannot be extended, because every
+// neighbour of its last vertex is on it or it has maxLen edges — and groups
+// them by label sequence. The number of maximal paths spelling L is a lower
+// bound on the occurrences of L in any graph containing the query, so
+// frequency pruning against indexed counts is sound. Maximality depends on
+// the end a path is walked from, so a query may spell L more often than
+// reverse(L); a graph has both equally often (Oriented), so the two fold into
+// one feature under the oriented spelling whose count is the larger of the
+// two — the same pruning at one lookup. The features come in canonical
+// (lexicographic) order.
+//
+// A query has a few hundred maximal paths at most, so they are not interned
+// as a graph's millions are: every one is written out under its oriented
+// spelling, and a sort brings equal spellings together.
+func QueryFeatures(q *graph.Graph, maxLen int) []QueryFeature {
+	w := queryWalk{q: q, maxLen: maxLen, onPath: make([]bool, q.N()), path: make([]graph.Label, 0, maxLen+1)}
+	for v := 0; v < q.N(); v++ {
+		w.descend(int32(v))
+	}
+	slices.SortFunc(w.found, func(a, b maximalPath) int {
+		return slices.Compare(w.labels[a.from:a.to], w.labels[b.from:b.to])
+	})
+	var out []QueryFeature
+	for i := 0; i < len(w.found); {
+		f := w.found[i]
+		labels := w.labels[f.from:f.to:f.to]
+		var asWalked, mirrored int32
+		for ; i < len(w.found) && slices.Equal(w.labels[w.found[i].from:w.found[i].to], labels); i++ {
+			if w.found[i].mirrored {
+				mirrored++
+			} else {
+				asWalked++
+			}
 		}
-		f.Count++
+		out = append(out, QueryFeature{Labels: labels, Count: max(asWalked, mirrored)})
 	}
 	return out
+}
+
+// queryWalk is QueryFeatures' DFS: the path DFS of graph.WalkPaths, which
+// cannot say whether a node went on to have children.
+type queryWalk struct {
+	q      *graph.Graph
+	maxLen int
+	onPath []bool
+	path   []graph.Label // the labels from the start vertex to the current one
+
+	labels []graph.Label // the maximal paths found, each under its oriented spelling
+	found  []maximalPath
+}
+
+// maximalPath is one maximal path: labels[from:to] of its queryWalk, and
+// whether that is the path as walked or its mirror.
+type maximalPath struct {
+	from, to int32
+	mirrored bool
+}
+
+// descend steps onto v.
+func (w *queryWalk) descend(v int32) {
+	w.path = append(w.path, w.q.Label(int(v)))
+	extended := false
+	if len(w.path) <= w.maxLen {
+		w.onPath[v] = true
+		for _, u := range w.q.Neighbors(int(v)) {
+			if !w.onPath[u] {
+				extended = true
+				w.descend(u)
+			}
+		}
+		w.onPath[v] = false
+	}
+	if !extended && len(w.path) > 1 {
+		from := len(w.labels)
+		w.labels = append(w.labels, w.path...)
+		mirrored := !Oriented(w.path)
+		if mirrored {
+			slices.Reverse(w.labels[from:])
+		}
+		w.found = append(w.found, maximalPath{from: int32(from), to: int32(len(w.labels)), mirrored: mirrored})
+	}
+	w.path = w.path[:len(w.path)-1]
 }

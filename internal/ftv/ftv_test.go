@@ -4,44 +4,20 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/graph"
 )
 
-func TestPathKeyRoundTrip(t *testing.T) {
-	seqs := [][]graph.Label{
-		{0}, {1, 2}, {5, 5, 5}, {1000000, 0, 3},
-	}
-	for _, s := range seqs {
-		got := DecodePathKey(PathKey(s))
-		if len(got) != len(s) {
-			t.Fatalf("round trip of %v = %v", s, got)
-		}
-		for i := range s {
-			if got[i] != s[i] {
-				t.Fatalf("round trip of %v = %v", s, got)
-			}
-		}
-	}
-}
-
-func TestPathKeyDistinguishesSequences(t *testing.T) {
-	a := PathKey([]graph.Label{1, 2})
-	b := PathKey([]graph.Label{2, 1})
-	c := PathKey([]graph.Label{1, 2, 0})
-	if a == b || a == c || b == c {
-		t.Error("distinct sequences must have distinct keys")
-	}
-}
-
 func TestExtractFeaturesPathGraph(t *testing.T) {
-	// path 0(a)-1(b)-2(c): directed paths: a-b, b-a, b-c, c-b, a-b-c, c-b-a
+	// path 0(a)-1(b)-2(c): directed paths: a-b, b-a, b-c, c-b, a-b-c, c-b-a,
+	// three undirected ones, kept as a-b, b-c and a-b-c.
 	g := graph.MustNew("p", []graph.Label{10, 11, 12}, [][2]int{{0, 1}, {1, 2}})
 	feats := ExtractFeatures(g, 4, true)
-	if feats.Len() != 6 {
-		t.Fatalf("got %d features, want 6", feats.Len())
+	if feats.Len() != 3 {
+		t.Fatalf("got %d features, want 3", feats.Len())
 	}
 	f, ok := find(feats, []graph.Label{10, 11, 12})
 	if !ok || feats.Count(f) != 1 {
@@ -50,22 +26,25 @@ func TestExtractFeaturesPathGraph(t *testing.T) {
 	if len(feats.Locations(f)) != 3 {
 		t.Errorf("a-b-c locations = %v, want all 3 vertices", feats.Locations(f))
 	}
-	f2, ok := find(feats, []graph.Label{11, 10})
+	f2, ok := find(feats, []graph.Label{10, 11})
 	if !ok || feats.Count(f2) != 1 {
-		t.Fatalf("b-a feature: found=%v", ok)
+		t.Fatalf("a-b feature: found=%v", ok)
 	}
 	if len(feats.Locations(f2)) != 2 {
-		t.Errorf("b-a locations = %v", feats.Locations(f2))
+		t.Errorf("a-b locations = %v", feats.Locations(f2))
+	}
+	if _, ok := find(feats, []graph.Label{11, 10}); ok {
+		t.Error("b-a is a-b read backwards and must not be a feature of its own")
 	}
 }
 
 func TestExtractFeaturesCountsMultipleOccurrences(t *testing.T) {
-	// star: center label 0, two leaves label 1: path 1-0 occurs twice
+	// star: center label 0, two leaves label 1: path 0-1 occurs twice
 	g := graph.MustNew("s", []graph.Label{0, 1, 1}, [][2]int{{0, 1}, {0, 2}})
 	feats := ExtractFeatures(g, 2, false)
-	f, ok := find(feats, []graph.Label{1, 0})
+	f, ok := find(feats, []graph.Label{0, 1})
 	if !ok || feats.Count(f) != 2 {
-		t.Fatalf("leaf-center feature: found=%v, want count 2", ok)
+		t.Fatalf("center-leaf feature: found=%v, want count 2", ok)
 	}
 	if feats.Locations(f) != nil {
 		t.Error("locations must be nil when not requested")
@@ -77,23 +56,62 @@ func TestExtractFeaturesCountsMultipleOccurrences(t *testing.T) {
 	}
 }
 
+// queryFeature returns the count of the feature spelled labels, 0 if absent.
+func queryFeature(feats []QueryFeature, labels ...graph.Label) int32 {
+	for _, f := range feats {
+		if slices.Equal(f.Labels, labels) {
+			return f.Count
+		}
+	}
+	return 0
+}
+
 func TestQueryFeaturesMaximalOnly(t *testing.T) {
 	// path a-b-c with maxLen 4: maximal paths (DFS from every start) are
 	// a-b-c, c-b-a, plus b-a and b-c (starting mid-path, immediately
-	// stuck). Prefixes of longer DFS walks, like a-b, must NOT appear.
+	// stuck). Prefixes of longer DFS walks, like a-b, must NOT appear — but
+	// b-a is looked up as a-b, its oriented spelling, and c-b-a folds into
+	// a-b-c.
 	g := graph.MustNew("p", []graph.Label{10, 11, 12}, [][2]int{{0, 1}, {1, 2}})
 	feats := QueryFeatures(g, 4)
-	if len(feats) != 4 {
-		t.Fatalf("got %d query features, want 4", len(feats))
+	if len(feats) != 3 {
+		t.Fatalf("got %d query features, want 3: %v", len(feats), feats)
 	}
-	if feats[MakeKey([]graph.Label{10, 11, 12})] == nil {
+	if queryFeature(feats, 10, 11, 12) != 1 {
 		t.Error("missing maximal path a-b-c")
 	}
-	if feats[MakeKey([]graph.Label{11, 10})] == nil {
-		t.Error("missing maximal path b-a")
+	if queryFeature(feats, 10, 11) != 1 || queryFeature(feats, 11, 10) != 0 {
+		t.Error("maximal path b-a must appear once, spelled a-b")
 	}
-	if feats[MakeKey([]graph.Label{10, 11})] != nil {
-		t.Error("non-maximal prefix a-b must not be a query feature")
+	if queryFeature(feats, 11, 12) != 1 {
+		t.Error("missing maximal path b-c")
+	}
+	// With maxLen 1 every edge is maximal from both ends, and the two
+	// readings of an edge are one requirement, not two.
+	if feats := QueryFeatures(g, 1); len(feats) != 2 || queryFeature(feats, 10, 11) != 1 || queryFeature(feats, 11, 12) != 1 {
+		t.Errorf("maxLen 1: %v, want a-b and b-c once each", feats)
+	}
+}
+
+// TestQueryFeaturesFoldTakesLargerCount: maximality depends on the end a path
+// is walked from, so a query can spell a path more often one way than the
+// other; the folded feature requires the larger number. In the star below
+// 0-1 is maximal twice walked leaf-ward from the centre, but 1-0 never: from a
+// leaf the walk goes on through the centre.
+func TestQueryFeaturesFoldTakesLargerCount(t *testing.T) {
+	g := graph.MustNew("s", []graph.Label{0, 1, 1}, [][2]int{{0, 1}, {0, 2}})
+	feats := QueryFeatures(g, 4)
+	if len(feats) != 2 || queryFeature(feats, 0, 1) != 2 || queryFeature(feats, 1, 0, 1) != 2 {
+		t.Fatalf("features %v, want 0-1 twice and 1-0-1 twice", feats)
+	}
+	if !slices.IsSortedFunc(feats, func(a, b QueryFeature) int { return slices.Compare(a.Labels, b.Labels) }) {
+		t.Errorf("features %v not in canonical order", feats)
+	}
+	// The triangle 0-1-2 reads 2-1-0 from one end and 0-1-2 from the other,
+	// once each: folded, one requirement of one occurrence.
+	tri := graph.MustNew("t", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}, {0, 2}})
+	if feats := QueryFeatures(tri, 4); len(feats) != 3 || queryFeature(feats, 0, 1, 2) != 1 || queryFeature(feats, 0, 2, 1) != 1 || queryFeature(feats, 1, 0, 2) != 1 {
+		t.Errorf("triangle features %v, want 0-1-2, 0-2-1 and 1-0-2 once each", feats)
 	}
 }
 
@@ -127,59 +145,6 @@ func TestAnswerPipeline(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("Answer = %v, want [0 2]", got)
-	}
-}
-
-func TestMakeKeyPackedRoundTrip(t *testing.T) {
-	seqs := [][]graph.Label{
-		{}, {0}, {0, 0}, {1, 2}, {5, 5, 5}, {4095, 0, 4095}, {1, 2, 3, 4, 5},
-	}
-	for _, s := range seqs {
-		k := MakeKey(s)
-		if k.packed == 0 {
-			t.Errorf("MakeKey(%v) did not pack (str fallback %q)", s, k.str)
-		}
-		got := k.Labels()
-		if len(got) != len(s) {
-			t.Fatalf("Labels() of %v = %v", s, got)
-		}
-		for i := range s {
-			if got[i] != s[i] {
-				t.Fatalf("Labels() of %v = %v", s, got)
-			}
-		}
-	}
-}
-
-func TestMakeKeyFallback(t *testing.T) {
-	big := []graph.Label{4096, 1}           // label beyond 12 bits
-	long := []graph.Label{1, 2, 3, 4, 5, 6} // more than 5 labels
-	for _, s := range [][]graph.Label{big, long} {
-		k := MakeKey(s)
-		if k.packed != 0 || k.str == "" {
-			t.Errorf("MakeKey(%v) = %+v, want string fallback", s, k)
-		}
-		got := k.Labels()
-		for i := range s {
-			if got[i] != s[i] {
-				t.Fatalf("fallback Labels() of %v = %v", s, got)
-			}
-		}
-	}
-}
-
-func TestMakeKeyDistinguishesSequences(t *testing.T) {
-	seqs := [][]graph.Label{
-		{}, {0}, {0, 0}, {0, 0, 0}, {1}, {1, 0}, {0, 1}, {1, 2}, {2, 1},
-		{1, 2, 0}, {4095}, {4095, 4095}, {4096}, {1, 2, 3, 4, 5, 6},
-	}
-	seen := make(map[Key]int)
-	for i, s := range seqs {
-		k := MakeKey(s)
-		if j, dup := seen[k]; dup {
-			t.Errorf("sequences %v and %v share key %+v", seqs[j], s, k)
-		}
-		seen[k] = i
 	}
 }
 

@@ -106,6 +106,7 @@ func newIndex(ds []*graph.Graph, opts Options, trie *index.Trie) *Index {
 	for id, g := range ds {
 		x.verifier[id] = vf2.New(g)
 	}
+	postings, postingBytes := trie.Postings()
 	x.stats = index.Stats{
 		Name:         x.Name(),
 		Kind:         Kind,
@@ -114,6 +115,8 @@ func newIndex(ds []*graph.Graph, opts Options, trie *index.Trie) *Index {
 		Features:     trie.Features(),
 		Nodes:        trie.Nodes(),
 		BuildWorkers: index.PoolWorkers(opts.Pool),
+		Postings:     postings,
+		PostingBytes: postingBytes,
 	}
 	return x
 }
@@ -134,9 +137,9 @@ func (x *Index) Stats() index.Stats { return x.stats }
 func (x *Index) Close() {}
 
 // lookup adapts the trie to the shared filter plumbing.
-func (x *Index) lookup(labels []graph.Label) (index.Postings, bool) {
+func (x *Index) lookup(labels []graph.Label) index.PostingList {
 	posts, _ := x.trie.Lookup(labels)
-	return posts, posts != nil
+	return posts
 }
 
 // Filter implements ftv.Index using presence and frequency pruning over the
@@ -148,7 +151,12 @@ func (x *Index) Filter(q *graph.Graph) []int {
 // FilterStream implements index.Index: surviving graph IDs are emitted
 // incrementally in ascending order.
 func (x *Index) FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error {
-	return index.StreamByFeatures(ctx, len(x.ds), ftv.QueryFeatures(q, x.opts.MaxPathLen), x.lookup, emit)
+	return x.FilterFeatures(ctx, ftv.QueryFeatures(q, x.opts.MaxPathLen), emit)
+}
+
+// FilterFeatures implements index.FeatureFilter.
+func (x *Index) FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, emit func(graphID int) bool) error {
+	return index.StreamByFeatures(ctx, len(x.ds), feats, x.lookup, emit)
 }
 
 // Verify implements ftv.Index: VF2 against the whole stored graph (GGSX

@@ -9,7 +9,6 @@ import (
 
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
-	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/vf2"
 )
 
@@ -36,14 +35,20 @@ func TestBuildAndName(t *testing.T) {
 
 func TestLookupCounts(t *testing.T) {
 	x := Build(smallDataset(), Options{})
-	counts, ok := x.lookup([]graph.Label{0, 1})
 	// g0: edge 0(0)-1(1) one occurrence of (0,1); g1 same; g2: center label
 	// 1 is vertex 0, leaves label 0: path (0,1) = leaf->center occurs 3×.
-	if want := (index.Postings{{Graph: 0, Count: 1}, {Graph: 1, Count: 1}, {Graph: 2, Count: 3}}); !ok || !slices.Equal(counts, want) {
-		t.Errorf("counts(0,1) = %v, want %v", counts, want)
+	var got [][2]int32
+	for c := x.lookup([]graph.Label{0, 1}).Cursor(); c.Next(); {
+		got = append(got, [2]int32{c.Graph(), c.Count()})
 	}
-	if _, ok := x.lookup([]graph.Label{42}); ok {
+	if want := [][2]int32{{0, 1}, {1, 1}, {2, 3}}; !slices.Equal(got, want) {
+		t.Errorf("counts(0,1) = %v, want %v", got, want)
+	}
+	if x.lookup([]graph.Label{42}).Len() != 0 {
 		t.Error("unknown label should have no postings")
+	}
+	if x.lookup([]graph.Label{1, 0}).Len() != 0 {
+		t.Error("(1,0) is (0,1) read backwards and should have no postings of its own")
 	}
 }
 

@@ -96,7 +96,7 @@ type Index struct {
 // overwrite each other's plan and merely recompute.
 type queryPlan struct {
 	q         *graph.Graph
-	feats     map[ftv.Key]*ftv.QueryFeature
+	feats     []ftv.QueryFeature
 	unbounded bool // q has a vertex of degree 0, which no location bounds
 	connected bool
 }
@@ -157,6 +157,7 @@ func newIndex(ds []*graph.Graph, opts Options, trie *index.Trie) *Index {
 		x.vpool = exec.New(opts.Workers)
 	}
 	locs := trie.LocSets()
+	postings, postingBytes := trie.Postings()
 	x.stats = index.Stats{
 		Name:          x.Name(),
 		Kind:          Kind,
@@ -165,6 +166,8 @@ func newIndex(ds []*graph.Graph, opts Options, trie *index.Trie) *Index {
 		Features:      trie.Features(),
 		Nodes:         trie.Nodes(),
 		BuildWorkers:  index.PoolWorkers(opts.Pool),
+		Postings:      postings,
+		PostingBytes:  postingBytes,
 		LocationBytes: locs.Bytes(),
 		LocationRows:  locs.Rows(),
 		LocationLists: locs.Lists(),
@@ -196,9 +199,9 @@ func (x *Index) TrieNodes() int { return x.trie.Nodes() }
 func (x *Index) Stats() index.Stats { return x.stats }
 
 // lookup adapts the trie to the shared filter plumbing.
-func (x *Index) lookup(labels []graph.Label) (index.Postings, bool) {
+func (x *Index) lookup(labels []graph.Label) index.PostingList {
 	posts, _ := x.trie.Lookup(labels)
-	return posts, posts != nil
+	return posts
 }
 
 // Filter implements ftv.Index: a graph survives iff it contains every
@@ -210,7 +213,12 @@ func (x *Index) Filter(q *graph.Graph) []int {
 // FilterStream implements index.Index: surviving graph IDs are emitted
 // incrementally in ascending order.
 func (x *Index) FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error {
-	return index.StreamByFeatures(ctx, len(x.ds), x.plan(q).feats, x.lookup, emit)
+	return x.FilterFeatures(ctx, x.plan(q).feats, emit)
+}
+
+// FilterFeatures implements index.FeatureFilter.
+func (x *Index) FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, emit func(graphID int) bool) error {
+	return index.StreamByFeatures(ctx, len(x.ds), feats, x.lookup, emit)
 }
 
 // scratch is the per-verification working memory, recycled across calls:
@@ -244,8 +252,9 @@ func (x *Index) locate(p *queryPlan, graphID int, s *scratch) bool {
 	sets := x.trie.LocSets()
 	for _, f := range p.feats {
 		posts, locs := x.trie.Lookup(f.Labels)
-		at, ok := posts.Find(graphID)
-		if !ok || posts[at].Count < f.Count {
+		c := posts.Cursor()
+		at, count, ok := c.Seek(int32(graphID))
+		if !ok || count < f.Count {
 			return false
 		}
 		sets.Union(locs[at], s.mask)

@@ -277,29 +277,6 @@ func TestEnumeratePathsRespectsMaxLen(t *testing.T) {
 	}
 }
 
-func TestMaximalPaths(t *testing.T) {
-	// triangle: from each vertex DFS yields maximal paths covering all 3
-	// vertices (cannot extend past 3 since all visited).
-	g := MustNew("tri", []Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}, {0, 2}})
-	paths := g.MaximalPaths(4)
-	if len(paths) == 0 {
-		t.Fatal("expected maximal paths")
-	}
-	for _, p := range paths {
-		if len(p) != 3 {
-			t.Errorf("maximal path %v should span the whole triangle", p)
-		}
-	}
-}
-
-func TestLabelPath(t *testing.T) {
-	g := testGraph(t)
-	lp := g.LabelPath([]int32{0, 1, 2})
-	if len(lp) != 3 || lp[0] != 0 || lp[1] != 1 || lp[2] != 2 {
-		t.Errorf("LabelPath = %v", lp)
-	}
-}
-
 func TestStats(t *testing.T) {
 	g := testGraph(t)
 	s := ComputeStats(g)

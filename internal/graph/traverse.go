@@ -168,48 +168,3 @@ func (w *pathWalker) descend(parent, v int32) bool {
 	w.path = w.path[:depth]
 	return more
 }
-
-// MaximalPaths returns the label sequences of DFS paths that are maximal,
-// i.e. paths that cannot be extended (either every neighbor of the last
-// vertex is already on the path, or the path has reached maxEdges edges).
-// Grapes/GGSX query processing extracts exactly these from the query graph.
-// The returned slices are freshly allocated vertex sequences.
-func (g *Graph) MaximalPaths(maxEdges int) [][]int32 {
-	var out [][]int32
-	onPath := make([]bool, g.N())
-	path := make([]int32, 0, maxEdges+1)
-	var dfs func(v int32)
-	dfs = func(v int32) {
-		onPath[v] = true
-		path = append(path, v)
-		extended := false
-		if len(path) <= maxEdges {
-			for _, w := range g.Neighbors(int(v)) {
-				if !onPath[w] {
-					extended = true
-					dfs(w)
-				}
-			}
-		}
-		if !extended && len(path) > 1 {
-			cp := make([]int32, len(path))
-			copy(cp, path)
-			out = append(out, cp)
-		}
-		path = path[:len(path)-1]
-		onPath[v] = false
-	}
-	for v := 0; v < g.N(); v++ {
-		dfs(int32(v))
-	}
-	return out
-}
-
-// LabelPath converts a vertex path into its label sequence.
-func (g *Graph) LabelPath(path []int32) []Label {
-	out := make([]Label, len(path))
-	for i, v := range path {
-		out[i] = g.labels[v]
-	}
-	return out
-}

@@ -38,9 +38,10 @@ type ExportedFeature struct {
 }
 
 // FeatureExporter is the snapshot capability of an index kind: ExportFeatures
-// visits every indexed feature exactly once, in deterministic order
-// (lexicographically ascending label sequences) with postings in ascending
-// graph-ID order, so the serialized bytes are identical across runs.
+// visits every indexed feature — oriented spellings only (ftv.Oriented) —
+// exactly once, in deterministic order (lexicographically ascending label
+// sequences) with postings in ascending graph-ID order, so the serialized
+// bytes are identical across runs.
 // MaxPathLen reports the indexed path length, persisted so the restored
 // index extracts query features identically.
 type FeatureExporter interface {
@@ -131,7 +132,50 @@ func Restore(kind string, ds []*graph.Graph, maxPathLen int, opts Options, feats
 			}
 		}
 	}
+	feats, err := dropMirrors(kind, feats)
+	if err != nil {
+		return nil, err
+	}
 	return fn(ds, maxPathLen, opts, feats)
+}
+
+// dropMirrors reduces the features of a snapshot written before indexes kept
+// each undirected path under its oriented spelling only (ftv.Oriented) to
+// that form. Such a file holds every path under both spellings, with equal
+// postings; the mirror spelling is dropped — only once it is seen to be one:
+// its oriented twin present, with the same postings, counts and locations. A
+// mirror spelling on its own, or one that disagrees with its twin, is not
+// something any build wrote, and dropping it would turn "this path occurs in
+// these graphs" into "in none", so the file is refused. Features written
+// since are all oriented and pass through untouched.
+func dropMirrors(kind string, feats []ExportedFeature) ([]ExportedFeature, error) {
+	first := slices.IndexFunc(feats, func(f ExportedFeature) bool { return !ftv.Oriented(f.Labels) })
+	if first < 0 {
+		return feats, nil
+	}
+	kept := slices.Clone(feats[:first])
+	var twin []graph.Label
+	for i, f := range feats[first:] {
+		if ftv.Oriented(f.Labels) {
+			kept = append(kept, f)
+			continue
+		}
+		twin = append(twin[:0], f.Labels...)
+		slices.Reverse(twin)
+		at, ok := slices.BinarySearchFunc(feats, twin, func(f ExportedFeature, labels []graph.Label) int {
+			return CompareLabelSeqs(f.Labels, labels)
+		})
+		if !ok {
+			return nil, fmt.Errorf("index: restoring %q: feature %d is a reversed spelling without its oriented twin", kind, first+i)
+		}
+		same := slices.EqualFunc(f.Postings, feats[at].Postings, func(a, b FeaturePosting) bool {
+			return a.GraphID == b.GraphID && a.Count == b.Count && slices.Equal(a.Locations, b.Locations)
+		})
+		if !same {
+			return nil, fmt.Errorf("index: restoring %q: feature %d is a reversed spelling whose postings differ from its oriented twin's", kind, first+i)
+		}
+	}
+	return kept, nil
 }
 
 // CompareLabelSeqs orders label sequences lexicographically (shorter prefix
@@ -162,11 +206,7 @@ func init() {
 // features and postings are stored in the canonical order already.
 func (x *Path) ExportFeatures(visit func(labels []graph.Label, postings []FeaturePosting) error) error {
 	for _, ft := range x.feats {
-		ps := make([]FeaturePosting, len(ft.list))
-		for i, e := range ft.list {
-			ps[i] = FeaturePosting{GraphID: int(e.Graph), Count: e.Count}
-		}
-		if err := visit(ft.labels, ps); err != nil {
+		if err := visit(ft.labels, ft.list.export()); err != nil {
 			return err
 		}
 	}
@@ -187,20 +227,23 @@ func restorePath(ds []*graph.Graph, maxPathLen int, opts Options, feats []Export
 		maxPathLen: maxPathLen,
 		feats:      make([]pathFeature, len(feats)),
 	}
-	nLabels, nPostings := 0, 0
-	for _, f := range feats {
+	sizes := make([]listSize, len(feats))
+	nLabels, nBytes := 0, 0
+	for i, f := range feats {
+		sizes[i] = measure(f.Postings)
 		nLabels += len(f.Labels)
-		nPostings += len(f.Postings)
+		nBytes += sizes[i].bytes()
 	}
 	labelSlab := make([]graph.Label, 0, nLabels)
-	listSlab := make([]Posting, 0, nPostings)
+	listSlab := make([]byte, nBytes)
 	for at, f := range feats {
-		l, p := len(labelSlab), len(listSlab)
+		l := len(labelSlab)
 		labelSlab = append(labelSlab, f.Labels...)
+		ft := pathFeature{labels: labelSlab[l:len(labelSlab):len(labelSlab)], list: carve(&listSlab, sizes[at])}
 		for _, e := range f.Postings {
-			listSlab = append(listSlab, Posting{Graph: int32(e.GraphID), Count: e.Count})
+			ft.list.push(int32(e.GraphID), e.Count)
 		}
-		x.feats[at] = pathFeature{labels: labelSlab[l:len(labelSlab):len(labelSlab)], list: listSlab[p:len(listSlab):len(listSlab)]}
+		x.feats[at] = ft
 	}
 	x.finish(ds, time.Since(start), opts.Pool)
 	return x, nil

@@ -88,6 +88,88 @@ func TestExportRestoreParityAllKinds(t *testing.T) {
 	}
 }
 
+// withMirrors turns an export into what a build wrote before indexes kept each
+// path under its oriented spelling only: every feature that is not a
+// palindrome appears a second time, reversed, with the same postings.
+func withMirrors(feats []index.ExportedFeature) []index.ExportedFeature {
+	out := slices.Clone(feats)
+	for _, f := range feats {
+		mirror := slices.Clone(f.Labels)
+		slices.Reverse(mirror)
+		if !slices.Equal(mirror, f.Labels) {
+			out = append(out, index.ExportedFeature{Labels: mirror, Postings: f.Postings})
+		}
+	}
+	slices.SortFunc(out, func(a, b index.ExportedFeature) int { return index.CompareLabelSeqs(a.Labels, b.Labels) })
+	return out
+}
+
+// TestRestoreFoldsBothSpellings: features exported before orientation hold
+// every path under both spellings. Restore keeps the oriented one — the
+// restored index is the one today's export restores to — but only where the
+// reversed spelling is seen to be a mirror: one whose oriented twin is missing,
+// or has other postings, counts or locations, is refused, since dropping it
+// would answer "in no graph" for a path the file says occurs.
+func TestRestoreFoldsBothSpellings(t *testing.T) {
+	ds := randomDataset(rand.New(rand.NewSource(11)), 6, 9, 3)
+	for _, kind := range index.Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			x, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer x.Close()
+			feats, maxLen, err := index.Export(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := withMirrors(feats)
+			if len(old) <= len(feats) {
+				t.Fatal("no feature has a mirror; the test needs some")
+			}
+			y, err := index.Restore(kind, ds, maxLen, index.Options{}, old)
+			if err != nil {
+				t.Fatalf("restoring a both-spellings export: %v", err)
+			}
+			defer y.Close()
+			if back, _, err := index.Export(y); err != nil || !reflect.DeepEqual(back, feats) {
+				t.Fatalf("a both-spellings export restores to %d features, today's export has %d (%v)", len(back), len(feats), err)
+			}
+			// A reversed spelling to break, and its oriented twin.
+			rev := slices.IndexFunc(old, func(f index.ExportedFeature) bool {
+				return f.Labels[0] > f.Labels[len(f.Labels)-1] && len(f.Postings) > 0
+			})
+			twin := slices.IndexFunc(old, func(f index.ExportedFeature) bool {
+				mirror := slices.Clone(f.Labels)
+				slices.Reverse(mirror)
+				return slices.Equal(mirror, old[rev].Labels)
+			})
+			broken := func(edit func(ps []index.FeaturePosting) []index.FeaturePosting) []index.ExportedFeature {
+				bad := slices.Clone(old)
+				bad[rev].Postings = edit(slices.Clone(bad[rev].Postings))
+				return bad
+			}
+			for name, bad := range map[string][]index.ExportedFeature{
+				"twin missing": slices.Delete(slices.Clone(old), twin, twin+1),
+				"count differs": broken(func(ps []index.FeaturePosting) []index.FeaturePosting {
+					ps[0].Count++
+					return ps
+				}),
+				"shorter list": broken(func(ps []index.FeaturePosting) []index.FeaturePosting { return ps[1:] }),
+				"other locations": broken(func(ps []index.FeaturePosting) []index.FeaturePosting {
+					ps[0].Locations = []int32{0} // a path touches two vertices at least
+					return ps
+				}),
+			} {
+				if z, err := index.Restore(kind, ds, maxLen, index.Options{}, bad); err == nil {
+					z.Close()
+					t.Errorf("%s: restored; a reversed spelling that is not a mirror must be refused", name)
+				}
+			}
+		})
+	}
+}
+
 func TestExportUnsupportedKind(t *testing.T) {
 	ds := randomDataset(rand.New(rand.NewSource(1)), 4, 6, 2)
 	x, err := index.BuildSharded(context.Background(), index.KindPath, ds, index.Options{Shards: 2})
@@ -351,12 +433,11 @@ func TestCompareLabelSeqs(t *testing.T) {
 	}
 }
 
-// TestExportKeyFallback takes labels beyond the 12-bit range ftv.Key packs
-// (the form query features are keyed by) through build, export, restore and
-// lookup: the index stores and compares whole label sequences, so wide
-// labels must round-trip like narrow ones.
-func TestExportKeyFallback(t *testing.T) {
-	big := graph.Label(1 << 13) // exceeds the packed-key label width
+// TestExportWideLabels takes labels wider than a byte or two through build,
+// export, restore and lookup: the index stores and compares whole label
+// sequences, so wide labels must round-trip like narrow ones.
+func TestExportWideLabels(t *testing.T) {
+	big := graph.Label(1 << 13)
 	g := graph.MustNew("big", []graph.Label{big, big + 1}, [][2]int{{0, 1}})
 	ds := []*graph.Graph{g}
 	x, err := index.Build(context.Background(), index.KindPath, ds, index.Options{MaxPathLen: 2})
@@ -380,6 +461,6 @@ func TestExportKeyFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("fallback-key restore diverged: %v != %v", got, want)
+		t.Fatalf("wide-label restore diverged: %v != %v", got, want)
 	}
 }

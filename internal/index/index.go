@@ -19,9 +19,7 @@
 package index
 
 import (
-	"cmp"
 	"context"
-	"slices"
 	"sync"
 	"time"
 
@@ -79,7 +77,8 @@ type Stats struct {
 	Graphs int `json:"graphs"`
 	// MaxPathLen is the maximum indexed path length in edges.
 	MaxPathLen int `json:"max_path_len"`
-	// Features is the number of distinct indexed path features.
+	// Features is the number of distinct indexed path features: undirected
+	// label paths, each stored under its oriented spelling only.
 	Features int `json:"features"`
 	// Nodes is the size of the backing structure (trie/suffix-trie nodes,
 	// or array entries for the flat path index).
@@ -91,6 +90,11 @@ type Stats struct {
 	BuildTime time.Duration `json:"build_ns"`
 	// BuildWorkers is the extraction parallelism the build ran with.
 	BuildWorkers int `json:"build_workers"`
+	// Postings is the number of (feature, graph) occurrence counts stored,
+	// and PostingBytes the bytes of the packed lists holding them, skip
+	// tables included; a Sharded index reports its shards' sums.
+	Postings     int64 `json:"postings"`
+	PostingBytes int64 `json:"posting_bytes"`
 	// LocationBytes is the memory held by the location sets of a kind that
 	// keeps them (Grapes): the row slab, the list slab and one 4-byte
 	// reference per posting. LocationRows and LocationLists count the sets
@@ -128,38 +132,17 @@ type Options struct {
 	Shards int
 }
 
-// Posting is one entry of a feature's posting list: the feature occurs
-// Count times in dataset graph Graph.
-type Posting struct {
-	Graph int32
-	Count int32
-}
-
-// Postings is one path feature's per-graph occurrence counts in ascending
-// graph-ID order — the common shape the shared filter logic consumes
-// regardless of whether the backing structure is a trie (Grapes, GGSX) or a
-// flat sorted array (FTV). Builds fold graphs in ID order, so the lists are
-// born sorted.
-type Postings []Posting
-
-// Find returns the position of graphID's entry by binary search; ok is
-// false when the feature does not occur in that graph.
-func (p Postings) Find(graphID int) (int, bool) {
-	return slices.BinarySearchFunc(p, graphID, func(e Posting, id int) int {
-		return cmp.Compare(int(e.Graph), id)
-	})
-}
-
-// LookupFunc resolves one query feature's postings; ok is false when the
+// LookupFunc resolves one query feature's postings — labels is an oriented
+// spelling, the only kind indexed (ftv.Oriented); the list is empty when the
 // label sequence is absent from every indexed graph.
-type LookupFunc func(labels []graph.Label) (Postings, bool)
+type LookupFunc func(labels []graph.Label) PostingList
 
 // FilterByFeatures is the presence-and-frequency pruning every path index
 // shares: a graph survives iff it contains each query feature at least as
 // often as the query does. Results are ascending graph IDs; an empty feature
 // set (edgeless query) keeps every graph. It is the collecting form of
 // StreamByFeatures.
-func FilterByFeatures(nGraphs int, feats map[ftv.Key]*ftv.QueryFeature, lookup LookupFunc) []int {
+func FilterByFeatures(nGraphs int, feats []ftv.QueryFeature, lookup LookupFunc) []int {
 	var out []int
 	// The background context never cancels, so the error is always nil.
 	_ = StreamByFeatures(context.Background(), nGraphs, feats, lookup, func(id int) bool {
@@ -175,7 +158,7 @@ func FilterByFeatures(nGraphs int, feats map[ftv.Key]*ftv.QueryFeature, lookup L
 // driven by the rarest feature's, so per-graph work is bounded by the
 // feature count. emit returning false abandons the scan; ctx cancellation
 // ends it with the context's error.
-func StreamByFeatures(ctx context.Context, nGraphs int, feats map[ftv.Key]*ftv.QueryFeature, lookup LookupFunc, emit func(graphID int) bool) error {
+func StreamByFeatures(ctx context.Context, nGraphs int, feats []ftv.QueryFeature, lookup LookupFunc, emit func(graphID int) bool) error {
 	if len(feats) == 0 {
 		// No path features (edgeless query): every graph is a candidate.
 		for id := 0; id < nGraphs; id++ {
@@ -189,28 +172,26 @@ func StreamByFeatures(ctx context.Context, nGraphs int, feats map[ftv.Key]*ftv.Q
 		return nil
 	}
 	type need struct {
-		list Postings
-		min  int32
-		next int // merge cursor: entries before it are below every remaining candidate
+		cur Cursor
+		min int32
 	}
-	needs := make([]need, 0, len(feats))
-	for _, f := range feats {
-		p, ok := lookup(f.Labels)
-		if !ok || len(p) == 0 {
+	needs := make([]need, len(feats))
+	// Drive the scan with the rarest feature's list; it ascends, so every
+	// other list is read by a cursor that only moves forward.
+	driver, shortest := 0, 0
+	for i, f := range feats {
+		p := lookup(f.Labels)
+		if p.Len() == 0 {
 			return nil // feature absent everywhere: no candidates
 		}
-		needs = append(needs, need{list: p, min: f.Count})
-	}
-	// Drive the scan with the rarest feature's list; it ascends, so every
-	// other list is consumed by a cursor that only moves forward.
-	driver := 0
-	for i, n := range needs {
-		if len(n.list) < len(needs[driver].list) {
-			driver = i
+		needs[i] = need{cur: p.Cursor(), min: f.Count}
+		if i == 0 || p.Len() < shortest {
+			driver, shortest = i, p.Len()
 		}
 	}
-	for _, d := range needs[driver].list {
-		if d.Count < needs[driver].min {
+	d := &needs[driver]
+	for d.cur.Next() {
+		if d.cur.Count() < d.min {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
@@ -218,21 +199,20 @@ func StreamByFeatures(ctx context.Context, nGraphs int, feats map[ftv.Key]*ftv.Q
 		}
 		ok := true
 		for i := range needs {
-			n := &needs[i]
 			if i == driver {
 				continue
 			}
-			at, _ := n.list[n.next:].Find(int(d.Graph))
-			n.next += at
-			if n.next == len(n.list) {
+			n := &needs[i]
+			_, count, found := n.cur.Seek(d.cur.Graph())
+			if n.cur.Done() {
 				return nil // a required feature occurs in no graph from here on
 			}
-			if e := n.list[n.next]; e.Graph != d.Graph || e.Count < n.min {
+			if !found || count < n.min {
 				ok = false
 				break
 			}
 		}
-		if ok && !emit(int(d.Graph)) {
+		if ok && !emit(int(d.cur.Graph())) {
 			return nil
 		}
 	}

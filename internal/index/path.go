@@ -1,7 +1,8 @@
 package index
 
 // The path-based FTV baseline: the simplest member of the portfolio. It
-// stores every extracted path feature in one flat array sorted by label
+// stores every extracted path feature — an undirected label path under its
+// oriented spelling (ftv.Oriented) — in one flat array sorted by label
 // sequence — no trie, no locations — and verifies candidates with VF2
 // against the whole stored graph. Its filtering power is identical to GGSX
 // (both count all ≤maxLen paths); what differs is the storage layout and
@@ -36,10 +37,10 @@ type Path struct {
 	ds         []*graph.Graph
 	maxPathLen int
 	// feats holds the indexed features in canonical (lexicographic label
-	// sequence) order, each with its posting list ascending by graph ID —
-	// the order the snapshot export promises, so exporting is a plain walk
-	// and a lookup is a binary search. Immutable: WithGraph derives a new
-	// array, sharing the lists it does not touch.
+	// sequence) order, each with its packed posting list — the order the
+	// snapshot export promises, so exporting is a plain walk and a lookup is
+	// a binary search. Immutable: WithGraph derives a new array, sharing the
+	// lists it does not touch.
 	feats    []pathFeature
 	verifier []*vf2.Matcher // per-graph VF2 matcher with prebuilt label index
 	stats    Stats
@@ -47,7 +48,7 @@ type Path struct {
 
 type pathFeature struct {
 	labels []graph.Label
-	list   Postings
+	list   PostingList
 }
 
 // BuildPath constructs the flat path index through the build pipeline —
@@ -64,62 +65,64 @@ func BuildPath(ctx context.Context, ds []*graph.Graph, opts Options) (*Path, err
 // foldPath is the flat index's fold, the BuildFunc registered under KindPath
 // with the static type kept. The first pass interns every (graph, feature)
 // pair to a dense slot — through ftv.LabelTrie, the extractor's own interner,
-// at one probe per label — and sizes the posting lists; the interner's
+// at one probe per label — and measures the posting lists; the interner's
 // canonical walk then lays out the features, carving the label sequences and
 // the lists from one slab each; the second pass fills the lists graph by
 // graph, which leaves them ascending with no sort and no spare capacity.
-// (Measured on the benchmark's 300 × 50-vertex, 8-label dataset, 3.1 M
-// postings: the fold is about a third of an ftv build's wall time on two
-// cores, interning under half of the fold. The graphs' features arrive
-// sorted, so a k-way merge would group them with no table at all, but at
-// postings × log₂ graphs sequence comparisons it does more work than the
-// five probes a posting costs here.)
+// (Measured on the benchmark's 300 × 50-vertex, 8-label dataset, 1.57 M
+// postings at 2.0 bytes each: the fold is about a fifth of an ftv build's
+// wall time on two cores, interning about half of the fold. The graphs'
+// features arrive sorted, so a k-way merge would group them with no table at
+// all, but at postings × log₂ graphs sequence comparisons it does more work
+// than the five probes a posting costs here.)
 func foldPath(ds []*graph.Graph, ex Extraction, opts Options) *Path {
 	start := time.Now()
 	var (
 		seqs    = ftv.NewLabelTrie()
-		lens    []int32 // per trie slot: graphs its sequence occurs in
-		slotOf  []int32 // per (graph, feature) pair, in fold order
+		sizes   []listSize // per trie slot: the list of its sequence
+		slotOf  []int32    // per (graph, feature) pair, in fold order
 		nFeats  int
 		nLabels int
+		nBytes  int
 	)
-	for _, f := range ex.Features {
+	for g, f := range ex.Features {
 		for i := 0; i < f.Len(); i++ {
 			s := seqs.Slot(f.Labels(i))
-			for len(lens) < seqs.Len() {
-				lens = append(lens, 0)
+			for len(sizes) < seqs.Len() {
+				sizes = append(sizes, listSize{})
 			}
-			if lens[s] == 0 {
+			if sizes[s].n == 0 {
 				nFeats++
 				nLabels += len(f.Labels(i))
 			}
-			lens[s]++
+			sizes[s].add(int32(g), f.Count(i))
 			slotOf = append(slotOf, s)
 		}
+	}
+	for _, z := range sizes {
+		nBytes += z.bytes()
 	}
 	x := &Path{
 		ds:         ds,
 		maxPathLen: opts.MaxPathLen,
 		feats:      make([]pathFeature, 0, nFeats),
 	}
-	at := make([]int32, len(lens)) // trie slot → position in feats
+	at := make([]int32, len(sizes)) // trie slot → position in feats
 	labelSlab := make([]graph.Label, 0, nLabels)
-	listSlab := make([]Posting, len(slotOf))
+	listSlab := make([]byte, nBytes)
 	seqs.Walk(func(s int32, labels []graph.Label) {
-		if lens[s] == 0 {
+		if sizes[s].n == 0 {
 			return // a proper prefix of features, not one itself
 		}
 		at[s] = int32(len(x.feats))
 		from := len(labelSlab)
 		labelSlab = append(labelSlab, labels...)
-		x.feats = append(x.feats, pathFeature{labels: labelSlab[from:len(labelSlab):len(labelSlab)], list: listSlab[:0:lens[s]]})
-		listSlab = listSlab[lens[s]:]
+		x.feats = append(x.feats, pathFeature{labels: labelSlab[from:len(labelSlab):len(labelSlab)], list: carve(&listSlab, sizes[s])})
 	})
 	next := 0
 	for g, f := range ex.Features {
 		for i := 0; i < f.Len(); i++ {
-			ft := &x.feats[at[slotOf[next]]]
-			ft.list = append(ft.list, Posting{Graph: int32(g), Count: f.Count(i)})
+			x.feats[at[slotOf[next]]].list.push(int32(g), f.Count(i))
 			next++
 		}
 	}
@@ -142,6 +145,16 @@ func (x *Path) finish(ds []*graph.Graph, buildTime time.Duration, pool *exec.Poo
 		Nodes:        len(x.feats),
 		BuildTime:    buildTime,
 		BuildWorkers: PoolWorkers(pool),
+	}
+	x.countPostings()
+}
+
+// countPostings sets the statistics of the lists as they stand.
+func (x *Path) countPostings() {
+	x.stats.Postings, x.stats.PostingBytes = 0, 0
+	for _, ft := range x.feats {
+		x.stats.Postings += int64(ft.list.Len())
+		x.stats.PostingBytes += int64(ft.list.Bytes())
 	}
 }
 
@@ -177,12 +190,12 @@ func (x *Path) find(labels []graph.Label) (int, bool) {
 	})
 }
 
-func (x *Path) lookup(labels []graph.Label) (Postings, bool) {
+func (x *Path) lookup(labels []graph.Label) PostingList {
 	at, ok := x.find(labels)
 	if !ok {
-		return nil, false
+		return PostingList{}
 	}
-	return x.feats[at].list, true
+	return x.feats[at].list
 }
 
 // Filter implements ftv.Index via the shared presence/frequency pruning.
@@ -192,13 +205,18 @@ func (x *Path) Filter(q *graph.Graph) []int {
 
 // FilterStream implements Index.
 func (x *Path) FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error {
-	return StreamByFeatures(ctx, len(x.ds), ftv.QueryFeatures(q, x.maxPathLen), x.lookup, emit)
+	return x.FilterFeatures(ctx, ftv.QueryFeatures(q, x.maxPathLen), emit)
+}
+
+// FilterFeatures implements FeatureFilter.
+func (x *Path) FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, emit func(graphID int) bool) error {
+	return StreamByFeatures(ctx, len(x.ds), feats, x.lookup, emit)
 }
 
 // WithGraph implements Inserter: a copy-on-write append. Only the new
 // graph's features are extracted; the posting lists of features it touches
-// are re-allocated one entry longer — the appended graph has the largest ID,
-// so they stay ascending — and every other list and the label sequences are
+// are re-allocated one posting longer — the appended graph has the largest
+// ID, so they stay ascending — and every other list and the label sequences are
 // shared with the receiver, which is never mutated: queries racing against
 // the old index keep a consistent view. The copy is O(features),
 // far below the path enumeration a rebuild pays, which is what makes
@@ -218,12 +236,10 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
 	}
 	var fresh []pathFeature // features new to the index, in canonical order
 	for i := 0; i < f.Len(); i++ {
-		entry := Posting{Graph: id, Count: f.Count(i)}
 		if at, ok := x.find(f.Labels(i)); ok {
-			old := x.feats[at].list
-			nx.feats[at].list = append(append(make(Postings, 0, len(old)+1), old...), entry)
+			nx.feats[at].list = x.feats[at].list.with(id, f.Count(i))
 		} else {
-			fresh = append(fresh, pathFeature{labels: slices.Clone(f.Labels(i)), list: Postings{entry}})
+			fresh = append(fresh, pathFeature{labels: slices.Clone(f.Labels(i)), list: PostingList{}.with(id, f.Count(i))})
 		}
 	}
 	if len(fresh) > 0 {
@@ -243,6 +259,7 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
 	nx.stats.Features = len(nx.feats)
 	nx.stats.Nodes = len(nx.feats)
 	nx.stats.BuildTime = time.Since(start)
+	nx.countPostings()
 	return nx, nil
 }
 

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 )
 
@@ -40,6 +41,19 @@ type Sharded struct {
 	shards []Index
 	k      int
 	stats  Stats
+	// byFeatures holds the shards as FeatureFilters when every one is, at
+	// one path length: a query's features are then extracted once for all
+	// of them. Nil otherwise, and every shard filters from the query itself.
+	byFeatures []FeatureFilter
+}
+
+// FeatureFilter is the capability of the path-feature kinds a Sharded index
+// uses to extract a query's features once rather than once per shard:
+// FilterFeatures is FilterStream from ftv.QueryFeatures(q, MaxPathLen())
+// instead of from q.
+type FeatureFilter interface {
+	MaxPathLen() int
+	FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, emit func(graphID int) bool) error
 }
 
 // ShardOf returns the shard owning global graph ID g under K-way round-robin
@@ -96,11 +110,21 @@ func NewShardedFrom(ds []*graph.Graph, kind string, subs []Index) *Sharded {
 		x.stats.Features += st.Features
 		x.stats.Nodes += st.Nodes
 		x.stats.BuildTime += st.BuildTime
+		x.stats.Postings += st.Postings
+		x.stats.PostingBytes += st.PostingBytes
 		x.stats.LocationBytes += st.LocationBytes
 		x.stats.LocationRows += st.LocationRows
 		x.stats.LocationLists += st.LocationLists
 		x.stats.BuildWorkers = st.BuildWorkers
 		x.stats.Shards = append(x.stats.Shards, st)
+	}
+	for _, sub := range subs {
+		ff, ok := sub.(FeatureFilter)
+		if !ok || ff.MaxPathLen() != x.stats.MaxPathLen {
+			x.byFeatures = nil
+			break
+		}
+		x.byFeatures = append(x.byFeatures, ff)
 	}
 	return x
 }
@@ -146,9 +170,20 @@ func (x *Sharded) Filter(q *graph.Graph) []int {
 		return x.shards[0].Filter(q)
 	}
 	var out []int
-	for s, sub := range x.shards {
-		for _, local := range sub.Filter(q) {
-			out = append(out, s+local*x.k)
+	if x.byFeatures == nil {
+		for s, sub := range x.shards {
+			for _, local := range sub.Filter(q) {
+				out = append(out, s+local*x.k)
+			}
+		}
+	} else {
+		feats := ftv.QueryFeatures(q, x.stats.MaxPathLen)
+		for s, sub := range x.byFeatures {
+			// The background context never cancels, so the error is always nil.
+			_ = sub.FilterFeatures(context.Background(), feats, func(local int) bool {
+				out = append(out, s+local*x.k)
+				return true
+			})
 		}
 	}
 	sort.Ints(out)
@@ -171,6 +206,10 @@ func (x *Sharded) FilterStream(ctx context.Context, q *graph.Graph, emit func(gr
 	defer cancel()
 	chans := make([]chan int, x.k)
 	errs := make([]error, x.k) // written before the shard's channel close, read after
+	var feats []ftv.QueryFeature
+	if x.byFeatures != nil {
+		feats = ftv.QueryFeatures(q, x.stats.MaxPathLen)
+	}
 	var wg sync.WaitGroup
 	for s := range x.shards {
 		chans[s] = make(chan int, shardStreamBuf)
@@ -178,14 +217,19 @@ func (x *Sharded) FilterStream(ctx context.Context, q *graph.Graph, emit func(gr
 		go func(s int) {
 			defer wg.Done()
 			defer close(chans[s])
-			errs[s] = x.shards[s].FilterStream(mctx, q, func(local int) bool {
+			emit := func(local int) bool {
 				select {
 				case chans[s] <- s + local*x.k:
 					return true
 				case <-mctx.Done():
 					return false
 				}
-			})
+			}
+			if x.byFeatures != nil {
+				errs[s] = x.byFeatures[s].FilterFeatures(mctx, feats, emit)
+			} else {
+				errs[s] = x.shards[s].FilterStream(mctx, q, emit)
+			}
 		}(s)
 	}
 	// The merge itself: hold one pending head per live shard, repeatedly

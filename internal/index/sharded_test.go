@@ -123,6 +123,9 @@ func TestShardedBuildShape(t *testing.T) {
 	if sum := st.Shards[0].Features + st.Shards[1].Features; sum != st.Features {
 		t.Errorf("aggregate Features = %d, want per-shard sum %d", st.Features, sum)
 	}
+	if n, bytes := st.Shards[0].Postings+st.Shards[1].Postings, st.Shards[0].PostingBytes+st.Shards[1].PostingBytes; n != st.Postings || bytes != st.PostingBytes || n == 0 || bytes < 2*n {
+		t.Errorf("aggregate postings = %d in %d bytes, per-shard sums %d in %d", st.Postings, st.PostingBytes, n, bytes)
+	}
 
 	// Oversized K clamps to the dataset size; every shard owns one graph.
 	big, err := index.BuildSharded(context.Background(), index.KindPath, ds, index.Options{Shards: 64})
@@ -141,6 +144,46 @@ func TestShardedBuildShape(t *testing.T) {
 	}
 	if _, err := sh.Verify(context.Background(), q, -1); err == nil {
 		t.Error("Verify(-1) = nil error")
+	}
+}
+
+// opaque hides every capability of an index but the contract.
+type opaque struct{ index.Index }
+
+// TestShardedOverOpaqueShards: a Sharded index extracts a query's features
+// once and hands them to shards that take them (index.FeatureFilter); shards
+// that do not — any other implementation of the contract — filter from the
+// query itself, to the same candidates.
+func TestShardedOverOpaqueShards(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	ds := randomDataset(r, 9, 10, 2)
+	queries := []*graph.Graph{extractQuery(r, ds[0], 3), extractQuery(r, ds[5], 4), graph.MustNew("edgeless", []graph.Label{0}, nil)}
+	for _, kind := range index.Kinds() {
+		grid, err := index.BuildGrid(context.Background(), []string{kind}, ds, index.Options{MaxPathLen: fuzzMaxPathLen, Shards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hidden := make([]index.Index, len(grid[0]))
+		for s, sub := range grid[0] {
+			if _, ok := sub.(index.FeatureFilter); !ok {
+				t.Fatalf("%s does not take extracted query features", kind)
+			}
+			hidden[s] = opaque{sub}
+		}
+		direct, wrapped := index.NewShardedFrom(ds, kind, grid[0]), index.NewShardedFrom(ds, kind, hidden)
+		for qi, q := range queries {
+			want := direct.Filter(q)
+			if got := wrapped.Filter(q); !sameInts(got, want) {
+				t.Errorf("%s q%d: opaque shards filter to %v, feature-taking ones to %v", kind, qi, got, want)
+			}
+			for name, x := range map[string]*index.Sharded{"direct": direct, "opaque": wrapped} {
+				var got []int
+				if err := x.FilterStream(context.Background(), q, func(id int) bool { got = append(got, id); return true }); err != nil || !sameInts(got, want) {
+					t.Errorf("%s q%d: %s FilterStream = %v, %v; want %v", kind, qi, name, got, err, want)
+				}
+			}
+		}
+		direct.Close()
 	}
 }
 

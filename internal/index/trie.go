@@ -2,15 +2,16 @@ package index
 
 // Trie is the label-path trie Grapes and GGSX keep their features in: the
 // path from the root to a node spells a label sequence, and a node whose
-// sequence is an indexed feature carries that feature's posting list —
-// ascending by graph ID, like every posting list — and, for Grapes, the
-// parallel list of references to the postings' location sets, which the trie
-// holds in one ftv.LocSets. A node's children are kept ascending by
-// label, so a preorder walk visits the features in the snapshot format's
-// canonical order without sorting anything. (GGSX's suffix trie is this same
-// structure: every suffix of an enumerated path is itself an enumerated
-// path, so inserting all path features yields exact counts at inner nodes.)
-// Immutable once built.
+// sequence is an indexed feature — an oriented spelling (ftv.Oriented); a
+// node whose sequence is only the prefix of one carries nothing — has that
+// feature's packed posting list and, for Grapes, the parallel list of
+// references to the postings' location sets, which the trie holds in one
+// ftv.LocSets. A node's children are kept ascending by label, so a preorder
+// walk visits the features in the snapshot format's canonical order without
+// sorting anything. (GGSX's suffix trie is this same structure: every suffix
+// of an enumerated path is itself an enumerated path, so inserting all path
+// features yields exact counts at the nodes that carry any.) Immutable once
+// built.
 
 import (
 	"slices"
@@ -21,17 +22,19 @@ import (
 
 // Trie is built by FoldTrie or RestoreTrie.
 type Trie struct {
-	nodes    []trieNode // nodes[0] is the root
-	features int        // nodes carrying postings
-	ds       []*graph.Graph
-	locs     ftv.LocSets
+	nodes        []trieNode // nodes[0] is the root
+	features     int        // nodes carrying postings
+	postings     int64      // over all nodes
+	postingBytes int64
+	ds           []*graph.Graph
+	locs         ftv.LocSets
 }
 
 type trieNode struct {
 	labels []graph.Label // the children's labels, ascending
 	kids   []int32       // parallel to labels: positions in Trie.nodes
-	posts  Postings
-	locs   []ftv.LocRef // parallel to posts: sets in Trie.locs; nil without locations
+	posts  PostingList
+	locs   []ftv.LocRef // posts' sets in Trie.locs, by ordinal; nil without locations
 }
 
 // node returns the position of the node spelling labels, creating the nodes
@@ -54,7 +57,7 @@ func (t *Trie) node(labels []graph.Label) int32 {
 
 // FoldTrie builds the trie over graphs ds from their extracted features,
 // feats[g] being ds[g]'s. The first pass finds or creates every feature's
-// node and sizes its posting list; the lists are then carved from one slab
+// node and measures its posting list; the lists are then carved from one slab
 // and filled graph by graph, which leaves them ascending with no sort and no
 // spare capacity. withLocations keeps the features' location sets: each
 // graph's slab is appended to the trie's as it is, so a set keeps the form
@@ -62,20 +65,24 @@ func (t *Trie) node(labels []graph.Label) int32 {
 func FoldTrie(ds []*graph.Graph, feats []*ftv.Features, withLocations bool) *Trie {
 	t := &Trie{nodes: make([]trieNode, 1), ds: ds}
 	var (
-		nodeOf []int32 // per (graph, feature) pair, in fold order
-		lens   []int32 // per node: graphs its sequence occurs in
+		nodeOf []int32    // per (graph, feature) pair, in fold order
+		sizes  []listSize // per node: the list of its sequence
 	)
-	for _, f := range feats {
+	for g, f := range feats {
 		for i := 0; i < f.Len(); i++ {
 			at := t.node(f.Labels(i))
-			for len(lens) < len(t.nodes) {
-				lens = append(lens, 0)
+			for len(sizes) < len(t.nodes) {
+				sizes = append(sizes, listSize{})
 			}
-			lens[at]++
+			sizes[at].add(int32(g), f.Count(i))
 			nodeOf = append(nodeOf, at)
 		}
 	}
-	postSlab := make([]Posting, len(nodeOf))
+	for _, z := range sizes {
+		t.postingBytes += int64(z.bytes())
+	}
+	t.postings = int64(len(nodeOf))
+	postSlab := make([]byte, t.postingBytes)
 	var refSlab []ftv.LocRef
 	if withLocations {
 		refSlab = make([]ftv.LocRef, len(nodeOf))
@@ -94,16 +101,16 @@ func FoldTrie(ds []*graph.Graph, feats []*ftv.Features, withLocations bool) *Tri
 		}
 		for i := 0; i < f.Len(); i++ {
 			n := &t.nodes[nodeOf[next]]
-			if n.posts == nil {
-				size := lens[nodeOf[next]]
-				n.posts, postSlab = postSlab[:0:size], postSlab[size:]
+			if n.posts.Len() == 0 {
+				z := sizes[nodeOf[next]]
+				n.posts = carve(&postSlab, z)
 				if withLocations {
-					n.locs, refSlab = refSlab[:0:size], refSlab[size:]
+					n.locs, refSlab = refSlab[:0:z.n], refSlab[z.n:]
 				}
 				t.features++
 			}
 			next++
-			n.posts = append(n.posts, Posting{Graph: int32(g), Count: f.Count(i)})
+			n.posts.push(int32(g), f.Count(i))
 			if withLocations {
 				n.locs = append(n.locs, f.LocRef(i).Shifted(rowBase, listBase))
 			}
@@ -120,9 +127,12 @@ func FoldTrie(ds []*graph.Graph, feats []*ftv.Features, withLocations bool) *Tri
 // its graph takes (ftv.RowForm) — the same one the extraction gave it.
 func RestoreTrie(ds []*graph.Graph, feats []ExportedFeature, withLocations bool) *Trie {
 	t := &Trie{nodes: make([]trieNode, 1), features: len(feats), ds: ds}
-	total, rowWords, listIDs := 0, 0, 0
-	for _, f := range feats {
-		total += len(f.Postings)
+	sizes := make([]listSize, len(feats))
+	rowWords, listIDs := 0, 0
+	for i, f := range feats {
+		sizes[i] = measure(f.Postings)
+		t.postings += int64(len(f.Postings))
+		t.postingBytes += int64(sizes[i].bytes())
 		if !withLocations {
 			continue
 		}
@@ -134,22 +144,22 @@ func RestoreTrie(ds []*graph.Graph, feats []ExportedFeature, withLocations bool)
 			}
 		}
 	}
-	postSlab := make([]Posting, 0, total)
+	postSlab := make([]byte, t.postingBytes)
 	var refSlab []ftv.LocRef
 	if withLocations {
-		refSlab = make([]ftv.LocRef, 0, total)
+		refSlab = make([]ftv.LocRef, 0, t.postings)
 		t.locs.Reserve(rowWords, listIDs)
 	}
-	for _, f := range feats {
+	for i, f := range feats {
 		n := &t.nodes[t.node(f.Labels)]
-		from := len(postSlab)
+		n.posts = carve(&postSlab, sizes[i])
+		from := len(refSlab)
 		for _, p := range f.Postings {
-			postSlab = append(postSlab, Posting{Graph: int32(p.GraphID), Count: p.Count})
+			n.posts.push(int32(p.GraphID), p.Count)
 			if withLocations {
 				refSlab = append(refSlab, t.locs.AppendList(p.Locations, ftv.Words(ds[p.GraphID].N())))
 			}
 		}
-		n.posts = postSlab[from:len(postSlab):len(postSlab)]
 		if withLocations {
 			n.locs = refSlab[from:len(refSlab):len(refSlab)]
 		}
@@ -158,14 +168,14 @@ func RestoreTrie(ds []*graph.Graph, feats []ExportedFeature, withLocations bool)
 }
 
 // Lookup returns the posting list of an exact label sequence and, for a trie
-// with locations, the parallel references into LocSets; posts is nil when the
-// sequence is not an indexed feature.
-func (t *Trie) Lookup(labels []graph.Label) (posts Postings, locs []ftv.LocRef) {
+// with locations, the references into LocSets, indexed by a posting's ordinal
+// in the list; posts is empty when the sequence is not an indexed feature.
+func (t *Trie) Lookup(labels []graph.Label) (posts PostingList, locs []ftv.LocRef) {
 	n := &t.nodes[0]
 	for _, l := range labels {
 		i, ok := slices.BinarySearch(n.labels, l)
 		if !ok {
-			return nil, nil
+			return PostingList{}, nil
 		}
 		n = &t.nodes[n.kids[i]]
 	}
@@ -182,6 +192,10 @@ func (t *Trie) Nodes() int { return len(t.nodes) }
 // Features reports the number of distinct indexed label sequences.
 func (t *Trie) Features() int { return t.features }
 
+// Postings reports the number of postings over all features and the bytes of
+// the packed lists holding them.
+func (t *Trie) Postings() (n, bytes int64) { return t.postings, t.postingBytes }
+
 // ExportFeatures visits every feature in canonical order — the
 // FeatureExporter walk shared by the trie-backed kinds. The export is where
 // location sets leave their stored form: each is expanded to ascending vertex
@@ -190,21 +204,17 @@ func (t *Trie) ExportFeatures(visit func(labels []graph.Label, postings []Featur
 	var labels []graph.Label
 	var walk func(n *trieNode) error
 	walk = func(n *trieNode) error {
-		if len(n.posts) > 0 {
-			ps := make([]FeaturePosting, len(n.posts))
-			var ids []int32
+		if n.posts.Len() > 0 {
+			ps := n.posts.export()
 			if n.locs != nil {
 				members := 0
-				for i, e := range n.posts {
-					members += t.locs.Members(n.locs[i], ftv.Words(t.ds[e.Graph].N()))
+				for i, p := range ps {
+					members += t.locs.Members(n.locs[i], ftv.Words(t.ds[p.GraphID].N()))
 				}
-				ids = make([]int32, 0, members)
-			}
-			for i, e := range n.posts {
-				ps[i] = FeaturePosting{GraphID: int(e.Graph), Count: e.Count}
-				if n.locs != nil {
+				ids := make([]int32, 0, members)
+				for i, p := range ps {
 					from := len(ids)
-					ids = t.locs.AppendIDs(ids, n.locs[i], ftv.Words(t.ds[e.Graph].N()))
+					ids = t.locs.AppendIDs(ids, n.locs[i], ftv.Words(t.ds[p.GraphID].N()))
 					if len(ids) > from { // the empty set is nil, as the snapshot decodes it
 						ps[i].Locations = ids[from:len(ids):len(ids)]
 					}

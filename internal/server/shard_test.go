@@ -157,7 +157,9 @@ func TestKilledShardedQueryNeverCached(t *testing.T) {
 
 // TestStatsReportsLocationSets: an operator reads off /stats how much memory
 // Grapes' location sets hold and which form they took, per shard and summed;
-// a kind that keeps no locations says nothing.
+// a kind that keeps no locations says nothing. Every kind says how many
+// postings it holds in how many bytes — the same postings whatever the kind,
+// at a couple of bytes each.
 func TestStatsReportsLocationSets(t *testing.T) {
 	eng, err := psi.NewDatasetEngine(psi.GeneratePPI(psi.Tiny, 1), psi.EngineOptions{
 		Indexes: []string{"ftv", "grapes"},
@@ -175,11 +177,19 @@ func TestStatsReportsLocationSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range stats.Indexes {
-		var held int64
+		var held, postings, postingBytes int64
 		sets := 0
 		for _, sh := range x.Shards {
 			held += sh.LocationBytes
 			sets += sh.LocationRows + sh.LocationLists
+			postings += sh.Postings
+			postingBytes += sh.PostingBytes
+		}
+		if x.Postings != postings || x.PostingBytes != postingBytes || postings != stats.Indexes[0].Postings {
+			t.Errorf("%s: %d postings in %d bytes, shards sum to %d in %d, %s holds %d", x.Kind, x.Postings, x.PostingBytes, postings, postingBytes, stats.Indexes[0].Kind, stats.Indexes[0].Postings)
+		}
+		if perPosting := float64(x.PostingBytes) / float64(x.Postings); x.Postings == 0 || perPosting < 2 || perPosting > 3 {
+			t.Errorf("%s: %d postings in %d bytes", x.Kind, x.Postings, x.PostingBytes)
 		}
 		if x.LocationBytes != held || x.LocationRows+x.LocationLists != sets {
 			t.Errorf("%s: %d location bytes in %d sets, shards sum to %d in %d", x.Kind, x.LocationBytes, x.LocationRows+x.LocationLists, held, sets)

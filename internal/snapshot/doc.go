@@ -54,7 +54,14 @@
 //     by the same rule, so the file does not depend on the in-memory layout,
 //     a loaded engine re-saves the bytes it was loaded from, and format
 //     version 1 still covers it. The price is the file's size — IDs are the
-//     larger form wherever the index chose rows.
+//     larger form wherever the index chose rows. The same goes for postings:
+//     the file holds fixed-width (graph, count) arrays, the index packs them
+//     into delta-varint lists on load. Each undirected path is written once,
+//     under its oriented spelling (ftv.Oriented). A version-1 file written
+//     before that holds every path under both spellings; index.Restore keeps
+//     the oriented one when the other is its exact mirror and refuses the
+//     file when it is not, so such a file loads, answers as it did, and
+//     re-saves at about half its size rather than byte for byte.
 //   - Live store (mutable engines only): the slot-space liveness bitmap,
 //     per-slot public handles, per-shard tombstone counters, and the epoch
 //     and next-handle counters, so mutation history, handle identity and

@@ -2,9 +2,10 @@
 # check.sh — the repo's CI gate: formatting, vet, full compilation
 # (including cmd/ and examples/, which have no tests and would otherwise
 # only break at release time), the full test suite under the race
-# detector, a one-iteration benchmark smoke run so benchmark-only
-# regressions (compile errors, panics) surface here rather than at
-# measurement time, and the nested bench/ module's own vet and tests. Run
+# detector, a few seconds of the posting-list fuzz target, a one-iteration
+# benchmark smoke run so benchmark-only regressions (compile errors, panics)
+# surface here rather than at measurement time, and the nested bench/
+# module's own vet and tests. Run
 # from the repository root (or anywhere; the script cds to its own repo).
 # Fails fast with a non-zero exit on the first broken stage.
 set -euo pipefail
@@ -29,6 +30,13 @@ echo "== go test -race -shuffle=on =="
 # order-dependent tests fail here instead of flaking later; the shuffle
 # seed is printed on failure for reproduction.
 go test -race -shuffle=on ./...
+
+echo "== fuzz (FuzzPostings, 5s) =="
+# Random ascending posting lists and seek sequences against a slice oracle:
+# the packed lists and their one cursor sit under every filter, every Grapes
+# verification and every mutable insert. A failing input is written under
+# internal/index/testdata/fuzz and then fails the plain test run as well.
+go test -run='^$' -fuzz=FuzzPostings -fuzztime=5s ./internal/index
 
 echo "== bench smoke (1 iteration) =="
 # Every root benchmark once, BenchmarkExtractFeatures,
