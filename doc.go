@@ -186,8 +186,9 @@
 // only when a requested kind reads them (already in their stored form, so
 // the fold appends each graph's slab to the index's and nothing is
 // re-encoded); the extractor walks a label trie
-// alongside the path DFS, so a path costs one table probe, not a label
-// slice and a hashed key. The per-graph results come out flat and in the
+// alongside its path DFS (next paragraph), so a path costs a share of one
+// table probe, not a label slice and a hashed key. The per-graph results
+// come out flat and in the
 // snapshot format's canonical order; graph g is routed to shard g mod K and
 // every (kind, shard) index is folded from its graphs' features in graph-ID
 // order, so posting lists — measured in a first pass, carved from one byte
@@ -203,6 +204,28 @@
 // sharded kind each shard is charged its graphs' share) plus the kind's own
 // fold.
 //
+// Index build: set-up is path extraction — the DFS over every simple path of
+// up to four edges is nearly all of a build, of a POST /graphs and of a
+// compaction — so the extractor owns that DFS. Per graph it regroups the
+// adjacency, in build scratch, by (neighbour label, neighbour ID) with a
+// directory of label runs per vertex (after Mhedhbi & Salihoglu's
+// label-partitioned adjacency lists): all extensions of a path by one run
+// spell the same sequence, so a run costs one trie probe, one addition to the
+// count and one update of the location set, however many neighbours it holds.
+// At the deepest level — nine tenths of the DFS nodes — a run whose spelling
+// is a mirror (its label is below the start vertex's, or equal to it over a
+// backwards inner segment) is skipped without touching its members, so only
+// oriented spellings ever get a slot there and the per-graph trie, its
+// flattening and its allocations roughly halve. The label-run order is
+// extraction scratch only: the stored graph's CSR neighbour order, and with it
+// every matcher's embedding order, is untouched. The scratch — trie table,
+// slot arrays, adjacency, location rows and lists — belongs to the build: a
+// worker reuses it from graph to graph and it is garbage when the extraction
+// returns (no package-level pool whose contents would outlive the build).
+// The folds then run on the same pool, one (kind, shard) cell per task; a
+// fold therefore must not wait on Group work of that pool, and a fold that
+// panics fails the build with an error.
+//
 // Orientation: an undirected path reads as a label sequence L from one end
 // and as reverse(L) from the other, and the DFS from every vertex meets it
 // from both. The two spellings occur equally often in every graph —
@@ -211,9 +234,10 @@
 // Grapes location set twice. Each path is stored once, under its oriented
 // spelling: the lexicographically smaller of the two (ftv.Oriented; a
 // palindrome is its own mirror). The extractor still walks both directions
-// but aggregates only into oriented trie slots, decided once per slot, so
-// features, postings, location sets, the fold and the snapshot's index
-// sections all halve. Queries pay for it in one place: maximality depends on
+// (a mirror spelling is the prefix of oriented ones) but aggregates only into
+// oriented trie slots, decided once per slot, and at full length skips the
+// mirror direction altogether, so features, postings, location sets, the
+// fold and the snapshot's index sections all halve. Queries pay for it in one place: maximality depends on
 // the end a path is walked from, so a query may spell L more often than
 // reverse(L); ftv.QueryFeatures folds the two into one feature under the
 // oriented spelling that requires the larger count — a graph holds both

@@ -112,18 +112,31 @@ var buildBenchShapes = []struct {
 }
 
 // BenchmarkExtractFeatures is the shared path-feature pass alone, over the
-// whole dataset on the default pool, with and without Grapes' locations.
+// whole dataset on the default pool, with and without Grapes' locations. It
+// also reports the work in the unit the extractor does it in: the dataset's
+// simple paths of up to four edges, each walked from both ends (paths/op, the
+// nodes of the path DFS, counted once by the plain enumeration), and the wall
+// time one costs (ns/path).
 func BenchmarkExtractFeatures(b *testing.B) {
 	for _, shape := range buildBenchShapes {
 		ds := gen.Synthetic(shape.cfg, 20170321)
+		paths := 0
 		for _, locs := range []bool{false, true} {
 			b.Run(fmt.Sprintf("%s/locations=%v", shape.name, locs), func(b *testing.B) {
+				if paths == 0 {
+					for _, g := range ds {
+						g.EnumeratePaths(ftv.DefaultMaxPathLen, func([]int32) { paths++ })
+					}
+				}
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := ftv.ExtractDatasetFeatures(context.Background(), nil, ds, ftv.DefaultMaxPathLen, locs); err != nil {
 						b.Fatal(err)
 					}
 				}
+				b.ReportMetric(float64(paths), "paths/op")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(paths), "ns/path")
 			})
 		}
 	}

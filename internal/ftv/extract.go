@@ -8,16 +8,20 @@ package ftv
 // vertices those occurrences touch (Grapes' locations), held from here to
 // verification in one form (LocSets).
 //
-// The enumeration is graph.WalkPaths' DFS, in which every node below a start
-// vertex is one path occurrence, so the extractor does O(1) work per node:
-// it walks a per-graph LabelTrie alongside the DFS — the slot of a path is
-// the child, under the path's last label, of its prefix's slot: one table
-// probe — bumps the slot's count and, when the slot is an oriented spelling
-// (decided once, when the slot is made), records the path's vertices in the
-// slot's location set (locate). The DFS meets every undirected path from
-// both ends; the end that spells it backwards costs the probe and an
-// increment nobody reads. No label slice, key or hash set is built per path,
-// and the same code serves any label width and any maxLen.
+// The enumeration is the extractor's own DFS over the graph's adjacency
+// regrouped, in build scratch, into runs of equally labelled neighbours: every
+// node below a start vertex is one path occurrence, and all the extensions of
+// a path by one run share a label sequence, so the extractor works a run at a
+// time. It walks a per-graph LabelTrie alongside the DFS — the slot of a
+// sequence is the child, under its last label, of its prefix's slot: one table
+// probe per run — adds the run's members off the path to the slot's count
+// and, when the slot is an oriented spelling (decided once, when the slot is
+// made), records their vertices in the slot's location set (locate). The DFS
+// meets every undirected path from both ends; at the deepest level, most of
+// the walk, a run that spells its paths backwards is skipped on its label
+// alone, so no slot is ever made for a mirror spelling of full length. No
+// label slice, key or hash set is built per path, and the same code serves
+// any label width and any maxLen.
 
 import (
 	"context"
@@ -97,27 +101,31 @@ const extractCancelCheckEvery = 1 << 12
 // of bounded simple paths, so an uncancellable extraction would pin a worker
 // long after its query or build was abandoned.
 func ExtractFeaturesContext(ctx context.Context, g *graph.Graph, maxLen int, withLocations bool) (*Features, error) {
-	// Upfront check so an already-cancelled build aborts even on graphs
-	// too small to reach the periodic mid-enumeration check.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e := newExtractor(ctx, g, withLocations)
-	g.WalkPaths(maxLen, 0, e.visit)
-	if e.cancelled {
-		return nil, ctx.Err()
-	}
-	return e.features(), nil
+	return new(extractor).extract(ctx, g, maxLen, withLocations)
 }
 
-// extractor is the per-graph label trie grown alongside the path DFS, with
-// the per-slot aggregates. An oriented slot of two or more labels is a
-// feature; the others are only stepped through.
+// extractor is one extraction's scratch, reused from graph to graph by the
+// build that owns it (ExtractDatasetFeatures): the graph's label-run
+// adjacency, the DFS state, and the per-graph label trie grown alongside the
+// DFS with its per-slot aggregates. An oriented slot of two or more labels is
+// a feature; the others are only stepped through.
 type extractor struct {
 	ctx     context.Context
 	vlabels []graph.Label
+	maxLen  int
 
-	trie     *LabelTrie
+	// The adjacency regrouped by (neighbour label, neighbour ID): vertex v's
+	// neighbours are adj[off[v]:off[v+1]], cut into runs[runOff[v]:runOff[v+1]],
+	// one per distinct label, ascending. The stored graph's neighbour order,
+	// which fixes every matcher's embedding order, is not touched.
+	off, adj, runOff, fill []int32
+	runs                   []labelRun
+
+	path    []int32       // the DFS path, maxLen+1 long
+	plabels []graph.Label // its vertices' labels
+	onPath  []uint8       // per vertex: 1 while on the path
+
+	trie     LabelTrie
 	oriented []bool  // per slot: its sequence is an oriented spelling
 	count    []int32 // per slot: occurrences
 
@@ -131,67 +139,153 @@ type extractor struct {
 	rows   []uint64
 
 	sinceCheck int
-	cancelled  bool
 }
 
-func newExtractor(ctx context.Context, g *graph.Graph, withLocations bool) *extractor {
-	e := &extractor{
-		ctx:      ctx,
-		vlabels:  g.Labels(),
-		trie:     NewLabelTrie(),
-		oriented: []bool{true},
-		count:    []int32{0},
+// labelRun is the neighbours of one vertex that carry label: its adjacency
+// from the previous run's end up to adj[end].
+type labelRun struct {
+	label graph.Label
+	end   int32
+}
+
+// resized returns s with length n, reallocated only when its capacity is
+// short; the contents are unspecified.
+func resized[S ~[]E, E any](s S, n int) S { return slices.Grow(s[:0], n)[:n] }
+
+// extract is ExtractFeaturesContext on e's scratch, which is overwritten.
+func (e *extractor) extract(ctx context.Context, g *graph.Graph, maxLen int, withLocations bool) (*Features, error) {
+	// Upfront check so an already-cancelled build aborts even on graphs
+	// too small to reach the periodic mid-enumeration check.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	n := g.N()
+	e.ctx, e.vlabels, e.maxLen, e.sinceCheck = ctx, g.Labels(), maxLen, 0
+	e.trie.reset()
+	e.oriented, e.count = append(e.oriented[:0], true), append(e.count[:0], 0)
+	e.words, e.locRef, e.lists, e.rows = 0, e.locRef[:0], e.lists[:0], e.rows[:0]
 	if withLocations {
-		e.words = Words(g.N())
-		e.locRef = []int32{0}
+		e.words, e.locRef = Words(n), append(e.locRef, 0)
 	}
-	return e
+	e.regroup(g)
+	e.path, e.plabels, e.onPath = resized(e.path, maxLen+1), resized(e.plabels, maxLen+1), resized(e.onPath, n)
+	clear(e.onPath) // a cancelled walk leaves its path marked
+	for v := 0; v < n && maxLen >= 1; v++ {
+		e.path[0], e.plabels[0] = int32(v), e.vlabels[v]
+		if !e.descend(e.child(0, 1), 0) {
+			return nil, ctx.Err()
+		}
+	}
+	return e.features(), nil
 }
 
-// visit is the graph.WalkPaths callback: one call per DFS node, carrying
-// the parent node's slot down.
-func (e *extractor) visit(parent int32, path []int32) (int32, bool) {
-	slot := e.trie.Child(parent, e.vlabels[path[len(path)-1]])
-	if int(slot) == len(e.count) {
-		e.oriented = append(e.oriented, e.orientedPath(path))
+// regroup lays out g's label-run adjacency. Taking the vertices in (label,
+// ID) order and appending each to its neighbours' lists fills every list in
+// that order with no sort.
+func (e *extractor) regroup(g *graph.Graph) {
+	n := g.N()
+	e.off = resized(e.off, n+1)
+	e.off[0] = 0
+	for v := 0; v < n; v++ {
+		e.off[v+1] = e.off[v] + int32(g.Degree(v))
+	}
+	e.adj, e.fill = resized(e.adj, int(e.off[n])), append(e.fill[:0], e.off[:n]...)
+	for _, l := range g.LabelValues() {
+		for _, u := range g.VerticesWithLabel(l) {
+			for _, v := range g.Neighbors(int(u)) {
+				e.adj[e.fill[v]] = u
+				e.fill[v]++
+			}
+		}
+	}
+	e.runs, e.runOff = e.runs[:0], append(e.runOff[:0], 0)
+	for v := 0; v < n; v++ {
+		for i := e.off[v]; i < e.off[v+1]; i++ {
+			if l := e.vlabels[e.adj[i]]; i == e.off[v] || l != e.runs[len(e.runs)-1].label {
+				e.runs = append(e.runs, labelRun{label: l})
+			}
+			e.runs[len(e.runs)-1].end = i + 1
+		}
+		e.runOff = append(e.runOff, int32(len(e.runs)))
+	}
+}
+
+// child returns the slot of plabels[:n], the child of its prefix's slot
+// parent, making it on first use.
+func (e *extractor) child(parent int32, n int) int32 {
+	s := e.trie.Child(parent, e.plabels[n-1])
+	if int(s) == len(e.count) {
+		e.oriented = append(e.oriented, Oriented(e.plabels[:n]))
 		e.count = append(e.count, 0)
 		if e.words > 0 {
 			e.locRef = append(e.locRef, 0)
 		}
 	}
-	if len(path) == 1 {
-		return slot, true // a start vertex: a trie node, not a path
-	}
-	// A mirror spelling is counted too and dropped in features(): the
-	// increment is cheaper than a data-dependent branch on every path.
-	e.count[slot]++
-	if e.words > 0 && e.oriented[slot] {
-		e.locate(slot, path)
-	}
-	if e.sinceCheck++; e.sinceCheck >= extractCancelCheckEvery {
-		e.sinceCheck = 0
-		if e.ctx.Err() != nil {
-			e.cancelled = true
-			return slot, false
-		}
-	}
-	return slot, true
+	return s
 }
 
-// orientedPath is Oriented of the path's label sequence, read off its
-// vertices.
-func (e *extractor) orientedPath(path []int32) bool {
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		if a, b := e.vlabels[path[i]], e.vlabels[path[j]]; a != b {
-			return a < b
+// descend extends path[:depth+1], whose sequence has slot slot, by every
+// neighbour of its last vertex that is off it, one label run — one child slot
+// — at a time, and reports whether the walk goes on: false once ctx, polled
+// every extractCancelCheckEvery paths, is cancelled.
+func (e *extractor) descend(slot int32, depth int) bool {
+	v := e.path[depth]
+	e.onPath[v] = 1
+	leaf := depth+1 == e.maxLen
+	from, runs := e.off[v], e.runs[e.runOff[v]:e.runOff[v+1]]
+	if leaf {
+		// At full length nothing is stepped through, so a mirror spelling is
+		// nobody's prefix: the walks from the other ends record its paths,
+		// and its run goes untouched. Such runs come first: a label below the
+		// start vertex's, or equal to it with path[1:] spelt backwards.
+		first := e.plabels[0]
+		for len(runs) > 0 && (runs[0].label < first || runs[0].label == first && !Oriented(e.plabels[1:depth+1])) {
+			from, runs = runs[0].end, runs[1:]
 		}
 	}
+	for _, r := range runs {
+		members := e.adj[from:r.end]
+		from = r.end
+		k := len(members)
+		for _, u := range members {
+			k -= int(e.onPath[u])
+		}
+		if k == 0 {
+			continue // probing would make a slot that counts nothing
+		}
+		e.plabels[depth+1] = r.label
+		child := e.child(slot, depth+2)
+		// A mirror spelling stepped through is counted too and dropped in
+		// features(): the add is cheaper than a data-dependent branch.
+		e.count[child] += int32(k)
+		if e.words > 0 && e.oriented[child] {
+			e.locate(child, e.path[:depth+1], members)
+		}
+		if e.sinceCheck += k; e.sinceCheck >= extractCancelCheckEvery {
+			e.sinceCheck = 0
+			if e.ctx.Err() != nil {
+				return false
+			}
+		}
+		if leaf {
+			continue
+		}
+		for _, u := range members {
+			if e.onPath[u] == 0 {
+				e.path[depth+1] = u
+				if !e.descend(child, depth+1) {
+					return false
+				}
+			}
+		}
+	}
+	e.onPath[v] = 0
 	return true
 }
 
-// locate adds one occurrence's vertices to its slot's location set, which is
-// kept in whichever of two forms is smaller. It starts as a list the
+// locate adds to a slot's location set the vertices of a run's occurrences:
+// prefix and the run's members (those on the path are prefix's own). The set
+// is kept in whichever of two forms is smaller. It starts as a list the
 // occurrences' vertices are appended to, duplicates and all; when the list
 // would weigh what a bitset row over the graph's vertices does (2·words
 // int32s) the slot spills into a row, for good. So a slot's scratch is
@@ -199,37 +293,40 @@ func (e *extractor) orientedPath(path []int32) bool {
 // about one feature per path, and a row of ⌈n/64⌉ words for each would be
 // gigabytes — and by one row: a small graph over few labels funnels thousands
 // of occurrences into each feature, and there a slot is a row from its first
-// few occurrences on, at a handful of ORs per occurrence.
-func (e *extractor) locate(slot int32, path []int32) {
+// few occurrences on, at a handful of ORs per run.
+func (e *extractor) locate(slot int32, prefix, members []int32) {
 	ref := e.locRef[slot]
 	var list []int32 // the slot's list, while it is one
 	if ref <= 0 {
 		if ref < 0 {
 			list = e.lists[-ref-1]
 		}
-		if len(list)+len(path) < 2*e.words {
+		if len(list)+len(prefix)+len(members) < 2*e.words {
 			if ref == 0 {
-				e.lists = append(e.lists, nil)
+				// Take the next list of an earlier graph's, or a new one.
+				if n := len(e.lists); n < cap(e.lists) {
+					e.lists = e.lists[:n+1]
+					list = e.lists[n][:0]
+				} else {
+					e.lists = append(e.lists, nil)
+				}
 				ref = -int32(len(e.lists))
 				e.locRef[slot] = ref
 			}
-			e.lists[-ref-1] = append(list, path...)
+			e.lists[-ref-1] = append(append(slices.Grow(list, len(prefix)+len(members)), prefix...), members...)
 			return
 		}
 		if ref < 0 {
-			e.lists[-ref-1] = nil
+			e.lists[-ref-1] = list[:0]
 		}
 		e.rows = append(e.rows, make([]uint64, e.words)...)
 		ref = int32(len(e.rows) / e.words)
 		e.locRef[slot] = ref
 	}
 	row := e.row(ref)
-	for _, v := range list { // only when spilling
-		row[v>>6] |= 1 << (v & 63)
-	}
-	for _, v := range path {
-		row[v>>6] |= 1 << (v & 63)
-	}
+	setBits(row, list) // only when spilling
+	setBits(row, prefix)
+	setBits(row, members)
 }
 
 func (e *extractor) row(ref int32) []uint64 {
@@ -301,8 +398,13 @@ func (e *extractor) features() *Features {
 // them positionally: out[i] holds graph i's features. Because consumers fold
 // the results in slice order, index builds are deterministic regardless of
 // worker count — only the wall-clock time changes. Cancelling ctx aborts
-// extraction (including mid-graph, via ExtractFeaturesContext) and returns
-// the context's error.
+// extraction (including mid-graph, as ExtractFeaturesContext does) and
+// returns the context's error.
+//
+// The call owns the extraction scratch: a task takes the extractor a finished
+// task put back, or makes one, so a worker regrows nothing from graph to
+// graph, and all of it is garbage when the call returns — a package-level
+// sync.Pool would carry it past the build into the heap a caller measures.
 func ExtractDatasetFeatures(ctx context.Context, p *exec.Pool, ds []*graph.Graph, maxLen int, withLocations bool) ([]*Features, error) {
 	out := make([]*Features, len(ds))
 	if len(ds) <= 1 {
@@ -318,14 +420,25 @@ func ExtractDatasetFeatures(ctx context.Context, p *exec.Pool, ds []*graph.Graph
 	if p == nil {
 		p = exec.Default()
 	}
+	free := make(chan *extractor, p.Workers()) // one per task that can run at once
 	grp := p.NewGroup(ctx)
 	for i := range ds {
 		grp.Go(func(gctx context.Context) error {
-			feats, err := ExtractFeaturesContext(gctx, ds[i], maxLen, withLocations)
+			var e *extractor
+			select {
+			case e = <-free:
+			default:
+				e = new(extractor)
+			}
+			feats, err := e.extract(gctx, ds[i], maxLen, withLocations)
 			if err != nil {
 				return err
 			}
 			out[i] = feats
+			select {
+			case free <- e:
+			default: // a closed pool runs tasks beyond its size
+			}
 			return nil
 		})
 	}

@@ -107,47 +107,125 @@ func assertMirrorsAgree(t *testing.T, name string, all []oracleFeature) {
 	}
 }
 
-func assertMatchesOracle(t *testing.T, name string, g *graph.Graph, maxLen int) {
+// oracleWant is what an extraction of g must return: the oracle's features
+// under their oriented spellings, after checking the mirrors agree.
+func oracleWant(t *testing.T, name string, g *graph.Graph, maxLen int) []oracleFeature {
 	t.Helper()
 	all := oracleExtract(g, maxLen)
 	assertMirrorsAgree(t, name, all)
-	var want []oracleFeature // what the extractor keeps: the oriented spellings
+	var want []oracleFeature
 	for _, f := range all {
 		if Oriented(f.labels) {
 			want = append(want, f)
 		}
 	}
-	for _, withLocs := range []bool{false, true} {
-		got := ExtractFeatures(g, maxLen, withLocs)
-		if got.Len() != len(want) {
-			t.Fatalf("%s maxLen=%d locs=%v: %d features, oracle has %d", name, maxLen, withLocs, got.Len(), len(want))
+	return want
+}
+
+func assertFeatures(t *testing.T, name string, got *Features, want []oracleFeature, maxLen int, withLocs bool) {
+	t.Helper()
+	if got.Len() != len(want) {
+		t.Fatalf("%s maxLen=%d locs=%v: %d features, oracle has %d", name, maxLen, withLocs, got.Len(), len(want))
+	}
+	for i, w := range want {
+		// Equal label sequences at equal positions: the extractor's
+		// order is the oracle's sorted (canonical) order.
+		if !slices.Equal(got.Labels(i), w.labels) || got.Count(i) != w.count {
+			t.Fatalf("%s maxLen=%d: feature %d = (%v, %d), oracle (%v, %d)", name, maxLen, i, got.Labels(i), got.Count(i), w.labels, w.count)
 		}
-		for i, w := range want {
-			// Equal label sequences at equal positions: the extractor's
-			// order is the oracle's sorted (canonical) order.
-			if !slices.Equal(got.Labels(i), w.labels) || got.Count(i) != w.count {
-				t.Fatalf("%s maxLen=%d: feature %d = (%v, %d), oracle (%v, %d)", name, maxLen, i, got.Labels(i), got.Count(i), w.labels, w.count)
-			}
-			if withLocs && !slices.Equal(got.Locations(i), w.locs) {
-				t.Fatalf("%s maxLen=%d: feature %v locations %v, oracle %v", name, maxLen, w.labels, got.Locations(i), w.locs)
-			}
-			if !withLocs && got.Locations(i) != nil {
-				t.Fatalf("%s: locations reported though not tracked", name)
-			}
+		if withLocs && !slices.Equal(got.Locations(i), w.locs) {
+			t.Fatalf("%s maxLen=%d: feature %v locations %v, oracle %v", name, maxLen, w.labels, got.Locations(i), w.locs)
+		}
+		if !withLocs && got.Locations(i) != nil {
+			t.Fatalf("%s: locations reported though not tracked", name)
 		}
 	}
+}
+
+func assertMatchesOracle(t *testing.T, name string, g *graph.Graph, maxLen int) {
+	t.Helper()
+	want := oracleWant(t, name, g, maxLen)
+	for _, withLocs := range []bool{false, true} {
+		assertFeatures(t, name, ExtractFeatures(g, maxLen, withLocs), want, maxLen, withLocs)
+	}
+}
+
+// wideLabels spans the label width: a run compare that looked at the low 12 or
+// 20 bits only would confuse two of them.
+var wideLabels = []graph.Label{0, 4095, 4096, 1 << 20}
+
+// runCases are the inputs the extractor's run-at-a-time walk can get wrong,
+// over wideLabels (labelled by index into it) so that they also seed
+// FuzzExtractFeatures.
+func runCases() map[string]*graph.Graph {
+	build := func(labels []int, edges [][2]int) *graph.Graph {
+		ls := make([]graph.Label, len(labels))
+		for v, l := range labels {
+			ls[v] = wideLabels[l]
+		}
+		return graph.MustNew("case", ls, edges)
+	}
+	clique := func(labels ...int) *graph.Graph {
+		var edges [][2]int
+		for u := range labels {
+			for v := u + 1; v < len(labels); v++ {
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+		return build(labels, edges)
+	}
+	cycle := func(labels ...int) *graph.Graph {
+		var edges [][2]int
+		for v := range labels {
+			edges = append(edges, [2]int{v, (v + 1) % len(labels)})
+		}
+		return build(labels, edges)
+	}
+	path := func(labels ...int) *graph.Graph {
+		var edges [][2]int
+		for v := 1; v < len(labels); v++ {
+			edges = append(edges, [2]int{v - 1, v})
+		}
+		return build(labels, edges)
+	}
+	cases := map[string]*graph.Graph{
+		// One label: every spelling is a palindrome, no run is a mirror.
+		"one-label-K6":   clique(2, 2, 2, 2, 2, 2),
+		"one-label-C5":   cycle(1, 1, 1, 1, 1),
+		"one-label-star": build([]int{3, 3, 3, 3, 3, 3}, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}}),
+		// Leaf neighbours already on the path, the start vertex included.
+		"two-label-K6": clique(0, 3, 0, 3, 0, 3),
+		// The start vertex carries the largest label: the whole leaf level is
+		// skipped but for the runs labelled like it.
+		"largest-label-start": build([]int{3, 0, 1, 3, 0, 3}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {0, 3}, {1, 4}}),
+		// Equal end labels: the inner segment alone decides.
+		"inner-ABCA":  path(0, 1, 2, 0),
+		"inner-ACBA":  path(0, 2, 1, 0),
+		"inner-cycle": cycle(0, 1, 2, 0, 2, 1),
+		// Shorter than any maxLen above 2.
+		"short-path": path(1, 0, 1),
+	}
+	for k := 3; k <= 7; k++ { // C_k closes on the start vertex at maxLen k-1
+		labels := make([]int, k)
+		for v := range labels {
+			labels[v] = v % 2 * 2
+		}
+		cases[fmt.Sprintf("two-label-C%d", k)] = cycle(labels...)
+	}
+	return cases
 }
 
 // TestExtractFeaturesMatchesOracle: the trie-walking extractor and the naive
 // map-based one agree on (labels, count, locations) of every oriented
 // spelling, and the naive one finds nothing under a mirror spelling that its
 // oriented twin lacks — on random graphs for maxLen 1..6, with labels of any
-// width, at the
-// 63/64/65-vertex bitset word edges, on edgeless and empty graphs, and on
+// width, at the 63/64/65-vertex bitset word edges, on edgeless and empty graphs, and on
 // large many-label graphs, where the location sets of rare features stay
-// lists and those of common ones spill to bitset rows within one extraction.
+// lists and those of common ones spill to bitset rows within one extraction;
+// and on runCases and random graphs over wideLabels.
 func TestExtractFeaturesMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
+	full := func() graph.Label { return wideLabels[r.Intn(len(wideLabels))] }
 	small := func() graph.Label { return graph.Label(r.Intn(3)) }
 	wide := func() graph.Label { return graph.Label(4090 + r.Intn(12)) } // straddles 4095
 	mixed := func() graph.Label {
@@ -162,6 +240,10 @@ func TestExtractFeaturesMatchesOracle(t *testing.T) {
 			assertMatchesOracle(t, fmt.Sprintf("wide-%d", n), randomGraph(r, n, 2.5, wide), maxLen)
 		}
 		assertMatchesOracle(t, "mixed-40", randomGraph(r, 40, 3, mixed), maxLen)
+		assertMatchesOracle(t, "full-width-30", randomGraph(r, 30, 3, full), maxLen)
+		for name, g := range runCases() {
+			assertMatchesOracle(t, name, g, maxLen)
+		}
 		assertMatchesOracle(t, "dense-12", randomGraph(r, 12, 6, small), maxLen)
 		assertMatchesOracle(t, "edgeless", graph.MustNew("edgeless", []graph.Label{0, 1, 1}, nil), maxLen)
 		assertMatchesOracle(t, "empty", graph.MustNew("empty", nil, nil), maxLen)
@@ -209,11 +291,13 @@ func TestMirrorSpellingsAgree(t *testing.T) {
 func TestExtractLocationForms(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := randomGraph(r, 1500, 3, func() graph.Label { return graph.Label(max(0, r.Intn(400)-199)) })
-	e := newExtractor(context.Background(), g, true)
-	g.WalkPaths(4, 0, e.visit)
+	e := new(extractor)
+	if _, err := e.extract(context.Background(), g, 4, true); err != nil {
+		t.Fatal(err)
+	}
 	lists, rows := 0, len(e.rows)/e.words
 	for _, l := range e.lists {
-		if l != nil {
+		if len(l) > 0 { // a spilled slot's list is emptied
 			lists++
 		}
 	}
@@ -267,4 +351,53 @@ func TestExtractFeaturesCancelMidGraph(t *testing.T) {
 			t.Errorf("locations=%v: %d context checks, want the walk to stop at the third", withLocs, got)
 		}
 	}
+}
+
+// fuzzGraph decodes a fuzz input: maxLen 1..5, locations on or off, up to 24
+// vertices labelled from wideLabels, then vertex pairs as edges — at most 40,
+// which keeps the oracle's enumeration of a dense input to a fraction of a
+// second.
+func fuzzGraph(data []byte) (g *graph.Graph, maxLen int, withLocs bool) {
+	if len(data) < 3 {
+		return graph.MustNew("fuzz", nil, nil), 1, false
+	}
+	maxLen, withLocs = int(data[0])%5+1, data[1]&1 == 1
+	n := min(int(data[2])%25, len(data)-3)
+	b := graph.NewBuilder("fuzz")
+	for _, l := range data[3 : 3+n] {
+		b.AddVertex(wideLabels[int(l)%len(wideLabels)])
+	}
+	edges := 0
+	for pairs := data[3+n:]; n > 0 && len(pairs) >= 2 && edges < 40; pairs = pairs[2:] {
+		u, v := int(pairs[0])%n, int(pairs[1])%n
+		if u != v && !b.HasEdgePending(u, v) {
+			if err := b.AddEdge(u, v); err != nil {
+				panic(err) // both endpoints exist
+			}
+			edges++
+		}
+	}
+	return b.MustBuild(), maxLen, withLocs
+}
+
+// FuzzExtractFeatures holds the extractor to the oracle on whatever small
+// graph the input spells, seeded with runCases at every maxLen.
+func FuzzExtractFeatures(f *testing.F) {
+	for _, g := range runCases() {
+		data := []byte{0, 0, byte(g.N())}
+		for _, l := range g.Labels() {
+			data = append(data, byte(slices.Index(wideLabels, l)))
+		}
+		g.Edges(func(u, v int) { data = append(data, byte(u), byte(v)) })
+		for maxLen := 1; maxLen <= 5; maxLen++ {
+			for locs := byte(0); locs <= 1; locs++ {
+				data[0], data[1] = byte(maxLen-1), locs
+				f.Add(slices.Clone(data))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, maxLen, withLocs := fuzzGraph(data)
+		assertFeatures(t, "fuzz", ExtractFeatures(g, maxLen, withLocs), oracleWant(t, "fuzz", g, maxLen), maxLen, withLocs)
+	})
 }

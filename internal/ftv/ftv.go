@@ -118,8 +118,8 @@ func QueryFeatures(q *graph.Graph, maxLen int) []QueryFeature {
 	return out
 }
 
-// queryWalk is QueryFeatures' DFS: the path DFS of graph.WalkPaths, which
-// cannot say whether a node went on to have children.
+// queryWalk is QueryFeatures' DFS. It is not the extractor's: a maximal path
+// is known only once its node turns out to have no children.
 type queryWalk struct {
 	q      *graph.Graph
 	maxLen int

@@ -3,6 +3,7 @@ package ftv
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -179,7 +180,11 @@ func TestExtractFeaturesContextCancel(t *testing.T) {
 }
 
 // TestExtractDatasetFeaturesDeterministicAcrossPools: pooled extraction is
-// positional, so any worker count yields identical per-graph features.
+// positional, so any worker count yields identical per-graph features — and
+// the scratch a worker carries from graph to graph leaves no trace in them:
+// on the 1-worker pool one extractor meets every graph in turn, large and tiny
+// alternating, location sets as rows (3 labels), as lists (40 labels) and of
+// every row length, and each result must equal a fresh extraction's.
 func TestExtractDatasetFeaturesDeterministicAcrossPools(t *testing.T) {
 	var ds []*graph.Graph
 	for i := 0; i < 6; i++ {
@@ -187,6 +192,13 @@ func TestExtractDatasetFeaturesDeterministicAcrossPools(t *testing.T) {
 			[]graph.Label{graph.Label(i % 3), 1, 2, 0},
 			[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}))
 	}
+	r := rand.New(rand.NewSource(3))
+	few := func() graph.Label { return graph.Label(r.Intn(3)) }
+	many := func() graph.Label { return graph.Label(r.Intn(40)) }
+	ds = append(ds,
+		randomGraph(r, 300, 3, few), graph.MustNew("one", []graph.Label{1}, nil), graph.MustNew("edgeless", []graph.Label{0, 2, 2}, nil),
+		randomGraph(r, 300, 3, many), randomGraph(r, 14, 3, few), randomGraph(r, 300, 3, many),
+		randomGraph(r, 300, 3, few), graph.MustNew("edgeless", make([]graph.Label, 70), nil), randomGraph(r, 100, 3, many))
 	p1 := exec.New(1)
 	defer p1.Close()
 	p4 := exec.New(4)

@@ -28,19 +28,27 @@ type LabelTrie struct {
 	parent []int32       // per slot
 	label  []graph.Label // per slot: the last label of its sequence
 	depth  []int32       // per slot: the length of its sequence
+
+	first, fill, kids []int32 // Walk's grouping arrays, kept for the next Walk
 }
 
 // NewLabelTrie returns a trie holding only the empty sequence.
 func NewLabelTrie() *LabelTrie {
-	const bits = 8
-	return &LabelTrie{
-		keys:   make([]uint64, 1<<bits),
-		slots:  make([]int32, 1<<bits),
-		shift:  64 - bits,
-		parent: []int32{-1},
-		label:  []graph.Label{0},
-		depth:  []int32{0},
+	t := new(LabelTrie)
+	t.reset()
+	return t
+}
+
+// reset empties the trie down to the empty sequence and keeps what it has
+// allocated: the table stays as large as the fullest use so far made it, so
+// an extractor going from graph to graph grows it once, not once per graph.
+func (t *LabelTrie) reset() {
+	if t.keys == nil {
+		const bits = 8
+		t.keys, t.slots, t.shift = make([]uint64, 1<<bits), make([]int32, 1<<bits), 64-bits
 	}
+	clear(t.slots)
+	t.parent, t.label, t.depth = append(t.parent[:0], -1), append(t.label[:0], 0), append(t.depth[:0], 0)
 }
 
 // Len is the number of slots, the empty sequence's included.
@@ -110,15 +118,16 @@ func (t *LabelTrie) Walk(visit func(s int32, labels []graph.Label)) {
 	// Group the slots by parent with a counting sort (a parent's slot
 	// number is always below its children's), then order each group by
 	// label; a group has at most one entry per distinct label.
-	first := make([]int32, n+1)
+	first, kids := resized(t.first, n+1), resized(t.kids, n-1)
+	clear(first)
 	for s := 1; s < n; s++ {
 		first[t.parent[s]+1]++
 	}
 	for p := 0; p < n; p++ {
 		first[p+1] += first[p]
 	}
-	kids := make([]int32, n-1)
-	fill := slices.Clone(first[:n])
+	fill := append(t.fill[:0], first[:n]...)
+	t.first, t.fill, t.kids = first, fill, kids
 	for s := 1; s < n; s++ {
 		p := t.parent[s]
 		kids[fill[p]] = int32(s)

@@ -80,15 +80,19 @@ func (s *LocSets) AppendRow(row []uint64) LocRef {
 func (s *LocSets) AppendList(ids []int32, words int) LocRef {
 	if RowForm(len(ids), words) {
 		s.rows = append(s.rows, make([]uint64, words)...)
-		row := s.rows[len(s.rows)-words:]
-		for _, v := range ids {
-			row[v>>6] |= 1 << (v & 63)
-		}
+		setBits(s.rows[len(s.rows)-words:], ids)
 		return s.rowRef(words)
 	}
 	at := len(s.lists)
 	s.lists = append(s.lists, ids...)
 	return s.listRef(at)
+}
+
+// setBits adds the vertices ids to the bitset row.
+func setBits(row []uint64, ids []int32) {
+	for _, v := range ids {
+		row[v>>6] |= 1 << (v & 63)
+	}
 }
 
 // rowRef names the row just appended, words long.
@@ -167,9 +171,7 @@ func (s *LocSets) Union(r LocRef, mask []uint64) {
 	}
 	if l := s.list(r); l != nil {
 		last := len(l) - 1
-		for _, v := range l[:last] {
-			mask[v>>6] |= 1 << (v & 63)
-		}
+		setBits(mask, l[:last])
 		v := ^l[last]
 		mask[v>>6] |= 1 << (v & 63)
 	}

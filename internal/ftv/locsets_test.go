@@ -152,13 +152,15 @@ func TestFeaturesIndependentOfOccurrenceOrder(t *testing.T) {
 			occs = append(occs, []int32{int32(v), int32(v + 1)})
 		}
 		feed := func(occs [][]int32) *Features {
-			e := newExtractor(context.Background(), g, true)
-			slot, _ := e.visit(0, []int32{0})
-			slot, _ = e.visit(slot, []int32{0, 1}) // the feature (0, 0); counted once
-			e.count[slot] = 0
+			e := new(extractor)
+			if _, err := e.extract(context.Background(), g, 1, true); err != nil { // sets the scratch up; g has no paths
+				t.Fatal(err)
+			}
+			e.plabels[0], e.plabels[1] = 0, 0
+			slot := e.child(e.child(0, 1), 2) // the feature (0, 0)
 			for _, path := range occs {
 				e.count[slot]++
-				e.locate(slot, path)
+				e.locate(slot, path[:1], path[1:])
 			}
 			return e.features()
 		}

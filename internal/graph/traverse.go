@@ -86,85 +86,30 @@ func (g *Graph) IsConnected() bool {
 // EnumeratePaths performs a DFS from every vertex and invokes visit once per
 // simple path of 1..maxEdges edges, passing the vertex sequence. The slice
 // passed to visit is reused across calls; callers must copy it if retained.
-// This is the feature-extraction primitive of Grapes and GGSX (§3.1.1: paths
-// are searched in a DFS manner up to a maximum length).
+// It is the plain form of the path search Grapes and GGSX index by (§3.1.1:
+// paths are searched in a DFS manner up to a maximum length), which tests hold
+// the feature extractor's own DFS (internal/ftv) against.
 func (g *Graph) EnumeratePaths(maxEdges int, visit func(path []int32)) {
-	g.WalkPaths(maxEdges, 0, func(_ int32, path []int32) (int32, bool) {
+	onPath := make([]bool, g.N())
+	path := make([]int32, 0, maxEdges+1)
+	var extend func(v int32)
+	extend = func(v int32) {
+		path = append(path, v)
 		if len(path) > 1 {
 			visit(path)
 		}
-		return 0, true
-	})
-}
-
-// WalkPaths is the DFS behind EnumeratePaths with a caller-defined state
-// threaded down the recursion. Every DFS node — a start vertex, or a simple
-// path of 1..maxEdges edges grown from one — gets exactly one visit call,
-// which receives the state its parent node returned (root for a start
-// vertex) and the vertex sequence from the start vertex to the node, and
-// returns the node's own state. A consumer that aggregates paths by some
-// function of their vertices can therefore carry that function's value down
-// incrementally, with O(1) work per path, instead of recomputing it from
-// each completed path. Every call with len(path) >= 2 is one path
-// occurrence; path is reused across calls. visit returning more=false
-// abandons the walk immediately, which is what keeps a cancelled index
-// build from finishing a potentially huge enumeration.
-func (g *Graph) WalkPaths(maxEdges int, root int32, visit func(parent int32, path []int32) (state int32, more bool)) {
-	w := pathWalker{
-		g:        g,
-		maxEdges: maxEdges,
-		visit:    visit,
-		onPath:   make([]bool, g.N()),
-		path:     make([]int32, 0, maxEdges+1),
+		if len(path) <= maxEdges {
+			onPath[v] = true
+			for _, u := range g.Neighbors(int(v)) {
+				if !onPath[u] {
+					extend(u)
+				}
+			}
+			onPath[v] = false
+		}
+		path = path[:len(path)-1]
 	}
 	for v := 0; v < g.N(); v++ {
-		if !w.descend(root, int32(v)) {
-			return
-		}
+		extend(int32(v))
 	}
-}
-
-// pathWalker is WalkPaths' DFS state.
-type pathWalker struct {
-	g        *Graph
-	maxEdges int
-	visit    func(parent int32, path []int32) (int32, bool)
-	onPath   []bool
-	path     []int32 // cap maxEdges+1: never reallocates
-}
-
-// descend steps onto v from a node whose state is parent and reports
-// whether the walk goes on.
-func (w *pathWalker) descend(parent, v int32) bool {
-	depth := len(w.path)
-	w.path = append(w.path, v)
-	state, more := w.visit(parent, w.path)
-	if more && depth < w.maxEdges {
-		w.onPath[v] = true
-		nbrs := w.g.Neighbors(int(v))
-		if depth+1 == w.maxEdges {
-			// The children are leaves, most of the walk's nodes: visit
-			// them in place rather than through a call that would only
-			// push, visit and pop.
-			leaf := w.path[:depth+2]
-			for _, u := range nbrs {
-				if !w.onPath[u] {
-					leaf[depth+1] = u
-					if _, more = w.visit(state, leaf); !more {
-						break
-					}
-				}
-			}
-		} else {
-			for _, u := range nbrs {
-				if !w.onPath[u] && !w.descend(state, u) {
-					more = false
-					break
-				}
-			}
-		}
-		w.onPath[v] = false
-	}
-	w.path = w.path[:depth]
-	return more
 }

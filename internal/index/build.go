@@ -8,7 +8,9 @@ package index
 // index from its graphs' features in graph-ID order. Extraction dominates a
 // build and is identical across kinds and shards, so its cost no longer
 // scales with the portfolio; folding in ID order is what makes every posting
-// list born sorted and the output independent of the pool size.
+// list born sorted and the output independent of the pool size. Both steps
+// fan out on the build's pool: extraction a graph per task, the folds a
+// (kind, shard) cell per task.
 
 import (
 	"context"
@@ -17,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 )
@@ -77,9 +80,12 @@ func Kinds() []string {
 // BuildGrid is the pipeline: it returns grid[i][s], the index of kinds[i]
 // over shard s of ds under opts.Shards-way round-robin partitioning (below 1
 // means 1; the count is not clamped to len(ds), so a shard may be empty).
-// Extraction fans out on opts.Pool and is cancellable through ctx, mid-graph
-// included; the folds run on the caller's goroutine. The output is identical
-// for every pool size.
+// Extraction fans out on opts.Pool (nil selects the shared default pool) and
+// is cancellable through ctx, mid-graph included; the folds then run as one
+// exec.Group on the same pool, a cell each, so a fold must not itself wait on
+// Group work of that pool, and a fold that panics reaches the caller as
+// BuildGrid's error, not as a panic. The output is identical for every pool
+// size.
 func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, opts Options) ([][]Index, error) {
 	builders := make([]builder, len(kinds))
 	locations := false
@@ -121,12 +127,30 @@ func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, opts Opti
 			shards[s].ex.Time = extract * time.Duration(len(shards[s].ds)) / time.Duration(len(ds))
 		}
 	}
+	pool := opts.Pool
+	if pool == nil {
+		pool = exec.Default()
+	}
+	grp := pool.NewGroup(ctx)
 	grid := make([][]Index, len(kinds))
 	for i, b := range builders {
 		grid[i] = make([]Index, k)
 		for s, sh := range shards {
-			grid[i][s] = b.fold(sh.ds, sh.ex, opts)
+			grp.Go(func(context.Context) error {
+				grid[i][s] = b.fold(sh.ds, sh.ex, opts)
+				return nil
+			})
 		}
+	}
+	if err := grp.Wait(); err != nil {
+		for _, row := range grid {
+			for _, x := range row {
+				if x != nil {
+					x.Close()
+				}
+			}
+		}
+		return nil, err
 	}
 	return grid, nil
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/psi-graph/psi/internal/exec"
@@ -233,41 +234,61 @@ func closeAll(xs []index.Index) {
 	}
 }
 
-// TestBuildDeterminismAcrossWorkerCounts is the acceptance check that all
-// three index builds produce identical Filter output at Workers=1 vs
-// Workers=N: the same dataset is indexed on a 1-worker and a 4-worker
-// extraction pool and every query must filter identically (and the index
-// shapes must match feature-for-feature).
+// TestBuildDeterminismAcrossWorkerCounts is the acceptance check that a
+// build's output does not depend on the pool it ran on: the same dataset is
+// built on pools of 1, 2 and 8 workers, unsharded and three-way sharded, and
+// every kind's every shard must export the same features, postings and
+// locations. Large and tiny graphs alternate, so that a slot, a row or a row
+// length left over in the scratch a worker carries from graph to graph would
+// show in the smaller graph's features; on the 1-worker pool every graph
+// meets the same scratch, and the folds, which queue on that pool too, must
+// not deadlock it.
 func TestBuildDeterminismAcrossWorkerCounts(t *testing.T) {
-	pool1 := exec.New(1)
-	defer pool1.Close()
-	pool4 := exec.New(4)
-	defer pool4.Close()
 	r := rand.New(rand.NewSource(7))
-	ds := randomDataset(r, 6, 14, 3)
-	xs1 := buildAll(t, ds, 4, pool1)
-	xs4 := buildAll(t, ds, 4, pool4)
-	defer closeAll(xs1)
-	defer closeAll(xs4)
-	var queries []*graph.Graph
-	for qi := 0; qi < 6; qi++ {
-		queries = append(queries, extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(4)))
+	big := func() *graph.Graph { return randomDataset(r, 1, 300, 3)[0] }
+	ds := []*graph.Graph{
+		big(), graph.MustNew("one", []graph.Label{1}, nil), graph.MustNew("edgeless", []graph.Label{0, 2, 2}, nil), big(),
+		randomDataset(r, 1, 14, 3)[0], graph.MustNew("one", []graph.Label{0}, nil), big(), graph.MustNew("edgeless", make([]graph.Label, 70), nil),
 	}
-	queries = append(queries, graph.MustNew("edgeless", []graph.Label{0}, nil))
-	for i := range xs1 {
-		s1, s4 := xs1[i].Stats(), xs4[i].Stats()
-		if s1.Features != s4.Features || s1.Nodes != s4.Nodes {
-			t.Errorf("%s: shape differs across worker counts: 1-worker %+v vs 4-worker %+v",
-				xs1[i].Name(), s1, s4)
-		}
-		for qi, q := range queries {
-			f1, f4 := xs1[i].Filter(q), xs4[i].Filter(q)
-			if !sameInts(f1, f4) {
-				t.Errorf("%s q%d: Filter differs across worker counts: %v vs %v",
-					xs1[i].Name(), qi, f1, f4)
+	want := map[int][][][]index.ExportedFeature{} // by K: the 1-worker build's exports, by kind and shard
+	for _, workers := range []int{1, 2, 8} {
+		pool := exec.New(workers)
+		defer pool.Close()
+		for _, k := range []int{1, 3} {
+			grid, err := index.BuildGrid(context.Background(), index.Kinds(), ds, index.Options{MaxPathLen: 4, Shards: k, Pool: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([][][]index.ExportedFeature, len(grid))
+			for i, row := range grid {
+				for _, x := range row {
+					feats, _, err := index.Export(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[i] = append(got[i], feats)
+					x.Close()
+				}
+			}
+			if workers == 1 {
+				want[k] = got
+			}
+			for i, kind := range index.Kinds() {
+				if !reflect.DeepEqual(got[i], want[k][i]) {
+					t.Errorf("%s K=%d: the export on %d workers differs from the 1-worker build's", kind, k, workers)
+				}
 			}
 		}
 	}
+	pool1 := exec.New(1)
+	defer pool1.Close()
+	xs1 := buildAll(t, ds, 4, pool1)
+	defer closeAll(xs1)
+	var queries []*graph.Graph
+	for qi := 0; qi < 6; qi++ {
+		queries = append(queries, extractQuery(r, ds[[]int{0, 3, 4, 6}[r.Intn(4)]], 2+r.Intn(4)))
+	}
+	queries = append(queries, graph.MustNew("edgeless", []graph.Label{0}, nil))
 	// Grapes' paper-facing worker knob must not change filtering either.
 	g1 := grapes.Build(ds, grapes.Options{Workers: 1})
 	g4 := grapes.Build(ds, grapes.Options{Workers: 4})

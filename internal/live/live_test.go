@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/psi-graph/psi/internal/exec"
 	_ "github.com/psi-graph/psi/internal/ggsx"
 	_ "github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
@@ -292,9 +293,15 @@ func init() {
 	}, false)
 }
 
+// nestedPool runs the builds buildPath nests inside a fold. Folds are Group
+// tasks of the store's build pool, and a Group task that waited on Group work
+// of its own pool would deadlock it (index.BuildGrid).
+var nestedPool = exec.New(2)
+
 // buildPath is the body of the test kinds' folds: a flat path index built
 // on its own (the extraction handed to the fold goes unused), for wrapping.
 func buildPath(ds []*graph.Graph, opts index.Options) *index.Path {
+	opts.Pool = nestedPool
 	x, err := index.BuildPath(context.Background(), ds, opts)
 	if err != nil {
 		panic(err) // unreachable: the background context never cancels

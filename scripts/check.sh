@@ -2,7 +2,7 @@
 # check.sh — the repo's CI gate: formatting, vet, full compilation
 # (including cmd/ and examples/, which have no tests and would otherwise
 # only break at release time), the full test suite under the race
-# detector, a few seconds of the posting-list fuzz target, a one-iteration
+# detector, a few seconds of each fuzz target, a one-iteration
 # benchmark smoke run so benchmark-only regressions (compile errors, panics)
 # surface here rather than at measurement time, and the nested bench/
 # module's own vet and tests. Run
@@ -37,6 +37,14 @@ echo "== fuzz (FuzzPostings, 5s) =="
 # verification and every mutable insert. A failing input is written under
 # internal/index/testdata/fuzz and then fails the plain test run as well.
 go test -run='^$' -fuzz=FuzzPostings -fuzztime=5s ./internal/index
+
+echo "== fuzz (FuzzExtractFeatures, 5s) =="
+# Small graphs over labels of every width, maxLen 1..5, with and without
+# locations, against the map-based oracle extractor: the path DFS that every
+# index build, insert and compaction is made of works a label run at a time
+# and skips mirror spellings at full length, and this is where a run that is
+# wrongly skipped, or counted with a neighbour already on the path, shows.
+go test -run='^$' -fuzz=FuzzExtractFeatures -fuzztime=5s ./internal/ftv
 
 echo "== bench smoke (1 iteration) =="
 # Every root benchmark once, BenchmarkExtractFeatures,
