@@ -22,6 +22,7 @@ import (
 	"github.com/psi-graph/psi/internal/harness"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/rewrite"
+	"github.com/psi-graph/psi/internal/spath"
 )
 
 // benchExperiment regenerates one paper artifact per iteration.
@@ -100,14 +101,19 @@ func BenchmarkMatchGraphQLPaper(b *testing.B) { benchMatcher(b, psi.GraphQL, psi
 func BenchmarkMatchSPathPaper(b *testing.B)   { benchMatcher(b, psi.SPath, psi.Paper) }
 
 // BenchmarkMatcherBuild measures each matcher's indexing phase over the
-// paper-scale yeast graph: what NewEngine pays per portfolio algorithm.
+// paper-scale yeast graph: what NewEngine pays per portfolio algorithm, and
+// for sPath what it then holds (sig-bytes: the signature slab and offsets).
 func BenchmarkMatcherBuild(b *testing.B) {
 	g := psi.GenerateYeastLike(psi.Paper, 1)
 	for _, algo := range []psi.Algorithm{psi.GraphQL, psi.SPath, psi.VF2, psi.QuickSI} {
 		b.Run(string(algo), func(b *testing.B) {
 			b.ReportAllocs()
+			var m psi.Matcher
 			for i := 0; i < b.N; i++ {
-				psi.MustNewMatcher(algo, g)
+				m = psi.MustNewMatcher(algo, g)
+			}
+			if spa, ok := m.(*spath.Matcher); ok {
+				b.ReportMetric(float64(spa.IndexBytes()), "sig-bytes")
 			}
 		})
 	}

@@ -128,25 +128,44 @@
 // Matcher substrate: the two matchers of the default NFV portfolio keep
 // their per-vertex state flat and sorted, with no map on the stored graph
 // or on the query. sPath's index is one distance signature per stored
-// vertex: for each radius d = 1..4, a row of (label, count) entries sorted
-// by label saying how many vertices of each label lie within distance d.
-// All rows of all vertices are carved from one slab behind one offsets
-// array (row (v, d) is entry v·radius + d−1). Rows are cumulative — within
-// d, not at exactly d — because that is what the filter compares: an
-// embedding can only shrink distances, so a query vertex may map to a
-// stored vertex only if, at every radius and for every label, it sees no
-// more such vertices than the stored vertex does. With the running sums
-// stored, that test is a two-cursor merge of two sorted rows per radius and
-// allocates nothing. The index is built by one batched bounded BFS
+// vertex: for each radius d = 1..4, a row saying how many vertices of each
+// label lie within distance d. Rows are cumulative — within d, not at
+// exactly d — because that is what the filter compares: an embedding can
+// only shrink distances, so a query vertex may map to a stored vertex only
+// if, at every radius and for every label, it sees no more such vertices
+// than the stored vertex does. Rows live in rank space: a label is its
+// position in the stored graph's sorted alphabet (Graph.LabelRank), width
+// is that alphabet's size, and ranks and counts are 16 bits. A row with k
+// labels is stored dense — width counts indexed by rank — when 2k ≥ width,
+// and sparse — k (rank, count) pairs in ascending rank — otherwise:
+// whichever is shorter, a function of the row alone, and since a sparse row
+// is strictly shorter than width a row's form is its length. All rows of
+// all vertices are carved from one slab of 16-bit words behind one offsets
+// array (row (v, d) is entry v·radius + d−1). Around a well-connected vertex
+// the rows of radius 3 and 4 hold most of the alphabet and are most of the
+// index; dense, each is answered by one indexed compare per query label,
+// where a sorted list would be walked end to end. Two sparse rows are still
+// a two-cursor merge, refused up front when the query row has more labels
+// than the stored one. Nothing allocates. The two 16-bit clamps are sound by
+// construction: counts saturate at 65 535 on both sides, which preserves
+// stored ≥ query, and ranks from 65 535 up share the last rank with their
+// counts added, which containment label by label implies. Both are exact
+// while the stored graph has at most 65 536 distinct labels and the query
+// fewer than 65 536 vertices, and keep a superset of the exact candidates
+// beyond. The index is built by one batched bounded BFS
 // (graph.BFSBatches): 64 sources share a machine word per vertex, so a
 // level of 64 searches is one sweep over the frontier's adjacency, and each
 // level's newly reached bits are counted per source in (label, vertex)
-// order, which is what makes every row come out sorted with 64 counters of
-// scratch and nothing sized by the label alphabet. A query's signatures come
-// from the same routine. Candidate sets, in sPath and GraphQL alike, are
-// one bitset over the stored vertices per query vertex (match.VertexSet):
-// the membership test in the search's inner loop is a bit test, and a
-// path's head candidates iterate in ascending vertex order without a sort.
+// order, which is what makes every source's ranks come out ascending with 64
+// counters of scratch and nothing sized by the largest label; as a batch
+// completes its rows are summed level by level straight into their final
+// form. A query's signatures come from the same routine in the stored
+// graph's rank space — one rank lookup per distinct query label, and a label
+// the stored graph lacks means no embedding before any row is built.
+// Candidate sets, in sPath and GraphQL alike, are one bitset over the stored
+// vertices per query vertex (match.VertexSet): the membership test in the
+// search's inner loop is a bit test, and a path's head candidates iterate in
+// ascending vertex order without a sort.
 //
 // # Filtering-index architecture
 //

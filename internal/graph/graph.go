@@ -199,13 +199,21 @@ func (g *Graph) DistinctLabels() int { return len(g.lblVals) }
 // not modify the returned slice.
 func (g *Graph) LabelValues() []Label { return g.lblVals }
 
+// LabelRank returns l's rank in the graph's alphabet — its position in
+// LabelValues — and whether any vertex carries l; without one the rank means
+// nothing. One binary search over the distinct labels.
+func (g *Graph) LabelRank(l Label) (rank int, ok bool) {
+	i := sort.Search(len(g.lblVals), func(i int) bool { return g.lblVals[i] >= l })
+	return i, i < len(g.lblVals) && g.lblVals[i] == l
+}
+
 // VerticesWithLabel returns the ascending list of vertices carrying label l
 // (empty if none), as a subslice of the graph's precomputed label index.
 // Callers must not modify the returned slice. This is the O(log L) range
 // lookup the matching algorithms use for candidate generation.
 func (g *Graph) VerticesWithLabel(l Label) []int32 {
-	i := sort.Search(len(g.lblVals), func(i int) bool { return g.lblVals[i] >= l })
-	if i == len(g.lblVals) || g.lblVals[i] != l {
+	i, ok := g.LabelRank(l)
+	if !ok {
 		return nil
 	}
 	return g.lblOrder[g.lblStart[i]:g.lblStart[i+1]]

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -152,6 +153,45 @@ func TestVerticesByLabel(t *testing.T) {
 	idx := g.VerticesByLabel()
 	if len(idx[1]) != 2 || idx[1][0] != 1 || idx[1][1] != 3 {
 		t.Errorf("VerticesByLabel()[1] = %v, want [1 3]", idx[1])
+	}
+}
+
+// TestLabelRank: a label's rank is its position in LabelValues, and
+// VerticesWithLabel is that rank's range of the label index; a label no
+// vertex carries has neither, wherever it falls among the ones present.
+func TestLabelRank(t *testing.T) {
+	wide := MustNew("wide", []Label{4096, 3, 1 << 20, 4095, 3, 0, 4096}, nil)
+	low := MustNew("low", []Label{7, 5, 7}, nil)
+	for _, tc := range []struct {
+		g        *Graph
+		l        Label
+		rank     int
+		ok       bool
+		vertices []int32
+	}{
+		{wide, 0, 0, true, []int32{5}},
+		{wide, 3, 1, true, []int32{1, 4}},
+		{wide, 4095, 2, true, []int32{3}},
+		{wide, 4096, 3, true, []int32{0, 6}},
+		{wide, 1 << 20, 4, true, []int32{2}},
+		{wide, 1, 0, false, nil},         // between
+		{wide, 4097, 0, false, nil},      // between
+		{wide, 1<<20 + 1, 0, false, nil}, // above
+		{low, 5, 0, true, []int32{1}},
+		{low, 7, 1, true, []int32{0, 2}},
+		{low, 0, 0, false, nil}, // below
+		{low, 6, 0, false, nil}, // between
+		{low, 8, 0, false, nil}, // above
+		{&Graph{}, 0, 0, false, nil},
+		{MustNew("empty", nil, nil), 4096, 0, false, nil},
+	} {
+		rank, ok := tc.g.LabelRank(tc.l)
+		if ok != tc.ok || ok && (rank != tc.rank || tc.g.LabelValues()[rank] != tc.l) {
+			t.Errorf("%s: LabelRank(%d) = %d, %v; want %d, %v", tc.g.Name(), tc.l, rank, ok, tc.rank, tc.ok)
+		}
+		if got := tc.g.VerticesWithLabel(tc.l); !slices.Equal(got, tc.vertices) {
+			t.Errorf("%s: VerticesWithLabel(%d) = %v, want %v", tc.g.Name(), tc.l, got, tc.vertices)
+		}
 	}
 }
 

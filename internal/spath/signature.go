@@ -1,73 +1,113 @@
 package spath
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
 	"github.com/psi-graph/psi/internal/graph"
 )
 
-// labelCount is one signature entry: count vertices carry label.
-type labelCount struct {
-	label graph.Label
-	count int32
-}
+// maxWidth is the widest rank space a 16-bit rank addresses.
+const maxWidth = 1 << 16
+
+// clampRank is a label rank as rows hold it: the ranks from the last 16-bit
+// one up share that one.
+func clampRank(rank int) uint16 { return uint16(min(rank, maxWidth-1)) }
+
+// clampCount is a count as rows hold it: saturated at the largest 16-bit one.
+func clampCount(count int) uint16 { return uint16(min(count, math.MaxUint16)) }
 
 // signatures holds the distance-wise neighbourhood signature of every vertex
 // of one graph — the stored graph's, built once, or a query's, built per
-// query — flat: row(v, d) lists, sorted by label, how many vertices of each
-// label lie within distance 1..d+1 of v (v itself excluded). Rows are
-// cumulative because containment is: an embedding can only shrink distances,
-// so what must hold between a query vertex and its image is "no more
-// l-labelled vertices within distance d", per d. Storing the running sums
-// makes that one merge of two rows per radius, with nothing to accumulate
-// at query time. All rows share one slab; off[v*radius+d] is where row(v, d)
-// starts and the next offset is where it ends.
+// query — flat: row(v, d) says how many vertices of each label lie within
+// distance 1..d+1 of v (v itself excluded). Rows are cumulative because
+// containment is: an embedding can only shrink distances, so what must hold
+// between a query vertex and its image is "no more l-labelled vertices within
+// distance d", per d. Storing the running sums leaves nothing to accumulate
+// at query time.
+//
+// A label is its rank in the stored graph's alphabet (graph.LabelRank), in the
+// stored graph's rows and in a query's alike, and width is that alphabet's
+// size. A row with k labels is dense — width counts indexed by rank — when
+// 2k ≥ width, and sparse — k (rank, count) pairs, ranks ascending, counts
+// positive — otherwise: whichever is shorter, a function of the row alone. A
+// sparse row is strictly shorter than width, so a row's form is its length.
+// All rows share one slab; off[v*radius+d] is where row(v, d) starts and the
+// next offset is where it ends.
+//
+// Ranks and counts are 16 bits, which is sound by construction. Counts
+// saturate at 65 535 in stored and query rows alike (clampCount), and
+// saturation is monotone, so stored ≥ query survives it. Ranks from 65 535 up
+// share the last rank and their counts add (clampRank): containment label by
+// label implies containment of the sums. Both are exact while the stored graph
+// has at most 65 536 distinct labels and the query fewer than 65 536
+// vertices; beyond, the filter keeps a superset of the exact candidates.
 type signatures struct {
 	radius int
+	width  int
 	off    []uint32
-	rows   []labelCount
+	rows   []uint16
 }
 
-func (s *signatures) row(v, d int) []labelCount {
+func (s *signatures) row(v, d int) []uint16 {
 	i := v*s.radius + d
 	return s.rows[s.off[i]:s.off[i+1]]
 }
 
-// buildSignatures computes g's signatures out to radius with
-// graph.BFSBatches. Each level of a batch is walked in (label, vertex) order,
-// so every source's labels at that distance come out ascending: a label's
-// vertices are counted into one counter per source, and the counters a label
-// touched are flushed as that source's next entry. The exact-distance
-// entries of a batch are then merged, source by source and level by level,
-// into the cumulative rows. Scratch is 64 counters and the batch's entries:
-// nothing is sized by the label alphabet or by graph.MaxLabel.
-func buildSignatures(g *graph.Graph, radius int) signatures {
+// buildSignatures computes g's signatures out to radius in the rank space of
+// space: g itself for the stored graph, the stored graph for a query. With a
+// label in g that space lacks it builds nothing and reports false.
+func buildSignatures(g *graph.Graph, radius int, space *graph.Graph) (signatures, bool) {
+	ranks := make([]uint16, g.DistinctLabels())
+	for i, l := range g.LabelValues() {
+		rank, ok := space.LabelRank(l)
+		if !ok {
+			return signatures{}, false
+		}
+		ranks[i] = clampRank(rank)
+	}
+	return buildRows(g, radius, ranks, min(space.DistinctLabels(), maxWidth)), true
+}
+
+// buildRows computes the signatures with graph.BFSBatches; ranks[i] is the
+// rank of g's i-th distinct label, ascending with the labels. Each level of a
+// batch is walked in (label, vertex) order, so every source's ranks at that
+// distance come out ascending: a rank's vertices are counted into one counter
+// per source, and the counters a rank touched are flushed as that source's
+// next pair. The exact-distance pairs of a batch are then summed, source by
+// source and level by level, into the cumulative rows, each written in its
+// final form. Scratch is 64 counters and the batch's pairs: nothing is sized
+// by graph.MaxLabel.
+func buildRows(g *graph.Graph, radius int, ranks []uint16, width int) signatures {
 	n := g.N()
-	sig := signatures{radius: radius, off: make([]uint32, 1, n*radius+1)}
-	labels := g.LabelValues()
-	groups := make([][]int32, len(labels))
-	for i, l := range labels {
+	sig := signatures{radius: radius, width: width, off: make([]uint32, 1, n*radius+1)}
+	groups := make([][]int32, len(ranks))
+	for i, l := range g.LabelValues() {
 		groups[i] = g.VerticesWithLabel(l)
 	}
 	var (
 		count [64]int32
-		exact [64][]labelCount // per source: its entries, level after level
+		exact [64][]uint16 // per source: its (rank, count) pairs, level after level
 		ends  = make([]int, 64*radius)
 	)
 	g.BFSBatches(radius, func(first, depth int, reached []uint64) {
-		for i, l := range labels {
-			var touched uint64
-			for _, v := range groups[i] {
+		var touched uint64
+		for i, group := range groups {
+			for _, v := range group {
 				r := reached[v]
 				touched |= r
 				for ; r != 0; r &= r - 1 {
 					count[bits.TrailingZeros64(r)]++
 				}
 			}
+			if i+1 < len(ranks) && ranks[i+1] == ranks[i] {
+				continue // the next label shares this rank: their counts add
+			}
 			for ; touched != 0; touched &= touched - 1 {
 				src := bits.TrailingZeros64(touched)
-				exact[src] = append(exact[src], labelCount{l, count[src]})
+				exact[src] = append(exact[src], ranks[i], clampCount(int(count[src])))
 				count[src] = 0
 			}
 		}
@@ -82,8 +122,8 @@ func buildSignatures(g *graph.Graph, radius int) signatures {
 			prev, from := len(sig.rows), 0
 			for _, to := range ends[src*radius : (src+1)*radius] {
 				start := len(sig.rows)
-				sig.rows = mergeRows(sig.rows, prev, start, exact[src][from:to])
-				sig.off = append(sig.off, uint32(len(sig.rows)))
+				sig.rows = appendSum(sig.rows, prev, start, exact[src][from:to], width)
+				sig.off = append(sig.off, slabOffset(len(sig.rows), n, width))
 				prev, from = start, to
 			}
 			exact[src] = exact[src][:0]
@@ -97,50 +137,102 @@ func buildSignatures(g *graph.Graph, radius int) signatures {
 	return sig
 }
 
-// mergeRows appends to rows the label-wise sum of rows[lo:hi] and add, both
-// sorted by label, and returns the extended slice.
-func mergeRows(rows []labelCount, lo, hi int, add []labelCount) []labelCount {
+// slabOffset is a slab length as a row offset; a slab longer than an offset
+// can address panics instead of wrapping.
+func slabOffset(entries, n, width int) uint32 {
+	if uint64(entries) > math.MaxUint32 {
+		panic(fmt.Sprintf("spath: the signatures of a graph of %d vertices over %d labels exceed the 2^32 entries an offset can address", n, width))
+	}
+	return uint32(entries)
+}
+
+// appendSum appends to rows the rank-wise sum of the row rows[lo:hi], of
+// either form, and the sparse row add, in the form the sum's own label count
+// asks for, and returns the extended slice.
+func appendSum(rows []uint16, lo, hi int, add []uint16, width int) []uint16 {
+	start := len(rows)
+	if hi-lo == width { // dense, and a sum has no fewer labels: dense again
+		rows = append(rows, rows[lo:hi]...)
+		scatter(rows[start:], add)
+		return rows
+	}
 	for lo < hi && len(add) > 0 {
-		a, b := rows[lo], add[0]
-		switch {
-		case a.label < b.label:
-			rows = append(rows, a)
-			lo++
-		case a.label > b.label:
-			rows = append(rows, b)
-			add = add[1:]
+		switch a, b := rows[lo], add[0]; {
+		case a < b:
+			rows = append(rows, a, rows[lo+1])
+			lo += 2
+		case a > b:
+			rows = append(rows, b, add[1])
+			add = add[2:]
 		default:
-			rows = append(rows, labelCount{a.label, a.count + b.count})
-			lo++
-			add = add[1:]
+			rows = append(rows, a, clampCount(int(rows[lo+1])+int(add[1])))
+			lo += 2
+			add = add[2:]
 		}
 	}
 	rows = append(rows, rows[lo:hi]...)
-	return append(rows, add...)
+	rows = append(rows, add...)
+	if len(rows)-start < width {
+		return rows
+	}
+	// 2k ≥ width: lay the dense form out behind the pairs, then move it down
+	// over them (it is no longer than they are).
+	end := len(rows)
+	rows = append(rows, make([]uint16, width)...)
+	scatter(rows[end:], rows[start:end])
+	copy(rows[start:], rows[end:])
+	return rows[:start+width]
 }
 
-// rowContains reports whether every label of sub appears in super at least
-// as often: one pass of two cursors over the two sorted rows.
-func rowContains(super, sub []labelCount) bool {
-	i := 0
-	for _, s := range sub {
-		for i < len(super) && super[i].label < s.label {
-			i++
+// scatter adds the sparse row add into the dense row.
+func scatter(dense, add []uint16) {
+	for i := 0; i < len(add); i += 2 {
+		dense[add[i]] = clampCount(int(dense[add[i]]) + int(add[i+1]))
+	}
+}
+
+// rowContains reports whether the row super has every label of the row sub
+// at least as often. A dense super answers each label of sub by index; two
+// sparse rows are one pass of two cursors.
+func rowContains(super, sub []uint16, width int) bool {
+	if len(sub) > len(super) {
+		return false // sub has more labels than super: one of them is missing
+	}
+	if len(super) < width {
+		i := 0
+		for j := 0; j < len(sub); j += 2 {
+			for i < len(super) && super[i] < sub[j] {
+				i += 2
+			}
+			if i == len(super) || super[i] != sub[j] || super[i+1] < sub[j+1] {
+				return false
+			}
+			i += 2
 		}
-		if i == len(super) || super[i].label != s.label || super[i].count < s.count {
+		return true
+	}
+	if len(sub) < width {
+		for j := 0; j < len(sub); j += 2 {
+			if super[sub[j]] < sub[j+1] {
+				return false
+			}
+		}
+		return true
+	}
+	for rank, count := range sub {
+		if super[rank] < count {
 			return false
 		}
-		i++
 	}
 	return true
 }
 
 // contains checks cumulative containment of query vertex u's signature in
 // stored vertex v's: at every radius, u must not see more l-labelled vertices
-// than v does, for every label l.
+// than v does, for every label l. q is in s's rank space.
 func (s *signatures) contains(v int, q *signatures, u int) bool {
 	for d := 0; d < s.radius; d++ {
-		if !rowContains(s.row(v, d), q.row(u, d)) {
+		if !rowContains(s.row(v, d), q.row(u, d), s.width) {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package spath
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -43,27 +44,66 @@ func oracleSignature(g *graph.Graph, v, radius int) []map[graph.Label]int32 {
 	return sig
 }
 
-// checkAgainstOracle compares every row of buildSignatures(g, radius) with
-// the oracle's map: same labels, same counts, labels strictly ascending.
+// decode reads a row of either form back into labels: alphabet is the rank
+// space's label of each rank.
+func decode(row []uint16, alphabet []graph.Label) map[graph.Label]int32 {
+	m := make(map[graph.Label]int32)
+	if len(row) == len(alphabet) {
+		for rank, count := range row {
+			if count > 0 {
+				m[alphabet[rank]] = int32(count)
+			}
+		}
+		return m
+	}
+	for i := 0; i < len(row); i += 2 {
+		m[alphabet[row[i]]] = int32(row[i+1])
+	}
+	return m
+}
+
+// ownSignatures builds g's signatures in g's own rank space, as a Matcher
+// does for its stored graph.
+func ownSignatures(t *testing.T, g *graph.Graph, radius int) signatures {
+	t.Helper()
+	sig, ok := buildSignatures(g, radius, g)
+	if !ok {
+		t.Fatalf("%s: a graph lacks one of its own labels", g.Name())
+	}
+	return sig
+}
+
+// checkAgainstOracle compares every row of g's signatures with the oracle's
+// map — same labels, same counts — and holds it to the form its label count
+// asks for: width counts when 2k ≥ width, k pairs of strictly ascending rank
+// and positive count otherwise.
 func checkAgainstOracle(t *testing.T, g *graph.Graph, radius int) {
 	t.Helper()
-	sig := buildSignatures(g, radius)
-	if want := g.N()*radius + 1; len(sig.off) != want {
-		t.Fatalf("n=%d radius=%d: %d offsets, want %d", g.N(), radius, len(sig.off), want)
+	sig := ownSignatures(t, g, radius)
+	width := g.DistinctLabels()
+	if want := g.N()*radius + 1; len(sig.off) != want || sig.width != width {
+		t.Fatalf("%s radius=%d: %d offsets, width %d, want %d and %d", g.Name(), radius, len(sig.off), sig.width, want, width)
 	}
 	for v := 0; v < g.N(); v++ {
 		want := oracleSignature(g, v, radius)
 		for d := 0; d < radius; d++ {
 			row := sig.row(v, d)
-			if len(row) != len(want[d]) {
-				t.Fatalf("n=%d radius=%d: row(%d, %d) = %v, oracle %v", g.N(), radius, v, d, row, want[d])
+			if got := decode(row, g.LabelValues()); !maps.Equal(got, want[d]) {
+				t.Fatalf("%s radius=%d: row(%d, %d) = %v, oracle %v", g.Name(), radius, v, d, got, want[d])
 			}
-			for i, e := range row {
-				if i > 0 && row[i-1].label >= e.label {
-					t.Fatalf("n=%d radius=%d: row(%d, %d) not sorted: %v", g.N(), radius, v, d, row)
+			k := len(want[d])
+			if 2*k >= width {
+				if len(row) != width {
+					t.Fatalf("%s radius=%d: row(%d, %d) has %d of %d labels and %d entries, want dense", g.Name(), radius, v, d, k, width, len(row))
 				}
-				if want[d][e.label] != e.count {
-					t.Fatalf("n=%d radius=%d: row(%d, %d) = %v, oracle %v", g.N(), radius, v, d, row, want[d])
+				continue
+			}
+			if len(row) != 2*k {
+				t.Fatalf("%s radius=%d: row(%d, %d) has %d of %d labels and %d entries, want sparse", g.Name(), radius, v, d, k, width, len(row))
+			}
+			for i := 0; i < len(row); i += 2 {
+				if row[i+1] == 0 || i > 0 && row[i-2] >= row[i] {
+					t.Fatalf("%s radius=%d: sparse row(%d, %d) = %v: ranks must ascend, counts be positive", g.Name(), radius, v, d, row)
 				}
 			}
 		}
@@ -89,19 +129,60 @@ func sparseGraph(r *rand.Rand, n int, degree float64, alphabet []graph.Label) *g
 	return b.MustBuild()
 }
 
+// wideLabels straddle 4095 and reach 2^20: the labels the hand-built cases
+// and the fuzz target draw from.
+var wideLabels = []graph.Label{0, 1, 4095, 4096, 1 << 20}
+
+// star returns a graph over the first width of wideLabels, one vertex each:
+// vertex 0 is adjacent to vertices 1..k and the rest are isolated, so
+// row(0, 0) has k of width labels.
+func star(width, k int) *graph.Graph {
+	var edges [][2]int
+	for i := 1; i <= k; i++ {
+		edges = append(edges, [2]int{0, i})
+	}
+	return graph.MustNew(fmt.Sprintf("star-w%d-k%d", width, k), wideLabels[:width], edges)
+}
+
 // TestSignaturesAgainstOracle: the batched build equals the per-vertex
 // oracle on graphs whose sizes straddle the 64-source batch, sparse
 // (disconnected, isolated vertices) and dense (everything within radius),
 // over labels that straddle 4095 and reach 2^20; n=24 is the query-sized
-// case, one partial batch.
+// case, one partial batch. Alphabets of width 0 (no vertex) to 3 make nearly
+// every row dense, the six-label one nearly every row of a sparse graph
+// sparse, and the stars sit on the boundary between the forms.
 func TestSignaturesAgainstOracle(t *testing.T) {
-	alphabet := []graph.Label{0, 1, 4094, 4095, 4096, 1 << 20}
+	alphabets := [][]graph.Label{
+		{0, 1, 4094, 4095, 4096, 1 << 20},
+		{7},
+		{0, 4096},
+		{1, 2, 1 << 20},
+	}
 	r := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 24, 63, 64, 65, 130} {
-		for radius := 1; radius <= 5; radius++ {
-			for _, degree := range []float64{1.5, 6} {
-				checkAgainstOracle(t, sparseGraph(r, n, degree, alphabet), radius)
+	for _, alphabet := range alphabets {
+		for _, n := range []int{0, 1, 24, 63, 64, 65, 130} {
+			for radius := 1; radius <= 5; radius++ {
+				for _, degree := range []float64{1.5, 6} {
+					checkAgainstOracle(t, sparseGraph(r, n, degree, alphabet), radius)
+				}
 			}
+		}
+	}
+	for _, tc := range []struct {
+		width, k int
+		dense    bool
+	}{
+		{1, 0, false}, // a lone vertex: an empty row is sparse
+		{2, 1, true},
+		{3, 1, false}, {3, 2, true},
+		{4, 1, false}, {4, 2, true}, // 2k = width
+		{5, 2, false}, {5, 3, true}, // 2k = width − 1, width + 1
+	} {
+		g := star(tc.width, tc.k)
+		checkAgainstOracle(t, g, 2)
+		sig := ownSignatures(t, g, 2)
+		if got := len(sig.row(0, 0)) == tc.width; got != tc.dense {
+			t.Errorf("%s: row(0, 0) = %v, dense %v, want %v", g.Name(), sig.row(0, 0), got, tc.dense)
 		}
 	}
 }
@@ -113,10 +194,314 @@ func TestSignatureScratchNotLabelSized(t *testing.T) {
 	g := sparseGraph(rand.New(rand.NewSource(3)), 130, 3, []graph.Label{1 << 20, 1<<20 - 1})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sig := buildSignatures(g, DefaultRadius)
+	sig := ownSignatures(t, g, DefaultRadius)
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Errorf("build allocated %d bytes for %d entries", got, len(sig.rows))
+	}
+}
+
+// TestSixteenBitClamps: the two places a row is narrower than the graph it
+// describes. Each is exact below its limit and errs only towards containment
+// beyond it, so the filter never prunes a true image.
+func TestSixteenBitClamps(t *testing.T) {
+	for _, tc := range []struct{ in, rank, count int }{
+		{0, 0, 0}, {1, 1, 1}, {65534, 65534, 65534}, {65535, 65535, 65535},
+		{65536, 65535, 65535}, {1 << 20, 65535, 65535},
+	} {
+		if got := clampRank(tc.in); int(got) != tc.rank {
+			t.Errorf("clampRank(%d) = %d, want %d", tc.in, got, tc.rank)
+		}
+		if got := clampCount(tc.in); int(got) != tc.count {
+			t.Errorf("clampCount(%d) = %d, want %d", tc.in, got, tc.count)
+		}
+	}
+	// Hand-built rows over three ranks, one label each in the sparse form and
+	// all three in the dense one: stored count against query count.
+	for _, tc := range []struct {
+		stored, query int
+		want          bool // what the clamped rows answer
+		exact         bool // whether that is the true answer
+	}{
+		{65534, 65534, true, true}, {65534, 65535, false, true}, {65535, 65534, true, true},
+		{65535, 65535, true, true}, {65535, 65536, true, false}, {65536, 65535, true, true},
+		{70000, 65536, true, true}, {65536, 70000, true, false}, {65534, 70000, false, true},
+	} {
+		if tc.exact != (tc.want == (tc.stored >= tc.query)) {
+			t.Fatalf("case %+v contradicts itself", tc)
+		}
+		s, q := clampCount(tc.stored), clampCount(tc.query)
+		for name, rows := range map[string][2][]uint16{
+			"sparse in sparse": {{1, s}, {1, q}},
+			"sparse in dense":  {{3, s, 9}, {1, q}},
+			"dense in dense":   {{3, s, 9}, {2, q, 1}},
+		} {
+			if got := rowContains(rows[0], rows[1], 3); got != tc.want {
+				t.Errorf("%s: stored %d, query %d: contained %v, want %v", name, tc.stored, tc.query, got, tc.want)
+			}
+		}
+	}
+	// Sums saturate too: scatter and the sparse merge add through clampCount.
+	if got := appendSum([]uint16{0, 65000, 1, 7}, 0, 4, []uint16{0, 1000, 1, 1}, 5); !slices.Equal(got[4:], []uint16{0, 65535, 1, 8}) {
+		t.Errorf("sparse sum = %v", got[4:])
+	}
+	if got := appendSum([]uint16{65000, 7}, 0, 2, []uint16{0, 1000, 1, 1}, 2); !slices.Equal(got[2:], []uint16{65535, 8}) {
+		t.Errorf("dense sum = %v", got[2:])
+	}
+
+	// Two labels sharing the last rank, as labels of rank 65 535 and up do:
+	// over ranks {0, 1, 1} vertex 0 (label 0) sees two vertices of the shared
+	// rank, where labels 1 and 4095 have one each. In a space of two ranks
+	// that row is dense, in one of six sparse.
+	g := graph.MustNew("g", []graph.Label{0, 1, 4095, 1}, [][2]int{{0, 1}, {0, 2}, {2, 3}})
+	exact := ownSignatures(t, g, 2)
+	q := graph.MustNew("q", []graph.Label{0, 4095, 4095}, [][2]int{{0, 1}, {0, 2}})
+	qExact, _ := buildSignatures(q, 2, g)
+	for _, width := range []int{2, 6} {
+		shared := buildRows(g, 2, []uint16{0, 1, 1}, width)
+		for v := 0; v < g.N(); v++ {
+			for d, want := range oracleSignature(g, v, 2) {
+				bucket := map[graph.Label]int32{}
+				for l, c := range want {
+					bucket[min(l, 1)] += c
+				}
+				if got := decode(shared.row(v, d), []graph.Label{0, 1, 2, 3, 4, 5}[:width]); !maps.Equal(got, bucket) {
+					t.Errorf("width %d: row(%d, %d) = %v, want the oracle's %v bucketed to %v", width, v, d, got, want, bucket)
+				}
+			}
+		}
+		// Sound: whatever is contained label by label is contained bucket by
+		// bucket. Not exact: a query vertex seeing two label-4095 vertices at
+		// distance 1 passes against vertex 0's bucket of two, which has one.
+		qShared := buildRows(q, 2, []uint16{0, 1}, width)
+		if exact.contains(0, &qExact, 0) || !shared.contains(0, &qShared, 0) {
+			t.Errorf("width %d: two label-4095 neighbours against one: exact rows must reject, bucketed rows accept", width)
+		}
+		for v := 0; v < g.N(); v++ {
+			for u := 0; u < g.N(); u++ {
+				if exact.contains(v, &exact, u) && !shared.contains(v, &shared, u) {
+					t.Errorf("width %d: bucketed rows reject (%d, %d), which the exact rows accept", width, v, u)
+				}
+			}
+		}
+	}
+
+	// An offset that would wrap panics, naming the graph.
+	if got := slabOffset(1<<32-1, 5, 3); got != 1<<32-1 {
+		t.Errorf("slabOffset(2^32-1) = %d", got)
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); msg != "spath: the signatures of a graph of 5 vertices over 3 labels exceed the 2^32 entries an offset can address" {
+			t.Errorf("slabOffset(2^32) recovered %q", msg)
+		}
+	}()
+	slabOffset(1<<32, 5, 3)
+}
+
+// filterCase is one stored graph with queries to run the filter on.
+type filterCase struct {
+	g       *graph.Graph
+	queries []*graph.Graph
+}
+
+// randomFilterCases draws 12 random stored graphs over six labels, each with
+// queries extracted from it (so at least the planted embedding exists).
+func randomFilterCases() []filterCase {
+	r := rand.New(rand.NewSource(5))
+	cases := make([]filterCase, 12)
+	for round := range cases {
+		g := sparseGraph(r, 30+r.Intn(40), 2+2*r.Float64(), []graph.Label{0, 1, 2, 3, 4, 5})
+		cases[round] = extractedCase(g, int64(round))
+	}
+	return cases
+}
+
+func extractedCase(g *graph.Graph, seed int64) filterCase {
+	c := filterCase{g: g}
+	for _, wq := range workload.GenerateSingle(g, []int{3, 5, 7}, 4, seed) {
+		c.queries = append(c.queries, wq.Graph)
+	}
+	return c
+}
+
+// handFilterCases are the filter's corner cases over wideLabels, which
+// TestCandidatesMatchOracle runs and FuzzSPathCandidates is seeded with.
+func handFilterCases() []filterCase {
+	l := wideLabels
+	path := func(name string, labels ...graph.Label) *graph.Graph {
+		var edges [][2]int
+		for i := 1; i < len(labels); i++ {
+			edges = append(edges, [2]int{i - 1, i})
+		}
+		return graph.MustNew(name, labels, edges)
+	}
+	return []filterCase{
+		// Only vertex 0 has an l[2] vertex within distance 2; the second query
+		// carries a label the stored graph lacks, between two it has.
+		{graph.MustNew("g", []graph.Label{l[0], l[1], l[3], l[0], l[1]}, [][2]int{{0, 1}, {1, 2}, {3, 4}}),
+			[]*graph.Graph{path("q", l[0], l[1], l[3]), path("foreign", l[0], l[1], l[2])}},
+		// Three labels. Stored vertex 0 sees one of them (a sparse row) and
+		// vertex 3 two (a dense one); the query's middle vertex sees two, so
+		// its dense row meets a sparse and a dense stored row. The second
+		// query is all dense rows in dense rows, counts deciding.
+		{graph.MustNew("w3", []graph.Label{l[0], l[1], l[1], l[0], l[1], l[2], l[2]}, [][2]int{{0, 1}, {0, 2}, {3, 4}, {3, 5}, {3, 6}}),
+			[]*graph.Graph{path("dense-row", l[1], l[0], l[2]), graph.MustNew("counts", []graph.Label{l[0], l[2], l[2], l[1]}, [][2]int{{0, 1}, {0, 2}, {0, 3}})}},
+		// Five labels, sparse rows: the query's vertex 0 sees more distinct
+		// labels than stored vertex 0 and as many as stored vertex 3.
+		{graph.MustNew("w5", []graph.Label{l[0], l[1], l[1], l[0], l[1], l[3], l[2], l[4]}, [][2]int{{0, 1}, {0, 2}, {3, 4}, {3, 5}}),
+			[]*graph.Graph{graph.MustNew("more-labels", []graph.Label{l[0], l[1], l[3]}, [][2]int{{0, 1}, {0, 2}})}},
+		// One label: every non-empty row is dense; a triangle in a 4-clique
+		// minus an edge, and a query larger than the stored graph's degrees.
+		{graph.MustNew("w1", []graph.Label{l[4], l[4], l[4], l[4]}, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {2, 3}}),
+			[]*graph.Graph{graph.MustNew("triangle", []graph.Label{l[4], l[4], l[4]}, [][2]int{{0, 1}, {1, 2}, {0, 2}}), path("p5", l[4], l[4], l[4], l[4], l[4])}},
+		// Boundary stars as stored graphs and as queries of one another.
+		{star(5, 3), []*graph.Graph{star(5, 2), star(4, 2), star(5, 3)}},
+		{star(4, 2), []*graph.Graph{star(4, 1), star(5, 2)}},
+		// Nothing to match against, and nothing to match.
+		{graph.MustNew("empty", nil, nil), []*graph.Graph{path("one", l[0])}},
+		{path("pair", l[0], l[1]), []*graph.Graph{graph.MustNew("none", nil, nil), graph.MustNew("isolated", []graph.Label{l[1], l[0]}, nil)}},
+	}
+}
+
+// oracleCandidates is the filter by definition: v is a candidate for u iff
+// it has u's label, at least u's degree, and at every radius at least as many
+// vertices of every label as u has, by oracleSignature. Like candidates it
+// returns nil when some query vertex has no candidate.
+func oracleCandidates(g, q *graph.Graph, radius int) []match.VertexSet {
+	gSig := make([][]map[graph.Label]int32, g.N())
+	for v := range gSig {
+		gSig[v] = oracleSignature(g, v, radius)
+	}
+	cand := match.NewVertexSets(q.N(), g.N())
+	for u := 0; u < q.N(); u++ {
+		qSig := oracleSignature(q, u, radius)
+		for v := 0; v < g.N(); v++ {
+			ok := g.Label(v) == q.Label(u) && g.Degree(v) >= q.Degree(u)
+			for d := 0; ok && d < radius; d++ {
+				for l, c := range qSig[d] {
+					ok = ok && gSig[v][d][l] >= c
+				}
+			}
+			if ok {
+				cand[u].Add(int32(v))
+			}
+		}
+		if cand[u].Len() == 0 {
+			return nil
+		}
+	}
+	return cand
+}
+
+// checkCandidates holds candidates(q) over g at radius to oracleCandidates,
+// bit for bit.
+func checkCandidates(t *testing.T, g, q *graph.Graph, radius int) {
+	t.Helper()
+	got, err := NewWithRadius(g, radius).candidates(q, match.NewBudget(context.Background()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracleCandidates(g, q, radius)
+	if !slices.EqualFunc(got, want, func(a, b match.VertexSet) bool { return slices.Equal(a, b) }) {
+		t.Fatalf("%s in %s, radius %d: candidates %v, oracle %v\nstored labels %v edges %v\nquery labels %v edges %v",
+			q.Name(), g.Name(), radius, got, want, g.Labels(), g.EdgeList(), q.Labels(), q.EdgeList())
+	}
+}
+
+// TestCandidatesMatchOracle is the parity argument as a test: the candidate
+// sets are exactly the definition's, so path ordering and the search — which
+// see nothing else of the signatures — emit what they always did. Every
+// stored graph also meets the next one's queries, which mostly fail the
+// filter and, across alphabets, carry labels it lacks.
+func TestCandidatesMatchOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	four := sparseGraph(r, 90, 5, []graph.Label{0, 1, 2, 3})
+	forty := make([]graph.Label, 40)
+	for i := range forty {
+		forty[i] = graph.Label(100 * i)
+	}
+	cases := append(randomFilterCases(), extractedCase(four, 1), extractedCase(sparseGraph(r, 150, 4, forty), 2))
+	cases = append(cases, handFilterCases()...)
+	for i, c := range cases {
+		for _, q := range slices.Concat(c.queries, cases[(i+1)%len(cases)].queries) {
+			checkCandidates(t, c.g, q, DefaultRadius)
+		}
+	}
+}
+
+// fuzzCase decodes a fuzz input: radius 1..5, a stored graph of up to 32
+// vertices over the first 1..5 of wideLabels and a query of up to 8 over its
+// own first 1..5, so a query may carry labels the stored graph lacks; then
+// the stored graph's edges as vertex pairs and, after them, the query's.
+func fuzzCase(data []byte) (g, q *graph.Graph, radius int) {
+	var head [6]int
+	for i := range head {
+		if i < len(data) {
+			head[i] = int(data[i])
+		}
+	}
+	data = data[min(len(head), len(data)):]
+	build := func(name string, n, alphabet, pairs int) *graph.Graph {
+		n = min(n, len(data))
+		b := graph.NewBuilder(name)
+		for _, l := range data[:n] {
+			b.AddVertex(wideLabels[int(l)%alphabet])
+		}
+		data = data[n:]
+		for ; n > 0 && pairs > 0 && len(data) >= 2; pairs, data = pairs-1, data[2:] {
+			u, v := int(data[0])%n, int(data[1])%n
+			if u != v && !b.HasEdgePending(u, v) {
+				if err := b.AddEdge(u, v); err != nil {
+					panic(err) // both endpoints exist
+				}
+			}
+		}
+		return b.MustBuild()
+	}
+	g = build("fuzz-g", head[1]%33, head[2]%5+1, head[3])
+	q = build("fuzz-q", head[4]%9, head[5]%5+1, len(data))
+	return g, q, head[0]%5 + 1
+}
+
+// fuzzInput spells a stored graph and a query over wideLabels as fuzzCase
+// reads them.
+func fuzzInput(g, q *graph.Graph, radius int) []byte {
+	data := []byte{byte(radius - 1), byte(g.N()), 4, byte(g.M()), byte(q.N()), 4}
+	for _, x := range []*graph.Graph{g, q} {
+		for _, l := range x.Labels() {
+			data = append(data, byte(slices.Index(wideLabels, l)))
+		}
+		x.Edges(func(u, v int) { data = append(data, byte(u), byte(v)) })
+	}
+	return data
+}
+
+// FuzzSPathCandidates holds the filter to its definition on whatever small
+// stored graph and query the input spells, seeded with handFilterCases at
+// every radius.
+func FuzzSPathCandidates(f *testing.F) {
+	for _, c := range handFilterCases() {
+		for _, q := range c.queries {
+			for radius := 1; radius <= 5; radius++ {
+				f.Add(fuzzInput(c.g, q, radius))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, q, radius := fuzzCase(data)
+		checkCandidates(t, g, q, radius)
+	})
+}
+
+// TestFuzzInputRoundTrips: the seeds are the cases they were made from.
+func TestFuzzInputRoundTrips(t *testing.T) {
+	for _, c := range handFilterCases() {
+		for _, q := range c.queries {
+			g2, q2, radius := fuzzCase(fuzzInput(c.g, q, 3))
+			if !g2.Equal(c.g) || !q2.Equal(q) || radius != 3 {
+				t.Errorf("%s in %s does not survive the fuzz encoding", q.Name(), c.g.Name())
+			}
+		}
 	}
 }
 
@@ -126,13 +511,10 @@ func TestSignatureScratchNotLabelSized(t *testing.T) {
 // finds survives the candidate filter.
 func TestCandidatesKeepEveryEmbedding(t *testing.T) {
 	ctx := context.Background()
-	r := rand.New(rand.NewSource(5))
-	for round := 0; round < 12; round++ {
-		g := sparseGraph(r, 30+r.Intn(40), 2+2*r.Float64(), []graph.Label{0, 1, 2, 3, 4, 5})
-		m := New(g)
-		for _, wq := range workload.GenerateSingle(g, []int{3, 5, 7}, 4, int64(round)) {
-			q := wq.Graph
-			embs, err := match.NewReference(g).Match(ctx, q, 50)
+	for round, c := range randomFilterCases() {
+		m := New(c.g)
+		for _, q := range c.queries {
+			embs, err := match.NewReference(c.g).Match(ctx, q, 50)
 			if err != nil {
 				t.Fatal(err)
 			}

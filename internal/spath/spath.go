@@ -38,12 +38,16 @@ func NewWithRadius(g *graph.Graph, radius int) *Matcher {
 	if radius < 1 {
 		radius = 1
 	}
-	sig := buildSignatures(g, radius)
+	sig, _ := buildSignatures(g, radius, g)
 	// The slab lives as long as the matcher: drop the spare capacity (up to
 	// a quarter) that appending left.
 	sig.rows = slices.Clone(sig.rows)
 	return &Matcher{g: g, sig: sig}
 }
+
+// IndexBytes returns the size of the signature index: the row slab and its
+// offsets.
+func (m *Matcher) IndexBytes() int { return 2*len(m.sig.rows) + 4*len(m.sig.off) }
 
 // Name implements match.Matcher.
 func (m *Matcher) Name() string { return "SPA" }
@@ -93,9 +97,13 @@ func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, si
 }
 
 // candidates computes per-query-vertex candidate sets by label, degree and
-// distance-signature containment. Returns nil if any set is empty.
+// distance-signature containment. Returns nil if any set is empty, which a
+// query label the stored graph lacks decides before any signature is built.
 func (m *Matcher) candidates(q *graph.Graph, budget *match.Budget) ([]match.VertexSet, error) {
-	qSig := buildSignatures(q, m.sig.radius)
+	qSig, ok := buildSignatures(q, m.sig.radius, m.g)
+	if !ok {
+		return nil, nil
+	}
 	cand := match.NewVertexSets(q.N(), m.g.N())
 	for u := 0; u < q.N(); u++ {
 		empty := true
@@ -122,93 +130,59 @@ func (m *Matcher) candidates(q *graph.Graph, budget *match.Budget) ([]match.Vert
 // together during the join.
 func decompose(q *graph.Graph, maxLen int) [][]int32 {
 	n := q.N()
-	visited := make([]bool, n)
-	parent := make([]int32, n)
-	var paths [][]int32
-	covered := make(map[[2]int32]bool, q.M())
-	cover := func(a, b int32) {
-		if a > b {
-			a, b = b, a
-		}
-		covered[[2]int32{a, b}] = true
-	}
-	isCovered := func(a, b int32) bool {
-		if a > b {
-			a, b = b, a
-		}
-		return covered[[2]int32{a, b}]
-	}
+	var (
+		paths    [][]int32
+		visited  = make([]bool, n)
+		hasChild = make([]bool, n)
+		parent   = make([]int32, n)
+		order    = make([]int32, 0, n) // BFS order, component after component
+		rev      []int32
+	)
 	for root := 0; root < n; root++ {
 		if visited[root] {
 			continue
 		}
-		// BFS tree of this component.
+		// BFS tree of this component: its stretch of order is the queue.
+		first := len(order)
 		visited[root] = true
 		parent[root] = -1
-		queue := []int32{int32(root)}
-		var order []int32
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
+		order = append(order, int32(root))
+		for head := first; head < len(order); head++ {
+			v := order[head]
 			for _, w := range q.Neighbors(int(v)) {
 				if !visited[w] {
 					visited[w] = true
 					parent[w] = v
-					queue = append(queue, w)
+					hasChild[v] = true
+					order = append(order, w)
 				}
-			}
-		}
-		// Children counts to find leaves.
-		isLeaf := make(map[int32]bool, len(order))
-		for _, v := range order {
-			isLeaf[v] = true
-		}
-		for _, v := range order {
-			if parent[v] >= 0 {
-				isLeaf[parent[v]] = false
 			}
 		}
 		// Root-to-leaf tree paths, chopped into ≤ maxLen segments.
-		for _, v := range order {
-			if !isLeaf[v] {
+		for _, v := range order[first:] {
+			if hasChild[v] {
 				continue
 			}
-			var rev []int32
+			rev = rev[:0]
 			for x := v; x >= 0; x = parent[x] {
 				rev = append(rev, x)
-				if parent[x] < 0 {
-					break
-				}
 			}
-			// reverse to root..leaf
-			for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-				rev[i], rev[j] = rev[j], rev[i]
-			}
+			slices.Reverse(rev)
 			for start := 0; start+1 < len(rev); start += maxLen {
-				end := start + maxLen
-				if end >= len(rev) {
-					end = len(rev) - 1
-				}
-				seg := rev[start : end+1]
-				cp := make([]int32, len(seg))
-				copy(cp, seg)
-				paths = append(paths, cp)
-				for i := 0; i+1 < len(cp); i++ {
-					cover(cp[i], cp[i+1])
-				}
+				end := min(start+maxLen, len(rev)-1)
+				paths = append(paths, slices.Clone(rev[start:end+1]))
 			}
 		}
 		// Isolated vertex: single-vertex path so it still gets matched.
-		if len(order) == 1 {
-			paths = append(paths, []int32{order[0]})
+		if len(order)-first == 1 {
+			paths = append(paths, []int32{int32(root)})
 		}
 	}
-	// Non-tree edges as 1-edge paths.
+	// Non-tree edges as 1-edge paths: the segments covered every tree edge,
+	// and an edge is a tree edge iff one endpoint is the other's parent.
 	q.Edges(func(a, b int) {
-		if !isCovered(int32(a), int32(b)) {
+		if parent[a] != int32(b) && parent[b] != int32(a) {
 			paths = append(paths, []int32{int32(a), int32(b)})
-			cover(int32(a), int32(b))
 		}
 	})
 	return paths

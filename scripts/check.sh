@@ -46,6 +46,15 @@ echo "== fuzz (FuzzExtractFeatures, 5s) =="
 # wrongly skipped, or counted with a neighbour already on the path, shows.
 go test -run='^$' -fuzz=FuzzExtractFeatures -fuzztime=5s ./internal/ftv
 
+echo "== fuzz (FuzzSPathCandidates, 5s) =="
+# A stored graph of up to 32 vertices and a query of up to 8 over alphabets of
+# one to five labels of every width, radius 1..5, against the filter's
+# definition on the map-based oracle signatures: sPath's rows take one of two
+# forms by their own label count and sit in the stored graph's rank space, and
+# this is where a row on the wrong side of that rule, a query label the stored
+# graph lacks, or a containment that reads one form as the other shows.
+go test -run='^$' -fuzz=FuzzSPathCandidates -fuzztime=5s ./internal/spath
+
 echo "== bench smoke (1 iteration) =="
 # Every root benchmark once, BenchmarkExtractFeatures,
 # BenchmarkBuildPortfolio and BenchmarkGrapesVerify (the index-build path and
