@@ -7,7 +7,8 @@ package psi_test
 //
 // Micro-benchmarks at the bottom measure the framework's moving parts:
 // rewriting cost (§8 reports tens to hundreds of µs), matcher throughput,
-// index construction, and the racing overhead ablation from DESIGN.md §7.
+// index construction, and the racing overhead ablation (the harness's
+// ablation1, as a micro-benchmark).
 
 import (
 	"context"
@@ -57,7 +58,6 @@ func BenchmarkFig14PsiNFVAlgQLA(b *testing.B)    { benchExperiment(b, "fig14") }
 func BenchmarkFig15PsiNFVAlgWLA(b *testing.B)    { benchExperiment(b, "fig15") }
 func BenchmarkTable10Killed(b *testing.B)        { benchExperiment(b, "table10") }
 func BenchmarkAblationOverhead(b *testing.B)     { benchExperiment(b, "ablation1") }
-func BenchmarkAblationPredictor(b *testing.B)    { benchExperiment(b, "ablation2") }
 
 // --- micro-benchmarks -----------------------------------------------------
 
@@ -206,7 +206,7 @@ func BenchmarkAnswerWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkRaceOverhead is the ablation from DESIGN.md §7: racing k
+// BenchmarkRaceOverhead is the racing-overhead ablation: racing k
 // identical VF2 attempts against running one, quantifying goroutine
 // instantiation + synchronization overhead (§8: "the instantiation and
 // synchronization of many threads come with a non-trivial overhead").

@@ -1,12 +1,12 @@
 // Command psiquery runs subgraph queries from files through a psi.Engine,
-// with a single algorithm, a Ψ-framework race, or the learned per-query
-// prediction policy.
+// with a single algorithm, a Ψ-framework race, or the learned per-query-class
+// policy.
 //
 // NFV (single stored graph): match every query, report embeddings found,
 // winner and time per query.
 //
 //	psiquery -data yeast.txt -queries q.txt -algos GQL,SPA -rewritings Or,DND
-//	psiquery -data yeast.txt -queries q.txt -mode predict -json
+//	psiquery -data yeast.txt -queries q.txt -mode auto -json
 //
 // FTV (multi-graph dataset): filter-then-verify decision with the flat
 // path index, Grapes or GGSX — or a race of several — with rewritings
@@ -35,7 +35,7 @@ func main() {
 		queriesFlag = flag.String("queries", "", "query file (required)")
 		algosFlag   = flag.String("algos", "GQL", "comma-separated NFV algorithms: GQL,SPA,QSI,VF2")
 		rewrFlag    = flag.String("rewritings", "Orig", "comma-separated rewritings: Orig,ILF,IND,DND,ILF+IND,ILF+DND")
-		modeFlag    = flag.String("mode", "race", "planning policy: race|predict|single")
+		modeFlag    = flag.String("mode", "race", "planning policy: race|single|auto")
 		jsonFlag    = flag.Bool("json", false, "emit one JSON object per query instead of text")
 		indexFlag   = flag.String("index", "", "FTV indexes for multi-graph datasets: ftv|grapes|ggsx, a comma list, or race (all)")
 		workersFlag = flag.Int("workers", 1, "Grapes worker count")
@@ -148,7 +148,7 @@ func runQueries(eng *psi.Engine, queries []*graph.Graph, datasetSize, limit int,
 		default:
 			note := ""
 			if res.FellBack {
-				note = "  (prediction fell back to race)"
+				note = "  (solo fell back to race)"
 			}
 			fmt.Printf("%-12s %4d embedding(s)  winner=%-12s  plan=%-9s %v%s\n",
 				q.Name(), res.Found, res.Winner, res.Kind, res.Elapsed.Round(time.Microsecond), note)

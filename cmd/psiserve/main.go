@@ -12,7 +12,8 @@
 //	     a per-query-class bandit learns which index pipeline wins and runs
 //	     it solo, escalating back to the full race on unfamiliar classes,
 //	     stale statistics, or a budget-killed solo; answers stay identical
-//	     to -policy race. (-mode auto is the stored-graph analogue.)
+//	     to -policy race. (-mode race|single|auto: auto is the stored-graph
+//	     analogue.)
 //
 // Concurrent identical queries are coalesced: overlapping requests for the
 // same canonical query share one engine execution and every client gets the
@@ -90,24 +91,25 @@ func main() {
 		seedFlag     = flag.Int64("seed", 1, "generator seed")
 		addrFlag     = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 		portFileFlag = flag.String("portfile", "", "write the bound TCP port to this file once listening")
-		algosFlag    = flag.String("algos", "GQL,SPA", "NFV algorithms: GQL,SPA,QSI,VF2")
-		rewrFlag     = flag.String("rewritings", "Orig,DND", "raced rewritings: Orig,ILF,IND,DND,ILF+IND,ILF+DND")
-		modeFlag     = flag.String("mode", "race", "stored-graph planning mode: race|predict|single|auto")
-		indexFlag    = flag.String("index", "race", "dataset indexes: ftv|grapes|ggsx, a comma list, or race (all)")
-		policyFlag   = flag.String("policy", "", "dataset index policy: race|fixed|auto (default: race with several indexes)")
 		noCoalesce   = flag.Bool("no-coalesce", false, "disable in-flight coalescing of concurrent identical queries")
-		mutableFlag  = flag.Bool("mutable", false, "accept online mutations (POST/DELETE/PUT /graphs); the engine builds in the background")
-		compactFlag  = flag.Int("compact-every", 0, "per-shard tombstone count that triggers compaction (0: default)")
-		shardsFlag   = flag.Int("shards", 1, "dataset shards per index (round-robin partition; answers identical at any K)")
-		workersFlag  = flag.Int("workers", 1, "Grapes verification worker count")
-		timeoutFlag  = flag.Duration("timeout", 10*time.Minute, "per-query kill cap (the engine budget)")
 		reqTimeout   = flag.Duration("request-timeout", 0, "per-request deadline cap (0: engine budget only)")
 		inflightFlag = flag.Int("max-inflight", 0, "admission limit (0: 4 x NumCPU)")
 		cacheFlag    = flag.Int("cache", 256, "server result-cache entries (negative disables)")
 		limitFlag    = flag.Int("limit", 1000, "default embedding limit per query")
 		drainFlag    = flag.Duration("drain", 10*time.Second, "graceful-drain grace before stragglers are cancelled")
-		snapFlag     = flag.String("snapshot", "", "snapshot file: cold-start from it when present (no -data/-gen needed), save to it after a fresh build; POST /snapshot re-saves")
+		ef           engineFlags
 	)
+	flag.StringVar(&ef.algos, "algos", "GQL,SPA", "NFV algorithms: GQL,SPA,QSI,VF2")
+	flag.StringVar(&ef.rewritings, "rewritings", "Orig,DND", "raced rewritings: Orig,ILF,IND,DND,ILF+IND,ILF+DND")
+	flag.StringVar(&ef.mode, "mode", "race", "stored-graph planning mode: race|single|auto")
+	flag.StringVar(&ef.index, "index", "race", "dataset indexes: ftv|grapes|ggsx, a comma list, or race (all)")
+	flag.StringVar(&ef.policy, "policy", "", "dataset index policy: race|fixed|auto (default: race with several indexes)")
+	flag.BoolVar(&ef.mutable, "mutable", false, "accept online mutations (POST/DELETE/PUT /graphs); the engine builds in the background")
+	flag.IntVar(&ef.compactEvery, "compact-every", 0, "per-shard tombstone count that triggers compaction (0: default)")
+	flag.IntVar(&ef.shards, "shards", 1, "dataset shards per index (round-robin partition; answers identical at any K)")
+	flag.IntVar(&ef.workers, "workers", 1, "Grapes verification worker count")
+	flag.DurationVar(&ef.timeout, "timeout", 10*time.Minute, "per-query kill cap (the engine budget)")
+	flag.StringVar(&ef.snapshot, "snapshot", "", "snapshot file: cold-start from it when present (no -data/-gen needed), save to it after a fresh build; POST /snapshot re-saves")
 	flag.Parse()
 	// Flags the user actually set, as opposed to defaults: the snapshot
 	// carries its own shard count and index portfolio, so on a cold start
@@ -116,8 +118,8 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	snapExists := false
-	if *snapFlag != "" {
-		if _, err := os.Stat(*snapFlag); err == nil {
+	if ef.snapshot != "" {
+		if _, err := os.Stat(ef.snapshot); err == nil {
 			snapExists = true
 		}
 	}
@@ -128,12 +130,17 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *mutableFlag && len(ds) < 2 {
+		if ef.mutable && len(ds) < 2 {
 			fatal(errors.New("-mutable requires a dataset of more than one graph"))
 		}
-		if *snapFlag != "" && len(ds) < 2 {
+		if ef.snapshot != "" && len(ds) < 2 {
 			fatal(errors.New("-snapshot requires a dataset engine (more than one graph)"))
 		}
+	}
+	// Every flag value is checked here, before any index is built or loaded.
+	opts, err := engineOptions(ef, explicit, len(ds))
+	if err != nil {
+		fatal(err)
 	}
 
 	srv := server.NewBuilding(server.Options{
@@ -142,7 +149,7 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		CacheSize:      *cacheFlag,
 		NoCoalesce:     *noCoalesce,
-		SnapshotPath:   *snapFlag,
+		SnapshotPath:   ef.snapshot,
 	})
 	defer func() {
 		if eng := srv.Engine(); eng != nil {
@@ -151,30 +158,21 @@ func main() {
 	}()
 	buildErr := make(chan error, 1)
 	build := func(announce bool) {
-		var (
-			eng *psi.Engine
-			err error
-		)
-		if snapExists {
-			start := time.Now()
-			eng, err = engineFromSnapshot(*snapFlag, explicit, *indexFlag, *policyFlag, *shardsFlag, *workersFlag, *compactFlag, *timeoutFlag, *mutableFlag)
-			if err == nil {
-				fmt.Fprintf(os.Stderr, "psiserve: cold-started from %s in %v\n", *snapFlag, time.Since(start).Round(time.Millisecond))
-			}
-		} else {
-			eng, err = buildEngine(ds, *algosFlag, *rewrFlag, *modeFlag, *indexFlag, *policyFlag, *shardsFlag, *workersFlag, *compactFlag, *timeoutFlag, *mutableFlag)
-			if err == nil && *snapFlag != "" {
-				if serr := eng.SaveSnapshot(*snapFlag); serr != nil {
-					eng.Close()
-					err = fmt.Errorf("saving initial snapshot: %w", serr)
-				} else {
-					fmt.Fprintf(os.Stderr, "psiserve: snapshot saved to %s\n", *snapFlag)
-				}
-			}
-		}
+		start := time.Now()
+		eng, err := newEngine(ds, opts)
 		if err != nil {
 			buildErr <- err
 			return
+		}
+		if snapExists {
+			fmt.Fprintf(os.Stderr, "psiserve: cold-started from %s in %v\n", ef.snapshot, time.Since(start).Round(time.Millisecond))
+		} else if ef.snapshot != "" {
+			if err := eng.SaveSnapshot(ef.snapshot); err != nil {
+				eng.Close()
+				buildErr <- fmt.Errorf("saving initial snapshot: %w", err)
+				return
+			}
+			fmt.Fprintf(os.Stderr, "psiserve: snapshot saved to %s\n", ef.snapshot)
 		}
 		srv.SetEngine(eng)
 		if announce {
@@ -182,7 +180,7 @@ func main() {
 		}
 		buildErr <- nil
 	}
-	if *mutableFlag {
+	if ef.mutable {
 		// A mutable server listens first and builds in the background, so
 		// readiness probes see "building" instead of connection refusals.
 		go build(true)
@@ -286,64 +284,73 @@ func loadDataset(path, genKind, scaleName string, seed int64) ([]*graph.Graph, e
 	return nil, fmt.Errorf("unknown -gen kind %q", genKind)
 }
 
-// engineFromSnapshot cold-starts the engine from a saved snapshot: the file
-// carries the dataset, the index portfolio and the shard count, so only
-// flags the user explicitly set are forwarded — the engine then insists they
-// agree with the file rather than silently rebuilding.
-func engineFromSnapshot(path string, explicit map[string]bool, indexSpec, policy string, shards, workers, compactEvery int, timeout time.Duration, mutable bool) (*psi.Engine, error) {
-	opts := psi.EngineOptions{
-		Snapshot:     path,
-		Timeout:      timeout,
-		IndexWorkers: workers,
-		IndexPolicy:  policy,
-		Mutable:      mutable,
-		CompactEvery: compactEvery,
-	}
-	if explicit["shards"] {
-		opts.Shards = shards
-	}
-	if explicit["index"] {
-		var err error
-		opts.Indexes, err = psi.ParseIndexSpec(indexSpec)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return psi.NewDatasetEngine(nil, opts)
+// engineFlags are the parsed flags that shape the engine (the rest shape the
+// server around it).
+type engineFlags struct {
+	algos, rewritings, mode       string
+	index, policy                 string
+	shards, workers, compactEvery int
+	timeout                       time.Duration
+	mutable                       bool
+	snapshot                      string
 }
 
-// buildEngine constructs the NFV or FTV engine the dataset shape calls for.
-func buildEngine(ds []*graph.Graph, algos, rewritings, mode, indexSpec, policy string, shards, workers, compactEvery int, timeout time.Duration, mutable bool) (*psi.Engine, error) {
-	kinds, err := psi.ParseRewritings(rewritings)
+// engineOptions maps the flags onto the engine's options for a dataset of the
+// given size, checking every value whether or not this dataset shape reads
+// it. One graph is a stored-graph (NFV) engine: -algos and -mode apply and the
+// index flags do not; more is a dataset (FTV) engine, the reverse. No graphs
+// is a cold start from -snapshot: the file carries the dataset, the index
+// portfolio and the shard count, so -index and -shards are forwarded only
+// when the user set them (explicit) — the engine then insists they agree with
+// the file rather than silently rebuilding.
+func engineOptions(f engineFlags, explicit map[string]bool, graphs int) (psi.EngineOptions, error) {
+	rewritings, err := psi.ParseRewritings(f.rewritings)
 	if err != nil {
-		return nil, err
+		return psi.EngineOptions{}, err
 	}
-	m, err := psi.ParseMode(mode)
+	mode, err := psi.ParseMode(f.mode)
 	if err != nil {
-		return nil, err
+		return psi.EngineOptions{}, err
+	}
+	algos, err := psi.ParseAlgorithms(f.algos)
+	if err != nil {
+		return psi.EngineOptions{}, err
+	}
+	indexes, err := psi.ParseIndexSpec(f.index)
+	if err != nil {
+		return psi.EngineOptions{}, err
 	}
 	opts := psi.EngineOptions{
-		Rewritings:   kinds,
-		Mode:         m,
-		Timeout:      timeout,
-		IndexWorkers: workers,
-		Shards:       shards,
+		Rewritings:   rewritings,
+		Timeout:      f.timeout,
+		IndexWorkers: f.workers,
 	}
-	if len(ds) > 1 {
-		opts.Indexes, err = psi.ParseIndexSpec(indexSpec)
-		if err != nil {
-			return nil, err
-		}
-		opts.IndexPolicy = policy
-		opts.Mutable = mutable
-		opts.CompactEvery = compactEvery
-		return psi.NewDatasetEngine(ds, opts)
+	if graphs == 1 {
+		opts.Algorithms, opts.Mode = algos, mode
+		return opts, nil
 	}
-	opts.Algorithms, err = psi.ParseAlgorithms(algos)
-	if err != nil {
-		return nil, err
+	opts.IndexPolicy = f.policy
+	opts.Mutable = f.mutable
+	opts.CompactEvery = f.compactEvery
+	if graphs == 0 {
+		opts.Snapshot = f.snapshot
 	}
-	return psi.NewEngine(ds[0], opts)
+	if graphs > 0 || explicit["index"] {
+		opts.Indexes = indexes
+	}
+	if graphs > 0 || explicit["shards"] {
+		opts.Shards = f.shards
+	}
+	return opts, nil
+}
+
+// newEngine constructs the NFV or FTV engine the dataset shape calls for; a
+// nil dataset is a cold start, and opts.Snapshot carries it.
+func newEngine(ds []*graph.Graph, opts psi.EngineOptions) (*psi.Engine, error) {
+	if len(ds) == 1 {
+		return psi.NewEngine(ds[0], opts)
+	}
+	return psi.NewDatasetEngine(ds, opts)
 }
 
 func describe(eng *psi.Engine) string {

@@ -101,8 +101,9 @@
 // to first-to-emit — the first embedding anyone finds claims the output
 // stream for its attempt and cancels every other contender — so
 // first-result latency is the fastest attempt's time-to-first-embedding,
-// not its time-to-full-enumeration (on the recorded baseline, a four-order-
-// of-magnitude difference for enumeration-heavy queries; BENCH_engine.json).
+// not its time-to-full-enumeration (orders of magnitude apart for
+// enumeration-heavy queries; BenchmarkEngineFirstResult against
+// BenchmarkEngineFullEnumeration shows it).
 // The FTV side streams too (see Execution pipeline above): each containing
 // graph ID surfaces as soon as its raced verification and all earlier
 // candidates settle, preserving the ascending answer order incrementally.
@@ -110,10 +111,11 @@
 // Engine is the serving facade over all of it: a long-lived object owning
 // the stored graph or dataset, the prebuilt matcher portfolio, label
 // frequencies, the filtering-index portfolio, the shared execution pool and
-// the prediction policy. Query processing splits into
+// the learned planning policy. Query processing splits into
 // Plan — attempt-portfolio selection per the engine's Mode: a full race
-// (ModeRace), the model's predicted single attempt with race fallback
-// (ModePredict), or a fixed single attempt (ModeSingle) — and Execute,
+// (ModeRace), the query class's learned best attempt alone with race fallback
+// (ModeAuto, see Adaptive planning below), or a fixed single attempt
+// (ModeSingle) — and Execute,
 // which runs the plan under the engine's per-query deadline (the paper's
 // kill cap, enforced through metrics.Budget; killed queries come back
 // classified Hard with their time clamped to the cap, exactly as the
@@ -337,17 +339,17 @@
 // at least as often as the query does), so partitioning cannot change the
 // candidate set; the ordered merge restores the global ascending order; and
 // verification is per-graph. The property is fuzzed across kinds, shard
-// counts and pool sizes by the internal/index tests and enforced end to end
-// by cmd/psibench -shardsweep, which refuses to emit a benchmark document
-// whose answers diverge from K=1.
+// counts and pool sizes by the internal/index tests (TestShardedParityFuzz)
+// and through the engine by TestShardedEngineRaceParity; bench/'s sharded
+// workloads check every answer against the sequential oracle.
 //
 // Because Sharded implements the same Index contract as the monolithic
 // kinds, it composes with everything above it unchanged: rewritings race
 // inside sharded verification, and core.IndexRacer races whole sharded
-// pipelines against each other ("Grapes/1×4" vs "GGSX×4"). On the
-// one core BENCH_shard.json was recorded on, K>1 bought no wall-clock (the
-// shard scans time-slice the core; expect parity, not speedup); on
-// multicore, shard scans spread across cores,
+// pipelines against each other ("Grapes/1×4" vs "GGSX×4"). On one core
+// K>1 buys no wall-clock (the shard scans time-slice the core; expect
+// parity, not speedup, and bench/'s index.sharded.merge_overhead_x for what
+// the merge costs); on multicore, shard scans spread across cores,
 // and the per-shard balance is observable via Engine.ShardBalance and the
 // serving layer's /stats (shard_balance) and /metrics
 // (psi_engine_shard_answers_total).
@@ -397,10 +399,10 @@
 // solo vs race, reason); Counters adds policy_solo / policy_races /
 // policy_escalations; PolicyStats snapshots the per-arm evidence. The
 // serving layer coalesces concurrent identical queries (one execution,
-// every overlapping client gets the complete answer — see below), and
-// cmd/psibench -policysweep measures the three policies side by side under
-// uniform and skewed mixes, asserting answer parity before measuring
-// (BENCH_policy.json).
+// every overlapping client gets the complete answer — see below). Answer
+// parity of the learned policy with always-race is
+// TestDatasetEngineAutoMatchesRace and TestEngineModeAutoMatchesRace; bench/
+// reports its decision cost and solo share (predict.*).
 //
 // # Serving architecture
 //
@@ -447,8 +449,8 @@
 //	http.ListenAndServe(addr, srv) // POST /query, GET /stats, /metrics, /healthz
 //
 // See examples/serve for the full lifecycle against an in-process
-// listener, and cmd/psibench -serve for the closed-loop load generator
-// behind BENCH_serve.json.
+// listener, and bench/ (ftv_selective, serve_mixed) for the load generators
+// that measure it over HTTP.
 //
 // # Mutation architecture
 //
@@ -498,10 +500,10 @@
 // /graphs, DELETE /graphs/{handle}, PUT /graphs/{handle} — keys its result
 // cache and in-flight coalescing by epoch so a mutation implicitly
 // invalidates every remembered answer, and reports the epoch in /healthz,
-// /stats and /metrics. cmd/psibench -churn measures the payoff and
-// enforces the invariant end to end (BENCH_mutate.json: one incremental
-// mutation lands ~50x faster than the full rebuild it replaces, with
-// parity asserted against that rebuild).
+// /stats and /metrics. TestMutableEngineParityFuzz holds the invariant
+// against a from-scratch rebuild, and bench/'s serve_mixed workload measures
+// the payoff (live.add_ms, live.remove_ms and live.compaction_ms beside
+// setup_s, the rebuild they replace) with the same parity check end to end.
 //
 //	eng, _ := psi.NewDatasetEngine(ds, psi.EngineOptions{
 //		Indexes: []string{"ftv"},
@@ -544,12 +546,11 @@
 // The serving layer completes the loop: psiserve -snapshot cold-starts from
 // the file when it exists (milliseconds instead of the full index build),
 // saves it after a fresh build when it does not, and re-saves on demand via
-// POST /snapshot. cmd/psibench -coldstart measures the payoff and enforces
-// the invariant end to end (the load must beat the rebuild 5x and read the
-// file at 150 MB/s or more, with parity asserted query by query;
-// BENCH_snapshot.json is a recorded run).
+// POST /snapshot. TestEngineSnapshotRoundTripStatic/Mutable hold the
+// invariant query by query, and bench/'s serve_mixed workload measures the
+// payoff (coldstart_s and snapshot.load_s beside setup_s) with the same
+// parity check end to end.
 //
-// See examples/ for runnable programs and cmd/psibench for the experiment
-// harness that regenerates every table and figure of the paper (psibench
-// -engine benchmarks the Engine facade, including the index race).
+// See examples/ for runnable programs, cmd/psibench for the replay of every
+// table and figure of the paper, and bench/ for the repo's benchmark.
 package psi

@@ -3,9 +3,10 @@ package psi
 // Engine is the serving-shaped facade over the Ψ-framework: a long-lived
 // object that owns everything a query needs — the stored graph or dataset,
 // prebuilt matchers, label frequencies, the filtering-index portfolio, the
-// execution pool, and the prediction policy — and splits query processing
-// into an explicit Plan step (attempt-portfolio selection, plan.go) and an
-// Execute step (running the plan under a per-query deadline, execute.go).
+// execution pool, and the learned planning policy — and splits query
+// processing into an explicit Plan step (attempt-portfolio selection,
+// plan.go) and an Execute step (running the plan under a per-query deadline,
+// execute.go).
 // Options live in options.go, the epoch-versioned dataset state and the
 // mutation API in engine_dataset.go.
 
@@ -46,10 +47,7 @@ type Engine struct {
 	matchers []Matcher
 	attempts []Attempt
 	racer    *core.Racer
-	model    *predict.Predictor
-	warmup   int64
 	solo     time.Duration
-	seen     atomic.Int64
 
 	// Auto-policy state (ModeAuto / IndexAuto): the per-query-class
 	// solo-vs-race bandit, nil under every other policy.
@@ -104,7 +102,6 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 	e.racer.Pool = e.pool
 	e.racer.Validate = opts.Validate
 	e.attempts = core.Portfolio(e.matchers, engineRewritings(opts))
-	e.model = &predict.Predictor{}
 	if e.mode == ModeAuto {
 		names := make([]string, len(e.attempts))
 		for i, a := range e.attempts {
@@ -186,16 +183,12 @@ func NewDatasetEngine(ds []*Graph, opts EngineOptions) (*Engine, error) {
 }
 
 // engineKinds resolves the configured index-kind portfolio: Indexes, or the
-// single Index, or the "grapes" default.
+// "grapes" default.
 func engineKinds(opts EngineOptions) []string {
 	if len(opts.Indexes) > 0 {
 		return opts.Indexes
 	}
-	k := opts.Index
-	if k == "" {
-		k = "grapes"
-	}
-	return []string{k}
+	return []string{"grapes"}
 }
 
 func newEngineCommon(opts EngineOptions) (*Engine, error) {
@@ -206,12 +199,8 @@ func newEngineCommon(opts EngineOptions) (*Engine, error) {
 	e := &Engine{
 		mode:   mode,
 		budget: metrics.Budget{Cap: opts.Timeout},
-		warmup: int64(opts.WarmupRaces),
 		solo:   opts.SoloBudget,
 		wins:   map[string]int64{},
-	}
-	if e.warmup <= 0 {
-		e.warmup = 8
 	}
 	if e.solo <= 0 {
 		e.solo = 50 * time.Millisecond

@@ -4,8 +4,7 @@ package psi_test
 // that matters: BenchmarkEngineFirstResult stops the race at the very
 // first emitted embedding (the streaming fast path the Ψ race wants),
 // while BenchmarkEngineFullEnumeration pays for the complete answer — the
-// only option before the streaming refactor. Recorded baselines live in
-// BENCH_engine.json.
+// only option before the streaming refactor.
 
 import (
 	"context"

@@ -150,7 +150,7 @@ func TestNewDatasetEngineRejectsBadPolicyBeforeBuilding(t *testing.T) {
 func TestAnswerStreamReportsKill(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 1)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Index:   "ftv",
+		Indexes: []string{"ftv"},
 		Timeout: 1, // 1ns: every query is born past its deadline
 	})
 	if err != nil {

@@ -140,7 +140,7 @@ func TestDatasetEngineAutoPolicySurface(t *testing.T) {
 
 	// One configured index cannot race: auto degrades to fixed, keeps the
 	// cache, and plans carry no decision.
-	single, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Index: "ftv", IndexPolicy: psi.IndexAuto})
+	single, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv"}, IndexPolicy: psi.IndexAuto})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,8 +115,8 @@ func TestShardedEngineRaceParity(t *testing.T) {
 func TestShardedEngineRepeatBalance(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Index:  "ftv",
-		Shards: 2,
+		Indexes: []string{"ftv"},
+		Shards:  2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestShardedEngineRepeatBalance(t *testing.T) {
 func TestShardedEngineKillCounter(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Index:   "ftv",
+		Indexes: []string{"ftv"},
 		Shards:  2,
 		Timeout: time.Nanosecond,
 	})

@@ -292,7 +292,7 @@ func TestEngineSnapshotMismatch(t *testing.T) {
 	}{
 		{"mutable mismatch", psi.EngineOptions{Snapshot: path, Mutable: true}, "mutable"},
 		{"shard mismatch", psi.EngineOptions{Snapshot: path, Shards: 3}, "shards"},
-		{"kind mismatch", psi.EngineOptions{Snapshot: path, Index: "ggsx"}, "indexes"},
+		{"kind mismatch", psi.EngineOptions{Snapshot: path, Indexes: []string{"ggsx"}}, "indexes"},
 		{"kind subset", psi.EngineOptions{Snapshot: path, Indexes: []string{"ftv"}}, "indexes"},
 		{"missing file", psi.EngineOptions{Snapshot: path + ".nope"}, ""},
 	}

@@ -2,7 +2,7 @@ package psi_test
 
 // Concurrency audit for the Engine as a shared serving object: many
 // goroutines mixing Plan, Execute, ExecuteStream, stats accessors and the
-// prediction/caching state on one Engine. These tests exist to run under
+// learned-policy/caching state on one Engine. These tests exist to run under
 // the race detector (scripts/check.sh runs the suite with -race): the
 // serving subsystem in internal/server admits queries concurrently, so any
 // shared-state race here is a server bug waiting for traffic.
@@ -16,15 +16,17 @@ import (
 	psi "github.com/psi-graph/psi"
 )
 
-// TestEngineConcurrentNFVCallers hammers an NFV engine in predict mode —
-// the mode with the most shared mutable state (warmup counter, observation
-// log, model scale) — and checks every answer matches the sequential
-// baseline.
+// TestEngineConcurrentNFVCallers hammers an NFV engine in auto mode — the
+// mode with the most shared mutable state (the bandit's per-class evidence,
+// decision counters and kill escalations), with warm-up short and staleness
+// re-races frequent so solo runs, races and the switches between them all
+// overlap — and checks every answer matches the sequential baseline.
 func TestEngineConcurrentNFVCallers(t *testing.T) {
 	g, q := engineFixture(t)
 	eng, err := psi.NewEngine(g, psi.EngineOptions{
-		Mode:        psi.ModePredict,
-		WarmupRaces: 4,
+		Mode:           psi.ModeAuto,
+		AutoMinSamples: 2,
+		AutoRaceEvery:  5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +101,7 @@ func TestEngineConcurrentNFVCallers(t *testing.T) {
 func TestEngineConcurrentDatasetCallers(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 1)
 	configs := []psi.EngineOptions{
-		{Index: "ftv"},                     // fixed policy + result cache
+		{Indexes: []string{"ftv"}},         // fixed policy + result cache
 		{Indexes: []string{"ftv", "ggsx"}}, // index race, no cache
 	}
 	for ci, opts := range configs {

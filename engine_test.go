@@ -7,6 +7,7 @@ package psi_test
 import (
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,54 +129,6 @@ func TestEngineModeSinglePlansFixed(t *testing.T) {
 	}
 	if res.Winner != "VF2-Orig" {
 		t.Errorf("fixed plan should run the portfolio's first attempt, winner=%q", res.Winner)
-	}
-}
-
-func TestEngineModePredictWarmsUpThenPredicts(t *testing.T) {
-	g, _ := engineFixture(t)
-	eng, err := psi.NewEngine(g, psi.EngineOptions{
-		Mode:        psi.ModePredict,
-		WarmupRaces: 3,
-		SoloBudget:  time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	sawPredicted := false
-	for i := 0; i < 12; i++ {
-		q := psi.ExtractQuery(g, 4, int64(100+i))
-		p, err := eng.Plan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i < 3 && p.Kind != psi.PlanRace {
-			t.Fatalf("query %d during warmup planned %v, want race", i, p.Kind)
-		}
-		res, err := eng.Execute(context.Background(), p, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Kind == psi.PlanPredicted {
-			sawPredicted = true
-			if p.Predicted < 0 {
-				t.Fatal("predicted plan without a predicted index")
-			}
-		}
-		// Answers stay correct in every mode.
-		want, err := psi.MustNewMatcher(psi.GraphQL, g).Match(context.Background(), q, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.FellBack {
-			continue // fallback re-raced: count still checked below
-		}
-		if res.Found != len(want) {
-			t.Fatalf("query %d (%v): engine found %d, direct %d", i, p.Kind, res.Found, len(want))
-		}
-	}
-	if !sawPredicted {
-		t.Error("model never produced a predicted plan after warmup")
 	}
 }
 
@@ -394,11 +347,20 @@ func TestEngineOptionValidation(t *testing.T) {
 	if _, err := psi.NewEngine(g, psi.EngineOptions{Mode: "warp"}); err == nil {
 		t.Error("unknown mode must fail")
 	}
-	if _, err := psi.NewDatasetEngine([]*psi.Graph{g}, psi.EngineOptions{Index: "btree"}); err == nil {
+	if _, err := psi.NewDatasetEngine([]*psi.Graph{g}, psi.EngineOptions{Indexes: []string{"btree"}}); err == nil {
 		t.Error("unknown index must fail")
 	}
-	if _, err := psi.ParseMode("predict"); err != nil {
-		t.Error("ParseMode must accept predict")
+	_, err := psi.ParseMode("predict")
+	if err == nil {
+		t.Fatal("ParseMode must reject predict")
+	}
+	for _, mode := range []string{"race", "single", "auto"} {
+		if !strings.Contains(err.Error(), mode) {
+			t.Errorf("ParseMode error %q does not name the mode %q", err, mode)
+		}
+		if _, merr := psi.ParseMode(mode); merr != nil {
+			t.Errorf("ParseMode(%q): %v", mode, merr)
+		}
 	}
 }
 
@@ -584,7 +546,7 @@ func TestDatasetEngineIndexRaceReleasesGoroutines(t *testing.T) {
 func TestDatasetEngineIndexPolicyOptions(t *testing.T) {
 	ds := raceFixtureDataset()
 	// A single index degrades to the fixed policy even when race is asked.
-	single, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Index: "ftv", IndexPolicy: psi.IndexRace})
+	single, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv"}, IndexPolicy: psi.IndexRace})
 	if err != nil {
 		t.Fatal(err)
 	}

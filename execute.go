@@ -35,9 +35,9 @@ type QueryResult struct {
 	// losers and their timings — the index-level counterpart of the
 	// matcher attempts behind Winner.
 	IndexAttempts []IndexAttempt
-	// Kind echoes the executed plan's strategy; FellBack marks a
-	// predicted (or auto-solo) plan that overran its solo budget and
-	// re-ran as a race.
+	// Kind echoes the executed plan's strategy; FellBack marks an
+	// auto-policy solo run (a PlanPredicted attempt or a solo index) that
+	// overran its solo budget and re-ran as a race.
 	Kind     PlanKind
 	FellBack bool
 	// Policy echoes the auto policy's decision for this query (ModeAuto /
@@ -128,7 +128,7 @@ func (e *Engine) execute(ctx context.Context, p *Plan, limit int, sink Sink) (*Q
 		if p.Kind == PlanPredicted {
 			return e.runPredicted(runCtx, p, limit, sink, res, func() bool { return streamed > 0 })
 		}
-		return e.runRace(runCtx, p.Query, p.Attempts, limit, sink, res, p.features)
+		return e.runRace(runCtx, p.Query, p.Attempts, limit, sink, res)
 	})
 	if err != nil {
 		return nil, err
@@ -220,8 +220,8 @@ func (e *Engine) tally(res *QueryResult) {
 }
 
 // runRace executes a full (or fixed single-attempt) race, observing the
-// winner into the prediction model when the engine learns.
-func (e *Engine) runRace(ctx context.Context, q *Graph, attempts []Attempt, limit int, sink Sink, res *QueryResult, feats predict.Features) error {
+// winner into the bandit when the engine learns.
+func (e *Engine) runRace(ctx context.Context, q *Graph, attempts []Attempt, limit int, sink Sink, res *QueryResult) error {
 	var (
 		r   core.Result
 		err error
@@ -238,17 +238,11 @@ func (e *Engine) runRace(ctx context.Context, q *Graph, attempts []Attempt, limi
 	res.Embeddings = r.Embeddings
 	res.Found = r.Found
 	res.Winner = r.Winner.Label()
-	if len(attempts) == len(e.attempts) {
-		switch {
-		case e.mode == ModePredict:
-			e.model.Observe(feats, r.WinnerIndex)
-			e.seen.Add(1)
-		case e.bandit != nil && res.Policy != nil:
-			// A full auto-policy race trains the bandit with the winner's
-			// first-result latency (and clears any kill escalation).
-			res.Policy.observed = true
-			e.bandit.ObserveRaceWin(res.Policy.Class, r.WinnerIndex, r.Elapsed)
-		}
+	if len(attempts) == len(e.attempts) && e.bandit != nil && res.Policy != nil {
+		// A full auto-policy race trains the bandit with the winner's
+		// first-result latency (and clears any kill escalation).
+		res.Policy.observed = true
+		e.bandit.ObserveRaceWin(res.Policy.Class, r.WinnerIndex, r.Elapsed)
 	}
 	return nil
 }
@@ -289,8 +283,8 @@ func (e *Engine) soloFirst(ctx context.Context, res *QueryResult, solo func(cont
 	return race(ctx)
 }
 
-// runPredicted runs the model's pick alone under the solo budget, falling
-// back to a full race when the prediction overruns before emitting. A
+// runPredicted runs the bandit's pick alone under the solo budget, falling
+// back to a full race when it overruns before emitting. A
 // streamed run that already surfaced embeddings is committed: a mid-stream
 // budget expiry surfaces as the solo context's error rather than silently
 // restarting the query. surfaced reports whether any embedding has reached
@@ -315,13 +309,10 @@ func (e *Engine) runPredicted(ctx context.Context, p *Plan, limit int, sink Sink
 		res.Found = r.Found
 		res.Winner = att[0].Label()
 		e.counters.PredictedSolo.Add(1)
-		if e.bandit == nil || res.Policy == nil {
-			e.model.Observe(p.features, p.Predicted)
-		}
 		return r.Elapsed, nil
 	}
 	return e.soloFirst(ctx, res, solo, surfaced, func(ctx context.Context) error {
-		return e.runRace(ctx, p.Query, e.attempts, limit, sink, res, p.features)
+		return e.runRace(ctx, p.Query, e.attempts, limit, sink, res)
 	})
 }
 

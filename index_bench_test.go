@@ -2,8 +2,8 @@ package psi_test
 
 // Benchmarks for the unified filtering-index layer: per-kind build cost
 // (pooled extraction), and the index race against a fixed single index on
-// dataset containment queries. BENCH_index.json records the baseline
-// together with filter precision and race win counts.
+// dataset containment queries. bench/ reports the same per kind, with
+// filter precision and race win shares (index.<kind>.*, core.win_share.*).
 
 import (
 	"context"
@@ -76,7 +76,7 @@ func BenchmarkIndexRaceAnswer(b *testing.B) {
 func BenchmarkIndexFixedAnswer(b *testing.B) {
 	ds, queries := indexBenchFixture(b)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Index: "grapes",
+		Indexes: []string{"grapes"},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -1,5 +1,5 @@
 // Package gen provides the dataset generators that stand in for the paper's
-// datasets (see the substitution table in DESIGN.md). Two families:
+// datasets. Two families:
 //
 //   - FTV datasets (many graphs): Synthetic reproduces the parameter surface
 //     of GraphGen (#graphs, average nodes, density, #labels) used for the
@@ -85,8 +85,7 @@ type SyntheticConfig struct {
 // 0.020, 20 labels.
 func SyntheticAt(scale Scale) SyntheticConfig {
 	// Label alphabets shrink with graph size so per-label frequency (the
-	// quantity that drives sub-iso hardness) stays in a realistic band;
-	// see DESIGN.md §3.
+	// quantity that drives sub-iso hardness) stays in a realistic band.
 	switch scale {
 	case Tiny:
 		return SyntheticConfig{NumGraphs: 8, AvgNodes: 70, NodeSpread: 20, Density: 0.10, Labels: 4}

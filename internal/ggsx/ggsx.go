@@ -5,7 +5,7 @@
 // candidates with VF2 against the whole stored graph — which is exactly why
 // it shows more straggler queries than Grapes in the paper's Figure 1.
 //
-// Substitution note (see DESIGN.md): the original's generalized suffix tree
+// Substitution note: the original's generalized suffix tree
 // over maximal paths is represented here as a suffix trie storing every
 // path suffix with correct occurrence counts; filtering power (presence +
 // frequency pruning over all ≤maxLen paths) is identical, the difference is

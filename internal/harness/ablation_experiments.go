@@ -1,8 +1,7 @@
 package harness
 
-// Ablations beyond the paper's artifacts (DESIGN.md §7): quantifying the
-// Ψ-framework's racing overhead, and pitting always-racing against the §9
-// future-work idea of predicting the winning variant per query.
+// An ablation beyond the paper's artifacts: quantifying the Ψ-framework's
+// racing overhead.
 
 import (
 	"context"
@@ -11,8 +10,6 @@ import (
 	"time"
 
 	"github.com/psi-graph/psi/internal/core"
-	"github.com/psi-graph/psi/internal/match"
-	"github.com/psi-graph/psi/internal/predict"
 	"github.com/psi-graph/psi/internal/rewrite"
 	"github.com/psi-graph/psi/internal/vf2"
 )
@@ -22,11 +19,6 @@ func init() {
 		ID:    "ablation1",
 		Title: "Ablation: racing overhead vs thread count (k identical attempts)",
 		Run:   runAblationOverhead,
-	})
-	register(Experiment{
-		ID:    "ablation2",
-		Title: "Ablation: adaptive variant prediction (§9) vs always racing",
-		Run:   runAblationPredictor,
 	})
 }
 
@@ -65,63 +57,6 @@ func runAblationOverhead(e *Env, w io.Writer) error {
 		t.AddRow(fmt.Sprintf("%d", k), fmtDur(med), fmtDur(med-base))
 	}
 	return t.Render(w)
-}
-
-// runAblationPredictor compares three policies on the yeast workload:
-// always one algorithm, always racing the full portfolio, and the adaptive
-// predictor (race during warm-up, then run only the predicted attempt with
-// a race fallback).
-func runAblationPredictor(e *Env, w io.Writer) error {
-	racer := &core.Racer{Frequencies: e.NFVFrequencies("yeast")}
-	matchers := []match.Matcher{e.NFVMatcher("yeast", "GQL"), e.NFVMatcher("yeast", "SPA")}
-	attempts := core.Portfolio(matchers, []rewrite.Kind{rewrite.Orig, rewrite.DND})
-	adaptive := predict.NewAdaptiveMatcher("Ψ-adaptive", racer, attempts)
-	adaptive.SoloBudget = e.Cfg.Cap / 4
-
-	queries := e.NFVWorkload("yeast")
-	budget := e.Cfg.Budget()
-	policies := []struct {
-		name string
-		run  func(ctx context.Context, q int) error
-	}{
-		{"GQL alone", func(ctx context.Context, i int) error {
-			_, err := matchers[0].Match(ctx, queries[i].Graph, e.Cfg.EmbedLimit)
-			return err
-		}},
-		{"Ψ race (4 attempts)", func(ctx context.Context, i int) error {
-			_, err := racer.Race(ctx, queries[i].Graph, e.Cfg.EmbedLimit, attempts)
-			return err
-		}},
-		{"Ψ-adaptive (predict+fallback)", func(ctx context.Context, i int) error {
-			_, err := adaptive.Match(ctx, queries[i].Graph, e.Cfg.EmbedLimit)
-			return err
-		}},
-	}
-	t := Table{
-		Title:  "policy comparison on the yeast workload (matching, 1000-embedding cap)",
-		Header: []string{"policy", "total", "killed", "avg/query"},
-		Note:   "adaptive = race first 8 queries to train a k-NN model, then run only the predicted attempt, re-racing when it overruns its budget",
-	}
-	for _, p := range policies {
-		var total time.Duration
-		killed := 0
-		for i := range queries {
-			tm := budget.Run(context.Background(), func(ctx context.Context) error { return p.run(ctx, i) })
-			if tm.Killed {
-				killed++
-			}
-			total += tm.Elapsed
-		}
-		t.AddRow(p.name, fmtDur(total), fmt.Sprintf("%d", killed),
-			fmtDur(total/time.Duration(len(queries))))
-	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	seen, solo, fell := adaptive.Stats()
-	_, err := fmt.Fprintf(w, "adaptive stats: %d queries, %d solo predictions, %d fallback races, %d model samples\n\n",
-		seen, solo, fell, adaptive.Model.Samples())
-	return err
 }
 
 func medianDuration(ts []time.Duration) time.Duration {

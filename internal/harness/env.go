@@ -1,8 +1,8 @@
 // Package harness reproduces the paper's evaluation: every table and figure
 // has a registered experiment that regenerates its rows/series on the
 // simulated datasets. Absolute numbers differ from the paper (our substrate
-// is a scaled simulation, not the authors' testbeds); EXPERIMENTS.md records
-// the shape comparison for each artifact.
+// is a scaled simulation, not the authors' testbeds); the shapes are what
+// the replay is for. The repo's benchmark is bench/ (see bench/README.md).
 package harness
 
 import (

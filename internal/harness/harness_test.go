@@ -40,7 +40,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table1", "table2", "table3", "table4", "table10",
 		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"ablation1", "ablation2",
+		"ablation1",
 	}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {

@@ -66,8 +66,7 @@ type Inserter interface {
 }
 
 // Stats describes a built index. The json tags fix the serialized schema
-// (snake_case, durations as nanoseconds) shared by the /stats endpoint and
-// the generated BENCH_*.json documents.
+// (snake_case, durations as nanoseconds) of the /stats endpoint.
 type Stats struct {
 	// Name is the instance name as reported by Index.Name.
 	Name string `json:"name"`

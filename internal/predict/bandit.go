@@ -1,11 +1,13 @@
-package predict
-
+// Package predict implements the paper's §9 future-work direction: "using
+// machine learning models to predict which version of our framework
+// (algorithms, rewritings) to employ per query".
+//
 // Bandit is the traffic-aware planning policy: a per-query-class multi-armed
 // bandit over the engine's portfolio (filtering indexes for dataset engines,
-// matcher×rewriting attempts for stored-graph engines). Where the
-// nearest-neighbour Predictor answers "which arm looks best for this feature
-// vector", the Bandit answers the serving question underneath it: "is it safe
-// to run that arm *alone*, or must this query still pay for a full race?"
+// matcher×rewriting attempts for stored-graph engines). It answers the
+// serving question: "is it safe to run the class's best arm *alone*, or must
+// this query still pay for a full race?" Its state is bounded by the number
+// of query classes seen, never by the number of queries served.
 //
 // The policy is deliberately conservative, because racing is the correctness
 // backstop the paper's framework is built on:
@@ -27,6 +29,7 @@ package predict
 //
 // Safe for concurrent use; the zero value is not usable — construct with
 // NewBandit.
+package predict
 
 import (
 	"math/bits"

@@ -28,8 +28,8 @@ import (
 func coalesceFixture(t *testing.T, engOpts psi.EngineOptions, srvOpts Options) (*Server, *psi.Graph) {
 	t.Helper()
 	ds := psi.GeneratePPI(psi.Tiny, 1)
-	if len(engOpts.Indexes) == 0 && engOpts.Index == "" {
-		engOpts.Index = "ftv"
+	if len(engOpts.Indexes) == 0 {
+		engOpts.Indexes = []string{"ftv"}
 	}
 	eng, err := psi.NewDatasetEngine(ds, engOpts)
 	if err != nil {

@@ -24,7 +24,7 @@ func mutableFixture(t *testing.T) (*psi.Engine, *psi.Graph, []*psi.Graph) {
 	t.Helper()
 	ds := psi.GeneratePPI(psi.Tiny, 1)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Index: "ftv", Mutable: true, Shards: 2,
+		Indexes: []string{"ftv"}, Mutable: true, Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

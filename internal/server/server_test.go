@@ -32,7 +32,7 @@ import (
 func datasetFixture(t *testing.T) (*psi.Engine, *psi.Graph) {
 	t.Helper()
 	ds := psi.GeneratePPI(psi.Tiny, 1)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Index: "ftv"})
+	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,8 +449,22 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// getStatsAndMetrics reads both observability endpoints of a test server.
+func getStatsAndMetrics(t *testing.T, url string) (StatsResponse, string) {
+	t.Helper()
+	_, data := do(t, http.MethodGet, url+"/stats", nil)
+	var st StatsResponse
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatalf("stats decode: %v (%s)", err, data)
+	}
+	_, metrics := do(t, http.MethodGet, url+"/metrics", nil)
+	return st, string(metrics)
+}
+
 // TestStatsAndMetrics verifies the observability endpoints reflect the
-// engine's counters after traffic.
+// engine's counters after traffic: behind a fixed single index, and behind
+// the learned index policy, whose decisions and per-arm evidence they must
+// carry while the answers stay those of the always-race engine.
 func TestStatsAndMetrics(t *testing.T) {
 	eng, q := datasetFixture(t)
 	srv := New(eng, Options{})
@@ -461,20 +475,11 @@ func TestStatsAndMetrics(t *testing.T) {
 	postQuery(t, ts.URL+"/query", body)
 	postQuery(t, ts.URL+"/query", body) // cache hit: no engine query
 
-	resp, data := postQuery(t, ts.URL+"/stats", nil)
+	resp, _ := postQuery(t, ts.URL+"/stats", nil)
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /stats status = %d, want 405", resp.StatusCode)
 	}
-	getResp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ = io.ReadAll(getResp.Body)
-	getResp.Body.Close()
-	var st StatsResponse
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatalf("stats decode: %v (%s)", err, data)
-	}
+	st, metrics := getStatsAndMetrics(t, ts.URL)
 	if st.Engine.Queries != 1 {
 		t.Errorf("engine queries = %d, want 1 (second request was a cache hit)", st.Engine.Queries)
 	}
@@ -487,21 +492,59 @@ func TestStatsAndMetrics(t *testing.T) {
 	if len(st.Indexes) != 1 || st.Indexes[0].Kind != "ftv" {
 		t.Errorf("index stats = %+v", st.Indexes)
 	}
-
-	mResp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	if st.Policy != nil {
+		t.Errorf("fixed-index engine reports a learned policy: %+v", st.Policy)
 	}
-	mData, _ := io.ReadAll(mResp.Body)
-	mResp.Body.Close()
 	for _, want := range []string{
 		"psi_engine_queries_total 1",
 		"psi_server_admitted_total 2",
 		"psi_server_cache_hits_total 1",
 		"psi_server_draining 0",
 	} {
-		if !strings.Contains(string(mData), want) {
-			t.Errorf("metrics missing %q:\n%s", want, mData)
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q:\n%s", want, metrics)
+		}
+	}
+
+	// The learned policy. The result cache is off so every repeat reaches the
+	// engine: one race per query class trains the bandit, the rest run solo.
+	ds := psi.GeneratePPI(psi.Tiny, 1)
+	kinds := []string{"ftv", "grapes", "ggsx"}
+	urls := map[string]string{}
+	for _, policy := range []string{psi.IndexAuto, psi.IndexRace} {
+		peng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds, IndexPolicy: policy, AutoMinSamples: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peng.Close()
+		pts := httptest.NewServer(New(peng, Options{CacheSize: -1}))
+		defer pts.Close()
+		urls[policy] = pts.URL
+	}
+	for pass := 0; pass < 3; pass++ {
+		for seed := int64(1); seed <= 4; seed++ {
+			body := graphText(t, psi.ExtractQuery(ds[int(seed)%len(ds)], 3+int(seed)%3, seed))
+			_, auto := postQuery(t, urls[psi.IndexAuto]+"/query?stream=1", body)
+			_, race := postQuery(t, urls[psi.IndexRace]+"/query?stream=1", body)
+			got, _ := streamLines(t, auto)
+			want, _ := streamLines(t, race)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("pass %d seed %d: auto streamed\n%s\nrace streamed\n%s", pass, seed, got, want)
+			}
+		}
+	}
+	st, metrics = getStatsAndMetrics(t, urls[psi.IndexAuto])
+	if st.IndexPolicy != psi.IndexAuto || st.Policy == nil || len(st.Policy.Arms) != len(kinds) {
+		t.Fatalf("stats policy = %q %+v, want auto with one arm per index", st.IndexPolicy, st.Policy)
+	}
+	if st.Engine.PolicySolo == 0 || !strings.Contains(metrics, fmt.Sprintf("psi_engine_policy_solo_total %d\n", st.Engine.PolicySolo)) {
+		t.Errorf("solo runs = %d, want > 0 and on /metrics:\n%s", st.Engine.PolicySolo, metrics)
+	}
+	for _, arm := range st.Policy.Arms {
+		for _, series := range []string{"race_wins_total", "solo_runs_total", "kills_total", "mean_latency_us"} {
+			if want := fmt.Sprintf("psi_engine_policy_arm_%s{arm=%q} ", series, arm.Name); !strings.Contains(metrics, want) {
+				t.Errorf("metrics missing %q", want)
+			}
 		}
 	}
 }

@@ -23,7 +23,7 @@ func shardedFixture(t *testing.T, timeout time.Duration) (*psi.Engine, *psi.Grap
 	t.Helper()
 	ds := psi.GeneratePPI(psi.Tiny, 1)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Index:   "ftv",
+		Indexes: []string{"ftv"},
 		Shards:  3,
 		Timeout: timeout,
 	})

@@ -20,10 +20,6 @@ const (
 	// ModeRace races the full attempt portfolio for every query — the
 	// paper's Ψ-framework proper.
 	ModeRace Mode = "race"
-	// ModePredict races during a warmup phase, then plans only the
-	// predicted-best attempt per query (§9 future work), falling back to a
-	// full race when the prediction overruns its solo budget.
-	ModePredict Mode = "predict"
 	// ModeSingle always plans the portfolio's first attempt alone — the
 	// fixed single-algorithm baseline the paper races against.
 	ModeSingle Mode = "single"
@@ -36,12 +32,12 @@ const (
 // ParseMode converts a -mode flag value into a Mode.
 func ParseMode(s string) (Mode, error) {
 	switch Mode(s) {
-	case ModeRace, ModePredict, ModeSingle, ModeAuto:
+	case ModeRace, ModeSingle, ModeAuto:
 		return Mode(s), nil
 	case "":
 		return ModeRace, nil
 	}
-	return "", fmt.Errorf("psi: unknown mode %q (want race, predict, single or auto)", s)
+	return "", fmt.Errorf("psi: unknown mode %q (want race, single or auto)", s)
 }
 
 // EngineOptions configures NewEngine and NewDatasetEngine. The zero value
@@ -65,11 +61,8 @@ type EngineOptions struct {
 	// tests and debugging.
 	Validate bool
 
-	// WarmupRaces is how many initial queries ModePredict races in full to
-	// gather training signal; 0 means 8.
-	WarmupRaces int
-	// SoloBudget caps a predicted (or auto-policy) attempt's solo run
-	// before it falls back to a full race; 0 means 50ms.
+	// SoloBudget caps an auto-policy arm's solo run before it falls back to
+	// a full race; 0 means 50ms.
 	SoloBudget time.Duration
 
 	// AutoMinSamples is how many successful observations a query class
@@ -81,16 +74,12 @@ type EngineOptions struct {
 	// negative disables staleness races.
 	AutoRaceEvery int
 
-	// Index selects the FTV index for dataset engines: "grapes"
-	// (default), "ggsx" or "ftv" (the flat path index). Ignored when
-	// Indexes is set.
-	Index string
 	// Indexes is the filtering-index portfolio of dataset engines: each
-	// entry names a registered index kind ("ftv", "grapes", "ggsx").
-	// With two or more entries the engine builds every index and, under
-	// the race policy, runs them against each other per query — the
-	// paper's parallel use of alternative algorithms applied to the
-	// filtering stage. Empty falls back to Index.
+	// entry names a registered index kind ("ftv", the flat path index;
+	// "grapes"; "ggsx"). With two or more entries the engine builds every
+	// index and, under the race policy, runs them against each other per
+	// query — the paper's parallel use of alternative algorithms applied
+	// to the filtering stage. Empty means {"grapes"}.
 	Indexes []string
 	// IndexPolicy says how a dataset engine uses its portfolio:
 	// IndexRace (default with ≥ 2 indexes) races every index per query;
@@ -124,7 +113,7 @@ type EngineOptions struct {
 	// persisted snapshot (written by SaveSnapshot) instead of extracting
 	// features from a dataset: pass a nil dataset to NewDatasetEngine. The
 	// snapshot dictates the dataset, index portfolio, shard count and
-	// (for mutable engines) the full mutation state; Indexes/Index, Shards
+	// (for mutable engines) the full mutation state; Indexes, Shards
 	// and Mutable must be left zero or agree with the snapshot — a
 	// mismatch is an error, never a silent rebuild. Runtime knobs
 	// (IndexPolicy, IndexWorkers, CompactEvery, Workers, mode and budget

@@ -17,8 +17,8 @@ type PlanKind string
 const (
 	// PlanRace races the full attempt portfolio.
 	PlanRace PlanKind = "race"
-	// PlanPredicted runs only the model's predicted attempt, with a full
-	// race as fallback if it overruns the solo budget.
+	// PlanPredicted runs only the auto policy's learned-best attempt, with
+	// a full race as fallback if it overruns the solo budget.
 	PlanPredicted PlanKind = "predicted"
 	// PlanFixed runs a fixed single attempt with no fallback.
 	PlanFixed PlanKind = "fixed"
@@ -88,8 +88,8 @@ func (e *Engine) decide(q *Graph) *PolicyDecision {
 }
 
 // Plan is an executable query plan produced by Engine.Plan. Plans are
-// cheap, single-use value carriers: planning touches no stored-graph data
-// beyond the O(|q|) feature vector.
+// cheap, single-use value carriers: planning touches no stored-graph data,
+// only the query's O(|q|) class key.
 type Plan struct {
 	// Query is the planned query graph.
 	Query *Graph
@@ -97,7 +97,7 @@ type Plan struct {
 	Kind PlanKind
 	// Attempts are the contenders Execute will run (NFV plans).
 	Attempts []Attempt
-	// Predicted is the portfolio index of the model's pick for
+	// Predicted is the portfolio index of the auto policy's pick for
 	// PlanPredicted plans, -1 otherwise.
 	Predicted int
 	// IndexPolicy records how a PlanFTV plan runs the engine's filtering
@@ -117,13 +117,13 @@ type Plan struct {
 	// mutation between Plan and Execute shows up as a differing pair.
 	Epoch uint64
 
-	features predict.Features
-	engine   *Engine
+	engine *Engine
 }
 
 // Plan selects the attempt portfolio for q under the engine's mode:
-// a full race, the predicted single attempt (once the model has warmed
-// up), a fixed single attempt, or the FTV pipeline for dataset engines.
+// a full race, the auto policy's learned single attempt (once the query's
+// class has warmed up), a fixed single attempt, or the FTV pipeline for
+// dataset engines.
 func (e *Engine) Plan(q *Graph) (*Plan, error) {
 	if q == nil {
 		return nil, errors.New("psi: Plan requires a query graph")
@@ -150,17 +150,6 @@ func (e *Engine) Plan(q *Graph) (*Plan, error) {
 		} else {
 			p.Kind = PlanRace
 			p.Attempts = e.attempts
-		}
-	case ModePredict:
-		p.features = predict.Featurize(q, e.racer.Frequencies)
-		p.Kind = PlanRace
-		p.Attempts = e.attempts
-		if e.seen.Load() >= e.warmup {
-			if idx := e.model.Predict(p.features); idx >= 0 {
-				p.Kind = PlanPredicted
-				p.Predicted = idx
-				p.Attempts = e.attempts[idx : idx+1]
-			}
 		}
 	default:
 		p.Kind = PlanRace

@@ -118,13 +118,13 @@ func newSnapshotEngine(opts EngineOptions) (*Engine, error) {
 	if opts.Shards != 0 && opts.Shards != m.Shards {
 		return fail(fmt.Errorf("psi: snapshot %s has %d shards, options say %d", opts.Snapshot, m.Shards, opts.Shards))
 	}
-	if len(opts.Indexes) > 0 || opts.Index != "" {
-		want := append([]string(nil), engineKinds(opts)...)
+	if len(opts.Indexes) > 0 {
+		want := append([]string(nil), opts.Indexes...)
 		got := append([]string(nil), m.Kinds...)
 		slices.Sort(want)
 		slices.Sort(got)
 		if !slices.Equal(want, got) {
-			return fail(fmt.Errorf("psi: snapshot %s indexes %v, options say %v", opts.Snapshot, m.Kinds, engineKinds(opts)))
+			return fail(fmt.Errorf("psi: snapshot %s indexes %v, options say %v", opts.Snapshot, m.Kinds, opts.Indexes))
 		}
 	}
 	if err := e.configurePortfolio(opts, m.Kinds); err != nil {
