@@ -126,7 +126,7 @@ func BenchmarkGrapesIndexBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		psi.NewGrapes(ds, 4).Close()
+		mustBuildIndex(b, "grapes", ds, 4).Close()
 	}
 }
 
@@ -136,14 +136,14 @@ func BenchmarkGGSXIndexBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		psi.NewGGSX(ds).Close()
+		mustBuildIndex(b, "ggsx", ds, 0).Close()
 	}
 }
 
 // BenchmarkGrapesFilter measures the filtering stage alone.
 func BenchmarkGrapesFilter(b *testing.B) {
 	ds := psi.GeneratePPI(psi.Tiny, 1)
-	x := psi.NewGrapes(ds, 4)
+	x := mustBuildIndex(b, "grapes", ds, 4)
 	q := psi.ExtractQuery(ds[0], 16, 9)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -157,9 +157,9 @@ func BenchmarkGrapesFilter(b *testing.B) {
 // sequential-vs-pooled answer comparison. GGSX verifies against whole stored
 // graphs (no location pruning), so per-candidate verification carries enough
 // work for the fan-out to pay.
-func answerBench() (psi.FilterIndex, []*psi.Graph) {
+func answerBench(tb testing.TB) (psi.FilterIndex, []*psi.Graph) {
 	ds := psi.GenerateSynthetic(psi.Tiny, 1)
-	x := psi.NewGGSX(ds)
+	x := mustBuildIndex(tb, "ggsx", ds, 0)
 	var queries []*psi.Graph
 	for i, g := range ds {
 		queries = append(queries,
@@ -172,7 +172,7 @@ func answerBench() (psi.FilterIndex, []*psi.Graph) {
 // BenchmarkAnswerSequential is the baseline: the sequential oracle, filter
 // then candidates verified one after another on the caller's goroutine.
 func BenchmarkAnswerSequential(b *testing.B) {
-	x, queries := answerBench()
+	x, queries := answerBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -189,7 +189,7 @@ func BenchmarkAnswerSequential(b *testing.B) {
 // GOMAXPROCS; answers are byte-identical to the sequential oracle (see
 // TestPooledAnswerMatchesSequential).
 func BenchmarkAnswerWorkers(b *testing.B) {
-	x, queries := answerBench()
+	x, queries := answerBench(b)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(byThreads(w), func(b *testing.B) {
 			pool := exec.New(w)

@@ -10,8 +10,7 @@
 //
 // FTV (multi-graph dataset): filter-then-verify decision with the flat
 // path index, Grapes or GGSX — or a race of several — with rewritings
-// raced in the verification stage (behind the result cache when a single
-// index is fixed).
+// raced in the verification stage.
 //
 //	psiquery -data ppi.txt -queries q.txt -index grapes -workers 4 -rewritings ILF,IND,DND
 //	psiquery -data ppi.txt -queries q.txt -index race            # race ftv|grapes|ggsx

@@ -25,10 +25,11 @@
 //		[][2]int{{0, 1}, {1, 2}, {2, 3}})
 //	q := psi.MustNewGraph("query", []psi.Label{0, 1}, [][2]int{{0, 1}})
 //
-//	m := psi.NewPortfolioMatcher(g,
-//		[]psi.Algorithm{psi.GraphQL, psi.SPath},
-//		[]psi.Rewriting{psi.Orig, psi.DND})
-//	embs, err := m.Match(context.Background(), q, 1000)
+//	eng, err := psi.NewEngine(g, psi.EngineOptions{
+//		Algorithms: []psi.Algorithm{psi.GraphQL, psi.SPath},
+//		Rewritings: []psi.Rewriting{psi.Orig, psi.DND},
+//	})
+//	res, err := eng.Query(context.Background(), q, 1000) // res.Embeddings
 //
 // # Execution pipeline
 //
@@ -36,9 +37,9 @@
 // point — Engine.Query, Plan+Execute, AnswerStream, AnswerStreamResult — is
 // a collector of a few lines over it. One function owns each step:
 //
-//	plan             Engine.Plan               kind, policy, epoch, deadline
-//	policy decision  Engine.decide             bandit verdict: solo arm or race
-//	arms             Engine.answer             1 (fixed index, learned solo) or all
+//	plan             Engine.Plan               policy and bandit verdict → arms:
+//	                                           1 (fixed index, learned solo) or all
+//	launch           Engine.launch             the arms; solo → escalate; bandit learns
 //	race of arms     IndexRacer.Stream         a solo run is a race of one
 //	per-arm filter   FilterIndex.FilterStream  ascending candidates, incrementally
 //	ordered verify   index.StreamVerified      pool fan-out, in-order flush
@@ -46,8 +47,8 @@
 //	adoption         core.streamRace           first arm to emit owns the output
 //	emit / collect   Engine.answer             caller's emit, or QueryResult.GraphIDs
 //
-// Engine.answer pins the current epoch's state, asks the policy which arms
-// run, and hands them to the state's core.IndexRacer. Stream rewrites the
+// Engine.answer pins the current epoch's state and launches the plan's arms
+// through the state's core.IndexRacer. Stream rewrites the
 // query once per configured rewriting (the instances serve every candidate
 // of every arm), then starts each arm's FilterStream → StreamVerified
 // pipeline: a candidate begins its rewriting race the moment the filter
@@ -56,13 +57,16 @@
 // the ascending answer incrementally. The first arm to emit a verified ID
 // is adopted — streamRace, the same state machine Racer.RaceStream uses for
 // matcher attempts — and the others are cancelled and drained. Around it
-// sit the two pieces of engine policy, each written once: the per-query
-// budget (runBudgeted: a query that hits the cap comes back Killed, not as
-// an error) and solo→escalate (soloFirst: a learned solo arm that overruns
-// its solo budget before surfacing output falls back to the full race).
-// NFV (single stored graph) queries share both and differ only in what is
-// raced: Racer.Race adopts the first attempt to finish — the paper's
-// semantics — and Racer.RaceStream the first to emit.
+// sit the pieces of engine policy, each written once: the per-query budget
+// (runBudgeted: a query that hits the cap comes back Killed, not as an
+// error), the launch of a plan's arms (launch: Mode and IndexPolicy are one
+// policy — race, first or auto — that Plan turns into arms) and inside it
+// solo→escalate (soloFirst: a learned solo arm that overruns its solo budget
+// before surfacing output falls back to the full race). NFV (single stored
+// graph) queries share all three and differ only in what is raced:
+// Racer.Race adopts the first attempt to finish — the paper's semantics,
+// core.firstDone, the loop the per-candidate rewriting race runs on too —
+// and Racer.RaceStream the first to emit.
 //
 // All parallelism flows through one shared bounded execution layer
 // (internal/exec): a pool of persistent workers, one per CPU by default.
@@ -196,8 +200,8 @@
 // which emits surviving candidates incrementally in ascending order, and
 // Stats, which reports build provenance. All three share one
 // presence/frequency pruning implementation and one build pipeline (next
-// paragraph). Construct through NewPathIndex, NewGrapes, NewGGSX, or
-// BuildIndex("ftv"|"grapes"|"ggsx").
+// paragraph). Construct through BuildIndex("ftv"|"grapes"|"ggsx"), or let a
+// dataset Engine build its portfolio (EngineOptions.Indexes).
 //
 // Index build pipeline: every build — one index, a sharded one, a dataset
 // Engine's whole portfolio, the mutable store's kind × shard grid, a shard

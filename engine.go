@@ -31,7 +31,11 @@ import (
 // FTV); both are safe for concurrent queries. Close releases the dedicated
 // pool when one was requested.
 type Engine struct {
+	// mode is what EngineOptions.Mode said; policy is what the engine does:
+	// Mode's reading for a stored-graph engine, IndexPolicy's for a dataset
+	// engine (plan.go).
 	mode   Mode
+	policy launchPolicy
 	budget metrics.Budget
 	pool   *exec.Pool
 	owned  bool
@@ -57,12 +61,11 @@ type Engine struct {
 	// racer over it — lives in an immutable dsState behind an atomic pointer:
 	// static engines install exactly one for their lifetime, while mutable
 	// engines install a fresh one per mutation so queries in flight keep the
-	// state they acquired (snapshot isolation). ixPolicy, kinds and the
-	// learned policy state persist across epochs.
+	// state they acquired (snapshot isolation). kinds and the learned policy
+	// state persist across epochs.
 	dsst     atomic.Pointer[dsState]
 	store    *live.Store // nil for static (and NFV) engines
 	mutMu    sync.Mutex  // serializes mutations and state refresh
-	ixPolicy string
 	kinds    []string
 	ixNames  []string // portfolio arm names, stable across epochs
 	rewrites []Rewriting
@@ -102,7 +105,11 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 	e.racer.Pool = e.pool
 	e.racer.Validate = opts.Validate
 	e.attempts = core.Portfolio(e.matchers, engineRewritings(opts))
-	if e.mode == ModeAuto {
+	switch e.mode {
+	case ModeSingle:
+		e.policy = launchFirst
+	case ModeAuto:
+		e.policy = launchAuto
 		names := make([]string, len(e.attempts))
 		for i, a := range e.attempts {
 			names[i] = a.Label()
@@ -309,8 +316,13 @@ func (e *Engine) recordWin(label string) {
 }
 
 // IndexPolicy reports how a dataset engine uses its filtering indexes
-// (IndexRace or IndexFixed); empty for NFV engines.
-func (e *Engine) IndexPolicy() string { return e.ixPolicy }
+// (IndexRace, IndexFixed or IndexAuto); empty for NFV engines.
+func (e *Engine) IndexPolicy() string {
+	if e.g != nil {
+		return ""
+	}
+	return [...]string{launchRace: IndexRace, launchFirst: IndexFixed, launchAuto: IndexAuto}[e.policy]
+}
 
 // Shards reports the effective dataset partition count of a sharded dataset
 // engine (0 for monolithic and NFV engines).

@@ -93,22 +93,21 @@ func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
 		}
 	}
 	switch opts.IndexPolicy {
-	case "":
-		if len(kinds) >= 2 {
-			e.ixPolicy = IndexRace
-		} else {
-			e.ixPolicy = IndexFixed
-		}
-	case IndexRace, IndexFixed, IndexAuto:
-		e.ixPolicy = opts.IndexPolicy
+	case "", IndexRace:
+		e.policy = launchRace
+	case IndexFixed:
+		e.policy = launchFirst
+	case IndexAuto:
+		e.policy = launchAuto
 	default:
 		return fmt.Errorf("psi: unknown index policy %q (want %q, %q or %q)", opts.IndexPolicy, IndexRace, IndexFixed, IndexAuto)
 	}
+	if len(kinds) < 2 {
+		// One index is nothing to race or to learn over.
+		e.policy = launchFirst
+	}
 	e.kinds = kinds
 	e.rewrites = engineRewritings(opts)
-	if len(kinds) < 2 && e.ixPolicy != IndexFixed {
-		e.ixPolicy = IndexFixed
-	}
 	return nil
 }
 
@@ -119,7 +118,7 @@ func (e *Engine) finishPortfolio(opts EngineOptions) {
 	for _, x := range indexes {
 		e.ixNames = append(e.ixNames, x.Name())
 	}
-	if e.ixPolicy == IndexAuto && len(indexes) >= 2 {
+	if e.policy == launchAuto {
 		e.bandit = predict.NewBandit(e.ixNames, banditOptions(opts))
 	}
 }

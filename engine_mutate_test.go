@@ -10,13 +10,13 @@ package psi_test
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	psi "github.com/psi-graph/psi"
+	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
 // mutablePool is a seeded supply of small graphs to ingest.
@@ -168,7 +168,7 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 // exactly the recorded answer of the epoch their result reports — snapshot
 // isolation, end to end, under -race — then checks for leaked goroutines.
 func TestMutableEngineConcurrentChurn(t *testing.T) {
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t, 2)
 	ds := psi.GeneratePPI(psi.Tiny, 2)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
 		Indexes:      []string{"ftv"},
@@ -249,13 +249,6 @@ func TestMutableEngineConcurrentChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	eng.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before+2 {
-		t.Errorf("goroutines leaked: %d before churn, %d after", before, n)
-	}
 }
 
 // TestMutableEngineFreshness pins a repeated query's correctness across

@@ -12,13 +12,13 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
 
 	psi "github.com/psi-graph/psi"
 	"github.com/psi-graph/psi/internal/ftv"
+	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
 // entryPoints are the four ways to ask a dataset engine for an answer; each
@@ -131,7 +131,7 @@ func TestPipelineParity(t *testing.T) {
 					opts.Shards = shards
 					eng := fl.build(t, opts)
 					defer eng.Close()
-					oracle := psi.NewPathIndex(eng.Dataset())
+					oracle := mustBuildIndex(t, "ftv", eng.Dataset(), 0)
 					for _, q := range raceFixtureQueries() {
 						want, err := ftv.Answer(context.Background(), oracle, q)
 						if err != nil {
@@ -158,18 +158,6 @@ func TestPipelineParity(t *testing.T) {
 	}
 }
 
-// settleGoroutines waits for the goroutine count to come back to baseline.
-func settleGoroutines(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline+2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline+2 {
-		t.Errorf("goroutines: %d before, %d after", baseline, n)
-	}
-}
-
 // TestPipelineExits drives the pipeline's four early exits through the
 // collecting form (Query) and the streaming form (AnswerStreamResult) under
 // every policy, checking the report each one owes the caller and that the
@@ -177,7 +165,7 @@ func settleGoroutines(t *testing.T, baseline int) {
 func TestPipelineExits(t *testing.T) {
 	ds := raceFixtureDataset()
 	q := raceFixtureQueries()[1] // contained in several graphs
-	want, err := ftv.Answer(context.Background(), psi.NewPathIndex(ds), q)
+	want, err := ftv.Answer(context.Background(), mustBuildIndex(t, "ftv", ds, 0), q)
 	if err != nil || len(want) < 2 {
 		t.Fatalf("fixture answer %v, %v: want at least two graphs", want, err)
 	}
@@ -191,7 +179,7 @@ func TestPipelineExits(t *testing.T) {
 	}
 	for _, pol := range pipelinePolicies {
 		t.Run(pol.name, func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
+			leakcheck.Check(t, 2)
 			build := func(mod func(*psi.EngineOptions)) *psi.Engine {
 				opts := pol.opts
 				opts.Shards = 2
@@ -259,7 +247,6 @@ func TestPipelineExits(t *testing.T) {
 				}
 				eng.Close()
 			}
-			settleGoroutines(t, baseline)
 		})
 	}
 }

@@ -304,3 +304,125 @@ func TestDatasetEngineAutoCancelIsNotEvidence(t *testing.T) {
 		t.Errorf("post-cancellation decision = %+v, want solo", res.Policy)
 	}
 }
+
+// TestLaunchPolicyIsOneAcrossEngineKinds: Mode and IndexPolicy are two
+// spellings of one launch policy, so a stored-graph engine and a dataset
+// engine with three arms each must plan the same number of arms, reach the
+// same policy decisions and move the same counters over the same query
+// sequence — the started work counted in RaceAttempts on one side and
+// IndexAttempts on the other.
+func TestLaunchPolicyIsOneAcrossEngineKinds(t *testing.T) {
+	ds := raceFixtureDataset()
+	q := raceFixtureQueries()[0]
+	const arms, queries, warmup = 3, 6, 2
+	cases := []struct {
+		name     string
+		mode     psi.Mode
+		ixPolicy string
+		kind     psi.PlanKind // of every stored-graph plan; "" under auto
+		started  int64        // arms started over the sequence
+	}{
+		{"race", psi.ModeRace, psi.IndexRace, psi.PlanRace, queries * arms},
+		{"first", psi.ModeSingle, psi.IndexFixed, psi.PlanFixed, queries},
+		{"auto", psi.ModeAuto, psi.IndexAuto, "", warmup*arms + (queries - warmup)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := psi.EngineOptions{
+				Rewritings:     []psi.Rewriting{psi.Orig},
+				AutoMinSamples: warmup,
+				AutoRaceEvery:  -1,
+				SoloBudget:     time.Minute,
+			}
+			nfvOpts := opts
+			nfvOpts.Mode = tc.mode
+			nfvOpts.Algorithms = []psi.Algorithm{psi.VF2, psi.GraphQL, psi.SPath}
+			nfv, err := psi.NewEngine(ds[0], nfvOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nfv.Close()
+			ftvOpts := opts
+			ftvOpts.IndexPolicy = tc.ixPolicy
+			ftvOpts.Indexes = []string{"ftv", "grapes", "ggsx"}
+			dataset, err := psi.NewDatasetEngine(ds, ftvOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dataset.Close()
+			if dataset.IndexPolicy() != tc.ixPolicy || nfv.Mode() != tc.mode || nfv.IndexPolicy() != "" {
+				t.Fatalf("policies read back as mode %q / index policy %q and %q", nfv.Mode(), dataset.IndexPolicy(), nfv.IndexPolicy())
+			}
+			for i := 0; i < queries; i++ {
+				np, err := nfv.Plan(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dp, err := dataset.Plan(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				solo := tc.name == "auto" && i >= warmup
+				wantKind, wantArms := tc.kind, arms
+				if tc.name == "auto" {
+					wantKind = psi.PlanRace
+				}
+				if solo {
+					wantKind = psi.PlanPredicted
+				}
+				if solo || tc.name == "first" {
+					wantArms = 1
+				}
+				if np.Kind != wantKind || len(np.Attempts) != wantArms || (np.Predicted >= 0) != solo {
+					t.Fatalf("query %d: stored-graph plan %s over %d attempts (predicted %d), want %s over %d", i, np.Kind, len(np.Attempts), np.Predicted, wantKind, wantArms)
+				}
+				if dp.Kind != psi.PlanFTV || dp.IndexPolicy != tc.ixPolicy || len(dp.Indexes) != arms {
+					t.Fatalf("query %d: dataset plan %s, policy %q over %v", i, dp.Kind, dp.IndexPolicy, dp.Indexes)
+				}
+				if (np.Decision == nil) != (tc.name != "auto") || (dp.Decision == nil) != (np.Decision == nil) {
+					t.Fatalf("query %d: decisions %+v / %+v", i, np.Decision, dp.Decision)
+				}
+				if nd, dd := np.Decision, dp.Decision; nd != nil {
+					if nd.Class != dd.Class || nd.Solo != dd.Solo || nd.Reason != dd.Reason || nd.Solo != solo ||
+						(nd.ArmName == "") == solo || (dd.ArmName == "") == solo {
+						t.Fatalf("query %d: decisions differ: %+v / %+v (want solo %v)", i, *nd, *dd, solo)
+					}
+				}
+				nr, err := nfv.Execute(context.Background(), np, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dr, err := dataset.Execute(context.Background(), dp, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if nr.Policy != np.Decision || dr.Policy != dp.Decision || nr.FellBack || dr.FellBack {
+					t.Fatalf("query %d: results %+v / %+v", i, nr, dr)
+				}
+				if tc.name == "first" && (nr.Winner != "VF2-Orig" || dr.Winner != dataset.IndexStats()[0].Name) {
+					t.Fatalf("query %d: fixed winners %q / %q, want the first arm of each portfolio", i, nr.Winner, dr.Winner)
+				}
+				if n := len(dr.IndexAttempts); n != wantArms {
+					t.Fatalf("query %d: %d index attempts reported, want %d", i, n, wantArms)
+				}
+			}
+			nc, dc := nfv.Counters(), dataset.Counters()
+			if nc.RaceAttempts != tc.started || dc.IndexAttempts != tc.started {
+				t.Errorf("started %d attempts / %d index pipelines, want %d each", nc.RaceAttempts, dc.IndexAttempts, tc.started)
+			}
+			type shared struct{ queries, killed, errs, fallbacks, solo, races, escalations int64 }
+			n := shared{nc.Queries, nc.Killed, nc.Errors, nc.Fallbacks, nc.PolicySolo, nc.PolicyRaces, nc.PolicyEscalations}
+			d := shared{dc.Queries, dc.Killed, dc.Errors, dc.Fallbacks, dc.PolicySolo, dc.PolicyRaces, dc.PolicyEscalations}
+			want := shared{queries: queries}
+			if tc.name == "auto" {
+				want.solo, want.races = queries-warmup, warmup
+			}
+			if n != want || d != want {
+				t.Errorf("counters %+v / %+v, want %+v", n, d, want)
+			}
+			if want := int64(queries - warmup); tc.name == "auto" && nc.PredictedSolo != want {
+				t.Errorf("PredictedSolo = %d, want %d", nc.PredictedSolo, want)
+			}
+		})
+	}
+}

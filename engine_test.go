@@ -6,13 +6,13 @@ package psi_test
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	psi "github.com/psi-graph/psi"
 	"github.com/psi-graph/psi/internal/ftv"
+	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
 func engineFixture(t *testing.T) (*psi.Graph, *psi.Graph) {
@@ -276,7 +276,7 @@ func TestDatasetEngineMatchesSequentialOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	want, err := ftv.Answer(context.Background(), psi.NewGrapes(ds, 1), q)
+	want, err := ftv.Answer(context.Background(), mustBuildIndex(t, "grapes", ds, 1), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestDatasetEngineIndexRaceReleasesGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
+	t.Cleanup(eng.Close)
 	queries := raceFixtureQueries()
 	// Warm up so pools and per-attempt infrastructure exist first.
 	for _, q := range queries {
@@ -524,20 +524,13 @@ func TestDatasetEngineIndexRaceReleasesGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t, 4)
 	for i := 0; i < 30; i++ {
 		for _, q := range queries {
 			if _, err := eng.Query(context.Background(), q, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+4 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+4 {
-		t.Errorf("goroutines grew from %d to %d over raced queries: leak", before, after)
 	}
 }
 

@@ -1,14 +1,16 @@
 // Proteins: the decision problem over a dataset of protein-interaction-
-// style graphs (the paper's FTV setting). Builds a Grapes index, runs a
-// motif workload, shows the straggler phenomenon, and then removes the
-// stragglers by racing query rewritings in the verification stage.
+// style graphs (the paper's FTV setting). Builds two Grapes engines over the
+// same dataset, runs a motif workload through the one that verifies the
+// original query only, shows the straggler phenomenon, and then removes the
+// stragglers with the one that races query rewritings in the verification
+// stage.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
-	"sort"
+	"slices"
 	"time"
 
 	psi "github.com/psi-graph/psi"
@@ -27,10 +29,12 @@ func main() {
 	fmt.Printf("  %d graphs, avg %.0f nodes, avg degree %.1f, %d labels\n\n",
 		st.NumGraphs, st.AvgNodes, st.AvgDegree, st.Labels)
 
-	fmt.Println("building Grapes index (4 workers, paths <= 4 edges)...")
+	fmt.Println("building Grapes engines (4 workers, paths <= 4 edges)...")
 	start := time.Now()
-	index := psi.NewGrapes(ds, 4)
-	defer index.Close()
+	plain := mustEngine(ds, []psi.Rewriting{psi.Orig})
+	defer plain.Close()
+	raced := mustEngine(ds, []psi.Rewriting{psi.ILF, psi.IND, psi.DND})
+	defer raced.Close()
 	fmt.Printf("  built in %v\n\n", time.Since(start).Round(time.Millisecond))
 
 	// Extract protein "motifs" as queries; each is guaranteed to occur in
@@ -40,56 +44,57 @@ func main() {
 		queries = append(queries, psi.ExtractQuery(ds[i%len(ds)], queryEdges, int64(1000+i)))
 	}
 
-	fmt.Println("plain Grapes verification (per candidate graph):")
-	plain := measure(queries, func(ctx context.Context, q *psi.Graph, id int) error {
-		_, err := index.Verify(ctx, q, id)
-		return err
-	}, index)
+	fmt.Println("plain Grapes (every candidate verified with the query as given):")
+	tPlain := measure(plain, queries)
 
-	fmt.Println("\nΨ-framework verification (racing ILF/IND/DND rewritings):")
-	racer := psi.NewFTVRacer(index, []psi.Rewriting{psi.ILF, psi.IND, psi.DND})
-	raced := measure(queries, func(ctx context.Context, q *psi.Graph, id int) error {
-		_, err := racer.Verify(ctx, q, id)
-		return err
-	}, index)
+	fmt.Println("\nΨ-framework (every candidate races the ILF/IND/DND rewritings):")
+	tRaced := measure(raced, queries)
 
-	fmt.Printf("\ntotal verification time: plain=%v psi=%v (%.1fx)\n",
-		plain.Round(time.Millisecond), raced.Round(time.Millisecond),
-		float64(plain)/float64(raced))
+	fmt.Printf("\ntotal query time: plain=%v psi=%v (%.1fx)\n",
+		tPlain.Round(time.Millisecond), tRaced.Round(time.Millisecond),
+		float64(tPlain)/float64(tRaced))
 }
 
-// measure runs the verification of every (query, candidate) pair under the
-// cap, prints a small latency profile, and returns the total time (killed
-// verifications counted at the cap).
-func measure(queries []*psi.Graph, verify func(context.Context, *psi.Graph, int) error, index psi.FilterIndex) time.Duration {
+// mustEngine builds a single-index dataset engine whose verification races
+// the given rewritings per candidate graph, under the per-query cap.
+func mustEngine(ds []*psi.Graph, kinds []psi.Rewriting) *psi.Engine {
+	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
+		Indexes:      []string{"grapes"},
+		IndexWorkers: 4,
+		Rewritings:   kinds,
+		Timeout:      cap,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return eng
+}
+
+// measure answers every query under the engine's cap, prints a small latency
+// profile, and returns the total time (killed queries counted at the cap).
+func measure(eng *psi.Engine, queries []*psi.Graph) time.Duration {
 	var times []time.Duration
-	killed := 0
+	killed, answers := 0, 0
 	for _, q := range queries {
-		for _, id := range index.Filter(q) {
-			ctx, cancel := context.WithTimeout(context.Background(), cap)
-			t0 := time.Now()
-			err := verify(ctx, q, id)
-			elapsed := time.Since(t0)
-			cancel()
-			if err != nil {
-				elapsed = cap
-				killed++
-			}
-			times = append(times, elapsed)
+		res, err := eng.Query(context.Background(), q, 0)
+		if err != nil {
+			log.Fatal(err)
 		}
+		if res.Killed {
+			killed++
+		}
+		answers += len(res.GraphIDs)
+		times = append(times, res.Elapsed)
 	}
-	if len(times) == 0 {
-		log.Fatal("no candidate pairs — try another seed")
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	slices.Sort(times)
 	var total time.Duration
 	for _, t := range times {
 		total += t
 	}
 	median := times[len(times)/2]
 	max := times[len(times)-1]
-	fmt.Printf("  %d pairs: median=%v max=%v killed=%d total=%v\n",
-		len(times), median.Round(time.Microsecond), max.Round(time.Microsecond),
+	fmt.Printf("  %d queries, %d containing graphs: median=%v max=%v killed=%d total=%v\n",
+		len(times), answers, median.Round(time.Microsecond), max.Round(time.Microsecond),
 		killed, total.Round(time.Millisecond))
 	fmt.Printf("  straggler skew: max/median = %.0fx\n",
 		float64(max)/float64(median))

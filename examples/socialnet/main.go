@@ -1,12 +1,14 @@
 // Socialnet: the matching problem on one large stored graph (the paper's
 // NFV setting). Uses a dense human-like graph as a stand-in for a social
 // network where labels are user roles, finds all occurrences of interaction
-// patterns, and compares single algorithms against a Ψ-framework portfolio.
+// patterns, and compares single algorithms against a Ψ-framework portfolio:
+// three engines over the same graph, two under ModeSingle and one racing.
 package main
 
 import (
 	"context"
 	"fmt"
+	"log"
 	"time"
 
 	psi "github.com/psi-graph/psi"
@@ -26,19 +28,27 @@ func main() {
 	fmt.Printf("  %d users, %d interactions, avg degree %.1f, %d roles\n\n",
 		st.Nodes, st.Edges, st.AvgDegree, st.Labels)
 
-	gql := psi.MustNewMatcher(psi.GraphQL, g)
-	spa := psi.MustNewMatcher(psi.SPath, g)
-	portfolio := psi.NewPortfolioMatcher(g,
-		[]psi.Algorithm{psi.GraphQL, psi.SPath},
-		[]psi.Rewriting{psi.Orig, psi.DND})
+	build := func(mode psi.Mode, kinds []psi.Rewriting, algos ...psi.Algorithm) *psi.Engine {
+		eng, err := psi.NewEngine(g, psi.EngineOptions{Mode: mode, Algorithms: algos, Rewritings: kinds, Timeout: cap})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return eng
+	}
+	gql := build(psi.ModeSingle, []psi.Rewriting{psi.Orig}, psi.GraphQL)
+	defer gql.Close()
+	spa := build(psi.ModeSingle, []psi.Rewriting{psi.Orig}, psi.SPath)
+	defer spa.Close()
+	portfolio := build(psi.ModeRace, []psi.Rewriting{psi.Orig, psi.DND}, psi.GraphQL, psi.SPath)
+	defer portfolio.Close()
 
-	fmt.Printf("%-10s %12s %12s %12s\n", "pattern", "GQL", "SPA", portfolio.Name())
+	fmt.Printf("%-10s %12s %12s %12s\n", "pattern", "GQL", "SPA", "Ψ(GQL/SPA)")
 	var tGQL, tSPA, tPsi time.Duration
 	for i := 0; i < numPatterns; i++ {
 		q := psi.ExtractQuery(g, patternEdges, int64(100+i))
-		a := timeMatch(gql, q)
-		b := timeMatch(spa, q)
-		c := timeMatch(portfolio, q)
+		a := timeQuery(gql, q)
+		b := timeQuery(spa, q)
+		c := timeQuery(portfolio, q)
 		tGQL += a
 		tSPA += b
 		tPsi += c
@@ -54,15 +64,14 @@ paper), racing both buys near-best-of-both at the cost of some parallelism.
 Here SPA hit the kill cap on several patterns; the portfolio never did.`)
 }
 
-// timeMatch runs one matching under the cap; killed runs cost the cap.
-func timeMatch(m psi.Matcher, q *psi.Graph) time.Duration {
-	ctx, cancel := context.WithTimeout(context.Background(), cap)
-	defer cancel()
-	start := time.Now()
-	if _, err := m.Match(ctx, q, limit); err != nil {
-		return cap
+// timeQuery runs one matching under the engine's cap; a killed run comes
+// back with Elapsed clamped to the cap.
+func timeQuery(eng *psi.Engine, q *psi.Graph) time.Duration {
+	res, err := eng.Query(context.Background(), q, limit)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return time.Since(start)
+	return res.Elapsed
 }
 
 func fmtT(d time.Duration) string {

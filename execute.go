@@ -2,9 +2,10 @@ package psi
 
 // Execution: every entry point — Query, Execute, ExecuteStream, AnswerStream,
 // AnswerStreamResult — is a thin collector over two bodies, execute (NFV
-// races) and answer (the dataset pipeline), which share the budget/kill
-// wrapper (runBudgeted), the solo→escalate step (soloFirst) and the counter
-// tally.
+// races) and answer (the dataset pipeline). Each supplies how its arms are
+// raced; launch, the one carrier of a plan, decides which are and what the
+// bandit learns, with the solo→escalate step (soloFirst) inside it and the
+// budget/kill wrapper (runBudgeted) and the counter tally around it.
 
 import (
 	"context"
@@ -57,6 +58,15 @@ type QueryResult struct {
 	Elapsed time.Duration
 	Killed  bool
 	Class   metrics.Class
+
+	// observed marks that the execution already fed the bandit (solo
+	// completion, in-query fallback, or race win), so the post-budget kill
+	// hook must not double-record.
+	observed bool
+	// streamed counts the answers that reached a streaming caller, which
+	// cannot be retracted: a killed run reports them as Found and an overrun
+	// solo that has any is committed.
+	streamed int
 }
 
 // Contained reports whether the query was found at all.
@@ -109,34 +119,48 @@ func (e *Engine) execute(ctx context.Context, p *Plan, limit int, sink Sink) (*Q
 		if sink != nil {
 			return nil, errors.New("psi: FTV plans stream graph IDs via AnswerStream, not embeddings")
 		}
-		return e.answer(ctx, p.Query, p.Decision, nil)
+		return e.answer(ctx, p, nil)
 	}
 	e.counters.Queries.Add(1)
 	res := &QueryResult{Kind: p.Kind, Policy: p.Decision}
-	streamed := 0
 	if sink != nil {
 		e.counters.Streamed.Add(1)
-		// Count what actually reaches the caller, so a killed streaming
-		// run can still report the embeddings it irrevocably surfaced.
 		inner := sink
 		sink = SinkFunc(func(em Embedding) bool {
-			streamed++
+			res.streamed++
 			return inner.Emit(em)
 		})
 	}
-	err := e.runBudgeted(ctx, res, func(runCtx context.Context) error {
-		if p.Kind == PlanPredicted {
-			return e.runPredicted(runCtx, p, limit, sink, res, func() bool { return streamed > 0 })
+	race := func(ctx context.Context, arms []int) (int, time.Duration, error) {
+		attempts := e.attemptsOf(arms)
+		e.counters.RaceAttempts.Add(int64(len(attempts)))
+		var (
+			r   core.Result
+			err error
+		)
+		if sink != nil {
+			r, err = e.racer.RaceStream(ctx, p.Query, limit, attempts, sink)
+		} else {
+			r, err = e.racer.Race(ctx, p.Query, limit, attempts)
 		}
-		return e.runRace(runCtx, p.Query, p.Attempts, limit, sink, res)
+		if err != nil {
+			return 0, 0, err
+		}
+		res.Embeddings, res.Found, res.Winner = r.Embeddings, r.Found, r.Winner.Label()
+		winner := r.WinnerIndex
+		if arms != nil {
+			winner = arms[winner]
+		}
+		return winner, r.Elapsed, nil
+	}
+	err := e.runBudgeted(ctx, res, func(runCtx context.Context) error {
+		return e.launch(runCtx, p, res, race)
 	})
 	if err != nil {
 		return nil, err
 	}
 	if res.Killed {
-		// Found keeps the count of embeddings already streamed — those
-		// cannot be retracted from the sink.
-		res.Embeddings, res.Found = nil, streamed
+		res.Embeddings, res.Found = nil, res.streamed
 	}
 	return res, nil
 }
@@ -176,10 +200,9 @@ func (e *Engine) runBudgeted(ctx context.Context, res *QueryResult, run func(con
 // client disconnect leaves the learned statistics untouched.
 func (e *Engine) observeKill(res *QueryResult) {
 	d := res.Policy
-	if e.bandit == nil || d == nil || !d.Solo || d.observed {
+	if e.bandit == nil || d == nil || !d.Solo || res.observed {
 		return
 	}
-	d.observed = true
 	e.bandit.ObserveKill(d.Class, d.Arm)
 }
 
@@ -206,6 +229,8 @@ func (e *Engine) tally(res *QueryResult) {
 	}
 	if res.FellBack {
 		e.counters.Fallbacks.Add(1)
+	} else if res.Kind == PlanPredicted && !res.Killed {
+		e.counters.PredictedSolo.Add(1)
 	}
 	if d := res.Policy; d != nil {
 		if d.Solo {
@@ -219,113 +244,75 @@ func (e *Engine) tally(res *QueryResult) {
 	}
 }
 
-// runRace executes a full (or fixed single-attempt) race, observing the
-// winner into the bandit when the engine learns.
-func (e *Engine) runRace(ctx context.Context, q *Graph, attempts []Attempt, limit int, sink Sink, res *QueryResult) error {
-	var (
-		r   core.Result
-		err error
-	)
-	e.counters.RaceAttempts.Add(int64(len(attempts)))
-	if sink != nil {
-		r, err = e.racer.RaceStream(ctx, q, limit, attempts, sink)
-	} else {
-		r, err = e.racer.Race(ctx, q, limit, attempts)
+// raceFunc races the given arms of the engine's portfolio (positions; nil
+// means every arm) against each other, surfacing the winner's answer, and
+// reports which arm won and how long that arm itself took.
+type raceFunc func(ctx context.Context, arms []int) (winner int, elapsed time.Duration, err error)
+
+// launch carries a plan out, for both engine kinds: the plan's arms go
+// through race — every arm, the fixed first arm, or the auto policy's solo
+// pick under soloFirst — and a race of the whole portfolio under the auto
+// policy trains the bandit with the winner's own time (and clears any kill
+// escalation).
+func (e *Engine) launch(ctx context.Context, p *Plan, res *QueryResult, race raceFunc) error {
+	d := p.Decision
+	if e.bandit == nil {
+		d = nil
 	}
-	if err != nil {
-		return err
+	start := func(ctx context.Context, arms []int) (time.Duration, error) {
+		winner, elapsed, err := race(ctx, arms)
+		if err == nil && d != nil && arms == nil {
+			res.observed = true
+			e.bandit.ObserveRaceWin(d.Class, winner, elapsed)
+		}
+		return elapsed, err
 	}
-	res.Embeddings = r.Embeddings
-	res.Found = r.Found
-	res.Winner = r.Winner.Label()
-	if len(attempts) == len(e.attempts) && e.bandit != nil && res.Policy != nil {
-		// A full auto-policy race trains the bandit with the winner's
-		// first-result latency (and clears any kill escalation).
-		res.Policy.observed = true
-		e.bandit.ObserveRaceWin(res.Policy.Class, r.WinnerIndex, r.Elapsed)
+	if d != nil && d.Solo {
+		return e.soloFirst(ctx, res, d, p.arms, start)
 	}
-	return nil
+	_, err := start(ctx, p.arms)
+	return err
 }
 
-// soloFirst is the one solo→escalate step, shared by NFV predicted plans and
-// auto-policy dataset queries: run the trusted arm alone under the solo
-// budget and, when it overruns before committing output, fall back to the
-// full race. solo reports the arm's own elapsed time; the bandit (when the
-// query carries a policy decision) learns from either outcome. surfaced says
-// whether the overrun solo already handed output to the caller: such a run
-// is committed — a fallback would replay the stream from the start — so the
-// overrun surfaces as the solo deadline error, a kill on a budgeted engine.
-func (e *Engine) soloFirst(ctx context.Context, res *QueryResult, solo func(context.Context) (time.Duration, error), surfaced func() bool, race func(context.Context) error) error {
+// soloFirst is the one solo→escalate step: start the arm d trusts alone
+// under the solo budget and, when it overruns before committing output, fall
+// back to the full race. The bandit learns from either outcome. An overrun
+// solo that already handed output to the caller is committed — a fallback
+// would replay the stream from the start — so the overrun surfaces as the
+// solo deadline error, a kill on a budgeted engine.
+func (e *Engine) soloFirst(ctx context.Context, res *QueryResult, d *PolicyDecision, arm []int,
+	start func(ctx context.Context, arms []int) (time.Duration, error)) error {
 	soloCtx, cancel := context.WithTimeout(ctx, e.solo)
-	elapsed, err := solo(soloCtx)
+	elapsed, err := start(soloCtx, arm)
 	cancel()
-	d := res.Policy
-	learns := e.bandit != nil && d != nil
 	if err == nil {
-		if learns {
-			d.observed = true
-			e.bandit.ObserveSolo(d.Class, d.Arm, elapsed)
-		}
+		res.observed = true
+		e.bandit.ObserveSolo(d.Class, d.Arm, elapsed)
 		return nil
 	}
 	if ctx.Err() != nil {
 		return ctx.Err() // budget kill or caller cancel, not the solo budget
 	}
 	// The solo budget expired: evidence against the learned arm.
-	if learns {
-		d.observed = true
-		e.bandit.ObserveKill(d.Class, d.Arm)
-	}
-	if surfaced() {
+	res.observed = true
+	e.bandit.ObserveKill(d.Class, d.Arm)
+	if res.streamed > 0 {
 		return err
 	}
 	res.FellBack = true
-	return race(ctx)
-}
-
-// runPredicted runs the bandit's pick alone under the solo budget, falling
-// back to a full race when it overruns before emitting. A
-// streamed run that already surfaced embeddings is committed: a mid-stream
-// budget expiry surfaces as the solo context's error rather than silently
-// restarting the query. surfaced reports whether any embedding has reached
-// the caller's sink.
-func (e *Engine) runPredicted(ctx context.Context, p *Plan, limit int, sink Sink, res *QueryResult, surfaced func() bool) error {
-	att := e.attempts[p.Predicted : p.Predicted+1]
-	solo := func(soloCtx context.Context) (time.Duration, error) {
-		e.counters.RaceAttempts.Add(1)
-		var (
-			r   core.Result
-			err error
-		)
-		if sink != nil {
-			r, err = e.racer.RaceStream(soloCtx, p.Query, limit, att, sink)
-		} else {
-			r, err = e.racer.Race(soloCtx, p.Query, limit, att)
-		}
-		if err != nil {
-			return 0, err
-		}
-		res.Embeddings = r.Embeddings
-		res.Found = r.Found
-		res.Winner = att[0].Label()
-		e.counters.PredictedSolo.Add(1)
-		return r.Elapsed, nil
-	}
-	return e.soloFirst(ctx, res, solo, surfaced, func(ctx context.Context) error {
-		return e.runRace(ctx, p.Query, e.attempts, limit, sink, res)
-	})
+	_, err = start(ctx, nil)
+	return err
 }
 
 // answer is the one dataset-query execution, behind every FTV entry point:
-// pin the current epoch's state, run the arms the policy names — the fixed
-// index, the learned solo arm (escalating to the race if it overruns), or
-// the whole portfolio — through the state's racer, all under the budget.
-// emit receives the ascending graph IDs as they settle; nil collects them
-// into the result's GraphIDs instead. A collected answer is a buffer nobody
-// has seen yet, so an overrun solo can always start over and a kill
-// surfaces an empty answer, while a streaming run is committed by its first
-// emission and a kill keeps Found at the number of IDs that reached emit.
-func (e *Engine) answer(ctx context.Context, q *Graph, d *PolicyDecision, emit func(graphID int) bool) (*QueryResult, error) {
+// pin the current epoch's state and launch the plan's arms through the
+// state's racer, under the budget. emit receives the ascending graph IDs as
+// they settle; nil collects them into the result's GraphIDs instead. A
+// collected answer is a buffer nobody has seen yet, so an overrun solo can
+// always start over and a kill surfaces an empty answer, while a streaming
+// run is committed by its first emission and a kill keeps Found at the number
+// of IDs that reached emit.
+func (e *Engine) answer(ctx context.Context, p *Plan, emit func(graphID int) bool) (*QueryResult, error) {
 	// Pin the current epoch's state for the whole execution: a concurrent
 	// mutation installs its successor without disturbing this query, and
 	// the result records which epoch answered.
@@ -335,7 +322,7 @@ func (e *Engine) answer(ctx context.Context, q *Graph, d *PolicyDecision, emit f
 	}
 	defer st.unref()
 	e.counters.Queries.Add(1)
-	res := &QueryResult{Kind: PlanFTV, Policy: d, Epoch: st.epoch}
+	res := &QueryResult{Kind: PlanFTV, Policy: p.Decision, Epoch: st.epoch}
 	collecting := emit == nil
 	if collecting {
 		emit = func(id int) bool {
@@ -345,47 +332,29 @@ func (e *Engine) answer(ctx context.Context, q *Graph, d *PolicyDecision, emit f
 	} else {
 		e.counters.Streamed.Add(1)
 	}
-	stream := func(ctx context.Context, arms []int) (core.IndexRaceResult, error) {
-		r, err := st.racer.Stream(ctx, q, arms, func(id int) bool {
+	race := func(ctx context.Context, arms []int) (int, time.Duration, error) {
+		if res.FellBack {
+			res.GraphIDs, res.Found = nil, 0 // whatever a collecting solo had buffered
+			e.counters.IndexAttempts.Add(1)  // the abandoned solo still ran
+		}
+		r, err := st.racer.Stream(ctx, p.Query, arms, func(id int) bool {
 			res.Found++
 			if !collecting {
+				res.streamed++
 				e.tallyShardID(id)
 			}
 			return emit(id)
 		})
-		if err == nil {
-			res.Winner, res.IndexAttempts = r.Winner, r.Attempts
+		if err != nil {
+			return 0, 0, err
 		}
-		return r, err
+		res.Winner, res.IndexAttempts = r.Winner, r.Attempts
+		return r.WinnerIndex, r.WinnerElapsed, nil
 	}
-	race := func(ctx context.Context) error {
-		var arms []int // the whole portfolio
-		if e.ixPolicy == IndexFixed {
-			arms = []int{0}
-		}
-		r, err := stream(ctx, arms)
-		if err == nil && d != nil {
-			d.observed = true
-			e.bandit.ObserveRaceWin(d.Class, r.WinnerIndex, r.Attempts[r.WinnerIndex].Elapsed)
-		}
-		return err
-	}
-	run := race
-	if d != nil && d.Solo {
-		solo := func(ctx context.Context) (time.Duration, error) {
-			r, err := stream(ctx, []int{d.Arm})
-			return r.Elapsed, err
-		}
-		surfaced := func() bool { return !collecting && res.Found > 0 }
-		run = func(ctx context.Context) error {
-			return e.soloFirst(ctx, res, solo, surfaced, func(ctx context.Context) error {
-				res.GraphIDs, res.Found = nil, 0 // whatever a collecting solo had buffered
-				e.counters.IndexAttempts.Add(1)  // the abandoned solo still ran
-				return race(ctx)
-			})
-		}
-	}
-	if err := e.runBudgeted(ctx, res, run); err != nil {
+	err := e.runBudgeted(ctx, res, func(ctx context.Context) error {
+		return e.launch(ctx, p, res, race)
+	})
+	if err != nil {
 		return nil, err
 	}
 	if collecting {
@@ -438,5 +407,9 @@ func (e *Engine) AnswerStreamResult(ctx context.Context, q *Graph, emit func(gra
 	if emit == nil {
 		return nil, errors.New("psi: AnswerStream requires an emit function")
 	}
-	return e.answer(ctx, q, e.decide(q), emit)
+	p, err := e.Plan(q)
+	if err != nil {
+		return nil, err
+	}
+	return e.answer(ctx, p, emit)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
@@ -70,64 +69,51 @@ type FTVResult struct {
 // Attempts go through the racer's pool (guaranteed-concurrency submit), so
 // idle workers are reused but the race never serializes.
 func (f *FTVRacer) Verify(ctx context.Context, q *graph.Graph, graphID int) (FTVResult, error) {
-	return raceInstances(ctx, f.Pool, f.Index, f.Rewritings, instances(q, f.Frequencies, f.Rewritings), graphID)
+	return raceInstances(ctx, f.Pool, f.Index, instances(q, f.Frequencies, f.Rewritings), graphID)
+}
+
+// instance is the query under one rewriting.
+type instance struct {
+	kind rewrite.Kind
+	q    *graph.Graph
 }
 
 // instances rewrites q once per kind. The result depends only on the query,
 // the frequencies and the kind, so a pipeline run prepares the instances once
 // and hands them to every candidate's race.
-func instances(q *graph.Graph, freqs rewrite.Frequencies, kinds []rewrite.Kind) []*graph.Graph {
-	qs := make([]*graph.Graph, len(kinds))
+func instances(q *graph.Graph, freqs rewrite.Frequencies, kinds []rewrite.Kind) []instance {
+	qs := make([]instance, len(kinds))
 	for i, k := range kinds {
-		qs[i], _ = rewrite.Apply(q, freqs, k, 0)
+		qs[i].kind = k
+		qs[i].q, _ = rewrite.Apply(q, freqs, k, 0)
 	}
 	return qs
 }
 
 // raceInstances is the per-candidate rewriting race: one verification of
-// dataset graph graphID per prepared instance (qs[i] is the query under
-// kinds[i]), first finisher wins, the rest are cancelled. nil pool selects
-// the shared default pool.
-func raceInstances(ctx context.Context, pool *exec.Pool, x ftv.Index, kinds []rewrite.Kind, qs []*graph.Graph, graphID int) (FTVResult, error) {
-	if len(kinds) == 0 {
+// dataset graph graphID per prepared instance, first finisher wins, the rest
+// are cancelled. nil pool selects the shared default pool.
+func raceInstances(ctx context.Context, pool *exec.Pool, x ftv.Index, qs []instance, graphID int) (FTVResult, error) {
+	if len(qs) == 0 {
 		return FTVResult{}, errors.New("psi: FTVRacer needs at least one rewriting")
 	}
-	if pool == nil {
-		pool = exec.Default()
-	}
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		kind      rewrite.Kind
-		contained bool
-		err       error
-	}
-	ch := make(chan outcome, len(kinds))
 	start := time.Now()
-	for i, k := range kinds {
-		pool.Go(func() {
-			o := outcome{kind: k}
-			defer func() {
-				if rec := recover(); rec != nil {
-					o.contained, o.err = false, fmt.Errorf("psi: verification panic: %v", rec)
-				}
-				ch <- o
-			}()
-			o.contained, o.err = x.Verify(raceCtx, qs[i], graphID)
-		})
-	}
-	var errs []error
-	for n := 0; n < len(kinds); n++ {
-		o := <-ch
-		if o.err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", o.kind, o.err))
-			continue
-		}
-		cancel()
-		return FTVResult{Contained: o.contained, Winner: o.kind, Elapsed: time.Since(start)}, nil
-	}
-	if err := ctx.Err(); err != nil {
+	winner, contained, err := firstDone(ctx, pool, len(qs), verifyRace{x, qs, graphID})
+	if err != nil {
 		return FTVResult{}, err
 	}
-	return FTVResult{}, errors.Join(errs...)
+	return FTVResult{Contained: contained, Winner: qs[winner].kind, Elapsed: time.Since(start)}, nil
+}
+
+// verifyRace is raceInstances' contender: instance i verifies the candidate.
+type verifyRace struct {
+	x       ftv.Index
+	qs      []instance
+	graphID int
+}
+
+func (v verifyRace) label(i int) string { return v.qs[i].kind.String() }
+
+func (v verifyRace) run(ctx context.Context, i int) (bool, error) {
+	return v.x.Verify(ctx, v.qs[i].q, v.graphID)
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/ggsx"
 	"github.com/psi-graph/psi/internal/grapes"
@@ -125,5 +127,27 @@ func TestFTVRacerWinnerIsAConfiguredRewriting(t *testing.T) {
 	}
 	if !strings.Contains(f.Name(), "Grapes") {
 		t.Error("name should mention the wrapped index")
+	}
+}
+
+// BenchmarkRaceInstances is the fixed cost of one per-candidate rewriting
+// race — a context, a channel and R pool hand-offs — over a stub index that
+// verifies at once. A dataset query pays it once per candidate per arm, which
+// is why raceInstances runs on firstDone and not on streamRace.
+func BenchmarkRaceInstances(b *testing.B) {
+	ds := newStubDataset(1)
+	x := &stubIndex{name: "stub", ds: ds, ids: []int{0}, verify: instantVerify}
+	pool := exec.New(2)
+	defer pool.Close()
+	for _, kinds := range [][]rewrite.Kind{{rewrite.Orig}, {rewrite.Orig, rewrite.DND}} {
+		qs := instances(ds[0], nil, kinds)
+		b.Run(fmt.Sprintf("R=%d", len(kinds)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := raceInstances(context.Background(), pool, x, qs, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +11,7 @@ import (
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/leakcheck"
 	"github.com/psi-graph/psi/internal/match"
 	"github.com/psi-graph/psi/internal/rewrite"
 	"github.com/psi-graph/psi/internal/vf2"
@@ -75,11 +75,13 @@ func TestFTVRacerAnswerBoundsGoroutines(t *testing.T) {
 	kinds := []rewrite.Kind{rewrite.Orig, rewrite.DND}
 	x := newGatedIndex(candidates)
 	pool := exec.New(workers)
-	defer pool.Close()
+	t.Cleanup(pool.Close)
 	f := NewIndexRacer([]index.Index{lifted{x}}, kinds)
 	f.Pool = pool
 
-	before := runtime.NumGoroutine()
+	// After the race transient goroutines drain back to (near) the baseline;
+	// the pool's workers are accounted to the pool, not the race.
+	grown := leakcheck.Check(t, workers+2)
 	done := make(chan error, 1)
 	var answer []int
 	go func() {
@@ -93,13 +95,12 @@ func TestFTVRacerAnswerBoundsGoroutines(t *testing.T) {
 	for x.inFlight.Load() < int64(workers) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	during := runtime.NumGoroutine()
 	// Old behavior: one goroutine per (candidate × rewriting) = 400+.
 	// New behavior: pool workers plus their per-candidate rewriting races.
-	bound := before + workers*(len(kinds)+1) + 16
-	if during > bound {
-		t.Errorf("goroutines during race = %d (baseline %d), want <= %d — fan-out is not pool-bounded",
-			during, before, bound)
+	bound := workers*(len(kinds)+1) + 16
+	if during := grown(); during > bound {
+		t.Errorf("goroutines during race = %d above the baseline, want <= %d — fan-out is not pool-bounded",
+			during, bound)
 	}
 	if peak := x.peak.Load(); peak > int64(workers*len(kinds)) {
 		t.Errorf("concurrent verifications = %d, want <= workers×rewritings = %d",
@@ -113,16 +114,6 @@ func TestFTVRacerAnswerBoundsGoroutines(t *testing.T) {
 	if len(answer) != candidates {
 		t.Errorf("answer has %d ids, want %d", len(answer), candidates)
 	}
-
-	// After: transient goroutines drain back to (near) the baseline; the
-	// pool's workers are accounted to the pool, not the race.
-	deadline = time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+workers+2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+workers+2 {
-		t.Errorf("goroutines after race = %d, baseline %d (+%d workers): leak", after, before, workers)
-	}
 }
 
 // TestRaceReleasesGoroutines is the before/after leak check for plain
@@ -132,24 +123,17 @@ func TestRaceReleasesGoroutines(t *testing.T) {
 	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})
 	racer := NewRacer(g)
 	racer.Pool = exec.New(2)
-	defer racer.Pool.Close()
-	attempts := Rewritings(vf2.New(g), []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.DND})
+	t.Cleanup(racer.Pool.Close)
+	attempts := Portfolio([]match.Matcher{vf2.New(g)}, []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.DND})
 	// Warm up so pool workers exist before the baseline is taken.
 	if _, err := racer.Race(context.Background(), q, 1, attempts); err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t, 4)
 	for i := 0; i < 1000; i++ {
 		if _, err := racer.Race(context.Background(), q, 1, attempts); err != nil {
 			t.Fatal(err)
 		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+4 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+4 {
-		t.Errorf("goroutines grew from %d to %d over 1000 races", before, after)
 	}
 }
 
@@ -162,14 +146,14 @@ func TestRaceStreamCancelAfterFirstEmissionNoLeak(t *testing.T) {
 	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})
 	racer := NewRacer(g)
 	racer.Pool = exec.New(2)
-	defer racer.Pool.Close()
-	attempts := Rewritings(vf2.New(g), []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.DND})
+	t.Cleanup(racer.Pool.Close)
+	attempts := Portfolio([]match.Matcher{vf2.New(g)}, []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.DND})
 	stopSink := match.SinkFunc(func(match.Embedding) bool { return false })
 	// Warm up so pool workers exist before the baseline is taken.
 	if _, err := racer.RaceStream(context.Background(), q, 1000, attempts, stopSink); err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t, 4)
 	for i := 0; i < 500; i++ {
 		res, err := racer.RaceStream(context.Background(), q, 1000, attempts, stopSink)
 		if err != nil {
@@ -178,13 +162,6 @@ func TestRaceStreamCancelAfterFirstEmissionNoLeak(t *testing.T) {
 		if res.Found != 1 {
 			t.Fatalf("iteration %d: Found = %d, want 1 (sink stopped after first emission)", i, res.Found)
 		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+4 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+4 {
-		t.Errorf("goroutines grew from %d to %d over 500 first-emission-cancelled races", before, after)
 	}
 }
 

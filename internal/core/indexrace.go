@@ -110,8 +110,12 @@ type IndexAttempt struct {
 type IndexRaceResult struct {
 	// Winner is the adopted index's name.
 	Winner string
-	// WinnerIndex is the adopted index's position in the portfolio.
+	// WinnerIndex is the adopted index's position in the portfolio — not in
+	// Attempts, which follows the arms of the call.
 	WinnerIndex int
+	// WinnerElapsed is the adopted arm's own time, its Attempts entry's
+	// Elapsed.
+	WinnerElapsed time.Duration
 	// Attempts reports every raced arm's run, in the order the arms were
 	// given (portfolio order for a full race).
 	Attempts []IndexAttempt
@@ -181,7 +185,7 @@ func (r *IndexRacer) Stream(ctx context.Context, q *graph.Graph, arms []int, emi
 					return emit(id)
 				},
 				func(gctx context.Context, id int) (bool, error) {
-					res, err := raceInstances(gctx, pool, x, r.Rewritings, qs, id)
+					res, err := raceInstances(gctx, pool, x, qs, id)
 					return res.Contained, err
 				})
 		})
@@ -201,6 +205,6 @@ func (r *IndexRacer) Stream(ctx context.Context, q *graph.Graph, arms []int, emi
 	}
 	won := &res.Attempts[winner]
 	won.Winner, won.Emitted = true, emitted
-	res.Winner = won.Name
+	res.Winner, res.WinnerElapsed = won.Name, won.Elapsed
 	return res, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +12,7 @@ import (
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/leakcheck"
 	"github.com/psi-graph/psi/internal/rewrite"
 )
 
@@ -130,10 +130,10 @@ func TestIndexRaceAdoptsFirstEmitterAndCancelsLoser(t *testing.T) {
 		return true, nil
 	}
 	pool := exec.New(4)
-	defer pool.Close()
+	t.Cleanup(pool.Close)
 	r := NewIndexRacer([]index.Index{slow, fast}, orig)
 	r.Pool = pool
-	defer r.Close()
+	t.Cleanup(r.Close)
 
 	// Warm up so the racer's per-attempt pools exist before the baseline,
 	// then drain leftover start tokens so the measured race re-observes
@@ -149,7 +149,7 @@ func TestIndexRaceAdoptsFirstEmitterAndCancelsLoser(t *testing.T) {
 		}
 	}
 	slow.cancelled.Store(0)
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t, 2) // the race drains its losers before returning
 	ids, res, err := collect(context.Background(), r, ds[0])
 	if err != nil {
 		t.Fatal(err)
@@ -172,14 +172,6 @@ func TestIndexRaceAdoptsFirstEmitterAndCancelsLoser(t *testing.T) {
 	if slow.cancelled.Load() == 0 {
 		t.Error("losing index never observed cancellation — losers are not being cancelled")
 	}
-	// The race drains its losers before returning: no goroutine growth.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Errorf("goroutines grew from %d to %d across an index race: leak", before, after)
-	}
 }
 
 // TestIndexRaceRepeatedNoLeak hammers the race to catch slow accretion.
@@ -188,15 +180,15 @@ func TestIndexRaceRepeatedNoLeak(t *testing.T) {
 	fast := &stubIndex{name: "fast", ds: ds, ids: []int{0, 1}, verify: instantVerify}
 	slow := &stubIndex{name: "slow", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
 	pool := exec.New(2)
-	defer pool.Close()
+	t.Cleanup(pool.Close)
 	r := NewIndexRacer([]index.Index{fast, slow}, orig)
 	r.Pool = pool
-	defer r.Close()
+	t.Cleanup(r.Close)
 	// Warm-up so transient infrastructure exists before the baseline.
 	if _, _, err := collect(context.Background(), r, ds[0]); err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t, 4)
 	for i := 0; i < 200; i++ {
 		_, res, err := collect(context.Background(), r, ds[0])
 		if err != nil {
@@ -205,13 +197,6 @@ func TestIndexRaceRepeatedNoLeak(t *testing.T) {
 		if res.Winner != "fast" {
 			t.Fatalf("iteration %d: winner = %q", i, res.Winner)
 		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+4 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+4 {
-		t.Errorf("goroutines grew from %d to %d over 200 index races", before, after)
 	}
 }
 
@@ -254,6 +239,39 @@ func TestIndexRaceSingleIndexDegenerates(t *testing.T) {
 	}
 	if len(res.Attempts) != 1 || !res.Attempts[0].Winner || res.Attempts[0].Emitted != 2 {
 		t.Fatalf("Attempts = %+v", res.Attempts)
+	}
+}
+
+// TestIndexRaceArmsOutOfPortfolioOrder: Attempts follows the arms of the
+// call while WinnerIndex is a portfolio position, so with arms {2, 0} the
+// winner's report is not Attempts[WinnerIndex]; the name, the Winner flag and
+// WinnerElapsed must all describe the same arm.
+func TestIndexRaceArmsOutOfPortfolioOrder(t *testing.T) {
+	ds := newStubDataset(2)
+	a := &stubIndex{name: "a", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
+	b := &stubIndex{name: "b", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
+	c := &stubIndex{name: "c", ds: ds, ids: []int{0, 1}, verify: instantVerify}
+	r := NewIndexRacer([]index.Index{a, b, c}, orig)
+	defer r.Close()
+	ids, res, err := collect(context.Background(), r, ds[0], 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 2 || res.Winner != "c" || res.WinnerIndex != 2 {
+		t.Fatalf("ids %v, winner %q at %d, want [0 1] from c at portfolio position 2", ids, res.Winner, res.WinnerIndex)
+	}
+	if len(res.Attempts) != 2 || res.Attempts[0].Name != "c" || res.Attempts[1].Name != "a" {
+		t.Fatalf("Attempts = %+v, want c then a (the order of the arms)", res.Attempts)
+	}
+	won, lost := res.Attempts[0], res.Attempts[1]
+	if !won.Winner || won.Emitted != 2 || lost.Winner || !lost.Cancelled {
+		t.Errorf("Attempts = %+v, want c the winner with 2 emissions and a cancelled", res.Attempts)
+	}
+	if res.WinnerElapsed != won.Elapsed || won.Elapsed <= 0 || won.Elapsed > res.Elapsed {
+		t.Errorf("WinnerElapsed %v, winner's attempt %v, race %v", res.WinnerElapsed, won.Elapsed, res.Elapsed)
+	}
+	if b.cancelled.Load() != 0 {
+		t.Error("an arm that was not listed ran")
 	}
 }
 

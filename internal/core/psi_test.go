@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -97,8 +99,8 @@ func TestRaceFindsPlantedQuery(t *testing.T) {
 	racer := NewRacer(g)
 	racer.Validate = true
 	attempts := append(
-		Rewritings(gql.New(g), []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.DND}),
-		Rewritings(spath.New(g), []rewrite.Kind{rewrite.Orig})...,
+		Portfolio([]match.Matcher{gql.New(g)}, []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.DND}),
+		Portfolio([]match.Matcher{spath.New(g)}, []rewrite.Kind{rewrite.Orig})...,
 	)
 	for trial := 0; trial < 15; trial++ {
 		q := extractQuery(r, g, 3+r.Intn(5))
@@ -274,7 +276,7 @@ func TestRaceEmbeddingCountMatchesDirectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	racer := NewRacer(g)
-	attempts := Rewritings(vf2.New(g), append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...))
+	attempts := Portfolio([]match.Matcher{vf2.New(g)}, append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...))
 	res, err := racer.Race(context.Background(), q, 1000, attempts)
 	if err != nil {
 		t.Fatal(err)
@@ -312,24 +314,92 @@ func TestPortfolioShape(t *testing.T) {
 	}
 }
 
-func TestRacedMatcherAdapter(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	g := randomStored(r, 20, 10, 2)
-	racer := NewRacer(g)
-	rm := NewRacedMatcher("Ψ(GQL/SPA)", racer,
-		Portfolio([]match.Matcher{gql.New(g), spath.New(g)}, []rewrite.Kind{rewrite.Orig}))
-	if rm.Name() != "Ψ(GQL/SPA)" {
-		t.Errorf("Name = %q", rm.Name())
+// funcRace is a firstDone contender made of plain functions.
+type funcRace []func(ctx context.Context) (int, error)
+
+func (f funcRace) label(i int) string                          { return fmt.Sprintf("c%d", i) }
+func (f funcRace) run(ctx context.Context, i int) (int, error) { return f[i](ctx) }
+
+// TestFirstDone holds every behaviour Racer.Race's and raceInstances' own
+// loops had before they became firstDone.
+func TestFirstDone(t *testing.T) {
+	value := func(v int) func(context.Context) (int, error) {
+		return func(context.Context) (int, error) { return v, nil }
 	}
-	q := extractQuery(r, g, 4)
-	embs, err := rm.Match(context.Background(), q, 1)
-	if err != nil {
-		t.Fatal(err)
+	fail := func(msg string) func(context.Context) (int, error) {
+		return func(context.Context) (int, error) { return 0, errors.New(msg) }
 	}
-	if len(embs) != 1 {
-		t.Errorf("got %d embeddings", len(embs))
+	panics := func(context.Context) (int, error) { panic("kaboom") }
+	// blocked runs until its context dies and reports what it saw.
+	sawCancel := make(chan error, 4)
+	blocked := func(ctx context.Context) (int, error) {
+		<-ctx.Done()
+		sawCancel <- ctx.Err()
+		return 0, ctx.Err()
 	}
-	if err := match.VerifyEmbedding(q, g, embs[0]); err != nil {
-		t.Error(err)
+	cases := []struct {
+		name       string
+		race       funcRace
+		timeout    time.Duration // > 0: the caller's context expires
+		wantWinner int
+		wantVal    int
+		wantIs     error    // errors.Is target of the failure
+		wantIn     []string // substrings of the failure
+		wantNotIn  string
+		losers     int // contenders that must observe the adoption's cancel
+	}{
+		{name: "first finisher wins and losers are cancelled",
+			race: funcRace{blocked, value(7), blocked}, wantWinner: 1, wantVal: 7, losers: 2},
+		{name: "a failure does not decide the race",
+			race: funcRace{fail("boom"), value(3)}, wantWinner: 1, wantVal: 3},
+		{name: "all fail: joined errors, each under its label",
+			race: funcRace{fail("boom"), fail("bang")}, wantWinner: -1,
+			wantIn: []string{"c0: boom", "c1: bang"}},
+		{name: "caller cancelled: the context's error, not the join",
+			race: funcRace{blocked, blocked}, timeout: 20 * time.Millisecond, wantWinner: -1,
+			wantIs: context.DeadlineExceeded, wantNotIn: "c0:", losers: 2},
+		{name: "a panic is that contender's error",
+			race: funcRace{panics}, wantWinner: -1, wantIn: []string{"c0: psi: attempt panic: kaboom"}},
+		{name: "a panicking contender loses to a finisher",
+			race: funcRace{panics, value(5)}, wantWinner: 1, wantVal: 5},
+		{name: "n = 1", race: funcRace{value(9)}, wantWinner: 0, wantVal: 9},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			if tc.timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, tc.timeout)
+				defer cancel()
+			}
+			winner, val, err := firstDone(ctx, nil, len(tc.race), tc.race)
+			if winner != tc.wantWinner || val != tc.wantVal {
+				t.Errorf("winner, val = %d, %d, want %d, %d", winner, val, tc.wantWinner, tc.wantVal)
+			}
+			if (err != nil) != (tc.wantWinner < 0) {
+				t.Fatalf("err = %v with winner %d", err, tc.wantWinner)
+			}
+			if tc.wantIs != nil && !errors.Is(err, tc.wantIs) {
+				t.Errorf("err = %v, want %v", err, tc.wantIs)
+			}
+			for _, sub := range tc.wantIn {
+				if !strings.Contains(err.Error(), sub) {
+					t.Errorf("err = %q, want it to contain %q", err, sub)
+				}
+			}
+			if tc.wantNotIn != "" && strings.Contains(err.Error(), tc.wantNotIn) {
+				t.Errorf("err = %q must not contain %q", err, tc.wantNotIn)
+			}
+			for i := 0; i < tc.losers; i++ {
+				select {
+				case cerr := <-sawCancel:
+					if cerr == nil {
+						t.Error("loser returned without a cancelled context")
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatal("a loser never saw its context cancelled")
+				}
+			}
+		})
 	}
 }

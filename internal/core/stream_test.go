@@ -217,28 +217,6 @@ func TestRaceStreamParentCancellation(t *testing.T) {
 	}
 }
 
-// TestRacedMatcherStreams: the RacedMatcher facade implements
-// match.StreamMatcher and agrees with its own Match.
-func TestRacedMatcherStreams(t *testing.T) {
-	g, q := streamTestGraph()
-	m := NewRacedMatcher("Ψ(test)", NewRacer(g), streamAttempts(g))
-	var sm match.StreamMatcher = m // compile-time + runtime interface check
-	want, err := m.Match(context.Background(), q, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	if err := sm.MatchStream(context.Background(), q, 500, match.SinkFunc(func(match.Embedding) bool {
-		count++
-		return true
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if count != len(want) {
-		t.Fatalf("streamed %d embeddings, Match found %d", count, len(want))
-	}
-}
-
 // TestStreamEarlyStopIsAnswerPrefix: stopping a single-arm stream early must
 // truncate cleanly to a prefix of the full ascending answer.
 func TestStreamEarlyStopIsAnswerPrefix(t *testing.T) {

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
 func TestPoolDefaultsToNumCPU(t *testing.T) {
@@ -236,7 +238,7 @@ func TestStress(t *testing.T) {
 
 // TestPoolCloseStopsWorkers verifies Close reclaims the worker goroutines.
 func TestPoolCloseStopsWorkers(t *testing.T) {
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t, 1)
 	p := New(8)
 	g := p.NewGroup(context.Background())
 	for i := 0; i < 32; i++ {
@@ -246,13 +248,6 @@ func TestPoolCloseStopsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before+1 {
-		t.Errorf("goroutines after Close: %d, want <= %d", n, before+1)
-	}
 }
 
 // TestLimiterAdmission verifies the bounded-admission contract: exactly Cap

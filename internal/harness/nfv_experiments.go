@@ -471,7 +471,7 @@ func runFig13(e *Env, w io.Writer) error {
 		for _, algo := range ds.algos {
 			m := e.NFVMatcher(ds.name, algo)
 			for _, v := range psiNFVVariants {
-				attempts := core.Rewritings(m, v.kinds)
+				attempts := core.Portfolio([]match.Matcher{m}, v.kinds)
 				var ratios []float64
 				for i, q := range e.NFVWorkload(ds.name) {
 					orig := e.nfvTimed(ds.name, algo, i, "Orig", q.Graph)

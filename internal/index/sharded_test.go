@@ -8,14 +8,13 @@ package index_test
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
 // fuzzMaxPathLen keeps extraction cheap enough to afford the full
@@ -301,7 +300,7 @@ func TestShardedStreamTruncationSafety(t *testing.T) {
 // the ordered merge must always drain its per-shard scan goroutines.
 func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 	pool := exec.New(2)
-	defer pool.Close()
+	t.Cleanup(pool.Close)
 	r := rand.New(rand.NewSource(13))
 	ds := randomDataset(r, 9, 10, 2)
 	sh, err := index.BuildSharded(context.Background(), index.KindPath, ds, index.Options{
@@ -310,13 +309,13 @@ func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sh.Close()
+	t.Cleanup(sh.Close)
 	q := extractQuery(r, ds[0], 2)
 	// Warm up so pool workers exist before the baseline is taken.
 	if _, err := index.Answer(context.Background(), sh, q, pool); err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t, 4) // the merge must not leak scanners
 	for i := 0; i < 200; i++ {
 		switch i % 3 {
 		case 0: // normal completion
@@ -336,12 +335,5 @@ func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 			})
 			cancel()
 		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+4 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+4 {
-		t.Errorf("goroutines grew from %d to %d over 200 sharded streams: merge leaks scanners", before, after)
 	}
 }

@@ -1,0 +1,70 @@
+package leakcheck
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+)
+
+// fakeTB records what Check does to a test without failing this one.
+type fakeTB struct {
+	testing.TB
+	cleanups []func()
+	errors   []string
+}
+
+func (f *fakeTB) Cleanup(fn func()) { f.cleanups = append(f.cleanups, fn) }
+func (f *fakeTB) Errorf(format string, args ...any) {
+	f.errors = append(f.errors, fmt.Sprintf(format, args...))
+}
+
+func TestCheck(t *testing.T) {
+	old := settle
+	settle = 200 * time.Millisecond
+	defer func() { settle = old }()
+
+	cases := []struct {
+		name     string
+		slack    int
+		exitsIn  time.Duration // 0: the goroutine outlives the check
+		wantLeak bool
+	}{
+		{"a goroutine that exits before the deadline is no leak", 0, 20 * time.Millisecond, false},
+		{"a goroutine within the slack is no leak", 1, 0, false},
+		{"a goroutine that stays is a leak", 0, 0, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := &fakeTB{TB: t}
+			grown := Check(tb, tc.slack)
+			stop := make(chan struct{})
+			defer func() { // the next case's snapshot must not count this goroutine
+				close(stop)
+				for deadline := time.Now().Add(2 * time.Second); grown() > 0 && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+			}()
+			go func() {
+				if tc.exitsIn > 0 {
+					time.Sleep(tc.exitsIn)
+					return
+				}
+				<-stop
+			}()
+			if grown() < 1 {
+				t.Errorf("grown() = %d with a goroutine started since the snapshot", grown())
+			}
+			if len(tb.cleanups) != 1 {
+				t.Fatalf("Check registered %d cleanups, want 1", len(tb.cleanups))
+			}
+			tb.cleanups[0]()
+			if leaked := len(tb.errors) > 0; leaked != tc.wantLeak {
+				t.Fatalf("leak reported = %v, want %v: %v", leaked, tc.wantLeak, tb.errors)
+			}
+			if tc.wantLeak && !strings.Contains(tb.errors[0], "leakcheck.TestCheck") {
+				t.Errorf("the report does not show the leaked goroutine's stack:\n%s", tb.errors[0])
+			}
+		})
+	}
+}

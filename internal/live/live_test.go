@@ -11,17 +11,16 @@ package live_test
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
 	_ "github.com/psi-graph/psi/internal/ggsx"
 	_ "github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/leakcheck"
 	"github.com/psi-graph/psi/internal/live"
 )
 
@@ -177,7 +176,7 @@ func TestMutationParityFuzz(t *testing.T) {
 // moving head; the pinned snapshot must keep answering byte-identically
 // throughout, and no goroutines may survive the churn.
 func TestSnapshotIsolationUnderChurn(t *testing.T) {
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t, 2) // everything spawned must drain
 	r := rand.New(rand.NewSource(5))
 	ds := randomDataset(r, 6, 8, 2)
 	st, err := live.NewStore(context.Background(), ds, live.Options{
@@ -252,14 +251,6 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 	}
 	pinned.Release()
 	st.Close()
-	// Goroutine-leak harness: everything spawned must drain.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before+2 {
-		t.Errorf("goroutines leaked: %d before, %d after churn", before, n)
-	}
 }
 
 // closeCounting wraps the flat path index to observe Close calls. It

@@ -23,9 +23,8 @@
 //     class at all: the kill is recorded on the arm and the class's next
 //     decision is forced back to a full race.
 //   - Cancellation is not evidence. A client disconnect (or server drain)
-//     says nothing about the arm's quality; ObserveCancelled exists so
-//     callers route that outcome explicitly to a no-op instead of silently
-//     conflating it with a kill and poisoning the statistics.
+//     says nothing about the arm's quality, so callers record nothing for it:
+//     conflating it with a kill would poison the statistics.
 //
 // Safe for concurrent use; the zero value is not usable — construct with
 // NewBandit.
@@ -264,13 +263,6 @@ func (b *Bandit) ObserveKill(class string, arm int) {
 	c.escalated = true
 	c.arms[arm].kills++
 }
-
-// ObserveCancelled records a solo run that ended because the *caller* went
-// away (client disconnect, server drain) rather than because the arm was
-// slow. It is deliberately a no-op: cancellation carries no information
-// about the arm, and routing it here — instead of to ObserveKill — is what
-// keeps disconnect storms from poisoning the learned statistics.
-func (b *Bandit) ObserveCancelled(class string, arm int) {}
 
 // ArmSummary is one arm's evidence aggregated across every class.
 type ArmSummary struct {

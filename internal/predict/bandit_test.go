@@ -112,14 +112,15 @@ func TestBanditKillEscalatesAndPenalizesArm(t *testing.T) {
 
 // The satellite regression: a client disconnect (cancellation) must leave
 // the learned statistics and the escalation flag completely untouched,
-// unlike a budget kill.
+// unlike a budget kill. To the bandit a cancelled query is a decision that no
+// observation follows.
 func TestBanditCancelledIsNotEvidence(t *testing.T) {
 	b := NewBandit([]string{"a"}, BanditOptions{MinSamples: 1, RaceEvery: -1})
 	b.ObserveRaceWin("c", 0, time.Millisecond)
 	before := b.Snapshot()
 
 	for i := 0; i < 50; i++ {
-		b.ObserveCancelled("c", 0)
+		b.Decide("c")
 	}
 	after := b.Snapshot()
 	if before.Arms[0] != after.Arms[0] {

@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	psi "github.com/psi-graph/psi"
+	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
 // coalesceFixture builds a racing FTV engine and a server with the result
@@ -77,10 +77,10 @@ func TestCoalesceCollapsesStampede(t *testing.T) {
 	srv, q := coalesceFixture(t, psi.EngineOptions{}, Options{MaxInFlight: 2 * clients})
 	srv.leaderHook = func(fl *flight) { waitWaiters(t, fl, clients-1) }
 	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 	body := graphText(t, q)
 
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t, 2)
 	type reply struct {
 		lines []byte
 		sum   StreamSummary
@@ -139,13 +139,6 @@ func TestCoalesceCollapsesStampede(t *testing.T) {
 	// connections are closed first so only real leaks remain).
 	http.DefaultClient.CloseIdleConnections()
 	waitFor(t, func() bool { return srv.InFlight() == 0 })
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before+2 {
-		t.Errorf("goroutines %d -> %d after stampede drained", before, n)
-	}
 }
 
 // TestCoalesceCollectedFollower checks the non-streamed replay path: a

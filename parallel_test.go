@@ -17,7 +17,7 @@ import (
 
 func TestPooledAnswerMatchesSequential(t *testing.T) {
 	ds := psi.GenerateSynthetic(psi.Tiny, 1)
-	indexes := []psi.FilterIndex{psi.NewGGSX(ds), psi.NewGrapes(ds, 1), psi.NewPathIndex(ds)}
+	indexes := []psi.FilterIndex{mustBuildIndex(t, "ggsx", ds, 0), mustBuildIndex(t, "grapes", ds, 1), mustBuildIndex(t, "ftv", ds, 0)}
 	var queries []*psi.Graph
 	for i, g := range ds {
 		queries = append(queries,

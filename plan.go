@@ -1,8 +1,9 @@
 package psi
 
-// Planning: Plan selects how one query will run — which attempts (NFV) or
-// which index policy (FTV) — and decide asks the auto policy's bandit for its
-// solo-vs-race verdict. Execution lives in execute.go.
+// Planning: Plan is the one place the engine's launch policy — race, first
+// or auto, whichever of Mode and IndexPolicy the engine kind reads — and the
+// auto policy's bandit are turned into the arms a query starts, for stored-
+// graph and dataset engines alike. Execution (launch) lives in execute.go.
 
 import (
 	"errors"
@@ -43,11 +44,6 @@ type PolicyDecision struct {
 	// Reason says why: "learned" for solo; "warmup", "stale" or
 	// "escalated" for races.
 	Reason string `json:"reason"`
-
-	// observed marks that the execution already fed the bandit (solo
-	// completion, in-query fallback, or race win), so the post-budget kill
-	// hook must not double-record.
-	observed bool
 }
 
 // PolicySnapshot is a point-in-time copy of an auto-policy engine's learned
@@ -68,13 +64,24 @@ func (e *Engine) PolicyStats() (PolicySnapshot, bool) {
 	return e.bandit.Snapshot(), true
 }
 
+// launchPolicy is how an engine picks the arms of a query. Mode (stored-graph
+// engines) and IndexPolicy (dataset engines) each resolve to one at
+// construction.
+type launchPolicy uint8
+
+const (
+	// launchRace starts every arm of the portfolio — the paper's Ψ.
+	launchRace launchPolicy = iota
+	// launchFirst starts the portfolio's first arm alone, with no fallback.
+	launchFirst
+	// launchAuto asks the bandit: its learned arm alone under the solo
+	// budget, escalating to every arm on an overrun, or every arm at once.
+	launchAuto
+)
+
 // decide runs the bandit for one query, translating the policy's verdict
-// into the exported decision record. Returns nil when the engine is not
-// under the auto policy.
+// into the exported decision record.
 func (e *Engine) decide(q *Graph) *PolicyDecision {
-	if e.bandit == nil {
-		return nil
-	}
 	d := e.bandit.Decide(predict.ClassKey(q))
 	pd := &PolicyDecision{Class: d.Class, Solo: d.Solo, Arm: d.Arm, Reason: d.Reason}
 	if d.Solo {
@@ -118,45 +125,55 @@ type Plan struct {
 	Epoch uint64
 
 	engine *Engine
+	// arms are the portfolio positions launch starts first: nil for every
+	// arm, else the fixed first arm or the auto policy's solo pick.
+	arms []int
 }
 
-// Plan selects the attempt portfolio for q under the engine's mode:
-// a full race, the auto policy's learned single attempt (once the query's
-// class has warmed up), a fixed single attempt, or the FTV pipeline for
-// dataset engines.
+// Plan selects the arms q starts with under the engine's launch policy: the
+// whole portfolio, its fixed first arm, or — under the auto policy, once the
+// query's class has warmed up — the learned arm alone. For a stored-graph
+// engine the arms are attempts (Kind and Attempts say which); for a dataset
+// engine they are the filtering indexes of the PlanFTV pipeline.
 func (e *Engine) Plan(q *Graph) (*Plan, error) {
 	if q == nil {
 		return nil, errors.New("psi: Plan requires a query graph")
 	}
-	p := &Plan{Query: q, Predicted: -1, Deadline: e.budget.Cap, engine: e}
+	p := &Plan{Query: q, Kind: PlanRace, Predicted: -1, Deadline: e.budget.Cap, engine: e}
+	switch e.policy {
+	case launchFirst:
+		p.Kind, p.arms = PlanFixed, []int{0}
+	case launchAuto:
+		p.Decision = e.decide(q)
+		if p.Decision.Solo {
+			p.Kind, p.arms = PlanPredicted, []int{p.Decision.Arm}
+		}
+	}
 	if e.g == nil {
 		p.Kind = PlanFTV
-		p.IndexPolicy = e.ixPolicy
-		p.Decision = e.decide(q)
+		p.IndexPolicy = e.IndexPolicy()
 		p.Epoch = e.Epoch()
 		p.Indexes = append(p.Indexes, e.ixNames...)
 		return p, nil
 	}
-	switch e.mode {
-	case ModeSingle:
-		p.Kind = PlanFixed
-		p.Attempts = e.attempts[:1]
-	case ModeAuto:
-		p.Decision = e.decide(q)
-		if p.Decision.Solo {
-			p.Kind = PlanPredicted
-			p.Predicted = p.Decision.Arm
-			p.Attempts = e.attempts[p.Predicted : p.Predicted+1]
-		} else {
-			p.Kind = PlanRace
-			p.Attempts = e.attempts
-		}
-	default:
-		p.Kind = PlanRace
-		p.Attempts = e.attempts
+	if p.Kind == PlanPredicted {
+		p.Predicted = p.Decision.Arm
 	}
 	// The plan is a public value: never alias the engine's portfolio,
 	// which a caller could then mutate under every future query.
-	p.Attempts = append([]Attempt(nil), p.Attempts...)
+	p.Attempts = append([]Attempt(nil), e.attemptsOf(p.arms)...)
 	return p, nil
+}
+
+// attemptsOf resolves arms (portfolio positions; nil means every arm) to the
+// stored-graph engine's attempts.
+func (e *Engine) attemptsOf(arms []int) []Attempt {
+	if arms == nil {
+		return e.attempts
+	}
+	out := make([]Attempt, len(arms))
+	for i, a := range arms {
+		out[i] = e.attempts[a]
+	}
+	return out
 }

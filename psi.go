@@ -8,9 +8,9 @@ import (
 	"github.com/psi-graph/psi/internal/core"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
-	"github.com/psi-graph/psi/internal/ggsx"
+	_ "github.com/psi-graph/psi/internal/ggsx" // registers index kind "ggsx"
 	"github.com/psi-graph/psi/internal/gql"
-	"github.com/psi-graph/psi/internal/grapes"
+	_ "github.com/psi-graph/psi/internal/grapes" // registers index kind "grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	indexpkg "github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/match"
@@ -46,10 +46,6 @@ type (
 	Matcher = match.Matcher
 	// Attempt pairs an algorithm with a rewriting for racing.
 	Attempt = core.Attempt
-	// Racer runs Ψ-framework races.
-	Racer = core.Racer
-	// RaceResult is the outcome of a race, including winner provenance.
-	RaceResult = core.Result
 	// FilterIndex is the unified filtering-index contract implemented by
 	// every index built here (path-based FTV, Grapes, GGSX): the
 	// filter-then-verify core (Name/Dataset/Filter/Verify) plus streaming
@@ -63,10 +59,6 @@ type (
 	// IndexAttempt reports one filtering index's run inside an Engine
 	// index race: winner/cancelled flags, emissions and timing.
 	IndexAttempt = core.IndexAttempt
-	// IndexRacer races alternative filtering indexes per query.
-	IndexRacer = core.IndexRacer
-	// FTVRacer races query rewritings inside FTV verification.
-	FTVRacer = core.FTVRacer
 	// EngineCounters is a snapshot of an Engine's operational counters
 	// (queries, kills, attempt fan-out); see Engine.Counters.
 	EngineCounters = metrics.CountersSnapshot
@@ -83,13 +75,6 @@ type (
 	// built by this module implement it.
 	StreamMatcher = match.StreamMatcher
 )
-
-// MatchStream streams m's embeddings for q into sink: natively when m
-// implements StreamMatcher (every matcher built by this module does),
-// otherwise by materializing Match's slice and replaying it.
-func MatchStream(ctx context.Context, m Matcher, q *Graph, limit int, sink Sink) error {
-	return match.Stream(ctx, m, q, limit, sink)
-}
 
 // Rewriting identifies one of the paper's query rewritings.
 type Rewriting = rewrite.Kind
@@ -161,43 +146,6 @@ func MustNewMatcher(algo Algorithm, g *Graph) Matcher {
 	return m
 }
 
-// NewRacer returns a Ψ-framework racer with label frequencies drawn from
-// the stored graph (needed by the ILF rewritings).
-func NewRacer(g *Graph) *Racer { return core.NewRacer(g) }
-
-// NewPortfolioMatcher builds a Matcher that races the cross product of the
-// given algorithms and rewritings over stored graph g — the general form of
-// the paper's Ψ variants. It is the simplest way to consume the framework:
-//
-//	m := psi.NewPortfolioMatcher(g,
-//		[]psi.Algorithm{psi.GraphQL, psi.SPath},
-//		[]psi.Rewriting{psi.Orig, psi.DND})
-func NewPortfolioMatcher(g *Graph, algos []Algorithm, kinds []Rewriting) Matcher {
-	ms := make([]Matcher, len(algos))
-	for i, a := range algos {
-		ms[i] = MustNewMatcher(a, g)
-	}
-	name := "Ψ("
-	for i, a := range algos {
-		if i > 0 {
-			name += "/"
-		}
-		name += string(a)
-	}
-	name += ")"
-	return core.NewRacedMatcher(name, core.NewRacer(g), core.Portfolio(ms, kinds))
-}
-
-// Race runs one Ψ-framework race directly.
-func Race(ctx context.Context, g *Graph, q *Graph, limit int, attempts []Attempt) (RaceResult, error) {
-	return core.NewRacer(g).Race(ctx, q, limit, attempts)
-}
-
-// Portfolio builds the attempt cross product for Race.
-func Portfolio(matchers []Matcher, kinds []Rewriting) []Attempt {
-	return core.Portfolio(matchers, kinds)
-}
-
 // ApplyRewriting permutes q's node IDs per the rewriting, using label
 // frequencies from the stored graph g, and returns the isomorphic query
 // together with the permutation (needed to map embeddings back via
@@ -233,38 +181,6 @@ func VerifyEmbedding(q, g *Graph, emb Embedding) error {
 // are sound.
 func CanonicalQueryKey(q *Graph) string { return ftv.CanonicalKey(q) }
 
-// NewGrapes builds a Grapes index (path trie with location information)
-// over a dataset, with the given verification worker-pool size (the paper's
-// Grapes/1 and Grapes/4 are workers=1 and workers=4). The build's feature
-// extraction fans out across the shared execution pool with deterministic
-// output. The result implements the unified FilterIndex contract — it can
-// be raced against other indexes by a dataset Engine or an IndexRacer.
-func NewGrapes(dataset []*Graph, workers int) FilterIndex {
-	return grapes.Build(dataset, grapes.Options{Workers: workers})
-}
-
-// NewGGSX builds a GGSX index (path suffix trie, no locations) over a
-// dataset, with pooled deterministic feature extraction. Like NewGrapes it
-// returns the unified FilterIndex contract.
-func NewGGSX(dataset []*Graph) FilterIndex {
-	return ggsx.Build(dataset, ggsx.Options{})
-}
-
-// NewPathIndex builds the flat path-based FTV baseline index (a sorted array
-// of label sequences, each with its sorted per-graph count list; VF2
-// verification against whole graphs) — the third alternative in the filtering-index
-// portfolio, with the same filtering power as GGSX at a different constant
-// factor.
-func NewPathIndex(dataset []*Graph) FilterIndex {
-	x, err := indexpkg.BuildPath(context.Background(), dataset, indexpkg.Options{})
-	if err != nil {
-		// Unreachable: the background context never cancels and extraction
-		// has no other failure mode.
-		panic(err)
-	}
-	return x
-}
-
 // BuildIndex constructs any registered filtering index ("ftv", "grapes",
 // "ggsx") with explicit options; the build is cancellable through ctx and
 // deterministic for every pool size.
@@ -280,25 +196,10 @@ func IndexKinds() []string { return indexpkg.Kinds() }
 // per-shard candidate streams merge in ascending global-ID order, and
 // verification routes back to the owning shard — so answers are
 // byte-identical to BuildIndex's monolithic result at any shard count. The
-// returned index satisfies the full FilterIndex contract and can be raced
-// against any other index (sharded or not) by NewIndexRacer or a dataset
-// Engine. shards <= 1 builds the plain monolithic index.
+// returned index satisfies the full FilterIndex contract. shards <= 1 builds
+// the plain monolithic index.
 func NewShardedIndex(ctx context.Context, kind string, dataset []*Graph, shards, workers int) (FilterIndex, error) {
 	return indexpkg.Build(ctx, kind, dataset, indexpkg.Options{Workers: workers, Shards: shards})
-}
-
-// NewIndexRacer races the given filtering indexes per query with the given
-// rewritings raced per candidate inside each; its Stream method is the one
-// FTV query pipeline (a single arm is a race of one). See Engine's race
-// policy for the serving-shaped form.
-func NewIndexRacer(indexes []FilterIndex, kinds []Rewriting) *IndexRacer {
-	return core.NewIndexRacer(indexes, kinds)
-}
-
-// NewFTVRacer wraps an FTV index so that every candidate-graph verification
-// races the given query rewritings (§8.1 of the paper).
-func NewFTVRacer(x FilterIndex, kinds []Rewriting) *FTVRacer {
-	return core.NewFTVRacer(x, kinds)
 }
 
 // ComputeStats summarizes one graph.

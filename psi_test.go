@@ -9,6 +9,16 @@ import (
 	"github.com/psi-graph/psi/internal/ftv"
 )
 
+// mustBuildIndex builds one registered filtering-index kind or fails the test.
+func mustBuildIndex(tb testing.TB, kind string, ds []*psi.Graph, workers int) psi.FilterIndex {
+	tb.Helper()
+	x, err := psi.BuildIndex(context.Background(), kind, ds, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return x
+}
+
 func storedGraph() *psi.Graph {
 	// two triangles joined by a bridge, mixed labels
 	return psi.MustNewGraph("store",
@@ -47,50 +57,6 @@ func TestNewMatcherUnknown(t *testing.T) {
 	}
 }
 
-func TestPortfolioMatcher(t *testing.T) {
-	g := storedGraph()
-	m := psi.NewPortfolioMatcher(g,
-		[]psi.Algorithm{psi.GraphQL, psi.SPath},
-		[]psi.Rewriting{psi.Orig, psi.DND})
-	if m.Name() != "Ψ(GQL/SPA)" {
-		t.Errorf("Name = %q", m.Name())
-	}
-	q := psi.MustNewGraph("q", []psi.Label{1, 2}, [][2]int{{0, 1}})
-	embs, err := m.Match(context.Background(), q, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(embs) == 0 {
-		t.Fatal("expected embeddings")
-	}
-	for _, e := range embs {
-		if err := psi.VerifyEmbedding(q, g, e); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
-func TestRaceAPI(t *testing.T) {
-	g := storedGraph()
-	attempts := psi.Portfolio(
-		[]psi.Matcher{psi.MustNewMatcher(psi.VF2, g), psi.MustNewMatcher(psi.GraphQL, g)},
-		[]psi.Rewriting{psi.Orig, psi.ILF})
-	if len(attempts) != 4 {
-		t.Fatalf("attempts = %d", len(attempts))
-	}
-	q := psi.MustNewGraph("q", []psi.Label{0, 1}, [][2]int{{0, 1}})
-	res, err := psi.Race(context.Background(), g, q, 10, attempts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Contained() {
-		t.Error("query should be contained")
-	}
-	if res.Attempts != 4 {
-		t.Errorf("Attempts = %d", res.Attempts)
-	}
-}
-
 func TestApplyRewritingRoundTrip(t *testing.T) {
 	g := storedGraph()
 	q := psi.MustNewGraph("q", []psi.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
@@ -122,26 +88,27 @@ func TestStructuredRewritingsCopy(t *testing.T) {
 
 func TestFTVPipelineAPI(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 7)
-	x := psi.NewGrapes(ds, 2)
+	x := mustBuildIndex(t, "grapes", ds, 2)
+	defer x.Close()
 	q := psi.ExtractQuery(ds[0], 5, 99)
 	ids, err := ftv.Answer(context.Background(), x, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, id := range ids {
-		if id == 0 {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(ids, 0) {
 		t.Error("source graph must contain the extracted query")
 	}
 	// the raced pipeline streams the same answer
-	racer := psi.NewIndexRacer([]psi.FilterIndex{x}, []psi.Rewriting{psi.Orig, psi.ILF, psi.DND})
-	defer racer.Close()
+	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
+		IndexWorkers: 2,
+		Rewritings:   []psi.Rewriting{psi.Orig, psi.ILF, psi.DND},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
 	var ids2 []int
-	if _, err := racer.Stream(context.Background(), q, nil, func(id int) bool {
+	if err := eng.AnswerStream(context.Background(), q, func(id int) bool {
 		ids2 = append(ids2, id)
 		return true
 	}); err != nil {
@@ -151,7 +118,8 @@ func TestFTVPipelineAPI(t *testing.T) {
 		t.Errorf("raced answer %v != plain answer %v", ids2, ids)
 	}
 	// GGSX agrees too
-	x2 := psi.NewGGSX(ds)
+	x2 := mustBuildIndex(t, "ggsx", ds, 0)
+	defer x2.Close()
 	ids3, err := ftv.Answer(context.Background(), x2, q)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check.sh — the repo's CI gate: formatting, vet, full compilation
 # (including examples/ and the cmd/ programs without tests, which would
-# otherwise only break at release time), the full test suite under the race
-# detector, a few seconds of each fuzz target, a one-iteration
+# otherwise only break at release time), one run of each example that needs
+# no server, the full test suite under the race detector, a few seconds of
+# each fuzz target, a one-iteration
 # benchmark smoke run so benchmark-only regressions (compile errors, panics)
 # surface here rather than at measurement time, the nested bench/
 # module's own vet and tests and its oracle-checked smoke over all four
@@ -26,6 +27,16 @@ fi
 
 echo "== go build =="
 go build ./...
+
+echo "== examples (quickstart, stragglers, socialnet, proteins) =="
+# The examples are the only programs written against nothing but the public
+# Engine API, and they have no tests: one that compiles but fails at run time
+# (an option the engine rejects, an index kind nobody registered) is caught
+# here. About three seconds together; examples/serve needs a port and is what
+# the serve smoke below covers with the real binary.
+for ex in quickstart stragglers socialnet proteins; do
+    go run "./examples/$ex" > /dev/null
+done
 
 echo "== go vet =="
 go vet ./...
@@ -66,8 +77,10 @@ echo "== bench smoke (1 iteration) =="
 # Grapes' verification over the repo benchmark's two dataset shapes and one
 # large sparse many-label graph, which between them store location sets in
 # both forms) and BenchmarkMatcherBuild and BenchmarkMatch*Paper (the
-# matchers' indexing phase and query path at the nfv_race scale) included.
-go test -run='^$' -bench=. -benchtime=1x .
+# matchers' indexing phase and query path at the nfv_race scale) included,
+# and internal/core's BenchmarkRaceInstances (the fixed cost of one
+# per-candidate rewriting race, the number that keeps firstDone its own loop).
+go test -run='^$' -bench=. -benchtime=1x . ./internal/core
 
 echo "== bench module (vet + tests against this root) =="
 # bench/ is a nested module (replace ../), so ./... above never descends
