@@ -204,9 +204,9 @@
 // dataset Engine build its portfolio (EngineOptions.Indexes).
 //
 // Index build pipeline: every build — one index, a sharded one, a dataset
-// Engine's whole portfolio, the mutable store's kind × shard grid, a shard
-// rebuilt on compaction — is extract once → fold per kind and shard → flat
-// postings. Each dataset graph's path features are extracted exactly once
+// Engine's kind × shard grid, a shard rebuilt on compaction — is extract
+// once → fold per kind and shard → flat postings. Each dataset graph's path
+// features are extracted exactly once
 // per build, fanned out across the execution pool, with Grapes' locations
 // only when a requested kind reads them (already in their stored form, so
 // the fold appends each graph's slab to the index's and nothing is
@@ -330,7 +330,12 @@
 // partitions the dataset round-robin over graph IDs (global ID g lives in
 // shard g mod K, at position g div K within it — stable, deterministic,
 // balanced to within one graph) and builds every index in the portfolio as
-// K per-shard sub-indexes behind the index.Sharded wrapper.
+// K per-shard sub-indexes behind the index.Sharded wrapper. Every dataset
+// engine serves from the same internal/live store, whose grid is exactly
+// that — a monolithic engine is the store at K = 1, where Sharded is its one
+// sub-index under another type. A static engine's K is clamped to its
+// dataset, which it can never outgrow (Shards: 64 over 4 graphs serves 4
+// shards); a mutable engine's is not.
 //
 // Queries fan the filter→verify pipeline across shards: every shard scans
 // its sub-index concurrently, the per-shard candidate streams merge in
@@ -458,11 +463,13 @@
 //
 // # Mutation architecture
 //
-// A dataset engine built with EngineOptions.Mutable accepts online
-// mutations — AddGraph, RemoveGraph, ReplaceGraph — while queries are in
-// flight, with one non-negotiable invariant: after any mutation sequence,
-// answers are byte-identical to a from-scratch engine over the final
-// dataset. The machinery lives in internal/live and hangs on four ideas:
+// Every dataset engine serves from an internal/live store; a static one
+// simply never mutates it (epoch 0 and no handles on its surface), and
+// EngineOptions.Mutable opens the mutation API — AddGraph, RemoveGraph,
+// ReplaceGraph — which works while queries are in flight, with one
+// non-negotiable invariant: after any mutation sequence, answers are
+// byte-identical to a from-scratch engine over the final dataset. The store
+// hangs on four ideas:
 //
 // Slots. Every graph ever added occupies a permanent global slot; the
 // round-robin sharding law (slot s lives in shard s mod K) then localizes
@@ -534,11 +541,15 @@
 // The file (internal/snapshot) is a versioned, checksummed container: a
 // section table of named, CRC-32C-guarded byte runs holding the dataset's
 // CSR arrays, each index kind's features and postings as flat arrays in
-// canonical order, and — for mutable engines — the live store's slot,
+// canonical order, and — for mutable engines — the store's slot,
 // tombstone, handle and epoch state, so mutation history and cache-keying
 // epochs survive a restart and a churned-then-saved engine resumes exactly
-// where it stopped. Writes are atomic (temp file + rename); loads validate
-// every checksum and every structural invariant before constructing
+// where it stopped. Saving and loading are one path for every dataset
+// engine: the file is its store's state (snapshot.Model is a live.State),
+// and a static engine's file leaves out what a store that never mutated
+// implies, which keeps static files byte-for-byte what they were. Writes
+// are atomic (temp file + rename); loads validate every checksum and every
+// structural invariant before constructing
 // anything, so a corrupt or truncated file fails closed with an error
 // rather than serving from damaged state. Options given alongside Snapshot
 // must agree with the file (mutability, shard count, index kinds) — a

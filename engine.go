@@ -57,15 +57,18 @@ type Engine struct {
 	// solo-vs-race bandit, nil under every other policy.
 	bandit *predict.Bandit
 
-	// FTV state. The epoch-versioned part — dataset, index portfolio and the
-	// racer over it — lives in an immutable dsState behind an atomic pointer:
-	// static engines install exactly one for their lifetime, while mutable
-	// engines install a fresh one per mutation so queries in flight keep the
-	// state they acquired (snapshot isolation). kinds and the learned policy
-	// state persist across epochs.
+	// FTV state. Every dataset engine serves from a live.Store; mutable only
+	// opens the mutation API, so a static engine's store never mutates. The
+	// epoch-versioned part — dataset, index portfolio and the racer over it
+	// — lives in an immutable dsState behind an atomic pointer, installed
+	// once per store epoch: a static engine keeps its first for its
+	// lifetime, while a mutable one installs a fresh one per mutation so
+	// queries in flight keep the state they acquired (snapshot isolation).
+	// kinds and the learned policy state persist across epochs.
 	dsst     atomic.Pointer[dsState]
-	store    *live.Store // nil for static (and NFV) engines
-	mutMu    sync.Mutex  // serializes mutations and state refresh
+	store    *live.Store // nil for NFV engines
+	mutable  bool
+	mutMu    sync.Mutex // serializes mutations, state refresh and snapshot export
 	kinds    []string
 	ixNames  []string // portfolio arm names, stable across epochs
 	rewrites []Rewriting
@@ -151,40 +154,24 @@ func NewDatasetEngine(ds []*Graph, opts EngineOptions) (*Engine, error) {
 		e.Close()
 		return nil, err
 	}
-	if opts.Mutable {
-		store, serr := live.NewStore(context.Background(), ds, live.Options{
-			Kinds:        e.kinds,
-			Shards:       opts.Shards,
-			CompactEvery: opts.CompactEvery,
-			Index: index.Options{
-				Workers: opts.IndexWorkers,
-				Pool:    e.pool,
-			},
-		})
-		if serr != nil {
-			e.Close()
-			return nil, fmt.Errorf("psi: building FTV index: %w", serr)
-		}
-		e.adoptStore(store)
-	} else {
-		// One portfolio build: the dataset's features are extracted once
-		// and every kind (and shard) is folded from them.
-		built, berr := index.BuildPortfolio(context.Background(), e.kinds, ds, index.Options{
-			Workers: opts.IndexWorkers,
-			Pool:    e.pool,
-			Shards:  opts.Shards,
-		})
-		if berr != nil {
-			e.Close()
-			return nil, fmt.Errorf("psi: building FTV index: %w", berr)
-		}
-		if sh, ok := built[0].(*index.Sharded); ok {
-			// Every portfolio entry shards identically; record the
-			// effective (dataset-clamped) count once.
-			e.setShards(sh.Shards())
-		}
-		e.installStatic(ds, built)
+	shards := opts.Shards
+	if !opts.Mutable {
+		// A static dataset never grows: a shard beyond it would stay empty.
+		shards = min(shards, len(ds))
 	}
+	// One grid build: the dataset's features are extracted once and every
+	// kind and shard is folded from them.
+	store, err := live.NewStore(context.Background(), ds, live.Options{
+		Kinds:        e.kinds,
+		Shards:       shards,
+		CompactEvery: opts.CompactEvery,
+		Index:        index.Options{Workers: opts.IndexWorkers, Pool: e.pool},
+	})
+	if err != nil {
+		e.Close()
+		return nil, fmt.Errorf("psi: building FTV index: %w", err)
+	}
+	e.adoptStore(store)
 	e.finishPortfolio(opts)
 	return e, nil
 }
@@ -260,13 +247,13 @@ func (e *Engine) Dataset() []*Graph {
 }
 
 // Mutable reports whether the engine supports dataset mutations.
-func (e *Engine) Mutable() bool { return e.store != nil }
+func (e *Engine) Mutable() bool { return e.mutable }
 
 // Epoch reports the current dataset epoch of a mutable dataset engine:
 // 1 after construction, bumped by every committed mutation. Static (and
 // NFV) engines report 0 — their dataset can never change.
 func (e *Engine) Epoch() uint64 {
-	if e.store == nil {
+	if !e.mutable {
 		return 0
 	}
 	return e.store.Epoch()

@@ -29,14 +29,14 @@ type GraphHandle = live.Handle
 var ErrUnknownGraph = live.ErrUnknownHandle
 
 // dsState is one epoch of a dataset engine's query-serving state: the dense
-// dataset, the index portfolio over it, the one racer every query of the
-// epoch streams through, and — on mutable engines — the live snapshot whose
-// release returns the underlying sub-indexes to the store's refcounting. It
-// is immutable once installed; queries acquire it with a refcount for the
-// duration of one execution, so a mutation installing a successor never
-// tears resources out from under an in-flight query.
+// dataset, the index portfolio over it and the one racer every query of the
+// epoch streams through, all from one store snapshot, whose release returns
+// the underlying sub-indexes to the store's refcounting. It is immutable once
+// installed; queries acquire it with a refcount for the duration of one
+// execution, so a mutation installing a successor never tears resources out
+// from under an in-flight query.
 type dsState struct {
-	epoch   uint64
+	epoch   uint64 // 0 on static engines
 	ds      []*Graph
 	handles []GraphHandle // nil on static engines
 	indexes []FilterIndex
@@ -48,8 +48,8 @@ type dsState struct {
 }
 
 // unref drops one reference; the last one disposes the state's resources
-// (racer attempt pools, and the sub-indexes — directly for static engines,
-// via the live snapshot's refcounts for mutable ones).
+// (racer attempt pools, and the sub-indexes via the store snapshot's
+// refcounts).
 func (st *dsState) unref() {
 	if st.refs.Add(-1) == 0 {
 		st.once.Do(st.dispose)
@@ -73,13 +73,13 @@ func (e *Engine) acquireState() *dsState {
 	}
 }
 
-// configurePortfolio validates the index-kind portfolio and policy before
-// any build or load is paid for: extracting the features of a large dataset
-// several times over only to report a misspelt option would be hostile —
-// including an unknown kind *after* valid ones, which must not cost the
-// preceding builds first. Duplicate kinds are rejected rather than
-// deduplicated: racing an index against an identical copy of itself is
-// never what the caller meant.
+// configurePortfolio validates the index-kind portfolio and policy, and
+// records whether the mutation API is open, before any build or load is paid
+// for: extracting the features of a large dataset several times over only to
+// report a misspelt option would be hostile — including an unknown kind
+// *after* valid ones, which must not cost the preceding builds first.
+// Duplicate kinds are rejected rather than deduplicated: racing an index
+// against an identical copy of itself is never what the caller meant.
 func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
 	registered := index.Kinds()
 	seenKind := map[string]bool{}
@@ -108,6 +108,7 @@ func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
 	}
 	e.kinds = kinds
 	e.rewrites = engineRewritings(opts)
+	e.mutable = opts.Mutable
 	return nil
 }
 
@@ -123,67 +124,44 @@ func (e *Engine) finishPortfolio(opts EngineOptions) {
 	}
 }
 
-// install completes a fresh epoch state around its dataset and indexes and
-// publishes it: it attaches the racer over the portfolio — one per epoch,
-// which is what keeps the rewrite frequencies consistent with the current
-// dataset — arranges for release to run once the last query is done with the
-// state, and drops the engine's reference to the predecessor (which lives on
-// until its last in-flight query unrefs it). Caller holds mutMu (or is a
-// constructor).
-func (e *Engine) install(st *dsState, release func()) {
+// adoptStore makes store the engine's dataset — recording the partition
+// count of a sharded one (K <= 1 leaves the engine monolithic) and sizing its
+// per-shard answer tally — and installs the state of its current epoch.
+func (e *Engine) adoptStore(store *live.Store) {
+	e.store = store
+	if k := store.Shards(); k > 1 {
+		e.shardK = k
+		e.shardEmits = make([]atomic.Int64, k)
+	}
+	e.refreshState()
+}
+
+// refreshState publishes the query-serving state of the store's newest
+// snapshot: the dataset, the portfolio and the racer over it — one per
+// epoch, which is what keeps the rewrite frequencies consistent with the
+// current dataset. A static engine's state carries epoch 0 and no handles,
+// whatever its store counts. Disposing the state, once the last query is
+// done with it, returns the snapshot to the store's refcounts; the engine's
+// reference to the predecessor is dropped here, and it lives on until its
+// last in-flight query unrefs it. Caller holds mutMu (or is a constructor).
+func (e *Engine) refreshState() {
+	snap := e.store.Current()
+	st := &dsState{ds: snap.Graphs(), indexes: make([]FilterIndex, 0, len(e.kinds))}
+	if e.mutable {
+		st.epoch, st.handles = snap.Epoch(), snap.Handles()
+	}
+	for _, kind := range e.kinds {
+		st.indexes = append(st.indexes, snap.Index(kind))
+	}
 	st.racer = core.NewIndexRacer(st.indexes, e.rewrites)
 	st.racer.Pool = e.pool
 	st.dispose = func() {
 		st.racer.Close()
-		release()
+		snap.Release()
 	}
 	st.refs.Store(1)
 	if old := e.dsst.Swap(st); old != nil {
 		old.unref()
-	}
-}
-
-// installStatic installs the single, lifetime state of a static dataset
-// engine, which owns (and finally closes) its indexes.
-func (e *Engine) installStatic(ds []*Graph, indexes []FilterIndex) {
-	e.install(&dsState{ds: ds, indexes: indexes}, func() {
-		for _, x := range indexes {
-			x.Close()
-		}
-	})
-}
-
-// adoptStore makes store the engine's mutable dataset and installs the state
-// of its current epoch.
-func (e *Engine) adoptStore(store *live.Store) {
-	e.store = store
-	e.setShards(store.Shards())
-	e.refreshState()
-}
-
-// refreshState rebuilds the query-serving state around the store's newest
-// snapshot; disposing the state returns the snapshot to the store's
-// refcounts. Caller holds mutMu (or is a constructor).
-func (e *Engine) refreshState() {
-	snap := e.store.Current()
-	indexes := make([]FilterIndex, 0, len(e.kinds))
-	for _, kind := range e.kinds {
-		indexes = append(indexes, snap.Index(kind))
-	}
-	e.install(&dsState{
-		epoch:   snap.Epoch(),
-		ds:      snap.Graphs(),
-		handles: snap.Handles(),
-		indexes: indexes,
-	}, snap.Release)
-}
-
-// setShards records the effective partition count of a sharded engine and
-// sizes its per-shard answer tally; k <= 1 leaves the engine monolithic.
-func (e *Engine) setShards(k int) {
-	if k > 1 {
-		e.shardK = k
-		e.shardEmits = make([]atomic.Int64, k)
 	}
 }
 
@@ -273,7 +251,7 @@ func (e *Engine) ReplaceGraph(ctx context.Context, h GraphHandle, g *Graph) erro
 }
 
 func (e *Engine) requireMutable() error {
-	if e.store == nil {
+	if !e.mutable {
 		return errors.New("psi: mutations require a dataset engine built with EngineOptions.Mutable")
 	}
 	return nil

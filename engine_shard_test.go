@@ -8,6 +8,8 @@ package psi_test
 
 import (
 	"context"
+	"fmt"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -104,6 +106,79 @@ func TestShardedEngineRaceParity(t *testing.T) {
 			t.Errorf("workers=%d: ShardedQueries = %d, want %d", workers, c.ShardedQueries, 2*len(queries))
 		}
 		sh.Close()
+	}
+}
+
+// TestIndexStatsAgreeWithShards: whatever an engine's construction — built
+// static or mutable, or loaded from either's snapshot — and shard option,
+// every index's stats tell the partition Shards() does (no shard count and no
+// breakdown when monolithic, K of each otherwise), and the breakdown counts
+// the engine's live dataset, before and after a removal that leaves a
+// tombstone.
+func TestIndexStatsAgreeWithShards(t *testing.T) {
+	ds := psi.GeneratePPI(psi.Tiny, 8)[:4]
+	for _, mutable := range []bool{false, true} {
+		for _, load := range []bool{false, true} {
+			for _, shards := range []int{0, 1, 2, 64} {
+				name := fmt.Sprintf("mutable=%v/loaded=%v/K=%d", mutable, load, shards)
+				t.Run(name, func(t *testing.T) {
+					opts := psi.EngineOptions{Indexes: []string{"ftv", "grapes"}, Shards: shards, Mutable: mutable, CompactEvery: 100}
+					eng, err := psi.NewDatasetEngine(ds, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if load {
+						path := filepath.Join(t.TempDir(), "e.psnap")
+						if err := eng.SaveSnapshot(path); err != nil {
+							t.Fatal(err)
+						}
+						eng.Close()
+						if eng, err = psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: path, Mutable: mutable, CompactEvery: 100}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					defer eng.Close()
+					want := shards
+					if !mutable {
+						want = min(shards, len(ds))
+					}
+					if want < 2 {
+						want = 0
+					}
+					if eng.Shards() != want {
+						t.Errorf("Shards() = %d, want %d", eng.Shards(), want)
+					}
+					assertStatsAgree(t, "built", eng)
+					if mutable {
+						if _, err := eng.RemoveGraph(context.Background(), eng.Handles()[1]); err != nil {
+							t.Fatal(err)
+						}
+						assertStatsAgree(t, "after a removal", eng)
+					}
+				})
+			}
+		}
+	}
+}
+
+// assertStatsAgree checks every index's stats against the engine's Shards()
+// and live dataset.
+func assertStatsAgree(t *testing.T, when string, eng *psi.Engine) {
+	t.Helper()
+	for _, st := range eng.IndexStats() {
+		if st.ShardCount != eng.Shards() || len(st.Shards) != eng.Shards() {
+			t.Errorf("%s: %s ShardCount = %d with %d shard entries, engine Shards() = %d", when, st.Name, st.ShardCount, len(st.Shards), eng.Shards())
+		}
+		if st.Graphs != len(eng.Dataset()) {
+			t.Errorf("%s: %s Graphs = %d, dataset holds %d", when, st.Name, st.Graphs, len(eng.Dataset()))
+		}
+		sum := 0
+		for _, sh := range st.Shards {
+			sum += sh.Graphs
+		}
+		if len(st.Shards) > 0 && sum != st.Graphs {
+			t.Errorf("%s: %s per-shard Graphs sum to %d, Graphs = %d", when, st.Name, sum, st.Graphs)
+		}
 	}
 }
 

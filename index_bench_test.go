@@ -143,7 +143,8 @@ func BenchmarkExtractFeatures(b *testing.B) {
 }
 
 // BenchmarkBuildPortfolio is the whole build — one extraction, every kind
-// folded — as the stragglers workload (three kinds, K=1) and the selective
+// and shard folded, the BuildGrid every dataset engine's store makes — as
+// the stragglers workload (three kinds, K=1) and the selective
 // workload (ftv alone, K=2) configure it, and Grapes alone, the one kind that
 // keeps locations. Every build reports what a posting of its first index
 // costs, skip tables included (bytes/posting); builds with Grapes report what
@@ -163,14 +164,17 @@ func BenchmarkBuildPortfolio(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s/K=%d", shape.name, strings.Join(pf.kinds, "+"), pf.shards), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					built, err := index.BuildPortfolio(context.Background(), pf.kinds, ds, index.Options{Shards: pf.shards})
+					grid, err := index.BuildGrid(context.Background(), pf.kinds, ds, pf.shards, index.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}
-					first := built[0].Stats()
-					b.ReportMetric(float64(first.PostingBytes)/float64(first.Postings), "bytes/posting")
-					for _, x := range built {
-						if st := x.Stats(); st.LocationBytes > 0 {
+					for k, row := range grid {
+						x := index.NewShardedFrom(ds, pf.kinds[k], row) // a row's totals
+						st := x.Stats()
+						if k == 0 {
+							b.ReportMetric(float64(st.PostingBytes)/float64(st.Postings), "bytes/posting")
+						}
+						if st.LocationBytes > 0 {
 							b.ReportMetric(float64(st.LocationBytes)/(1<<20), "loc-MB")
 							b.ReportMetric(float64(st.LocationRows)/float64(st.LocationRows+st.LocationLists), "loc-rows")
 						}

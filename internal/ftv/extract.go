@@ -121,7 +121,7 @@ type extractor struct {
 	off, adj, runOff, fill []int32
 	runs                   []labelRun
 
-	path    []int32       // the DFS path, maxLen+1 long
+	path    []int32       // the DFS path, min(maxLen+1, n) long
 	plabels []graph.Label // its vertices' labels
 	onPath  []uint8       // per vertex: 1 while on the path
 
@@ -168,7 +168,10 @@ func (e *extractor) extract(ctx context.Context, g *graph.Graph, maxLen int, wit
 		e.words, e.locRef = Words(n), append(e.locRef, 0)
 	}
 	e.regroup(g)
-	e.path, e.plabels, e.onPath = resized(e.path, maxLen+1), resized(e.plabels, maxLen+1), resized(e.onPath, n)
+	// A simple path visits at most every vertex: maxLen, which may come from
+	// a snapshot file, sizes nothing beyond that.
+	depth := min(maxLen+1, n)
+	e.path, e.plabels, e.onPath = resized(e.path, depth), resized(e.plabels, depth), resized(e.onPath, n)
 	clear(e.onPath) // a cancelled walk leaves its path marked
 	for v := 0; v < n && maxLen >= 1; v++ {
 		e.path[0], e.plabels[0] = int32(v), e.vlabels[v]

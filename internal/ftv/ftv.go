@@ -94,7 +94,9 @@ type QueryFeature struct {
 // as a graph's millions are: every one is written out under its oriented
 // spelling, and a sort brings equal spellings together.
 func QueryFeatures(q *graph.Graph, maxLen int) []QueryFeature {
-	w := queryWalk{q: q, maxLen: maxLen, onPath: make([]bool, q.N()), path: make([]graph.Label, 0, maxLen+1)}
+	// A simple path visits at most every vertex: maxLen, which may come from
+	// a snapshot file, sizes nothing beyond that.
+	w := queryWalk{q: q, maxLen: maxLen, onPath: make([]bool, q.N()), path: make([]graph.Label, 0, min(maxLen+1, q.N()))}
 	for v := 0; v < q.N(); v++ {
 		w.descend(int32(v))
 	}

@@ -1,8 +1,8 @@
 package index
 
-// The index-build pipeline. Every build — a single index, a sharded one, an
-// engine's whole portfolio, the mutable store's kind × shard grid, a shard
-// rebuilt on compaction — is the same three steps: extract each dataset
+// The index-build pipeline. Every build — a single index, a sharded one, a
+// dataset engine's kind × shard grid, a shard rebuilt on compaction — is the
+// same three steps: extract each dataset
 // graph's path features exactly once (with locations iff a requested kind
 // reads them), route graph g to shard g mod K, and fold every (kind, shard)
 // index from its graphs' features in graph-ID order. Extraction dominates a
@@ -78,15 +78,15 @@ func Kinds() []string {
 }
 
 // BuildGrid is the pipeline: it returns grid[i][s], the index of kinds[i]
-// over shard s of ds under opts.Shards-way round-robin partitioning (below 1
-// means 1; the count is not clamped to len(ds), so a shard may be empty).
+// over shard s of ds under shards-way round-robin partitioning (below 1 means
+// 1; the count is not clamped to len(ds), so a shard may be empty).
 // Extraction fans out on opts.Pool (nil selects the shared default pool) and
 // is cancellable through ctx, mid-graph included; the folds then run as one
 // exec.Group on the same pool, a cell each, so a fold must not itself wait on
 // Group work of that pool, and a fold that panics reaches the caller as
 // BuildGrid's error, not as a panic. The output is identical for every pool
 // size.
-func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, opts Options) ([][]Index, error) {
+func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, shards int, opts Options) ([][]Index, error) {
 	builders := make([]builder, len(kinds))
 	locations := false
 	registryMu.RLock()
@@ -103,8 +103,7 @@ func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, opts Opti
 	if opts.MaxPathLen <= 0 {
 		opts.MaxPathLen = ftv.DefaultMaxPathLen
 	}
-	k := max(opts.Shards, 1)
-	opts.Shards = 0 // a fold builds one unsharded index
+	k := max(shards, 1)
 
 	start := time.Now()
 	feats, err := ftv.ExtractDatasetFeatures(ctx, opts.Pool, ds, opts.MaxPathLen, locations)
@@ -113,18 +112,18 @@ func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, opts Opti
 	}
 	extract := time.Since(start)
 
-	shards := make([]struct {
+	cells := make([]struct {
 		ds []*graph.Graph
 		ex Extraction
 	}, k)
 	for g := range ds {
-		sh := &shards[ShardOf(g, k)]
+		sh := &cells[ShardOf(g, k)]
 		sh.ds = append(sh.ds, ds[g])
 		sh.ex.Features = append(sh.ex.Features, feats[g])
 	}
-	for s := range shards {
+	for s := range cells {
 		if len(ds) > 0 {
-			shards[s].ex.Time = extract * time.Duration(len(shards[s].ds)) / time.Duration(len(ds))
+			cells[s].ex.Time = extract * time.Duration(len(cells[s].ds)) / time.Duration(len(ds))
 		}
 	}
 	pool := opts.Pool
@@ -135,7 +134,7 @@ func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, opts Opti
 	grid := make([][]Index, len(kinds))
 	for i, b := range builders {
 		grid[i] = make([]Index, k)
-		for s, sh := range shards {
+		for s, sh := range cells {
 			grp.Go(func(context.Context) error {
 				grid[i][s] = b.fold(sh.ds, sh.ex, opts)
 				return nil
@@ -155,36 +154,13 @@ func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, opts Opti
 	return grid, nil
 }
 
-// BuildPortfolio builds one index per kind over one dataset from a single
-// feature extraction. With opts.Shards >= 2 every entry is a Sharded index
-// over the same partitioning (the shard count clamped to len(ds) — a shard
-// with no graphs would be dead weight — and to at least 1); otherwise every
-// entry is the plain monolithic index. Answers are byte-identical at any
-// shard count.
-func BuildPortfolio(ctx context.Context, kinds []string, ds []*graph.Graph, opts Options) ([]Index, error) {
-	sharded := opts.Shards >= 2
-	opts.Shards = min(opts.Shards, len(ds))
-	grid, err := BuildGrid(ctx, kinds, ds, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Index, len(kinds))
-	for i, subs := range grid {
-		if sharded {
-			out[i] = NewShardedFrom(ds, kinds[i], subs)
-		} else {
-			out[i] = subs[0]
-		}
-	}
-	return out, nil
-}
-
-// Build constructs an index of the registered kind: a portfolio of one. The
-// build is cancellable through ctx and deterministic for any opts.Pool size.
+// Build constructs the monolithic index of the registered kind: the one cell
+// of a one-kind, one-shard grid. The build is cancellable through ctx and
+// deterministic for any opts.Pool size.
 func Build(ctx context.Context, kind string, ds []*graph.Graph, opts Options) (Index, error) {
-	built, err := BuildPortfolio(ctx, []string{kind}, ds, opts)
+	grid, err := BuildGrid(ctx, []string{kind}, ds, 1, opts)
 	if err != nil {
 		return nil, err
 	}
-	return built[0], nil
+	return grid[0][0], nil
 }

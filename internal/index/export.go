@@ -183,13 +183,6 @@ func dropMirrors(kind string, feats []ExportedFeature) ([]ExportedFeature, error
 // ftv.Features and every index keep their features in.
 func CompareLabelSeqs(a, b []graph.Label) int { return slices.Compare(a, b) }
 
-// Subs returns the per-shard sub-indexes in shard order — the snapshot
-// layer's decomposition surface, mirroring NewShardedFrom's assembly one.
-// The returned slice is a copy; the sub-indexes are not.
-func (x *Sharded) Subs() []Index {
-	return append([]Index(nil), x.shards...)
-}
-
 // ShardDataset returns the sub-dataset of shard s under K-way round-robin
 // partitioning: every k-th graph starting at s, preserving ascending-global
 // order. Exported so the snapshot loader partitions a restored dataset by

@@ -172,7 +172,7 @@ func TestRestoreFoldsBothSpellings(t *testing.T) {
 
 func TestExportUnsupportedKind(t *testing.T) {
 	ds := randomDataset(rand.New(rand.NewSource(1)), 4, 6, 2)
-	x, err := index.BuildSharded(context.Background(), index.KindPath, ds, index.Options{Shards: 2})
+	x, err := index.BuildSharded(context.Background(), index.KindPath, ds, 2, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,16 +389,18 @@ func TestLocationStats(t *testing.T) {
 	}
 }
 
+// TestShardedSubsAndShardDataset: the sub-indexes of a grid row index
+// exactly ShardDataset's partition, the one the snapshot loader restores
+// each shard over.
 func TestShardedSubsAndShardDataset(t *testing.T) {
 	ds := randomDataset(rand.New(rand.NewSource(2)), 7, 6, 2)
-	x, err := index.BuildSharded(context.Background(), index.KindPath, ds, index.Options{Shards: 3})
+	grid, err := index.BuildGrid(context.Background(), []string{index.KindPath}, ds, 3, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer x.Close()
-	subs := x.Subs()
+	subs := grid[0] // flat path indexes: nothing to close
 	if len(subs) != 3 {
-		t.Fatalf("Subs() = %d shards, want 3", len(subs))
+		t.Fatalf("grid row = %d shards, want 3", len(subs))
 	}
 	for s, sub := range subs {
 		want := index.ShardDataset(ds, s, 3)

@@ -103,15 +103,18 @@ type Stats struct {
 	LocationBytes int64 `json:"location_bytes,omitempty"`
 	LocationRows  int   `json:"location_rows,omitempty"`
 	LocationLists int   `json:"location_lists,omitempty"`
-	// ShardCount is the partition count of a Sharded index (0 for
-	// monolithic indexes).
+	// ShardCount is the partition count of a Sharded index of K >= 2 shards
+	// (0 for monolithic indexes and for K = 1, which reports its one
+	// shard's statistics as its own).
 	ShardCount int `json:"shard_count,omitempty"`
-	// Shards holds the per-shard build statistics of a Sharded index, in
-	// shard order — the shard-balance breakdown a /stats endpoint exposes.
+	// Shards holds the per-shard build statistics of a Sharded index of
+	// K >= 2 shards, in shard order — the shard-balance breakdown a /stats
+	// endpoint exposes.
 	Shards []Stats `json:"shards,omitempty"`
 }
 
-// Options configures Build.
+// Options configures a build; the shard count is an argument of its own
+// (BuildGrid, BuildSharded), since only the callers that partition choose it.
 type Options struct {
 	// MaxPathLen is the maximum indexed path length in edges; 0 means
 	// ftv.DefaultMaxPathLen (4), the paper's setting.
@@ -124,11 +127,6 @@ type Options struct {
 	// build; nil selects the shared default pool. Build output is identical
 	// for every pool size.
 	Pool *exec.Pool
-	// Shards partitions the dataset round-robin over graph IDs and builds
-	// one index of the requested kind per shard, merged behind the Sharded
-	// wrapper; answers are byte-identical to the monolithic build at any
-	// shard count. <= 1 builds the plain monolithic index.
-	Shards int
 }
 
 // LookupFunc resolves one query feature's postings — labels is an oriented

@@ -1,10 +1,11 @@
 package index
 
 // Masked presents a dense, tombstone-free view over an index built in "slot"
-// space — the mutable dataset layer's bridge back to the repo's byte-parity
-// discipline. The mutable store never renumbers on delete (renumbering would
-// move graphs across shards and force a global rebuild); it tombstones the
-// slot and leaves the sub-index untouched until compaction. Queries, however,
+// space — the dataset store's (internal/live) bridge back to the repo's
+// byte-parity discipline; a store that never mutated masks nothing. The store
+// never renumbers on delete (renumbering would move graphs across shards and
+// force a global rebuild); it tombstones the slot and leaves the sub-index
+// untouched until compaction. Queries, however,
 // must answer exactly as a from-scratch engine over the live graphs would:
 // dense IDs 0..n-1 in ascending order, dead graphs never surfacing even
 // though the underlying index still contains their features. Masked performs
@@ -17,6 +18,7 @@ package index
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/psi-graph/psi/internal/graph"
 )
@@ -35,7 +37,7 @@ type Masked struct {
 // NewMasked wraps inner (whose ID space is slots, including dead ones) with
 // the dense view selected by alive. ds must hold exactly the live graphs, in
 // slot order; len(alive) must equal the inner index's slot count. Masked does
-// not take ownership of inner — Close is a no-op, because the mutable store
+// not take ownership of inner — Close is a no-op, because the store
 // refcounts sub-indexes across snapshot generations and closes them itself
 // when the last snapshot referencing them drains.
 func NewMasked(inner Index, ds []*graph.Graph, alive []bool) *Masked {
@@ -58,6 +60,17 @@ func NewMasked(inner Index, ds []*graph.Graph, alive []bool) *Masked {
 	}
 	m.stats = inner.Stats()
 	m.stats.Graphs = len(ds)
+	if k := len(m.stats.Shards); k > 0 {
+		// The inner breakdown counts slots, tombstoned ones included:
+		// recount each shard's live graphs so the shards sum to Graphs.
+		m.stats.Shards = slices.Clone(m.stats.Shards)
+		for s := range m.stats.Shards {
+			m.stats.Shards[s].Graphs = 0
+		}
+		for _, slot := range m.slots {
+			m.stats.Shards[ShardOf(slot, k)].Graphs++
+		}
+	}
 	return m
 }
 
@@ -67,8 +80,8 @@ func (m *Masked) Name() string { return m.inner.Name() }
 // Dataset implements ftv.Index: the dense live dataset.
 func (m *Masked) Dataset() []*graph.Graph { return m.ds }
 
-// Stats implements Index: the inner build shape with Graphs counting only
-// live graphs.
+// Stats implements Index: the inner build shape with Graphs, total and per
+// shard, counting only live graphs.
 func (m *Masked) Stats() Stats { return m.stats }
 
 // Close implements Index as a no-op; see NewMasked on ownership.

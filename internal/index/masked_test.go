@@ -125,15 +125,27 @@ func TestMaskedParity(t *testing.T) {
 				}
 			}
 			sharded := index.NewShardedFrom(slotDS, kind, subs)
-			if st := sharded.Stats(); st.ShardCount != k || st.Graphs != len(slotDS) {
+			wantShards := k
+			if k == 1 {
+				wantShards = 0 // one shard reports as the index it is
+			}
+			if st := sharded.Stats(); st.ShardCount != wantShards || st.Graphs != len(slotDS) {
 				t.Errorf("%s K=%d: ShardedFrom stats = %d shards/%d graphs", kind, k, st.ShardCount, st.Graphs)
 			}
 			m := index.NewMasked(sharded, dense, alive)
 			if got := len(m.Dataset()); got != len(dense) {
 				t.Fatalf("%s K=%d: masked dataset = %d graphs, want %d", kind, k, got, len(dense))
 			}
-			if st := m.Stats(); st.Graphs != len(dense) {
+			st := m.Stats()
+			if st.Graphs != len(dense) {
 				t.Errorf("%s K=%d: masked stats graphs = %d, want %d", kind, k, st.Graphs, len(dense))
+			}
+			perShard := 0
+			for _, sub := range st.Shards {
+				perShard += sub.Graphs
+			}
+			if len(st.Shards) > 0 && perShard != len(dense) {
+				t.Errorf("%s K=%d: masked per-shard graphs sum to %d, want the %d live ones", kind, k, perShard, len(dense))
 			}
 			for qi, q := range queries {
 				if got, expect := m.Filter(q), want.Filter(q); !sameInts(got, expect) {

@@ -255,7 +255,7 @@ func TestBuildDeterminismAcrossWorkerCounts(t *testing.T) {
 		pool := exec.New(workers)
 		defer pool.Close()
 		for _, k := range []int{1, 3} {
-			grid, err := index.BuildGrid(context.Background(), index.Kinds(), ds, index.Options{MaxPathLen: 4, Shards: k, Pool: pool})
+			grid, err := index.BuildGrid(context.Background(), index.Kinds(), ds, k, index.Options{MaxPathLen: 4, Pool: pool})
 			if err != nil {
 				t.Fatal(err)
 			}

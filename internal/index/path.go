@@ -54,7 +54,6 @@ type pathFeature struct {
 // BuildPath constructs the flat path index through the build pipeline —
 // Build with the static type kept.
 func BuildPath(ctx context.Context, ds []*graph.Graph, opts Options) (*Path, error) {
-	opts.Shards = 0
 	x, err := Build(ctx, KindPath, ds, opts)
 	if err != nil {
 		return nil, err

@@ -34,8 +34,9 @@ import (
 const shardStreamBuf = 64
 
 // Sharded is a dataset index partitioned into K per-shard sub-indexes.
-// Construct with BuildSharded (or Build/BuildPortfolio with Options.Shards
-// set); safe for concurrent queries once built.
+// Construct with BuildSharded or NewShardedFrom; safe for concurrent queries
+// once built. At K = 1 it is its one sub-index under another type: name,
+// statistics and filtering all delegate.
 type Sharded struct {
 	ds     []*graph.Graph
 	shards []Index
@@ -70,14 +71,12 @@ func shardDataset(ds []*graph.Graph, s, k int) []*graph.Graph {
 	return sub
 }
 
-// BuildSharded partitions ds into opts.Shards round-robin shards and builds
-// one index of the registered kind per shard through BuildGrid — a
-// portfolio of one kind that is a Sharded index even at a single shard. The
-// shard count is clamped to len(ds) — a shard with no graphs would be dead
-// weight — and to at least 1.
-func BuildSharded(ctx context.Context, kind string, ds []*graph.Graph, opts Options) (*Sharded, error) {
-	opts.Shards = min(opts.Shards, len(ds))
-	grid, err := BuildGrid(ctx, []string{kind}, ds, opts)
+// BuildSharded partitions ds into shards round-robin shards and builds one
+// index of the registered kind per shard through BuildGrid — a Sharded index
+// even at a single shard. The shard count is clamped to len(ds) — a shard
+// with no graphs would be dead weight — and to at least 1.
+func BuildSharded(ctx context.Context, kind string, ds []*graph.Graph, shards int, opts Options) (*Sharded, error) {
+	grid, err := BuildGrid(ctx, []string{kind}, ds, min(shards, len(ds)), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -85,19 +84,24 @@ func BuildSharded(ctx context.Context, kind string, ds []*graph.Graph, opts Opti
 }
 
 // NewShardedFrom assembles a Sharded view over pre-built per-shard
-// sub-indexes, one row of BuildGrid's output — also the mutable dataset
-// layer's entry point, which maintains the sub-indexes itself (copy-on-write
-// inserts, shard-local rebuilds) and needs the shard count to stay fixed
-// across mutations. Unlike BuildSharded the shard count is NOT clamped to
-// len(ds): a shard may legitimately be empty after deletions or before its
-// first ingest. subs[s] must index exactly shardDataset(ds, s, len(subs));
-// ownership of the sub-indexes stays with the caller (Close on the result
-// closes them, as with BuildSharded). The aggregate BuildTime is the sum of
+// sub-indexes, one row of BuildGrid's output — also the dataset store's
+// (internal/live) entry point, which maintains the sub-indexes itself
+// (copy-on-write inserts, shard-local rebuilds) and needs the shard count to
+// stay fixed across mutations. Unlike BuildSharded the shard count is NOT
+// clamped to len(ds): a shard may legitimately be empty after deletions or
+// before its first ingest. subs[s] must index exactly
+// shardDataset(ds, s, len(subs)); ownership of the sub-indexes stays with the
+// caller (Close on the result closes them, as with BuildSharded). The aggregate BuildTime is the sum of
 // the sub-indexes': a grid charges each shard its graphs' share of the
-// shared extraction, so the sum is extraction plus this kind's folds.
+// shared extraction, so the sum is extraction plus this kind's folds. At
+// K = 1 the statistics are the sub-index's own, with no shard breakdown.
 func NewShardedFrom(ds []*graph.Graph, kind string, subs []Index) *Sharded {
 	k := len(subs)
 	x := &Sharded{ds: ds, k: k, shards: subs}
+	if k == 1 {
+		x.stats = subs[0].Stats()
+		return x
+	}
 	x.stats = Stats{
 		Name:       x.Name(),
 		Kind:       kind,
@@ -140,11 +144,8 @@ func (x *Sharded) Name() string {
 // Dataset implements ftv.Index: the full dataset, in global ID order.
 func (x *Sharded) Dataset() []*graph.Graph { return x.ds }
 
-// Shards reports the partition count.
-func (x *Sharded) Shards() int { return x.k }
-
 // Stats implements Index: the aggregate build shape, with the per-shard
-// breakdown in Stats.Shards (the shard-balance feed for /stats).
+// breakdown in Stats.Shards (the shard-balance feed for /stats) when K >= 2.
 func (x *Sharded) Stats() Stats { return x.stats }
 
 // Close implements Index, releasing every shard's resources.

@@ -67,8 +67,8 @@ func TestShardedParityFuzz(t *testing.T) {
 			mono.Close()
 			for _, k := range []int{1, 2, 3, 8} {
 				for _, pool := range []*exec.Pool{pool1, poolN} {
-					sh, err := index.BuildSharded(context.Background(), kind, ds, index.Options{
-						MaxPathLen: fuzzMaxPathLen, Pool: pool, Shards: k,
+					sh, err := index.BuildSharded(context.Background(), kind, ds, k, index.Options{
+						MaxPathLen: fuzzMaxPathLen, Pool: pool,
 					})
 					if err != nil {
 						t.Fatalf("%s/%s K=%d: %v", shape, kind, k, err)
@@ -100,7 +100,7 @@ func TestShardedParityFuzz(t *testing.T) {
 func TestShardedBuildShape(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ds := randomDataset(r, 5, 8, 2)
-	sh, err := index.BuildSharded(context.Background(), index.KindPath, ds, index.Options{Shards: 2})
+	sh, err := index.BuildSharded(context.Background(), index.KindPath, ds, 2, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +127,13 @@ func TestShardedBuildShape(t *testing.T) {
 	}
 
 	// Oversized K clamps to the dataset size; every shard owns one graph.
-	big, err := index.BuildSharded(context.Background(), index.KindPath, ds, index.Options{Shards: 64})
+	big, err := index.BuildSharded(context.Background(), index.KindPath, ds, 64, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer big.Close()
-	if big.Shards() != len(ds) {
-		t.Errorf("Shards() = %d after clamping, want %d", big.Shards(), len(ds))
+	if k := big.Stats().ShardCount; k != len(ds) {
+		t.Errorf("ShardCount = %d after clamping, want %d", k, len(ds))
 	}
 
 	// Verify routes out-of-range IDs to an error, not a panic.
@@ -158,7 +158,7 @@ func TestShardedOverOpaqueShards(t *testing.T) {
 	ds := randomDataset(r, 9, 10, 2)
 	queries := []*graph.Graph{extractQuery(r, ds[0], 3), extractQuery(r, ds[5], 4), graph.MustNew("edgeless", []graph.Label{0}, nil)}
 	for _, kind := range index.Kinds() {
-		grid, err := index.BuildGrid(context.Background(), []string{kind}, ds, index.Options{MaxPathLen: fuzzMaxPathLen, Shards: 3})
+		grid, err := index.BuildGrid(context.Background(), []string{kind}, ds, 3, index.Options{MaxPathLen: fuzzMaxPathLen})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,34 +186,42 @@ func TestShardedOverOpaqueShards(t *testing.T) {
 	}
 }
 
-// TestShardedBuildThroughRegistry checks that index.Build with
-// Options.Shards set produces the sharded wrapper for every registered kind
-// and that Shards <= 1 stays monolithic.
+// TestShardedBuildThroughRegistry checks that BuildSharded produces the
+// sharded wrapper for every registered kind, that at one shard the wrapper
+// reports that shard's statistics as its own (no shard count, no breakdown,
+// as its name and filters already delegate), and that Build stays
+// monolithic.
 func TestShardedBuildThroughRegistry(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	ds := randomDataset(r, 4, 8, 2)
 	for _, kind := range index.Kinds() {
-		x, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: 2, Shards: 2})
+		x, err := index.BuildSharded(context.Background(), kind, ds, 2, index.Options{MaxPathLen: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
-		}
-		if _, ok := x.(*index.Sharded); !ok {
-			t.Errorf("%s: Build with Shards=2 returned %T, want *index.Sharded", kind, x)
 		}
 		if x.Stats().Kind != kind {
 			t.Errorf("%s: sharded Stats.Kind = %q", kind, x.Stats().Kind)
 		}
 		x.Close()
-		mono, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: 2, Shards: 1})
+		one, err := index.BuildSharded(context.Background(), kind, ds, 1, index.Options{MaxPathLen: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		mono, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		if _, ok := mono.(*index.Sharded); ok {
-			t.Errorf("%s: Build with Shards=1 returned a sharded wrapper", kind)
+			t.Errorf("%s: Build returned a sharded wrapper", kind)
 		}
+		got, want := one.Stats(), mono.Stats()
+		if got.ShardCount != 0 || got.Shards != nil || got.Name != want.Name || got.Kind != kind || got.Graphs != want.Graphs || got.Features != want.Features {
+			t.Errorf("%s: K=1 stats %+v, want the monolithic index's %+v", kind, got, want)
+		}
+		one.Close()
 		mono.Close()
 	}
-	if _, err := index.BuildSharded(context.Background(), "nope", ds, index.Options{Shards: 2}); err == nil {
+	if _, err := index.BuildSharded(context.Background(), "nope", ds, 2, index.Options{}); err == nil {
 		t.Error("BuildSharded with unknown kind = nil error")
 	}
 }
@@ -228,8 +236,8 @@ func TestShardedStreamTruncationSafety(t *testing.T) {
 	defer pool.Close()
 	r := rand.New(rand.NewSource(11))
 	ds := gen.Synthetic(gen.SyntheticAt(gen.Tiny), 7)
-	sh, err := index.BuildSharded(context.Background(), index.KindPath, ds, index.Options{
-		MaxPathLen: fuzzMaxPathLen, Pool: pool, Shards: 3,
+	sh, err := index.BuildSharded(context.Background(), index.KindPath, ds, 3, index.Options{
+		MaxPathLen: fuzzMaxPathLen, Pool: pool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,8 +311,8 @@ func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 	t.Cleanup(pool.Close)
 	r := rand.New(rand.NewSource(13))
 	ds := randomDataset(r, 9, 10, 2)
-	sh, err := index.BuildSharded(context.Background(), index.KindPath, ds, index.Options{
-		MaxPathLen: 2, Pool: pool, Shards: 3,
+	sh, err := index.BuildSharded(context.Background(), index.KindPath, ds, 3, index.Options{
+		MaxPathLen: 2, Pool: pool,
 	})
 	if err != nil {
 		t.Fatal(err)

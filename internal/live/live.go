@@ -1,7 +1,9 @@
-// Package live is the mutable dataset layer: it turns the repo's build-once
-// index portfolio into an online store supporting graph ingest, delete and
-// replace while queries keep racing — ROADMAP item 1. The design leans on
-// the same observation the distributed-dataflow line of work uses for
+// Package live is the dataset store every dataset engine serves from: the
+// kind × shard grid of sub-indexes over one dataset, published as immutable
+// epoch snapshots that queries race over. An engine that never mutates its
+// store serves one snapshot for its lifetime; one that does ingests, deletes
+// and replaces graphs while queries keep racing. The design leans on the
+// same observation the distributed-dataflow line of work uses for
 // partition-local updates: under the round-robin sharding of PR 5, one graph
 // lives in exactly one shard, so one mutation touches exactly one per-shard
 // sub-index per kind and leaves the other K-1 untouched.
@@ -61,14 +63,15 @@ type Options struct {
 	// Kinds lists the index kinds maintained per shard (at least one).
 	Kinds []string
 	// Shards is the fixed shard count K; unlike index.BuildSharded it is
-	// NOT clamped to the initial dataset size, because the dataset grows.
-	// <= 0 means 1.
+	// NOT clamped to the initial dataset size, because a mutated dataset
+	// grows (a caller whose dataset never does clamps K itself). <= 0
+	// means 1.
 	Shards int
 	// CompactEvery is the per-shard tombstone threshold that triggers a
 	// shard-local rebuild; <= 0 means DefaultCompactEvery.
 	CompactEvery int
 	// Index carries the per-sub-index build options (MaxPathLen, Workers,
-	// Pool); its Shards field is ignored — sharding is the store's job.
+	// Pool).
 	Index index.Options
 }
 
@@ -110,7 +113,7 @@ func (s *Snapshot) Release() {
 	}
 }
 
-// Store is the mutable dataset engine. Mutations (Add, Remove, Replace) are
+// Store is the dataset store. Mutations (Add, Remove, Replace) are
 // serialized internally; Current and the snapshots it returns are lock-free
 // and safe for any number of concurrent readers.
 type Store struct {
@@ -156,13 +159,11 @@ func NewStore(ctx context.Context, ds []*graph.Graph, opts Options) (*Store, err
 	if compact <= 0 {
 		compact = DefaultCompactEvery
 	}
-	ixOpts := opts.Index
-	ixOpts.Shards = 0
 	st := &Store{
 		kinds:        append([]string(nil), opts.Kinds...),
 		k:            k,
 		compactEvery: compact,
-		ixOpts:       ixOpts,
+		ixOpts:       opts.Index,
 		placeholder:  graph.NewBuilder("live:dead-slot").MustBuild(),
 		byHandle:     make(map[Handle]int, len(ds)),
 		local:        make([][]*graph.Graph, k),
@@ -181,9 +182,7 @@ func NewStore(ctx context.Context, ds []*graph.Graph, opts Options) (*Store, err
 		st.byHandle[h] = slot
 		st.local[slot%k] = append(st.local[slot%k], g)
 	}
-	gridOpts := ixOpts
-	gridOpts.Shards = k
-	grid, err := index.BuildGrid(ctx, st.kinds, ds, gridOpts)
+	grid, err := index.BuildGrid(ctx, st.kinds, ds, k, st.ixOpts)
 	if err != nil {
 		return nil, fmt.Errorf("live: building the index grid: %w", err)
 	}
@@ -411,7 +410,7 @@ func (st *Store) rebuildShard(ctx context.Context, shard int, newLocal []*graph.
 		}
 	}
 	if len(rebuild) > 0 {
-		grid, err := index.BuildGrid(ctx, rebuild, newLocal, st.ixOpts) // one shard
+		grid, err := index.BuildGrid(ctx, rebuild, newLocal, 1, st.ixOpts)
 		if err != nil {
 			abort()
 			return nil, fmt.Errorf("live: rebuilding %v shard %d: %w", rebuild, shard, err)

@@ -94,7 +94,6 @@ func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error
 	if compactEvery <= 0 {
 		compactEvery = DefaultCompactEvery
 	}
-	ixOpts.Shards = 0
 	st := &Store{
 		kinds:        append([]string(nil), state.Kinds...),
 		k:            state.Shards,

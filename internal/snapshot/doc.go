@@ -2,7 +2,7 @@
 // checksummed binary format that serializes the dataset's CSR arrays
 // (internal/graph), every registered index kind's flat feature/posting
 // arrays (internal/index — the path/FTV map, the Grapes trie with
-// locations, the GGSX suffix trie), and the live store's slot, tombstone
+// locations, the GGSX suffix trie), and the dataset store's slot, tombstone
 // and epoch state (internal/live). A loaded snapshot reconstructs an engine
 // that answers every query byte-identically to the freshly built one, with
 // none of the path enumeration that dominates build time — which is what
@@ -62,13 +62,14 @@
 //     the oriented one when the other is its exact mirror and refuses the
 //     file when it is not, so such a file loads, answers as it did, and
 //     re-saves at about half its size rather than byte for byte.
-//   - Live store (mutable engines only): the slot-space liveness bitmap,
+//   - Store state (mutable engines only): the slot-space liveness bitmap,
 //     per-slot public handles, per-shard tombstone counters, and the epoch
 //     and next-handle counters, so mutation history, handle identity and
 //     cache-keying epochs all survive a restart.
 //
-// Static and mutable snapshots share the dataset and index codecs; a
-// mutable snapshot's graph array is slot space (zero-vertex placeholders at
-// dead slots) where a static one's is dense, so a snapshot loads only in
-// the mode that wrote it.
+// Every dataset engine serves from an internal/live store, and a Model is
+// that store's live.State. A static engine's store never mutates, so its
+// graph array is dense and the rest of its state follows from it: the file
+// leaves that state out and Load fills it back in (see Model). A snapshot
+// still loads only in the mode that wrote it.
 package snapshot

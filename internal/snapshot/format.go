@@ -191,22 +191,27 @@ func (b *buf) bool(v bool) {
 		b.u8(0)
 	}
 }
-func (b *buf) i32s(v []int32) {
+func (b *buf) bools(v []bool) {
+	b.u64(uint64(len(v)))
+	for _, x := range v {
+		b.bool(x)
+	}
+}
+
+// i32s and i64s append one length-prefixed array of 4- or 8-byte integers;
+// the element type is the caller's own (tombstone counters, handles), so the
+// codec is the one place a width changes.
+func i32s[T ~int | ~int32](b *buf, v []T) {
 	b.u64(uint64(len(v)))
 	for _, x := range v {
 		b.u32(uint32(x))
 	}
 }
-func (b *buf) i64s(v []int64) {
+
+func i64s[T ~int64](b *buf, v []T) {
 	b.u64(uint64(len(v)))
 	for _, x := range v {
 		b.u64(uint64(x))
-	}
-}
-func (b *buf) bools(v []bool) {
-	b.u64(uint64(len(v)))
-	for _, x := range v {
-		b.bool(x)
 	}
 }
 
@@ -279,16 +284,28 @@ func (d *dec) done() error {
 	return nil
 }
 
-// decInt32s decodes one length-prefixed int32 array section.
-func decInt32s(payload []byte, what string) ([]int32, error) {
-	d := &dec{b: payload}
+// arrayLen reads an array's element count and checks that exactly that many
+// width-byte elements follow. The count is compared by division: a product
+// could wrap around and pass a count far beyond the payload on to make.
+func arrayLen(d *dec, width int, what string) (int, error) {
 	n := d.u64()
-	if d.err == nil && uint64(len(payload)-d.off) != 4*n {
-		return nil, fmt.Errorf("snapshot: %s: %d bytes for %d int32s", what, len(payload)-d.off, n)
+	rest := len(d.b) - d.off
+	if d.err == nil && (rest%width != 0 || uint64(rest/width) != n) {
+		return 0, fmt.Errorf("snapshot: %s: %d bytes for %d %d-byte elements", what, rest, n, width)
 	}
-	out := make([]int32, n)
+	return int(n), nil
+}
+
+// decInt32s decodes one length-prefixed int32 array section.
+func decInt32s[T ~int | ~int32](payload []byte, what string) ([]T, error) {
+	d := &dec{b: payload}
+	n, err := arrayLen(d, 4, what)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, n)
 	for i := range out {
-		out[i] = int32(d.u32())
+		out[i] = T(int32(d.u32()))
 	}
 	if err := d.done(); err != nil {
 		return nil, fmt.Errorf("snapshot: %s: %w", what, err)
@@ -297,15 +314,15 @@ func decInt32s(payload []byte, what string) ([]int32, error) {
 }
 
 // decInt64s decodes one length-prefixed int64 array section.
-func decInt64s(payload []byte, what string) ([]int64, error) {
+func decInt64s[T ~int64](payload []byte, what string) ([]T, error) {
 	d := &dec{b: payload}
-	n := d.u64()
-	if d.err == nil && uint64(len(payload)-d.off) != 8*n {
-		return nil, fmt.Errorf("snapshot: %s: %d bytes for %d int64s", what, len(payload)-d.off, n)
+	n, err := arrayLen(d, 8, what)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]int64, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = int64(d.u64())
+		out[i] = T(d.u64())
 	}
 	if err := d.done(); err != nil {
 		return nil, fmt.Errorf("snapshot: %s: %w", what, err)
@@ -316,9 +333,9 @@ func decInt64s(payload []byte, what string) ([]int64, error) {
 // decBools decodes one length-prefixed bool array section.
 func decBools(payload []byte, what string) ([]bool, error) {
 	d := &dec{b: payload}
-	n := d.u64()
-	if d.err == nil && uint64(len(payload)-d.off) != n {
-		return nil, fmt.Errorf("snapshot: %s: %d bytes for %d bools", what, len(payload)-d.off, n)
+	n, err := arrayLen(d, 1, what)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]bool, n)
 	for i := range out {

@@ -1,46 +1,62 @@
 package snapshot
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/live"
 )
 
-// Model is the serialized shape of a dataset engine: everything needed to
-// reconstruct the graphs, the per-kind/per-shard index grid and (for mutable
-// engines) the live store's slot/tombstone/epoch state, with no path
-// enumeration on the load side.
+// Model is the serialized shape of a dataset engine: the state of the
+// dataset store it serves from — graphs in slot space, liveness, handles,
+// tombstone and epoch counters, and the per-kind/per-shard index grid — with
+// no path enumeration on the load side. On Save each grid sub-index must
+// implement index.FeatureExporter; on Load each is a freshly restored index
+// over its shard's sub-dataset, which the caller owns.
+//
+// A static engine's store never mutates, so its state follows from its
+// graphs and shard count (neverMutated): every slot alive, handles 1..n, next
+// handle n+1, epoch 1, no tombstones. A static file leaves that state out —
+// no live/* sections, zero epoch and next-handle words in the meta section —
+// so it keeps the bytes static files had before static engines served from
+// a store, and Load fills the state back in.
 type Model struct {
-	// Mutable records whether the snapshot came from a live store; a load
-	// must run in the same mode, because the graph arrays are slot-space
-	// (placeholders included) for mutable snapshots and dense for static.
+	// Mutable records whether the snapshot came from a mutable engine; a
+	// load must run in the same mode.
 	Mutable bool
-	// Shards is the effective shard count K (>= 1). Indexes[kind] holds
-	// exactly K sub-indexes; sub-index s covers every K-th graph from s.
-	Shards int
-	// Kinds lists the index kinds in portfolio order.
-	Kinds []string
-	// MaxPathLen is the indexed path length per kind, persisted so restored
-	// indexes extract query features identically to the saved ones.
-	MaxPathLen map[string]int
-	// Epoch and NextHandle are the live store's counters (mutable only;
-	// zero otherwise).
-	Epoch      uint64
-	NextHandle int64
-	// Graphs is the dataset: dense for static snapshots, slot-space with
-	// placeholders at dead slots for mutable ones.
-	Graphs []*graph.Graph
-	// Alive, Handles and Tombs are the live store's slot-space liveness
-	// bitmap, per-slot public handles and per-shard tombstone counters
-	// (mutable only; nil otherwise).
-	Alive   []bool
-	Handles []int64
-	Tombs   []int32
-	// Indexes is the per-kind grid of per-shard sub-indexes. On Save each
-	// sub-index must implement index.FeatureExporter; on Load each is a
-	// freshly restored index over its shard's sub-dataset.
-	Indexes map[string][]index.Index
+	live.State
+}
+
+// neverMutated is the state of a store that never mutated over s's graphs
+// and shards: what a static file leaves out.
+func neverMutated(s live.State) live.State {
+	n := len(s.SlotGraphs)
+	s.Epoch, s.NextHandle = 1, live.Handle(n+1)
+	s.Alive, s.Handles, s.Tombs = make([]bool, n), make([]live.Handle, n), make([]int, s.Shards)
+	for i := range n {
+		s.Alive[i], s.Handles[i] = true, live.Handle(i+1)
+	}
+	return s
+}
+
+// check is the shape Save and Load both demand of a model.
+func (m *Model) check() error {
+	if m.Shards < 1 {
+		return fmt.Errorf("snapshot: shard count %d < 1", m.Shards)
+	}
+	if len(m.Kinds) == 0 {
+		return errors.New("snapshot: no index kinds")
+	}
+	if n := len(m.SlotGraphs); len(m.Alive) != n || len(m.Handles) != n {
+		return fmt.Errorf("snapshot: slot arrays disagree: %d graphs, %d alive, %d handles", n, len(m.Alive), len(m.Handles))
+	}
+	if len(m.Tombs) != m.Shards {
+		return fmt.Errorf("snapshot: %d tombstone counters for %d shards", len(m.Tombs), m.Shards)
+	}
+	return nil
 }
 
 // Save serializes the model to path atomically (temp file + rename): a crash
@@ -48,19 +64,17 @@ type Model struct {
 // are deterministic for a given model — features are written in canonical
 // (lexicographic) order with ascending-ID postings.
 func Save(path string, m *Model) error {
-	if m.Shards < 1 {
-		return fmt.Errorf("snapshot: shard count %d < 1", m.Shards)
+	if err := m.check(); err != nil {
+		return err
 	}
-	if len(m.Kinds) == 0 {
-		return fmt.Errorf("snapshot: no index kinds")
-	}
-	if m.Mutable {
-		if len(m.Alive) != len(m.Graphs) || len(m.Handles) != len(m.Graphs) {
-			return fmt.Errorf("snapshot: slot arrays disagree: %d graphs, %d alive, %d handles", len(m.Graphs), len(m.Alive), len(m.Handles))
+	epoch, next := m.Epoch, uint64(m.NextHandle)
+	if !m.Mutable {
+		p := neverMutated(m.State)
+		if epoch != p.Epoch || m.NextHandle != p.NextHandle || !slices.Equal(m.Alive, p.Alive) ||
+			!slices.Equal(m.Handles, p.Handles) || !slices.Equal(m.Tombs, p.Tombs) {
+			return errors.New("snapshot: a static model must hold a never-mutated store's state, which its file leaves out")
 		}
-		if len(m.Tombs) != m.Shards {
-			return fmt.Errorf("snapshot: %d tombstone counters for %d shards", len(m.Tombs), m.Shards)
-		}
+		epoch, next = 0, 0
 	}
 
 	// Export every sub-index first: the per-kind MaxPathLen lands in the
@@ -72,7 +86,7 @@ func Save(path string, m *Model) error {
 	}
 	var blocks []block
 	for _, kind := range m.Kinds {
-		subs := m.Indexes[kind]
+		subs := m.Grid[kind]
 		if len(subs) != m.Shards {
 			return fmt.Errorf("snapshot: kind %q has %d sub-indexes for %d shards", kind, len(subs), m.Shards)
 		}
@@ -93,20 +107,20 @@ func Save(path string, m *Model) error {
 	var meta buf
 	meta.bool(m.Mutable)
 	meta.u32(uint32(m.Shards))
-	meta.u64(m.Epoch)
-	meta.u64(uint64(m.NextHandle))
+	meta.u64(epoch)
+	meta.u64(next)
 	meta.u32(uint32(len(m.Kinds)))
 	for _, kind := range m.Kinds {
 		meta.str(kind)
 		meta.u32(uint32(maxLen[kind]))
 	}
 	w.add("meta", meta.b)
-	addDataset(w, m.Graphs)
+	addDataset(w, m.SlotGraphs)
 	if m.Mutable {
 		var alive, handles, tombs buf
 		alive.bools(m.Alive)
-		handles.i64s(m.Handles)
-		tombs.i32s(m.Tombs)
+		i64s(&handles, m.Handles)
+		i32s(&tombs, m.Tombs)
 		w.add("live/alive", alive.b)
 		w.add("live/handles", handles.b)
 		w.add("live/tombs", tombs.b)
@@ -133,63 +147,49 @@ func Load(path string, ixOpts index.Options) (m *Model, err error) {
 		return nil, err
 	}
 	d := &dec{b: metaB}
-	m = &Model{
-		Mutable:    d.bool(),
-		Shards:     int(d.u32()),
-		Epoch:      d.u64(),
-		MaxPathLen: map[string]int{},
-		Indexes:    map[string][]index.Index{},
-	}
-	m.NextHandle = int64(d.u64())
+	m = &Model{Mutable: d.bool()}
+	m.Shards = int(d.u32())
+	m.Epoch = d.u64()
+	m.NextHandle = live.Handle(d.u64())
 	nKinds := int(d.u32())
 	if d.err == nil && nKinds > maxSections {
 		return nil, fmt.Errorf("snapshot: absurd kind count %d", nKinds)
 	}
+	maxLen := map[string]int{}
 	for i := 0; i < nKinds && d.err == nil; i++ {
 		kind := d.str()
+		if _, dup := maxLen[kind]; dup {
+			return nil, fmt.Errorf("snapshot: meta: kind %q listed twice", kind)
+		}
 		m.Kinds = append(m.Kinds, kind)
-		m.MaxPathLen[kind] = int(d.u32())
+		maxLen[kind] = int(d.u32())
 	}
 	if err := d.done(); err != nil {
 		return nil, fmt.Errorf("snapshot: meta: %w", err)
 	}
-	if m.Shards < 1 {
-		return nil, fmt.Errorf("snapshot: shard count %d < 1", m.Shards)
+	if m.Shards > len(r.sections) {
+		// Every shard has sections of its own; a count beyond the table is
+		// corruption, and would size the allocations below.
+		return nil, fmt.Errorf("snapshot: absurd shard count %d for %d sections", m.Shards, len(r.sections))
 	}
-	if len(m.Kinds) == 0 {
-		return nil, fmt.Errorf("snapshot: no index kinds")
-	}
-	if m.Graphs, err = decodeDataset(r); err != nil {
+	if m.SlotGraphs, err = decodeDataset(r); err != nil {
 		return nil, err
 	}
 	if m.Mutable {
-		aliveB, err := r.section("live/alive")
-		if err != nil {
+		if m.Alive, err = decodeSection(r, "live/alive", decBools); err != nil {
 			return nil, err
 		}
-		if m.Alive, err = decBools(aliveB, "live/alive"); err != nil {
+		if m.Handles, err = decodeSection(r, "live/handles", decInt64s[live.Handle]); err != nil {
 			return nil, err
 		}
-		handlesB, err := r.section("live/handles")
-		if err != nil {
+		if m.Tombs, err = decodeSection(r, "live/tombs", decInt32s[int]); err != nil {
 			return nil, err
 		}
-		if m.Handles, err = decInt64s(handlesB, "live/handles"); err != nil {
-			return nil, err
-		}
-		tombsB, err := r.section("live/tombs")
-		if err != nil {
-			return nil, err
-		}
-		if m.Tombs, err = decInt32s(tombsB, "live/tombs"); err != nil {
-			return nil, err
-		}
-		if len(m.Alive) != len(m.Graphs) || len(m.Handles) != len(m.Graphs) {
-			return nil, fmt.Errorf("snapshot: slot arrays disagree: %d graphs, %d alive, %d handles", len(m.Graphs), len(m.Alive), len(m.Handles))
-		}
-		if len(m.Tombs) != m.Shards {
-			return nil, fmt.Errorf("snapshot: %d tombstone counters for %d shards", len(m.Tombs), m.Shards)
-		}
+	} else {
+		m.State = neverMutated(m.State)
+	}
+	if err := m.check(); err != nil {
+		return nil, err
 	}
 	var restored []index.Index
 	defer func() {
@@ -199,24 +199,35 @@ func Load(path string, ixOpts index.Options) (m *Model, err error) {
 			}
 		}
 	}()
+	m.Grid = make(map[string][]index.Index, len(m.Kinds))
 	for _, kind := range m.Kinds {
 		subs := make([]index.Index, m.Shards)
-		for s := 0; s < m.Shards; s++ {
+		for s := range subs {
 			feats, err := decodeFeatures(r, ixPrefix(kind, s))
 			if err != nil {
 				return nil, err
 			}
-			subDS := index.ShardDataset(m.Graphs, s, m.Shards)
-			sub, err := index.Restore(kind, subDS, m.MaxPathLen[kind], ixOpts, feats)
+			subDS := index.ShardDataset(m.SlotGraphs, s, m.Shards)
+			sub, err := index.Restore(kind, subDS, maxLen[kind], ixOpts, feats)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot: restoring %s shard %d: %w", kind, s, err)
 			}
 			subs[s] = sub
 			restored = append(restored, sub)
 		}
-		m.Indexes[kind] = subs
+		m.Grid[kind] = subs
 	}
 	return m, nil
+}
+
+// decodeSection decodes the named section with decode.
+func decodeSection[T any](r *reader, name string, decode func(payload []byte, what string) (T, error)) (T, error) {
+	b, err := r.section(name)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return decode(b, name)
 }
 
 // ixPrefix names the section group of one (kind, shard) sub-index.
@@ -230,26 +241,22 @@ func ixPrefix(kind string, shard int) string {
 func addDataset(w *writer, ds []*graph.Graph) {
 	var names, nverts, labels, offsets, nbrs, elabs buf
 	names.u64(uint64(len(ds)))
-	var nv []int32
-	var flatLabels, flatOffsets, flatNbrs, flatElabs []int32
+	var nv, flatOffsets, flatNbrs []int32
+	var flatLabels, flatElabs []graph.Label
 	for _, g := range ds {
 		names.str(g.Name())
 		gl, goffs, gn, ge := g.CSR()
 		nv = append(nv, int32(len(gl)))
-		for _, l := range gl {
-			flatLabels = append(flatLabels, int32(l))
-		}
+		flatLabels = append(flatLabels, gl...)
 		flatOffsets = append(flatOffsets, goffs...)
 		flatNbrs = append(flatNbrs, gn...)
-		for _, l := range ge {
-			flatElabs = append(flatElabs, int32(l))
-		}
+		flatElabs = append(flatElabs, ge...)
 	}
-	nverts.i32s(nv)
-	labels.i32s(flatLabels)
-	offsets.i32s(flatOffsets)
-	nbrs.i32s(flatNbrs)
-	elabs.i32s(flatElabs)
+	i32s(&nverts, nv)
+	i32s(&labels, flatLabels)
+	i32s(&offsets, flatOffsets)
+	i32s(&nbrs, flatNbrs)
+	i32s(&elabs, flatElabs)
 	w.add("ds/names", names.b)
 	w.add("ds/nverts", nverts.b)
 	w.add("ds/labels", labels.b)
@@ -277,13 +284,7 @@ func decodeDataset(r *reader) ([]*graph.Graph, error) {
 	if err := d.done(); err != nil {
 		return nil, fmt.Errorf("snapshot: ds/names: %w", err)
 	}
-	arr := func(name string) ([]int32, error) {
-		b, err := r.section(name)
-		if err != nil {
-			return nil, err
-		}
-		return decInt32s(b, name)
-	}
+	arr := func(name string) ([]int32, error) { return decodeSection(r, name, decInt32s[int32]) }
 	nverts, err := arr("ds/nverts")
 	if err != nil {
 		return nil, err
@@ -291,7 +292,7 @@ func decodeDataset(r *reader) ([]*graph.Graph, error) {
 	if len(nverts) != len(names) {
 		return nil, fmt.Errorf("snapshot: %d vertex counts for %d graphs", len(nverts), len(names))
 	}
-	flatLabels, err := arr("ds/labels")
+	flatLabels, err := decodeSection(r, "ds/labels", decInt32s[graph.Label])
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +304,7 @@ func decodeDataset(r *reader) ([]*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	flatElabs, err := arr("ds/elabs")
+	flatElabs, err := decodeSection(r, "ds/elabs", decInt32s[graph.Label])
 	if err != nil {
 		return nil, err
 	}
@@ -319,14 +320,7 @@ func decodeDataset(r *reader) ([]*graph.Graph, error) {
 		if half < 0 || eOff+half > len(flatNbrs) || eOff+half > len(flatElabs) {
 			return nil, fmt.Errorf("snapshot: graph %d (%q): half-edge count %d exceeds flat arrays", i, name, half)
 		}
-		labels := make([]graph.Label, nv)
-		for j, l := range flatLabels[lOff : lOff+nv] {
-			labels[j] = graph.Label(l)
-		}
-		elabs := make([]graph.Label, half)
-		for j, l := range flatElabs[eOff : eOff+half] {
-			elabs[j] = graph.Label(l)
-		}
+		labels, elabs := slices.Clone(flatLabels[lOff:lOff+nv]), slices.Clone(flatElabs[eOff:eOff+half])
 		g, err := graph.FromCSR(name, labels, offs, flatNbrs[eOff:eOff+half], elabs)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: graph %d: %w", i, err)
@@ -370,7 +364,7 @@ func addFeatures(w *writer, prefix string, feats []index.ExportedFeature) {
 		{"postcnts", postcnts}, {"loclens", loclens}, {"locs", locs},
 	} {
 		var b buf
-		b.i32s(s.vals)
+		i32s(&b, s.vals)
 		w.add(prefix+s.name, b.b)
 	}
 }
@@ -378,18 +372,12 @@ func addFeatures(w *writer, prefix string, feats []index.ExportedFeature) {
 // decodeFeatures is the inverse of addFeatures, with full cross-array shape
 // validation before any feature escapes.
 func decodeFeatures(r *reader, prefix string) ([]index.ExportedFeature, error) {
-	arr := func(name string) ([]int32, error) {
-		b, err := r.section(prefix + name)
-		if err != nil {
-			return nil, err
-		}
-		return decInt32s(b, prefix+name)
-	}
+	arr := func(name string) ([]int32, error) { return decodeSection(r, prefix+name, decInt32s[int32]) }
 	featlens, err := arr("featlens")
 	if err != nil {
 		return nil, err
 	}
-	featlabels, err := arr("featlabels")
+	featlabels, err := decodeSection(r, prefix+"featlabels", decInt32s[graph.Label])
 	if err != nil {
 		return nil, err
 	}
@@ -425,10 +413,7 @@ func decodeFeatures(r *reader, prefix string) ([]index.ExportedFeature, error) {
 		if fl < 0 || labOff+int(fl) > len(featlabels) {
 			return nil, fmt.Errorf("snapshot: %s: feature %d label length %d exceeds flat array", prefix, i, fl)
 		}
-		labels := make([]graph.Label, fl)
-		for j, l := range featlabels[labOff : labOff+int(fl)] {
-			labels[j] = graph.Label(l)
-		}
+		labels := slices.Clone(featlabels[labOff : labOff+int(fl)])
 		labOff += int(fl)
 		pl := int(postlens[i])
 		if pl < 0 || postOff+pl > len(postgids) {

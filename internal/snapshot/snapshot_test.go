@@ -19,10 +19,10 @@ import (
 	_ "github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/live"
 )
 
-func testDataset(t *testing.T, n int) []*graph.Graph {
-	t.Helper()
+func testDataset(n int) []*graph.Graph {
 	r := rand.New(rand.NewSource(11))
 	ds := make([]*graph.Graph, n)
 	for i := range ds {
@@ -33,7 +33,7 @@ func testDataset(t *testing.T, n int) []*graph.Graph {
 		}
 		for v := 1; v < nv; v++ {
 			if err := b.AddLabeledEdge(r.Intn(v), v, graph.Label(r.Intn(2))); err != nil {
-				t.Fatal(err)
+				panic(err) // a fresh edge between existing vertices
 			}
 		}
 		ds[i] = b.MustBuild()
@@ -43,7 +43,7 @@ func testDataset(t *testing.T, n int) []*graph.Graph {
 
 func buildModel(t *testing.T, ds []*graph.Graph, kinds []string, k int) *Model {
 	t.Helper()
-	m := &Model{Shards: k, Kinds: kinds, MaxPathLen: map[string]int{}, Indexes: map[string][]index.Index{}}
+	m := &Model{State: live.State{Shards: k, Kinds: kinds, SlotGraphs: ds, Grid: map[string][]index.Index{}}}
 	for _, kind := range kinds {
 		subs := make([]index.Index, k)
 		for s := 0; s < k; s++ {
@@ -53,10 +53,9 @@ func buildModel(t *testing.T, ds []*graph.Graph, kinds []string, k int) *Model {
 			}
 			subs[s] = sub
 		}
-		m.Indexes[kind] = subs
-		m.MaxPathLen[kind] = 3
+		m.Grid[kind] = subs
 	}
-	m.Graphs = ds
+	m.State = neverMutated(m.State)
 	return m
 }
 
@@ -75,7 +74,7 @@ func answers(t *testing.T, ds []*graph.Graph, kind string, subs []index.Index, q
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	ds := testDataset(t, 9)
+	ds := testDataset(9)
 	kinds := index.Kinds()
 	queries := ds[:4]
 	for _, k := range []int{1, 3} {
@@ -91,17 +90,26 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if got.Mutable || got.Shards != k || !reflect.DeepEqual(got.Kinds, kinds) {
 			t.Fatalf("meta mismatch: %+v", got)
 		}
-		if len(got.Graphs) != len(ds) {
-			t.Fatalf("got %d graphs, want %d", len(got.Graphs), len(ds))
+		// A static file leaves the never-mutated store's state out, and Load
+		// fills it back in.
+		if r, err := open(path); err != nil || r.sections["live/alive"] != nil {
+			t.Fatalf("static file holds live sections (open err %v)", err)
+		}
+		if got.Epoch != 1 || got.NextHandle != live.Handle(len(ds)+1) || !reflect.DeepEqual(got.Alive, m.Alive) ||
+			!reflect.DeepEqual(got.Handles, m.Handles) || !reflect.DeepEqual(got.Tombs, m.Tombs) {
+			t.Fatalf("static state not filled in: %+v", got.State)
+		}
+		if len(got.SlotGraphs) != len(ds) {
+			t.Fatalf("got %d graphs, want %d", len(got.SlotGraphs), len(ds))
 		}
 		for i := range ds {
-			if !ds[i].Equal(got.Graphs[i]) || ds[i].Name() != got.Graphs[i].Name() {
+			if !ds[i].Equal(got.SlotGraphs[i]) || ds[i].Name() != got.SlotGraphs[i].Name() {
 				t.Fatalf("graph %d not reconstructed identically", i)
 			}
 		}
 		for _, kind := range kinds {
-			want := answers(t, ds, kind, m.Indexes[kind], queries)
-			have := answers(t, got.Graphs, kind, got.Indexes[kind], queries)
+			want := answers(t, ds, kind, m.Grid[kind], queries)
+			have := answers(t, got.SlotGraphs, kind, got.Grid[kind], queries)
 			if !reflect.DeepEqual(want, have) {
 				t.Fatalf("k=%d kind=%s: restored answers %v != built %v", k, kind, have, want)
 			}
@@ -110,7 +118,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestSaveLoadDeterministicBytes(t *testing.T) {
-	ds := testDataset(t, 6)
+	ds := testDataset(6)
 	m := buildModel(t, ds, []string{index.KindPath}, 2)
 	dir := t.TempDir()
 	p1, p2 := filepath.Join(dir, "a"), filepath.Join(dir, "b")
@@ -128,7 +136,7 @@ func TestSaveLoadDeterministicBytes(t *testing.T) {
 }
 
 func TestMutableModelRoundTrip(t *testing.T) {
-	ds := testDataset(t, 5)
+	ds := testDataset(5)
 	// Slot space: slot 2 is a dead placeholder, shard count 2 (so shard 0
 	// holds slots 0,2,4 — including the placeholder — and shard 1 slots 1,3).
 	placeholder := graph.NewBuilder("live:dead-slot").MustBuild()
@@ -138,8 +146,8 @@ func TestMutableModelRoundTrip(t *testing.T) {
 	m.Epoch = 7
 	m.NextHandle = 9
 	m.Alive = []bool{true, true, false, true, true}
-	m.Handles = []int64{1, 2, 3, 4, 5}
-	m.Tombs = []int32{1, 0}
+	m.Handles = []live.Handle{1, 2, 3, 4, 5}
+	m.Tombs = []int{1, 0}
 	path := filepath.Join(t.TempDir(), "snap.psi")
 	if err := Save(path, m); err != nil {
 		t.Fatal(err)
@@ -154,11 +162,11 @@ func TestMutableModelRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Alive, m.Alive) || !reflect.DeepEqual(got.Handles, m.Handles) || !reflect.DeepEqual(got.Tombs, m.Tombs) {
 		t.Fatalf("live arrays mangled: %+v", got)
 	}
-	if got.Graphs[2].N() != 0 || got.Graphs[2].Name() != "live:dead-slot" {
+	if got.SlotGraphs[2].N() != 0 || got.SlotGraphs[2].Name() != "live:dead-slot" {
 		t.Fatal("placeholder slot not reconstructed")
 	}
-	want := answers(t, slots, index.KindPath, m.Indexes[index.KindPath], slots[:2])
-	have := answers(t, got.Graphs, index.KindPath, got.Indexes[index.KindPath], slots[:2])
+	want := answers(t, slots, index.KindPath, m.Grid[index.KindPath], slots[:2])
+	have := answers(t, got.SlotGraphs, index.KindPath, got.Grid[index.KindPath], slots[:2])
 	if !reflect.DeepEqual(want, have) {
 		t.Fatalf("mutable restored answers diverged: %v != %v", have, want)
 	}
@@ -169,7 +177,7 @@ func TestMutableModelRoundTrip(t *testing.T) {
 // hits the magic, the version, the section table, or exactly one
 // checksummed payload.
 func TestEveryByteCorruptionFailsClosed(t *testing.T) {
-	ds := testDataset(t, 3)
+	ds := testDataset(3)
 	m := buildModel(t, ds, []string{index.KindPath}, 1)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.psi")
@@ -277,7 +285,7 @@ func encMeta(mutable bool, shards int, kinds []string, maxLen int) []byte {
 
 func encI32s(v []int32) []byte {
 	var b buf
-	b.i32s(v)
+	i32s(&b, v)
 	return b.b
 }
 
@@ -354,9 +362,9 @@ func TestLoadShapeValidation(t *testing.T) {
 	s["meta"] = encMeta(true, 1, []string{index.KindPath}, 3)
 	var alive, handles buf
 	alive.bools([]bool{true})
-	handles.i64s(nil)
+	i64s(&handles, []live.Handle(nil))
 	var tombs buf
-	tombs.i32s([]int32{0})
+	i32s(&tombs, []int32{0})
 	s["live/alive"], s["live/handles"], s["live/tombs"] = alive.b, handles.b, tombs.b
 	expectLoadError(t, "slot arrays", s, "slot arrays disagree")
 
@@ -405,15 +413,16 @@ func TestLoadShapeValidation(t *testing.T) {
 }
 
 func TestSaveValidation(t *testing.T) {
-	ds := testDataset(t, 3)
-	if err := Save("x", &Model{Shards: 0, Kinds: []string{"ftv"}}); err == nil {
+	ds := testDataset(3)
+	if err := Save("x", &Model{State: live.State{Shards: 0, Kinds: []string{"ftv"}}}); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	if err := Save("x", &Model{Shards: 1}); err == nil {
+	if err := Save("x", &Model{State: live.State{Shards: 1}}); err == nil {
 		t.Fatal("no kinds accepted")
 	}
 	m := buildModel(t, ds, []string{index.KindPath}, 1)
 	m.Shards = 2 // grid has 1 sub-index
+	m.State = neverMutated(m.State)
 	if err := Save("x", m); err == nil || !strings.Contains(err.Error(), "sub-indexes") {
 		t.Fatalf("grid/shard mismatch: %v", err)
 	}
@@ -423,21 +432,28 @@ func TestSaveValidation(t *testing.T) {
 	if err := Save("x", m); err == nil || !strings.Contains(err.Error(), "slot arrays") {
 		t.Fatalf("slot array mismatch: %v", err)
 	}
+	// A static file leaves the store state out, so a static model must hold
+	// the state a load fills back in: a tombstone would be lost.
+	m = buildModel(t, ds, []string{index.KindPath}, 1)
+	m.Alive[1] = false
+	if err := Save("x", m); err == nil || !strings.Contains(err.Error(), "never-mutated") {
+		t.Fatalf("static model with a tombstone: %v", err)
+	}
 	// A kind whose index cannot export (Sharded wrapper) must fail Save.
-	sharded, err := index.BuildSharded(context.Background(), index.KindPath, ds, index.Options{Shards: 2})
+	sharded, err := index.BuildSharded(context.Background(), index.KindPath, ds, 2, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sharded.Close()
-	m = &Model{Shards: 1, Kinds: []string{"wrapped"}, Graphs: ds,
-		Indexes: map[string][]index.Index{"wrapped": {sharded}}}
+	m = &Model{State: neverMutated(live.State{Shards: 1, Kinds: []string{"wrapped"}, SlotGraphs: ds,
+		Grid: map[string][]index.Index{"wrapped": {sharded}}})}
 	if err := Save("x", m); err == nil || !strings.Contains(err.Error(), "export") {
 		t.Fatalf("unexportable kind: %v", err)
 	}
 }
 
 func TestSaveAtomicReplace(t *testing.T) {
-	ds := testDataset(t, 3)
+	ds := testDataset(3)
 	m := buildModel(t, ds, []string{index.KindPath}, 1)
 	path := filepath.Join(t.TempDir(), "snap.psi")
 	if err := Save(path, m); err != nil {
@@ -465,7 +481,7 @@ func TestSaveAtomicReplace(t *testing.T) {
 // and separate single-kind, single-shard builds (buildModel), all export
 // identical features and serialize to identical snapshot bytes.
 func TestPortfolioBuildDeterministic(t *testing.T) {
-	ds := testDataset(t, 10)
+	ds := testDataset(10)
 	kinds := []string{index.KindPath, "grapes", "ggsx"}
 	save := func(m *Model) []byte {
 		t.Helper()
@@ -484,21 +500,20 @@ func TestPortfolioBuildDeterministic(t *testing.T) {
 		wantBytes := save(separate)
 		for _, workers := range []int{1, 4} {
 			pool := exec.New(workers)
-			grid, err := index.BuildGrid(context.Background(), kinds, ds, index.Options{MaxPathLen: 3, Shards: k, Pool: pool})
+			grid, err := index.BuildGrid(context.Background(), kinds, ds, k, index.Options{MaxPathLen: 3, Pool: pool})
 			pool.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := &Model{Shards: k, Kinds: kinds, Graphs: ds, MaxPathLen: map[string]int{}, Indexes: map[string][]index.Index{}}
+			m := &Model{State: neverMutated(live.State{Shards: k, Kinds: kinds, SlotGraphs: ds, Grid: map[string][]index.Index{}})}
 			for i, kind := range kinds {
-				m.Indexes[kind] = grid[i]
-				m.MaxPathLen[kind] = 3
+				m.Grid[kind] = grid[i]
 				for s, sub := range grid[i] {
 					got, _, err := index.Export(sub)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, _, err := index.Export(separate.Indexes[kind][s])
+					want, _, err := index.Export(separate.Grid[kind][s])
 					if err != nil {
 						t.Fatal(err)
 					}

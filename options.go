@@ -96,13 +96,15 @@ type EngineOptions struct {
 	// the monolithic engine at any K. <= 1 (and NFV engines) stay
 	// monolithic. The count is clamped to the dataset size.
 	Shards int
-	// Mutable turns a dataset engine into a live one: AddGraph, RemoveGraph
-	// and ReplaceGraph become available, every mutation bumps the dataset
-	// epoch and installs a fresh index snapshot, and in-flight queries keep
-	// reading the snapshot they started on (snapshot isolation — answers
-	// stay byte-identical to a from-scratch build of whichever epoch they
-	// executed against). Unlike static engines the shard count is not
-	// clamped to the initial dataset size, since the dataset grows.
+	// Mutable opens a dataset engine's mutation API — every dataset engine
+	// serves from the same store, a static one just never mutates it:
+	// AddGraph, RemoveGraph and ReplaceGraph become available, every
+	// mutation bumps the dataset epoch and installs a fresh index snapshot,
+	// and in-flight queries keep reading the snapshot they started on
+	// (snapshot isolation — answers stay byte-identical to a from-scratch
+	// build of whichever epoch they executed against). Unlike static engines
+	// the shard count is not clamped to the initial dataset size, since the
+	// dataset grows.
 	Mutable bool
 	// CompactEvery is the per-shard tombstone threshold of a mutable
 	// engine: after this many deletions a shard sheds its dead graphs'

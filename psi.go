@@ -199,7 +199,15 @@ func IndexKinds() []string { return indexpkg.Kinds() }
 // returned index satisfies the full FilterIndex contract. shards <= 1 builds
 // the plain monolithic index.
 func NewShardedIndex(ctx context.Context, kind string, dataset []*Graph, shards, workers int) (FilterIndex, error) {
-	return indexpkg.Build(ctx, kind, dataset, indexpkg.Options{Workers: workers, Shards: shards})
+	opts := indexpkg.Options{Workers: workers}
+	if shards <= 1 {
+		return indexpkg.Build(ctx, kind, dataset, opts)
+	}
+	x, err := indexpkg.BuildSharded(ctx, kind, dataset, shards, opts)
+	if err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 // ComputeStats summarizes one graph.

@@ -71,6 +71,15 @@ echo "== fuzz (FuzzSPathCandidates, 5s) =="
 # graph lacks, or a containment that reads one form as the other shows.
 go test -run='^$' -fuzz=FuzzSPathCandidates -fuzztime=5s ./internal/spath
 
+echo "== fuzz (FuzzSnapshotSections, 5s) =="
+# One section payload of a saved snapshot (static at K=1 and K=2, mutable
+# churned to a tombstone) edited by one xor or truncation and re-framed with
+# fresh checksums, so the edit reaches the decoders, index.Restore and
+# live.Restore: the load path every dataset engine shares, static or mutable.
+# It guards that a file from disk never panics the loader and that a store it
+# yields answers a subset of brute force over its own graphs.
+go test -run='^$' -fuzz=FuzzSnapshotSections -fuzztime=5s ./internal/snapshot
+
 echo "== bench smoke (1 iteration) =="
 # Every root benchmark once, BenchmarkExtractFeatures,
 # BenchmarkBuildPortfolio and BenchmarkGrapesVerify (the index-build path and

@@ -5,7 +5,9 @@ package psi
 // EngineOptions.Snapshot constructs an engine by loading one — skipping the
 // feature extraction that dominates build time, which is what makes
 // `psiserve -snapshot` cold starts near-instant. A loaded engine answers
-// every query byte-identically to the engine that saved it.
+// every query byte-identically to the engine that saved it. Both directions
+// are one path for static and mutable engines alike: the file holds the
+// state of the store the engine serves from.
 
 import (
 	"errors"
@@ -19,93 +21,45 @@ import (
 
 // SaveSnapshot writes the engine's dataset, index portfolio and (for
 // mutable engines) mutation state to path, atomically: the file appears
-// complete or not at all. Mutations are blocked for the duration on mutable
-// engines — the serialized state is one consistent epoch. NFV engines have
-// no dataset state and cannot be snapshotted.
+// complete or not at all. Mutations are blocked for the duration — the
+// serialized state is one consistent epoch. NFV engines have no dataset
+// state and cannot be snapshotted.
 func (e *Engine) SaveSnapshot(path string) error {
 	if e.g != nil {
 		return errors.New("psi: snapshots require a dataset engine")
 	}
-	if e.store != nil {
-		// Hold the mutation lock across the whole save: the exported grid
-		// aliases the store's live sub-indexes, and a concurrent mutation
-		// could retire (and, once snapshots drain, close) one mid-read.
-		e.mutMu.Lock()
-		defer e.mutMu.Unlock()
-		state, err := e.store.ExportState()
-		if err != nil {
-			return err
-		}
-		handles := make([]int64, len(state.Handles))
-		for i, h := range state.Handles {
-			handles[i] = int64(h)
-		}
-		tombs := make([]int32, len(state.Tombs))
-		for i, tc := range state.Tombs {
-			tombs[i] = int32(tc)
-		}
-		return snapshot.Save(path, &snapshot.Model{
-			Mutable:    true,
-			Shards:     state.Shards,
-			Kinds:      state.Kinds,
-			Epoch:      state.Epoch,
-			NextHandle: int64(state.NextHandle),
-			Graphs:     state.SlotGraphs,
-			Alive:      state.Alive,
-			Handles:    handles,
-			Tombs:      tombs,
-			Indexes:    state.Grid,
-		})
+	// Hold the mutation lock across the whole save: the exported grid
+	// aliases the store's live sub-indexes, and a concurrent mutation could
+	// retire (and, once snapshots drain, close) one mid-read.
+	e.mutMu.Lock()
+	defer e.mutMu.Unlock()
+	state, err := e.store.ExportState()
+	if err != nil {
+		return err
 	}
-	st := e.acquireState()
-	if st == nil {
-		return errors.New("psi: engine closed")
-	}
-	defer st.unref()
-	shards := 1
-	grid := make(map[string][]index.Index, len(e.kinds))
-	for i, kind := range e.kinds {
-		if sh, ok := st.indexes[i].(*index.Sharded); ok {
-			subs := sh.Subs()
-			shards = len(subs) // every kind shards identically
-			grid[kind] = subs
-		} else {
-			grid[kind] = []index.Index{st.indexes[i]}
-		}
-	}
-	return snapshot.Save(path, &snapshot.Model{
-		Shards:  shards,
-		Kinds:   e.kinds,
-		Graphs:  st.ds,
-		Indexes: grid,
-	})
+	return snapshot.Save(path, &snapshot.Model{Mutable: e.mutable, State: state})
 }
 
 // newSnapshotEngine is the EngineOptions.Snapshot construction path: load,
-// cross-check the options against what the snapshot says it is, and wire
-// the restored indexes into a serving engine without rebuilding anything.
+// cross-check the options against what the snapshot says it is, and restore
+// the store the saved engine served from without rebuilding anything.
 func newSnapshotEngine(opts EngineOptions) (*Engine, error) {
 	e, err := newEngineCommon(opts)
 	if err != nil {
 		return nil, err
 	}
-	m, err := snapshot.Load(opts.Snapshot, index.Options{
-		Workers: opts.IndexWorkers,
-		Pool:    e.pool,
-	})
+	ixOpts := index.Options{Workers: opts.IndexWorkers, Pool: e.pool}
+	m, err := snapshot.Load(opts.Snapshot, ixOpts)
 	if err != nil {
 		e.Close()
 		return nil, err
 	}
-	closeModel := func() {
-		for _, subs := range m.Indexes {
+	fail := func(err error) (*Engine, error) {
+		for _, subs := range m.Grid {
 			for _, sub := range subs {
 				sub.Close()
 			}
 		}
-	}
-	fail := func(err error) (*Engine, error) {
-		closeModel()
 		e.Close()
 		return nil, err
 	}
@@ -130,45 +84,11 @@ func newSnapshotEngine(opts EngineOptions) (*Engine, error) {
 	if err := e.configurePortfolio(opts, m.Kinds); err != nil {
 		return fail(err)
 	}
-	if m.Mutable {
-		handles := make([]live.Handle, len(m.Handles))
-		for i, h := range m.Handles {
-			handles[i] = live.Handle(h)
-		}
-		tombs := make([]int, len(m.Tombs))
-		for i, tc := range m.Tombs {
-			tombs[i] = int(tc)
-		}
-		store, serr := live.Restore(live.State{
-			Kinds:      m.Kinds,
-			Shards:     m.Shards,
-			Epoch:      m.Epoch,
-			NextHandle: live.Handle(m.NextHandle),
-			SlotGraphs: m.Graphs,
-			Alive:      m.Alive,
-			Handles:    handles,
-			Tombs:      tombs,
-			Grid:       m.Indexes,
-		}, opts.CompactEvery, index.Options{
-			Workers: opts.IndexWorkers,
-			Pool:    e.pool,
-		})
-		if serr != nil {
-			return fail(serr)
-		}
-		e.adoptStore(store)
-	} else {
-		e.setShards(m.Shards)
-		var indexes []FilterIndex
-		for _, kind := range m.Kinds {
-			if subs := m.Indexes[kind]; len(subs) > 1 {
-				indexes = append(indexes, index.NewShardedFrom(m.Graphs, kind, subs))
-			} else {
-				indexes = append(indexes, subs[0])
-			}
-		}
-		e.installStatic(m.Graphs, indexes)
+	store, err := live.Restore(m.State, opts.CompactEvery, ixOpts)
+	if err != nil {
+		return fail(err)
 	}
+	e.adoptStore(store)
 	e.finishPortfolio(opts)
 	return e, nil
 }
