@@ -220,7 +220,12 @@
 // slab with no slack and filled in a second, in the flat index and in both
 // tries alike — are born sorted, the filter intersects them with forward
 // cursors, the snapshot export is a plain walk, and a build is
-// byte-identical at any worker count. Cancelling the
+// byte-identical at any worker count. The flat index is nothing but slabs in
+// canonical order: the label sequences concatenated, one 16-byte entry per
+// feature with no pointer in it (where its labels and its list end, the
+// list's posting count and next base), and the lists back to back; a lookup
+// is a binary search over the entries that hands out a view of the posting
+// slab. Cancelling the
 // build's context aborts it even mid-graph (dense graphs hold billions of
 // bounded simple paths). The cost of a portfolio is therefore one
 // extraction plus cheap folds, not one extraction per kind and shard.
@@ -475,11 +480,14 @@
 // round-robin sharding law (slot s lives in shard s mod K) then localizes
 // any mutation to exactly one shard, and because slot assignment is
 // monotone, an AddGraph always appends to its shard's tail — which the
-// flat path index absorbs copy-on-write (index.Inserter: the new sub-index
-// shares every untouched posting list with its predecessor and re-allocates,
-// one posting longer, only the lists the new graph's features touch). Kinds
-// without incremental insert fall back to rebuilding that one shard, never
-// the dataset.
+// flat path index absorbs copy-on-write (index.Inserter: one merge pass
+// writes the new sub-index's entries and posting slab, copying the untouched
+// lists run by run and each list the new graph's features touch one posting
+// longer, in a constant number of allocations; the label slab is shared
+// unless the graph brings a sequence the index lacks). Generations share no
+// posting bytes, so a predecessor's slab is freed once the last query
+// holding its epoch releases it. Kinds without incremental insert fall back
+// to rebuilding that one shard, never the dataset.
 //
 // Tombstones. RemoveGraph replaces the slot's graph with a zero-vertex
 // placeholder — O(1) on the index side, since a placeholder matches no

@@ -60,11 +60,10 @@ func (o Options) withDefaults() Options {
 
 // Index is a built GGSX index. Safe for concurrent use once built.
 type Index struct {
-	ds       []*graph.Graph
-	opts     Options
-	trie     *index.Trie    // the suffix trie: counts at every path feature's node
-	verifier []*vf2.Matcher // per-graph VF2 matcher with prebuilt label index
-	stats    index.Stats
+	ds    []*graph.Graph
+	opts  Options
+	trie  *index.Trie // the suffix trie: counts at every path feature's node
+	stats index.Stats
 }
 
 // Build constructs the suffix trie over all path features of the dataset;
@@ -99,13 +98,10 @@ func fold(ds []*graph.Graph, ex index.Extraction, opts Options) *Index {
 	return x
 }
 
-// newIndex wraps a built trie with the per-graph verifiers and statistics;
-// the caller sets BuildTime.
+// newIndex wraps a built trie with its statistics; the caller sets
+// BuildTime.
 func newIndex(ds []*graph.Graph, opts Options, trie *index.Trie) *Index {
-	x := &Index{ds: ds, opts: opts, trie: trie, verifier: make([]*vf2.Matcher, len(ds))}
-	for id, g := range ds {
-		x.verifier[id] = vf2.New(g)
-	}
+	x := &Index{ds: ds, opts: opts, trie: trie}
 	postings, postingBytes := trie.Postings()
 	x.stats = index.Stats{
 		Name:         x.Name(),
@@ -162,8 +158,8 @@ func (x *Index) FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, em
 // Verify implements ftv.Index: VF2 against the whole stored graph (GGSX
 // keeps no location information to narrow the search).
 func (x *Index) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
-	if graphID < 0 || graphID >= len(x.verifier) {
-		return false, fmt.Errorf("ggsx: graph ID %d out of range [0,%d)", graphID, len(x.verifier))
+	if graphID < 0 || graphID >= len(x.ds) {
+		return false, fmt.Errorf("ggsx: graph ID %d out of range [0,%d)", graphID, len(x.ds))
 	}
-	return x.verifier[graphID].Contains(ctx, q)
+	return vf2.New(x.ds[graphID]).Contains(ctx, q)
 }

@@ -79,13 +79,12 @@ func (o Options) withDefaults() Options {
 
 // Index is a built Grapes index over a dataset. Safe for concurrent use.
 type Index struct {
-	ds       []*graph.Graph
-	opts     Options
-	trie     *index.Trie    // path trie: postings with location sets
-	verifier []*vf2.Matcher // per-graph VF2 matcher with prebuilt label index
-	vpool    *exec.Pool     // dedicated verification pool when Workers > 1
-	stats    index.Stats
-	last     atomic.Pointer[queryPlan]
+	ds    []*graph.Graph
+	opts  Options
+	trie  *index.Trie // path trie: postings with location sets
+	vpool *exec.Pool  // dedicated verification pool when Workers > 1
+	stats index.Stats
+	last  atomic.Pointer[queryPlan]
 }
 
 // queryPlan is what filtering and verification derive from the query alone.
@@ -149,10 +148,7 @@ func fold(ds []*graph.Graph, ex index.Extraction, opts Options) *Index {
 // newIndex wraps a built trie with the verification pool and statistics;
 // the caller sets BuildTime.
 func newIndex(ds []*graph.Graph, opts Options, trie *index.Trie) *Index {
-	x := &Index{ds: ds, opts: opts, trie: trie, verifier: make([]*vf2.Matcher, len(ds))}
-	for id, g := range ds {
-		x.verifier[id] = vf2.New(g)
-	}
+	x := &Index{ds: ds, opts: opts, trie: trie}
 	if opts.Workers > 1 {
 		x.vpool = exec.New(opts.Workers)
 	}
@@ -349,7 +345,7 @@ func (x *Index) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, 
 	if q.N() == 0 {
 		return true, nil
 	}
-	m, p := x.verifier[graphID], x.plan(q)
+	m, p := vf2.New(x.ds[graphID]), x.plan(q)
 	if p.unbounded {
 		return m.Contains(ctx, q) // see locate
 	}
@@ -373,7 +369,7 @@ func (x *Index) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, 
 		}
 		return false, nil
 	}
-	return x.verifyParallel(ctx, q, m, s, kept)
+	return x.verifyParallel(ctx, q, x.ds[graphID], s, kept)
 }
 
 // errComponentFound aborts the remaining component checks once any component
@@ -385,12 +381,12 @@ var errComponentFound = errors.New("grapes: component match found")
 // success cancels the remaining work. The dedicated pool keeps this nested
 // fan-out off the shared pool, where a racer already running this
 // verification inside a pool task would deadlock a single-worker pool.
-func (x *Index) verifyParallel(ctx context.Context, q *graph.Graph, m *vf2.Matcher, s *scratch, kept int) (bool, error) {
+func (x *Index) verifyParallel(ctx context.Context, q, g *graph.Graph, s *scratch, kept int) (bool, error) {
 	var found atomic.Bool
 	grp := x.vpool.NewGroup(ctx)
 	for i := 0; i < kept; i++ {
 		grp.Go(func(gctx context.Context) error {
-			ok, err := m.ContainsWithin(gctx, q, s.comp(i))
+			ok, err := vf2.New(g).ContainsWithin(gctx, q, s.comp(i))
 			if err != nil {
 				return err
 			}

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -429,6 +431,49 @@ func TestReadDatasetErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := ReadDataset(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: expected parse error", c.name)
+		}
+	}
+}
+
+// TestReadDatasetLabelRange: a label is read as the 32-bit value Label holds.
+// The largest one loads as itself; past it, the line is refused by number —
+// not wrapped to label 0 or 1, and not reported as a negative label.
+func TestReadDatasetLabelRange(t *testing.T) {
+	for _, c := range []struct {
+		label string
+		ok    bool
+	}{
+		{"2147483647", true},
+		{"2147483648", false},
+		{"4294967296", false},
+		{"4294967297", false},
+	} {
+		for _, in := range []struct {
+			what, text string
+			line       int
+		}{
+			{"vertex", "#g\n2\n0\n" + c.label + "\n1\n0 1\n", 4},
+			{"edge", "#g\n2\n0\n1\n1\n0 1 " + c.label + "\n", 6},
+		} {
+			gs, err := ReadDataset(strings.NewReader(in.text))
+			if !c.ok {
+				want := fmt.Sprintf("line %d: ", in.line)
+				if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "out of range") {
+					t.Errorf("%s label %s: error %v, want one from %q saying out of range", in.what, c.label, err, want)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s label %s: %v", in.what, c.label, err)
+				continue
+			}
+			got := gs[0].Label(1)
+			if in.what == "edge" {
+				got = gs[0].EdgeLabel(0, 1)
+			}
+			if want := Label(math.MaxInt32); got != want {
+				t.Errorf("%s label %s loads as %d", in.what, c.label, got)
+			}
 		}
 	}
 }

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -58,6 +60,19 @@ func WriteDataset(w io.Writer, graphs []*Graph) error {
 	return nil
 }
 
+// parseLabel parses a vertex or edge label: a decimal that Label holds, not
+// negative. A larger number is refused, not wrapped into some other label.
+func parseLabel(what, s string) (Label, error) {
+	l, err := strconv.ParseInt(s, 10, 32)
+	if errors.Is(err, strconv.ErrRange) || (err == nil && l < 0) {
+		return 0, fmt.Errorf("%s %q out of range [0, %d]", what, s, math.MaxInt32)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("bad %s %q", what, s)
+	}
+	return Label(l), nil
+}
+
 // ReadDataset parses a concatenation of graphs in the text format.
 func ReadDataset(r io.Reader) ([]*Graph, error) {
 	sc := bufio.NewScanner(r)
@@ -97,11 +112,11 @@ func ReadDataset(r io.Reader) ([]*Graph, error) {
 			if !ok {
 				return nil, fmt.Errorf("line %d: missing label %d/%d for graph %q", line, i, n, name)
 			}
-			l, err := strconv.Atoi(lStr)
-			if err != nil || l < 0 {
-				return nil, fmt.Errorf("line %d: bad label %q", line, lStr)
+			l, err := parseLabel("label", lStr)
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %w", line, err)
 			}
-			b.AddVertex(Label(l))
+			b.AddVertex(l)
 		}
 		mStr, ok := next()
 		if !ok {
@@ -125,15 +140,13 @@ func ReadDataset(r io.Reader) ([]*Graph, error) {
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("line %d: bad edge endpoints %q", line, eStr)
 			}
-			el := 0
+			var el Label
 			if len(fields) == 3 {
-				parsed, perr := strconv.Atoi(fields[2])
-				if perr != nil || parsed < 0 {
-					return nil, fmt.Errorf("line %d: bad edge label %q", line, fields[2])
+				if el, err = parseLabel("edge label", fields[2]); err != nil {
+					return nil, fmt.Errorf("line %d: %w", line, err)
 				}
-				el = parsed
 			}
-			if err := b.AddLabeledEdge(u, v, Label(el)); err != nil {
+			if err := b.AddLabeledEdge(u, v, el); err != nil {
 				return nil, fmt.Errorf("line %d: %w", line, err)
 			}
 		}

@@ -198,28 +198,23 @@ func init() {
 // ExportFeatures implements FeatureExporter for the flat path index, whose
 // features and postings are stored in the canonical order already.
 func (x *Path) ExportFeatures(visit func(labels []graph.Label, postings []FeaturePosting) error) error {
-	for _, ft := range x.feats {
-		if err := visit(ft.labels, ft.list.export()); err != nil {
+	for i := range x.entries {
+		if err := visit(x.labelsOf(i), x.listOf(i).export()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// restorePath rebuilds the flat path index: label sequences and posting
-// lists carved from one slab each straight from the exported lists (Restore
-// has checked their order), fresh VF2 matchers per graph. No path
-// enumeration runs, which is where the cold-start speedup comes from.
+// restorePath rebuilds the flat path index: its three slabs written straight
+// from the exported features (Restore has checked their order), measured
+// first so that each is one allocation with no slack. No path enumeration
+// runs, which is where the cold-start speedup comes from.
 func restorePath(ds []*graph.Graph, maxPathLen int, opts Options, feats []ExportedFeature) (Index, error) {
 	if maxPathLen <= 0 {
 		maxPathLen = ftv.DefaultMaxPathLen
 	}
 	start := time.Now()
-	x := &Path{
-		ds:         ds,
-		maxPathLen: maxPathLen,
-		feats:      make([]pathFeature, len(feats)),
-	}
 	sizes := make([]listSize, len(feats))
 	nLabels, nBytes := 0, 0
 	for i, f := range feats {
@@ -227,16 +222,21 @@ func restorePath(ds []*graph.Graph, maxPathLen int, opts Options, feats []Export
 		nLabels += len(f.Labels)
 		nBytes += sizes[i].bytes()
 	}
-	labelSlab := make([]graph.Label, 0, nLabels)
-	listSlab := make([]byte, nBytes)
-	for at, f := range feats {
-		l := len(labelSlab)
-		labelSlab = append(labelSlab, f.Labels...)
-		ft := pathFeature{labels: labelSlab[l:len(labelSlab):len(labelSlab)], list: carve(&listSlab, sizes[at])}
-		for _, e := range f.Postings {
-			ft.list.push(int32(e.GraphID), e.Count)
+	x := &Path{
+		ds:         ds,
+		maxPathLen: maxPathLen,
+		labels:     make([]graph.Label, 0, nLabels),
+		entries:    make([]pathEntry, len(feats)),
+		postings:   make([]byte, nBytes),
+	}
+	rest := x.postings
+	for i, f := range feats {
+		x.labels = append(x.labels, f.Labels...)
+		l := carve(&rest, sizes[i])
+		for _, p := range f.Postings {
+			l.push(int32(p.GraphID), p.Count)
 		}
-		x.feats[at] = ft
+		x.entries[i] = pathEntry{labelEnd: slabOffset(len(x.labels)), listEnd: slabOffset(nBytes - len(rest)), n: l.n, next: l.next}
 	}
 	x.finish(ds, time.Since(start), opts.Pool)
 	return x, nil

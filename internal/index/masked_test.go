@@ -10,18 +10,23 @@ package index_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 )
 
 // TestPathWithGraphParity appends graphs one at a time via WithGraph and
 // checks, at every prefix, that the derived index answers exactly like
-// BuildPath over the same prefix — and that the receiver is untouched.
+// BuildPath over the same prefix and holds the same features and postings,
+// byte for byte — and that the receivers are untouched. The last graph brings
+// a label the others lack, so appends that add features and appends that
+// share the label slab both occur.
 func TestPathWithGraphParity(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	ds := randomDataset(r, 6, 10, 2)
+	ds := append(randomDataset(r, 6, 10, 2), graph.MustNew("new-label", []graph.Label{0, 2, 1}, [][2]int{{0, 1}, {1, 2}}))
 	base, err := index.BuildPath(context.Background(), ds[:2], index.Options{MaxPathLen: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +43,8 @@ func TestPathWithGraphParity(t *testing.T) {
 		}
 	}
 	var cur index.Index = base
+	chain, exports := []index.Index{base}, [][]index.ExportedFeature{exportOf(t, base)}
+	grew, kept := 0, 0
 	for n := 3; n <= len(ds); n++ {
 		next, err := cur.(index.Inserter).WithGraph(context.Background(), ds[n-1])
 		if err != nil {
@@ -63,11 +70,31 @@ func TestPathWithGraphParity(t *testing.T) {
 				t.Errorf("n=%d q%d: Answer = %v, want %v", n, qi, got, expect)
 			}
 		}
-		if st := next.Stats(); st.Graphs != n || st.Features != want.Stats().Features {
-			t.Errorf("n=%d: stats graphs=%d features=%d, want %d/%d",
-				n, st.Graphs, st.Features, n, want.Stats().Features)
+		st, wst := next.Stats(), want.Stats()
+		if st.Graphs != n || st.Features != wst.Features || st.Postings != wst.Postings || st.PostingBytes != wst.PostingBytes {
+			t.Errorf("n=%d: stats graphs=%d features=%d postings=%d in %d bytes, want %d/%d/%d/%d",
+				n, st.Graphs, st.Features, st.Postings, st.PostingBytes, n, wst.Features, wst.Postings, wst.PostingBytes)
 		}
+		if got := exportOf(t, next); !reflect.DeepEqual(got, exportOf(t, want)) {
+			t.Errorf("n=%d: the appended index exports differently from a fresh build", n)
+		}
+		if st.Features > cur.Stats().Features {
+			grew++
+		} else {
+			kept++
+		}
+		chain, exports = append(chain, next), append(exports, exportOf(t, next))
 		cur = next
+	}
+	if grew == 0 || kept == 0 {
+		t.Errorf("%d appends added features and %d added none; want both kinds", grew, kept)
+	}
+	// Every generation exports as it did when it was made, after all the
+	// appends derived from it.
+	for at, x := range chain {
+		if !reflect.DeepEqual(exportOf(t, x), exports[at]) {
+			t.Errorf("the index over %d graphs changed after later appends", at+2)
+		}
 	}
 	// The original two-graph index must still answer as before the appends.
 	for qi, q := range queries {
@@ -77,6 +104,44 @@ func TestPathWithGraphParity(t *testing.T) {
 		}
 		if !sameInts(got, baseAnswers[qi]) {
 			t.Errorf("receiver mutated: q%d = %v, want %v", qi, got, baseAnswers[qi])
+		}
+	}
+}
+
+// exportOf is Export for an index that supports it.
+func exportOf(t *testing.T, x index.Index) []index.ExportedFeature {
+	t.Helper()
+	feats, _, err := index.Export(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return feats
+}
+
+// TestPathWithGraphAllocs: beyond extracting the new graph's features,
+// WithGraph allocates a constant — the index, its dataset, its placement of
+// the graph's features and its slabs — however many posting lists the graph
+// touches.
+func TestPathWithGraphAllocs(t *testing.T) {
+	const maxLen, bound = 3, 8
+	r := rand.New(rand.NewSource(11))
+	x, err := index.BuildPath(context.Background(), randomDataset(r, 6, 20, 4), index.Options{MaxPathLen: maxLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{
+		graph.MustNew("edge", []graph.Label{0, 1}, [][2]int{{0, 1}}),
+		randomDataset(r, 1, 40, 4)[0],
+	} {
+		touched := ftv.ExtractFeatures(g, maxLen, false).Len()
+		extract := testing.AllocsPerRun(20, func() { ftv.ExtractFeatures(g, maxLen, false) })
+		with := testing.AllocsPerRun(20, func() {
+			if _, err := x.WithGraph(context.Background(), g); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if with-extract > bound {
+			t.Errorf("a graph of %d features: WithGraph makes %.0f allocations beyond the extraction's %.0f, want at most %d", touched, with-extract, extract, bound)
 		}
 	}
 }

@@ -322,6 +322,44 @@ func indexOfKind(t *testing.T, kind string) int {
 	return -1
 }
 
+// TestVerifyAllocs: no kind keeps a matcher per graph — a VF2 matcher is its
+// stored graph — and building one per call costs Verify nothing: it allocates
+// no more than a search through a matcher built beforehand, on graphs that
+// hold the query and on one that does not.
+func TestVerifyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("Grapes verifies from a sync.Pool, which the race detector empties at random")
+	}
+	r := rand.New(rand.NewSource(3))
+	ds := randomDataset(r, 4, 12, 3)
+	q := extractQuery(r, ds[2], 3)
+	ctx := context.Background()
+	for _, kind := range index.Kinds() {
+		x, err := index.Build(ctx, kind, ds, index.Options{MaxPathLen: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcomes := map[bool]bool{}
+		for id, g := range ds {
+			m := vf2.New(g)
+			found, err := x.Verify(ctx, q, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outcomes[found] = true
+			verify := testing.AllocsPerRun(50, func() { x.Verify(ctx, q, id) })
+			prebuilt := testing.AllocsPerRun(50, func() { m.Contains(ctx, q) })
+			if verify > prebuilt {
+				t.Errorf("%s graph %d: Verify makes %.0f allocations, a prebuilt matcher's search %.0f", kind, id, verify, prebuilt)
+			}
+		}
+		if len(outcomes) != 2 {
+			t.Errorf("%s: the query is verified %v on every graph; want both outcomes", kind, outcomes)
+		}
+		x.Close()
+	}
+}
+
 // TestVerifyRejectsOutOfRangeGraphID: a graph ID outside the dataset is an
 // error from every kind's Verify — built or restored from exported features —
 // never a panic, and Grapes' CandidateVertices reports such a graph as

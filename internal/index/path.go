@@ -2,19 +2,26 @@ package index
 
 // The path-based FTV baseline: the simplest member of the portfolio. It
 // stores every extracted path feature — an undirected label path under its
-// oriented spelling (ftv.Oriented) — in one flat array sorted by label
-// sequence — no trie, no locations — and verifies candidates with VF2
-// against the whole stored graph. Its filtering power is identical to GGSX
-// (both count all ≤maxLen paths); what differs is the storage layout and
-// lookup cost, which is exactly the kind of constant-factor alternative the
-// racing Engine exploits: on some queries the flat array's binary search
-// over whole sequences beats the tries, on others the tries' shared prefixes
-// win.
+// oriented spelling (ftv.Oriented) — flat, sorted by label sequence — no
+// trie, no locations — and verifies candidates with VF2 against the whole
+// stored graph. Its filtering power is identical to GGSX (both count all
+// ≤maxLen paths); what differs is the storage layout and lookup cost, which
+// is exactly the kind of constant-factor alternative the racing Engine
+// exploits: on some queries the flat array's binary search over whole
+// sequences beats the tries, on others the tries' shared prefixes win.
+//
+// The features live in three slabs, each in canonical order: every label
+// sequence concatenated, one 16-byte entry per feature holding no pointer,
+// and every packed posting list back to back. A feature is its entry's
+// position; its labels and its list run from where the previous entry's end
+// to where its own end. An index is thus three allocations whatever its
+// size, with nothing for the collector to trace, and each slab is a form a
+// file could hold as it is.
 
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math"
 	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
@@ -36,19 +43,30 @@ func init() {
 type Path struct {
 	ds         []*graph.Graph
 	maxPathLen int
-	// feats holds the indexed features in canonical (lexicographic label
-	// sequence) order, each with its packed posting list — the order the
-	// snapshot export promises, so exporting is a plain walk and a lookup is
-	// a binary search. Immutable: WithGraph derives a new array, sharing the
-	// lists it does not touch.
-	feats    []pathFeature
-	verifier []*vf2.Matcher // per-graph VF2 matcher with prebuilt label index
+	// The features in canonical (lexicographic label sequence) order — the
+	// order the snapshot export promises, so exporting is a plain walk and a
+	// lookup is a binary search over entries. Immutable: WithGraph writes new
+	// slabs, sharing only labels when the graph brings no new sequence.
+	labels   []graph.Label
+	entries  []pathEntry
+	postings []byte
 	stats    Stats
 }
 
-type pathFeature struct {
-	labels []graph.Label
-	list   PostingList
+// pathEntry is one feature: where its labels and its list end in the slabs,
+// and the list's posting count and next base (PostingList.n, .next).
+type pathEntry struct {
+	labelEnd, listEnd uint32
+	n, next           int32
+}
+
+// slabOffset is a slab length as an entry's offset; a slab longer than an
+// offset can address panics instead of wrapping.
+func slabOffset(n int) uint32 {
+	if uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("index: the flat path index (%s) holds %d labels or posting bytes, past the 2^32 an offset can address; shard the dataset", KindPath, n))
+	}
+	return uint32(n)
 }
 
 // BuildPath constructs the flat path index through the build pipeline —
@@ -65,10 +83,9 @@ func BuildPath(ctx context.Context, ds []*graph.Graph, opts Options) (*Path, err
 // with the static type kept. The first pass interns every (graph, feature)
 // pair to a dense slot — through ftv.LabelTrie, the extractor's own interner,
 // at one probe per label — and measures the posting lists; the interner's
-// canonical walk then lays out the features, carving the label sequences and
-// the lists from one slab each; the second pass fills the lists graph by
-// graph, which leaves them ascending with no sort and no spare capacity.
-// (Measured on the benchmark's 300 × 50-vertex, 8-label dataset, 1.57 M
+// canonical walk then lays out the three slabs; the second pass fills the
+// lists graph by graph, which leaves them ascending with no sort and no spare
+// byte. (Measured on the benchmark's 300 × 50-vertex, 8-label dataset, 1.57 M
 // postings at 2.0 bytes each: the fold is about a fifth of an ftv build's
 // wall time on two cores, interning about half of the fold. The graphs'
 // features arrive sorted, so a k-way merge would group them with no table at
@@ -104,24 +121,31 @@ func foldPath(ds []*graph.Graph, ex Extraction, opts Options) *Path {
 	x := &Path{
 		ds:         ds,
 		maxPathLen: opts.MaxPathLen,
-		feats:      make([]pathFeature, 0, nFeats),
+		labels:     make([]graph.Label, 0, nLabels),
+		entries:    make([]pathEntry, 0, nFeats),
+		postings:   make([]byte, nBytes),
 	}
-	at := make([]int32, len(sizes)) // trie slot → position in feats
-	labelSlab := make([]graph.Label, 0, nLabels)
-	listSlab := make([]byte, nBytes)
+	at := make([]int32, len(sizes))      // trie slot → feature
+	lists := make([]PostingList, nFeats) // the fill's write cursors into postings
+	rest := x.postings
 	seqs.Walk(func(s int32, labels []graph.Label) {
 		if sizes[s].n == 0 {
 			return // a proper prefix of features, not one itself
 		}
-		at[s] = int32(len(x.feats))
-		from := len(labelSlab)
-		labelSlab = append(labelSlab, labels...)
-		x.feats = append(x.feats, pathFeature{labels: labelSlab[from:len(labelSlab):len(labelSlab)], list: carve(&listSlab, sizes[s])})
+		at[s] = int32(len(x.entries))
+		x.labels = append(x.labels, labels...)
+		lists[at[s]] = carve(&rest, sizes[s])
+		x.entries = append(x.entries, pathEntry{
+			labelEnd: slabOffset(len(x.labels)),
+			listEnd:  slabOffset(nBytes - len(rest)),
+			n:        sizes[s].n,
+			next:     sizes[s].next,
+		})
 	})
 	next := 0
 	for g, f := range ex.Features {
 		for i := 0; i < f.Len(); i++ {
-			x.feats[at[slotOf[next]]].list.push(int32(g), f.Count(i))
+			lists[at[slotOf[next]]].push(int32(g), f.Count(i))
 			next++
 		}
 	}
@@ -129,31 +153,21 @@ func foldPath(ds []*graph.Graph, ex Extraction, opts Options) *Path {
 	return x
 }
 
-// finish builds the per-graph verifiers and the statistics.
+// finish sets the statistics of a built or restored index.
 func (x *Path) finish(ds []*graph.Graph, buildTime time.Duration, pool *exec.Pool) {
-	x.verifier = make([]*vf2.Matcher, len(ds))
-	for id, g := range ds {
-		x.verifier[id] = vf2.New(g)
-	}
 	x.stats = Stats{
 		Name:         x.Name(),
 		Kind:         KindPath,
 		Graphs:       len(ds),
 		MaxPathLen:   x.maxPathLen,
-		Features:     len(x.feats),
-		Nodes:        len(x.feats),
+		Features:     len(x.entries),
+		Nodes:        len(x.entries),
 		BuildTime:    buildTime,
 		BuildWorkers: PoolWorkers(pool),
+		PostingBytes: int64(len(x.postings)),
 	}
-	x.countPostings()
-}
-
-// countPostings sets the statistics of the lists as they stand.
-func (x *Path) countPostings() {
-	x.stats.Postings, x.stats.PostingBytes = 0, 0
-	for _, ft := range x.feats {
-		x.stats.Postings += int64(ft.list.Len())
-		x.stats.PostingBytes += int64(ft.list.Bytes())
+	for _, e := range x.entries {
+		x.stats.Postings += int64(e.n)
 	}
 }
 
@@ -182,11 +196,42 @@ func (x *Path) Stats() Stats { return x.stats }
 // Close implements Index; the flat index owns no resources.
 func (x *Path) Close() {}
 
-// find returns the position of a label sequence in feats.
+// starts returns where feature i's labels and list begin in the slabs: where
+// the previous feature's end.
+func (x *Path) starts(i int) (labelFrom, listFrom uint32) {
+	if i == 0 {
+		return 0, 0
+	}
+	return x.entries[i-1].labelEnd, x.entries[i-1].listEnd
+}
+
+// labelsOf returns feature i's label sequence. Callers must not modify it.
+func (x *Path) labelsOf(i int) []graph.Label {
+	from, _ := x.starts(i)
+	end := x.entries[i].labelEnd
+	return x.labels[from:end:end]
+}
+
+// listOf returns feature i's posting list, a view of the slab.
+func (x *Path) listOf(i int) PostingList {
+	_, from := x.starts(i)
+	e := x.entries[i]
+	return PostingList{data: x.postings[from:e.listEnd:e.listEnd], n: e.n, next: e.next}
+}
+
+// find returns the position of a label sequence among the features: where it
+// is, or where it would go.
 func (x *Path) find(labels []graph.Label) (int, bool) {
-	return slices.BinarySearchFunc(x.feats, labels, func(ft pathFeature, labels []graph.Label) int {
-		return CompareLabelSeqs(ft.labels, labels)
-	})
+	lo, hi := 0, len(x.entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if CompareLabelSeqs(x.labelsOf(mid), labels) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(x.entries) && CompareLabelSeqs(x.labelsOf(lo), labels) == 0
 }
 
 func (x *Path) lookup(labels []graph.Label) PostingList {
@@ -194,7 +239,7 @@ func (x *Path) lookup(labels []graph.Label) PostingList {
 	if !ok {
 		return PostingList{}
 	}
-	return x.feats[at].list
+	return x.listOf(at)
 }
 
 // Filter implements ftv.Index via the shared presence/frequency pruning.
@@ -213,13 +258,16 @@ func (x *Path) FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, emi
 }
 
 // WithGraph implements Inserter: a copy-on-write append. Only the new
-// graph's features are extracted; the posting lists of features it touches
-// are re-allocated one posting longer — the appended graph has the largest
-// ID, so they stay ascending — and every other list and the label sequences are
-// shared with the receiver, which is never mutated: queries racing against
-// the old index keep a consistent view. The copy is O(features),
-// far below the path enumeration a rebuild pays, which is what makes
-// single-graph ingest cheap.
+// graph's features are extracted. A first pass places each among the
+// receiver's features by binary search and sizes the result; one merge pass
+// then writes the new entries and posting slab, copying each run of untouched
+// lists whole and each touched list with the new posting appended — the
+// appended graph has the largest ID, so lists stay ascending. A new label
+// slab is written only when the graph brings a sequence the index lacks;
+// otherwise it is shared. The receiver is never mutated: queries racing
+// against the old index keep a consistent view. The work is a copy of the
+// slabs, far below the path enumeration a rebuild pays, and the allocations
+// are a handful whatever the graph touches.
 func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
 	start := time.Now()
 	f, err := ftv.ExtractFeaturesContext(ctx, g, x.maxPathLen, false)
@@ -227,45 +275,100 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
 		return nil, err
 	}
 	id := int32(len(x.ds))
-	nx := &Path{
-		ds:         append(slices.Clone(x.ds), g),
-		maxPathLen: x.maxPathLen,
-		feats:      slices.Clone(x.feats),
-		verifier:   append(slices.Clone(x.verifier), vf2.New(g)),
-	}
-	var fresh []pathFeature // features new to the index, in canonical order
-	for i := 0; i < f.Len(); i++ {
-		if at, ok := x.find(f.Labels(i)); ok {
-			nx.feats[at].list = x.feats[at].list.with(id, f.Count(i))
+	// place[i] is where f's feature i goes: p when it is the receiver's
+	// feature p, ^p when it is new and goes before the receiver's feature p.
+	place := make([]int, f.Len())
+	fresh, freshLabels, listBytes := 0, 0, len(x.postings)
+	for i := range place {
+		at, ok := x.find(f.Labels(i))
+		var z listSize
+		if ok {
+			l := x.listOf(at)
+			z = l.size()
+			listBytes -= l.Bytes()
 		} else {
-			fresh = append(fresh, pathFeature{labels: slices.Clone(f.Labels(i)), list: PostingList{}.with(id, f.Count(i))})
+			at = ^at
+			fresh++
+			freshLabels += len(f.Labels(i))
 		}
+		z.add(id, f.Count(i))
+		listBytes += z.bytes()
+		place[i] = at
 	}
-	if len(fresh) > 0 {
-		// Merge the newcomers in at their canonical positions.
-		merged := make([]pathFeature, 0, len(nx.feats)+len(fresh))
-		for _, ft := range nx.feats {
-			for len(fresh) > 0 && CompareLabelSeqs(fresh[0].labels, ft.labels) < 0 {
-				merged = append(merged, fresh[0])
-				fresh = fresh[1:]
-			}
-			merged = append(merged, ft)
+	ds := make([]*graph.Graph, len(x.ds)+1)
+	copy(ds, x.ds)
+	ds[len(x.ds)] = g
+	nx := &Path{
+		ds:         ds,
+		maxPathLen: x.maxPathLen,
+		labels:     x.labels,
+		entries:    make([]pathEntry, 0, len(x.entries)+fresh),
+		postings:   make([]byte, 0, listBytes),
+	}
+	ownLabels := fresh > 0
+	if ownLabels {
+		nx.labels = make([]graph.Label, 0, len(x.labels)+freshLabels)
+	}
+	done := 0 // the receiver's features merged so far
+	for i, at := range place {
+		var l PostingList // a new feature's list is empty
+		labels, labelEnd := f.Labels(i), 0
+		if at >= 0 {
+			nx.copyFeatures(x, done, at, ownLabels)
+			l, labels, labelEnd, done = x.listOf(at), x.labelsOf(at), int(x.entries[at].labelEnd), at+1
+		} else {
+			nx.copyFeatures(x, done, ^at, ownLabels)
+			done = ^at
 		}
-		nx.feats = append(merged, fresh...)
+		nx.postings, l = l.appendWith(nx.postings, id, f.Count(i))
+		if ownLabels {
+			nx.labels = append(nx.labels, labels...)
+			labelEnd = len(nx.labels)
+		}
+		nx.entries = append(nx.entries, pathEntry{
+			labelEnd: slabOffset(labelEnd),
+			listEnd:  slabOffset(len(nx.postings)),
+			n:        l.n,
+			next:     l.next,
+		})
 	}
+	nx.copyFeatures(x, done, len(x.entries), ownLabels)
 	nx.stats = x.stats
 	nx.stats.Graphs = len(nx.ds)
-	nx.stats.Features = len(nx.feats)
-	nx.stats.Nodes = len(nx.feats)
+	nx.stats.Features = len(nx.entries)
+	nx.stats.Nodes = len(nx.entries)
 	nx.stats.BuildTime = time.Since(start)
-	nx.countPostings()
+	nx.stats.Postings += int64(f.Len())
+	nx.stats.PostingBytes = int64(len(nx.postings))
 	return nx, nil
+}
+
+// copyFeatures appends o's features [from, to) to x unchanged, each slab's run
+// in one copy — the labels only when x has a label slab of its own, else the
+// two share it and the label ends stand.
+func (x *Path) copyFeatures(o *Path, from, to int, ownLabels bool) {
+	if from == to {
+		return
+	}
+	labelFrom, listFrom := o.starts(from)
+	last := o.entries[to-1]
+	labelShift, listShift := 0, len(x.postings)-int(listFrom)
+	if ownLabels {
+		labelShift = len(x.labels) - int(labelFrom)
+		x.labels = append(x.labels, o.labels[labelFrom:last.labelEnd]...)
+	}
+	x.postings = append(x.postings, o.postings[listFrom:last.listEnd]...)
+	for _, e := range o.entries[from:to] {
+		e.labelEnd = slabOffset(int(e.labelEnd) + labelShift)
+		e.listEnd = slabOffset(int(e.listEnd) + listShift)
+		x.entries = append(x.entries, e)
+	}
 }
 
 // Verify implements ftv.Index: VF2 against the whole stored graph.
 func (x *Path) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
-	if graphID < 0 || graphID >= len(x.verifier) {
-		return false, fmt.Errorf("index: graph ID %d out of range [0,%d)", graphID, len(x.verifier))
+	if graphID < 0 || graphID >= len(x.ds) {
+		return false, fmt.Errorf("index: graph ID %d out of range [0,%d)", graphID, len(x.ds))
 	}
-	return x.verifier[graphID].Contains(ctx, q)
+	return vf2.New(x.ds[graphID]).Contains(ctx, q)
 }

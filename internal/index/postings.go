@@ -22,7 +22,8 @@ package index
 // measures every list first (listSize), carves them all from one slab per
 // index and fills them in graph order (push), so the slab has no slack; a
 // snapshot format that stores an index as it is in memory would write that
-// slab verbatim.
+// slab verbatim. The flat index's append writes a new slab the same way, each
+// list it touches copied with the new posting on its end (appendWith).
 //
 // Lists are read through a Cursor, which only moves forward: the filter's
 // intersection, Grapes' location lookup and the flat index's append all ask
@@ -32,6 +33,7 @@ package index
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 const (
@@ -44,7 +46,8 @@ const (
 // graph ID — the common shape the shared filter logic consumes whether the
 // backing structure is a trie (Grapes, GGSX) or a flat sorted array (FTV).
 // Builds fold graphs in ID order, so lists are born sorted. The zero value is
-// the empty list. A list is immutable once built; copies share its bytes.
+// the empty list. A list is immutable once built; copies share its bytes, and
+// the flat index hands out views of its slab (Path.listOf).
 type PostingList struct {
 	data []byte // the skip table, then the postings
 	n    int32
@@ -112,7 +115,7 @@ func carve(slab *[]byte, z listSize) PostingList {
 }
 
 // push appends a posting for a graph past every graph the list names. The
-// list's bytes must have room (carve, with) — or belong to nobody else.
+// list's bytes must have room (carve, appendWith) — or belong to nobody else.
 func (l *PostingList) push(graph, count int32) {
 	if l.n > 0 && l.n%postingBlock == 0 {
 		e := l.data[(l.n/postingBlock-1)*skipEntryBytes:]
@@ -125,22 +128,33 @@ func (l *PostingList) push(graph, count int32) {
 	l.next = graph + 1
 }
 
-// with returns a copy of the list with one more posting, for a graph past
-// every graph it names; the receiver's bytes are left alone, other indexes
-// share them.
-func (l PostingList) with(graph, count int32) PostingList {
-	z := listSize{n: l.n, next: l.next, body: len(l.data) - skipBytes(l.n)}
+// size measures the list as it stands.
+func (l PostingList) size() listSize {
+	return listSize{n: l.n, next: l.next, body: len(l.data) - skipBytes(l.n)}
+}
+
+// appendWith writes onto the end of slab a copy of the list with one more
+// posting, for a graph past every graph it names, and returns the slab and
+// the copy, a view of the slab's new tail. The receiver's bytes are left
+// alone; other indexes read them. A slab with the room the copy measures
+// (size, add) is not reallocated.
+func (l PostingList) appendWith(slab []byte, graph, count int32) ([]byte, PostingList) {
+	z := l.size()
 	z.add(graph, count)
-	skip := skipBytes(l.n)
+	slab = slices.Grow(slab, z.bytes())
+	from, skip := len(slab), skipBytes(l.n)
 	grown := skipBytes(z.n) - skip // a posting that opens a block adds its skip entry
-	out := PostingList{data: make([]byte, skip+grown, z.bytes()), n: l.n, next: l.next}
-	copy(out.data, l.data[:skip])
-	for e := out.data[:skip]; grown > 0 && len(e) > 0; e = e[skipEntryBytes:] {
+	slab = append(slab, l.data[:skip]...)
+	for e := slab[from:]; grown > 0 && len(e) > 0; e = e[skipEntryBytes:] {
 		binary.LittleEndian.PutUint32(e[4:], binary.LittleEndian.Uint32(e[4:])+uint32(grown))
 	}
-	out.data = append(out.data, l.data[skip:]...)
-	out.push(graph, count)
-	return out
+	slab = append(slab, make([]byte, grown)...)
+	slab = append(slab, l.data[skip:]...)
+	out := PostingList{data: slab[from:], n: l.n, next: l.next}
+	out.push(graph, count) // within the capacity slices.Grow made
+	end := from + len(out.data)
+	out.data = out.data[:len(out.data):len(out.data)]
+	return slab[:end], out
 }
 
 // Cursor reads a PostingList front to back. It stands on one posting at a

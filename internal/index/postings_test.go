@@ -30,11 +30,13 @@ func pack(t testing.TB, ps []posting) PostingList {
 	return l
 }
 
-// grow builds the same list one posting at a time, the way WithGraph does.
+// grow builds the same list one posting at a time, the way WithGraph does:
+// each step copies it onto the end of a new slab that already holds other
+// lists' bytes.
 func grow(ps []posting) PostingList {
 	var l PostingList
-	for _, p := range ps {
-		l = l.with(p.graph, p.count)
+	for i, p := range ps {
+		_, l = l.appendWith(make([]byte, i%3), p.graph, p.count)
 	}
 	return l
 }
@@ -165,7 +167,8 @@ func TestPostingSeekBackwardsPanics(t *testing.T) {
 
 // TestPostingWithLeavesReceiverAlone: WithGraph's copy-on-write append must
 // not touch bytes other indexes read, whether or not the new posting opens a
-// block.
+// block — and must write the copy into the slab it measured room for, after
+// what the slab already holds, leaving no spare byte.
 func TestPostingWithLeavesReceiverAlone(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 127, 128} {
 		ps := make([]posting, n)
@@ -174,12 +177,20 @@ func TestPostingWithLeavesReceiverAlone(t *testing.T) {
 		}
 		l := pack(t, ps)
 		before := slices.Clone(l.data)
-		grown := l.with(int32(2*n+7), 1<<20)
+		z := l.size()
+		z.add(int32(2*n+7), 1<<20)
+		held := []byte{7, 7, 7}
+		slab := append(make([]byte, 0, len(held)+z.bytes()), held...)
+		base := &slab[0]
+		slab, grown := l.appendWith(slab, int32(2*n+7), 1<<20)
 		if !slices.Equal(l.data, before) || l.Len() != n {
-			t.Fatalf("n=%d: with changed its receiver", n)
+			t.Fatalf("n=%d: appendWith changed its receiver", n)
 		}
 		if want := append(slices.Clone(ps), posting{int32(2*n + 7), 1 << 20}); !slices.Equal(unpack(grown), want) {
 			t.Fatalf("n=%d: grown list reads %v", n, unpack(grown))
+		}
+		if &slab[0] != base || len(slab) != len(held)+z.bytes() || !slices.Equal(slab[:len(held)], held) || !slices.Equal(slab[len(held):], grown.data) {
+			t.Errorf("n=%d: the copy is not the measured %d bytes after the slab's %d: slab %d bytes", n, z.bytes(), len(held), len(slab))
 		}
 		if cap(grown.data) != len(grown.data) {
 			t.Errorf("n=%d: grown list has %d spare bytes", n, cap(grown.data)-len(grown.data))

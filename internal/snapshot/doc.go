@@ -47,8 +47,8 @@
 //     posting counts, flat graph IDs / occurrence counts / location
 //     lengths / locations. Kind-specific structure (sorted array, trie, suffix
 //     trie) is rebuilt by the kind's registered index.RestoreFunc; VF2
-//     verifier state is recomputed (it is derived, cheap, and
-//     deterministic). Locations are written as ascending vertex IDs whatever
+//     keeps no state beyond the stored graph it verifies against.
+//     Locations are written as ascending vertex IDs whatever
 //     form the index holds them in (ftv.LocSets: a bitset row or an ID list
 //     per set): the export expands every set and the restore packs it again
 //     by the same rule, so the file does not depend on the in-memory layout,

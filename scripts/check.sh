@@ -80,6 +80,13 @@ echo "== fuzz (FuzzSnapshotSections, 5s) =="
 # yields answers a subset of brute force over its own graphs.
 go test -run='^$' -fuzz=FuzzSnapshotSections -fuzztime=5s ./internal/snapshot
 
+echo "== fuzz (FuzzReadDataset, 5s) =="
+# Arbitrary text through the dataset parser, the code that reads untrusted
+# POST /query and POST /graphs bodies: it must never panic, and what it
+# accepts must write back out as text that parses to equal graphs. Seeded with
+# a generated dataset and with labels on both sides of the 32-bit bound.
+go test -run='^$' -fuzz=FuzzReadDataset -fuzztime=5s ./internal/graph
+
 echo "== bench smoke (1 iteration) =="
 # Every root benchmark once, BenchmarkExtractFeatures,
 # BenchmarkBuildPortfolio and BenchmarkGrapesVerify (the index-build path and
@@ -114,7 +121,7 @@ clean=$(echo "$smoke_out" | grep -c '^== .* parity=true attempted=[0-9]* failed=
     exit 1
 }
 
-echo "== coverage gate (internal/core, internal/index, internal/rewrite, internal/predict, internal/metrics, internal/live, internal/snapshot, internal/spath, internal/gql, internal/match, internal/grapes, internal/ftv) =="
+echo "== coverage gate (internal/core, internal/index, internal/rewrite, internal/predict, internal/metrics, internal/live, internal/snapshot, internal/spath, internal/gql, internal/match, internal/grapes, internal/ftv, internal/graph, internal/vf2, internal/quicksi, internal/server) =="
 # Per-package coverage for the packages this repo's correctness arguments
 # lean on hardest (the one race/stream pipeline every query runs through,
 # the filtering/sharding contract, the rewriting round-trip, the learned
@@ -122,9 +129,10 @@ echo "== coverage gate (internal/core, internal/index, internal/rewrite, interna
 # epoch-versioned mutation store, the persistent snapshot format, and the
 # default NFV portfolio's two matchers with the contract and candidate sets
 # they share, and the feature extraction with its location sets and the one
-# index kind that verifies through them); regressing below the floor fails
-# the gate.
-cov_out=$(go test -cover ./internal/core ./internal/index ./internal/rewrite ./internal/predict ./internal/metrics ./internal/live ./internal/snapshot ./internal/spath ./internal/gql ./internal/match ./internal/grapes ./internal/ftv)
+# index kind that verifies through them, the graph type with the parser
+# untrusted request bodies go through, the other two matchers, and the HTTP
+# server); regressing below the floor fails the gate.
+cov_out=$(go test -cover ./internal/core ./internal/index ./internal/rewrite ./internal/predict ./internal/metrics ./internal/live ./internal/snapshot ./internal/spath ./internal/gql ./internal/match ./internal/grapes ./internal/ftv ./internal/graph ./internal/vf2 ./internal/quicksi ./internal/server)
 echo "$cov_out"
 echo "$cov_out" | awk '
     /coverage:/ {
