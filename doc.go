@@ -221,11 +221,15 @@
 // tries alike — are born sorted, the filter intersects them with forward
 // cursors, the snapshot export is a plain walk, and a build is
 // byte-identical at any worker count. The flat index is nothing but slabs in
-// canonical order: the label sequences concatenated, one 16-byte entry per
-// feature with no pointer in it (where its labels and its list end, the
-// list's posting count and next base), and the lists back to back; a lookup
-// is a binary search over the entries that hands out a view of the posting
-// slab. Cancelling the
+// canonical order. Its label sequences live in a sequence directory (the
+// sequences concatenated, one end each), which the K shards of one grid row
+// share: each fold makes its own, and BuildGrid then gives the row their
+// union and drops the rest. A shard keeps a presence bitmap over the
+// directory with a running count per 64-bit word, one 12-byte entry per
+// sequence it indexes with no pointer in it (where its list ends, the list's
+// posting count and next base), and the lists back to back; a lookup is a
+// binary search of the directory, a bit test and a rank that hands out a view
+// of the posting slab. Cancelling the
 // build's context aborts it even mid-graph (dense graphs hold billions of
 // bounded simple paths). The cost of a portfolio is therefore one
 // extraction plus cheap folds, not one extraction per kind and shard.
@@ -483,11 +487,16 @@
 // flat path index absorbs copy-on-write (index.Inserter: one merge pass
 // writes the new sub-index's entries and posting slab, copying the untouched
 // lists run by run and each list the new graph's features touch one posting
-// longer, in a constant number of allocations; the label slab is shared
-// unless the graph brings a sequence the index lacks). Generations share no
-// posting bytes, so a predecessor's slab is freed once the last query
-// holding its epoch releases it. Kinds without incremental insert fall back
-// to rebuilding that one shard, never the dataset.
+// longer, in a constant number of allocations; the row's shared sequence
+// directory is kept unless the graph brings a sequence it lacks, and then
+// only the inserting shard gets a superset directory, and the presence
+// bitmap is rewritten only when a sequence is new to the shard). Generations
+// share no posting bytes, so a predecessor's slab is freed once the last
+// query holding its epoch releases it. Kinds without incremental insert fall
+// back to rebuilding that one shard, never the dataset; a rebuilt flat shard
+// adopts its predecessor's directory when that holds every sequence it
+// indexes, as after every compaction, and a restored store shares one
+// directory per row as a built one does.
 //
 // Tombstones. RemoveGraph replaces the slot's graph with a zero-vertex
 // placeholder — O(1) on the index side, since a placeholder matches no

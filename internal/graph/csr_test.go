@@ -64,9 +64,19 @@ func TestCSRRoundTripEmpty(t *testing.T) {
 	}
 }
 
-// TestFromCSRRejectsCorruption feeds FromCSR every class of structural
-// damage the snapshot loader must fail closed on.
-func TestFromCSRRejectsCorruption(t *testing.T) {
+// CSRCase is a set of CSR arrays FromCSR must refuse, with what its error
+// must mention. Exported for FuzzFromCSR, which seeds from every case.
+type CSRCase struct {
+	Name          string
+	Labels        []Label
+	Offsets, Nbrs []int32
+	Elabs         []Label
+	Want          string
+}
+
+// CorruptCSRCases returns every class of structural damage the snapshot
+// loader must fail closed on, each on arrays of its own.
+func CorruptCSRCases() []CSRCase {
 	mk := func() ([]Label, []int32, []int32, []Label) {
 		g := MustNew("c", []Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
 		labels, offsets, nbrs, elabs := g.CSR()
@@ -117,24 +127,31 @@ func TestFromCSRRejectsCorruption(t *testing.T) {
 			return l, o, n, e
 		}, "mirror"},
 	}
+	var out []CSRCase
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			labels, offsets, nbrs, elabs := tc.corrupt(mk())
-			_, err := FromCSR("c", labels, offsets, nbrs, elabs)
-			if err == nil {
-				t.Fatal("corrupt CSR accepted")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
-			}
-		})
+		labels, offsets, nbrs, elabs := tc.corrupt(mk())
+		out = append(out, CSRCase{Name: tc.name, Labels: labels, Offsets: offsets, Nbrs: nbrs, Elabs: elabs, Want: tc.want})
 	}
 	// Unsorted-neighbors case needs a vertex with two neighbors.
 	g := MustNew("u", []Label{0, 0, 0}, [][2]int{{0, 1}, {0, 2}})
 	labels, offsets, nbrs, elabs := g.CSR()
 	n2 := append([]int32(nil), nbrs...)
 	n2[0], n2[1] = n2[1], n2[0]
-	if _, err := FromCSR("u", labels, offsets, n2, elabs); err == nil || !strings.Contains(err.Error(), "ascending") {
-		t.Fatalf("unsorted neighbors accepted or wrong error: %v", err)
+	return append(out, CSRCase{Name: "unsorted neighbors", Labels: labels, Offsets: offsets, Nbrs: n2, Elabs: elabs, Want: "ascending"})
+}
+
+// TestFromCSRRejectsCorruption feeds FromCSR every class of structural
+// damage the snapshot loader must fail closed on.
+func TestFromCSRRejectsCorruption(t *testing.T) {
+	for _, tc := range CorruptCSRCases() {
+		t.Run(tc.Name, func(t *testing.T) {
+			_, err := FromCSR("c", tc.Labels, tc.Offsets, tc.Nbrs, tc.Elabs)
+			if err == nil {
+				t.Fatal("corrupt CSR accepted")
+			}
+			if !strings.Contains(err.Error(), tc.Want) {
+				t.Fatalf("error %q does not mention %q", err, tc.Want)
+			}
+		})
 	}
 }

@@ -85,7 +85,8 @@ func Kinds() []string {
 // exec.Group on the same pool, a cell each, so a fold must not itself wait on
 // Group work of that pool, and a fold that panics reaches the caller as
 // BuildGrid's error, not as a panic. The output is identical for every pool
-// size.
+// size. The flat path indexes of a row then share one sequence directory
+// (ShareDirectory).
 func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, shards int, opts Options) ([][]Index, error) {
 	builders := make([]builder, len(kinds))
 	locations := false
@@ -150,6 +151,9 @@ func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, shards in
 			}
 		}
 		return nil, err
+	}
+	for _, row := range grid {
+		ShareDirectory(row)
 	}
 	return grid, nil
 }

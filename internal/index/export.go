@@ -196,20 +196,25 @@ func init() {
 }
 
 // ExportFeatures implements FeatureExporter for the flat path index, whose
-// features and postings are stored in the canonical order already.
+// directory and entries are in the canonical order already: a walk over the
+// set bits of its presence bitmap.
 func (x *Path) ExportFeatures(visit func(labels []graph.Label, postings []FeaturePosting) error) error {
-	for i := range x.entries {
-		if err := visit(x.labelsOf(i), x.listOf(i).export()); err != nil {
+	i := 0
+	for p := range x.has.ones() {
+		if err := visit(x.dir.seq(p), x.listOf(i).export()); err != nil {
 			return err
 		}
+		i++
 	}
 	return nil
 }
 
-// restorePath rebuilds the flat path index: its three slabs written straight
-// from the exported features (Restore has checked their order), measured
-// first so that each is one allocation with no slack. No path enumeration
-// runs, which is where the cold-start speedup comes from.
+// restorePath rebuilds the flat path index: its directory, entries and
+// posting slab written straight from the exported features (Restore has
+// checked their order), measured first so that each is one allocation with no
+// slack. No path enumeration runs, which is where the cold-start speedup
+// comes from. The index holds every sequence of its own directory; a
+// restored store then shares one directory across a row (ShareDirectory).
 func restorePath(ds []*graph.Graph, maxPathLen int, opts Options, feats []ExportedFeature) (Index, error) {
 	if maxPathLen <= 0 {
 		maxPathLen = ftv.DefaultMaxPathLen
@@ -225,18 +230,22 @@ func restorePath(ds []*graph.Graph, maxPathLen int, opts Options, feats []Export
 	x := &Path{
 		ds:         ds,
 		maxPathLen: maxPathLen,
-		labels:     make([]graph.Label, 0, nLabels),
-		entries:    make([]pathEntry, len(feats)),
-		postings:   make([]byte, nBytes),
+		dir: &PathDirectory{
+			labels: make([]graph.Label, 0, nLabels),
+			ends:   make([]uint32, 0, len(feats)),
+		},
+		has:      fullBitmap(len(feats)),
+		entries:  make([]pathEntry, len(feats)),
+		postings: make([]byte, nBytes),
 	}
 	rest := x.postings
 	for i, f := range feats {
-		x.labels = append(x.labels, f.Labels...)
+		x.dir.push(f.Labels)
 		l := carve(&rest, sizes[i])
 		for _, p := range f.Postings {
 			l.push(int32(p.GraphID), p.Count)
 		}
-		x.entries[i] = pathEntry{labelEnd: slabOffset(len(x.labels)), listEnd: slabOffset(nBytes - len(rest)), n: l.n, next: l.next}
+		x.entries[i] = pathEntry{listEnd: slabOffset(nBytes - len(rest)), n: l.n, next: l.next}
 	}
 	x.finish(ds, time.Since(start), opts.Pool)
 	return x, nil

@@ -76,8 +76,10 @@ type Stats struct {
 	Graphs int `json:"graphs"`
 	// MaxPathLen is the maximum indexed path length in edges.
 	MaxPathLen int `json:"max_path_len"`
-	// Features is the number of distinct indexed path features: undirected
-	// label paths, each stored under its oriented spelling only.
+	// Features is the number of distinct path features the index holds:
+	// undirected label paths, each stored under its oriented spelling only. A
+	// Sharded index reports its shards' sum, which counts a feature once per
+	// shard holding it, not the distinct features of the whole dataset.
 	Features int `json:"features"`
 	// Nodes is the size of the backing structure (trie/suffix-trie nodes,
 	// or array entries for the flat path index).

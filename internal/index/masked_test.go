@@ -120,28 +120,43 @@ func exportOf(t *testing.T, x index.Index) []index.ExportedFeature {
 
 // TestPathWithGraphAllocs: beyond extracting the new graph's features,
 // WithGraph allocates a constant — the index, its dataset, its placement of
-// the graph's features and its slabs — however many posting lists the graph
-// touches.
+// the graph's features, its entries and posting slab, a bitmap when the graph
+// brings a sequence new to the index, and a directory's three allocations when
+// the shared directory lacks one — however many posting lists the graph
+// touches. The index is one shard of two sharing a directory, so a graph of
+// the other shard brings sequences the directory holds and the index does not.
 func TestPathWithGraphAllocs(t *testing.T) {
-	const maxLen, bound = 3, 8
+	const maxLen, bound = 3, 10
 	r := rand.New(rand.NewSource(11))
-	x, err := index.BuildPath(context.Background(), randomDataset(r, 6, 20, 4), index.Options{MaxPathLen: maxLen})
+	ds := randomDataset(r, 6, 20, 4)
+	grid, err := index.BuildGrid(context.Background(), []string{index.KindPath}, ds, 2, index.Options{MaxPathLen: maxLen})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []*graph.Graph{
-		graph.MustNew("edge", []graph.Label{0, 1}, [][2]int{{0, 1}}),
-		randomDataset(r, 1, 40, 4)[0],
-	} {
+	x := grid[0][0].(*index.Path)
+	cases := map[string]*graph.Graph{
+		"indexed":      graph.MustNew("edge", []graph.Label{0, 1}, [][2]int{{0, 1}}),
+		"in directory": ds[1],
+		"new":          randomDataset(r, 1, 40, 5)[0],
+	}
+	for name, g := range cases {
 		touched := ftv.ExtractFeatures(g, maxLen, false).Len()
 		extract := testing.AllocsPerRun(20, func() { ftv.ExtractFeatures(g, maxLen, false) })
+		var nx index.Index
 		with := testing.AllocsPerRun(20, func() {
-			if _, err := x.WithGraph(context.Background(), g); err != nil {
+			if nx, err = x.WithGraph(context.Background(), g); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if with-extract > bound {
-			t.Errorf("a graph of %d features: WithGraph makes %.0f allocations beyond the extraction's %.0f, want at most %d", touched, with-extract, extract, bound)
+			t.Errorf("%s: a graph of %d features: WithGraph makes %.0f allocations beyond the extraction's %.0f, want at most %d", name, touched, with-extract, extract, bound)
+		}
+		kept, grew := nx.(*index.Path).Directory() == x.Directory(), nx.Stats().Features > x.Stats().Features
+		if want := name != "new"; kept != want {
+			t.Errorf("%s: the directory was kept: %v, want %v", name, kept, want)
+		}
+		if want := name != "indexed"; grew != want {
+			t.Errorf("%s: the index grew: %v, want %v", name, grew, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package leakcheck
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -34,8 +35,15 @@ func TestCheck(t *testing.T) {
 		{"a goroutine within the slack is no leak", 1, 0, false},
 		{"a goroutine that stays is a leak", 0, 0, true},
 	}
+	outer := runtime.NumGoroutine()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// The previous case's goroutine can still be on its way out after
+			// its t.Run returned. A snapshot that counted it would see the
+			// count fall once it exits, which hides this case's goroutine.
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > outer+1 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
 			tb := &fakeTB{TB: t}
 			grown := Check(tb, tc.slack)
 			stop := make(chan struct{})

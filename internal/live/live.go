@@ -384,7 +384,9 @@ var errNoInserter = fmt.Errorf("live: kind does not support incremental insert")
 // shard without touching store state, so a failure aborts the mutation
 // cleanly. incremental, when non-nil, is tried first per kind and may
 // return errNoInserter; the kinds it leaves over are rebuilt over newLocal
-// together, from one feature extraction.
+// together, from one feature extraction, and a rebuilt flat path index keeps
+// sharing its predecessor's sequence directory when that holds every
+// sequence it indexes (index.AdoptDirectory).
 func (st *Store) rebuildShard(ctx context.Context, shard int, newLocal []*graph.Graph, incremental func(cur index.Index) (index.Index, error)) (map[string]index.Index, error) {
 	fresh := make(map[string]index.Index, len(st.kinds))
 	abort := func() {
@@ -416,6 +418,7 @@ func (st *Store) rebuildShard(ctx context.Context, shard int, newLocal []*graph.
 			return nil, fmt.Errorf("live: rebuilding %v shard %d: %w", rebuild, shard, err)
 		}
 		for i, kind := range rebuild {
+			index.AdoptDirectory(grid[i][0], st.grid[kind][shard])
 			fresh[kind] = grid[i][0]
 		}
 	}

@@ -69,7 +69,9 @@ func (st *Store) ExportState() (State, error) {
 // Restore reconstructs a store from a deserialized State. The grid
 // sub-indexes are adopted as-is (the store owns and eventually closes
 // them); each must index exactly its shard's slot-space sub-dataset, the
-// partition the snapshot loader rebuilds by construction. compactEvery and
+// partition the snapshot loader rebuilds by construction. The flat path
+// indexes of each row are given one shared sequence directory, as a build
+// gives them (index.ShareDirectory). compactEvery and
 // ixOpts play the roles they have in Options — runtime knobs, not persisted
 // layout. The first snapshot is installed at the saved epoch.
 func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error) {
@@ -135,6 +137,7 @@ func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error
 				return nil, fmt.Errorf("live: restore: %s shard %d indexes %d graphs, shard holds %d", kind, s, got, want)
 			}
 		}
+		index.ShareDirectory(subs)
 		st.grid[kind] = subs
 	}
 	if state.NextHandle < 1 {

@@ -136,26 +136,7 @@ func TestRewriteRoundTripProperty(t *testing.T) {
 		freqs := []Frequencies{FrequenciesOf(g), randomFrequencies(r, 3), nil}
 		for _, k := range roundTripKinds {
 			for fi, f := range freqs {
-				q2, perm := Apply(q, f, k, seed)
-				if !graph.IsIsomorphismWitness(q, q2, perm) {
-					t.Fatalf("seed %d %v freq#%d: permutation is not an isomorphism witness", seed, k, fi)
-				}
-				got, err := m.Match(context.Background(), q2, embeddingLimit)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mapped := make([]match.Embedding, len(got))
-				for i, e := range got {
-					mapped[i] = MapBack(e, perm)
-					if verr := match.VerifyEmbedding(q, g, mapped[i]); verr != nil {
-						t.Fatalf("seed %d %v freq#%d: mapped-back embedding %v invalid for the original query: %v",
-							seed, k, fi, mapped[i], verr)
-					}
-				}
-				if gotSet := embeddingSet(mapped); !slices.Equal(gotSet, wantSet) {
-					t.Fatalf("seed %d %v freq#%d: mapped-back embeddings %v, want %v",
-						seed, k, fi, gotSet, wantSet)
-				}
+				checkRoundTrip(t, fmt.Sprintf("seed %d %v freq#%d", seed, k, fi), m, g, q, wantSet, f, k, seed)
 				checked++
 			}
 		}
@@ -163,6 +144,72 @@ func TestRewriteRoundTripProperty(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("property vacuous: no sample produced embeddings — enlarge the generator")
 	}
+}
+
+// checkRoundTrip checks the identity for one rewriting of q: Compute returns
+// a permutation of [0, q.N()), Apply's is an isomorphism witness onto the
+// rewritten query, and the embeddings m finds in g for the rewritten
+// query, mapped back through it, are valid embeddings of q and exactly
+// wantSet.
+func checkRoundTrip(t *testing.T, tag string, m *vf2.Matcher, g, q *graph.Graph, wantSet []string, f Frequencies, k Kind, seed int64) {
+	t.Helper()
+	if perm := Compute(q, f, k, seed); len(perm) != q.N() || perm.Validate() != nil {
+		t.Fatalf("%s: %v is not a permutation of [0,%d)", tag, perm, q.N())
+	}
+	q2, perm := Apply(q, f, k, seed)
+	if !graph.IsIsomorphismWitness(q, q2, perm) {
+		t.Fatalf("%s: permutation is not an isomorphism witness", tag)
+	}
+	got, err := m.Match(context.Background(), q2, embeddingLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := make([]match.Embedding, len(got))
+	for i, e := range got {
+		mapped[i] = MapBack(e, perm)
+		if verr := match.VerifyEmbedding(q, g, mapped[i]); verr != nil {
+			t.Fatalf("%s: mapped-back embedding %v invalid for the original query: %v", tag, mapped[i], verr)
+		}
+	}
+	if gotSet := embeddingSet(mapped); !slices.Equal(gotSet, wantSet) {
+		t.Fatalf("%s: mapped-back embeddings %v, want %v", tag, gotSet, wantSet)
+	}
+}
+
+// FuzzRewriteRoundTrip is the round-trip property over fuzzed inputs: a small
+// connected stored graph and a query grown in it (from a seed, a size and an
+// alphabet), a frequency map (a count per label, labels past the input's
+// length unseen, nil when it is empty), and the rewriting seed. Every kind
+// must round-trip, by checkRoundTrip, unless the query has no embedding or
+// too many to compare.
+func FuzzRewriteRoundTrip(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(3), uint8(3), []byte{5, 0, 9}, int64(7))
+	f.Add(int64(2), uint8(12), uint8(1), uint8(5), []byte{}, int64(-1))
+	f.Add(int64(3), uint8(1), uint8(2), uint8(0), []byte{1}, int64(0))
+	f.Fuzz(func(t *testing.T, graphSeed int64, size, labels, edges uint8, counts []byte, seed int64) {
+		r := rand.New(rand.NewSource(graphSeed))
+		g := randomConnected(r, 1+int(size%14), 1+int(labels%4))
+		q := extractConnectedQuery(r, g, int(edges%6))
+		m := vf2.New(g)
+		want, err := m.Match(context.Background(), q, embeddingLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || len(want) >= embeddingLimit {
+			return
+		}
+		var freqs Frequencies
+		if len(counts) > 0 {
+			freqs = make(Frequencies, len(counts))
+			for l, c := range counts {
+				freqs[graph.Label(l)] = int(c)
+			}
+		}
+		wantSet := embeddingSet(want)
+		for _, k := range roundTripKinds {
+			checkRoundTrip(t, k.String(), m, g, q, wantSet, freqs, k, seed)
+		}
+	})
 }
 
 // TestRewriteRoundTripArbitraryPermutations extends the property beyond the

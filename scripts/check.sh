@@ -54,6 +54,15 @@ echo "== fuzz (FuzzPostings, 5s) =="
 # internal/index/testdata/fuzz and then fails the plain test run as well.
 go test -run='^$' -fuzz=FuzzPostings -fuzztime=5s ./internal/index
 
+echo "== fuzz (FuzzPathDirectory, 5s) =="
+# A small decoded dataset as a grid of one to four flat shards sharing one
+# sequence directory, each against an index of its own over the same graphs:
+# the same export, statistics and lookups, present and absent sequences
+# alike, before and after an insert that may set bits or write a superset
+# directory. This is where a wrong rank, a union that misses a sequence or a
+# bitmap rebound to the wrong positions shows.
+go test -run='^$' -fuzz=FuzzPathDirectory -fuzztime=5s ./internal/index
+
 echo "== fuzz (FuzzExtractFeatures, 5s) =="
 # Small graphs over labels of every width, maxLen 1..5, with and without
 # locations, against the map-based oracle extractor: the path DFS that every
@@ -86,6 +95,19 @@ echo "== fuzz (FuzzReadDataset, 5s) =="
 # accepts must write back out as text that parses to equal graphs. Seeded with
 # a generated dataset and with labels on both sides of the 32-bit bound.
 go test -run='^$' -fuzz=FuzzReadDataset -fuzztime=5s ./internal/graph
+
+echo "== fuzz (FuzzFromCSR, 5s) =="
+# Arbitrary label, offset, neighbour and edge-label arrays through the graph
+# decoder every snapshot load runs: it must never panic, and an accepted
+# graph must hand its arrays back and equal what a Builder makes of its edges.
+go test -run='^$' -fuzz=FuzzFromCSR -fuzztime=5s ./internal/graph
+
+echo "== fuzz (FuzzRewriteRoundTrip, 5s) =="
+# Fuzzed small graphs, queries, frequency maps and seeds through every
+# rewriting: a permutation comes out, and the rewritten query's embeddings,
+# mapped back, are exactly the original's. MapBack is where a rewriting
+# could turn a right answer into a silently wrong one.
+go test -run='^$' -fuzz=FuzzRewriteRoundTrip -fuzztime=5s ./internal/rewrite
 
 echo "== bench smoke (1 iteration) =="
 # Every root benchmark once, BenchmarkExtractFeatures,
