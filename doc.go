@@ -47,10 +47,11 @@
 //	adoption         core.streamRace           first arm to emit owns the output
 //	emit / collect   Engine.answer             caller's emit, or QueryResult.GraphIDs
 //
-// Engine.answer pins the current epoch's state and launches the plan's arms
-// through the state's core.IndexRacer. Stream rewrites the
-// query once per configured rewriting (the instances serve every candidate
-// of every arm), then starts each arm's FilterStream → StreamVerified
+// Engine.answer pins the store's current snapshot and launches the plan's
+// arms over its indexes through the engine's one core.IndexRacer. Stream
+// rewrites the query once per configured rewriting, under the snapshot's
+// label frequencies (the instances serve every candidate of every arm),
+// then starts each arm's FilterStream → StreamVerified
 // pipeline: a candidate begins its rewriting race the moment the filter
 // surfaces it, and verified graph IDs are flushed in filter order as soon
 // as each ID and every candidate before it has settled, so the caller sees
@@ -502,24 +503,29 @@
 // placeholder — O(1) on the index side, since a placeholder matches no
 // feature — and once a shard accumulates CompactEvery of them it compacts
 // with a shard-local rebuild that sheds the dead features. Queries never
-// see slots: the index.Masked view renumbers live slots to the dense
-// 0..n-1 answer IDs (rank order, so ascending emission survives) and
-// routes verification back through the slot space.
+// see slots, and no wrapper hides them: index.Sharded takes the store's
+// alive mask, and its one translation from shard-local IDs drops tombstones
+// and renumbers live slots to the dense 0..n-1 answer IDs (rank order, so
+// ascending emission survives); Verify routes a dense ID back to its slot.
 //
-// Epochs. Every mutation publishes a fresh immutable snapshot — dense
-// dataset, masked index per kind, and the racer wired over them — under a
-// bumped epoch number. Queries acquire the current snapshot with a
-// lock-free load-ref-recheck and hold it to completion: a query planned at
-// epoch 5 answers epoch 5 even if ten mutations land mid-flight, and
-// Plan.Epoch / QueryResult.Epoch record which dataset version an answer
-// describes. Mutations serialize among themselves; the query path takes no
-// lock.
+// Epochs. Every mutation publishes a fresh immutable live.Snapshot — dense
+// dataset, handles, one index per kind in portfolio order and the label
+// frequencies, all computed at install — under a bumped epoch number. It is
+// the one epoch object: the engine keeps no per-epoch state, and its one
+// index racer, handed the pinned snapshot's indexes and frequencies per
+// query, is not rebuilt per epoch, so its per-arm pools are made once. Queries
+// acquire the current snapshot with a lock-free load-ref-recheck
+// (live.Store.Current) and hold it to completion: a query planned at epoch 5
+// answers epoch 5 even if ten mutations land mid-flight, and Plan.Epoch /
+// QueryResult.Epoch record which dataset version an answer describes.
+// Mutations and snapshot saves serialize on the store's one lock; the query
+// path takes none.
 //
-// Refcounts. Sub-indexes are shared across snapshot generations (a
-// mutation to shard 2 reuses every other shard's sub-indexes), so each
-// snapshot holds a reference on the sub-indexes it spans and the last
-// release — not the mutation — closes what dropped out, letting in-flight
-// queries drain on dead epochs safely.
+// Refcounts. The snapshot is the one refcounted epoch object. Sub-indexes
+// are shared across snapshot generations (a mutation to shard 2 reuses every
+// other shard's sub-indexes), so each snapshot holds a reference on the
+// sub-indexes it spans and the last release — not the mutation — closes what
+// dropped out, letting in-flight queries drain on dead epochs safely.
 //
 // Handles, not IDs, are the public identity: AddGraph returns a stable
 // GraphHandle that survives every compaction, while dense answer IDs shift

@@ -7,8 +7,8 @@ package psi
 // processing into an explicit Plan step (attempt-portfolio selection,
 // plan.go) and an Execute step (running the plan under a per-query deadline,
 // execute.go).
-// Options live in options.go, the epoch-versioned dataset state and the
-// mutation API in engine_dataset.go.
+// Options live in options.go, the dataset-store wiring and the mutation API
+// in engine_dataset.go.
 
 import (
 	"context"
@@ -58,20 +58,15 @@ type Engine struct {
 	bandit *predict.Bandit
 
 	// FTV state. Every dataset engine serves from a live.Store; mutable only
-	// opens the mutation API, so a static engine's store never mutates. The
-	// epoch-versioned part — dataset, index portfolio and the racer over it
-	// — lives in an immutable dsState behind an atomic pointer, installed
-	// once per store epoch: a static engine keeps its first for its
-	// lifetime, while a mutable one installs a fresh one per mutation so
-	// queries in flight keep the state they acquired (snapshot isolation).
-	// kinds and the learned policy state persist across epochs.
-	dsst     atomic.Pointer[dsState]
-	store    *live.Store // nil for NFV engines
-	mutable  bool
-	mutMu    sync.Mutex // serializes mutations, state refresh and snapshot export
-	kinds    []string
-	ixNames  []string // portfolio arm names, stable across epochs
-	rewrites []Rewriting
+	// opens the mutation API, so a static engine's store never mutates. Each
+	// query pins the store's current snapshot — dataset, handles, indexes and
+	// label frequencies of one epoch — so a mutation never disturbs it
+	// (snapshot isolation). Only what outlives an epoch lives here: the arm
+	// names, the learned policy and the one index racer.
+	store   *live.Store // nil for NFV engines
+	ixRacer *core.IndexRacer
+	mutable bool
+	ixNames []string // portfolio arm names, stable across epochs
 
 	// Sharding state: shardK is the effective partition count (0 when
 	// monolithic) and shardEmits tallies, per shard, how many answer graph
@@ -150,7 +145,8 @@ func NewDatasetEngine(ds []*Graph, opts EngineOptions) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.configurePortfolio(opts, engineKinds(opts)); err != nil {
+	kinds := engineKinds(opts)
+	if err := e.configurePortfolio(opts, kinds); err != nil {
 		e.Close()
 		return nil, err
 	}
@@ -162,7 +158,7 @@ func NewDatasetEngine(ds []*Graph, opts EngineOptions) (*Engine, error) {
 	// One grid build: the dataset's features are extracted once and every
 	// kind and shard is folded from them.
 	store, err := live.NewStore(context.Background(), ds, live.Options{
-		Kinds:        e.kinds,
+		Kinds:        kinds,
 		Shards:       shards,
 		CompactEvery: opts.CompactEvery,
 		Index:        index.Options{Workers: opts.IndexWorkers, Pool: e.pool},
@@ -171,8 +167,7 @@ func NewDatasetEngine(ds []*Graph, opts EngineOptions) (*Engine, error) {
 		e.Close()
 		return nil, fmt.Errorf("psi: building FTV index: %w", err)
 	}
-	e.adoptStore(store)
-	e.finishPortfolio(opts)
+	e.finishPortfolio(store, opts)
 	return e, nil
 }
 
@@ -213,21 +208,30 @@ func engineRewritings(opts EngineOptions) []Rewriting {
 	return append([]Rewriting(nil), opts.Rewritings...)
 }
 
-// Close releases the Engine's dedicated pool, if it owns one, and drops the
-// engine's reference to its dataset state — index resources (e.g. Grapes'
-// dedicated verification pool) are released once the last in-flight query
-// finishes with them. Queries in flight degrade gracefully (pools fall back
-// to transient goroutines).
+// Close releases the Engine's dedicated pool, if it owns one, and the index
+// racer's per-arm pools, and closes its dataset store, whose index resources
+// (e.g. Grapes' verification pool) go once the last in-flight query releases
+// its snapshot. Queries in flight degrade gracefully (pools fall back to
+// transient goroutines).
 func (e *Engine) Close() {
 	if e.owned && e.pool != nil {
 		e.pool.Close()
 	}
-	if st := e.dsst.Swap(nil); st != nil {
-		st.unref()
+	if e.ixRacer != nil {
+		e.ixRacer.Close()
 	}
 	if e.store != nil {
 		e.store.Close()
 	}
+}
+
+// pin acquires the store's current snapshot for the caller to release; nil
+// for NFV engines and after Close.
+func (e *Engine) pin() *live.Snapshot {
+	if e.store == nil {
+		return nil
+	}
+	return e.store.Current()
 }
 
 // Mode reports the engine's planning policy.
@@ -240,10 +244,12 @@ func (e *Engine) Graph() *Graph { return e.g }
 // live graphs of the current epoch, in insertion order, exactly the dataset
 // a from-scratch rebuild would be handed.
 func (e *Engine) Dataset() []*Graph {
-	if st := e.dsst.Load(); st != nil {
-		return st.ds
+	snap := e.pin()
+	if snap == nil {
+		return nil
 	}
-	return nil
+	defer snap.Release()
+	return snap.Graphs()
 }
 
 // Mutable reports whether the engine supports dataset mutations.
@@ -263,10 +269,15 @@ func (e *Engine) Epoch() uint64 {
 // dataset engine, parallel to Dataset(): Handles()[i] identifies the graph
 // answering as graph ID i at the current epoch. Nil for static engines.
 func (e *Engine) Handles() []GraphHandle {
-	if st := e.dsst.Load(); st != nil && st.handles != nil {
-		return append([]GraphHandle(nil), st.handles...)
+	if !e.mutable {
+		return nil
 	}
-	return nil
+	snap := e.pin()
+	if snap == nil {
+		return nil
+	}
+	defer snap.Release()
+	return append([]GraphHandle(nil), snap.Handles()...)
 }
 
 // Attempts returns a copy of the engine's attempt portfolio (NFV engines).
@@ -319,12 +330,13 @@ func (e *Engine) Shards() int { return e.shardK }
 // index in the engine's portfolio, in portfolio order (dataset engines
 // only; nil for NFV engines).
 func (e *Engine) IndexStats() []IndexStats {
-	st := e.dsst.Load()
-	if st == nil {
+	snap := e.pin()
+	if snap == nil {
 		return nil
 	}
-	out := make([]IndexStats, 0, len(st.indexes))
-	for _, x := range st.indexes {
+	defer snap.Release()
+	out := make([]IndexStats, 0, len(snap.Indexes()))
+	for _, x := range snap.Indexes() {
 		out = append(out, x.Stats())
 	}
 	return out

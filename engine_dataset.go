@@ -1,15 +1,14 @@
 package psi
 
-// Dataset-engine state: the epoch-versioned dsState behind the engine's
-// atomic pointer, the index-portfolio wiring that builds one, the mutation
-// API that installs successors, and the per-shard answer tally.
+// Dataset-engine wiring: the index-portfolio set-up around the live.Store
+// every dataset engine serves from (whose snapshots are the epochs), the
+// mutation API that commits through it, and the per-shard answer tally.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"github.com/psi-graph/psi/internal/core"
@@ -27,51 +26,6 @@ type GraphHandle = live.Handle
 // ErrUnknownGraph reports a mutation against a GraphHandle the engine never
 // issued or has already removed. Match with errors.Is.
 var ErrUnknownGraph = live.ErrUnknownHandle
-
-// dsState is one epoch of a dataset engine's query-serving state: the dense
-// dataset, the index portfolio over it and the one racer every query of the
-// epoch streams through, all from one store snapshot, whose release returns
-// the underlying sub-indexes to the store's refcounting. It is immutable once
-// installed; queries acquire it with a refcount for the duration of one
-// execution, so a mutation installing a successor never tears resources out
-// from under an in-flight query.
-type dsState struct {
-	epoch   uint64 // 0 on static engines
-	ds      []*Graph
-	handles []GraphHandle // nil on static engines
-	indexes []FilterIndex
-	racer   *core.IndexRacer
-
-	refs    atomic.Int64
-	once    sync.Once
-	dispose func()
-}
-
-// unref drops one reference; the last one disposes the state's resources
-// (racer attempt pools, and the sub-indexes via the store snapshot's
-// refcounts).
-func (st *dsState) unref() {
-	if st.refs.Add(-1) == 0 {
-		st.once.Do(st.dispose)
-	}
-}
-
-// acquireState takes a reference on the current dataset state, retrying
-// around a concurrent swap exactly like live.Store.Current. Nil for NFV
-// engines (and after Close).
-func (e *Engine) acquireState() *dsState {
-	for {
-		st := e.dsst.Load()
-		if st == nil {
-			return nil
-		}
-		st.refs.Add(1)
-		if e.dsst.Load() == st {
-			return st
-		}
-		st.unref()
-	}
-}
 
 // configurePortfolio validates the index-kind portfolio and policy, and
 // records whether the mutation API is open, before any build or load is paid
@@ -106,62 +60,28 @@ func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
 		// One index is nothing to race or to learn over.
 		e.policy = launchFirst
 	}
-	e.kinds = kinds
-	e.rewrites = engineRewritings(opts)
 	e.mutable = opts.Mutable
 	return nil
 }
 
-// finishPortfolio records the portfolio arm names and arms the auto-policy
-// bandit once the first state is installed.
-func (e *Engine) finishPortfolio(opts EngineOptions) {
-	indexes := e.dsst.Load().indexes
-	for _, x := range indexes {
-		e.ixNames = append(e.ixNames, x.Name())
-	}
-	if e.policy == launchAuto {
-		e.bandit = predict.NewBandit(e.ixNames, banditOptions(opts))
-	}
-}
-
-// adoptStore makes store the engine's dataset — recording the partition
-// count of a sharded one (K <= 1 leaves the engine monolithic) and sizing its
-// per-shard answer tally — and installs the state of its current epoch.
-func (e *Engine) adoptStore(store *live.Store) {
+// finishPortfolio makes the built or restored store the engine's dataset:
+// the partition count of a sharded one (K <= 1 leaves the engine monolithic)
+// with its per-shard answer tally, the arm names, the one index racer every
+// epoch's queries share and, under the auto policy, the bandit.
+func (e *Engine) finishPortfolio(store *live.Store, opts EngineOptions) {
 	e.store = store
 	if k := store.Shards(); k > 1 {
 		e.shardK = k
 		e.shardEmits = make([]atomic.Int64, k)
 	}
-	e.refreshState()
-}
-
-// refreshState publishes the query-serving state of the store's newest
-// snapshot: the dataset, the portfolio and the racer over it — one per
-// epoch, which is what keeps the rewrite frequencies consistent with the
-// current dataset. A static engine's state carries epoch 0 and no handles,
-// whatever its store counts. Disposing the state, once the last query is
-// done with it, returns the snapshot to the store's refcounts; the engine's
-// reference to the predecessor is dropped here, and it lives on until its
-// last in-flight query unrefs it. Caller holds mutMu (or is a constructor).
-func (e *Engine) refreshState() {
-	snap := e.store.Current()
-	st := &dsState{ds: snap.Graphs(), indexes: make([]FilterIndex, 0, len(e.kinds))}
-	if e.mutable {
-		st.epoch, st.handles = snap.Epoch(), snap.Handles()
+	snap := store.Current()
+	for _, x := range snap.Indexes() {
+		e.ixNames = append(e.ixNames, x.Name())
 	}
-	for _, kind := range e.kinds {
-		st.indexes = append(st.indexes, snap.Index(kind))
-	}
-	st.racer = core.NewIndexRacer(st.indexes, e.rewrites)
-	st.racer.Pool = e.pool
-	st.dispose = func() {
-		st.racer.Close()
-		snap.Release()
-	}
-	st.refs.Store(1)
-	if old := e.dsst.Swap(st); old != nil {
-		old.unref()
+	snap.Release()
+	e.ixRacer = &core.IndexRacer{Rewritings: engineRewritings(opts), Pool: e.pool}
+	if e.policy == launchAuto {
+		e.bandit = predict.NewBandit(e.ixNames, banditOptions(opts))
 	}
 }
 
@@ -201,14 +121,11 @@ func (e *Engine) AddGraph(ctx context.Context, g *Graph) (GraphHandle, error) {
 	if err := e.requireMutable(); err != nil {
 		return 0, err
 	}
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
 	h, err := e.store.Add(ctx, g)
 	if err != nil {
 		return 0, err
 	}
 	e.counters.GraphsAdded.Add(1)
-	e.refreshState()
 	return h, nil
 }
 
@@ -220,8 +137,6 @@ func (e *Engine) RemoveGraph(ctx context.Context, h GraphHandle) (compacted bool
 	if err := e.requireMutable(); err != nil {
 		return false, err
 	}
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
 	compacted, err = e.store.Remove(ctx, h)
 	if err != nil {
 		return false, err
@@ -230,7 +145,6 @@ func (e *Engine) RemoveGraph(ctx context.Context, h GraphHandle) (compacted bool
 	if compacted {
 		e.counters.Compactions.Add(1)
 	}
-	e.refreshState()
 	return compacted, nil
 }
 
@@ -240,13 +154,10 @@ func (e *Engine) ReplaceGraph(ctx context.Context, h GraphHandle, g *Graph) erro
 	if err := e.requireMutable(); err != nil {
 		return err
 	}
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
 	if err := e.store.Replace(ctx, h, g); err != nil {
 		return err
 	}
 	e.counters.GraphsReplaced.Add(1)
-	e.refreshState()
 	return nil
 }
 

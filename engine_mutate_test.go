@@ -11,6 +11,7 @@ import (
 	"context"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -166,12 +167,22 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 // TestMutableEngineConcurrentChurn mutates while queries race in flight:
 // readers hammer a fixed query and assert that the answer they get is
 // exactly the recorded answer of the epoch their result reports — snapshot
-// isolation, end to end, under -race — then checks for leaked goroutines.
+// isolation, end to end, under -race — then checks for leaked goroutines. It
+// runs one index, and a two-index race whose arms read tombstoned views
+// across compactions on the engine's one set of per-arm verification pools,
+// which Close must release.
 func TestMutableEngineConcurrentChurn(t *testing.T) {
+	for _, kinds := range [][]string{{"ftv"}, {"ftv", "grapes"}} {
+		t.Run(strings.Join(kinds, "+"), func(t *testing.T) { concurrentChurn(t, kinds) })
+	}
+}
+
+func concurrentChurn(t *testing.T, kinds []string) {
 	leakcheck.Check(t, 2)
 	ds := psi.GeneratePPI(psi.Tiny, 2)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes:      []string{"ftv"},
+		Indexes:      kinds,
+		IndexPolicy:  psi.IndexRace,
 		Shards:       2,
 		Mutable:      true,
 		CompactEvery: 2,
@@ -191,7 +202,7 @@ func TestMutableEngineConcurrentChurn(t *testing.T) {
 			t.Errorf("record: %v", err)
 			return
 		}
-		want := freshAnswers(t, eng.Dataset(), []string{"ftv"}, []*psi.Graph{q})[0]
+		want := freshAnswers(t, eng.Dataset(), kinds, []*psi.Graph{q})[0]
 		if !slices.Equal(res.GraphIDs, want) {
 			t.Errorf("epoch %d: engine answer %v, from-scratch %v", res.Epoch, res.GraphIDs, want)
 		}
@@ -248,6 +259,9 @@ func TestMutableEngineConcurrentChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if eng.Counters().Compactions == 0 {
+		t.Error("the churn never compacted a shard")
+	}
 	eng.Close()
 }
 

@@ -4,12 +4,15 @@ package psi_test
 // kind portfolio × shard count × static/mutable, an engine loaded from a
 // snapshot must answer byte-identically to the engine that saved it — and a
 // restored mutable engine must stay in lockstep with the original under
-// further identical mutations. Plus the options-vs-snapshot mismatch
-// surface and the corrupt-file fail-closed guarantee.
+// further identical mutations. Plus saves racing mutations, the
+// options-vs-snapshot mismatch surface and the corrupt-file fail-closed
+// guarantee.
 
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -267,6 +270,83 @@ func TestEngineSnapshotResaveByteIdentical(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s: the re-saved snapshot (%d bytes) differs from the one it was loaded from (%d bytes)", tc.name, len(b), len(a))
 		}
+	}
+}
+
+// TestSnapshotRacingMutations is fault injection for a save that races the
+// mutation API, as POST /snapshot does beside POST and DELETE /graphs: one
+// goroutine adds and removes graphs, compactions included, while another
+// saves again and again. Every file written must load, report an epoch the
+// mutator committed and hold exactly that epoch's dataset, and answer
+// byte-identically to a from-scratch engine over the dataset it loaded.
+func TestSnapshotRacingMutations(t *testing.T) {
+	ds := psi.GeneratePPI(psi.Tiny, 5)
+	kinds := []string{"ftv", "grapes"}
+	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds, Shards: 2, Mutable: true, CompactEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	// committed[epoch] is the dataset the mutator saw right after committing
+	// the epoch; it is the only writer, and it is read after done closes.
+	committed := map[uint64][]*psi.Graph{eng.Epoch(): eng.Dataset()}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r := rand.New(rand.NewSource(21))
+		supply := mutablePool(33, 8)
+		for step := 0; step < 12; step++ {
+			var err error
+			if handles := eng.Handles(); len(handles) > 3 && r.Intn(2) == 0 {
+				_, err = eng.RemoveGraph(context.Background(), handles[r.Intn(len(handles))])
+			} else {
+				_, err = eng.AddGraph(context.Background(), supply[step%len(supply)])
+			}
+			if err != nil {
+				t.Errorf("step %d: %v", step, err)
+				return
+			}
+			committed[eng.Epoch()] = eng.Dataset()
+		}
+	}()
+	var paths []string
+	for saving := true; saving; { // one more save once the mutator is done
+		select {
+		case <-done:
+			saving = false
+		default:
+		}
+		path := filepath.Join(t.TempDir(), "racing.psnap")
+		if err := eng.SaveSnapshot(path); err != nil {
+			t.Fatalf("save %d: %v", len(paths), err)
+		}
+		paths = append(paths, path)
+	}
+	epochs := map[uint64]bool{}
+	for i, path := range paths {
+		loaded, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: path, Mutable: true})
+		if err != nil {
+			t.Fatalf("file %d does not load: %v", i, err)
+		}
+		got := loaded.Dataset()
+		want, ok := committed[loaded.Epoch()]
+		if !ok {
+			t.Fatalf("file %d holds epoch %d, which the mutator never committed", i, loaded.Epoch())
+		}
+		epochs[loaded.Epoch()] = true
+		if !slices.EqualFunc(got, want, (*psi.Graph).Equal) {
+			t.Errorf("file %d: epoch %d with %d graphs, not the %d the epoch committed", i, loaded.Epoch(), len(got), len(want))
+		}
+		queries := make([]*psi.Graph, 3)
+		for qi := range queries {
+			queries[qi] = psi.ExtractQuery(got[(i+qi)%len(got)], 3+qi, int64(i*3+qi))
+		}
+		assertSameAnswers(t, fmt.Sprintf("file %d", i), freshAnswers(t, got, kinds, queries), snapAnswers(t, loaded, queries))
+		loaded.Close()
+	}
+	t.Logf("%d saves over %d of %d committed epochs", len(paths), len(epochs), len(committed))
+	if len(epochs) < 2 {
+		t.Errorf("%d saves all hold one epoch: no save raced a mutation", len(paths))
 	}
 }
 

@@ -305,24 +305,27 @@ func (e *Engine) soloFirst(ctx context.Context, res *QueryResult, d *PolicyDecis
 }
 
 // answer is the one dataset-query execution, behind every FTV entry point:
-// pin the current epoch's state and launch the plan's arms through the
-// state's racer, under the budget. emit receives the ascending graph IDs as
-// they settle; nil collects them into the result's GraphIDs instead. A
-// collected answer is a buffer nobody has seen yet, so an overrun solo can
-// always start over and a kill surfaces an empty answer, while a streaming
-// run is committed by its first emission and a kill keeps Found at the number
-// of IDs that reached emit.
+// pin the store's current snapshot and launch the plan's arms over its
+// indexes through the engine's racer, under the budget. emit receives the
+// ascending graph IDs as they settle; nil collects them into the result's
+// GraphIDs instead. A collected answer is a buffer nobody has seen yet, so an
+// overrun solo can always start over and a kill surfaces an empty answer,
+// while a streaming run is committed by its first emission and a kill keeps
+// Found at the number of IDs that reached emit.
 func (e *Engine) answer(ctx context.Context, p *Plan, emit func(graphID int) bool) (*QueryResult, error) {
-	// Pin the current epoch's state for the whole execution: a concurrent
+	// Pin the current snapshot for the whole execution: a concurrent
 	// mutation installs its successor without disturbing this query, and
 	// the result records which epoch answered.
-	st := e.acquireState()
-	if st == nil {
+	snap := e.pin()
+	if snap == nil {
 		return nil, errors.New("psi: engine closed")
 	}
-	defer st.unref()
+	defer snap.Release()
 	e.counters.Queries.Add(1)
-	res := &QueryResult{Kind: PlanFTV, Policy: p.Decision, Epoch: st.epoch}
+	res := &QueryResult{Kind: PlanFTV, Policy: p.Decision}
+	if e.mutable {
+		res.Epoch = snap.Epoch()
+	}
 	collecting := emit == nil
 	if collecting {
 		emit = func(id int) bool {
@@ -337,7 +340,7 @@ func (e *Engine) answer(ctx context.Context, p *Plan, emit func(graphID int) boo
 			res.GraphIDs, res.Found = nil, 0 // whatever a collecting solo had buffered
 			e.counters.IndexAttempts.Add(1)  // the abandoned solo still ran
 		}
-		r, err := st.racer.Stream(ctx, p.Query, arms, func(id int) bool {
+		r, err := e.ixRacer.Stream(ctx, snap.Indexes(), snap.Frequencies(), p.Query, arms, func(id int) bool {
 			res.Found++
 			if !collecting {
 				res.streamed++

@@ -169,7 +169,7 @@ func BenchmarkBuildPortfolio(b *testing.B) {
 						b.Fatal(err)
 					}
 					for k, row := range grid {
-						x := index.NewShardedFrom(ds, pf.kinds[k], row) // a row's totals
+						x := index.NewShardedFrom(ds, nil, pf.kinds[k], row) // a row's totals
 						st := x.Stats()
 						if k == 0 {
 							b.ReportMetric(float64(st.PostingBytes)/float64(st.Postings), "bytes/posting")

@@ -53,14 +53,15 @@ func TestFTVRacerAnswerMatchesPlainPipeline(t *testing.T) {
 		grapes.Build(ds, grapes.Options{MaxPathLen: 3}),
 		ggsx.Build(ds, ggsx.Options{MaxPathLen: 3}),
 	} {
-		f := NewIndexRacer([]index.Index{idx}, []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.DND})
+		xs := []index.Index{idx}
+		f := &IndexRacer{Rewritings: []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.DND}}
 		for trial := 0; trial < 8; trial++ {
 			q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
 			want, err := ftv.Answer(context.Background(), idx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := collect(context.Background(), f, q)
+			got, _, err := collect(context.Background(), f, xs, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,10 +83,11 @@ func TestFTVRacerAnswerMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	ds := buildDataset(r, 5, 12, 3)
 	x := grapes.Build(ds, grapes.Options{})
-	f := NewIndexRacer([]index.Index{x}, append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...))
+	xs := []index.Index{x}
+	f := &IndexRacer{Rewritings: append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...)}
 	for trial := 0; trial < 6; trial++ {
 		q := extractQuery(r, ds[r.Intn(len(ds))], 3)
-		got, _, err := collect(context.Background(), f, q)
+		got, _, err := collect(context.Background(), f, xs, q)
 		if err != nil {
 			t.Fatal(err)
 		}

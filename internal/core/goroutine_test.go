@@ -76,7 +76,8 @@ func TestFTVRacerAnswerBoundsGoroutines(t *testing.T) {
 	x := newGatedIndex(candidates)
 	pool := exec.New(workers)
 	t.Cleanup(pool.Close)
-	f := NewIndexRacer([]index.Index{lifted{x}}, kinds)
+	xs := []index.Index{lifted{x}}
+	f := &IndexRacer{Rewritings: kinds}
 	f.Pool = pool
 
 	// After the race transient goroutines drain back to (near) the baseline;
@@ -86,7 +87,7 @@ func TestFTVRacerAnswerBoundsGoroutines(t *testing.T) {
 	var answer []int
 	go func() {
 		var err error
-		answer, _, err = collect(context.Background(), f, x.ds[0])
+		answer, _, err = collect(context.Background(), f, xs, x.ds[0])
 		done <- err
 	}()
 

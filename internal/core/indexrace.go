@@ -25,64 +25,56 @@ import (
 	"github.com/psi-graph/psi/internal/rewrite"
 )
 
-// IndexRacer races alternative filtering indexes per query. Construct with
-// NewIndexRacer; safe for concurrent queries. Close releases the
-// per-attempt verification pools.
+// IndexRacer races alternative filtering indexes per query; safe for
+// concurrent queries. One racer serves every epoch of a dataset — each Stream
+// call names the epoch's indexes and label frequencies — so its per-arm
+// verification pools are made once, at the first race, and kept until Close.
 type IndexRacer struct {
-	// Indexes are the raced alternatives, in portfolio order.
-	Indexes []index.Index
 	// Rewritings are raced per candidate inside every index attempt (§8.1).
 	Rewritings []rewrite.Kind
-	// Pool sizes the per-attempt verification pools (nil: CPU count) and
-	// carries a single-arm pipeline. Raced attempts do NOT share one pool:
-	// each index races on a dedicated pool created at first use, because a
-	// hung or straggling index could otherwise occupy every shared worker
-	// and starve the eventual winner's verifications — the race must
-	// guarantee each contender independent progress, just as matcher races
-	// guarantee every attempt its own concurrency.
+	// Pool sizes the per-arm verification pools (nil: CPU count) and
+	// carries a single-arm pipeline. Raced arms do NOT share one pool: each
+	// races on a dedicated pool, because a hung or straggling index could
+	// otherwise occupy every shared worker and starve the eventual winner's
+	// verifications — the race must guarantee each contender independent
+	// progress, just as matcher races guarantee every attempt its own
+	// concurrency.
 	Pool *exec.Pool
 
-	freqs   rewrite.Frequencies
 	poolsMu sync.Mutex
 	pools   []*exec.Pool
+	closed  bool
 }
 
-// NewIndexRacer builds a racer over the given index portfolio, with
-// dataset-wide label frequencies computed once and shared by every
-// per-candidate rewriting race.
-func NewIndexRacer(xs []index.Index, kinds []rewrite.Kind) *IndexRacer {
-	r := &IndexRacer{Indexes: xs, Rewritings: kinds}
-	if len(xs) > 0 {
-		r.freqs = rewrite.FrequenciesOfDataset(xs[0].Dataset())
-	}
-	return r
-}
-
-// attemptPools lazily creates one verification pool per index attempt,
-// each sized like the configured shared pool (or the CPU count).
-func (r *IndexRacer) attemptPools() []*exec.Pool {
+// attemptPools returns one verification pool per arm of an n-arm portfolio,
+// creating the missing ones sized like the shared pool (or the CPU count).
+// A closed racer creates none, since nobody would close them: a race that
+// outlives Close runs on the closed pools (tasks then go to transient
+// goroutines), or on the shared pool (nil) when they are missing.
+func (r *IndexRacer) attemptPools(n int) []*exec.Pool {
 	r.poolsMu.Lock()
 	defer r.poolsMu.Unlock()
-	if r.pools == nil {
-		w := 0
-		if r.Pool != nil {
-			w = r.Pool.Workers()
-		}
-		r.pools = make([]*exec.Pool, len(r.Indexes))
-		for i := range r.pools {
-			r.pools[i] = exec.New(w)
-		}
+	w := 0
+	if r.Pool != nil {
+		w = r.Pool.Workers()
+	}
+	for !r.closed && len(r.pools) < n {
+		r.pools = append(r.pools, exec.New(w))
+	}
+	if len(r.pools) < n {
+		return nil
 	}
 	return r.pools
 }
 
-// Close releases the per-attempt verification pools, if any were created —
-// a racer that never served a race has nothing to release and Close spawns
+// Close releases the per-arm verification pools, if any were created — a
+// racer that never served a race has nothing to release and Close spawns
 // nothing. Races in flight degrade gracefully (pool tasks fall back to
 // transient goroutines).
 func (r *IndexRacer) Close() {
 	r.poolsMu.Lock()
 	defer r.poolsMu.Unlock()
+	r.closed = true
 	for _, p := range r.pools {
 		p.Close()
 	}
@@ -124,9 +116,10 @@ type IndexRaceResult struct {
 }
 
 // Stream is the one FTV query pipeline: it races the streaming filter→verify
-// pipeline of every listed arm (portfolio positions; none means the whole
-// portfolio) and streams the adopted winner's verified graph IDs into emit,
-// in ascending order. The query is rewritten once per configured kind and
+// pipeline of every listed arm (positions in the portfolio xs; none means the
+// whole portfolio) and streams the adopted winner's verified graph IDs into
+// emit, in ascending order. The query is rewritten once per configured kind,
+// under freqs — the label frequencies of the indexes' common dataset — and
 // the prepared instances serve every candidate's rewriting race in every
 // arm. The first arm to emit a verified candidate claims the output stream;
 // the other arms are cancelled immediately through their contexts and drain
@@ -141,27 +134,27 @@ type IndexRaceResult struct {
 // ordered stream waits for it, so it must not block on work that only
 // proceeds after Stream returns. Returning false stops the winner and ends
 // the race successfully with the IDs seen so far.
-func (r *IndexRacer) Stream(ctx context.Context, q *graph.Graph, arms []int, emit func(graphID int) bool) (IndexRaceResult, error) {
-	if len(r.Indexes) == 0 {
+func (r *IndexRacer) Stream(ctx context.Context, xs []index.Index, freqs rewrite.Frequencies, q *graph.Graph, arms []int, emit func(graphID int) bool) (IndexRaceResult, error) {
+	if len(xs) == 0 {
 		return IndexRaceResult{}, errors.New("psi: IndexRacer needs at least one index")
 	}
 	if len(arms) == 0 {
-		arms = make([]int, len(r.Indexes))
+		arms = make([]int, len(xs))
 		for i := range arms {
 			arms[i] = i
 		}
 	}
 	for _, a := range arms {
-		if a < 0 || a >= len(r.Indexes) {
-			return IndexRaceResult{}, fmt.Errorf("psi: index arm %d out of range [0,%d)", a, len(r.Indexes))
+		if a < 0 || a >= len(xs) {
+			return IndexRaceResult{}, fmt.Errorf("psi: index arm %d out of range [0,%d)", a, len(xs))
 		}
 	}
 	var dedicated []*exec.Pool
 	if len(arms) > 1 {
-		dedicated = r.attemptPools()
+		dedicated = r.attemptPools(len(xs))
 	}
-	qs := instances(q, r.freqs, r.Rewritings)
-	label := func(i int) string { return r.Indexes[arms[i]].Name() }
+	qs := instances(q, freqs, r.Rewritings)
+	label := func(i int) string { return xs[arms[i]].Name() }
 	// Dedicated goroutine per arm: arms block waiting on pool Groups, so
 	// running them *on* pool workers could starve a small pool into deadlock.
 	spawn := func(task func()) { go task() }
@@ -169,7 +162,7 @@ func (r *IndexRacer) Stream(ctx context.Context, q *graph.Graph, arms []int, emi
 	emitted := 0 // only the adopted arm ever gets past claim
 	winner, lanes, err := streamRace(ctx, len(arms), label, spawn, true,
 		func(actx context.Context, i int, claim func() bool) error {
-			x, pool := r.Indexes[arms[i]], r.Pool
+			x, pool := xs[arms[i]], r.Pool
 			if dedicated != nil {
 				pool = dedicated[arms[i]]
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -86,11 +87,12 @@ func (l lifted) FilterStream(ctx context.Context, q *graph.Graph, emit func(int)
 	return nil
 }
 
-// collect runs r.Stream over the given arms (none: the whole portfolio) and
-// gathers the streamed answer.
-func collect(ctx context.Context, r *IndexRacer, q *graph.Graph, arms ...int) ([]int, IndexRaceResult, error) {
+// collect runs r.Stream over the given arms (none: the whole portfolio) of
+// xs, under the label frequencies of their dataset, and gathers the streamed
+// answer.
+func collect(ctx context.Context, r *IndexRacer, xs []index.Index, q *graph.Graph, arms ...int) ([]int, IndexRaceResult, error) {
 	var ids []int
-	res, err := r.Stream(ctx, q, arms, func(id int) bool {
+	res, err := r.Stream(ctx, xs, rewrite.FrequenciesOfDataset(xs[0].Dataset()), q, arms, func(id int) bool {
 		ids = append(ids, id)
 		return true
 	})
@@ -131,14 +133,15 @@ func TestIndexRaceAdoptsFirstEmitterAndCancelsLoser(t *testing.T) {
 	}
 	pool := exec.New(4)
 	t.Cleanup(pool.Close)
-	r := NewIndexRacer([]index.Index{slow, fast}, orig)
+	xs := []index.Index{slow, fast}
+	r := &IndexRacer{Rewritings: orig}
 	r.Pool = pool
 	t.Cleanup(r.Close)
 
 	// Warm up so the racer's per-attempt pools exist before the baseline,
 	// then drain leftover start tokens so the measured race re-observes
 	// the slow index actually starting.
-	if _, _, err := collect(context.Background(), r, ds[0]); err != nil {
+	if _, _, err := collect(context.Background(), r, xs, ds[0]); err != nil {
 		t.Fatal(err)
 	}
 	for drained := false; !drained; {
@@ -150,7 +153,7 @@ func TestIndexRaceAdoptsFirstEmitterAndCancelsLoser(t *testing.T) {
 	}
 	slow.cancelled.Store(0)
 	leakcheck.Check(t, 2) // the race drains its losers before returning
-	ids, res, err := collect(context.Background(), r, ds[0])
+	ids, res, err := collect(context.Background(), r, xs, ds[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,22 +184,60 @@ func TestIndexRaceRepeatedNoLeak(t *testing.T) {
 	slow := &stubIndex{name: "slow", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
 	pool := exec.New(2)
 	t.Cleanup(pool.Close)
-	r := NewIndexRacer([]index.Index{fast, slow}, orig)
+	xs := []index.Index{fast, slow}
+	r := &IndexRacer{Rewritings: orig}
 	r.Pool = pool
 	t.Cleanup(r.Close)
 	// Warm-up so transient infrastructure exists before the baseline.
-	if _, _, err := collect(context.Background(), r, ds[0]); err != nil {
+	if _, _, err := collect(context.Background(), r, xs, ds[0]); err != nil {
 		t.Fatal(err)
 	}
 	leakcheck.Check(t, 4)
 	for i := 0; i < 200; i++ {
-		_, res, err := collect(context.Background(), r, ds[0])
+		_, res, err := collect(context.Background(), r, xs, ds[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Winner != "fast" {
 			t.Fatalf("iteration %d: winner = %q", i, res.Winner)
 		}
+	}
+}
+
+// TestIndexRacerPoolsOutliveEpochs: one racer serves every epoch of a
+// dataset, so the per-arm pools made at its first race are the pools of every
+// later race, whichever portfolio of the same arms it is handed; a race after
+// Close makes none, and the closed pools leave no goroutines behind.
+func TestIndexRacerPoolsOutliveEpochs(t *testing.T) {
+	leakcheck.Check(t, 2)
+	ds := newStubDataset(2)
+	epoch := func() []index.Index {
+		return []index.Index{
+			&stubIndex{name: "fast", ds: ds, ids: []int{0, 1}, verify: instantVerify},
+			&stubIndex{name: "slow", ds: ds, ids: []int{0, 1}, verify: blockingVerify},
+		}
+	}
+	r := &IndexRacer{Rewritings: orig, Pool: exec.New(2)}
+	defer r.Pool.Close()
+	race := func(when string) {
+		t.Helper()
+		if ids, res, err := collect(context.Background(), r, epoch(), ds[0]); err != nil || len(ids) != 2 || res.Winner != "fast" {
+			t.Fatalf("%s: ids %v, winner %q, err %v", when, ids, res.Winner, err)
+		}
+	}
+	race("first epoch")
+	first := slices.Clone(r.pools)
+	if len(first) != 2 {
+		t.Fatalf("%d pools after a two-arm race, want 2", len(first))
+	}
+	race("second epoch")
+	if !slices.Equal(r.pools, first) {
+		t.Error("a later epoch's race made pools of its own")
+	}
+	r.Close()
+	race("after Close")
+	if !slices.Equal(r.pools, first) {
+		t.Error("a race after Close made pools nobody would close")
 	}
 }
 
@@ -208,10 +249,11 @@ func TestIndexRaceEmptyAnswerWins(t *testing.T) {
 	slow := &stubIndex{name: "slow", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
 	pool := exec.New(2)
 	defer pool.Close()
-	r := NewIndexRacer([]index.Index{slow, empty}, orig)
+	xs := []index.Index{slow, empty}
+	r := &IndexRacer{Rewritings: orig}
 	defer r.Close()
 	r.Pool = pool
-	ids, res, err := collect(context.Background(), r, ds[0])
+	ids, res, err := collect(context.Background(), r, xs, ds[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +270,10 @@ func TestIndexRaceEmptyAnswerWins(t *testing.T) {
 func TestIndexRaceSingleIndexDegenerates(t *testing.T) {
 	ds := newStubDataset(3)
 	only := &stubIndex{name: "only", ds: ds, ids: []int{0, 2}, verify: instantVerify}
-	r := NewIndexRacer([]index.Index{only}, orig)
+	xs := []index.Index{only}
+	r := &IndexRacer{Rewritings: orig}
 	defer r.Close()
-	ids, res, err := collect(context.Background(), r, ds[0])
+	ids, res, err := collect(context.Background(), r, xs, ds[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +294,10 @@ func TestIndexRaceArmsOutOfPortfolioOrder(t *testing.T) {
 	a := &stubIndex{name: "a", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
 	b := &stubIndex{name: "b", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
 	c := &stubIndex{name: "c", ds: ds, ids: []int{0, 1}, verify: instantVerify}
-	r := NewIndexRacer([]index.Index{a, b, c}, orig)
+	xs := []index.Index{a, b, c}
+	r := &IndexRacer{Rewritings: orig}
 	defer r.Close()
-	ids, res, err := collect(context.Background(), r, ds[0], 2, 0)
+	ids, res, err := collect(context.Background(), r, xs, ds[0], 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +327,10 @@ func TestIndexRaceAllFail(t *testing.T) {
 	failing := func(ctx context.Context, graphID int) (bool, error) { return false, boom }
 	a := &stubIndex{name: "a", ds: ds, ids: []int{0}, verify: failing}
 	b := &stubIndex{name: "b", ds: ds, ids: []int{0}, verify: failing}
-	r := NewIndexRacer([]index.Index{a, b}, orig)
+	xs := []index.Index{a, b}
+	r := &IndexRacer{Rewritings: orig}
 	defer r.Close()
-	_, _, err := collect(context.Background(), r, ds[0])
+	_, _, err := collect(context.Background(), r, xs, ds[0])
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -297,14 +342,15 @@ func TestIndexRaceCallerCancel(t *testing.T) {
 	ds := newStubDataset(2)
 	s1 := &stubIndex{name: "s1", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
 	s2 := &stubIndex{name: "s2", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
-	r := NewIndexRacer([]index.Index{s1, s2}, orig)
+	xs := []index.Index{s1, s2}
+	r := &IndexRacer{Rewritings: orig}
 	defer r.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, _, err := collect(ctx, r, ds[0])
+	_, _, err := collect(ctx, r, xs, ds[0])
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -316,10 +362,11 @@ func TestIndexRaceEmitStop(t *testing.T) {
 	ds := newStubDataset(3)
 	fast := &stubIndex{name: "fast", ds: ds, ids: []int{0, 1, 2}, verify: instantVerify}
 	slow := &stubIndex{name: "slow", ds: ds, ids: []int{0, 1, 2}, verify: blockingVerify}
-	r := NewIndexRacer([]index.Index{fast, slow}, orig)
+	xs := []index.Index{fast, slow}
+	r := &IndexRacer{Rewritings: orig}
 	defer r.Close()
 	var got []int
-	res, err := r.Stream(context.Background(), ds[0], nil, func(id int) bool {
+	res, err := r.Stream(context.Background(), xs, rewrite.FrequenciesOfDataset(ds), ds[0], nil, func(id int) bool {
 		got = append(got, id)
 		return false
 	})
@@ -361,10 +408,10 @@ func TestStreamRewritesQueryOncePerKind(t *testing.T) {
 	for _, name := range []string{"a", "b", "c"} {
 		xs = append(xs, &stubIndex{name: name, ds: ds, ids: ids, verify: instantVerify, onVerify: record})
 	}
-	r := NewIndexRacer(xs, kinds)
+	r := &IndexRacer{Rewritings: kinds}
 	defer r.Close()
 	q := graph.MustNew("q", []graph.Label{0, 1, 0}, [][2]int{{0, 1}, {1, 2}})
-	got, _, err := collect(context.Background(), r, q)
+	got, _, err := collect(context.Background(), r, xs, q)
 	if err != nil {
 		t.Fatal(err)
 	}

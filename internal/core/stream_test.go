@@ -222,9 +222,10 @@ func TestRaceStreamParentCancellation(t *testing.T) {
 func TestStreamEarlyStopIsAnswerPrefix(t *testing.T) {
 	x := newGatedIndex(20)
 	close(x.release) // verifications pass immediately
-	f := NewIndexRacer([]index.Index{lifted{x}}, []rewrite.Kind{rewrite.Orig, rewrite.DND})
+	xs := []index.Index{lifted{x}}
+	f := &IndexRacer{Rewritings: []rewrite.Kind{rewrite.Orig, rewrite.DND}}
 	q := x.ds[0]
-	want, _, err := collect(context.Background(), f, q)
+	want, _, err := collect(context.Background(), f, xs, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestStreamEarlyStopIsAnswerPrefix(t *testing.T) {
 		t.Fatalf("full stream %v, want 20 ascending ids", want)
 	}
 	var firstThree []int
-	if _, err := f.Stream(context.Background(), q, nil, func(id int) bool {
+	if _, err := f.Stream(context.Background(), xs, rewrite.FrequenciesOfDataset(x.ds), q, nil, func(id int) bool {
 		firstThree = append(firstThree, id)
 		return len(firstThree) < 3
 	}); err != nil {

@@ -119,7 +119,7 @@ func Restore(kind string, ds []*graph.Graph, maxPathLen int, opts Options, feats
 			// A zero-vertex graph with postings is a tombstoned slot's
 			// placeholder under a mutable store's snapshot: the sub-index
 			// still carries the dead graph's features until compaction, no
-			// query reaches them (the masked view skips dead slots), so
+			// query reaches them (the dense view skips dead slots), so
 			// there is no vertex count left to hold them to.
 			n := ds[p.GraphID].N()
 			for l, v := range p.Locations {
@@ -182,14 +182,6 @@ func dropMirrors(kind string, feats []ExportedFeature) ([]ExportedFeature, error
 // first) — the canonical feature order of the snapshot format, and the order
 // ftv.Features and every index keep their features in.
 func CompareLabelSeqs(a, b []graph.Label) int { return slices.Compare(a, b) }
-
-// ShardDataset returns the sub-dataset of shard s under K-way round-robin
-// partitioning: every k-th graph starting at s, preserving ascending-global
-// order. Exported so the snapshot loader partitions a restored dataset by
-// exactly the rule BuildSharded used.
-func ShardDataset(ds []*graph.Graph, s, k int) []*graph.Graph {
-	return shardDataset(ds, s, k)
-}
 
 func init() {
 	RegisterRestorer(KindPath, restorePath)

@@ -1,11 +1,11 @@
 package index_test
 
 // Tests for the mutable-dataset index primitives: Path.WithGraph
-// (copy-on-write append), NewShardedFrom (assembling a Sharded from
-// pre-built sub-indexes without clamping), and Masked (the tombstone-aware
-// dense view). The property each hangs on is the same byte-parity the rest
-// of the index layer enforces: derived views answer exactly like a
-// from-scratch build over the equivalent dataset.
+// (copy-on-write append) and NewShardedFrom (assembling a Sharded from
+// pre-built sub-indexes without clamping, and with an alive mask the
+// tombstone-aware dense view). The property each hangs on is the same
+// byte-parity the rest of the index layer enforces: derived views answer
+// exactly like a from-scratch build over the equivalent dataset.
 
 import (
 	"context"
@@ -161,12 +161,14 @@ func TestPathWithGraphAllocs(t *testing.T) {
 	}
 }
 
-// TestMaskedParity tombstones a random subset of slots (replacing them with
-// a zero-vertex placeholder, as the live store does) and checks that the
-// masked sharded view answers byte-identically to a fresh monolithic build
-// over just the live graphs — for several shard counts, including K greater
-// than the dataset (empty shards).
-func TestMaskedParity(t *testing.T) {
+// TestShardedTombstoneParity tombstones a random subset of slots (replacing
+// them with a zero-vertex placeholder, as the live store does) and checks
+// that the sharded view under the alive mask answers byte-identically to a
+// fresh monolithic build over just the live graphs — for several shard
+// counts, including K greater than the dataset (empty shards). At K = 1 the
+// masked view still names itself and reports statistics as its one shard,
+// save that Graphs counts only the live graphs.
+func TestShardedTombstoneParity(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	slots := randomDataset(r, 7, 10, 2)
 	dead := map[int]bool{1: true, 4: true, 5: true}
@@ -196,23 +198,18 @@ func TestMaskedParity(t *testing.T) {
 		for _, k := range []int{1, 2, 3, 11} {
 			subs := make([]index.Index, k)
 			for s := 0; s < k; s++ {
-				var sub []*graph.Graph
-				for g := s; g < len(slotDS); g += k {
-					sub = append(sub, slotDS[g])
-				}
-				if subs[s], err = index.Build(context.Background(), kind, sub, index.Options{MaxPathLen: 3}); err != nil {
+				if subs[s], err = index.Build(context.Background(), kind, index.ShardDataset(slotDS, s, k), index.Options{MaxPathLen: 3}); err != nil {
 					t.Fatalf("%s K=%d shard %d: %v", kind, k, s, err)
 				}
 			}
-			sharded := index.NewShardedFrom(slotDS, kind, subs)
 			wantShards := k
 			if k == 1 {
 				wantShards = 0 // one shard reports as the index it is
 			}
-			if st := sharded.Stats(); st.ShardCount != wantShards || st.Graphs != len(slotDS) {
+			if st := index.NewShardedFrom(slotDS, nil, kind, subs).Stats(); st.ShardCount != wantShards || st.Graphs != len(slotDS) {
 				t.Errorf("%s K=%d: ShardedFrom stats = %d shards/%d graphs", kind, k, st.ShardCount, st.Graphs)
 			}
-			m := index.NewMasked(sharded, dense, alive)
+			m := index.NewShardedFrom(slotDS, alive, kind, subs)
 			if got := len(m.Dataset()); got != len(dense) {
 				t.Fatalf("%s K=%d: masked dataset = %d graphs, want %d", kind, k, got, len(dense))
 			}
@@ -220,12 +217,22 @@ func TestMaskedParity(t *testing.T) {
 			if st.Graphs != len(dense) {
 				t.Errorf("%s K=%d: masked stats graphs = %d, want %d", kind, k, st.Graphs, len(dense))
 			}
+			if st.ShardCount != wantShards {
+				t.Errorf("%s K=%d: masked stats report %d shards, want %d", kind, k, st.ShardCount, wantShards)
+			}
 			perShard := 0
 			for _, sub := range st.Shards {
 				perShard += sub.Graphs
 			}
 			if len(st.Shards) > 0 && perShard != len(dense) {
 				t.Errorf("%s K=%d: masked per-shard graphs sum to %d, want the %d live ones", kind, k, perShard, len(dense))
+			}
+			if k == 1 {
+				own := subs[0].Stats()
+				own.Graphs = len(dense)
+				if m.Name() != subs[0].Name() || !reflect.DeepEqual(st, own) {
+					t.Errorf("%s K=1: masked view is %q with %+v, want its shard's %q with %+v", kind, m.Name(), st, subs[0].Name(), own)
+				}
 			}
 			for qi, q := range queries {
 				if got, expect := m.Filter(q), want.Filter(q); !sameInts(got, expect) {
@@ -249,20 +256,21 @@ func TestMaskedParity(t *testing.T) {
 			if _, err := m.Verify(context.Background(), queries[0], len(dense)); err == nil {
 				t.Error("Verify(len) did not error")
 			}
-			m.Close() // no-op by contract; sub-indexes stay usable
+			// Close releases what the shards own (Grapes' verification
+			// pool); a query after it degrades, it does not fail.
+			m.Close()
 			if _, err := m.Verify(context.Background(), queries[0], 0); err != nil {
 				t.Errorf("Verify after Close: %v", err)
 			}
-			sharded.Close()
 		}
 		want.Close()
 	}
 }
 
-// TestMaskedMismatchPanics pins the constructor's consistency check: a dense
-// dataset that disagrees with the alive mask is a caller bug, not a state to
-// limp along in.
-func TestMaskedMismatchPanics(t *testing.T) {
+// TestShardedMaskMismatchPanics pins the constructor's consistency check: an
+// alive mask that does not cover the slot space is a caller bug, not a state
+// to limp along in.
+func TestShardedMaskMismatchPanics(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	ds := randomDataset(r, 3, 6, 2)
 	x, err := index.BuildPath(context.Background(), ds, index.Options{MaxPathLen: 2})
@@ -271,8 +279,8 @@ func TestMaskedMismatchPanics(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("NewMasked with mismatched mask did not panic")
+			t.Error("NewShardedFrom with a mismatched mask did not panic")
 		}
 	}()
-	index.NewMasked(x, ds, []bool{true, false, true})
+	index.NewShardedFrom(ds, []bool{true, false}, index.KindPath, []index.Index{x})
 }

@@ -72,7 +72,7 @@ func FuzzPathDirectory(f *testing.F) {
 			if shared.dir != dir {
 				t.Fatalf("K=%d: shard %d has a directory of its own", k, s)
 			}
-			own, err := BuildPath(context.Background(), shardDataset(ds, s, k), opts)
+			own, err := BuildPath(context.Background(), ShardDataset(ds, s, k), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

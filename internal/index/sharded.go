@@ -16,10 +16,18 @@ package index
 // enough, which no amount of partitioning changes), FilterStream performs an
 // ascending-ID ordered merge of the per-shard streams, and verification
 // routes each global ID back to the shard that owns it.
+//
+// With the alive mask of a dataset store (internal/live), which tombstones a
+// deleted graph's slot rather than renumber, Sharded is also the dense view
+// queries are answered from: the one translation takes shard s's local ID l
+// to slot s + l·K, drops a dead slot and renumbers a live one to its rank
+// among the live slots. Rank order preserves ascending order, so answers are
+// byte-identical to a from-scratch build over the live graphs.
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -34,14 +42,20 @@ import (
 const shardStreamBuf = 64
 
 // Sharded is a dataset index partitioned into K per-shard sub-indexes.
-// Construct with BuildSharded or NewShardedFrom; safe for concurrent queries
-// once built. At K = 1 it is its one sub-index under another type: name,
-// statistics and filtering all delegate.
+// Construct with BuildSharded or NewShardedFrom; immutable, so safe for
+// concurrent queries (a mutation assembles a new Sharded). At K = 1 it is its
+// one sub-index under another type: name, statistics and, when no slot is
+// dead, filtering all delegate.
 type Sharded struct {
-	ds     []*graph.Graph
+	ds     []*graph.Graph // dense: the live graphs in slot order
 	shards []Index
 	k      int
 	stats  Stats
+	// denseOf maps a slot to its dense ID (-1 when tombstoned) and slots a
+	// dense ID back to its slot; both nil when every slot is live, and the
+	// slot is then the dense ID.
+	denseOf []int
+	slots   []int
 	// byFeatures holds the shards as FeatureFilters when every one is, at
 	// one path length: a query's features are then extracted once for all
 	// of them. Nil otherwise, and every shard filters from the query itself.
@@ -61,9 +75,10 @@ type FeatureFilter interface {
 // partitioning; the ID's position within that shard is g / k.
 func ShardOf(g, k int) int { return g % k }
 
-// shardDataset returns the sub-dataset of shard s: every k-th graph starting
-// at s, preserving relative (hence ascending-global) order.
-func shardDataset(ds []*graph.Graph, s, k int) []*graph.Graph {
+// ShardDataset returns the sub-dataset of shard s under K-way round-robin
+// partitioning: every k-th graph starting at s, preserving relative (hence
+// ascending-global) order — the partition the snapshot loader restores.
+func ShardDataset(ds []*graph.Graph, s, k int) []*graph.Graph {
 	sub := make([]*graph.Graph, 0, (len(ds)-s+k-1)/k)
 	for g := s; g < len(ds); g += k {
 		sub = append(sub, ds[g])
@@ -80,7 +95,7 @@ func BuildSharded(ctx context.Context, kind string, ds []*graph.Graph, shards in
 	if err != nil {
 		return nil, err
 	}
-	return NewShardedFrom(ds, kind, grid[0]), nil
+	return NewShardedFrom(ds, nil, kind, grid[0]), nil
 }
 
 // NewShardedFrom assembles a Sharded view over pre-built per-shard
@@ -88,24 +103,47 @@ func BuildSharded(ctx context.Context, kind string, ds []*graph.Graph, shards in
 // (internal/live) entry point, which maintains the sub-indexes itself
 // (copy-on-write inserts, shard-local rebuilds) and needs the shard count to
 // stay fixed across mutations. Unlike BuildSharded the shard count is NOT
-// clamped to len(ds): a shard may legitimately be empty after deletions or
-// before its first ingest. subs[s] must index exactly
-// shardDataset(ds, s, len(subs)); ownership of the sub-indexes stays with the
-// caller (Close on the result closes them, as with BuildSharded). The aggregate BuildTime is the sum of
-// the sub-indexes': a grid charges each shard its graphs' share of the
-// shared extraction, so the sum is extraction plus this kind's folds. At
-// K = 1 the statistics are the sub-index's own, with no shard breakdown.
-func NewShardedFrom(ds []*graph.Graph, kind string, subs []Index) *Sharded {
+// clamped to len(slots): a shard may legitimately be empty after deletions
+// or before its first ingest. subs[s] must index exactly
+// ShardDataset(slots, s, len(subs)); ownership of the sub-indexes stays with
+// the caller (Close on the result closes them, as with BuildSharded).
+//
+// alive marks the live slots (nil: every slot is); with dead ones the view is
+// the dense one of the file comment, its Stats counting only live graphs, in
+// total and per shard. A mask that does not cover slots is a caller bug and
+// panics.
+//
+// The aggregate BuildTime is the sum of the sub-indexes': a grid charges each
+// shard its graphs' share of the shared extraction, so the sum is extraction
+// plus this kind's folds. At K = 1 the statistics are the sub-index's own,
+// with no shard breakdown.
+func NewShardedFrom(slots []*graph.Graph, alive []bool, kind string, subs []Index) *Sharded {
+	if alive != nil && len(alive) != len(slots) {
+		panic(fmt.Sprintf("index: NewShardedFrom: %d liveness flags for %d slots", len(alive), len(slots)))
+	}
 	k := len(subs)
-	x := &Sharded{ds: ds, k: k, shards: subs}
+	x := &Sharded{ds: slots, k: k, shards: subs}
+	if slices.Contains(alive, false) {
+		x.ds = make([]*graph.Graph, 0, len(slots))
+		x.denseOf = make([]int, len(slots))
+		for slot, ok := range alive {
+			x.denseOf[slot] = -1
+			if ok {
+				x.denseOf[slot] = len(x.ds)
+				x.slots = append(x.slots, slot)
+				x.ds = append(x.ds, slots[slot])
+			}
+		}
+	}
 	if k == 1 {
 		x.stats = subs[0].Stats()
+		x.stats.Graphs = len(x.ds)
 		return x
 	}
 	x.stats = Stats{
 		Name:       x.Name(),
 		Kind:       kind,
-		Graphs:     len(ds),
+		Graphs:     len(x.ds),
 		ShardCount: k,
 	}
 	for _, sub := range subs {
@@ -121,6 +159,16 @@ func NewShardedFrom(ds []*graph.Graph, kind string, subs []Index) *Sharded {
 		x.stats.LocationLists += st.LocationLists
 		x.stats.BuildWorkers = st.BuildWorkers
 		x.stats.Shards = append(x.stats.Shards, st)
+	}
+	if x.slots != nil {
+		// A sub-index counts its tombstoned slots too: recount each shard's
+		// live graphs so the shards sum to Graphs.
+		for s := range x.stats.Shards {
+			x.stats.Shards[s].Graphs = 0
+		}
+		for _, slot := range x.slots {
+			x.stats.Shards[ShardOf(slot, k)].Graphs++
+		}
 	}
 	for _, sub := range subs {
 		ff, ok := sub.(FeatureFilter)
@@ -141,12 +189,25 @@ func (x *Sharded) Name() string {
 	return fmt.Sprintf("%s×%d", x.shards[0].Name(), x.k)
 }
 
-// Dataset implements ftv.Index: the full dataset, in global ID order.
+// Dataset implements ftv.Index: the live graphs, in global ID order.
 func (x *Sharded) Dataset() []*graph.Graph { return x.ds }
 
 // Stats implements Index: the aggregate build shape, with the per-shard
 // breakdown in Stats.Shards (the shard-balance feed for /stats) when K >= 2.
 func (x *Sharded) Stats() Stats { return x.stats }
+
+// translate turns emit, which takes global dense IDs, into the emit of shard
+// s, which yields the shard's local IDs; a tombstone is skipped and the scan
+// goes on.
+func (x *Sharded) translate(s int, emit func(id int) bool) func(local int) bool {
+	return func(local int) bool {
+		slot := s + local*x.k
+		if x.denseOf == nil {
+			return emit(slot)
+		}
+		return x.denseOf[slot] < 0 || emit(x.denseOf[slot])
+	}
+}
 
 // Close implements Index, releasing every shard's resources.
 func (x *Sharded) Close() {
@@ -155,36 +216,43 @@ func (x *Sharded) Close() {
 	}
 }
 
-// Verify implements ftv.Index by routing the global ID to its owning shard.
+// Verify implements ftv.Index by routing the dense ID to its slot and the
+// slot to its owning shard.
 func (x *Sharded) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
 	if graphID < 0 || graphID >= len(x.ds) {
 		return false, fmt.Errorf("index: graph ID %d out of range [0,%d)", graphID, len(x.ds))
 	}
-	return x.shards[ShardOf(graphID, x.k)].Verify(ctx, q, graphID/x.k)
+	slot := graphID
+	if x.slots != nil {
+		slot = x.slots[graphID]
+	}
+	return x.shards[ShardOf(slot, x.k)].Verify(ctx, q, slot/x.k)
 }
 
 // Filter implements ftv.Index: per-shard filters translated to global IDs
 // and merged ascending — the same candidate set as the monolithic index,
 // because presence/frequency pruning is a per-graph decision.
 func (x *Sharded) Filter(q *graph.Graph) []int {
-	if x.k == 1 {
+	if x.k == 1 && x.denseOf == nil {
 		return x.shards[0].Filter(q)
 	}
 	var out []int
+	keep := func(id int) bool {
+		out = append(out, id)
+		return true
+	}
 	if x.byFeatures == nil {
 		for s, sub := range x.shards {
+			emit := x.translate(s, keep)
 			for _, local := range sub.Filter(q) {
-				out = append(out, s+local*x.k)
+				emit(local)
 			}
 		}
 	} else {
 		feats := ftv.QueryFeatures(q, x.stats.MaxPathLen)
 		for s, sub := range x.byFeatures {
 			// The background context never cancels, so the error is always nil.
-			_ = sub.FilterFeatures(context.Background(), feats, func(local int) bool {
-				out = append(out, s+local*x.k)
-				return true
-			})
+			_ = sub.FilterFeatures(context.Background(), feats, x.translate(s, keep))
 		}
 	}
 	sort.Ints(out)
@@ -195,12 +263,16 @@ func (x *Sharded) Filter(q *graph.Graph) []int {
 // shard scans concurrently on its own goroutine, candidates flow through
 // per-shard channels, and the merger emits the minimum pending global ID —
 // so the emission order is byte-identical to the monolithic index's
-// regardless of K, scheduling, or channel timing. emit returning false (or a
-// cancelled ctx) cancels the remaining shard scans; FilterStream returns
-// only after every shard goroutine has drained, so a query leaves nothing
-// behind.
+// regardless of K, scheduling, or channel timing. Each shard drops its
+// tombstones and translates before sending, so the merge only ever sees dense
+// IDs. emit returning false (or a cancelled ctx) cancels the remaining shard
+// scans; FilterStream returns only after every shard goroutine has drained,
+// so a query leaves nothing behind.
 func (x *Sharded) FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error {
 	if x.k == 1 {
+		if x.denseOf != nil {
+			emit = x.translate(0, emit)
+		}
 		return x.shards[0].FilterStream(ctx, q, emit)
 	}
 	mctx, cancel := context.WithCancel(ctx)
@@ -218,14 +290,14 @@ func (x *Sharded) FilterStream(ctx context.Context, q *graph.Graph, emit func(gr
 		go func(s int) {
 			defer wg.Done()
 			defer close(chans[s])
-			emit := func(local int) bool {
+			emit := x.translate(s, func(id int) bool {
 				select {
-				case chans[s] <- s + local*x.k:
+				case chans[s] <- id:
 					return true
 				case <-mctx.Done():
 					return false
 				}
-			}
+			})
 			if x.byFeatures != nil {
 				errs[s] = x.byFeatures[s].FilterFeatures(mctx, feats, emit)
 			} else {

@@ -169,7 +169,7 @@ func TestShardedOverOpaqueShards(t *testing.T) {
 			}
 			hidden[s] = opaque{sub}
 		}
-		direct, wrapped := index.NewShardedFrom(ds, kind, grid[0]), index.NewShardedFrom(ds, kind, hidden)
+		direct, wrapped := index.NewShardedFrom(ds, nil, kind, grid[0]), index.NewShardedFrom(ds, nil, kind, hidden)
 		for qi, q := range queries {
 			want := direct.Filter(q)
 			if got := wrapped.Filter(q); !sameInts(got, want) {

@@ -20,10 +20,7 @@ import (
 // shard datasets they index.
 func flatRow(t *testing.T, st *live.Store) ([]*index.Path, [][]*graph.Graph) {
 	t.Helper()
-	state, err := st.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := exportState(t, st)
 	row := make([]*index.Path, state.Shards)
 	for s, sub := range state.Grid[index.KindPath] {
 		row[s] = sub.(*index.Path)
@@ -102,10 +99,7 @@ func TestFlatRowSharesDirectory(t *testing.T) {
 	defer st.Close()
 	assertSharedRow(t, "NewStore", st)
 
-	state, err := st.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := exportState(t, st)
 	restored, err := live.Restore(roundTripGrid(t, state), opts.CompactEvery, opts.Index)
 	if err != nil {
 		t.Fatal(err)

@@ -20,18 +20,21 @@
 // features until the shard's tombstone count reaches the compaction
 // threshold, at which point that shard (and only that shard) is rebuilt over
 // its live graphs plus zero-vertex placeholders that keep local numbering
-// stable. Queries see none of this: the index.Masked view renumbers live
-// slots densely and skips tombstones, so answers are byte-identical to a
-// from-scratch build over the live graphs.
+// stable. Queries see none of this: a snapshot's index of each kind is an
+// index.Sharded under the store's alive mask, whose one translation from
+// shard-local IDs renumbers live slots densely and skips tombstones, so
+// answers are byte-identical to a from-scratch build over the live graphs.
 //
 // Every committed mutation bumps a monotonically increasing epoch and
-// installs a new immutable Snapshot behind an atomic pointer. Queries
-// acquire a snapshot with a lock-free retry (load, ref, recheck) and keep
-// reading it to completion regardless of concurrent mutations — snapshot
-// isolation with no locks on the query path. Sub-indexes shared between
-// snapshot generations are refcounted per snapshot and closed only when the
-// last snapshot referencing them drains, so a Grapes verification pool can
-// never be torn down under an in-flight query.
+// installs a new immutable Snapshot behind an atomic pointer: the one epoch
+// object a dataset engine serves from, which carries everything a query
+// reads, so the engine keeps no per-epoch state. Queries acquire a snapshot
+// with a lock-free retry (load, ref, recheck) and keep reading it to
+// completion regardless of concurrent mutations — snapshot isolation with no
+// locks on the query path; mutations and exports serialize on one lock.
+// Sub-indexes shared between snapshot generations are refcounted per
+// snapshot and closed only when the last snapshot referencing them drains, so
+// a Grapes verification pool can never be torn down under an in-flight query.
 package live
 
 import (
@@ -43,6 +46,7 @@ import (
 
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/rewrite"
 )
 
 // DefaultCompactEvery is the per-shard tombstone count that triggers a
@@ -76,14 +80,16 @@ type Options struct {
 }
 
 // Snapshot is one immutable epoch of the store: the dense live dataset, its
-// handles, and one dense (Masked) index per kind. Obtain with
-// Store.Current, which takes a reference; callers must Release exactly once
-// when done reading. All accessors are safe for concurrent use.
+// handles, one dense index per kind and the dataset's label frequencies, all
+// computed once at install. Obtain with Store.Current, which takes a
+// reference; callers must Release exactly once when done reading. All
+// accessors are safe for concurrent use.
 type Snapshot struct {
 	epoch   uint64
 	graphs  []*graph.Graph
 	handles []Handle
-	indexes map[string]index.Index
+	indexes []index.Index
+	freqs   rewrite.Frequencies
 
 	refs    atomic.Int64
 	once    sync.Once
@@ -100,9 +106,15 @@ func (s *Snapshot) Graphs() []*graph.Graph { return s.graphs }
 // Graphs: Handles()[i] is the handle of answer ID i at this epoch.
 func (s *Snapshot) Handles() []Handle { return s.handles }
 
-// Index returns the dense filtering index of the given kind, or nil if the
-// store does not maintain that kind.
-func (s *Snapshot) Index(kind string) index.Index { return s.indexes[kind] }
+// Indexes returns the dense filtering index of every kind, in the order of
+// Options.Kinds (an engine's portfolio order). Each is a view over the
+// store's sub-indexes, which the store closes as snapshots drain: callers
+// never Close them.
+func (s *Snapshot) Indexes() []index.Index { return s.indexes }
+
+// Frequencies returns the label frequencies of the dense dataset, the input
+// of the ILF rewriting.
+func (s *Snapshot) Frequencies() rewrite.Frequencies { return s.freqs }
 
 // Release drops the caller's reference; the last release of the last
 // snapshot referencing a sub-index closes it. Releasing more than once per
@@ -113,9 +125,10 @@ func (s *Snapshot) Release() {
 	}
 }
 
-// Store is the dataset store. Mutations (Add, Remove, Replace) are
-// serialized internally; Current and the snapshots it returns are lock-free
-// and safe for any number of concurrent readers.
+// Store is the dataset store. Mutations (Add, Remove, Replace) and
+// ExportState are serialized internally, on one lock; Current and the
+// snapshots it returns are lock-free and safe for any number of concurrent
+// readers.
 type Store struct {
 	kinds        []string
 	k            int
@@ -180,7 +193,8 @@ func NewStore(ctx context.Context, ds []*graph.Graph, opts Options) (*Store, err
 		st.nextHandle++
 		st.handleOf = append(st.handleOf, h)
 		st.byHandle[h] = slot
-		st.local[slot%k] = append(st.local[slot%k], g)
+		shard := index.ShardOf(slot, k)
+		st.local[shard] = append(st.local[shard], g)
 	}
 	grid, err := index.BuildGrid(ctx, st.kinds, ds, k, st.ixOpts)
 	if err != nil {
@@ -236,18 +250,19 @@ func (st *Store) installLocked(epoch uint64) {
 		}
 	}
 	subs := make([]index.Index, 0, len(st.kinds)*st.k)
-	indexes := make(map[string]index.Index, len(st.kinds))
+	indexes := make([]index.Index, 0, len(st.kinds))
 	for _, kind := range st.kinds {
-		shard := append([]index.Index(nil), st.grid[kind]...)
-		subs = append(subs, shard...)
-		indexes[kind] = index.NewMasked(index.NewShardedFrom(st.slotGraphs, kind, shard), dense, st.alive)
+		// commitShard replaces rows, never writes them: the view may keep one.
+		row := st.grid[kind]
+		subs = append(subs, row...)
+		indexes = append(indexes, index.NewShardedFrom(st.slotGraphs, st.alive, kind, row))
 	}
 	st.refMu.Lock()
 	for _, sub := range subs {
 		st.subRefs[sub]++
 	}
 	st.refMu.Unlock()
-	snap := &Snapshot{epoch: epoch, graphs: dense, handles: handles, indexes: indexes}
+	snap := &Snapshot{epoch: epoch, graphs: dense, handles: handles, indexes: indexes, freqs: rewrite.FrequenciesOfDataset(dense)}
 	snap.refs.Store(1) // the store's own reference, dropped at the next install (or Close)
 	snap.release = func() {
 		st.refMu.Lock()
@@ -280,7 +295,7 @@ func (st *Store) Add(ctx context.Context, g *graph.Graph) (Handle, error) {
 		return 0, fmt.Errorf("live: store closed")
 	}
 	slot := len(st.slotGraphs)
-	shard := slot % st.k
+	shard := index.ShardOf(slot, st.k)
 	newLocal := append(append([]*graph.Graph(nil), st.local[shard]...), g)
 	fresh, err := st.rebuildShard(ctx, shard, newLocal, func(cur index.Index) (index.Index, error) {
 		if ins, ok := cur.(index.Inserter); ok {
@@ -318,7 +333,7 @@ func (st *Store) Remove(ctx context.Context, h Handle) (compacted bool, err erro
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrUnknownHandle, h)
 	}
-	shard := slot % st.k
+	shard := index.ShardOf(slot, st.k)
 	newLocal := append([]*graph.Graph(nil), st.local[shard]...)
 	newLocal[slot/st.k] = st.placeholder
 	var fresh map[string]index.Index
@@ -360,7 +375,7 @@ func (st *Store) Replace(ctx context.Context, h Handle, g *graph.Graph) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownHandle, h)
 	}
-	shard := slot % st.k
+	shard := index.ShardOf(slot, st.k)
 	newLocal := append([]*graph.Graph(nil), st.local[shard]...)
 	newLocal[slot/st.k] = g
 	fresh, err := st.rebuildShard(ctx, shard, newLocal, nil)

@@ -10,6 +10,7 @@ package live_test
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,7 @@ import (
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/leakcheck"
 	"github.com/psi-graph/psi/internal/live"
+	"github.com/psi-graph/psi/internal/rewrite"
 )
 
 const testMaxPathLen = 3
@@ -71,15 +73,19 @@ func sameInts(a, b []int) bool {
 	return true
 }
 
-// assertParity checks that every kind's snapshot index answers exactly like
-// a fresh monolithic build over the snapshot's live graphs.
+// assertParity checks that every kind's snapshot index, in kind order,
+// answers exactly like a fresh monolithic build over the snapshot's live
+// graphs, and that the snapshot's label frequencies are theirs.
 func assertParity(t *testing.T, snap *live.Snapshot, kinds []string) {
 	t.Helper()
-	for _, kind := range kinds {
-		x := snap.Index(kind)
-		if x == nil {
-			t.Fatalf("snapshot has no %s index", kind)
-		}
+	if len(snap.Indexes()) != len(kinds) {
+		t.Fatalf("snapshot has %d indexes for kinds %v", len(snap.Indexes()), kinds)
+	}
+	if got, want := snap.Frequencies(), rewrite.FrequenciesOfDataset(snap.Graphs()); !maps.Equal(got, want) {
+		t.Errorf("epoch %d: frequencies %v, live dataset's %v", snap.Epoch(), got, want)
+	}
+	for i, kind := range kinds {
+		x := snap.Indexes()[i]
 		fresh, err := index.Build(context.Background(), kind, snap.Graphs(), index.Options{MaxPathLen: testMaxPathLen})
 		if err != nil {
 			t.Fatalf("fresh %s build: %v", kind, err)
@@ -188,7 +194,7 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 	}
 	pinned := st.Current()
 	q := pathQuery(0, 0, 1)
-	want, err := index.Answer(context.Background(), pinned.Index(index.KindPath), q, nil)
+	want, err := index.Answer(context.Background(), pinned.Indexes()[0], q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +213,7 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 				default:
 				}
 				snap := st.Current()
-				if _, err := index.Answer(context.Background(), snap.Index(index.KindPath), q, nil); err != nil {
+				if _, err := index.Answer(context.Background(), snap.Indexes()[0], q, nil); err != nil {
 					failed.Store(true)
 				}
 				if len(snap.Handles()) != len(snap.Graphs()) {
@@ -236,7 +242,7 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 			}
 			handles = append(handles, h)
 		}
-		got, err := index.Answer(context.Background(), pinned.Index(index.KindPath), q, nil)
+		got, err := index.Answer(context.Background(), pinned.Indexes()[0], q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,8 +127,8 @@ func TestCandidatesMatchBothSpellingsFilter(t *testing.T) {
 		defer snap.Release()
 		for _, q := range queries {
 			want := bothSpellingsFilter(snap.Graphs(), q, maxLen)
-			for _, kind := range kinds {
-				if got := snap.Index(kind).Filter(q); !sameInts(got, want) {
+			for i, kind := range kinds {
+				if got := snap.Indexes()[i].Filter(q); !sameInts(got, want) {
 					t.Errorf("%s, %s, query %s: candidates %v, both-spellings filter %v", stage, kind, q.Name(), got, want)
 				}
 			}
@@ -167,10 +167,7 @@ func TestCandidatesMatchBothSpellingsFilter(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(t, "compacted", st)
-			state, err := st.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
+			state := exportState(t, st)
 			restored, err := live.Restore(roundTripGrid(t, state), 2, ixOpts)
 			if err != nil {
 				t.Fatal(err)

@@ -33,27 +33,29 @@ type State struct {
 	Handles    []Handle
 	Tombs      []int
 	// Grid maps each kind to its K per-shard sub-indexes. On export these
-	// are the store's LIVE sub-indexes: the caller must finish reading them
-	// (e.g. serializing their features) before the next mutation could
-	// retire them — Engine.SaveSnapshot holds the engine mutation mutex
-	// across the whole save for exactly this reason. On restore, ownership
-	// of the sub-indexes transfers to the store.
+	// are the store's LIVE sub-indexes, which the next mutation may retire
+	// (and, once snapshots drain, close); ExportState therefore hands them
+	// only to a callback that runs under the mutation lock. On restore,
+	// ownership of the sub-indexes transfers to the store.
 	Grid map[string][]index.Index
 }
 
-// ExportState snapshots the mutation state under the mutation lock. It
-// fails once the store is closed.
-func (st *Store) ExportState() (State, error) {
+// ExportState hands the mutation state to save under the mutation lock, so
+// no mutation commits while save reads it: one consistent epoch, however
+// long the save takes. save must not keep the State past its return, nor
+// mutate the store: that would wait on the lock it runs under. ExportState
+// fails once the store is closed, else returns save's error.
+func (st *Store) ExportState(save func(State) error) error {
 	st.mutMu.Lock()
 	defer st.mutMu.Unlock()
 	if st.closed {
-		return State{}, fmt.Errorf("live: store closed")
+		return fmt.Errorf("live: store closed")
 	}
 	grid := make(map[string][]index.Index, len(st.grid))
 	for kind, subs := range st.grid {
 		grid[kind] = append([]index.Index(nil), subs...)
 	}
-	return State{
+	return save(State{
 		Kinds:      append([]string(nil), st.kinds...),
 		Shards:     st.k,
 		Epoch:      st.epoch.Load(),
@@ -63,7 +65,7 @@ func (st *Store) ExportState() (State, error) {
 		Handles:    append([]Handle(nil), st.handleOf...),
 		Tombs:      append([]int(nil), st.tombs...),
 		Grid:       grid,
-	}, nil
+	})
 }
 
 // Restore reconstructs a store from a deserialized State. The grid
@@ -113,7 +115,8 @@ func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error
 		subRefs:      make(map[index.Index]int),
 	}
 	for slot := 0; slot < n; slot++ {
-		st.local[slot%st.k] = append(st.local[slot%st.k], st.slotGraphs[slot])
+		shard := index.ShardOf(slot, st.k)
+		st.local[shard] = append(st.local[shard], st.slotGraphs[slot])
 		h := st.handleOf[slot]
 		if h <= 0 {
 			return nil, fmt.Errorf("live: restore: slot %d has non-positive handle %d", slot, h)

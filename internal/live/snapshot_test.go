@@ -10,11 +10,13 @@ package live_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
@@ -86,8 +88,8 @@ func assertStoresAgree(t *testing.T, a, b *live.Store, kinds []string) {
 			t.Fatalf("graph %d differs after restore", i)
 		}
 	}
-	for _, kind := range kinds {
-		xa, xb := sa.Index(kind), sb.Index(kind)
+	for i, kind := range kinds {
+		xa, xb := sa.Indexes()[i], sb.Indexes()[i]
 		for qi, q := range testQueries() {
 			wa, err := index.Answer(context.Background(), xa, q, nil)
 			if err != nil {
@@ -137,10 +139,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	state, err := st.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := exportState(t, st)
 	if state.Epoch != st.Epoch() {
 		t.Fatalf("exported epoch %d, store at %d", state.Epoch, st.Epoch())
 	}
@@ -200,15 +199,68 @@ func TestExportStateClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ExportState(); err != nil {
-		t.Fatalf("ExportState before close: %v", err)
+	saved := 0
+	save := func(live.State) error { saved++; return nil }
+	if err := st.ExportState(save); err != nil || saved != 1 {
+		t.Fatalf("ExportState before close: %v after %d saves", err, saved)
 	}
 	st.Close()
 	if st.Current() != nil {
 		t.Fatal("Current() non-nil after Close")
 	}
-	if _, err := st.ExportState(); err == nil {
-		t.Fatal("ExportState after Close succeeded")
+	if err := st.ExportState(save); err == nil || saved != 1 {
+		t.Fatalf("ExportState after Close: %v after %d saves, want an error and no save", err, saved)
+	}
+}
+
+// exportState is ExportState for a test that reads the State after the save
+// returns, which only a test that does not mutate the store meanwhile may.
+func exportState(t *testing.T, st *live.Store) live.State {
+	t.Helper()
+	var state live.State
+	if err := st.ExportState(func(s live.State) error { state = s; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return state
+}
+
+// TestExportStateHoldsMutations: the save runs under the mutation lock, so a
+// mutation started mid-save commits only after it, the save sees one epoch
+// throughout, and the save's error is ExportState's.
+func TestExportStateHoldsMutations(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	st, err := live.NewStore(context.Background(), randomDataset(r, 2, 6, 2), live.Options{
+		Kinds: []string{index.KindPath}, Index: index.Options{MaxPathLen: testMaxPathLen},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	boom, g := errors.New("disk full"), randomDataset(r, 1, 6, 2)[0]
+	added := make(chan error, 1)
+	err = st.ExportState(func(s live.State) error {
+		go func() {
+			_, err := st.Add(context.Background(), g)
+			added <- err
+		}()
+		select {
+		case err := <-added:
+			t.Errorf("a mutation committed mid-save (err %v)", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		if st.Epoch() != s.Epoch {
+			t.Errorf("the store moved to epoch %d during a save of epoch %d", st.Epoch(), s.Epoch)
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("ExportState = %v, want the save's error", err)
+	}
+	if err := <-added; err != nil {
+		t.Fatalf("the mutation held back by the save: %v", err)
+	}
+	if st.Epoch() != 2 {
+		t.Errorf("epoch %d after the save and one mutation, want 2", st.Epoch())
 	}
 }
 
@@ -224,10 +276,7 @@ func TestRestoreValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	good, err := st.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := exportState(t, st)
 
 	cases := []struct {
 		name    string
@@ -341,7 +390,7 @@ func TestCurrentReleaseCloseStress(t *testing.T) {
 							continue
 						}
 					}
-					snap.Index(stressKind).Filter(q)
+					snap.Indexes()[0].Filter(q)
 					snap.Release()
 				}
 			}()

@@ -42,13 +42,11 @@ var fuzzSeeds = sync.OnceValues(func() ([][]byte, error) {
 				_, err = st.Remove(context.Background(), 2)
 			}
 		}
-		state, serr := st.ExportState()
 		path := filepath.Join(dir, "seed.psnap")
 		if err == nil {
-			err = serr
-		}
-		if err == nil {
-			err = Save(path, &Model{Mutable: seed.mutable, State: state})
+			err = st.ExportState(func(state live.State) error {
+				return Save(path, &Model{Mutable: seed.mutable, State: state})
+			})
 		}
 		st.Close()
 		if err != nil {
@@ -156,8 +154,8 @@ func FuzzSnapshotSections(f *testing.F) {
 					truth = append(truth, id)
 				}
 			}
-			for _, kind := range m.Kinds {
-				got, err := index.Answer(context.Background(), snap.Index(kind), q, nil)
+			for i, kind := range m.Kinds {
+				got, err := index.Answer(context.Background(), snap.Indexes()[i], q, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", kind, err)
 				}

@@ -61,7 +61,7 @@ func buildModel(t *testing.T, ds []*graph.Graph, kinds []string, k int) *Model {
 
 func answers(t *testing.T, ds []*graph.Graph, kind string, subs []index.Index, queries []*graph.Graph) [][]int {
 	t.Helper()
-	x := index.NewShardedFrom(ds, kind, subs)
+	x := index.NewShardedFrom(ds, nil, kind, subs)
 	out := make([][]int, len(queries))
 	for i, q := range queries {
 		ids, err := index.Answer(context.Background(), x, q, nil)

@@ -71,6 +71,14 @@ echo "== fuzz (FuzzExtractFeatures, 5s) =="
 # wrongly skipped, or counted with a neighbour already on the path, shows.
 go test -run='^$' -fuzz=FuzzExtractFeatures -fuzztime=5s ./internal/ftv
 
+echo "== fuzz (FuzzLocSets, 5s) =="
+# Location sets of fuzzed membership over graphs of 0 to 299 vertices, each
+# built from a bitset row and from a vertex-ID list, then copied behind other
+# sets, against a sorted-list oracle: Grapes verifies through these sets and
+# the snapshot writes them out, and this is where a set stored in the wrong
+# form, a member lost at a word boundary or a reference shifted wrongly shows.
+go test -run='^$' -fuzz=FuzzLocSets -fuzztime=5s ./internal/ftv
+
 echo "== fuzz (FuzzSPathCandidates, 5s) =="
 # A stored graph of up to 32 vertices and a query of up to 8 over alphabets of
 # one to five labels of every width, radius 1..5, against the filter's

@@ -21,23 +21,18 @@ import (
 
 // SaveSnapshot writes the engine's dataset, index portfolio and (for
 // mutable engines) mutation state to path, atomically: the file appears
-// complete or not at all. Mutations are blocked for the duration — the
-// serialized state is one consistent epoch. NFV engines have no dataset
-// state and cannot be snapshotted.
+// complete or not at all. Mutations are blocked for the duration — the store
+// runs the save under its mutation lock, because the exported grid is its
+// live sub-indexes, which a mutation could retire (and, once snapshots drain,
+// close) mid-read — so the file is one consistent epoch; queries keep
+// running. NFV engines have no dataset state and cannot be snapshotted.
 func (e *Engine) SaveSnapshot(path string) error {
 	if e.g != nil {
 		return errors.New("psi: snapshots require a dataset engine")
 	}
-	// Hold the mutation lock across the whole save: the exported grid
-	// aliases the store's live sub-indexes, and a concurrent mutation could
-	// retire (and, once snapshots drain, close) one mid-read.
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-	state, err := e.store.ExportState()
-	if err != nil {
-		return err
-	}
-	return snapshot.Save(path, &snapshot.Model{Mutable: e.mutable, State: state})
+	return e.store.ExportState(func(state live.State) error {
+		return snapshot.Save(path, &snapshot.Model{Mutable: e.mutable, State: state})
+	})
 }
 
 // newSnapshotEngine is the EngineOptions.Snapshot construction path: load,
@@ -88,7 +83,6 @@ func newSnapshotEngine(opts EngineOptions) (*Engine, error) {
 	if err != nil {
 		return fail(err)
 	}
-	e.adoptStore(store)
-	e.finishPortfolio(opts)
+	e.finishPortfolio(store, opts)
 	return e, nil
 }
