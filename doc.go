@@ -177,13 +177,16 @@
 // # Filtering-index architecture
 //
 // Dataset (multi-graph) queries go through a filtering index, and the
-// module ships three alternatives behind one contract (FilterIndex): the
-// flat path-based FTV baseline (one array of label sequences, sorted, each
-// with its per-graph count list), Grapes (a path trie with location
-// information and component-restricted verification) and GGSX (a path
-// suffix trie verified against whole graphs). All three index each
-// undirected label path once (orientation, below) and keep its counts in
-// packed posting lists read through one forward cursor (packed postings,
+// module ships three alternatives behind one contract (FilterIndex), which
+// are one feature table and three verifiers. The table is flat: the label
+// sequences, sorted, each with its per-graph count list, and for Grapes a
+// reference per posting to its location set. The flat path-based FTV
+// baseline and GGSX are the table alone and verify with VF2 against whole
+// graphs — GGSX's suffix tree filtered exactly as the table does, so it is
+// the table under the paper's name for it — and Grapes holds a table with
+// locations and verifies within the components they leave. All three index
+// each undirected label path once (orientation, below) and keep its counts
+// in packed posting lists read through one forward cursor (packed postings,
 // below). Grapes' location info — per
 // feature and graph, the set of vertices the feature's occurrences touch —
 // keeps one representation from the path DFS to VF2 (ftv.LocSets): a set is a
@@ -218,19 +221,19 @@
 // snapshot format's canonical order; graph g is routed to shard g mod K and
 // every (kind, shard) index is folded from its graphs' features in graph-ID
 // order, so posting lists — measured in a first pass, carved from one byte
-// slab with no slack and filled in a second, in the flat index and in both
-// tries alike — are born sorted, the filter intersects them with forward
-// cursors, the snapshot export is a plain walk, and a build is
-// byte-identical at any worker count. The flat index is nothing but slabs in
-// canonical order. Its label sequences live in a sequence directory (the
-// sequences concatenated, one end each), which the K shards of one grid row
-// share: each fold makes its own, and BuildGrid then gives the row their
-// union and drops the rest. A shard keeps a presence bitmap over the
-// directory with a running count per 64-bit word, one 12-byte entry per
-// sequence it indexes with no pointer in it (where its list ends, the list's
-// posting count and next base), and the lists back to back; a lookup is a
-// binary search of the directory, a bit test and a rank that hands out a view
-// of the posting slab. Cancelling the
+// slab with no slack and filled in a second — are born sorted, the filter
+// intersects them with forward cursors, the snapshot export is a plain walk,
+// and a build is byte-identical at any worker count. The table is nothing but
+// slabs in canonical order. Its label sequences live in a sequence directory
+// (the sequences concatenated, one end each), which every cell of a grid,
+// whatever its kind and shard, shares: each fold makes its own, and
+// BuildGrid then gives the grid their union and drops the rest. A cell keeps
+// a presence bitmap over the directory with a running count per 64-bit word,
+// one 12-byte entry per sequence it indexes with no pointer in it (where its
+// list ends, the running posting count and the list's next base), the lists
+// back to back and, for Grapes, one location reference per posting; a lookup
+// is a binary search of the directory, a bit test and a rank that hands out a
+// view of the posting slab. Cancelling the
 // build's context aborts it even mid-graph (dense graphs hold billions of
 // bounded simple paths). The cost of a portfolio is therefore one
 // extraction plus cheap folds, not one extraction per kind and shard.
@@ -485,19 +488,19 @@
 // round-robin sharding law (slot s lives in shard s mod K) then localizes
 // any mutation to exactly one shard, and because slot assignment is
 // monotone, an AddGraph always appends to its shard's tail — which the
-// flat path index absorbs copy-on-write (index.Inserter: one merge pass
-// writes the new sub-index's entries and posting slab, copying the untouched
-// lists run by run and each list the new graph's features touch one posting
-// longer, in a constant number of allocations; the row's shared sequence
-// directory is kept unless the graph brings a sequence it lacks, and then
-// only the inserting shard gets a superset directory, and the presence
+// flat kinds, FTV and GGSX, absorb copy-on-write (index.Inserter: one merge
+// pass writes the new sub-index's entries and posting slab, copying the
+// untouched lists run by run and each list the new graph's features touch
+// one posting longer, in a constant number of allocations; the grid's shared
+// sequence directory is kept unless the graph brings a sequence it lacks, and
+// then only the inserting cell gets a superset directory, and the presence
 // bitmap is rewritten only when a sequence is new to the shard). Generations
 // share no posting bytes, so a predecessor's slab is freed once the last
-// query holding its epoch releases it. Kinds without incremental insert fall
-// back to rebuilding that one shard, never the dataset; a rebuilt flat shard
-// adopts its predecessor's directory when that holds every sequence it
-// indexes, as after every compaction, and a restored store shares one
-// directory per row as a built one does.
+// query holding its epoch releases it. Grapes, whose locations an insert
+// does not extract, falls back to rebuilding that one shard, never the
+// dataset; a rebuilt shard adopts its predecessor's directory when that holds
+// every sequence it indexes, as after every compaction, and a restored store
+// shares one directory across its grid as a built one does.
 //
 // Tombstones. RemoveGraph replaces the slot's graph with a zero-vertex
 // placeholder — O(1) on the index side, since a placeholder matches no

@@ -168,11 +168,12 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 // readers hammer a fixed query and assert that the answer they get is
 // exactly the recorded answer of the epoch their result reports — snapshot
 // isolation, end to end, under -race — then checks for leaked goroutines. It
-// runs one index, and a two-index race whose arms read tombstoned views
+// runs one index, and two-index races whose arms read tombstoned views
 // across compactions on the engine's one set of per-arm verification pools,
-// which Close must release.
+// which Close must release: one of an inserting kind beside Grapes, which
+// rebuilds, for each flat kind.
 func TestMutableEngineConcurrentChurn(t *testing.T) {
-	for _, kinds := range [][]string{{"ftv"}, {"ftv", "grapes"}} {
+	for _, kinds := range [][]string{{"ftv"}, {"ftv", "grapes"}, {"ggsx", "grapes"}} {
 		t.Run(strings.Join(kinds, "+"), func(t *testing.T) { concurrentChurn(t, kinds) })
 	}
 }

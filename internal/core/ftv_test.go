@@ -9,7 +9,6 @@ import (
 
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
-	"github.com/psi-graph/psi/internal/ggsx"
 	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
@@ -49,10 +48,11 @@ func TestFTVRacerNeedsRewritings(t *testing.T) {
 func TestFTVRacerAnswerMatchesPlainPipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ds := buildDataset(r, 6, 14, 3)
-	for _, idx := range []index.Index{
-		grapes.Build(ds, grapes.Options{MaxPathLen: 3}),
-		ggsx.Build(ds, ggsx.Options{MaxPathLen: 3}),
-	} {
+	ggsx, err := index.Build(context.Background(), index.KindGGSX, ds, index.Options{MaxPathLen: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []index.Index{grapes.Build(ds, grapes.Options{MaxPathLen: 3}), ggsx} {
 		xs := []index.Index{idx}
 		f := &IndexRacer{Rewritings: []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.DND}}
 		for trial := 0; trial < 8; trial++ {

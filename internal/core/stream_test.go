@@ -193,7 +193,17 @@ func TestRaceStreamSingleEmitter(t *testing.T) {
 // TestRaceStreamParentCancellation: cancelling the caller's context while
 // the adopted attempt is mid-stream surfaces as an error.
 func TestRaceStreamParentCancellation(t *testing.T) {
-	g, q := streamTestGraph()
+	// A label-1 hub with 60 label-0 leaves holds 60·59 embeddings of the
+	// 0-1-0 path, so thousands of search steps remain after the first
+	// emission and the matcher's budget must poll the cancelled context.
+	labels := []graph.Label{1}
+	var edges [][2]int
+	for v := 1; v <= 60; v++ {
+		labels = append(labels, 0)
+		edges = append(edges, [2]int{0, v})
+	}
+	g := graph.MustNew("star", labels, edges)
+	_, q := streamTestGraph()
 	racer := NewRacer(g)
 	ctx, cancel := context.WithCancel(context.Background())
 	var streamed atomic.Int64
@@ -208,9 +218,7 @@ func TestRaceStreamParentCancellation(t *testing.T) {
 		}))
 	cancel()
 	if err == nil {
-		// The enumeration may legitimately finish before the budget polls
-		// the context; only a wrong error type is a failure.
-		t.Skip("enumeration finished before cancellation propagated")
+		t.Fatalf("stream finished after %d embeddings despite cancellation", streamed.Load())
 	}
 	if !strings.Contains(err.Error(), context.Canceled.Error()) {
 		t.Fatalf("expected a cancellation error, got %v", err)

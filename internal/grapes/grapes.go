@@ -1,8 +1,8 @@
 // Package grapes implements the Grapes indexed subgraph-query method
 // (Giugno et al., PLoS One 2013) as described in §3.1.1 of the paper:
 // simple paths up to a maximum length are extracted in a DFS manner from
-// every dataset graph and indexed in a trie together with location
-// information (which vertices each path touches). At query time the
+// every dataset graph and indexed together with location information (which
+// vertices each path touches). At query time the
 // query's maximal paths prune the dataset by presence and frequency; the
 // surviving graphs' location info yields the relevant connected components,
 // each of which is verified with VF2. A location set keeps one form from the
@@ -17,12 +17,16 @@
 // paper's figures are instances of this index with 1 and 4 workers.
 //
 // The index implements the unified filtering-index contract of
-// internal/index: it is folded by the shared build pipeline from the path
-// features (with locations) that pipeline extracts once for every kind
-// (deterministic for every pool size, cancellable through a context),
-// filtering goes through the shared presence/frequency pruning, and
-// FilterStream emits candidates incrementally so verification can begin
-// before filtering finishes.
+// internal/index and keeps its features in that package's flat table
+// (index.Path), the one every kind keeps them in, with the table's location
+// slab: it is folded by the shared build pipeline from the path features
+// (with locations) that pipeline extracts once for every kind (deterministic
+// for every pool size, cancellable through a context), filtering goes through
+// the table's presence/frequency pruning, and FilterStream emits candidates
+// incrementally so verification can begin before filtering finishes. Grapes
+// holds its table rather than being one, so it is no index.Inserter: an
+// insert would extract no locations, and a mutable store rebuilds Grapes'
+// shard instead.
 package grapes
 
 import (
@@ -32,7 +36,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
@@ -47,8 +50,14 @@ const Kind = "grapes"
 
 func init() {
 	index.Register(Kind, func(ds []*graph.Graph, ex index.Extraction, opts index.Options) index.Index {
-		return fold(ds, ex, Options{MaxPathLen: opts.MaxPathLen, Workers: opts.Workers, Pool: opts.Pool})
+		return newIndex(opts.Workers, index.FoldPath(Kind, ds, ex, opts))
 	}, true)
+	// Restoring writes the table from exported features, location sets
+	// included, so a restored index prunes verification to the same
+	// components as the saved one; no path enumeration runs.
+	index.RegisterRestorer(Kind, func(ds []*graph.Graph, maxPathLen int, opts index.Options, feats []index.ExportedFeature) (index.Index, error) {
+		return newIndex(opts.Workers, index.RestorePath(Kind, ds, maxPathLen, opts, feats)), nil
+	})
 }
 
 // Options configures index construction and verification.
@@ -67,35 +76,28 @@ type Options struct {
 	Pool *exec.Pool
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxPathLen <= 0 {
-		o.MaxPathLen = ftv.DefaultMaxPathLen
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
-	return o
-}
-
 // Index is a built Grapes index over a dataset. Safe for concurrent use.
 type Index struct {
-	ds    []*graph.Graph
-	opts  Options
-	trie  *index.Trie // path trie: postings with location sets
-	vpool *exec.Pool  // dedicated verification pool when Workers > 1
-	stats index.Stats
-	last  atomic.Pointer[queryPlan]
+	table   *index.Path // the features, their postings and location sets
+	workers int
+	vpool   *exec.Pool // dedicated verification pool when workers > 1
+	stats   index.Stats
+	last    atomic.Pointer[queryPlan]
 }
 
 // queryPlan is what filtering and verification derive from the query alone.
 // The pipeline filters a query once and then verifies it against one
 // candidate graph after another, so the index keeps the last query's plan
-// rather than extract its maximal paths again per candidate. Query graphs
-// are immutable, which makes the pointer a sound key; concurrent queries
-// overwrite each other's plan and merely recompute.
+// rather than extract its maximal paths and look them up again per
+// candidate. Query graphs are immutable, which makes the pointer a sound key;
+// concurrent queries overwrite each other's plan and merely recompute.
 type queryPlan struct {
-	q         *graph.Graph
-	feats     []ftv.QueryFeature
+	q     *graph.Graph
+	feats []ftv.QueryFeature
+	// posts[i] and refs[i] are feats[i]'s posting list and its postings'
+	// location references, resolved once per query.
+	posts     []index.PostingList
+	refs      [][]ftv.LocRef
 	unbounded bool // q has a vertex of degree 0, which no location bounds
 	connected bool
 }
@@ -104,7 +106,12 @@ func (x *Index) plan(q *graph.Graph) *queryPlan {
 	if p := x.last.Load(); p != nil && p.q == q {
 		return p
 	}
-	p := &queryPlan{q: q, feats: ftv.QueryFeatures(q, x.opts.MaxPathLen), connected: q.IsConnected()}
+	p := &queryPlan{q: q, feats: ftv.QueryFeatures(q, x.table.MaxPathLen()), connected: q.IsConnected()}
+	p.posts = make([]index.PostingList, len(p.feats))
+	p.refs = make([][]ftv.LocRef, len(p.feats))
+	for i, f := range p.feats {
+		p.posts[i], p.refs[i] = x.table.Located(f.Labels)
+	}
 	for v := 0; v < q.N() && !p.unbounded; v++ {
 		p.unbounded = q.Degree(v) == 0
 	}
@@ -125,7 +132,7 @@ func Build(ds []*graph.Graph, opts Options) *Index {
 
 // BuildContext constructs the index through the shared build pipeline: the
 // dataset's features are extracted, with locations, across the pool's
-// workers and folded into the trie in graph-ID order, so the built index is
+// workers and folded into the table in graph-ID order, so the built index is
 // byte-identical regardless of the pool's worker count. Cancelling ctx
 // aborts the build — including mid-graph on dense inputs — and returns the
 // context's error.
@@ -137,37 +144,15 @@ func BuildContext(ctx context.Context, ds []*graph.Graph, opts Options) (*Index,
 	return x.(*Index), nil
 }
 
-// fold is the registered index.BuildFunc.
-func fold(ds []*graph.Graph, ex index.Extraction, opts Options) *Index {
-	start := time.Now()
-	x := newIndex(ds, opts.withDefaults(), index.FoldTrie(ds, ex.Features, true))
-	x.stats.BuildTime = ex.Time + time.Since(start)
-	return x
-}
-
-// newIndex wraps a built trie with the verification pool and statistics;
-// the caller sets BuildTime.
-func newIndex(ds []*graph.Graph, opts Options, trie *index.Trie) *Index {
-	x := &Index{ds: ds, opts: opts, trie: trie}
-	if opts.Workers > 1 {
-		x.vpool = exec.New(opts.Workers)
+// newIndex wraps a built or restored table with the verification pool of
+// workers (below 1 means 1) and the table's statistics under Grapes' name.
+func newIndex(workers int, table *index.Path) *Index {
+	x := &Index{table: table, workers: max(workers, 1)}
+	if x.workers > 1 {
+		x.vpool = exec.New(x.workers)
 	}
-	locs := trie.LocSets()
-	postings, postingBytes := trie.Postings()
-	x.stats = index.Stats{
-		Name:          x.Name(),
-		Kind:          Kind,
-		Graphs:        len(ds),
-		MaxPathLen:    opts.MaxPathLen,
-		Features:      trie.Features(),
-		Nodes:         trie.Nodes(),
-		BuildWorkers:  index.PoolWorkers(opts.Pool),
-		Postings:      postings,
-		PostingBytes:  postingBytes,
-		LocationBytes: locs.Bytes(),
-		LocationRows:  locs.Rows(),
-		LocationLists: locs.Lists(),
-	}
+	x.stats = table.Stats()
+	x.stats.Name = x.Name()
 	return x
 }
 
@@ -180,31 +165,30 @@ func (x *Index) Close() {
 }
 
 // Name implements ftv.Index: "Grapes/<workers>".
-func (x *Index) Name() string { return fmt.Sprintf("Grapes/%d", x.opts.Workers) }
+func (x *Index) Name() string { return fmt.Sprintf("Grapes/%d", x.workers) }
 
 // Dataset implements ftv.Index.
-func (x *Index) Dataset() []*graph.Graph { return x.ds }
+func (x *Index) Dataset() []*graph.Graph { return x.table.Dataset() }
 
 // MaxPathLen returns the indexed path length.
-func (x *Index) MaxPathLen() int { return x.opts.MaxPathLen }
+func (x *Index) MaxPathLen() int { return x.table.MaxPathLen() }
 
-// TrieNodes reports the size of the underlying trie (diagnostics).
-func (x *Index) TrieNodes() int { return x.trie.Nodes() }
+// Table returns the table the index keeps its features in, which the other
+// cells of its grid share a directory with (index.ShareDirectory).
+func (x *Index) Table() *index.Path { return x.table }
 
 // Stats implements index.Index.
 func (x *Index) Stats() index.Stats { return x.stats }
 
-// lookup adapts the trie to the shared filter plumbing.
-func (x *Index) lookup(labels []graph.Label) index.PostingList {
-	posts, _ := x.trie.Lookup(labels)
-	return posts
+// ExportFeatures implements index.FeatureExporter: the table's walk, its
+// location sets expanded to vertex IDs.
+func (x *Index) ExportFeatures(visit func(labels []graph.Label, postings []index.FeaturePosting) error) error {
+	return x.table.ExportFeatures(visit)
 }
 
 // Filter implements ftv.Index: a graph survives iff it contains every
 // maximal path of the query at least as often as the query does.
-func (x *Index) Filter(q *graph.Graph) []int {
-	return index.FilterByFeatures(len(x.ds), x.plan(q).feats, x.lookup)
-}
+func (x *Index) Filter(q *graph.Graph) []int { return x.table.Filter(q) }
 
 // FilterStream implements index.Index: surviving graph IDs are emitted
 // incrementally in ascending order.
@@ -214,7 +198,7 @@ func (x *Index) FilterStream(ctx context.Context, q *graph.Graph, emit func(grap
 
 // FilterFeatures implements index.FeatureFilter.
 func (x *Index) FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, emit func(graphID int) bool) error {
-	return index.StreamByFeatures(ctx, len(x.ds), feats, x.lookup, emit)
+	return x.table.FilterFeatures(ctx, feats, emit)
 }
 
 // scratch is the per-verification working memory, recycled across calls:
@@ -237,7 +221,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // whole graph. False when the graph fails the filter (some path missing or
 // too rare).
 func (x *Index) locate(p *queryPlan, graphID int, s *scratch) bool {
-	n := x.ds[graphID].N()
+	n := x.Dataset()[graphID].N()
 	s.mask = slices.Grow(s.mask[:0], ftv.Words(n))[:ftv.Words(n)]
 	clear(s.mask)
 	if n == 0 && len(p.feats) > 0 {
@@ -245,15 +229,14 @@ func (x *Index) locate(p *queryPlan, graphID int, s *scratch) bool {
 		// a restored mutable store, whose stale locations nothing bounds.
 		return false
 	}
-	sets := x.trie.LocSets()
-	for _, f := range p.feats {
-		posts, locs := x.trie.Lookup(f.Labels)
-		c := posts.Cursor()
+	sets := x.table.LocSets()
+	for i, f := range p.feats {
+		c := p.posts[i].Cursor()
 		at, count, ok := c.Seek(int32(graphID))
 		if !ok || count < f.Count {
 			return false
 		}
-		sets.Union(locs[at], s.mask)
+		sets.Union(p.refs[i][at], s.mask)
 	}
 	if p.unbounded {
 		for v := 0; v < n; v++ {
@@ -266,7 +249,7 @@ func (x *Index) locate(p *queryPlan, graphID int, s *scratch) bool {
 // CandidateVertices reads locate's mask out in ascending order. The boolean
 // is false when the graph fails the filter or graphID is out of range.
 func (x *Index) CandidateVertices(q *graph.Graph, graphID int) ([]int32, bool) {
-	if graphID < 0 || graphID >= len(x.ds) {
+	if graphID < 0 || graphID >= len(x.Dataset()) {
 		return nil, false
 	}
 	s := scratchPool.Get().(*scratch)
@@ -332,20 +315,21 @@ func (s *scratch) comp(i int) match.VertexSet {
 // Verify implements ftv.Index: the query's location info in the candidate
 // graph is split into connected components and each one big enough for q is
 // checked by VF2 restricted to it on the stored graph — no subgraph is built
-// — in parallel across opts.Workers workers, stopping at the first match,
+// — in parallel across the index's workers, stopping at the first match,
 // matching the paper's modification of Grapes to "return after the first
 // match of the query graph".
 func (x *Index) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	if graphID < 0 || graphID >= len(x.ds) {
-		return false, fmt.Errorf("grapes: graph ID %d out of range [0,%d)", graphID, len(x.ds))
+	ds := x.Dataset()
+	if graphID < 0 || graphID >= len(ds) {
+		return false, fmt.Errorf("grapes: graph ID %d out of range [0,%d)", graphID, len(ds))
 	}
 	if q.N() == 0 {
 		return true, nil
 	}
-	m, p := vf2.New(x.ds[graphID]), x.plan(q)
+	m, p := vf2.New(ds[graphID]), x.plan(q)
 	if p.unbounded {
 		return m.Contains(ctx, q) // see locate
 	}
@@ -359,7 +343,7 @@ func (x *Index) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, 
 		return m.ContainsWithin(ctx, q, s.mask)
 	}
 	// Components too small to host the query are skipped outright.
-	kept := s.components(x.ds[graphID], q.N(), q.M())
+	kept := s.components(ds[graphID], q.N(), q.M())
 	if x.vpool == nil || kept <= 1 {
 		for i := 0; i < kept; i++ {
 			found, err := m.ContainsWithin(ctx, q, s.comp(i))
@@ -369,7 +353,7 @@ func (x *Index) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, 
 		}
 		return false, nil
 	}
-	return x.verifyParallel(ctx, q, x.ds[graphID], s, kept)
+	return x.verifyParallel(ctx, q, ds[graphID], s, kept)
 }
 
 // errComponentFound aborts the remaining component checks once any component
@@ -377,7 +361,7 @@ func (x *Index) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, 
 var errComponentFound = errors.New("grapes: component match found")
 
 // verifyParallel fans VF2 over components across the index's dedicated
-// verification pool (hard-bounded at opts.Workers in flight); the first
+// verification pool (hard-bounded at the index's workers in flight); the first
 // success cancels the remaining work. The dedicated pool keeps this nested
 // fan-out off the shared pool, where a racer already running this
 // verification inside a pool task would deadlock a single-worker pool.

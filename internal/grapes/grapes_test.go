@@ -3,6 +3,7 @@ package grapes
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -37,8 +38,23 @@ func TestBuildAndName(t *testing.T) {
 	if x.MaxPathLen() != ftv.DefaultMaxPathLen {
 		t.Errorf("MaxPathLen = %d", x.MaxPathLen())
 	}
-	if x.TrieNodes() <= 1 {
-		t.Error("trie should have nodes")
+	// g2 holds (0,1) three times, touching its every vertex; g0 and g1 once,
+	// touching vertices 0 and 1.
+	if x.Stats().Features == 0 || x.Stats().Features != x.Table().Stats().Features {
+		t.Errorf("Stats().Features = %d, its table's %d", x.Stats().Features, x.Table().Stats().Features)
+	}
+	posts, refs := x.Table().Located([]graph.Label{0, 1})
+	var got [][]int32
+	for c := posts.Cursor(); c.Next(); {
+		words := ftv.Words(x.Dataset()[c.Graph()].N())
+		got = append(got, x.Table().LocSets().AppendIDs(nil, refs[len(got)], words))
+	}
+	if want := [][]int32{{0, 1}, {0, 1}, {0, 1, 2, 3}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("locations of (0,1) = %v, want %v", got, want)
+	}
+	// An insert extracts no locations, so the table refuses one.
+	if _, err := x.Table().WithGraph(context.Background(), smallDataset()[0]); err == nil {
+		t.Error("Grapes' table took an insert that would drop its locations")
 	}
 }
 
@@ -564,7 +580,7 @@ func TestStatsAndFilterStream(t *testing.T) {
 	x := Build(ds, Options{Workers: 2})
 	defer x.Close()
 	st := x.Stats()
-	if st.Kind != Kind || st.Graphs != 3 || st.Features == 0 || st.Nodes == 0 {
+	if st.Kind != Kind || st.Name != x.Name() || st.Graphs != 3 || st.Features == 0 || st.LocationBytes == 0 {
 		t.Errorf("Stats = %+v", st)
 	}
 	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})

@@ -14,10 +14,10 @@ import (
 	"github.com/psi-graph/psi/internal/core"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
-	"github.com/psi-graph/psi/internal/ggsx"
 	"github.com/psi-graph/psi/internal/gql"
 	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
+	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/match"
 	"github.com/psi-graph/psi/internal/metrics"
 	"github.com/psi-graph/psi/internal/quicksi"
@@ -87,7 +87,7 @@ type Env struct {
 	synthetic, ppi []*graph.Graph
 	grapesSyn      map[int]*grapes.Index // workers -> index
 	grapesPPI      map[int]*grapes.Index
-	ggsxPPI        *ggsx.Index
+	ggsxPPI        index.Index
 
 	single      map[string]*graph.Graph             // dataset name -> stored graph
 	nfvMatchers map[string]map[string]match.Matcher // dataset -> algorithm -> matcher
@@ -182,12 +182,16 @@ func (e *Env) Grapes(dataset string, workers int) *grapes.Index {
 
 // GGSX returns the GGSX index over the PPI dataset (the paper omits GGSX on
 // the synthetic dataset because of excessive runtimes; so do we).
-func (e *Env) GGSX() *ggsx.Index {
+func (e *Env) GGSX() index.Index {
 	ds := e.PPI()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.ggsxPPI == nil {
-		e.ggsxPPI = ggsx.Build(ds, ggsx.Options{})
+		x, err := index.Build(context.Background(), index.KindGGSX, ds, index.Options{})
+		if err != nil {
+			panic(err) // unreachable: the background context never cancels
+		}
+		e.ggsxPPI = x
 	}
 	return e.ggsxPPI
 }

@@ -15,6 +15,7 @@ package index
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -85,7 +86,7 @@ func Kinds() []string {
 // exec.Group on the same pool, a cell each, so a fold must not itself wait on
 // Group work of that pool, and a fold that panics reaches the caller as
 // BuildGrid's error, not as a panic. The output is identical for every pool
-// size. The flat path indexes of a row then share one sequence directory
+// size. Every cell's table then shares one sequence directory
 // (ShareDirectory).
 func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, shards int, opts Options) ([][]Index, error) {
 	builders := make([]builder, len(kinds))
@@ -152,9 +153,7 @@ func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, shards in
 		}
 		return nil, err
 	}
-	for _, row := range grid {
-		ShareDirectory(row)
-	}
+	ShareDirectory(slices.Concat(grid...))
 	return grid, nil
 }
 

@@ -183,17 +183,18 @@ func dropMirrors(kind string, feats []ExportedFeature) ([]ExportedFeature, error
 // ftv.Features and every index keep their features in.
 func CompareLabelSeqs(a, b []graph.Label) int { return slices.Compare(a, b) }
 
-func init() {
-	RegisterRestorer(KindPath, restorePath)
-}
-
-// ExportFeatures implements FeatureExporter for the flat path index, whose
-// directory and entries are in the canonical order already: a walk over the
-// set bits of its presence bitmap.
+// ExportFeatures implements FeatureExporter for every table, whose directory
+// and entries are in the canonical order already: a walk over the set bits of
+// its presence bitmap. The export is where location sets leave their stored
+// form: each is expanded to ascending vertex IDs, one allocation per feature.
 func (x *Path) ExportFeatures(visit func(labels []graph.Label, postings []FeaturePosting) error) error {
 	i := 0
 	for p := range x.has.ones() {
-		if err := visit(x.dir.seq(p), x.listOf(i).export()); err != nil {
+		ps := x.listOf(i).export()
+		if refs := x.refsOf(i); refs != nil {
+			x.expandLocations(ps, refs)
+		}
+		if err := visit(x.dir.seq(p), ps); err != nil {
 			return err
 		}
 		i++
@@ -201,25 +202,57 @@ func (x *Path) ExportFeatures(visit func(labels []graph.Label, postings []Featur
 	return nil
 }
 
-// restorePath rebuilds the flat path index: its directory, entries and
-// posting slab written straight from the exported features (Restore has
-// checked their order), measured first so that each is one allocation with no
+// expandLocations sets the locations of the postings ps from their sets'
+// references.
+func (x *Path) expandLocations(ps []FeaturePosting, refs []ftv.LocRef) {
+	members := 0
+	for i, p := range ps {
+		members += x.locs.Members(refs[i], ftv.Words(x.ds[p.GraphID].N()))
+	}
+	ids := make([]int32, 0, members)
+	for i, p := range ps {
+		from := len(ids)
+		ids = x.locs.AppendIDs(ids, refs[i], ftv.Words(x.ds[p.GraphID].N()))
+		if len(ids) > from { // the empty set is nil, as the snapshot decodes it
+			ps[i].Locations = ids[from:len(ids):len(ids)]
+		}
+	}
+}
+
+// RestorePath rebuilds the table of kind: its directory, entries and posting
+// slab — and, for a kind that keeps locations, its references and location
+// sets, each set packed into the form the extraction gives it (ftv.RowForm) —
+// written straight from the exported features (Restore has checked their
+// order and bounds), measured first so that each is one allocation with no
 // slack. No path enumeration runs, which is where the cold-start speedup
-// comes from. The index holds every sequence of its own directory; a
-// restored store then shares one directory across a row (ShareDirectory).
-func restorePath(ds []*graph.Graph, maxPathLen int, opts Options, feats []ExportedFeature) (Index, error) {
+// comes from. The table holds every sequence of its own directory; a restored
+// store then shares one directory across its grid (ShareDirectory).
+func RestorePath(kind string, ds []*graph.Graph, maxPathLen int, opts Options, feats []ExportedFeature) *Path {
 	if maxPathLen <= 0 {
 		maxPathLen = ftv.DefaultMaxPathLen
 	}
 	start := time.Now()
+	located := keepsLocations(kind)
 	sizes := make([]listSize, len(feats))
-	nLabels, nBytes := 0, 0
+	nLabels, nBytes, nPostings, rowWords, listIDs := 0, 0, 0, 0, 0
 	for i, f := range feats {
 		sizes[i] = measure(f.Postings)
 		nLabels += len(f.Labels)
 		nBytes += sizes[i].bytes()
+		nPostings += len(f.Postings)
+		if !located {
+			continue
+		}
+		for _, p := range f.Postings {
+			if words := ftv.Words(ds[p.GraphID].N()); ftv.RowForm(len(p.Locations), words) {
+				rowWords += words
+			} else {
+				listIDs += len(p.Locations)
+			}
+		}
 	}
 	x := &Path{
+		kind:       kind,
 		ds:         ds,
 		maxPathLen: maxPathLen,
 		dir: &PathDirectory{
@@ -227,8 +260,12 @@ func restorePath(ds []*graph.Graph, maxPathLen int, opts Options, feats []Export
 			ends:   make([]uint32, 0, len(feats)),
 		},
 		has:      fullBitmap(len(feats)),
-		entries:  make([]pathEntry, len(feats)),
+		entries:  make([]pathEntry, 0, len(feats)),
 		postings: make([]byte, nBytes),
+	}
+	if located {
+		x.refs = make([]ftv.LocRef, 0, nPostings)
+		x.locs.Reserve(rowWords, listIDs)
 	}
 	rest := x.postings
 	for i, f := range feats {
@@ -236,9 +273,16 @@ func restorePath(ds []*graph.Graph, maxPathLen int, opts Options, feats []Export
 		l := carve(&rest, sizes[i])
 		for _, p := range f.Postings {
 			l.push(int32(p.GraphID), p.Count)
+			if located {
+				x.refs = append(x.refs, x.locs.AppendList(p.Locations, ftv.Words(ds[p.GraphID].N())))
+			}
 		}
-		x.entries[i] = pathEntry{listEnd: slabOffset(nBytes - len(rest)), n: l.n, next: l.next}
+		x.entries = append(x.entries, pathEntry{
+			listEnd: slabOffset(nBytes - len(rest)),
+			postEnd: x.postingCount() + uint32(l.n),
+			next:    l.next,
+		})
 	}
-	x.finish(ds, time.Since(start), opts.Pool)
-	return x, nil
+	x.finish(time.Since(start), opts.Pool)
+	return x
 }

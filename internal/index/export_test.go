@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"github.com/psi-graph/psi/internal/gen"
-	_ "github.com/psi-graph/psi/internal/ggsx"
 	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
@@ -60,7 +59,7 @@ func TestExportRestoreParityAllKinds(t *testing.T) {
 				t.Fatalf("restore %s: %v", kind, err)
 			}
 			defer y.Close()
-			if y.Stats().Features != x.Stats().Features || y.Stats().Nodes != x.Stats().Nodes {
+			if y.Stats().Features != x.Stats().Features || y.Stats().Postings != x.Stats().Postings {
 				t.Fatalf("%s restored shape %+v != built %+v", kind, y.Stats(), x.Stats())
 			}
 			// Location sets are packed on restore by the rule the extraction

@@ -1,6 +1,7 @@
 // Package index defines the single filtering-index contract shared by the
 // repo's alternative filter-then-verify methods — the path-based FTV baseline
-// (this package), Grapes and GGSX — and the plumbing every implementation
+// and GGSX (this package), and Grapes — the one flat feature table all three
+// keep their features in (path.go), and the plumbing every implementation
 // used to duplicate: presence/frequency pruning over query features, pooled
 // deterministic builds, and the streaming filter→verify pipeline.
 //
@@ -58,9 +59,9 @@ type Index interface {
 // without re-extracting the features of the existing graphs. The receiver is
 // left untouched — concurrent queries against it keep their answers — so a
 // mutable dataset layer can swap the returned index in copy-on-write style.
-// Kinds that cannot append cheaply (the trie-backed indexes) simply do not
-// implement it and are rebuilt shard-locally instead, together, from one
-// feature extraction.
+// Kinds that cannot append cheaply (Grapes, whose locations an insert does not
+// extract) simply do not implement it and are rebuilt shard-locally instead,
+// together, from one feature extraction.
 type Inserter interface {
 	WithGraph(ctx context.Context, g *graph.Graph) (Index, error)
 }
@@ -77,13 +78,11 @@ type Stats struct {
 	// MaxPathLen is the maximum indexed path length in edges.
 	MaxPathLen int `json:"max_path_len"`
 	// Features is the number of distinct path features the index holds:
-	// undirected label paths, each stored under its oriented spelling only. A
-	// Sharded index reports its shards' sum, which counts a feature once per
-	// shard holding it, not the distinct features of the whole dataset.
+	// undirected label paths, each stored under its oriented spelling only,
+	// one entry each in the kind's flat table. A Sharded index reports its
+	// shards' sum, which counts a feature once per shard holding it, not the
+	// distinct features of the whole dataset.
 	Features int `json:"features"`
-	// Nodes is the size of the backing structure (trie/suffix-trie nodes,
-	// or array entries for the flat path index).
-	Nodes int `json:"nodes"`
 	// BuildTime is the wall-clock time until the index was usable: the
 	// feature extraction it was folded from — shared with every other kind
 	// and shard of the same build, and counted in each; a shard of a grid

@@ -33,14 +33,51 @@ func TestRegistryHasAllKinds(t *testing.T) {
 	}
 }
 
-func TestPathIndexFilterAndVerify(t *testing.T) {
-	x, err := BuildPath(context.Background(), smallDataset(), Options{})
+// flatKinds are the kinds that are the flat table alone, with the names they
+// answer to.
+var flatKinds = []struct{ kind, name string }{{KindPath, "FTV"}, {KindGGSX, "GGSX"}}
+
+// buildFlat builds one of the flat kinds, its static type kept.
+func buildFlat(t *testing.T, kind string, ds []*graph.Graph, opts Options) *Path {
+	t.Helper()
+	x, err := Build(context.Background(), kind, ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Name() != "FTV" {
-		t.Errorf("Name = %q", x.Name())
+	return x.(*Path)
+}
+
+// TestPathIndexFilterAndVerify holds each flat kind to its name and defaults
+// ("name"), presence and frequency pruning ("filter"), and VF2 verification
+// over the whole graph ("verify").
+func TestPathIndexFilterAndVerify(t *testing.T) {
+	for _, fk := range flatKinds {
+		t.Run(fk.kind, func(t *testing.T) {
+			x := buildFlat(t, fk.kind, smallDataset(), Options{})
+			t.Run("name", func(t *testing.T) { checkFlatName(t, x, fk.kind, fk.name) })
+			t.Run("filter", func(t *testing.T) { checkFlatFilter(t, x) })
+			t.Run("verify", func(t *testing.T) { checkFlatVerify(t, x) })
+		})
 	}
+}
+
+func checkFlatName(t *testing.T, x *Path, kind, name string) {
+	if x.Name() != name {
+		t.Errorf("Name = %q, want %q", x.Name(), name)
+	}
+	if len(x.Dataset()) != 3 || x.MaxPathLen() != ftv.DefaultMaxPathLen {
+		t.Errorf("%d graphs at path length %d, want 3 at %d", len(x.Dataset()), x.MaxPathLen(), ftv.DefaultMaxPathLen)
+	}
+	if _, ok := Index(x).(Inserter); !ok {
+		t.Error("a flat kind is not an Inserter")
+	}
+	st := x.Stats()
+	if st.Kind != kind || st.Name != name || st.Graphs != 3 || st.Features == 0 || st.Postings == 0 {
+		t.Errorf("Stats = %+v", st)
+	}
+}
+
+func checkFlatFilter(t *testing.T, x *Path) {
 	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
 	got := x.Filter(q)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
@@ -61,6 +98,10 @@ func TestPathIndexFilterAndVerify(t *testing.T) {
 	if got4 := x.Filter(q4); len(got4) != 0 {
 		t.Errorf("Filter = %v, want empty", got4)
 	}
+}
+
+func checkFlatVerify(t *testing.T, x *Path) {
+	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
 	ok, err := x.Verify(context.Background(), q, 0)
 	if err != nil || !ok {
 		t.Errorf("Verify(g0) = %v, %v", ok, err)
@@ -72,9 +113,29 @@ func TestPathIndexFilterAndVerify(t *testing.T) {
 	if _, err := x.Verify(context.Background(), q, 99); err == nil {
 		t.Error("Verify out of range should fail")
 	}
-	st := x.Stats()
-	if st.Kind != KindPath || st.Graphs != 3 || st.Features == 0 {
-		t.Errorf("Stats = %+v", st)
+}
+
+// TestLookupCounts pins each flat kind's postings for one sequence, and that a
+// sequence is looked up under its oriented spelling only.
+func TestLookupCounts(t *testing.T) {
+	for _, fk := range flatKinds {
+		t.Run(fk.kind, func(t *testing.T) {
+			x := buildFlat(t, fk.kind, smallDataset(), Options{})
+			// g0: edge 0(0)-1(1) one occurrence of (0,1); g1 same; g2: center
+			// label 1 is vertex 0, leaves label 0: path (0,1) occurs 3×.
+			if got, want := unpack(x.lookup([]graph.Label{0, 1})), []posting{{0, 1}, {1, 1}, {2, 3}}; !slices.Equal(got, want) {
+				t.Errorf("counts(0,1) = %v, want %v", got, want)
+			}
+			if x.lookup([]graph.Label{42}).Len() != 0 {
+				t.Error("unknown label should have no postings")
+			}
+			if x.lookup([]graph.Label{1, 0}).Len() != 0 {
+				t.Error("(1,0) is (0,1) read backwards and should have no postings of its own")
+			}
+			if list, refs := x.Located([]graph.Label{0, 1}); list.Len() != 3 || refs != nil {
+				t.Errorf("Located(0,1) = %d postings and references %v; want 3 and none for a kind without locations", list.Len(), refs)
+			}
+		})
 	}
 }
 

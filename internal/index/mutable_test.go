@@ -18,16 +18,23 @@ import (
 	"github.com/psi-graph/psi/internal/index"
 )
 
-// TestPathWithGraphParity appends graphs one at a time via WithGraph and
-// checks, at every prefix, that the derived index answers exactly like
-// BuildPath over the same prefix and holds the same features and postings,
-// byte for byte — and that the receivers are untouched. The last graph brings
-// a label the others lack, so appends that add features and appends that
-// share the label slab both occur.
+// TestPathWithGraphParity appends graphs one at a time via WithGraph to each
+// flat kind and checks, at every prefix, that the derived index answers
+// exactly like a build of the kind over the same prefix, holds the same
+// features and postings, byte for byte, and still names itself as its kind —
+// and that the receivers are untouched. The last graph brings a label the
+// others lack, so appends that add features and appends that share the label
+// slab both occur.
 func TestPathWithGraphParity(t *testing.T) {
+	for _, kind := range []string{index.KindPath, index.KindGGSX} {
+		t.Run(kind, func(t *testing.T) { withGraphParity(t, kind) })
+	}
+}
+
+func withGraphParity(t *testing.T, kind string) {
 	r := rand.New(rand.NewSource(7))
 	ds := append(randomDataset(r, 6, 10, 2), graph.MustNew("new-label", []graph.Label{0, 2, 1}, [][2]int{{0, 1}, {1, 2}}))
-	base, err := index.BuildPath(context.Background(), ds[:2], index.Options{MaxPathLen: 3})
+	base, err := index.Build(context.Background(), kind, ds[:2], index.Options{MaxPathLen: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +57,12 @@ func TestPathWithGraphParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WithGraph(#%d): %v", n-1, err)
 		}
-		want, err := index.BuildPath(context.Background(), ds[:n], index.Options{MaxPathLen: 3})
+		want, err := index.Build(context.Background(), kind, ds[:n], index.Options{MaxPathLen: 3})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if st := next.Stats(); next.Name() != base.Name() || st.Name != base.Name() || st.Kind != kind {
+			t.Errorf("n=%d: the appended %s index is %q, reporting %q of kind %q", n, kind, next.Name(), st.Name, st.Kind)
 		}
 		for qi, q := range queries {
 			if got, expect := next.Filter(q), want.Filter(q); !sameInts(got, expect) {

@@ -10,19 +10,20 @@ package index_test
 //     for all three — and match brute-force VF2 over the whole dataset.
 //
 // The tests run in an external package so they can build the real Grapes
-// and GGSX implementations against the contract (the implementation
-// packages import internal/index; the reverse would cycle).
+// implementation against the contract (internal/grapes imports
+// internal/index; the reverse would cycle).
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
-	"github.com/psi-graph/psi/internal/ggsx"
 	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
@@ -299,13 +300,60 @@ func TestBuildDeterminismAcrossWorkerCounts(t *testing.T) {
 			t.Errorf("Grapes workers 1 vs 4 q%d: Filter %v vs %v", qi, f1, f4)
 		}
 	}
-	// GGSX built through its own constructor matches the registry build.
-	gg := ggsx.Build(ds, ggsx.Options{})
+	// GGSX is the flat path index under another name: it filters alike.
 	for qi, q := range queries {
-		want := xs1[indexOfKind(t, ggsx.Kind)].Filter(q)
-		if got := gg.Filter(q); !sameInts(got, want) {
-			t.Errorf("GGSX direct vs registry q%d: %v vs %v", qi, got, want)
+		want := xs1[indexOfKind(t, index.KindPath)].Filter(q)
+		if got := xs1[indexOfKind(t, index.KindGGSX)].Filter(q); !sameInts(got, want) {
+			t.Errorf("GGSX vs FTV q%d: %v vs %v", qi, got, want)
 		}
+	}
+}
+
+// TestFilterNoFalseNegatives: for every kind, the graph a query was cut from
+// survives the filter.
+func TestFilterNoFalseNegatives(t *testing.T) {
+	for _, kind := range index.Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			f := func(seed int64) bool {
+				r := rand.New(rand.NewSource(seed))
+				ds := randomDataset(r, 5, 12, 3)
+				x, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer x.Close()
+				src := r.Intn(len(ds))
+				q := extractQuery(r, ds[src], 2+r.Intn(5))
+				return slices.Contains(x.Filter(q), src)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestAnswerMatchesBruteForce: for every kind, the filter→verify answer is
+// exactly the graphs brute-force VF2 finds the query in.
+func TestAnswerMatchesBruteForce(t *testing.T) {
+	for _, kind := range index.Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			f := func(seed int64) bool {
+				r := rand.New(rand.NewSource(seed))
+				ds := randomDataset(r, 5, 10, 3)
+				x, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer x.Close()
+				q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(3))
+				got, err := ftv.Answer(context.Background(), x, q)
+				return err == nil && sameInts(got, trueAnswers(t, ds, q))
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

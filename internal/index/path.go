@@ -1,35 +1,48 @@
 package index
 
-// The path-based FTV baseline: the simplest member of the portfolio. It
-// stores every extracted path feature — an undirected label path under its
-// oriented spelling (ftv.Oriented) — flat, sorted by label sequence — no
-// trie, no locations — and verifies candidates with VF2 against the whole
-// stored graph. Its filtering power is identical to GGSX (both count all
-// ≤maxLen paths); what differs is the storage layout and lookup cost, which
-// is exactly the kind of constant-factor alternative the racing Engine
-// exploits: on some queries the flat array's binary search over whole
-// sequences beats the tries, on others the tries' shared prefixes win.
+// The flat path-feature table every index kind keeps its features in, and the
+// two kinds that are nothing but the table. It stores every extracted path
+// feature — an undirected label path under its oriented spelling
+// (ftv.Oriented) — flat, sorted by label sequence, with its packed posting
+// list and, for a kind that declares it reads locations (Grapes), a reference
+// to each posting's location set. The kinds differ only in how they verify:
+// the flat path index (KindPath, "FTV") and GGSX (KindGGSX) run VF2 against
+// the whole stored graph, and Grapes (internal/grapes), which holds a table
+// with locations, runs it within the components its location sets leave.
+//
+// GGSX (Bonnici et al., §3.1.1 of the paper) indexes all ≤maxLen paths, as
+// this table does, in a suffix tree, keeps no locations and verifies with VF2
+// against the whole graph: its filtering and its verification are the flat
+// index's, and only its storage layout differed, which one table removes. It
+// stays registered under its own name because the paper's portfolio names it
+// and so does what reproduces that portfolio — the benchmark's ftv_stragglers
+// workload races it, and testdata/parent_portfolio_k2.psnap holds a "ggsx"
+// kind — until a portfolio audit on the benchmark shows whether an arm that
+// races its twin earns its place.
 //
 // The label sequences live in a sequence directory (PathDirectory): every
 // sequence in canonical order, concatenated into one label slab, with one
-// end per sequence. An index keeps no labels of its own, only a presence
+// end per sequence. A table keeps no labels of its own, only a presence
 // bitmap over the directory's positions marking the sequences it indexes
 // (with a running count per 64-bit word, so that a rank is one popcount),
 // one 12-byte entry per indexed sequence holding no pointer, in directory
 // order — entry i belongs to the i-th set bit — and every packed posting list
 // back to back. A sequence's list runs from where the previous entry's list
-// ends to where its own does. A lookup is a binary search of the directory, a
-// bit test and a rank; an index is a handful of allocations whatever its
-// size, with nothing for the collector to trace, and each slab is a form a
-// file could hold as it is.
+// ends to where its own does, and its postings from the previous entry's
+// running posting count to its own; a table with locations keeps one
+// reference per posting, in posting order, so the same two counts delimit a
+// list's references. A lookup is a binary search of the directory, a bit test
+// and a rank; a table is a handful of allocations whatever its size, with
+// nothing for the collector to trace, and each slab is a form a file could
+// hold as it is.
 //
-// A directory is immutable, so indexes can share one. The K shards of one
-// flat row — the per-shard sub-indexes of this kind in one build or store —
-// index nearly the same sequences, so the build and the restore give them
-// one directory, the union of theirs (ShareDirectory); an insert keeps its
-// index's directory unless the graph brings a sequence the directory lacks,
-// and a rebuilt shard adopts its predecessor's when that holds every
-// sequence it indexes (AdoptDirectory).
+// A directory is immutable, so tables can share one. The cells of one grid —
+// every kind and shard of one build or store — index nearly the same
+// sequences, and the kinds folded from one extraction exactly the same, so
+// the build and the restore give them one directory, the union of theirs
+// (ShareDirectory); an insert keeps its index's directory unless the graph
+// brings a sequence the directory lacks, and a rebuilt shard adopts its
+// predecessor's when that holds every sequence it indexes (AdoptDirectory).
 
 import (
 	"context"
@@ -38,6 +51,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strings"
 	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
@@ -46,38 +60,56 @@ import (
 	"github.com/psi-graph/psi/internal/vf2"
 )
 
-// KindPath is the registered kind of the flat path index.
-const KindPath = "ftv"
+const (
+	// KindPath is the registered kind of the flat path index.
+	KindPath = "ftv"
+	// KindGGSX is the registered kind of GGSX: the flat path index under the
+	// paper's name for it.
+	KindGGSX = "ggsx"
+)
 
 func init() {
-	Register(KindPath, func(ds []*graph.Graph, ex Extraction, opts Options) Index {
-		return foldPath(ds, ex, opts)
-	}, false)
+	for _, kind := range []string{KindPath, KindGGSX} {
+		Register(kind, func(ds []*graph.Graph, ex Extraction, opts Options) Index {
+			return FoldPath(kind, ds, ex, opts)
+		}, false)
+		RegisterRestorer(kind, func(ds []*graph.Graph, maxPathLen int, opts Options, feats []ExportedFeature) (Index, error) {
+			return RestorePath(kind, ds, maxPathLen, opts, feats), nil
+		})
+	}
 }
 
-// Path is the flat path-feature index. Safe for concurrent use once built.
+// Path is the flat path-feature table, and under KindPath or KindGGSX an
+// index of its own. Safe for concurrent use once built.
 type Path struct {
+	kind       string
 	ds         []*graph.Graph
 	maxPathLen int
 	// The features in canonical (lexicographic label sequence) order — the
 	// order the snapshot export promises, so exporting is a walk over the set
 	// bits. dir holds the sequences, has marks the ones indexed here, and
 	// entries and postings are theirs in directory order. Immutable, the
-	// directory shared with the rest of the row: WithGraph writes new slabs,
+	// directory shared with the rest of the grid: WithGraph writes new slabs,
 	// keeping the directory unless the graph brings a sequence it lacks and
 	// the bitmap unless the graph brings a sequence new to this index.
 	dir      *PathDirectory
 	has      bitmap
 	entries  []pathEntry
 	postings []byte
-	stats    Stats
+	// refs holds, for a kind that keeps locations, each posting's set in locs,
+	// in posting order; nil for the others.
+	refs  []ftv.LocRef
+	locs  ftv.LocSets
+	stats Stats
 }
 
 // pathEntry is one indexed sequence: where its list ends in the posting slab,
-// and the list's posting count and next base (PostingList.n, .next).
+// how many postings the table holds up to the end of its list, and the list's
+// next base (PostingList.next). A posting takes two bytes at least, so a count
+// of postings fits wherever the slab's offsets do.
 type pathEntry struct {
-	listEnd uint32
-	n, next int32
+	listEnd, postEnd uint32
+	next             int32
 }
 
 // slabOffset is a slab length as an entry's offset; a slab longer than an
@@ -91,7 +123,7 @@ func slabOffset(n int) uint32 {
 
 // PathDirectory is a sequence directory: label sequences in canonical order,
 // held as one label slab and one end per sequence. It is immutable, so any
-// number of flat indexes can look their features up in one.
+// number of tables can look their features up in one.
 type PathDirectory struct {
 	labels []graph.Label
 	ends   []uint32
@@ -168,7 +200,7 @@ func (d *PathDirectory) with(f *ftv.Features, place []int, seqs, labels int) *Pa
 	return nd
 }
 
-// bitmap is an index's presence bitmap over its directory's positions, 64 a
+// bitmap is a table's presence bitmap over its directory's positions, 64 a
 // word, each word with the number of bits set in the words before it.
 type bitmap []bitmapWord
 
@@ -235,21 +267,32 @@ func BuildPath(ctx context.Context, ds []*graph.Graph, opts Options) (*Path, err
 	return x.(*Path), nil
 }
 
-// foldPath is the flat index's fold, the BuildFunc registered under KindPath
-// with the static type kept. The first pass interns every (graph, feature)
-// pair to a dense slot — through ftv.LabelTrie, the extractor's own interner,
-// at one probe per label — and measures the posting lists; the interner's
-// canonical walk then lays out the directory, the entries and the posting
-// slab; the second pass fills the lists graph by graph, which leaves them
-// ascending with no sort and no spare byte. The index holds every sequence of
-// its own directory; a grid then shares one directory across a row
+// keepsLocations reports whether kind declared that its fold reads locations
+// (Register), and so whether its table keeps them.
+func keepsLocations(kind string) bool {
+	registryMu.RLock()
+	defer registryMu.RUnlock()
+	return registry[kind].locations
+}
+
+// FoldPath folds the table of kind over ds from its graphs' extracted
+// features: the BuildFunc of KindPath and KindGGSX, and what Grapes' wraps.
+// The first pass interns every (graph, feature) pair to a dense slot — through
+// ftv.LabelTrie, the extractor's own interner, at one probe per label — and
+// measures the posting lists; the interner's canonical walk then lays out the
+// directory, the entries and the posting slab; the second pass fills the lists
+// graph by graph, which leaves them ascending with no sort and no spare byte.
+// A kind that keeps locations has each graph's location slab appended to the
+// table's as it is, so a set keeps the form the extraction gave it, and each
+// posting's reference written beside it. The table holds every sequence of
+// its own directory; a grid then shares one directory across its cells
 // (ShareDirectory). (Measured on the benchmark's 300 × 50-vertex, 8-label
 // dataset, 1.57 M postings at 2.0 bytes each: the fold is about a fifth of an
 // ftv build's wall time on two cores, interning about half of the fold. The
 // graphs' features arrive sorted, so a k-way merge would group them with no
 // table at all, but at postings × log₂ graphs sequence comparisons it does
 // more work than the five probes a posting costs here.)
-func foldPath(ds []*graph.Graph, ex Extraction, opts Options) *Path {
+func FoldPath(kind string, ds []*graph.Graph, ex Extraction, opts Options) *Path {
 	start := time.Now()
 	var (
 		seqs    = ftv.NewLabelTrie()
@@ -277,6 +320,7 @@ func foldPath(ds []*graph.Graph, ex Extraction, opts Options) *Path {
 		nBytes += z.bytes()
 	}
 	x := &Path{
+		kind:       kind,
 		ds:         ds,
 		maxPathLen: opts.MaxPathLen,
 		dir: &PathDirectory{
@@ -299,36 +343,57 @@ func foldPath(ds []*graph.Graph, ex Extraction, opts Options) *Path {
 		lists[at[s]] = carve(&rest, sizes[s])
 		x.entries = append(x.entries, pathEntry{
 			listEnd: slabOffset(nBytes - len(rest)),
-			n:       sizes[s].n,
+			postEnd: x.postingCount() + uint32(sizes[s].n),
 			next:    sizes[s].next,
 		})
 	})
+	located := keepsLocations(kind)
+	if located {
+		x.refs = make([]ftv.LocRef, len(slotOf))
+		rowWords, listIDs := 0, 0
+		for _, f := range ex.Features {
+			r, l := f.LocSets().Size()
+			rowWords, listIDs = rowWords+r, listIDs+l
+		}
+		x.locs.Reserve(rowWords, listIDs)
+	}
 	next := 0
 	for g, f := range ex.Features {
+		var rowBase, listBase int32
+		if located {
+			rowBase, listBase = x.locs.AppendAll(f.LocSets())
+		}
 		for i := 0; i < f.Len(); i++ {
-			lists[at[slotOf[next]]].push(int32(g), f.Count(i))
+			e := at[slotOf[next]]
+			if located {
+				_, first := x.start(int(e))
+				x.refs[int(first)+lists[e].Len()] = f.LocRef(i).Shifted(rowBase, listBase)
+			}
+			lists[e].push(int32(g), f.Count(i))
 			next++
 		}
 	}
-	x.finish(ds, ex.Time+time.Since(start), opts.Pool)
+	x.finish(ex.Time+time.Since(start), opts.Pool)
 	return x
 }
 
-// finish sets the statistics of a built or restored index.
-func (x *Path) finish(ds []*graph.Graph, buildTime time.Duration, pool *exec.Pool) {
+// finish sets the statistics of a built or restored table.
+func (x *Path) finish(buildTime time.Duration, pool *exec.Pool) {
 	x.stats = Stats{
 		Name:         x.Name(),
-		Kind:         KindPath,
-		Graphs:       len(ds),
+		Kind:         x.kind,
+		Graphs:       len(x.ds),
 		MaxPathLen:   x.maxPathLen,
 		Features:     len(x.entries),
-		Nodes:        len(x.entries),
 		BuildTime:    buildTime,
 		BuildWorkers: PoolWorkers(pool),
+		Postings:     int64(x.postingCount()),
 		PostingBytes: int64(len(x.postings)),
 	}
-	for _, e := range x.entries {
-		x.stats.Postings += int64(e.n)
+	if x.refs != nil {
+		x.stats.LocationBytes = x.locs.Bytes()
+		x.stats.LocationRows = x.locs.Rows()
+		x.stats.LocationLists = x.locs.Lists()
 	}
 }
 
@@ -342,8 +407,8 @@ func PoolWorkers(p *exec.Pool) int {
 	return p.Workers()
 }
 
-// Name implements ftv.Index.
-func (x *Path) Name() string { return "FTV" }
+// Name implements ftv.Index: the kind in capitals, "FTV" or "GGSX".
+func (x *Path) Name() string { return strings.ToUpper(x.kind) }
 
 // Dataset implements ftv.Index.
 func (x *Path) Dataset() []*graph.Graph { return x.ds }
@@ -351,32 +416,80 @@ func (x *Path) Dataset() []*graph.Graph { return x.ds }
 // MaxPathLen returns the indexed path length.
 func (x *Path) MaxPathLen() int { return x.maxPathLen }
 
-// Directory returns the sequence directory the index looks its features up
-// in, which the other flat indexes of its row may share.
+// Directory returns the sequence directory the table looks its features up
+// in, which the other tables of its grid may share.
 func (x *Path) Directory() *PathDirectory { return x.dir }
+
+// Table is the capability ShareDirectory and AdoptDirectory look for: a flat
+// kind is its own table.
+func (x *Path) Table() *Path { return x }
+
+// tabled is an index that keeps its features in a table: one of the flat
+// kinds, which is one, or a kind that holds one (Grapes).
+type tabled interface{ Table() *Path }
+
+// LocSets returns the location sets Located's references name; empty for a
+// table without locations.
+func (x *Path) LocSets() *ftv.LocSets { return &x.locs }
 
 // Stats implements Index.
 func (x *Path) Stats() Stats { return x.stats }
 
-// Close implements Index; the flat index owns no resources.
+// Close implements Index; a table owns no resources.
 func (x *Path) Close() {}
+
+// postingCount is the number of postings the table holds.
+func (x *Path) postingCount() uint32 {
+	if len(x.entries) == 0 {
+		return 0
+	}
+	return x.entries[len(x.entries)-1].postEnd
+}
+
+// start returns where entry i's list starts in the posting slab, and its
+// first posting's position among the table's.
+func (x *Path) start(i int) (listFrom, postFrom uint32) {
+	if i == 0 {
+		return 0, 0
+	}
+	e := x.entries[i-1]
+	return e.listEnd, e.postEnd
+}
 
 // listOf returns entry i's posting list, a view of the slab.
 func (x *Path) listOf(i int) PostingList {
-	var from uint32
-	if i > 0 {
-		from = x.entries[i-1].listEnd
-	}
+	from, first := x.start(i)
 	e := x.entries[i]
-	return PostingList{data: x.postings[from:e.listEnd:e.listEnd], n: e.n, next: e.next}
+	return PostingList{data: x.postings[from:e.listEnd:e.listEnd], n: int32(e.postEnd - first), next: e.next}
+}
+
+// refsOf returns the location references of entry i's postings, a view of the
+// reference slab; nil for a table without locations.
+func (x *Path) refsOf(i int) []ftv.LocRef {
+	if x.refs == nil {
+		return nil
+	}
+	_, first := x.start(i)
+	end := x.entries[i].postEnd
+	return x.refs[first:end:end]
+}
+
+// Located returns the posting list of a label sequence and, for a table with
+// locations, the references of its postings' sets in LocSets, by a posting's
+// ordinal in the list; the list is empty when the table does not index the
+// sequence.
+func (x *Path) Located(labels []graph.Label) (PostingList, []ftv.LocRef) {
+	p, ok := x.dir.find(labels)
+	if !ok || !x.has.test(p) {
+		return PostingList{}, nil
+	}
+	i := x.has.rank(p)
+	return x.listOf(i), x.refsOf(i)
 }
 
 func (x *Path) lookup(labels []graph.Label) PostingList {
-	p, ok := x.dir.find(labels)
-	if !ok || !x.has.test(p) {
-		return PostingList{}
-	}
-	return x.listOf(x.has.rank(p))
+	l, _ := x.Located(labels)
+	return l
 }
 
 // bitmapOver returns a new bitmap over dir marking the sequences x indexes,
@@ -404,7 +517,7 @@ func (x *Path) bitmapOver(dir *PathDirectory) (bitmap, bool) {
 
 // adopt rebinds x to dir when dir holds every sequence x indexes, and reports
 // whether x now looks its features up there. It mutates x, so it is only for
-// an index no query can see yet.
+// a table no query can see yet.
 func (x *Path) adopt(dir *PathDirectory) bool {
 	if dir == x.dir || slices.Equal(dir.ends, x.dir.ends) && slices.Equal(dir.labels, x.dir.labels) {
 		x.dir = dir // the same sequences: the bitmap stands
@@ -419,27 +532,27 @@ func (x *Path) adopt(dir *PathDirectory) bool {
 	return true
 }
 
-// ShareDirectory gives the flat path indexes of one row — the per-shard
-// sub-indexes of KindPath in one build or store — one sequence directory, the
-// union of theirs. Each keeps its entries and postings under a bitmap over the
+// ShareDirectory gives the tables of one grid — the cells of every kind and
+// shard of one build or store — one sequence directory, the union of theirs.
+// Each keeps its entries, postings and references under a bitmap over the
 // shared directory, and the directories they held become garbage. It rebinds
-// the indexes in place, so it runs only where no query can see them yet:
-// BuildGrid calls it on every row it builds, and live.Restore on every row it
-// restores. Members of other kinds are left alone, and a row with fewer than
-// two flat indexes has nothing to share.
-func ShareDirectory(row []Index) {
+// the tables in place, so it runs only where no query can see them yet:
+// BuildGrid calls it once over the cells it builds, and live.Restore once
+// over the cells it restores. Cells without a table are left alone, and
+// fewer than two tables have nothing to share.
+func ShareDirectory(cells []Index) {
 	var xs []*Path
-	for _, sub := range row {
-		if x, ok := sub.(*Path); ok {
-			xs = append(xs, x)
+	for _, c := range cells {
+		if t, ok := c.(tabled); ok {
+			xs = append(xs, t.Table())
 		}
 	}
 	if len(xs) < 2 {
 		return
 	}
-	// Shards of one dataset mostly index the same sequences, so the largest
+	// The cells of one dataset mostly index the same sequences, so the largest
 	// directory is often the union already; a union is written only when some
-	// shard holds a sequence the largest lacks.
+	// cell holds a sequence the largest lacks.
 	dir := xs[0].dir
 	for _, x := range xs[1:] {
 		if x.dir.Len() > dir.Len() {
@@ -453,25 +566,25 @@ func ShareDirectory(row []Index) {
 		}
 	}
 	for _, x := range xs {
-		x.adopt(dir) // the union holds every sequence of the row
+		x.adopt(dir) // the union holds every sequence of the grid
 	}
 }
 
-// AdoptDirectory rebinds x, a flat index built to replace from and not yet
-// visible to any query, to from's directory when that holds every sequence x
-// indexes — always the case when x indexes a subset of from's graphs, as
-// after a compaction — so the shard keeps sharing its row's directory.
-// Otherwise, and for indexes of other kinds, x keeps its own.
+// AdoptDirectory rebinds the table of x, an index built to replace from and
+// not yet visible to any query, to the directory of from's when that holds
+// every sequence x indexes — always the case when x indexes a subset of
+// from's graphs, as after a compaction — so the shard keeps sharing its
+// grid's directory. Otherwise, and for kinds without a table, x keeps its own.
 func AdoptDirectory(x, from Index) {
-	nx, ok := x.(*Path)
-	old, oldOK := from.(*Path)
+	nx, ok := x.(tabled)
+	old, oldOK := from.(tabled)
 	if ok && oldOK {
-		nx.adopt(old.dir)
+		nx.Table().adopt(old.Table().dir)
 	}
 }
 
 // unionDirectory returns a new directory holding every sequence of the
-// indexes' directories.
+// tables' directories.
 func unionDirectory(xs []*Path) *PathDirectory {
 	var dirs []*PathDirectory
 	for _, x := range xs {
@@ -536,12 +649,17 @@ func (x *Path) FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, emi
 // holds every sequence of the graph, sequences new to this index included:
 // those only set a bit. A sequence the directory lacks makes a superset
 // directory for the new index alone, so an insert never rebinds the other
-// shards of the row. The bitmap is rewritten only when a sequence is new to
+// cells of the grid. The bitmap is rewritten only when a sequence is new to
 // the index. The receiver is never mutated: queries racing against the old
 // index keep a consistent view. The work is a copy of the slabs, far below
 // the path enumeration a rebuild pays, and the allocations are a handful
-// whatever the graph touches.
+// whatever the graph touches. A table with locations cannot insert: the
+// extraction here keeps none, which is why Grapes holds its table rather than
+// being one, and rebuilds instead.
 func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
+	if x.refs != nil {
+		return nil, fmt.Errorf("index: the %s table keeps locations, which an insert does not extract", x.kind)
+	}
 	start := time.Now()
 	f, err := ftv.ExtractFeaturesContext(ctx, g, x.maxPathLen, false)
 	if err != nil {
@@ -577,6 +695,7 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
 	copy(ds, x.ds)
 	ds[len(x.ds)] = g
 	nx := &Path{
+		kind:       x.kind,
 		ds:         ds,
 		maxPathLen: x.maxPathLen,
 		dir:        x.dir,
@@ -622,7 +741,7 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
 		nx.postings, l = l.appendWith(nx.postings, id, f.Count(i))
 		nx.entries = append(nx.entries, pathEntry{
 			listEnd: slabOffset(len(nx.postings)),
-			n:       l.n,
+			postEnd: nx.postingCount() + uint32(l.n),
 			next:    l.next,
 		})
 	}
@@ -630,9 +749,8 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
 	nx.stats = x.stats
 	nx.stats.Graphs = len(nx.ds)
 	nx.stats.Features = len(nx.entries)
-	nx.stats.Nodes = len(nx.entries)
 	nx.stats.BuildTime = time.Since(start)
-	nx.stats.Postings += int64(f.Len())
+	nx.stats.Postings = int64(nx.postingCount())
 	nx.stats.PostingBytes = int64(len(nx.postings))
 	return nx, nil
 }
@@ -643,14 +761,13 @@ func (x *Path) copyEntries(o *Path, from, to int) {
 	if from == to {
 		return
 	}
-	var listFrom uint32
-	if from > 0 {
-		listFrom = o.entries[from-1].listEnd
-	}
-	shift := len(x.postings) - int(listFrom)
+	listFrom, postFrom := o.start(from)
+	listShift := len(x.postings) - int(listFrom)
+	postShift := x.postingCount() - postFrom // the postings x gained before the run
 	x.postings = append(x.postings, o.postings[listFrom:o.entries[to-1].listEnd]...)
 	for _, e := range o.entries[from:to] {
-		e.listEnd = slabOffset(int(e.listEnd) + shift)
+		e.listEnd = slabOffset(int(e.listEnd) + listShift)
+		e.postEnd += postShift
 		x.entries = append(x.entries, e)
 	}
 }

@@ -43,11 +43,10 @@ const (
 )
 
 // PostingList is one path feature's per-graph occurrence counts, ascending by
-// graph ID — the common shape the shared filter logic consumes whether the
-// backing structure is a trie (Grapes, GGSX) or a flat sorted array (FTV).
+// graph ID — the shape the shared filter logic consumes for every kind.
 // Builds fold graphs in ID order, so lists are born sorted. The zero value is
 // the empty list. A list is immutable once built; copies share its bytes, and
-// the flat index hands out views of its slab (Path.listOf).
+// the flat table hands out views of its slab (Path.listOf).
 type PostingList struct {
 	data []byte // the skip table, then the postings
 	n    int32

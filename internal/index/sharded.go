@@ -150,7 +150,6 @@ func NewShardedFrom(slots []*graph.Graph, alive []bool, kind string, subs []Inde
 		st := sub.Stats()
 		x.stats.MaxPathLen = st.MaxPathLen
 		x.stats.Features += st.Features
-		x.stats.Nodes += st.Nodes
 		x.stats.BuildTime += st.BuildTime
 		x.stats.Postings += st.Postings
 		x.stats.PostingBytes += st.PostingBytes

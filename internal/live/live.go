@@ -399,9 +399,9 @@ var errNoInserter = fmt.Errorf("live: kind does not support incremental insert")
 // shard without touching store state, so a failure aborts the mutation
 // cleanly. incremental, when non-nil, is tried first per kind and may
 // return errNoInserter; the kinds it leaves over are rebuilt over newLocal
-// together, from one feature extraction, and a rebuilt flat path index keeps
-// sharing its predecessor's sequence directory when that holds every
-// sequence it indexes (index.AdoptDirectory).
+// together, from one feature extraction, and a rebuilt index keeps sharing
+// its predecessor's sequence directory when that holds every sequence it
+// indexes (index.AdoptDirectory).
 func (st *Store) rebuildShard(ctx context.Context, shard int, newLocal []*graph.Graph, incremental func(cur index.Index) (index.Index, error)) (map[string]index.Index, error) {
 	fresh := make(map[string]index.Index, len(st.kinds))
 	abort := func() {

@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"github.com/psi-graph/psi/internal/exec"
-	_ "github.com/psi-graph/psi/internal/ggsx"
 	_ "github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"

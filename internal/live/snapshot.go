@@ -71,11 +71,11 @@ func (st *Store) ExportState(save func(State) error) error {
 // Restore reconstructs a store from a deserialized State. The grid
 // sub-indexes are adopted as-is (the store owns and eventually closes
 // them); each must index exactly its shard's slot-space sub-dataset, the
-// partition the snapshot loader rebuilds by construction. The flat path
-// indexes of each row are given one shared sequence directory, as a build
-// gives them (index.ShareDirectory). compactEvery and
-// ixOpts play the roles they have in Options — runtime knobs, not persisted
-// layout. The first snapshot is installed at the saved epoch.
+// partition the snapshot loader rebuilds by construction. The tables of
+// every cell are given one shared sequence directory, as a build gives them
+// (index.ShareDirectory). compactEvery and ixOpts play the roles they have in
+// Options — runtime knobs, not persisted layout. The first snapshot is
+// installed at the saved epoch.
 func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error) {
 	if state.Shards < 1 {
 		return nil, fmt.Errorf("live: restore: shard count %d < 1", state.Shards)
@@ -133,6 +133,7 @@ func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error
 		st.byHandle[h] = slot
 		st.liveCount++
 	}
+	var cells []index.Index
 	for _, kind := range state.Kinds {
 		subs := append([]index.Index(nil), state.Grid[kind]...)
 		for s, sub := range subs {
@@ -140,9 +141,10 @@ func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error
 				return nil, fmt.Errorf("live: restore: %s shard %d indexes %d graphs, shard holds %d", kind, s, got, want)
 			}
 		}
-		index.ShareDirectory(subs)
 		st.grid[kind] = subs
+		cells = append(cells, subs...)
 	}
+	index.ShareDirectory(cells)
 	if state.NextHandle < 1 {
 		return nil, fmt.Errorf("live: restore: next handle %d < 1", state.NextHandle)
 	}

@@ -18,7 +18,10 @@ import (
 
 // SnapshotResponse is the POST /snapshot response.
 type SnapshotResponse struct {
-	Path      string `json:"path"`
+	Path string `json:"path"`
+	// Epoch is the dataset epoch when the save returned. A mutation that
+	// commits while the response is written moves it past the file's, so it
+	// is at least the epoch the file holds, not necessarily that epoch.
 	Epoch     uint64 `json:"epoch"`
 	ElapsedUS int64  `json:"elapsed_us"`
 }

@@ -1,9 +1,9 @@
 // Package snapshot is the persistence layer of the engine: a versioned,
 // checksummed binary format that serializes the dataset's CSR arrays
 // (internal/graph), every registered index kind's flat feature/posting
-// arrays (internal/index — the path/FTV map, the Grapes trie with
-// locations, the GGSX suffix trie), and the dataset store's slot, tombstone
-// and epoch state (internal/live). A loaded snapshot reconstructs an engine
+// arrays (internal/index — the one feature table FTV, GGSX and Grapes keep
+// their features in, Grapes' with locations), and the dataset store's slot,
+// tombstone and epoch state (internal/live). A loaded snapshot reconstructs an engine
 // that answers every query byte-identically to the freshly built one, with
 // none of the path enumeration that dominates build time — which is what
 // makes `psiserve -snapshot` cold starts near-instant.
@@ -45,9 +45,9 @@
 //   - Indexes: per (kind, shard), the features in canonical lexicographic
 //     order — per-feature label-sequence lengths, flat labels, per-feature
 //     posting counts, flat graph IDs / occurrence counts / location
-//     lengths / locations. Kind-specific structure (sorted array, trie, suffix
-//     trie) is rebuilt by the kind's registered index.RestoreFunc; VF2
-//     keeps no state beyond the stored graph it verifies against.
+//     lengths / locations. Each kind's table is rebuilt by its registered
+//     index.RestoreFunc; VF2 keeps no state beyond the stored graph it
+//     verifies against.
 //     Locations are written as ascending vertex IDs whatever
 //     form the index holds them in (ftv.LocSets: a bitset row or an ID list
 //     per set): the export expands every set and the restore packs it again

@@ -8,7 +8,6 @@ import (
 	"github.com/psi-graph/psi/internal/core"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
-	_ "github.com/psi-graph/psi/internal/ggsx" // registers index kind "ggsx"
 	"github.com/psi-graph/psi/internal/gql"
 	_ "github.com/psi-graph/psi/internal/grapes" // registers index kind "grapes"
 	"github.com/psi-graph/psi/internal/graph"
