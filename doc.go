@@ -123,8 +123,9 @@
 // (ModeSingle) — and Execute,
 // which runs the plan under the engine's per-query deadline (the paper's
 // kill cap, enforced through metrics.Budget; killed queries come back
-// classified Hard with their time clamped to the cap, exactly as the
-// paper's methodology records them):
+// classified Hard, a query the cap killed with the cap as its time, exactly
+// as the paper's methodology records them, and one the caller's earlier
+// deadline killed with the time it ran):
 //
 //	eng, _ := psi.NewEngine(g, psi.EngineOptions{Timeout: 10 * time.Minute})
 //	defer eng.Close()
@@ -132,9 +133,26 @@
 //	eng.QueryStream(ctx, q, 1000,                      // streaming form
 //		psi.SinkFunc(func(e psi.Embedding) bool { return consume(e) }))
 //
-// Matcher substrate: the two matchers of the default NFV portfolio keep
-// their per-vertex state flat and sorted, with no map on the stored graph
-// or on the query. sPath's index is one distance signature per stored
+// Matcher substrate: VF2, QuickSI, GraphQL and sPath are one backtracking
+// join (internal/match: Begin, Plan, Search.Run) under four plans. The join
+// owns what the four share: the early exits (a cancelled context, an empty
+// query, a query larger than the stored graph), the embedding and the
+// taken state per stored vertex (which also confines a VF2 search to a
+// vertex set, as Grapes verifies), the step budget, the collector, and the
+// candidate loop — the anchor's image's neighbours in CSR order, else the
+// query vertex's candidate set in ascending order, else every vertex with
+// its label, each candidate costing a budget step and then the free, label
+// and candidate-set tests and the edge check against every placed
+// neighbour. A matcher contributes a static plan — the query vertex and its
+// anchor at each depth — and at most one pruning rule: VF2 its ID-driven
+// visit order and lookahead, QuickSI its MST sequence and degree test,
+// GraphQL its signature and refinement candidate sets and greedy order,
+// sPath its distance-signature sets and its path decomposition flattened to
+// first occurrences, each vertex anchored on the path vertex before it.
+// Embedding order and step counts are those of the four separate searches
+// the join replaced (internal/match/testdata/golden_search.txt). The two
+// matchers of the default NFV portfolio keep their per-vertex state flat and
+// sorted, with no map on the stored graph or on the query. sPath's index is one distance signature per stored
 // vertex: for each radius d = 1..4, a row saying how many vertices of each
 // label lie within distance d. Rows are cumulative — within d, not at
 // exactly d — because that is what the filter compares: an embedding can
@@ -171,7 +189,7 @@
 // the stored graph lacks means no embedding before any row is built.
 // Candidate sets, in sPath and GraphQL alike, are one bitset over the stored
 // vertices per query vertex (match.VertexSet): the membership test in the
-// search's inner loop is a bit test, and a path's head candidates iterate in
+// join's inner loop is a bit test, and unanchored candidates iterate in
 // ascending vertex order without a sort.
 //
 // # Filtering-index architecture

@@ -132,29 +132,32 @@ func TestEngineModeSinglePlansFixed(t *testing.T) {
 	}
 }
 
-func TestEngineDeadlineKillsQuery(t *testing.T) {
-	// A large single-label graph with a big query: full enumeration takes
-	// far longer than the 5ms cap.
+// denseFixture is a large single-label graph, each vertex joined to the
+// four after it, and a big query of it: full enumeration takes far longer
+// than a few milliseconds.
+func denseFixture(t *testing.T) (g, q *psi.Graph) {
+	t.Helper()
 	b := psi.NewBuilder("dense")
 	const n = 300
 	for i := 0; i < n; i++ {
 		b.AddVertex(0)
 	}
-	for i := 1; i < n; i++ {
-		if err := b.AddEdge(i-1, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n-7; i += 3 {
-		if err := b.AddEdge(i, i+7); err != nil {
-			t.Fatal(err)
+	for i := 0; i < n; i++ {
+		for d := 1; d <= 4 && i+d < n; d++ {
+			if err := b.AddEdge(i, i+d); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := psi.ExtractQuery(g, 9, 5)
+	return g, psi.ExtractQuery(g, 9, 5)
+}
+
+func TestEngineDeadlineKillsQuery(t *testing.T) {
+	g, q := denseFixture(t)
 	eng, err := psi.NewEngine(g, psi.EngineOptions{Timeout: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -175,29 +178,34 @@ func TestEngineDeadlineKillsQuery(t *testing.T) {
 	}
 }
 
-func TestEngineDeadlineStreamingKeepsSurfacedCount(t *testing.T) {
-	// Same dense fixture as the kill test, streamed: embeddings that
-	// reached the sink before the kill must stay counted in Found.
-	b := psi.NewBuilder("dense")
-	const n = 300
-	for i := 0; i < n; i++ {
-		b.AddVertex(0)
-	}
-	for i := 1; i < n; i++ {
-		if err := b.AddEdge(i-1, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n-7; i += 3 {
-		if err := b.AddEdge(i, i+7); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g, err := b.Build()
+// TestEngineCallerDeadlineReportsTimeTaken: a query the caller's 5 ms
+// deadline kills on an engine with a 10-minute cap is killed and Hard, and
+// reports the time it ran, not the cap.
+func TestEngineCallerDeadlineReportsTimeTaken(t *testing.T) {
+	g, q := denseFixture(t)
+	eng, err := psi.NewEngine(g, psi.EngineOptions{Timeout: 10 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := psi.ExtractQuery(g, 9, 5)
+	defer eng.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	res, err := eng.Query(ctx, q, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Killed {
+		t.Skip("enumeration finished inside the deadline on this machine")
+	}
+	if res.Class.String() != "hard" || res.Elapsed >= time.Second {
+		t.Errorf("killed by the caller's deadline: class %v, Elapsed %v; want Hard, under 1s", res.Class, res.Elapsed)
+	}
+}
+
+func TestEngineDeadlineStreamingKeepsSurfacedCount(t *testing.T) {
+	// Same dense fixture as the kill test, streamed: embeddings that
+	// reached the sink before the kill must stay counted in Found.
+	g, q := denseFixture(t)
 	eng, err := psi.NewEngine(g, psi.EngineOptions{Timeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

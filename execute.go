@@ -169,8 +169,9 @@ func (e *Engine) execute(ctx context.Context, p *Plan, limit int, sink Sink) (*Q
 // engine's per-query cap (when it has one), records the timing on res, and
 // folds the outcome into the operational counters. A query that hits the cap
 // is not an error — the deadline is engine policy, reported the way the
-// paper's methodology records it: res.Killed set, Class Hard, Elapsed clamped
-// to the cap; the caller trims the answer to what irrevocably surfaced.
+// paper's methodology records it: res.Killed set, Class Hard, Elapsed the cap
+// (or the time taken, when the caller's own earlier deadline fired); the
+// caller trims the answer to what irrevocably surfaced.
 func (e *Engine) runBudgeted(ctx context.Context, res *QueryResult, run func(context.Context) error) error {
 	var err error
 	if e.budget.Cap > 0 {

@@ -85,102 +85,72 @@ func (m *Matcher) Match(ctx context.Context, q *graph.Graph, limit int) ([]match
 // MatchStream implements match.StreamMatcher: embeddings are emitted into
 // sink as the search discovers them.
 func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, sink match.Sink) error {
-	if err := ctx.Err(); err != nil {
+	s, err := match.Begin(ctx, q, m.g, limit, sink)
+	if s == nil {
 		return err
 	}
-	col := match.NewStreamCollector(limit, sink)
-	if q.N() == 0 {
-		return col.FinishStream(col.Found(match.Embedding{}))
+	cand, err := m.candidates(q, s.Budget())
+	if cand == nil || err != nil {
+		return err // some query vertex has no candidates, or cancelled
 	}
-	if q.N() > m.g.N() || q.M() > m.g.M() {
-		return nil
-	}
-	budget := match.NewBudget(ctx)
-	cand, candSet, err := m.candidates(q, budget)
-	if err != nil {
-		return err
-	}
-	if cand == nil {
-		return nil // some query vertex has no candidates
-	}
-	if err := m.refineCandidates(q, cand, candSet, budget); err != nil {
+	if err := m.refineCandidates(q, cand, s.Budget()); err != nil {
 		return err
 	}
 	for _, c := range cand {
-		if len(c) == 0 {
+		if c.Next(0) < 0 {
 			return nil
 		}
 	}
-	s := &searcher{
-		m:       m,
-		q:       q,
-		cand:    cand,
-		candSet: candSet,
-		order:   m.searchOrder(q, cand),
-		emb:     make(match.Embedding, q.N()),
-		used:    make([]bool, m.g.N()),
-		col:     col,
-		budget:  budget,
-	}
-	for i := range s.emb {
-		s.emb[i] = -1
-	}
-	return col.FinishStream(s.step(0))
+	return s.Run(searchOrder(q, cand))
 }
 
-// candidates builds the initial per-query-vertex candidates using label,
-// degree, and signature-containment filters: as ascending lists, which the
-// join enumerates and orders by, and as the same sets for membership tests.
-// It returns nil if any list is empty.
-func (m *Matcher) candidates(q *graph.Graph, budget *match.Budget) ([][]int32, []match.VertexSet, error) {
+// candidates builds the initial per-query-vertex candidate sets using label,
+// degree, and signature-containment filters. It returns nil if any set is
+// empty.
+func (m *Matcher) candidates(q *graph.Graph, budget *match.Budget) ([]match.VertexSet, error) {
 	qsig := make([][]graph.Label, q.N())
 	for u := 0; u < q.N(); u++ {
 		qsig[u] = signature(q, u)
 	}
-	cand := make([][]int32, q.N())
-	candSet := match.NewVertexSets(q.N(), m.g.N())
+	cand := match.NewVertexSets(q.N(), m.g.N())
 	for u := 0; u < q.N(); u++ {
+		empty := true
 		for _, v := range m.g.VerticesWithLabel(q.Label(u)) {
 			if err := budget.Step(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if m.g.Degree(int(v)) >= q.Degree(u) && sigContains(m.sig[v], qsig[u]) {
-				cand[u] = append(cand[u], v)
-				candSet[u].Add(v)
+				cand[u].Add(v)
+				empty = false
 			}
 		}
-		if len(cand[u]) == 0 {
-			return nil, nil, nil
+		if empty {
+			return nil, nil
 		}
 	}
-	return cand, candSet, nil
+	return cand, nil
 }
 
 // refineCandidates applies the pseudo subgraph isomorphism refinement: for
 // up to m.refine iterations, a candidate v for query vertex u survives only
 // if the neighbours of u can be matched to *distinct* neighbours of v, each
-// within its own candidate list (a bipartite feasibility test solved with
-// Kuhn's augmenting paths). The iteration stops early at a fixpoint. Pruned
-// candidates leave both cand and candSet.
-func (m *Matcher) refineCandidates(q *graph.Graph, cand [][]int32, candSet []match.VertexSet, budget *match.Budget) error {
+// within its own candidate set (a bipartite feasibility test solved with
+// Kuhn's augmenting paths). The iteration stops early at a fixpoint.
+func (m *Matcher) refineCandidates(q *graph.Graph, cand []match.VertexSet, budget *match.Budget) error {
 	for iter := 0; iter < m.refine; iter++ {
 		changed := false
 		for u := 0; u < q.N(); u++ {
-			kept := cand[u][:0]
-			for _, v := range cand[u] {
+			for v := cand[u].Next(0); v >= 0; v = cand[u].Next(v + 1) {
 				if err := budget.Step(); err != nil {
 					return err
 				}
 				// The test reads the sets of u's neighbours, never u's own,
-				// so v can leave candSet[u] at once.
-				if m.neighborhoodFeasible(q, u, v, candSet) {
-					kept = append(kept, v)
-				} else {
-					candSet[u].Remove(v)
+				// so v can leave cand[u] at once.
+				if !m.neighborhoodFeasible(q, u, v, cand) {
+					cand[u].Remove(v)
 					changed = true
 				}
 			}
-			cand[u] = kept
 		}
 		if !changed {
 			break
@@ -228,116 +198,39 @@ func (m *Matcher) neighborhoodFeasible(q *graph.Graph, u int, v int32, candSet [
 }
 
 // searchOrder computes the greedy left-deep join order: start from the
-// query vertex with the smallest candidate list (ties by ID); repeatedly
-// append the vertex with the smallest candidate list among those adjacent
+// query vertex with the smallest candidate set (ties by ID); repeatedly
+// append the vertex with the smallest candidate set among those adjacent
 // to the prefix (falling back to any remaining vertex for disconnected
 // queries). This mirrors GraphQL's left-deep plan enumeration driven by
-// estimated intermediate result sizes.
-func (m *Matcher) searchOrder(q *graph.Graph, cand [][]int32) []int32 {
+// estimated intermediate result sizes. A vertex with a placed neighbour
+// enumerates the first one's image adjacency (in query adjacency order)
+// rather than its whole candidate set.
+func searchOrder(q *graph.Graph, cand []match.VertexSet) match.Plan {
 	n := q.N()
-	order := make([]int32, 0, n)
-	placed := make([]bool, n)
+	size := make([]int, n)
+	for u := range size {
+		size[u] = cand[u].Len()
+	}
+	p := match.NewPlan(n)
 	pick := func(connectedOnly bool) int32 {
 		best := int32(-1)
-		for u := 0; u < n; u++ {
-			if placed[u] {
+		for u := int32(0); int(u) < n; u++ {
+			if p.Placed(u) || (connectedOnly && p.FirstPlaced(q, u) < 0) {
 				continue
 			}
-			if connectedOnly {
-				adj := false
-				for _, w := range q.Neighbors(u) {
-					if placed[w] {
-						adj = true
-						break
-					}
-				}
-				if !adj {
-					continue
-				}
-			}
-			if best < 0 || len(cand[u]) < len(cand[best]) {
-				best = int32(u)
+			if best < 0 || size[u] < size[best] {
+				best = u
 			}
 		}
 		return best
 	}
-	for len(order) < n {
-		u := pick(len(order) > 0)
+	for len(p.Order) < n {
+		u := pick(len(p.Order) > 0)
 		if u < 0 {
 			u = pick(false) // next component
 		}
-		placed[u] = true
-		order = append(order, u)
+		p.Place(u, p.FirstPlaced(q, u))
 	}
-	return order
-}
-
-type searcher struct {
-	m       *Matcher
-	q       *graph.Graph
-	cand    [][]int32
-	candSet []match.VertexSet
-	order   []int32
-	emb     match.Embedding
-	used    []bool
-	col     *match.Collector
-	budget  *match.Budget
-}
-
-func (s *searcher) step(i int) error {
-	if i == len(s.order) {
-		return s.col.Found(s.emb)
-	}
-	u := s.order[i]
-	// If u already has a matched neighbour, enumerate that neighbour's
-	// image adjacency rather than the whole candidate list.
-	anchor := int32(-1)
-	for _, w := range s.q.Neighbors(int(u)) {
-		if s.emb[w] >= 0 {
-			anchor = s.emb[w]
-			break
-		}
-	}
-	check := func(v int32) error {
-		if s.used[v] {
-			return nil
-		}
-		for _, w := range s.q.Neighbors(int(u)) {
-			if img := s.emb[w]; img >= 0 &&
-				!s.m.g.HasEdgeLabeled(int(img), int(v), s.q.EdgeLabel(int(u), int(w))) {
-				return nil
-			}
-		}
-		s.emb[u] = v
-		s.used[v] = true
-		if err := s.step(i + 1); err != nil {
-			return err
-		}
-		s.used[v] = false
-		s.emb[u] = -1
-		return nil
-	}
-	if anchor >= 0 {
-		for _, v := range s.m.g.Neighbors(int(anchor)) {
-			if err := s.budget.Step(); err != nil {
-				return err
-			}
-			if !s.candSet[u].Has(v) {
-				continue
-			}
-			if err := check(v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, v := range s.cand[u] {
-		if err := s.budget.Step(); err != nil {
-			return err
-		}
-		if err := check(v); err != nil {
-			return err
-		}
-	}
-	return nil
+	p.Cand = cand
+	return p
 }

@@ -111,15 +111,15 @@ func TestSearchOrderStartsAtSmallestCandidateList(t *testing.T) {
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
 	q := graph.MustNew("q", []graph.Label{0, 0, 2}, [][2]int{{0, 1}, {1, 2}})
 	m := New(g)
-	cand, _, err := m.candidates(q, newTestBudget())
+	cand, err := m.candidates(q, newTestBudget())
 	if err != nil || cand == nil {
 		t.Fatalf("candidates: %v %v", cand, err)
 	}
-	order := m.searchOrder(q, cand)
+	order := searchOrder(q, cand).Order
 	for u := range cand {
-		if len(cand[u]) < len(cand[order[0]]) {
-			t.Errorf("search order %v does not start at a minimal candidate list (sizes %d vs %d)",
-				order, len(cand[order[0]]), len(cand[u]))
+		if cand[u].Len() < cand[order[0]].Len() {
+			t.Errorf("search order %v does not start at a minimal candidate set (sizes %d vs %d)",
+				order, cand[order[0]].Len(), cand[u].Len())
 		}
 	}
 	// order must be connected: each subsequent vertex adjacent to prefix

@@ -9,22 +9,24 @@ import (
 )
 
 // Property: the greedy left-deep search order is a permutation of the
-// query's vertices that starts at a minimal candidate list and keeps the
-// prefix connected whenever the query itself is connected.
+// query's vertices that starts at a minimal candidate set and keeps the
+// prefix connected whenever the query itself is connected, each later
+// vertex anchored on its first placed neighbour in adjacency order.
 func TestSearchOrderProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraphGQL(r, 15+r.Intn(10), 3)
 		m := New(g)
 		q := randomConnectedGQL(r, 3+r.Intn(7), 3)
-		cand, _, err := m.candidates(q, newTestBudget())
+		cand, err := m.candidates(q, newTestBudget())
 		if err != nil {
 			return false
 		}
 		if cand == nil {
 			return true // query not matchable; no order to validate
 		}
-		order := m.searchOrder(q, cand)
+		p := searchOrder(q, cand)
+		order := p.Order
 		if len(order) != q.N() {
 			return false
 		}
@@ -35,22 +37,27 @@ func TestSearchOrderProperty(t *testing.T) {
 			}
 			seen[u] = true
 		}
-		// starts at a minimal candidate list
+		// starts at a minimal candidate set, unanchored
 		for u := range cand {
-			if len(cand[u]) < len(cand[order[0]]) {
+			if cand[u].Len() < cand[order[0]].Len() {
 				return false
 			}
 		}
-		// connected prefix
+		if p.Anchor[0] != -1 {
+			return false
+		}
+		// connected prefix, each vertex anchored on its first placed
+		// neighbour in adjacency order
 		placed := map[int32]bool{order[0]: true}
-		for _, u := range order[1:] {
-			adj := false
+		for i, u := range order[1:] {
+			anchor := int32(-1)
 			for _, w := range q.Neighbors(int(u)) {
 				if placed[w] {
-					adj = true
+					anchor = w
+					break
 				}
 			}
-			if !adj {
+			if anchor < 0 || p.Anchor[i+1] != anchor {
 				return false
 			}
 			placed[u] = true
@@ -77,25 +84,16 @@ func TestRefinementSoundnessProperty(t *testing.T) {
 		start := r.Intn(g.N())
 		ids := bfsVertices(g, start, k)
 		q, new2old := inducedSubgraph(g, ids), ids
-		cand, candSet, err := m.candidates(q, newTestBudget())
+		cand, err := m.candidates(q, newTestBudget())
 		if err != nil || cand == nil {
 			return false // planted query must have candidates
 		}
-		if err := m.refineCandidates(q, cand, candSet, newTestBudget()); err != nil {
+		if err := m.refineCandidates(q, cand, newTestBudget()); err != nil {
 			return false
 		}
 		for u := 0; u < q.N(); u++ {
-			if !candSet[u].Has(new2old[u]) {
+			if !cand[u].Has(new2old[u]) {
 				return false // pruned the true image: unsound
-			}
-			// The list and the set stay the same candidates.
-			if candSet[u].Len() != len(cand[u]) {
-				return false
-			}
-			for _, v := range cand[u] {
-				if !candSet[u].Has(v) {
-					return false
-				}
 			}
 		}
 		return true

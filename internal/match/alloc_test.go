@@ -1,0 +1,37 @@
+package match_test
+
+import (
+	"context"
+	"testing"
+
+	"github.com/psi-graph/psi/internal/gen"
+	"github.com/psi-graph/psi/internal/match"
+	"github.com/psi-graph/psi/internal/workload"
+)
+
+// stopAtFirst is a sink that allocates nothing and stops the search at its
+// first embedding.
+var stopAtFirst = match.SinkFunc(func(match.Embedding) bool { return false })
+
+// TestMatcherAllocs: one fixed decision query per matcher allocates no more
+// than it did when each matcher still ran a search of its own. The bounds
+// are those searches' counts; scratch the join pools may only lower them.
+func TestMatcherAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's own")
+	}
+	g := gen.YeastLike(gen.Tiny, 1)
+	q := workload.GenerateSingle(g, []int{6}, 1, 7)[0].Graph
+	bound := map[string]float64{"VF2": 6, "QSI": 6, "GQL": 616, "SPA": 54}
+	ctx := context.Background()
+	for _, m := range allStreamMatchers(g)[:4] {
+		if err := m.MatchStream(ctx, q, 0, stopAtFirst); err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(50, func() { m.MatchStream(ctx, q, 0, stopAtFirst) })
+		t.Logf("%s: %.0f allocations", m.Name(), got)
+		if got > bound[m.Name()] {
+			t.Errorf("%s: a decision makes %.0f allocations, more than the %.0f of its own search", m.Name(), got, bound[m.Name()])
+		}
+	}
+}

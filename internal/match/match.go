@@ -1,7 +1,9 @@
 // Package match defines the contract shared by all subgraph-isomorphism
 // algorithms in this repository (VF2, QuickSI, GraphQL, sPath and the naive
-// reference matcher), plus the cooperative-cancellation budget that lets the
-// Ψ-framework kill losing attempts promptly.
+// reference matcher), the cooperative-cancellation budget that lets the
+// Ψ-framework kill losing attempts promptly, and the one backtracking join
+// the four algorithms run on, each contributing only its plan and pruning
+// rule (join.go).
 //
 // All matchers solve non-induced subgraph isomorphism on vertex-labeled
 // undirected graphs (Definition 3 of the paper): an injective mapping from
@@ -108,9 +110,9 @@ func Stream(ctx context.Context, m Matcher, q *graph.Graph, limit int, sink Sink
 	return nil
 }
 
-// NormalizeLimit converts the caller's limit into the effective embedding
+// normalizeLimit converts the caller's limit into the effective embedding
 // cap: decisions (limit <= 0) stop at the first embedding.
-func NormalizeLimit(limit int) int {
+func normalizeLimit(limit int) int {
 	if limit <= 0 {
 		return 1
 	}
@@ -180,26 +182,25 @@ func VerifyEmbedding(q, g *graph.Graph, emb Embedding) error {
 // once the embedding limit has been reached. It never escapes a Match call.
 var errStop = fmt.Errorf("match: embedding limit reached")
 
-// Collector bridges a backtracking search to a Sink: it hands the search a
-// single Found callback, clones each embedding, enforces the limit, and
-// translates both "limit reached" and "sink stopped" into errStop so the
-// search unwinds.
-type Collector struct {
+// collector bridges a backtracking search to a Sink: it clones each
+// embedding, enforces the limit, and translates both "limit reached" and
+// "sink stopped" into errStop so the search unwinds.
+type collector struct {
 	limit int
 	n     int
 	sink  Sink
 }
 
-// NewStreamCollector returns a collector forwarding up to limit embeddings
-// (after NormalizeLimit) into sink.
-func NewStreamCollector(limit int, sink Sink) *Collector {
-	return &Collector{limit: NormalizeLimit(limit), sink: sink}
+// newCollector returns a collector forwarding up to limit embeddings (after
+// normalizeLimit) into sink.
+func newCollector(limit int, sink Sink) collector {
+	return collector{limit: normalizeLimit(limit), sink: sink}
 }
 
-// Found emits a copy of emb. It returns errStop when the limit is hit or
-// the sink declines further embeddings; the search must propagate the error
+// found emits a copy of emb. It returns errStop when the limit is hit or the
+// sink declines further embeddings; the search must propagate the error
 // upward to terminate.
-func (c *Collector) Found(emb Embedding) error {
+func (c *collector) found(emb Embedding) error {
 	c.n++
 	if !c.sink.Emit(emb.Clone()) {
 		return errStop
@@ -210,22 +211,12 @@ func (c *Collector) Found(emb Embedding) error {
 	return nil
 }
 
-// Done reports whether the limit has been reached.
-func (c *Collector) Done() bool { return c.n >= c.limit }
-
-// FinishStream converts a search's terminal error into the MatchStream
-// return convention: errStop (limit reached or sink stopped) is a normal
+// finish converts a search's terminal error into the MatchStream return
+// convention: errStop (limit reached or sink stopped) is a normal
 // termination, anything else propagates.
-func (c *Collector) FinishStream(err error) error {
+func (c *collector) finish(err error) error {
 	if err != nil && err != errStop {
 		return err
 	}
 	return nil
 }
-
-// IsStop reports whether err is the internal limit sentinel. Exposed for
-// matcher implementations in sibling packages.
-func IsStop(err error) bool { return err == errStop }
-
-// Stop returns the limit sentinel for matcher implementations.
-func Stop() error { return errStop }

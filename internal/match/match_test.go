@@ -10,8 +10,8 @@ import (
 func TestNormalizeLimit(t *testing.T) {
 	cases := map[int]int{-5: 1, 0: 1, 1: 1, 7: 7, 1000: 1000}
 	for in, want := range cases {
-		if got := NormalizeLimit(in); got != want {
-			t.Errorf("NormalizeLimit(%d) = %d, want %d", in, got, want)
+		if got := normalizeLimit(in); got != want {
+			t.Errorf("normalizeLimit(%d) = %d, want %d", in, got, want)
 		}
 	}
 }
@@ -42,25 +42,19 @@ func TestBudgetStepPollsContext(t *testing.T) {
 
 func TestCollectorLimit(t *testing.T) {
 	var got []Embedding
-	c := NewStreamCollector(2, SinkFunc(func(e Embedding) bool {
+	c := newCollector(2, SinkFunc(func(e Embedding) bool {
 		got = append(got, e)
 		return true
 	}))
-	if c.Done() {
-		t.Error("fresh collector should not be done")
+	if err := c.found(Embedding{1}); err != nil {
+		t.Errorf("first found: %v", err)
 	}
-	if err := c.Found(Embedding{1}); err != nil {
-		t.Errorf("first Found: %v", err)
+	err := c.found(Embedding{2})
+	if err != errStop {
+		t.Errorf("second found should hit limit, got %v", err)
 	}
-	err := c.Found(Embedding{2})
-	if !IsStop(err) {
-		t.Errorf("second Found should hit limit, got %v", err)
-	}
-	if !c.Done() {
-		t.Error("collector should be done")
-	}
-	if finishErr := c.FinishStream(err); finishErr != nil {
-		t.Errorf("FinishStream should swallow the stop sentinel, got %v", finishErr)
+	if finishErr := c.finish(err); finishErr != nil {
+		t.Errorf("finish should swallow the stop sentinel, got %v", finishErr)
 	}
 	if len(got) != 2 {
 		t.Errorf("sink saw %d embeddings, want 2", len(got))
@@ -68,27 +62,27 @@ func TestCollectorLimit(t *testing.T) {
 }
 
 func TestCollectorSinkStopIsStop(t *testing.T) {
-	c := NewStreamCollector(10, SinkFunc(func(Embedding) bool { return false }))
-	if err := c.Found(Embedding{1}); !IsStop(err) {
+	c := newCollector(10, SinkFunc(func(Embedding) bool { return false }))
+	if err := c.found(Embedding{1}); err != errStop {
 		t.Errorf("a declining sink must stop the search, got %v", err)
 	}
 }
 
 func TestCollectorFinishStreamPropagatesRealErrors(t *testing.T) {
-	c := NewStreamCollector(5, SinkFunc(func(Embedding) bool { return true }))
-	if err := c.FinishStream(context.Canceled); err != context.Canceled {
-		t.Errorf("FinishStream must propagate non-sentinel errors, got %v", err)
+	c := newCollector(5, SinkFunc(func(Embedding) bool { return true }))
+	if err := c.finish(context.Canceled); err != context.Canceled {
+		t.Errorf("finish must propagate non-sentinel errors, got %v", err)
 	}
 }
 
 func TestCollectorClonesEmbeddings(t *testing.T) {
 	var got []Embedding
-	c := NewStreamCollector(10, SinkFunc(func(e Embedding) bool {
+	c := newCollector(10, SinkFunc(func(e Embedding) bool {
 		got = append(got, e)
 		return true
 	}))
 	e := Embedding{1, 2, 3}
-	if err := c.Found(e); err != nil {
+	if err := c.found(e); err != nil {
 		t.Fatal(err)
 	}
 	e[0] = 99

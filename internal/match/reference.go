@@ -33,9 +33,9 @@ func (r *Reference) MatchStream(ctx context.Context, q *graph.Graph, limit int, 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	col := NewStreamCollector(limit, sink)
+	col := newCollector(limit, sink)
 	if q.N() == 0 {
-		return col.FinishStream(col.Found(Embedding{}))
+		return col.finish(col.found(Embedding{}))
 	}
 	if q.N() > r.g.N() {
 		return nil
@@ -49,7 +49,7 @@ func (r *Reference) MatchStream(ctx context.Context, q *graph.Graph, limit int, 
 	var rec func(u int) error
 	rec = func(u int) error {
 		if u == q.N() {
-			return col.Found(emb)
+			return col.found(emb)
 		}
 		for _, v := range r.g.VerticesWithLabel(q.Label(u)) {
 			if err := budget.Step(); err != nil {
@@ -78,5 +78,5 @@ func (r *Reference) MatchStream(ctx context.Context, q *graph.Graph, limit int, 
 		}
 		return nil
 	}
-	return col.FinishStream(rec(0))
+	return col.finish(rec(0))
 }

@@ -47,8 +47,9 @@ func (c Class) String() string {
 // Timing is one measured execution.
 type Timing struct {
 	Elapsed time.Duration
-	// Killed marks executions that hit the cap; their Elapsed is clamped
-	// to the cap, the value the paper substitutes for killed queries.
+	// Killed marks executions that hit a deadline. One the cap killed has
+	// Elapsed equal to the cap, the value the paper substitutes for killed
+	// queries; one the caller's earlier deadline killed has the time it ran.
 	Killed bool
 	// Err records non-deadline failures (nil in normal operation).
 	Err error
@@ -87,20 +88,22 @@ func (b Budget) Classify(t Timing) Class {
 }
 
 // Run executes fn under the cap: fn receives a context that expires at the
-// cap and must return promptly after expiry (all matchers in this module
-// do). The returned timing has Killed set and Elapsed clamped to the cap
-// when the deadline was hit.
+// cap, or at ctx's own deadline if that comes first, and must return
+// promptly after expiry (all matchers in this module do). When a deadline
+// was hit the returned timing has Killed set and Elapsed the cap if the cap
+// fired, or the time fn ran if ctx's deadline did; Elapsed never exceeds the
+// cap.
 func (b Budget) Run(ctx context.Context, fn func(ctx context.Context) error) Timing {
 	runCtx, cancel := context.WithTimeout(ctx, b.Cap)
 	defer cancel()
 	start := time.Now()
 	err := fn(runCtx)
-	elapsed := time.Since(start)
+	elapsed := min(time.Since(start), b.Cap)
 	if err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(runCtx.Err(), context.DeadlineExceeded)) {
-		return Timing{Elapsed: b.Cap, Killed: true}
-	}
-	if elapsed > b.Cap {
-		elapsed = b.Cap
+		if ctx.Err() == nil {
+			elapsed = b.Cap // only the cap can have fired
+		}
+		return Timing{Elapsed: elapsed, Killed: true}
 	}
 	return Timing{Elapsed: elapsed, Err: err}
 }

@@ -70,6 +70,39 @@ func TestRunKillsAtCap(t *testing.T) {
 	}
 }
 
+// TestRunKilledByWhichDeadline: a run the cap kills reports the cap, and one
+// the caller's earlier deadline kills reports the time it ran — both killed
+// and classified Hard.
+func TestRunKilledByWhichDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cap      time.Duration
+		deadline time.Duration // of the caller's context; 0: none
+		min, max time.Duration // bounds on Elapsed
+	}{
+		{"cap", 30 * time.Millisecond, 0, 30 * time.Millisecond, 30 * time.Millisecond},
+		{"caller", 10 * time.Minute, 5 * time.Millisecond, 5 * time.Millisecond, time.Second},
+	} {
+		b := Budget{Cap: tc.cap}
+		ctx := context.Background()
+		if tc.deadline > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, tc.deadline)
+			defer cancel()
+		}
+		tm := b.Run(ctx, func(ctx context.Context) error {
+			<-ctx.Done()
+			return ctx.Err()
+		})
+		if !tm.Killed || tm.Err != nil || b.Classify(tm) != Hard {
+			t.Errorf("%s: timing %+v, class %v; want killed, Hard", tc.name, tm, b.Classify(tm))
+		}
+		if tm.Elapsed < tc.min || tm.Elapsed > tc.max {
+			t.Errorf("%s: Elapsed %v, want within [%v, %v]", tc.name, tm.Elapsed, tc.min, tc.max)
+		}
+	}
+}
+
 func TestRunPropagatesRealError(t *testing.T) {
 	b := Budget{Cap: time.Second}
 	boom := errors.New("boom")

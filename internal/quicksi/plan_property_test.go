@@ -10,41 +10,34 @@ import (
 
 // Property: for random stored graphs and random connected queries, the
 // QuickSI plan is always a valid search sequence — every vertex exactly
-// once, parents and extra-edge targets placed earlier, every entry's edges
-// present in the query, and all query edges covered exactly once.
+// once, each parent placed earlier and adjacent, and one root.
 func TestPlanInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraphQSI(r, 12+r.Intn(10), 3)
 		m := New(g)
 		q := randomGraphQSI(r, 3+r.Intn(6), 3)
-		seq := m.plan(q)
-		if len(seq) != q.N() {
+		p := m.plan(q)
+		if len(p.Order) != q.N() || len(p.Anchor) != q.N() {
 			return false
 		}
-		pos := make(map[int32]int, len(seq))
-		edges := 0
-		for i, e := range seq {
-			if _, dup := pos[e.u]; dup {
+		pos := make(map[int32]int, q.N())
+		roots := 0
+		for i, u := range p.Order {
+			if _, dup := pos[u]; dup {
 				return false
 			}
-			pos[e.u] = i
-			if e.parent >= 0 {
-				p, ok := pos[e.parent]
-				if !ok || p >= i || !q.HasEdge(int(e.u), int(e.parent)) {
-					return false
-				}
-				edges++
+			pos[u] = i
+			parent := p.Anchor[i]
+			if parent < 0 {
+				roots++
+				continue
 			}
-			for _, x := range e.extra {
-				p, ok := pos[x]
-				if !ok || p >= i || !q.HasEdge(int(e.u), int(x)) {
-					return false
-				}
-				edges++
+			if at, ok := pos[parent]; !ok || at >= i || !q.HasEdge(int(u), int(parent)) {
+				return false
 			}
 		}
-		return edges == q.M()
+		return roots == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -60,8 +53,7 @@ func TestPlanRootIsRarestLabel(t *testing.T) {
 		g := randomGraphQSI(r, 20, 4)
 		m := New(g)
 		q := randomGraphQSI(r, 4+r.Intn(5), 4)
-		seq := m.plan(q)
-		root := seq[0].u
+		root := m.plan(q).Order[0]
 		rootFreq := m.lblFreq[q.Label(int(root))]
 		for v := 0; v < q.N(); v++ {
 			if m.lblFreq[q.Label(v)] < rootFreq {

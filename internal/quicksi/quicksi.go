@@ -53,78 +53,65 @@ func edgeKey(a, b, e graph.Label) [3]graph.Label {
 	return [3]graph.Label{a, b, e}
 }
 
-// seqEntry is one step of the QuickSI search sequence (the "SEQ" of the
-// original paper): match vertex u, reached from parent (or -1 for the
-// root), then verify the extra (non-tree) edges back into the prefix.
-type seqEntry struct {
-	u      int32
-	parent int32   // -1 for root
-	extra  []int32 // already-placed query vertices adjacent to u, besides parent
-}
-
-// plan builds the rooted-MST search sequence for query q.
+// plan builds the rooted-MST search sequence (the "SEQ" of the original
+// paper) for query q: each vertex is matched from its tree parent (or from
+// its label for a root), and its degree must not exceed its image's.
 //
 // Vertex weight = stored-graph frequency of the vertex's label; edge weight
 // = stored-graph frequency of the edge's label pair. The root is the vertex
 // with minimal (vertex weight, ID); Prim's algorithm then repeatedly adds
 // the frontier edge with minimal (edge weight, new-vertex weight, new-vertex
 // ID). Disconnected queries start a new root per component.
-func (m *Matcher) plan(q *graph.Graph) []seqEntry {
+func (m *Matcher) plan(q *graph.Graph) match.Plan {
 	n := q.N()
-	seq := make([]seqEntry, 0, n)
-	placed := make([]bool, n)
-	order := make([]int32, 0, n) // placement order (for extra-edge detection)
+	p := match.NewPlan(n)
 	vWeight := func(v int32) int { return m.lblFreq[q.Label(int(v))] }
 	eWeight := func(a, b int32) int {
 		return m.edgeFreq[edgeKey(q.Label(int(a)), q.Label(int(b)), q.EdgeLabel(int(a), int(b)))]
 	}
-	place := func(u, parent int32) {
-		var extra []int32
-		for _, w := range q.Neighbors(int(u)) {
-			if placed[w] && w != parent {
-				extra = append(extra, w)
-			}
-		}
-		seq = append(seq, seqEntry{u: u, parent: parent, extra: extra})
-		placed[u] = true
-		order = append(order, u)
-	}
-	for len(order) < n {
+	for len(p.Order) < n {
 		// Pick a root among unplaced vertices: min (label weight, ID).
 		root := int32(-1)
-		for v := 0; v < n; v++ {
-			if placed[v] {
+		for v := int32(0); int(v) < n; v++ {
+			if p.Placed(v) {
 				continue
 			}
-			if root < 0 || vWeight(int32(v)) < vWeight(root) {
-				root = int32(v)
+			if root < 0 || vWeight(v) < vWeight(root) {
+				root = v
 			}
 		}
-		place(root, -1)
+		p.Place(root, -1)
 		// Prim: grow the tree of this component.
 		for {
 			bestU, bestP := int32(-1), int32(-1)
 			bestEW, bestVW := 0, 0
-			for _, p := range order {
-				for _, w := range q.Neighbors(int(p)) {
-					if placed[w] {
+			for _, pu := range p.Order {
+				for _, w := range q.Neighbors(int(pu)) {
+					if p.Placed(w) {
 						continue
 					}
-					ew, vw := eWeight(p, w), vWeight(w)
+					ew, vw := eWeight(pu, w), vWeight(w)
 					if bestU < 0 || ew < bestEW ||
 						(ew == bestEW && (vw < bestVW ||
 							(vw == bestVW && w < bestU))) {
-						bestU, bestP, bestEW, bestVW = w, p, ew, vw
+						bestU, bestP, bestEW, bestVW = w, pu, ew, vw
 					}
 				}
 			}
 			if bestU < 0 {
 				break // component exhausted
 			}
-			place(bestU, bestP)
+			p.Place(bestU, bestP)
 		}
 	}
-	return seq
+	p.Admit = degreeAtLeast
+	return p
+}
+
+// degreeAtLeast is QuickSI's pruning rule: a stored vertex can only host a
+// query vertex of no greater degree.
+func degreeAtLeast(s *match.Search, u int, v int32) bool {
+	return s.Graph().Degree(int(v)) >= s.Query().Degree(u)
 }
 
 // Match implements match.Matcher by collecting the stream into a slice.
@@ -135,83 +122,9 @@ func (m *Matcher) Match(ctx context.Context, q *graph.Graph, limit int) ([]match
 // MatchStream implements match.StreamMatcher: embeddings are emitted into
 // sink as the search discovers them.
 func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, sink match.Sink) error {
-	if err := ctx.Err(); err != nil {
+	s, err := match.Begin(ctx, q, m.g, limit, sink)
+	if s == nil {
 		return err
 	}
-	col := match.NewStreamCollector(limit, sink)
-	if q.N() == 0 {
-		return col.FinishStream(col.Found(match.Embedding{}))
-	}
-	if q.N() > m.g.N() || q.M() > m.g.M() {
-		return nil
-	}
-	seq := m.plan(q)
-	s := &searcher{
-		m:      m,
-		q:      q,
-		seq:    seq,
-		emb:    make(match.Embedding, q.N()),
-		used:   make([]bool, m.g.N()),
-		col:    col,
-		budget: match.NewBudget(ctx),
-	}
-	for i := range s.emb {
-		s.emb[i] = -1
-	}
-	return col.FinishStream(s.step(0))
-}
-
-type searcher struct {
-	m      *Matcher
-	q      *graph.Graph
-	seq    []seqEntry
-	emb    match.Embedding
-	used   []bool
-	col    *match.Collector
-	budget *match.Budget
-}
-
-func (s *searcher) step(i int) error {
-	if i == len(s.seq) {
-		return s.col.Found(s.emb)
-	}
-	e := s.seq[i]
-	lbl := s.q.Label(int(e.u))
-	qdeg := s.q.Degree(int(e.u))
-	var candidates []int32
-	if e.parent >= 0 {
-		candidates = s.m.g.Neighbors(int(s.emb[e.parent]))
-	} else {
-		candidates = s.m.g.VerticesWithLabel(lbl)
-	}
-	for _, v := range candidates {
-		if err := s.budget.Step(); err != nil {
-			return err
-		}
-		if s.used[v] || s.m.g.Label(int(v)) != lbl || s.m.g.Degree(int(v)) < qdeg {
-			continue
-		}
-		if e.parent >= 0 &&
-			!s.m.g.HasEdgeLabeled(int(s.emb[e.parent]), int(v), s.q.EdgeLabel(int(e.u), int(e.parent))) {
-			continue
-		}
-		ok := true
-		for _, x := range e.extra {
-			if !s.m.g.HasEdgeLabeled(int(s.emb[x]), int(v), s.q.EdgeLabel(int(e.u), int(x))) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		s.emb[e.u] = v
-		s.used[v] = true
-		if err := s.step(i + 1); err != nil {
-			return err
-		}
-		s.used[v] = false
-		s.emb[e.u] = -1
-	}
-	return nil
+	return s.Run(m.plan(q))
 }

@@ -48,54 +48,45 @@ func TestEdgeKeyCanonical(t *testing.T) {
 }
 
 // plan invariants: every query vertex appears exactly once; the root(s) have
-// parent -1; each non-root's parent appears earlier; extra edges point
-// backwards; #tree edges + #extra edges (summed) = q.M() for connected q.
+// parent -1; each non-root's parent appears earlier and is adjacent; the
+// tree edges and the edges back to earlier non-parents cover each query edge
+// once.
 func TestPlanInvariants(t *testing.T) {
 	m := New(storedGraph())
 	q := graph.MustNew("q", []graph.Label{0, 0, 1, 2},
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}})
-	seq := m.plan(q)
-	if len(seq) != q.N() {
-		t.Fatalf("plan has %d entries, want %d", len(seq), q.N())
+	p := m.plan(q)
+	if len(p.Order) != q.N() {
+		t.Fatalf("plan has %d entries, want %d", len(p.Order), q.N())
 	}
 	pos := make(map[int32]int)
-	for i, e := range seq {
-		if _, dup := pos[e.u]; dup {
-			t.Fatalf("vertex %d appears twice in plan", e.u)
-		}
-		pos[e.u] = i
-		if e.parent >= 0 {
-			p, ok := pos[e.parent]
-			if !ok || p >= i {
-				t.Fatalf("entry %d: parent %d not placed earlier", i, e.parent)
-			}
-			if !q.HasEdge(int(e.u), int(e.parent)) {
-				t.Fatalf("tree edge (%d,%d) not in query", e.u, e.parent)
-			}
-		}
-		for _, x := range e.extra {
-			p, ok := pos[x]
-			if !ok || p >= i {
-				t.Fatalf("entry %d: extra vertex %d not placed earlier", i, x)
-			}
-			if !q.HasEdge(int(e.u), int(x)) {
-				t.Fatalf("extra edge (%d,%d) not in query", e.u, x)
-			}
-		}
-	}
 	edges := 0
-	for _, e := range seq {
-		if e.parent >= 0 {
-			edges++
+	for i, u := range p.Order {
+		if _, dup := pos[u]; dup {
+			t.Fatalf("vertex %d appears twice in plan", u)
 		}
-		edges += len(e.extra)
+		pos[u] = i
+		if parent := p.Anchor[i]; parent >= 0 {
+			at, ok := pos[parent]
+			if !ok || at >= i {
+				t.Fatalf("entry %d: parent %d not placed earlier", i, parent)
+			}
+			if !q.HasEdge(int(u), int(parent)) {
+				t.Fatalf("tree edge (%d,%d) not in query", u, parent)
+			}
+		}
+		for _, w := range q.Neighbors(int(u)) {
+			if at, ok := pos[w]; ok && at < i {
+				edges++
+			}
+		}
 	}
 	if edges != q.M() {
 		t.Errorf("plan covers %d edges, query has %d", edges, q.M())
 	}
 	// root must be the rarest-label vertex: label 2 (freq 1) is vertex 3
-	if seq[0].u != 3 || seq[0].parent != -1 {
-		t.Errorf("root = %+v, want vertex 3 (rarest label)", seq[0])
+	if p.Order[0] != 3 || p.Anchor[0] != -1 {
+		t.Errorf("root = %d (parent %d), want vertex 3 (rarest label)", p.Order[0], p.Anchor[0])
 	}
 }
 
@@ -103,13 +94,13 @@ func TestPlanHandlesDisconnectedQuery(t *testing.T) {
 	m := New(storedGraph())
 	q := graph.MustNew("q", []graph.Label{0, 0, 1, 1},
 		[][2]int{{0, 1}, {2, 3}})
-	seq := m.plan(q)
-	if len(seq) != 4 {
-		t.Fatalf("plan entries = %d", len(seq))
+	p := m.plan(q)
+	if len(p.Order) != 4 {
+		t.Fatalf("plan entries = %d", len(p.Order))
 	}
 	roots := 0
-	for _, e := range seq {
-		if e.parent < 0 {
+	for _, parent := range p.Anchor {
+		if parent < 0 {
 			roots++
 		}
 	}

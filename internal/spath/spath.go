@@ -9,9 +9,9 @@
 package spath
 
 import (
+	"cmp"
 	"context"
 	"slices"
-	"sort"
 
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/match"
@@ -63,37 +63,17 @@ func (m *Matcher) Match(ctx context.Context, q *graph.Graph, limit int) ([]match
 // MatchStream implements match.StreamMatcher: embeddings are emitted into
 // sink as the search discovers them.
 func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, sink match.Sink) error {
-	if err := ctx.Err(); err != nil {
+	s, err := match.Begin(ctx, q, m.g, limit, sink)
+	if s == nil {
 		return err
 	}
-	col := match.NewStreamCollector(limit, sink)
-	if q.N() == 0 {
-		return col.FinishStream(col.Found(match.Embedding{}))
-	}
-	if q.N() > m.g.N() || q.M() > m.g.M() {
-		return nil
-	}
-	budget := match.NewBudget(ctx)
-	cand, err := m.candidates(q, budget)
+	cand, err := m.candidates(q, s.Budget())
 	if err != nil || cand == nil {
 		return err
 	}
 	paths := decompose(q, DefaultMaxPathLen)
 	orderPaths(paths, cand)
-	s := &searcher{
-		m:      m,
-		q:      q,
-		cand:   cand,
-		paths:  paths,
-		emb:    make(match.Embedding, q.N()),
-		used:   make([]bool, m.g.N()),
-		col:    col,
-		budget: budget,
-	}
-	for i := range s.emb {
-		s.emb[i] = -1
-	}
-	return col.FinishStream(s.matchPath(0, 0))
+	return s.Run(plan(q, paths, cand))
 }
 
 // candidates computes per-query-vertex candidate sets by label, degree and
@@ -205,91 +185,35 @@ func orderPaths(paths [][]int32, cand []match.VertexSet) {
 		}
 		return e
 	}
-	sort.SliceStable(paths, func(i, j int) bool {
-		ei, ej := est(paths[i]), est(paths[j])
-		if ei != ej {
-			return ei < ej
+	slices.SortStableFunc(paths, func(a, b []int32) int {
+		if c := cmp.Compare(est(a), est(b)); c != 0 {
+			return c
 		}
-		return paths[i][0] < paths[j][0]
+		return cmp.Compare(a[0], b[0])
 	})
 }
 
-type searcher struct {
-	m      *Matcher
-	q      *graph.Graph
-	cand   []match.VertexSet
-	paths  [][]int32
-	emb    match.Embedding
-	used   []bool
-	col    *match.Collector
-	budget *match.Budget
-}
-
-// matchPath advances the edge-by-edge verification: position pos within
-// path pi. Already-matched vertices are verified for adjacency only;
-// unmatched ones branch over candidates.
-func (s *searcher) matchPath(pi, pos int) error {
-	if pi == len(s.paths) {
-		return s.col.Found(s.emb)
-	}
-	path := s.paths[pi]
-	if pos == len(path) {
-		return s.matchPath(pi+1, 0)
-	}
-	u := path[pos]
-	prevMapped := int32(-1)
-	if pos > 0 {
-		prevMapped = s.emb[path[pos-1]]
-	}
-	if v := s.emb[u]; v >= 0 {
-		// Already matched by an earlier path: just verify the path edge.
-		if prevMapped >= 0 &&
-			!s.m.g.HasEdgeLabeled(int(prevMapped), int(v), s.q.EdgeLabel(int(path[pos-1]), int(u))) {
-			return nil
-		}
-		return s.matchPath(pi, pos+1)
-	}
-	if prevMapped >= 0 {
-		for _, v := range s.m.g.Neighbors(int(prevMapped)) {
-			if err := s.try(pi, pos, u, v); err != nil {
-				return err
+// plan verifies the ordered paths edge by edge: it places each query vertex
+// at its first occurrence, anchored on the path vertex before it, so a path
+// head branches over its candidate set and every other vertex over the
+// neighbours of its predecessor's image. A later occurrence adds nothing to
+// check: the join verifies every edge back into the partial embedding as a
+// vertex is placed, cross-path edges included, so each path edge between
+// two already-placed vertices was verified when the later one was placed.
+func plan(q *graph.Graph, paths [][]int32, cand []match.VertexSet) match.Plan {
+	p := match.NewPlan(q.N())
+	for _, path := range paths {
+		for i, u := range path {
+			if p.Placed(u) {
+				continue
 			}
-		}
-		return nil
-	}
-	// Path head: the candidate set iterates in ascending vertex order.
-	for v := s.cand[u].Next(0); v >= 0; v = s.cand[u].Next(v + 1) {
-		if err := s.try(pi, pos, u, v); err != nil {
-			return err
+			anchor := int32(-1)
+			if i > 0 {
+				anchor = path[i-1]
+			}
+			p.Place(u, anchor)
 		}
 	}
-	return nil
-}
-
-// try places query vertex u = paths[pi][pos] on stored vertex v, if v is a
-// free candidate whose edges agree with the partial embedding, and carries
-// the search on from there.
-func (s *searcher) try(pi, pos int, u, v int32) error {
-	if err := s.budget.Step(); err != nil {
-		return err
-	}
-	if s.used[v] || !s.cand[u].Has(v) {
-		return nil
-	}
-	// Verify all edges back into the partial embedding, so cross-path
-	// edges incident to u are enforced as soon as u is placed.
-	for _, w := range s.q.Neighbors(int(u)) {
-		if img := s.emb[w]; img >= 0 &&
-			!s.m.g.HasEdgeLabeled(int(img), int(v), s.q.EdgeLabel(int(u), int(w))) {
-			return nil
-		}
-	}
-	s.emb[u] = v
-	s.used[v] = true
-	if err := s.matchPath(pi, pos+1); err != nil {
-		return err
-	}
-	s.used[v] = false
-	s.emb[u] = -1
-	return nil
+	p.Cand = cand
+	return p
 }

@@ -53,39 +53,13 @@ func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, si
 // the same states, in the same order, as a matcher built over the induced
 // subgraph would — without building it.
 func (m *Matcher) stream(ctx context.Context, q *graph.Graph, limit int, allowed match.VertexSet, sink match.Sink) error {
-	if err := ctx.Err(); err != nil {
+	s, err := match.Begin(ctx, q, m.g, limit, sink)
+	if s == nil {
 		return err
 	}
-	col := match.NewStreamCollector(limit, sink)
-	if q.N() == 0 {
-		return col.FinishStream(col.Found(match.Embedding{}))
-	}
-	if q.N() > m.g.N() || q.M() > m.g.M() {
-		return nil
-	}
-	order, anchor := visitPlan(q)
-	s := &state{
-		q:      q,
-		g:      m.g,
-		order:  order,
-		anchor: anchor,
-		coreQ:  make([]int32, q.N()),
-		taken:  make([]uint8, m.g.N()),
-		col:    col,
-		budget: match.NewBudget(ctx),
-	}
-	for i := range s.coreQ {
-		s.coreQ[i] = -1
-	}
-	if allowed != nil {
-		for v := range s.taken {
-			s.taken[v] = outside
-		}
-		for v := allowed.Next(0); v >= 0; v = allowed.Next(v + 1) {
-			s.taken[v] = 0
-		}
-	}
-	return col.FinishStream(s.search(0))
+	p := visitPlan(q)
+	p.Within = allowed
+	return s.Run(p)
 }
 
 // Contains reports whether q is subgraph-isomorphic to the stored graph
@@ -112,24 +86,6 @@ func Match(ctx context.Context, q, g *graph.Graph, limit int) ([]match.Embedding
 	return New(g).Match(ctx, q, limit)
 }
 
-type state struct {
-	q, g   *graph.Graph
-	order  []int32 // static visit order: order[depth] is the query vertex matched at depth
-	anchor []int32 // anchor[depth]: earlier-placed query neighbor of order[depth], or -1
-	coreQ  []int32 // query vertex -> matched graph vertex or -1
-	// taken says, per graph vertex, why no query vertex may be mapped to it
-	// now — it is matched, or lies outside the allowed set — or 0 when one
-	// may: one byte to test in the inner loops, restricted search or not.
-	taken  []uint8
-	col    *match.Collector
-	budget *match.Budget
-}
-
-const (
-	matched = 1 + iota
-	outside
-)
-
 // visitPlan precomputes the order in which query vertices are matched,
 // together with each step's anchor. Because the matched query set at depth d
 // is always exactly the first d vertices of the order, the original VF2 rule
@@ -139,114 +95,61 @@ const (
 // of rescanning all query vertices at every search node. The anchor is the
 // first already-placed neighbor in adjacency order, matching the original
 // runtime selection exactly (tie-breaking is load-bearing: it is what the
-// paper's rewritings steer).
-func visitPlan(q *graph.Graph) (order, anchor []int32) {
+// paper's rewritings steer). Candidates are the anchor's image's neighbors
+// (pruning rule 1: candidates must be directly connected to already-matched
+// vertices of g), else all label-compatible vertices, and lookahead prunes.
+func visitPlan(q *graph.Graph) match.Plan {
 	n := q.N()
-	order = make([]int32, 0, n)
-	anchor = make([]int32, 0, n)
-	placed := make([]bool, n)
-	for len(order) < n {
+	p := match.NewPlan(n)
+	for len(p.Order) < n {
 		next, lowest := -1, -1
 		for u := 0; u < n && next < 0; u++ {
-			if placed[u] {
+			if p.Placed(int32(u)) {
 				continue
 			}
 			if lowest < 0 {
 				lowest = u
 			}
-			for _, w := range q.Neighbors(u) {
-				if placed[w] {
-					next = u
-					break
-				}
+			if p.FirstPlaced(q, int32(u)) >= 0 {
+				next = u
 			}
 		}
 		if next < 0 {
 			next = lowest
 		}
-		a := int32(-1)
-		for _, w := range q.Neighbors(next) {
-			if placed[w] {
-				a = w
-				break
-			}
-		}
-		order = append(order, int32(next))
-		anchor = append(anchor, a)
-		placed[next] = true
+		p.Place(int32(next), p.FirstPlaced(q, int32(next)))
 	}
-	return order, anchor
+	p.Admit = lookahead
+	return p
 }
 
-func (s *state) search(depth int) error {
-	if depth == s.q.N() {
-		return s.col.Found(match.Embedding(s.coreQ))
-	}
-	u := int(s.order[depth])
-	// Candidate generation: if u has matched neighbors, only neighbors of
-	// their images qualify (pruning rule 1: candidates must be directly
-	// connected to already-matched vertices of g). Otherwise all
-	// label-compatible vertices are candidates.
-	var candidates []int32
-	if a := s.anchor[depth]; a >= 0 {
-		candidates = s.g.Neighbors(int(s.coreQ[a]))
-	} else {
-		candidates = s.g.VerticesWithLabel(s.q.Label(u))
-	}
-	for _, v := range candidates {
-		if err := s.budget.Step(); err != nil {
-			return err
-		}
-		if s.taken[v] != 0 || s.g.Label(int(v)) != s.q.Label(u) {
-			continue
-		}
-		if !s.feasible(u, v) {
-			continue
-		}
-		s.coreQ[u] = v
-		s.taken[v] = matched
-		if err := s.search(depth + 1); err != nil {
-			return err
-		}
-		s.coreQ[u] = -1
-		s.taken[v] = 0
-	}
-	return nil
-}
-
-// feasible applies the consistency rule plus VF2's two lookahead pruning
-// rules, in the non-induced (subgraph isomorphism) direction: query-side
-// counts must not exceed graph-side counts.
-func (s *state) feasible(u int, v int32) bool {
-	// Consistency: every matched neighbor of u must map to a neighbor of v
-	// through an edge with the query edge's label (this subsumes pruning
-	// rule 1 for multiple matched neighbors).
-	for _, w := range s.q.Neighbors(u) {
-		if img := s.coreQ[w]; img >= 0 &&
-			!s.g.HasEdgeLabeled(int(img), int(v), s.q.EdgeLabel(u, int(w))) {
-			return false
-		}
-	}
-	// Lookahead (rules 2 and 3): classify unmatched neighbors of u and of v
-	// as "terminal" (adjacent to the matched set) or "new"; the query may
-	// not demand more of either class than the graph vertex offers.
+// lookahead applies VF2's two lookahead pruning rules, in the non-induced
+// (subgraph isomorphism) direction: query-side counts must not exceed
+// graph-side counts. The join has already checked consistency: every placed
+// neighbor of u maps to a neighbor of v through an edge with the query
+// edge's label (which subsumes pruning rule 1 for multiple matched
+// neighbors).
+func lookahead(s *match.Search, u int, v int32) bool {
+	// Classify unmatched neighbors of u and of v as "terminal" (adjacent to
+	// the matched set) or "new"; the query may not demand more of either
+	// class than the graph vertex offers.
 	termQ, newQ := 0, 0
-	for _, w := range s.q.Neighbors(u) {
-		if s.coreQ[w] >= 0 {
+	for _, w := range s.Query().Neighbors(u) {
+		if s.Image(w) >= 0 {
 			continue
 		}
-		if s.adjacentToMatchedQ(w) {
+		if adjacentToMatchedQ(s, w) {
 			termQ++
 		} else {
 			newQ++
 		}
 	}
 	termG, newG := 0, 0
-	for _, w := range s.g.Neighbors(int(v)) {
-		if s.taken[w] != 0 {
+	for _, w := range s.Graph().Neighbors(int(v)) {
+		if !s.Free(w) {
 			continue
 		}
-		if s.adjacentToMatchedG(w) {
+		if adjacentToMatchedG(s, w) {
 			termG++
 		} else {
 			newG++
@@ -261,18 +164,18 @@ func (s *state) feasible(u int, v int32) bool {
 	return termQ+newQ <= termG+newG
 }
 
-func (s *state) adjacentToMatchedQ(w int32) bool {
-	for _, x := range s.q.Neighbors(int(w)) {
-		if s.coreQ[x] >= 0 {
+func adjacentToMatchedQ(s *match.Search, w int32) bool {
+	for _, x := range s.Query().Neighbors(int(w)) {
+		if s.Image(x) >= 0 {
 			return true
 		}
 	}
 	return false
 }
 
-func (s *state) adjacentToMatchedG(w int32) bool {
-	for _, x := range s.g.Neighbors(int(w)) {
-		if s.taken[x] == matched {
+func adjacentToMatchedG(s *match.Search, w int32) bool {
+	for _, x := range s.Graph().Neighbors(int(w)) {
+		if s.Used(x) {
 			return true
 		}
 	}

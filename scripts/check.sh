@@ -117,6 +117,17 @@ echo "== fuzz (FuzzRewriteRoundTrip, 5s) =="
 # could turn a right answer into a silently wrong one.
 go test -run='^$' -fuzz=FuzzRewriteRoundTrip -fuzztime=5s ./internal/rewrite
 
+echo "== fuzz (FuzzMatchers, 5s) =="
+# Fuzzed stored graphs of up to 24 vertices and queries of up to 7, over one
+# to four vertex labels and one to three edge labels, disconnected and with
+# isolated vertices, through VF2, QuickSI, GraphQL and sPath against the
+# reference matcher: the same embedding set at an unbounded limit, the same
+# containment at limit 0, and VF2 within a fuzzed vertex set the same answer
+# as the reference on the subgraph it induces. The four share one
+# backtracking join, and this is where a plan that skips a candidate or an
+# edge check shows.
+go test -run='^$' -fuzz=FuzzMatchers -fuzztime=5s ./internal/match
+
 echo "== bench smoke (1 iteration) =="
 # Every root benchmark once, BenchmarkExtractFeatures,
 # BenchmarkBuildPortfolio and BenchmarkGrapesVerify (the index-build path and
