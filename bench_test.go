@@ -71,7 +71,7 @@ func BenchmarkRewritingCost(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rewrite.Apply(q, freq, rewrite.ILFDND, 0)
+		q.MustPermute(rewrite.Compute(q, freq, rewrite.ILFDND, 0))
 	}
 }
 

@@ -16,7 +16,10 @@
 // heuristics) and switching algorithms (stragglers are algorithm-specific).
 // The Ψ-framework exploits both at once — it races several goroutines, each
 // matching a different (algorithm, rewriting) pair, takes the first answer,
-// and cancels the rest.
+// and cancels the rest. A rewriting is a vertex ranking, not a new query:
+// every attempt searches the caller's query, its matcher planning as if the
+// IDs were the ranks (match.Ranked), so nothing is mapped back and no ranking
+// can change the answer set.
 //
 // # Quick start
 //
@@ -67,7 +70,8 @@
 // graph) queries share all three and differ only in what is raced:
 // Racer.Race adopts the first attempt to finish — the paper's semantics,
 // core.firstDone, the loop the per-candidate rewriting race runs on too —
-// and Racer.RaceStream the first to emit.
+// and Racer.RaceStream the first to emit; both run one attempt body, a
+// ranked search of the caller's query.
 //
 // All parallelism flows through one shared bounded execution layer
 // (internal/exec): a pool of persistent workers, one per CPU by default.
@@ -101,7 +105,8 @@
 // The result path is streaming end to end. Every matcher implements
 // StreamMatcher: MatchStream emits each embedding into a Sink the moment
 // the backtracking search finds it, and the sink returning false stops the
-// search; Match is merely the collecting wrapper. On top of that contract,
+// search; Match is merely the collecting wrapper, and an attempt under a
+// rewriting emits the caller's query's embeddings too. On top of that contract,
 // Racer.RaceStream changes the race's adoption rule from first-to-finish
 // to first-to-emit — the first embedding anyone finds claims the output
 // stream for its attempt and cancels every other contender — so
@@ -134,7 +139,8 @@
 //		psi.SinkFunc(func(e psi.Embedding) bool { return consume(e) }))
 //
 // Matcher substrate: VF2, QuickSI, GraphQL and sPath are one backtracking
-// join (internal/match: Begin, Plan, Search.Run) under four plans. The join
+// join (internal/match: Ranked, Plan, Search) under four plans, each built on
+// the query as a ranking presents it and renumbered onto the caller's. The join
 // owns what the four share: the early exits (a cancelled context, an empty
 // query, a query larger than the stored graph), the embedding and the
 // taken state per stored vertex (which also confines a VF2 search to a
@@ -150,7 +156,8 @@
 // sPath its distance-signature sets and its path decomposition flattened to
 // first occurrences, each vertex anchored on the path vertex before it.
 // Embedding order and step counts are those of the four separate searches
-// the join replaced (internal/match/testdata/golden_search.txt). The two
+// the join replaced, on each rewriting's permuted copy of the query
+// (internal/match/testdata/golden_search.txt). The two
 // matchers of the default NFV portfolio keep their per-vertex state flat and
 // sorted, with no map on the stored graph or on the query. sPath's index is one distance signature per stored
 // vertex: for each radius d = 1..4, a row saying how many vertices of each

@@ -101,7 +101,6 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 	}
 	e.racer = core.NewRacer(g)
 	e.racer.Pool = e.pool
-	e.racer.Validate = opts.Validate
 	e.attempts = core.Portfolio(e.matchers, engineRewritings(opts))
 	switch e.mode {
 	case ModeSingle:

@@ -85,7 +85,7 @@ func instances(q *graph.Graph, freqs rewrite.Frequencies, kinds []rewrite.Kind) 
 	qs := make([]instance, len(kinds))
 	for i, k := range kinds {
 		qs[i].kind = k
-		qs[i].q, _ = rewrite.Apply(q, freqs, k, 0)
+		qs[i].q = q.MustPermute(rewrite.Compute(q, freqs, k, 0))
 	}
 	return qs
 }

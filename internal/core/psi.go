@@ -36,9 +36,9 @@ func (a Attempt) Label() string {
 
 // Result is the outcome of a race.
 type Result struct {
-	// Embeddings are the winner's embeddings, already mapped back to the
-	// original query's vertex numbering. Nil for RaceStream, whose
-	// embeddings go to the caller's sink instead.
+	// Embeddings are the winner's embeddings of the caller's query, in its
+	// own vertex numbering: every attempt searches that query. Nil for
+	// RaceStream, whose embeddings go to the caller's sink instead.
 	Embeddings []match.Embedding
 	// Found is the number of embeddings the winner produced — equal to
 	// len(Embeddings) for Race, and the count streamed into the sink for
@@ -64,10 +64,6 @@ type Racer struct {
 	// Frequencies are the stored-graph (or dataset-wide) label
 	// frequencies consulted by ILF, ILF+IND and ILF+DND.
 	Frequencies rewrite.Frequencies
-	// Validate re-checks every winner embedding with match.VerifyEmbedding
-	// before returning; a validation failure is returned as an error.
-	// Meant for tests and debugging, not production races.
-	Validate bool
 	// Pool is the execution layer attempts are submitted through; nil
 	// selects the shared default pool (sized by the CPU count). Attempts
 	// reuse idle pool workers but are never queued behind a saturated
@@ -102,26 +98,17 @@ func (r *Racer) Race(ctx context.Context, q *graph.Graph, limit int, attempts []
 	if err != nil {
 		return Result{}, err
 	}
-	won := attempts[winner]
-	if r.Validate {
-		for _, e := range embs {
-			if verr := match.VerifyEmbedding(q, attemptGraph(won), e); verr != nil {
-				return Result{}, fmt.Errorf("psi: winner %s returned invalid embedding: %w", won.Label(), verr)
-			}
-		}
-	}
 	return Result{
 		Embeddings:  embs,
 		Found:       len(embs),
-		Winner:      won,
+		Winner:      attempts[winner],
 		WinnerIndex: winner,
 		Elapsed:     time.Since(start),
 		Attempts:    len(attempts),
 	}, nil
 }
 
-// matchRace is Race's contender: attempt i matches q under its rewriting and
-// maps what it found back to q's numbering.
+// matchRace is Race's contender: attempt i collects what it finds.
 type matchRace struct {
 	r        *Racer
 	q        *graph.Graph
@@ -131,18 +118,28 @@ type matchRace struct {
 
 func (m matchRace) label(i int) string { return m.attempts[i].Label() }
 
-func (m matchRace) run(ctx context.Context, i int) ([]match.Embedding, error) {
-	a := m.attempts[i]
-	q2, perm := rewrite.Apply(m.q, m.r.Frequencies, a.Rewriting, a.Seed)
-	embs, err := a.Matcher.Match(ctx, q2, m.limit)
-	if err != nil || a.Rewriting == rewrite.Orig {
-		return embs, err
+func (m matchRace) run(ctx context.Context, i int) (embs []match.Embedding, err error) {
+	err = m.r.search(ctx, m.attempts[i], m.q, m.limit, match.SinkFunc(func(e match.Embedding) bool {
+		embs = append(embs, e)
+		return true
+	}))
+	return embs, err
+}
+
+// search is one attempt, the body Race and RaceStream share: up to limit
+// embeddings of q, in q's own numbering, go to sink. A matcher that plans
+// over the join searches q under the attempt's rewriting as a vertex
+// ranking; any other matcher runs on q as given.
+func (r *Racer) search(ctx context.Context, a Attempt, q *graph.Graph, limit int, sink match.Sink) error {
+	p, ok := a.Matcher.(match.Planner)
+	if !ok {
+		return match.Stream(ctx, a.Matcher, q, limit, sink)
 	}
-	mapped := make([]match.Embedding, len(embs))
-	for j, e := range embs {
-		mapped[j] = rewrite.MapBack(e, perm)
+	var rank graph.Permutation
+	if a.Rewriting != rewrite.Orig {
+		rank = rewrite.Compute(q, r.Frequencies, a.Rewriting, a.Seed)
 	}
-	return mapped, nil
+	return match.Ranked(ctx, p, q, rank, nil, limit, sink)
 }
 
 // contender is one race's job: run is contender i's whole attempt under the
@@ -215,8 +212,8 @@ func firstDone[T any, C contender[T]](ctx context.Context, pool *exec.Pool, n in
 }
 
 // RaceStream is the streaming form of Race: the winner's embeddings flow
-// into sink as they are found, already mapped back to q's numbering,
-// instead of being materialized in the Result. Where Race adopts the first
+// into sink as they are found, in q's own numbering, instead of being
+// materialized in the Result. Where Race adopts the first
 // attempt to *finish*, RaceStream adopts the first attempt to *emit*: the
 // first embedding anyone finds claims the output stream for its attempt and
 // cancels every other attempt immediately. For decision queries (limit <= 0)
@@ -247,29 +244,13 @@ func (r *Racer) RaceStream(ctx context.Context, q *graph.Graph, limit int, attem
 	// losers exit on their own, so nobody waits for them (drain false).
 	winner, _, err := streamRace(ctx, len(attempts), label, pool.Go, false,
 		func(actx context.Context, i int, claim func() bool) error {
-			a := attempts[i]
-			q2, perm := rewrite.Apply(q, r.Frequencies, a.Rewriting, a.Seed)
-			var invalid error
-			err := match.Stream(actx, a.Matcher, q2, limit, match.SinkFunc(func(e match.Embedding) bool {
+			return r.search(actx, attempts[i], q, limit, match.SinkFunc(func(e match.Embedding) bool {
 				if !claim() {
 					return false
-				}
-				if a.Rewriting != rewrite.Orig {
-					e = rewrite.MapBack(e, perm)
-				}
-				if r.Validate {
-					if verr := match.VerifyEmbedding(q, attemptGraph(a), e); verr != nil {
-						invalid = fmt.Errorf("psi: winner %s emitted invalid embedding: %w", a.Label(), verr)
-						return false
-					}
 				}
 				found++
 				return sink.Emit(e)
 			}))
-			if invalid != nil {
-				return invalid
-			}
-			return err
 		})
 	if err != nil {
 		return Result{}, err
@@ -416,16 +397,6 @@ func streamRace(ctx context.Context, n int, label func(i int) string, spawn func
 		return -1, nil, ctx.Err()
 	}
 	return -1, nil, errors.Join(errs...)
-}
-
-// attemptGraph extracts the stored graph from matchers that expose it; used
-// only by Validate mode.
-func attemptGraph(a Attempt) *graph.Graph {
-	type graphHolder interface{ Graph() *graph.Graph }
-	if h, ok := a.Matcher.(graphHolder); ok {
-		return h.Graph()
-	}
-	return nil
 }
 
 // Portfolio builds the cross product of matchers and rewritings, the

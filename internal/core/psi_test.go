@@ -97,7 +97,6 @@ func TestRaceFindsPlantedQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	g := randomStored(r, 40, 30, 3)
 	racer := NewRacer(g)
-	racer.Validate = true
 	attempts := append(
 		Portfolio([]match.Matcher{gql.New(g)}, []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.DND}),
 		Portfolio([]match.Matcher{spath.New(g)}, []rewrite.Kind{rewrite.Orig})...,
@@ -111,6 +110,7 @@ func TestRaceFindsPlantedQuery(t *testing.T) {
 		if !res.Contained() {
 			t.Fatalf("trial %d: planted query not found by %s", trial, res.Winner.Label())
 		}
+		verifyAll(t, q, g, res)
 		if res.Attempts != len(attempts) {
 			t.Errorf("Attempts = %d", res.Attempts)
 		}
@@ -124,7 +124,6 @@ func TestRaceAgreesWithSingleAlgorithm(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	g := randomStored(r, 20, 12, 2)
 	racer := NewRacer(g)
-	racer.Validate = true
 	matchers := []match.Matcher{vf2.New(g), quicksi.New(g), gql.New(g), spath.New(g)}
 	attempts := Portfolio(matchers, []rewrite.Kind{rewrite.Orig, rewrite.ILFDND})
 	ref := match.NewReference(g)
@@ -142,6 +141,7 @@ func TestRaceAgreesWithSingleAlgorithm(t *testing.T) {
 			t.Fatalf("trial %d: race says %v, reference says %v (winner %s)",
 				trial, res.Contained(), len(want) > 0, res.Winner.Label())
 		}
+		verifyAll(t, q, g, res)
 	}
 }
 
@@ -248,7 +248,6 @@ func TestRaceMapsEmbeddingsBack(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := randomStored(r, 25, 15, 3)
 	racer := NewRacer(g)
-	racer.Validate = true // VerifyEmbedding fails if mapping is wrong
 	q := extractQuery(r, g, 5)
 	for _, k := range rewrite.Structured {
 		attempts := []Attempt{{Matcher: vf2.New(g), Rewriting: k}}
@@ -259,10 +258,16 @@ func TestRaceMapsEmbeddingsBack(t *testing.T) {
 		if !res.Contained() {
 			t.Fatalf("%v: not found", k)
 		}
-		for _, e := range res.Embeddings {
-			if err := match.VerifyEmbedding(q, g, e); err != nil {
-				t.Fatalf("%v: invalid mapped embedding: %v", k, err)
-			}
+		verifyAll(t, q, g, res)
+	}
+}
+
+// verifyAll fails t unless every embedding res returned is one of q in g.
+func verifyAll(t *testing.T, q, g *graph.Graph, res Result) {
+	t.Helper()
+	for _, e := range res.Embeddings {
+		if err := match.VerifyEmbedding(q, g, e); err != nil {
+			t.Fatalf("winner %s returned an invalid embedding: %v", res.Winner.Label(), err)
 		}
 	}
 }
@@ -283,6 +288,47 @@ func TestRaceEmbeddingCountMatchesDirectRun(t *testing.T) {
 	}
 	if len(res.Embeddings) != len(direct) {
 		t.Errorf("race returned %d embeddings, direct run %d", len(res.Embeddings), len(direct))
+	}
+}
+
+// TestRaceAllocsPerEmbedding: an attempt under a rewriting searches the
+// caller's query, so each embedding past the first few costs the collector's
+// one clone and the result slice's growth, and no copy mapped back.
+func TestRaceAllocsPerEmbedding(t *testing.T) {
+	// A label-1 hub with 60 label-0 leaves holds 60·59 embeddings of the
+	// 0-1-0 path.
+	labels := []graph.Label{1}
+	var edges [][2]int
+	for v := 1; v <= 60; v++ {
+		labels = append(labels, 0)
+		edges = append(edges, [2]int{0, v})
+	}
+	g := graph.MustNew("star", labels, edges)
+	q := graph.MustNew("q", []graph.Label{0, 1, 0}, [][2]int{{0, 1}, {1, 2}})
+	racer := NewRacer(g)
+	attempts := []Attempt{{Matcher: gql.New(g), Rewriting: rewrite.DND}}
+	allocs := func(limit int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if res, err := racer.Race(context.Background(), q, limit, attempts); err != nil || res.Found != limit {
+				t.Fatalf("limit %d: found %d, %v", limit, res.Found, err)
+			}
+		})
+	}
+	const few, many = 10, 1000
+	// append's reallocations of the result past its first few entries
+	regrowths := 0
+	var s []match.Embedding
+	for len(s) < many {
+		if len(s) >= few && len(s) == cap(s) {
+			regrowths++
+		}
+		s = append(s, nil)
+	}
+	// One more for AllocsPerRun's rounding down of each mean.
+	extra, bound := allocs(many)-allocs(few), float64(many-few+regrowths+1)
+	t.Logf("%.0f allocations for %d more embeddings", extra, many-few)
+	if extra > bound {
+		t.Errorf("%d more embeddings cost %.0f allocations, more than one clone each, %d regrowths and 1 for rounding", many-few, extra, regrowths)
 	}
 }
 

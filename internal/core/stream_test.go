@@ -171,20 +171,16 @@ func TestRaceStreamSingleEmitter(t *testing.T) {
 		}
 		// The winner's own slice-path enumeration must reproduce the
 		// stream exactly: interleaving two attempts would break this.
-		q2, perm := rewrite.Apply(q, racer.Frequencies, res.Winner.Rewriting, res.Winner.Seed)
-		direct, err := res.Winner.Matcher.Match(context.Background(), q2, 1000)
+		direct, err := racer.Race(context.Background(), q, 1000, []Attempt{res.Winner})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(direct) != len(want) {
-			t.Fatalf("iter %d: stream has %d embeddings, winner alone finds %d", i, len(want), len(direct))
+		if len(direct.Embeddings) != len(want) {
+			t.Fatalf("iter %d: stream has %d embeddings, winner alone finds %d", i, len(want), len(direct.Embeddings))
 		}
-		for j, e := range direct {
-			back := rewrite.MapBack(e, perm)
-			for k := range back {
-				if back[k] != want[j][k] {
-					t.Fatalf("iter %d: stream diverges from winner's own order at %d", i, j)
-				}
+		for j, e := range direct.Embeddings {
+			if !slices.Equal(e, want[j]) {
+				t.Fatalf("iter %d: stream diverges from winner's own order at %d", i, j)
 			}
 		}
 	}

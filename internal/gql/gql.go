@@ -85,23 +85,24 @@ func (m *Matcher) Match(ctx context.Context, q *graph.Graph, limit int) ([]match
 // MatchStream implements match.StreamMatcher: embeddings are emitted into
 // sink as the search discovers them.
 func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, sink match.Sink) error {
-	s, err := match.Begin(ctx, q, m.g, limit, sink)
-	if s == nil {
-		return err
-	}
-	cand, err := m.candidates(q, s.Budget())
+	return match.Ranked(ctx, m, q, nil, nil, limit, sink)
+}
+
+// Plan implements match.Planner: refined candidate sets and a greedy order.
+func (m *Matcher) Plan(q *graph.Graph, budget *match.Budget) (match.Plan, error) {
+	cand, err := m.candidates(q, budget)
 	if cand == nil || err != nil {
-		return err // some query vertex has no candidates, or cancelled
+		return match.Plan{}, err // some query vertex has no candidates, or cancelled
 	}
-	if err := m.refineCandidates(q, cand, s.Budget()); err != nil {
-		return err
+	if err := m.refineCandidates(q, cand, budget); err != nil {
+		return match.Plan{}, err
 	}
 	for _, c := range cand {
 		if c.Next(0) < 0 {
-			return nil
+			return match.Plan{}, nil
 		}
 	}
-	return s.Run(searchOrder(q, cand))
+	return searchOrder(q, cand), nil
 }
 
 // candidates builds the initial per-query-vertex candidate sets using label,

@@ -35,8 +35,7 @@ func (e *Env) ftvVerifyTimed(x ftv.Index, dataset string, pairIdx int, instance 
 
 // rewriteFTV applies a rewriting using dataset-wide label frequencies.
 func (e *Env) rewriteFTV(dataset string, q *graph.Graph, k rewrite.Kind) *graph.Graph {
-	q2, _ := rewrite.Apply(q, e.FTVFrequencies(dataset), k, 0)
-	return q2
+	return q.MustPermute(rewrite.Compute(q, e.FTVFrequencies(dataset), k, 0))
 }
 
 func init() {

@@ -34,8 +34,7 @@ func (e *Env) nfvTimed(dataset, algo string, queryIdx int, instance string, q *g
 
 // rewriteNFV applies a rewriting using the stored graph's label frequencies.
 func (e *Env) rewriteNFV(dataset string, q *graph.Graph, k rewrite.Kind) *graph.Graph {
-	q2, _ := rewrite.Apply(q, e.NFVFrequencies(dataset), k, 0)
-	return q2
+	return q.MustPermute(rewrite.Compute(q, e.NFVFrequencies(dataset), k, 0))
 }
 
 func init() {
@@ -251,7 +250,8 @@ func runFig5(e *Env, w io.Writer) error {
 		Header: []string{"rewriting", "labels in node-ID order", "permutation (old->new)"},
 	}
 	for _, k := range []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.ILFIND, rewrite.ILFDND} {
-		h, perm := rewrite.Apply(q, freq, k, 0)
+		perm := rewrite.Compute(q, freq, k, 0)
+		h := q.MustPermute(perm)
 		labels := ""
 		for v := 0; v < h.N(); v++ {
 			if v > 0 {

@@ -26,33 +26,33 @@ func TestCheck(t *testing.T) {
 	defer func() { settle = old }()
 
 	cases := []struct {
-		name     string
-		slack    int
-		exitsIn  time.Duration // 0: the goroutine outlives the check
-		wantLeak bool
+		name        string
+		slack       int
+		exitsIn     time.Duration // 0: the goroutine outlives the check
+		predecessor bool          // a goroutine in the snapshot exits before this one starts
+		wantLeak    bool
 	}{
-		{"a goroutine that exits before the deadline is no leak", 0, 20 * time.Millisecond, false},
-		{"a goroutine within the slack is no leak", 1, 0, false},
-		{"a goroutine that stays is a leak", 0, 0, true},
+		{"a goroutine that exits before the deadline is no leak", 0, 20 * time.Millisecond, false, false},
+		{"a goroutine within the slack is no leak", 1, 0, false, false},
+		{"a goroutine that stays is a leak", 0, 0, false, true},
+		{"one from the snapshot that exits does not hide a new one", 0, 0, true, true},
 	}
-	outer := runtime.NumGoroutine()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// The previous case's goroutine can still be on its way out after
-			// its t.Run returned. A snapshot that counted it would see the
-			// count fall once it exits, which hides this case's goroutine.
-			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > outer+1 && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
+			before := runtime.NumGoroutine()
+			gone := make(chan struct{})
+			if tc.predecessor {
+				go func() { <-gone }()
 			}
 			tb := &fakeTB{TB: t}
 			grown := Check(tb, tc.slack)
+			close(gone)
+			// Once the predecessor is gone, a count would show no growth.
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
 			stop := make(chan struct{})
-			defer func() { // the next case's snapshot must not count this goroutine
-				close(stop)
-				for deadline := time.Now().Add(2 * time.Second); grown() > 0 && time.Now().Before(deadline); {
-					time.Sleep(time.Millisecond)
-				}
-			}()
+			defer close(stop)
 			go func() {
 				if tc.exitsIn > 0 {
 					time.Sleep(tc.exitsIn)

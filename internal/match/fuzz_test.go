@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -191,6 +192,70 @@ func FuzzMatchers(f *testing.F) {
 		check(err)
 		if within != (len(ref) > 0) {
 			t.Fatalf("ContainsWithin(%b) = %v, the reference on the induced subgraph %v (g %v, q %v)", mask, within, len(ref) > 0, g, q)
+		}
+	})
+}
+
+// FuzzRankedSearch holds a ranked search to the search it stands for: for
+// VF2, QuickSI, GraphQL and sPath at limits 0 and 1000, searching a fuzzed
+// query q under a fuzzed permutation perm emits the embedding sequence of a
+// plain search of q.MustPermute(perm), mapped through perm, after the same
+// step count. The permutation is a Fisher–Yates shuffle drawn from pb.
+func FuzzRankedSearch(f *testing.F) {
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 16; i++ {
+		gb := make([]byte, 1+24+3*r.Intn(40))
+		qb := make([]byte, 1+7+3*r.Intn(8))
+		pb := make([]byte, 7)
+		r.Read(gb)
+		r.Read(qb)
+		r.Read(pb)
+		qb[0] |= 0x80 // a query picked from the stored graph, which often embeds
+		f.Add(gb, qb, pb)
+	}
+	f.Fuzz(func(t *testing.T, gb, qb, pb []byte) {
+		g, q := decodeFuzzGraphs(gb, qb)
+		perm := graph.Identity(q.N())
+		for i := len(perm) - 1; i > 0 && len(pb) > 0; i-- {
+			j := int(pb[0]) % (i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+			pb = pb[1:]
+		}
+		permuted := q.MustPermute(perm)
+		ctx, cancel := context.WithTimeout(context.Background(), fuzzRunLimit)
+		defer cancel()
+		type run struct {
+			embs  []string
+			steps uint32
+		}
+		search := func(fn func(sink match.Sink) error) run {
+			var out run
+			var err error
+			out.steps = match.StepsOf(func() {
+				err = fn(match.SinkFunc(func(e match.Embedding) bool {
+					out.embs = append(out.embs, embeddingKey(e))
+					return true
+				}))
+			})
+			if errors.Is(err, context.DeadlineExceeded) {
+				t.Skipf("searches ran past %v", fuzzRunLimit)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		for _, m := range goldenMatchers(g) {
+			for _, limit := range []int{0, 1000} {
+				want := search(func(sink match.Sink) error { return m.MatchStream(ctx, permuted, limit, sink) })
+				got := search(func(sink match.Sink) error {
+					return match.Ranked(ctx, m, q, perm, nil, limit, forward(perm, sink))
+				})
+				if !slices.Equal(got.embs, want.embs) || got.steps != want.steps {
+					t.Fatalf("%s limit %d under %v: ranked search emits %v after %d steps, the permuted query's search %v after %d (g %v, q %v)",
+						m.Name(), limit, perm, got.embs, got.steps, want.embs, want.steps, g, q)
+				}
+			}
 		}
 	})
 }

@@ -9,7 +9,8 @@ import (
 // Plan is what one backtracking matcher contributes to the join (§3.1.2 of
 // the paper: the algorithms differ in candidate filtering, matching order and
 // pruning): the order in which query vertices are placed, where each one's
-// candidates come from, and the matcher's own pruning rule.
+// candidates come from, and the matcher's own pruning rule. It is built on the
+// query as a rewriting's ranking presents it and renumbered onto the caller's.
 type Plan struct {
 	// Order[d] is the query vertex placed at depth d.
 	Order []int32
@@ -20,14 +21,59 @@ type Plan struct {
 	// Cand, when set, holds per query vertex the stored vertices it may be
 	// placed on.
 	Cand []VertexSet
-	// Within, when set, restricts the search to the stored subgraph it
-	// induces.
-	Within VertexSet
 	// Admit, when set, is the matcher's pruning rule: it sees every candidate
 	// v for query vertex u that passed the join's own tests.
 	Admit func(s *Search, u int, v int32) bool
 
 	placed []int32 // per query vertex: 1 once placed
+}
+
+// Planner is a matcher that runs on the join: all it contributes is its plan.
+type Planner interface {
+	// Graph returns the stored graph the matcher was built on.
+	Graph() *graph.Graph
+	// Plan returns the matcher's plan for q, spending b on whatever candidate
+	// filtering it does. A plan with no Order says q has no embedding.
+	Plan(q *graph.Graph, b *Budget) (Plan, error)
+}
+
+// Ranked runs m's search for q under a rewriting's vertex ranking: rank[u] is
+// the ID rewrite.Compute gives q's vertex u (nil: q as given). m plans on
+// q.MustPermute(rank), and the join runs that plan renumbered onto q: up to
+// limit embeddings of q (limit <= 0: a decision), in q's numbering, go to
+// sink in the order and after the step count of m's search of the permuted
+// query. within, when set, confines the search to the stored subgraph it
+// induces. A ranking can reorder a search, never change its answer set.
+func Ranked(ctx context.Context, m Planner, q *graph.Graph, rank graph.Permutation, within VertexSet, limit int, sink Sink) error {
+	s, err := begin(ctx, q, m.Graph(), limit, sink)
+	if s == nil {
+		return err
+	}
+	presented := q
+	if rank != nil {
+		presented = q.MustPermute(rank)
+	}
+	p, err := m.Plan(presented, &s.budget)
+	if p.Order == nil || err != nil {
+		return err
+	}
+	if rank != nil { // the permuted query's vertex rank[u] is q's u
+		inv := rank.Inverse()
+		for d, u := range p.Order {
+			p.Order[d] = int32(inv[u])
+			if a := p.Anchor[d]; a >= 0 {
+				p.Anchor[d] = int32(inv[a])
+			}
+		}
+		if p.Cand != nil {
+			cand := make([]VertexSet, len(rank))
+			for u, r := range rank {
+				cand[u] = p.Cand[r]
+			}
+			p.Cand = cand
+		}
+	}
+	return s.run(p, within)
 }
 
 // NewPlan returns an empty plan for a query of n vertices, carved from one
@@ -61,8 +107,7 @@ func (p *Plan) FirstPlaced(q *graph.Graph, u int32) int32 {
 
 // Search is one run of the backtracking join beneath every matcher but the
 // reference: the embedding, which stored vertices are taken, the step budget
-// and the collector. Begin makes one; the matcher's plan drives it through
-// Run.
+// and the collector. Ranked makes one and drives it by the matcher's plan.
 type Search struct {
 	q, g   *graph.Graph
 	budget Budget
@@ -70,8 +115,8 @@ type Search struct {
 	plan   Plan
 	emb    Embedding
 	// taken says, per stored vertex, why no query vertex may be placed on it
-	// now — one is (used), or it lies outside Plan.Within — or 0 when one
-	// may: one byte to test in the inner loop, restricted search or not.
+	// now — one is (used), or it lies outside the search's confinement — or 0
+	// when one may: one byte to test in the inner loop, confined or not.
 	taken []uint8
 }
 
@@ -80,16 +125,16 @@ const (
 	outside
 )
 
-// budgetHook, when set, sees every search's budget as Begin makes it; tests
+// budgetHook, when set, sees every search's budget as begin makes it; tests
 // read step counts through it.
 var budgetHook func(*Budget)
 
-// Begin takes the early exits every matcher shares — a cancelled context is
+// begin takes the early exits every matcher shares — a cancelled context is
 // its error, an empty query has one empty embedding and a query larger than
 // the stored graph g has none — and returns nil after one. Otherwise it
 // returns the search that will emit up to limit embeddings of q into sink
-// (limit <= 0: a decision), whose budget a plan may spend before Run.
-func Begin(ctx context.Context, q, g *graph.Graph, limit int, sink Sink) (*Search, error) {
+// (limit <= 0: a decision), whose budget a plan may spend before run.
+func begin(ctx context.Context, q, g *graph.Graph, limit int, sink Sink) (*Search, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -107,9 +152,6 @@ func Begin(ctx context.Context, q, g *graph.Graph, limit int, sink Sink) (*Searc
 	return s, nil
 }
 
-// Budget is the search's step budget.
-func (s *Search) Budget() *Budget { return &s.budget }
-
 // Query returns the query graph.
 func (s *Search) Query() *graph.Graph { return s.q }
 
@@ -120,25 +162,26 @@ func (s *Search) Graph() *graph.Graph { return s.g }
 func (s *Search) Image(u int32) int32 { return s.emb[u] }
 
 // Free reports whether a query vertex may be placed on stored vertex v: none
-// is, and v is within the plan's restriction.
+// is, and v is within the search's confinement.
 func (s *Search) Free(v int32) bool { return s.taken[v] == 0 }
 
 // Used reports whether a query vertex is placed on stored vertex v.
 func (s *Search) Used(v int32) bool { return s.taken[v] == used }
 
-// Run searches under plan p and returns MatchStream's result.
-func (s *Search) Run(p Plan) error {
+// run searches under plan p, confined to within when it is set, and returns
+// Ranked's result.
+func (s *Search) run(p Plan, within VertexSet) error {
 	s.plan = p
 	s.emb = make(Embedding, s.q.N())
 	for i := range s.emb {
 		s.emb[i] = -1
 	}
 	s.taken = make([]uint8, s.g.N())
-	if p.Within != nil {
+	if within != nil {
 		for v := range s.taken {
 			s.taken[v] = outside
 		}
-		for v := p.Within.Next(0); v >= 0; v = p.Within.Next(v + 1) {
+		for v := within.Next(0); v >= 0; v = within.Next(v + 1) {
 			s.taken[v] = 0
 		}
 	}

@@ -3,7 +3,8 @@
 // reference matcher), the cooperative-cancellation budget that lets the
 // Ψ-framework kill losing attempts promptly, and the one backtracking join
 // the four algorithms run on, each contributing only its plan and pruning
-// rule (join.go).
+// rule (join.go). A query rewriting reaches a matcher as a vertex ranking
+// under which it plans (Ranked): every search runs on the caller's query.
 //
 // All matchers solve non-induced subgraph isomorphism on vertex-labeled
 // undirected graphs (Definition 3 of the paper): an injective mapping from
@@ -150,8 +151,8 @@ func (b *Budget) Steps() uint32 { return b.counter }
 
 // VerifyEmbedding checks that emb is a valid non-induced subgraph
 // isomorphism of q into g: correct length, injective, label-preserving and
-// edge-preserving. Matcher tests and the Ψ-framework's paranoid mode use it
-// to validate winners.
+// edge-preserving. Matcher and race tests use it to validate what a search
+// returns.
 func VerifyEmbedding(q, g *graph.Graph, emb Embedding) error {
 	if len(emb) != q.N() {
 		return fmt.Errorf("embedding has %d entries, query has %d vertices", len(emb), q.N())

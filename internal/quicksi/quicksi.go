@@ -122,9 +122,8 @@ func (m *Matcher) Match(ctx context.Context, q *graph.Graph, limit int) ([]match
 // MatchStream implements match.StreamMatcher: embeddings are emitted into
 // sink as the search discovers them.
 func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, sink match.Sink) error {
-	s, err := match.Begin(ctx, q, m.g, limit, sink)
-	if s == nil {
-		return err
-	}
-	return s.Run(m.plan(q))
+	return match.Ranked(ctx, m, q, nil, nil, limit, sink)
 }
+
+// Plan implements match.Planner.
+func (m *Matcher) Plan(q *graph.Graph, _ *match.Budget) (match.Plan, error) { return m.plan(q), nil }

@@ -1,8 +1,10 @@
 // Package rewrite implements the isomorphic query rewritings of §6 of the
-// paper. A rewriting permutes the node IDs of a query graph — keeping
-// structure and labels intact — so that the resulting graph is isomorphic to
-// the original (Definition 2) but presents its vertices to an algorithm's
-// tie-breaking heuristics in a different, hopefully cheaper, order.
+// paper. A rewriting renumbers a query's vertices, keeping it isomorphic to
+// the original (Definition 2), to present them to an algorithm's tie-breaking
+// heuristics in a different, hopefully cheaper, order. It is a vertex
+// ranking, and Compute's permutation is its one product: match.Ranked
+// searches the caller's query under it, so nothing is mapped back. The
+// renumbered copy the paper's §5 and §6 time is Graph.MustPermute of it.
 package rewrite
 
 import (
@@ -166,36 +168,4 @@ func Compute(q *graph.Graph, f Frequencies, k Kind, seed int64) graph.Permutatio
 		perm[old] = rank
 	}
 	return perm
-}
-
-// Apply computes the rewriting and returns the rewritten (isomorphic) query
-// together with the permutation used, which callers need to map embeddings
-// back to the original query's vertex numbering.
-func Apply(q *graph.Graph, f Frequencies, k Kind, seed int64) (*graph.Graph, graph.Permutation) {
-	perm := Compute(q, f, k, seed)
-	return q.MustPermute(perm), perm
-}
-
-// MapBack translates an embedding found for the rewritten query into the
-// original query's numbering: if perm[old]=new and embRewritten[new]=gVertex,
-// then the original query vertex old maps to the same gVertex.
-func MapBack(embRewritten []int32, perm graph.Permutation) []int32 {
-	out := make([]int32, len(embRewritten))
-	for old, nw := range perm {
-		out[old] = embRewritten[nw]
-	}
-	return out
-}
-
-// RandomInstances generates count isomorphic instances of q using random
-// permutations seeded from baseSeed (seed, seed+1, ...), as in the §5 study
-// that uses 6 random isomorphic rewritings per query. The identity instance
-// is NOT included.
-func RandomInstances(q *graph.Graph, count int, baseSeed int64) []*graph.Graph {
-	out := make([]*graph.Graph, count)
-	for i := range out {
-		perm := Compute(q, nil, Random, baseSeed+int64(i))
-		out[i] = q.MustPermute(perm)
-	}
-	return out
 }

@@ -2,11 +2,12 @@ package rewrite
 
 // End-to-end round-trip property for the rewriting machinery — the corner
 // the unit tests above leave open. The framework's soundness rests on one
-// identity: for any rewriting kind k, matching the rewritten query and
-// mapping each embedding back through the permutation yields exactly the
-// embeddings of the unrewritten query. The tests check it against a real
-// matcher (VF2) over random stored graphs, queries, frequency maps and
-// seeds, for every kind including arbitrary random permutations.
+// identity: for any rewriting kind k, searching the caller's query under
+// k's rank (match.Ranked) yields exactly the embeddings of the unranked
+// search, and exactly those of the rewritten copy's search translated back
+// through the permutation. The tests check it against a real matcher (VF2)
+// over random stored graphs, queries, frequency maps and seeds, for every
+// kind including arbitrary random permutations.
 
 import (
 	"context"
@@ -146,19 +147,54 @@ func TestRewriteRoundTripProperty(t *testing.T) {
 	}
 }
 
+// rankedMatch returns every embedding of q that m finds under rank, in q's
+// own numbering.
+func rankedMatch(t *testing.T, m *vf2.Matcher, q *graph.Graph, rank graph.Permutation) []match.Embedding {
+	t.Helper()
+	var out []match.Embedding
+	sink := match.SinkFunc(func(e match.Embedding) bool {
+		out = append(out, slices.Clone(e))
+		return true
+	})
+	if err := match.Ranked(context.Background(), m, q, rank, nil, embeddingLimit, sink); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// translateBack renumbers an embedding of q.MustPermute(perm) into q's
+// numbering: q's vertex u is the copy's perm[u].
+func translateBack(e match.Embedding, perm graph.Permutation) match.Embedding {
+	out := make(match.Embedding, len(e))
+	for u, nw := range perm {
+		out[u] = e[nw]
+	}
+	return out
+}
+
 // checkRoundTrip checks the identity for one rewriting of q: Compute returns
-// a permutation of [0, q.N()), Apply's is an isomorphism witness onto the
-// rewritten query, and the embeddings m finds in g for the rewritten
-// query, mapped back through it, are valid embeddings of q and exactly
-// wantSet.
+// a permutation of [0, q.N()) that is an isomorphism witness onto the
+// rewritten copy; the embeddings m finds for q under that rank are valid
+// embeddings of q and exactly wantSet; and so are those it finds for the
+// rewritten copy, translated back through the permutation.
 func checkRoundTrip(t *testing.T, tag string, m *vf2.Matcher, g, q *graph.Graph, wantSet []string, f Frequencies, k Kind, seed int64) {
 	t.Helper()
-	if perm := Compute(q, f, k, seed); len(perm) != q.N() || perm.Validate() != nil {
+	perm := Compute(q, f, k, seed)
+	if len(perm) != q.N() || perm.Validate() != nil {
 		t.Fatalf("%s: %v is not a permutation of [0,%d)", tag, perm, q.N())
 	}
-	q2, perm := Apply(q, f, k, seed)
+	q2 := q.MustPermute(perm)
 	if !graph.IsIsomorphismWitness(q, q2, perm) {
 		t.Fatalf("%s: permutation is not an isomorphism witness", tag)
+	}
+	ranked := rankedMatch(t, m, q, perm)
+	for _, e := range ranked {
+		if verr := match.VerifyEmbedding(q, g, e); verr != nil {
+			t.Fatalf("%s: ranked embedding %v invalid for the original query: %v", tag, e, verr)
+		}
+	}
+	if gotSet := embeddingSet(ranked); !slices.Equal(gotSet, wantSet) {
+		t.Fatalf("%s: ranked embeddings %v, want %v", tag, gotSet, wantSet)
 	}
 	got, err := m.Match(context.Background(), q2, embeddingLimit)
 	if err != nil {
@@ -166,13 +202,10 @@ func checkRoundTrip(t *testing.T, tag string, m *vf2.Matcher, g, q *graph.Graph,
 	}
 	mapped := make([]match.Embedding, len(got))
 	for i, e := range got {
-		mapped[i] = MapBack(e, perm)
-		if verr := match.VerifyEmbedding(q, g, mapped[i]); verr != nil {
-			t.Fatalf("%s: mapped-back embedding %v invalid for the original query: %v", tag, mapped[i], verr)
-		}
+		mapped[i] = translateBack(e, perm)
 	}
 	if gotSet := embeddingSet(mapped); !slices.Equal(gotSet, wantSet) {
-		t.Fatalf("%s: mapped-back embeddings %v, want %v", tag, gotSet, wantSet)
+		t.Fatalf("%s: rewritten copy's embeddings, translated back, %v, want %v", tag, gotSet, wantSet)
 	}
 }
 
@@ -224,35 +257,11 @@ func TestRewriteRoundTripArbitraryPermutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(want) == 0 {
+		t.Fatal("property vacuous: the query has no embedding")
+	}
 	wantSet := embeddingSet(want)
 	for trial := 0; trial < 30; trial++ {
-		perm := Compute(q, nil, Random, r.Int63())
-		q2 := q.MustPermute(perm)
-		got, err := m.Match(context.Background(), q2, embeddingLimit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mapped := make([]match.Embedding, len(got))
-		for i, e := range got {
-			mapped[i] = MapBack(e, perm)
-		}
-		if gotSet := embeddingSet(mapped); !slices.Equal(gotSet, wantSet) {
-			t.Fatalf("trial %d: mapped-back embeddings %v, want %v", trial, gotSet, wantSet)
-		}
-	}
-}
-
-// TestMapBackIdentity pins the algebra at the boundary: mapping back
-// through the identity permutation is the identity, and MapBack composed
-// with the permutation's definition (perm[old] = new) recovers every
-// original position.
-func TestMapBackIdentity(t *testing.T) {
-	emb := []int32{7, 3, 9, 1}
-	id := graph.Identity(len(emb))
-	back := MapBack(emb, id)
-	for i := range emb {
-		if back[i] != emb[i] {
-			t.Fatalf("MapBack under identity moved position %d: %v -> %v", i, emb, back)
-		}
+		checkRoundTrip(t, fmt.Sprintf("trial %d", trial), m, g, q, wantSet, nil, Random, r.Int63())
 	}
 }

@@ -63,17 +63,18 @@ func (m *Matcher) Match(ctx context.Context, q *graph.Graph, limit int) ([]match
 // MatchStream implements match.StreamMatcher: embeddings are emitted into
 // sink as the search discovers them.
 func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, sink match.Sink) error {
-	s, err := match.Begin(ctx, q, m.g, limit, sink)
-	if s == nil {
-		return err
-	}
-	cand, err := m.candidates(q, s.Budget())
+	return match.Ranked(ctx, m, q, nil, nil, limit, sink)
+}
+
+// Plan implements match.Planner: signature candidate sets and path order.
+func (m *Matcher) Plan(q *graph.Graph, budget *match.Budget) (match.Plan, error) {
+	cand, err := m.candidates(q, budget)
 	if err != nil || cand == nil {
-		return err
+		return match.Plan{}, err
 	}
 	paths := decompose(q, DefaultMaxPathLen)
 	orderPaths(paths, cand)
-	return s.Run(plan(q, paths, cand))
+	return plan(q, paths, cand), nil
 }
 
 // candidates computes per-query-vertex candidate sets by label, degree and

@@ -19,7 +19,9 @@ import (
 
 // Matcher is a VF2 instance bound to a stored graph. Candidate generation
 // uses the graph's precomputed label→vertex-range index, so construction is
-// free and repeated queries avoid O(n) scans.
+// free and repeated queries avoid O(n) scans. Its match.Planner methods take
+// a Matcher, one pointer, so searching through one per verification moves
+// nothing to the heap.
 type Matcher struct {
 	g *graph.Graph
 }
@@ -33,7 +35,7 @@ func New(g *graph.Graph) *Matcher {
 func (m *Matcher) Name() string { return "VF2" }
 
 // Graph returns the stored graph this matcher verifies against.
-func (m *Matcher) Graph() *graph.Graph { return m.g }
+func (m Matcher) Graph() *graph.Graph { return m.g }
 
 // Match implements match.Matcher by collecting the stream into a slice.
 func (m *Matcher) Match(ctx context.Context, q *graph.Graph, limit int) ([]match.Embedding, error) {
@@ -43,24 +45,11 @@ func (m *Matcher) Match(ctx context.Context, q *graph.Graph, limit int) ([]match
 // MatchStream implements match.StreamMatcher: embeddings are emitted into
 // sink as the search discovers them.
 func (m *Matcher) MatchStream(ctx context.Context, q *graph.Graph, limit int, sink match.Sink) error {
-	return m.stream(ctx, q, limit, nil, sink)
+	return match.Ranked(ctx, *m, q, nil, nil, limit, sink)
 }
 
-// stream is MatchStream over the subgraph of the stored graph induced by
-// allowed (nil: the whole graph). Vertices outside the set are skipped as
-// start candidates, as anchor neighbours and in the lookahead counts; since
-// candidates are tried in ascending ID order either way, the search visits
-// the same states, in the same order, as a matcher built over the induced
-// subgraph would — without building it.
-func (m *Matcher) stream(ctx context.Context, q *graph.Graph, limit int, allowed match.VertexSet, sink match.Sink) error {
-	s, err := match.Begin(ctx, q, m.g, limit, sink)
-	if s == nil {
-		return err
-	}
-	p := visitPlan(q)
-	p.Within = allowed
-	return s.Run(p)
-}
+// Plan implements match.Planner.
+func (m Matcher) Plan(q *graph.Graph, _ *match.Budget) (match.Plan, error) { return visitPlan(q), nil }
 
 // Contains reports whether q is subgraph-isomorphic to the stored graph
 // (the decision problem solved in the FTV verification stage).
@@ -71,10 +60,11 @@ func (m *Matcher) Contains(ctx context.Context, q *graph.Graph) (bool, error) {
 // ContainsWithin reports whether q is subgraph-isomorphic to the subgraph of
 // the stored graph induced by allowed, a set over its vertices (nil: the
 // whole graph) — how Grapes verifies a query against a connected component of
-// its location info.
+// its location info. The search visits the states, in the order, a matcher
+// built over the induced subgraph would, without building it.
 func (m *Matcher) ContainsWithin(ctx context.Context, q *graph.Graph, allowed match.VertexSet) (bool, error) {
 	found := false
-	err := m.stream(ctx, q, 1, allowed, match.SinkFunc(func(match.Embedding) bool {
+	err := match.Ranked(ctx, *m, q, nil, allowed, 1, match.SinkFunc(func(match.Embedding) bool {
 		found = true
 		return false
 	}))

@@ -90,7 +90,7 @@ func TestWithinMatchesInducedSubgraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := New(g)
-		if err := m.stream(ctx, q, 1000, allowed, match.SinkFunc(func(e match.Embedding) bool {
+		if err := match.Ranked(ctx, m, q, nil, allowed, 1000, match.SinkFunc(func(e match.Embedding) bool {
 			got = append(got, e)
 			return true
 		})); err != nil {

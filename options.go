@@ -57,9 +57,6 @@ type EngineOptions struct {
 	// Workers sizes a dedicated execution pool owned (and closed) by the
 	// Engine; 0 shares the process-wide CPU-sized pool.
 	Workers int
-	// Validate re-checks every winner embedding before surfacing it; for
-	// tests and debugging.
-	Validate bool
 
 	// SoloBudget caps an auto-policy arm's solo run before it falls back to
 	// a full race; 0 means 50ms.

@@ -145,24 +145,20 @@ func MustNewMatcher(algo Algorithm, g *Graph) Matcher {
 	return m
 }
 
-// ApplyRewriting permutes q's node IDs per the rewriting, using label
-// frequencies from the stored graph g, and returns the isomorphic query
-// together with the permutation (needed to map embeddings back via
-// MapEmbeddingBack).
+// ApplyRewriting returns the rewriting's isomorphic copy of q under label
+// frequencies from the stored graph g, and the permutation: q's vertex u is
+// the copy's perm[u]. An Engine searches q itself under each rewriting's
+// ranking; the copy is for timing a matcher on it, as the paper's §6 does.
 func ApplyRewriting(q, g *Graph, k Rewriting) (*Graph, Permutation) {
-	return rewrite.Apply(q, rewrite.FrequenciesOf(g), k, 0)
+	perm := rewrite.Compute(q, rewrite.FrequenciesOf(g), k, 0)
+	return q.MustPermute(perm), perm
 }
 
 // ApplyRandomRewriting permutes q's node IDs uniformly at random under the
 // given seed — the instrument of the paper's §5 variance study.
 func ApplyRandomRewriting(q *Graph, seed int64) (*Graph, Permutation) {
-	return rewrite.Apply(q, nil, rewrite.Random, seed)
-}
-
-// MapEmbeddingBack converts an embedding of a rewritten query into the
-// original query's vertex numbering.
-func MapEmbeddingBack(emb Embedding, perm Permutation) Embedding {
-	return rewrite.MapBack(emb, perm)
+	perm := rewrite.Compute(q, nil, rewrite.Random, seed)
+	return q.MustPermute(perm), perm
 }
 
 // VerifyEmbedding checks that emb is a valid non-induced subgraph

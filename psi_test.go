@@ -69,7 +69,10 @@ func TestApplyRewritingRoundTrip(t *testing.T) {
 	if err != nil || len(embs) == 0 {
 		t.Fatalf("rewritten query should match: %v %v", embs, err)
 	}
-	back := psi.MapEmbeddingBack(embs[0], perm)
+	back := make(psi.Embedding, q.N())
+	for u := range back {
+		back[u] = embs[0][perm[u]]
+	}
 	if err := psi.VerifyEmbedding(q, g, back); err != nil {
 		t.Error(err)
 	}

@@ -47,6 +47,13 @@ echo "== go test -race -shuffle=on =="
 # seed is printed on failure for reproduction.
 go test -race -shuffle=on ./...
 
+echo "== leakcheck under the race detector (20 runs) =="
+# The goroutine-leak check every no-leak test leans on, run repeatedly where
+# scheduling varies most: it tells goroutines apart by ID, so one from the
+# snapshot that exits meanwhile cannot hide a new one, and it must report a
+# leak every time, not most times.
+go test ./internal/leakcheck -race -count=20 -run TestCheck
+
 echo "== fuzz (FuzzPostings, 5s) =="
 # Random ascending posting lists and seek sequences against a slice oracle:
 # the packed lists and their one cursor sit under every filter, every Grapes
@@ -110,12 +117,15 @@ echo "== fuzz (FuzzFromCSR, 5s) =="
 # graph must hand its arrays back and equal what a Builder makes of its edges.
 go test -run='^$' -fuzz=FuzzFromCSR -fuzztime=5s ./internal/graph
 
-echo "== fuzz (FuzzRewriteRoundTrip, 5s) =="
-# Fuzzed small graphs, queries, frequency maps and seeds through every
-# rewriting: a permutation comes out, and the rewritten query's embeddings,
-# mapped back, are exactly the original's. MapBack is where a rewriting
-# could turn a right answer into a silently wrong one.
-go test -run='^$' -fuzz=FuzzRewriteRoundTrip -fuzztime=5s ./internal/rewrite
+echo "== fuzz (FuzzRankedSearch, 5s) =="
+# Fuzzed stored graphs, queries and permutations through VF2, QuickSI,
+# GraphQL and sPath at limits 0 and 1000: a search of the query under the
+# permutation as a vertex ranking emits the embeddings of a plain search of
+# the permuted query, mapped through the permutation, in the same order and
+# after the same step count. Every race attempt under a rewriting is such a
+# search, and this is where a plan renumbered wrongly onto the caller's query
+# shows.
+go test -run='^$' -fuzz=FuzzRankedSearch -fuzztime=5s ./internal/match
 
 echo "== fuzz (FuzzMatchers, 5s) =="
 # Fuzzed stored graphs of up to 24 vertices and queries of up to 7, over one
@@ -165,7 +175,7 @@ clean=$(echo "$smoke_out" | grep -c '^== .* parity=true attempted=[0-9]* failed=
 echo "== coverage gate (internal/core, internal/index, internal/rewrite, internal/predict, internal/metrics, internal/live, internal/snapshot, internal/spath, internal/gql, internal/match, internal/grapes, internal/ftv, internal/graph, internal/vf2, internal/quicksi, internal/server) =="
 # Per-package coverage for the packages this repo's correctness arguments
 # lean on hardest (the one race/stream pipeline every query runs through,
-# the filtering/sharding contract, the rewriting round-trip, the learned
+# the filtering/sharding contract, the rewritings' rankings, the learned
 # planning policy's evidence rules, the operational counters, the
 # epoch-versioned mutation store, the persistent snapshot format, and the
 # default NFV portfolio's two matchers with the contract and candidate sets
