@@ -82,7 +82,11 @@
 // StreamVerified's candidate loop — queue onto the workers, so at most
 // pool-size candidates are in flight regardless of how many the filter
 // returns: in-flight work is bounded by pool size × rewritings instead of
-// candidates × rewritings.
+// candidates × rewritings. Fan-out nests: a Group opened inside a Group task,
+// or from exec.Nest (Grapes/4 splitting one candidate's components inside a
+// rewriting attempt), hands its tasks to idle workers or runs them on its own
+// goroutine, never waiting for a worker, so one pool serves every depth of
+// fan-out without deadlock.
 //
 // Races (guaranteed concurrency). The attempts inside one race (Racer.Race,
 // the per-candidate rewriting race) reuse idle pool workers but are never
@@ -285,9 +289,8 @@
 // slot arrays, adjacency, location rows and lists — belongs to the build: a
 // worker reuses it from graph to graph and it is garbage when the extraction
 // returns (no package-level pool whose contents would outlive the build).
-// The folds then run on the same pool, one (kind, shard) cell per task; a
-// fold therefore must not wait on Group work of that pool, and a fold that
-// panics fails the build with an error.
+// The folds then run on the same pool, one (kind, shard) cell per task, and
+// a fold that panics fails the build with an error.
 //
 // Orientation: an undirected path reads as a label sequence L from one end
 // and as reverse(L) from the other, and the DFS from every vertex meets it
@@ -542,18 +545,18 @@
 // the one epoch object: the engine keeps no per-epoch state, and its one
 // index racer, handed the pinned snapshot's indexes and frequencies per
 // query, is not rebuilt per epoch, so its per-arm pools are made once. Queries
-// acquire the current snapshot with a lock-free load-ref-recheck
-// (live.Store.Current) and hold it to completion: a query planned at epoch 5
+// take the current snapshot with one atomic load (live.Store.Current) and
+// hold it to completion: a query planned at epoch 5
 // answers epoch 5 even if ten mutations land mid-flight, and Plan.Epoch /
 // QueryResult.Epoch record which dataset version an answer describes.
 // Mutations and snapshot saves serialize on the store's one lock; the query
 // path takes none.
 //
-// Refcounts. The snapshot is the one refcounted epoch object. Sub-indexes
-// are shared across snapshot generations (a mutation to shard 2 reuses every
-// other shard's sub-indexes), so each snapshot holds a reference on the
-// sub-indexes it spans and the last release — not the mutation — closes what
-// dropped out, letting in-flight queries drain on dead epochs safely.
+// Sub-indexes are shared across snapshot generations (a mutation to shard 2
+// reuses every other shard's sub-indexes). None owns a resource — Grapes/4
+// fans out on the engine's pool — so nothing is released when an epoch
+// retires: in-flight queries finish on their snapshot, and the garbage
+// collector reclaims it after them.
 //
 // Handles, not IDs, are the public identity: AddGraph returns a stable
 // GraphHandle that survives every compaction, while dense answer IDs shift

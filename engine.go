@@ -208,10 +208,10 @@ func engineRewritings(opts EngineOptions) []Rewriting {
 }
 
 // Close releases the Engine's dedicated pool, if it owns one, and the index
-// racer's per-arm pools, and closes its dataset store, whose index resources
-// (e.g. Grapes' verification pool) go once the last in-flight query releases
-// its snapshot. Queries in flight degrade gracefully (pools fall back to
-// transient goroutines).
+// racer's per-arm pools, and closes its dataset store, after which queries
+// fail with "psi: engine closed". Queries in flight finish on the snapshot
+// they started on and degrade gracefully (a closed pool's work runs on the
+// submitting goroutine or a transient one).
 func (e *Engine) Close() {
 	if e.owned && e.pool != nil {
 		e.pool.Close()
@@ -224,8 +224,8 @@ func (e *Engine) Close() {
 	}
 }
 
-// pin acquires the store's current snapshot for the caller to release; nil
-// for NFV engines and after Close.
+// pin returns the store's current snapshot; nil for NFV engines and after
+// Close.
 func (e *Engine) pin() *live.Snapshot {
 	if e.store == nil {
 		return nil
@@ -247,7 +247,6 @@ func (e *Engine) Dataset() []*Graph {
 	if snap == nil {
 		return nil
 	}
-	defer snap.Release()
 	return snap.Graphs()
 }
 
@@ -275,7 +274,6 @@ func (e *Engine) Handles() []GraphHandle {
 	if snap == nil {
 		return nil
 	}
-	defer snap.Release()
 	return append([]GraphHandle(nil), snap.Handles()...)
 }
 
@@ -333,7 +331,6 @@ func (e *Engine) IndexStats() []IndexStats {
 	if snap == nil {
 		return nil
 	}
-	defer snap.Release()
 	out := make([]IndexStats, 0, len(snap.Indexes()))
 	for _, x := range snap.Indexes() {
 		out = append(out, x.Stats())

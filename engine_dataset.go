@@ -74,11 +74,9 @@ func (e *Engine) finishPortfolio(store *live.Store, opts EngineOptions) {
 		e.shardK = k
 		e.shardEmits = make([]atomic.Int64, k)
 	}
-	snap := store.Current()
-	for _, x := range snap.Indexes() {
+	for _, x := range store.Current().Indexes() {
 		e.ixNames = append(e.ixNames, x.Name())
 	}
-	snap.Release()
 	e.ixRacer = &core.IndexRacer{Rewritings: engineRewritings(opts), Pool: e.pool}
 	if e.policy == launchAuto {
 		e.bandit = predict.NewBandit(e.ixNames, banditOptions(opts))

@@ -9,6 +9,7 @@ package psi_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -171,19 +172,28 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 // runs one index, and two-index races whose arms read tombstoned views
 // across compactions on the engine's one set of per-arm verification pools,
 // which Close must release: one of an inserting kind beside Grapes, which
-// rebuilds, for each flat kind.
+// rebuilds, for each flat kind, and once more with Grapes/2, whose component
+// fan-out nests inside the arms' verifications on the shared pool.
 func TestMutableEngineConcurrentChurn(t *testing.T) {
-	for _, kinds := range [][]string{{"ftv"}, {"ftv", "grapes"}, {"ggsx", "grapes"}} {
-		t.Run(strings.Join(kinds, "+"), func(t *testing.T) { concurrentChurn(t, kinds) })
+	for _, tc := range []struct {
+		kinds   []string
+		workers int
+	}{{[]string{"ftv"}, 0}, {[]string{"ftv", "grapes"}, 0}, {[]string{"ggsx", "grapes"}, 0}, {[]string{"ftv", "grapes"}, 2}} {
+		name := strings.Join(tc.kinds, "+")
+		if tc.workers > 0 {
+			name += fmt.Sprintf(",IndexWorkers=%d", tc.workers)
+		}
+		t.Run(name, func(t *testing.T) { concurrentChurn(t, tc.kinds, tc.workers) })
 	}
 }
 
-func concurrentChurn(t *testing.T, kinds []string) {
+func concurrentChurn(t *testing.T, kinds []string, indexWorkers int) {
 	leakcheck.Check(t, 2)
 	ds := psi.GeneratePPI(psi.Tiny, 2)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
 		Indexes:      kinds,
 		IndexPolicy:  psi.IndexRace,
+		IndexWorkers: indexWorkers,
 		Shards:       2,
 		Mutable:      true,
 		CompactEvery: 2,

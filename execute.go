@@ -321,7 +321,6 @@ func (e *Engine) answer(ctx context.Context, p *Plan, emit func(graphID int) boo
 	if snap == nil {
 		return nil, errors.New("psi: engine closed")
 	}
-	defer snap.Release()
 	e.counters.Queries.Add(1)
 	res := &QueryResult{Kind: PlanFTV, Policy: p.Decision}
 	if e.mutable {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
@@ -129,6 +130,47 @@ func TestFTVRacerWinnerIsAConfiguredRewriting(t *testing.T) {
 	}
 	if !strings.Contains(f.Name(), "Grapes") {
 		t.Error("name should mention the wrapped index")
+	}
+}
+
+// TestFTVRacerOverGrapesFanOut: rewriting attempts run as Go tasks, which
+// may hold the pool's workers, and Grapes/4 fans the candidate's components
+// out from inside them. On a 1-worker pool shared by the race and the index
+// that fan-out must not wait for a worker.
+func TestFTVRacerOverGrapesFanOut(t *testing.T) {
+	b := graph.NewBuilder("copies")
+	for c := 0; c < 4; c++ {
+		base := b.N()
+		for _, l := range []graph.Label{0, 1, 2, 0} {
+			b.AddVertex(l)
+		}
+		for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
+			if err := b.AddEdge(base+e[0], base+e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ds := []*graph.Graph{b.MustBuild()}
+	pool := exec.New(1)
+	defer pool.Close()
+	f := NewFTVRacer(grapes.Build(ds, grapes.Options{Workers: 4, Pool: pool}), []rewrite.Kind{rewrite.Orig, rewrite.DND})
+	f.Pool = pool
+	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
+	done := make(chan error, 1)
+	go func() {
+		res, err := f.Verify(context.Background(), q, 0)
+		if err == nil && !res.Contained {
+			err = fmt.Errorf("Verify = %+v, want contained", res)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the component fan-out waited for the worker its own attempt holds")
 	}
 }
 

@@ -49,8 +49,8 @@ type IndexRacer struct {
 // attemptPools returns one verification pool per arm of an n-arm portfolio,
 // creating the missing ones sized like the shared pool (or the CPU count).
 // A closed racer creates none, since nobody would close them: a race that
-// outlives Close runs on the closed pools (tasks then go to transient
-// goroutines), or on the shared pool (nil) when they are missing.
+// outlives Close runs on the closed pools (which then run verifications on
+// the filtering goroutine), or on the shared pool (nil) when they are missing.
 func (r *IndexRacer) attemptPools(n int) []*exec.Pool {
 	r.poolsMu.Lock()
 	defer r.poolsMu.Unlock()
@@ -69,8 +69,8 @@ func (r *IndexRacer) attemptPools(n int) []*exec.Pool {
 
 // Close releases the per-arm verification pools, if any were created — a
 // racer that never served a race has nothing to release and Close spawns
-// nothing. Races in flight degrade gracefully (pool tasks fall back to
-// transient goroutines).
+// nothing. Races in flight degrade gracefully (a closed pool runs Group
+// tasks on the submitting goroutine and race attempts on transient ones).
 func (r *IndexRacer) Close() {
 	r.poolsMu.Lock()
 	defer r.poolsMu.Unlock()

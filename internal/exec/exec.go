@@ -16,11 +16,14 @@
 //     serialize behind a saturated pool (which would deadlock a race whose
 //     early attempts block until a later attempt wins).
 //
-// Tasks never deadlock against each other by construction: Group work runs
-// only on pool workers and never blocks waiting for other Group work, while
-// race attempts are guaranteed their own concurrency. Panics inside tasks
-// are isolated — recovered and reported as errors — so one corrupt attempt
-// cannot crash a server racing thousands of queries.
+// Fan-out nests: a Group opened from a Group task's context, or from Nest,
+// never waits for a worker — it hands each task to an idle worker or runs it
+// on the submitting goroutine — so a task may fan out and wait at any depth,
+// even on a 1-worker pool, while race attempts are guaranteed their own
+// concurrency. Only a top-level Group's submitter blocks for a free worker,
+// which is the backpressure a filter feeding verifications relies on. Panics
+// inside tasks are isolated — recovered and reported as errors — so one
+// corrupt attempt cannot crash a server racing thousands of queries.
 package exec
 
 import (
@@ -80,8 +83,9 @@ func (p *Pool) Workers() int { return p.workers }
 func (p *Pool) Panics() uint64 { return p.panics.Load() }
 
 // Close stops the pool's workers. Tasks already started run to completion;
-// Go falls back to transient goroutines afterwards, so a closed pool
-// degrades gracefully instead of deadlocking late submitters.
+// afterwards Go falls back to transient goroutines and a Group runs its tasks
+// on the submitting goroutine, so a closed pool degrades gracefully instead
+// of deadlocking late submitters.
 func (p *Pool) Close() { p.closed.Do(func() { close(p.quit) }) }
 
 func (p *Pool) worker() {
@@ -170,20 +174,23 @@ func (l *Limiter) InFlight() int { return len(l.slots) }
 func (l *Limiter) Cap() int { return cap(l.slots) }
 
 // Group runs a batch of tasks on the pool with hard-bounded concurrency
-// (at most the pool's worker count in flight) and joins their outcomes.
+// (at most the pool's worker count in flight, plus the submitting goroutine
+// for a nested Group) and joins their outcomes.
 // The first task error — including a recovered panic — cancels the group's
 // context, which aborts tasks not yet started and lets running tasks exit
 // early. Construct with Pool.NewGroup; a Group must not be reused after
 // Wait returns.
 //
-// Group tasks run on pool workers and therefore must not themselves submit
-// and wait on Group work from the same pool (race attempts via Go are fine —
-// they never queue).
+// A Group opened from the context a Group task receives (or from Nest) is
+// nested: its tasks go to idle workers or run on the submitting goroutine,
+// never waiting for a worker, so a task that fans out and waits cannot
+// deadlock the pool.
 type Group struct {
 	p       *Pool
 	parent  context.Context
 	ctx     context.Context
 	cancel  context.CancelFunc
+	nested  bool
 	wg      sync.WaitGroup
 	skipped atomic.Bool // a task was dropped or skipped by cancellation
 
@@ -191,10 +198,24 @@ type Group struct {
 	errs []error
 }
 
-// NewGroup returns a Group whose tasks observe a context derived from ctx.
+// groupKey marks the contexts Group tasks run under.
+type groupKey struct{}
+
+// Nest returns ctx marked as a Group task's context is, so a Group opened
+// from it is nested. Code that may run on a worker without a Group's context
+// — a race attempt started by Go — opens its fan-out from Nest(ctx).
+func Nest(ctx context.Context) context.Context {
+	if ctx.Value(groupKey{}) != nil {
+		return ctx
+	}
+	return context.WithValue(ctx, groupKey{}, true)
+}
+
+// NewGroup returns a Group whose tasks observe a context derived from ctx;
+// the Group is nested when ctx descends from a Group's context or Nest.
 func (p *Pool) NewGroup(ctx context.Context) *Group {
-	gctx, cancel := context.WithCancel(ctx)
-	return &Group{p: p, parent: ctx, ctx: gctx, cancel: cancel}
+	gctx, cancel := context.WithCancel(Nest(ctx))
+	return &Group{p: p, parent: ctx, ctx: gctx, cancel: cancel, nested: ctx.Value(groupKey{}) != nil}
 }
 
 // Context returns the group's context, cancelled on the first task error.
@@ -209,10 +230,12 @@ func (g *Group) fail(err error) {
 	g.cancel()
 }
 
-// Go submits fn to the pool, blocking while all workers are busy. Submission
-// is context-aware: if the group is cancelled before a worker frees up, fn
-// is dropped (Wait then reports the cancellation). Once running, fn receives
-// the group context and its error (or panic) is captured for Wait.
+// Go submits fn to the pool. A top-level Group blocks while all workers are
+// busy, and submission is context-aware: if the group is cancelled before a
+// worker frees up, fn is dropped (Wait then reports the cancellation). A
+// nested Group, or any Group on a closed pool, hands fn to an idle worker or
+// runs it before Go returns. Once running, fn receives the group context and
+// its error (or panic) is captured for Wait.
 func (g *Group) Go(fn func(ctx context.Context) error) {
 	g.wg.Add(1)
 	task := func() {
@@ -230,14 +253,22 @@ func (g *Group) Go(fn func(ctx context.Context) error) {
 			g.fail(err)
 		}
 	}
+	if !g.nested {
+		select {
+		case g.p.tasks <- task:
+			return
+		case <-g.ctx.Done():
+			g.skipped.Store(true)
+			g.wg.Done()
+			return
+		case <-g.p.quit:
+			// No worker will free up: run it here, one task at a time.
+		}
+	}
 	select {
 	case g.p.tasks <- task:
-	case <-g.ctx.Done():
-		g.skipped.Store(true)
-		g.wg.Done()
-	case <-g.p.quit:
-		// Pool closed under us: run transiently rather than deadlock.
-		go task()
+	default:
+		task()
 	}
 }
 

@@ -236,6 +236,71 @@ func TestStress(t *testing.T) {
 	}
 }
 
+// TestNestedFanOut: every task of a Group fans out again and waits, three
+// levels deep (3×3×3 leaves). Nested groups never wait for a worker, so the
+// fan-out completes even when the one worker is held by the outermost task.
+func TestNestedFanOut(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		p := New(workers)
+		defer p.Close()
+		var leaves atomic.Int64
+		var fan func(ctx context.Context, depth int) error
+		fan = func(ctx context.Context, depth int) error {
+			if depth == 3 {
+				leaves.Add(1)
+				return nil
+			}
+			g := p.NewGroup(ctx)
+			for i := 0; i < 3; i++ {
+				g.Go(func(gctx context.Context) error { return fan(gctx, depth+1) })
+			}
+			return g.Wait()
+		}
+		done := make(chan error, 1)
+		go func() { done <- fan(context.Background(), 0) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d workers: the nested fan-out deadlocked", workers)
+		}
+		if n := leaves.Load(); n != 27 {
+			t.Errorf("%d workers: %d leaves ran, want 27", workers, n)
+		}
+	}
+}
+
+// TestClosedPoolGroupStaysBounded: a Group on a closed pool runs its tasks on
+// the submitting goroutine, one at a time, instead of a goroutine each.
+func TestClosedPoolGroupStaysBounded(t *testing.T) {
+	grown := leakcheck.Check(t, 0)
+	p := New(1)
+	p.Close()
+	for deadline := time.Now().Add(5 * time.Second); grown() > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	var running, peak atomic.Int64
+	g := p.NewGroup(context.Background())
+	for i := 0; i < 200; i++ {
+		g.Go(func(context.Context) error {
+			n := running.Add(1)
+			for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+			}
+			time.Sleep(50 * time.Microsecond)
+			running.Add(-1)
+			return nil
+		})
+	}
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := peak.Load(); n != 1 {
+		t.Errorf("%d tasks of one group ran at once on a closed pool, want 1", n)
+	}
+}
+
 // TestPoolCloseStopsWorkers verifies Close reclaims the worker goroutines.
 func TestPoolCloseStopsWorkers(t *testing.T) {
 	leakcheck.Check(t, 1)

@@ -11,10 +11,10 @@
 // found on the stored graph under the sets' union, and VF2 searches the stored
 // graph restricted to a component — nothing is rebuilt per candidate.
 //
-// Grapes is a multi-threaded design: both index construction (across
-// dataset graphs) and verification (across extracted components) use a
-// worker pool of configurable size — "Grapes/1" and "Grapes/4" in the
-// paper's figures are instances of this index with 1 and 4 workers.
+// Grapes is a multi-threaded design: index construction fans out across
+// dataset graphs and verification across extracted components, both on the
+// pool the index was built with — "Grapes/1" and "Grapes/4" in the paper's
+// figures are instances of this index with 1 and 4 workers.
 //
 // The index implements the unified filtering-index contract of
 // internal/index and keeps its features in that package's flat table
@@ -50,13 +50,13 @@ const Kind = "grapes"
 
 func init() {
 	index.Register(Kind, func(ds []*graph.Graph, ex index.Extraction, opts index.Options) index.Index {
-		return newIndex(opts.Workers, index.FoldPath(Kind, ds, ex, opts))
+		return newIndex(opts, index.FoldPath(Kind, ds, ex, opts))
 	}, true)
 	// Restoring writes the table from exported features, location sets
 	// included, so a restored index prunes verification to the same
 	// components as the saved one; no path enumeration runs.
 	index.RegisterRestorer(Kind, func(ds []*graph.Graph, maxPathLen int, opts index.Options, feats []index.ExportedFeature) (index.Index, error) {
-		return newIndex(opts.Workers, index.RestorePath(Kind, ds, maxPathLen, opts, feats)), nil
+		return newIndex(opts, index.RestorePath(Kind, ds, maxPathLen, opts, feats)), nil
 	})
 }
 
@@ -65,14 +65,14 @@ type Options struct {
 	// MaxPathLen is the maximum path length (in edges) to index;
 	// defaults to ftv.DefaultMaxPathLen (4), the paper's setting.
 	MaxPathLen int
-	// Workers is the degree of parallelism for per-query component
-	// verification; defaults to 1 (Grapes/1). Workers > 1 gives the index
-	// a dedicated verification pool of that size (the paper's Grapes/4),
-	// released by Close.
+	// Workers names the index (Grapes/W, as in the paper) and switches
+	// component verification: 1 (the default) verifies a candidate's
+	// components one after another, and above 1 fans them out on Pool,
+	// as wide as its idle workers plus the verifying goroutine.
 	Workers int
-	// Pool is the execution pool the build's feature extraction fans out
-	// on; nil selects the shared default pool. The built index is
-	// identical for every pool size.
+	// Pool is the execution pool the build's feature extraction and the
+	// component fan-out run on; nil selects the shared default pool. The
+	// built index is identical for every pool size.
 	Pool *exec.Pool
 }
 
@@ -80,7 +80,7 @@ type Options struct {
 type Index struct {
 	table   *index.Path // the features, their postings and location sets
 	workers int
-	vpool   *exec.Pool // dedicated verification pool when workers > 1
+	pool    *exec.Pool // the component fan-out's pool when workers > 1
 	stats   index.Stats
 	last    atomic.Pointer[queryPlan]
 }
@@ -144,25 +144,20 @@ func BuildContext(ctx context.Context, ds []*graph.Graph, opts Options) (*Index,
 	return x.(*Index), nil
 }
 
-// newIndex wraps a built or restored table with the verification pool of
-// workers (below 1 means 1) and the table's statistics under Grapes' name.
-func newIndex(workers int, table *index.Path) *Index {
-	x := &Index{table: table, workers: max(workers, 1)}
-	if x.workers > 1 {
-		x.vpool = exec.New(x.workers)
+// newIndex wraps a built or restored table with the build's worker count
+// (below 1 means 1) and pool, and the table's statistics under Grapes' name.
+func newIndex(opts index.Options, table *index.Path) *Index {
+	x := &Index{table: table, workers: max(opts.Workers, 1), pool: opts.Pool}
+	if x.pool == nil {
+		x.pool = exec.Default()
 	}
 	x.stats = table.Stats()
 	x.stats.Name = x.Name()
 	return x
 }
 
-// Close releases the dedicated verification pool of a Workers>1 index.
-// Queries in flight degrade gracefully to transient goroutines.
-func (x *Index) Close() {
-	if x.vpool != nil {
-		x.vpool.Close()
-	}
-}
+// Close implements index.Index; a Grapes index owns nothing to release.
+func (x *Index) Close() {}
 
 // Name implements ftv.Index: "Grapes/<workers>".
 func (x *Index) Name() string { return fmt.Sprintf("Grapes/%d", x.workers) }
@@ -315,9 +310,9 @@ func (s *scratch) comp(i int) match.VertexSet {
 // Verify implements ftv.Index: the query's location info in the candidate
 // graph is split into connected components and each one big enough for q is
 // checked by VF2 restricted to it on the stored graph — no subgraph is built
-// — in parallel across the index's workers, stopping at the first match,
-// matching the paper's modification of Grapes to "return after the first
-// match of the query graph".
+// — one after another under Workers 1 and in parallel on the index's pool
+// above, stopping at the first match, matching the paper's modification of
+// Grapes to "return after the first match of the query graph".
 func (x *Index) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
@@ -344,7 +339,7 @@ func (x *Index) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, 
 	}
 	// Components too small to host the query are skipped outright.
 	kept := s.components(ds[graphID], q.N(), q.M())
-	if x.vpool == nil || kept <= 1 {
+	if x.workers == 1 || kept <= 1 {
 		for i := 0; i < kept; i++ {
 			found, err := m.ContainsWithin(ctx, q, s.comp(i))
 			if err != nil || found {
@@ -360,14 +355,14 @@ func (x *Index) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, 
 // hosts the query — a sentinel, not a failure.
 var errComponentFound = errors.New("grapes: component match found")
 
-// verifyParallel fans VF2 over components across the index's dedicated
-// verification pool (hard-bounded at the index's workers in flight); the first
-// success cancels the remaining work. The dedicated pool keeps this nested
-// fan-out off the shared pool, where a racer already running this
-// verification inside a pool task would deadlock a single-worker pool.
+// verifyParallel fans VF2 over components on the index's pool; the first
+// success cancels the remaining work. Verification runs inside a pipeline's
+// Group task or a rewriting race's attempt, either of which may hold a
+// worker, so the Group is always nested: each component goes to an idle
+// worker or runs on the verifying goroutine, and never waits for one.
 func (x *Index) verifyParallel(ctx context.Context, q, g *graph.Graph, s *scratch, kept int) (bool, error) {
 	var found atomic.Bool
-	grp := x.vpool.NewGroup(ctx)
+	grp := x.pool.NewGroup(exec.Nest(ctx))
 	for i := 0; i < kept; i++ {
 		grp.Go(func(gctx context.Context) error {
 			ok, err := vf2.New(g).ContainsWithin(gctx, q, s.comp(i))

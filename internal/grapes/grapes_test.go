@@ -10,9 +10,11 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/leakcheck"
 	"github.com/psi-graph/psi/internal/vf2"
 )
 
@@ -55,6 +57,19 @@ func TestBuildAndName(t *testing.T) {
 	// An insert extracts no locations, so the table refuses one.
 	if _, err := x.Table().WithGraph(context.Background(), smallDataset()[0]); err == nil {
 		t.Error("Grapes' table took an insert that would drop its locations")
+	}
+}
+
+// TestBuildStartsNoGoroutine: Grapes/4 fans out on the pool it is built with
+// and keeps no pool of its own, so building one starts no goroutine and
+// there is nothing to Close.
+func TestBuildStartsNoGoroutine(t *testing.T) {
+	pool := exec.New(2)
+	t.Cleanup(pool.Close)
+	grown := leakcheck.Check(t, 0)
+	x := Build(smallDataset(), Options{Workers: 4, Pool: pool})
+	if n := grown(); n != 0 {
+		t.Errorf("building %s started %d goroutines, want 0", x.Name(), n)
 	}
 }
 

@@ -83,10 +83,9 @@ func Kinds() []string {
 // 1; the count is not clamped to len(ds), so a shard may be empty).
 // Extraction fans out on opts.Pool (nil selects the shared default pool) and
 // is cancellable through ctx, mid-graph included; the folds then run as one
-// exec.Group on the same pool, a cell each, so a fold must not itself wait on
-// Group work of that pool, and a fold that panics reaches the caller as
-// BuildGrid's error, not as a panic. The output is identical for every pool
-// size. Every cell's table then shares one sequence directory
+// exec.Group on the same pool, a cell each, and a fold that panics reaches
+// the caller as BuildGrid's error, not as a panic. The output is identical
+// for every pool size. Every cell's table then shares one sequence directory
 // (ShareDirectory).
 func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, shards int, opts Options) ([][]Index, error) {
 	builders := make([]builder, len(kinds))
@@ -144,13 +143,6 @@ func BuildGrid(ctx context.Context, kinds []string, ds []*graph.Graph, shards in
 		}
 	}
 	if err := grp.Wait(); err != nil {
-		for _, row := range grid {
-			for _, x := range row {
-				if x != nil {
-					x.Close()
-				}
-			}
-		}
 		return nil, err
 	}
 	ShareDirectory(slices.Concat(grid...))

@@ -48,9 +48,9 @@ type Index interface {
 	// Stats reports the index's build provenance and shape.
 	Stats() Stats
 
-	// Close releases any resources the index owns (e.g. Grapes' dedicated
-	// verification pool); a no-op for indexes that own none. Queries in
-	// flight degrade gracefully.
+	// Close releases any resources the index owns. No built-in kind owns
+	// one, so for them it is a no-op; the method stays for indexes defined
+	// outside this repository (psi.FilterIndex is public).
 	Close()
 }
 
@@ -121,12 +121,14 @@ type Options struct {
 	// ftv.DefaultMaxPathLen (4), the paper's setting.
 	MaxPathLen int
 	// Workers is the per-index verification parallelism knob (the paper's
-	// Grapes/1 vs Grapes/4); indexes without internal verification
-	// parallelism ignore it. 0 means 1.
+	// Grapes/1 vs Grapes/4): above 1, Grapes fans a candidate's components
+	// out on Pool. Indexes without internal verification parallelism ignore
+	// it. 0 means 1.
 	Workers int
 	// Pool is the execution pool feature extraction fans out on during the
-	// build; nil selects the shared default pool. Build output is identical
-	// for every pool size.
+	// build, and the one Grapes' component fan-out runs on afterwards; nil
+	// selects the shared default pool. Build output is identical for every
+	// pool size.
 	Pool *exec.Pool
 }
 
@@ -231,8 +233,8 @@ func StreamByFeatures(ctx context.Context, nGraphs int, feats []ftv.QueryFeature
 // the context's error, never silently surfaced as a complete (empty) answer.
 //
 // The filter runs on the caller's goroutine, with the pool providing
-// backpressure; callers must not invoke StreamVerified from inside a task
-// running on p itself (the racer layers above never do).
+// backpressure: a verification waits for a free worker, unless ctx descends
+// from a Group task's, which makes the verification group nested (exec.Group).
 func StreamVerified(ctx context.Context, p *exec.Pool, filter func(ctx context.Context, emit func(graphID int) bool) error, emit func(graphID int) bool, check func(ctx context.Context, graphID int) (bool, error)) error {
 	if p == nil {
 		p = exec.Default()

@@ -266,8 +266,7 @@ func TestShardedTombstoneParity(t *testing.T) {
 			if _, err := m.Verify(context.Background(), queries[0], len(dense)); err == nil {
 				t.Error("Verify(len) did not error")
 			}
-			// Close releases what the shards own (Grapes' verification
-			// pool); a query after it degrades, it does not fail.
+			// The shards own nothing, so a query after Close still answers.
 			m.Close()
 			if _, err := m.Verify(context.Background(), queries[0], 0); err != nil {
 				t.Errorf("Verify after Close: %v", err)

@@ -309,6 +309,41 @@ func TestBuildDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestGrapesFanOutOnOneWorker: Grapes/4 fans a candidate's components out on
+// the pool it was built with, from inside the pipeline's verification task.
+// On a 1-worker pool that task holds the only worker, so the fan-out runs on
+// the verifying goroutine, and it answers TestBuildDeterminismAcrossWorkerCounts'
+// dataset and queries as Grapes/1 does.
+func TestGrapesFanOutOnOneWorker(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	big := func() *graph.Graph { return randomDataset(r, 1, 300, 3)[0] }
+	ds := []*graph.Graph{
+		big(), graph.MustNew("one", []graph.Label{1}, nil), graph.MustNew("edgeless", []graph.Label{0, 2, 2}, nil), big(),
+		randomDataset(r, 1, 14, 3)[0], graph.MustNew("one", []graph.Label{0}, nil), big(), graph.MustNew("edgeless", make([]graph.Label, 70), nil),
+	}
+	queries := []*graph.Graph{graph.MustNew("edgeless", []graph.Label{0}, nil)}
+	for qi := 0; qi < 6; qi++ {
+		queries = append(queries, extractQuery(r, ds[[]int{0, 3, 4, 6}[r.Intn(4)]], 2+r.Intn(4)))
+	}
+	pool := exec.New(1)
+	defer pool.Close()
+	g1 := grapes.Build(ds, grapes.Options{Workers: 1, Pool: pool})
+	g4 := grapes.Build(ds, grapes.Options{Workers: 4, Pool: pool})
+	for qi, q := range queries {
+		want, err := index.Answer(context.Background(), g1, q, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := index.Answer(context.Background(), g4, q, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameInts(got, want) {
+			t.Errorf("q%d: Grapes/4 on one worker answered %v, Grapes/1 %v", qi, got, want)
+		}
+	}
+}
+
 // TestFilterNoFalseNegatives: for every kind, the graph a query was cut from
 // survives the filter.
 func TestFilterNoFalseNegatives(t *testing.T) {

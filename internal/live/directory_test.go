@@ -76,7 +76,6 @@ func exportOf(t *testing.T, x index.Index) []index.ExportedFeature {
 func assertCurrentParity(t *testing.T, st *live.Store, kinds []string) {
 	t.Helper()
 	snap := st.Current()
-	defer snap.Release()
 	assertParity(t, snap, kinds)
 }
 

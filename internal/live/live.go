@@ -28,13 +28,12 @@
 // Every committed mutation bumps a monotonically increasing epoch and
 // installs a new immutable Snapshot behind an atomic pointer: the one epoch
 // object a dataset engine serves from, which carries everything a query
-// reads, so the engine keeps no per-epoch state. Queries acquire a snapshot
-// with a lock-free retry (load, ref, recheck) and keep reading it to
-// completion regardless of concurrent mutations — snapshot isolation with no
-// locks on the query path; mutations and exports serialize on one lock.
-// Sub-indexes shared between snapshot generations are refcounted per
-// snapshot and closed only when the last snapshot referencing them drains, so
-// a Grapes verification pool can never be torn down under an in-flight query.
+// reads, so the engine keeps no per-epoch state. A query takes a snapshot
+// with one atomic load and keeps reading it to completion regardless of
+// concurrent mutations — snapshot isolation with no locks on the query path;
+// mutations and exports serialize on one lock. No sub-index owns a resource,
+// so a snapshot needs no release: the garbage collector reclaims a retired
+// epoch once its last reader lets go of it.
 package live
 
 import (
@@ -81,19 +80,14 @@ type Options struct {
 
 // Snapshot is one immutable epoch of the store: the dense live dataset, its
 // handles, one dense index per kind and the dataset's label frequencies, all
-// computed once at install. Obtain with Store.Current, which takes a
-// reference; callers must Release exactly once when done reading. All
-// accessors are safe for concurrent use.
+// computed once at install. Obtain with Store.Current. All accessors are
+// safe for concurrent use.
 type Snapshot struct {
 	epoch   uint64
 	graphs  []*graph.Graph
 	handles []Handle
 	indexes []index.Index
 	freqs   rewrite.Frequencies
-
-	refs    atomic.Int64
-	once    sync.Once
-	release func()
 }
 
 // Epoch returns the snapshot's dataset epoch (1 for the initial build).
@@ -108,22 +102,12 @@ func (s *Snapshot) Handles() []Handle { return s.handles }
 
 // Indexes returns the dense filtering index of every kind, in the order of
 // Options.Kinds (an engine's portfolio order). Each is a view over the
-// store's sub-indexes, which the store closes as snapshots drain: callers
-// never Close them.
+// store's sub-indexes, shared with other epochs: callers never Close them.
 func (s *Snapshot) Indexes() []index.Index { return s.indexes }
 
 // Frequencies returns the label frequencies of the dense dataset, the input
 // of the ILF rewriting.
 func (s *Snapshot) Frequencies() rewrite.Frequencies { return s.freqs }
-
-// Release drops the caller's reference; the last release of the last
-// snapshot referencing a sub-index closes it. Releasing more than once per
-// acquired reference is a bug, but the close itself is idempotent.
-func (s *Snapshot) Release() {
-	if s.refs.Add(-1) == 0 {
-		s.once.Do(s.release)
-	}
-}
 
 // Store is the dataset store. Mutations (Add, Remove, Replace) and
 // ExportState are serialized internally, on one lock; Current and the
@@ -153,9 +137,6 @@ type Store struct {
 
 	epoch atomic.Uint64
 	cur   atomic.Pointer[Snapshot]
-
-	refMu   sync.Mutex
-	subRefs map[index.Index]int
 }
 
 // NewStore builds the initial sub-index grid over ds (epoch 1). The graphs
@@ -184,7 +165,6 @@ func NewStore(ctx context.Context, ds []*graph.Graph, opts Options) (*Store, err
 		grid:         make(map[string][]index.Index, len(opts.Kinds)),
 		nextHandle:   1,
 		liveCount:    len(ds),
-		subRefs:      make(map[index.Index]int),
 	}
 	for slot, g := range ds {
 		st.slotGraphs = append(st.slotGraphs, g)
@@ -213,33 +193,12 @@ func (st *Store) Shards() int { return st.k }
 // Epoch reports the current dataset epoch without acquiring a snapshot.
 func (st *Store) Epoch() uint64 { return st.epoch.Load() }
 
-// Current acquires the current snapshot; the caller must Release it. The
-// load-ref-recheck retry makes acquisition lock-free: if a mutation swaps
-// the snapshot between the load and the ref, the recheck fails, the stale
-// ref is dropped (harmlessly — the close is once-guarded) and the reader
-// retries on the fresh pointer. After Close, Current returns nil: Close
-// swaps the pointer to nil BEFORE dropping the store's reference, so a
-// reader can never ref-resurrect a snapshot whose release already ran
-// (refs 0→1 on a disposed snapshot would pass the recheck — the pointer
-// still matched — and hand out closed sub-indexes).
-func (st *Store) Current() *Snapshot {
-	for {
-		s := st.cur.Load()
-		if s == nil {
-			return nil
-		}
-		s.refs.Add(1)
-		if st.cur.Load() == s {
-			return s
-		}
-		s.Release()
-	}
-}
+// Current returns the current snapshot, or nil after Close.
+func (st *Store) Current() *Snapshot { return st.cur.Load() }
 
 // installLocked builds a snapshot of the present mutation state at the
-// given epoch, references every sub-index it uses, and publishes it,
-// dropping the store's reference to the predecessor. Caller holds mutMu
-// (or is NewStore, before the store escapes).
+// given epoch and publishes it. Caller holds mutMu (or is NewStore, before
+// the store escapes).
 func (st *Store) installLocked(epoch uint64) {
 	dense := make([]*graph.Graph, 0, st.liveCount)
 	handles := make([]Handle, 0, st.liveCount)
@@ -249,39 +208,13 @@ func (st *Store) installLocked(epoch uint64) {
 			handles = append(handles, st.handleOf[slot])
 		}
 	}
-	subs := make([]index.Index, 0, len(st.kinds)*st.k)
 	indexes := make([]index.Index, 0, len(st.kinds))
 	for _, kind := range st.kinds {
 		// commitShard replaces rows, never writes them: the view may keep one.
-		row := st.grid[kind]
-		subs = append(subs, row...)
-		indexes = append(indexes, index.NewShardedFrom(st.slotGraphs, st.alive, kind, row))
-	}
-	st.refMu.Lock()
-	for _, sub := range subs {
-		st.subRefs[sub]++
-	}
-	st.refMu.Unlock()
-	snap := &Snapshot{epoch: epoch, graphs: dense, handles: handles, indexes: indexes, freqs: rewrite.FrequenciesOfDataset(dense)}
-	snap.refs.Store(1) // the store's own reference, dropped at the next install (or Close)
-	snap.release = func() {
-		st.refMu.Lock()
-		var dead []index.Index
-		for _, sub := range subs {
-			if st.subRefs[sub]--; st.subRefs[sub] == 0 {
-				delete(st.subRefs, sub)
-				dead = append(dead, sub)
-			}
-		}
-		st.refMu.Unlock()
-		for _, sub := range dead {
-			sub.Close()
-		}
+		indexes = append(indexes, index.NewShardedFrom(st.slotGraphs, st.alive, kind, st.grid[kind]))
 	}
 	st.epoch.Store(epoch)
-	if old := st.cur.Swap(snap); old != nil {
-		old.Release()
-	}
+	st.cur.Store(&Snapshot{epoch: epoch, graphs: dense, handles: handles, indexes: indexes, freqs: rewrite.FrequenciesOfDataset(dense)})
 }
 
 // Add ingests g, assigning it the next slot (hence the tail of shard
@@ -404,11 +337,6 @@ var errNoInserter = fmt.Errorf("live: kind does not support incremental insert")
 // indexes (index.AdoptDirectory).
 func (st *Store) rebuildShard(ctx context.Context, shard int, newLocal []*graph.Graph, incremental func(cur index.Index) (index.Index, error)) (map[string]index.Index, error) {
 	fresh := make(map[string]index.Index, len(st.kinds))
-	abort := func() {
-		for _, sub := range fresh {
-			sub.Close()
-		}
-	}
 	var rebuild []string
 	for _, kind := range st.kinds {
 		if incremental == nil {
@@ -420,7 +348,6 @@ func (st *Store) rebuildShard(ctx context.Context, shard int, newLocal []*graph.
 		case err == errNoInserter:
 			rebuild = append(rebuild, kind)
 		case err != nil:
-			abort()
 			return nil, fmt.Errorf("live: incremental %s update of shard %d: %w", kind, shard, err)
 		default:
 			fresh[kind] = sub
@@ -429,7 +356,6 @@ func (st *Store) rebuildShard(ctx context.Context, shard int, newLocal []*graph.
 	if len(rebuild) > 0 {
 		grid, err := index.BuildGrid(ctx, rebuild, newLocal, 1, st.ixOpts)
 		if err != nil {
-			abort()
 			return nil, fmt.Errorf("live: rebuilding %v shard %d: %w", rebuild, shard, err)
 		}
 		for i, kind := range rebuild {
@@ -440,9 +366,8 @@ func (st *Store) rebuildShard(ctx context.Context, shard int, newLocal []*graph.
 	return fresh, nil
 }
 
-// commitShard swaps the freshly built sub-indexes into the grid. The
-// replaced sub-indexes stay open — snapshots still referencing them own
-// them via subRefs and close them as they drain.
+// commitShard swaps the freshly built sub-indexes into the grid; snapshots
+// of earlier epochs keep reading the ones it replaces.
 func (st *Store) commitShard(shard int, fresh map[string]index.Index) {
 	for kind, sub := range fresh {
 		subs := append([]index.Index(nil), st.grid[kind]...)
@@ -451,23 +376,11 @@ func (st *Store) commitShard(shard int, fresh map[string]index.Index) {
 	}
 }
 
-// Close drops the store's reference to the current snapshot and rejects
-// further mutations; Current returns nil from then on. Snapshots already
-// acquired stay valid until their holders release them; sub-indexes close
-// as the last references drain. The swap-to-nil must happen before the
-// release: a plain Load+Release would leave the pointer published, and a
-// concurrent Current could increment refs 0→1 on the just-disposed
-// snapshot, pass its recheck, and return sub-indexes that are already
-// closed (the double-close itself is once-guarded, but the use-after-close
-// is not).
+// Close rejects further mutations and unpublishes the current snapshot, so
+// Current returns nil from then on. Snapshots already taken keep answering.
 func (st *Store) Close() {
 	st.mutMu.Lock()
 	defer st.mutMu.Unlock()
-	if st.closed {
-		return
-	}
 	st.closed = true
-	if s := st.cur.Swap(nil); s != nil {
-		s.Release()
-	}
+	st.cur.Store(nil)
 }

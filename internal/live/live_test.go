@@ -4,9 +4,7 @@ package live_test
 // random sequence of Add/Remove/Replace, every kind's snapshot index answers
 // byte-identically to a from-scratch build over the live graphs; (2)
 // snapshot isolation — a pinned snapshot keeps answering exactly as it did
-// while mutations churn underneath it; (3) lifecycle — sub-indexes shared
-// across snapshot generations close exactly when the last referencing
-// snapshot drains, never under a pinned reader. All run under -race in CI.
+// while mutations churn underneath it. All run under -race in CI.
 
 import (
 	"context"
@@ -16,7 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/psi-graph/psi/internal/exec"
 	_ "github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
@@ -157,7 +154,6 @@ func TestMutationParityFuzz(t *testing.T) {
 					t.Fatalf("K=%d step %d: Replace: %v", k, step, err)
 				}
 			}
-			snap.Release()
 			cur := st.Current()
 			if cur.Epoch() != lastEpoch+1 {
 				t.Fatalf("K=%d step %d: epoch %d after %d", k, step, cur.Epoch(), lastEpoch)
@@ -167,7 +163,6 @@ func TestMutationParityFuzz(t *testing.T) {
 				t.Fatalf("K=%d step %d: %d handles for %d graphs", k, step, len(cur.Handles()), len(cur.Graphs()))
 			}
 			assertParity(t, cur, kinds)
-			cur.Release()
 		}
 		if !sawCompaction && k == 1 {
 			t.Error("CompactEvery=2 never compacted over 10 mutations")
@@ -218,7 +213,6 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 				if len(snap.Handles()) != len(snap.Graphs()) {
 					failed.Store(true)
 				}
-				snap.Release()
 			}
 		}()
 	}
@@ -254,101 +248,7 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 	if failed.Load() {
 		t.Error("concurrent reader saw an inconsistent snapshot")
 	}
-	pinned.Release()
 	st.Close()
-}
-
-// closeCounting wraps the flat path index to observe Close calls. It
-// deliberately does NOT forward WithGraph (no embedding), so it never
-// satisfies index.Inserter: every mutation takes the rebuild path and
-// generates fresh sub-indexes, which is what the lifecycle test observes.
-type closeCounting struct {
-	inner  *index.Path
-	closes *atomic.Int64
-}
-
-func (c closeCounting) Name() string                { return c.inner.Name() }
-func (c closeCounting) Dataset() []*graph.Graph     { return c.inner.Dataset() }
-func (c closeCounting) Filter(q *graph.Graph) []int { return c.inner.Filter(q) }
-func (c closeCounting) Stats() index.Stats          { return c.inner.Stats() }
-func (c closeCounting) Close()                      { c.closes.Add(1); c.inner.Close() }
-func (c closeCounting) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
-	return c.inner.Verify(ctx, q, graphID)
-}
-func (c closeCounting) FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error {
-	return c.inner.FilterStream(ctx, q, emit)
-}
-
-var testCloses atomic.Int64
-
-const kindCounting = "test-close-counting"
-
-func init() {
-	index.Register(kindCounting, func(ds []*graph.Graph, _ index.Extraction, opts index.Options) index.Index {
-		return closeCounting{inner: buildPath(ds, opts), closes: &testCloses}
-	}, false)
-}
-
-// nestedPool runs the builds buildPath nests inside a fold. Folds are Group
-// tasks of the store's build pool, and a Group task that waited on Group work
-// of its own pool would deadlock it (index.BuildGrid).
-var nestedPool = exec.New(2)
-
-// buildPath is the body of the test kinds' folds: a flat path index built
-// on its own (the extraction handed to the fold goes unused), for wrapping.
-func buildPath(ds []*graph.Graph, opts index.Options) *index.Path {
-	opts.Pool = nestedPool
-	x, err := index.BuildPath(context.Background(), ds, opts)
-	if err != nil {
-		panic(err) // unreachable: the background context never cancels
-	}
-	return x
-}
-
-// TestSubIndexLifecycle pins the refcounting contract: a sub-index shared by
-// older snapshots survives being replaced in the grid until the last
-// snapshot referencing it releases, and Store.Close drains the rest.
-func TestSubIndexLifecycle(t *testing.T) {
-	testCloses.Store(0)
-	r := rand.New(rand.NewSource(9))
-	ds := randomDataset(r, 4, 6, 2) // K=2: shard 0 owns slots 0,2; shard 1 owns 1,3
-	st, err := live.NewStore(context.Background(), ds, live.Options{
-		Kinds: []string{kindCounting}, Shards: 2,
-		Index: index.Options{MaxPathLen: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := st.Current()
-	// Replace slot 0 → rebuilds shard 0 only; s1 still references the old
-	// shard-0 sub-index, so nothing may close yet.
-	if err := st.Replace(context.Background(), s1.Handles()[0], randomDataset(r, 1, 6, 2)[0]); err != nil {
-		t.Fatal(err)
-	}
-	if n := testCloses.Load(); n != 0 {
-		t.Fatalf("%d sub-indexes closed while a snapshot still references them", n)
-	}
-	// Releasing s1 drops the last reference to the replaced shard-0 sub.
-	s1.Release()
-	if n := testCloses.Load(); n != 1 {
-		t.Fatalf("after pinned release: %d closes, want 1", n)
-	}
-	// Close releases the store's reference to the head snapshot: both its
-	// sub-indexes (new shard 0, original shard 1) must now close.
-	st.Close()
-	if n := testCloses.Load(); n != 3 {
-		t.Fatalf("after store close: %d closes, want 3", n)
-	}
-	if _, err := st.Add(context.Background(), ds[0]); err == nil {
-		t.Error("Add after Close did not error")
-	}
-	if _, err := st.Remove(context.Background(), 1); err == nil {
-		t.Error("Remove after Close did not error")
-	}
-	if err := st.Replace(context.Background(), 1, ds[0]); err == nil {
-		t.Error("Replace after Close did not error")
-	}
-	st.Close() // idempotent
 }
 
 // TestStoreErrors covers the argument-validation surface.
@@ -377,7 +277,6 @@ func TestStoreErrors(t *testing.T) {
 	// Double-remove of the same handle must fail the second time.
 	snap := st.Current()
 	h := snap.Handles()[0]
-	snap.Release()
 	if _, err := st.Remove(context.Background(), h); err != nil {
 		t.Fatal(err)
 	}

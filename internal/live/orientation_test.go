@@ -124,7 +124,6 @@ func TestCandidatesMatchBothSpellingsFilter(t *testing.T) {
 	check := func(t *testing.T, stage string, st *live.Store) {
 		t.Helper()
 		snap := st.Current()
-		defer snap.Release()
 		for _, q := range queries {
 			want := bothSpellingsFilter(snap.Graphs(), q, maxLen)
 			for i, kind := range kinds {

@@ -33,10 +33,9 @@ type State struct {
 	Handles    []Handle
 	Tombs      []int
 	// Grid maps each kind to its K per-shard sub-indexes. On export these
-	// are the store's LIVE sub-indexes, which the next mutation may retire
-	// (and, once snapshots drain, close); ExportState therefore hands them
-	// only to a callback that runs under the mutation lock. On restore,
-	// ownership of the sub-indexes transfers to the store.
+	// are the store's LIVE sub-indexes, which the next mutation may retire;
+	// ExportState therefore hands them only to a callback that runs under
+	// the mutation lock. On restore, the store adopts them.
 	Grid map[string][]index.Index
 }
 
@@ -69,8 +68,7 @@ func (st *Store) ExportState(save func(State) error) error {
 }
 
 // Restore reconstructs a store from a deserialized State. The grid
-// sub-indexes are adopted as-is (the store owns and eventually closes
-// them); each must index exactly its shard's slot-space sub-dataset, the
+// sub-indexes are adopted as-is; each must index exactly its shard's slot-space sub-dataset, the
 // partition the snapshot loader rebuilds by construction. The tables of
 // every cell are given one shared sequence directory, as a build gives them
 // (index.ShareDirectory). compactEvery and ixOpts play the roles they have in
@@ -112,7 +110,6 @@ func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error
 		tombs:        append([]int(nil), state.Tombs...),
 		grid:         make(map[string][]index.Index, len(state.Kinds)),
 		nextHandle:   state.NextHandle,
-		subRefs:      make(map[index.Index]int),
 	}
 	for slot := 0; slot < n; slot++ {
 		shard := index.ShardOf(slot, st.k)

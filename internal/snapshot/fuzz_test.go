@@ -143,7 +143,6 @@ func FuzzSnapshotSections(f *testing.F) {
 		}
 		defer st.Close()
 		snap := st.Current()
-		defer snap.Release()
 		graphs := snap.Graphs()
 		for _, q := range fuzzQueries(graphs) {
 			var truth []int

@@ -136,7 +136,7 @@ func Save(path string, m *Model) error {
 // ixOpts carries the runtime knobs of the restored indexes (Workers, Pool);
 // layout-affecting parameters (MaxPathLen, shard count) come from the file.
 // Any failure — checksum, shape, structural — returns before any state
-// escapes, and already-restored indexes are closed: never a partial engine.
+// escapes: never a partial engine.
 func Load(path string, ixOpts index.Options) (m *Model, err error) {
 	r, err := open(path)
 	if err != nil {
@@ -191,14 +191,6 @@ func Load(path string, ixOpts index.Options) (m *Model, err error) {
 	if err := m.check(); err != nil {
 		return nil, err
 	}
-	var restored []index.Index
-	defer func() {
-		if err != nil {
-			for _, sub := range restored {
-				sub.Close()
-			}
-		}
-	}()
 	m.Grid = make(map[string][]index.Index, len(m.Kinds))
 	for _, kind := range m.Kinds {
 		subs := make([]index.Index, m.Shards)
@@ -213,7 +205,6 @@ func Load(path string, ixOpts index.Options) (m *Model, err error) {
 				return nil, fmt.Errorf("snapshot: restoring %s shard %d: %w", kind, s, err)
 			}
 			subs[s] = sub
-			restored = append(restored, sub)
 		}
 		m.Grid[kind] = subs
 	}

@@ -85,7 +85,9 @@ type EngineOptions struct {
 	// uncertain (unfamiliar class, staleness, or a budget-killed solo).
 	IndexPolicy string
 	// IndexWorkers is the Grapes verification worker count (the paper's
-	// Grapes/1 vs Grapes/4); 0 means 1. Other kinds ignore it.
+	// Grapes/1 vs Grapes/4); 0 means 1. Above 1, Grapes fans a candidate's
+	// components out on the engine's pool, as wide as its idle workers plus
+	// the verifying goroutine. Other kinds ignore it.
 	IndexWorkers int
 	// Shards partitions the dataset of dataset engines into K round-robin
 	// shards, giving every index in the portfolio one sub-index per shard

@@ -172,7 +172,7 @@ clean=$(echo "$smoke_out" | grep -c '^== .* parity=true attempted=[0-9]* failed=
     exit 1
 }
 
-echo "== coverage gate (internal/core, internal/index, internal/rewrite, internal/predict, internal/metrics, internal/live, internal/snapshot, internal/spath, internal/gql, internal/match, internal/grapes, internal/ftv, internal/graph, internal/vf2, internal/quicksi, internal/server) =="
+echo "== coverage gate (internal/core, internal/index, internal/rewrite, internal/predict, internal/metrics, internal/live, internal/snapshot, internal/spath, internal/gql, internal/match, internal/grapes, internal/ftv, internal/graph, internal/vf2, internal/quicksi, internal/server, internal/exec) =="
 # Per-package coverage for the packages this repo's correctness arguments
 # lean on hardest (the one race/stream pipeline every query runs through,
 # the filtering/sharding contract, the rewritings' rankings, the learned
@@ -181,9 +181,10 @@ echo "== coverage gate (internal/core, internal/index, internal/rewrite, interna
 # default NFV portfolio's two matchers with the contract and candidate sets
 # they share, and the feature extraction with its location sets and the one
 # index kind that verifies through them, the graph type with the parser
-# untrusted request bodies go through, the other two matchers, and the HTTP
-# server); regressing below the floor fails the gate.
-cov_out=$(go test -cover ./internal/core ./internal/index ./internal/rewrite ./internal/predict ./internal/metrics ./internal/live ./internal/snapshot ./internal/spath ./internal/gql ./internal/match ./internal/grapes ./internal/ftv ./internal/graph ./internal/vf2 ./internal/quicksi ./internal/server)
+# untrusted request bodies go through, the other two matchers, the HTTP
+# server, and the execution pool every fan-out and race runs on); regressing
+# below the floor fails the gate.
+cov_out=$(go test -cover ./internal/core ./internal/index ./internal/rewrite ./internal/predict ./internal/metrics ./internal/live ./internal/snapshot ./internal/spath ./internal/gql ./internal/match ./internal/grapes ./internal/ftv ./internal/graph ./internal/vf2 ./internal/quicksi ./internal/server ./internal/exec)
 echo "$cov_out"
 echo "$cov_out" | awk '
     /coverage:/ {
