@@ -163,7 +163,9 @@
 // the join replaced, on each rewriting's permuted copy of the query
 // (internal/match/testdata/golden_search.txt). The two
 // matchers of the default NFV portfolio keep their per-vertex state flat and
-// sorted, with no map on the stored graph or on the query. sPath's index is one distance signature per stored
+// sorted, with no map on the stored graph or on the query: GraphQL's
+// neighbour signatures are one slab of labels, each vertex's sorted at its
+// CSR span, and sPath's index is one distance signature per stored
 // vertex: for each radius d = 1..4, a row saying how many vertices of each
 // label lie within distance d. Rows are cumulative — within d, not at
 // exactly d — because that is what the filter compares: an embedding can
@@ -171,23 +173,25 @@
 // if, at every radius and for every label, it sees no more such vertices
 // than the stored vertex does. Rows live in rank space: a label is its
 // position in the stored graph's sorted alphabet (Graph.LabelRank), width
-// is that alphabet's size, and ranks and counts are 16 bits. A row with k
-// labels is stored dense — width counts indexed by rank — when 2k ≥ width,
-// and sparse — k (rank, count) pairs in ascending rank — otherwise:
-// whichever is shorter, a function of the row alone, and since a sparse row
-// is strictly shorter than width a row's form is its length. All rows of
-// all vertices are carved from one slab of 16-bit words behind one offsets
-// array (row (v, d) is entry v·radius + d−1). Around a well-connected vertex
-// the rows of radius 3 and 4 hold most of the alphabet and are most of the
-// index; dense, each is answered by one indexed compare per query label,
-// where a sorted list would be walked end to end. Two sparse rows are still
-// a two-cursor merge, refused up front when the query row has more labels
-// than the stored one. Nothing allocates. The two 16-bit clamps are sound by
-// construction: counts saturate at 65 535 on both sides, which preserves
-// stored ≥ query, and ranks from 65 535 up share the last rank with their
-// counts added, which containment label by label implies. Both are exact
-// while the stored graph has at most 65 536 distinct labels and the query
-// fewer than 65 536 vertices, and keep a superset of the exact candidates
+// is that alphabet's size, and rows are bytes. A row with k labels is
+// stored dense — width one-byte counts indexed by rank — when 3k ≥ width,
+// and sparse — k triples (rank high byte, rank low byte, count) in
+// ascending rank — otherwise: whichever is shorter, a function of the row
+// alone, and since a sparse row is strictly shorter than width a row's form
+// is its length. All rows of all vertices are carved from one byte slab
+// behind one offsets array (row (v, d) is entry v·radius + d−1). Around a
+// well-connected vertex the rows of radius 3 and 4 hold most of the alphabet
+// and are most of the index; dense, each is answered by one indexed compare
+// per query label, where a sorted list would be walked end to end. Two
+// sparse rows are still a two-cursor merge, refused up front when the query
+// row has more labels than the stored one. Nothing allocates. The two clamps
+// are sound by construction: counts saturate at 255 on both sides, which
+// preserves stored ≥ query, and ranks stay 16 bits, those from 65 535 up
+// sharing the last rank with their counts added, which containment label by
+// label implies. Ranks are exact while the stored graph has at most 65 536
+// distinct labels; counts while no query vertex sees more than 255 vertices
+// of one label within the radius, which every query of fewer than 256
+// vertices meets; and both keep a superset of the exact candidates
 // beyond. The index is built by one batched bounded BFS
 // (graph.BFSBatches): 64 sources share a machine word per vertex, so a
 // level of 64 searches is one sweep over the frontier's adjacency, and each

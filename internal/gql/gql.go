@@ -14,7 +14,7 @@ package gql
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/match"
@@ -27,7 +27,7 @@ const DefaultRefineLevel = 4
 // Matcher is a GraphQL instance bound to a stored graph.
 type Matcher struct {
 	g      *graph.Graph
-	sig    [][]graph.Label // per-vertex sorted neighbour labels
+	sig    []graph.Label // every vertex's sorted neighbour labels, at its CSR span
 	refine int
 }
 
@@ -36,12 +36,7 @@ func New(g *graph.Graph) *Matcher { return NewWithRefinement(g, DefaultRefineLev
 
 // NewWithRefinement builds the index with an explicit pseudo-iso level.
 func NewWithRefinement(g *graph.Graph, refine int) *Matcher {
-	m := &Matcher{g: g, refine: refine}
-	m.sig = make([][]graph.Label, g.N())
-	for v := 0; v < g.N(); v++ {
-		m.sig[v] = signature(g, v)
-	}
-	return m
+	return &Matcher{g: g, sig: signatures(g), refine: refine}
 }
 
 // Name implements match.Matcher.
@@ -50,15 +45,25 @@ func (m *Matcher) Name() string { return "GQL" }
 // Graph returns the stored graph.
 func (m *Matcher) Graph() *graph.Graph { return m.g }
 
-// signature returns the lexicographically sorted multiset of neighbour
-// labels of v — the radius-1 neighbourhood signature.
-func signature(g *graph.Graph, v int) []graph.Label {
-	out := make([]graph.Label, 0, g.Degree(v))
-	for _, w := range g.Neighbors(v) {
-		out = append(out, g.Label(int(w)))
+// signatures returns every vertex's radius-1 neighbourhood signature, the
+// sorted multiset of its neighbours' labels, in one slab: vertex v's sits at
+// its CSR span, where its neighbour list does.
+func signatures(g *graph.Graph) []graph.Label {
+	labels, off, nbrs, _ := g.CSR()
+	sig := make([]graph.Label, len(nbrs))
+	for i, w := range nbrs {
+		sig[i] = labels[w]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	for v := 0; v < g.N(); v++ {
+		slices.Sort(sig[off[v]:off[v+1]])
+	}
+	return sig
+}
+
+// signature is vertex v's signature in sig, g's slab.
+func signature(g *graph.Graph, sig []graph.Label, v int) []graph.Label {
+	_, off, _, _ := g.CSR()
+	return sig[off[v]:off[v+1]]
 }
 
 // sigContains reports whether sorted multiset sub is contained in sorted
@@ -109,18 +114,16 @@ func (m *Matcher) Plan(q *graph.Graph, budget *match.Budget) (match.Plan, error)
 // degree, and signature-containment filters. It returns nil if any set is
 // empty.
 func (m *Matcher) candidates(q *graph.Graph, budget *match.Budget) ([]match.VertexSet, error) {
-	qsig := make([][]graph.Label, q.N())
-	for u := 0; u < q.N(); u++ {
-		qsig[u] = signature(q, u)
-	}
+	qsig := signatures(q)
 	cand := match.NewVertexSets(q.N(), m.g.N())
 	for u := 0; u < q.N(); u++ {
+		sub := signature(q, qsig, u)
 		empty := true
 		for _, v := range m.g.VerticesWithLabel(q.Label(u)) {
 			if err := budget.Step(); err != nil {
 				return nil, err
 			}
-			if m.g.Degree(int(v)) >= q.Degree(u) && sigContains(m.sig[v], qsig[u]) {
+			if m.g.Degree(int(v)) >= q.Degree(u) && sigContains(signature(m.g, m.sig, int(v)), sub) {
 				cand[u].Add(v)
 				empty = false
 			}

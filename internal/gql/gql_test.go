@@ -2,6 +2,7 @@ package gql
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/psi-graph/psi/internal/graph"
@@ -25,16 +26,16 @@ func TestName(t *testing.T) {
 }
 
 func TestSignature(t *testing.T) {
-	g := graph.MustNew("g", []graph.Label{0, 2, 1, 2}, [][2]int{{0, 1}, {0, 2}, {0, 3}})
-	sig := signature(g, 0)
-	want := []graph.Label{1, 2, 2}
-	if len(sig) != 3 {
-		t.Fatalf("sig = %v", sig)
-	}
-	for i := range want {
-		if sig[i] != want[i] {
-			t.Fatalf("sig = %v, want %v (sorted)", sig, want)
+	g := graph.MustNew("g", []graph.Label{0, 2, 1, 2, 5}, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 3}})
+	sig := signatures(g)
+	want := [][]graph.Label{{1, 2, 2}, {0, 2}, {0}, {0, 2}, {}}
+	for v, w := range want {
+		if got := signature(g, sig, v); !slices.Equal(got, w) {
+			t.Errorf("signature(%d) = %v, want %v (sorted)", v, got, w)
 		}
+	}
+	if len(sig) != 2*g.M() {
+		t.Errorf("slab holds %d labels, want one per neighbour-list entry (%d)", len(sig), 2*g.M())
 	}
 }
 

@@ -16,8 +16,8 @@ const maxWidth = 1 << 16
 // one up share that one.
 func clampRank(rank int) uint16 { return uint16(min(rank, maxWidth-1)) }
 
-// clampCount is a count as rows hold it: saturated at the largest 16-bit one.
-func clampCount(count int) uint16 { return uint16(min(count, math.MaxUint16)) }
+// clampCount is a count as rows hold it: saturated at the largest byte.
+func clampCount(count int) byte { return byte(min(count, math.MaxUint8)) }
 
 // signatures holds the distance-wise neighbourhood signature of every vertex
 // of one graph — the stored graph's, built once, or a query's, built per
@@ -30,28 +30,31 @@ func clampCount(count int) uint16 { return uint16(min(count, math.MaxUint16)) }
 //
 // A label is its rank in the stored graph's alphabet (graph.LabelRank), in the
 // stored graph's rows and in a query's alike, and width is that alphabet's
-// size. A row with k labels is dense — width counts indexed by rank — when
-// 2k ≥ width, and sparse — k (rank, count) pairs, ranks ascending, counts
-// positive — otherwise: whichever is shorter, a function of the row alone. A
-// sparse row is strictly shorter than width, so a row's form is its length.
-// All rows share one slab; off[v*radius+d] is where row(v, d) starts and the
-// next offset is where it ends.
+// size. Rows are bytes. A row with k labels is dense — width one-byte counts
+// indexed by rank — when 3k ≥ width, and sparse — k triples (rank high byte,
+// rank low byte, count), ranks ascending, counts positive — otherwise:
+// whichever is shorter, a function of the row alone. A sparse row is strictly
+// shorter than width, so a row's form is its length. All rows share one slab;
+// off[v*radius+d] is where row(v, d) starts and the next offset is where it
+// ends.
 //
-// Ranks and counts are 16 bits, which is sound by construction. Counts
-// saturate at 65 535 in stored and query rows alike (clampCount), and
-// saturation is monotone, so stored ≥ query survives it. Ranks from 65 535 up
-// share the last rank and their counts add (clampRank): containment label by
-// label implies containment of the sums. Both are exact while the stored graph
-// has at most 65 536 distinct labels and the query fewer than 65 536
-// vertices; beyond, the filter keeps a superset of the exact candidates.
+// Ranks are 16 bits and counts 8, which is sound by construction. Counts
+// saturate at 255 in stored and query rows alike (clampCount), and saturation
+// is monotone, so stored ≥ query survives it. Ranks from 65 535 up share the
+// last rank and their counts add (clampRank): containment label by label
+// implies containment of the sums. Ranks are exact while the stored graph has
+// at most 65 536 distinct labels, counts while no query vertex sees more than
+// 255 vertices of one label within the radius — always, for a query of fewer
+// than 256 vertices; beyond, the filter keeps a superset of the exact
+// candidates.
 type signatures struct {
 	radius int
 	width  int
 	off    []uint32
-	rows   []uint16
+	rows   []byte
 }
 
-func (s *signatures) row(v, d int) []uint16 {
+func (s *signatures) row(v, d int) []byte {
 	i := v*s.radius + d
 	return s.rows[s.off[i]:s.off[i+1]]
 }
@@ -76,10 +79,10 @@ func buildSignatures(g *graph.Graph, radius int, space *graph.Graph) (signatures
 // batch is walked in (label, vertex) order, so every source's ranks at that
 // distance come out ascending: a rank's vertices are counted into one counter
 // per source, and the counters a rank touched are flushed as that source's
-// next pair. The exact-distance pairs of a batch are then summed, source by
-// source and level by level, into the cumulative rows, each written in its
-// final form. Scratch is 64 counters and the batch's pairs: nothing is sized
-// by graph.MaxLabel.
+// next triple. The exact-distance triples of a batch are then summed, source
+// by source and level by level, into the cumulative rows, each written in its
+// final form. Scratch is 64 counters and the batch's triples: nothing is
+// sized by graph.MaxLabel.
 func buildRows(g *graph.Graph, radius int, ranks []uint16, width int) signatures {
 	n := g.N()
 	sig := signatures{radius: radius, width: width, off: make([]uint32, 1, n*radius+1)}
@@ -89,7 +92,7 @@ func buildRows(g *graph.Graph, radius int, ranks []uint16, width int) signatures
 	}
 	var (
 		count [64]int32
-		exact [64][]uint16 // per source: its (rank, count) pairs, level after level
+		exact [64][]byte // per source: its sparse triples, level after level
 		ends  = make([]int, 64*radius)
 	)
 	g.BFSBatches(radius, func(first, depth int, reached []uint64) {
@@ -107,7 +110,7 @@ func buildRows(g *graph.Graph, radius int, ranks []uint16, width int) signatures
 			}
 			for ; touched != 0; touched &= touched - 1 {
 				src := bits.TrailingZeros64(touched)
-				exact[src] = append(exact[src], ranks[i], clampCount(int(count[src])))
+				exact[src] = append(exact[src], byte(ranks[i]>>8), byte(ranks[i]), clampCount(int(count[src])))
 				count[src] = 0
 			}
 		}
@@ -141,15 +144,18 @@ func buildRows(g *graph.Graph, radius int, ranks []uint16, width int) signatures
 // can address panics instead of wrapping.
 func slabOffset(entries, n, width int) uint32 {
 	if uint64(entries) > math.MaxUint32 {
-		panic(fmt.Sprintf("spath: the signatures of a graph of %d vertices over %d labels exceed the 2^32 entries an offset can address", n, width))
+		panic(fmt.Sprintf("spath: the signatures of a graph of %d vertices over %d labels exceed the 2^32 bytes an offset can address", n, width))
 	}
 	return uint32(entries)
 }
 
+// rankAt is the rank of the triple at row[i:].
+func rankAt(row []byte, i int) int { return int(row[i])<<8 | int(row[i+1]) }
+
 // appendSum appends to rows the rank-wise sum of the row rows[lo:hi], of
 // either form, and the sparse row add, in the form the sum's own label count
 // asks for, and returns the extended slice.
-func appendSum(rows []uint16, lo, hi int, add []uint16, width int) []uint16 {
+func appendSum(rows []byte, lo, hi int, add []byte, width int) []byte {
 	start := len(rows)
 	if hi-lo == width { // dense, and a sum has no fewer labels: dense again
 		rows = append(rows, rows[lo:hi]...)
@@ -157,17 +163,17 @@ func appendSum(rows []uint16, lo, hi int, add []uint16, width int) []uint16 {
 		return rows
 	}
 	for lo < hi && len(add) > 0 {
-		switch a, b := rows[lo], add[0]; {
+		switch a, b := rankAt(rows, lo), rankAt(add, 0); {
 		case a < b:
-			rows = append(rows, a, rows[lo+1])
-			lo += 2
+			rows = append(rows, rows[lo:lo+3]...)
+			lo += 3
 		case a > b:
-			rows = append(rows, b, add[1])
-			add = add[2:]
+			rows = append(rows, add[:3]...)
+			add = add[3:]
 		default:
-			rows = append(rows, a, clampCount(int(rows[lo+1])+int(add[1])))
-			lo += 2
-			add = add[2:]
+			rows = append(rows, rows[lo], rows[lo+1], clampCount(int(rows[lo+2])+int(add[2])))
+			lo += 3
+			add = add[3:]
 		}
 	}
 	rows = append(rows, rows[lo:hi]...)
@@ -175,45 +181,47 @@ func appendSum(rows []uint16, lo, hi int, add []uint16, width int) []uint16 {
 	if len(rows)-start < width {
 		return rows
 	}
-	// 2k ≥ width: lay the dense form out behind the pairs, then move it down
-	// over them (it is no longer than they are).
+	// 3k ≥ width: lay the dense form out behind the triples, then move it
+	// down over them (it is no longer than they are).
 	end := len(rows)
-	rows = append(rows, make([]uint16, width)...)
+	rows = append(rows, make([]byte, width)...)
 	scatter(rows[end:], rows[start:end])
 	copy(rows[start:], rows[end:])
 	return rows[:start+width]
 }
 
 // scatter adds the sparse row add into the dense row.
-func scatter(dense, add []uint16) {
-	for i := 0; i < len(add); i += 2 {
-		dense[add[i]] = clampCount(int(dense[add[i]]) + int(add[i+1]))
+func scatter(dense, add []byte) {
+	for i := 0; i < len(add); i += 3 {
+		r := rankAt(add, i)
+		dense[r] = clampCount(int(dense[r]) + int(add[i+2]))
 	}
 }
 
 // rowContains reports whether the row super has every label of the row sub
 // at least as often. A dense super answers each label of sub by index; two
 // sparse rows are one pass of two cursors.
-func rowContains(super, sub []uint16, width int) bool {
+func rowContains(super, sub []byte, width int) bool {
 	if len(sub) > len(super) {
 		return false // sub has more labels than super: one of them is missing
 	}
 	if len(super) < width {
 		i := 0
-		for j := 0; j < len(sub); j += 2 {
-			for i < len(super) && super[i] < sub[j] {
-				i += 2
+		for j := 0; j < len(sub); j += 3 {
+			r := rankAt(sub, j)
+			for i < len(super) && rankAt(super, i) < r {
+				i += 3
 			}
-			if i == len(super) || super[i] != sub[j] || super[i+1] < sub[j+1] {
+			if i == len(super) || rankAt(super, i) != r || super[i+2] < sub[j+2] {
 				return false
 			}
-			i += 2
+			i += 3
 		}
 		return true
 	}
 	if len(sub) < width {
-		for j := 0; j < len(sub); j += 2 {
-			if super[sub[j]] < sub[j+1] {
+		for j := 0; j < len(sub); j += 3 {
+			if super[rankAt(sub, j)] < sub[j+2] {
 				return false
 			}
 		}

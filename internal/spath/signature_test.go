@@ -1,6 +1,7 @@
 package spath
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"maps"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/match"
 	"github.com/psi-graph/psi/internal/workload"
@@ -46,7 +48,7 @@ func oracleSignature(g *graph.Graph, v, radius int) []map[graph.Label]int32 {
 
 // decode reads a row of either form back into labels: alphabet is the rank
 // space's label of each rank.
-func decode(row []uint16, alphabet []graph.Label) map[graph.Label]int32 {
+func decode(row []byte, alphabet []graph.Label) map[graph.Label]int32 {
 	m := make(map[graph.Label]int32)
 	if len(row) == len(alphabet) {
 		for rank, count := range row {
@@ -56,10 +58,35 @@ func decode(row []uint16, alphabet []graph.Label) map[graph.Label]int32 {
 		}
 		return m
 	}
-	for i := 0; i < len(row); i += 2 {
-		m[alphabet[row[i]]] = int32(row[i+1])
+	for i := 0; i < len(row); i += 3 {
+		m[alphabet[rankAt(row, i)]] = int32(row[i+2])
 	}
 	return m
+}
+
+// checkForm holds every row of sig to the form its label count asks for:
+// width counts when 3k ≥ width, k triples of strictly ascending rank and
+// positive count otherwise.
+func checkForm(t *testing.T, name string, sig signatures) {
+	t.Helper()
+	for i := 0; i+1 < len(sig.off); i++ {
+		row := sig.rows[sig.off[i]:sig.off[i+1]]
+		if len(row) == sig.width {
+			k := len(row) - bytes.Count(row, []byte{0})
+			if 3*k < sig.width {
+				t.Fatalf("%s: row %d = %v is dense with %d of %d labels, want sparse", name, i, row, k, sig.width)
+			}
+			continue
+		}
+		if len(row)%3 != 0 || len(row) > sig.width {
+			t.Fatalf("%s: row %d = %v is neither %d counts nor triples", name, i, row, sig.width)
+		}
+		for j := 0; j < len(row); j += 3 {
+			if row[j+2] == 0 || j > 0 && rankAt(row, j-3) >= rankAt(row, j) {
+				t.Fatalf("%s: sparse row %d = %v: ranks must ascend, counts be positive", name, i, row)
+			}
+		}
+	}
 }
 
 // ownSignatures builds g's signatures in g's own rank space, as a Matcher
@@ -74,9 +101,8 @@ func ownSignatures(t *testing.T, g *graph.Graph, radius int) signatures {
 }
 
 // checkAgainstOracle compares every row of g's signatures with the oracle's
-// map — same labels, same counts — and holds it to the form its label count
-// asks for: width counts when 2k ≥ width, k pairs of strictly ascending rank
-// and positive count otherwise.
+// map — same labels, same counts — and holds it to its form (checkForm). No
+// vertex of g sees more than 255 of one label, or the counts would saturate.
 func checkAgainstOracle(t *testing.T, g *graph.Graph, radius int) {
 	t.Helper()
 	sig := ownSignatures(t, g, radius)
@@ -87,36 +113,51 @@ func checkAgainstOracle(t *testing.T, g *graph.Graph, radius int) {
 	for v := 0; v < g.N(); v++ {
 		want := oracleSignature(g, v, radius)
 		for d := 0; d < radius; d++ {
-			row := sig.row(v, d)
-			if got := decode(row, g.LabelValues()); !maps.Equal(got, want[d]) {
+			if got := decode(sig.row(v, d), g.LabelValues()); !maps.Equal(got, want[d]) {
 				t.Fatalf("%s radius=%d: row(%d, %d) = %v, oracle %v", g.Name(), radius, v, d, got, want[d])
-			}
-			k := len(want[d])
-			if 2*k >= width {
-				if len(row) != width {
-					t.Fatalf("%s radius=%d: row(%d, %d) has %d of %d labels and %d entries, want dense", g.Name(), radius, v, d, k, width, len(row))
-				}
-				continue
-			}
-			if len(row) != 2*k {
-				t.Fatalf("%s radius=%d: row(%d, %d) has %d of %d labels and %d entries, want sparse", g.Name(), radius, v, d, k, width, len(row))
-			}
-			for i := 0; i < len(row); i += 2 {
-				if row[i+1] == 0 || i > 0 && row[i-2] >= row[i] {
-					t.Fatalf("%s radius=%d: sparse row(%d, %d) = %v: ranks must ascend, counts be positive", g.Name(), radius, v, d, row)
-				}
 			}
 		}
 	}
+	checkForm(t, fmt.Sprintf("%s radius=%d", g.Name(), radius), sig)
 }
 
 // sparseGraph draws n vertices with labels from alphabet and about
 // n*degree/2 random edges: at degree 1.5 it is disconnected and has isolated
 // vertices.
 func sparseGraph(r *rand.Rand, n int, degree float64, alphabet []graph.Label) *graph.Graph {
+	labels := make([]graph.Label, n)
+	for i := range labels {
+		labels[i] = alphabet[r.Intn(len(alphabet))]
+	}
+	return randomEdges(r, labels, degree)
+}
+
+// everyLabel is sparseGraph with alphabet dealt round the vertices in turn,
+// so a graph of at least len(alphabet) vertices carries all of it.
+func everyLabel(r *rand.Rand, n int, degree float64, alphabet []graph.Label) *graph.Graph {
+	labels := make([]graph.Label, n)
+	for i := range labels {
+		labels[i] = alphabet[i%len(alphabet)]
+	}
+	return randomEdges(r, labels, degree)
+}
+
+// wideAlphabet is n labels, 7 apart: at 300 the rank space's last 44 ranks
+// have a high byte of 1.
+func wideAlphabet(n int) []graph.Label {
+	alphabet := make([]graph.Label, n)
+	for i := range alphabet {
+		alphabet[i] = graph.Label(7 * i)
+	}
+	return alphabet
+}
+
+// randomEdges builds a graph over labels with about n*degree/2 random edges.
+func randomEdges(r *rand.Rand, labels []graph.Label, degree float64) *graph.Graph {
+	n := len(labels)
 	b := graph.NewBuilder(fmt.Sprintf("g%d", n))
-	for i := 0; i < n; i++ {
-		b.AddVertex(alphabet[r.Intn(len(alphabet))])
+	for _, l := range labels {
+		b.AddVertex(l)
 	}
 	for i := 0; n > 1 && i < int(float64(n)*degree/2); i++ {
 		u, v := r.Intn(n), r.Intn(n)
@@ -129,9 +170,10 @@ func sparseGraph(r *rand.Rand, n int, degree float64, alphabet []graph.Label) *g
 	return b.MustBuild()
 }
 
-// wideLabels straddle 4095 and reach 2^20: the labels the hand-built cases
-// and the fuzz target draw from.
-var wideLabels = []graph.Label{0, 1, 4095, 4096, 1 << 20}
+// wideLabels straddle 4095 and reach 2^30: the labels the hand-built cases
+// and the fuzz target draw from. Eight of them make a row of one or two labels
+// sparse and one of three dense.
+var wideLabels = []graph.Label{0, 1, 4095, 4096, 1 << 20, 1<<20 + 1, 1 << 24, 1 << 30}
 
 // star returns a graph over the first width of wideLabels, one vertex each:
 // vertex 0 is adjacent to vertices 1..k and the rest are isolated, so
@@ -148,9 +190,11 @@ func star(width, k int) *graph.Graph {
 // oracle on graphs whose sizes straddle the 64-source batch, sparse
 // (disconnected, isolated vertices) and dense (everything within radius),
 // over labels that straddle 4095 and reach 2^20; n=24 is the query-sized
-// case, one partial batch. Alphabets of width 0 (no vertex) to 3 make nearly
-// every row dense, the six-label one nearly every row of a sparse graph
-// sparse, and the stars sit on the boundary between the forms.
+// case, one partial batch. Alphabets of width 0 (no vertex) to 3 make every
+// row dense, the six-label one keeps a sparse graph's rows of one label
+// sparse, and the graphs over 300 labels, all present, put ranks with a
+// non-zero high byte in sparse rows and dense rows of 300 counts side by
+// side. The stars sit on the boundary between the forms.
 func TestSignaturesAgainstOracle(t *testing.T) {
 	alphabets := [][]graph.Label{
 		{0, 1, 4094, 4095, 4096, 1 << 20},
@@ -168,15 +212,20 @@ func TestSignaturesAgainstOracle(t *testing.T) {
 			}
 		}
 	}
+	for radius := 1; radius <= 5; radius++ {
+		for _, degree := range []float64{1.5, 4} {
+			checkAgainstOracle(t, everyLabel(r, 330, degree, wideAlphabet(300)), radius)
+		}
+	}
 	for _, tc := range []struct {
 		width, k int
 		dense    bool
 	}{
 		{1, 0, false}, // a lone vertex: an empty row is sparse
 		{2, 1, true},
-		{3, 1, false}, {3, 2, true},
-		{4, 1, false}, {4, 2, true}, // 2k = width
-		{5, 2, false}, {5, 3, true}, // 2k = width − 1, width + 1
+		{3, 1, true},                // 3k = width
+		{4, 1, false}, {5, 2, true}, // 3k = width − 1, width + 1
+		{6, 2, true}, {7, 2, false}, {8, 2, false}, {8, 3, true},
 	} {
 		g := star(tc.width, tc.k)
 		checkAgainstOracle(t, g, 2)
@@ -201,13 +250,14 @@ func TestSignatureScratchNotLabelSized(t *testing.T) {
 	}
 }
 
-// TestSixteenBitClamps: the two places a row is narrower than the graph it
-// describes. Each is exact below its limit and errs only towards containment
-// beyond it, so the filter never prunes a true image.
-func TestSixteenBitClamps(t *testing.T) {
+// TestByteClamps: the two places a row is narrower than the graph it
+// describes, 16-bit ranks and one-byte counts. Each is exact below its limit
+// and errs only towards containment beyond it, so the filter never prunes a
+// true image.
+func TestByteClamps(t *testing.T) {
 	for _, tc := range []struct{ in, rank, count int }{
-		{0, 0, 0}, {1, 1, 1}, {65534, 65534, 65534}, {65535, 65535, 65535},
-		{65536, 65535, 65535}, {1 << 20, 65535, 65535},
+		{0, 0, 0}, {1, 1, 1}, {254, 254, 254}, {255, 255, 255}, {256, 256, 255}, {300, 300, 255},
+		{65534, 65534, 255}, {65535, 65535, 255}, {65536, 65535, 255}, {1 << 20, 65535, 255},
 	} {
 		if got := clampRank(tc.in); int(got) != tc.rank {
 			t.Errorf("clampRank(%d) = %d, want %d", tc.in, got, tc.rank)
@@ -216,37 +266,47 @@ func TestSixteenBitClamps(t *testing.T) {
 			t.Errorf("clampCount(%d) = %d, want %d", tc.in, got, tc.count)
 		}
 	}
-	// Hand-built rows over three ranks, one label each in the sparse form and
-	// all three in the dense one: stored count against query count.
+	// Hand-built rows over four ranks, one label (rank 1) in the sparse form
+	// and three in the dense one: stored count against query count.
 	for _, tc := range []struct {
 		stored, query int
 		want          bool // what the clamped rows answer
 		exact         bool // whether that is the true answer
 	}{
-		{65534, 65534, true, true}, {65534, 65535, false, true}, {65535, 65534, true, true},
-		{65535, 65535, true, true}, {65535, 65536, true, false}, {65536, 65535, true, true},
-		{70000, 65536, true, true}, {65536, 70000, true, false}, {65534, 70000, false, true},
+		{254, 254, true, true}, {254, 255, false, true}, {255, 254, true, true},
+		{255, 255, true, true}, {255, 256, true, false}, {256, 255, true, true},
+		{300, 256, true, true}, {256, 300, true, false}, {254, 300, false, true},
+		{300, 254, true, true}, {300, 300, true, true},
 	} {
 		if tc.exact != (tc.want == (tc.stored >= tc.query)) {
 			t.Fatalf("case %+v contradicts itself", tc)
 		}
 		s, q := clampCount(tc.stored), clampCount(tc.query)
-		for name, rows := range map[string][2][]uint16{
-			"sparse in sparse": {{1, s}, {1, q}},
-			"sparse in dense":  {{3, s, 9}, {1, q}},
-			"dense in dense":   {{3, s, 9}, {2, q, 1}},
+		for name, rows := range map[string][2][]byte{
+			"sparse in sparse": {{0, 1, s}, {0, 1, q}},
+			"sparse in dense":  {{3, s, 9, 0}, {0, 1, q}},
+			"dense in dense":   {{3, s, 9, 0}, {2, q, 1, 0}},
 		} {
-			if got := rowContains(rows[0], rows[1], 3); got != tc.want {
+			if got := rowContains(rows[0], rows[1], 4); got != tc.want {
 				t.Errorf("%s: stored %d, query %d: contained %v, want %v", name, tc.stored, tc.query, got, tc.want)
 			}
 		}
 	}
-	// Sums saturate too: scatter and the sparse merge add through clampCount.
-	if got := appendSum([]uint16{0, 65000, 1, 7}, 0, 4, []uint16{0, 1000, 1, 1}, 5); !slices.Equal(got[4:], []uint16{0, 65535, 1, 8}) {
-		t.Errorf("sparse sum = %v", got[4:])
+	// Sums saturate too: the sparse merge and scatter add through clampCount,
+	// and a merge that turns dense scatters its saturated triples.
+	if got := appendSum([]byte{0, 0, 250, 1, 2, 7}, 0, 6, []byte{0, 0, 10, 1, 2, 1}, 300); !slices.Equal(got[6:], []byte{0, 0, 255, 1, 2, 8}) {
+		t.Errorf("sparse sum = %v", got[6:])
 	}
-	if got := appendSum([]uint16{65000, 7}, 0, 2, []uint16{0, 1000, 1, 1}, 2); !slices.Equal(got[2:], []uint16{65535, 8}) {
-		t.Errorf("dense sum = %v", got[2:])
+	if got := appendSum([]byte{250, 7, 0}, 0, 3, []byte{0, 0, 10, 0, 1, 1}, 3); !slices.Equal(got[3:], []byte{255, 8, 0}) {
+		t.Errorf("dense sum = %v", got[3:])
+	}
+	if got := appendSum([]byte{0, 1, 200}, 0, 3, []byte{0, 1, 100, 0, 3, 4}, 6); !slices.Equal(got[3:], []byte{0, 255, 0, 4, 0, 0}) {
+		t.Errorf("sparse sum turned dense = %v", got[3:])
+	}
+	dense := []byte{200, 255, 1}
+	scatter(dense, []byte{0, 0, 100, 0, 1, 1, 0, 2, 254})
+	if !slices.Equal(dense, []byte{255, 255, 255}) {
+		t.Errorf("scatter = %v", dense)
 	}
 
 	// Two labels sharing the last rank, as labels of rank 65 535 and up do:
@@ -291,7 +351,7 @@ func TestSixteenBitClamps(t *testing.T) {
 		t.Errorf("slabOffset(2^32-1) = %d", got)
 	}
 	defer func() {
-		if msg := fmt.Sprint(recover()); msg != "spath: the signatures of a graph of 5 vertices over 3 labels exceed the 2^32 entries an offset can address" {
+		if msg := fmt.Sprint(recover()); msg != "spath: the signatures of a graph of 5 vertices over 3 labels exceed the 2^32 bytes an offset can address" {
 			t.Errorf("slabOffset(2^32) recovered %q", msg)
 		}
 	}()
@@ -340,23 +400,23 @@ func handFilterCases() []filterCase {
 		// carries a label the stored graph lacks, between two it has.
 		{graph.MustNew("g", []graph.Label{l[0], l[1], l[3], l[0], l[1]}, [][2]int{{0, 1}, {1, 2}, {3, 4}}),
 			[]*graph.Graph{path("q", l[0], l[1], l[3]), path("foreign", l[0], l[1], l[2])}},
-		// Three labels. Stored vertex 0 sees one of them (a sparse row) and
+		// Four labels. Stored vertex 0 sees one of them (a sparse row) and
 		// vertex 3 two (a dense one); the query's middle vertex sees two, so
 		// its dense row meets a sparse and a dense stored row. The second
 		// query is all dense rows in dense rows, counts deciding.
-		{graph.MustNew("w3", []graph.Label{l[0], l[1], l[1], l[0], l[1], l[2], l[2]}, [][2]int{{0, 1}, {0, 2}, {3, 4}, {3, 5}, {3, 6}}),
+		{graph.MustNew("w4", []graph.Label{l[0], l[1], l[1], l[0], l[1], l[2], l[2], l[3]}, [][2]int{{0, 1}, {0, 2}, {3, 4}, {3, 5}, {3, 6}}),
 			[]*graph.Graph{path("dense-row", l[1], l[0], l[2]), graph.MustNew("counts", []graph.Label{l[0], l[2], l[2], l[1]}, [][2]int{{0, 1}, {0, 2}, {0, 3}})}},
-		// Five labels, sparse rows: the query's vertex 0 sees more distinct
+		// Eight labels, sparse rows: the query's vertex 0 sees more distinct
 		// labels than stored vertex 0 and as many as stored vertex 3.
-		{graph.MustNew("w5", []graph.Label{l[0], l[1], l[1], l[0], l[1], l[3], l[2], l[4]}, [][2]int{{0, 1}, {0, 2}, {3, 4}, {3, 5}}),
+		{graph.MustNew("w8", []graph.Label{l[0], l[1], l[1], l[0], l[1], l[3], l[2], l[4], l[5], l[6], l[7]}, [][2]int{{0, 1}, {0, 2}, {3, 4}, {3, 5}}),
 			[]*graph.Graph{graph.MustNew("more-labels", []graph.Label{l[0], l[1], l[3]}, [][2]int{{0, 1}, {0, 2}})}},
 		// One label: every non-empty row is dense; a triangle in a 4-clique
 		// minus an edge, and a query larger than the stored graph's degrees.
 		{graph.MustNew("w1", []graph.Label{l[4], l[4], l[4], l[4]}, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {2, 3}}),
 			[]*graph.Graph{graph.MustNew("triangle", []graph.Label{l[4], l[4], l[4]}, [][2]int{{0, 1}, {1, 2}, {0, 2}}), path("p5", l[4], l[4], l[4], l[4], l[4])}},
 		// Boundary stars as stored graphs and as queries of one another.
-		{star(5, 3), []*graph.Graph{star(5, 2), star(4, 2), star(5, 3)}},
-		{star(4, 2), []*graph.Graph{star(4, 1), star(5, 2)}},
+		{star(7, 3), []*graph.Graph{star(7, 2), star(6, 2), star(7, 3)}},
+		{star(6, 2), []*graph.Graph{star(6, 1), star(7, 2)}},
 		// Nothing to match against, and nothing to match.
 		{graph.MustNew("empty", nil, nil), []*graph.Graph{path("one", l[0])}},
 		{path("pair", l[0], l[1]), []*graph.Graph{graph.MustNew("none", nil, nil), graph.MustNew("isolated", []graph.Label{l[1], l[0]}, nil)}},
@@ -412,15 +472,13 @@ func checkCandidates(t *testing.T, g, q *graph.Graph, radius int) {
 // sets are exactly the definition's, so path ordering and the search — which
 // see nothing else of the signatures — emit what they always did. Every
 // stored graph also meets the next one's queries, which mostly fail the
-// filter and, across alphabets, carry labels it lacks.
+// filter and, across alphabets, carry labels it lacks. The graph over 300
+// labels puts triples with a rank high byte of 1 in stored and query rows.
 func TestCandidatesMatchOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	four := sparseGraph(r, 90, 5, []graph.Label{0, 1, 2, 3})
-	forty := make([]graph.Label, 40)
-	for i := range forty {
-		forty[i] = graph.Label(100 * i)
-	}
-	cases := append(randomFilterCases(), extractedCase(four, 1), extractedCase(sparseGraph(r, 150, 4, forty), 2))
+	cases := append(randomFilterCases(), extractedCase(four, 1), extractedCase(sparseGraph(r, 150, 4, wideAlphabet(40)), 2),
+		extractedCase(everyLabel(r, 330, 3, wideAlphabet(300)), 3))
 	cases = append(cases, handFilterCases()...)
 	for i, c := range cases {
 		for _, q := range slices.Concat(c.queries, cases[(i+1)%len(cases)].queries) {
@@ -430,8 +488,8 @@ func TestCandidatesMatchOracle(t *testing.T) {
 }
 
 // fuzzCase decodes a fuzz input: radius 1..5, a stored graph of up to 32
-// vertices over the first 1..5 of wideLabels and a query of up to 8 over its
-// own first 1..5, so a query may carry labels the stored graph lacks; then
+// vertices over the first 1..8 of wideLabels and a query of up to 8 over its
+// own first 1..8, so a query may carry labels the stored graph lacks; then
 // the stored graph's edges as vertex pairs and, after them, the query's.
 func fuzzCase(data []byte) (g, q *graph.Graph, radius int) {
 	var head [6]int
@@ -458,15 +516,16 @@ func fuzzCase(data []byte) (g, q *graph.Graph, radius int) {
 		}
 		return b.MustBuild()
 	}
-	g = build("fuzz-g", head[1]%33, head[2]%5+1, head[3])
-	q = build("fuzz-q", head[4]%9, head[5]%5+1, len(data))
+	g = build("fuzz-g", head[1]%33, head[2]%len(wideLabels)+1, head[3])
+	q = build("fuzz-q", head[4]%9, head[5]%len(wideLabels)+1, len(data))
 	return g, q, head[0]%5 + 1
 }
 
 // fuzzInput spells a stored graph and a query over wideLabels as fuzzCase
 // reads them.
 func fuzzInput(g, q *graph.Graph, radius int) []byte {
-	data := []byte{byte(radius - 1), byte(g.N()), 4, byte(g.M()), byte(q.N()), 4}
+	all := byte(len(wideLabels) - 1)
+	data := []byte{byte(radius - 1), byte(g.N()), all, byte(g.M()), byte(q.N()), all}
 	for _, x := range []*graph.Graph{g, q} {
 		for _, l := range x.Labels() {
 			data = append(data, byte(slices.Index(wideLabels, l)))
@@ -476,9 +535,9 @@ func fuzzInput(g, q *graph.Graph, radius int) []byte {
 	return data
 }
 
-// FuzzSPathCandidates holds the filter to its definition on whatever small
-// stored graph and query the input spells, seeded with handFilterCases at
-// every radius.
+// FuzzSPathCandidates holds the filter to its definition, and the stored
+// graph's and the query's rows to their forms, on whatever small stored graph
+// and query the input spells, seeded with handFilterCases at every radius.
 func FuzzSPathCandidates(f *testing.F) {
 	for _, c := range handFilterCases() {
 		for _, q := range c.queries {
@@ -489,6 +548,10 @@ func FuzzSPathCandidates(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, q, radius := fuzzCase(data)
+		checkForm(t, "stored", ownSignatures(t, g, radius))
+		if qSig, ok := buildSignatures(q, radius, g); ok {
+			checkForm(t, "query", qSig)
+		}
 		checkCandidates(t, g, q, radius)
 	})
 }
@@ -502,6 +565,42 @@ func TestFuzzInputRoundTrips(t *testing.T) {
 				t.Errorf("%s in %s does not survive the fuzz encoding", q.Name(), c.g.Name())
 			}
 		}
+	}
+}
+
+// TestCountClampOnAStar: the stored centre has 300 leaves of one label, so
+// its counts saturate at 255. Stars of 254 and 255 leaves, the largest query
+// the counts are exact for, get exactly the oracle's candidates, the centre
+// among them.
+func TestCountClampOnAStar(t *testing.T) {
+	star := func(leaves int) *graph.Graph {
+		labels := make([]graph.Label, leaves+1)
+		edges := make([][2]int, leaves)
+		for i := range edges {
+			labels[i+1] = 1
+			edges[i] = [2]int{0, i + 1}
+		}
+		return graph.MustNew(fmt.Sprintf("star%d", leaves), labels, edges)
+	}
+	g := star(300)
+	m := New(g)
+	if row := m.sig.row(0, 0); !slices.Equal(row, []byte{0, 255}) {
+		t.Fatalf("centre's row = %v, want 300 leaves saturated to [0 255]", row)
+	}
+	for _, leaves := range []int{254, 255} {
+		checkCandidates(t, g, star(leaves), DefaultRadius)
+		cand, err := m.candidates(star(leaves), match.NewBudget(context.Background()))
+		if err != nil || cand == nil || !cand[0].Has(0) {
+			t.Errorf("%d leaves: candidates %v, error %v; want the centre for the centre", leaves, cand, err)
+		}
+	}
+}
+
+// TestYeastIndexBytes pins what the signature index holds on the paper-scale
+// yeast graph, the nfv_race stored graph.
+func TestYeastIndexBytes(t *testing.T) {
+	if got := New(gen.YeastLike(gen.Paper, 1)).IndexBytes(); got > 1_300_000 {
+		t.Errorf("IndexBytes = %d, want at most 1 300 000", got)
 	}
 }
 

@@ -47,7 +47,7 @@ func NewWithRadius(g *graph.Graph, radius int) *Matcher {
 
 // IndexBytes returns the size of the signature index: the row slab and its
 // offsets.
-func (m *Matcher) IndexBytes() int { return 2*len(m.sig.rows) + 4*len(m.sig.off) }
+func (m *Matcher) IndexBytes() int { return len(m.sig.rows) + 4*len(m.sig.off) }
 
 // Name implements match.Matcher.
 func (m *Matcher) Name() string { return "SPA" }

@@ -42,9 +42,9 @@ func TestSignatureRows(t *testing.T) {
 			t.Errorf("row(0, %d) = %v, want %v", d, got, w)
 		}
 	}
-	// One label of four is a (rank, count) pair; two or more are four counts
-	// indexed by rank.
-	for d, w := range [][]uint16{{1, 1}, {0, 1, 1, 0}, {0, 1, 1, 1}} {
+	// One label of four is a (rank high byte, rank low byte, count) triple;
+	// two or more are four counts indexed by rank.
+	for d, w := range [][]byte{{0, 1, 1}, {0, 1, 1, 0}, {0, 1, 1, 1}} {
 		if got := sig.row(0, d); !slices.Equal(got, w) {
 			t.Errorf("row(0, %d) is stored as %v, want %v", d, got, w)
 		}
@@ -78,12 +78,13 @@ func TestContainsIsCumulative(t *testing.T) {
 		t.Error("containment must compare counts per label")
 	}
 
-	// Every pairing of row forms, over three labels (one label of three is a
-	// pair, two are three counts). Stored vertex 0 sees two label-1 vertices,
-	// stored vertex 3 one label-1 and two label-2 vertices.
-	stored := graph.MustNew("stored", []graph.Label{0, 1, 1, 0, 1, 2, 2}, [][2]int{{0, 1}, {0, 2}, {3, 4}, {3, 5}, {3, 6}})
+	// Every pairing of row forms, over four labels (one label of four is a
+	// triple, two are four counts). Stored vertex 0 sees two label-1 vertices,
+	// stored vertex 3 one label-1 and two label-2 vertices; vertex 7, label 3,
+	// is isolated.
+	stored := graph.MustNew("stored", []graph.Label{0, 1, 1, 0, 1, 2, 2, 3}, [][2]int{{0, 1}, {0, 2}, {3, 4}, {3, 5}, {3, 6}})
 	s := ownSignatures(t, stored, 1)
-	if len(s.row(0, 0)) != 2 || len(s.row(3, 0)) != 3 {
+	if len(s.row(0, 0)) != 3 || len(s.row(3, 0)) != 4 {
 		t.Fatalf("stored rows %v and %v: want one sparse, one dense", s.row(0, 0), s.row(3, 0))
 	}
 	for _, tc := range []struct {
@@ -108,19 +109,19 @@ func TestContainsIsCumulative(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: labels %v are all in the stored graph", tc.name, tc.labels)
 		}
-		if got := len(qs.row(0, 0)) == 3; got != tc.dense {
+		if got := len(qs.row(0, 0)) == 4; got != tc.dense {
 			t.Errorf("%s: row %v, dense %v, want %v", tc.name, qs.row(0, 0), got, tc.dense)
 		}
 		if got0, got3 := s.contains(0, &qs, 0), s.contains(3, &qs, 0); got0 != tc.in0 || got3 != tc.in3 {
 			t.Errorf("%s: contained in the sparse row %v, in the dense row %v, want %v and %v", tc.name, got0, got3, tc.in0, tc.in3)
 		}
 	}
-	// More distinct labels than the stored row has, both sparse: over five
+	// More distinct labels than the stored row has, both sparse: over seven
 	// labels, {1, 3} cannot fit in {1}, whatever the counts.
-	wide := graph.MustNew("wide", []graph.Label{0, 1, 1, 2, 3, 4}, [][2]int{{0, 1}, {0, 2}})
+	wide := graph.MustNew("wide", []graph.Label{0, 1, 1, 2, 3, 4, 5, 6}, [][2]int{{0, 1}, {0, 2}})
 	ws := ownSignatures(t, wide, 1)
 	more, _ := buildSignatures(graph.MustNew("more", []graph.Label{0, 1, 3}, [][2]int{{0, 1}, {0, 2}}), 1, wide)
-	if len(ws.row(0, 0)) != 2 || len(more.row(0, 0)) != 4 || ws.contains(0, &more, 0) {
+	if len(ws.row(0, 0)) != 3 || len(more.row(0, 0)) != 6 || ws.contains(0, &more, 0) {
 		t.Errorf("query row %v must not fit in stored row %v", more.row(0, 0), ws.row(0, 0))
 	}
 }

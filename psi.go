@@ -2,6 +2,7 @@ package psi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -123,6 +124,9 @@ func NewBuilder(name string) *Builder { return graph.NewBuilder(name) }
 // algorithm's preprocessing ("indexing phase") happens here; the returned
 // matcher is safe for concurrent queries.
 func NewMatcher(algo Algorithm, g *Graph) (Matcher, error) {
+	if g == nil {
+		return nil, errors.New("psi: NewMatcher requires a stored graph")
+	}
 	switch algo {
 	case VF2:
 		return vf2.New(g), nil
@@ -136,7 +140,8 @@ func NewMatcher(algo Algorithm, g *Graph) (Matcher, error) {
 	return nil, fmt.Errorf("psi: unknown algorithm %q", algo)
 }
 
-// MustNewMatcher is NewMatcher but panics on an unknown algorithm.
+// MustNewMatcher is NewMatcher but panics on an unknown algorithm or a nil
+// graph.
 func MustNewMatcher(algo Algorithm, g *Graph) Matcher {
 	m, err := NewMatcher(algo, g)
 	if err != nil {

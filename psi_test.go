@@ -51,6 +51,19 @@ func TestNewMatcherAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestNewMatcherNilGraph: every algorithm refuses a nil stored graph with an
+// error, as NewEngine does, instead of panicking or building over nothing.
+func TestNewMatcherNilGraph(t *testing.T) {
+	for _, algo := range []psi.Algorithm{psi.VF2, psi.QuickSI, psi.GraphQL, psi.SPath} {
+		t.Run(string(algo), func(t *testing.T) {
+			m, err := psi.NewMatcher(algo, nil)
+			if m != nil || err == nil || err.Error() != "psi: NewMatcher requires a stored graph" {
+				t.Errorf("NewMatcher(%s, nil) = %v, %v; want no matcher and the stored-graph error", algo, m, err)
+			}
+		})
+	}
+}
+
 func TestNewMatcherUnknown(t *testing.T) {
 	if _, err := psi.NewMatcher("NOPE", storedGraph()); err == nil {
 		t.Error("expected error")

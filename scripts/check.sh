@@ -88,11 +88,13 @@ go test -run='^$' -fuzz=FuzzLocSets -fuzztime=5s ./internal/ftv
 
 echo "== fuzz (FuzzSPathCandidates, 5s) =="
 # A stored graph of up to 32 vertices and a query of up to 8 over alphabets of
-# one to five labels of every width, radius 1..5, against the filter's
-# definition on the map-based oracle signatures: sPath's rows take one of two
-# forms by their own label count and sit in the stored graph's rank space, and
-# this is where a row on the wrong side of that rule, a query label the stored
-# graph lacks, or a containment that reads one form as the other shows.
+# one to eight labels of every width, radius 1..5, against the filter's
+# definition on the map-based oracle signatures, with every stored and query
+# row held to its form: sPath's rows are bytes, width one-byte counts when a
+# row's k labels have 3k ≥ width and k (rank high, rank low, count) triples
+# otherwise, in the stored graph's rank space, and this is where a row on the
+# wrong side of that rule, a query label the stored graph lacks, or a
+# containment that reads one form as the other shows.
 go test -run='^$' -fuzz=FuzzSPathCandidates -fuzztime=5s ./internal/spath
 
 echo "== fuzz (FuzzSnapshotSections, 5s) =="
