@@ -249,14 +249,19 @@
 // the fold appends each graph's slab to the index's and nothing is
 // re-encoded); the extractor walks a label trie
 // alongside its path DFS (next paragraph), so a path costs a share of one
-// table probe, not a label slice and a hashed key. The per-graph results
-// come out flat and in the
-// snapshot format's canonical order; graph g is routed to shard g mod K and
-// every (kind, shard) index is folded from its graphs' features in graph-ID
-// order, so posting lists — measured in a first pass, carved from one byte
-// slab with no slack and filled in a second — are born sorted, the filter
-// intersects them with forward cursors, the snapshot export is a plain walk,
-// and a build is byte-identical at any worker count. The table is nothing but
+// table probe, not a label slice and a hashed key. A worker keeps its trie
+// from graph to graph — the graphs of a dataset spell mostly the same
+// sequences — and a graph's features come out as the slots it counted, in
+// the order it first counted them; a trie past 2^18 slots is
+// sealed and the worker starts another on the same table. Graph g is routed
+// to shard g mod K and every (kind, shard) index is folded from its graphs'
+// features in graph-ID order: the fold interns each trie slot its graphs
+// name once, parents first, into a trie of its own, whose walk is the
+// snapshot format's canonical order, so posting lists — measured in a first
+// pass, carved from one byte slab with no slack and filled in a second — are
+// born sorted, the filter intersects them with forward cursors, the snapshot
+// export is a plain walk, and a build is byte-identical at any worker count,
+// whichever worker took which graph. The table is nothing but
 // slabs in canonical order. Its label sequences live in a sequence directory
 // (the sequences concatenated, one end each), which every cell of a grid,
 // whatever its kind and shard, shares: each fold makes its own, and
@@ -286,15 +291,16 @@
 // At the deepest level — nine tenths of the DFS nodes — a run whose spelling
 // is a mirror (its label is below the start vertex's, or equal to it over a
 // backwards inner segment) is skipped without touching its members, so only
-// oriented spellings ever get a slot there and the per-graph trie, its
-// flattening and its allocations roughly halve. The label-run order is
-// extraction scratch only: the stored graph's CSR neighbour order, and with it
-// every matcher's embedding order, is untouched. The scratch — trie table,
-// slot arrays, adjacency, location rows and lists — belongs to the build: a
-// worker reuses it from graph to graph and it is garbage when the extraction
-// returns (no package-level pool whose contents would outlive the build).
-// The folds then run on the same pool, one (kind, shard) cell per task, and
-// a fold that panics fails the build with an error.
+// oriented spellings ever get a slot there and the trie roughly halves. The
+// label-run order is extraction scratch only: the stored graph's CSR
+// neighbour order, and with it every matcher's embedding order, is untouched.
+// The scratch — trie, slot state, adjacency, location rows and lists —
+// belongs to the build: a worker reuses it from graph to graph, taking the
+// graphs largest first, and all of it but the tries' slots, which the
+// features name until the folds have read them, is garbage when the
+// extraction returns (no package-level pool whose contents would outlive the
+// build). The folds then run on the same pool, one (kind, shard) cell per
+// task, and a fold that panics fails the build with an error.
 //
 // Orientation: an undirected path reads as a label sequence L from one end
 // and as reverse(L) from the other, and the DFS from every vertex meets it

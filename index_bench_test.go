@@ -99,7 +99,10 @@ func BenchmarkIndexFixedAnswer(b *testing.B) {
 // the opposite end of the range, which the harness does not cover: one
 // sparse 8000-vertex graph over 300 labels (the paper's PPI/PDBS-style
 // shape), where nearly every path is its own feature and any per-feature
-// scratch proportional to the vertex count dominates the build. The
+// scratch proportional to the vertex count dominates the build; and 40
+// sparse 300-vertex graphs over 100 labels, which share few of their
+// sequences, so that an extraction worker's trie, kept from graph to graph,
+// grows without paying off and is sealed when it passes its size. The
 // micro-benchmarks below iterate on the index-build path without the 40 s
 // harness; run with -benchmem.
 var buildBenchShapes = []struct {
@@ -109,6 +112,7 @@ var buildBenchShapes = []struct {
 	{"40x300n4l", gen.SyntheticConfig{NumGraphs: 40, AvgNodes: 300, NodeSpread: 100, Density: 8.0 / 300, Labels: 4}},
 	{"300x50n8l", gen.SyntheticConfig{NumGraphs: 300, AvgNodes: 50, NodeSpread: 16, Density: 5.0 / 50, Labels: 8}},
 	{"1x8000n300l", gen.SyntheticConfig{NumGraphs: 1, AvgNodes: 8000, Density: 3.0 / 8000, Labels: 300}}, // 12k edges
+	{"40x300n100l", gen.SyntheticConfig{NumGraphs: 40, AvgNodes: 300, NodeSpread: 100, Density: 4.0 / 300, Labels: 100}},
 }
 
 // BenchmarkExtractFeatures is the shared path-feature pass alone, over the

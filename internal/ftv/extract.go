@@ -12,18 +12,26 @@ package ftv
 // regrouped, in build scratch, into runs of equally labelled neighbours: every
 // node below a start vertex is one path occurrence, and all the extensions of
 // a path by one run share a label sequence, so the extractor works a run at a
-// time. It walks a per-graph LabelTrie alongside the DFS — the slot of a
-// sequence is the child, under its last label, of its prefix's slot: one table
-// probe per run — adds the run's members off the path to the slot's count
-// and, when the slot is an oriented spelling (decided once, when the slot is
-// made), records their vertices in the slot's location set (locate). The DFS
-// meets every undirected path from both ends; at the deepest level, most of
-// the walk, a run that spells its paths backwards is skipped on its label
-// alone, so no slot is ever made for a mirror spelling of full length. No
-// label slice, key or hash set is built per path, and the same code serves
-// any label width and any maxLen.
+// time. It walks a LabelTrie alongside the DFS — the slot of a sequence is the
+// child, under its last label, of its prefix's slot: one table probe per run —
+// adds the run's members off the path to the slot's count and, when the slot
+// is an oriented spelling (decided once, when the slot is made), records their
+// vertices in the slot's location set (locate). The DFS meets every undirected
+// path from both ends; at the deepest level, most of the walk, a run that
+// spells its paths backwards is skipped on its label alone, so no slot is ever
+// made for a mirror spelling of full length. No label slice, key or hash set
+// is built per path, and the same code serves any label width and any maxLen.
+//
+// A feature leaves the extractor as its trie slot. The graphs of one dataset
+// spell mostly the same sequences (the benchmark's 300 × 50-vertex, 8-label
+// dataset: 1.59 M (graph, feature) pairs over 19 044 distinct sequences), so
+// a worker keeps its trie from graph to graph, a graph's features are the
+// slots it counted, in the order it first counted them, and a fold interns
+// each slot of each trie once rather than every label of every posting
+// (index.FoldPath).
 
 import (
+	"cmp"
 	"context"
 	"math/bits"
 	"slices"
@@ -33,14 +41,15 @@ import (
 )
 
 // Features is one graph's path features — each undirected label path once,
-// under its oriented spelling — in canonical order — label sequences
-// ascending lexicographically, a shorter prefix first, the feature order of
-// the snapshot format — stored flat: indexes folded from the
-// features of graphs 0..n-1 in that order get posting lists that are born
-// sorted. Immutable once extracted.
+// under its oriented spelling — as slots of the label trie its extraction
+// walked, in the order the walk first counted each. That trie may hold other
+// graphs' slots too (ExtractDatasetFeatures), so a feature's slot names its
+// sequence only within Trie. Canonical gives the features in canonical order
+// — label sequences ascending lexicographically, a shorter prefix first, the
+// feature order of the snapshot format. Immutable once extracted.
 type Features struct {
-	labels  []graph.Label // the label sequences, concatenated
-	ends    []int32       // feature i's labels end at labels[ends[i]]
+	trie    *LabelTrie
+	slots   []int32 // feature i's sequence is trie slot slots[i]
 	counts  []int32
 	words   int      // the graph's bitset row length
 	locs    LocSets  // the location sets
@@ -50,8 +59,33 @@ type Features struct {
 // Len is the number of distinct features.
 func (f *Features) Len() int { return len(f.counts) }
 
-// Labels returns feature i's label sequence. Callers must not modify it.
-func (f *Features) Labels(i int) []graph.Label { return f.labels[start(f.ends, i):f.ends[i]] }
+// Trie returns the label trie the features' slots are in.
+func (f *Features) Trie() *LabelTrie { return f.trie }
+
+// Slot returns feature i's slot in Trie.
+func (f *Features) Slot(i int) int32 { return f.slots[i] }
+
+// AppendLabels appends feature i's label sequence to dst.
+func (f *Features) AppendLabels(dst []graph.Label, i int) []graph.Label {
+	return f.trie.AppendLabels(dst, f.slots[i])
+}
+
+// Canonical returns the features' indices in canonical order, found by a walk
+// of Trie: as long as the trie, not the graph, and one allocation.
+func (f *Features) Canonical() []int32 {
+	n := f.trie.Len()
+	buf := make([]int32, n+len(f.slots)+f.trie.walkScratch())
+	at, order := buf[:n], buf[n:n:n+len(f.slots)] // at: slot → feature + 1
+	for i, s := range f.slots {
+		at[s] = int32(i + 1)
+	}
+	f.trie.preorder(buf[n+len(f.slots):], func(s int32) {
+		if at[s] > 0 {
+			order = append(order, at[s]-1)
+		}
+	})
+	return order
+}
 
 // Count returns feature i's number of directed occurrences: simple paths as
 // vertex sequences that spell it, so an undirected path that reads the same
@@ -70,13 +104,6 @@ func (f *Features) Locations(i int) []int32 {
 		return nil
 	}
 	return f.locs.AppendIDs(nil, f.locRefs[i], f.words)
-}
-
-func start(ends []int32, i int) int32 {
-	if i == 0 {
-		return 0
-	}
-	return ends[i-1]
 }
 
 // ExtractFeatures enumerates every simple path of 1..maxLen edges of g (in
@@ -104,11 +131,22 @@ func ExtractFeaturesContext(ctx context.Context, g *graph.Graph, maxLen int, wit
 	return new(extractor).extract(ctx, g, maxLen, withLocations)
 }
 
+// trieSealSlots is how large a worker's trie may grow before the worker
+// starts a new one at its next graph. Graphs over many labels share few
+// sequences, and there a trie kept across graphs grows without paying off; a
+// sealed trie keeps its slots for the features that name them and hands its
+// table to the next. Graphs that share their sequences hold far fewer (19 044
+// on the benchmark's 8-label dataset); on 40 × 300-vertex graphs over 100
+// labels, which add some 85 k slots each, a build sealing at 2^18 slots ran
+// 7 % slower than with a trie per graph, and one sealing at 2^20, whose table
+// grows to 2^22 cells, 12 %. Only tests change it.
+var trieSealSlots = 1 << 18
+
 // extractor is one extraction's scratch, reused from graph to graph by the
 // build that owns it (ExtractDatasetFeatures): the graph's label-run
-// adjacency, the DFS state, and the per-graph label trie grown alongside the
-// DFS with its per-slot aggregates. An oriented slot of two or more labels is
-// a feature; the others are only stepped through.
+// adjacency, the DFS state, and the label trie grown alongside the DFS with
+// its per-slot state, which outlive a graph. An oriented slot of two or more
+// labels is a feature; the others are only stepped through.
 type extractor struct {
 	ctx     context.Context
 	vlabels []graph.Label
@@ -125,20 +163,28 @@ type extractor struct {
 	plabels []graph.Label // its vertices' labels
 	onPath  []uint8       // per vertex: 1 while on the path
 
-	trie     LabelTrie
-	oriented []bool  // per slot: its sequence is an oriented spelling
-	count    []int32 // per slot: occurrences
+	trie    *LabelTrie
+	state   []slotState // per slot of trie
+	touched []int32     // the slots the graph counted, in the order it first did
 
 	// Locations, one set of vertices per slot (see locate). words is
 	// Words(n), the length of a bitset row over the graph's vertices, and 0
-	// when locations are not tracked. locRef[s] says where slot s's set is:
-	// r > 0 is the r-1'th row of rows, r < 0 is lists[-r-1], 0 is nowhere yet.
-	words  int
-	locRef []int32
-	lists  [][]int32
-	rows   []uint64
+	// when locations are not tracked.
+	words int
+	lists [][]int32
+	rows  []uint64
 
 	sinceCheck int
+}
+
+// slotState is what the extractor holds per trie slot. A slot's count and
+// location set are the current graph's, zero outside touched.
+type slotState struct {
+	count int32 // occurrences
+	// locRef says where the slot's location set is: r > 0 is the r-1'th row
+	// of rows, r < 0 is lists[-r-1], 0 is nowhere yet.
+	locRef   int32
+	oriented bool // the slot's sequence is an oriented spelling
 }
 
 // labelRun is the neighbours of one vertex that carry label: its adjacency
@@ -161,11 +207,23 @@ func (e *extractor) extract(ctx context.Context, g *graph.Graph, maxLen int, wit
 	}
 	n := g.N()
 	e.ctx, e.vlabels, e.maxLen, e.sinceCheck = ctx, g.Labels(), maxLen, 0
-	e.trie.reset()
-	e.oriented, e.count = append(e.oriented[:0], true), append(e.count[:0], 0)
-	e.words, e.locRef, e.lists, e.rows = 0, e.locRef[:0], e.lists[:0], e.rows[:0]
+	// The previous graph's counts and locations go through the slots it
+	// touched, which a cancelled walk leaves in place too.
+	for _, s := range e.touched {
+		e.state[s].count, e.state[s].locRef = 0, 0
+	}
+	e.touched = e.touched[:0]
+	if e.trie == nil {
+		e.trie = NewLabelTrie()
+		e.state = append(e.state, slotState{oriented: true})
+	} else if n := e.trie.Len(); n > trieSealSlots {
+		// The next trie likely grows as large, so it gets the room now.
+		e.trie = newLabelTrie(e.trie.seal(), n)
+		e.state = e.state[:1]
+	}
+	e.words, e.lists, e.rows = 0, e.lists[:0], e.rows[:0]
 	if withLocations {
-		e.words, e.locRef = Words(n), append(e.locRef, 0)
+		e.words = Words(n)
 	}
 	e.regroup(g)
 	// A simple path visits at most every vertex: maxLen, which may come from
@@ -217,12 +275,8 @@ func (e *extractor) regroup(g *graph.Graph) {
 // parent, making it on first use.
 func (e *extractor) child(parent int32, n int) int32 {
 	s := e.trie.Child(parent, e.plabels[n-1])
-	if int(s) == len(e.count) {
-		e.oriented = append(e.oriented, Oriented(e.plabels[:n]))
-		e.count = append(e.count, 0)
-		if e.words > 0 {
-			e.locRef = append(e.locRef, 0)
-		}
+	if int(s) == len(e.state) {
+		e.state = appendDoubling(e.state, slotState{oriented: Oriented(e.plabels[:n])})
 	}
 	return s
 }
@@ -259,10 +313,14 @@ func (e *extractor) descend(slot int32, depth int) bool {
 		e.plabels[depth+1] = r.label
 		child := e.child(slot, depth+2)
 		// A mirror spelling stepped through is counted too and dropped in
-		// features(): the add is cheaper than a data-dependent branch.
-		e.count[child] += int32(k)
-		if e.words > 0 && e.oriented[child] {
-			e.locate(child, e.path[:depth+1], members)
+		// features().
+		st := &e.state[child]
+		if st.count == 0 {
+			e.touched = append(e.touched, child)
+		}
+		st.count += int32(k)
+		if e.words > 0 && st.oriented {
+			e.locate(st, e.path[:depth+1], members)
 		}
 		if e.sinceCheck += k; e.sinceCheck >= extractCancelCheckEvery {
 			e.sinceCheck = 0
@@ -297,8 +355,8 @@ func (e *extractor) descend(slot int32, depth int) bool {
 // gigabytes — and by one row: a small graph over few labels funnels thousands
 // of occurrences into each feature, and there a slot is a row from its first
 // few occurrences on, at a handful of ORs per run.
-func (e *extractor) locate(slot int32, prefix, members []int32) {
-	ref := e.locRef[slot]
+func (e *extractor) locate(st *slotState, prefix, members []int32) {
+	ref := st.locRef
 	var list []int32 // the slot's list, while it is one
 	if ref <= 0 {
 		if ref < 0 {
@@ -314,7 +372,7 @@ func (e *extractor) locate(slot int32, prefix, members []int32) {
 					e.lists = append(e.lists, nil)
 				}
 				ref = -int32(len(e.lists))
-				e.locRef[slot] = ref
+				st.locRef = ref
 			}
 			e.lists[-ref-1] = append(append(slices.Grow(list, len(prefix)+len(members)), prefix...), members...)
 			return
@@ -324,7 +382,7 @@ func (e *extractor) locate(slot int32, prefix, members []int32) {
 		}
 		e.rows = append(e.rows, make([]uint64, e.words)...)
 		ref = int32(len(e.rows) / e.words)
-		e.locRef[slot] = ref
+		st.locRef = ref
 	}
 	row := e.row(ref)
 	setBits(row, list) // only when spilling
@@ -336,24 +394,19 @@ func (e *extractor) row(ref int32) []uint64 {
 	return e.rows[int(ref-1)*e.words : int(ref)*e.words]
 }
 
-// features flattens the aggregates into canonical order, sized exactly. A
-// slot's scratch form records how its occurrences happened to arrive — a row
-// may have spilled on duplicates and hold few vertices — so the stored form
-// is chosen here, from the set itself.
+// features writes out the graph's oriented slots in the order it first
+// counted them, sized exactly. A slot's scratch form records how its
+// occurrences happened to arrive — a row may have spilled on duplicates and
+// hold few vertices — so the stored form is chosen here, from the set itself.
 func (e *extractor) features() *Features {
-	nFeats, nLabels := 0, 0
-	for s := int32(1); int(s) < e.trie.Len(); s++ {
-		if d := e.trie.Depth(s); d >= 2 && e.oriented[s] {
+	nFeats := 0
+	for _, s := range e.touched {
+		if e.state[s].oriented {
 			nFeats++
-			nLabels += d
 		}
 	}
-	f := &Features{
-		labels: make([]graph.Label, 0, nLabels),
-		ends:   make([]int32, 0, nFeats),
-		counts: make([]int32, 0, nFeats),
-		words:  e.words,
-	}
+	buf := make([]int32, 2*nFeats)
+	f := &Features{trie: e.trie, slots: buf[:0:nFeats], counts: buf[nFeats:nFeats], words: e.words}
 	withLocations := e.words > 0
 	if withLocations {
 		// Slots that are not features hold nothing. A scratch list is
@@ -378,35 +431,39 @@ func (e *extractor) features() *Features {
 		f.locs.Reserve(rowWords, listIDs)
 		f.locRefs = make([]LocRef, 0, nFeats)
 	}
-	e.trie.Walk(func(s int32, labels []graph.Label) {
-		if len(labels) < 2 || !e.oriented[s] {
-			return
+	for _, s := range e.touched {
+		st := e.state[s]
+		if !st.oriented {
+			continue
 		}
-		f.labels = append(f.labels, labels...)
-		f.ends = append(f.ends, int32(len(f.labels)))
-		f.counts = append(f.counts, e.count[s])
+		f.slots = append(f.slots, s)
+		f.counts = append(f.counts, st.count)
 		if withLocations {
-			if ref := e.locRef[s]; ref < 0 {
-				f.locRefs = append(f.locRefs, f.locs.AppendList(e.lists[-ref-1], e.words))
+			if st.locRef < 0 {
+				f.locRefs = append(f.locRefs, f.locs.AppendList(e.lists[-st.locRef-1], e.words))
 			} else {
-				f.locRefs = append(f.locRefs, f.locs.AppendRow(e.row(ref)))
+				f.locRefs = append(f.locRefs, f.locs.AppendRow(e.row(st.locRef)))
 			}
 		}
-	})
+	}
 	return f
 }
 
 // ExtractDatasetFeatures extracts the path features of every dataset graph
 // across the pool's workers (nil selects the shared default pool) and returns
-// them positionally: out[i] holds graph i's features. Because consumers fold
-// the results in slice order, index builds are deterministic regardless of
-// worker count — only the wall-clock time changes. Cancelling ctx aborts
-// extraction (including mid-graph, as ExtractFeaturesContext does) and
-// returns the context's error.
+// them positionally: out[i] holds graph i's features. Which worker took which
+// graph decides only the features' slot numbers, never what they spell, so
+// folds that read them by sequence (index.FoldPath) are deterministic
+// regardless of worker count — only the wall-clock time changes. Graphs are
+// handed out largest first (by edge count, ties by position), so that a
+// straggler starts early instead of ending the extraction alone. Cancelling
+// ctx aborts extraction (including mid-graph, as ExtractFeaturesContext does)
+// and returns the context's error.
 //
 // The call owns the extraction scratch: a task takes the extractor a finished
 // task put back, or makes one, so a worker regrows nothing from graph to
-// graph, and all of it is garbage when the call returns — a package-level
+// graph and its graphs share its trie, and all of the scratch but the tries
+// the features name is garbage when the call returns — a package-level
 // sync.Pool would carry it past the build into the heap a caller measures.
 func ExtractDatasetFeatures(ctx context.Context, p *exec.Pool, ds []*graph.Graph, maxLen int, withLocations bool) ([]*Features, error) {
 	out := make([]*Features, len(ds))
@@ -423,9 +480,14 @@ func ExtractDatasetFeatures(ctx context.Context, p *exec.Pool, ds []*graph.Graph
 	if p == nil {
 		p = exec.Default()
 	}
+	order := make([]int, len(ds))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ds[b].M(), ds[a].M()) })
 	free := make(chan *extractor, p.Workers()) // one per task that can run at once
 	grp := p.NewGroup(ctx)
-	for i := range ds {
+	for _, i := range order {
 		grp.Go(func(gctx context.Context) error {
 			var e *extractor
 			select {
@@ -447,6 +509,11 @@ func ExtractDatasetFeatures(ctx context.Context, p *exec.Pool, ds []*graph.Graph
 	}
 	if err := grp.Wait(); err != nil {
 		return nil, err
+	}
+	// The folds read the tries' slots only, so the tables can go before
+	// they run.
+	for len(free) > 0 {
+		(<-free).trie.seal()
 	}
 	return out, nil
 }

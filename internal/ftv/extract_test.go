@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync/atomic"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/graph"
 )
@@ -16,11 +18,22 @@ import (
 // find returns the position of the feature with the given label sequence.
 func find(f *Features, labels []graph.Label) (int, bool) {
 	for i := 0; i < f.Len(); i++ {
-		if slices.Equal(f.Labels(i), labels) {
+		if slices.Equal(f.AppendLabels(nil, i), labels) {
 			return i, true
 		}
 	}
 	return 0, false
+}
+
+// canonicalView is an extraction as the oracle states it: every feature's
+// labels, count and locations, in the order Canonical gives — what stays the
+// same whichever trie the features' slots are in.
+func canonicalView(f *Features) []oracleFeature {
+	out := make([]oracleFeature, 0, f.Len())
+	for _, i := range f.Canonical() {
+		out = append(out, oracleFeature{labels: f.AppendLabels(nil, int(i)), count: f.Count(int(i)), locs: f.Locations(int(i))})
+	}
+	return out
 }
 
 // oracleFeature is one feature as the naive extractor sees it.
@@ -124,19 +137,21 @@ func oracleWant(t *testing.T, name string, g *graph.Graph, maxLen int) []oracleF
 
 func assertFeatures(t *testing.T, name string, got *Features, want []oracleFeature, maxLen int, withLocs bool) {
 	t.Helper()
-	if got.Len() != len(want) {
-		t.Fatalf("%s maxLen=%d locs=%v: %d features, oracle has %d", name, maxLen, withLocs, got.Len(), len(want))
+	view := canonicalView(got)
+	if got.Len() != len(want) || len(view) != len(want) {
+		t.Fatalf("%s maxLen=%d locs=%v: %d features, %d in canonical order, oracle has %d", name, maxLen, withLocs, got.Len(), len(view), len(want))
 	}
-	for i, w := range want {
-		// Equal label sequences at equal positions: the extractor's
-		// order is the oracle's sorted (canonical) order.
-		if !slices.Equal(got.Labels(i), w.labels) || got.Count(i) != w.count {
-			t.Fatalf("%s maxLen=%d: feature %d = (%v, %d), oracle (%v, %d)", name, maxLen, i, got.Labels(i), got.Count(i), w.labels, w.count)
+	for i, g := range view {
+		// Equal label sequences at equal positions: Canonical's order is the
+		// oracle's sorted order, and each feature is there once.
+		w := want[i]
+		if !slices.Equal(g.labels, w.labels) || g.count != w.count {
+			t.Fatalf("%s maxLen=%d: canonical feature %d = (%v, %d), oracle (%v, %d)", name, maxLen, i, g.labels, g.count, w.labels, w.count)
 		}
-		if withLocs && !slices.Equal(got.Locations(i), w.locs) {
-			t.Fatalf("%s maxLen=%d: feature %v locations %v, oracle %v", name, maxLen, w.labels, got.Locations(i), w.locs)
+		if withLocs && !slices.Equal(g.locs, w.locs) {
+			t.Fatalf("%s maxLen=%d: feature %v locations %v, oracle %v", name, maxLen, w.labels, g.locs, w.locs)
 		}
-		if !withLocs && got.Locations(i) != nil {
+		if !withLocs && g.locs != nil {
 			t.Fatalf("%s: locations reported though not tracked", name)
 		}
 	}
@@ -353,42 +368,59 @@ func TestExtractFeaturesCancelMidGraph(t *testing.T) {
 	}
 }
 
-// fuzzGraph decodes a fuzz input: maxLen 1..5, locations on or off, up to 24
-// vertices labelled from wideLabels, then vertex pairs as edges — at most 40,
-// which keeps the oracle's enumeration of a dense input to a fraction of a
-// second.
-func fuzzGraph(data []byte) (g *graph.Graph, maxLen int, withLocs bool) {
-	if len(data) < 3 {
-		return graph.MustNew("fuzz", nil, nil), 1, false
-	}
-	maxLen, withLocs = int(data[0])%5+1, data[1]&1 == 1
-	n := min(int(data[2])%25, len(data)-3)
+// fuzzGraph decodes one graph from the front of a fuzz input — a vertex
+// count of up to 24, that many labels from wideLabels, an edge count of up to
+// 40, which keeps the oracle's enumeration of a dense input to a fraction of a
+// second, and that many vertex pairs — and returns it with the rest of the
+// input.
+func fuzzGraph(data []byte) (*graph.Graph, []byte) {
 	b := graph.NewBuilder("fuzz")
-	for _, l := range data[3 : 3+n] {
+	if len(data) == 0 {
+		return b.MustBuild(), nil
+	}
+	n := min(int(data[0])%25, len(data)-1)
+	for _, l := range data[1 : 1+n] {
 		b.AddVertex(wideLabels[int(l)%len(wideLabels)])
 	}
-	edges := 0
-	for pairs := data[3+n:]; n > 0 && len(pairs) >= 2 && edges < 40; pairs = pairs[2:] {
-		u, v := int(pairs[0])%n, int(pairs[1])%n
-		if u != v && !b.HasEdgePending(u, v) {
+	data = data[1+n:]
+	if len(data) == 0 {
+		return b.MustBuild(), nil
+	}
+	pairs := min(int(data[0])%41, (len(data)-1)/2)
+	for _, e := range slices.Collect(slices.Chunk(data[1:1+2*pairs], 2)) {
+		if u, v := int(e[0])%max(n, 1), int(e[1])%max(n, 1); u != v && !b.HasEdgePending(u, v) {
 			if err := b.AddEdge(u, v); err != nil {
 				panic(err) // both endpoints exist
 			}
-			edges++
 		}
 	}
-	return b.MustBuild(), maxLen, withLocs
+	return b.MustBuild(), data[1+2*pairs:]
 }
 
-// FuzzExtractFeatures holds the extractor to the oracle on whatever small
-// graph the input spells, seeded with runCases at every maxLen.
+// encodeFuzzGraph is fuzzGraph's inverse for the graphs of runCases.
+func encodeFuzzGraph(data []byte, g *graph.Graph) []byte {
+	data = append(data, byte(g.N()))
+	for _, l := range g.Labels() {
+		data = append(data, byte(slices.Index(wideLabels, l)))
+	}
+	data = append(data, byte(g.M()))
+	g.Edges(func(u, v int) { data = append(data, byte(u), byte(v)) })
+	return data
+}
+
+// FuzzExtractFeatures holds the extractor to the oracle on whatever two small
+// graphs the input spells — maxLen 1..5 and locations on or off, then the
+// graphs — seeded with runCases at every maxLen, each followed by the next
+// case. The first graph is extracted on its own; then both are extracted on a
+// one-worker pool, where one extractor takes them one after the other and the
+// second walks the trie the first grew: a count or a location set the first
+// left behind shows in the second's features.
 func FuzzExtractFeatures(f *testing.F) {
-	for _, g := range runCases() {
-		data := []byte{0, 0, byte(g.N())}
-		for _, l := range g.Labels() {
-			data = append(data, byte(slices.Index(wideLabels, l)))
-		}
-		g.Edges(func(u, v int) { data = append(data, byte(u), byte(v)) })
+	cases := runCases()
+	names := slices.Sorted(maps.Keys(cases))
+	for k, name := range names {
+		data := encodeFuzzGraph([]byte{0, 0}, cases[name])
+		data = encodeFuzzGraph(data, cases[names[(k+1)%len(names)]])
 		for maxLen := 1; maxLen <= 5; maxLen++ {
 			for locs := byte(0); locs <= 1; locs++ {
 				data[0], data[1] = byte(maxLen-1), locs
@@ -396,8 +428,22 @@ func FuzzExtractFeatures(f *testing.F) {
 			}
 		}
 	}
+	pool := exec.New(1)
+	f.Cleanup(pool.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, maxLen, withLocs := fuzzGraph(data)
-		assertFeatures(t, "fuzz", ExtractFeatures(g, maxLen, withLocs), oracleWant(t, "fuzz", g, maxLen), maxLen, withLocs)
+		if len(data) < 2 {
+			return
+		}
+		maxLen, withLocs := int(data[0])%5+1, data[1]&1 == 1
+		first, rest := fuzzGraph(data[2:])
+		second, _ := fuzzGraph(rest)
+		want := [][]oracleFeature{oracleWant(t, "first", first, maxLen), oracleWant(t, "second", second, maxLen)}
+		assertFeatures(t, "first alone", ExtractFeatures(first, maxLen, withLocs), want[0], maxLen, withLocs)
+		both, err := ExtractDatasetFeatures(context.Background(), pool, []*graph.Graph{first, second}, maxLen, withLocs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertFeatures(t, "first on a shared extractor", both[0], want[0], maxLen, withLocs)
+		assertFeatures(t, "second on a shared extractor", both[1], want[1], maxLen, withLocs)
 	})
 }

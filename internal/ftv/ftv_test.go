@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -180,11 +179,14 @@ func TestExtractFeaturesContextCancel(t *testing.T) {
 }
 
 // TestExtractDatasetFeaturesDeterministicAcrossPools: pooled extraction is
-// positional, so any worker count yields identical per-graph features — and
-// the scratch a worker carries from graph to graph leaves no trace in them:
-// on the 1-worker pool one extractor meets every graph in turn, large and tiny
-// alternating, location sets as rows (3 labels), as lists (40 labels) and of
-// every row length, and each result must equal a fresh extraction's.
+// positional, and a feature's slot number depends on which worker took its
+// graph, so what any worker count must give is each graph's canonical view —
+// label sequence → count and location IDs — the one a sequential extraction
+// and the oracle give. The scratch a worker carries from graph to graph must
+// leave no trace in it: on the 1-worker pool one extractor meets every graph
+// in turn, large and tiny alternating, location sets as rows (3 labels), as
+// lists (40 labels) and of every row length; and with the seal size lowered,
+// a worker's graphs spread over many tries, sealed ones included.
 func TestExtractDatasetFeaturesDeterministicAcrossPools(t *testing.T) {
 	var ds []*graph.Graph
 	for i := 0; i < 6; i++ {
@@ -199,29 +201,35 @@ func TestExtractDatasetFeaturesDeterministicAcrossPools(t *testing.T) {
 		randomGraph(r, 300, 3, few), graph.MustNew("one", []graph.Label{1}, nil), graph.MustNew("edgeless", []graph.Label{0, 2, 2}, nil),
 		randomGraph(r, 300, 3, many), randomGraph(r, 14, 3, few), randomGraph(r, 300, 3, many),
 		randomGraph(r, 300, 3, few), graph.MustNew("edgeless", make([]graph.Label, 70), nil), randomGraph(r, 100, 3, many))
-	p1 := exec.New(1)
-	defer p1.Close()
-	p4 := exec.New(4)
-	defer p4.Close()
-	f1, err := ExtractDatasetFeatures(context.Background(), p1, ds, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f4, err := ExtractDatasetFeatures(context.Background(), p4, ds, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f1) != len(ds) || len(f4) != len(ds) {
-		t.Fatalf("positional results missing: %d, %d", len(f1), len(f4))
-	}
-	// Both agree with each other and with the sequential per-graph
-	// extraction, feature for feature.
+	want := make([][]oracleFeature, len(ds))
 	for i, g := range ds {
-		if !reflect.DeepEqual(f1[i], f4[i]) {
-			t.Fatalf("graph %d: features differ between pool sizes 1 and 4", i)
-		}
-		if seq := ExtractFeatures(g, 4, true); !reflect.DeepEqual(seq, f1[i]) {
-			t.Fatalf("graph %d: pooled features differ from sequential", i)
+		want[i] = oracleWant(t, g.Name(), g, 4)
+		assertFeatures(t, g.Name()+" sequential", ExtractFeatures(g, 4, true), want[i], 4, true)
+	}
+	defer func(slots int) { trieSealSlots = slots }(trieSealSlots)
+	for _, seal := range []int{trieSealSlots, 64} {
+		trieSealSlots = seal
+		for _, workers := range []int{1, 2, 4} {
+			p := exec.New(workers)
+			feats, err := ExtractDatasetFeatures(context.Background(), p, ds, 4, true)
+			p.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(feats) != len(ds) {
+				t.Fatalf("seal %d, %d workers: %d positional results for %d graphs", seal, workers, len(feats), len(ds))
+			}
+			tries := map[*LabelTrie]bool{}
+			for i, f := range feats {
+				tries[f.Trie()] = true
+				assertFeatures(t, fmt.Sprintf("seal %d, %d workers, graph %d", seal, workers, i), f, want[i], 4, true)
+			}
+			if workers == 1 && seal > 1000 && len(tries) != 1 {
+				t.Errorf("one worker: the graphs' features are in %d tries, want the worker's one", len(tries))
+			}
+			if seal < 1000 && len(tries) < 3 {
+				t.Errorf("seal %d, %d workers: the graphs' features are in %d tries; the seal size should have split them", seal, workers, len(tries))
+			}
 		}
 	}
 }

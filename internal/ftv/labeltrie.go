@@ -10,45 +10,61 @@ import (
 // LabelTrie assigns dense slots to label sequences. Slot 0 is the empty
 // sequence, and Child(p, l) is the slot of p's sequence extended by l,
 // allocated on first use — so a consumer that meets sequences one label at a
-// time (the path DFS) pays one probe per step, and one that holds whole
-// sequences pays one per label, whatever the labels' width or the
-// sequences' length. The trie lives in a single open-addressing table with
-// linear probing over a power-of-two size and a multiplicative hash of the
-// packed (parent slot, label) pair, where the runtime map's general hashing
-// was most of a feature extraction's CPU profile. Not safe for concurrent
-// use.
+// time pays one probe per step, whatever the labels' width or the sequences'
+// length: the path DFS one per run, a fold one per slot of the tries it reads
+// (index.FoldPath). A slot's number is above its parent's, and a slot keeps
+// its number for the trie's life. The trie lives in a single open-addressing
+// table with linear probing over a power-of-two size and a multiplicative
+// hash of the packed (parent slot, label) pair, where the runtime map's
+// general hashing was most of a feature extraction's CPU profile. Not safe
+// for concurrent use while it makes slots; once it makes no more, any number
+// of readers may share it.
 type LabelTrie struct {
-	// The table: slots[i] == 0 marks an empty cell (slot 0 is nobody's
-	// child), keys[i] is the packed pair bound to slots[i]. Keys are never
-	// removed.
-	keys  []uint64
-	slots []int32
-	shift uint // 64 - log2(len(keys))
+	labelTable
 
 	parent []int32       // per slot
 	label  []graph.Label // per slot: the last label of its sequence
 	depth  []int32       // per slot: the length of its sequence
+}
 
-	first, fill, kids []int32 // Walk's grouping arrays, kept for the next Walk
+// labelTable is a trie's hash table: slots[i] == 0 marks an empty cell (slot
+// 0 is nobody's child), keys[i] is the packed pair bound to slots[i]. Keys
+// are never removed.
+type labelTable struct {
+	keys  []uint64
+	slots []int32
+	shift uint // 64 - log2(len(keys))
 }
 
 // NewLabelTrie returns a trie holding only the empty sequence.
-func NewLabelTrie() *LabelTrie {
-	t := new(LabelTrie)
-	t.reset()
-	return t
+func NewLabelTrie() *LabelTrie { return newLabelTrie(labelTable{}, 1) }
+
+// newLabelTrie returns a trie holding only the empty sequence, with room for
+// slots slots, in tab — a sealed trie's table, as large as the fullest use so
+// far made it — when it has one.
+func newLabelTrie(tab labelTable, slots int) *LabelTrie {
+	if tab.keys == nil {
+		const bits = 8
+		tab = labelTable{keys: make([]uint64, 1<<bits), slots: make([]int32, 1<<bits), shift: 64 - bits}
+	} else {
+		clear(tab.slots)
+	}
+	return &LabelTrie{
+		labelTable: tab,
+		parent:     append(make([]int32, 0, slots), -1),
+		label:      append(make([]graph.Label, 0, slots), 0),
+		depth:      append(make([]int32, 0, slots), 0),
+	}
 }
 
-// reset empties the trie down to the empty sequence and keeps what it has
-// allocated: the table stays as large as the fullest use so far made it, so
-// an extractor going from graph to graph grows it once, not once per graph.
-func (t *LabelTrie) reset() {
-	if t.keys == nil {
-		const bits = 8
-		t.keys, t.slots, t.shift = make([]uint64, 1<<bits), make([]int32, 1<<bits), 64-bits
-	}
-	clear(t.slots)
-	t.parent, t.label, t.depth = append(t.parent[:0], -1), append(t.label[:0], 0), append(t.depth[:0], 0)
+// seal ends t's making of slots: it keeps every one, which Len, Parent,
+// Label, Depth, AppendLabels and Walk still read, and hands its table to the
+// caller, which may give it to the next trie (newLabelTrie). Child panics on
+// a sealed trie.
+func (t *LabelTrie) seal() labelTable {
+	tab := t.labelTable
+	t.labelTable = labelTable{}
+	return tab
 }
 
 // Len is the number of slots, the empty sequence's included.
@@ -56,6 +72,23 @@ func (t *LabelTrie) Len() int { return len(t.parent) }
 
 // Depth returns the number of labels in slot s's sequence.
 func (t *LabelTrie) Depth(s int32) int { return int(t.depth[s]) }
+
+// Parent returns the slot of s's sequence without its last label; -1 for the
+// empty sequence.
+func (t *LabelTrie) Parent(s int32) int32 { return t.parent[s] }
+
+// Label returns the last label of slot s's sequence.
+func (t *LabelTrie) Label(s int32) graph.Label { return t.label[s] }
+
+// AppendLabels appends slot s's sequence to dst.
+func (t *LabelTrie) AppendLabels(dst []graph.Label, s int32) []graph.Label {
+	n := len(dst)
+	dst = slices.Grow(dst, int(t.depth[s]))[:n+int(t.depth[s])]
+	for i := len(dst) - 1; s > 0; i, s = i-1, t.parent[s] {
+		dst[i] = t.label[s]
+	}
+	return dst
+}
 
 const labelTrieHash = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
 
@@ -76,19 +109,20 @@ func (t *LabelTrie) Child(parent int32, l graph.Label) int32 {
 	}
 	s := int32(len(t.parent))
 	t.keys[i], t.slots[i] = key, s
-	t.parent = append(t.parent, parent)
-	t.label = append(t.label, l)
-	t.depth = append(t.depth, t.depth[parent]+1)
+	t.parent = appendDoubling(t.parent, parent)
+	t.label = appendDoubling(t.label, l)
+	t.depth = appendDoubling(t.depth, t.depth[parent]+1)
 	return s
 }
 
-// Slot returns the slot of a whole label sequence.
-func (t *LabelTrie) Slot(labels []graph.Label) int32 {
-	s := int32(0)
-	for _, l := range labels {
-		s = t.Child(s, l)
+// appendDoubling is append with the capacity doubled whenever it runs out:
+// growing a slice to n elements then allocates about 2n in all, where
+// append's growth of a quarter at large sizes allocates about 5n.
+func appendDoubling[S ~[]E, E any](s S, v E) S {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, len(s))
 	}
-	return s
+	return append(s, v)
 }
 
 func (t *LabelTrie) grow() {
@@ -114,39 +148,66 @@ func (t *LabelTrie) grow() {
 // preorder walk with every slot's children ascending by label. labels is
 // reused across calls.
 func (t *LabelTrie) Walk(visit func(s int32, labels []graph.Label)) {
+	labels := make([]graph.Label, 0, 8)
+	t.preorder(make([]int32, t.walkScratch()), func(s int32) {
+		labels = append(labels[:t.depth[s]-1], t.label[s])
+		visit(s, labels)
+	})
+}
+
+// walkScratch is the length of the scratch preorder needs.
+func (t *LabelTrie) walkScratch() int {
+	deepest := int32(0)
+	for _, d := range t.depth {
+		deepest = max(deepest, d)
+	}
+	return 2*t.Len() + 1 + int(deepest)
+}
+
+// preorder is Walk without the labels, on scratch of walkScratch int32s.
+func (t *LabelTrie) preorder(scratch []int32, visit func(s int32)) {
 	n := t.Len()
-	// Group the slots by parent with a counting sort (a parent's slot
-	// number is always below its children's), then order each group by
-	// label; a group has at most one entry per distinct label.
-	first, kids := resized(t.first, n+1), resized(t.kids, n-1)
+	// Group the slots by parent with a counting sort: kids[first[p]:first[p+1]]
+	// are p's children. Counted two places up, a group's start is one place up
+	// after the prefix sum, and placing its slots moves it to the group's end,
+	// the next group's start. A parent's slot is always below its children's.
+	first, kids := scratch[:n+1], scratch[n+1:2*n]
 	clear(first)
 	for s := 1; s < n; s++ {
-		first[t.parent[s]+1]++
+		first[t.parent[s]+2]++
 	}
-	for p := 0; p < n; p++ {
-		first[p+1] += first[p]
+	for i := 2; i <= n; i++ {
+		first[i] += first[i-1]
 	}
-	fill := append(t.fill[:0], first[:n]...)
-	t.first, t.fill, t.kids = first, fill, kids
 	for s := 1; s < n; s++ {
-		p := t.parent[s]
-		kids[fill[p]] = int32(s)
-		fill[p]++
+		p := t.parent[s] + 1
+		kids[first[p]] = int32(s)
+		first[p]++
 	}
+	// Then order each group by label; a group has at most one entry per
+	// distinct label.
 	for p := 0; p < n; p++ {
-		slices.SortFunc(kids[first[p]:first[p+1]], func(a, b int32) int {
-			return cmp.Compare(t.label[a], t.label[b])
-		})
-	}
-	var labels []graph.Label
-	var walk func(s int32)
-	walk = func(s int32) {
-		for _, c := range kids[first[s]:first[s+1]] {
-			labels = append(labels, t.label[c])
-			visit(c, labels)
-			walk(c)
-			labels = labels[:len(labels)-1]
+		if group := kids[first[p]:first[p+1]]; len(group) > 1 {
+			slices.SortFunc(group, func(a, b int32) int { return cmp.Compare(t.label[a], t.label[b]) })
 		}
 	}
-	walk(0)
+	// The walk keeps, per level, its cursor in the group it is going through:
+	// the root's children at level 0, and at level d the children of the slot
+	// the level above last visited.
+	stack := append(scratch[2*n:2*n], first[0])
+	for len(stack) > 0 {
+		d := len(stack) - 1
+		end := first[1]
+		if d > 0 {
+			end = first[kids[stack[d-1]-1]+1]
+		}
+		if stack[d] == end {
+			stack = stack[:d]
+			continue
+		}
+		c := kids[stack[d]]
+		stack[d]++
+		visit(c)
+		stack = append(stack, first[c])
+	}
 }

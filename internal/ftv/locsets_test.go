@@ -158,9 +158,11 @@ func TestFeaturesIndependentOfOccurrenceOrder(t *testing.T) {
 			}
 			e.plabels[0], e.plabels[1] = 0, 0
 			slot := e.child(e.child(0, 1), 2) // the feature (0, 0)
+			e.touched = append(e.touched, slot)
+			st := &e.state[slot]
 			for _, path := range occs {
-				e.count[slot]++
-				e.locate(slot, path[:1], path[1:])
+				st.count++
+				e.locate(st, path[:1], path[1:])
 			}
 			return e.features()
 		}

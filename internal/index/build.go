@@ -28,8 +28,9 @@ import (
 // Extraction is the input of a fold: the path features of the graphs being
 // indexed, extracted once by the pipeline.
 type Extraction struct {
-	// Features[i] holds the features of dataset graph i, in canonical
-	// order. They carry locations iff some kind of the build declared it
+	// Features[i] holds the features of dataset graph i, as slots of the
+	// label trie its extraction worker walked, which other graphs' features
+	// may share. They carry locations iff some kind of the build declared it
 	// needs them; a fold must copy whatever it keeps, except location
 	// lists, which it may alias (nothing else of the extraction outlives
 	// the build).

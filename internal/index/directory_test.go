@@ -140,7 +140,7 @@ func directoryProbes(dir *index.PathDirectory, f *ftv.Features) [][]graph.Label 
 		add(dir.Seq(p))
 	}
 	for i := range f.Len() {
-		add(f.Labels(i))
+		add(f.AppendLabels(nil, i))
 	}
 	return append(probes, []graph.Label{99})
 }

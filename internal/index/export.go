@@ -179,8 +179,8 @@ func dropMirrors(kind string, feats []ExportedFeature) ([]ExportedFeature, error
 }
 
 // CompareLabelSeqs orders label sequences lexicographically (shorter prefix
-// first) — the canonical feature order of the snapshot format, and the order
-// ftv.Features and every index keep their features in.
+// first) — the canonical feature order of the snapshot format, the order
+// ftv.Features.Canonical gives and every index keeps its features in.
 func CompareLabelSeqs(a, b []graph.Label) int { return slices.Compare(a, b) }
 
 // ExportFeatures implements FeatureExporter for every table, whose directory

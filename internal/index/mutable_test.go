@@ -129,8 +129,8 @@ func exportOf(t *testing.T, x index.Index) []index.ExportedFeature {
 }
 
 // TestPathWithGraphAllocs: beyond extracting the new graph's features,
-// WithGraph allocates a constant — the index, its dataset, its placement of
-// the graph's features, its entries and posting slab, a bitmap when the graph
+// WithGraph allocates a constant — the index, its dataset, the graph's
+// features in canonical order and their placement, its entries and posting slab, a bitmap when the graph
 // brings a sequence new to the index, and a directory's three allocations when
 // the shared directory lacks one — however many posting lists the graph
 // touches. The index is one shard of two sharing a directory, so a graph of

@@ -180,20 +180,21 @@ func (d *PathDirectory) pushRun(o *PathDirectory, from, to int) {
 }
 
 // with returns a new directory holding d's sequences and the features of f
-// that d lacks: those with place[i] < 0, each going before d's sequence
-// ^place[i]. seqs and labels count them and their labels.
-func (d *PathDirectory) with(f *ftv.Features, place []int, seqs, labels int) *PathDirectory {
+// that d lacks: feature order[k] for each place[k] < 0, going before d's
+// sequence ^place[k]. seqs and labels count them and their labels.
+func (d *PathDirectory) with(f *ftv.Features, order []int32, place []int, seqs, labels int) *PathDirectory {
 	nd := &PathDirectory{
 		labels: make([]graph.Label, 0, len(d.labels)+labels),
 		ends:   make([]uint32, 0, d.Len()+seqs),
 	}
 	done := 0 // d's sequences written so far
-	for i, p := range place {
+	for k, p := range place {
 		if p >= 0 {
 			continue
 		}
 		nd.pushRun(d, done, ^p)
-		nd.push(f.Labels(i))
+		nd.labels = f.AppendLabels(nd.labels, int(order[k]))
+		nd.ends = append(nd.ends, slabOffset(len(nd.labels)))
 		done = ^p
 	}
 	nd.pushRun(d, done, d.Len())
@@ -277,25 +278,28 @@ func keepsLocations(kind string) bool {
 
 // FoldPath folds the table of kind over ds from its graphs' extracted
 // features: the BuildFunc of KindPath and KindGGSX, and what Grapes' wraps.
-// The first pass interns every (graph, feature) pair to a dense slot — through
-// ftv.LabelTrie, the extractor's own interner, at one probe per label — and
-// measures the posting lists; the interner's canonical walk then lays out the
-// directory, the entries and the posting slab; the second pass fills the lists
-// graph by graph, which leaves them ascending with no sort and no spare byte.
-// A kind that keeps locations has each graph's location slab appended to the
-// table's as it is, so a set keeps the form the extraction gave it, and each
-// posting's reference written beside it. The table holds every sequence of
-// its own directory; a grid then shares one directory across its cells
+// The first pass interns every (graph, feature) pair to a dense slot of the
+// fold's own ftv.LabelTrie and measures the posting lists. A feature arrives
+// as a slot of the trie its extraction worker walked, which the cell's other
+// graphs from that worker share, so each slot of each such trie is interned
+// once, parents first, at one probe, and every posting after that is a lookup
+// in an array. The fold trie's canonical walk then lays out the directory, the
+// entries and the posting slab; the second pass fills the lists graph by
+// graph, which leaves them ascending with no sort and no spare byte. A kind
+// that keeps locations has each graph's location slab appended to the table's
+// as it is, so a set keeps the form the extraction gave it, and each posting's
+// reference written beside it. The table holds every sequence of its own
+// directory; a grid then shares one directory across its cells
 // (ShareDirectory). (Measured on the benchmark's 300 × 50-vertex, 8-label
-// dataset, 1.57 M postings at 2.0 bytes each: the fold is about a fifth of an
-// ftv build's wall time on two cores, interning about half of the fold. The
-// graphs' features arrive sorted, so a k-way merge would group them with no
-// table at all, but at postings × log₂ graphs sequence comparisons it does
-// more work than the five probes a posting costs here.)
+// dataset, 1.59 M postings over 19 044 sequences: interning every label of
+// every posting, about five probes a posting, was 13 % of an ftv_selective
+// set-up's CPU; interning the tries' slots is 2 % of an ftv build at K = 2,
+// and the fold as a whole under a fifth.)
 func FoldPath(kind string, ds []*graph.Graph, ex Extraction, opts Options) *Path {
 	start := time.Now()
 	var (
-		seqs    = ftv.NewLabelTrie()
+		in      = interner{seqs: ftv.NewLabelTrie()}
+		seqs    = in.seqs
 		sizes   []listSize // per trie slot: the list of its sequence
 		slotOf  []int32    // per (graph, feature) pair, in fold order
 		nFeats  int
@@ -303,14 +307,19 @@ func FoldPath(kind string, ds []*graph.Graph, ex Extraction, opts Options) *Path
 		nBytes  int
 	)
 	for g, f := range ex.Features {
+		t := f.Trie()
+		m := in.slotsOf(t)
 		for i := 0; i < f.Len(); i++ {
-			s := seqs.Slot(f.Labels(i))
+			s := m[f.Slot(i)]
+			if s == 0 {
+				s = in.intern(t, m, f.Slot(i))
+			}
 			for len(sizes) < seqs.Len() {
 				sizes = append(sizes, listSize{})
 			}
 			if sizes[s].n == 0 {
 				nFeats++
-				nLabels += len(f.Labels(i))
+				nLabels += seqs.Depth(s)
 			}
 			sizes[s].add(int32(g), f.Count(i))
 			slotOf = append(slotOf, s)
@@ -375,6 +384,40 @@ func FoldPath(kind string, ds []*graph.Graph, ex Extraction, opts Options) *Path
 	}
 	x.finish(ex.Time+time.Since(start), opts.Pool)
 	return x
+}
+
+// interner maps the slots of the extraction's tries to a fold's trie, seqs.
+type interner struct {
+	seqs  *ftv.LabelTrie
+	tries []*ftv.LabelTrie
+	slots [][]int32 // per trie: slot → seqs' slot, 0 until interned
+	up    []int32
+}
+
+// slotsOf returns t's slot map, made on t's first use.
+func (in *interner) slotsOf(t *ftv.LabelTrie) []int32 {
+	if k := slices.Index(in.tries, t); k >= 0 {
+		return in.slots[k]
+	}
+	in.tries = append(in.tries, t)
+	in.slots = append(in.slots, make([]int32, t.Len()))
+	return in.slots[len(in.slots)-1]
+}
+
+// intern maps t's slot s, and the prefixes of its sequence not yet mapped, to
+// seqs, with m t's slot map, and returns s's slot there.
+func (in *interner) intern(t *ftv.LabelTrie, m []int32, s int32) int32 {
+	up := in.up[:0]
+	for ; s > 0 && m[s] == 0; s = t.Parent(s) {
+		up = append(up, s)
+	}
+	mapped := m[s] // the empty sequence's slot is 0 in both
+	for k := len(up) - 1; k >= 0; k-- {
+		mapped = in.seqs.Child(mapped, t.Label(up[k]))
+		m[up[k]] = mapped
+	}
+	in.up = up
+	return mapped
 }
 
 // finish sets the statistics of a built or restored table.
@@ -641,7 +684,8 @@ func (x *Path) FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, emi
 }
 
 // WithGraph implements Inserter: a copy-on-write append. Only the new
-// graph's features are extracted. A first pass places each in the directory
+// graph's features are extracted, and a walk of the trie their extraction
+// grew puts them in canonical order. A first pass places each in the directory
 // by binary search and sizes the result; one merge pass then writes the new
 // entries and posting slab, copying each run of untouched lists whole and
 // each touched list with the new posting appended — the appended graph has
@@ -666,19 +710,23 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
 		return nil, err
 	}
 	id := int32(len(x.ds))
-	// place[i] is where f's feature i is in the directory: p when it is the
-	// directory's sequence p, ^p when the directory lacks it and it goes
-	// before sequence p.
-	place := make([]int, f.Len())
+	// order is f's features in canonical order, and place[k] is where feature
+	// order[k] is in the directory: p when it is the directory's sequence p,
+	// ^p when the directory lacks it and it goes before sequence p.
+	order := f.Canonical()
+	place := make([]int, len(order))
 	absent, absentLabels, fresh, listBytes := 0, 0, 0, len(x.postings)
-	for i := range place {
-		p, ok := x.dir.find(f.Labels(i))
+	var seq [ftv.DefaultMaxPathLen + 1]graph.Label
+	labels := seq[:0]
+	for k, i := range order {
+		labels = f.AppendLabels(labels[:0], int(i))
+		p, ok := x.dir.find(labels)
 		var z listSize
 		switch {
 		case !ok:
 			p = ^p
 			absent++
-			absentLabels += len(f.Labels(i))
+			absentLabels += len(labels)
 			fresh++
 		case x.has.test(p):
 			l := x.listOf(x.has.rank(p))
@@ -687,9 +735,9 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
 		default:
 			fresh++
 		}
-		z.add(id, f.Count(i))
+		z.add(id, f.Count(int(i)))
 		listBytes += z.bytes()
-		place[i] = p
+		place[k] = p
 	}
 	ds := make([]*graph.Graph, len(x.ds)+1)
 	copy(ds, x.ds)
@@ -704,7 +752,7 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
 		postings:   make([]byte, 0, listBytes),
 	}
 	if absent > 0 {
-		nx.dir = x.dir.with(f, place, absent, absentLabels)
+		nx.dir = x.dir.with(f, order, place, absent, absentLabels)
 		nx.has, _ = x.bitmapOver(nx.dir) // a superset of x's directory
 	} else if fresh > 0 {
 		nx.has = slices.Clone(x.has)
@@ -726,7 +774,7 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
 		nx.has.count()
 	}
 	done := 0 // the receiver's entries merged so far
-	for i, p := range place {
+	for k, p := range place {
 		var l PostingList // a sequence new to the index has an empty list
 		indexed := p >= 0 && x.has.test(p)
 		if p < 0 {
@@ -738,7 +786,7 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
 		if indexed {
 			l, done = x.listOf(at), at+1
 		}
-		nx.postings, l = l.appendWith(nx.postings, id, f.Count(i))
+		nx.postings, l = l.appendWith(nx.postings, id, f.Count(int(order[k])))
 		nx.entries = append(nx.entries, pathEntry{
 			listEnd: slabOffset(len(nx.postings)),
 			postEnd: nx.postingCount() + uint32(l.n),

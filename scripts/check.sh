@@ -71,11 +71,14 @@ echo "== fuzz (FuzzPathDirectory, 5s) =="
 go test -run='^$' -fuzz=FuzzPathDirectory -fuzztime=5s ./internal/index
 
 echo "== fuzz (FuzzExtractFeatures, 5s) =="
-# Small graphs over labels of every width, maxLen 1..5, with and without
+# Two small graphs over labels of every width, maxLen 1..5, with and without
 # locations, against the map-based oracle extractor: the path DFS that every
 # index build, insert and compaction is made of works a label run at a time
 # and skips mirror spellings at full length, and this is where a run that is
 # wrongly skipped, or counted with a neighbour already on the path, shows.
+# The second graph is extracted after the first by the same extractor, on the
+# trie the first grew, so a count or a location set the first left behind
+# shows in the second's features.
 go test -run='^$' -fuzz=FuzzExtractFeatures -fuzztime=5s ./internal/ftv
 
 echo "== fuzz (FuzzLocSets, 5s) =="
