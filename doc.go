@@ -83,10 +83,10 @@
 // pool-size candidates are in flight regardless of how many the filter
 // returns: in-flight work is bounded by pool size × rewritings instead of
 // candidates × rewritings. Fan-out nests: a Group opened inside a Group task,
-// or from exec.Nest (Grapes/4 splitting one candidate's components inside a
-// rewriting attempt), hands its tasks to idle workers or runs them on its own
-// goroutine, never waiting for a worker, so one pool serves every depth of
-// fan-out without deadlock.
+// or from exec.Nest (a raced index arm's verifications, or Grapes/4 splitting
+// one candidate's components inside a rewriting attempt), hands its tasks to
+// idle workers or runs them on its own goroutine, never waiting for a worker,
+// so one pool serves every depth of fan-out without deadlock.
 //
 // Races (guaranteed concurrency). The attempts inside one race (Racer.Race,
 // the per-candidate rewriting race) reuse idle pool workers but are never
@@ -356,9 +356,11 @@
 // query; the first index to emit a verified candidate adopts the output
 // stream and the losers are cancelled through their contexts (an index that
 // completes an empty answer first wins an empty race — every index is
-// exact, so all pipelines agree). Each index attempt races on a dedicated
-// verification pool: a straggling index must not be able to occupy the
-// shared workers and starve the eventual winner. Per-index attempt metrics
+// exact, so all pipelines agree). The raced arms share the engine's pool
+// through nested groups: a verification goes to an idle worker or runs on
+// its arm's own goroutine, never waiting for one, so a straggling index
+// that occupies every worker cannot starve the eventual winner. Per-index
+// attempt metrics
 // (winner, cancelled, emissions, elapsed) surface in
 // QueryResult.IndexAttempts, alongside the matcher-level Winner:
 //
@@ -388,10 +390,12 @@
 // dataset, which it can never outgrow (Shards: 64 over 4 graphs serves 4
 // shards); a mutable engine's is not.
 //
-// Queries fan the filter→verify pipeline across shards: every shard scans
-// its sub-index concurrently, the per-shard candidate streams merge in
-// ascending global-ID order, and verification routes each candidate back
-// to the shard that owns it while fanning out across the execution pool.
+// Queries run one filter over every shard: the query's features are
+// extracted once, one posting cursor per shard scans that shard's table,
+// and the caller's goroutine merges the cursors in ascending global-ID
+// order. Verification routes each candidate back to the shard that owns it
+// while fanning out across the execution pool — the paper's FTV design
+// keeps the filter sequential and puts the parallelism in verification.
 //
 // The parity guarantee is absolute: sharded answers are byte-identical to
 // the monolithic engine's at any K and any worker count. Filtering is a
@@ -406,11 +410,10 @@
 // Because Sharded implements the same Index contract as the monolithic
 // kinds, it composes with everything above it unchanged: rewritings race
 // inside sharded verification, and core.IndexRacer races whole sharded
-// pipelines against each other ("Grapes/1×4" vs "GGSX×4"). On one core
-// K>1 buys no wall-clock (the shard scans time-slice the core; expect
-// parity, not speedup, and bench/'s index.sharded.merge_overhead_x for what
-// the merge costs); on multicore, shard scans spread across cores,
-// and the per-shard balance is observable via Engine.ShardBalance and the
+// pipelines against each other ("Grapes/1×4" vs "GGSX×4"). K>1 buys no
+// filter wall-clock (expect parity, not speedup, and bench/'s
+// index.sharded.merge_overhead_x for what the merge costs); the per-shard
+// balance is observable via Engine.ShardBalance and the
 // serving layer's /stats (shard_balance) and /metrics
 // (psi_engine_shard_answers_total).
 //
@@ -554,10 +557,10 @@
 // frequencies, all computed at install — under a bumped epoch number. It is
 // the one epoch object: the engine keeps no per-epoch state, and its one
 // index racer, handed the pinned snapshot's indexes and frequencies per
-// query, is not rebuilt per epoch, so its per-arm pools are made once. Queries
-// take the current snapshot with one atomic load (live.Store.Current) and
-// hold it to completion: a query planned at epoch 5
-// answers epoch 5 even if ten mutations land mid-flight, and Plan.Epoch /
+// query, is not rebuilt per epoch and owns nothing. Queries take the
+// current snapshot with one atomic load (live.Store.Current) and hold it to
+// completion: a query planned at epoch 5 answers epoch 5 even if ten
+// mutations land mid-flight, and Plan.Epoch /
 // QueryResult.Epoch record which dataset version an answer describes.
 // Mutations and snapshot saves serialize on the store's one lock; the query
 // path takes none.

@@ -207,17 +207,13 @@ func engineRewritings(opts EngineOptions) []Rewriting {
 	return append([]Rewriting(nil), opts.Rewritings...)
 }
 
-// Close releases the Engine's dedicated pool, if it owns one, and the index
-// racer's per-arm pools, and closes its dataset store, after which queries
-// fail with "psi: engine closed". Queries in flight finish on the snapshot
-// they started on and degrade gracefully (a closed pool's work runs on the
-// submitting goroutine or a transient one).
+// Close releases the Engine's dedicated pool, if it owns one, and closes its
+// dataset store, after which queries fail with "psi: engine closed". Queries
+// in flight finish on the snapshot they started on and degrade gracefully (a
+// closed pool's work runs on the submitting goroutine or a transient one).
 func (e *Engine) Close() {
 	if e.owned && e.pool != nil {
 		e.pool.Close()
-	}
-	if e.ixRacer != nil {
-		e.ixRacer.Close()
 	}
 	if e.store != nil {
 		e.store.Close()

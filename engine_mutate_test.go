@@ -170,10 +170,10 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 // exactly the recorded answer of the epoch their result reports — snapshot
 // isolation, end to end, under -race — then checks for leaked goroutines. It
 // runs one index, and two-index races whose arms read tombstoned views
-// across compactions on the engine's one set of per-arm verification pools,
-// which Close must release: one of an inserting kind beside Grapes, which
-// rebuilds, for each flat kind, and once more with Grapes/2, whose component
-// fan-out nests inside the arms' verifications on the shared pool.
+// across compactions, their verifications nested on the engine's one pool:
+// one of an inserting kind beside Grapes, which rebuilds, for each flat kind,
+// and once more with Grapes/2, whose component fan-out nests inside the arms'
+// verifications.
 func TestMutableEngineConcurrentChurn(t *testing.T) {
 	for _, tc := range []struct {
 		kinds   []string

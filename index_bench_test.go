@@ -230,3 +230,45 @@ func BenchmarkGrapesVerify(b *testing.B) {
 		x.Close()
 	}
 }
+
+// BenchmarkShardedFilterStream is the sharded filter alone — what bench/
+// reports as index.sharded.filter_us — over the dataset shapes of the repo
+// benchmark's ftv_selective (built there at K = 2) and serve_mixed (K = 4)
+// workloads, copied from bench/spec.go: the ftv kind at K = 1, 2 and 4, each
+// drained in full and stopped at the first candidate, as a pipeline is once
+// its caller has what it needs. One op is one query of a fixed pool.
+func BenchmarkShardedFilterStream(b *testing.B) {
+	shapes := []struct {
+		name string
+		cfg  gen.SyntheticConfig
+	}{
+		{"ftv_selective", gen.SyntheticConfig{NumGraphs: 300, AvgNodes: 50, NodeSpread: 16, Density: 5.0 / 50, Labels: 8}},
+		{"serve_mixed", gen.SyntheticConfig{NumGraphs: 200, AvgNodes: 50, Density: 5.0 / 50, Labels: 8}},
+	}
+	for _, shape := range shapes {
+		ds := gen.Synthetic(shape.cfg, 20170321)
+		queries := workload.Generate(ds, []int{4, 8, 12, 16}, 16, 1)
+		for _, k := range []int{1, 2, 4} {
+			x, err := index.BuildSharded(context.Background(), index.KindPath, ds, k, index.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, first := range []bool{false, true} {
+				name := fmt.Sprintf("%s/K=%d/full", shape.name, k)
+				if first {
+					name = fmt.Sprintf("%s/K=%d/first", shape.name, k)
+				}
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						q := queries[i%len(queries)].Graph
+						if err := x.FilterStream(context.Background(), q, func(int) bool { return !first }); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+			x.Close()
+		}
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
@@ -27,57 +26,17 @@ import (
 
 // IndexRacer races alternative filtering indexes per query; safe for
 // concurrent queries. One racer serves every epoch of a dataset — each Stream
-// call names the epoch's indexes and label frequencies — so its per-arm
-// verification pools are made once, at the first race, and kept until Close.
+// call names the epoch's indexes and label frequencies — and owns nothing.
 type IndexRacer struct {
 	// Rewritings are raced per candidate inside every index attempt (§8.1).
 	Rewritings []rewrite.Kind
-	// Pool sizes the per-arm verification pools (nil: CPU count) and
-	// carries a single-arm pipeline. Raced arms do NOT share one pool: each
-	// races on a dedicated pool, because a hung or straggling index could
-	// otherwise occupy every shared worker and starve the eventual winner's
-	// verifications — the race must guarantee each contender independent
-	// progress, just as matcher races guarantee every attempt its own
-	// concurrency.
+	// Pool runs every arm's verifications (nil: the default pool). A single
+	// arm opens a top-level group on it, whose blocking submit paces the
+	// filter. Raced arms open nested groups (exec.Nest): each verification
+	// goes to an idle worker or runs on its arm's own goroutine, never
+	// waiting for a worker, so a straggling arm that occupies every worker
+	// cannot starve the eventual winner.
 	Pool *exec.Pool
-
-	poolsMu sync.Mutex
-	pools   []*exec.Pool
-	closed  bool
-}
-
-// attemptPools returns one verification pool per arm of an n-arm portfolio,
-// creating the missing ones sized like the shared pool (or the CPU count).
-// A closed racer creates none, since nobody would close them: a race that
-// outlives Close runs on the closed pools (which then run verifications on
-// the filtering goroutine), or on the shared pool (nil) when they are missing.
-func (r *IndexRacer) attemptPools(n int) []*exec.Pool {
-	r.poolsMu.Lock()
-	defer r.poolsMu.Unlock()
-	w := 0
-	if r.Pool != nil {
-		w = r.Pool.Workers()
-	}
-	for !r.closed && len(r.pools) < n {
-		r.pools = append(r.pools, exec.New(w))
-	}
-	if len(r.pools) < n {
-		return nil
-	}
-	return r.pools
-}
-
-// Close releases the per-arm verification pools, if any were created — a
-// racer that never served a race has nothing to release and Close spawns
-// nothing. Races in flight degrade gracefully (a closed pool runs Group
-// tasks on the submitting goroutine and race attempts on transient ones).
-func (r *IndexRacer) Close() {
-	r.poolsMu.Lock()
-	defer r.poolsMu.Unlock()
-	r.closed = true
-	for _, p := range r.pools {
-		p.Close()
-	}
 }
 
 // IndexAttempt reports one index's run inside a race.
@@ -128,8 +87,9 @@ type IndexRaceResult struct {
 // completes with an empty answer before anyone emits wins the race — all
 // indexes are exact, so the answer is empty. A single arm — a fixed index, or
 // the one a learned policy trusts for the query's class — is a race of one:
-// the same answer (every index is exact) at 1/n of the started work, on the
-// racer's shared pool, since with no contenders there is nothing to starve.
+// the same answer (every index is exact) at 1/n of the started work, whose
+// verifications wait for the pool's workers, since with no contenders there
+// is nothing to starve.
 // emit is called from verification goroutines, one call at a time; the
 // ordered stream waits for it, so it must not block on work that only
 // proceeds after Stream returns. Returning false stops the winner and ends
@@ -149,10 +109,6 @@ func (r *IndexRacer) Stream(ctx context.Context, xs []index.Index, freqs rewrite
 			return IndexRaceResult{}, fmt.Errorf("psi: index arm %d out of range [0,%d)", a, len(xs))
 		}
 	}
-	var dedicated []*exec.Pool
-	if len(arms) > 1 {
-		dedicated = r.attemptPools(len(xs))
-	}
 	qs := instances(q, freqs, r.Rewritings)
 	label := func(i int) string { return xs[arms[i]].Name() }
 	// Dedicated goroutine per arm: arms block waiting on pool Groups, so
@@ -162,11 +118,11 @@ func (r *IndexRacer) Stream(ctx context.Context, xs []index.Index, freqs rewrite
 	emitted := 0 // only the adopted arm ever gets past claim
 	winner, lanes, err := streamRace(ctx, len(arms), label, spawn, true,
 		func(actx context.Context, i int, claim func() bool) error {
-			x, pool := xs[arms[i]], r.Pool
-			if dedicated != nil {
-				pool = dedicated[arms[i]]
+			x := xs[arms[i]]
+			if len(arms) > 1 {
+				actx = exec.Nest(actx)
 			}
-			return index.StreamVerified(actx, pool,
+			return index.StreamVerified(actx, r.Pool,
 				func(fctx context.Context, femit func(int) bool) error {
 					return x.FilterStream(fctx, q, femit)
 				},
@@ -178,7 +134,7 @@ func (r *IndexRacer) Stream(ctx context.Context, xs []index.Index, freqs rewrite
 					return emit(id)
 				},
 				func(gctx context.Context, id int) (bool, error) {
-					res, err := raceInstances(gctx, pool, x, qs, id)
+					res, err := raceInstances(gctx, r.Pool, x, qs, id)
 					return res.Contained, err
 				})
 		})

@@ -136,11 +136,10 @@ func TestIndexRaceAdoptsFirstEmitterAndCancelsLoser(t *testing.T) {
 	xs := []index.Index{slow, fast}
 	r := &IndexRacer{Rewritings: orig}
 	r.Pool = pool
-	t.Cleanup(r.Close)
 
-	// Warm up so the racer's per-attempt pools exist before the baseline,
-	// then drain leftover start tokens so the measured race re-observes
-	// the slow index actually starting.
+	// Warm up so the pool's workers exist before the baseline, then drain
+	// leftover start tokens so the measured race re-observes the slow index
+	// actually starting.
 	if _, _, err := collect(context.Background(), r, xs, ds[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,6 @@ func TestIndexRaceRepeatedNoLeak(t *testing.T) {
 	xs := []index.Index{fast, slow}
 	r := &IndexRacer{Rewritings: orig}
 	r.Pool = pool
-	t.Cleanup(r.Close)
 	// Warm-up so transient infrastructure exists before the baseline.
 	if _, _, err := collect(context.Background(), r, xs, ds[0]); err != nil {
 		t.Fatal(err)
@@ -204,40 +202,57 @@ func TestIndexRaceRepeatedNoLeak(t *testing.T) {
 	}
 }
 
-// TestIndexRacerPoolsOutliveEpochs: one racer serves every epoch of a
-// dataset, so the per-arm pools made at its first race are the pools of every
-// later race, whichever portfolio of the same arms it is handed; a race after
-// Close makes none, and the closed pools leave no goroutines behind.
-func TestIndexRacerPoolsOutliveEpochs(t *testing.T) {
-	leakcheck.Check(t, 2)
-	ds := newStubDataset(2)
-	epoch := func() []index.Index {
-		return []index.Index{
-			&stubIndex{name: "fast", ds: ds, ids: []int{0, 1}, verify: instantVerify},
-			&stubIndex{name: "slow", ds: ds, ids: []int{0, 1}, verify: blockingVerify},
+// gatedFilter is a stub whose filter waits for gate before it scans.
+type gatedFilter struct {
+	*stubIndex
+	gate <-chan struct{}
+}
+
+func (x gatedFilter) FilterStream(ctx context.Context, q *graph.Graph, emit func(int) bool) error {
+	select {
+	case <-x.gate:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return x.stubIndex.FilterStream(ctx, q, emit)
+}
+
+// TestIndexRaceStragglerCannotStarveWinner: raced arms share the racer's
+// pool, so a straggler may hold its only worker. The winner's filter starts
+// only once the straggler's first verification has, and its verifications
+// must still run — on its own goroutine — rather than wait for a worker the
+// straggler frees only when it loses.
+func TestIndexRaceStragglerCannotStarveWinner(t *testing.T) {
+	ds := newStubDataset(3)
+	started := make(chan struct{})
+	var once sync.Once
+	straggler := &stubIndex{name: "straggler", ds: ds, ids: []int{0, 1, 2}}
+	straggler.verify = func(ctx context.Context, graphID int) (bool, error) {
+		once.Do(func() { close(started) })
+		<-ctx.Done()
+		return false, ctx.Err()
+	}
+	winner := gatedFilter{&stubIndex{name: "winner", ds: ds, ids: []int{0, 1, 2}, verify: instantVerify}, started}
+	pool := exec.New(1)
+	t.Cleanup(pool.Close)
+	r := &IndexRacer{Rewritings: orig, Pool: pool}
+	type outcome struct {
+		ids []int
+		res IndexRaceResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		ids, res, err := collect(context.Background(), r, []index.Index{straggler, winner}, ds[0])
+		done <- outcome{ids, res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil || o.res.Winner != "winner" || !slices.Equal(o.ids, []int{0, 1, 2}) {
+			t.Fatalf("ids %v, winner %q, err %v; want [0 1 2] from winner", o.ids, o.res.Winner, o.err)
 		}
-	}
-	r := &IndexRacer{Rewritings: orig, Pool: exec.New(2)}
-	defer r.Pool.Close()
-	race := func(when string) {
-		t.Helper()
-		if ids, res, err := collect(context.Background(), r, epoch(), ds[0]); err != nil || len(ids) != 2 || res.Winner != "fast" {
-			t.Fatalf("%s: ids %v, winner %q, err %v", when, ids, res.Winner, err)
-		}
-	}
-	race("first epoch")
-	first := slices.Clone(r.pools)
-	if len(first) != 2 {
-		t.Fatalf("%d pools after a two-arm race, want 2", len(first))
-	}
-	race("second epoch")
-	if !slices.Equal(r.pools, first) {
-		t.Error("a later epoch's race made pools of its own")
-	}
-	r.Close()
-	race("after Close")
-	if !slices.Equal(r.pools, first) {
-		t.Error("a race after Close made pools nobody would close")
+	case <-time.After(5 * time.Second):
+		t.Fatal("the winner's verifications starved behind the straggler's")
 	}
 }
 
@@ -251,7 +266,6 @@ func TestIndexRaceEmptyAnswerWins(t *testing.T) {
 	defer pool.Close()
 	xs := []index.Index{slow, empty}
 	r := &IndexRacer{Rewritings: orig}
-	defer r.Close()
 	r.Pool = pool
 	ids, res, err := collect(context.Background(), r, xs, ds[0])
 	if err != nil {
@@ -272,7 +286,6 @@ func TestIndexRaceSingleIndexDegenerates(t *testing.T) {
 	only := &stubIndex{name: "only", ds: ds, ids: []int{0, 2}, verify: instantVerify}
 	xs := []index.Index{only}
 	r := &IndexRacer{Rewritings: orig}
-	defer r.Close()
 	ids, res, err := collect(context.Background(), r, xs, ds[0])
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +309,6 @@ func TestIndexRaceArmsOutOfPortfolioOrder(t *testing.T) {
 	c := &stubIndex{name: "c", ds: ds, ids: []int{0, 1}, verify: instantVerify}
 	xs := []index.Index{a, b, c}
 	r := &IndexRacer{Rewritings: orig}
-	defer r.Close()
 	ids, res, err := collect(context.Background(), r, xs, ds[0], 2, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +341,6 @@ func TestIndexRaceAllFail(t *testing.T) {
 	b := &stubIndex{name: "b", ds: ds, ids: []int{0}, verify: failing}
 	xs := []index.Index{a, b}
 	r := &IndexRacer{Rewritings: orig}
-	defer r.Close()
 	_, _, err := collect(context.Background(), r, xs, ds[0])
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -344,7 +355,6 @@ func TestIndexRaceCallerCancel(t *testing.T) {
 	s2 := &stubIndex{name: "s2", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
 	xs := []index.Index{s1, s2}
 	r := &IndexRacer{Rewritings: orig}
-	defer r.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -364,7 +374,6 @@ func TestIndexRaceEmitStop(t *testing.T) {
 	slow := &stubIndex{name: "slow", ds: ds, ids: []int{0, 1, 2}, verify: blockingVerify}
 	xs := []index.Index{fast, slow}
 	r := &IndexRacer{Rewritings: orig}
-	defer r.Close()
 	var got []int
 	res, err := r.Stream(context.Background(), xs, rewrite.FrequenciesOfDataset(ds), ds[0], nil, func(id int) bool {
 		got = append(got, id)
@@ -409,7 +418,6 @@ func TestStreamRewritesQueryOncePerKind(t *testing.T) {
 		xs = append(xs, &stubIndex{name: name, ds: ds, ids: ids, verify: instantVerify, onVerify: record})
 	}
 	r := &IndexRacer{Rewritings: kinds}
-	defer r.Close()
 	q := graph.MustNew("q", []graph.Label{0, 1, 0}, [][2]int{{0, 1}, {1, 2}})
 	got, _, err := collect(context.Background(), r, xs, q)
 	if err != nil {

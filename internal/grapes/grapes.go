@@ -188,12 +188,7 @@ func (x *Index) Filter(q *graph.Graph) []int { return x.table.Filter(q) }
 // FilterStream implements index.Index: surviving graph IDs are emitted
 // incrementally in ascending order.
 func (x *Index) FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error {
-	return x.FilterFeatures(ctx, x.plan(q).feats, emit)
-}
-
-// FilterFeatures implements index.FeatureFilter.
-func (x *Index) FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, emit func(graphID int) bool) error {
-	return x.table.FilterFeatures(ctx, feats, emit)
+	return x.table.FilterFeatures(ctx, x.plan(q).feats, emit)
 }
 
 // scratch is the per-verification working memory, recycled across calls:

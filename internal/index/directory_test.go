@@ -35,7 +35,11 @@ func tableOf(t *testing.T, x index.Index) *index.Path {
 // their bytes, and each posting's location set. The ftv and ggsx pairs must
 // agree again after each takes the input's last graph through WithGraph, which
 // may set bits, write a superset directory or neither, and those inserts must
-// leave the Grapes cells' directory and location sets as they were.
+// leave the Grapes cells' directory and location sets as they were. Each row,
+// merged by NewShardedFrom under an alive mask read from the high bits of
+// shards and labels, must filter the input's last graph to what an index over
+// the live graphs alone does, and a stream stopped at its j-th candidate must
+// have emitted exactly the first j.
 func FuzzPathDirectory(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 2, 0, 1, 1, 2, 3, 1, 1, 0, 2, 0, 1, 1, 2, 2, 5, 0, 1, 2, 3, 4, 5, 9, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5}, uint8(1), uint8(3))
 	f.Add([]byte{2, 0, 0, 1, 0, 1, 2, 1, 1, 1, 0, 1, 2, 2, 2, 1, 0, 1, 4, 0, 1, 0, 1, 3, 0, 1, 1, 2, 2, 3}, uint8(3), uint8(2))
@@ -68,6 +72,13 @@ func FuzzPathDirectory(f *testing.F) {
 			}
 		}
 		checkGrapesRow("built")
+		alive, dead := make([]bool, len(ds)), int(shards>>2)|int(labels>>3)<<6
+		for g := range ds {
+			alive[g] = dead>>g&1 == 0
+		}
+		for i, kind := range kinds {
+			checkShardedRow(t, fmt.Sprintf("K=%d %s alive %v", k, kind, alive), ds, alive, kind, grid[i], extra)
+		}
 		for i, kind := range kinds[:2] {
 			for s, cell := range grid[i] {
 				if tableOf(t, cell).Directory() != dir {
@@ -92,6 +103,44 @@ func FuzzPathDirectory(f *testing.F) {
 		}
 		checkGrapesRow("after the inserts")
 	})
+}
+
+// checkShardedRow fails unless row, the cells of one kind over ds, merged
+// under the alive mask, filters q to the candidates of an index of that kind
+// over the live graphs alone: Filter, FilterStream, and FilterStream stopped
+// at each candidate, which must have emitted exactly the prefix up to it.
+func checkShardedRow(t *testing.T, tag string, ds []*graph.Graph, alive []bool, kind string, row []index.Index, q *graph.Graph) {
+	t.Helper()
+	var live []*graph.Graph
+	for g, ok := range alive {
+		if ok {
+			live = append(live, ds[g])
+		}
+	}
+	mono, err := index.Build(context.Background(), kind, live, index.Options{MaxPathLen: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mono.Filter(q)
+	sh := index.NewShardedFrom(ds, alive, kind, row)
+	if got := sh.Filter(q); !sameInts(got, want) {
+		t.Fatalf("%s: Filter = %v, want %v", tag, got, want)
+	}
+	// Stopping at candidate 0, which does not exist, is the full stream.
+	for j := 0; j <= len(want); j++ {
+		var got []int
+		err := sh.FilterStream(context.Background(), q, func(id int) bool {
+			got = append(got, id)
+			return len(got) != j
+		})
+		prefix := want[:j]
+		if j == 0 {
+			prefix = want
+		}
+		if err != nil || !sameInts(got, prefix) {
+			t.Fatalf("%s: FilterStream stopped at candidate %d emitted %v, %v; want %v", tag, j, got, err, prefix)
+		}
+	}
 }
 
 // decodeDataset reads up to eight small graphs from data: per graph a vertex

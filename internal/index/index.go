@@ -159,64 +159,109 @@ func FilterByFeatures(nGraphs int, feats []ftv.QueryFeature, lookup LookupFunc) 
 // feature count. emit returning false abandons the scan; ctx cancellation
 // ends it with the context's error.
 func StreamByFeatures(ctx context.Context, nGraphs int, feats []ftv.QueryFeature, lookup LookupFunc, emit func(graphID int) bool) error {
-	if len(feats) == 0 {
-		// No path features (edgeless query): every graph is a candidate.
-		for id := 0; id < nGraphs; id++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if !emit(id) {
-				return nil
-			}
+	c := newFeatureCursor(nGraphs, feats, lookup)
+	for {
+		id, ok, err := c.next(ctx)
+		if !ok {
+			return err
 		}
-		return nil
+		if !emit(id) {
+			return nil
+		}
 	}
-	type need struct {
-		cur Cursor
-		min int32
+}
+
+// featureCursor is StreamByFeatures' intersection as a pull cursor: next
+// yields the surviving graph IDs one at a time, in ascending order, so a
+// caller can interleave several scans — Sharded's merge holds one per shard.
+type featureCursor struct {
+	needs  []need // nil for a query without features
+	driver int    // the rarest feature's position in needs
+	id     int    // without features: the next graph to yield
+	n      int    // the graph count
+	done   bool
+}
+
+// need is one query feature's posting cursor and the count a graph must
+// reach.
+type need struct {
+	cur Cursor
+	min int32
+}
+
+// newFeatureCursor opens the intersection of feats' posting lists over n
+// graphs; lookup resolves each feature's list.
+func newFeatureCursor(n int, feats []ftv.QueryFeature, lookup LookupFunc) featureCursor {
+	c := featureCursor{n: n}
+	if len(feats) == 0 {
+		return c // no path features (edgeless query): every graph is a candidate
 	}
-	needs := make([]need, len(feats))
+	c.needs = make([]need, len(feats))
 	// Drive the scan with the rarest feature's list; it ascends, so every
 	// other list is read by a cursor that only moves forward.
-	driver, shortest := 0, 0
+	shortest := 0
 	for i, f := range feats {
 		p := lookup(f.Labels)
 		if p.Len() == 0 {
-			return nil // feature absent everywhere: no candidates
+			return featureCursor{done: true} // feature absent everywhere: no candidates
 		}
-		needs[i] = need{cur: p.Cursor(), min: f.Count}
+		c.needs[i] = need{cur: p.Cursor(), min: f.Count}
 		if i == 0 || p.Len() < shortest {
-			driver, shortest = i, p.Len()
+			c.driver, shortest = i, p.Len()
 		}
 	}
-	d := &needs[driver]
+	return c
+}
+
+// next returns the next surviving graph ID, or false once there is none. It
+// polls ctx once per graph it considers: every graph without features, else
+// every driver posting that passes its count; a cancelled ctx ends the scan
+// with the context's error.
+func (c *featureCursor) next(ctx context.Context) (int, bool, error) {
+	if c.done {
+		return 0, false, nil
+	}
+	if c.needs == nil {
+		if c.id == c.n {
+			c.done = true
+			return 0, false, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return 0, false, err
+		}
+		c.id++
+		return c.id - 1, true, nil
+	}
+	d := &c.needs[c.driver]
 	for d.cur.Next() {
 		if d.cur.Count() < d.min {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return 0, false, err
 		}
 		ok := true
-		for i := range needs {
-			if i == driver {
+		for i := range c.needs {
+			if i == c.driver {
 				continue
 			}
-			n := &needs[i]
+			n := &c.needs[i]
 			_, count, found := n.cur.Seek(d.cur.Graph())
 			if n.cur.Done() {
-				return nil // a required feature occurs in no graph from here on
+				c.done = true // a required feature occurs in no graph from here on
+				return 0, false, nil
 			}
 			if !found || count < n.min {
 				ok = false
 				break
 			}
 		}
-		if ok && !emit(int(d.cur.Graph())) {
-			return nil
+		if ok {
+			return int(d.cur.Graph()), true, nil
 		}
 	}
-	return nil
+	c.done = true
+	return 0, false, nil
 }
 
 // StreamVerified pipelines filtering into verification: every candidate the

@@ -293,3 +293,32 @@ func TestShardedMaskMismatchPanics(t *testing.T) {
 	}()
 	index.NewShardedFrom(ds, []bool{true, false}, index.KindPath, []index.Index{x})
 }
+
+// TestShardedWithoutTablePanics: the merge extracts a query's features once
+// and scans every shard's table, so a sub-index that keeps no table, or one
+// at another path length, is a caller bug too.
+func TestShardedWithoutTablePanics(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	ds := randomDataset(r, 4, 6, 2)
+	build := func(sub []*graph.Graph, maxLen int) index.Index {
+		x, err := index.BuildPath(context.Background(), sub, index.Options{MaxPathLen: maxLen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	even, odd := index.ShardDataset(ds, 0, 2), index.ShardDataset(ds, 1, 2)
+	for name, subs := range map[string][]index.Index{
+		"no table":          {build(even, 2), struct{ index.Index }{build(odd, 2)}},
+		"other path length": {build(even, 2), build(odd, 3)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("NewShardedFrom did not panic")
+				}
+			}()
+			index.NewShardedFrom(ds, nil, index.KindPath, subs)
+		})
+	}
+}

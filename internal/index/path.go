@@ -678,9 +678,15 @@ func (x *Path) FilterStream(ctx context.Context, q *graph.Graph, emit func(graph
 	return x.FilterFeatures(ctx, ftv.QueryFeatures(q, x.maxPathLen), emit)
 }
 
-// FilterFeatures implements FeatureFilter.
+// FilterFeatures is FilterStream from the query's features, extracted at
+// the table's path length, rather than from the query.
 func (x *Path) FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, emit func(graphID int) bool) error {
 	return StreamByFeatures(ctx, len(x.ds), feats, x.lookup, emit)
+}
+
+// cursor opens FilterFeatures' scan as a pull cursor.
+func (x *Path) cursor(feats []ftv.QueryFeature) featureCursor {
+	return newFeatureCursor(len(x.ds), feats, x.lookup)
 }
 
 // WithGraph implements Inserter: a copy-on-write append. Only the new

@@ -13,9 +13,11 @@ package index
 // composes with it unchanged. Query answers are byte-identical to the
 // monolithic index at any K and any worker count: filtering decisions are
 // per-graph (a graph survives iff it contains every query feature often
-// enough, which no amount of partitioning changes), FilterStream performs an
-// ascending-ID ordered merge of the per-shard streams, and verification
-// routes each global ID back to the shard that owns it.
+// enough, which no amount of partitioning changes), FilterStream merges one
+// posting cursor per shard in ascending global-ID order on the caller's
+// goroutine, and verification routes each global ID back to the shard that
+// owns it. Filtering stays sequential, as the paper's FTV design leaves it:
+// the parallelism is in verification.
 //
 // With the alive mask of a dataset store (internal/live), which tombstones a
 // deleted graph's slot rather than renumber, Sharded is also the dense view
@@ -28,18 +30,10 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 )
-
-// shardStreamBuf is the per-shard channel buffer of the ordered merge: deep
-// enough that a shard scanning a candidate-dense region does not stall on a
-// merger draining a sparse one, small enough that cancellation never leaves
-// much wasted scan work behind.
-const shardStreamBuf = 64
 
 // Sharded is a dataset index partitioned into K per-shard sub-indexes.
 // Construct with BuildSharded or NewShardedFrom; immutable, so safe for
@@ -49,6 +43,7 @@ const shardStreamBuf = 64
 type Sharded struct {
 	ds     []*graph.Graph // dense: the live graphs in slot order
 	shards []Index
+	tables []*Path // per shard: the table its sub-index keeps its features in
 	k      int
 	stats  Stats
 	// denseOf maps a slot to its dense ID (-1 when tombstoned) and slots a
@@ -56,19 +51,6 @@ type Sharded struct {
 	// slot is then the dense ID.
 	denseOf []int
 	slots   []int
-	// byFeatures holds the shards as FeatureFilters when every one is, at
-	// one path length: a query's features are then extracted once for all
-	// of them. Nil otherwise, and every shard filters from the query itself.
-	byFeatures []FeatureFilter
-}
-
-// FeatureFilter is the capability of the path-feature kinds a Sharded index
-// uses to extract a query's features once rather than once per shard:
-// FilterFeatures is FilterStream from ftv.QueryFeatures(q, MaxPathLen())
-// instead of from q.
-type FeatureFilter interface {
-	MaxPathLen() int
-	FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, emit func(graphID int) bool) error
 }
 
 // ShardOf returns the shard owning global graph ID g under K-way round-robin
@@ -111,7 +93,9 @@ func BuildSharded(ctx context.Context, kind string, ds []*graph.Graph, shards in
 // alive marks the live slots (nil: every slot is); with dead ones the view is
 // the dense one of the file comment, its Stats counting only live graphs, in
 // total and per shard. A mask that does not cover slots is a caller bug and
-// panics.
+// panics, as is a sub-index that keeps no feature table (every registered
+// kind keeps one) or one of another path length than shard 0's: the merge
+// extracts a query's features once for every shard.
 //
 // The aggregate BuildTime is the sum of the sub-indexes': a grid charges each
 // shard its graphs' share of the shared extraction, so the sum is extraction
@@ -123,6 +107,13 @@ func NewShardedFrom(slots []*graph.Graph, alive []bool, kind string, subs []Inde
 	}
 	k := len(subs)
 	x := &Sharded{ds: slots, k: k, shards: subs}
+	for s, sub := range subs {
+		t, ok := sub.(tabled)
+		if !ok || t.Table().MaxPathLen() != subs[0].Stats().MaxPathLen {
+			panic(fmt.Sprintf("index: NewShardedFrom: shard %d (%s) keeps no feature table at shard 0's path length", s, sub.Name()))
+		}
+		x.tables = append(x.tables, t.Table())
+	}
 	if slices.Contains(alive, false) {
 		x.ds = make([]*graph.Graph, 0, len(slots))
 		x.denseOf = make([]int, len(slots))
@@ -169,14 +160,6 @@ func NewShardedFrom(slots []*graph.Graph, alive []bool, kind string, subs []Inde
 			x.stats.Shards[ShardOf(slot, k)].Graphs++
 		}
 	}
-	for _, sub := range subs {
-		ff, ok := sub.(FeatureFilter)
-		if !ok || ff.MaxPathLen() != x.stats.MaxPathLen {
-			x.byFeatures = nil
-			break
-		}
-		x.byFeatures = append(x.byFeatures, ff)
-	}
 	return x
 }
 
@@ -195,17 +178,14 @@ func (x *Sharded) Dataset() []*graph.Graph { return x.ds }
 // breakdown in Stats.Shards (the shard-balance feed for /stats) when K >= 2.
 func (x *Sharded) Stats() Stats { return x.stats }
 
-// translate turns emit, which takes global dense IDs, into the emit of shard
-// s, which yields the shard's local IDs; a tombstone is skipped and the scan
-// goes on.
-func (x *Sharded) translate(s int, emit func(id int) bool) func(local int) bool {
-	return func(local int) bool {
-		slot := s + local*x.k
-		if x.denseOf == nil {
-			return emit(slot)
-		}
-		return x.denseOf[slot] < 0 || emit(x.denseOf[slot])
+// dense returns the dense ID of shard s's local ID, or -1 when its slot is
+// tombstoned.
+func (x *Sharded) dense(s, local int) int {
+	slot := s + local*x.k
+	if x.denseOf == nil {
+		return slot
 	}
+	return x.denseOf[slot]
 }
 
 // Close implements Index, releasing every shard's resources.
@@ -228,141 +208,77 @@ func (x *Sharded) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool
 	return x.shards[ShardOf(slot, x.k)].Verify(ctx, q, slot/x.k)
 }
 
-// Filter implements ftv.Index: per-shard filters translated to global IDs
-// and merged ascending — the same candidate set as the monolithic index,
-// because presence/frequency pruning is a per-graph decision.
+// Filter implements ftv.Index: FilterStream collected — the same candidate
+// set as the monolithic index, because presence/frequency pruning is a
+// per-graph decision.
 func (x *Sharded) Filter(q *graph.Graph) []int {
 	if x.k == 1 && x.denseOf == nil {
 		return x.shards[0].Filter(q)
 	}
 	var out []int
-	keep := func(id int) bool {
+	// The background context never cancels, so the error is always nil.
+	_ = x.FilterStream(context.Background(), q, func(id int) bool {
 		out = append(out, id)
 		return true
-	}
-	if x.byFeatures == nil {
-		for s, sub := range x.shards {
-			emit := x.translate(s, keep)
-			for _, local := range sub.Filter(q) {
-				emit(local)
-			}
-		}
-	} else {
-		feats := ftv.QueryFeatures(q, x.stats.MaxPathLen)
-		for s, sub := range x.byFeatures {
-			// The background context never cancels, so the error is always nil.
-			_ = sub.FilterFeatures(context.Background(), feats, x.translate(s, keep))
-		}
-	}
-	sort.Ints(out)
+	})
 	return out
 }
 
-// FilterStream implements Index with an ascending-ID ordered merge: every
-// shard scans concurrently on its own goroutine, candidates flow through
-// per-shard channels, and the merger emits the minimum pending global ID —
-// so the emission order is byte-identical to the monolithic index's
-// regardless of K, scheduling, or channel timing. Each shard drops its
-// tombstones and translates before sending, so the merge only ever sees dense
-// IDs. emit returning false (or a cancelled ctx) cancels the remaining shard
-// scans; FilterStream returns only after every shard goroutine has drained,
-// so a query leaves nothing behind.
+// FilterStream implements Index with an ascending-ID ordered merge on the
+// caller's goroutine: the query's features are extracted once, one posting
+// cursor per shard scans that shard's table, each shard's head is its next
+// candidate translated to its dense ID (tombstones skipped), and the minimum
+// head is emitted — so the emission order is byte-identical to the monolithic
+// index's at any K. Each cursor polls ctx as the monolithic scan does. At
+// K = 1 the one sub-index filters, its IDs translated.
 func (x *Sharded) FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error {
 	if x.k == 1 {
+		sub := emit
 		if x.denseOf != nil {
-			emit = x.translate(0, emit)
-		}
-		return x.shards[0].FilterStream(ctx, q, emit)
-	}
-	mctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	chans := make([]chan int, x.k)
-	errs := make([]error, x.k) // written before the shard's channel close, read after
-	var feats []ftv.QueryFeature
-	if x.byFeatures != nil {
-		feats = ftv.QueryFeatures(q, x.stats.MaxPathLen)
-	}
-	var wg sync.WaitGroup
-	for s := range x.shards {
-		chans[s] = make(chan int, shardStreamBuf)
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			defer close(chans[s])
-			emit := x.translate(s, func(id int) bool {
-				select {
-				case chans[s] <- id:
-					return true
-				case <-mctx.Done():
-					return false
-				}
-			})
-			if x.byFeatures != nil {
-				errs[s] = x.byFeatures[s].FilterFeatures(mctx, feats, emit)
-			} else {
-				errs[s] = x.shards[s].FilterStream(mctx, q, emit)
+			sub = func(local int) bool {
+				id := x.dense(0, local)
+				return id < 0 || emit(id)
 			}
-		}(s)
-	}
-	// The merge itself: hold one pending head per live shard, repeatedly
-	// emit the minimum. A closing shard hands over its error; the first
-	// shard failure cancels the rest rather than emitting past it.
-	var (
-		heads   = make([]int, x.k)
-		live    = make([]bool, x.k)
-		stopped bool
-		ferr    error
-	)
-	pull := func(s int) bool {
-		id, open := <-chans[s]
-		if !open {
-			live[s] = false
-			if errs[s] != nil && ferr == nil {
-				ferr = errs[s]
-			}
-			return false
 		}
-		heads[s], live[s] = id, true
-		return true
+		return x.shards[0].FilterStream(ctx, q, sub)
 	}
-	for s := range chans {
-		pull(s)
+	feats := ftv.QueryFeatures(q, x.stats.MaxPathLen)
+	type head struct {
+		cur featureCursor
+		id  int // the dense ID of the shard's next candidate; -1 once exhausted
 	}
-	for ferr == nil {
+	heads := make([]head, x.k)
+	pull := func(s int) error {
+		h := &heads[s]
+		for {
+			local, ok, err := h.cur.next(ctx)
+			if !ok {
+				h.id = -1
+				return err
+			}
+			if h.id = x.dense(s, local); h.id >= 0 {
+				return nil
+			}
+		}
+	}
+	for s, t := range x.tables {
+		heads[s].cur = t.cursor(feats)
+		if err := pull(s); err != nil {
+			return err
+		}
+	}
+	for {
 		min := -1
-		for s, ok := range live {
-			if ok && (min < 0 || heads[s] < heads[min]) {
+		for s := range heads {
+			if id := heads[s].id; id >= 0 && (min < 0 || id < heads[min].id) {
 				min = s
 			}
 		}
-		if min < 0 {
-			break
+		if min < 0 || !emit(heads[min].id) {
+			return nil
 		}
-		if !emit(heads[min]) {
-			stopped = true
-			break
+		if err := pull(min); err != nil {
+			return err
 		}
-		pull(min)
-	}
-	cancel()
-	// Unblock shards parked on a full channel, then wait them out; without
-	// the drain a shard could write to a channel nobody reads again.
-	for s := range chans {
-		go func(s int) {
-			for range chans[s] {
-			}
-		}(s)
-	}
-	wg.Wait()
-	switch {
-	case stopped:
-		return nil
-	case ferr != nil && ctx.Err() == nil:
-		return ferr
-	case ctx.Err() != nil:
-		// A truncated scan must not read as a completed empty one.
-		return ctx.Err()
-	default:
-		return nil
 	}
 }

@@ -8,6 +8,7 @@ package index_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/psi-graph/psi/internal/exec"
@@ -146,46 +147,6 @@ func TestShardedBuildShape(t *testing.T) {
 	}
 }
 
-// opaque hides every capability of an index but the contract.
-type opaque struct{ index.Index }
-
-// TestShardedOverOpaqueShards: a Sharded index extracts a query's features
-// once and hands them to shards that take them (index.FeatureFilter); shards
-// that do not — any other implementation of the contract — filter from the
-// query itself, to the same candidates.
-func TestShardedOverOpaqueShards(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	ds := randomDataset(r, 9, 10, 2)
-	queries := []*graph.Graph{extractQuery(r, ds[0], 3), extractQuery(r, ds[5], 4), graph.MustNew("edgeless", []graph.Label{0}, nil)}
-	for _, kind := range index.Kinds() {
-		grid, err := index.BuildGrid(context.Background(), []string{kind}, ds, 3, index.Options{MaxPathLen: fuzzMaxPathLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hidden := make([]index.Index, len(grid[0]))
-		for s, sub := range grid[0] {
-			if _, ok := sub.(index.FeatureFilter); !ok {
-				t.Fatalf("%s does not take extracted query features", kind)
-			}
-			hidden[s] = opaque{sub}
-		}
-		direct, wrapped := index.NewShardedFrom(ds, nil, kind, grid[0]), index.NewShardedFrom(ds, nil, kind, hidden)
-		for qi, q := range queries {
-			want := direct.Filter(q)
-			if got := wrapped.Filter(q); !sameInts(got, want) {
-				t.Errorf("%s q%d: opaque shards filter to %v, feature-taking ones to %v", kind, qi, got, want)
-			}
-			for name, x := range map[string]*index.Sharded{"direct": direct, "opaque": wrapped} {
-				var got []int
-				if err := x.FilterStream(context.Background(), q, func(id int) bool { got = append(got, id); return true }); err != nil || !sameInts(got, want) {
-					t.Errorf("%s q%d: %s FilterStream = %v, %v; want %v", kind, qi, name, got, err, want)
-				}
-			}
-		}
-		direct.Close()
-	}
-}
-
 // TestShardedBuildThroughRegistry checks that BuildSharded produces the
 // sharded wrapper for every registered kind, that at one shard the wrapper
 // reports that shard's statistics as its own (no shard count, no breakdown,
@@ -305,7 +266,8 @@ func TestShardedStreamTruncationSafety(t *testing.T) {
 // TestShardedStreamNoGoroutineLeak hammers the three early-exit paths —
 // consumer stop, context cancellation, and normal completion — across many
 // iterations and asserts the goroutine count returns to (near) baseline:
-// the ordered merge must always drain its per-shard scan goroutines.
+// the verifications a stopped or cancelled pipeline abandons must all be
+// joined.
 func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 	pool := exec.New(2)
 	t.Cleanup(pool.Close)
@@ -323,7 +285,7 @@ func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 	if _, err := index.Answer(context.Background(), sh, q, pool); err != nil {
 		t.Fatal(err)
 	}
-	leakcheck.Check(t, 4) // the merge must not leak scanners
+	leakcheck.Check(t, 4) // a query must leave no verification behind
 	for i := 0; i < 200; i++ {
 		switch i % 3 {
 		case 0: // normal completion
@@ -342,6 +304,43 @@ func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 				return true
 			})
 			cancel()
+		}
+	}
+}
+
+// TestShardedMergeStartsNoGoroutine: the ordered merge runs on the caller's
+// goroutine, so while it emits — on the first ID and on the last — the
+// process has exactly the goroutines it had before the call. Each shard holds
+// a few hundred candidates, so a merge that scanned shards concurrently would
+// still have them scanning at the first ID.
+func TestShardedMergeStartsNoGoroutine(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	ds := randomDataset(r, 600, 6, 2)
+	sh, err := index.BuildSharded(context.Background(), index.KindPath, ds, 3, index.Options{MaxPathLen: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	q := graph.MustNew("edge", []graph.Label{0, 1}, [][2]int{{0, 1}})
+	want := sh.Filter(q)
+	if len(want) < 300 {
+		t.Fatalf("query has %d candidates, want at least 300", len(want))
+	}
+	before := runtime.NumGoroutine()
+	var got, during []int
+	err = sh.FilterStream(context.Background(), q, func(id int) bool {
+		got = append(got, id)
+		if len(got) == 1 || len(got) == len(want) {
+			during = append(during, runtime.NumGoroutine())
+		}
+		return true
+	})
+	if err != nil || !sameInts(got, want) {
+		t.Fatalf("FilterStream = %v, %v; want %v", got, err, want)
+	}
+	for _, n := range during {
+		if n != before {
+			t.Fatalf("%d goroutines while the merge emits (first and last ID: %v), %d before the call", n, during, before)
 		}
 	}
 }

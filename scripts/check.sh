@@ -67,7 +67,11 @@ echo "== fuzz (FuzzPathDirectory, 5s) =="
 # the same export, statistics and lookups, present and absent sequences
 # alike, before and after an insert that may set bits or write a superset
 # directory. This is where a wrong rank, a union that misses a sequence or a
-# bitmap rebound to the wrong positions shows.
+# bitmap rebound to the wrong positions shows. Each row, merged by
+# index.Sharded under a fuzzed alive mask, must also filter a fuzzed query to
+# what an index over the live graphs alone does, in full and stopped at every
+# candidate: a merge that loses ascending order, keeps a tombstone or emits
+# past a stop shows here.
 go test -run='^$' -fuzz=FuzzPathDirectory -fuzztime=5s ./internal/index
 
 echo "== fuzz (FuzzExtractFeatures, 5s) =="
@@ -149,7 +153,9 @@ echo "== bench smoke (1 iteration) =="
 # Grapes' verification over the repo benchmark's two dataset shapes and one
 # large sparse many-label graph, which between them store location sets in
 # both forms) and BenchmarkMatcherBuild and BenchmarkMatch*Paper (the
-# matchers' indexing phase and query path at the nfv_race scale) included,
+# matchers' indexing phase and query path at the nfv_race scale) and
+# BenchmarkShardedFilterStream (the sharded filter's merge at K = 1, 2 and 4
+# on ftv_selective's and serve_mixed's dataset shapes) included,
 # and internal/core's BenchmarkRaceInstances (the fixed cost of one
 # per-candidate rewriting race, the number that keeps firstDone its own loop).
 go test -run='^$' -bench=. -benchtime=1x . ./internal/core
