@@ -8,12 +8,13 @@
 //	psiquery -data yeast.txt -queries q.txt -algos GQL,SPA -rewritings Or,DND
 //	psiquery -data yeast.txt -queries q.txt -mode auto -json
 //
-// FTV (multi-graph dataset): filter-then-verify decision with the flat
-// path index, Grapes or GGSX — or a race of several — with rewritings
-// raced in the verification stage.
+// FTV (multi-graph dataset): filter-then-verify decision over one path
+// table, verified as the flat path index, Grapes or GGSX do — or by several
+// of them raced per candidate — with rewritings raced in the verification
+// stage.
 //
 //	psiquery -data ppi.txt -queries q.txt -index grapes -workers 4 -rewritings ILF,IND,DND
-//	psiquery -data ppi.txt -queries q.txt -index race            # race ftv|grapes|ggsx
+//	psiquery -data ppi.txt -queries q.txt -index race            # verifiers of ftv|grapes|ggsx raced
 package main
 
 import (

@@ -6,11 +6,11 @@
 //	psiserve -data ppi.txt -index race -timeout 10m -addr 127.0.0.1:8080
 //	psiserve -gen ppi -scale tiny -seed 1 -addr 127.0.0.1:0 -portfile port.txt
 //	psiserve -gen synthetic -scale small -shards 4 -index race   # sharded dataset:
-//	     every index is partitioned into 4 round-robin shards whose streams
+//	     the table is partitioned into 4 round-robin shards whose streams
 //	     merge in ascending ID order; answers are byte-identical to -shards 1
 //	psiserve -gen ppi -index race -policy auto   # traffic-aware planning:
-//	     a per-query-class bandit learns which index pipeline wins and runs
-//	     it solo, escalating back to the full race on unfamiliar classes,
+//	     a per-query-class bandit learns which verifier wins and runs it
+//	     solo, escalating back to the full race on unfamiliar classes,
 //	     stale statistics, or a budget-killed solo; answers stay identical
 //	     to -policy race. (-mode race|single|auto: auto is the stored-graph
 //	     analogue.)
@@ -73,7 +73,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -355,16 +354,13 @@ func newEngine(ds []*graph.Graph, opts psi.EngineOptions) (*psi.Engine, error) {
 
 func describe(eng *psi.Engine) string {
 	if ds := eng.Dataset(); ds != nil {
-		names := make([]string, 0, len(eng.IndexStats()))
-		for _, st := range eng.IndexStats() {
-			names = append(names, fmt.Sprintf("%s (%d postings, %d bytes)", st.Name, st.Postings, st.PostingBytes))
-		}
+		st := eng.IndexStats()[0]
 		sharding := ""
 		if k := eng.Shards(); k > 1 {
 			sharding = fmt.Sprintf(", shards=%d", k)
 		}
-		return fmt.Sprintf("FTV: %d graphs, policy=%s%s, indexes=%s",
-			len(ds), eng.IndexPolicy(), sharding, strings.Join(names, ","))
+		return fmt.Sprintf("FTV: %d graphs, policy=%s%s, %s table (%d postings, %d bytes)",
+			len(ds), eng.IndexPolicy(), sharding, st.Kind, st.Postings, st.PostingBytes)
 	}
 	return fmt.Sprintf("NFV: %d vertices, mode=%s", eng.Graph().N(), eng.Mode())
 }

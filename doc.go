@@ -41,26 +41,24 @@
 // a collector of a few lines over it. One function owns each step:
 //
 //	plan             Engine.Plan               policy and bandit verdict → arms:
-//	                                           1 (fixed index, learned solo) or all
+//	                                           1 verifier (fixed, learned solo) or all
 //	launch           Engine.launch             the arms; solo → escalate; bandit learns
-//	race of arms     IndexRacer.Stream         a solo run is a race of one
-//	per-arm filter   FilterIndex.FilterStream  ascending candidates, incrementally
+//	filter           FilterIndex.FilterStream  one scan of the one table, ascending
 //	ordered verify   index.StreamVerified      pool fan-out, in-order flush
-//	candidate race   core.raceInstances        one Verify per prepared rewriting
-//	adoption         core.streamRace           first arm to emit owns the output
+//	candidate race   core.raceInstances        arms × prepared rewritings, first wins
 //	emit / collect   Engine.answer             caller's emit, or QueryResult.GraphIDs
 //
-// Engine.answer pins the store's current snapshot and launches the plan's
-// arms over its indexes through the engine's one core.IndexRacer. Stream
-// rewrites the query once per configured rewriting, under the snapshot's
-// label frequencies (the instances serve every candidate of every arm),
-// then starts each arm's FilterStream → StreamVerified
-// pipeline: a candidate begins its rewriting race the moment the filter
-// surfaces it, and verified graph IDs are flushed in filter order as soon
-// as each ID and every candidate before it has settled, so the caller sees
-// the ascending answer incrementally. The first arm to emit a verified ID
-// is adopted — streamRace, the same state machine Racer.RaceStream uses for
-// matcher attempts — and the others are cancelled and drained. Around it
+// Engine.answer pins the store's current snapshot and hands core.StreamFTV
+// the snapshot's table under each of the plan's arms, which are verifiers.
+// StreamFTV rewrites the query once per configured rewriting, under the
+// snapshot's label frequencies, then runs one FilterStream → StreamVerified
+// pipeline: a candidate begins its race the moment the filter surfaces it —
+// every arm under every rewriting, the first finisher deciding it, as the
+// paper's §8 leaves the filter intact and races in verification — and
+// verified graph IDs are flushed in filter order as soon as each ID and
+// every candidate before it has settled, so the caller sees the ascending
+// answer incrementally. The query's winner is the verifier that decided
+// most of its candidates. Around it
 // sit the pieces of engine policy, each written once: the per-query budget
 // (runBudgeted: a query that hits the cap comes back Killed, not as an
 // error), the launch of a plan's arms (launch: Mode and IndexPolicy are one
@@ -83,8 +81,8 @@
 // pool-size candidates are in flight regardless of how many the filter
 // returns: in-flight work is bounded by pool size × rewritings instead of
 // candidates × rewritings. Fan-out nests: a Group opened inside a Group task,
-// or from exec.Nest (a raced index arm's verifications, or Grapes/4 splitting
-// one candidate's components inside a rewriting attempt), hands its tasks to
+// or from exec.Nest (Grapes/4 splitting one candidate's components inside a
+// race's attempt), hands its tasks to
 // idle workers or runs them on its own goroutine, never waiting for a worker,
 // so one pool serves every depth of fan-out without deadlock.
 //
@@ -124,8 +122,8 @@
 //
 // Engine is the serving facade over all of it: a long-lived object owning
 // the stored graph or dataset, the prebuilt matcher portfolio, label
-// frequencies, the filtering-index portfolio, the shared execution pool and
-// the learned planning policy. Query processing splits into
+// frequencies, the filtering index and its verifiers, the shared execution
+// pool and the learned planning policy. Query processing splits into
 // Plan — attempt-portfolio selection per the engine's Mode: a full race
 // (ModeRace), the query class's learned best attempt alone with race fallback
 // (ModeAuto, see Adaptive planning below), or a fixed single attempt
@@ -209,18 +207,17 @@
 //
 // # Filtering-index architecture
 //
-// Dataset (multi-graph) queries go through a filtering index, and the
-// module ships three alternatives behind one contract (FilterIndex), which
-// are one feature table and three verifiers. The table is flat: the label
-// sequences, sorted, each with its per-graph count list, and for Grapes a
-// reference per posting to its location set. The flat path-based FTV
-// baseline and GGSX are the table alone and verify with VF2 against whole
-// graphs — GGSX's suffix tree filtered exactly as the table does, so it is
-// the table under the paper's name for it — and Grapes holds a table with
-// locations and verifies within the components they leave. All three index
-// each undirected label path once (orientation, below) and keep its counts
-// in packed posting lists read through one forward cursor (packed postings,
-// below). Grapes' location info — per
+// Dataset (multi-graph) queries go through one filtering index, a flat
+// feature table per shard: the label sequences, sorted, each with its
+// per-graph count list, and — when Grapes is served — a reference per
+// posting to its location set. The paper's three methods are three names for
+// it, and a name selects a verifier: the flat path-based FTV baseline ("ftv")
+// and GGSX ("ggsx") verify with VF2 against whole graphs — GGSX's suffix
+// tree filtered exactly as the table does — and Grapes ("grapes") within the
+// components its locations leave. The table indexes each undirected label
+// path once (orientation, below) and keeps its counts in packed posting
+// lists read through one forward cursor (packed postings, below). Grapes'
+// location info — per
 // feature and graph, the set of vertices the feature's occurrences touch —
 // keeps one representation from the path DFS to VF2 (ftv.LocSets): a set is a
 // bitset row over its graph's vertices when it has at least two members per
@@ -235,17 +232,15 @@
 // the bytes the sets hold and how many took each form. The contract is the narrow
 // filter-then-verify core — Name/Dataset/Filter/Verify — plus FilterStream,
 // which emits surviving candidates incrementally in ascending order, and
-// Stats, which reports build provenance. All three share one
-// presence/frequency pruning implementation and one build pipeline (next
-// paragraph). Construct through BuildIndex("ftv"|"grapes"|"ggsx"), or let a
-// dataset Engine build its portfolio (EngineOptions.Indexes).
+// Stats, which reports build provenance. Construct one name's index through
+// BuildIndex("ftv"|"grapes"|"ggsx"), or let a dataset Engine build its table
+// for the names it serves (EngineOptions.Indexes).
 //
 // Index build pipeline: every build — one index, a sharded one, a dataset
-// Engine's kind × shard grid, a shard rebuilt on compaction — is extract
-// once → fold per kind and shard → flat postings. Each dataset graph's path
-// features are extracted exactly once
-// per build, fanned out across the execution pool, with Grapes' locations
-// only when a requested kind reads them (already in their stored form, so
+// Engine's tables, a shard rebuilt on compaction — is extract once → fold
+// per shard → flat postings. Each dataset graph's path features are
+// extracted exactly once per build, fanned out across the execution pool,
+// with locations only when Grapes is served (already in their stored form, so
 // the fold appends each graph's slab to the index's and nothing is
 // re-encoded); the extractor walks a label trie
 // alongside its path DFS (next paragraph), so a path costs a share of one
@@ -254,7 +249,7 @@
 // sequences — and a graph's features come out as the slots it counted, in
 // the order it first counted them; a trie past 2^18 slots is
 // sealed and the worker starts another on the same table. Graph g is routed
-// to shard g mod K and every (kind, shard) index is folded from its graphs'
+// to shard g mod K and every shard's table is folded from its graphs'
 // features in graph-ID order: the fold interns each trie slot its graphs
 // name once, parents first, into a trie of its own, whose walk is the
 // snapshot format's canonical order, so posting lists — measured in a first
@@ -263,9 +258,9 @@
 // export is a plain walk, and a build is byte-identical at any worker count,
 // whichever worker took which graph. The table is nothing but
 // slabs in canonical order. Its label sequences live in a sequence directory
-// (the sequences concatenated, one end each), which every cell of a grid,
-// whatever its kind and shard, shares: each fold makes its own, and
-// BuildGrid then gives the grid their union and drops the rest. A cell keeps
+// (the sequences concatenated, one end each), which every shard's table
+// shares: each fold makes its own, and BuildTables then gives the tables
+// their union and drops the rest. A table keeps
 // a presence bitmap over the directory with a running count per 64-bit word,
 // one 12-byte entry per sequence it indexes with no pointer in it (where its
 // list ends, the running posting count and the list's next base), the lists
@@ -273,12 +268,10 @@
 // is a binary search of the directory, a bit test and a rank that hands out a
 // view of the posting slab. Cancelling the
 // build's context aborts it even mid-graph (dense graphs hold billions of
-// bounded simple paths). The cost of a portfolio is therefore one
-// extraction plus cheap folds, not one extraction per kind and shard.
-// IndexStats.BuildTime means "time until this index was usable": the shared
-// extraction's wall time (counted in every kind folded from it; within a
-// sharded kind each shard is charged its graphs' share) plus the kind's own
-// fold.
+// bounded simple paths). A build is therefore one extraction plus a cheap
+// fold per shard, whatever the names served. IndexStats.BuildTime means
+// "time until this index was usable": the extraction's wall time (each shard
+// charged its graphs' share) plus the fold.
 //
 // Index build: set-up is path extraction — the DFS over every simple path of
 // up to four edges is nearly all of a build, of a POST /graphs and of a
@@ -299,8 +292,8 @@
 // graphs largest first, and all of it but the tries' slots, which the
 // features name until the folds have read them, is garbage when the
 // extraction returns (no package-level pool whose contents would outlive the
-// build). The folds then run on the same pool, one (kind, shard) cell per
-// task, and a fold that panics fails the build with an error.
+// build). The folds then run on the same pool, one shard per task, and a
+// fold that panics fails the build with an error.
 //
 // Orientation: an undirected path reads as a label sequence L from one end
 // and as reverse(L) from the other, and the DFS from every vertex meets it
@@ -342,51 +335,43 @@
 // intersection, Grapes' per-candidate location lookup and the flat index's
 // copy-on-write append are all ascending, so none of them needs more. There
 // is one representation: built, sharded, grown by AddGraph, compacted and
-// restored indexes of every kind hold the same bytes.
+// restored tables hold the same bytes.
 //
 // Candidate emission is streaming-first: the decision pipeline overlaps
 // filtering with verification, starting a candidate's (rewriting-raced)
 // verification the moment the filter surfaces it, while containing graph
 // IDs still reach the caller incrementally in exact ascending order.
 //
-// On top of the contract sits index racing — the paper's parallel use of
-// alternative algorithms applied to the filtering stage itself. A dataset
-// Engine built with an index portfolio (EngineOptions.Indexes) under the
-// race policy runs every index's full streaming pipeline concurrently per
-// query; the first index to emit a verified candidate adopts the output
-// stream and the losers are cancelled through their contexts (an index that
-// completes an empty answer first wins an empty race — every index is
-// exact, so all pipelines agree). The raced arms share the engine's pool
-// through nested groups: a verification goes to an idle worker or runs on
-// its arm's own goroutine, never waiting for one, so a straggling index
-// that occupies every worker cannot starve the eventual winner. Per-index
-// attempt metrics
-// (winner, cancelled, emissions, elapsed) surface in
-// QueryResult.IndexAttempts, alongside the matcher-level Winner:
+// The paper's parallel use of alternative algorithms sits where its §8 puts
+// it, in verification. A dataset Engine serving several names
+// (EngineOptions.Indexes) under the race policy filters once and races, per
+// candidate, the distinct verifiers the names select — "ftv" and "ggsx"
+// share one — under every rewriting; the first to decide the candidate wins
+// and the rest are cancelled. The query's Winner is the verifier that
+// decided most of its candidates:
 //
 //	eng, _ := psi.NewDatasetEngine(ds, psi.EngineOptions{
-//		Indexes: []string{"ftv", "grapes", "ggsx"}, // IndexRace by default
+//		Indexes: []string{"ftv", "grapes", "ggsx"}, // one table, two verifiers
 //	})
 //	defer eng.Close()
 //	res, _ := eng.Query(ctx, q, 0)
-//	for _, a := range res.IndexAttempts { report(a.Name, a.Winner, a.Elapsed) }
+//	report(res.Winner) // "FTV" or "Grapes/1"
 //
-// With a single index (the default) the engine keeps the fixed policy: the
-// same pipeline as a race of one arm, reported the same way (Winner is the
-// index's name, IndexAttempts has one entry). Plan.IndexPolicy records
-// which policy a planned query will run.
+// With one verifier (the default, "grapes") the engine keeps the fixed
+// policy. Plan.IndexPolicy records which policy a planned query will run;
+// Counters, the pipelines started (index_attempts) and the queries whose
+// candidates raced verifiers (index_races).
 //
 // # Sharding architecture
 //
 // Sharding adds a data-parallel axis under the portfolio axis: instead of
-// one index per kind over the whole dataset, EngineOptions.Shards = K
-// partitions the dataset round-robin over graph IDs (global ID g lives in
-// shard g mod K, at position g div K within it — stable, deterministic,
-// balanced to within one graph) and builds every index in the portfolio as
-// K per-shard sub-indexes behind the index.Sharded wrapper. Every dataset
-// engine serves from the same internal/live store, whose grid is exactly
-// that — a monolithic engine is the store at K = 1, where Sharded is its one
-// sub-index under another type. A static engine's K is clamped to its
+// one table over the whole dataset, EngineOptions.Shards = K partitions the
+// dataset round-robin over graph IDs (global ID g lives in shard g mod K, at
+// position g div K within it — stable, deterministic, balanced to within one
+// graph) and builds K per-shard tables behind the index.Sharded wrapper.
+// Every dataset engine serves from the same internal/live store, which holds
+// exactly those — a monolithic engine is the store at K = 1, where Sharded
+// is its one table under another type. A static engine's K is clamped to its
 // dataset, which it can never outgrow (Shards: 64 over 4 graphs serves 4
 // shards); a mutable engine's is not.
 //
@@ -407,10 +392,9 @@
 // and through the engine by TestShardedEngineRaceParity; bench/'s sharded
 // workloads check every answer against the sequential oracle.
 //
-// Because Sharded implements the same Index contract as the monolithic
-// kinds, it composes with everything above it unchanged: rewritings race
-// inside sharded verification, and core.IndexRacer races whole sharded
-// pipelines against each other ("Grapes/1×4" vs "GGSX×4"). K>1 buys no
+// Because Sharded implements the same Index contract as one table, it
+// composes with everything above it unchanged: each candidate's race routes
+// every verifier to the shard that owns the candidate. K>1 buys no
 // filter wall-clock (expect parity, not speedup, and bench/'s
 // index.sharded.merge_overhead_x for what the merge costs); the per-shard
 // balance is observable via Engine.ShardBalance and the
@@ -431,8 +415,8 @@
 // of vertex count, edge count and distinct labels — and keeps per-arm
 // evidence for each class: race wins, solo runs, budget kills and mean
 // latency, where an arm is one matcher attempt (ModeAuto on a stored
-// graph) or one filtering-index pipeline (IndexPolicy IndexAuto on a
-// dataset).
+// graph) or one verifier (IndexPolicy IndexAuto on a dataset, run alone on
+// every candidate).
 //
 // The decision rule is race-until-confident, then solo-with-audits. A
 // class races while it has fewer than AutoMinSamples successful
@@ -452,7 +436,7 @@
 //
 //	eng, _ := psi.NewDatasetEngine(ds, psi.EngineOptions{
 //		Indexes:     []string{"ftv", "grapes", "ggsx"},
-//		IndexPolicy: psi.IndexAuto, // learned solo, race escalation
+//		IndexPolicy: psi.IndexAuto, // a learned verifier solo, race escalation
 //	})
 //	res, _ := eng.Query(ctx, q, 0)
 //	res.Policy            // the decision this query ran under
@@ -480,8 +464,8 @@
 // only place CPU work queues.
 //
 // Plan and race. Admitted queries run through the Engine exactly as
-// library callers do — Plan picks the attempt or index portfolio, Execute
-// races it — with the request's context (client disconnect, the server's
+// library callers do — Plan picks the attempts or verifiers, Execute
+// races them — with the request's context (client disconnect, the server's
 // request timeout, an explicit ?timeout_ms) flowing into the per-query
 // budget, so a deadline hit surfaces as the paper's kill (killed:true with
 // whatever already streamed), not as an opaque error.
@@ -528,20 +512,21 @@
 // Slots. Every graph ever added occupies a permanent global slot; the
 // round-robin sharding law (slot s lives in shard s mod K) then localizes
 // any mutation to exactly one shard, and because slot assignment is
-// monotone, an AddGraph always appends to its shard's tail — which the
-// flat kinds, FTV and GGSX, absorb copy-on-write (index.Inserter: one merge
-// pass writes the new sub-index's entries and posting slab, copying the
+// monotone, an AddGraph always appends to its shard's tail — which a table
+// without locations absorbs copy-on-write (index.Path.WithGraph: one merge
+// pass writes the new table's entries and posting slab, copying the
 // untouched lists run by run and each list the new graph's features touch
-// one posting longer, in a constant number of allocations; the grid's shared
-// sequence directory is kept unless the graph brings a sequence it lacks, and
-// then only the inserting cell gets a superset directory, and the presence
-// bitmap is rewritten only when a sequence is new to the shard). Generations
-// share no posting bytes, so a predecessor's slab is freed once the last
-// query holding its epoch releases it. Grapes, whose locations an insert
-// does not extract, falls back to rebuilding that one shard, never the
-// dataset; a rebuilt shard adopts its predecessor's directory when that holds
-// every sequence it indexes, as after every compaction, and a restored store
-// shares one directory across its grid as a built one does.
+// one posting longer, in a constant number of allocations; the shards'
+// shared sequence directory is kept unless the graph brings a sequence it
+// lacks, and then only the inserting shard gets a superset directory, and
+// the presence bitmap is rewritten only when a sequence is new to the
+// shard). Generations share no posting bytes, so a predecessor's slab is
+// freed once the last query holding its epoch releases it. A table with
+// locations (one serving Grapes), which an insert would not extract, falls
+// back to rebuilding that one shard, never the dataset; a rebuilt shard
+// adopts its predecessor's directory when that holds every sequence it
+// indexes, as after every compaction, and a restored store shares one
+// directory across its shards as a built one does.
 //
 // Tombstones. RemoveGraph replaces the slot's graph with a zero-vertex
 // placeholder — O(1) on the index side, since a placeholder matches no
@@ -553,11 +538,11 @@
 // ascending emission survives); Verify routes a dense ID back to its slot.
 //
 // Epochs. Every mutation publishes a fresh immutable live.Snapshot — dense
-// dataset, handles, one index per kind in portfolio order and the label
-// frequencies, all computed at install — under a bumped epoch number. It is
-// the one epoch object: the engine keeps no per-epoch state, and its one
-// index racer, handed the pinned snapshot's indexes and frequencies per
-// query, is not rebuilt per epoch and owns nothing. Queries take the
+// dataset, handles, the dense table and the label frequencies, all computed
+// at install — under a bumped epoch number. It is the one epoch object: the
+// engine keeps no per-epoch state, and its verifiers, handed the pinned
+// snapshot's table and frequencies per query, are not rebuilt per epoch and
+// own nothing. Queries take the
 // current snapshot with one atomic load (live.Store.Current) and hold it to
 // completion: a query planned at epoch 5 answers epoch 5 even if ten
 // mutations land mid-flight, and Plan.Epoch /
@@ -565,8 +550,8 @@
 // Mutations and snapshot saves serialize on the store's one lock; the query
 // path takes none.
 //
-// Sub-indexes are shared across snapshot generations (a mutation to shard 2
-// reuses every other shard's sub-indexes). None owns a resource — Grapes/4
+// Tables are shared across snapshot generations (a mutation to shard 2
+// reuses every other shard's). None owns a resource — Grapes/4
 // fans out on the engine's pool — so nothing is released when an epoch
 // retires: in-flight queries finish on their snapshot, and the garbage
 // collector reclaims it after them.
@@ -607,8 +592,9 @@
 //
 // The file (internal/snapshot) is a versioned, checksummed container: a
 // section table of named, CRC-32C-guarded byte runs holding the dataset's
-// CSR arrays, each index kind's features and postings as flat arrays in
-// canonical order, and — for mutable engines — the store's slot,
+// CSR arrays, the shard tables' features and postings as flat arrays in
+// canonical order, once per index name served (with locations under
+// "grapes"), and — for mutable engines — the store's slot,
 // tombstone, handle and epoch state, so mutation history and cache-keying
 // epochs survive a restart and a churned-then-saved engine resumes exactly
 // where it stopped. Saving and loading are one path for every dataset

@@ -2,11 +2,11 @@ package psi
 
 // Engine is the serving-shaped facade over the Ψ-framework: a long-lived
 // object that owns everything a query needs — the stored graph or dataset,
-// prebuilt matchers, label frequencies, the filtering-index portfolio, the
-// execution pool, and the learned planning policy — and splits query
-// processing into an explicit Plan step (attempt-portfolio selection,
-// plan.go) and an Execute step (running the plan under a per-query deadline,
-// execute.go).
+// prebuilt matchers, label frequencies, the filtering index and its
+// verifiers, the execution pool, and the learned planning policy — and
+// splits query processing into an explicit Plan step (attempt-portfolio
+// selection, plan.go) and an Execute step (running the plan under a
+// per-query deadline, execute.go).
 // Options live in options.go, the dataset-store wiring and the mutation API
 // in engine_dataset.go.
 
@@ -59,14 +59,14 @@ type Engine struct {
 
 	// FTV state. Every dataset engine serves from a live.Store; mutable only
 	// opens the mutation API, so a static engine's store never mutates. Each
-	// query pins the store's current snapshot — dataset, handles, indexes and
+	// query pins the store's current snapshot — dataset, handles, table and
 	// label frequencies of one epoch — so a mutation never disturbs it
-	// (snapshot isolation). Only what outlives an epoch lives here: the arm
-	// names, the learned policy and the one index racer.
-	store   *live.Store // nil for NFV engines
-	ixRacer *core.IndexRacer
-	mutable bool
-	ixNames []string // portfolio arm names, stable across epochs
+	// (snapshot isolation). Only what outlives an epoch lives here: the
+	// verifiers (the arms), the rewritings and the learned policy.
+	store      *live.Store // nil for NFV engines
+	verifiers  []index.Verifier
+	rewritings []Rewriting
+	mutable    bool
 
 	// Sharding state: shardK is the effective partition count (0 when
 	// monolithic) and shardEmits tallies, per shard, how many answer graph
@@ -125,11 +125,10 @@ func banditOptions(opts EngineOptions) predict.BanditOptions {
 }
 
 // NewDatasetEngine builds an FTV engine serving containment queries against
-// a multi-graph dataset. Every query streams through the one pipeline of
-// core.IndexRacer.Stream: a single configured index (or the fixed policy) is
-// a race of one arm; with an index portfolio (Indexes) under the race policy
-// every query races the full streaming filter→verify pipeline of each index
-// and adopts the first to emit a verified candidate, cancelling the rest.
+// a multi-graph dataset: one table per shard, whatever the Indexes, and the
+// distinct verifiers those names select. Every query streams through the one
+// pipeline of core.StreamFTV: one filter scan, and each candidate races the
+// policy's verifiers × the rewritings, first finisher deciding.
 func NewDatasetEngine(ds []*Graph, opts EngineOptions) (*Engine, error) {
 	if opts.Snapshot != "" {
 		if ds != nil {
@@ -154,8 +153,8 @@ func NewDatasetEngine(ds []*Graph, opts EngineOptions) (*Engine, error) {
 		// A static dataset never grows: a shard beyond it would stay empty.
 		shards = min(shards, len(ds))
 	}
-	// One grid build: the dataset's features are extracted once and every
-	// kind and shard is folded from them.
+	// One build: the dataset's features are extracted once and every shard's
+	// table is folded from them.
 	store, err := live.NewStore(context.Background(), ds, live.Options{
 		Kinds:        kinds,
 		Shards:       shards,
@@ -170,8 +169,8 @@ func NewDatasetEngine(ds []*Graph, opts EngineOptions) (*Engine, error) {
 	return e, nil
 }
 
-// engineKinds resolves the configured index-kind portfolio: Indexes, or the
-// "grapes" default.
+// engineKinds resolves the configured index names: Indexes, or the "grapes"
+// default.
 func engineKinds(opts EngineOptions) []string {
 	if len(opts.Indexes) > 0 {
 		return opts.Indexes
@@ -306,8 +305,8 @@ func (e *Engine) recordWin(label string) {
 	e.winMu.Unlock()
 }
 
-// IndexPolicy reports how a dataset engine uses its filtering indexes
-// (IndexRace, IndexFixed or IndexAuto); empty for NFV engines.
+// IndexPolicy reports how a dataset engine uses its verifiers (IndexRace,
+// IndexFixed or IndexAuto); empty for NFV engines.
 func (e *Engine) IndexPolicy() string {
 	if e.g != nil {
 		return ""
@@ -319,17 +318,13 @@ func (e *Engine) IndexPolicy() string {
 // engine (0 for monolithic and NFV engines).
 func (e *Engine) Shards() int { return e.shardK }
 
-// IndexStats reports the build provenance and shape of every filtering
-// index in the engine's portfolio, in portfolio order (dataset engines
-// only; nil for NFV engines).
+// IndexStats reports the build provenance and shape of a dataset engine's
+// one filtering index, the table every name is verified over: one entry, of
+// the kind index.TableKind names (nil for NFV engines).
 func (e *Engine) IndexStats() []IndexStats {
 	snap := e.pin()
 	if snap == nil {
 		return nil
 	}
-	out := make([]IndexStats, 0, len(snap.Indexes()))
-	for _, x := range snap.Indexes() {
-		out = append(out, x.Stats())
-	}
-	return out
+	return []IndexStats{snap.Table().Stats()}
 }

@@ -1,8 +1,8 @@
 package psi
 
-// Dataset-engine wiring: the index-portfolio set-up around the live.Store
-// every dataset engine serves from (whose snapshots are the epochs), the
-// mutation API that commits through it, and the per-shard answer tally.
+// Dataset-engine wiring: the verifier set-up around the live.Store every
+// dataset engine serves from (whose snapshots are the epochs), the mutation
+// API that commits through it, and the per-shard answer tally.
 
 import (
 	"context"
@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"github.com/psi-graph/psi/internal/core"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/live"
 	"github.com/psi-graph/psi/internal/predict"
@@ -27,25 +26,29 @@ type GraphHandle = live.Handle
 // issued or has already removed. Match with errors.Is.
 var ErrUnknownGraph = live.ErrUnknownHandle
 
-// configurePortfolio validates the index-kind portfolio and policy, and
-// records whether the mutation API is open, before any build or load is paid
-// for: extracting the features of a large dataset several times over only to
-// report a misspelt option would be hostile — including an unknown kind
-// *after* valid ones, which must not cost the preceding builds first.
-// Duplicate kinds are rejected rather than deduplicated: racing an index
-// against an identical copy of itself is never what the caller meant.
+// configurePortfolio validates the index names and policy, resolves the
+// names to their distinct verifiers, and records whether the mutation API is
+// open, before any build or load is paid for: extracting the features of a
+// large dataset only to report a misspelt option would be hostile. Duplicate
+// names are rejected rather than deduplicated, as a caller's slip; "ftv" and
+// "ggsx", distinct names for one verifier, share it.
 func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
-	registered := index.Kinds()
+	known := index.Kinds()
 	seenKind := map[string]bool{}
 	for _, kind := range kinds {
 		if seenKind[kind] {
 			return fmt.Errorf("psi: duplicate index kind %q in portfolio %v", kind, kinds)
 		}
 		seenKind[kind] = true
-		if !slices.Contains(registered, kind) {
-			return fmt.Errorf("psi: unknown index kind %q (registered: %v)", kind, registered)
+		if !slices.Contains(known, kind) {
+			return fmt.Errorf("psi: unknown index kind %q (registered: %v)", kind, known)
 		}
 	}
+	vs, err := index.Verifiers(kinds, index.Options{Workers: opts.IndexWorkers, Pool: e.pool})
+	if err != nil {
+		return err
+	}
+	e.verifiers = vs
 	switch opts.IndexPolicy {
 	case "", IndexRace:
 		e.policy = launchRace
@@ -56,8 +59,8 @@ func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
 	default:
 		return fmt.Errorf("psi: unknown index policy %q (want %q, %q or %q)", opts.IndexPolicy, IndexRace, IndexFixed, IndexAuto)
 	}
-	if len(kinds) < 2 {
-		// One index is nothing to race or to learn over.
+	if len(vs) < 2 {
+		// One verifier is nothing to race or to learn over.
 		e.policy = launchFirst
 	}
 	e.mutable = opts.Mutable
@@ -66,21 +69,27 @@ func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
 
 // finishPortfolio makes the built or restored store the engine's dataset:
 // the partition count of a sharded one (K <= 1 leaves the engine monolithic)
-// with its per-shard answer tally, the arm names, the one index racer every
-// epoch's queries share and, under the auto policy, the bandit.
+// with its per-shard answer tally, the rewritings every candidate races and,
+// under the auto policy, the bandit over the verifiers.
 func (e *Engine) finishPortfolio(store *live.Store, opts EngineOptions) {
 	e.store = store
 	if k := store.Shards(); k > 1 {
 		e.shardK = k
 		e.shardEmits = make([]atomic.Int64, k)
 	}
-	for _, x := range store.Current().Indexes() {
-		e.ixNames = append(e.ixNames, x.Name())
-	}
-	e.ixRacer = &core.IndexRacer{Rewritings: engineRewritings(opts), Pool: e.pool}
+	e.rewritings = engineRewritings(opts)
 	if e.policy == launchAuto {
-		e.bandit = predict.NewBandit(e.ixNames, banditOptions(opts))
+		e.bandit = predict.NewBandit(e.verifierNames(), banditOptions(opts))
 	}
+}
+
+// verifierNames labels the engine's verifiers, in order: its arms' names.
+func (e *Engine) verifierNames() []string {
+	names := make([]string, len(e.verifiers))
+	for i, v := range e.verifiers {
+		names[i] = v.Name()
+	}
+	return names
 }
 
 // ShardBalance returns a copy of the per-shard answer tally of a sharded
@@ -110,11 +119,10 @@ func (e *Engine) tallyShardID(graphID int) {
 }
 
 // AddGraph ingests g into a mutable dataset engine, returning its stable
-// handle. The owning shard's sub-indexes absorb it incrementally where the
-// kind supports it (the flat path index) and by shard-local rebuild
-// otherwise; either way the epoch bumps and queries planned after the
-// return see the new graph, while queries already executing finish on the
-// epoch they started.
+// handle. The owning shard's table absorbs it incrementally when it keeps no
+// locations and by shard-local rebuild otherwise; either way the epoch bumps
+// and queries planned after the return see the new graph, while queries
+// already executing finish on the epoch they started.
 func (e *Engine) AddGraph(ctx context.Context, g *Graph) (GraphHandle, error) {
 	if err := e.requireMutable(); err != nil {
 		return 0, err

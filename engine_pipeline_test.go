@@ -1,8 +1,8 @@
 package psi_test
 
-// Tests for the collapsed dataset pipeline: every policy, shard count,
-// engine flavour and entry point runs the same Engine.answer →
-// IndexRacer.Stream path and must return the sequential oracle's IDs, and
+// Tests for the collapsed dataset pipeline: every name set, policy, shard
+// count, engine flavour and entry point runs the same Engine.answer →
+// core.StreamFTV path and must return the sequential oracle's IDs, and
 // the pipeline's four exits — emit stop, caller cancel, budget kill, solo
 // overrun — behave the same through the collecting and the streaming form
 // and leave no goroutines behind.
@@ -13,11 +13,13 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	psi "github.com/psi-graph/psi"
 	"github.com/psi-graph/psi/internal/ftv"
+	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
@@ -64,7 +66,7 @@ var entryPoints = []struct {
 	}},
 }
 
-// pipelinePolicies are the three ways a dataset engine uses its portfolio.
+// pipelinePolicies are the three ways a dataset engine uses its verifiers.
 // The auto engine learns after one observation and never audits, so from
 // the second query of a class on it exercises the learned-solo arm.
 var pipelinePolicies = []struct {
@@ -76,8 +78,25 @@ var pipelinePolicies = []struct {
 	{"auto", psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}, IndexPolicy: psi.IndexAuto, AutoMinSamples: 1, AutoRaceEvery: -1}},
 }
 
-// TestPipelineParity: policy × shards × engine flavour × entry point, every
-// cell against the sequential oracle over the engine's current dataset.
+// nameSets is every non-empty set of index names.
+func nameSets() [][]string {
+	all := []string{"ftv", "grapes", "ggsx"}
+	var out [][]string
+	for mask := 1; mask < 1<<len(all); mask++ {
+		var set []string
+		for i, name := range all {
+			if mask>>i&1 == 1 {
+				set = append(set, name)
+			}
+		}
+		out = append(out, set)
+	}
+	return out
+}
+
+// TestPipelineParity: policy × shards × engine flavour × name set × entry
+// point, every cell against the sequential oracle over the engine's current
+// dataset, and every engine's one table against an ftv-only build.
 func TestPipelineParity(t *testing.T) {
 	flavours := []struct {
 		name  string
@@ -124,37 +143,72 @@ func TestPipelineParity(t *testing.T) {
 		}},
 	}
 	for _, pol := range pipelinePolicies {
-		for _, shards := range []int{1, 3} {
+		for _, shards := range []int{1, 2, 3} {
 			for _, fl := range flavours {
 				t.Run(fmt.Sprintf("%s/shards=%d/%s", pol.name, shards, fl.name), func(t *testing.T) {
-					opts := pol.opts
-					opts.Shards = shards
-					eng := fl.build(t, opts)
-					defer eng.Close()
-					oracle := mustBuildIndex(t, "ftv", eng.Dataset(), 0)
-					for _, q := range raceFixtureQueries() {
-						want, err := ftv.Answer(context.Background(), oracle, q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, ep := range entryPoints {
-							for round := 0; round < 2; round++ { // round 1 reaches the auto policy's solo arm
-								got, res, err := ep.ask(context.Background(), eng, q)
-								if err != nil {
-									t.Fatalf("%s %s round %d: %v", q.Name(), ep.name, round, err)
-								}
-								if !slices.Equal(got, want) {
-									t.Fatalf("%s %s round %d: answered %v, oracle %v", q.Name(), ep.name, round, got, want)
-								}
-								if res != nil && (res.Found != len(want) || res.Killed || res.Kind != psi.PlanFTV || res.Winner == "") {
-									t.Fatalf("%s %s round %d: report %+v for answer %v", q.Name(), ep.name, round, res, want)
-								}
-							}
-						}
+					for _, names := range nameSets() {
+						t.Run(strings.Join(names, "+"), func(t *testing.T) {
+							opts := pol.opts
+							opts.Indexes = names
+							opts.Shards = shards
+							eng := fl.build(t, opts)
+							defer eng.Close()
+							checkOneTable(t, eng, names, shards, fl.name != "mutable after add+remove")
+							checkPipelineAnswers(t, eng)
+						})
 					}
 				})
 			}
 		}
+	}
+}
+
+// checkPipelineAnswers asks eng every fixture query through every entry
+// point, twice, and fails unless each answer is the sequential oracle's over
+// the engine's current dataset.
+func checkPipelineAnswers(t *testing.T, eng *psi.Engine) {
+	t.Helper()
+	oracle := mustBuildIndex(t, "ftv", eng.Dataset(), 0)
+	for _, q := range raceFixtureQueries() {
+		want, err := ftv.Answer(context.Background(), oracle, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ep := range entryPoints {
+			for round := 0; round < 2; round++ { // round 1 reaches the auto policy's solo arm
+				got, res, err := ep.ask(context.Background(), eng, q)
+				if err != nil {
+					t.Fatalf("%s %s round %d: %v", q.Name(), ep.name, round, err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s %s round %d: answered %v, oracle %v", q.Name(), ep.name, round, got, want)
+				}
+				if res != nil && (res.Found != len(want) || res.Killed || res.Kind != psi.PlanFTV || res.Winner == "") {
+					t.Fatalf("%s %s round %d: report %+v for answer %v", q.Name(), ep.name, round, res, want)
+				}
+			}
+		}
+	}
+}
+
+// checkOneTable fails unless eng reports one table, with locations exactly
+// when names lists grapes; unless the engine has mutated, it must hold the
+// features and postings of an ftv-only build over the same shards.
+func checkOneTable(t *testing.T, eng *psi.Engine, names []string, shards int, fresh bool) {
+	t.Helper()
+	st := eng.IndexStats()
+	if len(st) != 1 || (st[0].LocationBytes > 0) != slices.Contains(names, "grapes") {
+		t.Fatalf("IndexStats = %+v: want one table, with locations iff grapes is listed", st)
+	}
+	if !fresh {
+		return
+	}
+	ref, err := psi.NewShardedIndex(context.Background(), "ftv", eng.Dataset(), shards, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ref.Stats(); st[0].Features != want.Features || st[0].Postings != want.Postings {
+		t.Fatalf("the table holds %d features and %d postings, an ftv-only build %d and %d", st[0].Features, st[0].Postings, want.Features, want.Postings)
 	}
 }
 
@@ -234,9 +288,14 @@ func TestPipelineExits(t *testing.T) {
 				if _, err := eng.Query(context.Background(), q, 0); err != nil { // warm-up race trains the class
 					t.Fatal(err)
 				}
+				c0 := eng.Counters()
 				res, err := eng.Query(context.Background(), q, 0)
-				if err != nil || !res.Policy.Solo || !res.FellBack || !slices.Equal(res.GraphIDs, want) || len(res.IndexAttempts) != 3 {
+				if err != nil || !res.Policy.Solo || !res.FellBack || !slices.Equal(res.GraphIDs, want) {
 					t.Errorf("overrun Query = %+v, %v; want a fallback answering %v", res, err, want)
+				}
+				// The abandoned solo pipeline and the fallback race both ran.
+				if c := eng.Counters(); c.IndexAttempts-c0.IndexAttempts != 2 || c.IndexRaces-c0.IndexRaces != 1 {
+					t.Errorf("overrun Query started %d pipelines, %d of them races; want 2 and 1", c.IndexAttempts-c0.IndexAttempts, c.IndexRaces-c0.IndexRaces)
 				}
 				ids, res, err := stream(context.Background(), eng, len(want)+1)
 				if err != nil || !res.Policy.Solo || !res.FellBack || !slices.Equal(ids, want) || res.Found != len(want) {
@@ -248,5 +307,23 @@ func TestPipelineExits(t *testing.T) {
 				eng.Close()
 			}
 		})
+	}
+}
+
+// TestKilledQueryCountsItsPipeline: a pipeline counts when it starts, so a
+// dataset query the budget kills still reports the one it ran.
+func TestKilledQueryCountsItsPipeline(t *testing.T) {
+	ds := gen.Synthetic(gen.SyntheticConfig{NumGraphs: 8, AvgNodes: 24, Density: 0.15, Labels: 3}, 7)
+	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}, Timeout: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	res, err := eng.Query(context.Background(), psi.ExtractQuery(ds[0], 3, 5), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := eng.Counters(); !res.Killed || c.Killed != 1 || c.IndexAttempts != 1 {
+		t.Errorf("killed %v, counters %+v; want one killed query that started one pipeline", res.Killed, c)
 	}
 }

@@ -8,10 +8,13 @@ package psi_test
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	psi "github.com/psi-graph/psi"
+	"github.com/psi-graph/psi/internal/ftv"
 )
 
 // autoParityEngines builds an auto-policy engine and an always-race engine
@@ -96,11 +99,11 @@ func TestDatasetEngineAutoMatchesRace(t *testing.T) {
 	if c.PolicyRaces == 0 {
 		t.Errorf("auto engine never raced (warmup must race): %+v", c)
 	}
-	if c.IndexAttempts >= c.Queries*3 {
-		t.Errorf("auto started %d pipelines for %d queries — no cheaper than always-race", c.IndexAttempts, c.Queries)
+	if c.IndexRaces >= c.Queries {
+		t.Errorf("auto raced the verifiers of %d of %d queries — no cheaper than always-race", c.IndexRaces, c.Queries)
 	}
 	snap, ok := auto.PolicyStats()
-	if !ok || len(snap.Arms) != 3 || snap.Classes == 0 {
+	if !ok || len(snap.Arms) != 2 || snap.Classes == 0 {
 		t.Errorf("PolicyStats = %+v, %v", snap, ok)
 	}
 	if _, ok := race.PolicyStats(); ok {
@@ -306,123 +309,184 @@ func TestDatasetEngineAutoCancelIsNotEvidence(t *testing.T) {
 }
 
 // TestLaunchPolicyIsOneAcrossEngineKinds: Mode and IndexPolicy are two
-// spellings of one launch policy, so a stored-graph engine and a dataset
-// engine with three arms each must plan the same number of arms, reach the
-// same policy decisions and move the same counters over the same query
-// sequence — the started work counted in RaceAttempts on one side and
-// IndexAttempts on the other.
+// spellings of one launch policy, so a stored-graph engine with as many
+// matchers as a dataset engine has verifiers must plan the same number of
+// arms, reach the same policy decisions and move the same counters over the
+// same query sequence: the arms started, counted in RaceAttempts on one side
+// and, on the other, as IndexAttempts (a pipeline per launch) plus
+// IndexRaces (a query whose candidates raced both verifiers) times the arms
+// beyond the first. Every non-empty name set runs, at K = 1 and 2, static
+// and after mutable churn, and must answer as ftv.Answer does; a set whose
+// names select one verifier has nothing to race, so its engine runs the
+// fixed policy whatever it was given.
 func TestLaunchPolicyIsOneAcrossEngineKinds(t *testing.T) {
-	ds := raceFixtureDataset()
-	q := raceFixtureQueries()[0]
-	const arms, queries, warmup = 3, 6, 2
+	const queries, warmup = 6, 2
 	cases := []struct {
 		name     string
 		mode     psi.Mode
 		ixPolicy string
 		kind     psi.PlanKind // of every stored-graph plan; "" under auto
-		started  int64        // arms started over the sequence
 	}{
-		{"race", psi.ModeRace, psi.IndexRace, psi.PlanRace, queries * arms},
-		{"first", psi.ModeSingle, psi.IndexFixed, psi.PlanFixed, queries},
-		{"auto", psi.ModeAuto, psi.IndexAuto, "", warmup*arms + (queries - warmup)},
+		{"race", psi.ModeRace, psi.IndexRace, psi.PlanRace},
+		{"first", psi.ModeSingle, psi.IndexFixed, psi.PlanFixed},
+		{"auto", psi.ModeAuto, psi.IndexAuto, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := psi.EngineOptions{
-				Rewritings:     []psi.Rewriting{psi.Orig},
-				AutoMinSamples: warmup,
-				AutoRaceEvery:  -1,
-				SoloBudget:     time.Minute,
-			}
-			nfvOpts := opts
-			nfvOpts.Mode = tc.mode
-			nfvOpts.Algorithms = []psi.Algorithm{psi.VF2, psi.GraphQL, psi.SPath}
-			nfv, err := psi.NewEngine(ds[0], nfvOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nfv.Close()
-			ftvOpts := opts
-			ftvOpts.IndexPolicy = tc.ixPolicy
-			ftvOpts.Indexes = []string{"ftv", "grapes", "ggsx"}
-			dataset, err := psi.NewDatasetEngine(ds, ftvOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dataset.Close()
-			if dataset.IndexPolicy() != tc.ixPolicy || nfv.Mode() != tc.mode || nfv.IndexPolicy() != "" {
-				t.Fatalf("policies read back as mode %q / index policy %q and %q", nfv.Mode(), dataset.IndexPolicy(), nfv.IndexPolicy())
-			}
-			for i := 0; i < queries; i++ {
-				np, err := nfv.Plan(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dp, err := dataset.Plan(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				solo := tc.name == "auto" && i >= warmup
-				wantKind, wantArms := tc.kind, arms
-				if tc.name == "auto" {
-					wantKind = psi.PlanRace
-				}
-				if solo {
-					wantKind = psi.PlanPredicted
-				}
-				if solo || tc.name == "first" {
-					wantArms = 1
-				}
-				if np.Kind != wantKind || len(np.Attempts) != wantArms || (np.Predicted >= 0) != solo {
-					t.Fatalf("query %d: stored-graph plan %s over %d attempts (predicted %d), want %s over %d", i, np.Kind, len(np.Attempts), np.Predicted, wantKind, wantArms)
-				}
-				if dp.Kind != psi.PlanFTV || dp.IndexPolicy != tc.ixPolicy || len(dp.Indexes) != arms {
-					t.Fatalf("query %d: dataset plan %s, policy %q over %v", i, dp.Kind, dp.IndexPolicy, dp.Indexes)
-				}
-				if (np.Decision == nil) != (tc.name != "auto") || (dp.Decision == nil) != (np.Decision == nil) {
-					t.Fatalf("query %d: decisions %+v / %+v", i, np.Decision, dp.Decision)
-				}
-				if nd, dd := np.Decision, dp.Decision; nd != nil {
-					if nd.Class != dd.Class || nd.Solo != dd.Solo || nd.Reason != dd.Reason || nd.Solo != solo ||
-						(nd.ArmName == "") == solo || (dd.ArmName == "") == solo {
-						t.Fatalf("query %d: decisions differ: %+v / %+v (want solo %v)", i, *nd, *dd, solo)
+			for _, names := range nameSets() {
+				for _, k := range []int{1, 2} {
+					for _, mutable := range []bool{false, true} {
+						t.Run(fmt.Sprintf("%v/K=%d/mutable=%v", names, k, mutable), func(t *testing.T) {
+							launchPolicyCase(t, tc.name, tc.mode, tc.ixPolicy, tc.kind, names, k, mutable, queries, warmup)
+						})
 					}
 				}
-				nr, err := nfv.Execute(context.Background(), np, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dr, err := dataset.Execute(context.Background(), dp, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if nr.Policy != np.Decision || dr.Policy != dp.Decision || nr.FellBack || dr.FellBack {
-					t.Fatalf("query %d: results %+v / %+v", i, nr, dr)
-				}
-				if tc.name == "first" && (nr.Winner != "VF2-Orig" || dr.Winner != dataset.IndexStats()[0].Name) {
-					t.Fatalf("query %d: fixed winners %q / %q, want the first arm of each portfolio", i, nr.Winner, dr.Winner)
-				}
-				if n := len(dr.IndexAttempts); n != wantArms {
-					t.Fatalf("query %d: %d index attempts reported, want %d", i, n, wantArms)
-				}
-			}
-			nc, dc := nfv.Counters(), dataset.Counters()
-			if nc.RaceAttempts != tc.started || dc.IndexAttempts != tc.started {
-				t.Errorf("started %d attempts / %d index pipelines, want %d each", nc.RaceAttempts, dc.IndexAttempts, tc.started)
-			}
-			type shared struct{ queries, killed, errs, fallbacks, solo, races, escalations int64 }
-			n := shared{nc.Queries, nc.Killed, nc.Errors, nc.Fallbacks, nc.PolicySolo, nc.PolicyRaces, nc.PolicyEscalations}
-			d := shared{dc.Queries, dc.Killed, dc.Errors, dc.Fallbacks, dc.PolicySolo, dc.PolicyRaces, dc.PolicyEscalations}
-			want := shared{queries: queries}
-			if tc.name == "auto" {
-				want.solo, want.races = queries-warmup, warmup
-			}
-			if n != want || d != want {
-				t.Errorf("counters %+v / %+v, want %+v", n, d, want)
-			}
-			if want := int64(queries - warmup); tc.name == "auto" && nc.PredictedSolo != want {
-				t.Errorf("PredictedSolo = %d, want %d", nc.PredictedSolo, want)
 			}
 		})
+	}
+}
+
+// launchCounts are the counters a launch policy moves alike on both engine
+// kinds; started is the arms started.
+type launchCounts struct{ started, queries, killed, errs, fallbacks, solo, races, escalations int64 }
+
+func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string, kind psi.PlanKind, names []string, k int, mutable bool, queries, warmup int) {
+	ds := raceFixtureDataset()
+	q := raceFixtureQueries()[0]
+	arms := 1
+	if slices.Contains(names, "grapes") && len(names) > 1 && !slices.Equal(names, []string{"ftv", "ggsx"}) {
+		arms = 2
+	}
+	opts := psi.EngineOptions{
+		Rewritings:     []psi.Rewriting{psi.Orig},
+		AutoMinSamples: warmup,
+		AutoRaceEvery:  -1,
+		SoloBudget:     time.Minute,
+	}
+	nfvOpts := opts
+	nfvOpts.Mode = mode
+	nfvOpts.Algorithms = []psi.Algorithm{psi.VF2, psi.GraphQL}[:arms]
+	nfv, err := psi.NewEngine(ds[0], nfvOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nfv.Close()
+	ftvOpts := opts
+	ftvOpts.IndexPolicy = ixPolicy
+	ftvOpts.Indexes = names
+	ftvOpts.Shards = k
+	ftvOpts.Mutable = mutable
+	dataset, err := psi.NewDatasetEngine(ds, ftvOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dataset.Close()
+	if mutable {
+		extra := psi.MustNewGraph("extra", []psi.Label{0, 1, 2, 0}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
+		if _, err := dataset.AddGraph(context.Background(), extra); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dataset.RemoveGraph(context.Background(), dataset.Handles()[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oracle, err := ftv.Answer(context.Background(), mustBuildIndex(t, "ftv", dataset.Dataset(), 0), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arms == 1 {
+		// Nothing to race or learn over: the fixed policy.
+		ixPolicy, name = psi.IndexFixed, "first"
+	}
+	if dataset.IndexPolicy() != ixPolicy || nfv.Mode() != mode || nfv.IndexPolicy() != "" {
+		t.Fatalf("policies read back as mode %q / index policy %q and %q", nfv.Mode(), dataset.IndexPolicy(), nfv.IndexPolicy())
+	}
+	for i := 0; i < queries; i++ {
+		np, err := nfv.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp, err := dataset.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo := name == "auto" && i >= warmup
+		wantKind, wantArms := kind, arms
+		if name == "auto" {
+			wantKind = psi.PlanRace
+		}
+		if solo {
+			wantKind = psi.PlanPredicted
+		}
+		if solo || name == "first" {
+			wantArms = 1
+		}
+		if dp.Kind != psi.PlanFTV || dp.IndexPolicy != ixPolicy || len(dp.Indexes) != arms {
+			t.Fatalf("query %d: dataset plan %s, policy %q over %v", i, dp.Kind, dp.IndexPolicy, dp.Indexes)
+		}
+		dr, err := dataset.Execute(context.Background(), dp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(dr.GraphIDs, oracle) {
+			t.Fatalf("query %d: answered %v, ftv.Answer %v", i, dr.GraphIDs, oracle)
+		}
+		if dr.Policy != dp.Decision || dr.FellBack || (dp.Decision == nil) != (name != "auto") {
+			t.Fatalf("query %d: result %+v for decision %+v", i, dr, dp.Decision)
+		}
+		if name == "first" && dr.Winner != dp.Indexes[0] {
+			t.Fatalf("query %d: fixed winner %q, want the first name's verifier %q", i, dr.Winner, dp.Indexes[0])
+		}
+		if arms == 1 {
+			continue // the stored-graph engine races its one matcher
+		}
+		if np.Kind != wantKind || len(np.Attempts) != wantArms || (np.Predicted >= 0) != solo {
+			t.Fatalf("query %d: stored-graph plan %s over %d attempts (predicted %d), want %s over %d", i, np.Kind, len(np.Attempts), np.Predicted, wantKind, wantArms)
+		}
+		if (np.Decision == nil) != (dp.Decision == nil) {
+			t.Fatalf("query %d: decisions %+v / %+v", i, np.Decision, dp.Decision)
+		}
+		if nd, dd := np.Decision, dp.Decision; nd != nil {
+			if nd.Class != dd.Class || nd.Solo != dd.Solo || nd.Reason != dd.Reason || nd.Solo != solo ||
+				(nd.ArmName == "") == solo || (dd.ArmName == "") == solo {
+				t.Fatalf("query %d: decisions differ: %+v / %+v (want solo %v)", i, *nd, *dd, solo)
+			}
+		}
+		nr, err := nfv.Execute(context.Background(), np, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nr.Policy != np.Decision || nr.FellBack {
+			t.Fatalf("query %d: result %+v", i, nr)
+		}
+		if name == "first" && nr.Winner != "VF2-Orig" {
+			t.Fatalf("query %d: fixed winner %q, want the first attempt", i, nr.Winner)
+		}
+	}
+	dc := dataset.Counters()
+	if dc.IndexAttempts != int64(queries) {
+		t.Errorf("%d index pipelines for %d queries, want one each", dc.IndexAttempts, queries)
+	}
+	d := launchCounts{dc.IndexAttempts + dc.IndexRaces*int64(arms-1), dc.Queries, dc.Killed, dc.Errors, dc.Fallbacks, dc.PolicySolo, dc.PolicyRaces, dc.PolicyEscalations}
+	want := launchCounts{started: int64(queries * arms), queries: int64(queries)}
+	switch name {
+	case "first":
+		want.started = int64(queries)
+	case "auto":
+		want.started = int64(warmup*arms + (queries - warmup))
+		want.solo, want.races = int64(queries-warmup), int64(warmup)
+	}
+	if d != want {
+		t.Errorf("dataset counters %+v, want %+v", d, want)
+	}
+	if arms == 1 {
+		return
+	}
+	nc := nfv.Counters()
+	if n := (launchCounts{nc.RaceAttempts, nc.Queries, nc.Killed, nc.Errors, nc.Fallbacks, nc.PolicySolo, nc.PolicyRaces, nc.PolicyEscalations}); n != d {
+		t.Errorf("counters %+v / %+v differ", n, d)
+	}
+	if want := int64(queries - warmup); name == "auto" && nc.PredictedSolo != want {
+		t.Errorf("PredictedSolo = %d, want %d", nc.PredictedSolo, want)
 	}
 }

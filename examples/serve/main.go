@@ -21,8 +21,9 @@ import (
 )
 
 func main() {
-	// A generated protein-interaction-style dataset, indexed by the full
-	// filtering-index portfolio: every query races ftv vs grapes vs ggsx.
+	// A generated protein-interaction-style dataset, served under all three
+	// index names: one table, whose candidates race the FTV/GGSX and Grapes
+	// verifiers.
 	ds := psi.GeneratePPI(psi.Tiny, 1)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
 		Indexes: psi.IndexKinds(),
@@ -56,8 +57,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 1. Streamed: one NDJSON line per containing graph ID, as the index
-	// race emits them, then a summary line.
+	// 1. Streamed: one NDJSON line per containing graph ID, as the
+	// verification races settle them, then a summary line.
 	resp, err := http.Post(base+"/query?stream=1", "text/plain", bytes.NewReader(body.Bytes()))
 	if err != nil {
 		log.Fatal(err)
@@ -77,7 +78,7 @@ func main() {
 	resp.Body.Close()
 	fmt.Printf("repeat query: %s", cached)
 
-	// 3. Operational state: engine counters, per-index build provenance,
+	// 3. Operational state: engine counters, the table's build provenance,
 	// win tallies, result-cache effectiveness.
 	resp, err = http.Get(base + "/stats")
 	if err != nil {

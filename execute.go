@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/psi-graph/psi/internal/core"
+	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/metrics"
 	"github.com/psi-graph/psi/internal/predict"
 )
@@ -28,16 +29,12 @@ type QueryResult struct {
 	Found int
 	// GraphIDs are the containing dataset graphs (FTV plans), ascending.
 	GraphIDs []int
-	// Winner labels the attempt (or index configuration) that produced
-	// the answer, e.g. "GQL-DND".
+	// Winner labels the attempt that produced the answer, e.g. "GQL-DND",
+	// or for FTV plans the verifier that decided most candidates, e.g.
+	// "Grapes/1" (ties go to the earlier-listed name's).
 	Winner string
-	// IndexAttempts reports each filtering index's run for FTV plans
-	// executed under the race policy: the adopted winner, the cancelled
-	// losers and their timings — the index-level counterpart of the
-	// matcher attempts behind Winner.
-	IndexAttempts []IndexAttempt
 	// Kind echoes the executed plan's strategy; FellBack marks an
-	// auto-policy solo run (a PlanPredicted attempt or a solo index) that
+	// auto-policy solo run (a PlanPredicted attempt or a solo verifier) that
 	// overran its solo budget and re-ran as a race.
 	Kind     PlanKind
 	FellBack bool
@@ -220,14 +217,6 @@ func (e *Engine) tally(res *QueryResult) {
 		}
 	}
 	e.recordWin(res.Winner)
-	// A single recorded attempt is a solo pipeline, not a race: it counts
-	// toward the started-work total but not the race tally.
-	if n := len(res.IndexAttempts); n > 1 {
-		e.counters.IndexRaces.Add(1)
-		e.counters.IndexAttempts.Add(int64(n))
-	} else if n == 1 {
-		e.counters.IndexAttempts.Add(1)
-	}
 	if res.FellBack {
 		e.counters.Fallbacks.Add(1)
 	} else if res.Kind == PlanPredicted && !res.Killed {
@@ -306,8 +295,8 @@ func (e *Engine) soloFirst(ctx context.Context, res *QueryResult, d *PolicyDecis
 }
 
 // answer is the one dataset-query execution, behind every FTV entry point:
-// pin the store's current snapshot and launch the plan's arms over its
-// indexes through the engine's racer, under the budget. emit receives the
+// pin the store's current snapshot and launch the plan's arms — verifiers of
+// its table — through core.StreamFTV, under the budget. emit receives the
 // ascending graph IDs as they settle; nil collects them into the result's
 // GraphIDs instead. A collected answer is a buffer nobody has seen yet, so an
 // overrun solo can always start over and a kill surfaces an empty answer,
@@ -338,9 +327,25 @@ func (e *Engine) answer(ctx context.Context, p *Plan, emit func(graphID int) boo
 	race := func(ctx context.Context, arms []int) (int, time.Duration, error) {
 		if res.FellBack {
 			res.GraphIDs, res.Found = nil, 0 // whatever a collecting solo had buffered
-			e.counters.IndexAttempts.Add(1)  // the abandoned solo still ran
 		}
-		r, err := e.ixRacer.Stream(ctx, snap.Indexes(), snap.Frequencies(), p.Query, arms, func(id int) bool {
+		if arms == nil {
+			arms = make([]int, len(e.verifiers))
+			for i := range arms {
+				arms[i] = i
+			}
+		}
+		// Counted when it starts, as RaceAttempts is: a pipeline that is
+		// killed, fails or is abandoned for a fallback still ran.
+		e.counters.IndexAttempts.Add(1)
+		if len(arms) > 1 {
+			e.counters.IndexRaces.Add(1)
+		}
+		xs := make([]index.Index, len(arms))
+		for i, a := range arms {
+			xs[i] = snap.Table().Using(e.verifiers[a])
+		}
+		start := time.Now()
+		wins, err := core.StreamFTV(ctx, e.pool, xs, snap.Frequencies(), e.rewritings, p.Query, func(id int) bool {
 			res.Found++
 			if !collecting {
 				res.streamed++
@@ -351,8 +356,15 @@ func (e *Engine) answer(ctx context.Context, p *Plan, emit func(graphID int) boo
 		if err != nil {
 			return 0, 0, err
 		}
-		res.Winner, res.IndexAttempts = r.Winner, r.Attempts
-		return r.WinnerIndex, r.WinnerElapsed, nil
+		// The verifier that decided most candidates, the earliest on a tie.
+		won := 0
+		for i, n := range wins {
+			if n > wins[won] {
+				won = i
+			}
+		}
+		res.Winner = e.verifiers[arms[won]].Name()
+		return arms[won], time.Since(start), nil
 	}
 	err := e.runBudgeted(ctx, res, func(ctx context.Context) error {
 		return e.launch(ctx, p, res, race)
@@ -398,11 +410,10 @@ func (e *Engine) AnswerStream(ctx context.Context, q *Graph, emit func(graphID i
 }
 
 // AnswerStreamResult is AnswerStream with the execution report a serving
-// layer needs alongside the stream: the winning index configuration, the
-// per-index attempts of the query, the measured time and — when the engine
-// has a per-query deadline — the kill marker, with Found keeping the count of
-// graph IDs that irrevocably reached emit before the kill. The result's
-// GraphIDs stays nil; the IDs go to emit.
+// layer needs alongside the stream: the winning verifier, the measured time
+// and — when the engine has a per-query deadline — the kill marker, with
+// Found keeping the count of graph IDs that irrevocably reached emit before
+// the kill. The result's GraphIDs stays nil; the IDs go to emit.
 func (e *Engine) AnswerStreamResult(ctx context.Context, q *Graph, emit func(graphID int) bool) (*QueryResult, error) {
 	if e.g != nil {
 		return nil, errors.New("psi: AnswerStream requires a dataset engine")

@@ -146,14 +146,14 @@ func BenchmarkExtractFeatures(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildPortfolio is the whole build — one extraction, every kind
-// and shard folded, the BuildGrid every dataset engine's store makes — as
-// the stragglers workload (three kinds, K=1) and the selective
-// workload (ftv alone, K=2) configure it, and Grapes alone, the one kind that
-// keeps locations. Every build reports what a posting of its first index
-// costs, skip tables included (bytes/posting); builds with Grapes report what
-// its location sets hold (loc-MB) and the share stored as bitset rows
-// (loc-rows): all of them on the first two shapes, none on the sparse one.
+// BenchmarkBuildPortfolio is the whole build — one extraction, one table
+// per shard, the BuildTables every dataset engine's store makes — as the
+// stragglers workload (three names, K=1) and the selective workload (ftv
+// alone, K=2) configure it, and Grapes alone. Every build reports what a
+// posting costs, skip tables included (bytes/posting); builds serving Grapes,
+// whose table keeps locations, report what its location sets hold (loc-MB)
+// and the share stored as bitset rows (loc-rows): all of them on the first
+// two shapes, none on the sparse one.
 func BenchmarkBuildPortfolio(b *testing.B) {
 	for _, shape := range buildBenchShapes {
 		ds := gen.Synthetic(shape.cfg, 20170321)
@@ -168,21 +168,15 @@ func BenchmarkBuildPortfolio(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s/K=%d", shape.name, strings.Join(pf.kinds, "+"), pf.shards), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					grid, err := index.BuildGrid(context.Background(), pf.kinds, ds, pf.shards, index.Options{})
+					tables, err := index.BuildTables(context.Background(), index.TableKind(pf.kinds), ds, pf.shards, index.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}
-					for k, row := range grid {
-						x := index.NewShardedFrom(ds, nil, pf.kinds[k], row) // a row's totals
-						st := x.Stats()
-						if k == 0 {
-							b.ReportMetric(float64(st.PostingBytes)/float64(st.Postings), "bytes/posting")
-						}
-						if st.LocationBytes > 0 {
-							b.ReportMetric(float64(st.LocationBytes)/(1<<20), "loc-MB")
-							b.ReportMetric(float64(st.LocationRows)/float64(st.LocationRows+st.LocationLists), "loc-rows")
-						}
-						x.Close()
+					st := index.NewShardedFrom(ds, nil, tables).Stats() // the shards' totals
+					b.ReportMetric(float64(st.PostingBytes)/float64(st.Postings), "bytes/posting")
+					if st.LocationBytes > 0 {
+						b.ReportMetric(float64(st.LocationBytes)/(1<<20), "loc-MB")
+						b.ReportMetric(float64(st.LocationRows)/float64(st.LocationRows+st.LocationLists), "loc-rows")
 					}
 				}
 			})

@@ -55,14 +55,14 @@ func TestFTVRacerAnswerMatchesPlainPipeline(t *testing.T) {
 	}
 	for _, idx := range []index.Index{grapes.Build(ds, grapes.Options{MaxPathLen: 3}), ggsx} {
 		xs := []index.Index{idx}
-		f := &IndexRacer{Rewritings: []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.DND}}
+		kinds := []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.DND}
 		for trial := 0; trial < 8; trial++ {
 			q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
 			want, err := ftv.Answer(context.Background(), idx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := collect(context.Background(), f, xs, q)
+			got, _, err := collect(context.Background(), nil, kinds, xs, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,10 +85,10 @@ func TestFTVRacerAnswerMatchesBruteForce(t *testing.T) {
 	ds := buildDataset(r, 5, 12, 3)
 	x := grapes.Build(ds, grapes.Options{})
 	xs := []index.Index{x}
-	f := &IndexRacer{Rewritings: append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...)}
+	kinds := append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...)
 	for trial := 0; trial < 6; trial++ {
 		q := extractQuery(r, ds[r.Intn(len(ds))], 3)
-		got, _, err := collect(context.Background(), f, xs, q)
+		got, _, err := collect(context.Background(), nil, kinds, xs, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,11 +176,11 @@ func TestFTVRacerOverGrapesFanOut(t *testing.T) {
 
 // BenchmarkRaceInstances is the fixed cost of one per-candidate rewriting
 // race — a context, a channel and R pool hand-offs — over a stub index that
-// verifies at once. A dataset query pays it once per candidate per arm, which
-// is why raceInstances runs on firstDone and not on streamRace.
+// verifies at once. A dataset query pays it once per candidate, which is why
+// raceInstances runs on firstDone and not on streamRace.
 func BenchmarkRaceInstances(b *testing.B) {
 	ds := newStubDataset(1)
-	x := &stubIndex{name: "stub", ds: ds, ids: []int{0}, verify: instantVerify}
+	xs := []ftv.Index{&stubIndex{name: "stub", ds: ds, ids: []int{0}, verify: instantVerify}}
 	pool := exec.New(2)
 	defer pool.Close()
 	for _, kinds := range [][]rewrite.Kind{{rewrite.Orig}, {rewrite.Orig, rewrite.DND}} {
@@ -188,7 +188,7 @@ func BenchmarkRaceInstances(b *testing.B) {
 		b.Run(fmt.Sprintf("R=%d", len(kinds)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := raceInstances(context.Background(), pool, x, qs, 0); err != nil {
+				if _, _, err := raceInstances(context.Background(), pool, xs, qs, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

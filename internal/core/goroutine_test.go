@@ -77,8 +77,6 @@ func TestFTVRacerAnswerBoundsGoroutines(t *testing.T) {
 	pool := exec.New(workers)
 	t.Cleanup(pool.Close)
 	xs := []index.Index{lifted{x}}
-	f := &IndexRacer{Rewritings: kinds}
-	f.Pool = pool
 
 	// After the race transient goroutines drain back to (near) the baseline;
 	// the pool's workers are accounted to the pool, not the race.
@@ -87,7 +85,7 @@ func TestFTVRacerAnswerBoundsGoroutines(t *testing.T) {
 	var answer []int
 	go func() {
 		var err error
-		answer, _, err = collect(context.Background(), f, xs, x.ds[0])
+		answer, _, err = collect(context.Background(), pool, kinds, xs, x.ds[0])
 		done <- err
 	}()
 

@@ -154,7 +154,7 @@ type contender[T any] interface {
 
 // firstDone is the adopt-first-finisher race, the one loop behind Racer.Race
 // (matcher attempts, T = embeddings) and raceInstances (one candidate's
-// rewriting instances, T = bool). It starts n contenders through pool (nil:
+// verifiers × rewriting instances, T = bool). It starts n contenders through pool (nil:
 // the shared default pool; Pool.Go, so all n run concurrently) under one
 // shared cancellable context; the first to return without an error wins, the
 // rest are cancelled and exit into the buffered channel on their own, so
@@ -165,8 +165,8 @@ type contender[T any] interface {
 //
 // It is not a collector over streamRace because adopting at the finish needs
 // none of what adopting at the first emission does — no per-contender
-// context, no claim, no lanes — and raceInstances runs once per candidate per
-// arm: when the merge was sized, a race of two over a stub index measured
+// context, no claim — and raceInstances runs once per candidate: when the
+// merge was sized, a race of two over a stub index measured
 // 3.25 µs / 8 allocs / 518 B on a loop like this one and 6.2 µs / 26 allocs /
 // 1 513 B expressed on streamRace, which at ftv_selective's 25.6 candidates
 // a query is about +77 µs on 0.59 ms of CPU and +25 KB on 124 KB allocated.
@@ -241,8 +241,8 @@ func (r *Racer) RaceStream(ctx context.Context, q *graph.Graph, limit int, attem
 	found := 0 // only the adopted attempt ever gets past claim
 	label := func(i int) string { return attempts[i].Label() }
 	// The race is decided the moment the adopted attempt finishes; cancelled
-	// losers exit on their own, so nobody waits for them (drain false).
-	winner, _, err := streamRace(ctx, len(attempts), label, pool.Go, false,
+	// losers exit on their own, so nobody waits for them.
+	winner, err := streamRace(ctx, len(attempts), label, pool.Go,
 		func(actx context.Context, i int, claim func() bool) error {
 			return r.search(actx, attempts[i], q, limit, match.SinkFunc(func(e match.Embedding) bool {
 				if !claim() {
@@ -264,19 +264,8 @@ func (r *Racer) RaceStream(ctx context.Context, q *graph.Graph, limit int, attem
 	}, nil
 }
 
-// lane is one contender's report from streamRace.
-type lane struct {
-	// cancelled marks a loser cut off by the adoption (not by the caller).
-	cancelled bool
-	// err is a loser's own failure, nil otherwise.
-	err error
-	// elapsed runs from race start until the contender finished or was cut off.
-	elapsed time.Duration
-}
-
-// streamRace is the adopt-first-emitter race, the one state machine behind
-// Racer.RaceStream (matcher attempts) and IndexRacer.Stream (whole index
-// pipelines). It starts n contenders through spawn, each with its own
+// streamRace is the adopt-first-emitter race behind Racer.RaceStream. It
+// starts n contenders through spawn, each with its own
 // cancellable context. A contender calls claim before surfacing each result:
 // the first claim of the race adopts that contender — it owns the output from
 // then on and every other contender is cancelled — and claim returns false to
@@ -289,16 +278,14 @@ type lane struct {
 // prefixed with label(i). A panicking contender is isolated and reported as
 // that contender's error.
 //
-// With drain set streamRace returns only after every contender has finished,
-// so nothing it started outlives it and lanes describes all n; otherwise it
-// returns as soon as the race is decided and the losers exit on their own.
+// It returns as soon as the race is decided; the losers exit on their own.
 //
 // It is not firstDone because the winner is known before it has finished: the
 // adopted contender must keep running while every other one is cancelled,
 // which takes a context per contender and the claim that firstDone's single
 // shared context and "first value on the channel" cannot express.
-func streamRace(ctx context.Context, n int, label func(i int) string, spawn func(task func()), drain bool,
-	run func(ctx context.Context, i int, claim func() bool) error) (winner int, lanes []lane, err error) {
+func streamRace(ctx context.Context, n int, label func(i int) string, spawn func(task func()),
+	run func(ctx context.Context, i int, claim func() bool) error) (winner int, err error) {
 	raceCtx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 	// Per-contender contexts so adoption can kill every contender except the
@@ -327,13 +314,11 @@ func streamRace(ctx context.Context, n int, label func(i int) string, spawn func
 		return true
 	}
 	type outcome struct {
-		idx     int
-		lost    bool // stopped because another contender owns the stream
-		err     error
-		elapsed time.Duration
+		idx  int
+		lost bool // stopped because another contender owns the stream
+		err  error
 	}
 	ch := make(chan outcome, n)
-	start := time.Now()
 	for i := 0; i < n; i++ {
 		spawn(func() {
 			o := outcome{idx: i}
@@ -341,7 +326,6 @@ func streamRace(ctx context.Context, n int, label func(i int) string, spawn func
 				if rec := recover(); rec != nil {
 					o.err = fmt.Errorf("psi: attempt panic: %v", rec)
 				}
-				o.elapsed = time.Since(start)
 				ch <- o
 			}()
 			err := run(ctxs[i], i, func() bool {
@@ -355,48 +339,31 @@ func streamRace(ctx context.Context, n int, label func(i int) string, spawn func
 			}
 		})
 	}
-	winner = -1
-	lanes = make([]lane, n)
 	var errs []error
-	var failed error
-	for done := 0; done < n && (drain || (winner < 0 && failed == nil)); done++ {
+	for done := 0; done < n; done++ {
 		o := <-ch
-		ln := &lanes[o.idx]
-		ln.elapsed = o.elapsed
 		cutOff := ctxs[o.idx].Err() != nil && ctx.Err() == nil
 		switch {
 		case o.lost:
 			// Raced the winner to its first emission and lost.
-			ln.cancelled = true
 		case o.err != nil && int(adopted.Load()) == o.idx:
 			// The adopted contender died mid-stream (the caller's
 			// cancellation, or a failure of its own).
-			failed = fmt.Errorf("%s: %w", label(o.idx), o.err)
+			return -1, fmt.Errorf("%s: %w", label(o.idx), o.err)
 		case o.err != nil && cutOff:
-			ln.cancelled = true
 		case o.err != nil:
-			ln.err = o.err
 			errs = append(errs, fmt.Errorf("%s: %w", label(o.idx), o.err))
 		case claim(o.idx):
 			// The adopted winner ran to completion (or the caller's sink
 			// stopped it), or this contender completed empty before anyone
 			// emitted: the race is decided.
-			winner = o.idx
-			cancelAll()
-		default:
-			// Completed empty after another contender was adopted.
-			ln.cancelled = cutOff
+			return o.idx, nil
 		}
 	}
-	switch {
-	case failed != nil:
-		return -1, nil, failed
-	case winner >= 0:
-		return winner, lanes, nil
-	case ctx.Err() != nil:
-		return -1, nil, ctx.Err()
+	if ctx.Err() != nil {
+		return -1, ctx.Err()
 	}
-	return -1, nil, errors.Join(errs...)
+	return -1, errors.Join(errs...)
 }
 
 // Portfolio builds the cross product of matchers and rewritings, the

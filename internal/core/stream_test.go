@@ -221,15 +221,15 @@ func TestRaceStreamParentCancellation(t *testing.T) {
 	}
 }
 
-// TestStreamEarlyStopIsAnswerPrefix: stopping a single-arm stream early must
-// truncate cleanly to a prefix of the full ascending answer.
+// TestStreamEarlyStopIsAnswerPrefix: stopping a stream early must truncate
+// cleanly to a prefix of the full ascending answer.
 func TestStreamEarlyStopIsAnswerPrefix(t *testing.T) {
 	x := newGatedIndex(20)
 	close(x.release) // verifications pass immediately
 	xs := []index.Index{lifted{x}}
-	f := &IndexRacer{Rewritings: []rewrite.Kind{rewrite.Orig, rewrite.DND}}
+	kinds := []rewrite.Kind{rewrite.Orig, rewrite.DND}
 	q := x.ds[0]
-	want, _, err := collect(context.Background(), f, xs, q)
+	want, _, err := collect(context.Background(), nil, kinds, xs, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestStreamEarlyStopIsAnswerPrefix(t *testing.T) {
 		t.Fatalf("full stream %v, want 20 ascending ids", want)
 	}
 	var firstThree []int
-	if _, err := f.Stream(context.Background(), xs, rewrite.FrequenciesOfDataset(x.ds), q, nil, func(id int) bool {
+	if _, err := StreamFTV(context.Background(), nil, xs, rewrite.FrequenciesOfDataset(x.ds), kinds, q, func(id int) bool {
 		firstThree = append(firstThree, id)
 		return len(firstThree) < 3
 	}); err != nil {

@@ -27,19 +27,21 @@ type gridBuild struct {
 	dir     [][]graph.Label             // the shared directory's sequences, in order
 }
 
-// buildGrid builds the grid and checks that its cells share one directory.
-// The directory is read back as the union of the cells' exports: an export
-// walks its table's sequences in the directory, so a directory as long as
-// that union holds exactly it, in canonical order.
+// buildGrid builds every kind's tables over k shards and checks that the
+// shards of each build share one directory. The directory is read back as the
+// union of the tables' exports: an export walks its table's sequences in the
+// directory, so a directory as long as that union holds exactly it, in
+// canonical order; every kind indexes the same sequences.
 func buildGrid(t *testing.T, kinds []string, ds []*graph.Graph, k int, pool *exec.Pool) gridBuild {
 	t.Helper()
-	grid, err := index.BuildGrid(context.Background(), kinds, ds, k, index.Options{MaxPathLen: 4, Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var b gridBuild
-	var dir *index.PathDirectory
-	for _, row := range grid {
+	var dirs []*index.PathDirectory
+	for _, kind := range kinds {
+		row, err := index.BuildTables(context.Background(), kind, ds, k, index.Options{MaxPathLen: 4, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs = append(dirs, row[0].Directory())
 		var exports [][]index.ExportedFeature
 		var stats []index.Stats
 		for _, x := range row {
@@ -54,19 +56,18 @@ func buildGrid(t *testing.T, kinds []string, ds []*graph.Graph, k int, pool *exe
 			st := x.Stats()
 			st.BuildTime, st.BuildWorkers = 0, 0
 			stats = append(stats, st)
-			d := x.(interface{ Table() *index.Path }).Table().Directory()
-			if dir == nil {
-				dir = d
-			} else if d != dir {
-				t.Fatalf("%s: a cell keeps a directory of its own", x.Name())
+			if x.Directory() != row[0].Directory() {
+				t.Fatalf("%s: a shard keeps a directory of its own", x.Name())
 			}
 		}
 		b.exports, b.stats = append(b.exports, exports), append(b.stats, stats)
 	}
 	slices.SortFunc(b.dir, index.CompareLabelSeqs)
 	b.dir = slices.CompactFunc(b.dir, func(a, b []graph.Label) bool { return slices.Equal(a, b) })
-	if dir.Len() != len(b.dir) {
-		t.Fatalf("the shared directory holds %d sequences, the cells %d", dir.Len(), len(b.dir))
+	for i, dir := range dirs {
+		if dir.Len() != len(b.dir) {
+			t.Fatalf("%s: the shared directory holds %d sequences, the tables %d", kinds[i], dir.Len(), len(b.dir))
+		}
 	}
 	return b
 }

@@ -42,20 +42,20 @@ func TestBuildAndName(t *testing.T) {
 	}
 	// g2 holds (0,1) three times, touching its every vertex; g0 and g1 once,
 	// touching vertices 0 and 1.
-	if x.Stats().Features == 0 || x.Stats().Features != x.Table().Stats().Features {
-		t.Errorf("Stats().Features = %d, its table's %d", x.Stats().Features, x.Table().Stats().Features)
+	if st := x.Stats(); st.Features == 0 || st.Kind != Kind || st.Name != "Grapes/4" || st.LocationBytes == 0 {
+		t.Errorf("Stats = %+v, want Grapes/4's table with locations", st)
 	}
-	posts, refs := x.Table().Located([]graph.Label{0, 1})
+	posts, refs := x.Located([]graph.Label{0, 1})
 	var got [][]int32
 	for c := posts.Cursor(); c.Next(); {
 		words := ftv.Words(x.Dataset()[c.Graph()].N())
-		got = append(got, x.Table().LocSets().AppendIDs(nil, refs[len(got)], words))
+		got = append(got, x.LocSets().AppendIDs(nil, refs[len(got)], words))
 	}
 	if want := [][]int32{{0, 1}, {0, 1}, {0, 1, 2, 3}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("locations of (0,1) = %v, want %v", got, want)
 	}
 	// An insert extracts no locations, so the table refuses one.
-	if _, err := x.Table().WithGraph(context.Background(), smallDataset()[0]); err == nil {
+	if _, err := x.WithGraph(context.Background(), smallDataset()[0]); err == nil {
 		t.Error("Grapes' table took an insert that would drop its locations")
 	}
 }

@@ -85,8 +85,8 @@ type Env struct {
 	mu sync.Mutex
 
 	synthetic, ppi []*graph.Graph
-	grapesSyn      map[int]*grapes.Index // workers -> index
-	grapesPPI      map[int]*grapes.Index
+	grapesSyn      map[int]*index.Path // workers -> index
+	grapesPPI      map[int]*index.Path
 	ggsxPPI        index.Index
 
 	single      map[string]*graph.Graph             // dataset name -> stored graph
@@ -120,8 +120,8 @@ func (e *Env) cachedTiming(key string, f func() metrics.Timing) metrics.Timing {
 func NewEnv(cfg Config) *Env {
 	return &Env{
 		Cfg:         cfg,
-		grapesSyn:   make(map[int]*grapes.Index),
-		grapesPPI:   make(map[int]*grapes.Index),
+		grapesSyn:   make(map[int]*index.Path),
+		grapesPPI:   make(map[int]*index.Path),
 		single:      make(map[string]*graph.Graph),
 		nfvMatchers: make(map[string]map[string]match.Matcher),
 		nfvFreq:     make(map[string]rewrite.Frequencies),
@@ -164,7 +164,7 @@ func (e *Env) FTVDataset(name string) []*graph.Graph {
 
 // Grapes returns the Grapes index with the given worker count over the
 // named FTV dataset, building it on first use.
-func (e *Env) Grapes(dataset string, workers int) *grapes.Index {
+func (e *Env) Grapes(dataset string, workers int) *index.Path {
 	ds := e.FTVDataset(dataset)
 	e.mu.Lock()
 	defer e.mu.Unlock()

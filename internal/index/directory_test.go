@@ -1,8 +1,8 @@
 package index_test
 
-// The one sequence directory of a grid: every kind and shard folded from one
-// extraction looks its features up in it, and each cell holds exactly what an
-// index of its own over its graphs holds, before and after an insert.
+// The one sequence directory of a build: every shard's table folded from one
+// extraction looks its features up in it, and each holds exactly what a
+// table of its own over its graphs holds, before and after an insert.
 
 import (
 	"context"
@@ -17,29 +17,30 @@ import (
 	"github.com/psi-graph/psi/internal/index"
 )
 
-// tableOf returns the table an index keeps its features in.
+// tableOf returns the table an index is.
 func tableOf(t *testing.T, x index.Index) *index.Path {
 	t.Helper()
-	tx, ok := x.(interface{ Table() *index.Path })
+	tx, ok := x.(*index.Path)
 	if !ok {
-		t.Fatalf("%s keeps no table", x.Name())
+		t.Fatalf("%s is no table", x.Name())
 	}
-	return tx.Table()
+	return tx
 }
 
-// FuzzPathDirectory decodes a small dataset from the input, builds it as a
-// grid of ftv, ggsx and grapes over K = 1..4 shards, whose every cell must
-// share one directory, and builds every cell again as an index of its own:
+// FuzzPathDirectory decodes a small dataset from the input and builds, under
+// each of ftv, ggsx and grapes, its tables over K = 1..4 shards, which must
+// share one directory, and builds every shard again as a table of its own:
 // each pair must agree on Export, on Stats and on the located lookup of every
-// sequence of the shared directory and of sequences no shard holds — postings,
-// their bytes, and each posting's location set. The ftv and ggsx pairs must
-// agree again after each takes the input's last graph through WithGraph, which
-// may set bits, write a superset directory or neither, and those inserts must
-// leave the Grapes cells' directory and location sets as they were. Each row,
-// merged by NewShardedFrom under an alive mask read from the high bits of
-// shards and labels, must filter the input's last graph to what an index over
-// the live graphs alone does, and a stream stopped at its j-th candidate must
-// have emitted exactly the first j.
+// sequence of the shared directory and of sequences no shard holds —
+// postings, their bytes, and each posting's location set. The ftv and ggsx
+// pairs must agree again after each takes the input's last graph through
+// WithGraph, which may set bits, write a superset directory or neither and
+// must leave the other shards on the shared one; a grapes table, whose
+// locations an insert would not extract, refuses it. The tables, merged by
+// NewShardedFrom under an alive mask read from the high bits of shards and
+// labels, must filter the input's last graph to what an index over the live
+// graphs alone does, and a stream stopped at its j-th candidate must have
+// emitted exactly the first j.
 func FuzzPathDirectory(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 2, 0, 1, 1, 2, 3, 1, 1, 0, 2, 0, 1, 1, 2, 2, 5, 0, 1, 2, 3, 4, 5, 9, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5}, uint8(1), uint8(3))
 	f.Add([]byte{2, 0, 0, 1, 0, 1, 2, 1, 1, 1, 0, 1, 2, 2, 2, 1, 0, 1, 4, 0, 1, 0, 1, 3, 0, 1, 1, 2, 2, 3}, uint8(3), uint8(2))
@@ -53,35 +54,20 @@ func FuzzPathDirectory(f *testing.F) {
 		extra, ds := ds[len(ds)-1], ds[:len(ds)-1]
 		k := 1 + int(shards%4)
 		ctx, opts := context.Background(), index.Options{MaxPathLen: 3}
-		grid, err := index.BuildGrid(ctx, kinds, ds, k, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir := tableOf(t, grid[0][0]).Directory()
-		probes := directoryProbes(dir, ftv.ExtractFeatures(extra, opts.MaxPathLen, false))
-		checkGrapesRow := func(when string) {
-			for s, cell := range grid[2] {
-				if tableOf(t, cell).Directory() != dir {
-					t.Fatalf("K=%d %s: grapes shard %d has a directory of its own", k, when, s)
-				}
-				own, err := grapes.BuildContext(ctx, index.ShardDataset(ds, s, k), grapes.Options{MaxPathLen: opts.MaxPathLen})
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkSameIndex(t, fmt.Sprintf("K=%d %s: grapes shard %d", k, when, s), cell, own, probes)
-			}
-		}
-		checkGrapesRow("built")
 		alive, dead := make([]bool, len(ds)), int(shards>>2)|int(labels>>3)<<6
 		for g := range ds {
 			alive[g] = dead>>g&1 == 0
 		}
-		for i, kind := range kinds {
-			checkShardedRow(t, fmt.Sprintf("K=%d %s alive %v", k, kind, alive), ds, alive, kind, grid[i], extra)
-		}
-		for i, kind := range kinds[:2] {
-			for s, cell := range grid[i] {
-				if tableOf(t, cell).Directory() != dir {
+		for _, kind := range kinds {
+			tables, err := index.BuildTables(ctx, kind, ds, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := tables[0].Directory()
+			probes := directoryProbes(dir, ftv.ExtractFeatures(extra, opts.MaxPathLen, false))
+			checkShardedRow(t, fmt.Sprintf("K=%d %s alive %v", k, kind, alive), ds, alive, kind, tables, extra)
+			for s, cell := range tables {
+				if cell.Directory() != dir {
 					t.Fatalf("K=%d: %s shard %d has a directory of its own", k, kind, s)
 				}
 				own, err := index.Build(ctx, kind, index.ShardDataset(ds, s, k), opts)
@@ -90,26 +76,36 @@ func FuzzPathDirectory(f *testing.F) {
 				}
 				tag := fmt.Sprintf("K=%d %s shard %d", k, kind, s)
 				checkSameIndex(t, tag, cell, own, probes)
-				grown, err := cell.(index.Inserter).WithGraph(ctx, extra)
+				grown, err := cell.WithGraph(ctx, extra)
+				if kind == grapes.Kind {
+					if err == nil {
+						t.Fatalf("%s: a table with locations took an insert", tag)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				ownGrown, err := own.(index.Inserter).WithGraph(ctx, extra)
+				ownGrown, err := tableOf(t, own).WithGraph(ctx, extra)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkSameIndex(t, tag+" after an insert", grown, ownGrown, probes)
 			}
+			for s, cell := range tables {
+				if cell.Directory() != dir {
+					t.Fatalf("K=%d: %s shard %d left the shared directory after the inserts", k, kind, s)
+				}
+			}
 		}
-		checkGrapesRow("after the inserts")
 	})
 }
 
-// checkShardedRow fails unless row, the cells of one kind over ds, merged
+// checkShardedRow fails unless row, the tables of one kind over ds, merged
 // under the alive mask, filters q to the candidates of an index of that kind
 // over the live graphs alone: Filter, FilterStream, and FilterStream stopped
 // at each candidate, which must have emitted exactly the prefix up to it.
-func checkShardedRow(t *testing.T, tag string, ds []*graph.Graph, alive []bool, kind string, row []index.Index, q *graph.Graph) {
+func checkShardedRow(t *testing.T, tag string, ds []*graph.Graph, alive []bool, kind string, row []*index.Path, q *graph.Graph) {
 	t.Helper()
 	var live []*graph.Graph
 	for g, ok := range alive {
@@ -122,7 +118,7 @@ func checkShardedRow(t *testing.T, tag string, ds []*graph.Graph, alive []bool, 
 		t.Fatal(err)
 	}
 	want := mono.Filter(q)
-	sh := index.NewShardedFrom(ds, alive, kind, row)
+	sh := index.NewShardedFrom(ds, alive, row)
 	if got := sh.Filter(q); !sameInts(got, want) {
 		t.Fatalf("%s: Filter = %v, want %v", tag, got, want)
 	}

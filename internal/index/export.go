@@ -1,16 +1,14 @@
 package index
 
-// Snapshot support: the optional export capability an index kind implements
-// so its feature arrays can be written to the on-disk snapshot format
-// (internal/snapshot), and the restorer registry the loader dispatches on to
-// rebuild a kind from those arrays without re-enumerating any paths. Export
-// and restore are inverses by contract: Restore(kind, ds, Export(x)) must
-// answer every query byte-identically to x.
+// Snapshot support: the export capability a table implements so its feature
+// arrays can be written to the on-disk snapshot format (internal/snapshot),
+// and the restore that rebuilds a table from those arrays without
+// re-enumerating any paths. Export and restore are inverses by contract:
+// Restore(kind, ds, Export(x)) must answer every query byte-identically to x.
 
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/psi-graph/psi/internal/ftv"
@@ -20,7 +18,7 @@ import (
 // FeaturePosting is one graph's entry in an exported feature's posting list.
 type FeaturePosting struct {
 	// GraphID is the graph's ID within the index's own dataset (local, for
-	// per-shard sub-indexes).
+	// per-shard tables).
 	GraphID int
 	// Count is the feature's occurrence count in the graph.
 	Count int32
@@ -37,7 +35,7 @@ type ExportedFeature struct {
 	Postings []FeaturePosting
 }
 
-// FeatureExporter is the snapshot capability of an index kind: ExportFeatures
+// FeatureExporter is the snapshot capability of an index: ExportFeatures
 // visits every indexed feature — oriented spellings only (ftv.Oriented) —
 // exactly once, in deterministic order (lexicographically ascending label
 // sequences) with postings in ascending graph-ID order, so the serialized
@@ -50,7 +48,7 @@ type FeatureExporter interface {
 }
 
 // Export collects an index's features via its FeatureExporter capability.
-// It returns an error for kinds that cannot be snapshotted.
+// It returns an error for indexes that cannot be snapshotted.
 func Export(x Index) ([]ExportedFeature, int, error) {
 	ex, ok := x.(FeatureExporter)
 	if !ok {
@@ -70,41 +68,28 @@ func Export(x Index) ([]ExportedFeature, int, error) {
 	return out, ex.MaxPathLen(), nil
 }
 
-// RestoreFunc rebuilds one kind over ds from exported features. opts carries
-// the runtime knobs the restored index needs (Workers, Pool); MaxPathLen
-// comes from the snapshot, not opts, so filtering stays identical to the
-// saved index.
-type RestoreFunc func(ds []*graph.Graph, maxPathLen int, opts Options, feats []ExportedFeature) (Index, error)
-
-var (
-	restorerMu sync.RWMutex
-	restorers  = map[string]RestoreFunc{}
-)
-
-// RegisterRestorer makes a restore function available under a kind name.
-// Implementations call it from init, next to Register; duplicates panic.
-func RegisterRestorer(kind string, fn RestoreFunc) {
-	restorerMu.Lock()
-	defer restorerMu.Unlock()
-	if _, dup := restorers[kind]; dup {
-		panic("index: duplicate restorer for kind " + kind)
+// Restore rebuilds the table of kind from exported features — the load half
+// of the snapshot round trip. opts carries the runtime knobs of the name's
+// verifier (Workers, Pool); maxPathLen comes from the snapshot, not opts, so
+// filtering stays identical to the saved table.
+func Restore(kind string, ds []*graph.Graph, maxPathLen int, opts Options, feats []ExportedFeature) (Index, error) {
+	feats, err := CheckFeatures(kind, ds, feats)
+	if err != nil {
+		return nil, err
 	}
-	restorers[kind] = fn
+	return RestorePath(kind, ds, maxPathLen, opts, feats), nil
 }
 
-// Restore rebuilds a monolithic index of the registered kind from exported
-// features — the load half of the snapshot round trip.
-func Restore(kind string, ds []*graph.Graph, maxPathLen int, opts Options, feats []ExportedFeature) (Index, error) {
-	restorerMu.RLock()
-	fn := restorers[kind]
-	restorerMu.RUnlock()
-	if fn == nil {
-		return nil, fmt.Errorf("index: no restorer for kind %q", kind)
+// CheckFeatures validates exported features of kind over ds and returns them
+// in the form RestorePath takes. A table keeps features, postings and
+// locations in the export's canonical order and searches them by it — and
+// located verification indexes a bitset of the graph's vertices by its
+// locations — so a file that breaks the order or the bounds is rejected here
+// rather than answered from wrongly.
+func CheckFeatures(kind string, ds []*graph.Graph, feats []ExportedFeature) ([]ExportedFeature, error) {
+	if err := checkKind(kind); err != nil {
+		return nil, err
 	}
-	// The indexes keep features, postings and locations in the export's
-	// canonical order and search them by it — and Grapes indexes a bitset of
-	// the graph's vertices by its locations — so a file that breaks the
-	// order or the bounds is rejected here rather than answered from wrongly.
 	for i, f := range feats {
 		if i > 0 && CompareLabelSeqs(feats[i-1].Labels, f.Labels) >= 0 {
 			return nil, fmt.Errorf("index: restoring %q: feature %d out of canonical order", kind, i)
@@ -117,7 +102,7 @@ func Restore(kind string, ds []*graph.Graph, maxPathLen int, opts Options, feats
 				return nil, fmt.Errorf("index: restoring %q: feature %d postings not ascending by graph ID", kind, i)
 			}
 			// A zero-vertex graph with postings is a tombstoned slot's
-			// placeholder under a mutable store's snapshot: the sub-index
+			// placeholder under a mutable store's snapshot: the table
 			// still carries the dead graph's features until compaction, no
 			// query reaches them (the dense view skips dead slots), so
 			// there is no vertex count left to hold them to.
@@ -132,11 +117,7 @@ func Restore(kind string, ds []*graph.Graph, maxPathLen int, opts Options, feats
 			}
 		}
 	}
-	feats, err := dropMirrors(kind, feats)
-	if err != nil {
-		return nil, err
-	}
-	return fn(ds, maxPathLen, opts, feats)
+	return dropMirrors(kind, feats)
 }
 
 // dropMirrors reduces the features of a snapshot written before indexes kept
@@ -220,19 +201,19 @@ func (x *Path) expandLocations(ps []FeaturePosting, refs []ftv.LocRef) {
 }
 
 // RestorePath rebuilds the table of kind: its directory, entries and posting
-// slab — and, for a kind that keeps locations, its references and location
-// sets, each set packed into the form the extraction gives it (ftv.RowForm) —
-// written straight from the exported features (Restore has checked their
-// order and bounds), measured first so that each is one allocation with no
+// slab — and, under "grapes", its references and location sets, each set
+// packed into the form the extraction gives it (ftv.RowForm) — written
+// straight from the exported features (CheckFeatures has checked their order
+// and bounds), measured first so that each is one allocation with no
 // slack. No path enumeration runs, which is where the cold-start speedup
 // comes from. The table holds every sequence of its own directory; a restored
-// store then shares one directory across its grid (ShareDirectory).
+// store then shares one directory across its shards (ShareDirectory).
 func RestorePath(kind string, ds []*graph.Graph, maxPathLen int, opts Options, feats []ExportedFeature) *Path {
 	if maxPathLen <= 0 {
 		maxPathLen = ftv.DefaultMaxPathLen
 	}
 	start := time.Now()
-	located := keepsLocations(kind)
+	located := kind == KindGrapes
 	sizes := make([]listSize, len(feats))
 	nLabels, nBytes, nPostings, rowWords, listIDs := 0, 0, 0, 0, 0
 	for i, f := range feats {
@@ -251,18 +232,14 @@ func RestorePath(kind string, ds []*graph.Graph, maxPathLen int, opts Options, f
 			}
 		}
 	}
-	x := &Path{
-		kind:       kind,
-		ds:         ds,
-		maxPathLen: maxPathLen,
-		dir: &PathDirectory{
-			labels: make([]graph.Label, 0, nLabels),
-			ends:   make([]uint32, 0, len(feats)),
-		},
-		has:      fullBitmap(len(feats)),
-		entries:  make([]pathEntry, 0, len(feats)),
-		postings: make([]byte, nBytes),
+	x := newPath(kind, ds, maxPathLen, opts)
+	x.dir = &PathDirectory{
+		labels: make([]graph.Label, 0, nLabels),
+		ends:   make([]uint32, 0, len(feats)),
 	}
+	x.has = fullBitmap(len(feats))
+	x.entries = make([]pathEntry, 0, len(feats))
+	x.postings = make([]byte, nBytes)
 	if located {
 		x.refs = make([]ftv.LocRef, 0, nPostings)
 		x.locs.Reserve(rowWords, listIDs)

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"github.com/psi-graph/psi/internal/gen"
-	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 )
@@ -303,7 +302,7 @@ func TestRestoreOntoZeroVertexPlaceholder(t *testing.T) {
 	if ys.LocationRows >= xs.LocationRows || ys.LocationRows+ys.LocationLists != xs.LocationRows+xs.LocationLists {
 		t.Errorf("restored %d rows + %d lists from %d + %d: the dead graph's rows should have become lists", ys.LocationRows, ys.LocationLists, xs.LocationRows, xs.LocationLists)
 	}
-	g := y.(*grapes.Index)
+	g := y.(*index.Path)
 	for qi := 0; qi < 6; qi++ {
 		q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(3))
 		for id := range ds {
@@ -388,18 +387,17 @@ func TestLocationStats(t *testing.T) {
 	}
 }
 
-// TestShardedSubsAndShardDataset: the sub-indexes of a grid row index
+// TestShardedSubsAndShardDataset: the tables of a sharded build index
 // exactly ShardDataset's partition, the one the snapshot loader restores
 // each shard over.
 func TestShardedSubsAndShardDataset(t *testing.T) {
 	ds := randomDataset(rand.New(rand.NewSource(2)), 7, 6, 2)
-	grid, err := index.BuildGrid(context.Background(), []string{index.KindPath}, ds, 3, index.Options{})
+	subs, err := index.BuildTables(context.Background(), index.KindPath, ds, 3, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs := grid[0] // flat path indexes: nothing to close
 	if len(subs) != 3 {
-		t.Fatalf("grid row = %d shards, want 3", len(subs))
+		t.Fatalf("build = %d shards, want 3", len(subs))
 	}
 	for s, sub := range subs {
 		want := index.ShardDataset(ds, s, 3)

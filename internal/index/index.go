@@ -1,22 +1,15 @@
-// Package index defines the single filtering-index contract shared by the
-// repo's alternative filter-then-verify methods — the path-based FTV baseline
-// and GGSX (this package), and Grapes — the one flat feature table all three
-// keep their features in (path.go), and the plumbing every implementation
-// used to duplicate: presence/frequency pruning over query features, pooled
-// deterministic builds, and the streaming filter→verify pipeline.
-//
-// The contract exists so the Engine can treat filtering indexes exactly like
-// matching algorithms: as interchangeable alternatives to race. The paper's
-// thesis is that parallel use of alternatives beats committing to any single
-// strategy; GRAPES and GGSX are precisely the "alternative algorithms" its
-// portfolio drops in, so they must be swappable — and raceable — behind one
-// interface.
-//
-// Implementations register a builder under a kind name ("ftv", "grapes",
-// "ggsx") at init time; BuildGrid, the one build pipeline (build.go),
-// extracts a dataset's path features once and folds every requested kind and
-// shard from them, so callers that import the implementation packages can
-// construct any index — or a whole portfolio — uniformly.
+// Package index is the one filtering index of the repo's filter-then-verify
+// method: a flat path-feature table per shard (path.go), with location sets
+// when the names it serves ask for them, built once from one feature
+// extraction (build.go). The paper's FTV baseline, GGSX and Grapes are not
+// three indexes but three names for it, and a name selects how a candidate
+// is verified over the table (verify.go): against the whole stored graph
+// ("ftv", "ggsx"), or within the components its location sets leave
+// ("grapes"). The package also holds the plumbing every query shares:
+// presence/frequency pruning over query features, the sharded ordered merge
+// (sharded.go), and the streaming filter→verify pipeline, in which a dataset
+// engine races its verifiers per candidate (§8 of the paper: the filter is
+// left intact, the alternatives run in verification).
 package index
 
 import (
@@ -29,11 +22,10 @@ import (
 	"github.com/psi-graph/psi/internal/graph"
 )
 
-// Index is the unified filtering-index contract. It extends the ftv
+// Index is the filtering-index contract. It extends the ftv
 // filter-then-verify core with streaming candidate emission (so verification
-// can start before filtering finishes) and build/shape statistics (so a
-// racing Engine can report per-index provenance). Implementations are safe
-// for concurrent queries once built.
+// can start before filtering finishes) and build/shape statistics.
+// Implementations are safe for concurrent queries once built.
 type Index interface {
 	ftv.Index
 
@@ -48,22 +40,10 @@ type Index interface {
 	// Stats reports the index's build provenance and shape.
 	Stats() Stats
 
-	// Close releases any resources the index owns. No built-in kind owns
-	// one, so for them it is a no-op; the method stays for indexes defined
-	// outside this repository (psi.FilterIndex is public).
+	// Close releases any resources the index owns. A table owns none, so for
+	// it this is a no-op; the method stays for indexes defined outside this
+	// repository (psi.FilterIndex is public).
 	Close()
-}
-
-// Inserter is the optional incremental-maintenance capability of an index:
-// WithGraph derives a NEW index over the old dataset plus one appended graph
-// without re-extracting the features of the existing graphs. The receiver is
-// left untouched — concurrent queries against it keep their answers — so a
-// mutable dataset layer can swap the returned index in copy-on-write style.
-// Kinds that cannot append cheaply (Grapes, whose locations an insert does not
-// extract) simply do not implement it and are rebuilt shard-locally instead,
-// together, from one feature extraction.
-type Inserter interface {
-	WithGraph(ctx context.Context, g *graph.Graph) (Index, error)
 }
 
 // Stats describes a built index. The json tags fix the serialized schema
@@ -71,7 +51,7 @@ type Inserter interface {
 type Stats struct {
 	// Name is the instance name as reported by Index.Name.
 	Name string `json:"name"`
-	// Kind is the registered builder kind ("ftv", "grapes", "ggsx").
+	// Kind is the name the table was built under ("ftv", "grapes", "ggsx").
 	Kind string `json:"kind"`
 	// Graphs is the number of indexed dataset graphs.
 	Graphs int `json:"graphs"`
@@ -79,14 +59,13 @@ type Stats struct {
 	MaxPathLen int `json:"max_path_len"`
 	// Features is the number of distinct path features the index holds:
 	// undirected label paths, each stored under its oriented spelling only,
-	// one entry each in the kind's flat table. A Sharded index reports its
+	// one entry each in the flat table. A Sharded index reports its
 	// shards' sum, which counts a feature once per shard holding it, not the
 	// distinct features of the whole dataset.
 	Features int `json:"features"`
 	// BuildTime is the wall-clock time until the index was usable: the
-	// feature extraction it was folded from — shared with every other kind
-	// and shard of the same build, and counted in each; a shard of a grid
-	// is charged its graphs' share of it — plus its own fold.
+	// feature extraction it was folded from — a shard is charged its graphs'
+	// share of it — plus its own fold.
 	BuildTime time.Duration `json:"build_ns"`
 	// BuildWorkers is the extraction parallelism the build ran with.
 	BuildWorkers int `json:"build_workers"`
@@ -95,12 +74,13 @@ type Stats struct {
 	// tables included; a Sharded index reports its shards' sums.
 	Postings     int64 `json:"postings"`
 	PostingBytes int64 `json:"posting_bytes"`
-	// LocationBytes is the memory held by the location sets of a kind that
-	// keeps them (Grapes): the row slab, the list slab and one 4-byte
-	// reference per posting. LocationRows and LocationLists count the sets
-	// stored as bitset rows over their graph's vertices and as vertex-ID
-	// lists — whichever is smaller for each set (ftv.RowForm). All zero for
-	// kinds without locations; a Sharded index reports its shards' sums.
+	// LocationBytes is the memory held by the location sets of a table that
+	// keeps them (one built under "grapes"): the row slab, the list slab and
+	// one 4-byte reference per posting. LocationRows and LocationLists count
+	// the sets stored as bitset rows over their graph's vertices and as
+	// vertex-ID lists — whichever is smaller for each set (ftv.RowForm). All
+	// zero for tables without locations; a Sharded index reports its shards'
+	// sums.
 	LocationBytes int64 `json:"location_bytes,omitempty"`
 	LocationRows  int   `json:"location_rows,omitempty"`
 	LocationLists int   `json:"location_lists,omitempty"`
@@ -115,15 +95,14 @@ type Stats struct {
 }
 
 // Options configures a build; the shard count is an argument of its own
-// (BuildGrid, BuildSharded), since only the callers that partition choose it.
+// (BuildTables, BuildSharded), since only the callers that partition choose it.
 type Options struct {
 	// MaxPathLen is the maximum indexed path length in edges; 0 means
 	// ftv.DefaultMaxPathLen (4), the paper's setting.
 	MaxPathLen int
-	// Workers is the per-index verification parallelism knob (the paper's
-	// Grapes/1 vs Grapes/4): above 1, Grapes fans a candidate's components
-	// out on Pool. Indexes without internal verification parallelism ignore
-	// it. 0 means 1.
+	// Workers is Grapes' verification parallelism (the paper's Grapes/1 vs
+	// Grapes/4): above 1, its verifier fans a candidate's components out on
+	// Pool. The whole-graph verifier ignores it. 0 means 1.
 	Workers int
 	// Pool is the execution pool feature extraction fans out on during the
 	// build, and the one Grapes' component fan-out runs on afterwards; nil

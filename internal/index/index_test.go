@@ -24,9 +24,8 @@ func smallDataset() []*graph.Graph {
 }
 
 func TestRegistryHasAllKinds(t *testing.T) {
-	kinds := Kinds()
-	if len(kinds) == 0 || kinds[0] != KindPath {
-		t.Fatalf("Kinds() = %v, want at least %q", kinds, KindPath)
+	if kinds := Kinds(); !slices.Equal(kinds, []string{KindPath, KindGGSX, KindGrapes}) {
+		t.Fatalf("Kinds() = %v, want the three names, sorted", kinds)
 	}
 	if _, err := Build(context.Background(), "btree", smallDataset(), Options{}); err == nil {
 		t.Error("Build of unknown kind should fail")
@@ -68,8 +67,8 @@ func checkFlatName(t *testing.T, x *Path, kind, name string) {
 	if len(x.Dataset()) != 3 || x.MaxPathLen() != ftv.DefaultMaxPathLen {
 		t.Errorf("%d graphs at path length %d, want 3 at %d", len(x.Dataset()), x.MaxPathLen(), ftv.DefaultMaxPathLen)
 	}
-	if _, ok := Index(x).(Inserter); !ok {
-		t.Error("a flat kind is not an Inserter")
+	if _, err := x.WithGraph(context.Background(), smallDataset()[0]); err != nil {
+		t.Errorf("a flat kind's table refused an insert: %v", err)
 	}
 	st := x.Stats()
 	if st.Kind != kind || st.Name != name || st.Graphs != 3 || st.Features == 0 || st.Postings == 0 {

@@ -53,7 +53,7 @@ func withGraphParity(t *testing.T, kind string) {
 	chain, exports := []index.Index{base}, [][]index.ExportedFeature{exportOf(t, base)}
 	grew, kept := 0, 0
 	for n := 3; n <= len(ds); n++ {
-		next, err := cur.(index.Inserter).WithGraph(context.Background(), ds[n-1])
+		next, err := cur.(*index.Path).WithGraph(context.Background(), ds[n-1])
 		if err != nil {
 			t.Fatalf("WithGraph(#%d): %v", n-1, err)
 		}
@@ -139,11 +139,11 @@ func TestPathWithGraphAllocs(t *testing.T) {
 	const maxLen, bound = 3, 10
 	r := rand.New(rand.NewSource(11))
 	ds := randomDataset(r, 6, 20, 4)
-	grid, err := index.BuildGrid(context.Background(), []string{index.KindPath}, ds, 2, index.Options{MaxPathLen: maxLen})
+	tables, err := index.BuildTables(context.Background(), index.KindPath, ds, 2, index.Options{MaxPathLen: maxLen})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := grid[0][0].(*index.Path)
+	x := tables[0]
 	cases := map[string]*graph.Graph{
 		"indexed":      graph.MustNew("edge", []graph.Label{0, 1}, [][2]int{{0, 1}}),
 		"in directory": ds[1],
@@ -152,7 +152,7 @@ func TestPathWithGraphAllocs(t *testing.T) {
 	for name, g := range cases {
 		touched := ftv.ExtractFeatures(g, maxLen, false).Len()
 		extract := testing.AllocsPerRun(20, func() { ftv.ExtractFeatures(g, maxLen, false) })
-		var nx index.Index
+		var nx *index.Path
 		with := testing.AllocsPerRun(20, func() {
 			if nx, err = x.WithGraph(context.Background(), g); err != nil {
 				t.Fatal(err)
@@ -161,7 +161,7 @@ func TestPathWithGraphAllocs(t *testing.T) {
 		if with-extract > bound {
 			t.Errorf("%s: a graph of %d features: WithGraph makes %.0f allocations beyond the extraction's %.0f, want at most %d", name, touched, with-extract, extract, bound)
 		}
-		kept, grew := nx.(*index.Path).Directory() == x.Directory(), nx.Stats().Features > x.Stats().Features
+		kept, grew := nx.Directory() == x.Directory(), nx.Stats().Features > x.Stats().Features
 		if want := name != "new"; kept != want {
 			t.Errorf("%s: the directory was kept: %v, want %v", name, kept, want)
 		}
@@ -206,9 +206,9 @@ func TestShardedTombstoneParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 2, 3, 11} {
-			subs := make([]index.Index, k)
+			subs := make([]*index.Path, k)
 			for s := 0; s < k; s++ {
-				if subs[s], err = index.Build(context.Background(), kind, index.ShardDataset(slotDS, s, k), index.Options{MaxPathLen: 3}); err != nil {
+				if subs[s], err = buildTable(kind, index.ShardDataset(slotDS, s, k), 3); err != nil {
 					t.Fatalf("%s K=%d shard %d: %v", kind, k, s, err)
 				}
 			}
@@ -216,10 +216,10 @@ func TestShardedTombstoneParity(t *testing.T) {
 			if k == 1 {
 				wantShards = 0 // one shard reports as the index it is
 			}
-			if st := index.NewShardedFrom(slotDS, nil, kind, subs).Stats(); st.ShardCount != wantShards || st.Graphs != len(slotDS) {
+			if st := index.NewShardedFrom(slotDS, nil, subs).Stats(); st.ShardCount != wantShards || st.Graphs != len(slotDS) {
 				t.Errorf("%s K=%d: ShardedFrom stats = %d shards/%d graphs", kind, k, st.ShardCount, st.Graphs)
 			}
-			m := index.NewShardedFrom(slotDS, alive, kind, subs)
+			m := index.NewShardedFrom(slotDS, alive, subs)
 			if got := len(m.Dataset()); got != len(dense) {
 				t.Fatalf("%s K=%d: masked dataset = %d graphs, want %d", kind, k, got, len(dense))
 			}
@@ -291,16 +291,16 @@ func TestShardedMaskMismatchPanics(t *testing.T) {
 			t.Error("NewShardedFrom with a mismatched mask did not panic")
 		}
 	}()
-	index.NewShardedFrom(ds, []bool{true, false}, index.KindPath, []index.Index{x})
+	index.NewShardedFrom(ds, []bool{true, false}, []*index.Path{x})
 }
 
 // TestShardedWithoutTablePanics: the merge extracts a query's features once
-// and scans every shard's table, so a sub-index that keeps no table, or one
-// at another path length, is a caller bug too.
+// and scans every shard's table, so a shard without a table, or one at
+// another path length, is a caller bug too.
 func TestShardedWithoutTablePanics(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	ds := randomDataset(r, 4, 6, 2)
-	build := func(sub []*graph.Graph, maxLen int) index.Index {
+	build := func(sub []*graph.Graph, maxLen int) *index.Path {
 		x, err := index.BuildPath(context.Background(), sub, index.Options{MaxPathLen: maxLen})
 		if err != nil {
 			t.Fatal(err)
@@ -308,8 +308,8 @@ func TestShardedWithoutTablePanics(t *testing.T) {
 		return x
 	}
 	even, odd := index.ShardDataset(ds, 0, 2), index.ShardDataset(ds, 1, 2)
-	for name, subs := range map[string][]index.Index{
-		"no table":          {build(even, 2), struct{ index.Index }{build(odd, 2)}},
+	for name, subs := range map[string][]*index.Path{
+		"no table":          {build(even, 2), nil},
 		"other path length": {build(even, 2), build(odd, 3)},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -318,7 +318,16 @@ func TestShardedWithoutTablePanics(t *testing.T) {
 					t.Error("NewShardedFrom did not panic")
 				}
 			}()
-			index.NewShardedFrom(ds, nil, index.KindPath, subs)
+			index.NewShardedFrom(ds, nil, subs)
 		})
 	}
+}
+
+// buildTable builds the table of kind over ds at path length maxLen.
+func buildTable(kind string, ds []*graph.Graph, maxLen int) (*index.Path, error) {
+	tables, err := index.BuildTables(context.Background(), kind, ds, 1, index.Options{MaxPathLen: maxLen})
+	if err != nil {
+		return nil, err
+	}
+	return tables[0], nil
 }

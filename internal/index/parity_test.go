@@ -171,15 +171,16 @@ func sameInts(a, b []int) bool {
 
 // TestCrossIndexParity asserts, over generated datasets and queries, that
 // every index's Filter is a superset of the true answer set and that the
-// Answer pipelines of all three indexes agree byte-for-byte with brute
-// force.
+// Answer pipelines agree byte-for-byte with brute force: the index of each
+// name, and the one table of every non-empty name set at K = 1 and 2 under
+// each verifier the set selects.
 func TestCrossIndexParity(t *testing.T) {
 	pool := exec.New(2)
 	defer pool.Close()
 	for seed := int64(1); seed <= 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		ds := randomDataset(r, 5, 10+r.Intn(5), 3)
-		xs := buildAll(t, ds, 3, pool)
+		xs := append(buildAll(t, ds, 3, pool), verifierViews(t, ds, 3, pool)...)
 		for qi := 0; qi < 3; qi++ {
 			q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
 			checkParity(t, fmt.Sprintf("seed %d q%d", seed, qi), ds, xs, q, pool)
@@ -199,6 +200,39 @@ func TestCrossIndexParity(t *testing.T) {
 		checkParity(t, name, ds, xs, q, pool)
 		closeAll(xs)
 	}
+}
+
+// verifierViews builds, for every non-empty set of names and K in {1, 2},
+// the set's one table per shard and returns it under each verifier the set
+// selects.
+func verifierViews(t *testing.T, ds []*graph.Graph, maxLen int, pool *exec.Pool) []index.Index {
+	t.Helper()
+	kinds := index.Kinds()
+	var out []index.Index
+	for mask := 1; mask < 1<<len(kinds); mask++ {
+		var set []string
+		for i, kind := range kinds {
+			if mask>>i&1 == 1 {
+				set = append(set, kind)
+			}
+		}
+		opts := index.Options{MaxPathLen: maxLen, Pool: pool}
+		vs, err := index.Verifiers(set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 2} {
+			tables, err := index.BuildTables(context.Background(), index.TableKind(set), ds, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := index.NewShardedFrom(ds, nil, tables)
+			for _, v := range vs {
+				out = append(out, x.Using(v))
+			}
+		}
+	}
+	return out
 }
 
 // checkParity holds every index to the brute-force answer for one query:
@@ -256,13 +290,13 @@ func TestBuildDeterminismAcrossWorkerCounts(t *testing.T) {
 		pool := exec.New(workers)
 		defer pool.Close()
 		for _, k := range []int{1, 3} {
-			grid, err := index.BuildGrid(context.Background(), index.Kinds(), ds, k, index.Options{MaxPathLen: 4, Pool: pool})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([][][]index.ExportedFeature, len(grid))
-			for i, row := range grid {
-				for _, x := range row {
+			got := make([][][]index.ExportedFeature, len(index.Kinds()))
+			for i, kind := range index.Kinds() {
+				tables, err := index.BuildTables(context.Background(), kind, ds, k, index.Options{MaxPathLen: 4, Pool: pool})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, x := range tables {
 					feats, _, err := index.Export(x)
 					if err != nil {
 						t.Fatal(err)
@@ -473,8 +507,8 @@ func TestVerifyRejectsOutOfRangeGraphID(t *testing.T) {
 				if ok, err := tc.x.Verify(context.Background(), q, id); err == nil || ok {
 					t.Errorf("%s %s: Verify(graph %d) = %v, %v; want an out-of-range error", kind, tc.name, id, ok, err)
 				}
-				if g, isGrapes := tc.x.(*grapes.Index); isGrapes {
-					if vs, ok := g.CandidateVertices(q, id); ok || vs != nil {
+				if kind == grapes.Kind {
+					if vs, ok := tc.x.(*index.Path).CandidateVertices(q, id); ok || vs != nil {
 						t.Errorf("grapes %s: CandidateVertices(graph %d) = %v, %v; want nil, false", tc.name, id, vs, ok)
 					}
 				}

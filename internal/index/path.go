@@ -1,24 +1,20 @@
 package index
 
-// The flat path-feature table every index kind keeps its features in, and the
-// two kinds that are nothing but the table. It stores every extracted path
+// The flat path-feature table, the one index. It stores every extracted path
 // feature — an undirected label path under its oriented spelling
 // (ftv.Oriented) — flat, sorted by label sequence, with its packed posting
-// list and, for a kind that declares it reads locations (Grapes), a reference
-// to each posting's location set. The kinds differ only in how they verify:
-// the flat path index (KindPath, "FTV") and GGSX (KindGGSX) run VF2 against
-// the whole stored graph, and Grapes (internal/grapes), which holds a table
-// with locations, runs it within the components its location sets leave.
+// list and, for a table built under "grapes", a reference to each posting's
+// location set. The names differ only in the verifier they select
+// (verify.go): the flat path index ("ftv", FTV) and GGSX ("ggsx") run VF2
+// against the whole stored graph, and Grapes ("grapes") runs it within the
+// components the location sets leave.
 //
 // GGSX (Bonnici et al., §3.1.1 of the paper) indexes all ≤maxLen paths, as
 // this table does, in a suffix tree, keeps no locations and verifies with VF2
 // against the whole graph: its filtering and its verification are the flat
-// index's, and only its storage layout differed, which one table removes. It
-// stays registered under its own name because the paper's portfolio names it
-// and so does what reproduces that portfolio — the benchmark's ftv_stragglers
-// workload races it, and testdata/parent_portfolio_k2.psnap holds a "ggsx"
-// kind — until a portfolio audit on the benchmark shows whether an arm that
-// races its twin earns its place.
+// index's, and only its storage layout differed, which one table removes. The
+// name stays because the paper's portfolio names it, and so do the harness's
+// Table 10 configurations and snapshot files that hold a "ggsx" section.
 //
 // The label sequences live in a sequence directory (PathDirectory): every
 // sequence in canonical order, concatenated into one label slab, with one
@@ -36,10 +32,9 @@ package index
 // nothing for the collector to trace, and each slab is a form a file could
 // hold as it is.
 //
-// A directory is immutable, so tables can share one. The cells of one grid —
-// every kind and shard of one build or store — index nearly the same
-// sequences, and the kinds folded from one extraction exactly the same, so
-// the build and the restore give them one directory, the union of theirs
+// A directory is immutable, so tables can share one. The shards of one build
+// or store index nearly the same sequences, so the build and the restore give
+// them one directory, the union of theirs
 // (ShareDirectory); an insert keeps its index's directory unless the graph
 // brings a sequence the directory lacks, and a rebuilt shard adopts its
 // predecessor's when that holds every sequence it indexes (AdoptDirectory).
@@ -51,56 +46,40 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
-	"github.com/psi-graph/psi/internal/vf2"
 )
 
-const (
-	// KindPath is the registered kind of the flat path index.
-	KindPath = "ftv"
-	// KindGGSX is the registered kind of GGSX: the flat path index under the
-	// paper's name for it.
-	KindGGSX = "ggsx"
-)
-
-func init() {
-	for _, kind := range []string{KindPath, KindGGSX} {
-		Register(kind, func(ds []*graph.Graph, ex Extraction, opts Options) Index {
-			return FoldPath(kind, ds, ex, opts)
-		}, false)
-		RegisterRestorer(kind, func(ds []*graph.Graph, maxPathLen int, opts Options, feats []ExportedFeature) (Index, error) {
-			return RestorePath(kind, ds, maxPathLen, opts, feats), nil
-		})
-	}
-}
-
-// Path is the flat path-feature table, and under KindPath or KindGGSX an
-// index of its own. Safe for concurrent use once built.
+// Path is the flat path-feature table: an index that filters by its
+// features and verifies with the verifier of the name it was built under.
+// Safe for concurrent use once built.
 type Path struct {
 	kind       string
+	v          Verifier
 	ds         []*graph.Graph
 	maxPathLen int
 	// The features in canonical (lexicographic label sequence) order — the
 	// order the snapshot export promises, so exporting is a walk over the set
 	// bits. dir holds the sequences, has marks the ones indexed here, and
 	// entries and postings are theirs in directory order. Immutable, the
-	// directory shared with the rest of the grid: WithGraph writes new slabs,
+	// directory shared with the other shards: WithGraph writes new slabs,
 	// keeping the directory unless the graph brings a sequence it lacks and
 	// the bitmap unless the graph brings a sequence new to this index.
 	dir      *PathDirectory
 	has      bitmap
 	entries  []pathEntry
 	postings []byte
-	// refs holds, for a kind that keeps locations, each posting's set in locs,
-	// in posting order; nil for the others.
+	// refs holds, for a table that keeps locations, each posting's set in
+	// locs, in posting order; nil for the others.
 	refs  []ftv.LocRef
 	locs  ftv.LocSets
 	stats Stats
+	// last is the located verifier's plan of the last query (verify.go).
+	last atomic.Pointer[queryPlan]
 }
 
 // pathEntry is one indexed sequence: where its list ends in the posting slab,
@@ -258,26 +237,27 @@ func (b bitmap) ones() iter.Seq[int] {
 	}
 }
 
-// BuildPath constructs the flat path index through the build pipeline —
-// Build with the static type kept.
+// BuildPath constructs the flat path index ("ftv") through the build
+// pipeline, its static type kept.
 func BuildPath(ctx context.Context, ds []*graph.Graph, opts Options) (*Path, error) {
-	x, err := Build(ctx, KindPath, ds, opts)
+	tables, err := BuildTables(ctx, KindPath, ds, 1, opts)
 	if err != nil {
 		return nil, err
 	}
-	return x.(*Path), nil
+	return tables[0], nil
 }
 
-// keepsLocations reports whether kind declared that its fold reads locations
-// (Register), and so whether its table keeps them.
-func keepsLocations(kind string) bool {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	return registry[kind].locations
+// newPath returns an empty table of kind over ds, with kind's verifier.
+func newPath(kind string, ds []*graph.Graph, maxPathLen int, opts Options) *Path {
+	v, err := NewVerifier(kind, opts)
+	if err != nil {
+		panic(err) // callers check the kind first
+	}
+	return &Path{kind: kind, v: v, ds: ds, maxPathLen: maxPathLen}
 }
 
 // FoldPath folds the table of kind over ds from its graphs' extracted
-// features: the BuildFunc of KindPath and KindGGSX, and what Grapes' wraps.
+// features, with locations under "grapes".
 // The first pass interns every (graph, feature) pair to a dense slot of the
 // fold's own ftv.LabelTrie and measures the posting lists. A feature arrives
 // as a slot of the trie its extraction worker walked, which the cell's other
@@ -285,11 +265,11 @@ func keepsLocations(kind string) bool {
 // once, parents first, at one probe, and every posting after that is a lookup
 // in an array. The fold trie's canonical walk then lays out the directory, the
 // entries and the posting slab; the second pass fills the lists graph by
-// graph, which leaves them ascending with no sort and no spare byte. A kind
-// that keeps locations has each graph's location slab appended to the table's
+// graph, which leaves them ascending with no sort and no spare byte. A table
+// that keeps locations has each graph's location slab appended to its own
 // as it is, so a set keeps the form the extraction gave it, and each posting's
 // reference written beside it. The table holds every sequence of its own
-// directory; a grid then shares one directory across its cells
+// directory; a build then shares one directory across its shards
 // (ShareDirectory). (Measured on the benchmark's 300 × 50-vertex, 8-label
 // dataset, 1.59 M postings over 19 044 sequences: interning every label of
 // every posting, about five probes a posting, was 13 % of an ftv_selective
@@ -328,18 +308,14 @@ func FoldPath(kind string, ds []*graph.Graph, ex Extraction, opts Options) *Path
 	for _, z := range sizes {
 		nBytes += z.bytes()
 	}
-	x := &Path{
-		kind:       kind,
-		ds:         ds,
-		maxPathLen: opts.MaxPathLen,
-		dir: &PathDirectory{
-			labels: make([]graph.Label, 0, nLabels),
-			ends:   make([]uint32, 0, nFeats),
-		},
-		has:      fullBitmap(nFeats),
-		entries:  make([]pathEntry, 0, nFeats),
-		postings: make([]byte, nBytes),
+	x := newPath(kind, ds, opts.MaxPathLen, opts)
+	x.dir = &PathDirectory{
+		labels: make([]graph.Label, 0, nLabels),
+		ends:   make([]uint32, 0, nFeats),
 	}
+	x.has = fullBitmap(nFeats)
+	x.entries = make([]pathEntry, 0, nFeats)
+	x.postings = make([]byte, nBytes)
 	at := make([]int32, len(sizes))      // trie slot → feature
 	lists := make([]PostingList, nFeats) // the fill's write cursors into postings
 	rest := x.postings
@@ -356,7 +332,7 @@ func FoldPath(kind string, ds []*graph.Graph, ex Extraction, opts Options) *Path
 			next:    sizes[s].next,
 		})
 	})
-	located := keepsLocations(kind)
+	located := kind == KindGrapes
 	if located {
 		x.refs = make([]ftv.LocRef, len(slotOf))
 		rowWords, listIDs := 0, 0
@@ -450,8 +426,8 @@ func PoolWorkers(p *exec.Pool) int {
 	return p.Workers()
 }
 
-// Name implements ftv.Index: the kind in capitals, "FTV" or "GGSX".
-func (x *Path) Name() string { return strings.ToUpper(x.kind) }
+// Name implements ftv.Index: its verifier's, "FTV", "GGSX" or "Grapes/W".
+func (x *Path) Name() string { return x.v.Name() }
 
 // Dataset implements ftv.Index.
 func (x *Path) Dataset() []*graph.Graph { return x.ds }
@@ -460,16 +436,8 @@ func (x *Path) Dataset() []*graph.Graph { return x.ds }
 func (x *Path) MaxPathLen() int { return x.maxPathLen }
 
 // Directory returns the sequence directory the table looks its features up
-// in, which the other tables of its grid may share.
+// in, which the other shards' tables may share.
 func (x *Path) Directory() *PathDirectory { return x.dir }
-
-// Table is the capability ShareDirectory and AdoptDirectory look for: a flat
-// kind is its own table.
-func (x *Path) Table() *Path { return x }
-
-// tabled is an index that keeps its features in a table: one of the flat
-// kinds, which is one, or a kind that holds one (Grapes).
-type tabled interface{ Table() *Path }
 
 // LocSets returns the location sets Located's references name; empty for a
 // table without locations.
@@ -575,21 +543,14 @@ func (x *Path) adopt(dir *PathDirectory) bool {
 	return true
 }
 
-// ShareDirectory gives the tables of one grid — the cells of every kind and
-// shard of one build or store — one sequence directory, the union of theirs.
-// Each keeps its entries, postings and references under a bitmap over the
-// shared directory, and the directories they held become garbage. It rebinds
-// the tables in place, so it runs only where no query can see them yet:
-// BuildGrid calls it once over the cells it builds, and live.Restore once
-// over the cells it restores. Cells without a table are left alone, and
-// fewer than two tables have nothing to share.
-func ShareDirectory(cells []Index) {
-	var xs []*Path
-	for _, c := range cells {
-		if t, ok := c.(tabled); ok {
-			xs = append(xs, t.Table())
-		}
-	}
+// ShareDirectory gives the tables of one build or store — one per shard — one
+// sequence directory, the union of theirs. Each keeps its entries, postings
+// and references under a bitmap over the shared directory, and the
+// directories they held become garbage. It rebinds the tables in place, so it
+// runs only where no query can see them yet: BuildTables calls it once over
+// the tables it builds, and live.Restore once over the tables it restores.
+// Fewer than two tables have nothing to share.
+func ShareDirectory(xs []*Path) {
 	if len(xs) < 2 {
 		return
 	}
@@ -609,22 +570,16 @@ func ShareDirectory(cells []Index) {
 		}
 	}
 	for _, x := range xs {
-		x.adopt(dir) // the union holds every sequence of the grid
+		x.adopt(dir) // the union holds every sequence of every table
 	}
 }
 
-// AdoptDirectory rebinds the table of x, an index built to replace from and
-// not yet visible to any query, to the directory of from's when that holds
-// every sequence x indexes — always the case when x indexes a subset of
-// from's graphs, as after a compaction — so the shard keeps sharing its
-// grid's directory. Otherwise, and for kinds without a table, x keeps its own.
-func AdoptDirectory(x, from Index) {
-	nx, ok := x.(tabled)
-	old, oldOK := from.(tabled)
-	if ok && oldOK {
-		nx.Table().adopt(old.Table().dir)
-	}
-}
+// AdoptDirectory rebinds x, a table built to replace from and not yet
+// visible to any query, to from's directory when that holds every sequence x
+// indexes — always the case when x indexes a subset of from's graphs, as
+// after a compaction — so the shard keeps sharing its store's directory.
+// Otherwise x keeps its own.
+func AdoptDirectory(x, from *Path) { x.adopt(from.dir) }
 
 // unionDirectory returns a new directory holding every sequence of the
 // tables' directories.
@@ -689,7 +644,9 @@ func (x *Path) cursor(feats []ftv.QueryFeature) featureCursor {
 	return newFeatureCursor(len(x.ds), feats, x.lookup)
 }
 
-// WithGraph implements Inserter: a copy-on-write append. Only the new
+// WithGraph derives a new table over the old dataset plus one appended graph
+// without re-extracting the features of the existing graphs: a copy-on-write
+// append. Only the new
 // graph's features are extracted, and a walk of the trie their extraction
 // grew puts them in canonical order. A first pass places each in the directory
 // by binary search and sizes the result; one merge pass then writes the new
@@ -699,14 +656,14 @@ func (x *Path) cursor(feats []ftv.QueryFeature) featureCursor {
 // holds every sequence of the graph, sequences new to this index included:
 // those only set a bit. A sequence the directory lacks makes a superset
 // directory for the new index alone, so an insert never rebinds the other
-// cells of the grid. The bitmap is rewritten only when a sequence is new to
+// shards. The bitmap is rewritten only when a sequence is new to
 // the index. The receiver is never mutated: queries racing against the old
-// index keep a consistent view. The work is a copy of the slabs, far below
-// the path enumeration a rebuild pays, and the allocations are a handful
-// whatever the graph touches. A table with locations cannot insert: the
-// extraction here keeps none, which is why Grapes holds its table rather than
-// being one, and rebuilds instead.
-func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
+// index keep a consistent view, so a dataset store can swap the new table in.
+// The work is a copy of the slabs, far below the path enumeration a rebuild
+// pays, and the allocations are a handful whatever the graph touches. A table
+// with locations cannot insert, since the extraction here keeps none: a store
+// rebuilds its shard instead.
+func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (*Path, error) {
 	if x.refs != nil {
 		return nil, fmt.Errorf("index: the %s table keeps locations, which an insert does not extract", x.kind)
 	}
@@ -750,6 +707,7 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (Index, error) {
 	ds[len(x.ds)] = g
 	nx := &Path{
 		kind:       x.kind,
+		v:          x.v,
 		ds:         ds,
 		maxPathLen: x.maxPathLen,
 		dir:        x.dir,
@@ -826,10 +784,15 @@ func (x *Path) copyEntries(o *Path, from, to int) {
 	}
 }
 
-// Verify implements ftv.Index: VF2 against the whole stored graph.
+// Verify implements ftv.Index with the table's own verifier.
 func (x *Path) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
+	return x.VerifyWith(ctx, x.v, q, graphID)
+}
+
+// VerifyWith decides candidate graphID with v, any name's verifier.
+func (x *Path) VerifyWith(ctx context.Context, v Verifier, q *graph.Graph, graphID int) (bool, error) {
 	if graphID < 0 || graphID >= len(x.ds) {
 		return false, fmt.Errorf("index: graph ID %d out of range [0,%d)", graphID, len(x.ds))
 	}
-	return vf2.New(x.ds[graphID]).Contains(ctx, q)
+	return v.Verify(ctx, x, q, graphID)
 }

@@ -1,22 +1,20 @@
 package index
 
 // Sharded partitions a dataset into K shards and gives every shard its own
-// filtering index of any registered kind — the data-parallel axis the
-// distributed-dataflow line of work adds on top of the paper's portfolio
-// axis. The partitioning rule is round-robin over graph IDs (shard of global
+// table — the data-parallel axis the distributed-dataflow line of work adds
+// on top of the paper's portfolio axis. The partitioning rule is round-robin over graph IDs (shard of global
 // ID g is g mod K, its ID within the shard is g div K): stable, deterministic,
 // and balanced to within one graph regardless of dataset order.
 //
-// Sharded implements the same Index contract as the monolithic kinds, so
-// everything layered above — the streaming filter→verify pipeline, FTVRacer's
-// per-candidate rewriting races, core.IndexRacer's whole-pipeline races —
-// composes with it unchanged. Query answers are byte-identical to the
+// Sharded implements the same Index contract as one table, so everything
+// layered above — the streaming filter→verify pipeline and its per-candidate
+// races of verifiers and rewritings — composes with it unchanged. Query answers are byte-identical to the
 // monolithic index at any K and any worker count: filtering decisions are
 // per-graph (a graph survives iff it contains every query feature often
 // enough, which no amount of partitioning changes), FilterStream merges one
 // posting cursor per shard in ascending global-ID order on the caller's
-// goroutine, and verification routes each global ID back to the shard that
-// owns it. Filtering stays sequential, as the paper's FTV design leaves it:
+// goroutine, and verification, under any name's verifier, routes each global
+// ID back to the shard that owns it. Filtering stays sequential, as the paper's FTV design leaves it:
 // the parallelism is in verification.
 //
 // With the alive mask of a dataset store (internal/live), which tombstones a
@@ -35,15 +33,15 @@ import (
 	"github.com/psi-graph/psi/internal/graph"
 )
 
-// Sharded is a dataset index partitioned into K per-shard sub-indexes.
-// Construct with BuildSharded or NewShardedFrom; immutable, so safe for
-// concurrent queries (a mutation assembles a new Sharded). At K = 1 it is its
-// one sub-index under another type: name, statistics and, when no slot is
-// dead, filtering all delegate.
+// Sharded is a dataset index partitioned into K per-shard tables. Construct
+// with BuildSharded or NewShardedFrom; immutable, so safe for concurrent
+// queries (a mutation assembles a new Sharded). At K = 1 it is its one table
+// under another type: statistics and, when no slot is dead, filtering
+// delegate.
 type Sharded struct {
 	ds     []*graph.Graph // dense: the live graphs in slot order
-	shards []Index
-	tables []*Path // per shard: the table its sub-index keeps its features in
+	tables []*Path
+	v      Verifier // what Verify decides with: the tables' own, or Using's
 	k      int
 	stats  Stats
 	// denseOf maps a slot to its dense ID (-1 when tombstoned) and slots a
@@ -68,52 +66,48 @@ func ShardDataset(ds []*graph.Graph, s, k int) []*graph.Graph {
 	return sub
 }
 
-// BuildSharded partitions ds into shards round-robin shards and builds one
-// index of the registered kind per shard through BuildGrid — a Sharded index
-// even at a single shard. The shard count is clamped to len(ds) — a shard
-// with no graphs would be dead weight — and to at least 1.
+// BuildSharded partitions ds into shards round-robin shards and builds the
+// table of kind per shard through BuildTables — a Sharded index even at a
+// single shard. The shard count is clamped to len(ds) — a shard with no
+// graphs would be dead weight — and to at least 1.
 func BuildSharded(ctx context.Context, kind string, ds []*graph.Graph, shards int, opts Options) (*Sharded, error) {
-	grid, err := BuildGrid(ctx, []string{kind}, ds, min(shards, len(ds)), opts)
+	tables, err := BuildTables(ctx, kind, ds, min(shards, len(ds)), opts)
 	if err != nil {
 		return nil, err
 	}
-	return NewShardedFrom(ds, nil, kind, grid[0]), nil
+	return NewShardedFrom(ds, nil, tables), nil
 }
 
-// NewShardedFrom assembles a Sharded view over pre-built per-shard
-// sub-indexes, one row of BuildGrid's output — also the dataset store's
-// (internal/live) entry point, which maintains the sub-indexes itself
-// (copy-on-write inserts, shard-local rebuilds) and needs the shard count to
-// stay fixed across mutations. Unlike BuildSharded the shard count is NOT
-// clamped to len(slots): a shard may legitimately be empty after deletions
-// or before its first ingest. subs[s] must index exactly
-// ShardDataset(slots, s, len(subs)); ownership of the sub-indexes stays with
-// the caller (Close on the result closes them, as with BuildSharded).
+// NewShardedFrom assembles a Sharded view over pre-built per-shard tables,
+// BuildTables' output — also the dataset store's (internal/live) entry point,
+// which maintains the tables itself (copy-on-write inserts, shard-local
+// rebuilds) and needs the shard count to stay fixed across mutations. Unlike
+// BuildSharded the shard count is NOT clamped to len(slots): a shard may
+// legitimately be empty after deletions or before its first ingest.
+// tables[s] must index exactly ShardDataset(slots, s, len(tables)). The view
+// verifies with shard 0's verifier.
 //
 // alive marks the live slots (nil: every slot is); with dead ones the view is
 // the dense one of the file comment, its Stats counting only live graphs, in
 // total and per shard. A mask that does not cover slots is a caller bug and
-// panics, as is a sub-index that keeps no feature table (every registered
-// kind keeps one) or one of another path length than shard 0's: the merge
-// extracts a query's features once for every shard.
+// panics, as is a missing table or one of another path length than shard
+// 0's: the merge extracts a query's features once for every shard.
 //
-// The aggregate BuildTime is the sum of the sub-indexes': a grid charges each
+// The aggregate BuildTime is the sum of the tables': a build charges each
 // shard its graphs' share of the shared extraction, so the sum is extraction
-// plus this kind's folds. At K = 1 the statistics are the sub-index's own,
-// with no shard breakdown.
-func NewShardedFrom(slots []*graph.Graph, alive []bool, kind string, subs []Index) *Sharded {
+// plus the folds. At K = 1 the statistics are the table's own, with no shard
+// breakdown.
+func NewShardedFrom(slots []*graph.Graph, alive []bool, tables []*Path) *Sharded {
 	if alive != nil && len(alive) != len(slots) {
 		panic(fmt.Sprintf("index: NewShardedFrom: %d liveness flags for %d slots", len(alive), len(slots)))
 	}
-	k := len(subs)
-	x := &Sharded{ds: slots, k: k, shards: subs}
-	for s, sub := range subs {
-		t, ok := sub.(tabled)
-		if !ok || t.Table().MaxPathLen() != subs[0].Stats().MaxPathLen {
-			panic(fmt.Sprintf("index: NewShardedFrom: shard %d (%s) keeps no feature table at shard 0's path length", s, sub.Name()))
+	k := len(tables)
+	for s, t := range tables {
+		if t == nil || t.maxPathLen != tables[0].maxPathLen {
+			panic(fmt.Sprintf("index: NewShardedFrom: shard %d has no table at shard 0's path length", s))
 		}
-		x.tables = append(x.tables, t.Table())
 	}
+	x := &Sharded{ds: slots, k: k, tables: tables, v: tables[0].v}
 	if slices.Contains(alive, false) {
 		x.ds = make([]*graph.Graph, 0, len(slots))
 		x.denseOf = make([]int, len(slots))
@@ -127,18 +121,18 @@ func NewShardedFrom(slots []*graph.Graph, alive []bool, kind string, subs []Inde
 		}
 	}
 	if k == 1 {
-		x.stats = subs[0].Stats()
+		x.stats = tables[0].Stats()
 		x.stats.Graphs = len(x.ds)
 		return x
 	}
 	x.stats = Stats{
 		Name:       x.Name(),
-		Kind:       kind,
+		Kind:       tables[0].kind,
 		Graphs:     len(x.ds),
 		ShardCount: k,
 	}
-	for _, sub := range subs {
-		st := sub.Stats()
+	for _, t := range tables {
+		st := t.Stats()
 		x.stats.MaxPathLen = st.MaxPathLen
 		x.stats.Features += st.Features
 		x.stats.BuildTime += st.BuildTime
@@ -151,7 +145,7 @@ func NewShardedFrom(slots []*graph.Graph, alive []bool, kind string, subs []Inde
 		x.stats.Shards = append(x.stats.Shards, st)
 	}
 	if x.slots != nil {
-		// A sub-index counts its tombstoned slots too: recount each shard's
+		// A table counts its tombstoned slots too: recount each shard's
 		// live graphs so the shards sum to Graphs.
 		for s := range x.stats.Shards {
 			x.stats.Shards[s].Graphs = 0
@@ -163,12 +157,22 @@ func NewShardedFrom(slots []*graph.Graph, alive []bool, kind string, subs []Inde
 	return x
 }
 
-// Name identifies the configuration, e.g. "Grapes/1×4" for four shards.
+// Name identifies the configuration by its verifier, e.g. "Grapes/1×4" for
+// four shards.
 func (x *Sharded) Name() string {
 	if x.k == 1 {
-		return x.shards[0].Name()
+		return x.v.Name()
 	}
-	return fmt.Sprintf("%s×%d", x.shards[0].Name(), x.k)
+	return fmt.Sprintf("%s×%d", x.v.Name(), x.k)
+}
+
+// Using returns the view of x that verifies with v: the same tables, so the
+// same filter, under v's name.
+func (x *Sharded) Using(v Verifier) *Sharded {
+	y := *x
+	y.v = v
+	y.stats.Name = y.Name()
+	return &y
 }
 
 // Dataset implements ftv.Index: the live graphs, in global ID order.
@@ -188,16 +192,17 @@ func (x *Sharded) dense(s, local int) int {
 	return x.denseOf[slot]
 }
 
-// Close implements Index, releasing every shard's resources.
-func (x *Sharded) Close() {
-	for _, sub := range x.shards {
-		sub.Close()
-	}
+// Close implements Index; tables own no resources.
+func (x *Sharded) Close() {}
+
+// Verify implements ftv.Index with the view's verifier.
+func (x *Sharded) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
+	return x.VerifyWith(ctx, x.v, q, graphID)
 }
 
-// Verify implements ftv.Index by routing the dense ID to its slot and the
-// slot to its owning shard.
-func (x *Sharded) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
+// VerifyWith decides dense ID graphID with v by routing it to its slot and
+// the slot to its owning shard's table.
+func (x *Sharded) VerifyWith(ctx context.Context, v Verifier, q *graph.Graph, graphID int) (bool, error) {
 	if graphID < 0 || graphID >= len(x.ds) {
 		return false, fmt.Errorf("index: graph ID %d out of range [0,%d)", graphID, len(x.ds))
 	}
@@ -205,7 +210,7 @@ func (x *Sharded) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool
 	if x.slots != nil {
 		slot = x.slots[graphID]
 	}
-	return x.shards[ShardOf(slot, x.k)].Verify(ctx, q, slot/x.k)
+	return x.tables[ShardOf(slot, x.k)].VerifyWith(ctx, v, q, slot/x.k)
 }
 
 // Filter implements ftv.Index: FilterStream collected — the same candidate
@@ -213,7 +218,7 @@ func (x *Sharded) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool
 // per-graph decision.
 func (x *Sharded) Filter(q *graph.Graph) []int {
 	if x.k == 1 && x.denseOf == nil {
-		return x.shards[0].Filter(q)
+		return x.tables[0].Filter(q)
 	}
 	var out []int
 	// The background context never cancels, so the error is always nil.
@@ -230,7 +235,7 @@ func (x *Sharded) Filter(q *graph.Graph) []int {
 // candidate translated to its dense ID (tombstones skipped), and the minimum
 // head is emitted — so the emission order is byte-identical to the monolithic
 // index's at any K. Each cursor polls ctx as the monolithic scan does. At
-// K = 1 the one sub-index filters, its IDs translated.
+// K = 1 the one table filters, its IDs translated.
 func (x *Sharded) FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error {
 	if x.k == 1 {
 		sub := emit
@@ -240,7 +245,7 @@ func (x *Sharded) FilterStream(ctx context.Context, q *graph.Graph, emit func(gr
 				return id < 0 || emit(id)
 			}
 		}
-		return x.shards[0].FilterStream(ctx, q, sub)
+		return x.tables[0].FilterStream(ctx, q, sub)
 	}
 	feats := ftv.QueryFeatures(q, x.stats.MaxPathLen)
 	type head struct {

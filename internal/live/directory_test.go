@@ -20,15 +20,12 @@ import (
 	"github.com/psi-graph/psi/internal/live"
 )
 
-// flatRow returns the store's flat sub-indexes, shard by shard, and the
-// shard datasets they index.
+// flatRow returns the store's tables, shard by shard, and the shard
+// datasets they index.
 func flatRow(t *testing.T, st *live.Store) ([]*index.Path, [][]*graph.Graph) {
 	t.Helper()
 	state := exportState(t, st)
-	row := make([]*index.Path, state.Shards)
-	for s, sub := range state.Grid[index.KindPath] {
-		row[s] = sub.(*index.Path)
-	}
+	row := state.Tables
 	locals := make([][]*graph.Graph, state.Shards)
 	for slot, g := range state.SlotGraphs {
 		locals[slot%state.Shards] = append(locals[slot%state.Shards], g)
@@ -164,29 +161,22 @@ func TestFlatRowSharesDirectory(t *testing.T) {
 	assertCurrentParity(t, st, opts.Kinds)
 }
 
-// assertOneDirectory checks that every cell of the store's grid, whatever its
-// kind and shard, looks its features up in one directory.
+// assertOneDirectory checks that every shard's table looks its features up
+// in one directory.
 func assertOneDirectory(t *testing.T, tag string, st *live.Store) {
 	t.Helper()
 	state := exportState(t, st)
-	var dir *index.PathDirectory
-	for _, kind := range state.Kinds {
-		for s, sub := range state.Grid[kind] {
-			d := sub.(interface{ Table() *index.Path }).Table().Directory()
-			if dir == nil {
-				dir = d
-			}
-			if d != dir {
-				t.Errorf("%s: %s shard %d does not share the grid's directory", tag, kind, s)
-			}
+	for s, x := range state.Tables {
+		if x.Directory() != state.Tables[0].Directory() {
+			t.Errorf("%s: shard %d does not share shard 0's directory", tag, s)
 		}
 	}
 }
 
-// TestGridSharesOneDirectory: the flat kinds and Grapes, every shard of each,
-// share one directory after the build and after a restore from exported
-// features, which gives every cell a directory of its own until the store
-// shares them.
+// TestGridSharesOneDirectory: a store serving the flat names and Grapes keeps
+// one table per shard, and every shard's shares one directory after the build
+// and after a restore from exported features, which gives every table a
+// directory of its own until the store shares them.
 func TestGridSharesOneDirectory(t *testing.T) {
 	kinds := []string{index.KindPath, index.KindGGSX, grapes.Kind}
 	r := rand.New(rand.NewSource(29))
@@ -206,41 +196,45 @@ func TestGridSharesOneDirectory(t *testing.T) {
 	assertStoresAgree(t, st, restored, kinds)
 }
 
-// TestAddInsertsGGSXAndRebuildsGrapes: an Add reaches GGSX through WithGraph
-// and Grapes, which is no Inserter, through a shard-local rebuild, whose
-// location sets bound the new graph's candidate vertices as a fresh build's
-// do. The two shards carry disjoint labels and the new graph a label neither
-// has: an insert keeps the other shard's sequences in the superset directory
-// it writes, while a rebuild would index its graphs in a directory holding
-// theirs alone.
+// TestAddInsertsGGSXAndRebuildsGrapes: an Add reaches a store serving GGSX
+// alone through WithGraph, and one that also serves Grapes — whose one table
+// keeps locations, which an insert would not extract — through a shard-local
+// rebuild, whose location sets bound the new graph's candidate vertices as a
+// fresh build's do. The two shards carry disjoint labels and the new graph a
+// label neither has: an insert keeps the other shard's sequences in the
+// superset directory it writes, while a rebuild would index its graphs in a
+// directory holding theirs alone.
 func TestAddInsertsGGSXAndRebuildsGrapes(t *testing.T) {
-	kinds := []string{index.KindGGSX, grapes.Kind}
 	ds := []*graph.Graph{
 		graph.MustNew("shard 0", []graph.Label{0, 1, 0}, [][2]int{{0, 1}, {1, 2}}),
 		graph.MustNew("shard 1", []graph.Label{2, 3, 2}, [][2]int{{0, 1}, {1, 2}}),
 	}
-	st, err := live.NewStore(context.Background(), ds, live.Options{
-		Kinds: kinds, Shards: 2, Index: index.Options{MaxPathLen: testMaxPathLen},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
 	g := graph.MustNew("new label", []graph.Label{0, 4, 1, 4}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	if _, err := st.Add(context.Background(), g); err != nil { // slot 2: shard 0, local ID 1
-		t.Fatal(err)
+	added := func(kinds []string) (*live.Store, *index.Path) {
+		st, err := live.NewStore(context.Background(), ds, live.Options{
+			Kinds: kinds, Shards: 2, Index: index.Options{MaxPathLen: testMaxPathLen},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(st.Close)
+		if _, err := st.Add(context.Background(), g); err != nil { // slot 2: shard 0, local ID 1
+			t.Fatal(err)
+		}
+		return st, exportState(t, st).Tables[0]
 	}
-	state := exportState(t, st)
-	gg := state.Grid[index.KindGGSX][0].(*index.Path)
+	st, gg := added([]string{index.KindGGSX})
 	if st := gg.Stats(); gg.Name() != "GGSX" || st.Name != "GGSX" || st.Kind != index.KindGGSX {
 		t.Errorf("the inserted GGSX shard is %q, reporting %q of kind %q", gg.Name(), st.Name, st.Kind)
 	}
 	if gg.Directory().Len() <= gg.Stats().Features {
 		t.Errorf("GGSX shard 0 indexes %d sequences of a %d-sequence directory: rebuilt, not inserted", gg.Stats().Features, gg.Directory().Len())
 	}
-	sub := state.Grid[grapes.Kind][0]
-	if _, ok := sub.(index.Inserter); ok {
-		t.Fatal("Grapes implements index.Inserter, so inserts would drop its locations")
+	assertCurrentParity(t, st, []string{index.KindGGSX})
+	kinds := []string{index.KindGGSX, grapes.Kind}
+	st, sub := added(kinds)
+	if sub.Stats().LocationBytes == 0 {
+		t.Fatal("the table serving Grapes lost its locations to the Add")
 	}
 	fresh := grapes.Build([]*graph.Graph{ds[0], g}, grapes.Options{MaxPathLen: testMaxPathLen})
 	hit := false
@@ -250,7 +244,7 @@ func TestAddInsertsGGSXAndRebuildsGrapes(t *testing.T) {
 		graph.MustNew("star", []graph.Label{4, 0, 1}, [][2]int{{0, 1}, {0, 2}}),
 		g,
 	} {
-		got, gotOK := sub.(*grapes.Index).CandidateVertices(q, 1)
+		got, gotOK := sub.CandidateVertices(q, 1)
 		want, wantOK := fresh.CandidateVertices(q, 1)
 		if gotOK != wantOK || !slices.Equal(got, want) {
 			t.Errorf("%s: candidate vertices %v, %v; a fresh build's %v, %v", q.Name(), got, gotOK, want, wantOK)

@@ -1,29 +1,29 @@
-// Package live is the dataset store every dataset engine serves from: the
-// kind × shard grid of sub-indexes over one dataset, published as immutable
-// epoch snapshots that queries race over. An engine that never mutates its
-// store serves one snapshot for its lifetime; one that does ingests, deletes
-// and replaces graphs while queries keep racing. The design leans on the
-// same observation the distributed-dataflow line of work uses for
-// partition-local updates: under the round-robin sharding of PR 5, one graph
-// lives in exactly one shard, so one mutation touches exactly one per-shard
-// sub-index per kind and leaves the other K-1 untouched.
+// Package live is the dataset store every dataset engine serves from: one
+// table per shard over one dataset, published as immutable epoch snapshots
+// that queries race over. An engine that never mutates its store serves one
+// snapshot for its lifetime; one that does ingests, deletes and replaces
+// graphs while queries keep racing. The design leans on the same observation
+// the distributed-dataflow line of work uses for partition-local updates:
+// under round-robin sharding one graph lives in exactly one shard, so one
+// mutation touches exactly one shard's table and leaves the other K-1
+// untouched.
 //
 // # Slots, tombstones, epochs
 //
 // Every graph ever added occupies a permanent "slot" in a global slot space;
 // slot s lives in shard s mod K at local position s div K, so appending a
 // graph always appends to the tail of its shard's local dataset (slot
-// assignment is monotone), which is what lets an index kind implementing
-// index.Inserter ingest copy-on-write instead of rebuilding. Deletion never
-// renumbers — renumbering would move graphs across shards and globalize the
-// mutation — it tombstones the slot; the sub-index keeps the dead graph's
-// features until the shard's tombstone count reaches the compaction
+// assignment is monotone), which is what lets a table without locations
+// ingest copy-on-write (index.Path.WithGraph) instead of rebuilding. Deletion
+// never renumbers — renumbering would move graphs across shards and
+// globalize the mutation — it tombstones the slot; the table keeps the dead
+// graph's features until the shard's tombstone count reaches the compaction
 // threshold, at which point that shard (and only that shard) is rebuilt over
 // its live graphs plus zero-vertex placeholders that keep local numbering
-// stable. Queries see none of this: a snapshot's index of each kind is an
-// index.Sharded under the store's alive mask, whose one translation from
-// shard-local IDs renumbers live slots densely and skips tombstones, so
-// answers are byte-identical to a from-scratch build over the live graphs.
+// stable. Queries see none of this: a snapshot's index is an index.Sharded
+// under the store's alive mask, whose one translation from shard-local IDs
+// renumbers live slots densely and skips tombstones, so answers are
+// byte-identical to a from-scratch build over the live graphs.
 //
 // Every committed mutation bumps a monotonically increasing epoch and
 // installs a new immutable Snapshot behind an atomic pointer: the one epoch
@@ -31,7 +31,7 @@
 // reads, so the engine keeps no per-epoch state. A query takes a snapshot
 // with one atomic load and keeps reading it to completion regardless of
 // concurrent mutations — snapshot isolation with no locks on the query path;
-// mutations and exports serialize on one lock. No sub-index owns a resource,
+// mutations and exports serialize on one lock. No table owns a resource,
 // so a snapshot needs no release: the garbage collector reclaims a retired
 // epoch once its last reader lets go of it.
 package live
@@ -63,7 +63,8 @@ var ErrUnknownHandle = errors.New("live: unknown handle")
 
 // Options configures NewStore.
 type Options struct {
-	// Kinds lists the index kinds maintained per shard (at least one).
+	// Kinds lists the index names the store serves (at least one); each
+	// shard keeps one table, built under index.TableKind(Kinds).
 	Kinds []string
 	// Shards is the fixed shard count K; unlike index.BuildSharded it is
 	// NOT clamped to the initial dataset size, because a mutated dataset
@@ -73,20 +74,19 @@ type Options struct {
 	// CompactEvery is the per-shard tombstone threshold that triggers a
 	// shard-local rebuild; <= 0 means DefaultCompactEvery.
 	CompactEvery int
-	// Index carries the per-sub-index build options (MaxPathLen, Workers,
-	// Pool).
+	// Index carries the table build options (MaxPathLen, Workers, Pool).
 	Index index.Options
 }
 
 // Snapshot is one immutable epoch of the store: the dense live dataset, its
-// handles, one dense index per kind and the dataset's label frequencies, all
-// computed once at install. Obtain with Store.Current. All accessors are
-// safe for concurrent use.
+// handles, the dense index over the shards' tables and the dataset's label
+// frequencies, all computed once at install. Obtain with Store.Current. All
+// accessors are safe for concurrent use.
 type Snapshot struct {
 	epoch   uint64
 	graphs  []*graph.Graph
 	handles []Handle
-	indexes []index.Index
+	table   *index.Sharded
 	freqs   rewrite.Frequencies
 }
 
@@ -100,10 +100,9 @@ func (s *Snapshot) Graphs() []*graph.Graph { return s.graphs }
 // Graphs: Handles()[i] is the handle of answer ID i at this epoch.
 func (s *Snapshot) Handles() []Handle { return s.handles }
 
-// Indexes returns the dense filtering index of every kind, in the order of
-// Options.Kinds (an engine's portfolio order). Each is a view over the
-// store's sub-indexes, shared with other epochs: callers never Close them.
-func (s *Snapshot) Indexes() []index.Index { return s.indexes }
+// Table returns the dense index over the shards' tables, shared with other
+// epochs: callers never Close it.
+func (s *Snapshot) Table() *index.Sharded { return s.table }
 
 // Frequencies returns the label frequencies of the dense dataset, the input
 // of the ILF rewriting.
@@ -118,6 +117,7 @@ type Store struct {
 	k            int
 	compactEvery int
 	ixOpts       index.Options
+	kind         string // the tables'
 	placeholder  *graph.Graph
 
 	// Mutation state, guarded by mutMu. Slices handed to snapshots are
@@ -130,7 +130,7 @@ type Store struct {
 	byHandle   map[Handle]int   // live handles → slot
 	local      [][]*graph.Graph // per-shard slot-space datasets
 	tombs      []int            // per-shard tombstones since last rebuild
-	grid       map[string][]index.Index
+	tables     []*index.Path    // per shard
 	nextHandle Handle
 	liveCount  int
 	closed     bool
@@ -139,8 +139,8 @@ type Store struct {
 	cur   atomic.Pointer[Snapshot]
 }
 
-// NewStore builds the initial sub-index grid over ds (epoch 1). The graphs
-// get handles 1..len(ds) in dataset order.
+// NewStore builds the initial tables over ds (epoch 1). The graphs get
+// handles 1..len(ds) in dataset order.
 func NewStore(ctx context.Context, ds []*graph.Graph, opts Options) (*Store, error) {
 	if len(opts.Kinds) == 0 {
 		return nil, fmt.Errorf("live: no index kinds")
@@ -155,6 +155,7 @@ func NewStore(ctx context.Context, ds []*graph.Graph, opts Options) (*Store, err
 	}
 	st := &Store{
 		kinds:        append([]string(nil), opts.Kinds...),
+		kind:         index.TableKind(opts.Kinds),
 		k:            k,
 		compactEvery: compact,
 		ixOpts:       opts.Index,
@@ -162,7 +163,6 @@ func NewStore(ctx context.Context, ds []*graph.Graph, opts Options) (*Store, err
 		byHandle:     make(map[Handle]int, len(ds)),
 		local:        make([][]*graph.Graph, k),
 		tombs:        make([]int, k),
-		grid:         make(map[string][]index.Index, len(opts.Kinds)),
 		nextHandle:   1,
 		liveCount:    len(ds),
 	}
@@ -176,13 +176,11 @@ func NewStore(ctx context.Context, ds []*graph.Graph, opts Options) (*Store, err
 		shard := index.ShardOf(slot, k)
 		st.local[shard] = append(st.local[shard], g)
 	}
-	grid, err := index.BuildGrid(ctx, st.kinds, ds, k, st.ixOpts)
+	tables, err := index.BuildTables(ctx, st.kind, ds, k, st.ixOpts)
 	if err != nil {
-		return nil, fmt.Errorf("live: building the index grid: %w", err)
+		return nil, fmt.Errorf("live: building the tables: %w", err)
 	}
-	for i, kind := range st.kinds {
-		st.grid[kind] = grid[i]
-	}
+	st.tables = tables
 	st.installLocked(1)
 	return st, nil
 }
@@ -208,19 +206,17 @@ func (st *Store) installLocked(epoch uint64) {
 			handles = append(handles, st.handleOf[slot])
 		}
 	}
-	indexes := make([]index.Index, 0, len(st.kinds))
-	for _, kind := range st.kinds {
-		// commitShard replaces rows, never writes them: the view may keep one.
-		indexes = append(indexes, index.NewShardedFrom(st.slotGraphs, st.alive, kind, st.grid[kind]))
-	}
+	// commitShard replaces the tables slice, never writes it: the view may
+	// keep it.
+	table := index.NewShardedFrom(st.slotGraphs, st.alive, st.tables)
 	st.epoch.Store(epoch)
-	st.cur.Store(&Snapshot{epoch: epoch, graphs: dense, handles: handles, indexes: indexes, freqs: rewrite.FrequenciesOfDataset(dense)})
+	st.cur.Store(&Snapshot{epoch: epoch, graphs: dense, handles: handles, table: table, freqs: rewrite.FrequenciesOfDataset(dense)})
 }
 
 // Add ingests g, assigning it the next slot (hence the tail of shard
-// slot mod K) and a fresh handle. Sub-indexes implementing index.Inserter
-// absorb it copy-on-write; the rest rebuild shard-locally. On error the
-// store is unchanged.
+// slot mod K) and a fresh handle. A table without locations absorbs it
+// copy-on-write; one with them is rebuilt shard-locally. On error the store
+// is unchanged.
 func (st *Store) Add(ctx context.Context, g *graph.Graph) (Handle, error) {
 	st.mutMu.Lock()
 	defer st.mutMu.Unlock()
@@ -230,12 +226,16 @@ func (st *Store) Add(ctx context.Context, g *graph.Graph) (Handle, error) {
 	slot := len(st.slotGraphs)
 	shard := index.ShardOf(slot, st.k)
 	newLocal := append(append([]*graph.Graph(nil), st.local[shard]...), g)
-	fresh, err := st.rebuildShard(ctx, shard, newLocal, func(cur index.Index) (index.Index, error) {
-		if ins, ok := cur.(index.Inserter); ok {
-			return ins.WithGraph(ctx, g)
+	var fresh *index.Path
+	var err error
+	if st.kind != index.KindGrapes {
+		fresh, err = st.tables[shard].WithGraph(ctx, g)
+		if err != nil {
+			err = fmt.Errorf("live: incremental update of shard %d: %w", shard, err)
 		}
-		return nil, errNoInserter
-	})
+	} else {
+		fresh, err = st.rebuildShard(ctx, shard, newLocal)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -269,9 +269,9 @@ func (st *Store) Remove(ctx context.Context, h Handle) (compacted bool, err erro
 	shard := index.ShardOf(slot, st.k)
 	newLocal := append([]*graph.Graph(nil), st.local[shard]...)
 	newLocal[slot/st.k] = st.placeholder
-	var fresh map[string]index.Index
+	var fresh *index.Path
 	if st.tombs[shard]+1 >= st.compactEvery {
-		fresh, err = st.rebuildShard(ctx, shard, newLocal, nil)
+		fresh, err = st.rebuildShard(ctx, shard, newLocal)
 		if err != nil {
 			return false, err
 		}
@@ -296,8 +296,8 @@ func (st *Store) Remove(ctx context.Context, h Handle) (compacted bool, err erro
 }
 
 // Replace swaps the graph behind h for g in place — same slot, same handle,
-// same shard — rebuilding the owning shard's sub-indexes. On error the
-// store is unchanged.
+// same shard — rebuilding the owning shard's table. On error the store is
+// unchanged.
 func (st *Store) Replace(ctx context.Context, h Handle, g *graph.Graph) error {
 	st.mutMu.Lock()
 	defer st.mutMu.Unlock()
@@ -311,7 +311,7 @@ func (st *Store) Replace(ctx context.Context, h Handle, g *graph.Graph) error {
 	shard := index.ShardOf(slot, st.k)
 	newLocal := append([]*graph.Graph(nil), st.local[shard]...)
 	newLocal[slot/st.k] = g
-	fresh, err := st.rebuildShard(ctx, shard, newLocal, nil)
+	fresh, err := st.rebuildShard(ctx, shard, newLocal)
 	if err != nil {
 		return err
 	}
@@ -324,56 +324,25 @@ func (st *Store) Replace(ctx context.Context, h Handle, g *graph.Graph) error {
 	return nil
 }
 
-// errNoInserter is the sentinel an incremental path returns to fall back to
-// a full shard rebuild.
-var errNoInserter = fmt.Errorf("live: kind does not support incremental insert")
-
-// rebuildShard produces the replacement sub-index of every kind for one
-// shard without touching store state, so a failure aborts the mutation
-// cleanly. incremental, when non-nil, is tried first per kind and may
-// return errNoInserter; the kinds it leaves over are rebuilt over newLocal
-// together, from one feature extraction, and a rebuilt index keeps sharing
-// its predecessor's sequence directory when that holds every sequence it
-// indexes (index.AdoptDirectory).
-func (st *Store) rebuildShard(ctx context.Context, shard int, newLocal []*graph.Graph, incremental func(cur index.Index) (index.Index, error)) (map[string]index.Index, error) {
-	fresh := make(map[string]index.Index, len(st.kinds))
-	var rebuild []string
-	for _, kind := range st.kinds {
-		if incremental == nil {
-			rebuild = append(rebuild, kind)
-			continue
-		}
-		sub, err := incremental(st.grid[kind][shard])
-		switch {
-		case err == errNoInserter:
-			rebuild = append(rebuild, kind)
-		case err != nil:
-			return nil, fmt.Errorf("live: incremental %s update of shard %d: %w", kind, shard, err)
-		default:
-			fresh[kind] = sub
-		}
+// rebuildShard builds the replacement table of one shard over newLocal
+// without touching store state, so a failure aborts the mutation cleanly. The
+// new table keeps sharing its predecessor's sequence directory when that
+// holds every sequence it indexes (index.AdoptDirectory).
+func (st *Store) rebuildShard(ctx context.Context, shard int, newLocal []*graph.Graph) (*index.Path, error) {
+	tables, err := index.BuildTables(ctx, st.kind, newLocal, 1, st.ixOpts)
+	if err != nil {
+		return nil, fmt.Errorf("live: rebuilding shard %d: %w", shard, err)
 	}
-	if len(rebuild) > 0 {
-		grid, err := index.BuildGrid(ctx, rebuild, newLocal, 1, st.ixOpts)
-		if err != nil {
-			return nil, fmt.Errorf("live: rebuilding %v shard %d: %w", rebuild, shard, err)
-		}
-		for i, kind := range rebuild {
-			index.AdoptDirectory(grid[i][0], st.grid[kind][shard])
-			fresh[kind] = grid[i][0]
-		}
-	}
-	return fresh, nil
+	index.AdoptDirectory(tables[0], st.tables[shard])
+	return tables[0], nil
 }
 
-// commitShard swaps the freshly built sub-indexes into the grid; snapshots
-// of earlier epochs keep reading the ones it replaces.
-func (st *Store) commitShard(shard int, fresh map[string]index.Index) {
-	for kind, sub := range fresh {
-		subs := append([]index.Index(nil), st.grid[kind]...)
-		subs[shard] = sub
-		st.grid[kind] = subs
-	}
+// commitShard swaps the fresh table into the store; snapshots of earlier
+// epochs keep reading the one it replaces.
+func (st *Store) commitShard(shard int, fresh *index.Path) {
+	tables := append([]*index.Path(nil), st.tables...)
+	tables[shard] = fresh
+	st.tables = tables
 }
 
 // Close rejects further mutations and unpublishes the current snapshot, so

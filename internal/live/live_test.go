@@ -69,19 +69,30 @@ func sameInts(a, b []int) bool {
 	return true
 }
 
-// assertParity checks that every kind's snapshot index, in kind order,
-// answers exactly like a fresh monolithic build over the snapshot's live
-// graphs, and that the snapshot's label frequencies are theirs.
+// indexOf is the snapshot's table under kind's verifier.
+func indexOf(t *testing.T, snap *live.Snapshot, kind string) index.Index {
+	t.Helper()
+	v, err := index.NewVerifier(kind, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Table().Using(v)
+}
+
+// assertParity checks that the snapshot's table, under every kind's
+// verifier, answers exactly like a fresh monolithic build of that kind over
+// the snapshot's live graphs, and that the snapshot's label frequencies are
+// theirs.
 func assertParity(t *testing.T, snap *live.Snapshot, kinds []string) {
 	t.Helper()
-	if len(snap.Indexes()) != len(kinds) {
-		t.Fatalf("snapshot has %d indexes for kinds %v", len(snap.Indexes()), kinds)
+	if got, want := snap.Table().Stats().Kind, index.TableKind(kinds); got != want {
+		t.Fatalf("snapshot serves %v from a %s table, want %s", kinds, got, want)
 	}
 	if got, want := snap.Frequencies(), rewrite.FrequenciesOfDataset(snap.Graphs()); !maps.Equal(got, want) {
 		t.Errorf("epoch %d: frequencies %v, live dataset's %v", snap.Epoch(), got, want)
 	}
-	for i, kind := range kinds {
-		x := snap.Indexes()[i]
+	for _, kind := range kinds {
+		x := indexOf(t, snap, kind)
 		fresh, err := index.Build(context.Background(), kind, snap.Graphs(), index.Options{MaxPathLen: testMaxPathLen})
 		if err != nil {
 			t.Fatalf("fresh %s build: %v", kind, err)
@@ -188,7 +199,7 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 	}
 	pinned := st.Current()
 	q := pathQuery(0, 0, 1)
-	want, err := index.Answer(context.Background(), pinned.Indexes()[0], q, nil)
+	want, err := index.Answer(context.Background(), pinned.Table(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +218,7 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 				default:
 				}
 				snap := st.Current()
-				if _, err := index.Answer(context.Background(), snap.Indexes()[0], q, nil); err != nil {
+				if _, err := index.Answer(context.Background(), snap.Table(), q, nil); err != nil {
 					failed.Store(true)
 				}
 				if len(snap.Handles()) != len(snap.Graphs()) {
@@ -235,7 +246,7 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 			}
 			handles = append(handles, h)
 		}
-		got, err := index.Answer(context.Background(), pinned.Indexes()[0], q, nil)
+		got, err := index.Answer(context.Background(), pinned.Table(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,7 +127,7 @@ func TestCandidatesMatchBothSpellingsFilter(t *testing.T) {
 		for _, q := range queries {
 			want := bothSpellingsFilter(snap.Graphs(), q, maxLen)
 			for i, kind := range kinds {
-				if got := snap.Indexes()[i].Filter(q); !sameInts(got, want) {
+				if got := indexOf(t, snap, kinds[i]).Filter(q); !sameInts(got, want) {
 					t.Errorf("%s, %s, query %s: candidates %v, both-spellings filter %v", stage, kind, q.Name(), got, want)
 				}
 			}

@@ -2,9 +2,9 @@ package live
 
 // Persistence support: ExportState captures everything the on-disk snapshot
 // format needs to reconstruct the store — the slot-space dataset, liveness,
-// handles, tombstone counters, epoch/handle counters and the per-kind
-// per-shard sub-index grid — and Restore is its inverse over sub-indexes
-// freshly rebuilt by the snapshot loader. A restored store continues exactly
+// handles, tombstone counters, epoch/handle counters and the per-shard
+// tables — and Restore is its inverse over tables freshly rebuilt by the
+// snapshot loader. A restored store continues exactly
 // where the saved one stopped: same epoch (so epoch-keyed caches never serve
 // stale answers), same handles (so clients' references stay valid), same
 // tombstone counts (so compaction triggers on schedule).
@@ -18,7 +18,8 @@ import (
 
 // State is the serializable shape of a Store at one epoch.
 type State struct {
-	// Kinds and Shards mirror the Options the store was created with.
+	// Kinds and Shards mirror the Options the store was created with: the
+	// names served, and the shard count.
 	Kinds  []string
 	Shards int
 	// Epoch is the committed mutation epoch; NextHandle the next handle to
@@ -32,11 +33,12 @@ type State struct {
 	Alive      []bool
 	Handles    []Handle
 	Tombs      []int
-	// Grid maps each kind to its K per-shard sub-indexes. On export these
-	// are the store's LIVE sub-indexes, which the next mutation may retire;
-	// ExportState therefore hands them only to a callback that runs under
-	// the mutation lock. On restore, the store adopts them.
-	Grid map[string][]index.Index
+	// Tables holds the K per-shard tables, built under
+	// index.TableKind(Kinds). On export these are the store's LIVE tables,
+	// which the next mutation may retire; ExportState therefore hands them
+	// only to a callback that runs under the mutation lock. On restore, the
+	// store adopts them.
+	Tables []*index.Path
 }
 
 // ExportState hands the mutation state to save under the mutation lock, so
@@ -50,10 +52,6 @@ func (st *Store) ExportState(save func(State) error) error {
 	if st.closed {
 		return fmt.Errorf("live: store closed")
 	}
-	grid := make(map[string][]index.Index, len(st.grid))
-	for kind, subs := range st.grid {
-		grid[kind] = append([]index.Index(nil), subs...)
-	}
 	return save(State{
 		Kinds:      append([]string(nil), st.kinds...),
 		Shards:     st.k,
@@ -63,15 +61,15 @@ func (st *Store) ExportState(save func(State) error) error {
 		Alive:      append([]bool(nil), st.alive...),
 		Handles:    append([]Handle(nil), st.handleOf...),
 		Tombs:      append([]int(nil), st.tombs...),
-		Grid:       grid,
+		Tables:     append([]*index.Path(nil), st.tables...),
 	})
 }
 
-// Restore reconstructs a store from a deserialized State. The grid
-// sub-indexes are adopted as-is; each must index exactly its shard's slot-space sub-dataset, the
-// partition the snapshot loader rebuilds by construction. The tables of
-// every cell are given one shared sequence directory, as a build gives them
-// (index.ShareDirectory). compactEvery and ixOpts play the roles they have in
+// Restore reconstructs a store from a deserialized State. The tables are
+// adopted as-is; each must be built under index.TableKind(Kinds) and index
+// exactly its shard's slot-space sub-dataset, the partition the snapshot
+// loader rebuilds by construction. They are given one shared sequence
+// directory, as a build gives them (index.ShareDirectory). compactEvery and ixOpts play the roles they have in
 // Options — runtime knobs, not persisted layout. The first snapshot is
 // installed at the saved epoch.
 func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error) {
@@ -88,10 +86,8 @@ func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error
 	if len(state.Tombs) != state.Shards {
 		return nil, fmt.Errorf("live: restore: %d tombstone counters for %d shards", len(state.Tombs), state.Shards)
 	}
-	for _, kind := range state.Kinds {
-		if len(state.Grid[kind]) != state.Shards {
-			return nil, fmt.Errorf("live: restore: kind %q has %d sub-indexes for %d shards", kind, len(state.Grid[kind]), state.Shards)
-		}
+	if len(state.Tables) != state.Shards {
+		return nil, fmt.Errorf("live: restore: %d tables for %d shards", len(state.Tables), state.Shards)
 	}
 	if compactEvery <= 0 {
 		compactEvery = DefaultCompactEvery
@@ -108,7 +104,7 @@ func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error
 		byHandle:     make(map[Handle]int, n),
 		local:        make([][]*graph.Graph, state.Shards),
 		tombs:        append([]int(nil), state.Tombs...),
-		grid:         make(map[string][]index.Index, len(state.Kinds)),
+		kind:         index.TableKind(state.Kinds),
 		nextHandle:   state.NextHandle,
 	}
 	for slot := 0; slot < n; slot++ {
@@ -130,18 +126,19 @@ func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error
 		st.byHandle[h] = slot
 		st.liveCount++
 	}
-	var cells []index.Index
-	for _, kind := range state.Kinds {
-		subs := append([]index.Index(nil), state.Grid[kind]...)
-		for s, sub := range subs {
-			if got, want := len(sub.Dataset()), len(st.local[s]); got != want {
-				return nil, fmt.Errorf("live: restore: %s shard %d indexes %d graphs, shard holds %d", kind, s, got, want)
-			}
+	st.tables = append([]*index.Path(nil), state.Tables...)
+	for s, t := range st.tables {
+		if t == nil {
+			return nil, fmt.Errorf("live: restore: shard %d has no table", s)
 		}
-		st.grid[kind] = subs
-		cells = append(cells, subs...)
+		if got := t.Stats().Kind; got != st.kind {
+			return nil, fmt.Errorf("live: restore: shard %d holds a %s table, %v are served from a %s one", s, got, st.kinds, st.kind)
+		}
+		if got, want := len(t.Dataset()), len(st.local[s]); got != want {
+			return nil, fmt.Errorf("live: restore: shard %d indexes %d graphs, shard holds %d", s, got, want)
+		}
 	}
-	index.ShareDirectory(cells)
+	index.ShareDirectory(st.tables)
 	if state.NextHandle < 1 {
 		return nil, fmt.Errorf("live: restore: next handle %d < 1", state.NextHandle)
 	}

@@ -22,11 +22,11 @@ import (
 	"github.com/psi-graph/psi/internal/live"
 )
 
-// roundTripGrid pushes every sub-index of the exported grid through the
+// roundTripGrid pushes every table of the exported state through the
 // snapshot codec contract — Export to flat features, Restore into a brand
 // new instance over the same shard dataset — standing in for the on-disk
 // write/read the snapshot package performs. Restoring into fresh instances
-// also keeps ownership disjoint: the original store keeps its subs, the
+// also keeps ownership disjoint: the original store keeps its tables, the
 // restored store adopts the copies.
 func roundTripGrid(t *testing.T, state live.State) live.State {
 	t.Helper()
@@ -34,22 +34,20 @@ func roundTripGrid(t *testing.T, state live.State) live.State {
 	for slot, g := range state.SlotGraphs {
 		locals[slot%state.Shards] = append(locals[slot%state.Shards], g)
 	}
-	grid := make(map[string][]index.Index, len(state.Grid))
-	for kind, subs := range state.Grid {
-		fresh := make([]index.Index, len(subs))
-		for s, sub := range subs {
-			feats, maxLen, err := index.Export(sub)
-			if err != nil {
-				t.Fatalf("export %s shard %d: %v", kind, s, err)
-			}
-			fresh[s], err = index.Restore(kind, locals[s], maxLen, index.Options{MaxPathLen: maxLen}, feats)
-			if err != nil {
-				t.Fatalf("restore %s shard %d: %v", kind, s, err)
-			}
+	kind := index.TableKind(state.Kinds)
+	fresh := make([]*index.Path, len(state.Tables))
+	for s, sub := range state.Tables {
+		feats, maxLen, err := index.Export(sub)
+		if err != nil {
+			t.Fatalf("export shard %d: %v", s, err)
 		}
-		grid[kind] = fresh
+		x, err := index.Restore(kind, locals[s], maxLen, index.Options{MaxPathLen: maxLen}, feats)
+		if err != nil {
+			t.Fatalf("restore shard %d: %v", s, err)
+		}
+		fresh[s] = x.(*index.Path)
 	}
-	state.Grid = grid
+	state.Tables = fresh
 	return state
 }
 
@@ -85,8 +83,8 @@ func assertStoresAgree(t *testing.T, a, b *live.Store, kinds []string) {
 			t.Fatalf("graph %d differs after restore", i)
 		}
 	}
-	for i, kind := range kinds {
-		xa, xb := sa.Indexes()[i], sb.Indexes()[i]
+	for _, kind := range kinds {
+		xa, xb := indexOf(t, sa, kind), indexOf(t, sb, kind)
 		for qi, q := range testQueries() {
 			wa, err := index.Answer(context.Background(), xa, q, nil)
 			if err != nil {
@@ -283,9 +281,9 @@ func TestRestoreValidation(t *testing.T) {
 		{"alive length", func(s *live.State) { s.Alive = s.Alive[:1] }, "slot arrays"},
 		{"handles length", func(s *live.State) { s.Handles = s.Handles[:1] }, "slot arrays"},
 		{"tombs length", func(s *live.State) { s.Tombs = nil }, "tombstone counters"},
-		{"grid shards", func(s *live.State) {
-			s.Grid = map[string][]index.Index{index.KindPath: s.Grid[index.KindPath][:1]}
-		}, "sub-indexes"},
+		{"grid shards", func(s *live.State) { s.Tables = s.Tables[:1] }, "tables for"},
+		{"missing table", func(s *live.State) { s.Tables = []*index.Path{nil, s.Tables[1]} }, "no table"},
+		{"table of another kind", func(s *live.State) { s.Kinds = []string{index.KindGrapes} }, "grapes one"},
 		{"zero handle", func(s *live.State) {
 			s.Handles = append([]live.Handle(nil), s.Handles...)
 			s.Handles[0] = 0
@@ -320,7 +318,7 @@ func TestRestoreValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wrong.Close()
-	bad.Grid = map[string][]index.Index{index.KindPath: {wrong, good.Grid[index.KindPath][1]}}
+	bad.Tables = []*index.Path{wrong.(*index.Path), good.Tables[1]}
 	if _, err := live.Restore(bad, 0, index.Options{MaxPathLen: testMaxPathLen}); err == nil {
 		t.Error("Restore accepted sub-index with wrong dataset size")
 	} else if !strings.Contains(err.Error(), "shard holds") {
@@ -357,7 +355,7 @@ func TestCurrentCloseStress(t *testing.T) {
 						}
 						return
 					}
-					if _, err := index.Answer(context.Background(), snap.Indexes()[0], q, nil); err != nil {
+					if _, err := index.Answer(context.Background(), snap.Table(), q, nil); err != nil {
 						failed.Store(true)
 					}
 				}

@@ -132,12 +132,13 @@ type Counters struct {
 	// Fallbacks counts predicted runs that overran the solo budget and
 	// fell back to a full race.
 	Fallbacks atomic.Int64
-	// IndexRaces counts dataset queries answered by racing the full
-	// filtering-index portfolio.
+	// IndexRaces counts dataset queries whose candidates raced more than
+	// one verifier.
 	IndexRaces atomic.Int64
-	// IndexAttempts counts filtering-index pipelines started (portfolio
-	// size summed over raced queries, one per solo run) — the
-	// CPU-normalized work behind every answer.
+	// IndexAttempts counts filter→verify pipelines started, one per launch:
+	// a query's one pipeline, plus the abandoned solo before a fallback.
+	// Like RaceAttempts, it counts when the pipeline starts, so a query that
+	// is killed or fails still counts its work.
 	IndexAttempts atomic.Int64
 	// PolicySolo counts auto-policy queries planned as a single learned
 	// arm instead of a full race.

@@ -1,8 +1,8 @@
 // Package snapshot is the persistence layer of the engine: a versioned,
 // checksummed binary format that serializes the dataset's CSR arrays
-// (internal/graph), every registered index kind's flat feature/posting
-// arrays (internal/index — the one feature table FTV, GGSX and Grapes keep
-// their features in, Grapes' with locations), and the dataset store's slot,
+// (internal/graph), the flat feature/posting arrays of the one table per
+// shard (internal/index), once per index name it serves — with locations
+// under "grapes" — and the dataset store's slot,
 // tombstone and epoch state (internal/live). A loaded snapshot reconstructs an engine
 // that answers every query byte-identically to the freshly built one, with
 // none of the path enumeration that dominates build time — which is what
@@ -42,12 +42,13 @@
 //   - Dataset: per-graph names and vertex counts, plus the concatenation of
 //     every graph's CSR arrays (labels, offsets, neighbors, edge labels).
 //     The derived label index is rebuilt deterministically on load.
-//   - Indexes: per (kind, shard), the features in canonical lexicographic
+//   - Indexes: per (name, shard), the features in canonical lexicographic
 //     order — per-feature label-sequence lengths, flat labels, per-feature
 //     posting counts, flat graph IDs / occurrence counts / location
-//     lengths / locations. Each kind's table is rebuilt by its registered
-//     index.RestoreFunc; VF2 keeps no state beyond the stored graph it
-//     verifies against.
+//     lengths / locations. Every name's section is written from the shard's
+//     one table, and the table is restored from one of them
+//     (index.RestorePath): the "grapes" section when listed, else the first;
+//     VF2 keeps no state beyond the stored graph it verifies against.
 //     Locations are written as ascending vertex IDs whatever
 //     form the index holds them in (ftv.LocSets: a bitset row or an ID list
 //     per set): the export expands every set and the restore packs it again

@@ -134,11 +134,6 @@ func FuzzSnapshotSections(f *testing.F) {
 			if untouched {
 				t.Fatalf("an untouched seed does not restore: %v", err)
 			}
-			for _, subs := range m.Grid {
-				for _, sub := range subs {
-					sub.Close()
-				}
-			}
 			return
 		}
 		defer st.Close()
@@ -153,8 +148,12 @@ func FuzzSnapshotSections(f *testing.F) {
 					truth = append(truth, id)
 				}
 			}
-			for i, kind := range m.Kinds {
-				got, err := index.Answer(context.Background(), snap.Indexes()[i], q, nil)
+			for _, kind := range m.Kinds {
+				v, err := index.NewVerifier(kind, index.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := index.Answer(context.Background(), snap.Table().Using(v), q, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", kind, err)
 				}

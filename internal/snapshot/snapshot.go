@@ -12,10 +12,12 @@ import (
 
 // Model is the serialized shape of a dataset engine: the state of the
 // dataset store it serves from — graphs in slot space, liveness, handles,
-// tombstone and epoch counters, and the per-kind/per-shard index grid — with
-// no path enumeration on the load side. On Save each grid sub-index must
-// implement index.FeatureExporter; on Load each is a freshly restored index
-// over its shard's sub-dataset, which the caller owns.
+// tombstone and epoch counters, and the per-shard tables — with no path
+// enumeration on the load side. The file holds one section group per listed
+// name and shard, all written from the one table: with locations under
+// "grapes", without under "ftv" and "ggsx". On Load each table is freshly
+// restored over its shard's sub-dataset from the "grapes" section when
+// listed, else from the first name's.
 //
 // A static engine's store never mutates, so its state follows from its
 // graphs and shard count (neverMutated): every slot alive, handles 1..n, next
@@ -77,30 +79,25 @@ func Save(path string, m *Model) error {
 		epoch, next = 0, 0
 	}
 
-	// Export every sub-index first: the per-kind MaxPathLen lands in the
-	// meta section, which is written ahead of the feature arrays.
-	maxLen := make(map[string]int, len(m.Kinds))
-	type block struct {
-		prefix string
-		feats  []index.ExportedFeature
+	// Export every table first: the MaxPathLen lands in the meta section,
+	// which is written ahead of the feature arrays.
+	if len(m.Tables) != m.Shards {
+		return fmt.Errorf("snapshot: %d tables for %d shards", len(m.Tables), m.Shards)
 	}
-	var blocks []block
-	for _, kind := range m.Kinds {
-		subs := m.Grid[kind]
-		if len(subs) != m.Shards {
-			return fmt.Errorf("snapshot: kind %q has %d sub-indexes for %d shards", kind, len(subs), m.Shards)
+	if slices.Contains(m.Kinds, index.KindGrapes) && m.Tables[0].Stats().Kind != index.KindGrapes {
+		return fmt.Errorf("snapshot: the %s table keeps no locations for the %q section", m.Tables[0].Stats().Kind, index.KindGrapes)
+	}
+	maxLen := 0
+	shardFeats := make([][]index.ExportedFeature, m.Shards)
+	for s, t := range m.Tables {
+		feats, ml, err := index.Export(t)
+		if err != nil {
+			return fmt.Errorf("snapshot: exporting shard %d: %w", s, err)
 		}
-		for s, sub := range subs {
-			feats, ml, err := index.Export(sub)
-			if err != nil {
-				return fmt.Errorf("snapshot: exporting %s shard %d: %w", kind, s, err)
-			}
-			if prev, ok := maxLen[kind]; ok && prev != ml {
-				return fmt.Errorf("snapshot: kind %q shards disagree on MaxPathLen (%d vs %d)", kind, prev, ml)
-			}
-			maxLen[kind] = ml
-			blocks = append(blocks, block{prefix: ixPrefix(kind, s), feats: feats})
+		if s > 0 && ml != maxLen {
+			return fmt.Errorf("snapshot: shards disagree on MaxPathLen (%d vs %d)", maxLen, ml)
 		}
+		maxLen, shardFeats[s] = ml, feats
 	}
 
 	w := &writer{}
@@ -112,7 +109,7 @@ func Save(path string, m *Model) error {
 	meta.u32(uint32(len(m.Kinds)))
 	for _, kind := range m.Kinds {
 		meta.str(kind)
-		meta.u32(uint32(maxLen[kind]))
+		meta.u32(uint32(maxLen))
 	}
 	w.add("meta", meta.b)
 	addDataset(w, m.SlotGraphs)
@@ -125,17 +122,21 @@ func Save(path string, m *Model) error {
 		w.add("live/handles", handles.b)
 		w.add("live/tombs", tombs.b)
 	}
-	for _, blk := range blocks {
-		addFeatures(w, blk.prefix, blk.feats)
+	for _, kind := range m.Kinds {
+		for s, feats := range shardFeats {
+			addFeatures(w, ixPrefix(kind, s), feats, kind == index.KindGrapes)
+		}
 	}
 	return w.writeFile(path)
 }
 
 // Load validates and deserializes a snapshot, restoring every graph (through
-// graph.FromCSR's full structural validation) and every per-shard sub-index.
-// ixOpts carries the runtime knobs of the restored indexes (Workers, Pool);
-// layout-affecting parameters (MaxPathLen, shard count) come from the file.
-// Any failure — checksum, shape, structural — returns before any state
+// graph.FromCSR's full structural validation) and every per-shard table.
+// Every listed section is decoded and checked (index.CheckFeatures), so a
+// malformed one fails the load even when its table is restored from
+// another. ixOpts carries the runtime knobs of the restored tables (Workers,
+// Pool); layout-affecting parameters (MaxPathLen, shard count) come from the
+// file. Any failure — checksum, shape, structural — returns before any state
 // escapes: never a partial engine.
 func Load(path string, ixOpts index.Options) (m *Model, err error) {
 	r, err := open(path)
@@ -191,22 +192,24 @@ func Load(path string, ixOpts index.Options) (m *Model, err error) {
 	if err := m.check(); err != nil {
 		return nil, err
 	}
-	m.Grid = make(map[string][]index.Index, len(m.Kinds))
-	for _, kind := range m.Kinds {
-		subs := make([]index.Index, m.Shards)
-		for s := range subs {
+	from := index.TableKind(m.Kinds)
+	m.Tables = make([]*index.Path, m.Shards)
+	for s := range m.Tables {
+		subDS := index.ShardDataset(m.SlotGraphs, s, m.Shards)
+		var keep []index.ExportedFeature
+		for _, kind := range m.Kinds {
 			feats, err := decodeFeatures(r, ixPrefix(kind, s))
-			if err != nil {
-				return nil, err
+			if err == nil {
+				feats, err = index.CheckFeatures(kind, subDS, feats)
 			}
-			subDS := index.ShardDataset(m.SlotGraphs, s, m.Shards)
-			sub, err := index.Restore(kind, subDS, maxLen[kind], ixOpts, feats)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot: restoring %s shard %d: %w", kind, s, err)
 			}
-			subs[s] = sub
+			if kind == from {
+				keep = feats
+			}
 		}
-		m.Grid[kind] = subs
+		m.Tables[s] = index.RestorePath(from, subDS, maxLen[from], ixOpts, keep)
 	}
 	return m, nil
 }
@@ -221,7 +224,7 @@ func decodeSection[T any](r *reader, name string, decode func(payload []byte, wh
 	return decode(b, name)
 }
 
-// ixPrefix names the section group of one (kind, shard) sub-index.
+// ixPrefix names the section group of one (kind, shard) table.
 func ixPrefix(kind string, shard int) string {
 	return fmt.Sprintf("ix/%s/%d/", kind, shard)
 }
@@ -327,11 +330,12 @@ func decodeDataset(r *reader) ([]*graph.Graph, error) {
 	return ds, nil
 }
 
-// addFeatures writes one sub-index's exported features as seven flat
-// sections under prefix: per-feature label counts, the flat label sequence
+// addFeatures writes one table's exported features as seven flat sections
+// under prefix: per-feature label counts, the flat label sequence
 // concatenation, per-feature posting counts, then the flat graph-ID / count
-// / location-count / location arrays.
-func addFeatures(w *writer, prefix string, feats []index.ExportedFeature) {
+// / location-count / location arrays, every location count 0 without
+// locations.
+func addFeatures(w *writer, prefix string, feats []index.ExportedFeature, locations bool) {
 	var featlens, featlabels, postlens, postgids, postcnts, loclens, locs []int32
 	for _, f := range feats {
 		featlens = append(featlens, int32(len(f.Labels)))
@@ -342,6 +346,10 @@ func addFeatures(w *writer, prefix string, feats []index.ExportedFeature) {
 		for _, p := range f.Postings {
 			postgids = append(postgids, int32(p.GraphID))
 			postcnts = append(postcnts, p.Count)
+			if !locations {
+				loclens = append(loclens, 0)
+				continue
+			}
 			loclens = append(loclens, int32(len(p.Locations)))
 			locs = append(locs, p.Locations...)
 		}

@@ -40,27 +40,30 @@ func testDataset(n int) []*graph.Graph {
 	return ds
 }
 
+// buildModel builds the model of a store serving kinds over ds at K = k, its
+// table for each shard built on its own.
 func buildModel(t *testing.T, ds []*graph.Graph, kinds []string, k int) *Model {
 	t.Helper()
-	m := &Model{State: live.State{Shards: k, Kinds: kinds, SlotGraphs: ds, Grid: map[string][]index.Index{}}}
-	for _, kind := range kinds {
-		subs := make([]index.Index, k)
-		for s := 0; s < k; s++ {
-			sub, err := index.Build(context.Background(), kind, index.ShardDataset(ds, s, k), index.Options{MaxPathLen: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			subs[s] = sub
+	m := &Model{State: live.State{Shards: k, Kinds: kinds, SlotGraphs: ds}}
+	for s := 0; s < k; s++ {
+		sub, err := index.Build(context.Background(), index.TableKind(kinds), index.ShardDataset(ds, s, k), index.Options{MaxPathLen: 3})
+		if err != nil {
+			t.Fatal(err)
 		}
-		m.Grid[kind] = subs
+		m.Tables = append(m.Tables, sub.(*index.Path))
 	}
 	m.State = neverMutated(m.State)
 	return m
 }
 
-func answers(t *testing.T, ds []*graph.Graph, kind string, subs []index.Index, queries []*graph.Graph) [][]int {
+// answers answers queries over the tables under kind's verifier.
+func answers(t *testing.T, ds []*graph.Graph, kind string, tables []*index.Path, queries []*graph.Graph) [][]int {
 	t.Helper()
-	x := index.NewShardedFrom(ds, nil, kind, subs)
+	v, err := index.NewVerifier(kind, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := index.NewShardedFrom(ds, nil, tables).Using(v)
 	out := make([][]int, len(queries))
 	for i, q := range queries {
 		ids, err := index.Answer(context.Background(), x, q, nil)
@@ -107,8 +110,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 		for _, kind := range kinds {
-			want := answers(t, ds, kind, m.Grid[kind], queries)
-			have := answers(t, got.SlotGraphs, kind, got.Grid[kind], queries)
+			want := answers(t, ds, kind, m.Tables, queries)
+			have := answers(t, got.SlotGraphs, kind, got.Tables, queries)
 			if !reflect.DeepEqual(want, have) {
 				t.Fatalf("k=%d kind=%s: restored answers %v != built %v", k, kind, have, want)
 			}
@@ -164,8 +167,8 @@ func TestMutableModelRoundTrip(t *testing.T) {
 	if got.SlotGraphs[2].N() != 0 || got.SlotGraphs[2].Name() != "live:dead-slot" {
 		t.Fatal("placeholder slot not reconstructed")
 	}
-	want := answers(t, slots, index.KindPath, m.Grid[index.KindPath], slots[:2])
-	have := answers(t, got.SlotGraphs, index.KindPath, got.Grid[index.KindPath], slots[:2])
+	want := answers(t, slots, index.KindPath, m.Tables, slots[:2])
+	have := answers(t, got.SlotGraphs, index.KindPath, got.Tables, slots[:2])
 	if !reflect.DeepEqual(want, have) {
 		t.Fatalf("mutable restored answers diverged: %v != %v", have, want)
 	}
@@ -336,7 +339,7 @@ func TestLoadShapeValidation(t *testing.T) {
 	for k, v := range emptyFeatures("ix/no-such-kind/0/") {
 		s[k] = v
 	}
-	expectLoadError(t, "unknown kind", s, "no restorer")
+	expectLoadError(t, "unknown kind", s, "unknown kind")
 
 	s = base()
 	s["ds/nverts"] = encI32s([]int32{4}) // one count, zero names
@@ -420,9 +423,9 @@ func TestSaveValidation(t *testing.T) {
 		t.Fatal("no kinds accepted")
 	}
 	m := buildModel(t, ds, []string{index.KindPath}, 1)
-	m.Shards = 2 // grid has 1 sub-index
+	m.Shards = 2 // one table
 	m.State = neverMutated(m.State)
-	if err := Save("x", m); err == nil || !strings.Contains(err.Error(), "sub-indexes") {
+	if err := Save("x", m); err == nil || !strings.Contains(err.Error(), "tables for") {
 		t.Fatalf("grid/shard mismatch: %v", err)
 	}
 	m = buildModel(t, ds, []string{index.KindPath}, 1)
@@ -438,16 +441,11 @@ func TestSaveValidation(t *testing.T) {
 	if err := Save("x", m); err == nil || !strings.Contains(err.Error(), "never-mutated") {
 		t.Fatalf("static model with a tombstone: %v", err)
 	}
-	// A kind whose index cannot export (Sharded wrapper) must fail Save.
-	sharded, err := index.BuildSharded(context.Background(), index.KindPath, ds, 2, index.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	m = &Model{State: neverMutated(live.State{Shards: 1, Kinds: []string{"wrapped"}, SlotGraphs: ds,
-		Grid: map[string][]index.Index{"wrapped": {sharded}}})}
-	if err := Save("x", m); err == nil || !strings.Contains(err.Error(), "export") {
-		t.Fatalf("unexportable kind: %v", err)
+	// A "grapes" section needs a table that keeps locations.
+	m = buildModel(t, ds, []string{index.KindPath}, 1)
+	m.Kinds = []string{index.KindPath, index.KindGrapes}
+	if err := Save("x", m); err == nil || !strings.Contains(err.Error(), "keeps no locations") {
+		t.Fatalf("grapes section from a table without locations: %v", err)
 	}
 }
 
@@ -475,10 +473,12 @@ func TestSaveAtomicReplace(t *testing.T) {
 	}
 }
 
-// TestPortfolioBuildDeterministic: one {ftv, grapes, ggsx} portfolio build
-// over a K-way grid — a single feature extraction — at pool sizes 1 and 4,
-// and separate single-kind, single-shard builds (buildModel), all export
-// identical features and serialize to identical snapshot bytes.
+// TestPortfolioBuildDeterministic: one {ftv, grapes, ggsx} build over K
+// shards — a single feature extraction, one table per shard — at pool sizes
+// 1 and 4, and separate single-shard builds (buildModel), all export
+// identical features and serialize to identical snapshot bytes; and the
+// "ftv" and "ggsx" sections written from the one table are byte for byte the
+// sections an ftv-only store writes.
 func TestPortfolioBuildDeterministic(t *testing.T) {
 	ds := testDataset(10)
 	kinds := []string{index.KindPath, "grapes", "ggsx"}
@@ -494,35 +494,68 @@ func TestPortfolioBuildDeterministic(t *testing.T) {
 		}
 		return b
 	}
+	sections := func(b []byte, names ...string) [][]byte {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "snap.psi")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]byte
+		for _, name := range names {
+			sec, err := r.section(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, sec)
+		}
+		return out
+	}
 	for _, k := range []int{1, 3} {
 		separate := buildModel(t, ds, kinds, k)
 		wantBytes := save(separate)
 		for _, workers := range []int{1, 4} {
 			pool := exec.New(workers)
-			grid, err := index.BuildGrid(context.Background(), kinds, ds, k, index.Options{MaxPathLen: 3, Pool: pool})
+			tables, err := index.BuildTables(context.Background(), index.TableKind(kinds), ds, k, index.Options{MaxPathLen: 3, Pool: pool})
 			pool.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := &Model{State: neverMutated(live.State{Shards: k, Kinds: kinds, SlotGraphs: ds, Grid: map[string][]index.Index{}})}
-			for i, kind := range kinds {
-				m.Grid[kind] = grid[i]
-				for s, sub := range grid[i] {
-					got, _, err := index.Export(sub)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, _, err := index.Export(separate.Grid[kind][s])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("K=%d workers=%d: %s shard %d exports differ between the portfolio and the single-kind build", k, workers, kind, s)
-					}
+			m := &Model{State: neverMutated(live.State{Shards: k, Kinds: kinds, SlotGraphs: ds, Tables: tables})}
+			for s, sub := range tables {
+				got, _, err := index.Export(sub)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := index.Export(separate.Tables[s])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("K=%d workers=%d: shard %d exports differ between the one build and the shard's own", k, workers, s)
 				}
 			}
 			if !reflect.DeepEqual(save(m), wantBytes) {
-				t.Errorf("K=%d workers=%d: portfolio snapshot bytes differ from the single-kind builds'", k, workers)
+				t.Errorf("K=%d workers=%d: snapshot bytes differ from the separate builds'", k, workers)
+			}
+		}
+		flat := save(buildModel(t, ds, []string{index.KindPath}, k))
+		for s := range k {
+			for _, kind := range []string{index.KindPath, index.KindGGSX} {
+				var names []string
+				for _, arr := range []string{"featlens", "featlabels", "postlens", "postgids", "postcnts", "loclens", "locs"} {
+					names = append(names, ixPrefix(kind, s)+arr)
+				}
+				got := sections(wantBytes, names...)
+				for i, name := range names {
+					names[i] = ixPrefix(index.KindPath, s) + name[len(ixPrefix(kind, s)):]
+				}
+				if want := sections(flat, names...); !reflect.DeepEqual(got, want) {
+					t.Errorf("K=%d shard %d: the %s sections differ from an ftv-only store's", k, s, kind)
+				}
 			}
 		}
 	}

@@ -71,27 +71,29 @@ type EngineOptions struct {
 	// negative disables staleness races.
 	AutoRaceEvery int
 
-	// Indexes is the filtering-index portfolio of dataset engines: each
-	// entry names a registered index kind ("ftv", the flat path index;
-	// "grapes"; "ggsx"). With two or more entries the engine builds every
-	// index and, under the race policy, runs them against each other per
-	// query — the paper's parallel use of alternative algorithms applied
-	// to the filtering stage. Empty means {"grapes"}.
+	// Indexes names the index methods a dataset engine serves ("ftv", the
+	// flat path index; "grapes"; "ggsx"). The engine builds one table per
+	// shard whatever the names — with location sets when "grapes" is listed
+	// — and each name selects a verifier over it: "ftv" and "ggsx" the
+	// whole-graph one (they share it), "grapes" the located one. With two
+	// verifiers the engine races them, under every rewriting, on each
+	// candidate the filter emits — the paper's parallel use of alternative
+	// algorithms, in verification. Empty means {"grapes"}.
 	Indexes []string
-	// IndexPolicy says how a dataset engine uses its portfolio:
-	// IndexRace (default with ≥ 2 indexes) races every index per query;
-	// IndexFixed (default with 1) always consults the first; IndexAuto
-	// learns per query class which index to run solo and races only when
-	// uncertain (unfamiliar class, staleness, or a budget-killed solo).
+	// IndexPolicy says how a dataset engine uses its verifiers: IndexRace
+	// (default) races them on every candidate; IndexFixed runs only the
+	// first listed name's; IndexAuto learns per query class which verifier
+	// to run alone and races only when uncertain (unfamiliar class,
+	// staleness, or a budget-killed solo). With one verifier the policy is
+	// IndexFixed.
 	IndexPolicy string
 	// IndexWorkers is the Grapes verification worker count (the paper's
 	// Grapes/1 vs Grapes/4); 0 means 1. Above 1, Grapes fans a candidate's
 	// components out on the engine's pool, as wide as its idle workers plus
-	// the verifying goroutine. Other kinds ignore it.
+	// the verifying goroutine. The whole-graph verifier ignores it.
 	IndexWorkers int
 	// Shards partitions the dataset of dataset engines into K round-robin
-	// shards, giving every index in the portfolio one sub-index per shard
-	// behind an ascending-ID ordered merge; answers are byte-identical to
+	// shards, one table each behind an ascending-ID ordered merge; answers are byte-identical to
 	// the monolithic engine at any K. <= 1 (and NFV engines) stay
 	// monolithic. The count is clamped to the dataset size.
 	Shards int
@@ -113,7 +115,7 @@ type EngineOptions struct {
 	// Snapshot, when set, constructs the dataset engine by loading a
 	// persisted snapshot (written by SaveSnapshot) instead of extracting
 	// features from a dataset: pass a nil dataset to NewDatasetEngine. The
-	// snapshot dictates the dataset, index portfolio, shard count and
+	// snapshot dictates the dataset, index names, shard count and
 	// (for mutable engines) the full mutation state; Indexes, Shards
 	// and Mutable must be left zero or agree with the snapshot — a
 	// mismatch is an error, never a silent rebuild. Runtime knobs
@@ -124,25 +126,22 @@ type EngineOptions struct {
 
 // Index policies for EngineOptions.IndexPolicy and Plan.IndexPolicy.
 const (
-	// IndexRace races every configured filtering index per query; the
-	// first index to emit a verified candidate wins and the rest are
-	// cancelled.
+	// IndexRace races every verifier on every candidate; the first to
+	// decide a candidate wins it and the rest are cancelled.
 	IndexRace = "race"
-	// IndexFixed always consults the portfolio's first index.
+	// IndexFixed runs only the first listed name's verifier.
 	IndexFixed = "fixed"
-	// IndexAuto runs the learned best index solo per query class, racing
-	// the full portfolio only when uncertain. Answers are identical to
-	// IndexRace in every case: all indexes are exact, so any arm computes
-	// the same ascending graph IDs.
+	// IndexAuto runs the learned best verifier solo per query class,
+	// racing them all only when uncertain. Answers are identical to
+	// IndexRace in every case: every verifier is exact.
 	IndexAuto = "auto"
 )
 
-// ParseIndexSpec converts an -index flag value into an index-kind list:
-// a registered kind name ("ftv", "grapes", "ggsx"), a comma-separated
-// combination, or "race" for the full portfolio of all registered kinds.
-// Unregistered kinds and duplicate entries are rejected here, before any
-// dataset is loaded or index built, so a misspelt flag fails in
-// microseconds rather than after a multi-minute extraction.
+// ParseIndexSpec converts an -index flag value into a list of index names:
+// one name ("ftv", "grapes", "ggsx"), a comma-separated combination, or
+// "race" for all three. Unknown names and duplicate entries are rejected
+// here, before any dataset is loaded or index built, so a misspelt flag
+// fails in microseconds rather than after a multi-minute extraction.
 func ParseIndexSpec(s string) ([]string, error) {
 	switch s {
 	case "":

@@ -88,7 +88,7 @@ func (e *Engine) decide(q *Graph) *PolicyDecision {
 		if e.g != nil {
 			pd.ArmName = e.attempts[d.Arm].Label()
 		} else {
-			pd.ArmName = e.ixNames[d.Arm]
+			pd.ArmName = e.verifiers[d.Arm].Name()
 		}
 	}
 	return pd
@@ -107,11 +107,11 @@ type Plan struct {
 	// Predicted is the portfolio index of the auto policy's pick for
 	// PlanPredicted plans, -1 otherwise.
 	Predicted int
-	// IndexPolicy records how a PlanFTV plan runs the engine's filtering
-	// indexes — IndexRace or IndexFixed; empty for NFV plans.
+	// IndexPolicy records how a PlanFTV plan runs the engine's verifiers —
+	// IndexRace, IndexFixed or IndexAuto; empty for NFV plans.
 	IndexPolicy string
-	// Indexes names the filtering indexes the plan will consult, in
-	// portfolio order (PlanFTV plans only).
+	// Indexes names the engine's verifiers, in the order of the names that
+	// selected them (PlanFTV plans only).
 	Indexes []string
 	// Deadline is the per-query cap Execute will enforce (0: none).
 	Deadline time.Duration
@@ -134,7 +134,7 @@ type Plan struct {
 // whole portfolio, its fixed first arm, or — under the auto policy, once the
 // query's class has warmed up — the learned arm alone. For a stored-graph
 // engine the arms are attempts (Kind and Attempts say which); for a dataset
-// engine they are the filtering indexes of the PlanFTV pipeline.
+// engine they are the verifiers each candidate of the PlanFTV pipeline races.
 func (e *Engine) Plan(q *Graph) (*Plan, error) {
 	if q == nil {
 		return nil, errors.New("psi: Plan requires a query graph")
@@ -153,7 +153,7 @@ func (e *Engine) Plan(q *Graph) (*Plan, error) {
 		p.Kind = PlanFTV
 		p.IndexPolicy = e.IndexPolicy()
 		p.Epoch = e.Epoch()
-		p.Indexes = append(p.Indexes, e.ixNames...)
+		p.Indexes = e.verifierNames()
 		return p, nil
 	}
 	if p.Kind == PlanPredicted {

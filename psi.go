@@ -10,7 +10,6 @@ import (
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/gql"
-	_ "github.com/psi-graph/psi/internal/grapes" // registers index kind "grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	indexpkg "github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/match"
@@ -46,19 +45,16 @@ type (
 	Matcher = match.Matcher
 	// Attempt pairs an algorithm with a rewriting for racing.
 	Attempt = core.Attempt
-	// FilterIndex is the unified filtering-index contract implemented by
-	// every index built here (path-based FTV, Grapes, GGSX): the
-	// filter-then-verify core (Name/Dataset/Filter/Verify) plus streaming
-	// candidate emission (FilterStream) and build statistics (Stats). The
-	// Engine races FilterIndexes against each other exactly as it races
-	// matching algorithms.
+	// FilterIndex is the filtering-index contract: the filter-then-verify
+	// core (Name/Dataset/Filter/Verify) plus streaming candidate emission
+	// (FilterStream) and build statistics (Stats). Every index built here is
+	// the one path table under a name — "ftv", "grapes" or "ggsx" — whose
+	// Verify is that name's verifier; a dataset Engine filters with one table
+	// and races the verifiers per candidate.
 	FilterIndex = indexpkg.Index
-	// IndexStats describes a built filtering index (build time, feature
-	// and node counts, extraction parallelism).
+	// IndexStats describes a built filtering index (build time, feature,
+	// posting and location counts, extraction parallelism).
 	IndexStats = indexpkg.Stats
-	// IndexAttempt reports one filtering index's run inside an Engine
-	// index race: winner/cancelled flags, emissions and timing.
-	IndexAttempt = core.IndexAttempt
 	// EngineCounters is a snapshot of an Engine's operational counters
 	// (queries, kills, attempt fan-out); see Engine.Counters.
 	EngineCounters = metrics.CountersSnapshot
@@ -181,18 +177,19 @@ func VerifyEmbedding(q, g *Graph, emb Embedding) error {
 // are sound.
 func CanonicalQueryKey(q *Graph) string { return ftv.CanonicalKey(q) }
 
-// BuildIndex constructs any registered filtering index ("ftv", "grapes",
-// "ggsx") with explicit options; the build is cancellable through ctx and
-// deterministic for every pool size.
+// BuildIndex constructs the filtering index of a name ("ftv", "grapes",
+// "ggsx"): the path table, with locations under "grapes", verified by the
+// name's verifier (workers is Grapes' W). The build is cancellable through
+// ctx and deterministic for every pool size.
 func BuildIndex(ctx context.Context, kind string, dataset []*Graph, workers int) (FilterIndex, error) {
 	return indexpkg.Build(ctx, kind, dataset, indexpkg.Options{Workers: workers})
 }
 
-// IndexKinds lists the registered filtering-index kinds.
+// IndexKinds lists the filtering-index names.
 func IndexKinds() []string { return indexpkg.Kinds() }
 
-// NewShardedIndex builds a registered filtering-index kind over a K-way
-// round-robin partition of the dataset: every shard gets its own sub-index,
+// NewShardedIndex builds a name's filtering index over a K-way round-robin
+// partition of the dataset: every shard gets its own table,
 // per-shard candidate streams merge in ascending global-ID order, and
 // verification routes back to the owning shard — so answers are
 // byte-identical to BuildIndex's monolithic result at any shard count. The

@@ -62,12 +62,12 @@ echo "== fuzz (FuzzPostings, 5s) =="
 go test -run='^$' -fuzz=FuzzPostings -fuzztime=5s ./internal/index
 
 echo "== fuzz (FuzzPathDirectory, 5s) =="
-# A small decoded dataset as a grid of one to four flat shards sharing one
-# sequence directory, each against an index of its own over the same graphs:
+# A small decoded dataset as one to four tables of each index name sharing
+# one sequence directory, each against a table of its own over the same graphs:
 # the same export, statistics and lookups, present and absent sequences
 # alike, before and after an insert that may set bits or write a superset
 # directory. This is where a wrong rank, a union that misses a sequence or a
-# bitmap rebound to the wrong positions shows. Each row, merged by
+# bitmap rebound to the wrong positions shows. The tables, merged by
 # index.Sharded under a fuzzed alive mask, must also filter a fuzzed query to
 # what an index over the live graphs alone does, in full and stopped at every
 # candidate: a merge that loses ascending order, keeps a tombstone or emits
@@ -168,7 +168,8 @@ echo "== bench module (vet + tests against this root) =="
 
 echo "== bench smoke (four workloads, every answer oracle-checked) =="
 # The repo's benchmark at a scale that runs in about a second: the NFV race,
-# the three-index race, the sharded server and the mutable server under churn,
+# the three names' verifiers raced per candidate over one table, the sharded
+# server and the mutable server under churn,
 # each answer compared with the sequential oracle, the cold start from a
 # snapshot and the churned engine against a from-scratch rebuild included.
 # The run exits non-zero on a wrong answer; a failed operation is caught here
@@ -190,8 +191,8 @@ echo "== coverage gate (internal/core, internal/index, internal/rewrite, interna
 # planning policy's evidence rules, the operational counters, the
 # epoch-versioned mutation store, the persistent snapshot format, and the
 # default NFV portfolio's two matchers with the contract and candidate sets
-# they share, and the feature extraction with its location sets and the one
-# index kind that verifies through them, the graph type with the parser
+# they share, and the feature extraction with its location sets and the
+# Grapes configuration whose verifier reads them, the graph type with the parser
 # untrusted request bodies go through, the other two matchers, the HTTP
 # server, and the execution pool every fan-out and race runs on); regressing
 # below the floor fails the gate.
@@ -296,6 +297,40 @@ kill -TERM "$sserve_pid"
 if ! wait "$sserve_pid"; then
     echo "snapshot smoke: cold-started psiserve did not exit 0 on SIGTERM" >&2
     cat "$tmpdir/sserve.log" >&2
+    exit 1
+fi
+sserve_pid=""
+
+echo "== snapshot smoke (three names, one table) =="
+# psiserve -index race serves ftv, grapes and ggsx from one table per shard
+# and saves a version-1 file with a section per name, all written from that
+# table. A second server cold-starts from the file alone — restoring one
+# table from the three sections — and must answer a query.
+"$tmpdir/psiserve" -data "$tmpdir/ds.txt" -index race -snapshot "$tmpdir/race.psisnap" \
+    -addr 127.0.0.1:0 -portfile "$tmpdir/rport" 2> "$tmpdir/rserve.log" &
+sserve_pid=$!
+for _ in $(seq 100); do [ -s "$tmpdir/rport" ] && break; sleep 0.1; done
+kill -TERM "$sserve_pid"
+wait "$sserve_pid" && grep -q "snapshot saved" "$tmpdir/rserve.log" && [ -s "$tmpdir/race.psisnap" ] || {
+    echo "snapshot smoke: psiserve -index race did not save a snapshot and drain" >&2
+    cat "$tmpdir/rserve.log" >&2
+    exit 1
+}
+"$tmpdir/psiserve" -snapshot "$tmpdir/race.psisnap" \
+    -addr 127.0.0.1:0 -portfile "$tmpdir/rsport" 2> "$tmpdir/rsserve.log" &
+sserve_pid=$!
+for _ in $(seq 100); do [ -s "$tmpdir/rsport" ] && break; sleep 0.1; done
+race_ans=$(curl -sf -X POST --data-binary @"$tmpdir/q.txt" \
+    "http://127.0.0.1:$(cat "$tmpdir/rsport")/query?cache=0")
+echo "$race_ans" | grep -q '"graph_ids"' || {
+    echo "snapshot smoke: server cold-started from the three-name file gave no answer: $race_ans" >&2
+    cat "$tmpdir/rsserve.log" >&2
+    exit 1
+}
+kill -TERM "$sserve_pid"
+if ! wait "$sserve_pid"; then
+    echo "snapshot smoke: psiserve cold-started from the three-name file did not exit 0 on SIGTERM" >&2
+    cat "$tmpdir/rsserve.log" >&2
     exit 1
 fi
 sserve_pid=""

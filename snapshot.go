@@ -19,13 +19,12 @@ import (
 	"github.com/psi-graph/psi/internal/snapshot"
 )
 
-// SaveSnapshot writes the engine's dataset, index portfolio and (for
+// SaveSnapshot writes the engine's dataset, index names and tables and (for
 // mutable engines) mutation state to path, atomically: the file appears
 // complete or not at all. Mutations are blocked for the duration — the store
-// runs the save under its mutation lock, because the exported grid is its
-// live sub-indexes, which a mutation could retire (and, once snapshots drain,
-// close) mid-read — so the file is one consistent epoch; queries keep
-// running. NFV engines have no dataset state and cannot be snapshotted.
+// runs the save under its mutation lock, because the exported tables are its
+// live ones, which a mutation could retire mid-read — so the file is one
+// consistent epoch; queries keep running. NFV engines have no dataset state and cannot be snapshotted.
 func (e *Engine) SaveSnapshot(path string) error {
 	if e.g != nil {
 		return errors.New("psi: snapshots require a dataset engine")
@@ -50,11 +49,6 @@ func newSnapshotEngine(opts EngineOptions) (*Engine, error) {
 		return nil, err
 	}
 	fail := func(err error) (*Engine, error) {
-		for _, subs := range m.Grid {
-			for _, sub := range subs {
-				sub.Close()
-			}
-		}
 		e.Close()
 		return nil, err
 	}
