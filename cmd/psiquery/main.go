@@ -15,6 +15,7 @@
 //
 //	psiquery -data ppi.txt -queries q.txt -index grapes -workers 4 -rewritings ILF,IND,DND
 //	psiquery -data ppi.txt -queries q.txt -index race            # verifiers of ftv|grapes|ggsx raced
+//	psiquery -data ppi.txt -queries q.txt -index ftv,grapes -mode single  # the first name's verifier alone
 package main
 
 import (
@@ -29,19 +30,27 @@ import (
 	"github.com/psi-graph/psi/internal/graph"
 )
 
+// engineFlags are the flag values that configure the engine.
+type engineFlags struct {
+	algos, rewritings, mode, index string
+	workers                        int
+	timeout                        time.Duration
+}
+
 func main() {
+	var f engineFlags
 	var (
 		dataFlag    = flag.String("data", "", "stored graph / dataset file (required)")
 		queriesFlag = flag.String("queries", "", "query file (required)")
-		algosFlag   = flag.String("algos", "GQL", "comma-separated NFV algorithms: GQL,SPA,QSI,VF2")
-		rewrFlag    = flag.String("rewritings", "Orig", "comma-separated rewritings: Orig,ILF,IND,DND,ILF+IND,ILF+DND")
-		modeFlag    = flag.String("mode", "race", "planning policy: race|single|auto")
 		jsonFlag    = flag.Bool("json", false, "emit one JSON object per query instead of text")
-		indexFlag   = flag.String("index", "", "FTV indexes for multi-graph datasets: ftv|grapes|ggsx, a comma list, or race (all)")
-		workersFlag = flag.Int("workers", 1, "Grapes worker count")
 		limitFlag   = flag.Int("limit", 1000, "max embeddings per query (NFV)")
-		capFlag     = flag.Duration("timeout", 10*time.Minute, "per-query kill cap")
 	)
+	flag.StringVar(&f.algos, "algos", "GQL", "comma-separated NFV algorithms: GQL,SPA,QSI,VF2")
+	flag.StringVar(&f.rewritings, "rewritings", "Orig", "comma-separated rewritings: Orig,ILF,IND,DND,ILF+IND,ILF+DND")
+	flag.StringVar(&f.mode, "mode", "race", "planning policy: race|single|auto (on a dataset: race, the first -index name's verifier alone, or learned)")
+	flag.StringVar(&f.index, "index", "", "FTV indexes for multi-graph datasets: ftv|grapes|ggsx, a comma list, or race (all)")
+	flag.IntVar(&f.workers, "workers", 1, "Grapes worker count")
+	flag.DurationVar(&f.timeout, "timeout", 10*time.Minute, "per-query kill cap")
 	flag.Parse()
 	if *dataFlag == "" || *queriesFlag == "" {
 		flag.Usage()
@@ -55,47 +64,55 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	kinds, err := psi.ParseRewritings(*rewrFlag)
-	if err != nil {
-		fatal(err)
-	}
-	mode, err := psi.ParseMode(*modeFlag)
-	if err != nil {
-		fatal(err)
-	}
 	if len(ds) == 0 {
 		fatal(fmt.Errorf("dataset %s is empty", *dataFlag))
 	}
-	indexKinds, err := psi.ParseIndexSpec(*indexFlag)
-	if err != nil {
-		fatal(err)
-	}
-	opts := psi.EngineOptions{
-		Rewritings:   kinds,
-		Mode:         mode,
-		Timeout:      *capFlag,
-		Indexes:      indexKinds,
-		IndexWorkers: *workersFlag,
-	}
-	if len(ds) > 1 || *indexFlag != "" {
-		eng, err := psi.NewDatasetEngine(ds, opts)
-		if err != nil {
-			fatal(err)
-		}
-		defer eng.Close()
-		runQueries(eng, queries, len(ds), 0, *jsonFlag)
-		return
-	}
-	opts.Algorithms, err = psi.ParseAlgorithms(*algosFlag)
-	if err != nil {
-		fatal(err)
-	}
-	eng, err := psi.NewEngine(ds[0], opts)
+	eng, err := newEngine(ds, f)
 	if err != nil {
 		fatal(err)
 	}
 	defer eng.Close()
-	runQueries(eng, queries, 0, *limitFlag, *jsonFlag)
+	if eng.Graph() != nil {
+		runQueries(eng, queries, 0, *limitFlag, *jsonFlag)
+	} else {
+		runQueries(eng, queries, len(ds), 0, *jsonFlag)
+	}
+}
+
+// datasetPolicy is the index policy that spells each -mode on a dataset,
+// whose engine reads IndexPolicy, not Mode.
+var datasetPolicy = map[psi.Mode]string{psi.ModeRace: psi.IndexRace, psi.ModeSingle: psi.IndexFixed, psi.ModeAuto: psi.IndexAuto}
+
+// newEngine builds the engine the flags describe over ds: a dataset engine
+// for several graphs or any -index, else a stored-graph engine over the one.
+func newEngine(ds []*graph.Graph, f engineFlags) (*psi.Engine, error) {
+	rewritings, err := psi.ParseRewritings(f.rewritings)
+	if err != nil {
+		return nil, err
+	}
+	mode, err := psi.ParseMode(f.mode)
+	if err != nil {
+		return nil, err
+	}
+	indexes, err := psi.ParseIndexSpec(f.index)
+	if err != nil {
+		return nil, err
+	}
+	opts := psi.EngineOptions{
+		Rewritings:   rewritings,
+		Timeout:      f.timeout,
+		Indexes:      indexes,
+		IndexWorkers: f.workers,
+	}
+	if len(ds) > 1 || f.index != "" {
+		opts.IndexPolicy = datasetPolicy[mode]
+		return psi.NewDatasetEngine(ds, opts)
+	}
+	opts.Mode = mode
+	if opts.Algorithms, err = psi.ParseAlgorithms(f.algos); err != nil {
+		return nil, err
+	}
+	return psi.NewEngine(ds[0], opts)
 }
 
 // queryReport is the -json output schema, one object per line per query.

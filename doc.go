@@ -36,20 +36,26 @@
 //
 // # Execution pipeline
 //
-// A dataset (FTV) query has exactly one implementation, and every entry
-// point — Engine.Query, Plan+Execute, AnswerStream, AnswerStreamResult — is
-// a collector of a few lines over it. One function owns each step:
+// Every query, on either engine kind, has exactly one execution body,
+// Engine.run, and every entry point — Engine.Query, QueryStream,
+// Plan+Execute, AnswerStream — is a few lines over it. run checks the plan,
+// counts the query, pins a dataset's snapshot, records the result, launches
+// the plan's arms under the budget and trims a killed answer to what reached
+// the caller; only the race it launches differs by kind. For a dataset
+// (FTV) query one function owns each step:
 //
 //	plan             Engine.Plan               policy and bandit verdict → arms:
 //	                                           1 verifier (fixed, learned solo) or all
+//	execute          Engine.run                snapshot, result record, budget, kill trim
 //	launch           Engine.launch             the arms; solo → escalate; bandit learns
 //	filter           FilterIndex.FilterStream  one scan of the one table, ascending
 //	ordered verify   index.StreamVerified      pool fan-out, in-order flush
 //	candidate race   core.raceInstances        arms × prepared rewritings, first wins
-//	emit / collect   Engine.answer             caller's emit, or QueryResult.GraphIDs
+//	emit / collect   Engine.run                caller's emit, or QueryResult.GraphIDs
 //
-// Engine.answer pins the store's current snapshot and hands core.StreamFTV
-// the snapshot's table under each of the plan's arms, which are verifiers.
+// Engine.run pins the store's current snapshot, and the dataset race
+// (Engine.raceVerifiers) hands core.StreamFTV the snapshot's table under
+// each of the arms it launches, which are verifiers.
 // StreamFTV rewrites the query once per configured rewriting, under the
 // snapshot's label frequencies, then runs one FilterStream → StreamVerified
 // pipeline: a candidate begins its race the moment the filter surfaces it —
@@ -61,11 +67,13 @@
 // most of its candidates. Around it
 // sit the pieces of engine policy, each written once: the per-query budget
 // (runBudgeted: a query that hits the cap comes back Killed, not as an
-// error), the launch of a plan's arms (launch: Mode and IndexPolicy are one
+// error, on every entry point, with Found what already reached the caller),
+// the launch of a plan's arms (launch: Mode and IndexPolicy are one
 // policy — race, first or auto — that Plan turns into arms) and inside it
 // solo→escalate (soloFirst: a learned solo arm that overruns its solo budget
 // before surfacing output falls back to the full race). NFV (single stored
-// graph) queries share all three and differ only in what is raced:
+// graph) queries share all three and differ only in what is raced
+// (Engine.raceAttempts):
 // Racer.Race adopts the first attempt to finish — the paper's semantics,
 // core.firstDone, the loop the per-candidate rewriting race runs on too —
 // and Racer.RaceStream the first to emit; both run one attempt body, a
@@ -358,8 +366,8 @@
 //	report(res.Winner) // "FTV" or "Grapes/1"
 //
 // With one verifier (the default, "grapes") the engine keeps the fixed
-// policy. Plan.IndexPolicy records which policy a planned query will run;
-// Counters, the pipelines started (index_attempts) and the queries whose
+// policy. Engine.IndexPolicy reports which policy the engine runs, and
+// Counters the pipelines started (index_attempts) and the queries whose
 // candidates raced verifiers (index_races).
 //
 // # Sharding architecture
@@ -419,16 +427,16 @@
 // every candidate).
 //
 // The decision rule is race-until-confident, then solo-with-audits. A
-// class races while it has fewer than AutoMinSamples successful
-// observations (warmup), every AutoRaceEvery-th decision thereafter
-// (staleness audits: the race re-measures every arm, so a drifting
-// workload re-elects its winner), and immediately after a solo run was
-// killed by the per-query budget (escalation). Otherwise it runs the arm
+// class races while it has fewer than three successful observations
+// (warmup, the constant autoMinSamples), every 16th decision thereafter
+// (autoRaceEvery; staleness audits: the race re-measures every arm, so a
+// drifting workload re-elects its winner), and immediately after a solo run
+// was killed by the per-query budget (escalation). Otherwise it runs the arm
 // with the best kill-penalized mean latency alone. Correctness never
 // depends on the choice: every arm is exact, so a solo answer is
 // byte-identical to the race's — the policy moves only cost and latency,
-// and a budget-killed collecting solo falls back to the full race within
-// the same query. The evidence rules are deliberately asymmetric: a
+// and a solo that overruns its 50 ms solo budget (soloBudget) before
+// surfacing output falls back to the full race within the same query. The evidence rules are deliberately asymmetric: a
 // budget kill counts against the arm and escalates the class, while a
 // caller cancellation (client disconnect, server drain) is recorded
 // nowhere — disconnect storms carry no information about arm quality and
@@ -544,9 +552,10 @@
 // snapshot's table and frequencies per query, are not rebuilt per epoch and
 // own nothing. Queries take the
 // current snapshot with one atomic load (live.Store.Current) and hold it to
-// completion: a query planned at epoch 5 answers epoch 5 even if ten
-// mutations land mid-flight, and Plan.Epoch /
-// QueryResult.Epoch record which dataset version an answer describes.
+// completion: a query that starts at epoch 5 answers epoch 5 even if ten
+// mutations land mid-flight, and QueryResult.Epoch records which dataset
+// version an answer describes — the epoch current when it started, not when
+// it was planned.
 // Mutations and snapshot saves serialize on the store's one lock; the query
 // path takes none.
 //

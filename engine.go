@@ -4,9 +4,9 @@ package psi
 // object that owns everything a query needs — the stored graph or dataset,
 // prebuilt matchers, label frequencies, the filtering index and its
 // verifiers, the execution pool, and the learned planning policy — and
-// splits query processing into an explicit Plan step (attempt-portfolio
-// selection, plan.go) and an Execute step (running the plan under a
-// per-query deadline, execute.go).
+// splits query processing into an explicit Plan step (the arms a query
+// starts, plan.go) and one execution body behind every entry point (the
+// plan's arms raced under a per-query deadline, execute.go).
 // Options live in options.go, the dataset-store wiring and the mutation API
 // in engine_dataset.go.
 
@@ -51,11 +51,12 @@ type Engine struct {
 	matchers []Matcher
 	attempts []Attempt
 	racer    *core.Racer
-	solo     time.Duration
 
 	// Auto-policy state (ModeAuto / IndexAuto): the per-query-class
-	// solo-vs-race bandit, nil under every other policy.
+	// solo-vs-race bandit, nil under every other policy, and the solo budget
+	// (soloBudget) a learned arm runs under before it falls back to a race.
 	bandit *predict.Bandit
+	solo   time.Duration
 
 	// FTV state. Every dataset engine serves from a live.Store; mutable only
 	// opens the mutation API, so a static engine's store never mutates. Each
@@ -107,21 +108,34 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 		e.policy = launchFirst
 	case ModeAuto:
 		e.policy = launchAuto
-		names := make([]string, len(e.attempts))
-		for i, a := range e.attempts {
-			names[i] = a.Label()
-		}
-		e.bandit = predict.NewBandit(names, banditOptions(opts))
 	}
+	e.startBandit()
 	return e, nil
 }
 
-// banditOptions maps the engine options onto the policy's knobs.
-func banditOptions(opts EngineOptions) predict.BanditOptions {
-	return predict.BanditOptions{
-		MinSamples: opts.AutoMinSamples,
-		RaceEvery:  opts.AutoRaceEvery,
+// startBandit gives an engine under the auto policy its bandit over the
+// engine's arms, with the policy's fixed knobs.
+func (e *Engine) startBandit() {
+	if e.policy == launchAuto {
+		e.bandit = predict.NewBandit(e.armNames(), predict.BanditOptions{MinSamples: autoMinSamples, RaceEvery: autoRaceEvery})
 	}
+}
+
+// armNames labels the engine's arms, in portfolio order: a stored graph's
+// attempts or a dataset's verifiers.
+func (e *Engine) armNames() []string {
+	if e.g == nil {
+		names := make([]string, len(e.verifiers))
+		for i, v := range e.verifiers {
+			names[i] = v.Name()
+		}
+		return names
+	}
+	names := make([]string, len(e.attempts))
+	for i, a := range e.attempts {
+		names[i] = a.Label()
+	}
+	return names
 }
 
 // NewDatasetEngine builds an FTV engine serving containment queries against
@@ -186,11 +200,8 @@ func newEngineCommon(opts EngineOptions) (*Engine, error) {
 	e := &Engine{
 		mode:   mode,
 		budget: metrics.Budget{Cap: opts.Timeout},
-		solo:   opts.SoloBudget,
+		solo:   soloBudget,
 		wins:   map[string]int64{},
-	}
-	if e.solo <= 0 {
-		e.solo = 50 * time.Millisecond
 	}
 	if opts.Workers > 0 {
 		e.pool = exec.New(opts.Workers)
@@ -270,11 +281,6 @@ func (e *Engine) Handles() []GraphHandle {
 		return nil
 	}
 	return append([]GraphHandle(nil), snap.Handles()...)
-}
-
-// Attempts returns a copy of the engine's attempt portfolio (NFV engines).
-func (e *Engine) Attempts() []Attempt {
-	return append([]Attempt(nil), e.attempts...)
 }
 
 // Counters returns a point-in-time snapshot of the engine's operational

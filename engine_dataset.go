@@ -8,12 +8,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/live"
-	"github.com/psi-graph/psi/internal/predict"
 )
 
 // GraphHandle is the stable public identity of a dataset graph on a mutable
@@ -26,23 +24,14 @@ type GraphHandle = live.Handle
 // issued or has already removed. Match with errors.Is.
 var ErrUnknownGraph = live.ErrUnknownHandle
 
-// configurePortfolio validates the index names and policy, resolves the
-// names to their distinct verifiers, and records whether the mutation API is
-// open, before any build or load is paid for: extracting the features of a
-// large dataset only to report a misspelt option would be hostile. Duplicate
-// names are rejected rather than deduplicated, as a caller's slip; "ftv" and
-// "ggsx", distinct names for one verifier, share it.
+// configurePortfolio validates the index names (checkIndexNames) and policy,
+// resolves the names to their distinct verifiers, and records whether the
+// mutation API is open, before any build or load is paid for: extracting the
+// features of a large dataset only to report a misspelt option would be
+// hostile.
 func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
-	known := index.Kinds()
-	seenKind := map[string]bool{}
-	for _, kind := range kinds {
-		if seenKind[kind] {
-			return fmt.Errorf("psi: duplicate index kind %q in portfolio %v", kind, kinds)
-		}
-		seenKind[kind] = true
-		if !slices.Contains(known, kind) {
-			return fmt.Errorf("psi: unknown index kind %q (registered: %v)", kind, known)
-		}
+	if err := checkIndexNames(kinds); err != nil {
+		return err
 	}
 	vs, err := index.Verifiers(kinds, index.Options{Workers: opts.IndexWorkers, Pool: e.pool})
 	if err != nil {
@@ -78,18 +67,7 @@ func (e *Engine) finishPortfolio(store *live.Store, opts EngineOptions) {
 		e.shardEmits = make([]atomic.Int64, k)
 	}
 	e.rewritings = engineRewritings(opts)
-	if e.policy == launchAuto {
-		e.bandit = predict.NewBandit(e.verifierNames(), banditOptions(opts))
-	}
-}
-
-// verifierNames labels the engine's verifiers, in order: its arms' names.
-func (e *Engine) verifierNames() []string {
-	names := make([]string, len(e.verifiers))
-	for i, v := range e.verifiers {
-		names[i] = v.Name()
-	}
-	return names
+	e.startBandit()
 }
 
 // ShardBalance returns a copy of the per-shard answer tally of a sharded

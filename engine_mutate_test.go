@@ -141,7 +141,7 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 						t.Errorf("step %d q%d: result epoch %d, engine epoch %d", step, qi, res.Epoch, eng.Epoch())
 					}
 					var streamed []int
-					sres, err := eng.AnswerStreamResult(context.Background(), q, func(id int) bool {
+					sres, err := eng.AnswerStream(context.Background(), q, func(id int) bool {
 						streamed = append(streamed, id)
 						return true
 					})
@@ -372,8 +372,12 @@ func TestMutableEngineAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Epoch != 1 {
-		t.Errorf("plan epoch = %d, want 1", p.Epoch)
+	res, err := eng.Execute(context.Background(), p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Epoch != 1 {
+		t.Errorf("epoch after construction = %d, want 1", res.Epoch)
 	}
 	// CompactEvery=1: the very first removal must compact.
 	compacted, err := eng.RemoveGraph(context.Background(), eng.Handles()[0])

@@ -5,11 +5,15 @@ package psi_test
 // any dataset extraction is paid for — with messages naming the offender.
 
 import (
+	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	psi "github.com/psi-graph/psi"
+	"github.com/psi-graph/psi/internal/ftv"
 )
 
 func TestParseIndexSpec(t *testing.T) {
@@ -144,27 +148,126 @@ func TestNewDatasetEngineRejectsBadPolicyBeforeBuilding(t *testing.T) {
 	}
 }
 
-// TestAnswerStreamReportsKill pins the no-silent-truncation contract: the
-// result-less AnswerStream wrapper must surface a budget kill as ErrKilled,
-// never as a nil error over a truncated ID stream.
+// TestAnswerStreamReportsKill pins the one kill convention on both engine
+// kinds and every entry point form — Query, Plan+Execute and the stream form
+// (QueryStream or AnswerStream): without a budget each answers what the
+// oracle does, and under an expired one each returns a nil error, Killed,
+// and Found equal to what reached the caller, never an error over a
+// truncated answer. Each call moves Queries by one, Streamed only on the
+// stream form, and Killed once per killed run.
 func TestAnswerStreamReportsKill(t *testing.T) {
-	ds := psi.GeneratePPI(psi.Tiny, 1)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"ftv"},
-		Timeout: 1, // 1ns: every query is born past its deadline
-	})
+	const limit = 100000
+	ctx := t.Context()
+	g := psi.GenerateYeastLike(psi.Tiny, 3)
+	gq := psi.ExtractQuery(g, 5, 11)
+	embs, err := psi.MustNewMatcher(psi.VF2, g).Match(ctx, gq, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	q := psi.ExtractQuery(ds[0], 4, 7)
-	err = eng.AnswerStream(t.Context(), q, func(int) bool { return true })
-	if err != psi.ErrKilled {
-		t.Errorf("AnswerStream under an expired budget returned %v, want ErrKilled", err)
+	ds := psi.GeneratePPI(psi.Tiny, 1)
+	dq := psi.ExtractQuery(ds[0], 4, 7)
+	ids, err := ftv.Answer(ctx, mustBuildIndex(t, "ftv", ds, 0), dq)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := eng.AnswerStreamResult(t.Context(), q, func(int) bool { return true })
-	if err != nil || !res.Killed {
-		t.Errorf("AnswerStreamResult = (%+v, %v), want a killed result", res, err)
+	// items renders an answer for comparison; embeddings come in the order
+	// the winning attempt found them, so they compare as a set.
+	items := func(embs []psi.Embedding, ids []int) []string {
+		var out []string
+		for _, e := range embs {
+			out = append(out, fmt.Sprint(e))
+		}
+		slices.Sort(out)
+		for _, id := range ids {
+			out = append(out, fmt.Sprint(id))
+		}
+		return out
+	}
+	kinds := []struct {
+		name   string
+		build  func(psi.EngineOptions) (*psi.Engine, error)
+		q      *psi.Graph
+		want   []string
+		stream func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]string, *psi.QueryResult, error)
+	}{
+		{"stored graph", func(o psi.EngineOptions) (*psi.Engine, error) { return psi.NewEngine(g, o) }, gq, items(embs, nil),
+			func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]string, *psi.QueryResult, error) {
+				var got []psi.Embedding
+				res, err := eng.QueryStream(ctx, q, limit, psi.SinkFunc(func(e psi.Embedding) bool {
+					got = append(got, e)
+					return true
+				}))
+				return items(got, nil), res, err
+			}},
+		{"dataset", func(o psi.EngineOptions) (*psi.Engine, error) {
+			o.Indexes = []string{"ftv"}
+			return psi.NewDatasetEngine(ds, o)
+		}, dq, items(nil, ids),
+			func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]string, *psi.QueryResult, error) {
+				var got []int
+				res, err := eng.AnswerStream(ctx, q, func(id int) bool {
+					got = append(got, id)
+					return true
+				})
+				return items(nil, got), res, err
+			}},
+	}
+	collect := func(res *psi.QueryResult, err error) ([]string, *psi.QueryResult, error) {
+		if err != nil {
+			return nil, nil, err
+		}
+		return items(res.Embeddings, res.GraphIDs), res, nil
+	}
+	for _, kind := range kinds {
+		forms := []struct {
+			name     string
+			streamed int64 // what the form moves the Streamed counter by
+			ask      func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]string, *psi.QueryResult, error)
+		}{
+			{"Query", 0, func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]string, *psi.QueryResult, error) {
+				return collect(eng.Query(ctx, q, limit))
+			}},
+			{"Plan+Execute", 0, func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]string, *psi.QueryResult, error) {
+				p, err := eng.Plan(q)
+				if err != nil {
+					return nil, nil, err
+				}
+				return collect(eng.Execute(ctx, p, limit))
+			}},
+			{"stream", 1, kind.stream},
+		}
+		for _, budget := range []time.Duration{0, time.Nanosecond} {
+			eng, err := kind.build(psi.EngineOptions{Timeout: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			killed := budget > 0
+			var kills int64 // what a call moves the Killed counter by
+			if killed {
+				kills = 1
+			}
+			for _, form := range forms {
+				name := fmt.Sprintf("%s/%s/budget=%v", kind.name, form.name, budget)
+				c0 := eng.Counters()
+				got, res, err := form.ask(ctx, eng, kind.q)
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					continue
+				}
+				if res.Killed != killed || res.Found != len(got) {
+					t.Errorf("%s: Killed %v, Found %d for %d items that reached the caller; want Killed %v", name, res.Killed, res.Found, len(got), killed)
+				}
+				if !killed && !slices.Equal(got, kind.want) {
+					t.Errorf("%s: answered %v, oracle %v", name, got, kind.want)
+				}
+				c := eng.Counters()
+				moved := [3]int64{c.Queries - c0.Queries, c.Streamed - c0.Streamed, c.Killed - c0.Killed}
+				if want := [3]int64{1, form.streamed, kills}; moved != want {
+					t.Errorf("%s: Queries, Streamed, Killed moved by %v, want %v", name, moved, want)
+				}
+			}
+		}
 	}
 }
 

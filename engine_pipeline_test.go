@@ -1,7 +1,7 @@
 package psi_test
 
 // Tests for the collapsed dataset pipeline: every name set, policy, shard
-// count, engine flavour and entry point runs the same Engine.answer →
+// count, engine flavour and entry point runs the same Engine.run →
 // core.StreamFTV path and must return the sequential oracle's IDs, and
 // the pipeline's four exits — emit stop, caller cancel, budget kill, solo
 // overrun — behave the same through the collecting and the streaming form
@@ -23,9 +23,8 @@ import (
 	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
-// entryPoints are the four ways to ask a dataset engine for an answer; each
-// returns the IDs the caller ended up with and the execution report (nil for
-// the result-less AnswerStream).
+// entryPoints are the three ways to ask a dataset engine for an answer; each
+// returns the IDs the caller ended up with and the execution report.
 var entryPoints = []struct {
 	name string
 	ask  func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]int, *psi.QueryResult, error)
@@ -50,15 +49,7 @@ var entryPoints = []struct {
 	}},
 	{"AnswerStream", func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]int, *psi.QueryResult, error) {
 		var ids []int
-		err := eng.AnswerStream(ctx, q, func(id int) bool {
-			ids = append(ids, id)
-			return true
-		})
-		return ids, nil, err
-	}},
-	{"AnswerStreamResult", func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]int, *psi.QueryResult, error) {
-		var ids []int
-		res, err := eng.AnswerStreamResult(ctx, q, func(id int) bool {
+		res, err := eng.AnswerStream(ctx, q, func(id int) bool {
 			ids = append(ids, id)
 			return true
 		})
@@ -67,7 +58,8 @@ var entryPoints = []struct {
 }
 
 // pipelinePolicies are the three ways a dataset engine uses its verifiers.
-// The auto engine learns after one observation and never audits, so from
+// Each engine built from them goes through SetAutoPolicy(eng, solo, 1, -1),
+// so the auto engine learns after one observation and never audits: from
 // the second query of a class on it exercises the learned-solo arm.
 var pipelinePolicies = []struct {
 	name string
@@ -75,7 +67,7 @@ var pipelinePolicies = []struct {
 }{
 	{"fixed", psi.EngineOptions{Indexes: []string{"ftv"}}},
 	{"race", psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}, IndexPolicy: psi.IndexRace}},
-	{"auto", psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}, IndexPolicy: psi.IndexAuto, AutoMinSamples: 1, AutoRaceEvery: -1}},
+	{"auto", psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}, IndexPolicy: psi.IndexAuto}},
 }
 
 // nameSets is every non-empty set of index names.
@@ -153,6 +145,7 @@ func TestPipelineParity(t *testing.T) {
 							opts.Shards = shards
 							eng := fl.build(t, opts)
 							defer eng.Close()
+							psi.SetAutoPolicy(eng, 0, 1, -1)
 							checkOneTable(t, eng, names, shards, fl.name != "mutable after add+remove")
 							checkPipelineAnswers(t, eng)
 						})
@@ -183,7 +176,7 @@ func checkPipelineAnswers(t *testing.T, eng *psi.Engine) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s %s round %d: answered %v, oracle %v", q.Name(), ep.name, round, got, want)
 				}
-				if res != nil && (res.Found != len(want) || res.Killed || res.Kind != psi.PlanFTV || res.Winner == "") {
+				if res.Found != len(want) || res.Killed || res.Kind != psi.PlanFTV || res.Winner == "" {
 					t.Fatalf("%s %s round %d: report %+v for answer %v", q.Name(), ep.name, round, res, want)
 				}
 			}
@@ -213,7 +206,7 @@ func checkOneTable(t *testing.T, eng *psi.Engine, names []string, shards int, fr
 }
 
 // TestPipelineExits drives the pipeline's four early exits through the
-// collecting form (Query) and the streaming form (AnswerStreamResult) under
+// collecting form (Query) and the streaming form (AnswerStream) under
 // every policy, checking the report each one owes the caller and that the
 // engine's goroutines are gone once it is closed.
 func TestPipelineExits(t *testing.T) {
@@ -225,7 +218,7 @@ func TestPipelineExits(t *testing.T) {
 	}
 	stream := func(ctx context.Context, eng *psi.Engine, keep int) ([]int, *psi.QueryResult, error) {
 		var ids []int
-		res, err := eng.AnswerStreamResult(ctx, q, func(id int) bool {
+		res, err := eng.AnswerStream(ctx, q, func(id int) bool {
 			ids = append(ids, id)
 			return len(ids) < keep
 		})
@@ -234,7 +227,7 @@ func TestPipelineExits(t *testing.T) {
 	for _, pol := range pipelinePolicies {
 		t.Run(pol.name, func(t *testing.T) {
 			leakcheck.Check(t, 2)
-			build := func(mod func(*psi.EngineOptions)) *psi.Engine {
+			build := func(mod func(*psi.EngineOptions), solo time.Duration) *psi.Engine {
 				opts := pol.opts
 				opts.Shards = 2
 				mod(&opts)
@@ -242,11 +235,12 @@ func TestPipelineExits(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				psi.SetAutoPolicy(eng, solo, 1, -1)
 				return eng
 			}
 
 			// emit returns false: the stream ends cleanly after one ID.
-			eng := build(func(*psi.EngineOptions) {})
+			eng := build(func(*psi.EngineOptions) {}, 0)
 			for round := 0; round < 2; round++ {
 				ids, res, err := stream(context.Background(), eng, 1)
 				if err != nil || !slices.Equal(ids, want[:1]) || res.Found != 1 || res.Killed {
@@ -269,7 +263,7 @@ func TestPipelineExits(t *testing.T) {
 			eng.Close()
 
 			// budget kill: data, not an error; Found is what reached the caller.
-			eng = build(func(o *psi.EngineOptions) { o.Timeout = time.Nanosecond })
+			eng = build(func(o *psi.EngineOptions) { o.Timeout = time.Nanosecond }, 0)
 			if res, err := eng.Query(context.Background(), q, 0); err != nil || !res.Killed || res.Found != 0 || res.GraphIDs != nil {
 				t.Errorf("killed Query = %+v, %v", res, err)
 			}
@@ -284,7 +278,7 @@ func TestPipelineExits(t *testing.T) {
 			// solo overrun: the learned arm blows its solo budget before
 			// surfacing anything and the query re-runs as the full race.
 			if pol.opts.IndexPolicy == psi.IndexAuto {
-				eng = build(func(o *psi.EngineOptions) { o.SoloBudget = time.Nanosecond })
+				eng = build(func(*psi.EngineOptions) {}, time.Nanosecond)
 				if _, err := eng.Query(context.Background(), q, 0); err != nil { // warm-up race trains the class
 					t.Fatal(err)
 				}

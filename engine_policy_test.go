@@ -44,12 +44,8 @@ func autoParityEngines(t *testing.T, ds []*psi.Graph, opts psi.EngineOptions) (a
 // streaming path.
 func TestDatasetEngineAutoMatchesRace(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 4)
-	opts := psi.EngineOptions{
-		Indexes:        []string{"ftv", "grapes", "ggsx"},
-		AutoMinSamples: 2,
-		AutoRaceEvery:  5, // exercise staleness re-races inside the run
-	}
-	auto, race := autoParityEngines(t, ds, opts)
+	auto, race := autoParityEngines(t, ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}})
+	psi.SetAutoPolicy(auto, 0, 2, 5) // exercise staleness re-races inside the run
 	var queries []*psi.Graph
 	for seed := int64(1); seed <= 8; seed++ {
 		queries = append(queries, psi.ExtractQuery(ds[int(seed)%len(ds)], 3+int(seed)%3, seed))
@@ -76,7 +72,7 @@ func TestDatasetEngineAutoMatchesRace(t *testing.T) {
 				t.Fatalf("pass %d q%d: auto result missing policy decision", pass, qi)
 			}
 			var streamed []int
-			if err := auto.AnswerStream(context.Background(), q, func(id int) bool {
+			if _, err := auto.AnswerStream(context.Background(), q, func(id int) bool {
 				streamed = append(streamed, id)
 				return true
 			}); err != nil {
@@ -165,15 +161,12 @@ func TestDatasetEngineAutoPolicySurface(t *testing.T) {
 // (compared as counts — race winners legitimately vary in emission order).
 func TestEngineModeAutoMatchesRace(t *testing.T) {
 	g := psi.GenerateYeastLike(psi.Tiny, 6)
-	auto, err := psi.NewEngine(g, psi.EngineOptions{
-		Mode:           psi.ModeAuto,
-		AutoMinSamples: 2,
-		SoloBudget:     time.Second,
-	})
+	auto, err := psi.NewEngine(g, psi.EngineOptions{Mode: psi.ModeAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer auto.Close()
+	psi.SetAutoPolicy(auto, time.Second, 2, 0)
 	ref := psi.MustNewMatcher(psi.VF2, g)
 	for pass := 0; pass < 4; pass++ {
 		for seed := int64(20); seed < 26; seed++ {
@@ -200,7 +193,7 @@ func TestEngineModeAutoMatchesRace(t *testing.T) {
 	if c.PolicySolo == 0 || c.PredictedSolo == 0 {
 		t.Errorf("ModeAuto never ran a learned solo: %+v", c)
 	}
-	if snap, ok := auto.PolicyStats(); !ok || len(snap.Arms) != len(auto.Attempts()) {
+	if snap, ok := auto.PolicyStats(); !ok || len(snap.Arms) != 4 { // GQL and SPA under Orig and DND
 		t.Errorf("PolicyStats = %+v, %v", snap, ok)
 	}
 }
@@ -210,13 +203,8 @@ func TestEngineModeAutoMatchesRace(t *testing.T) {
 // to a full race (answers intact) AND be recorded against the arm.
 func TestDatasetEngineAutoSoloOverrunIsKillEvidence(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 4)
-	opts := psi.EngineOptions{
-		Indexes:        []string{"grapes", "ggsx"},
-		AutoMinSamples: 1,
-		AutoRaceEvery:  -1,
-		SoloBudget:     time.Nanosecond, // every solo overruns instantly
-	}
-	auto, race := autoParityEngines(t, ds, opts)
+	auto, race := autoParityEngines(t, ds, psi.EngineOptions{Indexes: []string{"grapes", "ggsx"}})
+	psi.SetAutoPolicy(auto, time.Nanosecond, 1, -1) // every solo overruns instantly
 	q := psi.ExtractQuery(ds[0], 3, 31)
 	want, err := race.Query(context.Background(), q, 0)
 	if err != nil {
@@ -251,16 +239,15 @@ func TestDatasetEngineAutoSoloOverrunIsKillEvidence(t *testing.T) {
 func TestDatasetEngineAutoCancelIsNotEvidence(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 4)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes:        []string{"grapes", "ggsx"},
-		IndexPolicy:    psi.IndexAuto,
-		AutoMinSamples: 1,
-		AutoRaceEvery:  -1,
-		Timeout:        time.Minute, // budgeted engine: the kill path exists but must not fire
+		Indexes:     []string{"grapes", "ggsx"},
+		IndexPolicy: psi.IndexAuto,
+		Timeout:     time.Minute, // budgeted engine: the kill path exists but must not fire
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	psi.SetAutoPolicy(eng, 0, 1, -1)
 	q := psi.ExtractQuery(ds[0], 3, 37)
 	// Train until the class plans solo.
 	solo := false
@@ -283,7 +270,7 @@ func TestDatasetEngineAutoCancelIsNotEvidence(t *testing.T) {
 		if _, err := eng.Query(cancelled, q, 0); err == nil {
 			t.Fatal("cancelled query must error")
 		}
-		if err := eng.AnswerStream(cancelled, q, func(int) bool { return true }); err == nil {
+		if _, err := eng.AnswerStream(cancelled, q, func(int) bool { return true }); err == nil {
 			t.Fatal("cancelled stream must error")
 		}
 	}
@@ -357,12 +344,7 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 	if slices.Contains(names, "grapes") && len(names) > 1 && !slices.Equal(names, []string{"ftv", "ggsx"}) {
 		arms = 2
 	}
-	opts := psi.EngineOptions{
-		Rewritings:     []psi.Rewriting{psi.Orig},
-		AutoMinSamples: warmup,
-		AutoRaceEvery:  -1,
-		SoloBudget:     time.Minute,
-	}
+	opts := psi.EngineOptions{Rewritings: []psi.Rewriting{psi.Orig}}
 	nfvOpts := opts
 	nfvOpts.Mode = mode
 	nfvOpts.Algorithms = []psi.Algorithm{psi.VF2, psi.GraphQL}[:arms]
@@ -371,6 +353,7 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 		t.Fatal(err)
 	}
 	defer nfv.Close()
+	psi.SetAutoPolicy(nfv, time.Minute, warmup, -1)
 	ftvOpts := opts
 	ftvOpts.IndexPolicy = ixPolicy
 	ftvOpts.Indexes = names
@@ -381,6 +364,7 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 		t.Fatal(err)
 	}
 	defer dataset.Close()
+	psi.SetAutoPolicy(dataset, time.Minute, warmup, -1)
 	if mutable {
 		extra := psi.MustNewGraph("extra", []psi.Label{0, 1, 2, 0}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 		if _, err := dataset.AddGraph(context.Background(), extra); err != nil {
@@ -421,8 +405,8 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 		if solo || name == "first" {
 			wantArms = 1
 		}
-		if dp.Kind != psi.PlanFTV || dp.IndexPolicy != ixPolicy || len(dp.Indexes) != arms {
-			t.Fatalf("query %d: dataset plan %s, policy %q over %v", i, dp.Kind, dp.IndexPolicy, dp.Indexes)
+		if dp.Kind != psi.PlanFTV || len(dp.Indexes) != arms {
+			t.Fatalf("query %d: dataset plan %s over %v", i, dp.Kind, dp.Indexes)
 		}
 		dr, err := dataset.Execute(context.Background(), dp, 0)
 		if err != nil {
@@ -440,8 +424,8 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 		if arms == 1 {
 			continue // the stored-graph engine races its one matcher
 		}
-		if np.Kind != wantKind || len(np.Attempts) != wantArms || (np.Predicted >= 0) != solo {
-			t.Fatalf("query %d: stored-graph plan %s over %d attempts (predicted %d), want %s over %d", i, np.Kind, len(np.Attempts), np.Predicted, wantKind, wantArms)
+		if np.Kind != wantKind || len(np.Attempts) != wantArms || (solo && np.Attempts[0].Label() != np.Decision.ArmName) {
+			t.Fatalf("query %d: stored-graph plan %s over %d attempts (decision %+v), want %s over %d", i, np.Kind, len(np.Attempts), np.Decision, wantKind, wantArms)
 		}
 		if (np.Decision == nil) != (dp.Decision == nil) {
 			t.Fatalf("query %d: decisions %+v / %+v", i, np.Decision, dp.Decision)

@@ -78,7 +78,7 @@ func TestShardedEngineRaceParity(t *testing.T) {
 			}
 			total += len(res.GraphIDs)
 			var streamed []int
-			if err := sh.AnswerStream(context.Background(), q, func(id int) bool {
+			if _, err := sh.AnswerStream(context.Background(), q, func(id int) bool {
 				streamed = append(streamed, id)
 				return true
 			}); err != nil {

@@ -86,7 +86,7 @@ func TestEngineSnapshotRoundTripStatic(t *testing.T) {
 		// Streamed answers agree too (exercises the restored merge path).
 		for i, q := range queries {
 			var ids []int
-			if err := loaded.AnswerStream(context.Background(), q, func(id int) bool {
+			if _, err := loaded.AnswerStream(context.Background(), q, func(id int) bool {
 				ids = append(ids, id)
 				return true
 			}); err != nil {

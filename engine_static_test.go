@@ -79,8 +79,8 @@ func TestStaticEngineSurface(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.Epoch != 0 || res.Epoch != 0 {
-				t.Errorf("Plan.Epoch = %d, QueryResult.Epoch = %d; want 0, 0", p.Epoch, res.Epoch)
+			if eng.Epoch() != 0 || res.Epoch != 0 {
+				t.Errorf("Engine.Epoch = %d, QueryResult.Epoch = %d; want 0, 0", eng.Epoch(), res.Epoch)
 			}
 			before := snapAnswers(t, eng, queries)
 			ctx := context.Background()

@@ -1,7 +1,7 @@
 package psi_test
 
 // Concurrency audit for the Engine as a shared serving object: many
-// goroutines mixing Plan, Execute, ExecuteStream, stats accessors and the
+// goroutines mixing Plan, Execute, QueryStream, stats accessors and the
 // learned-policy/caching state on one Engine. These tests exist to run under
 // the race detector (scripts/check.sh runs the suite with -race): the
 // serving subsystem in internal/server admits queries concurrently, so any
@@ -23,15 +23,12 @@ import (
 // overlap — and checks every answer matches the sequential baseline.
 func TestEngineConcurrentNFVCallers(t *testing.T) {
 	g, q := engineFixture(t)
-	eng, err := psi.NewEngine(g, psi.EngineOptions{
-		Mode:           psi.ModeAuto,
-		AutoMinSamples: 2,
-		AutoRaceEvery:  5,
-	})
+	eng, err := psi.NewEngine(g, psi.EngineOptions{Mode: psi.ModeAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	psi.SetAutoPolicy(eng, 0, 2, 5)
 	baseline, err := eng.Query(context.Background(), q, 100000)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +75,7 @@ func TestEngineConcurrentNFVCallers(t *testing.T) {
 				default: // stats readers racing the writers
 					_ = eng.Counters()
 					_ = eng.WinCounts()
-					_ = eng.Attempts()
+					_, _ = eng.PolicyStats()
 				}
 			}
 		}(gi)
@@ -144,7 +141,7 @@ func TestEngineConcurrentDatasetCallers(t *testing.T) {
 						}
 					case 1:
 						var ids []int
-						if err := eng.AnswerStream(context.Background(), q, func(id int) bool {
+						if _, err := eng.AnswerStream(context.Background(), q, func(id int) bool {
 							ids = append(ids, id)
 							return true
 						}); err != nil {

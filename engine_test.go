@@ -240,7 +240,7 @@ func TestEnginePlanDoesNotAliasPortfolio(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Attempts[0] = psi.Attempt{} // caller scribbles on the plan
-	if got := eng.Attempts(); got[0].Matcher == nil {
+	if p2, err := eng.Plan(q); err != nil || p2.Attempts[0].Matcher == nil {
 		t.Fatal("mutating a plan's attempts corrupted the engine's portfolio")
 	}
 	if _, err := eng.Query(context.Background(), q, 1); err != nil {
@@ -270,8 +270,8 @@ func TestEnginePlanRejectsForeignAndNil(t *testing.T) {
 	if _, err := e1.Execute(context.Background(), nil, 1); err == nil {
 		t.Error("executing a nil plan must fail")
 	}
-	if _, err := e1.ExecuteStream(context.Background(), p, 1, nil); err == nil {
-		t.Error("ExecuteStream without a sink must fail")
+	if _, err := e1.QueryStream(context.Background(), q, 1, nil); err == nil {
+		t.Error("QueryStream without a sink must fail")
 	}
 }
 
@@ -319,7 +319,7 @@ func TestDatasetEngineAnswerStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var streamed []int
-	if err := eng.AnswerStream(context.Background(), q, func(id int) bool {
+	if _, err := eng.AnswerStream(context.Background(), q, func(id int) bool {
 		streamed = append(streamed, id)
 		return true
 	}); err != nil {
@@ -340,7 +340,7 @@ func TestDatasetEngineAnswerStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nfv.Close()
-	if err := nfv.AnswerStream(context.Background(), q, func(int) bool { return true }); err == nil {
+	if _, err := nfv.AnswerStream(context.Background(), q, func(int) bool { return true }); err == nil {
 		t.Error("AnswerStream on an NFV engine must fail")
 	}
 }
@@ -382,8 +382,8 @@ func TestEngineOwnedPoolAndAccessors(t *testing.T) {
 	if eng.Mode() != psi.ModeRace || eng.Graph() != g || eng.Dataset() != nil {
 		t.Error("accessors disagree with construction")
 	}
-	if got := eng.Attempts(); len(got) != 4 { // 2 algorithms × 2 rewritings
-		t.Errorf("default portfolio has %d attempts, want 4", len(got))
+	if p, err := eng.Plan(q); err != nil || len(p.Attempts) != 4 { // 2 algorithms × 2 rewritings
+		t.Errorf("default portfolio plans %+v, %v; want 4 attempts", p, err)
 	}
 	if _, err := eng.Query(context.Background(), q, 5); err != nil {
 		t.Fatal(err)
@@ -448,8 +448,8 @@ func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Kind != psi.PlanFTV || p.IndexPolicy != psi.IndexRace || !slices.Equal(p.Indexes, []string{"FTV", "Grapes/1"}) {
-			t.Fatalf("q%d: plan = kind %v policy %q indexes %v", qi, p.Kind, p.IndexPolicy, p.Indexes)
+		if p.Kind != psi.PlanFTV || !slices.Equal(p.Indexes, []string{"FTV", "Grapes/1"}) {
+			t.Fatalf("q%d: plan = kind %v indexes %v", qi, p.Kind, p.Indexes)
 		}
 		got, err := race.Execute(context.Background(), p, 0)
 		if err != nil {
@@ -492,7 +492,7 @@ func TestDatasetEngineIndexRaceAnswerStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		var streamed []int
-		if err := eng.AnswerStream(context.Background(), q, func(id int) bool {
+		if _, err := eng.AnswerStream(context.Background(), q, func(id int) bool {
 			streamed = append(streamed, id)
 			return true
 		}); err != nil {

@@ -1,11 +1,13 @@
 package psi
 
-// Execution: every entry point — Query, Execute, ExecuteStream, AnswerStream,
-// AnswerStreamResult — is a thin collector over two bodies, execute (NFV
-// races) and answer (the dataset pipeline). Each supplies how its arms are
-// raced; launch, the one carrier of a plan, decides which are and what the
-// bandit learns, with the solo→escalate step (soloFirst) inside it and the
-// budget/kill wrapper (runBudgeted) and the counter tally around it.
+// Execution: the entry points — Query, QueryStream, Execute, AnswerStream —
+// are a few lines each over one body, run, for both engine kinds. run checks
+// the plan, counts the query, pins a dataset's snapshot, sets up where the
+// answer goes and launches the plan's arms under the budget (runBudgeted);
+// launch, the one carrier of a plan, decides which arms start and what the
+// bandit learns, with the solo→escalate step (soloFirst) inside it. Only the
+// race differs by kind: raceAttempts races a stored graph's attempts,
+// raceVerifiers a dataset snapshot's verifiers on every candidate.
 
 import (
 	"context"
@@ -14,20 +16,22 @@ import (
 
 	"github.com/psi-graph/psi/internal/core"
 	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/live"
 	"github.com/psi-graph/psi/internal/metrics"
 	"github.com/psi-graph/psi/internal/predict"
 )
 
 // QueryResult is the outcome of one executed plan.
 type QueryResult struct {
-	// Embeddings holds the matched embeddings (NFV, non-streaming
-	// execution only; streaming sends them to the sink instead).
+	// Embeddings holds the matched embeddings (NFV, collecting execution
+	// only; QueryStream sends them to the sink instead).
 	Embeddings []Embedding
 	// Found is the number of answers surfaced, whether collected here or
 	// streamed: embeddings for NFV plans, containing graph IDs for FTV
 	// plans.
 	Found int
-	// GraphIDs are the containing dataset graphs (FTV plans), ascending.
+	// GraphIDs are the containing dataset graphs (FTV plans, collecting
+	// execution only; AnswerStream sends them to emit instead), ascending.
 	GraphIDs []int
 	// Winner labels the attempt that produced the answer, e.g. "GQL-DND",
 	// or for FTV plans the verifier that decided most candidates, e.g.
@@ -49,9 +53,10 @@ type QueryResult struct {
 	// deadline, Killed marks queries that hit it (Elapsed is then clamped
 	// to the cap, the substitution the paper's methodology prescribes)
 	// and Class buckets the timing against the paper's easy/mid/hard
-	// thresholds. A killed collecting run surfaces an empty answer; a
-	// killed streaming run keeps Found at the number of embeddings that
-	// reached the sink before the kill.
+	// thresholds. A kill is never an error: a killed collecting run
+	// surfaces an empty answer, and a killed streaming run keeps Found at
+	// the number of embeddings or graph IDs that reached the caller before
+	// the kill.
 	Elapsed time.Duration
 	Killed  bool
 	Class   metrics.Class
@@ -78,13 +83,23 @@ func (e *Engine) Query(ctx context.Context, q *Graph, limit int) (*QueryResult, 
 	return e.Execute(ctx, p, limit)
 }
 
-// QueryStream plans and executes q, streaming embeddings into sink.
+// QueryStream plans and executes q on a stored-graph engine, emitting
+// embeddings into sink as they are found; the first attempt to emit is
+// adopted and the rest are cancelled, so first-result latency does not wait
+// for full enumeration. The result's Found counts the embeddings handed to
+// the sink. Dataset engines stream graph IDs through AnswerStream instead.
 func (e *Engine) QueryStream(ctx context.Context, q *Graph, limit int, sink Sink) (*QueryResult, error) {
+	if sink == nil {
+		return nil, errors.New("psi: QueryStream requires a sink")
+	}
+	if e.g == nil {
+		return nil, errors.New("psi: a dataset engine streams graph IDs through AnswerStream, not embeddings")
+	}
 	p, err := e.Plan(q)
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecuteStream(ctx, p, limit, sink)
+	return e.run(ctx, p, limit, sink, nil)
 }
 
 // Execute runs a plan and collects its answer. Up to limit embeddings are
@@ -93,42 +108,109 @@ func (e *Engine) QueryStream(ctx context.Context, q *Graph, limit int, sink Sink
 // a deadline, a query that hits it is not an error: the result comes back
 // with Killed set, Class Hard and an empty answer.
 func (e *Engine) Execute(ctx context.Context, p *Plan, limit int) (*QueryResult, error) {
-	return e.execute(ctx, p, limit, nil)
+	return e.run(ctx, p, limit, nil, nil)
 }
 
-// ExecuteStream runs a plan, emitting embeddings into sink as they are
-// found; the first attempt to emit is adopted and the rest are cancelled,
-// so first-result latency does not wait for full enumeration. The result's
-// Found counts the embeddings handed to the sink. Dataset (FTV) plans
-// stream graph IDs through Engine.AnswerStream instead.
-func (e *Engine) ExecuteStream(ctx context.Context, p *Plan, limit int, sink Sink) (*QueryResult, error) {
-	if sink == nil {
-		return nil, errors.New("psi: ExecuteStream requires a sink")
+// AnswerStream streams a dataset engine's containment answer: each
+// containing graph ID is handed to emit as soon as its verification — and
+// that of every candidate before it — settles, in the same ascending order
+// Query returns. emit returning false cancels the outstanding work. emit
+// runs on verification goroutines, one call at a time; the ordered stream
+// waits for it, so it must not block on work that only proceeds after
+// AnswerStream returns. The result is the execution report a serving layer
+// needs alongside the stream: the winning verifier, the measured time and —
+// when the engine has a per-query deadline — the kill marker, with Found
+// keeping the count of graph IDs that reached emit before the kill. Its
+// GraphIDs stays nil; the IDs go to emit.
+func (e *Engine) AnswerStream(ctx context.Context, q *Graph, emit func(graphID int) bool) (*QueryResult, error) {
+	if e.g != nil {
+		return nil, errors.New("psi: AnswerStream requires a dataset engine")
 	}
-	return e.execute(ctx, p, limit, sink)
+	if emit == nil {
+		return nil, errors.New("psi: AnswerStream requires an emit function")
+	}
+	p, err := e.Plan(q)
+	if err != nil {
+		return nil, err
+	}
+	return e.run(ctx, p, 0, nil, emit)
 }
 
-func (e *Engine) execute(ctx context.Context, p *Plan, limit int, sink Sink) (*QueryResult, error) {
+// run is the one execution body behind every entry point, for both engine
+// kinds. The answer streams into sink (a stored graph's embeddings) or emit
+// (a dataset's ascending graph IDs) as it is found; with neither it is
+// collected on the result, a buffer nobody has seen yet, so an overrun solo
+// can start over and a kill surfaces an empty answer. A streaming run is
+// committed by its first emission, and a kill keeps Found at what already
+// reached the caller.
+func (e *Engine) run(ctx context.Context, p *Plan, limit int, sink Sink, emit func(graphID int) bool) (*QueryResult, error) {
 	if p == nil || p.engine != e {
 		return nil, errors.New("psi: Execute requires a plan from this engine's Plan")
 	}
-	if p.Kind == PlanFTV {
-		if sink != nil {
-			return nil, errors.New("psi: FTV plans stream graph IDs via AnswerStream, not embeddings")
+	// A dataset query pins the store's current snapshot for the whole
+	// execution: a concurrent mutation installs its successor without
+	// disturbing this query, and the result records which epoch answered.
+	var snap *live.Snapshot
+	if e.g == nil {
+		if snap = e.pin(); snap == nil {
+			return nil, errors.New("psi: engine closed")
 		}
-		return e.answer(ctx, p, nil)
 	}
 	e.counters.Queries.Add(1)
 	res := &QueryResult{Kind: p.Kind, Policy: p.Decision}
-	if sink != nil {
+	if e.mutable {
+		res.Epoch = snap.Epoch()
+	}
+	switch {
+	case sink != nil:
 		e.counters.Streamed.Add(1)
 		inner := sink
 		sink = SinkFunc(func(em Embedding) bool {
 			res.streamed++
 			return inner.Emit(em)
 		})
+	case emit != nil:
+		e.counters.Streamed.Add(1)
+		inner := emit
+		emit = func(id int) bool {
+			res.Found++
+			res.streamed++
+			e.tallyShardID(id)
+			return inner(id)
+		}
+	case snap != nil:
+		emit = func(id int) bool {
+			res.Found++
+			res.GraphIDs = append(res.GraphIDs, id)
+			return true
+		}
 	}
-	race := func(ctx context.Context, arms []int) (int, time.Duration, error) {
+	var race raceFunc
+	if snap != nil {
+		race = e.raceVerifiers(p.Query, snap, res, emit)
+	} else {
+		race = e.raceAttempts(p.Query, limit, res, sink)
+	}
+	err := e.runBudgeted(ctx, res, func(ctx context.Context) error {
+		return e.launch(ctx, p, res, race)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if res.Killed {
+		res.Embeddings, res.GraphIDs, res.Found = nil, nil, res.streamed
+	}
+	for _, id := range res.GraphIDs {
+		e.tallyShardID(id) // a streamed ID was tallied as it reached emit
+	}
+	return res, nil
+}
+
+// raceAttempts races a stored-graph query's arms, attempts of the portfolio,
+// through the Racer: into sink when there is one, else collecting the
+// embeddings on res.
+func (e *Engine) raceAttempts(q *Graph, limit int, res *QueryResult, sink Sink) raceFunc {
+	return func(ctx context.Context, arms []int) (int, time.Duration, error) {
 		attempts := e.attemptsOf(arms)
 		e.counters.RaceAttempts.Add(int64(len(attempts)))
 		var (
@@ -136,9 +218,9 @@ func (e *Engine) execute(ctx context.Context, p *Plan, limit int, sink Sink) (*Q
 			err error
 		)
 		if sink != nil {
-			r, err = e.racer.RaceStream(ctx, p.Query, limit, attempts, sink)
+			r, err = e.racer.RaceStream(ctx, q, limit, attempts, sink)
 		} else {
-			r, err = e.racer.Race(ctx, p.Query, limit, attempts)
+			r, err = e.racer.Race(ctx, q, limit, attempts)
 		}
 		if err != nil {
 			return 0, 0, err
@@ -150,16 +232,44 @@ func (e *Engine) execute(ctx context.Context, p *Plan, limit int, sink Sink) (*Q
 		}
 		return winner, r.Elapsed, nil
 	}
-	err := e.runBudgeted(ctx, res, func(runCtx context.Context) error {
-		return e.launch(runCtx, p, res, race)
-	})
-	if err != nil {
-		return nil, err
+}
+
+// raceVerifiers races a dataset query's arms, verifiers of the pinned
+// snapshot's table, on every candidate through core.StreamFTV, handing the
+// ascending graph IDs to emit as they settle. The query's winner is the
+// verifier that decided most candidates, the earliest on a tie.
+func (e *Engine) raceVerifiers(q *Graph, snap *live.Snapshot, res *QueryResult, emit func(graphID int) bool) raceFunc {
+	return func(ctx context.Context, arms []int) (int, time.Duration, error) {
+		if arms == nil {
+			arms = make([]int, len(e.verifiers))
+			for i := range arms {
+				arms[i] = i
+			}
+		}
+		// Counted when it starts, as RaceAttempts is: a pipeline that is
+		// killed, fails or is abandoned for a fallback still ran.
+		e.counters.IndexAttempts.Add(1)
+		if len(arms) > 1 {
+			e.counters.IndexRaces.Add(1)
+		}
+		xs := make([]index.Index, len(arms))
+		for i, a := range arms {
+			xs[i] = snap.Table().Using(e.verifiers[a])
+		}
+		start := time.Now()
+		wins, err := core.StreamFTV(ctx, e.pool, xs, snap.Frequencies(), e.rewritings, q, emit)
+		if err != nil {
+			return 0, 0, err
+		}
+		won := 0
+		for i, n := range wins {
+			if n > wins[won] {
+				won = i
+			}
+		}
+		res.Winner = e.verifiers[arms[won]].Name()
+		return arms[won], time.Since(start), nil
 	}
-	if res.Killed {
-		res.Embeddings, res.Found = nil, res.streamed
-	}
-	return res, nil
 }
 
 // runBudgeted is the one budget/kill wrapper: it runs a query body under the
@@ -265,8 +375,8 @@ func (e *Engine) launch(ctx context.Context, p *Plan, res *QueryResult, race rac
 }
 
 // soloFirst is the one solo→escalate step: start the arm d trusts alone
-// under the solo budget and, when it overruns before committing output, fall
-// back to the full race. The bandit learns from either outcome. An overrun
+// under the solo budget and, when it overruns before committing output, drop
+// what it buffered and fall back to the full race. The bandit learns from either outcome. An overrun
 // solo that already handed output to the caller is committed — a fallback
 // would replay the stream from the start — so the overrun surfaces as the
 // solo deadline error, a kill on a budgeted engine.
@@ -290,140 +400,7 @@ func (e *Engine) soloFirst(ctx context.Context, res *QueryResult, d *PolicyDecis
 		return err
 	}
 	res.FellBack = true
+	res.Embeddings, res.GraphIDs, res.Found = nil, nil, 0 // whatever a collecting solo had buffered
 	_, err = start(ctx, nil)
 	return err
-}
-
-// answer is the one dataset-query execution, behind every FTV entry point:
-// pin the store's current snapshot and launch the plan's arms — verifiers of
-// its table — through core.StreamFTV, under the budget. emit receives the
-// ascending graph IDs as they settle; nil collects them into the result's
-// GraphIDs instead. A collected answer is a buffer nobody has seen yet, so an
-// overrun solo can always start over and a kill surfaces an empty answer,
-// while a streaming run is committed by its first emission and a kill keeps
-// Found at the number of IDs that reached emit.
-func (e *Engine) answer(ctx context.Context, p *Plan, emit func(graphID int) bool) (*QueryResult, error) {
-	// Pin the current snapshot for the whole execution: a concurrent
-	// mutation installs its successor without disturbing this query, and
-	// the result records which epoch answered.
-	snap := e.pin()
-	if snap == nil {
-		return nil, errors.New("psi: engine closed")
-	}
-	e.counters.Queries.Add(1)
-	res := &QueryResult{Kind: PlanFTV, Policy: p.Decision}
-	if e.mutable {
-		res.Epoch = snap.Epoch()
-	}
-	collecting := emit == nil
-	if collecting {
-		emit = func(id int) bool {
-			res.GraphIDs = append(res.GraphIDs, id)
-			return true
-		}
-	} else {
-		e.counters.Streamed.Add(1)
-	}
-	race := func(ctx context.Context, arms []int) (int, time.Duration, error) {
-		if res.FellBack {
-			res.GraphIDs, res.Found = nil, 0 // whatever a collecting solo had buffered
-		}
-		if arms == nil {
-			arms = make([]int, len(e.verifiers))
-			for i := range arms {
-				arms[i] = i
-			}
-		}
-		// Counted when it starts, as RaceAttempts is: a pipeline that is
-		// killed, fails or is abandoned for a fallback still ran.
-		e.counters.IndexAttempts.Add(1)
-		if len(arms) > 1 {
-			e.counters.IndexRaces.Add(1)
-		}
-		xs := make([]index.Index, len(arms))
-		for i, a := range arms {
-			xs[i] = snap.Table().Using(e.verifiers[a])
-		}
-		start := time.Now()
-		wins, err := core.StreamFTV(ctx, e.pool, xs, snap.Frequencies(), e.rewritings, p.Query, func(id int) bool {
-			res.Found++
-			if !collecting {
-				res.streamed++
-				e.tallyShardID(id)
-			}
-			return emit(id)
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		// The verifier that decided most candidates, the earliest on a tie.
-		won := 0
-		for i, n := range wins {
-			if n > wins[won] {
-				won = i
-			}
-		}
-		res.Winner = e.verifiers[arms[won]].Name()
-		return arms[won], time.Since(start), nil
-	}
-	err := e.runBudgeted(ctx, res, func(ctx context.Context) error {
-		return e.launch(ctx, p, res, race)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if collecting {
-		if res.Killed {
-			res.GraphIDs, res.Found = nil, 0
-		}
-		for _, id := range res.GraphIDs {
-			e.tallyShardID(id)
-		}
-	}
-	return res, nil
-}
-
-// ErrKilled reports a streamed query that hit the engine's per-query kill
-// cap after part of its answer had already been emitted. Result-bearing
-// paths report the kill through QueryResult.Killed instead.
-var ErrKilled = errors.New("psi: query killed by the per-query budget")
-
-// AnswerStream streams a dataset engine's containment answer: each
-// containing graph ID is handed to emit as soon as its verification — and
-// that of every candidate before it — settles, in the same ascending order
-// Query returns. emit returning false cancels the outstanding work. emit
-// runs on verification goroutines, one call at a time; the ordered stream
-// waits for it, so it must not block on work that only proceeds after
-// AnswerStream returns. On an engine with a per-query budget, a query that hits the cap
-// returns ErrKilled: this signature has no result to carry the kill marker,
-// and a truncated ID stream must not read as a complete answer. Use
-// AnswerStreamResult to observe kills as data.
-func (e *Engine) AnswerStream(ctx context.Context, q *Graph, emit func(graphID int) bool) error {
-	res, err := e.AnswerStreamResult(ctx, q, emit)
-	if err != nil {
-		return err
-	}
-	if res.Killed {
-		return ErrKilled
-	}
-	return nil
-}
-
-// AnswerStreamResult is AnswerStream with the execution report a serving
-// layer needs alongside the stream: the winning verifier, the measured time
-// and — when the engine has a per-query deadline — the kill marker, with
-// Found keeping the count of graph IDs that irrevocably reached emit before
-// the kill. The result's GraphIDs stays nil; the IDs go to emit.
-func (e *Engine) AnswerStreamResult(ctx context.Context, q *Graph, emit func(graphID int) bool) (*QueryResult, error) {
-	if e.g != nil {
-		return nil, errors.New("psi: AnswerStream requires a dataset engine")
-	}
-	if emit == nil {
-		return nil, errors.New("psi: AnswerStream requires an emit function")
-	}
-	p, err := e.Plan(q)
-	if err != nil {
-		return nil, err
-	}
-	return e.answer(ctx, p, emit)
 }

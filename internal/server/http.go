@@ -380,7 +380,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, eng *ps
 	)
 	if eng.Dataset() != nil {
 		a := &cachedAnswer{ftv: true}
-		res, err = eng.AnswerStreamResult(ctx, q, func(id int) bool {
+		res, err = eng.AnswerStream(ctx, q, func(id int) bool {
 			a.graphIDs = append(a.graphIDs, id)
 			return lw.writeLine(graphIDLine{GraphID: id})
 		})

@@ -500,12 +500,13 @@ func TestStatsAndMetrics(t *testing.T) {
 	}
 
 	// The learned policy. The result cache is off so every repeat reaches the
-	// engine: one race per query class trains the bandit, the rest run solo.
+	// engine: the first three passes race and train the bandit (its default
+	// warm-up of three samples per query class), the fourth runs solo.
 	ds := psi.GeneratePPI(psi.Tiny, 1)
 	kinds := []string{"ftv", "grapes", "ggsx"}
 	urls := map[string]string{}
 	for _, policy := range []string{psi.IndexAuto, psi.IndexRace} {
-		peng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds, IndexPolicy: policy, AutoMinSamples: 1})
+		peng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds, IndexPolicy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +515,7 @@ func TestStatsAndMetrics(t *testing.T) {
 		defer pts.Close()
 		urls[policy] = pts.URL
 	}
-	for pass := 0; pass < 3; pass++ {
+	for pass := 0; pass < 4; pass++ {
 		for seed := int64(1); seed <= 4; seed++ {
 			body := graphText(t, psi.ExtractQuery(ds[int(seed)%len(ds)], 3+int(seed)%3, seed))
 			_, auto := postQuery(t, urls[psi.IndexAuto]+"/query?stream=1", body)

@@ -1,7 +1,8 @@
 package psi
 
 // Engine configuration: the planning modes, EngineOptions, the index
-// policies, and the parsers that turn command-line flag values into them.
+// policies, the auto policy's fixed knobs, the one index-name check, and the
+// parsers that turn command-line flag values into them.
 
 import (
 	"fmt"
@@ -58,19 +59,6 @@ type EngineOptions struct {
 	// Engine; 0 shares the process-wide CPU-sized pool.
 	Workers int
 
-	// SoloBudget caps an auto-policy arm's solo run before it falls back to
-	// a full race; 0 means 50ms.
-	SoloBudget time.Duration
-
-	// AutoMinSamples is how many successful observations a query class
-	// needs before the auto policy (ModeAuto / IndexAuto) may run it solo;
-	// 0 means 3.
-	AutoMinSamples int
-	// AutoRaceEvery forces every Nth auto-policy decision of a class to a
-	// full re-race so the learned statistics cannot go stale; 0 means 16,
-	// negative disables staleness races.
-	AutoRaceEvery int
-
 	// Indexes names the index methods a dataset engine serves ("ftv", the
 	// flat path index; "grapes"; "ggsx"). The engine builds one table per
 	// shard whatever the names — with location sets when "grapes" is listed
@@ -124,7 +112,8 @@ type EngineOptions struct {
 	Snapshot string
 }
 
-// Index policies for EngineOptions.IndexPolicy and Plan.IndexPolicy.
+// Index policies for EngineOptions.IndexPolicy, as Engine.IndexPolicy
+// reports them.
 const (
 	// IndexRace races every verifier on every candidate; the first to
 	// decide a candidate wins it and the rest are cancelled.
@@ -135,6 +124,19 @@ const (
 	// racing them all only when uncertain. Answers are identical to
 	// IndexRace in every case: every verifier is exact.
 	IndexAuto = "auto"
+)
+
+// The auto policy's fixed knobs (ModeAuto / IndexAuto).
+const (
+	// soloBudget caps a learned arm's solo run before it falls back to a
+	// full race.
+	soloBudget = 50 * time.Millisecond
+	// autoMinSamples is how many successful observations a query class
+	// needs before it may run solo.
+	autoMinSamples = 3
+	// autoRaceEvery sends every autoRaceEvery-th decision of a class to a
+	// full race, so the learned statistics cannot go stale.
+	autoRaceEvery = 16
 )
 
 // ParseIndexSpec converts an -index flag value into a list of index names:
@@ -150,28 +152,35 @@ func ParseIndexSpec(s string) ([]string, error) {
 		return index.Kinds(), nil
 	}
 	var kinds []string
-	seen := map[string]bool{}
 	for _, k := range strings.Split(s, ",") {
-		k = strings.TrimSpace(k)
-		if k == "" {
-			continue
+		if k = strings.TrimSpace(k); k != "" {
+			kinds = append(kinds, k)
 		}
-		if seen[k] {
-			return nil, fmt.Errorf("psi: duplicate index kind %q in spec %q", k, s)
-		}
-		seen[k] = true
-		kinds = append(kinds, k)
 	}
 	if len(kinds) == 0 {
 		return nil, fmt.Errorf("psi: empty index spec %q", s)
 	}
-	registered := index.Kinds()
-	for _, k := range kinds {
-		if !slices.Contains(registered, k) {
-			return nil, fmt.Errorf("psi: unknown index kind %q (registered: %v)", k, registered)
-		}
+	if err := checkIndexNames(kinds); err != nil {
+		return nil, err
 	}
 	return kinds, nil
+}
+
+// checkIndexNames is the one check of a list of index names, for the -index
+// flag and EngineOptions.Indexes alike: every name registered, none listed
+// twice. A duplicate is rejected rather than dropped, as a caller's slip;
+// "ftv" and "ggsx", two names for one verifier, may both be listed.
+func checkIndexNames(kinds []string) error {
+	registered := index.Kinds()
+	for i, k := range kinds {
+		if slices.Contains(kinds[:i], k) {
+			return fmt.Errorf("psi: duplicate index kind %q in %v", k, kinds)
+		}
+		if !slices.Contains(registered, k) {
+			return fmt.Errorf("psi: unknown index kind %q (registered: %v)", k, registered)
+		}
+	}
+	return nil
 }
 
 // ParseAlgorithms converts an -algos flag value — comma-separated algorithm

@@ -3,11 +3,13 @@ package psi
 // Planning: Plan is the one place the engine's launch policy — race, first
 // or auto, whichever of Mode and IndexPolicy the engine kind reads — and the
 // auto policy's bandit are turned into the arms a query starts, for stored-
-// graph and dataset engines alike. Execution (launch) lives in execute.go.
+// graph and dataset engines alike. A plan carries what execution or a caller
+// reads of that: the query, its kind, the arms (named by Attempts or
+// Indexes) and the auto policy's decision. Execution (run, launch) lives in
+// execute.go.
 
 import (
 	"errors"
-	"time"
 
 	"github.com/psi-graph/psi/internal/predict"
 )
@@ -104,25 +106,13 @@ type Plan struct {
 	Kind PlanKind
 	// Attempts are the contenders Execute will run (NFV plans).
 	Attempts []Attempt
-	// Predicted is the portfolio index of the auto policy's pick for
-	// PlanPredicted plans, -1 otherwise.
-	Predicted int
-	// IndexPolicy records how a PlanFTV plan runs the engine's verifiers —
-	// IndexRace, IndexFixed or IndexAuto; empty for NFV plans.
-	IndexPolicy string
 	// Indexes names the engine's verifiers, in the order of the names that
 	// selected them (PlanFTV plans only).
 	Indexes []string
-	// Deadline is the per-query cap Execute will enforce (0: none).
-	Deadline time.Duration
 	// Decision is the auto policy's solo-vs-race verdict for this query
-	// (ModeAuto / IndexAuto engines only, nil otherwise).
+	// (ModeAuto / IndexAuto engines only, nil otherwise); its Arm is the
+	// solo pick of a PlanPredicted plan.
 	Decision *PolicyDecision
-	// Epoch is the dataset epoch current at planning time (mutable dataset
-	// engines only, 0 otherwise). Execution always runs against the epoch
-	// current when Execute starts — QueryResult.Epoch reports which — so a
-	// mutation between Plan and Execute shows up as a differing pair.
-	Epoch uint64
 
 	engine *Engine
 	// arms are the portfolio positions launch starts first: nil for every
@@ -139,7 +129,7 @@ func (e *Engine) Plan(q *Graph) (*Plan, error) {
 	if q == nil {
 		return nil, errors.New("psi: Plan requires a query graph")
 	}
-	p := &Plan{Query: q, Kind: PlanRace, Predicted: -1, Deadline: e.budget.Cap, engine: e}
+	p := &Plan{Query: q, Kind: PlanRace, engine: e}
 	switch e.policy {
 	case launchFirst:
 		p.Kind, p.arms = PlanFixed, []int{0}
@@ -151,13 +141,8 @@ func (e *Engine) Plan(q *Graph) (*Plan, error) {
 	}
 	if e.g == nil {
 		p.Kind = PlanFTV
-		p.IndexPolicy = e.IndexPolicy()
-		p.Epoch = e.Epoch()
-		p.Indexes = e.verifierNames()
+		p.Indexes = e.armNames()
 		return p, nil
-	}
-	if p.Kind == PlanPredicted {
-		p.Predicted = p.Decision.Arm
 	}
 	// The plan is a public value: never alias the engine's portfolio,
 	// which a caller could then mutate under every future query.

@@ -124,7 +124,7 @@ func TestFTVPipelineAPI(t *testing.T) {
 	}
 	defer eng.Close()
 	var ids2 []int
-	if err := eng.AnswerStream(context.Background(), q, func(id int) bool {
+	if _, err := eng.AnswerStream(context.Background(), q, func(id int) bool {
 		ids2 = append(ids2, id)
 		return true
 	}); err != nil {

@@ -7,8 +7,8 @@
 # benchmark smoke run so benchmark-only regressions (compile errors, panics)
 # surface here rather than at measurement time, the nested bench/
 # module's own vet and tests and its oracle-checked smoke over all four
-# workloads, the coverage floor, and the psiserve binary driven end to end
-# (serve, snapshot, churn). It gates behaviour, not speed: the former floors
+# workloads, the coverage floor, the psiserve binary driven end to end
+# (serve, snapshot, churn) and psiquery's -mode over a dataset. It gates behaviour, not speed: the former floors
 # on snapshot load vs build and on mutation vs rebuild were ratios of two
 # wall-clock timings over 24-40 graphs and are dropped; bench/ reports both
 # sides of each on every run. Run
@@ -262,6 +262,24 @@ grep -q "snapshot saved" "$tmpdir/serve.log" && [ -s "$tmpdir/cs.psisnap" ] || {
     exit 1
 }
 
+echo "== psiquery smoke (-mode on a dataset) =="
+# psiquery over the serve smoke's dataset and query, the CLI's only run here:
+# a dataset engine reads its launch policy from the index policy, so -mode
+# single must reach it and leave the first -index name's verifier answering
+# every query alone, with the graph IDs -mode race finds.
+go build -o "$tmpdir/psiquery" ./cmd/psiquery
+ids() { sed -n 's/.*"graph_ids":\[\([^]]*\)\].*/\1/p'; }
+single=$("$tmpdir/psiquery" -data "$tmpdir/ds.txt" -queries "$tmpdir/q.txt" -index ftv,grapes -mode single -json)
+raced=$("$tmpdir/psiquery" -data "$tmpdir/ds.txt" -queries "$tmpdir/q.txt" -index ftv,grapes -mode race -json)
+if [ -z "$single" ] || echo "$single" | grep -qv '"winner":"FTV"'; then
+    echo "psiquery smoke: -mode single did not leave the FTV verifier answering alone: $single" >&2
+    exit 1
+fi
+[ "$(echo "$single" | ids)" = "$(echo "$raced" | ids)" ] || {
+    echo "psiquery smoke: -mode single answered $single, -mode race $raced" >&2
+    exit 1
+}
+
 echo "== snapshot smoke (corrupt, cold start) =="
 # On the snapshot the serve smoke's server saved after its fresh build, the
 # way an operator makes one. First the fail-closed guarantee: flip one byte in
@@ -358,7 +376,6 @@ curl -sf "http://127.0.0.1:$mport/healthz" | grep -q '"status":"ok"' || {
     cat "$tmpdir/mserve.log" >&2
     exit 1
 }
-ids() { sed -n 's/.*"graph_ids":\[\([^]]*\)\].*/\1/p'; }
 base_ids=$(curl -sf -X POST --data-binary @"$tmpdir/q.txt" \
     "http://127.0.0.1:$mport/query?cache=0" | ids)
 ingest=$(curl -sf -X POST --data-binary @"$tmpdir/q.txt" "http://127.0.0.1:$mport/graphs")
