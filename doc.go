@@ -50,7 +50,7 @@
 //	launch           Engine.launch             the arms; solo → escalate; bandit learns
 //	filter           FilterIndex.FilterStream  one scan of the one table, ascending
 //	ordered verify   index.StreamVerified      pool fan-out, in-order flush
-//	candidate race   core.raceInstances        arms × prepared rewritings, first wins
+//	candidate race   core.RaceInstances        arms × prepared rewritings, first wins
 //	emit / collect   Engine.run                caller's emit, or QueryResult.GraphIDs
 //
 // Engine.run pins the store's current snapshot, and the dataset race
@@ -237,14 +237,18 @@
 // restricted to each component big enough for the query (a query with a
 // vertex on no path is bounded by no location and is verified against the
 // whole graph): no subgraph, map or builder per candidate. IndexStats reports
-// the bytes the sets hold and how many took each form. The contract is the narrow
-// filter-then-verify core — Name/Dataset/Filter/Verify — plus FilterStream,
-// which emits surviving candidates incrementally in ascending order, and
-// Stats, which reports build provenance. Construct one name's index through
-// BuildIndex("ftv"|"grapes"|"ggsx"), or let a dataset Engine build its table
-// for the names it serves (EngineOptions.Indexes).
+// the bytes the sets hold and how many took each form. The index is one type
+// at every shard count, index.Sharded: the tables of its shards viewed
+// through one verifier, whose name it reports; a table filters and verifies
+// only through it. Its contract, FilterIndex, is the narrow filter-then-verify
+// core — Name/Dataset/Filter/Verify — plus FilterStream, which emits
+// surviving candidates incrementally in ascending order, and Stats, which
+// reports build provenance. Construct one name's index through
+// BuildIndex("ftv"|"grapes"|"ggsx") or, over K shards, NewShardedIndex —
+// both one index.Build — or let a dataset Engine build its tables for the
+// names it serves (EngineOptions.Indexes).
 //
-// Index build pipeline: every build — one index, a sharded one, a dataset
+// Index build pipeline: every build — an index at any shard count, a dataset
 // Engine's tables, a shard rebuilt on compaction — is extract once → fold
 // per shard → flat postings. Each dataset graph's path features are
 // extracted exactly once per build, fanned out across the execution pool,
@@ -376,10 +380,10 @@
 // one table over the whole dataset, EngineOptions.Shards = K partitions the
 // dataset round-robin over graph IDs (global ID g lives in shard g mod K, at
 // position g div K within it — stable, deterministic, balanced to within one
-// graph) and builds K per-shard tables behind the index.Sharded wrapper.
-// Every dataset engine serves from the same internal/live store, which holds
-// exactly those — a monolithic engine is the store at K = 1, where Sharded
-// is its one table under another type. A static engine's K is clamped to its
+// graph) and builds K per-shard tables behind one index.Sharded. Every
+// dataset engine serves from the same internal/live store, which holds
+// exactly those — a monolithic engine is the store at K = 1, one shard's
+// table under the same type. A static engine's K is clamped to its
 // dataset, which it can never outgrow (Shards: 64 over 4 graphs serves 4
 // shards); a mutable engine's is not.
 //

@@ -62,7 +62,7 @@ func (v *countingVerifier) settled(t *testing.T, n int) map[int]int {
 func TestOneScanPerQuery(t *testing.T) {
 	ds := gen.Synthetic(gen.SyntheticConfig{NumGraphs: 12, AvgNodes: 24, NodeSpread: 6, Density: 0.15, Labels: 3}, 7)
 	q := ExtractQuery(ds[3], 4, 11)
-	oracle, err := index.Build(context.Background(), index.KindPath, ds, index.Options{})
+	oracle, err := index.Build(context.Background(), index.KindPath, ds, 1, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	psi "github.com/psi-graph/psi"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
-	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/workload"
 )
@@ -168,11 +167,11 @@ func BenchmarkBuildPortfolio(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s/K=%d", shape.name, strings.Join(pf.kinds, "+"), pf.shards), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					tables, err := index.BuildTables(context.Background(), index.TableKind(pf.kinds), ds, pf.shards, index.Options{})
+					x, err := index.Build(context.Background(), index.TableKind(pf.kinds), ds, pf.shards, index.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}
-					st := index.NewShardedFrom(ds, nil, tables).Stats() // the shards' totals
+					st := x.Stats() // the shards' totals
 					b.ReportMetric(float64(st.PostingBytes)/float64(st.Postings), "bytes/posting")
 					if st.LocationBytes > 0 {
 						b.ReportMetric(float64(st.LocationBytes)/(1<<20), "loc-MB")
@@ -194,7 +193,10 @@ func BenchmarkBuildPortfolio(b *testing.B) {
 func BenchmarkGrapesVerify(b *testing.B) {
 	for _, shape := range []int{0, 2} {
 		ds := gen.Synthetic(buildBenchShapes[shape].cfg, 20170321)
-		x := grapes.Build(ds, grapes.Options{})
+		x, err := index.Build(context.Background(), index.KindGrapes, ds, 1, index.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		type pair struct {
 			q  *psi.Graph
 			id int
@@ -243,7 +245,7 @@ func BenchmarkShardedFilterStream(b *testing.B) {
 		ds := gen.Synthetic(shape.cfg, 20170321)
 		queries := workload.Generate(ds, []int{4, 8, 12, 16}, 16, 1)
 		for _, k := range []int{1, 2, 4} {
-			x, err := index.BuildSharded(context.Background(), index.KindPath, ds, k, index.Options{})
+			x, err := index.Build(context.Background(), index.KindPath, ds, k, index.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

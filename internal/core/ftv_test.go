@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
-	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/rewrite"
@@ -25,35 +23,35 @@ func buildDataset(r *rand.Rand, numGraphs, n, labels int) []*graph.Graph {
 	return ds
 }
 
-func TestFTVRacerName(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	ds := buildDataset(r, 2, 10, 2)
-	x := grapes.Build(ds, grapes.Options{})
-	f := NewFTVRacer(x, []rewrite.Kind{rewrite.ILF, rewrite.ILFIND})
-	want := "Ψ(Grapes/1: ILF/ILF+IND)"
-	if f.Name() != want {
-		t.Errorf("Name = %q, want %q", f.Name(), want)
+// buildIndex builds the one-shard index of kind over ds.
+func buildIndex(t testing.TB, kind string, ds []*graph.Graph, opts index.Options) *index.Sharded {
+	t.Helper()
+	x, err := index.Build(context.Background(), kind, ds, 1, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return x
 }
 
+// TestFTVRacerNeedsRewritings: the per-candidate race refuses an empty
+// rewriting list, and an empty verifier list.
 func TestFTVRacerNeedsRewritings(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	ds := buildDataset(r, 1, 8, 2)
-	f := NewFTVRacer(grapes.Build(ds, grapes.Options{}), nil)
-	_, err := f.Verify(context.Background(), ds[0], 0)
-	if err == nil {
+	xs := []index.Index{buildIndex(t, index.KindGrapes, ds, index.Options{})}
+	if _, _, err := RaceInstances(context.Background(), nil, xs, nil, 0); err == nil {
 		t.Error("expected error for empty rewriting list")
+	}
+	if _, _, err := RaceInstances(context.Background(), nil, nil, Instances(ds[0], nil, []rewrite.Kind{rewrite.Orig}), 0); err == nil {
+		t.Error("expected error for empty verifier list")
 	}
 }
 
 func TestFTVRacerAnswerMatchesPlainPipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ds := buildDataset(r, 6, 14, 3)
-	ggsx, err := index.Build(context.Background(), index.KindGGSX, ds, index.Options{MaxPathLen: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, idx := range []index.Index{grapes.Build(ds, grapes.Options{MaxPathLen: 3}), ggsx} {
+	for _, kind := range []string{index.KindGrapes, index.KindGGSX} {
+		idx := buildIndex(t, kind, ds, index.Options{MaxPathLen: 3})
 		xs := []index.Index{idx}
 		kinds := []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.DND}
 		for trial := 0; trial < 8; trial++ {
@@ -83,8 +81,7 @@ func TestFTVRacerAnswerMatchesPlainPipeline(t *testing.T) {
 func TestFTVRacerAnswerMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	ds := buildDataset(r, 5, 12, 3)
-	x := grapes.Build(ds, grapes.Options{})
-	xs := []index.Index{x}
+	xs := []index.Index{buildIndex(t, index.KindGrapes, ds, index.Options{})}
 	kinds := append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...)
 	for trial := 0; trial < 6; trial++ {
 		q := extractQuery(r, ds[r.Intn(len(ds))], 3)
@@ -108,35 +105,10 @@ func TestFTVRacerAnswerMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestFTVRacerWinnerIsAConfiguredRewriting(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	ds := buildDataset(r, 3, 12, 2)
-	kinds := []rewrite.Kind{rewrite.ILF, rewrite.DND}
-	f := NewFTVRacer(grapes.Build(ds, grapes.Options{}), kinds)
-	q := extractQuery(r, ds[0], 3)
-	ids := f.Index.Filter(q)
-	if len(ids) == 0 {
-		t.Skip("filter pruned everything (unlucky seed)")
-	}
-	res, err := f.Verify(context.Background(), q, ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Winner != rewrite.ILF && res.Winner != rewrite.DND {
-		t.Errorf("winner %v not among configured rewritings", res.Winner)
-	}
-	if res.Elapsed <= 0 {
-		t.Error("elapsed should be positive")
-	}
-	if !strings.Contains(f.Name(), "Grapes") {
-		t.Error("name should mention the wrapped index")
-	}
-}
-
-// TestFTVRacerOverGrapesFanOut: rewriting attempts run as Go tasks, which
-// may hold the pool's workers, and Grapes/4 fans the candidate's components
-// out from inside them. On a 1-worker pool shared by the race and the index
-// that fan-out must not wait for a worker.
+// TestFTVRacerOverGrapesFanOut: the per-candidate race's attempts run as Go
+// tasks, which may hold the pool's workers, and Grapes/4 fans the
+// candidate's components out from inside them. On a 1-worker pool shared by
+// the race and the index that fan-out must not wait for a worker.
 func TestFTVRacerOverGrapesFanOut(t *testing.T) {
 	b := graph.NewBuilder("copies")
 	for c := 0; c < 4; c++ {
@@ -153,14 +125,14 @@ func TestFTVRacerOverGrapesFanOut(t *testing.T) {
 	ds := []*graph.Graph{b.MustBuild()}
 	pool := exec.New(1)
 	defer pool.Close()
-	f := NewFTVRacer(grapes.Build(ds, grapes.Options{Workers: 4, Pool: pool}), []rewrite.Kind{rewrite.Orig, rewrite.DND})
-	f.Pool = pool
+	xs := []index.Index{buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 4, Pool: pool})}
 	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
+	qs := Instances(q, rewrite.FrequenciesOfDataset(ds), []rewrite.Kind{rewrite.Orig, rewrite.DND})
 	done := make(chan error, 1)
 	go func() {
-		res, err := f.Verify(context.Background(), q, 0)
-		if err == nil && !res.Contained {
-			err = fmt.Errorf("Verify = %+v, want contained", res)
+		contained, _, err := RaceInstances(context.Background(), pool, xs, qs, 0)
+		if err == nil && !contained {
+			err = fmt.Errorf("RaceInstances = false, want contained")
 		}
 		done <- err
 	}()
@@ -177,18 +149,18 @@ func TestFTVRacerOverGrapesFanOut(t *testing.T) {
 // BenchmarkRaceInstances is the fixed cost of one per-candidate rewriting
 // race — a context, a channel and R pool hand-offs — over a stub index that
 // verifies at once. A dataset query pays it once per candidate, which is why
-// raceInstances runs on firstDone and not on streamRace.
+// RaceInstances runs on firstDone and not on streamRace.
 func BenchmarkRaceInstances(b *testing.B) {
 	ds := newStubDataset(1)
-	xs := []ftv.Index{&stubIndex{name: "stub", ds: ds, ids: []int{0}, verify: instantVerify}}
+	xs := []index.Index{&stubIndex{name: "stub", ds: ds, ids: []int{0}, verify: instantVerify}}
 	pool := exec.New(2)
 	defer pool.Close()
 	for _, kinds := range [][]rewrite.Kind{{rewrite.Orig}, {rewrite.Orig, rewrite.DND}} {
-		qs := instances(ds[0], nil, kinds)
+		qs := Instances(ds[0], nil, kinds)
 		b.Run(fmt.Sprintf("R=%d", len(kinds)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := raceInstances(context.Background(), pool, xs, qs, 0); err != nil {
+				if _, _, err := RaceInstances(context.Background(), pool, xs, qs, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -153,7 +153,7 @@ type contender[T any] interface {
 }
 
 // firstDone is the adopt-first-finisher race, the one loop behind Racer.Race
-// (matcher attempts, T = embeddings) and raceInstances (one candidate's
+// (matcher attempts, T = embeddings) and RaceInstances (one candidate's
 // verifiers × rewriting instances, T = bool). It starts n contenders through pool (nil:
 // the shared default pool; Pool.Go, so all n run concurrently) under one
 // shared cancellable context; the first to return without an error wins, the
@@ -165,7 +165,7 @@ type contender[T any] interface {
 //
 // It is not a collector over streamRace because adopting at the finish needs
 // none of what adopting at the first emission does — no per-contender
-// context, no claim — and raceInstances runs once per candidate: when the
+// context, no claim — and RaceInstances runs once per candidate: when the
 // merge was sized, a race of two over a stub index measured
 // 3.25 µs / 8 allocs / 518 B on a loop like this one and 6.2 µs / 26 allocs /
 // 1 513 B expressed on streamRace, which at ftv_selective's 25.6 candidates

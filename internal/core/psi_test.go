@@ -366,7 +366,7 @@ type funcRace []func(ctx context.Context) (int, error)
 func (f funcRace) label(i int) string                          { return fmt.Sprintf("c%d", i) }
 func (f funcRace) run(ctx context.Context, i int) (int, error) { return f[i](ctx) }
 
-// TestFirstDone holds every behaviour Racer.Race's and raceInstances' own
+// TestFirstDone holds every behaviour Racer.Race's and RaceInstances' own
 // loops had before they became firstDone.
 func TestFirstDone(t *testing.T) {
 	value := func(v int) func(context.Context) (int, error) {

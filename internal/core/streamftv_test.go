@@ -305,7 +305,7 @@ func TestIndexRaceEmitStop(t *testing.T) {
 // every candidate's race reuses them — a three-verifier query of 40
 // candidates under {Orig, DND} hands Verify at most two distinct query
 // graphs, not one fresh permutation per candidate × rewriting × verifier.
-// The single-candidate FTVRacer.Verify keeps working on its own.
+// The per-candidate race keeps working on its own.
 func TestStreamRewritesQueryOncePerKind(t *testing.T) {
 	const candidates = 40
 	kinds := []rewrite.Kind{rewrite.Orig, rewrite.DND}
@@ -347,9 +347,8 @@ func TestStreamRewritesQueryOncePerKind(t *testing.T) {
 		t.Error("the caller's own query graph reached Verify: instances must be the prepared rewritings")
 	}
 	mu.Unlock()
-	f := NewFTVRacer(xs[0], kinds)
-	res, err := f.Verify(context.Background(), q, 0)
-	if err != nil || !res.Contained {
-		t.Fatalf("FTVRacer.Verify = %+v, %v", res, err)
+	contained, _, err := RaceInstances(context.Background(), nil, xs[:1], Instances(q, nil, kinds), 0)
+	if err != nil || !contained {
+		t.Fatalf("RaceInstances = %v, %v", contained, err)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
-	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 )
@@ -45,10 +44,7 @@ func buildGrid(t *testing.T, kinds []string, ds []*graph.Graph, k int, pool *exe
 		var exports [][]index.ExportedFeature
 		var stats []index.Stats
 		for _, x := range row {
-			feats, _, err := index.Export(x)
-			if err != nil {
-				t.Fatal(err)
-			}
+			feats := index.Export(x)
 			exports = append(exports, feats)
 			for _, f := range feats {
 				b.dir = append(b.dir, f.Labels)
@@ -57,7 +53,7 @@ func buildGrid(t *testing.T, kinds []string, ds []*graph.Graph, k int, pool *exe
 			st.BuildTime, st.BuildWorkers = 0, 0
 			stats = append(stats, st)
 			if x.Directory() != row[0].Directory() {
-				t.Fatalf("%s: a shard keeps a directory of its own", x.Name())
+				t.Fatalf("%s: a shard keeps a directory of its own", kind)
 			}
 		}
 		b.exports, b.stats = append(b.exports, exports), append(b.stats, stats)
@@ -88,7 +84,7 @@ func TestGridIdenticalAcrossPoolsAndTries(t *testing.T) {
 		ds = append(ds, few[i], many[i])
 	}
 	r.Shuffle(len(ds), func(i, j int) { ds[i], ds[j] = ds[j], ds[i] })
-	kinds := []string{index.KindPath, grapes.Kind, index.KindGGSX}
+	kinds := []string{index.KindPath, index.KindGrapes, index.KindGGSX}
 	pool1 := exec.New(1)
 	defer pool1.Close()
 	want := map[int]gridBuild{}

@@ -17,9 +17,6 @@ type Builder struct {
 // NewBuilder returns a Builder for a graph with the given name.
 func NewBuilder(name string) *Builder { return &Builder{name: name} }
 
-// SetName sets the name of the graph under construction.
-func (b *Builder) SetName(name string) { b.name = name }
-
 // AddVertex appends a vertex with label l and returns its ID.
 func (b *Builder) AddVertex(l Label) int {
 	b.labels = append(b.labels, l)

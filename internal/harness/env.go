@@ -15,7 +15,6 @@ import (
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/gql"
-	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/match"
@@ -85,9 +84,9 @@ type Env struct {
 	mu sync.Mutex
 
 	synthetic, ppi []*graph.Graph
-	grapesSyn      map[int]*index.Path // workers -> index
-	grapesPPI      map[int]*index.Path
-	ggsxPPI        index.Index
+	indexes        map[string]*index.Sharded // FTV dataset -> its one table, with locations
+	views          map[string]*index.Sharded // dataset|verifier name -> a view of it
+	pairs          map[string][]FTVPair      // FTV dataset -> its filtered workload
 
 	single      map[string]*graph.Graph             // dataset name -> stored graph
 	nfvMatchers map[string]map[string]match.Matcher // dataset -> algorithm -> matcher
@@ -120,8 +119,9 @@ func (e *Env) cachedTiming(key string, f func() metrics.Timing) metrics.Timing {
 func NewEnv(cfg Config) *Env {
 	return &Env{
 		Cfg:         cfg,
-		grapesSyn:   make(map[int]*index.Path),
-		grapesPPI:   make(map[int]*index.Path),
+		indexes:     make(map[string]*index.Sharded),
+		views:       make(map[string]*index.Sharded),
+		pairs:       make(map[string][]FTVPair),
 		single:      make(map[string]*graph.Graph),
 		nfvMatchers: make(map[string]map[string]match.Matcher),
 		nfvFreq:     make(map[string]rewrite.Frequencies),
@@ -162,39 +162,52 @@ func (e *Env) FTVDataset(name string) []*graph.Graph {
 	panic(fmt.Sprintf("harness: unknown FTV dataset %q", name))
 }
 
-// Grapes returns the Grapes index with the given worker count over the
-// named FTV dataset, building it on first use.
-func (e *Env) Grapes(dataset string, workers int) *index.Path {
+// ftvIndex returns the named FTV dataset's one index, built with locations
+// on first use. The paper's FTV methods leave indexing and filtering alone
+// and differ in verification (§8), and so do the configurations here: each
+// is a view of this index under its verifier (ftvView).
+func (e *Env) ftvIndex(dataset string) *index.Sharded {
 	ds := e.FTVDataset(dataset)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cache := e.grapesSyn
-	if dataset == "ppi" {
-		cache = e.grapesPPI
-	}
-	if x, ok := cache[workers]; ok {
+	if x, ok := e.indexes[dataset]; ok {
 		return x
 	}
-	x := grapes.Build(ds, grapes.Options{Workers: workers})
-	cache[workers] = x
+	x, err := index.Build(context.Background(), index.KindGrapes, ds, 1, index.Options{})
+	if err != nil {
+		panic(err) // unreachable: the background context never cancels
+	}
+	e.indexes[dataset] = x
 	return x
 }
 
-// GGSX returns the GGSX index over the PPI dataset (the paper omits GGSX on
-// the synthetic dataset because of excessive runtimes; so do we).
-func (e *Env) GGSX() index.Index {
-	ds := e.PPI()
+// ftvView returns the named FTV dataset's index verified by kind's verifier
+// (workers is Grapes' W).
+func (e *Env) ftvView(dataset, kind string, workers int) *index.Sharded {
+	x := e.ftvIndex(dataset)
+	v, err := index.NewVerifier(kind, index.Options{Workers: workers})
+	if err != nil {
+		panic(err) // the harness names only known kinds
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ggsxPPI == nil {
-		x, err := index.Build(context.Background(), index.KindGGSX, ds, index.Options{})
-		if err != nil {
-			panic(err) // unreachable: the background context never cancels
-		}
-		e.ggsxPPI = x
+	key := dataset + "|" + v.Name()
+	if y, ok := e.views[key]; ok {
+		return y
 	}
-	return e.ggsxPPI
+	y := x.Using(v)
+	e.views[key] = y
+	return y
 }
+
+// Grapes returns Grapes/workers over the named FTV dataset.
+func (e *Env) Grapes(dataset string, workers int) *index.Sharded {
+	return e.ftvView(dataset, index.KindGrapes, workers)
+}
+
+// GGSX returns GGSX over the PPI dataset (the paper omits GGSX on the
+// synthetic dataset because of excessive runtimes; so do we).
+func (e *Env) GGSX() *index.Sharded { return e.ftvView("ppi", index.KindGGSX, 1) }
 
 // NFVGraph returns the named single stored graph ("yeast", "human",
 // "wordnet").
@@ -310,16 +323,25 @@ type FTVPair struct {
 	GraphID int
 }
 
-// FTVPairs filters every workload query through the index and returns the
-// resulting verification pairs.
-func (e *Env) FTVPairs(x ftv.Index, dataset string) []FTVPair {
-	var out []FTVPair
-	for _, q := range e.FTVWorkload(dataset) {
+// FTVPairs filters every workload query of the named FTV dataset through its
+// table, once, and returns the resulting verification pairs, which every
+// configuration over the table shares.
+func (e *Env) FTVPairs(dataset string) []FTVPair {
+	x := e.ftvIndex(dataset)
+	qs := e.FTVWorkload(dataset)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if pairs, ok := e.pairs[dataset]; ok {
+		return pairs
+	}
+	var pairs []FTVPair
+	for _, q := range qs {
 		for _, id := range x.Filter(q.Graph) {
-			out = append(out, FTVPair{Query: q, GraphID: id})
+			pairs = append(pairs, FTVPair{Query: q, GraphID: id})
 		}
 	}
-	return out
+	e.pairs[dataset] = pairs
+	return pairs
 }
 
 // TimeNFV measures one NFV matching execution under the cap.
@@ -338,10 +360,13 @@ func (e *Env) TimeFTVVerify(x ftv.Index, q *graph.Graph, graphID int) metrics.Ti
 	})
 }
 
-// TimeFTVRacerVerify measures one Ψ-framework raced verification.
-func (e *Env) TimeFTVRacerVerify(f *core.FTVRacer, q *graph.Graph, graphID int) metrics.Timing {
+// TimeFTVRace measures one Ψ-framework raced verification (§8): the query
+// rewritten under each of kinds, with the dataset's label frequencies, and
+// x's verifier run on every instance at once, the first finisher deciding.
+func (e *Env) TimeFTVRace(x index.Index, dataset string, kinds []rewrite.Kind, q *graph.Graph, graphID int) metrics.Timing {
+	freqs := e.FTVFrequencies(dataset)
 	return e.Cfg.Budget().Run(context.Background(), func(ctx context.Context) error {
-		_, err := f.Verify(ctx, q, graphID)
+		_, _, err := core.RaceInstances(ctx, nil, []index.Index{x}, core.Instances(q, freqs, kinds), graphID)
 		return err
 	})
 }

@@ -5,18 +5,19 @@ import (
 	"io"
 	"time"
 
-	"github.com/psi-graph/psi/internal/core"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
+	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/metrics"
 	"github.com/psi-graph/psi/internal/rewrite"
 )
 
 // ftvIndexes returns the FTV methods evaluated on a dataset, following the
 // paper: GGSX is omitted on the synthetic dataset ("because of excessive
-// amount of time required for the experiments to complete", §3.4).
-func (e *Env) ftvIndexes(dataset string) []ftv.Index {
-	xs := []ftv.Index{e.Grapes(dataset, 1), e.Grapes(dataset, 4)}
+// amount of time required for the experiments to complete", §3.4). They are
+// verifiers over the dataset's one table.
+func (e *Env) ftvIndexes(dataset string) []index.Index {
+	xs := []index.Index{e.Grapes(dataset, 1), e.Grapes(dataset, 4)}
 	if dataset == "ppi" {
 		xs = append(xs, e.GGSX())
 	}
@@ -110,7 +111,7 @@ func runFig1(e *Env, w io.Writer) error {
 		}
 		for _, x := range e.ftvIndexes(dataset) {
 			wl := metrics.Workload{Budget: e.Cfg.Budget()}
-			for i, pair := range e.FTVPairs(x, dataset) {
+			for i, pair := range e.FTVPairs(dataset) {
 				tm := e.ftvVerifyTimed(x, dataset, i, "Orig", pair.Query.Graph, pair.GraphID)
 				wl.Add(tm)
 			}
@@ -150,7 +151,7 @@ func runFig3(e *Env, w io.Writer) error {
 		for _, x := range e.ftvIndexes(dataset) {
 			var ratios []float64
 			notHelped, total := 0, 0
-			for i, pair := range e.FTVPairs(x, dataset) {
+			for i, pair := range e.FTVPairs(dataset) {
 				times := e.isoInstanceTimes(x, dataset, i, pair)
 				total++
 				secs := make([]float64, len(times))
@@ -200,7 +201,7 @@ func runFig7(e *Env, w io.Writer) error {
 	for _, dataset := range []string{"synthetic", "ppi"} {
 		for _, x := range e.ftvIndexes(dataset) {
 			var speedups []float64
-			for i, pair := range e.FTVPairs(x, dataset) {
+			for i, pair := range e.FTVPairs(dataset) {
 				times := e.ftvRewritingTimes(x, dataset, i, pair)
 				orig := times[rewrite.Orig]
 				best := orig
@@ -246,10 +247,10 @@ var psiFTVVariantsWLA = append(psiFTVVariants, struct {
 }{"Ψ(Or/all_rewritings)", append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...)})
 
 // psiFTVTimed measures a raced verification with caching.
-func (e *Env) psiFTVTimed(x ftv.Index, dataset, variant string, pairIdx int, racer *core.FTVRacer, pair FTVPair) metrics.Timing {
+func (e *Env) psiFTVTimed(x index.Index, dataset, variant string, pairIdx int, kinds []rewrite.Kind, pair FTVPair) metrics.Timing {
 	key := fmt.Sprintf("psiftv|%s|%s|%s|%d", x.Name(), dataset, variant, pairIdx)
 	return e.cachedTiming(key, func() metrics.Timing {
-		return e.TimeFTVRacerVerify(racer, pair.Query.Graph, pair.GraphID)
+		return e.TimeFTVRace(x, dataset, kinds, pair.Query.Graph, pair.GraphID)
 	})
 }
 
@@ -261,13 +262,12 @@ func runFig10(e *Env, w io.Writer) error {
 	}
 	for _, dataset := range []string{"synthetic", "ppi"} {
 		for _, x := range e.ftvIndexes(dataset) {
-			pairs := e.FTVPairs(x, dataset)
+			pairs := e.FTVPairs(dataset)
 			for _, v := range psiFTVVariants {
-				racer := core.NewFTVRacer(x, v.kinds)
 				var ratios []float64
 				for i, pair := range pairs {
 					o := e.ftvVerifyTimed(x, dataset, i, "Orig", pair.Query.Graph, pair.GraphID)
-					p := e.psiFTVTimed(x, dataset, v.name, i, racer, pair)
+					p := e.psiFTVTimed(x, dataset, v.name, i, v.kinds, pair)
 					if p.Seconds() > 0 {
 						ratios = append(ratios, o.Seconds()/p.Seconds())
 					}
@@ -287,13 +287,12 @@ func runFig11(e *Env, w io.Writer) error {
 	}
 	for _, dataset := range []string{"synthetic", "ppi"} {
 		for _, x := range e.ftvIndexes(dataset) {
-			pairs := e.FTVPairs(x, dataset)
+			pairs := e.FTVPairs(dataset)
 			for _, v := range psiFTVVariantsWLA {
-				racer := core.NewFTVRacer(x, v.kinds)
 				var orig, psi []float64
 				for i, pair := range pairs {
 					o := e.ftvVerifyTimed(x, dataset, i, "Orig", pair.Query.Graph, pair.GraphID)
-					p := e.psiFTVTimed(x, dataset, v.name, i, racer, pair)
+					p := e.psiFTVTimed(x, dataset, v.name, i, v.kinds, pair)
 					orig = append(orig, o.Seconds())
 					psi = append(psi, p.Seconds())
 				}
@@ -313,20 +312,11 @@ func runFig12(e *Env, w io.Writer) error {
 	g4 := e.Grapes("ppi", 4)
 	g1 := e.Grapes("ppi", 1)
 	kinds := []rewrite.Kind{rewrite.ILF, rewrite.IND, rewrite.DND, rewrite.ILFIND}
-	racer := core.NewFTVRacer(g1, kinds)
 	bySize := make(map[int][2][]float64)
-	pairs4 := e.FTVPairs(g4, "ppi")
-	pairs1 := e.FTVPairs(g1, "ppi")
-	for i, pair := range pairs4 {
-		tm := e.ftvVerifyTimed(g4, "ppi", i, "Orig", pair.Query.Graph, pair.GraphID)
+	for i, pair := range e.FTVPairs("ppi") {
 		cur := bySize[pair.Query.WantEdges]
-		cur[0] = append(cur[0], tm.Seconds())
-		bySize[pair.Query.WantEdges] = cur
-	}
-	for i, pair := range pairs1 {
-		tm := e.psiFTVTimed(g1, "ppi", "fig12", i, racer, pair)
-		cur := bySize[pair.Query.WantEdges]
-		cur[1] = append(cur[1], tm.Seconds())
+		cur[0] = append(cur[0], e.ftvVerifyTimed(g4, "ppi", i, "Orig", pair.Query.Graph, pair.GraphID).Seconds())
+		cur[1] = append(cur[1], e.psiFTVTimed(g1, "ppi", "fig12", i, kinds, pair).Seconds())
 		bySize[pair.Query.WantEdges] = cur
 	}
 	for _, size := range e.Cfg.FTVSizes {

@@ -2,11 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"maps"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/psi-graph/psi/internal/gen"
+	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/metrics"
 )
 
@@ -129,8 +132,8 @@ func TestEnvCaching(t *testing.T) {
 	if e.Grapes("ppi", 1) != e.Grapes("ppi", 1) {
 		t.Error("index not cached")
 	}
-	if e.Grapes("ppi", 1) == e.Grapes("ppi", 4) {
-		t.Error("different worker counts must be distinct indexes")
+	if g1, g4 := e.Grapes("ppi", 1), e.Grapes("ppi", 4); g1 == g4 || g1.Name() == g4.Name() || len(e.indexes) != 1 {
+		t.Error("different worker counts must be distinct verifiers over one table")
 	}
 	if e.NFVMatcher("yeast", "GQL") != e.NFVMatcher("yeast", "GQL") {
 		t.Error("matcher not cached")
@@ -141,6 +144,61 @@ func TestEnvCaching(t *testing.T) {
 	e.cachedTiming("k", f)
 	if calls != 1 {
 		t.Errorf("cachedTiming ran %d times, want 1", calls)
+	}
+}
+
+// TestReplayNamesWhatItReproduces: the FTV experiments print a row for every
+// configuration the paper evaluates — Grapes/1 and Grapes/4 on both datasets,
+// GGSX on PPI only — and name the baseline and the Ψ version they compare,
+// while the replay builds one table per FTV dataset: every PPI configuration
+// is a view of the same build, down to its build time.
+func TestReplayNamesWhatItReproduces(t *testing.T) {
+	e := NewEnv(testConfig())
+	run := func(id string) string {
+		t.Helper()
+		exp, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		var buf bytes.Buffer
+		if err := exp.Run(e, &buf); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		return buf.String()
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(run("fig1"), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && (f[0] == "synthetic" || f[0] == "ppi") {
+			rows[f[0]+" "+f[1]] = true
+		}
+	}
+	want := map[string]bool{"synthetic Grapes/1": true, "synthetic Grapes/4": true, "ppi Grapes/1": true, "ppi Grapes/4": true, "ppi GGSX": true}
+	if !maps.Equal(rows, want) {
+		t.Errorf("fig1 prints rows %v, want %v", rows, want)
+	}
+	header := ""
+	for _, line := range strings.Split(run("fig12"), "\n") {
+		if strings.HasPrefix(line, "query size") {
+			header = line
+		}
+	}
+	if !strings.Contains(header, "Grapes/4") {
+		t.Errorf("fig12's header %q does not name Grapes/4", header)
+	}
+	if out := run("table10"); !strings.Contains(out, "Ψ(Grapes/4: Or/all)") {
+		t.Errorf("table10 does not name Ψ(Grapes/4: Or/all):\n%s", out)
+	}
+	if len(e.indexes) != 2 {
+		t.Errorf("the replay built %d tables, want one per FTV dataset", len(e.indexes))
+	}
+	table := e.ftvIndex("ppi").Stats()
+	table.Name = ""
+	for _, x := range []*index.Sharded{e.Grapes("ppi", 1), e.Grapes("ppi", 4), e.GGSX()} {
+		st := x.Stats()
+		st.Name = ""
+		if !reflect.DeepEqual(st, table) {
+			t.Errorf("%s verifies over %+v, not PPI's one table %+v", x.Name(), st, table)
+		}
 	}
 }
 

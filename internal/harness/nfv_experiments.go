@@ -282,7 +282,7 @@ func runFig6(e *Env, w io.Writer) error {
 	for _, x := range e.ftvIndexes("ppi") {
 		avgRow := []string{x.Name()}
 		hardRow := []string{x.Name()}
-		pairs := e.FTVPairs(x, "ppi")
+		pairs := e.FTVPairs("ppi")
 		for _, k := range kinds {
 			var secs []float64
 			hard := 0
@@ -549,15 +549,14 @@ func runTable10(e *Env, w io.Writer) error {
 	// FTV row: Grapes/4 on PPI vs Ψ(Grapes/4: Or + all rewritings).
 	{
 		x := e.Grapes("ppi", 4)
-		pairs := e.FTVPairs(x, "ppi")
+		pairs := e.FTVPairs("ppi")
 		kinds := append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...)
-		racer := core.NewFTVRacer(x, kinds)
 		baseKilled, psiKilled := 0, 0
 		for i, pair := range pairs {
 			if e.ftvVerifyTimed(x, "ppi", i, "Orig", pair.Query.Graph, pair.GraphID).Killed {
 				baseKilled++
 			}
-			if e.psiFTVTimed(x, "ppi", "table10", i, racer, pair).Killed {
+			if e.psiFTVTimed(x, "ppi", "table10", i, kinds, pair).Killed {
 				psiKilled++
 			}
 		}

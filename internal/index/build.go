@@ -1,15 +1,15 @@
 package index
 
-// The index names and the build pipeline. There is one index: the flat path
-// table (path.go), one per shard, with location sets when the name asks for
-// them. A name selects how a candidate is verified over it (verify.go): "ftv"
-// and "ggsx" verify against the whole stored graph, and "grapes" within the
-// components its location sets leave. Every build — a single index, a
-// sharded one, a dataset store's tables, a shard rebuilt on compaction — is
-// the same three steps: extract each dataset graph's path features exactly
-// once (with locations iff the name reads them), route graph g to shard
-// g mod K, and fold every shard's table from its graphs' features in
-// graph-ID order. Folding in ID order is what makes every posting list born
+// The index names and the build pipeline. There is one index, Sharded: the
+// flat path table (path.go), one per shard, with location sets when the name
+// asks for them. A name selects how a candidate is verified over it
+// (verify.go): "ftv" and "ggsx" verify against the whole stored graph, and
+// "grapes" within the components its location sets leave. Every build — an
+// index at any shard count, a dataset store's tables, a shard rebuilt on
+// compaction — is the same three steps: extract each dataset graph's path
+// features exactly once (with locations iff the name reads them), route graph
+// g to shard g mod K, and fold every shard's table from its graphs' features
+// in graph-ID order. Folding in ID order is what makes every posting list born
 // sorted and the output independent of the pool size. Both steps fan out on
 // the build's pool: extraction a graph per task, the folds a shard per task.
 
@@ -125,13 +125,19 @@ func BuildTables(ctx context.Context, kind string, ds []*graph.Graph, shards int
 	return tables, nil
 }
 
-// Build constructs the monolithic index of kind: the one table of a
-// one-shard build. The build is cancellable through ctx and deterministic for
-// any opts.Pool size.
-func Build(ctx context.Context, kind string, ds []*graph.Graph, opts Options) (Index, error) {
-	tables, err := BuildTables(ctx, kind, ds, 1, opts)
+// Build constructs the index of kind over ds: its tables under
+// shards-way round-robin partitioning, the shard count clamped to
+// [1, len(ds)] — a shard with no graphs would be dead weight — viewed
+// through kind's verifier (opts.Workers is Grapes' W). The build is
+// cancellable through ctx and deterministic for any opts.Pool size.
+func Build(ctx context.Context, kind string, ds []*graph.Graph, shards int, opts Options) (*Sharded, error) {
+	v, err := NewVerifier(kind, opts)
 	if err != nil {
 		return nil, err
 	}
-	return tables[0], nil
+	tables, err := BuildTables(ctx, kind, ds, max(min(shards, len(ds)), 1), opts)
+	if err != nil {
+		return nil, err
+	}
+	return NewShardedFrom(ds, nil, tables, v), nil
 }

@@ -12,19 +12,38 @@ import (
 	"testing"
 
 	"github.com/psi-graph/psi/internal/ftv"
-	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 )
 
-// tableOf returns the table an index is.
-func tableOf(t *testing.T, x index.Index) *index.Path {
+// buildTable builds the one table of kind over ds.
+func buildTable(t testing.TB, kind string, ds []*graph.Graph, opts index.Options) *index.Path {
 	t.Helper()
-	tx, ok := x.(*index.Path)
-	if !ok {
-		t.Fatalf("%s is no table", x.Name())
+	tables, err := index.BuildTables(context.Background(), kind, ds, 1, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return tx
+	return tables[0]
+}
+
+// verifier returns kind's verifier under default options.
+func verifier(t testing.TB, kind string) index.Verifier {
+	t.Helper()
+	v, err := index.NewVerifier(kind, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// buildIndex builds the one-shard index of kind over ds.
+func buildIndex(t testing.TB, kind string, ds []*graph.Graph, opts index.Options) *index.Sharded {
+	t.Helper()
+	x, err := index.Build(context.Background(), kind, ds, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
 }
 
 // FuzzPathDirectory decodes a small dataset from the input and builds, under
@@ -45,7 +64,7 @@ func FuzzPathDirectory(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 2, 0, 1, 1, 2, 3, 1, 1, 0, 2, 0, 1, 1, 2, 2, 5, 0, 1, 2, 3, 4, 5, 9, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5}, uint8(1), uint8(3))
 	f.Add([]byte{2, 0, 0, 1, 0, 1, 2, 1, 1, 1, 0, 1, 2, 2, 2, 1, 0, 1, 4, 0, 1, 0, 1, 3, 0, 1, 1, 2, 2, 3}, uint8(3), uint8(2))
 	f.Add([]byte{5, 1, 2, 3, 4, 5, 6, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0}, uint8(0), uint8(5))
-	kinds := []string{index.KindPath, index.KindGGSX, grapes.Kind}
+	kinds := []string{index.KindPath, index.KindGGSX, index.KindGrapes}
 	f.Fuzz(func(t *testing.T, data []byte, shards, labels uint8) {
 		ds := decodeDataset(data, 1+int(labels%6))
 		if len(ds) < 2 {
@@ -70,14 +89,11 @@ func FuzzPathDirectory(f *testing.F) {
 				if cell.Directory() != dir {
 					t.Fatalf("K=%d: %s shard %d has a directory of its own", k, kind, s)
 				}
-				own, err := index.Build(ctx, kind, index.ShardDataset(ds, s, k), opts)
-				if err != nil {
-					t.Fatal(err)
-				}
+				own := buildTable(t, kind, index.ShardDataset(ds, s, k), opts)
 				tag := fmt.Sprintf("K=%d %s shard %d", k, kind, s)
-				checkSameIndex(t, tag, cell, own, probes)
+				checkSameTable(t, tag, cell, own, probes)
 				grown, err := cell.WithGraph(ctx, extra)
-				if kind == grapes.Kind {
+				if kind == index.KindGrapes {
 					if err == nil {
 						t.Fatalf("%s: a table with locations took an insert", tag)
 					}
@@ -86,11 +102,11 @@ func FuzzPathDirectory(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ownGrown, err := tableOf(t, own).WithGraph(ctx, extra)
+				ownGrown, err := own.WithGraph(ctx, extra)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkSameIndex(t, tag+" after an insert", grown, ownGrown, probes)
+				checkSameTable(t, tag+" after an insert", grown, ownGrown, probes)
 			}
 			for s, cell := range tables {
 				if cell.Directory() != dir {
@@ -113,12 +129,8 @@ func checkShardedRow(t *testing.T, tag string, ds []*graph.Graph, alive []bool, 
 			live = append(live, ds[g])
 		}
 	}
-	mono, err := index.Build(context.Background(), kind, live, index.Options{MaxPathLen: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mono.Filter(q)
-	sh := index.NewShardedFrom(ds, alive, row)
+	want := buildIndex(t, kind, live, index.Options{MaxPathLen: 3}).Filter(q)
+	sh := index.NewShardedFrom(ds, alive, row, verifier(t, kind))
 	if got := sh.Filter(q); !sameInts(got, want) {
 		t.Fatalf("%s: Filter = %v, want %v", tag, got, want)
 	}
@@ -190,11 +202,11 @@ func directoryProbes(dir *index.PathDirectory, f *ftv.Features) [][]graph.Label 
 	return append(probes, []graph.Label{99})
 }
 
-// checkSameIndex fails unless the two indexes export, report and look up
+// checkSameTable fails unless the two tables export, report and look up
 // alike, location sets included.
-func checkSameIndex(t *testing.T, tag string, a, b index.Index, probes [][]graph.Label) {
+func checkSameTable(t *testing.T, tag string, a, b *index.Path, probes [][]graph.Label) {
 	t.Helper()
-	if fa, fb := exportOf(t, a), exportOf(t, b); !reflect.DeepEqual(fa, fb) {
+	if fa, fb := index.Export(a), index.Export(b); !reflect.DeepEqual(fa, fb) {
 		t.Fatalf("%s: exports differ:\n%v\n%v", tag, fa, fb)
 	}
 	sa, sb := a.Stats(), b.Stats()
@@ -202,12 +214,11 @@ func checkSameIndex(t *testing.T, tag string, a, b index.Index, probes [][]graph
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("%s: stats differ: %+v, %+v", tag, sa, sb)
 	}
-	ta, tb := tableOf(t, a), tableOf(t, b)
 	for _, p := range probes {
-		la, ra := ta.Located(p)
-		lb, rb := tb.Located(p)
-		if !reflect.DeepEqual(located(ta, la, ra), located(tb, lb, rb)) || !slices.Equal(la.Packed(), lb.Packed()) {
-			t.Fatalf("%s: %v looks up %v, want %v", tag, p, located(ta, la, ra), located(tb, lb, rb))
+		la, ra := a.Located(p)
+		lb, rb := b.Located(p)
+		if !reflect.DeepEqual(located(a, la, ra), located(b, lb, rb)) || !slices.Equal(la.Packed(), lb.Packed()) {
+			t.Fatalf("%s: %v looks up %v, want %v", tag, p, located(a, la, ra), located(b, lb, rb))
 		}
 	}
 }

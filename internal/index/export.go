@@ -1,10 +1,11 @@
 package index
 
-// Snapshot support: the export capability a table implements so its feature
-// arrays can be written to the on-disk snapshot format (internal/snapshot),
-// and the restore that rebuilds a table from those arrays without
-// re-enumerating any paths. Export and restore are inverses by contract:
-// Restore(kind, ds, Export(x)) must answer every query byte-identically to x.
+// Snapshot support: the export that reads a table's feature arrays out for
+// the on-disk snapshot format (internal/snapshot), and the restore that
+// rebuilds a table from those arrays without re-enumerating any paths. Both
+// round-trip one shard's table, not an index. Export and restore are inverses
+// by contract: Restore(kind, ds, x.MaxPathLen(), opts, Export(x)) must answer
+// every query byte-identically to x, under every name's verifier.
 
 import (
 	"fmt"
@@ -35,44 +36,34 @@ type ExportedFeature struct {
 	Postings []FeaturePosting
 }
 
-// FeatureExporter is the snapshot capability of an index: ExportFeatures
-// visits every indexed feature — oriented spellings only (ftv.Oriented) —
-// exactly once, in deterministic order (lexicographically ascending label
-// sequences) with postings in ascending graph-ID order, so the serialized
-// bytes are identical across runs.
-// MaxPathLen reports the indexed path length, persisted so the restored
-// index extracts query features identically.
-type FeatureExporter interface {
-	ExportFeatures(visit func(labels []graph.Label, postings []FeaturePosting) error) error
-	MaxPathLen() int
-}
-
-// Export collects an index's features via its FeatureExporter capability.
-// It returns an error for indexes that cannot be snapshotted.
-func Export(x Index) ([]ExportedFeature, int, error) {
-	ex, ok := x.(FeatureExporter)
-	if !ok {
-		return nil, 0, fmt.Errorf("index: %s does not support feature export", x.Name())
+// Export reads every feature x indexes — oriented spellings only
+// (ftv.Oriented) — exactly once, in the canonical order its directory and
+// entries already keep (lexicographically ascending label sequences), with
+// postings in ascending local graph ID order, so the serialized bytes are
+// identical across runs: a walk over the set bits of its presence bitmap.
+// The export is where location sets leave their stored form: each is
+// expanded to ascending vertex IDs, one allocation per feature. x.MaxPathLen
+// is the path length to persist beside them, so that the restored table
+// extracts query features identically.
+func Export(x *Path) []ExportedFeature {
+	out := make([]ExportedFeature, 0, len(x.entries))
+	i := 0
+	for p := range x.has.ones() {
+		ps := x.listOf(i).export()
+		if refs := x.refsOf(i); refs != nil {
+			x.expandLocations(ps, refs)
+		}
+		out = append(out, ExportedFeature{Labels: slices.Clone(x.dir.seq(p)), Postings: ps})
+		i++
 	}
-	var out []ExportedFeature
-	err := ex.ExportFeatures(func(labels []graph.Label, postings []FeaturePosting) error {
-		out = append(out, ExportedFeature{
-			Labels:   append([]graph.Label(nil), labels...),
-			Postings: append([]FeaturePosting(nil), postings...),
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, ex.MaxPathLen(), nil
+	return out
 }
 
 // Restore rebuilds the table of kind from exported features — the load half
-// of the snapshot round trip. opts carries the runtime knobs of the name's
-// verifier (Workers, Pool); maxPathLen comes from the snapshot, not opts, so
-// filtering stays identical to the saved table.
-func Restore(kind string, ds []*graph.Graph, maxPathLen int, opts Options, feats []ExportedFeature) (Index, error) {
+// of the snapshot round trip. opts.Pool is recorded as the table's
+// BuildWorkers; maxPathLen comes from the snapshot, not opts, so filtering
+// stays identical to the saved table.
+func Restore(kind string, ds []*graph.Graph, maxPathLen int, opts Options, feats []ExportedFeature) (*Path, error) {
 	feats, err := CheckFeatures(kind, ds, feats)
 	if err != nil {
 		return nil, err
@@ -164,25 +155,6 @@ func dropMirrors(kind string, feats []ExportedFeature) ([]ExportedFeature, error
 // ftv.Features.Canonical gives and every index keeps its features in.
 func CompareLabelSeqs(a, b []graph.Label) int { return slices.Compare(a, b) }
 
-// ExportFeatures implements FeatureExporter for every table, whose directory
-// and entries are in the canonical order already: a walk over the set bits of
-// its presence bitmap. The export is where location sets leave their stored
-// form: each is expanded to ascending vertex IDs, one allocation per feature.
-func (x *Path) ExportFeatures(visit func(labels []graph.Label, postings []FeaturePosting) error) error {
-	i := 0
-	for p := range x.has.ones() {
-		ps := x.listOf(i).export()
-		if refs := x.refsOf(i); refs != nil {
-			x.expandLocations(ps, refs)
-		}
-		if err := visit(x.dir.seq(p), ps); err != nil {
-			return err
-		}
-		i++
-	}
-	return nil
-}
-
 // expandLocations sets the locations of the postings ps from their sets'
 // references.
 func (x *Path) expandLocations(ps []FeaturePosting, refs []ftv.LocRef) {
@@ -232,7 +204,7 @@ func RestorePath(kind string, ds []*graph.Graph, maxPathLen int, opts Options, f
 			}
 		}
 	}
-	x := newPath(kind, ds, maxPathLen, opts)
+	x := newPath(kind, ds, maxPathLen)
 	x.dir = &PathDirectory{
 		labels: make([]graph.Label, 0, nLabels),
 		ends:   make([]uint32, 0, len(feats)),

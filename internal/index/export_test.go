@@ -27,25 +27,14 @@ func TestExportRestoreParityAllKinds(t *testing.T) {
 	}
 	for _, kind := range index.Kinds() {
 		t.Run(kind, func(t *testing.T) {
-			x, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: 3, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer x.Close()
-			feats, maxLen, err := index.Export(x)
-			if err != nil {
-				t.Fatalf("export %s: %v", kind, err)
-			}
+			x := buildTable(t, kind, ds, index.Options{MaxPathLen: 3, Workers: 2})
+			feats, maxLen := index.Export(x), x.MaxPathLen()
 			if maxLen != 3 {
 				t.Fatalf("exported MaxPathLen = %d, want 3", maxLen)
 			}
 			// Determinism: a second export yields the same features in the
 			// same order.
-			again, _, err := index.Export(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(feats, again) {
+			if again := index.Export(x); !reflect.DeepEqual(feats, again) {
 				t.Fatalf("%s export is not deterministic", kind)
 			}
 			for i := 1; i < len(feats); i++ {
@@ -57,7 +46,6 @@ func TestExportRestoreParityAllKinds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restore %s: %v", kind, err)
 			}
-			defer y.Close()
 			if y.Stats().Features != x.Stats().Features || y.Stats().Postings != x.Stats().Postings {
 				t.Fatalf("%s restored shape %+v != built %+v", kind, y.Stats(), x.Stats())
 			}
@@ -66,15 +54,15 @@ func TestExportRestoreParityAllKinds(t *testing.T) {
 			if xs, ys := x.Stats(), y.Stats(); xs.LocationBytes != ys.LocationBytes || xs.LocationRows != ys.LocationRows || xs.LocationLists != ys.LocationLists {
 				t.Fatalf("%s restored location sets %+v != built %+v", kind, ys, xs)
 			}
-			if back, _, err := index.Export(y); err != nil || !reflect.DeepEqual(back, feats) {
-				t.Fatalf("%s: export of the restored index differs from the export it was restored from (%v)", kind, err)
+			if back := index.Export(y); !reflect.DeepEqual(back, feats) {
+				t.Fatalf("%s: export of the restored table differs from the export it was restored from", kind)
 			}
 			for qi, q := range queries {
-				want, err := index.Answer(context.Background(), x, q, nil)
+				want, err := index.Answer(context.Background(), view(t, kind, x), q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := index.Answer(context.Background(), y, q, nil)
+				got, err := index.Answer(context.Background(), view(t, kind, y), q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,15 +100,8 @@ func TestRestoreFoldsBothSpellings(t *testing.T) {
 	ds := randomDataset(rand.New(rand.NewSource(11)), 6, 9, 3)
 	for _, kind := range index.Kinds() {
 		t.Run(kind, func(t *testing.T) {
-			x, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer x.Close()
-			feats, maxLen, err := index.Export(x)
-			if err != nil {
-				t.Fatal(err)
-			}
+			x := buildTable(t, kind, ds, index.Options{MaxPathLen: 3})
+			feats, maxLen := index.Export(x), x.MaxPathLen()
 			old := withMirrors(feats)
 			if len(old) <= len(feats) {
 				t.Fatal("no feature has a mirror; the test needs some")
@@ -129,9 +110,8 @@ func TestRestoreFoldsBothSpellings(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restoring a both-spellings export: %v", err)
 			}
-			defer y.Close()
-			if back, _, err := index.Export(y); err != nil || !reflect.DeepEqual(back, feats) {
-				t.Fatalf("a both-spellings export restores to %d features, today's export has %d (%v)", len(back), len(feats), err)
+			if back := index.Export(y); !reflect.DeepEqual(back, feats) {
+				t.Fatalf("a both-spellings export restores to %d features, today's export has %d", len(back), len(feats))
 			}
 			// A reversed spelling to break, and its oriented twin.
 			rev := slices.IndexFunc(old, func(f index.ExportedFeature) bool {
@@ -159,8 +139,7 @@ func TestRestoreFoldsBothSpellings(t *testing.T) {
 					return ps
 				}),
 			} {
-				if z, err := index.Restore(kind, ds, maxLen, index.Options{}, bad); err == nil {
-					z.Close()
+				if _, err := index.Restore(kind, ds, maxLen, index.Options{}, bad); err == nil {
 					t.Errorf("%s: restored; a reversed spelling that is not a mirror must be refused", name)
 				}
 			}
@@ -168,18 +147,10 @@ func TestRestoreFoldsBothSpellings(t *testing.T) {
 	}
 }
 
+// TestExportUnsupportedKind: a restore under a kind outside the names, or of
+// a posting past the dataset, is refused.
 func TestExportUnsupportedKind(t *testing.T) {
 	ds := randomDataset(rand.New(rand.NewSource(1)), 4, 6, 2)
-	x, err := index.BuildSharded(context.Background(), index.KindPath, ds, 2, index.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-	// The Sharded wrapper is decomposed shard-by-shard by the snapshot
-	// layer, never exported whole.
-	if _, _, err := index.Export(x); err == nil {
-		t.Fatal("exporting a Sharded wrapper should fail")
-	}
 	if _, err := index.Restore("no-such-kind", ds, 3, index.Options{}, nil); err == nil {
 		t.Fatal("restoring an unregistered kind should fail")
 	}
@@ -198,15 +169,8 @@ func TestExportUnsupportedKind(t *testing.T) {
 // the bounds instead of answering (or panicking) from it later.
 func TestRestoreRejectsMalformedFeatures(t *testing.T) {
 	ds := randomDataset(rand.New(rand.NewSource(3)), 5, 8, 2)
-	x, err := index.Build(context.Background(), "grapes", ds, index.Options{MaxPathLen: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-	good, maxLen, err := index.Export(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := buildTable(t, "grapes", ds, index.Options{MaxPathLen: 3})
+	good, maxLen := index.Export(x), x.MaxPathLen()
 	// A feature with two postings or more, the first with two locations or more.
 	// (Not the first feature, so that it has a predecessor to swap with.)
 	at := 1 + slices.IndexFunc(good[1:], func(f index.ExportedFeature) bool {
@@ -254,15 +218,12 @@ func TestRestoreRejectsMalformedFeatures(t *testing.T) {
 			}
 		}
 		tc.corrupt(feats, &feats[at])
-		if y, err := index.Restore("grapes", ds, maxLen, index.Options{}, feats); err == nil {
-			y.Close()
+		if _, err := index.Restore("grapes", ds, maxLen, index.Options{}, feats); err == nil {
 			t.Errorf("%s: Restore accepted the corrupted features", tc.name)
 		}
 	}
-	if y, err := index.Restore("grapes", ds, maxLen, index.Options{}, good); err != nil {
+	if _, err := index.Restore("grapes", ds, maxLen, index.Options{}, good); err != nil {
 		t.Fatalf("Restore rejected the untouched export: %v", err)
-	} else {
-		y.Close()
 	}
 }
 
@@ -275,15 +236,8 @@ func TestRestoreRejectsMalformedFeatures(t *testing.T) {
 func TestRestoreOntoZeroVertexPlaceholder(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	ds := randomDataset(r, 5, 80, 8) // rows of 2 words: sets of 2 and 3 vertices stay lists
-	x, err := index.Build(context.Background(), "grapes", ds, index.Options{MaxPathLen: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-	feats, maxLen, err := index.Export(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := buildTable(t, "grapes", ds, index.Options{MaxPathLen: 3})
+	feats, maxLen := index.Export(x), x.MaxPathLen()
 	const dead = 2
 	slots := slices.Clone(ds)
 	slots[dead] = graph.NewBuilder("live:dead-slot").MustBuild()
@@ -291,9 +245,8 @@ func TestRestoreOntoZeroVertexPlaceholder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore over a placeholder: %v", err)
 	}
-	defer y.Close()
-	if back, _, err := index.Export(y); err != nil || !reflect.DeepEqual(back, feats) {
-		t.Fatalf("the placeholder's locations did not survive the round trip (%v)", err)
+	if back := index.Export(y); !reflect.DeepEqual(back, feats) {
+		t.Fatal("the placeholder's locations did not survive the round trip")
 	}
 	xs, ys := x.Stats(), y.Stats()
 	if xs.LocationRows == 0 || xs.LocationLists == 0 {
@@ -302,21 +255,21 @@ func TestRestoreOntoZeroVertexPlaceholder(t *testing.T) {
 	if ys.LocationRows >= xs.LocationRows || ys.LocationRows+ys.LocationLists != xs.LocationRows+xs.LocationLists {
 		t.Errorf("restored %d rows + %d lists from %d + %d: the dead graph's rows should have become lists", ys.LocationRows, ys.LocationLists, xs.LocationRows, xs.LocationLists)
 	}
-	g := y.(*index.Path)
+	v := verifier(t, index.KindGrapes)
 	for qi := 0; qi < 6; qi++ {
 		q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(3))
 		for id := range ds {
-			want, err := x.Verify(context.Background(), q, id)
+			want, err := x.VerifyWith(context.Background(), v, q, id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := y.Verify(context.Background(), q, id)
+			got, err := y.VerifyWith(context.Background(), v, q, id)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if id == dead {
 				want = false
-				if vs, ok := g.CandidateVertices(q, id); ok || vs != nil {
+				if vs, ok := y.CandidateVertices(q, id); ok || vs != nil {
 					t.Errorf("query %d: CandidateVertices on the placeholder = %v, %v", qi, vs, ok)
 				}
 			}
@@ -346,16 +299,8 @@ func TestLocationStats(t *testing.T) {
 			func(rows, lists int) bool { return lists > 100*max(rows, 1) }},
 	} {
 		ds := gen.Synthetic(tc.cfg, 20170321)
-		x, err := index.Build(context.Background(), "grapes", ds, index.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := x.Stats()
-		feats, _, err := index.Export(x)
-		x.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := buildTable(t, "grapes", ds, index.Options{})
+		st, feats := x.Stats(), index.Export(x)
 		var sets, ids, best int64
 		for _, f := range feats {
 			for _, p := range f.Postings {
@@ -376,14 +321,10 @@ func TestLocationStats(t *testing.T) {
 		t.Logf("%s: %d sets (%d rows, %d lists) in %d bytes; as []int32 per posting: %d", tc.name, sets, st.LocationRows, st.LocationLists, st.LocationBytes, 4*ids+24*sets)
 	}
 	for _, kind := range []string{index.KindPath, "ggsx"} {
-		x, err := index.Build(context.Background(), kind, randomDataset(rand.New(rand.NewSource(1)), 3, 8, 2), index.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := buildTable(t, kind, randomDataset(rand.New(rand.NewSource(1)), 3, 8, 2), index.Options{})
 		if st := x.Stats(); st.LocationBytes != 0 || st.LocationRows != 0 || st.LocationLists != 0 {
 			t.Errorf("%s keeps no locations but reports %+v", kind, st)
 		}
-		x.Close()
 	}
 }
 
@@ -439,23 +380,17 @@ func TestExportWideLabels(t *testing.T) {
 	big := graph.Label(1 << 13)
 	g := graph.MustNew("big", []graph.Label{big, big + 1}, [][2]int{{0, 1}})
 	ds := []*graph.Graph{g}
-	x, err := index.Build(context.Background(), index.KindPath, ds, index.Options{MaxPathLen: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feats, maxLen, err := index.Export(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := buildTable(t, index.KindPath, ds, index.Options{MaxPathLen: 2})
+	feats, maxLen := index.Export(x), x.MaxPathLen()
 	y, err := index.Restore(index.KindPath, ds, maxLen, index.Options{}, feats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := index.Answer(context.Background(), x, g, nil)
+	want, err := index.Answer(context.Background(), view(t, index.KindPath, x), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := index.Answer(context.Background(), y, g, nil)
+	got, err := index.Answer(context.Background(), view(t, index.KindPath, y), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

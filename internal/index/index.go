@@ -1,15 +1,17 @@
 // Package index is the one filtering index of the repo's filter-then-verify
-// method: a flat path-feature table per shard (path.go), with location sets
-// when the names it serves ask for them, built once from one feature
-// extraction (build.go). The paper's FTV baseline, GGSX and Grapes are not
-// three indexes but three names for it, and a name selects how a candidate
-// is verified over the table (verify.go): against the whole stored graph
-// ("ftv", "ggsx"), or within the components its location sets leave
-// ("grapes"). The package also holds the plumbing every query shares:
-// presence/frequency pruning over query features, the sharded ordered merge
-// (sharded.go), and the streaming filter→verify pipeline, in which a dataset
-// engine races its verifiers per candidate (§8 of the paper: the filter is
-// left intact, the alternatives run in verification).
+// method, one type at every shard count: Sharded (sharded.go), a flat
+// path-feature table per shard (path.go), with location sets when the names
+// it serves ask for them, built once from one feature extraction (build.go).
+// The paper's FTV baseline, GGSX and Grapes are not three indexes but three
+// names for it, and a name selects how a candidate is verified over the
+// tables (verify.go): against the whole stored graph ("ftv", "ggsx"), or
+// within the components its location sets leave ("grapes"). A table is not an
+// index: it filters and verifies only through the Sharded view over it. The
+// package also holds the plumbing every query shares: presence/frequency
+// pruning over query features, the sharded ordered merge, and the streaming
+// filter→verify pipeline, in which a dataset engine races its verifiers per
+// candidate (§8 of the paper: the filter is left intact, the alternatives run
+// in verification).
 package index
 
 import (
@@ -24,8 +26,10 @@ import (
 
 // Index is the filtering-index contract. It extends the ftv
 // filter-then-verify core with streaming candidate emission (so verification
-// can start before filtering finishes) and build/shape statistics.
-// Implementations are safe for concurrent queries once built.
+// can start before filtering finishes) and build/shape statistics. Sharded is
+// its one implementation here; the interface stays for the public
+// psi.FilterIndex and for test doubles. Implementations are safe for
+// concurrent queries once built.
 type Index interface {
 	ftv.Index
 
@@ -40,7 +44,7 @@ type Index interface {
 	// Stats reports the index's build provenance and shape.
 	Stats() Stats
 
-	// Close releases any resources the index owns. A table owns none, so for
+	// Close releases any resources the index owns. Sharded owns none, so for
 	// it this is a no-op; the method stays for indexes defined outside this
 	// repository (psi.FilterIndex is public).
 	Close()
@@ -49,7 +53,8 @@ type Index interface {
 // Stats describes a built index. The json tags fix the serialized schema
 // (snake_case, durations as nanoseconds) of the /stats endpoint.
 type Stats struct {
-	// Name is the instance name as reported by Index.Name.
+	// Name is the instance name as reported by Index.Name: the view's
+	// verifier's, which Sharded fills in (a table names no verifier).
 	Name string `json:"name"`
 	// Kind is the name the table was built under ("ftv", "grapes", "ggsx").
 	Kind string `json:"kind"`
@@ -85,8 +90,7 @@ type Stats struct {
 	LocationRows  int   `json:"location_rows,omitempty"`
 	LocationLists int   `json:"location_lists,omitempty"`
 	// ShardCount is the partition count of a Sharded index of K >= 2 shards
-	// (0 for monolithic indexes and for K = 1, which reports its one
-	// shard's statistics as its own).
+	// (0 at K = 1, which reports its one shard's statistics as its own).
 	ShardCount int `json:"shard_count,omitempty"`
 	// Shards holds the per-shard build statistics of a Sharded index of
 	// K >= 2 shards, in shard order — the shard-balance breakdown a /stats
@@ -95,7 +99,7 @@ type Stats struct {
 }
 
 // Options configures a build; the shard count is an argument of its own
-// (BuildTables, BuildSharded), since only the callers that partition choose it.
+// (BuildTables, Build), since only the callers that partition choose it.
 type Options struct {
 	// MaxPathLen is the maximum indexed path length in edges; 0 means
 	// ftv.DefaultMaxPathLen (4), the paper's setting.
@@ -111,48 +115,13 @@ type Options struct {
 	Pool *exec.Pool
 }
 
-// LookupFunc resolves one query feature's postings — labels is an oriented
-// spelling, the only kind indexed (ftv.Oriented); the list is empty when the
-// label sequence is absent from every indexed graph.
-type LookupFunc func(labels []graph.Label) PostingList
-
-// FilterByFeatures is the presence-and-frequency pruning every path index
-// shares: a graph survives iff it contains each query feature at least as
-// often as the query does. Results are ascending graph IDs; an empty feature
-// set (edgeless query) keeps every graph. It is the collecting form of
-// StreamByFeatures.
-func FilterByFeatures(nGraphs int, feats []ftv.QueryFeature, lookup LookupFunc) []int {
-	var out []int
-	// The background context never cancels, so the error is always nil.
-	_ = StreamByFeatures(context.Background(), nGraphs, feats, lookup, func(id int) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
-}
-
-// StreamByFeatures is the streaming form of FilterByFeatures: surviving
-// graph IDs are emitted in ascending order as soon as each graph has been
-// checked against every feature — an intersection of sorted posting lists
-// driven by the rarest feature's, so per-graph work is bounded by the
-// feature count. emit returning false abandons the scan; ctx cancellation
-// ends it with the context's error.
-func StreamByFeatures(ctx context.Context, nGraphs int, feats []ftv.QueryFeature, lookup LookupFunc, emit func(graphID int) bool) error {
-	c := newFeatureCursor(nGraphs, feats, lookup)
-	for {
-		id, ok, err := c.next(ctx)
-		if !ok {
-			return err
-		}
-		if !emit(id) {
-			return nil
-		}
-	}
-}
-
-// featureCursor is StreamByFeatures' intersection as a pull cursor: next
-// yields the surviving graph IDs one at a time, in ascending order, so a
-// caller can interleave several scans — Sharded's merge holds one per shard.
+// featureCursor is the presence-and-frequency pruning every query shares, as
+// a pull cursor: a graph survives iff it contains each query feature at least
+// as often as the query does, and next yields the survivors one at a time, in
+// ascending order, as soon as each has been checked against every feature —
+// an intersection of sorted posting lists driven by the rarest feature's, so
+// per-graph work is bounded by the feature count. An empty feature set
+// (edgeless query) keeps every graph. Sharded's merge holds one per shard.
 type featureCursor struct {
 	needs  []need // nil for a query without features
 	driver int    // the rarest feature's position in needs
@@ -169,8 +138,10 @@ type need struct {
 }
 
 // newFeatureCursor opens the intersection of feats' posting lists over n
-// graphs; lookup resolves each feature's list.
-func newFeatureCursor(n int, feats []ftv.QueryFeature, lookup LookupFunc) featureCursor {
+// graphs; lookup resolves each feature's list — labels is an oriented
+// spelling, the only kind indexed (ftv.Oriented) — empty when the label
+// sequence is absent from every indexed graph.
+func newFeatureCursor(n int, feats []ftv.QueryFeature, lookup func(labels []graph.Label) PostingList) featureCursor {
 	c := featureCursor{n: n}
 	if len(feats) == 0 {
 		return c // no path features (edgeless query): every graph is a candidate

@@ -27,7 +27,7 @@ func TestRegistryHasAllKinds(t *testing.T) {
 	if kinds := Kinds(); !slices.Equal(kinds, []string{KindPath, KindGGSX, KindGrapes}) {
 		t.Fatalf("Kinds() = %v, want the three names, sorted", kinds)
 	}
-	if _, err := Build(context.Background(), "btree", smallDataset(), Options{}); err == nil {
+	if _, err := Build(context.Background(), "btree", smallDataset(), 1, Options{}); err == nil {
 		t.Error("Build of unknown kind should fail")
 	}
 }
@@ -36,14 +36,14 @@ func TestRegistryHasAllKinds(t *testing.T) {
 // answer to.
 var flatKinds = []struct{ kind, name string }{{KindPath, "FTV"}, {KindGGSX, "GGSX"}}
 
-// buildFlat builds one of the flat kinds, its static type kept.
-func buildFlat(t *testing.T, kind string, ds []*graph.Graph, opts Options) *Path {
+// buildFlat builds the one-shard index of one of the flat kinds.
+func buildFlat(t *testing.T, kind string, ds []*graph.Graph, opts Options) *Sharded {
 	t.Helper()
-	x, err := Build(context.Background(), kind, ds, opts)
+	x, err := Build(context.Background(), kind, ds, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x.(*Path)
+	return x
 }
 
 // TestPathIndexFilterAndVerify holds each flat kind to its name and defaults
@@ -60,14 +60,14 @@ func TestPathIndexFilterAndVerify(t *testing.T) {
 	}
 }
 
-func checkFlatName(t *testing.T, x *Path, kind, name string) {
+func checkFlatName(t *testing.T, x *Sharded, kind, name string) {
 	if x.Name() != name {
 		t.Errorf("Name = %q, want %q", x.Name(), name)
 	}
-	if len(x.Dataset()) != 3 || x.MaxPathLen() != ftv.DefaultMaxPathLen {
-		t.Errorf("%d graphs at path length %d, want 3 at %d", len(x.Dataset()), x.MaxPathLen(), ftv.DefaultMaxPathLen)
+	if len(x.Dataset()) != 3 || x.tables[0].MaxPathLen() != ftv.DefaultMaxPathLen {
+		t.Errorf("%d graphs at path length %d, want 3 at %d", len(x.Dataset()), x.tables[0].MaxPathLen(), ftv.DefaultMaxPathLen)
 	}
-	if _, err := x.WithGraph(context.Background(), smallDataset()[0]); err != nil {
+	if _, err := x.tables[0].WithGraph(context.Background(), smallDataset()[0]); err != nil {
 		t.Errorf("a flat kind's table refused an insert: %v", err)
 	}
 	st := x.Stats()
@@ -76,7 +76,7 @@ func checkFlatName(t *testing.T, x *Path, kind, name string) {
 	}
 }
 
-func checkFlatFilter(t *testing.T, x *Path) {
+func checkFlatFilter(t *testing.T, x *Sharded) {
 	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
 	got := x.Filter(q)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
@@ -99,7 +99,7 @@ func checkFlatFilter(t *testing.T, x *Path) {
 	}
 }
 
-func checkFlatVerify(t *testing.T, x *Path) {
+func checkFlatVerify(t *testing.T, x *Sharded) {
 	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
 	ok, err := x.Verify(context.Background(), q, 0)
 	if err != nil || !ok {
@@ -119,7 +119,7 @@ func checkFlatVerify(t *testing.T, x *Path) {
 func TestLookupCounts(t *testing.T) {
 	for _, fk := range flatKinds {
 		t.Run(fk.kind, func(t *testing.T) {
-			x := buildFlat(t, fk.kind, smallDataset(), Options{})
+			x := buildFlat(t, fk.kind, smallDataset(), Options{}).tables[0]
 			// g0: edge 0(0)-1(1) one occurrence of (0,1); g1 same; g2: center
 			// label 1 is vertex 0, leaves label 0: path (0,1) occurs 3×.
 			if got, want := unpack(x.lookup([]graph.Label{0, 1})), []posting{{0, 1}, {1, 1}, {2, 3}}; !slices.Equal(got, want) {
@@ -138,18 +138,26 @@ func TestLookupCounts(t *testing.T) {
 	}
 }
 
+// TestFilterStreamMatchesFilter: the index's merge over its one shard emits
+// what the table's own scan does.
 func TestFilterStreamMatchesFilter(t *testing.T) {
-	x, err := BuildPath(context.Background(), smallDataset(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := buildFlat(t, KindPath, smallDataset(), Options{})
 	queries := []*graph.Graph{
 		graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}}),
 		graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}}),
 		graph.MustNew("q", []graph.Label{0}, nil),
 	}
 	for qi, q := range queries {
-		want := x.Filter(q)
+		var want []int
+		if err := x.tables[0].FilterFeatures(context.Background(), ftv.QueryFeatures(q, ftv.DefaultMaxPathLen), func(id int) bool {
+			want = append(want, id)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := x.Filter(q); !slices.Equal(got, want) {
+			t.Fatalf("query %d: Filter %v vs the table's scan %v", qi, got, want)
+		}
 		var got []int
 		if err := x.FilterStream(context.Background(), q, func(id int) bool {
 			got = append(got, id)
@@ -169,10 +177,7 @@ func TestFilterStreamMatchesFilter(t *testing.T) {
 }
 
 func TestFilterStreamEarlyStopAndCancel(t *testing.T) {
-	x, err := BuildPath(context.Background(), smallDataset(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := buildFlat(t, KindPath, smallDataset(), Options{})
 	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})
 	var got []int
 	if err := x.FilterStream(context.Background(), q, func(id int) bool {
@@ -440,11 +445,7 @@ func TestStreamVerifiedCancelNotSilentlyEmpty(t *testing.T) {
 }
 
 func TestAnswerMatchesSequentialOracle(t *testing.T) {
-	ds := smallDataset()
-	x, err := BuildPath(context.Background(), ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := buildFlat(t, KindPath, smallDataset(), Options{})
 	pool := exec.New(2)
 	defer pool.Close()
 	queries := []*graph.Graph{

@@ -1,4 +1,9 @@
-package grapes
+package index_test
+
+// Grapes' configuration of the index: the table with location sets, and the
+// located verifier a "grapes" name selects over it (Giugno et al., PLoS One
+// 2013, as described in §3.1.1 of the paper) — "Grapes/1" and "Grapes/4" in
+// the paper's figures are that verifier with one and four workers.
 
 import (
 	"context"
@@ -15,10 +20,9 @@ import (
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/leakcheck"
-	"github.com/psi-graph/psi/internal/vf2"
 )
 
-func smallDataset() []*graph.Graph {
+func locatedDataset() []*graph.Graph {
 	return []*graph.Graph{
 		// 0: triangle of labels 0,1,2
 		graph.MustNew("g0", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}, {2, 0}}),
@@ -29,33 +33,45 @@ func smallDataset() []*graph.Graph {
 	}
 }
 
+// grapesView returns the one-shard index over table x verified by
+// Grapes/workers, its components fanning out on pool (nil: the default).
+func grapesView(t testing.TB, x *index.Path, workers int, pool *exec.Pool) *index.Sharded {
+	t.Helper()
+	v, err := index.NewVerifier(index.KindGrapes, index.Options{Workers: workers, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return index.NewShardedFrom(x.Dataset(), nil, []*index.Path{x}, v)
+}
+
 func TestBuildAndName(t *testing.T) {
-	x := Build(smallDataset(), Options{Workers: 4})
+	x := buildIndex(t, index.KindGrapes, locatedDataset(), index.Options{Workers: 4})
 	if x.Name() != "Grapes/4" {
 		t.Errorf("Name = %q", x.Name())
 	}
 	if len(x.Dataset()) != 3 {
 		t.Error("Dataset")
 	}
-	if x.MaxPathLen() != ftv.DefaultMaxPathLen {
-		t.Errorf("MaxPathLen = %d", x.MaxPathLen())
-	}
 	// g2 holds (0,1) three times, touching its every vertex; g0 and g1 once,
 	// touching vertices 0 and 1.
-	if st := x.Stats(); st.Features == 0 || st.Kind != Kind || st.Name != "Grapes/4" || st.LocationBytes == 0 {
+	if st := x.Stats(); st.Features == 0 || st.Kind != index.KindGrapes || st.Name != "Grapes/4" || st.LocationBytes == 0 {
 		t.Errorf("Stats = %+v, want Grapes/4's table with locations", st)
 	}
-	posts, refs := x.Located([]graph.Label{0, 1})
+	tab := buildTable(t, index.KindGrapes, locatedDataset(), index.Options{})
+	if tab.MaxPathLen() != ftv.DefaultMaxPathLen {
+		t.Errorf("MaxPathLen = %d", tab.MaxPathLen())
+	}
+	posts, refs := tab.Located([]graph.Label{0, 1})
 	var got [][]int32
 	for c := posts.Cursor(); c.Next(); {
-		words := ftv.Words(x.Dataset()[c.Graph()].N())
-		got = append(got, x.LocSets().AppendIDs(nil, refs[len(got)], words))
+		words := ftv.Words(tab.Dataset()[c.Graph()].N())
+		got = append(got, tab.LocSets().AppendIDs(nil, refs[len(got)], words))
 	}
 	if want := [][]int32{{0, 1}, {0, 1}, {0, 1, 2, 3}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("locations of (0,1) = %v, want %v", got, want)
 	}
 	// An insert extracts no locations, so the table refuses one.
-	if _, err := x.WithGraph(context.Background(), smallDataset()[0]); err == nil {
+	if _, err := tab.WithGraph(context.Background(), locatedDataset()[0]); err == nil {
 		t.Error("Grapes' table took an insert that would drop its locations")
 	}
 }
@@ -67,21 +83,21 @@ func TestBuildStartsNoGoroutine(t *testing.T) {
 	pool := exec.New(2)
 	t.Cleanup(pool.Close)
 	grown := leakcheck.Check(t, 0)
-	x := Build(smallDataset(), Options{Workers: 4, Pool: pool})
+	x := buildIndex(t, index.KindGrapes, locatedDataset(), index.Options{Workers: 4, Pool: pool})
 	if n := grown(); n != 0 {
 		t.Errorf("building %s started %d goroutines, want 0", x.Name(), n)
 	}
 }
 
 func TestFilterPresence(t *testing.T) {
-	x := Build(smallDataset(), Options{})
+	x := buildIndex(t, index.KindGrapes, locatedDataset(), index.Options{})
 	// query edge 0-1: present in all three graphs
 	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})
 	got := x.Filter(q)
 	if len(got) != 3 {
 		t.Errorf("Filter = %v, want all graphs", got)
 	}
-	// query path 0-1-2... wait labels: 0,1,2 chain exists in g0 and g1 only
+	// query path 0-1-2: the chain exists in g0 and g1 only
 	q2 := graph.MustNew("q2", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
 	got2 := x.Filter(q2)
 	if len(got2) != 2 || got2[0] != 0 || got2[1] != 1 {
@@ -95,7 +111,7 @@ func TestFilterPresence(t *testing.T) {
 }
 
 func TestFilterFrequencyPruning(t *testing.T) {
-	x := Build(smallDataset(), Options{})
+	x := buildIndex(t, index.KindGrapes, locatedDataset(), index.Options{})
 	// query star with two 0-leaves on a 1-center: path 0-1 must occur at
 	// least twice. g2 (three leaves) qualifies; g0/g1 have the 0-1 path
 	// only once per direction.
@@ -107,7 +123,7 @@ func TestFilterFrequencyPruning(t *testing.T) {
 }
 
 func TestFilterEdgelessQuery(t *testing.T) {
-	x := Build(smallDataset(), Options{})
+	x := buildIndex(t, index.KindGrapes, locatedDataset(), index.Options{})
 	q := graph.MustNew("q", []graph.Label{0}, nil)
 	if got := x.Filter(q); len(got) != 3 {
 		t.Errorf("edgeless query: Filter = %v, want all graphs", got)
@@ -115,18 +131,15 @@ func TestFilterEdgelessQuery(t *testing.T) {
 }
 
 func TestCandidateVertices(t *testing.T) {
-	x := Build(smallDataset(), Options{})
+	x := buildTable(t, index.KindGrapes, locatedDataset(), index.Options{})
 	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
 	verts, ok := x.CandidateVertices(q, 1)
 	if !ok {
 		t.Fatal("g1 must pass the filter")
 	}
-	// g1 = 0(0)-1(1)-2(2)-3(0): path 0,1,2 occurrence = vertices {0,1,2};
-	// reverse path 2,1,0 also maximal in query => locations include {0,1,2}
-	// (path 2-1-0 in g1: vertices 2,1,0) — vertex 3 appears via 3(0)-2(2)?
-	// No: query maximal label paths are (0,1,2) and (2,1,0); g1 occurrence
-	// of (2,1,0): vertices 2,1,0 only. But (0,1,2) also matches 3? Vertex 3
-	// has label 0 and neighbor 2 has label 2, not 1 — no.
+	// g1 = 0(0)-1(1)-2(2)-3(0): the query's maximal label paths are (0,1,2)
+	// and (2,1,0), and their one occurrence in g1 touches vertices 0, 1 and
+	// 2. Vertex 3 has label 0, but its neighbour 2 has label 2, not 1.
 	if len(verts) != 3 {
 		t.Errorf("candidate vertices = %v, want {0,1,2}", verts)
 	}
@@ -137,15 +150,15 @@ func TestCandidateVertices(t *testing.T) {
 }
 
 func TestVerifyDecision(t *testing.T) {
-	ds := smallDataset()
+	ds := locatedDataset()
 	for _, workers := range []int{1, 4} {
-		x := Build(ds, Options{Workers: workers})
+		x := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: workers})
 		q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
 		for id, want := range []bool{true, true, false} {
-			if want && !contains(x.Filter(q), id) {
+			if want && !slices.Contains(x.Filter(q), id) {
 				t.Fatalf("graph %d should pass filter", id)
 			}
-			if contains(x.Filter(q), id) {
+			if slices.Contains(x.Filter(q), id) {
 				got, err := x.Verify(context.Background(), q, id)
 				if err != nil {
 					t.Fatal(err)
@@ -158,41 +171,30 @@ func TestVerifyDecision(t *testing.T) {
 	}
 }
 
-func TestAnswerMatchesBruteForce(t *testing.T) {
+func TestLocatedAnswerMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		ds := randomDataset(r, 6, 12, 3)
-		x := Build(ds, Options{Workers: 2, MaxPathLen: 3})
+		x := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 2, MaxPathLen: 3})
 		q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
 		got, err := ftv.Answer(context.Background(), x, q)
-		if err != nil {
-			return false
-		}
-		want := bruteForceAnswer(ds, q)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return err == nil && sameInts(got, trueAnswers(t, ds, q))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Filter soundness: a graph that contains the query must never be pruned.
-func TestFilterNoFalseNegatives(t *testing.T) {
+// TestLocatedFilterNoFalseNegatives: a graph that contains the query must
+// never be pruned.
+func TestLocatedFilterNoFalseNegatives(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		ds := randomDataset(r, 5, 14, 3)
-		x := Build(ds, Options{MaxPathLen: 4})
+		x := buildIndex(t, index.KindGrapes, ds, index.Options{MaxPathLen: 4})
 		src := r.Intn(len(ds))
 		q := extractQuery(r, ds[src], 2+r.Intn(5))
-		return contains(x.Filter(q), src)
+		return slices.Contains(x.Filter(q), src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -203,7 +205,7 @@ func TestVerifyDisconnectedQuery(t *testing.T) {
 	ds := []*graph.Graph{
 		graph.MustNew("g", []graph.Label{0, 1, 0, 1}, [][2]int{{0, 1}, {2, 3}}),
 	}
-	x := Build(ds, Options{})
+	x := buildIndex(t, index.KindGrapes, ds, index.Options{})
 	q := graph.MustNew("q", []graph.Label{0, 1, 0, 1}, [][2]int{{0, 1}, {2, 3}})
 	ok, err := x.Verify(context.Background(), q, 0)
 	if err != nil || !ok {
@@ -227,8 +229,12 @@ func TestVerifyVertexOnNoPath(t *testing.T) {
 		{"A-B, C-D", graph.MustNew("g", []graph.Label{0, 1, 2, 3}, [][2]int{{0, 1}, {2, 3}}), true},
 		{"A-B, D", graph.MustNew("g", []graph.Label{0, 1, 3}, [][2]int{{0, 1}}), false},
 	} {
+		tab := buildTable(t, index.KindGrapes, []*graph.Graph{tc.g}, index.Options{})
+		if verts, ok := tab.CandidateVertices(q, 0); !ok || len(verts) != tc.g.N() {
+			t.Errorf("%s: CandidateVertices = %v, %v; want every vertex", tc.name, verts, ok)
+		}
 		for _, workers := range []int{1, 4} {
-			x := Build([]*graph.Graph{tc.g}, Options{Workers: workers})
+			x := grapesView(t, tab, workers, nil)
 			if got := x.Filter(q); len(got) != 1 {
 				t.Fatalf("%s: Filter = %v, want the graph kept", tc.name, got)
 			}
@@ -236,10 +242,6 @@ func TestVerifyVertexOnNoPath(t *testing.T) {
 			if err != nil || got != tc.want {
 				t.Errorf("%s, workers=%d: Verify = %v, %v; want %v", tc.name, workers, got, err, tc.want)
 			}
-			if verts, ok := x.CandidateVertices(q, 0); !ok || len(verts) != tc.g.N() {
-				t.Errorf("%s: CandidateVertices = %v, %v; want every vertex", tc.name, verts, ok)
-			}
-			x.Close()
 		}
 	}
 }
@@ -277,34 +279,29 @@ func disjointUnion(a, b *graph.Graph, isolated ...graph.Label) *graph.Graph {
 }
 
 // TestDifferentialAgainstFTVAndBruteForce: over datasets holding location
-// sets of both forms in one index, Grapes with 1 and 4 workers — through the
-// sequential filter→verify and the pooled streaming pipeline, and restored
-// from its exported features — answers every connected, disconnected and
-// isolated-vertex query as the flat path index and a brute-force VF2 scan of
-// the dataset do.
+// sets of both forms in one table, Grapes with 1 and 4 workers — through the
+// sequential filter→verify and the pooled streaming pipeline, and over the
+// table restored from its exported features — answers every connected,
+// disconnected and isolated-vertex query as the flat path index and a
+// brute-force VF2 scan of the dataset do.
 func TestDifferentialAgainstFTVAndBruteForce(t *testing.T) {
 	ctx := context.Background()
 	empty := graph.MustNew("none", nil, nil)
+	opts := index.Options{MaxPathLen: 3}
 	for seed := int64(1); seed <= 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		ds := mixedDataset(r)
-		flat, err := index.BuildPath(ctx, ds, index.Options{MaxPathLen: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x1 := Build(ds, Options{Workers: 1, MaxPathLen: 3})
-		x4 := Build(ds, Options{Workers: 4, MaxPathLen: 3})
-		if st := x1.Stats(); st.LocationRows == 0 || st.LocationLists == 0 {
+		flat := buildIndex(t, index.KindPath, ds, opts)
+		tab := buildTable(t, index.KindGrapes, ds, opts)
+		x1, x4 := grapesView(t, tab, 1, nil), grapesView(t, tab, 4, nil)
+		if st := tab.Stats(); st.LocationRows == 0 || st.LocationLists == 0 {
 			t.Fatalf("seed %d: fixture has %d row sets and %d list sets; want both forms", seed, st.LocationRows, st.LocationLists)
 		}
-		feats, maxLen, err := index.Export(x1)
+		restoredTab, err := index.Restore(index.KindGrapes, ds, tab.MaxPathLen(), index.Options{}, index.Export(tab))
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := index.Restore(Kind, ds, maxLen, index.Options{}, feats)
-		if err != nil {
-			t.Fatal(err)
-		}
+		restored := grapesView(t, restoredTab, 1, nil)
 		for trial := 0; trial < 30; trial++ {
 			a := extractQuery(r, ds[r.Intn(len(ds))], 1+r.Intn(5))
 			b := extractQuery(r, ds[r.Intn(len(ds))], 1+r.Intn(3))
@@ -317,7 +314,7 @@ func TestDifferentialAgainstFTVAndBruteForce(t *testing.T) {
 			default:
 				q = disjointUnion(a, empty, b.Label(0))
 			}
-			want := bruteForceAnswer(ds, q)
+			want := trueAnswers(t, ds, q)
 			for name, got := range map[string]func() ([]int, error){
 				"FTV":               func() ([]int, error) { return ftv.Answer(ctx, flat, q) },
 				"Grapes/1":          func() ([]int, error) { return ftv.Answer(ctx, x1, q) },
@@ -336,25 +333,21 @@ func TestDifferentialAgainstFTVAndBruteForce(t *testing.T) {
 				}
 			}
 		}
-		x1.Close()
-		x4.Close()
-		restored.Close()
 	}
 }
 
-// TestConcurrentQueries: different queries interleaved on one index — they
+// TestConcurrentQueries: different queries interleaved on one table — they
 // overwrite each other's remembered query plan and share the scratch pool —
 // answer as they do alone.
 func TestConcurrentQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	ds := mixedDataset(r)
-	x := Build(ds, Options{Workers: 2, MaxPathLen: 3})
-	defer x.Close()
+	x := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 2, MaxPathLen: 3})
 	queries := make([]*graph.Graph, 8)
 	want := make([][]int, len(queries))
 	for i := range queries {
 		queries[i] = extractQuery(r, ds[r.Intn(len(ds))], 1+r.Intn(5))
-		want[i] = bruteForceAnswer(ds, queries[i])
+		want[i] = trueAnswers(t, ds, queries[i])
 	}
 	var wg sync.WaitGroup
 	for i, q := range queries {
@@ -376,7 +369,7 @@ func TestConcurrentQueries(t *testing.T) {
 func TestVerifyCancelled(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	ds := []*graph.Graph{randomGraphDense(r, 60, 0.3)}
-	x := Build(ds, Options{MaxPathLen: 2})
+	x := buildIndex(t, index.KindGrapes, ds, index.Options{MaxPathLen: 2})
 	q := extractQuery(r, ds[0], 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -401,12 +394,11 @@ func TestParallelVerifyAgreesWithSequential(t *testing.T) {
 		}
 	}
 	g := b.MustBuild()
-	ds := []*graph.Graph{g}
-	x1 := Build(ds, Options{Workers: 1})
-	x4 := Build(ds, Options{Workers: 4})
+	tab := buildTable(t, index.KindGrapes, []*graph.Graph{g}, index.Options{})
+	x1, x4 := grapesView(t, tab, 1, nil), grapesView(t, tab, 4, nil)
 	for trial := 0; trial < 10; trial++ {
 		q := extractQuery(r, g, 2+r.Intn(3))
-		if !contains(x1.Filter(q), 0) {
+		if !slices.Contains(x1.Filter(q), 0) {
 			t.Fatal("source graph must pass filter")
 		}
 		a, err1 := x1.Verify(context.Background(), q, 0)
@@ -421,54 +413,6 @@ func TestParallelVerifyAgreesWithSequential(t *testing.T) {
 			t.Errorf("trial %d: extracted query must be contained", trial)
 		}
 	}
-}
-
-func contains(ids []int, id int) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
-func bruteForceAnswer(ds []*graph.Graph, q *graph.Graph) []int {
-	var out []int
-	for id, g := range ds {
-		embs, err := vf2.Match(context.Background(), q, g, 1)
-		if err != nil {
-			panic(err)
-		}
-		if len(embs) > 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-func randomDataset(r *rand.Rand, numGraphs, n, labels int) []*graph.Graph {
-	ds := make([]*graph.Graph, numGraphs)
-	for i := range ds {
-		b := graph.NewBuilder("g")
-		for v := 0; v < n; v++ {
-			b.AddVertex(graph.Label(r.Intn(labels)))
-		}
-		for v := 1; v < n; v++ {
-			if err := b.AddEdge(r.Intn(v), v); err != nil {
-				panic(err)
-			}
-		}
-		for e := 0; e < n/2; e++ {
-			u, v := r.Intn(n), r.Intn(n)
-			if u != v && !b.HasEdgePending(u, v) {
-				if err := b.AddEdge(u, v); err != nil {
-					panic(err)
-				}
-			}
-		}
-		ds[i] = b.MustBuild()
-	}
-	return ds
 }
 
 func randomGraphDense(r *rand.Rand, n int, p float64) *graph.Graph {
@@ -488,85 +432,22 @@ func randomGraphDense(r *rand.Rand, n int, p float64) *graph.Graph {
 	return b.MustBuild()
 }
 
-func extractQuery(r *rand.Rand, g *graph.Graph, wantEdges int) *graph.Graph {
-	start := r.Intn(g.N())
-	inQ := map[int32]bool{int32(start): true}
-	type edge struct{ u, v int32 }
-	var qEdges []edge
-	has := func(a, b int32) bool {
-		for _, e := range qEdges {
-			if (e.u == a && e.v == b) || (e.u == b && e.v == a) {
-				return true
-			}
-		}
-		return false
-	}
-	for len(qEdges) < wantEdges {
-		var frontier []edge
-		for v := range inQ {
-			for _, w := range g.Neighbors(int(v)) {
-				if !has(v, w) {
-					frontier = append(frontier, edge{v, w})
-				}
-			}
-		}
-		if len(frontier) == 0 {
-			break
-		}
-		e := frontier[r.Intn(len(frontier))]
-		qEdges = append(qEdges, e)
-		inQ[e.u] = true
-		inQ[e.v] = true
-	}
-	ids := make([]int32, 0, len(inQ))
-	for v := range inQ {
-		ids = append(ids, v)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	old2new := make(map[int32]int, len(ids))
-	b := graph.NewBuilder("q")
-	for i, v := range ids {
-		old2new[v] = i
-		b.AddVertex(g.Label(int(v)))
-	}
-	for _, e := range qEdges {
-		if err := b.AddEdge(old2new[e.u], old2new[e.v]); err != nil {
-			panic(err)
-		}
-	}
-	return b.MustBuild()
-}
-
 // TestBuildContextCancellation: a cancelled context aborts the build
-// instead of running feature extraction to completion (satellite fix for
-// the previously uncancellable parallel build).
+// instead of running feature extraction to completion.
 func TestBuildContextCancellation(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	ds := randomDataset(r, 6, 30, 2) // dense-ish labels: plenty of paths
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildContext(ctx, ds, Options{}); err == nil {
-		t.Fatal("BuildContext with a cancelled context must fail")
+	if _, err := index.Build(ctx, index.KindGrapes, ds, 1, index.Options{}); err == nil {
+		t.Fatal("Build with a cancelled context must fail")
 	}
-	// A live context still builds, identically to Build.
-	x1, err := BuildContext(context.Background(), ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2 := Build(ds, Options{})
+	// A live context still builds, identically on every call.
+	x1 := buildIndex(t, index.KindGrapes, ds, index.Options{})
+	x2 := buildIndex(t, index.KindGrapes, ds, index.Options{})
 	q := extractQuery(r, ds[0], 3)
-	got, want := x1.Filter(q), x2.Filter(q)
-	if len(got) != len(want) {
-		t.Fatalf("Filter after ctx build %v vs plain build %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("Filter after ctx build %v vs plain build %v", got, want)
-		}
+	if got, want := x1.Filter(q), x2.Filter(q); !slices.Equal(got, want) {
+		t.Fatalf("Filter after one build %v vs another %v", got, want)
 	}
 }
 
@@ -580,7 +461,7 @@ func TestBuildContextCancelMidExtraction(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := BuildContext(ctx, ds, Options{MaxPathLen: 6})
+	_, err := index.Build(ctx, index.KindGrapes, ds, 1, index.Options{MaxPathLen: 6})
 	if err == nil {
 		t.Skip("build finished before the deadline; machine too fast for this fixture")
 	}
@@ -589,17 +470,18 @@ func TestBuildContextCancelMidExtraction(t *testing.T) {
 	}
 }
 
-// TestStatsAndFilterStream sanity-checks the unified-contract additions.
+// TestStatsAndFilterStream: Grapes' index reports its kind, its verifier's
+// name and its locations, and streams the candidates the flat path index
+// filters: the locations change verification only.
 func TestStatsAndFilterStream(t *testing.T) {
-	ds := smallDataset()
-	x := Build(ds, Options{Workers: 2})
-	defer x.Close()
+	ds := locatedDataset()
+	x := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 2})
 	st := x.Stats()
-	if st.Kind != Kind || st.Name != x.Name() || st.Graphs != 3 || st.Features == 0 || st.LocationBytes == 0 {
+	if st.Kind != index.KindGrapes || st.Name != x.Name() || st.Name != "Grapes/2" || st.Graphs != 3 || st.Features == 0 || st.LocationBytes == 0 {
 		t.Errorf("Stats = %+v", st)
 	}
 	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})
-	want := x.Filter(q)
+	want := buildIndex(t, index.KindPath, ds, index.Options{}).Filter(q)
 	var got []int
 	if err := x.FilterStream(context.Background(), q, func(id int) bool {
 		got = append(got, id)
@@ -607,12 +489,7 @@ func TestStatsAndFilterStream(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("FilterStream %v vs Filter %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("FilterStream %v vs Filter %v", got, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("FilterStream %v vs the flat index's Filter %v", got, want)
 	}
 }

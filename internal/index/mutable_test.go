@@ -21,8 +21,8 @@ import (
 // TestPathWithGraphParity appends graphs one at a time via WithGraph to each
 // flat kind and checks, at every prefix, that the derived index answers
 // exactly like a build of the kind over the same prefix, holds the same
-// features and postings, byte for byte, and still names itself as its kind —
-// and that the receivers are untouched. The last graph brings a label the
+// features and postings, byte for byte, and still reports its kind — and
+// that the receivers are untouched. The last graph brings a label the
 // others lack, so appends that add features and appends that share the label
 // slab both occur.
 func TestPathWithGraphParity(t *testing.T) {
@@ -34,10 +34,7 @@ func TestPathWithGraphParity(t *testing.T) {
 func withGraphParity(t *testing.T, kind string) {
 	r := rand.New(rand.NewSource(7))
 	ds := append(randomDataset(r, 6, 10, 2), graph.MustNew("new-label", []graph.Label{0, 2, 1}, [][2]int{{0, 1}, {1, 2}}))
-	base, err := index.Build(context.Background(), kind, ds[:2], index.Options{MaxPathLen: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := buildTable(t, kind, ds[:2], index.Options{MaxPathLen: 3})
 	queries := []*graph.Graph{
 		extractQuery(r, ds[3], 3),
 		extractQuery(r, ds[4], 2),
@@ -45,34 +42,33 @@ func withGraphParity(t *testing.T, kind string) {
 	}
 	baseAnswers := make([][]int, len(queries))
 	for qi, q := range queries {
-		if baseAnswers[qi], err = index.Answer(context.Background(), base, q, nil); err != nil {
+		var err error
+		if baseAnswers[qi], err = index.Answer(context.Background(), view(t, kind, base), q, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var cur index.Index = base
-	chain, exports := []index.Index{base}, [][]index.ExportedFeature{exportOf(t, base)}
+	cur := base
+	chain, exports := []*index.Path{base}, [][]index.ExportedFeature{index.Export(base)}
 	grew, kept := 0, 0
 	for n := 3; n <= len(ds); n++ {
-		next, err := cur.(*index.Path).WithGraph(context.Background(), ds[n-1])
+		next, err := cur.WithGraph(context.Background(), ds[n-1])
 		if err != nil {
 			t.Fatalf("WithGraph(#%d): %v", n-1, err)
 		}
-		want, err := index.Build(context.Background(), kind, ds[:n], index.Options{MaxPathLen: 3})
-		if err != nil {
-			t.Fatal(err)
+		want := buildTable(t, kind, ds[:n], index.Options{MaxPathLen: 3})
+		if st := next.Stats(); st.Kind != kind {
+			t.Errorf("n=%d: the appended %s table reports kind %q", n, kind, st.Kind)
 		}
-		if st := next.Stats(); next.Name() != base.Name() || st.Name != base.Name() || st.Kind != kind {
-			t.Errorf("n=%d: the appended %s index is %q, reporting %q of kind %q", n, kind, next.Name(), st.Name, st.Kind)
-		}
+		nv, wv := view(t, kind, next), view(t, kind, want)
 		for qi, q := range queries {
-			if got, expect := next.Filter(q), want.Filter(q); !sameInts(got, expect) {
+			if got, expect := nv.Filter(q), wv.Filter(q); !sameInts(got, expect) {
 				t.Errorf("n=%d q%d: Filter = %v, want %v", n, qi, got, expect)
 			}
-			got, err := index.Answer(context.Background(), next, q, nil)
+			got, err := index.Answer(context.Background(), nv, q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			expect, err := index.Answer(context.Background(), want, q, nil)
+			expect, err := index.Answer(context.Background(), wv, q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +81,7 @@ func withGraphParity(t *testing.T, kind string) {
 			t.Errorf("n=%d: stats graphs=%d features=%d postings=%d in %d bytes, want %d/%d/%d/%d",
 				n, st.Graphs, st.Features, st.Postings, st.PostingBytes, n, wst.Features, wst.Postings, wst.PostingBytes)
 		}
-		if got := exportOf(t, next); !reflect.DeepEqual(got, exportOf(t, want)) {
+		if got := index.Export(next); !reflect.DeepEqual(got, index.Export(want)) {
 			t.Errorf("n=%d: the appended index exports differently from a fresh build", n)
 		}
 		if st.Features > cur.Stats().Features {
@@ -93,7 +89,7 @@ func withGraphParity(t *testing.T, kind string) {
 		} else {
 			kept++
 		}
-		chain, exports = append(chain, next), append(exports, exportOf(t, next))
+		chain, exports = append(chain, next), append(exports, index.Export(next))
 		cur = next
 	}
 	if grew == 0 || kept == 0 {
@@ -102,13 +98,13 @@ func withGraphParity(t *testing.T, kind string) {
 	// Every generation exports as it did when it was made, after all the
 	// appends derived from it.
 	for at, x := range chain {
-		if !reflect.DeepEqual(exportOf(t, x), exports[at]) {
+		if !reflect.DeepEqual(index.Export(x), exports[at]) {
 			t.Errorf("the index over %d graphs changed after later appends", at+2)
 		}
 	}
 	// The original two-graph index must still answer as before the appends.
 	for qi, q := range queries {
-		got, err := index.Answer(context.Background(), base, q, nil)
+		got, err := index.Answer(context.Background(), view(t, kind, base), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,14 +114,10 @@ func withGraphParity(t *testing.T, kind string) {
 	}
 }
 
-// exportOf is Export for an index that supports it.
-func exportOf(t *testing.T, x index.Index) []index.ExportedFeature {
+// view returns the one-shard index over table x, verified by kind's verifier.
+func view(t testing.TB, kind string, x *index.Path) *index.Sharded {
 	t.Helper()
-	feats, _, err := index.Export(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return feats
+	return index.NewShardedFrom(x.Dataset(), nil, []*index.Path{x}, verifier(t, kind))
 }
 
 // TestPathWithGraphAllocs: beyond extracting the new graph's features,
@@ -201,25 +193,21 @@ func TestShardedTombstoneParity(t *testing.T) {
 		graph.MustNew("edgeless", []graph.Label{0}, nil),
 	}
 	for _, kind := range index.Kinds() {
-		want, err := index.Build(context.Background(), kind, dense, index.Options{MaxPathLen: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := buildIndex(t, kind, dense, index.Options{MaxPathLen: 3})
+		v := verifier(t, kind)
 		for _, k := range []int{1, 2, 3, 11} {
 			subs := make([]*index.Path, k)
 			for s := 0; s < k; s++ {
-				if subs[s], err = buildTable(kind, index.ShardDataset(slotDS, s, k), 3); err != nil {
-					t.Fatalf("%s K=%d shard %d: %v", kind, k, s, err)
-				}
+				subs[s] = buildTable(t, kind, index.ShardDataset(slotDS, s, k), index.Options{MaxPathLen: 3})
 			}
 			wantShards := k
 			if k == 1 {
 				wantShards = 0 // one shard reports as the index it is
 			}
-			if st := index.NewShardedFrom(slotDS, nil, subs).Stats(); st.ShardCount != wantShards || st.Graphs != len(slotDS) {
+			if st := index.NewShardedFrom(slotDS, nil, subs, v).Stats(); st.ShardCount != wantShards || st.Graphs != len(slotDS) {
 				t.Errorf("%s K=%d: ShardedFrom stats = %d shards/%d graphs", kind, k, st.ShardCount, st.Graphs)
 			}
-			m := index.NewShardedFrom(slotDS, alive, subs)
+			m := index.NewShardedFrom(slotDS, alive, subs, v)
 			if got := len(m.Dataset()); got != len(dense) {
 				t.Fatalf("%s K=%d: masked dataset = %d graphs, want %d", kind, k, got, len(dense))
 			}
@@ -239,9 +227,9 @@ func TestShardedTombstoneParity(t *testing.T) {
 			}
 			if k == 1 {
 				own := subs[0].Stats()
-				own.Graphs = len(dense)
-				if m.Name() != subs[0].Name() || !reflect.DeepEqual(st, own) {
-					t.Errorf("%s K=1: masked view is %q with %+v, want its shard's %q with %+v", kind, m.Name(), st, subs[0].Name(), own)
+				own.Name, own.Graphs = v.Name(), len(dense)
+				if m.Name() != v.Name() || !reflect.DeepEqual(st, own) {
+					t.Errorf("%s K=1: masked view is %q with %+v, want its verifier's %q with its shard's %+v", kind, m.Name(), st, v.Name(), own)
 				}
 			}
 			for qi, q := range queries {
@@ -282,16 +270,13 @@ func TestShardedTombstoneParity(t *testing.T) {
 func TestShardedMaskMismatchPanics(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	ds := randomDataset(r, 3, 6, 2)
-	x, err := index.BuildPath(context.Background(), ds, index.Options{MaxPathLen: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := buildTable(t, index.KindPath, ds, index.Options{MaxPathLen: 2})
 	defer func() {
 		if recover() == nil {
 			t.Error("NewShardedFrom with a mismatched mask did not panic")
 		}
 	}()
-	index.NewShardedFrom(ds, []bool{true, false}, []*index.Path{x})
+	index.NewShardedFrom(ds, []bool{true, false}, []*index.Path{x}, verifier(t, index.KindPath))
 }
 
 // TestShardedWithoutTablePanics: the merge extracts a query's features once
@@ -301,11 +286,7 @@ func TestShardedWithoutTablePanics(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	ds := randomDataset(r, 4, 6, 2)
 	build := func(sub []*graph.Graph, maxLen int) *index.Path {
-		x, err := index.BuildPath(context.Background(), sub, index.Options{MaxPathLen: maxLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return x
+		return buildTable(t, index.KindPath, sub, index.Options{MaxPathLen: maxLen})
 	}
 	even, odd := index.ShardDataset(ds, 0, 2), index.ShardDataset(ds, 1, 2)
 	for name, subs := range map[string][]*index.Path{
@@ -318,16 +299,7 @@ func TestShardedWithoutTablePanics(t *testing.T) {
 					t.Error("NewShardedFrom did not panic")
 				}
 			}()
-			index.NewShardedFrom(ds, nil, subs)
+			index.NewShardedFrom(ds, nil, subs, verifier(t, index.KindPath))
 		})
 	}
-}
-
-// buildTable builds the table of kind over ds at path length maxLen.
-func buildTable(kind string, ds []*graph.Graph, maxLen int) (*index.Path, error) {
-	tables, err := index.BuildTables(context.Background(), kind, ds, 1, index.Options{MaxPathLen: maxLen})
-	if err != nil {
-		return nil, err
-	}
-	return tables[0], nil
 }

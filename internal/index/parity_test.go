@@ -1,17 +1,12 @@
 package index_test
 
-// Cross-index parity: the three filtering indexes (flat path-based FTV,
-// Grapes, GGSX) implement one contract over different data structures, so
-// on any dataset
+// Cross-index parity: the three names (flat path-based FTV, Grapes, GGSX)
+// are one index under three verifiers, so on any dataset
 //
 //   - every Filter result must be a superset of the true answer set (the
 //     no-false-negatives guarantee verification relies on), and
 //   - the full Answer pipeline must return byte-identical ascending IDs
 //     for all three — and match brute-force VF2 over the whole dataset.
-//
-// The tests run in an external package so they can build the real Grapes
-// implementation against the contract (internal/grapes imports
-// internal/index; the reverse would cycle).
 
 import (
 	"context"
@@ -24,7 +19,6 @@ import (
 
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
-	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/vf2"
@@ -36,7 +30,7 @@ func buildAll(t *testing.T, ds []*graph.Graph, maxLen int, pool *exec.Pool) []in
 	t.Helper()
 	var out []index.Index
 	for _, kind := range index.Kinds() {
-		x, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: maxLen, Pool: pool})
+		x, err := index.Build(context.Background(), kind, ds, 1, index.Options{MaxPathLen: maxLen, Pool: pool})
 		if err != nil {
 			t.Fatalf("build %s: %v", kind, err)
 		}
@@ -226,7 +220,7 @@ func verifierViews(t *testing.T, ds []*graph.Graph, maxLen int, pool *exec.Pool)
 			if err != nil {
 				t.Fatal(err)
 			}
-			x := index.NewShardedFrom(ds, nil, tables)
+			x := index.NewShardedFrom(ds, nil, tables, vs[0])
 			for _, v := range vs {
 				out = append(out, x.Using(v))
 			}
@@ -297,12 +291,7 @@ func TestBuildDeterminismAcrossWorkerCounts(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, x := range tables {
-					feats, _, err := index.Export(x)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got[i] = append(got[i], feats)
-					x.Close()
+					got[i] = append(got[i], index.Export(x))
 				}
 			}
 			if workers == 1 {
@@ -325,10 +314,8 @@ func TestBuildDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 	queries = append(queries, graph.MustNew("edgeless", []graph.Label{0}, nil))
 	// Grapes' paper-facing worker knob must not change filtering either.
-	g1 := grapes.Build(ds, grapes.Options{Workers: 1})
-	g4 := grapes.Build(ds, grapes.Options{Workers: 4})
-	defer g1.Close()
-	defer g4.Close()
+	g1 := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 1})
+	g4 := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 4})
 	for qi, q := range queries {
 		if f1, f4 := g1.Filter(q), g4.Filter(q); !sameInts(f1, f4) {
 			t.Errorf("Grapes workers 1 vs 4 q%d: Filter %v vs %v", qi, f1, f4)
@@ -361,8 +348,8 @@ func TestGrapesFanOutOnOneWorker(t *testing.T) {
 	}
 	pool := exec.New(1)
 	defer pool.Close()
-	g1 := grapes.Build(ds, grapes.Options{Workers: 1, Pool: pool})
-	g4 := grapes.Build(ds, grapes.Options{Workers: 4, Pool: pool})
+	g1 := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 1, Pool: pool})
+	g4 := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 4, Pool: pool})
 	for qi, q := range queries {
 		want, err := index.Answer(context.Background(), g1, q, pool)
 		if err != nil {
@@ -386,7 +373,7 @@ func TestFilterNoFalseNegatives(t *testing.T) {
 			f := func(seed int64) bool {
 				r := rand.New(rand.NewSource(seed))
 				ds := randomDataset(r, 5, 12, 3)
-				x, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: 4})
+				x, err := index.Build(context.Background(), kind, ds, 1, index.Options{MaxPathLen: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -410,7 +397,7 @@ func TestAnswerMatchesBruteForce(t *testing.T) {
 			f := func(seed int64) bool {
 				r := rand.New(rand.NewSource(seed))
 				ds := randomDataset(r, 5, 10, 3)
-				x, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: 3})
+				x, err := index.Build(context.Background(), kind, ds, 1, index.Options{MaxPathLen: 3})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -442,7 +429,9 @@ func indexOfKind(t *testing.T, kind string) int {
 // TestVerifyAllocs: no kind keeps a matcher per graph — a VF2 matcher is its
 // stored graph — and building one per call costs Verify nothing: it allocates
 // no more than a search through a matcher built beforehand, on graphs that
-// hold the query and on one that does not.
+// hold the query and on one that does not. At two shards Verify routes each
+// ID to its shard's table, as an engine's verification does, and that
+// translation costs nothing either.
 func TestVerifyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("Grapes verifies from a sync.Pool, which the race detector empties at random")
@@ -452,68 +441,66 @@ func TestVerifyAllocs(t *testing.T) {
 	q := extractQuery(r, ds[2], 3)
 	ctx := context.Background()
 	for _, kind := range index.Kinds() {
-		x, err := index.Build(ctx, kind, ds, index.Options{MaxPathLen: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		outcomes := map[bool]bool{}
-		for id, g := range ds {
-			m := vf2.New(g)
-			found, err := x.Verify(ctx, q, id)
+		for _, k := range []int{1, 2} {
+			x, err := index.Build(ctx, kind, ds, k, index.Options{MaxPathLen: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			outcomes[found] = true
-			verify := testing.AllocsPerRun(50, func() { x.Verify(ctx, q, id) })
-			prebuilt := testing.AllocsPerRun(50, func() { m.Contains(ctx, q) })
-			if verify > prebuilt {
-				t.Errorf("%s graph %d: Verify makes %.0f allocations, a prebuilt matcher's search %.0f", kind, id, verify, prebuilt)
+			outcomes := map[bool]bool{}
+			for id, g := range ds {
+				m := vf2.New(g)
+				found, err := x.Verify(ctx, q, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outcomes[found] = true
+				verify := testing.AllocsPerRun(50, func() { x.Verify(ctx, q, id) })
+				prebuilt := testing.AllocsPerRun(50, func() { m.Contains(ctx, q) })
+				if verify > prebuilt {
+					t.Errorf("%s K=%d graph %d: Verify makes %.0f allocations, a prebuilt matcher's search %.0f", kind, k, id, verify, prebuilt)
+				}
+			}
+			if len(outcomes) != 2 {
+				t.Errorf("%s K=%d: the query is verified %v on every graph; want both outcomes", kind, k, outcomes)
 			}
 		}
-		if len(outcomes) != 2 {
-			t.Errorf("%s: the query is verified %v on every graph; want both outcomes", kind, outcomes)
-		}
-		x.Close()
 	}
 }
 
 // TestVerifyRejectsOutOfRangeGraphID: a graph ID outside the dataset is an
-// error from every kind's Verify — built or restored from exported features —
-// never a panic, and Grapes' CandidateVertices reports such a graph as
-// failing the filter.
+// error from every kind's verification — over a table built or restored from
+// exported features, through the index or the table — never a panic, and
+// Grapes' CandidateVertices reports such a graph as failing the filter.
 func TestVerifyRejectsOutOfRangeGraphID(t *testing.T) {
 	ds := randomDataset(rand.New(rand.NewSource(5)), 4, 7, 2)
 	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})
+	ctx := context.Background()
 	for _, kind := range index.Kinds() {
-		built, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: 3})
+		built := buildTable(t, kind, ds, index.Options{MaxPathLen: 3})
+		restored, err := index.Restore(kind, ds, built.MaxPathLen(), index.Options{}, index.Export(built))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer built.Close()
-		feats, maxLen, err := index.Export(built)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored, err := index.Restore(kind, ds, maxLen, index.Options{}, feats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer restored.Close()
+		v := verifier(t, kind)
 		for _, tc := range []struct {
 			name string
-			x    index.Index
+			x    *index.Path
 		}{{"built", built}, {"restored", restored}} {
+			x := view(t, kind, tc.x)
 			for _, id := range []int{-1, len(ds), len(ds) + 100} {
-				if ok, err := tc.x.Verify(context.Background(), q, id); err == nil || ok {
+				if ok, err := x.Verify(ctx, q, id); err == nil || ok {
 					t.Errorf("%s %s: Verify(graph %d) = %v, %v; want an out-of-range error", kind, tc.name, id, ok, err)
 				}
-				if kind == grapes.Kind {
-					if vs, ok := tc.x.(*index.Path).CandidateVertices(q, id); ok || vs != nil {
+				if ok, err := tc.x.VerifyWith(ctx, v, q, id); err == nil || ok {
+					t.Errorf("%s %s: the table's VerifyWith(graph %d) = %v, %v; want an out-of-range error", kind, tc.name, id, ok, err)
+				}
+				if kind == index.KindGrapes {
+					if vs, ok := tc.x.CandidateVertices(q, id); ok || vs != nil {
 						t.Errorf("grapes %s: CandidateVertices(graph %d) = %v, %v; want nil, false", tc.name, id, vs, ok)
 					}
 				}
 			}
-			if _, err := tc.x.Verify(context.Background(), q, len(ds)-1); err != nil {
+			if _, err := x.Verify(ctx, q, len(ds)-1); err != nil {
 				t.Errorf("%s %s: Verify(last graph): %v", kind, tc.name, err)
 			}
 		}

@@ -1,13 +1,14 @@
 package index
 
-// The flat path-feature table, the one index. It stores every extracted path
-// feature — an undirected label path under its oriented spelling
-// (ftv.Oriented) — flat, sorted by label sequence, with its packed posting
-// list and, for a table built under "grapes", a reference to each posting's
-// location set. The names differ only in the verifier they select
-// (verify.go): the flat path index ("ftv", FTV) and GGSX ("ggsx") run VF2
-// against the whole stored graph, and Grapes ("grapes") runs it within the
-// components the location sets leave.
+// The flat path-feature table, one per shard of the index (Sharded). It
+// stores every extracted path feature — an undirected label path under its
+// oriented spelling (ftv.Oriented) — flat, sorted by label sequence, with its
+// packed posting list and, for a table built under "grapes", a reference to
+// each posting's location set. It names no verifier: the names differ only in
+// the verifier a Sharded view over the tables selects (verify.go): the flat
+// path index ("ftv", FTV) and GGSX ("ggsx") run VF2 against the whole stored
+// graph, and Grapes ("grapes") runs it within the components the location
+// sets leave.
 //
 // GGSX (Bonnici et al., §3.1.1 of the paper) indexes all ≤maxLen paths, as
 // this table does, in a suffix tree, keeps no locations and verifies with VF2
@@ -54,12 +55,12 @@ import (
 	"github.com/psi-graph/psi/internal/graph"
 )
 
-// Path is the flat path-feature table: an index that filters by its
-// features and verifies with the verifier of the name it was built under.
+// Path is the flat path-feature table of one shard: its features, their
+// postings and, under "grapes", their locations. It is not an index: a
+// Sharded view filters it and verifies over it with any name's verifier.
 // Safe for concurrent use once built.
 type Path struct {
 	kind       string
-	v          Verifier
 	ds         []*graph.Graph
 	maxPathLen int
 	// The features in canonical (lexicographic label sequence) order — the
@@ -237,23 +238,9 @@ func (b bitmap) ones() iter.Seq[int] {
 	}
 }
 
-// BuildPath constructs the flat path index ("ftv") through the build
-// pipeline, its static type kept.
-func BuildPath(ctx context.Context, ds []*graph.Graph, opts Options) (*Path, error) {
-	tables, err := BuildTables(ctx, KindPath, ds, 1, opts)
-	if err != nil {
-		return nil, err
-	}
-	return tables[0], nil
-}
-
-// newPath returns an empty table of kind over ds, with kind's verifier.
-func newPath(kind string, ds []*graph.Graph, maxPathLen int, opts Options) *Path {
-	v, err := NewVerifier(kind, opts)
-	if err != nil {
-		panic(err) // callers check the kind first
-	}
-	return &Path{kind: kind, v: v, ds: ds, maxPathLen: maxPathLen}
+// newPath returns an empty table of kind over ds.
+func newPath(kind string, ds []*graph.Graph, maxPathLen int) *Path {
+	return &Path{kind: kind, ds: ds, maxPathLen: maxPathLen}
 }
 
 // FoldPath folds the table of kind over ds from its graphs' extracted
@@ -308,7 +295,7 @@ func FoldPath(kind string, ds []*graph.Graph, ex Extraction, opts Options) *Path
 	for _, z := range sizes {
 		nBytes += z.bytes()
 	}
-	x := newPath(kind, ds, opts.MaxPathLen, opts)
+	x := newPath(kind, ds, opts.MaxPathLen)
 	x.dir = &PathDirectory{
 		labels: make([]graph.Label, 0, nLabels),
 		ends:   make([]uint32, 0, nFeats),
@@ -399,7 +386,6 @@ func (in *interner) intern(t *ftv.LabelTrie, m []int32, s int32) int32 {
 // finish sets the statistics of a built or restored table.
 func (x *Path) finish(buildTime time.Duration, pool *exec.Pool) {
 	x.stats = Stats{
-		Name:         x.Name(),
 		Kind:         x.kind,
 		Graphs:       len(x.ds),
 		MaxPathLen:   x.maxPathLen,
@@ -426,10 +412,7 @@ func PoolWorkers(p *exec.Pool) int {
 	return p.Workers()
 }
 
-// Name implements ftv.Index: its verifier's, "FTV", "GGSX" or "Grapes/W".
-func (x *Path) Name() string { return x.v.Name() }
-
-// Dataset implements ftv.Index.
+// Dataset returns the graphs the table indexes, in local ID order.
 func (x *Path) Dataset() []*graph.Graph { return x.ds }
 
 // MaxPathLen returns the indexed path length.
@@ -443,11 +426,9 @@ func (x *Path) Directory() *PathDirectory { return x.dir }
 // table without locations.
 func (x *Path) LocSets() *ftv.LocSets { return &x.locs }
 
-// Stats implements Index.
+// Stats reports the table's build provenance and shape. Name is empty: the
+// Sharded view over the table names its verifier.
 func (x *Path) Stats() Stats { return x.stats }
-
-// Close implements Index; a table owns no resources.
-func (x *Path) Close() {}
 
 // postingCount is the number of postings the table holds.
 func (x *Path) postingCount() uint32 {
@@ -623,20 +604,18 @@ func mergeDirectories(dirs []*PathDirectory, visit func([]graph.Label)) {
 	}
 }
 
-// Filter implements ftv.Index via the shared presence/frequency pruning.
-func (x *Path) Filter(q *graph.Graph) []int {
-	return FilterByFeatures(len(x.ds), ftv.QueryFeatures(q, x.maxPathLen), x.lookup)
-}
-
-// FilterStream implements Index.
-func (x *Path) FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error {
-	return x.FilterFeatures(ctx, ftv.QueryFeatures(q, x.maxPathLen), emit)
-}
-
-// FilterFeatures is FilterStream from the query's features, extracted at
-// the table's path length, rather than from the query.
+// FilterFeatures emits, in ascending local ID order, the graphs of the table
+// that contain each of the query's features, extracted at the table's path
+// length, at least as often as the query does. emit returning false abandons
+// the scan; a cancelled ctx ends it with the context's error.
 func (x *Path) FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, emit func(graphID int) bool) error {
-	return StreamByFeatures(ctx, len(x.ds), feats, x.lookup, emit)
+	c := x.cursor(feats)
+	for {
+		id, ok, err := c.next(ctx)
+		if !ok || !emit(id) {
+			return err
+		}
+	}
 }
 
 // cursor opens FilterFeatures' scan as a pull cursor.
@@ -707,7 +686,6 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (*Path, error) {
 	ds[len(x.ds)] = g
 	nx := &Path{
 		kind:       x.kind,
-		v:          x.v,
 		ds:         ds,
 		maxPathLen: x.maxPathLen,
 		dir:        x.dir,
@@ -782,11 +760,6 @@ func (x *Path) copyEntries(o *Path, from, to int) {
 		e.postEnd += postShift
 		x.entries = append(x.entries, e)
 	}
-}
-
-// Verify implements ftv.Index with the table's own verifier.
-func (x *Path) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
-	return x.VerifyWith(ctx, x.v, q, graphID)
 }
 
 // VerifyWith decides candidate graphID with v, any name's verifier.

@@ -6,15 +6,15 @@ package index
 // ID g is g mod K, its ID within the shard is g div K): stable, deterministic,
 // and balanced to within one graph regardless of dataset order.
 //
-// Sharded implements the same Index contract as one table, so everything
-// layered above — the streaming filter→verify pipeline and its per-candidate
-// races of verifiers and rewritings — composes with it unchanged. Query answers are byte-identical to the
-// monolithic index at any K and any worker count: filtering decisions are
-// per-graph (a graph survives iff it contains every query feature often
-// enough, which no amount of partitioning changes), FilterStream merges one
-// posting cursor per shard in ascending global-ID order on the caller's
-// goroutine, and verification, under any name's verifier, routes each global
-// ID back to the shard that owns it. Filtering stays sequential, as the paper's FTV design leaves it:
+// Sharded is the one Index implementation, at every K, K = 1 included: the
+// streaming filter→verify pipeline and its per-candidate races of verifiers
+// and rewritings run over it. Query answers are byte-identical at any K and
+// any worker count: filtering decisions are per-graph (a graph survives iff
+// it contains every query feature often enough, which no amount of
+// partitioning changes), FilterStream merges one posting cursor per shard in
+// ascending global-ID order on the caller's goroutine, and verification,
+// under any name's verifier, routes each global ID back to the shard that
+// owns it. Filtering stays sequential, as the paper's FTV design leaves it:
 // the parallelism is in verification.
 //
 // With the alive mask of a dataset store (internal/live), which tombstones a
@@ -33,17 +33,15 @@ import (
 	"github.com/psi-graph/psi/internal/graph"
 )
 
-// Sharded is a dataset index partitioned into K per-shard tables. Construct
-// with BuildSharded or NewShardedFrom; immutable, so safe for concurrent
-// queries (a mutation assembles a new Sharded). At K = 1 it is its one table
-// under another type: statistics and, when no slot is dead, filtering
-// delegate.
+// Sharded is a dataset index partitioned into K per-shard tables and viewed
+// through one verifier. Construct with Build or NewShardedFrom; immutable, so
+// safe for concurrent queries (a mutation assembles a new Sharded).
 type Sharded struct {
 	ds     []*graph.Graph // dense: the live graphs in slot order
 	tables []*Path
-	v      Verifier // what Verify decides with: the tables' own, or Using's
+	v      Verifier // what Verify decides with and Name reports
 	k      int
-	stats  Stats
+	stats  Stats // without names: Stats fills in the verifier's
 	// denseOf maps a slot to its dense ID (-1 when tombstoned) and slots a
 	// dense ID back to its slot; both nil when every slot is live, and the
 	// slot is then the dense ID.
@@ -66,26 +64,14 @@ func ShardDataset(ds []*graph.Graph, s, k int) []*graph.Graph {
 	return sub
 }
 
-// BuildSharded partitions ds into shards round-robin shards and builds the
-// table of kind per shard through BuildTables — a Sharded index even at a
-// single shard. The shard count is clamped to len(ds) — a shard with no
-// graphs would be dead weight — and to at least 1.
-func BuildSharded(ctx context.Context, kind string, ds []*graph.Graph, shards int, opts Options) (*Sharded, error) {
-	tables, err := BuildTables(ctx, kind, ds, min(shards, len(ds)), opts)
-	if err != nil {
-		return nil, err
-	}
-	return NewShardedFrom(ds, nil, tables), nil
-}
-
 // NewShardedFrom assembles a Sharded view over pre-built per-shard tables,
-// BuildTables' output — also the dataset store's (internal/live) entry point,
-// which maintains the tables itself (copy-on-write inserts, shard-local
-// rebuilds) and needs the shard count to stay fixed across mutations. Unlike
-// BuildSharded the shard count is NOT clamped to len(slots): a shard may
-// legitimately be empty after deletions or before its first ingest.
-// tables[s] must index exactly ShardDataset(slots, s, len(tables)). The view
-// verifies with shard 0's verifier.
+// BuildTables' output, that verifies with v — also the dataset store's
+// (internal/live) entry point, which maintains the tables itself
+// (copy-on-write inserts, shard-local rebuilds) and needs the shard count to
+// stay fixed across mutations. Unlike Build the shard count is NOT clamped to
+// len(slots): a shard may legitimately be empty after deletions or before its
+// first ingest. tables[s] must index exactly ShardDataset(slots, s,
+// len(tables)).
 //
 // alive marks the live slots (nil: every slot is); with dead ones the view is
 // the dense one of the file comment, its Stats counting only live graphs, in
@@ -97,7 +83,7 @@ func BuildSharded(ctx context.Context, kind string, ds []*graph.Graph, shards in
 // shard its graphs' share of the shared extraction, so the sum is extraction
 // plus the folds. At K = 1 the statistics are the table's own, with no shard
 // breakdown.
-func NewShardedFrom(slots []*graph.Graph, alive []bool, tables []*Path) *Sharded {
+func NewShardedFrom(slots []*graph.Graph, alive []bool, tables []*Path, v Verifier) *Sharded {
 	if alive != nil && len(alive) != len(slots) {
 		panic(fmt.Sprintf("index: NewShardedFrom: %d liveness flags for %d slots", len(alive), len(slots)))
 	}
@@ -107,7 +93,7 @@ func NewShardedFrom(slots []*graph.Graph, alive []bool, tables []*Path) *Sharded
 			panic(fmt.Sprintf("index: NewShardedFrom: shard %d has no table at shard 0's path length", s))
 		}
 	}
-	x := &Sharded{ds: slots, k: k, tables: tables, v: tables[0].v}
+	x := &Sharded{ds: slots, k: k, tables: tables, v: v}
 	if slices.Contains(alive, false) {
 		x.ds = make([]*graph.Graph, 0, len(slots))
 		x.denseOf = make([]int, len(slots))
@@ -126,7 +112,6 @@ func NewShardedFrom(slots []*graph.Graph, alive []bool, tables []*Path) *Sharded
 		return x
 	}
 	x.stats = Stats{
-		Name:       x.Name(),
 		Kind:       tables[0].kind,
 		Graphs:     len(x.ds),
 		ShardCount: k,
@@ -171,16 +156,26 @@ func (x *Sharded) Name() string {
 func (x *Sharded) Using(v Verifier) *Sharded {
 	y := *x
 	y.v = v
-	y.stats.Name = y.Name()
 	return &y
 }
 
 // Dataset implements ftv.Index: the live graphs, in global ID order.
 func (x *Sharded) Dataset() []*graph.Graph { return x.ds }
 
-// Stats implements Index: the aggregate build shape, with the per-shard
-// breakdown in Stats.Shards (the shard-balance feed for /stats) when K >= 2.
-func (x *Sharded) Stats() Stats { return x.stats }
+// Stats implements Index: the aggregate build shape under the view's name,
+// with the per-shard breakdown in Stats.Shards (the shard-balance feed for
+// /stats) when K >= 2, each shard named after the verifier.
+func (x *Sharded) Stats() Stats {
+	st := x.stats
+	st.Name = x.Name()
+	if st.Shards != nil {
+		st.Shards = slices.Clone(st.Shards)
+		for s := range st.Shards {
+			st.Shards[s].Name = x.v.Name()
+		}
+	}
+	return st
+}
 
 // dense returns the dense ID of shard s's local ID, or -1 when its slot is
 // tombstoned.
@@ -213,13 +208,8 @@ func (x *Sharded) VerifyWith(ctx context.Context, v Verifier, q *graph.Graph, gr
 	return x.tables[ShardOf(slot, x.k)].VerifyWith(ctx, v, q, slot/x.k)
 }
 
-// Filter implements ftv.Index: FilterStream collected — the same candidate
-// set as the monolithic index, because presence/frequency pruning is a
-// per-graph decision.
+// Filter implements ftv.Index: FilterStream collected.
 func (x *Sharded) Filter(q *graph.Graph) []int {
-	if x.k == 1 && x.denseOf == nil {
-		return x.tables[0].Filter(q)
-	}
 	var out []int
 	// The background context never cancels, so the error is always nil.
 	_ = x.FilterStream(context.Background(), q, func(id int) bool {
@@ -233,20 +223,9 @@ func (x *Sharded) Filter(q *graph.Graph) []int {
 // caller's goroutine: the query's features are extracted once, one posting
 // cursor per shard scans that shard's table, each shard's head is its next
 // candidate translated to its dense ID (tombstones skipped), and the minimum
-// head is emitted — so the emission order is byte-identical to the monolithic
-// index's at any K. Each cursor polls ctx as the monolithic scan does. At
-// K = 1 the one table filters, its IDs translated.
+// head is emitted — so the emission order is the same at any K. Each cursor
+// polls ctx once per graph it considers.
 func (x *Sharded) FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error {
-	if x.k == 1 {
-		sub := emit
-		if x.denseOf != nil {
-			sub = func(local int) bool {
-				id := x.dense(0, local)
-				return id < 0 || emit(id)
-			}
-		}
-		return x.tables[0].FilterStream(ctx, q, sub)
-	}
 	feats := ftv.QueryFeatures(q, x.stats.MaxPathLen)
 	type head struct {
 		cur featureCursor

@@ -37,7 +37,7 @@ func fuzzDatasets(r *rand.Rand) map[string][]*graph.Graph {
 // TestShardedParityFuzz is the acceptance property: for random seeded
 // datasets and queries, every index kind sharded at K∈{1,2,3,8} and built
 // and queried at Workers∈{1,N} produces Filter candidates and full
-// streaming-pipeline answers byte-identical to the monolithic index.
+// streaming-pipeline answers byte-identical to the one-shard index.
 func TestShardedParityFuzz(t *testing.T) {
 	pool1 := exec.New(1)
 	defer pool1.Close()
@@ -51,7 +51,7 @@ func TestShardedParityFuzz(t *testing.T) {
 		}
 		queries = append(queries, graph.MustNew("edgeless", []graph.Label{0}, nil))
 		for _, kind := range index.Kinds() {
-			mono, err := index.Build(context.Background(), kind, ds, index.Options{
+			mono, err := index.Build(context.Background(), kind, ds, 1, index.Options{
 				MaxPathLen: fuzzMaxPathLen, Pool: poolN,
 			})
 			if err != nil {
@@ -68,7 +68,7 @@ func TestShardedParityFuzz(t *testing.T) {
 			mono.Close()
 			for _, k := range []int{1, 2, 3, 8} {
 				for _, pool := range []*exec.Pool{pool1, poolN} {
-					sh, err := index.BuildSharded(context.Background(), kind, ds, k, index.Options{
+					sh, err := index.Build(context.Background(), kind, ds, k, index.Options{
 						MaxPathLen: fuzzMaxPathLen, Pool: pool,
 					})
 					if err != nil {
@@ -101,7 +101,7 @@ func TestShardedParityFuzz(t *testing.T) {
 func TestShardedBuildShape(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ds := randomDataset(r, 5, 8, 2)
-	sh, err := index.BuildSharded(context.Background(), index.KindPath, ds, 2, index.Options{})
+	sh, err := index.Build(context.Background(), index.KindPath, ds, 2, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +117,13 @@ func TestShardedBuildShape(t *testing.T) {
 	if st.Shards[0].Graphs != 3 || st.Shards[1].Graphs != 2 {
 		t.Errorf("shard balance = %d/%d, want 3/2", st.Shards[0].Graphs, st.Shards[1].Graphs)
 	}
-	if want := "FTV×2"; sh.Name() != want {
-		t.Errorf("Name = %q, want %q", sh.Name(), want)
+	if want := "FTV×2"; sh.Name() != want || st.Name != want {
+		t.Errorf("Name = %q, Stats.Name = %q, want %q", sh.Name(), st.Name, want)
+	}
+	for s, shard := range st.Shards {
+		if shard.Name != "FTV" {
+			t.Errorf("shard %d is named %q, want its verifier's FTV", s, shard.Name)
+		}
 	}
 	if sum := st.Shards[0].Features + st.Shards[1].Features; sum != st.Features {
 		t.Errorf("aggregate Features = %d, want per-shard sum %d", st.Features, sum)
@@ -128,7 +133,7 @@ func TestShardedBuildShape(t *testing.T) {
 	}
 
 	// Oversized K clamps to the dataset size; every shard owns one graph.
-	big, err := index.BuildSharded(context.Background(), index.KindPath, ds, 64, index.Options{})
+	big, err := index.Build(context.Background(), index.KindPath, ds, 64, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,43 +152,33 @@ func TestShardedBuildShape(t *testing.T) {
 	}
 }
 
-// TestShardedBuildThroughRegistry checks that BuildSharded produces the
-// sharded wrapper for every registered kind, that at one shard the wrapper
-// reports that shard's statistics as its own (no shard count, no breakdown,
-// as its name and filters already delegate), and that Build stays
-// monolithic.
+// TestShardedBuildThroughRegistry checks that Build produces the index for
+// every registered kind, and that at one shard the index reports its table's
+// statistics as its own (no shard count, no breakdown) under its verifier's
+// name.
 func TestShardedBuildThroughRegistry(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	ds := randomDataset(r, 4, 8, 2)
+	opts := index.Options{MaxPathLen: 2}
 	for _, kind := range index.Kinds() {
-		x, err := index.BuildSharded(context.Background(), kind, ds, 2, index.Options{MaxPathLen: 2})
+		x, err := index.Build(context.Background(), kind, ds, 2, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		if x.Stats().Kind != kind {
 			t.Errorf("%s: sharded Stats.Kind = %q", kind, x.Stats().Kind)
 		}
-		x.Close()
-		one, err := index.BuildSharded(context.Background(), kind, ds, 1, index.Options{MaxPathLen: 2})
+		one, err := index.Build(context.Background(), kind, ds, 1, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		mono, err := index.Build(context.Background(), kind, ds, index.Options{MaxPathLen: 2})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+		got, want := one.Stats(), buildTable(t, kind, ds, opts).Stats()
+		if got.ShardCount != 0 || got.Shards != nil || got.Name != verifier(t, kind).Name() || got.Kind != kind || got.Graphs != want.Graphs || got.Features != want.Features {
+			t.Errorf("%s: K=1 stats %+v, want the table's %+v under its verifier's name", kind, got, want)
 		}
-		if _, ok := mono.(*index.Sharded); ok {
-			t.Errorf("%s: Build returned a sharded wrapper", kind)
-		}
-		got, want := one.Stats(), mono.Stats()
-		if got.ShardCount != 0 || got.Shards != nil || got.Name != want.Name || got.Kind != kind || got.Graphs != want.Graphs || got.Features != want.Features {
-			t.Errorf("%s: K=1 stats %+v, want the monolithic index's %+v", kind, got, want)
-		}
-		one.Close()
-		mono.Close()
 	}
-	if _, err := index.BuildSharded(context.Background(), "nope", ds, 2, index.Options{}); err == nil {
-		t.Error("BuildSharded with unknown kind = nil error")
+	if _, err := index.Build(context.Background(), "nope", ds, 2, index.Options{}); err == nil {
+		t.Error("Build with unknown kind = nil error")
 	}
 }
 
@@ -197,7 +192,7 @@ func TestShardedStreamTruncationSafety(t *testing.T) {
 	defer pool.Close()
 	r := rand.New(rand.NewSource(11))
 	ds := gen.Synthetic(gen.SyntheticAt(gen.Tiny), 7)
-	sh, err := index.BuildSharded(context.Background(), index.KindPath, ds, 3, index.Options{
+	sh, err := index.Build(context.Background(), index.KindPath, ds, 3, index.Options{
 		MaxPathLen: fuzzMaxPathLen, Pool: pool,
 	})
 	if err != nil {
@@ -273,7 +268,7 @@ func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 	t.Cleanup(pool.Close)
 	r := rand.New(rand.NewSource(13))
 	ds := randomDataset(r, 9, 10, 2)
-	sh, err := index.BuildSharded(context.Background(), index.KindPath, ds, 3, index.Options{
+	sh, err := index.Build(context.Background(), index.KindPath, ds, 3, index.Options{
 		MaxPathLen: 2, Pool: pool,
 	})
 	if err != nil {
@@ -316,7 +311,7 @@ func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 func TestShardedMergeStartsNoGoroutine(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	ds := randomDataset(r, 600, 6, 2)
-	sh, err := index.BuildSharded(context.Background(), index.KindPath, ds, 3, index.Options{MaxPathLen: 2})
+	sh, err := index.Build(context.Background(), index.KindPath, ds, 3, index.Options{MaxPathLen: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/live"
@@ -51,23 +50,21 @@ func assertSharedRow(t *testing.T, tag string, st *live.Store) {
 		if x.Directory() != row[0].Directory() {
 			t.Errorf("%s: shard %d does not share shard 0's directory", tag, s)
 		}
-		own, err := index.BuildPath(context.Background(), locals[s], index.Options{MaxPathLen: testMaxPathLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(exportOf(t, x), exportOf(t, own)) {
+		own := buildTable(t, index.KindPath, locals[s])
+		if !reflect.DeepEqual(index.Export(x), index.Export(own)) {
 			t.Errorf("%s: shard %d exports differently from an index of its own", tag, s)
 		}
 	}
 }
 
-func exportOf(t *testing.T, x index.Index) []index.ExportedFeature {
+// buildTable builds the one table of kind over ds.
+func buildTable(t *testing.T, kind string, ds []*graph.Graph) *index.Path {
 	t.Helper()
-	feats, _, err := index.Export(x)
+	tables, err := index.BuildTables(context.Background(), kind, ds, 1, index.Options{MaxPathLen: testMaxPathLen})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return feats
+	return tables[0]
 }
 
 func assertCurrentParity(t *testing.T, st *live.Store, kinds []string) {
@@ -178,7 +175,7 @@ func assertOneDirectory(t *testing.T, tag string, st *live.Store) {
 // and after a restore from exported features, which gives every table a
 // directory of its own until the store shares them.
 func TestGridSharesOneDirectory(t *testing.T) {
-	kinds := []string{index.KindPath, index.KindGGSX, grapes.Kind}
+	kinds := []string{index.KindPath, index.KindGGSX, index.KindGrapes}
 	r := rand.New(rand.NewSource(29))
 	opts := live.Options{Kinds: kinds, Shards: 3, Index: index.Options{MaxPathLen: testMaxPathLen}}
 	st, err := live.NewStore(context.Background(), randomDataset(r, 9, 8, 3), opts)
@@ -224,19 +221,22 @@ func TestAddInsertsGGSXAndRebuildsGrapes(t *testing.T) {
 		return st, exportState(t, st).Tables[0]
 	}
 	st, gg := added([]string{index.KindGGSX})
-	if st := gg.Stats(); gg.Name() != "GGSX" || st.Name != "GGSX" || st.Kind != index.KindGGSX {
-		t.Errorf("the inserted GGSX shard is %q, reporting %q of kind %q", gg.Name(), st.Name, st.Kind)
+	if st := gg.Stats(); st.Kind != index.KindGGSX {
+		t.Errorf("the inserted GGSX shard reports kind %q", st.Kind)
+	}
+	if name := st.Current().Table().Name(); name != "GGSX×2" {
+		t.Errorf("the store serving GGSX names its index %q, want GGSX×2", name)
 	}
 	if gg.Directory().Len() <= gg.Stats().Features {
 		t.Errorf("GGSX shard 0 indexes %d sequences of a %d-sequence directory: rebuilt, not inserted", gg.Stats().Features, gg.Directory().Len())
 	}
 	assertCurrentParity(t, st, []string{index.KindGGSX})
-	kinds := []string{index.KindGGSX, grapes.Kind}
+	kinds := []string{index.KindGGSX, index.KindGrapes}
 	st, sub := added(kinds)
 	if sub.Stats().LocationBytes == 0 {
 		t.Fatal("the table serving Grapes lost its locations to the Add")
 	}
-	fresh := grapes.Build([]*graph.Graph{ds[0], g}, grapes.Options{MaxPathLen: testMaxPathLen})
+	fresh := buildTable(t, index.KindGrapes, []*graph.Graph{ds[0], g})
 	hit := false
 	for _, q := range []*graph.Graph{
 		pathQuery(0, 4, 1),

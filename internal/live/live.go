@@ -66,7 +66,7 @@ type Options struct {
 	// Kinds lists the index names the store serves (at least one); each
 	// shard keeps one table, built under index.TableKind(Kinds).
 	Kinds []string
-	// Shards is the fixed shard count K; unlike index.BuildSharded it is
+	// Shards is the fixed shard count K; unlike index.Build it is
 	// NOT clamped to the initial dataset size, because a mutated dataset
 	// grows (a caller whose dataset never does clamps K itself). <= 0
 	// means 1.
@@ -117,7 +117,8 @@ type Store struct {
 	k            int
 	compactEvery int
 	ixOpts       index.Options
-	kind         string // the tables'
+	kind         string         // the tables'
+	v            index.Verifier // the tables' kind's, which names the index
 	placeholder  *graph.Graph
 
 	// Mutation state, guarded by mutMu. Slices handed to snapshots are
@@ -153,9 +154,15 @@ func NewStore(ctx context.Context, ds []*graph.Graph, opts Options) (*Store, err
 	if compact <= 0 {
 		compact = DefaultCompactEvery
 	}
+	kind := index.TableKind(opts.Kinds)
+	v, err := index.NewVerifier(kind, opts.Index)
+	if err != nil {
+		return nil, fmt.Errorf("live: %w", err)
+	}
 	st := &Store{
 		kinds:        append([]string(nil), opts.Kinds...),
-		kind:         index.TableKind(opts.Kinds),
+		kind:         kind,
+		v:            v,
 		k:            k,
 		compactEvery: compact,
 		ixOpts:       opts.Index,
@@ -208,7 +215,7 @@ func (st *Store) installLocked(epoch uint64) {
 	}
 	// commitShard replaces the tables slice, never writes it: the view may
 	// keep it.
-	table := index.NewShardedFrom(st.slotGraphs, st.alive, st.tables)
+	table := index.NewShardedFrom(st.slotGraphs, st.alive, st.tables, st.v)
 	st.epoch.Store(epoch)
 	st.cur.Store(&Snapshot{epoch: epoch, graphs: dense, handles: handles, table: table, freqs: rewrite.FrequenciesOfDataset(dense)})
 }

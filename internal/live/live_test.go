@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	_ "github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/leakcheck"
@@ -93,7 +92,7 @@ func assertParity(t *testing.T, snap *live.Snapshot, kinds []string) {
 	}
 	for _, kind := range kinds {
 		x := indexOf(t, snap, kind)
-		fresh, err := index.Build(context.Background(), kind, snap.Graphs(), index.Options{MaxPathLen: testMaxPathLen})
+		fresh, err := index.Build(context.Background(), kind, snap.Graphs(), 1, index.Options{MaxPathLen: testMaxPathLen})
 		if err != nil {
 			t.Fatalf("fresh %s build: %v", kind, err)
 		}

@@ -92,6 +92,11 @@ func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error
 	if compactEvery <= 0 {
 		compactEvery = DefaultCompactEvery
 	}
+	kind := index.TableKind(state.Kinds)
+	v, err := index.NewVerifier(kind, ixOpts)
+	if err != nil {
+		return nil, fmt.Errorf("live: restore: %w", err)
+	}
 	st := &Store{
 		kinds:        append([]string(nil), state.Kinds...),
 		k:            state.Shards,
@@ -104,7 +109,8 @@ func Restore(state State, compactEvery int, ixOpts index.Options) (*Store, error
 		byHandle:     make(map[Handle]int, n),
 		local:        make([][]*graph.Graph, state.Shards),
 		tombs:        append([]int(nil), state.Tombs...),
-		kind:         index.TableKind(state.Kinds),
+		kind:         kind,
+		v:            v,
 		nextHandle:   state.NextHandle,
 	}
 	for slot := 0; slot < n; slot++ {

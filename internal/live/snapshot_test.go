@@ -37,15 +37,11 @@ func roundTripGrid(t *testing.T, state live.State) live.State {
 	kind := index.TableKind(state.Kinds)
 	fresh := make([]*index.Path, len(state.Tables))
 	for s, sub := range state.Tables {
-		feats, maxLen, err := index.Export(sub)
-		if err != nil {
-			t.Fatalf("export shard %d: %v", s, err)
-		}
-		x, err := index.Restore(kind, locals[s], maxLen, index.Options{MaxPathLen: maxLen}, feats)
+		x, err := index.Restore(kind, locals[s], sub.MaxPathLen(), index.Options{}, index.Export(sub))
 		if err != nil {
 			t.Fatalf("restore shard %d: %v", s, err)
 		}
-		fresh[s] = x.(*index.Path)
+		fresh[s] = x
 	}
 	state.Tables = fresh
 	return state
@@ -313,12 +309,7 @@ func TestRestoreValidation(t *testing.T) {
 
 	// Sub-index over the wrong shard dataset size.
 	bad := good
-	wrong, err := index.Build(context.Background(), index.KindPath, nil, index.Options{MaxPathLen: testMaxPathLen})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wrong.Close()
-	bad.Tables = []*index.Path{wrong.(*index.Path), good.Tables[1]}
+	bad.Tables = []*index.Path{buildTable(t, index.KindPath, nil), good.Tables[1]}
 	if _, err := live.Restore(bad, 0, index.Options{MaxPathLen: testMaxPathLen}); err == nil {
 		t.Error("Restore accepted sub-index with wrong dataset size")
 	} else if !strings.Contains(err.Error(), "shard holds") {

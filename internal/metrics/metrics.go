@@ -21,7 +21,7 @@ import (
 type Class int
 
 const (
-	// Easy queries finish below Cap × EasyFraction ("under 2 seconds").
+	// Easy queries finish below Cap × easyFraction ("under 2 seconds").
 	Easy Class = iota
 	// Mid queries finish between the easy threshold and the cap (the
 	// paper's 2″–600″ band).
@@ -58,22 +58,19 @@ type Timing struct {
 // Seconds returns the elapsed time in seconds (the unit used in FTV plots).
 func (t Timing) Seconds() float64 { return t.Elapsed.Seconds() }
 
+// easyFraction positions the easy threshold relative to the cap: 1/300, the
+// paper's 2″/600″ ratio.
+const easyFraction = 1.0 / 300.0
+
 // Budget is the query-time accounting regime.
 type Budget struct {
 	// Cap is the kill limit (the paper's 10 minutes).
 	Cap time.Duration
-	// EasyFraction positions the easy threshold relative to Cap;
-	// defaults to 1/300, the paper's 2″/600″ ratio.
-	EasyFraction float64
 }
 
 // easyThreshold returns the easy/mid boundary.
 func (b Budget) easyThreshold() time.Duration {
-	f := b.EasyFraction
-	if f <= 0 {
-		f = 1.0 / 300.0
-	}
-	return time.Duration(float64(b.Cap) * f)
+	return time.Duration(float64(b.Cap) * easyFraction)
 }
 
 // Classify assigns a timing to its class.

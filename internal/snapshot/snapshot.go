@@ -90,14 +90,10 @@ func Save(path string, m *Model) error {
 	maxLen := 0
 	shardFeats := make([][]index.ExportedFeature, m.Shards)
 	for s, t := range m.Tables {
-		feats, ml, err := index.Export(t)
-		if err != nil {
-			return fmt.Errorf("snapshot: exporting shard %d: %w", s, err)
-		}
-		if s > 0 && ml != maxLen {
+		if ml := t.MaxPathLen(); s > 0 && ml != maxLen {
 			return fmt.Errorf("snapshot: shards disagree on MaxPathLen (%d vs %d)", maxLen, ml)
 		}
-		maxLen, shardFeats[s] = ml, feats
+		maxLen, shardFeats[s] = t.MaxPathLen(), index.Export(t)
 	}
 
 	w := &writer{}

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"github.com/psi-graph/psi/internal/exec"
-	_ "github.com/psi-graph/psi/internal/grapes"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/live"
@@ -46,11 +45,11 @@ func buildModel(t *testing.T, ds []*graph.Graph, kinds []string, k int) *Model {
 	t.Helper()
 	m := &Model{State: live.State{Shards: k, Kinds: kinds, SlotGraphs: ds}}
 	for s := 0; s < k; s++ {
-		sub, err := index.Build(context.Background(), index.TableKind(kinds), index.ShardDataset(ds, s, k), index.Options{MaxPathLen: 3})
+		sub, err := index.BuildTables(context.Background(), index.TableKind(kinds), index.ShardDataset(ds, s, k), 1, index.Options{MaxPathLen: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Tables = append(m.Tables, sub.(*index.Path))
+		m.Tables = append(m.Tables, sub[0])
 	}
 	m.State = neverMutated(m.State)
 	return m
@@ -63,7 +62,7 @@ func answers(t *testing.T, ds []*graph.Graph, kind string, tables []*index.Path,
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := index.NewShardedFrom(ds, nil, tables).Using(v)
+	x := index.NewShardedFrom(ds, nil, tables, v)
 	out := make([][]int, len(queries))
 	for i, q := range queries {
 		ids, err := index.Answer(context.Background(), x, q, nil)
@@ -526,15 +525,7 @@ func TestPortfolioBuildDeterministic(t *testing.T) {
 			}
 			m := &Model{State: neverMutated(live.State{Shards: k, Kinds: kinds, SlotGraphs: ds, Tables: tables})}
 			for s, sub := range tables {
-				got, _, err := index.Export(sub)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _, err := index.Export(separate.Tables[s])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
+				if !reflect.DeepEqual(index.Export(sub), index.Export(separate.Tables[s])) {
 					t.Errorf("K=%d workers=%d: shard %d exports differ between the one build and the shard's own", k, workers, s)
 				}
 			}

@@ -48,9 +48,10 @@ type (
 	// FilterIndex is the filtering-index contract: the filter-then-verify
 	// core (Name/Dataset/Filter/Verify) plus streaming candidate emission
 	// (FilterStream) and build statistics (Stats). Every index built here is
-	// the one path table under a name — "ftv", "grapes" or "ggsx" — whose
-	// Verify is that name's verifier; a dataset Engine filters with one table
-	// and races the verifiers per candidate.
+	// one type at every shard count: a path table per shard, viewed through
+	// the verifier of a name — "ftv", "grapes" or "ggsx" — which is what its
+	// Verify runs and its Name reports; a dataset Engine filters with one
+	// table and races the verifiers per candidate.
 	FilterIndex = indexpkg.Index
 	// IndexStats describes a built filtering index (build time, feature,
 	// posting and location counts, extraction parallelism).
@@ -178,29 +179,24 @@ func VerifyEmbedding(q, g *Graph, emb Embedding) error {
 func CanonicalQueryKey(q *Graph) string { return ftv.CanonicalKey(q) }
 
 // BuildIndex constructs the filtering index of a name ("ftv", "grapes",
-// "ggsx"): the path table, with locations under "grapes", verified by the
-// name's verifier (workers is Grapes' W). The build is cancellable through
-// ctx and deterministic for every pool size.
+// "ggsx") over the whole dataset: the path table, with locations under
+// "grapes", verified by the name's verifier (workers is Grapes' W). The build
+// is cancellable through ctx and deterministic for every pool size. It is
+// NewShardedIndex at one shard.
 func BuildIndex(ctx context.Context, kind string, dataset []*Graph, workers int) (FilterIndex, error) {
-	return indexpkg.Build(ctx, kind, dataset, indexpkg.Options{Workers: workers})
+	return NewShardedIndex(ctx, kind, dataset, 1, workers)
 }
 
 // IndexKinds lists the filtering-index names.
 func IndexKinds() []string { return indexpkg.Kinds() }
 
 // NewShardedIndex builds a name's filtering index over a K-way round-robin
-// partition of the dataset: every shard gets its own table,
-// per-shard candidate streams merge in ascending global-ID order, and
-// verification routes back to the owning shard — so answers are
-// byte-identical to BuildIndex's monolithic result at any shard count. The
-// returned index satisfies the full FilterIndex contract. shards <= 1 builds
-// the plain monolithic index.
+// partition of the dataset: every shard gets its own table, per-shard
+// candidate streams merge in ascending global-ID order, and verification
+// routes back to the owning shard — so answers are byte-identical at any
+// shard count. shards is clamped to [1, len(dataset)].
 func NewShardedIndex(ctx context.Context, kind string, dataset []*Graph, shards, workers int) (FilterIndex, error) {
-	opts := indexpkg.Options{Workers: workers}
-	if shards <= 1 {
-		return indexpkg.Build(ctx, kind, dataset, opts)
-	}
-	x, err := indexpkg.BuildSharded(ctx, kind, dataset, shards, opts)
+	x, err := indexpkg.Build(ctx, kind, dataset, shards, indexpkg.Options{Workers: workers})
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,9 @@
 # benchmark smoke run so benchmark-only regressions (compile errors, panics)
 # surface here rather than at measurement time, the nested bench/
 # module's own vet and tests and its oracle-checked smoke over all four
-# workloads, the coverage floor, the psiserve binary driven end to end
-# (serve, snapshot, churn) and psiquery's -mode over a dataset. It gates behaviour, not speed: the former floors
+# workloads, one run of the paper replay (psibench), the coverage floor, the
+# psiserve binary driven end to end (serve, snapshot, churn) and psiquery's
+# -mode over a dataset. It gates behaviour, not speed: the former floors
 # on snapshot load vs build and on mutation vs rebuild were ratios of two
 # wall-clock timings over 24-40 graphs and are dropped; bench/ reports both
 # sides of each on every run. Run
@@ -184,19 +185,32 @@ clean=$(echo "$smoke_out" | grep -c '^== .* parity=true attempted=[0-9]* failed=
     exit 1
 }
 
-echo "== coverage gate (internal/core, internal/index, internal/rewrite, internal/predict, internal/metrics, internal/live, internal/snapshot, internal/spath, internal/gql, internal/match, internal/grapes, internal/ftv, internal/graph, internal/vf2, internal/quicksi, internal/server, internal/exec) =="
+echo "== psibench smoke (the paper replay: fig1, fig12, table10) =="
+# The paper replay at its smallest, about half a second: it must run and name
+# what it reproduces — GGSX and Grapes/4 among fig1's and fig12's FTV
+# configurations, all verifiers over one table per dataset, and table10's Ψ
+# version of Grapes/4. It measures nothing any gate reads.
+replay=$(go run ./cmd/psibench -scale tiny -exp fig1,fig12,table10 -queries 2 -cap 50ms)
+for want in 'GGSX' 'Grapes/4' 'Ψ(Grapes/4: Or/all)'; do
+    echo "$replay" | grep -qF "$want" || {
+        echo "psibench smoke: the replay does not print $want:" >&2
+        echo "$replay" >&2
+        exit 1
+    }
+done
+
+echo "== coverage gate (internal/core, internal/index, internal/rewrite, internal/predict, internal/metrics, internal/live, internal/snapshot, internal/spath, internal/gql, internal/match, internal/ftv, internal/graph, internal/vf2, internal/quicksi, internal/server, internal/exec) =="
 # Per-package coverage for the packages this repo's correctness arguments
 # lean on hardest (the one race/stream pipeline every query runs through,
 # the filtering/sharding contract, the rewritings' rankings, the learned
 # planning policy's evidence rules, the operational counters, the
 # epoch-versioned mutation store, the persistent snapshot format, and the
 # default NFV portfolio's two matchers with the contract and candidate sets
-# they share, and the feature extraction with its location sets and the
-# Grapes configuration whose verifier reads them, the graph type with the parser
-# untrusted request bodies go through, the other two matchers, the HTTP
-# server, and the execution pool every fan-out and race runs on); regressing
-# below the floor fails the gate.
-cov_out=$(go test -cover ./internal/core ./internal/index ./internal/rewrite ./internal/predict ./internal/metrics ./internal/live ./internal/snapshot ./internal/spath ./internal/gql ./internal/match ./internal/grapes ./internal/ftv ./internal/graph ./internal/vf2 ./internal/quicksi ./internal/server ./internal/exec)
+# they share, and the feature extraction with its location sets, the graph
+# type with the parser untrusted request bodies go through, the other two
+# matchers, the HTTP server, and the execution pool every fan-out and race
+# runs on); regressing below the floor fails the gate.
+cov_out=$(go test -cover ./internal/core ./internal/index ./internal/rewrite ./internal/predict ./internal/metrics ./internal/live ./internal/snapshot ./internal/spath ./internal/gql ./internal/match ./internal/ftv ./internal/graph ./internal/vf2 ./internal/quicksi ./internal/server ./internal/exec)
 echo "$cov_out"
 echo "$cov_out" | awk '
     /coverage:/ {
