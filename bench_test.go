@@ -18,7 +18,6 @@ import (
 	psi "github.com/psi-graph/psi"
 	"github.com/psi-graph/psi/internal/core"
 	"github.com/psi-graph/psi/internal/exec"
-	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/harness"
 	"github.com/psi-graph/psi/internal/index"
@@ -177,7 +176,7 @@ func BenchmarkAnswerSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
-			if _, err := ftv.Answer(context.Background(), x, q); err != nil {
+			if _, err := index.SequentialAnswer(context.Background(), x, q); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -17,8 +17,8 @@
 //
 // Concurrent identical queries are coalesced: overlapping requests for the
 // same canonical query share one engine execution and every client gets the
-// full answer, marked coalesced:true. Pass -no-coalesce (or per-request
-// ?cache=0) to force independent executions.
+// full answer, marked coalesced:true. A request carrying ?cache=0 forces
+// its own execution.
 //
 // With -snapshot the engine's full state persists across restarts: when the
 // file exists the server cold-starts from it alone (no -data/-gen, no index
@@ -90,7 +90,6 @@ func main() {
 		seedFlag     = flag.Int64("seed", 1, "generator seed")
 		addrFlag     = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 		portFileFlag = flag.String("portfile", "", "write the bound TCP port to this file once listening")
-		noCoalesce   = flag.Bool("no-coalesce", false, "disable in-flight coalescing of concurrent identical queries")
 		reqTimeout   = flag.Duration("request-timeout", 0, "per-request deadline cap (0: engine budget only)")
 		inflightFlag = flag.Int("max-inflight", 0, "admission limit (0: 4 x NumCPU)")
 		cacheFlag    = flag.Int("cache", 256, "server result-cache entries (negative disables)")
@@ -147,7 +146,6 @@ func main() {
 		DefaultLimit:   *limitFlag,
 		RequestTimeout: *reqTimeout,
 		CacheSize:      *cacheFlag,
-		NoCoalesce:     *noCoalesce,
 		SnapshotPath:   ef.snapshot,
 	})
 	defer func() {

@@ -3,7 +3,7 @@ package psi_test
 // First-result-latency benchmarks for the streaming Engine. The contrast
 // that matters: BenchmarkEngineFirstResult stops the race at the very
 // first emitted embedding (the streaming fast path the Ψ race wants),
-// while BenchmarkEngineFullEnumeration pays for the complete answer — the
+// while BenchmarkEngineEnumerate10k pays for up to 10 000 embeddings — the
 // only option before the streaming refactor.
 
 import (

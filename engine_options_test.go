@@ -13,7 +13,7 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
-	"github.com/psi-graph/psi/internal/ftv"
+	"github.com/psi-graph/psi/internal/index"
 )
 
 func TestParseIndexSpec(t *testing.T) {
@@ -166,7 +166,7 @@ func TestAnswerStreamReportsKill(t *testing.T) {
 	}
 	ds := psi.GeneratePPI(psi.Tiny, 1)
 	dq := psi.ExtractQuery(ds[0], 4, 7)
-	ids, err := ftv.Answer(ctx, mustBuildIndex(t, "ftv", ds, 0), dq)
+	ids, err := index.SequentialAnswer(ctx, mustBuildIndex(t, "ftv", ds, 0), dq)
 	if err != nil {
 		t.Fatal(err)
 	}

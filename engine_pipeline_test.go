@@ -18,8 +18,8 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
-	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
+	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
@@ -163,7 +163,7 @@ func checkPipelineAnswers(t *testing.T, eng *psi.Engine) {
 	t.Helper()
 	oracle := mustBuildIndex(t, "ftv", eng.Dataset(), 0)
 	for _, q := range raceFixtureQueries() {
-		want, err := ftv.Answer(context.Background(), oracle, q)
+		want, err := index.SequentialAnswer(context.Background(), oracle, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func checkOneTable(t *testing.T, eng *psi.Engine, names []string, shards int, fr
 func TestPipelineExits(t *testing.T) {
 	ds := raceFixtureDataset()
 	q := raceFixtureQueries()[1] // contained in several graphs
-	want, err := ftv.Answer(context.Background(), mustBuildIndex(t, "ftv", ds, 0), q)
+	want, err := index.SequentialAnswer(context.Background(), mustBuildIndex(t, "ftv", ds, 0), q)
 	if err != nil || len(want) < 2 {
 		t.Fatalf("fixture answer %v, %v: want at least two graphs", want, err)
 	}

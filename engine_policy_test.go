@@ -14,7 +14,7 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
-	"github.com/psi-graph/psi/internal/ftv"
+	"github.com/psi-graph/psi/internal/index"
 )
 
 // autoParityEngines builds an auto-policy engine and an always-race engine
@@ -303,9 +303,9 @@ func TestDatasetEngineAutoCancelIsNotEvidence(t *testing.T) {
 // and, on the other, as IndexAttempts (a pipeline per launch) plus
 // IndexRaces (a query whose candidates raced both verifiers) times the arms
 // beyond the first. Every non-empty name set runs, at K = 1 and 2, static
-// and after mutable churn, and must answer as ftv.Answer does; a set whose
-// names select one verifier has nothing to race, so its engine runs the
-// fixed policy whatever it was given.
+// and after mutable churn, and must answer as index.SequentialAnswer does; a
+// set whose names select one verifier has nothing to race, so its engine
+// runs the fixed policy whatever it was given.
 func TestLaunchPolicyIsOneAcrossEngineKinds(t *testing.T) {
 	const queries, warmup = 6, 2
 	cases := []struct {
@@ -374,7 +374,7 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 			t.Fatal(err)
 		}
 	}
-	oracle, err := ftv.Answer(context.Background(), mustBuildIndex(t, "ftv", dataset.Dataset(), 0), q)
+	oracle, err := index.SequentialAnswer(context.Background(), mustBuildIndex(t, "ftv", dataset.Dataset(), 0), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 			t.Fatal(err)
 		}
 		if !slices.Equal(dr.GraphIDs, oracle) {
-			t.Fatalf("query %d: answered %v, ftv.Answer %v", i, dr.GraphIDs, oracle)
+			t.Fatalf("query %d: answered %v, index.SequentialAnswer %v", i, dr.GraphIDs, oracle)
 		}
 		if dr.Policy != dp.Decision || dr.FellBack || (dp.Decision == nil) != (name != "auto") {
 			t.Fatalf("query %d: result %+v for decision %+v", i, dr, dp.Decision)

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
-	"github.com/psi-graph/psi/internal/ftv"
+	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
@@ -285,7 +285,7 @@ func TestDatasetEngineMatchesSequentialOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	want, err := ftv.Answer(context.Background(), mustBuildIndex(t, "grapes", ds, 1), q)
+	want, err := index.SequentialAnswer(context.Background(), mustBuildIndex(t, "grapes", ds, 1), q)
 	if err != nil {
 		t.Fatal(err)
 	}

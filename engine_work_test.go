@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
@@ -67,7 +66,7 @@ func TestOneScanPerQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	candidates := oracle.Filter(q)
-	want, err := ftv.Answer(context.Background(), oracle, q)
+	want, err := index.SequentialAnswer(context.Background(), oracle, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestOneScanPerQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !slices.Equal(res.GraphIDs, want) {
-				t.Fatalf("%v run %d: answered %v, ftv.Answer %v", tc.names, run, res.GraphIDs, want)
+				t.Fatalf("%v run %d: answered %v, index.SequentialAnswer %v", tc.names, run, res.GraphIDs, want)
 			}
 			wantStarts := map[int]int{}
 			for _, id := range candidates {

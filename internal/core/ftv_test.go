@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
-	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/rewrite"
@@ -33,9 +32,9 @@ func buildIndex(t testing.TB, kind string, ds []*graph.Graph, opts index.Options
 	return x
 }
 
-// TestFTVRacerNeedsRewritings: the per-candidate race refuses an empty
+// TestRaceInstancesNeedsRewritings: the per-candidate race refuses an empty
 // rewriting list, and an empty verifier list.
-func TestFTVRacerNeedsRewritings(t *testing.T) {
+func TestRaceInstancesNeedsRewritings(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	ds := buildDataset(r, 1, 8, 2)
 	xs := []index.Index{buildIndex(t, index.KindGrapes, ds, index.Options{})}
@@ -47,7 +46,7 @@ func TestFTVRacerNeedsRewritings(t *testing.T) {
 	}
 }
 
-func TestFTVRacerAnswerMatchesPlainPipeline(t *testing.T) {
+func TestRaceInstancesAnswerMatchesPlainPipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ds := buildDataset(r, 6, 14, 3)
 	for _, kind := range []string{index.KindGrapes, index.KindGGSX} {
@@ -56,7 +55,7 @@ func TestFTVRacerAnswerMatchesPlainPipeline(t *testing.T) {
 		kinds := []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.DND}
 		for trial := 0; trial < 8; trial++ {
 			q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
-			want, err := ftv.Answer(context.Background(), idx, q)
+			want, err := index.SequentialAnswer(context.Background(), idx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +77,7 @@ func TestFTVRacerAnswerMatchesPlainPipeline(t *testing.T) {
 	}
 }
 
-func TestFTVRacerAnswerMatchesBruteForce(t *testing.T) {
+func TestRaceInstancesAnswerMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	ds := buildDataset(r, 5, 12, 3)
 	xs := []index.Index{buildIndex(t, index.KindGrapes, ds, index.Options{})}
@@ -105,11 +104,11 @@ func TestFTVRacerAnswerMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestFTVRacerOverGrapesFanOut: the per-candidate race's attempts run as Go
+// TestRaceInstancesOverGrapesFanOut: the per-candidate race's attempts run as Go
 // tasks, which may hold the pool's workers, and Grapes/4 fans the
 // candidate's components out from inside them. On a 1-worker pool shared by
 // the race and the index that fan-out must not wait for a worker.
-func TestFTVRacerOverGrapesFanOut(t *testing.T) {
+func TestRaceInstancesOverGrapesFanOut(t *testing.T) {
 	b := graph.NewBuilder("copies")
 	for c := 0; c < 4; c++ {
 		base := b.N()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
-	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/leakcheck"
@@ -17,7 +16,7 @@ import (
 	"github.com/psi-graph/psi/internal/vf2"
 )
 
-// gatedIndex is an ftv.Index whose verifications block until released,
+// gatedIndex is a filterVerifier whose verifications block until released,
 // counting how many run concurrently. It lets the tests observe goroutine
 // behavior mid-race instead of only before/after.
 type gatedIndex struct {
@@ -62,12 +61,12 @@ func (x *gatedIndex) Verify(ctx context.Context, q *graph.Graph, id int) (bool, 
 	}
 }
 
-// TestFTVRacerAnswerBoundsGoroutines runs a large raced answer — 200
+// TestRaceInstancesAnswerBoundsGoroutines runs a large raced answer — 200
 // candidates × 2 rewritings = 400 verification attempts — on a 4-worker
 // pool and asserts that the goroutine count mid-race is governed by the
 // pool size (workers × rewritings plus constant overhead), not by the
 // number of attempts, and that everything is reclaimed afterwards.
-func TestFTVRacerAnswerBoundsGoroutines(t *testing.T) {
+func TestRaceInstancesAnswerBoundsGoroutines(t *testing.T) {
 	const (
 		candidates = 200
 		workers    = 4
@@ -184,4 +183,4 @@ func (panicMatcher) Match(context.Context, *graph.Graph, int) ([]match.Embedding
 	panic("matcher bug")
 }
 
-var _ ftv.Index = (*gatedIndex)(nil)
+var _ filterVerifier = (*gatedIndex)(nil)

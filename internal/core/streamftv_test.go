@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/psi-graph/psi/internal/exec"
-	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/leakcheck"
@@ -70,9 +69,18 @@ func instantVerify(ctx context.Context, graphID int) (bool, error) { return true
 
 var orig = []rewrite.Kind{rewrite.Orig}
 
-// lifted raises a Filter-only ftv.Index test double to the index.Index
-// contract the pipeline consumes: FilterStream replays Filter's list.
-type lifted struct{ ftv.Index }
+// filterVerifier is the filter-then-verify half of index.Index: all a
+// Filter-only test double implements.
+type filterVerifier interface {
+	Name() string
+	Dataset() []*graph.Graph
+	Filter(q *graph.Graph) []int
+	Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error)
+}
+
+// lifted raises a filterVerifier to the index.Index contract the pipeline
+// consumes: FilterStream replays Filter's list.
+type lifted struct{ filterVerifier }
 
 func (l lifted) Stats() index.Stats { return index.Stats{} }
 func (l lifted) Close()             {}

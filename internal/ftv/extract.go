@@ -240,9 +240,12 @@ func (e *extractor) extract(ctx context.Context, g *graph.Graph, maxLen int, wit
 	return e.features(), nil
 }
 
-// regroup lays out g's label-run adjacency. Taking the vertices in (label,
-// ID) order and appending each to its neighbours' lists fills every list in
-// that order with no sort.
+// regroup lays out g's label-run adjacency (after Mhedhbi & Salihoglu's
+// label-partitioned adjacency lists). It is extraction scratch only: the
+// stored graph's CSR neighbour order, and with it every matcher's embedding
+// order, is untouched. Taking the vertices in (label, ID) order and
+// appending each to its neighbours' lists fills every list in that order with
+// no sort.
 func (e *extractor) regroup(g *graph.Graph) {
 	n := g.N()
 	e.off = resized(e.off, n+1)

@@ -1,12 +1,20 @@
-// Package ftv defines the contract shared by the filter-then-verify methods
-// (Grapes, GGSX) and the path-feature utilities both build on. FTV methods
-// solve the decision problem over a dataset of many graphs (§2.1 of the
-// paper): an index over path features prunes the dataset down to a candidate
-// set, and each candidate is then verified with VF2.
+// Package ftv holds path features and their extraction: the label paths of
+// up to DefaultMaxPathLen edges every filter-then-verify index of the paper
+// (its flat FTV baseline, Grapes, GGSX) is folded from, a query's maximal
+// paths (QueryFeatures), and Grapes' location sets (LocSets).
+//
+// Orientation: an undirected path reads as a label sequence L from one end
+// and as reverse(L) from the other, and every graph holds both spellings
+// equally often over the same vertices, so a path is stored once, under its
+// oriented spelling (Oriented). The extractor still walks both directions,
+// aggregating only into oriented trie slots (extract.go), and a query folds
+// its two spellings into one feature requiring the larger count
+// (QueryFeatures). Orientation picks the spelling of one feature; "canonical
+// order" is the lexicographic order of features among themselves
+// (LabelTrie.Walk). They are different things.
 package ftv
 
 import (
-	"context"
 	"slices"
 
 	"github.com/psi-graph/psi/internal/graph"
@@ -15,45 +23,6 @@ import (
 // DefaultMaxPathLen follows the paper's setup: "for GGSX and Grapes, we
 // enumerated paths of up to size of 4".
 const DefaultMaxPathLen = 4
-
-// Index is the filter-then-verify contract. Implementations are safe for
-// concurrent queries once built.
-type Index interface {
-	// Name identifies the method as in the paper's figures, e.g.
-	// "Grapes/4" or "GGSX".
-	Name() string
-
-	// Dataset returns the indexed graphs; Filter results and Verify's
-	// graphID refer to positions in this slice.
-	Dataset() []*graph.Graph
-
-	// Filter returns the IDs of graphs that may contain q, in ascending
-	// order. It must never prune a graph that actually contains q
-	// (no false negatives); false positives are resolved by Verify.
-	Filter(q *graph.Graph) []int
-
-	// Verify decides whether q is subgraph-isomorphic to dataset graph
-	// graphID. This is the "pure sub-iso time" stage the paper measures.
-	Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error)
-}
-
-// Answer runs the full decision pipeline — filter, then verify every
-// candidate sequentially — and returns the IDs of graphs containing q. It is
-// the reference the streaming pipeline (index.StreamVerified and everything
-// built on it) is tested against, not a serving path.
-func Answer(ctx context.Context, x Index, q *graph.Graph) ([]int, error) {
-	var out []int
-	for _, id := range x.Filter(q) {
-		ok, err := x.Verify(ctx, q, id)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, id)
-		}
-	}
-	return out, nil
-}
 
 // Oriented reports whether labels is the oriented spelling of its path: an
 // undirected path reads as a label sequence L from one end and as reverse(L)

@@ -122,32 +122,6 @@ func TestQueryFeaturesEdgelessQuery(t *testing.T) {
 	}
 }
 
-// fakeIndex exercises the Answer pipeline without a real index.
-type fakeIndex struct {
-	ds       []*graph.Graph
-	filtered []int
-}
-
-func (f *fakeIndex) Name() string            { return "fake" }
-func (f *fakeIndex) Dataset() []*graph.Graph { return f.ds }
-func (f *fakeIndex) Filter(*graph.Graph) []int {
-	return f.filtered
-}
-func (f *fakeIndex) Verify(ctx context.Context, q *graph.Graph, id int) (bool, error) {
-	return id%2 == 0, nil
-}
-
-func TestAnswerPipeline(t *testing.T) {
-	x := &fakeIndex{filtered: []int{0, 1, 2, 3}}
-	got, err := Answer(context.Background(), x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("Answer = %v, want [0 2]", got)
-	}
-}
-
 // TestExtractFeaturesContextCancel: a cancelled context aborts extraction
 // mid-graph and reports the cancellation.
 func TestExtractFeaturesContextCancel(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/psi-graph/psi/internal/core"
-	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/gql"
 	"github.com/psi-graph/psi/internal/graph"
@@ -353,7 +352,7 @@ func (e *Env) TimeNFV(m match.Matcher, q *graph.Graph) metrics.Timing {
 }
 
 // TimeFTVVerify measures one pure verification (sub-iso) execution.
-func (e *Env) TimeFTVVerify(x ftv.Index, q *graph.Graph, graphID int) metrics.Timing {
+func (e *Env) TimeFTVVerify(x index.Index, q *graph.Graph, graphID int) metrics.Timing {
 	return e.Cfg.Budget().Run(context.Background(), func(ctx context.Context) error {
 		_, err := x.Verify(ctx, q, graphID)
 		return err

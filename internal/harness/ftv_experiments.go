@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/metrics"
@@ -27,7 +26,7 @@ func (e *Env) ftvIndexes(dataset string) []index.Index {
 // ftvVerifyTimed measures (with caching) the verification of a query
 // instance against one dataset graph. The instance key distinguishes
 // rewritings/instances of the same base query.
-func (e *Env) ftvVerifyTimed(x ftv.Index, dataset string, pairIdx int, instance string, q *graph.Graph, graphID int) metrics.Timing {
+func (e *Env) ftvVerifyTimed(x index.Index, dataset string, pairIdx int, instance string, q *graph.Graph, graphID int) metrics.Timing {
 	key := fmt.Sprintf("ftv|%s|%s|%d|%s", x.Name(), dataset, pairIdx, instance)
 	return e.cachedTiming(key, func() metrics.Timing {
 		return e.TimeFTVVerify(x, q, graphID)
@@ -131,7 +130,7 @@ func runFig1(e *Env, w io.Writer) error {
 
 // isoInstanceTimes measures the verification times of the random isomorphic
 // instances of a pair's query (the §5 study).
-func (e *Env) isoInstanceTimes(x ftv.Index, dataset string, pairIdx int, pair FTVPair) []metrics.Timing {
+func (e *Env) isoInstanceTimes(x index.Index, dataset string, pairIdx int, pair FTVPair) []metrics.Timing {
 	out := make([]metrics.Timing, e.Cfg.IsoInstances)
 	for j := 0; j < e.Cfg.IsoInstances; j++ {
 		perm := rewrite.Compute(pair.Query.Graph, nil, rewrite.Random, e.Cfg.Seed+int64(1000*pairIdx+j))
@@ -182,7 +181,7 @@ func runFig3(e *Env, w io.Writer) error {
 // rewritingTimes measures the verification time of each structured
 // rewriting (plus Orig) for a pair. Returned in the order Orig, ILF, IND,
 // DND, ILF+IND, ILF+DND.
-func (e *Env) ftvRewritingTimes(x ftv.Index, dataset string, pairIdx int, pair FTVPair) map[rewrite.Kind]metrics.Timing {
+func (e *Env) ftvRewritingTimes(x index.Index, dataset string, pairIdx int, pair FTVPair) map[rewrite.Kind]metrics.Timing {
 	out := make(map[rewrite.Kind]metrics.Timing, 6)
 	kinds := append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...)
 	for _, k := range kinds {

@@ -24,14 +24,29 @@ import (
 	"github.com/psi-graph/psi/internal/graph"
 )
 
-// Index is the filtering-index contract. It extends the ftv
-// filter-then-verify core with streaming candidate emission (so verification
-// can start before filtering finishes) and build/shape statistics. Sharded is
-// its one implementation here; the interface stays for the public
-// psi.FilterIndex and for test doubles. Implementations are safe for
-// concurrent queries once built.
+// Index is the filtering-index contract: the filter-then-verify core (Name,
+// Dataset, Filter, Verify), streaming candidate emission (so verification can
+// start before filtering finishes) and build/shape statistics. Sharded is its
+// one implementation here; the interface stays for the public psi.FilterIndex
+// and for test doubles. Implementations are safe for concurrent queries once
+// built.
 type Index interface {
-	ftv.Index
+	// Name identifies the method as in the paper's figures, e.g.
+	// "Grapes/4" or "GGSX".
+	Name() string
+
+	// Dataset returns the indexed graphs; Filter results and Verify's
+	// graphID refer to positions in this slice.
+	Dataset() []*graph.Graph
+
+	// Filter returns the IDs of graphs that may contain q, in ascending
+	// order. It must never prune a graph that actually contains q
+	// (no false negatives); false positives are resolved by Verify.
+	Filter(q *graph.Graph) []int
+
+	// Verify decides whether q is subgraph-isomorphic to dataset graph
+	// graphID. This is the "pure sub-iso time" stage the paper measures.
+	Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error)
 
 	// FilterStream emits the IDs of graphs that may contain q, in the same
 	// ascending order Filter returns, but incrementally: each candidate is
@@ -344,7 +359,7 @@ func AnswerStream(ctx context.Context, x Index, q *graph.Graph, p *exec.Pool, em
 }
 
 // Answer is the collecting form of AnswerStream: ascending IDs of dataset
-// graphs containing q, identical to ftv.Answer over the same index.
+// graphs containing q, identical to SequentialAnswer over the same index.
 func Answer(ctx context.Context, x Index, q *graph.Graph, p *exec.Pool) ([]int, error) {
 	var out []int
 	err := AnswerStream(ctx, x, q, p, func(id int) bool {
@@ -353,6 +368,24 @@ func Answer(ctx context.Context, x Index, q *graph.Graph, p *exec.Pool) ([]int, 
 	})
 	if err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// SequentialAnswer runs the full decision pipeline — filter, then verify
+// every candidate sequentially — and returns the IDs of graphs containing q.
+// It is the reference the streaming pipeline (StreamVerified and everything
+// built on it) is tested against, not a serving path.
+func SequentialAnswer(ctx context.Context, x Index, q *graph.Graph) ([]int, error) {
+	var out []int
+	for _, id := range x.Filter(q) {
+		ok, err := x.Verify(ctx, q, id)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, id)
+		}
 	}
 	return out, nil
 }

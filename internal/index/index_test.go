@@ -454,7 +454,7 @@ func TestAnswerMatchesSequentialOracle(t *testing.T) {
 		graph.MustNew("q", []graph.Label{9, 9}, [][2]int{{0, 1}}),
 	}
 	for qi, q := range queries {
-		want, err := ftv.Answer(context.Background(), x, q)
+		want, err := SequentialAnswer(context.Background(), x, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,12 +463,36 @@ func TestAnswerMatchesSequentialOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("query %d: Answer %v vs ftv.Answer %v", qi, got, want)
+			t.Fatalf("query %d: Answer %v vs SequentialAnswer %v", qi, got, want)
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("query %d: Answer %v vs ftv.Answer %v", qi, got, want)
+				t.Fatalf("query %d: Answer %v vs SequentialAnswer %v", qi, got, want)
 			}
 		}
+	}
+}
+
+// fakeIndex exercises SequentialAnswer without a real index: it filters to a
+// fixed list and verifies even IDs. The embedded Index is nil; SequentialAnswer
+// calls none of its other methods.
+type fakeIndex struct {
+	Index
+	filtered []int
+}
+
+func (f *fakeIndex) Filter(*graph.Graph) []int { return f.filtered }
+func (f *fakeIndex) Verify(ctx context.Context, q *graph.Graph, id int) (bool, error) {
+	return id%2 == 0, nil
+}
+
+func TestSequentialAnswer(t *testing.T) {
+	x := &fakeIndex{filtered: []int{0, 1, 2, 3}}
+	got, err := SequentialAnswer(context.Background(), x, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("SequentialAnswer = %v, want [0 2]", got)
 	}
 }

@@ -177,7 +177,7 @@ func TestLocatedAnswerMatchesBruteForce(t *testing.T) {
 		ds := randomDataset(r, 6, 12, 3)
 		x := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 2, MaxPathLen: 3})
 		q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
-		got, err := ftv.Answer(context.Background(), x, q)
+		got, err := index.SequentialAnswer(context.Background(), x, q)
 		return err == nil && sameInts(got, trueAnswers(t, ds, q))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -316,12 +316,12 @@ func TestDifferentialAgainstFTVAndBruteForce(t *testing.T) {
 			}
 			want := trueAnswers(t, ds, q)
 			for name, got := range map[string]func() ([]int, error){
-				"FTV":               func() ([]int, error) { return ftv.Answer(ctx, flat, q) },
-				"Grapes/1":          func() ([]int, error) { return ftv.Answer(ctx, x1, q) },
-				"Grapes/4":          func() ([]int, error) { return ftv.Answer(ctx, x4, q) },
+				"FTV":               func() ([]int, error) { return index.SequentialAnswer(ctx, flat, q) },
+				"Grapes/1":          func() ([]int, error) { return index.SequentialAnswer(ctx, x1, q) },
+				"Grapes/4":          func() ([]int, error) { return index.SequentialAnswer(ctx, x4, q) },
 				"Grapes/1 streamed": func() ([]int, error) { return index.Answer(ctx, x1, q, nil) },
 				"Grapes/4 streamed": func() ([]int, error) { return index.Answer(ctx, x4, q, nil) },
-				"Grapes/1 restored": func() ([]int, error) { return ftv.Answer(ctx, restored, q) },
+				"Grapes/1 restored": func() ([]int, error) { return index.SequentialAnswer(ctx, restored, q) },
 			} {
 				ids, err := got()
 				if err != nil {
@@ -355,7 +355,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 5; round++ {
-				got, err := ftv.Answer(context.Background(), x, q)
+				got, err := index.SequentialAnswer(context.Background(), x, q)
 				if err != nil || !slices.Equal(got, want[i]) {
 					t.Errorf("query %d round %d: answered %v, %v; want %v", i, round, got, err, want[i])
 					return

@@ -18,7 +18,6 @@ import (
 	"testing/quick"
 
 	"github.com/psi-graph/psi/internal/exec"
-	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/vf2"
@@ -240,7 +239,7 @@ func checkParity(t *testing.T, tag string, ds []*graph.Graph, xs []index.Index, 
 		if !isSuperset(cands, want) {
 			t.Fatalf("%s: %s Filter %v misses true answers %v", tag, x.Name(), cands, want)
 		}
-		got, err := ftv.Answer(context.Background(), x, q)
+		got, err := index.SequentialAnswer(context.Background(), x, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +402,7 @@ func TestAnswerMatchesBruteForce(t *testing.T) {
 				}
 				defer x.Close()
 				q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(3))
-				got, err := ftv.Answer(context.Background(), x, q)
+				got, err := index.SequentialAnswer(context.Background(), x, q)
 				return err == nil && sameInts(got, trueAnswers(t, ds, q))
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

@@ -159,7 +159,7 @@ func (x *Sharded) Using(v Verifier) *Sharded {
 	return &y
 }
 
-// Dataset implements ftv.Index: the live graphs, in global ID order.
+// Dataset implements Index: the live graphs, in global ID order.
 func (x *Sharded) Dataset() []*graph.Graph { return x.ds }
 
 // Stats implements Index: the aggregate build shape under the view's name,
@@ -190,7 +190,7 @@ func (x *Sharded) dense(s, local int) int {
 // Close implements Index; tables own no resources.
 func (x *Sharded) Close() {}
 
-// Verify implements ftv.Index with the view's verifier.
+// Verify implements Index with the view's verifier.
 func (x *Sharded) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
 	return x.VerifyWith(ctx, x.v, q, graphID)
 }
@@ -208,7 +208,7 @@ func (x *Sharded) VerifyWith(ctx context.Context, v Verifier, q *graph.Graph, gr
 	return x.tables[ShardOf(slot, x.k)].VerifyWith(ctx, v, q, slot/x.k)
 }
 
-// Filter implements ftv.Index: FilterStream collected.
+// Filter implements Index: FilterStream collected.
 func (x *Sharded) Filter(q *graph.Graph) []int {
 	var out []int
 	// The background context never cancels, so the error is always nil.

@@ -342,15 +342,13 @@ func TestCoalesceNeverSharesKilledAnswers(t *testing.T) {
 	}
 }
 
-// TestCoalesceOptOuts: NoCoalesce servers and ?cache=0 requests never
-// share executions.
+// TestCoalesceOptOuts: ?cache=0 requests never share executions.
 func TestCoalesceOptOuts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts Options
 		url  string
 	}{
-		{"no_coalesce_option", Options{NoCoalesce: true}, "/query?stream=1"},
 		{"cache_zero_request", Options{}, "/query?stream=1&cache=0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -195,8 +195,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// exactly when they would hit the same cache entry. ?cache=0 opts out
 	// of both — it demands a fresh execution.
 	key := ""
-	coalesce := !s.opts.NoCoalesce && req.cache
-	if req.cache && (s.cache != nil || coalesce) {
+	if req.cache {
 		key = s.cacheKey(eng, q, req.limit)
 	}
 	if s.cache != nil && key != "" {
@@ -205,7 +204,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if coalesce {
+	if req.cache {
 		fl, leader := s.flights.join(key)
 		if !leader {
 			select {

@@ -93,11 +93,6 @@ type Options struct {
 	// MaxBodyBytes bounds a request body (the query graph in the module's
 	// text format); 0 means 8 MiB.
 	MaxBodyBytes int64
-	// NoCoalesce disables in-flight coalescing of concurrent identical
-	// queries. Requests carrying ?cache=0 opt out of coalescing either
-	// way: a caller that refuses a cached answer wants a fresh execution,
-	// not someone else's.
-	NoCoalesce bool
 	// SnapshotPath, when set, arms POST /snapshot: each call persists the
 	// engine's full state to this path (atomically, via the snapshot
 	// package's temp-file-plus-rename). Empty disables the endpoint (409).

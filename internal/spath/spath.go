@@ -6,6 +6,11 @@
 // paths that cover all query edges, selects candidate paths with good
 // selectivity (minimizing the estimated result size of each join), and
 // verifies the chosen paths edge by edge.
+//
+// The signatures are byte rows in the rank space of the stored graph's label
+// alphabet, each dense or sparse, whichever is shorter, all in one slab and
+// built by one batched BFS (signature.go); a query vertex's candidates are a
+// bitset over the stored vertices (match.VertexSet), as in GraphQL.
 package spath
 
 import (

@@ -11,7 +11,6 @@ import (
 
 	psi "github.com/psi-graph/psi"
 	"github.com/psi-graph/psi/internal/exec"
-	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/index"
 )
 
@@ -33,7 +32,7 @@ func TestPooledAnswerMatchesSequential(t *testing.T) {
 		}
 		for _, x := range indexes {
 			for qi, q := range queries {
-				want, err := ftv.Answer(ctx, x, q)
+				want, err := index.SequentialAnswer(ctx, x, q)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	psi "github.com/psi-graph/psi"
-	"github.com/psi-graph/psi/internal/ftv"
+	"github.com/psi-graph/psi/internal/index"
 )
 
 // mustBuildIndex builds one registered filtering-index kind or fails the test.
@@ -107,7 +107,7 @@ func TestFTVPipelineAPI(t *testing.T) {
 	x := mustBuildIndex(t, "grapes", ds, 2)
 	defer x.Close()
 	q := psi.ExtractQuery(ds[0], 5, 99)
-	ids, err := ftv.Answer(context.Background(), x, q)
+	ids, err := index.SequentialAnswer(context.Background(), x, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestFTVPipelineAPI(t *testing.T) {
 	// GGSX agrees too
 	x2 := mustBuildIndex(t, "ggsx", ds, 0)
 	defer x2.Close()
-	ids3, err := ftv.Answer(context.Background(), x2, q)
+	ids3, err := index.SequentialAnswer(context.Background(), x2, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestFilterIndexFacade(t *testing.T) {
 		if st := x.Stats(); st.Kind != kind || st.Graphs != len(ds) {
 			t.Errorf("%s Stats = %+v", kind, st)
 		}
-		got, err := ftv.Answer(context.Background(), x, q)
+		got, err := index.SequentialAnswer(context.Background(), x, q)
 		x.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +244,7 @@ func TestFilterIndexFacade(t *testing.T) {
 	if st := sh.Stats(); st.ShardCount != 2 || len(st.Shards) != 2 {
 		t.Errorf("sharded Stats = %+v, want ShardCount 2 with per-shard breakdown", st)
 	}
-	got, err := ftv.Answer(context.Background(), sh, q)
+	got, err := index.SequentialAnswer(context.Background(), sh, q)
 	if err != nil {
 		t.Fatal(err)
 	}

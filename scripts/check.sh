@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check.sh — the repo's CI gate: formatting, vet, full compilation
-# (including examples/ and the cmd/ programs without tests, which would
-# otherwise only break at release time), one run of each example that needs
-# no server, the full test suite under the race detector, a few seconds of
+# (including the cmd/ programs without tests, which would otherwise only
+# break at release time), the Example functions at GOMAXPROCS 1, 2 and 4 (their
+# checked output must not depend on the core count), the full test suite
+# under the race detector, a few seconds of
 # each fuzz target, a one-iteration
 # benchmark smoke run so benchmark-only regressions (compile errors, panics)
 # surface here rather than at measurement time, the nested bench/
@@ -29,14 +30,12 @@ fi
 echo "== go build =="
 go build ./...
 
-echo "== examples (quickstart, stragglers, socialnet, proteins) =="
-# The examples are the only programs written against nothing but the public
-# Engine API, and they have no tests: one that compiles but fails at run time
-# (an option the engine rejects, an index kind nobody registered) is caught
-# here. About three seconds together; examples/serve needs a port and is what
-# the serve smoke below covers with the real binary.
-for ex in quickstart stragglers socialnet proteins; do
-    go run "./examples/$ex" > /dev/null
+echo "== examples at GOMAXPROCS 1, 2, 4 =="
+# The Example functions are the executed usage documentation, and each
+# output block states an answer equality that must hold on any scheduler.
+# GOMAXPROCS, not -cpu: testing.M.Run runs examples outside its -cpu loop.
+for p in 1 2 4; do
+    GOMAXPROCS=$p go test -count=1 -run '^Example' . ./internal/server
 done
 
 echo "== go vet =="
