@@ -114,14 +114,15 @@
 // (build.go); the features — each undirected path once, under its oriented
 // spelling — and their extraction are internal/ftv. Build one name's index
 // with BuildIndex or NewShardedIndex, or let a dataset Engine build it for
-// the names it serves (EngineOptions.Indexes). All three names give the same
-// answers (TestCrossIndexParity, TestPipelineParity).
+// the names it serves (EngineOptions.Indexes). All three names give the
+// answers of one brute-force oracle, match.Reference, over the datasets and
+// queries internal/difftest draws (TestDifferential, TestPipelineParity).
 //
 // Sharding. EngineOptions.Shards = K routes global graph g to shard g mod K
 // (internal/index, sharded.go). Queries run one filter over every shard,
 // merged in ascending global-ID order on the caller's goroutine, and
 // verification routes each candidate to its shard, so answers are
-// byte-identical at any K and pool size (TestShardedParityFuzz,
+// byte-identical at any K and pool size (TestDifferential,
 // TestShardedEngineRaceParity). K > 1 buys no filter wall-clock; the
 // per-shard balance is Engine.ShardBalance.
 //

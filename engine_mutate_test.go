@@ -1,8 +1,7 @@
 package psi_test
 
 // Mutable-engine tests: the tentpole parity property (after any mutation
-// sequence the engine answers byte-identically to a from-scratch engine
-// over the final dataset), snapshot isolation with queries concurrently in
+// sequence the engine answers as the oracle does over the final dataset), snapshot isolation with queries concurrently in
 // flight under -race, the epoch plumbing through Plan and QueryResult, the
 // engine-internal result cache's behavior across mutations, and the
 // mutation counters — with a goroutine-leak harness around the churn.
@@ -18,6 +17,7 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
@@ -30,23 +30,12 @@ func mutablePool(seed int64, n int) []*psi.Graph {
 	return out[:n]
 }
 
-// freshAnswers answers every query on a throwaway from-scratch monolithic
-// engine over ds — the canonical baseline all mutable configurations must
-// match byte for byte.
-func freshAnswers(t *testing.T, ds []*psi.Graph, kinds []string, queries []*psi.Graph) [][]int {
-	t.Helper()
-	fresh, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds[:1]})
-	if err != nil {
-		t.Fatalf("fresh engine: %v", err)
-	}
-	defer fresh.Close()
+// oracleAnswers is the oracle's answer to each query over ds, which every
+// mutable configuration must match byte for byte.
+func oracleAnswers(ds, queries []*psi.Graph) [][]int {
 	out := make([][]int, len(queries))
 	for i, q := range queries {
-		res, err := fresh.Query(context.Background(), q, 0)
-		if err != nil {
-			t.Fatalf("fresh query: %v", err)
-		}
-		out[i] = res.GraphIDs
+		out[i] = difftest.Want(ds, q)
 	}
 	return out
 }
@@ -54,7 +43,7 @@ func freshAnswers(t *testing.T, ds []*psi.Graph, kinds []string, queries []*psi.
 // TestMutableEngineParityFuzz drives random interleavings of AddGraph /
 // RemoveGraph / ReplaceGraph across index-kind portfolios × shard counts ×
 // worker counts, checking after every mutation that collected and streamed
-// answers are byte-identical to a from-scratch rebuild of the live dataset.
+// answers are the oracle's over the live dataset.
 func TestMutableEngineParityFuzz(t *testing.T) {
 	configs := []struct {
 		name    string
@@ -128,14 +117,14 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 				for qi := 0; qi < 2 && qi < len(cur); qi++ {
 					queries = append(queries, psi.ExtractQuery(cur[(step+qi)%len(cur)], 3+qi, int64(step*7+qi)))
 				}
-				want := freshAnswers(t, cur, cfg.indexes, queries)
+				want := oracleAnswers(cur, queries)
 				for qi, q := range queries {
 					res, err := eng.Query(context.Background(), q, 0)
 					if err != nil {
 						t.Fatalf("step %d q%d: %v", step, qi, err)
 					}
 					if !slices.Equal(res.GraphIDs, want[qi]) {
-						t.Errorf("step %d q%d: mutable answer %v, from-scratch %v", step, qi, res.GraphIDs, want[qi])
+						t.Errorf("step %d q%d: mutable answer %v, the oracle %v", step, qi, res.GraphIDs, want[qi])
 					}
 					if res.Epoch != eng.Epoch() {
 						t.Errorf("step %d q%d: result epoch %d, engine epoch %d", step, qi, res.Epoch, eng.Epoch())
@@ -149,7 +138,7 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 						t.Fatalf("step %d q%d stream: %v", step, qi, err)
 					}
 					if !slices.Equal(streamed, want[qi]) {
-						t.Errorf("step %d q%d: streamed answer %v, from-scratch %v", step, qi, streamed, want[qi])
+						t.Errorf("step %d q%d: streamed answer %v, the oracle %v", step, qi, streamed, want[qi])
 					}
 					if sres.Epoch != res.Epoch {
 						t.Errorf("step %d q%d: stream epoch %d, collected epoch %d", step, qi, sres.Epoch, res.Epoch)
@@ -203,7 +192,7 @@ func concurrentChurn(t *testing.T, kinds []string, indexWorkers int) {
 	}
 	q := psi.ExtractQuery(ds[0], 3, 77)
 
-	// expected[epoch] is the answer of a from-scratch build at that epoch,
+	// expected[epoch] is the oracle's answer at that epoch,
 	// recorded synchronously after each mutation (and before for epoch 1).
 	var expMu sync.RWMutex
 	expected := map[uint64][]int{}
@@ -213,9 +202,9 @@ func concurrentChurn(t *testing.T, kinds []string, indexWorkers int) {
 			t.Errorf("record: %v", err)
 			return
 		}
-		want := freshAnswers(t, eng.Dataset(), kinds, []*psi.Graph{q})[0]
+		want := difftest.Want(eng.Dataset(), q)
 		if !slices.Equal(res.GraphIDs, want) {
-			t.Errorf("epoch %d: engine answer %v, from-scratch %v", res.Epoch, res.GraphIDs, want)
+			t.Errorf("epoch %d: engine answer %v, the oracle %v", res.Epoch, res.GraphIDs, want)
 		}
 		expMu.Lock()
 		expected[res.Epoch] = want

@@ -11,6 +11,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -18,8 +20,8 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/gen"
-	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
@@ -71,83 +73,91 @@ var pipelinePolicies = []struct {
 }
 
 // nameSets is every non-empty set of index names.
-func nameSets() [][]string {
-	all := []string{"ftv", "grapes", "ggsx"}
-	var out [][]string
-	for mask := 1; mask < 1<<len(all); mask++ {
-		var set []string
-		for i, name := range all {
-			if mask>>i&1 == 1 {
-				set = append(set, name)
+var nameSets = difftest.Subsets([]string{"ftv", "grapes", "ggsx"})
+
+// pipelineFlavours are the three engines a dataset is answered from. Each
+// builds its engine over ds under opts; the snapshot round trip saves to
+// file, or loads what an engine of the same dataset, shard count and names
+// saved there before — the file does not depend on the policy.
+var pipelineFlavours = []struct {
+	name  string
+	build func(file string, ds []*psi.Graph, opts psi.EngineOptions) (*psi.Engine, error)
+}{
+	{"static", func(_ string, ds []*psi.Graph, opts psi.EngineOptions) (*psi.Engine, error) {
+		return psi.NewDatasetEngine(ds, opts)
+	}},
+	{"mutable after add+remove", func(_ string, ds []*psi.Graph, opts psi.EngineOptions) (*psi.Engine, error) {
+		opts.Mutable = true
+		eng, err := psi.NewDatasetEngine(ds, opts)
+		if err != nil {
+			return nil, err
+		}
+		extra := psi.MustNewGraph("extra", []psi.Label{0, 1, 2, 0}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
+		if _, err := eng.AddGraph(context.Background(), extra); err != nil {
+			return nil, err
+		}
+		if _, err := eng.RemoveGraph(context.Background(), eng.Handles()[1]); err != nil {
+			return nil, err
+		}
+		return eng, nil
+	}},
+	{"snapshot round-trip", func(file string, ds []*psi.Graph, opts psi.EngineOptions) (*psi.Engine, error) {
+		opts.Snapshot = file
+		if _, err := os.Stat(opts.Snapshot); err != nil {
+			orig, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: opts.Indexes, Shards: opts.Shards})
+			if err != nil {
+				return nil, err
+			}
+			defer orig.Close()
+			if err := orig.SaveSnapshot(opts.Snapshot); err != nil {
+				return nil, err
 			}
 		}
-		out = append(out, set)
-	}
-	return out
+		return psi.NewDatasetEngine(nil, opts)
+	}},
 }
 
 // TestPipelineParity: policy × shards × engine flavour × name set × entry
-// point, every cell against the sequential oracle over the engine's current
-// dataset, and every engine's one table against an ftv-only build.
+// point. Each case draws its dataset and queries from internal/difftest,
+// seeded by the case's shard count, flavour and names, so the three
+// policies answer the same case; every answer must be the oracle's over the
+// engine's current dataset, and every engine's one table must hold an
+// ftv-only build's features. A wrong answer fails with the case shrunk to
+// its fewest graphs and query edges.
 func TestPipelineParity(t *testing.T) {
-	flavours := []struct {
-		name  string
-		build func(t *testing.T, opts psi.EngineOptions) *psi.Engine
-	}{
-		{"static", func(t *testing.T, opts psi.EngineOptions) *psi.Engine {
-			eng, err := psi.NewDatasetEngine(raceFixtureDataset(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return eng
-		}},
-		{"mutable after add+remove", func(t *testing.T, opts psi.EngineOptions) *psi.Engine {
-			opts.Mutable = true
-			eng, err := psi.NewDatasetEngine(raceFixtureDataset(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			extra := psi.MustNewGraph("extra", []psi.Label{0, 1, 2, 0}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-			if _, err := eng.AddGraph(context.Background(), extra); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := eng.RemoveGraph(context.Background(), eng.Handles()[1]); err != nil {
-				t.Fatal(err)
-			}
-			return eng
-		}},
-		{"snapshot round-trip", func(t *testing.T, opts psi.EngineOptions) *psi.Engine {
-			orig, err := psi.NewDatasetEngine(raceFixtureDataset(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer orig.Close()
-			path := filepath.Join(t.TempDir(), "e.psnap")
-			if err := orig.SaveSnapshot(path); err != nil {
-				t.Fatal(err)
-			}
-			opts.Snapshot = path
-			eng, err := psi.NewDatasetEngine(nil, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return eng
-		}},
-	}
+	dir := t.TempDir() // holds each case's snapshot, named by its seed
 	for _, pol := range pipelinePolicies {
 		for _, shards := range []int{1, 2, 3} {
-			for _, fl := range flavours {
+			for fi, fl := range pipelineFlavours {
 				t.Run(fmt.Sprintf("%s/shards=%d/%s", pol.name, shards, fl.name), func(t *testing.T) {
-					for _, names := range nameSets() {
+					for ni, names := range nameSets {
+						seed := int64((shards*len(pipelineFlavours)+fi)*len(nameSets) + ni)
 						t.Run(strings.Join(names, "+"), func(t *testing.T) {
 							opts := pol.opts
 							opts.Indexes = names
 							opts.Shards = shards
-							eng := fl.build(t, opts)
+							d := difftest.Draw(seed)
+							eng, err := fl.build(filepath.Join(dir, fmt.Sprint(seed)), d.Graphs, opts)
+							if err != nil {
+								t.Fatalf("%s: %v", d.Name, err)
+							}
 							defer eng.Close()
 							psi.SetAutoPolicy(eng, 0, 1, -1)
 							checkOneTable(t, eng, names, shards, fl.name != "mutable after add+remove")
-							checkPipelineAnswers(t, eng)
+							fails := func(ds []*psi.Graph, q *psi.Graph) bool {
+								eng, err := fl.build(filepath.Join(t.TempDir(), "shrunk"), ds, opts)
+								if err != nil {
+									return true
+								}
+								defer eng.Close()
+								psi.SetAutoPolicy(eng, 0, 1, -1)
+								return checkPipelineAnswer(eng, q) != nil
+							}
+							for _, q := range difftest.Queries(rand.New(rand.NewSource(seed)), d.Graphs, 8) {
+								if err := checkPipelineAnswer(eng, q); err != nil {
+									difftest.Fail(t, fmt.Sprintf("%s: %v", d.Name, err), d.Graphs, q, fails)
+								}
+							}
 						})
 					}
 				})
@@ -156,32 +166,26 @@ func TestPipelineParity(t *testing.T) {
 	}
 }
 
-// checkPipelineAnswers asks eng every fixture query through every entry
-// point, twice, and fails unless each answer is the sequential oracle's over
-// the engine's current dataset.
-func checkPipelineAnswers(t *testing.T, eng *psi.Engine) {
-	t.Helper()
-	oracle := mustBuildIndex(t, "ftv", eng.Dataset(), 0)
-	for _, q := range raceFixtureQueries() {
-		want, err := index.SequentialAnswer(context.Background(), oracle, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ep := range entryPoints {
-			for round := 0; round < 2; round++ { // round 1 reaches the auto policy's solo arm
-				got, res, err := ep.ask(context.Background(), eng, q)
-				if err != nil {
-					t.Fatalf("%s %s round %d: %v", q.Name(), ep.name, round, err)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s %s round %d: answered %v, oracle %v", q.Name(), ep.name, round, got, want)
-				}
-				if res.Found != len(want) || res.Killed || res.Kind != psi.PlanFTV || res.Winner == "" {
-					t.Fatalf("%s %s round %d: report %+v for answer %v", q.Name(), ep.name, round, res, want)
-				}
+// checkPipelineAnswer asks eng q through every entry point, twice, and
+// returns why an answer is not the oracle's over the engine's current
+// dataset, or its report does not describe that answer.
+func checkPipelineAnswer(eng *psi.Engine, q *psi.Graph) error {
+	want := difftest.Want(eng.Dataset(), q)
+	for _, ep := range entryPoints {
+		for round := 0; round < 2; round++ { // round 1 reaches the auto policy's solo arm
+			got, res, err := ep.ask(context.Background(), eng, q)
+			if err != nil {
+				return fmt.Errorf("%s round %d: %v", ep.name, round, err)
+			}
+			if !slices.Equal(got, want) {
+				return fmt.Errorf("%s round %d: answered %v, the oracle %v", ep.name, round, got, want)
+			}
+			if res.Found != len(want) || res.Killed || res.Kind != psi.PlanFTV || res.Winner == "" {
+				return fmt.Errorf("%s round %d: report %+v for answer %v", ep.name, round, res, want)
 			}
 		}
 	}
+	return nil
 }
 
 // checkOneTable fails unless eng reports one table, with locations exactly
@@ -212,9 +216,9 @@ func checkOneTable(t *testing.T, eng *psi.Engine, names []string, shards int, fr
 func TestPipelineExits(t *testing.T) {
 	ds := raceFixtureDataset()
 	q := raceFixtureQueries()[1] // contained in several graphs
-	want, err := index.SequentialAnswer(context.Background(), mustBuildIndex(t, "ftv", ds, 0), q)
-	if err != nil || len(want) < 2 {
-		t.Fatalf("fixture answer %v, %v: want at least two graphs", want, err)
+	want := difftest.Want(ds, q)
+	if len(want) < 2 {
+		t.Fatalf("fixture answer %v: want at least two graphs", want)
 	}
 	stream := func(ctx context.Context, eng *psi.Engine, keep int) ([]int, *psi.QueryResult, error) {
 		var ids []int

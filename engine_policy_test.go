@@ -14,7 +14,7 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
-	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/difftest"
 )
 
 // autoParityEngines builds an auto-policy engine and an always-race engine
@@ -320,7 +320,7 @@ func TestLaunchPolicyIsOneAcrossEngineKinds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, names := range nameSets() {
+			for _, names := range nameSets {
 				for _, k := range []int{1, 2} {
 					for _, mutable := range []bool{false, true} {
 						t.Run(fmt.Sprintf("%v/K=%d/mutable=%v", names, k, mutable), func(t *testing.T) {
@@ -374,10 +374,7 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 			t.Fatal(err)
 		}
 	}
-	oracle, err := index.SequentialAnswer(context.Background(), mustBuildIndex(t, "ftv", dataset.Dataset(), 0), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := difftest.Want(dataset.Dataset(), q)
 	if arms == 1 {
 		// Nothing to race or learn over: the fixed policy.
 		ixPolicy, name = psi.IndexFixed, "first"

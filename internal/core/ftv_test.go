@@ -4,23 +4,17 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/rewrite"
-	"github.com/psi-graph/psi/internal/vf2"
+	"github.com/psi-graph/psi/internal/workload"
 )
-
-func buildDataset(r *rand.Rand, numGraphs, n, labels int) []*graph.Graph {
-	ds := make([]*graph.Graph, numGraphs)
-	for i := range ds {
-		ds[i] = randomStored(r, n, n/2, labels)
-	}
-	return ds
-}
 
 // buildIndex builds the one-shard index of kind over ds.
 func buildIndex(t testing.TB, kind string, ds []*graph.Graph, opts index.Options) *index.Sharded {
@@ -36,7 +30,7 @@ func buildIndex(t testing.TB, kind string, ds []*graph.Graph, opts index.Options
 // rewriting list, and an empty verifier list.
 func TestRaceInstancesNeedsRewritings(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	ds := buildDataset(r, 1, 8, 2)
+	ds := difftest.Random(r, 1, 8, 2)
 	xs := []index.Index{buildIndex(t, index.KindGrapes, ds, index.Options{})}
 	if _, _, err := RaceInstances(context.Background(), nil, xs, nil, 0); err == nil {
 		t.Error("expected error for empty rewriting list")
@@ -48,13 +42,13 @@ func TestRaceInstancesNeedsRewritings(t *testing.T) {
 
 func TestRaceInstancesAnswerMatchesPlainPipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	ds := buildDataset(r, 6, 14, 3)
+	ds := difftest.Random(r, 6, 14, 3)
 	for _, kind := range []string{index.KindGrapes, index.KindGGSX} {
 		idx := buildIndex(t, kind, ds, index.Options{MaxPathLen: 3})
 		xs := []index.Index{idx}
 		kinds := []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.DND}
 		for trial := 0; trial < 8; trial++ {
-			q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
+			q := workload.Extract(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
 			want, err := index.SequentialAnswer(context.Background(), idx, q)
 			if err != nil {
 				t.Fatal(err)
@@ -63,15 +57,8 @@ func TestRaceInstancesAnswerMatchesPlainPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s trial %d: raced answer %v, plain answer %v",
-					idx.Name(), trial, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s trial %d: raced answer %v, plain answer %v",
-						idx.Name(), trial, got, want)
-				}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s trial %d: raced answer %v, plain answer %v", idx.Name(), trial, got, want)
 			}
 		}
 	}
@@ -79,27 +66,17 @@ func TestRaceInstancesAnswerMatchesPlainPipeline(t *testing.T) {
 
 func TestRaceInstancesAnswerMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	ds := buildDataset(r, 5, 12, 3)
+	ds := difftest.Random(r, 5, 12, 3)
 	xs := []index.Index{buildIndex(t, index.KindGrapes, ds, index.Options{})}
 	kinds := append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...)
 	for trial := 0; trial < 6; trial++ {
-		q := extractQuery(r, ds[r.Intn(len(ds))], 3)
+		q := workload.Extract(r, ds[r.Intn(len(ds))], 3)
 		got, _, err := collect(context.Background(), nil, kinds, xs, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []int
-		for id, g := range ds {
-			embs, err := vf2.Match(context.Background(), q, g, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(embs) > 0 {
-				want = append(want, id)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %v want %v", trial, got, want)
+		if want := difftest.Want(ds, q); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: got %v, the oracle %v", trial, got, want)
 		}
 	}
 }

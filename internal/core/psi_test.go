@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/gql"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/match"
@@ -17,92 +18,19 @@ import (
 	"github.com/psi-graph/psi/internal/rewrite"
 	"github.com/psi-graph/psi/internal/spath"
 	"github.com/psi-graph/psi/internal/vf2"
+	"github.com/psi-graph/psi/internal/workload"
 )
-
-func randomStored(r *rand.Rand, n, extra, labels int) *graph.Graph {
-	b := graph.NewBuilder("g")
-	for i := 0; i < n; i++ {
-		b.AddVertex(graph.Label(r.Intn(labels)))
-	}
-	for v := 1; v < n; v++ {
-		if err := b.AddEdge(r.Intn(v), v); err != nil {
-			panic(err)
-		}
-	}
-	for i := 0; i < extra; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !b.HasEdgePending(u, v) {
-			if err := b.AddEdge(u, v); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return b.MustBuild()
-}
-
-func extractQuery(r *rand.Rand, g *graph.Graph, wantEdges int) *graph.Graph {
-	start := r.Intn(g.N())
-	inQ := map[int32]bool{int32(start): true}
-	type edge struct{ u, v int32 }
-	var qEdges []edge
-	has := func(a, b int32) bool {
-		for _, e := range qEdges {
-			if (e.u == a && e.v == b) || (e.u == b && e.v == a) {
-				return true
-			}
-		}
-		return false
-	}
-	for len(qEdges) < wantEdges {
-		var frontier []edge
-		for v := range inQ {
-			for _, w := range g.Neighbors(int(v)) {
-				if !has(v, w) {
-					frontier = append(frontier, edge{v, w})
-				}
-			}
-		}
-		if len(frontier) == 0 {
-			break
-		}
-		e := frontier[r.Intn(len(frontier))]
-		qEdges = append(qEdges, e)
-		inQ[e.u] = true
-		inQ[e.v] = true
-	}
-	ids := make([]int32, 0, len(inQ))
-	for v := range inQ {
-		ids = append(ids, v)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	old2new := make(map[int32]int, len(ids))
-	b := graph.NewBuilder("q")
-	for i, v := range ids {
-		old2new[v] = i
-		b.AddVertex(g.Label(int(v)))
-	}
-	for _, e := range qEdges {
-		if err := b.AddEdge(old2new[e.u], old2new[e.v]); err != nil {
-			panic(err)
-		}
-	}
-	return b.MustBuild()
-}
 
 func TestRaceFindsPlantedQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	g := randomStored(r, 40, 30, 3)
+	g := difftest.Graph(r, 40, 30, 3)
 	racer := NewRacer(g)
 	attempts := append(
 		Portfolio([]match.Matcher{gql.New(g)}, []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.DND}),
 		Portfolio([]match.Matcher{spath.New(g)}, []rewrite.Kind{rewrite.Orig})...,
 	)
 	for trial := 0; trial < 15; trial++ {
-		q := extractQuery(r, g, 3+r.Intn(5))
+		q := workload.Extract(r, g, 3+r.Intn(5))
 		res, err := racer.Race(context.Background(), q, 1, attempts)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -122,13 +50,13 @@ func TestRaceFindsPlantedQuery(t *testing.T) {
 
 func TestRaceAgreesWithSingleAlgorithm(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	g := randomStored(r, 20, 12, 2)
+	g := difftest.Graph(r, 20, 12, 2)
 	racer := NewRacer(g)
 	matchers := []match.Matcher{vf2.New(g), quicksi.New(g), gql.New(g), spath.New(g)}
 	attempts := Portfolio(matchers, []rewrite.Kind{rewrite.Orig, rewrite.ILFDND})
 	ref := match.NewReference(g)
 	for trial := 0; trial < 20; trial++ {
-		q := randomStored(r, 3+r.Intn(3), 2, 2) // may or may not be contained
+		q := difftest.Graph(r, 3+r.Intn(3), 2, 2) // may or may not be contained
 		want, err := ref.Match(context.Background(), q, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -246,9 +174,9 @@ func TestRaceSurvivesOneFailingAttempt(t *testing.T) {
 
 func TestRaceMapsEmbeddingsBack(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	g := randomStored(r, 25, 15, 3)
+	g := difftest.Graph(r, 25, 15, 3)
 	racer := NewRacer(g)
-	q := extractQuery(r, g, 5)
+	q := workload.Extract(r, g, 5)
 	for _, k := range rewrite.Structured {
 		attempts := []Attempt{{Matcher: vf2.New(g), Rewriting: k}}
 		res, err := racer.Race(context.Background(), q, 3, attempts)
@@ -274,8 +202,8 @@ func verifyAll(t *testing.T, q, g *graph.Graph, res Result) {
 
 func TestRaceEmbeddingCountMatchesDirectRun(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	g := randomStored(r, 15, 8, 2)
-	q := extractQuery(r, g, 3)
+	g := difftest.Graph(r, 15, 8, 2)
+	q := workload.Extract(r, g, 3)
 	direct, err := vf2.Match(context.Background(), q, g, 1000)
 	if err != nil {
 		t.Fatal(err)

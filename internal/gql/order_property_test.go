@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/graph"
 )
 
@@ -17,7 +18,7 @@ func TestSearchOrderProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraphGQL(r, 15+r.Intn(10), 3)
 		m := New(g)
-		q := randomConnectedGQL(r, 3+r.Intn(7), 3)
+		q := difftest.Random(r, 1, 3+r.Intn(7), 3)[0]
 		cand, err := m.candidates(q, newTestBudget())
 		if err != nil {
 			return false
@@ -76,7 +77,7 @@ func TestSearchOrderProperty(t *testing.T) {
 func TestRefinementSoundnessProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := randomConnectedGQL(r, 12+r.Intn(8), 2)
+		g := difftest.Random(r, 1, 12+r.Intn(8), 2)[0]
 		m := New(g)
 		// plant: take an induced connected subgraph as the query, mapping
 		// new vertex i -> original vertex ids[i].
@@ -144,27 +145,6 @@ func randomGraphGQL(r *rand.Rand, n, labels int) *graph.Graph {
 		b.AddVertex(graph.Label(r.Intn(labels)))
 	}
 	for i := 0; i < 2*n; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !b.HasEdgePending(u, v) {
-			if err := b.AddEdge(u, v); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return b.MustBuild()
-}
-
-func randomConnectedGQL(r *rand.Rand, n, labels int) *graph.Graph {
-	b := graph.NewBuilder("g")
-	for i := 0; i < n; i++ {
-		b.AddVertex(graph.Label(r.Intn(labels)))
-	}
-	for v := 1; v < n; v++ {
-		if err := b.AddEdge(r.Intn(v), v); err != nil {
-			panic(err)
-		}
-	}
-	for i := 0; i < n/2; i++ {
 		u, v := r.Intn(n), r.Intn(n)
 		if u != v && !b.HasEdgePending(u, v) {
 			if err := b.AddEdge(u, v); err != nil {

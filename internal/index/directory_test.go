@@ -131,7 +131,7 @@ func checkShardedRow(t *testing.T, tag string, ds []*graph.Graph, alive []bool, 
 	}
 	want := buildIndex(t, kind, live, index.Options{MaxPathLen: 3}).Filter(q)
 	sh := index.NewShardedFrom(ds, alive, row, verifier(t, kind))
-	if got := sh.Filter(q); !sameInts(got, want) {
+	if got := sh.Filter(q); !slices.Equal(got, want) {
 		t.Fatalf("%s: Filter = %v, want %v", tag, got, want)
 	}
 	// Stopping at candidate 0, which does not exist, is the full stream.
@@ -145,7 +145,7 @@ func checkShardedRow(t *testing.T, tag string, ds []*graph.Graph, alive []bool, 
 		if j == 0 {
 			prefix = want
 		}
-		if err != nil || !sameInts(got, prefix) {
+		if err != nil || !slices.Equal(got, prefix) {
 			t.Fatalf("%s: FilterStream stopped at candidate %d emitted %v, %v; want %v", tag, j, got, err, prefix)
 		}
 	}

@@ -13,17 +13,19 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/workload"
 )
 
 func TestExportRestoreParityAllKinds(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	ds := randomDataset(r, 12, 9, 3)
+	ds := difftest.Random(r, 12, 9, 3)
 	queries := make([]*graph.Graph, 6)
 	for i := range queries {
-		queries[i] = extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
+		queries[i] = workload.Extract(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
 	}
 	for _, kind := range index.Kinds() {
 		t.Run(kind, func(t *testing.T) {
@@ -97,7 +99,7 @@ func withMirrors(feats []index.ExportedFeature) []index.ExportedFeature {
 // or has other postings, counts or locations, is refused, since dropping it
 // would answer "in no graph" for a path the file says occurs.
 func TestRestoreFoldsBothSpellings(t *testing.T) {
-	ds := randomDataset(rand.New(rand.NewSource(11)), 6, 9, 3)
+	ds := difftest.Random(rand.New(rand.NewSource(11)), 6, 9, 3)
 	for _, kind := range index.Kinds() {
 		t.Run(kind, func(t *testing.T) {
 			x := buildTable(t, kind, ds, index.Options{MaxPathLen: 3})
@@ -150,7 +152,7 @@ func TestRestoreFoldsBothSpellings(t *testing.T) {
 // TestExportUnsupportedKind: a restore under a kind outside the names, or of
 // a posting past the dataset, is refused.
 func TestExportUnsupportedKind(t *testing.T) {
-	ds := randomDataset(rand.New(rand.NewSource(1)), 4, 6, 2)
+	ds := difftest.Random(rand.New(rand.NewSource(1)), 4, 6, 2)
 	if _, err := index.Restore("no-such-kind", ds, 3, index.Options{}, nil); err == nil {
 		t.Fatal("restoring an unregistered kind should fail")
 	}
@@ -168,7 +170,7 @@ func TestExportUnsupportedKind(t *testing.T) {
 // bitset by its locations, so Restore refuses input that breaks the order or
 // the bounds instead of answering (or panicking) from it later.
 func TestRestoreRejectsMalformedFeatures(t *testing.T) {
-	ds := randomDataset(rand.New(rand.NewSource(3)), 5, 8, 2)
+	ds := difftest.Random(rand.New(rand.NewSource(3)), 5, 8, 2)
 	x := buildTable(t, "grapes", ds, index.Options{MaxPathLen: 3})
 	good, maxLen := index.Export(x), x.MaxPathLen()
 	// A feature with two postings or more, the first with two locations or more.
@@ -235,7 +237,7 @@ func TestRestoreRejectsMalformedFeatures(t *testing.T) {
 // byte-identical), and are never read by a query.
 func TestRestoreOntoZeroVertexPlaceholder(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	ds := randomDataset(r, 5, 80, 8) // rows of 2 words: sets of 2 and 3 vertices stay lists
+	ds := difftest.Random(r, 5, 80, 8) // rows of 2 words: sets of 2 and 3 vertices stay lists
 	x := buildTable(t, "grapes", ds, index.Options{MaxPathLen: 3})
 	feats, maxLen := index.Export(x), x.MaxPathLen()
 	const dead = 2
@@ -257,7 +259,7 @@ func TestRestoreOntoZeroVertexPlaceholder(t *testing.T) {
 	}
 	v := verifier(t, index.KindGrapes)
 	for qi := 0; qi < 6; qi++ {
-		q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(3))
+		q := workload.Extract(r, ds[r.Intn(len(ds))], 2+r.Intn(3))
 		for id := range ds {
 			want, err := x.VerifyWith(context.Background(), v, q, id)
 			if err != nil {
@@ -321,7 +323,7 @@ func TestLocationStats(t *testing.T) {
 		t.Logf("%s: %d sets (%d rows, %d lists) in %d bytes; as []int32 per posting: %d", tc.name, sets, st.LocationRows, st.LocationLists, st.LocationBytes, 4*ids+24*sets)
 	}
 	for _, kind := range []string{index.KindPath, "ggsx"} {
-		x := buildTable(t, kind, randomDataset(rand.New(rand.NewSource(1)), 3, 8, 2), index.Options{})
+		x := buildTable(t, kind, difftest.Random(rand.New(rand.NewSource(1)), 3, 8, 2), index.Options{})
 		if st := x.Stats(); st.LocationBytes != 0 || st.LocationRows != 0 || st.LocationLists != 0 {
 			t.Errorf("%s keeps no locations but reports %+v", kind, st)
 		}
@@ -332,7 +334,7 @@ func TestLocationStats(t *testing.T) {
 // exactly ShardDataset's partition, the one the snapshot loader restores
 // each shard over.
 func TestShardedSubsAndShardDataset(t *testing.T) {
-	ds := randomDataset(rand.New(rand.NewSource(2)), 7, 6, 2)
+	ds := difftest.Random(rand.New(rand.NewSource(2)), 7, 6, 2)
 	subs, err := index.BuildTables(context.Background(), index.KindPath, ds, 3, index.Options{})
 	if err != nil {
 		t.Fatal(err)

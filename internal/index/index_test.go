@@ -165,13 +165,8 @@ func TestFilterStreamMatchesFilter(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("query %d: stream %v vs filter %v", qi, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("query %d: stream %v vs filter %v", qi, got, want)
-			}
 		}
 	}
 }
@@ -235,13 +230,8 @@ func TestStreamVerifiedOrderingAndOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{0, 2, 4, 6}
-	if len(got) != len(want) {
-		t.Fatalf("emitted %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("emitted %v, want %v (order must match the filter)", got, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("emitted %v, want %v (order must match the filter)", got, want)
 	}
 	if !overlapped {
 		t.Error("verification never overlapped filtering — pipeline is not streaming-first")
@@ -462,13 +452,8 @@ func TestAnswerMatchesSequentialOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("query %d: Answer %v vs SequentialAnswer %v", qi, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("query %d: Answer %v vs SequentialAnswer %v", qi, got, want)
-			}
 		}
 	}
 }

@@ -12,14 +12,15 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/leakcheck"
+	"github.com/psi-graph/psi/internal/workload"
 )
 
 func locatedDataset() []*graph.Graph {
@@ -172,33 +173,13 @@ func TestVerifyDecision(t *testing.T) {
 }
 
 func TestLocatedAnswerMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		ds := randomDataset(r, 6, 12, 3)
-		x := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 2, MaxPathLen: 3})
-		q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
-		got, err := index.SequentialAnswer(context.Background(), x, q)
-		return err == nil && sameInts(got, trueAnswers(t, ds, q))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
+	quickCheck(t, index.KindGrapes, index.Options{Workers: 2, MaxPathLen: 3}, 6, 12, 4, 25, answersAsOracle)
 }
 
 // TestLocatedFilterNoFalseNegatives: a graph that contains the query must
 // never be pruned.
 func TestLocatedFilterNoFalseNegatives(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		ds := randomDataset(r, 5, 14, 3)
-		x := buildIndex(t, index.KindGrapes, ds, index.Options{MaxPathLen: 4})
-		src := r.Intn(len(ds))
-		q := extractQuery(r, ds[src], 2+r.Intn(5))
-		return slices.Contains(x.Filter(q), src)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
+	quickCheck(t, index.KindGrapes, index.Options{MaxPathLen: 4}, 5, 14, 5, 40, keepsSource)
 }
 
 func TestVerifyDisconnectedQuery(t *testing.T) {
@@ -246,108 +227,18 @@ func TestVerifyVertexOnNoPath(t *testing.T) {
 	}
 }
 
-// mixedDataset is graphs of both kinds in one index: small or label-poor ones,
-// whose location sets are all bitset rows, and 70-to-140-vertex ones over many
-// labels, most of whose features touch too few vertices for a row to pay.
-func mixedDataset(r *rand.Rand) []*graph.Graph {
-	var ds []*graph.Graph
-	ds = append(ds, randomDataset(r, 4, 10+r.Intn(30), 2)...)
-	ds = append(ds, randomDataset(r, 3, 70+r.Intn(70), 2+r.Intn(2))...)
-	ds = append(ds, randomDataset(r, 3, 70+r.Intn(70), 12+r.Intn(12))...)
-	r.Shuffle(len(ds), func(i, j int) { ds[i], ds[j] = ds[j], ds[i] })
-	return ds
-}
-
-// disjointUnion is a and b side by side, with extra isolated vertices.
-func disjointUnion(a, b *graph.Graph, isolated ...graph.Label) *graph.Graph {
-	bl := graph.NewBuilder("q")
-	for _, g := range []*graph.Graph{a, b} {
-		base := bl.N()
-		for v := 0; v < g.N(); v++ {
-			bl.AddVertex(g.Label(v))
-		}
-		g.Edges(func(u, v int) {
-			if err := bl.AddEdge(base+u, base+v); err != nil {
-				panic(err)
-			}
-		})
-	}
-	for _, l := range isolated {
-		bl.AddVertex(l)
-	}
-	return bl.MustBuild()
-}
-
-// TestDifferentialAgainstFTVAndBruteForce: over datasets holding location
-// sets of both forms in one table, Grapes with 1 and 4 workers — through the
-// sequential filter→verify and the pooled streaming pipeline, and over the
-// table restored from its exported features — answers every connected,
-// disconnected and isolated-vertex query as the flat path index and a
-// brute-force VF2 scan of the dataset do.
-func TestDifferentialAgainstFTVAndBruteForce(t *testing.T) {
-	ctx := context.Background()
-	empty := graph.MustNew("none", nil, nil)
-	opts := index.Options{MaxPathLen: 3}
-	for seed := int64(1); seed <= 6; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		ds := mixedDataset(r)
-		flat := buildIndex(t, index.KindPath, ds, opts)
-		tab := buildTable(t, index.KindGrapes, ds, opts)
-		x1, x4 := grapesView(t, tab, 1, nil), grapesView(t, tab, 4, nil)
-		if st := tab.Stats(); st.LocationRows == 0 || st.LocationLists == 0 {
-			t.Fatalf("seed %d: fixture has %d row sets and %d list sets; want both forms", seed, st.LocationRows, st.LocationLists)
-		}
-		restoredTab, err := index.Restore(index.KindGrapes, ds, tab.MaxPathLen(), index.Options{}, index.Export(tab))
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored := grapesView(t, restoredTab, 1, nil)
-		for trial := 0; trial < 30; trial++ {
-			a := extractQuery(r, ds[r.Intn(len(ds))], 1+r.Intn(5))
-			b := extractQuery(r, ds[r.Intn(len(ds))], 1+r.Intn(3))
-			var q *graph.Graph
-			switch trial % 3 {
-			case 0:
-				q = a
-			case 1:
-				q = disjointUnion(a, b)
-			default:
-				q = disjointUnion(a, empty, b.Label(0))
-			}
-			want := trueAnswers(t, ds, q)
-			for name, got := range map[string]func() ([]int, error){
-				"FTV":               func() ([]int, error) { return index.SequentialAnswer(ctx, flat, q) },
-				"Grapes/1":          func() ([]int, error) { return index.SequentialAnswer(ctx, x1, q) },
-				"Grapes/4":          func() ([]int, error) { return index.SequentialAnswer(ctx, x4, q) },
-				"Grapes/1 streamed": func() ([]int, error) { return index.Answer(ctx, x1, q, nil) },
-				"Grapes/4 streamed": func() ([]int, error) { return index.Answer(ctx, x4, q, nil) },
-				"Grapes/1 restored": func() ([]int, error) { return index.SequentialAnswer(ctx, restored, q) },
-			} {
-				ids, err := got()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(ids, want) {
-					t.Fatalf("seed %d trial %d (%d vertices, %d edges, connected=%v): %s answered %v, brute force %v",
-						seed, trial, q.N(), q.M(), q.IsConnected(), name, ids, want)
-				}
-			}
-		}
-	}
-}
-
 // TestConcurrentQueries: different queries interleaved on one table — they
 // overwrite each other's remembered query plan and share the scratch pool —
 // answer as they do alone.
 func TestConcurrentQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	ds := mixedDataset(r)
+	ds := difftest.Mixed(r)
 	x := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 2, MaxPathLen: 3})
 	queries := make([]*graph.Graph, 8)
 	want := make([][]int, len(queries))
 	for i := range queries {
-		queries[i] = extractQuery(r, ds[r.Intn(len(ds))], 1+r.Intn(5))
-		want[i] = trueAnswers(t, ds, queries[i])
+		queries[i] = workload.Extract(r, ds[r.Intn(len(ds))], 1+r.Intn(5))
+		want[i] = difftest.Want(ds, queries[i])
 	}
 	var wg sync.WaitGroup
 	for i, q := range queries {
@@ -370,7 +261,7 @@ func TestVerifyCancelled(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	ds := []*graph.Graph{randomGraphDense(r, 60, 0.3)}
 	x := buildIndex(t, index.KindGrapes, ds, index.Options{MaxPathLen: 2})
-	q := extractQuery(r, ds[0], 6)
+	q := workload.Extract(r, ds[0], 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := x.Verify(ctx, q, 0); err == nil {
@@ -397,7 +288,7 @@ func TestParallelVerifyAgreesWithSequential(t *testing.T) {
 	tab := buildTable(t, index.KindGrapes, []*graph.Graph{g}, index.Options{})
 	x1, x4 := grapesView(t, tab, 1, nil), grapesView(t, tab, 4, nil)
 	for trial := 0; trial < 10; trial++ {
-		q := extractQuery(r, g, 2+r.Intn(3))
+		q := workload.Extract(r, g, 2+r.Intn(3))
 		if !slices.Contains(x1.Filter(q), 0) {
 			t.Fatal("source graph must pass filter")
 		}
@@ -436,7 +327,7 @@ func randomGraphDense(r *rand.Rand, n int, p float64) *graph.Graph {
 // instead of running feature extraction to completion.
 func TestBuildContextCancellation(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	ds := randomDataset(r, 6, 30, 2) // dense-ish labels: plenty of paths
+	ds := difftest.Random(r, 6, 30, 2) // dense-ish labels: plenty of paths
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := index.Build(ctx, index.KindGrapes, ds, 1, index.Options{}); err == nil {
@@ -445,7 +336,7 @@ func TestBuildContextCancellation(t *testing.T) {
 	// A live context still builds, identically on every call.
 	x1 := buildIndex(t, index.KindGrapes, ds, index.Options{})
 	x2 := buildIndex(t, index.KindGrapes, ds, index.Options{})
-	q := extractQuery(r, ds[0], 3)
+	q := workload.Extract(r, ds[0], 3)
 	if got, want := x1.Filter(q), x2.Filter(q); !slices.Equal(got, want) {
 		t.Fatalf("Filter after one build %v vs another %v", got, want)
 	}
@@ -457,7 +348,7 @@ func TestBuildContextCancelMidExtraction(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	// A single label and high connectivity make path enumeration heavy
 	// enough that cancellation lands mid-graph.
-	ds := randomDataset(r, 4, 60, 1)
+	ds := difftest.Random(r, 4, 60, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -5,17 +5,22 @@ package index_test
 // pre-built sub-indexes without clamping, and with an alive mask the
 // tombstone-aware dense view). The property each hangs on is the same
 // byte-parity the rest of the index layer enforces: derived views answer
-// exactly like a from-scratch build over the equivalent dataset.
+// exactly like a from-scratch build over the equivalent dataset. The masked
+// view's parity is TestDifferential's, which runs every cell of its matrix
+// with tombstoned slots too.
 
 import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
+	"github.com/psi-graph/psi/internal/workload"
 )
 
 // TestPathWithGraphParity appends graphs one at a time via WithGraph to each
@@ -33,11 +38,11 @@ func TestPathWithGraphParity(t *testing.T) {
 
 func withGraphParity(t *testing.T, kind string) {
 	r := rand.New(rand.NewSource(7))
-	ds := append(randomDataset(r, 6, 10, 2), graph.MustNew("new-label", []graph.Label{0, 2, 1}, [][2]int{{0, 1}, {1, 2}}))
+	ds := append(difftest.Random(r, 6, 10, 2), graph.MustNew("new-label", []graph.Label{0, 2, 1}, [][2]int{{0, 1}, {1, 2}}))
 	base := buildTable(t, kind, ds[:2], index.Options{MaxPathLen: 3})
 	queries := []*graph.Graph{
-		extractQuery(r, ds[3], 3),
-		extractQuery(r, ds[4], 2),
+		workload.Extract(r, ds[3], 3),
+		workload.Extract(r, ds[4], 2),
 		graph.MustNew("edgeless", []graph.Label{0}, nil),
 	}
 	baseAnswers := make([][]int, len(queries))
@@ -61,7 +66,7 @@ func withGraphParity(t *testing.T, kind string) {
 		}
 		nv, wv := view(t, kind, next), view(t, kind, want)
 		for qi, q := range queries {
-			if got, expect := nv.Filter(q), wv.Filter(q); !sameInts(got, expect) {
+			if got, expect := nv.Filter(q), wv.Filter(q); !slices.Equal(got, expect) {
 				t.Errorf("n=%d q%d: Filter = %v, want %v", n, qi, got, expect)
 			}
 			got, err := index.Answer(context.Background(), nv, q, nil)
@@ -72,7 +77,7 @@ func withGraphParity(t *testing.T, kind string) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameInts(got, expect) {
+			if !slices.Equal(got, expect) {
 				t.Errorf("n=%d q%d: Answer = %v, want %v", n, qi, got, expect)
 			}
 		}
@@ -108,7 +113,7 @@ func withGraphParity(t *testing.T, kind string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameInts(got, baseAnswers[qi]) {
+		if !slices.Equal(got, baseAnswers[qi]) {
 			t.Errorf("receiver mutated: q%d = %v, want %v", qi, got, baseAnswers[qi])
 		}
 	}
@@ -130,7 +135,7 @@ func view(t testing.TB, kind string, x *index.Path) *index.Sharded {
 func TestPathWithGraphAllocs(t *testing.T) {
 	const maxLen, bound = 3, 10
 	r := rand.New(rand.NewSource(11))
-	ds := randomDataset(r, 6, 20, 4)
+	ds := difftest.Random(r, 6, 20, 4)
 	tables, err := index.BuildTables(context.Background(), index.KindPath, ds, 2, index.Options{MaxPathLen: maxLen})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +144,7 @@ func TestPathWithGraphAllocs(t *testing.T) {
 	cases := map[string]*graph.Graph{
 		"indexed":      graph.MustNew("edge", []graph.Label{0, 1}, [][2]int{{0, 1}}),
 		"in directory": ds[1],
-		"new":          randomDataset(r, 1, 40, 5)[0],
+		"new":          difftest.Random(r, 1, 40, 5)[0],
 	}
 	for name, g := range cases {
 		touched := ftv.ExtractFeatures(g, maxLen, false).Len()
@@ -163,113 +168,12 @@ func TestPathWithGraphAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedTombstoneParity tombstones a random subset of slots (replacing
-// them with a zero-vertex placeholder, as the live store does) and checks
-// that the sharded view under the alive mask answers byte-identically to a
-// fresh monolithic build over just the live graphs — for several shard
-// counts, including K greater than the dataset (empty shards). At K = 1 the
-// masked view still names itself and reports statistics as its one shard,
-// save that Graphs counts only the live graphs.
-func TestShardedTombstoneParity(t *testing.T) {
-	r := rand.New(rand.NewSource(19))
-	slots := randomDataset(r, 7, 10, 2)
-	dead := map[int]bool{1: true, 4: true, 5: true}
-	placeholder := graph.NewBuilder("dead").MustBuild()
-	alive := make([]bool, len(slots))
-	var dense []*graph.Graph
-	slotDS := make([]*graph.Graph, len(slots))
-	for s, g := range slots {
-		if dead[s] {
-			slotDS[s] = placeholder
-			continue
-		}
-		alive[s] = true
-		slotDS[s] = g
-		dense = append(dense, g)
-	}
-	queries := []*graph.Graph{
-		extractQuery(r, slots[0], 3),
-		extractQuery(r, slots[4], 3), // extracted from a dead graph: may hit others
-		graph.MustNew("edgeless", []graph.Label{0}, nil),
-	}
-	for _, kind := range index.Kinds() {
-		want := buildIndex(t, kind, dense, index.Options{MaxPathLen: 3})
-		v := verifier(t, kind)
-		for _, k := range []int{1, 2, 3, 11} {
-			subs := make([]*index.Path, k)
-			for s := 0; s < k; s++ {
-				subs[s] = buildTable(t, kind, index.ShardDataset(slotDS, s, k), index.Options{MaxPathLen: 3})
-			}
-			wantShards := k
-			if k == 1 {
-				wantShards = 0 // one shard reports as the index it is
-			}
-			if st := index.NewShardedFrom(slotDS, nil, subs, v).Stats(); st.ShardCount != wantShards || st.Graphs != len(slotDS) {
-				t.Errorf("%s K=%d: ShardedFrom stats = %d shards/%d graphs", kind, k, st.ShardCount, st.Graphs)
-			}
-			m := index.NewShardedFrom(slotDS, alive, subs, v)
-			if got := len(m.Dataset()); got != len(dense) {
-				t.Fatalf("%s K=%d: masked dataset = %d graphs, want %d", kind, k, got, len(dense))
-			}
-			st := m.Stats()
-			if st.Graphs != len(dense) {
-				t.Errorf("%s K=%d: masked stats graphs = %d, want %d", kind, k, st.Graphs, len(dense))
-			}
-			if st.ShardCount != wantShards {
-				t.Errorf("%s K=%d: masked stats report %d shards, want %d", kind, k, st.ShardCount, wantShards)
-			}
-			perShard := 0
-			for _, sub := range st.Shards {
-				perShard += sub.Graphs
-			}
-			if len(st.Shards) > 0 && perShard != len(dense) {
-				t.Errorf("%s K=%d: masked per-shard graphs sum to %d, want the %d live ones", kind, k, perShard, len(dense))
-			}
-			if k == 1 {
-				own := subs[0].Stats()
-				own.Name, own.Graphs = v.Name(), len(dense)
-				if m.Name() != v.Name() || !reflect.DeepEqual(st, own) {
-					t.Errorf("%s K=1: masked view is %q with %+v, want its verifier's %q with its shard's %+v", kind, m.Name(), st, v.Name(), own)
-				}
-			}
-			for qi, q := range queries {
-				if got, expect := m.Filter(q), want.Filter(q); !sameInts(got, expect) {
-					t.Errorf("%s K=%d q%d: Filter = %v, want %v", kind, k, qi, got, expect)
-				}
-				got, err := index.Answer(context.Background(), m, q, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				expect, err := index.Answer(context.Background(), want, q, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameInts(got, expect) {
-					t.Errorf("%s K=%d q%d: Answer = %v, want %v", kind, k, qi, got, expect)
-				}
-			}
-			if _, err := m.Verify(context.Background(), queries[0], -1); err == nil {
-				t.Error("Verify(-1) did not error")
-			}
-			if _, err := m.Verify(context.Background(), queries[0], len(dense)); err == nil {
-				t.Error("Verify(len) did not error")
-			}
-			// The shards own nothing, so a query after Close still answers.
-			m.Close()
-			if _, err := m.Verify(context.Background(), queries[0], 0); err != nil {
-				t.Errorf("Verify after Close: %v", err)
-			}
-		}
-		want.Close()
-	}
-}
-
 // TestShardedMaskMismatchPanics pins the constructor's consistency check: an
 // alive mask that does not cover the slot space is a caller bug, not a state
 // to limp along in.
 func TestShardedMaskMismatchPanics(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	ds := randomDataset(r, 3, 6, 2)
+	ds := difftest.Random(r, 3, 6, 2)
 	x := buildTable(t, index.KindPath, ds, index.Options{MaxPathLen: 2})
 	defer func() {
 		if recover() == nil {
@@ -284,7 +188,7 @@ func TestShardedMaskMismatchPanics(t *testing.T) {
 // another path length, is a caller bug too.
 func TestShardedWithoutTablePanics(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	ds := randomDataset(r, 4, 6, 2)
+	ds := difftest.Random(r, 4, 6, 2)
 	build := func(sub []*graph.Graph, maxLen int) *index.Path {
 		return buildTable(t, index.KindPath, sub, index.Options{MaxPathLen: maxLen})
 	}

@@ -1,12 +1,7 @@
 package index_test
 
-// Cross-index parity: the three names (flat path-based FTV, Grapes, GGSX)
-// are one index under three verifiers, so on any dataset
-//
-//   - every Filter result must be a superset of the true answer set (the
-//     no-false-negatives guarantee verification relies on), and
-//   - the full Answer pipeline must return byte-identical ascending IDs
-//     for all three — and match brute-force VF2 over the whole dataset.
+// The differential test: the index under every configuration against the
+// one oracle, over every shape the generator draws.
 
 import (
 	"context"
@@ -14,251 +9,238 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/vf2"
+	"github.com/psi-graph/psi/internal/workload"
 )
 
-// buildAll constructs every registered index kind over ds with the given
-// extraction pool.
-func buildAll(t *testing.T, ds []*graph.Graph, maxLen int, pool *exec.Pool) []index.Index {
-	t.Helper()
-	var out []index.Index
-	for _, kind := range index.Kinds() {
-		x, err := index.Build(context.Background(), kind, ds, 1, index.Options{MaxPathLen: maxLen, Pool: pool})
-		if err != nil {
-			t.Fatalf("build %s: %v", kind, err)
-		}
-		out = append(out, x)
-	}
-	if len(out) < 3 {
-		t.Fatalf("only %d kinds registered, want ftv+grapes+ggsx", len(out))
-	}
-	return out
+// diffMaxPathLen keeps extraction cheap enough to afford the full matrix
+// under -race; the filter prunes less at it, but alike in every cell.
+const diffMaxPathLen = 3
+
+// cell is one configuration of the index matrix.
+type cell struct {
+	names    []string
+	k        int
+	pool     *exec.Pool
+	restored bool // the tables are Restore(Export(...)) of the built ones
+	masked   bool // the slots hold placeholders between the graphs, dead under the alive mask
 }
 
-// trueAnswers is the brute-force ground truth: VF2 against every graph.
-func trueAnswers(t *testing.T, ds []*graph.Graph, q *graph.Graph) []int {
-	t.Helper()
-	var want []int
-	for id, g := range ds {
-		embs, err := vf2.Match(context.Background(), q, g, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(embs) > 0 {
-			want = append(want, id)
-		}
-	}
-	return want
+func (c cell) String() string {
+	return fmt.Sprintf("%s K=%d workers=%d restored=%v masked=%v", strings.Join(c.names, "+"), c.k, c.pool.Workers(), c.restored, c.masked)
 }
 
-func randomDataset(r *rand.Rand, numGraphs, n, labels int) []*graph.Graph {
-	ds := make([]*graph.Graph, numGraphs)
-	for i := range ds {
-		b := graph.NewBuilder("g")
-		for v := 0; v < n; v++ {
-			b.AddVertex(graph.Label(r.Intn(labels)))
+// slots is the slot space of c over ds and its alive mask: ds itself, or,
+// masked, ds with a zero-vertex placeholder before every third graph, as a
+// dataset store leaves a removed graph's slot. Either way the live graphs
+// are ds, in order.
+func (c cell) slots(ds []*graph.Graph) ([]*graph.Graph, []bool) {
+	if !c.masked {
+		return ds, nil
+	}
+	var slots []*graph.Graph
+	var alive []bool
+	for i, g := range ds {
+		if i%3 == 0 {
+			slots, alive = append(slots, graph.NewBuilder("dead").MustBuild()), append(alive, false)
 		}
-		for v := 1; v < n; v++ {
-			if err := b.AddEdge(r.Intn(v), v); err != nil {
-				panic(err)
+		slots, alive = append(slots, g), append(alive, true)
+	}
+	return slots, alive
+}
+
+// views builds c's one table per shard over ds and returns the index under
+// each verifier c's names select, Grapes at W = 1 and at W = 4, and the
+// tables.
+func (c cell) views(ds []*graph.Graph) ([]*index.Sharded, []*index.Path, error) {
+	slots, alive := c.slots(ds)
+	kind := index.TableKind(c.names)
+	opts := index.Options{MaxPathLen: diffMaxPathLen, Pool: c.pool}
+	tables, err := index.BuildTables(context.Background(), kind, slots, c.k, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if c.restored {
+		for s, t := range tables {
+			if tables[s], err = index.Restore(kind, index.ShardDataset(slots, s, c.k), t.MaxPathLen(), opts, index.Export(t)); err != nil {
+				return nil, nil, err
 			}
 		}
-		for e := 0; e < n/2; e++ {
-			u, v := r.Intn(n), r.Intn(n)
-			if u != v && !b.HasEdgePending(u, v) {
-				if err := b.AddEdge(u, v); err != nil {
-					panic(err)
+	}
+	vs, err := index.Verifiers(c.names, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if slices.Contains(c.names, index.KindGrapes) {
+		opts.Workers = 4
+		w4, err := index.NewVerifier(index.KindGrapes, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		vs = append(vs, w4)
+	}
+	x := index.NewShardedFrom(slots, alive, tables, vs[0])
+	out := []*index.Sharded{x}
+	for _, v := range vs[1:] {
+		out = append(out, x.Using(v))
+	}
+	return out, tables, nil
+}
+
+// check holds one view to the oracle's answer want on q: Filter keeps every
+// graph of want and returns cands, the candidates of the fresh one-shard
+// table, and the sequential and the pooled streaming pipeline both answer
+// want.
+func check(x *index.Sharded, q *graph.Graph, want, cands []int, pool *exec.Pool) error {
+	got := x.Filter(q)
+	if slices.ContainsFunc(want, func(id int) bool { return !slices.Contains(got, id) }) {
+		return fmt.Errorf("%s: Filter %v misses answers %v", x.Name(), got, want)
+	}
+	if !slices.Equal(got, cands) {
+		return fmt.Errorf("%s: Filter %v, the one-shard table's %v", x.Name(), got, cands)
+	}
+	seq, err := index.SequentialAnswer(context.Background(), x, q)
+	if err != nil || !slices.Equal(seq, want) {
+		return fmt.Errorf("%s: SequentialAnswer = %v, %v; the oracle %v", x.Name(), seq, err, want)
+	}
+	streamed, err := index.Answer(context.Background(), x, q, pool)
+	if err != nil || !slices.Equal(streamed, want) {
+		return fmt.Errorf("%s: Answer = %v, %v; the oracle %v", x.Name(), streamed, err, want)
+	}
+	return nil
+}
+
+// fails reports whether some view of c disagrees with the oracle on q over
+// ds: the shrinker's predicate.
+func (c cell) fails(ds []*graph.Graph, q *graph.Graph) bool {
+	xs, _, err := c.views(ds)
+	if err != nil {
+		return true
+	}
+	want, cands := difftest.Want(ds, q), oneShard(ds).Filter(q)
+	for _, x := range xs {
+		if check(x, q, want, cands, c.pool) != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// oneShard is the fresh one-shard ftv index over ds, whose candidates every
+// cell must return.
+func oneShard(ds []*graph.Graph) *index.Sharded {
+	x, err := index.Build(context.Background(), index.KindPath, ds, 1, index.Options{MaxPathLen: diffMaxPathLen})
+	if err != nil {
+		panic(err) // unreachable: a background context and a known kind
+	}
+	return x
+}
+
+// TestDifferential holds the index to difftest's oracle over every shape the
+// generator draws: for every non-empty name set, K in {1, 2, 3, 8} and one
+// past the slot count, pools of 1 and 4 workers, fresh and restored tables,
+// the graphs alone and between tombstoned slots under an alive mask, and
+// each verifier the set selects, Filter keeps every containing graph and
+// returns the fresh one-shard table's candidates, and SequentialAnswer and
+// the streamed Answer both return the oracle's IDs. A disagreement fails
+// with the case shrunk to its fewest graphs and query edges. The masked
+// views also report only the live graphs in their statistics, and the mixed
+// shape's table holds location sets of both forms.
+func TestDifferential(t *testing.T) {
+	pool1, pool4 := exec.New(1), exec.New(4)
+	defer pool1.Close()
+	defer pool4.Close()
+	for _, d := range difftest.Datasets(1) {
+		t.Run(d.Name, func(t *testing.T) {
+			ds := d.Graphs
+			queries := difftest.Queries(rand.New(rand.NewSource(1)), ds, 16)
+			want := make([][]int, len(queries))
+			cands := make([][]int, len(queries))
+			ref := oneShard(ds)
+			for qi, q := range queries {
+				want[qi], cands[qi] = difftest.Want(ds, q), ref.Filter(q)
+			}
+			for _, names := range difftest.Subsets(index.Kinds()) {
+				for _, k := range []int{1, 2, 3, 8, len(ds) + len(ds)/3 + 2} {
+					for _, pool := range []*exec.Pool{pool1, pool4} {
+						for _, restored := range []bool{false, true} {
+							for _, masked := range []bool{false, true} {
+								c := cell{names, k, pool, restored, masked}
+								xs, tables, err := c.views(ds)
+								if err != nil {
+									t.Fatalf("%v: %v", c, err)
+								}
+								checkStats(t, c, xs[0], tables, len(ds))
+								if d.Name == "mixed" && c.names[0] == index.KindGrapes && k == 1 {
+									if st := xs[0].Stats(); st.LocationRows == 0 || st.LocationLists == 0 {
+										t.Fatalf("%v: %d row sets and %d list sets; want both forms", c, st.LocationRows, st.LocationLists)
+									}
+								}
+								for qi, q := range queries {
+									for _, x := range xs {
+										if err := check(x, q, want[qi], cands[qi], pool); err != nil {
+											difftest.Fail(t, fmt.Sprintf("%v: %v", c, err), ds, q, c.fails)
+										}
+									}
+								}
+							}
+						}
+					}
 				}
 			}
-		}
-		ds[i] = b.MustBuild()
-	}
-	return ds
-}
-
-// extractQuery grows a connected query of wantEdges edges from a random
-// vertex of g.
-func extractQuery(r *rand.Rand, g *graph.Graph, wantEdges int) *graph.Graph {
-	start := r.Intn(g.N())
-	inQ := map[int32]bool{int32(start): true}
-	type edge struct{ u, v int32 }
-	var qEdges []edge
-	has := func(a, b int32) bool {
-		for _, e := range qEdges {
-			if (e.u == a && e.v == b) || (e.u == b && e.v == a) {
-				return true
-			}
-		}
-		return false
-	}
-	for len(qEdges) < wantEdges {
-		var frontier []edge
-		for v := range inQ {
-			for _, w := range g.Neighbors(int(v)) {
-				if !has(v, w) {
-					frontier = append(frontier, edge{v, w})
-				}
-			}
-		}
-		if len(frontier) == 0 {
-			break
-		}
-		e := frontier[r.Intn(len(frontier))]
-		qEdges = append(qEdges, e)
-		inQ[e.u] = true
-		inQ[e.v] = true
-	}
-	ids := make([]int32, 0, len(inQ))
-	for v := range inQ {
-		ids = append(ids, v)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	old2new := make(map[int32]int, len(ids))
-	b := graph.NewBuilder("q")
-	for i, v := range ids {
-		old2new[v] = i
-		b.AddVertex(g.Label(int(v)))
-	}
-	for _, e := range qEdges {
-		if err := b.AddEdge(old2new[e.u], old2new[e.v]); err != nil {
-			panic(err)
-		}
-	}
-	return b.MustBuild()
-}
-
-func isSuperset(sup, sub []int) bool {
-	set := make(map[int]bool, len(sup))
-	for _, id := range sup {
-		set[id] = true
-	}
-	for _, id := range sub {
-		if !set[id] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestCrossIndexParity asserts, over generated datasets and queries, that
-// every index's Filter is a superset of the true answer set and that the
-// Answer pipelines agree byte-for-byte with brute force: the index of each
-// name, and the one table of every non-empty name set at K = 1 and 2 under
-// each verifier the set selects.
-func TestCrossIndexParity(t *testing.T) {
-	pool := exec.New(2)
-	defer pool.Close()
-	for seed := int64(1); seed <= 12; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		ds := randomDataset(r, 5, 10+r.Intn(5), 3)
-		xs := append(buildAll(t, ds, 3, pool), verifierViews(t, ds, 3, pool)...)
-		for qi := 0; qi < 3; qi++ {
-			q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
-			checkParity(t, fmt.Sprintf("seed %d q%d", seed, qi), ds, xs, q, pool)
-		}
-		closeAll(xs)
-	}
-	// A query vertex on no path feature (A–B + isolated C): the filter keeps
-	// the graph on the edge alone, and Grapes' locations say nothing about
-	// where C may go.
-	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}})
-	for name, g := range map[string]*graph.Graph{
-		"A-B, C":   graph.MustNew("g", []graph.Label{0, 1, 2}, [][2]int{{0, 1}}),
-		"A-B, C-D": graph.MustNew("g", []graph.Label{0, 1, 2, 3}, [][2]int{{0, 1}, {2, 3}}),
-	} {
-		ds := []*graph.Graph{g, graph.MustNew("other", []graph.Label{0, 1}, [][2]int{{0, 1}})}
-		xs := buildAll(t, ds, 3, pool)
-		checkParity(t, name, ds, xs, q, pool)
-		closeAll(xs)
+		})
 	}
 }
 
-// verifierViews builds, for every non-empty set of names and K in {1, 2},
-// the set's one table per shard and returns it under each verifier the set
-// selects.
-func verifierViews(t *testing.T, ds []*graph.Graph, maxLen int, pool *exec.Pool) []index.Index {
+// checkStats: a view counts only the live graphs, in total and over its
+// shards; at K = 1 it reports its table's statistics as its own under its
+// verifier's name; a graph ID outside the live ones is an error from
+// Verify; and Close leaves the view answering, as its tables own nothing.
+func checkStats(t *testing.T, c cell, x *index.Sharded, tables []*index.Path, live int) {
 	t.Helper()
-	kinds := index.Kinds()
-	var out []index.Index
-	for mask := 1; mask < 1<<len(kinds); mask++ {
-		var set []string
-		for i, kind := range kinds {
-			if mask>>i&1 == 1 {
-				set = append(set, kind)
-			}
-		}
-		opts := index.Options{MaxPathLen: maxLen, Pool: pool}
-		vs, err := index.Verifiers(set, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{1, 2} {
-			tables, err := index.BuildTables(context.Background(), index.TableKind(set), ds, k, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := index.NewShardedFrom(ds, nil, tables, vs[0])
-			for _, v := range vs {
-				out = append(out, x.Using(v))
-			}
+	st := x.Stats()
+	if len(x.Dataset()) != live || st.Graphs != live {
+		t.Errorf("%v: the view holds %d graphs and reports %d; want the %d live ones", c, len(x.Dataset()), st.Graphs, live)
+	}
+	perShard := 0
+	for _, sub := range st.Shards {
+		perShard += sub.Graphs
+	}
+	if c.k > 1 && (st.ShardCount != c.k || perShard != live) {
+		t.Errorf("%v: %d shards holding %d graphs; want %d holding the %d live ones", c, st.ShardCount, perShard, c.k, live)
+	}
+	if own := tables[0].Stats(); c.k == 1 {
+		own.Name, own.Graphs = x.Name(), live
+		if !reflect.DeepEqual(st, own) {
+			t.Errorf("%v: the one-shard view reports %+v, its table %+v", c, st, own)
 		}
 	}
-	return out
-}
-
-// checkParity holds every index to the brute-force answer for one query:
-// Filter keeps every true answer, and the sequential and the streaming
-// pipeline both return exactly the true answers.
-func checkParity(t *testing.T, tag string, ds []*graph.Graph, xs []index.Index, q *graph.Graph, pool *exec.Pool) {
-	t.Helper()
-	want := trueAnswers(t, ds, q)
-	for _, x := range xs {
-		cands := x.Filter(q)
-		if !isSuperset(cands, want) {
-			t.Fatalf("%s: %s Filter %v misses true answers %v", tag, x.Name(), cands, want)
+	q := graph.MustNew("q", []graph.Label{0}, nil)
+	for _, id := range []int{-1, live} {
+		if _, err := x.Verify(context.Background(), q, id); err == nil {
+			t.Errorf("%v: Verify(%d) did not error", c, id)
 		}
-		got, err := index.SequentialAnswer(context.Background(), x, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameInts(got, want) {
-			t.Fatalf("%s: %s Answer = %v, want %v", tag, x.Name(), got, want)
-		}
-		streamed, err := index.Answer(context.Background(), x, q, pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameInts(streamed, want) {
-			t.Fatalf("%s: %s streaming Answer = %v, want %v", tag, x.Name(), streamed, want)
-		}
+	}
+	x.Close()
+	if _, err := x.Verify(context.Background(), q, 0); err != nil && live > 0 {
+		t.Errorf("%v: Verify after Close: %v", c, err)
 	}
 }
 
-func closeAll(xs []index.Index) {
-	for _, x := range xs {
-		x.Close()
+// alternatingDataset alternates large and tiny graphs.
+func alternatingDataset(r *rand.Rand) []*graph.Graph {
+	big := func() *graph.Graph { return difftest.Random(r, 1, 300, 3)[0] }
+	return []*graph.Graph{
+		big(), graph.MustNew("one", []graph.Label{1}, nil), graph.MustNew("edgeless", []graph.Label{0, 2, 2}, nil), big(),
+		difftest.Random(r, 1, 14, 3)[0], graph.MustNew("one", []graph.Label{0}, nil), big(), graph.MustNew("edgeless", make([]graph.Label, 70), nil),
 	}
 }
 
@@ -273,11 +255,7 @@ func closeAll(xs []index.Index) {
 // not deadlock it.
 func TestBuildDeterminismAcrossWorkerCounts(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	big := func() *graph.Graph { return randomDataset(r, 1, 300, 3)[0] }
-	ds := []*graph.Graph{
-		big(), graph.MustNew("one", []graph.Label{1}, nil), graph.MustNew("edgeless", []graph.Label{0, 2, 2}, nil), big(),
-		randomDataset(r, 1, 14, 3)[0], graph.MustNew("one", []graph.Label{0}, nil), big(), graph.MustNew("edgeless", make([]graph.Label, 70), nil),
-	}
+	ds := alternatingDataset(r)
 	want := map[int][][][]index.ExportedFeature{} // by K: the 1-worker build's exports, by kind and shard
 	for _, workers := range []int{1, 2, 8} {
 		pool := exec.New(workers)
@@ -303,28 +281,23 @@ func TestBuildDeterminismAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 	}
-	pool1 := exec.New(1)
-	defer pool1.Close()
-	xs1 := buildAll(t, ds, 4, pool1)
-	defer closeAll(xs1)
 	var queries []*graph.Graph
 	for qi := 0; qi < 6; qi++ {
-		queries = append(queries, extractQuery(r, ds[[]int{0, 3, 4, 6}[r.Intn(4)]], 2+r.Intn(4)))
+		queries = append(queries, workload.Extract(r, ds[[]int{0, 3, 4, 6}[r.Intn(4)]], 2+r.Intn(4)))
 	}
 	queries = append(queries, graph.MustNew("edgeless", []graph.Label{0}, nil))
-	// Grapes' paper-facing worker knob must not change filtering either.
-	g1 := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 1})
-	g4 := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 4})
-	for qi, q := range queries {
-		if f1, f4 := g1.Filter(q), g4.Filter(q); !sameInts(f1, f4) {
-			t.Errorf("Grapes workers 1 vs 4 q%d: Filter %v vs %v", qi, f1, f4)
-		}
-	}
-	// GGSX is the flat path index under another name: it filters alike.
-	for qi, q := range queries {
-		want := xs1[indexOfKind(t, index.KindPath)].Filter(q)
-		if got := xs1[indexOfKind(t, index.KindGGSX)].Filter(q); !sameInts(got, want) {
-			t.Errorf("GGSX vs FTV q%d: %v vs %v", qi, got, want)
+	// Grapes' paper-facing worker knob must not change filtering either, and
+	// GGSX is the flat path index under another name: all filter alike.
+	ftvX := buildIndex(t, index.KindPath, ds, index.Options{MaxPathLen: 4})
+	for _, x := range []*index.Sharded{
+		buildIndex(t, index.KindGGSX, ds, index.Options{MaxPathLen: 4}),
+		buildIndex(t, index.KindGrapes, ds, index.Options{MaxPathLen: 4, Workers: 1}),
+		buildIndex(t, index.KindGrapes, ds, index.Options{MaxPathLen: 4, Workers: 4}),
+	} {
+		for qi, q := range queries {
+			if got, want := x.Filter(q), ftvX.Filter(q); !slices.Equal(got, want) {
+				t.Errorf("%s vs FTV q%d: Filter %v vs %v", x.Name(), qi, got, want)
+			}
 		}
 	}
 }
@@ -336,14 +309,10 @@ func TestBuildDeterminismAcrossWorkerCounts(t *testing.T) {
 // dataset and queries as Grapes/1 does.
 func TestGrapesFanOutOnOneWorker(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	big := func() *graph.Graph { return randomDataset(r, 1, 300, 3)[0] }
-	ds := []*graph.Graph{
-		big(), graph.MustNew("one", []graph.Label{1}, nil), graph.MustNew("edgeless", []graph.Label{0, 2, 2}, nil), big(),
-		randomDataset(r, 1, 14, 3)[0], graph.MustNew("one", []graph.Label{0}, nil), big(), graph.MustNew("edgeless", make([]graph.Label, 70), nil),
-	}
+	ds := alternatingDataset(r)
 	queries := []*graph.Graph{graph.MustNew("edgeless", []graph.Label{0}, nil)}
 	for qi := 0; qi < 6; qi++ {
-		queries = append(queries, extractQuery(r, ds[[]int{0, 3, 4, 6}[r.Intn(4)]], 2+r.Intn(4)))
+		queries = append(queries, workload.Extract(r, ds[[]int{0, 3, 4, 6}[r.Intn(4)]], 2+r.Intn(4)))
 	}
 	pool := exec.New(1)
 	defer pool.Close()
@@ -358,71 +327,54 @@ func TestGrapesFanOutOnOneWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameInts(got, want) {
+		if !slices.Equal(got, want) {
 			t.Errorf("q%d: Grapes/4 on one worker answered %v, Grapes/1 %v", qi, got, want)
 		}
 	}
+}
+
+// quickCheck holds ok over quick.Check's seeds, each drawing graphs random
+// graphs of n vertices, the one-shard index of kind over them, and a query
+// of 2 to 1+maxEdges edges cut from graph src.
+func quickCheck(t *testing.T, kind string, opts index.Options, graphs, n, maxEdges, count int, ok func(x *index.Sharded, ds []*graph.Graph, src int, q *graph.Graph) bool) {
+	t.Helper()
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		ds := difftest.Random(r, graphs, n, 3)
+		src := r.Intn(len(ds))
+		return ok(buildIndex(t, kind, ds, opts), ds, src, workload.Extract(r, ds[src], 2+r.Intn(maxEdges)))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: count}); err != nil {
+		t.Error(err)
+	}
+}
+
+// keepsSource reports whether x's filter keeps the graph q was cut from.
+func keepsSource(x *index.Sharded, _ []*graph.Graph, src int, q *graph.Graph) bool {
+	return slices.Contains(x.Filter(q), src)
+}
+
+// answersAsOracle reports whether x's filter→verify answer to q is the
+// oracle's over ds.
+func answersAsOracle(x *index.Sharded, ds []*graph.Graph, _ int, q *graph.Graph) bool {
+	got, err := index.SequentialAnswer(context.Background(), x, q)
+	return err == nil && slices.Equal(got, difftest.Want(ds, q))
 }
 
 // TestFilterNoFalseNegatives: for every kind, the graph a query was cut from
 // survives the filter.
 func TestFilterNoFalseNegatives(t *testing.T) {
 	for _, kind := range index.Kinds() {
-		t.Run(kind, func(t *testing.T) {
-			f := func(seed int64) bool {
-				r := rand.New(rand.NewSource(seed))
-				ds := randomDataset(r, 5, 12, 3)
-				x, err := index.Build(context.Background(), kind, ds, 1, index.Options{MaxPathLen: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer x.Close()
-				src := r.Intn(len(ds))
-				q := extractQuery(r, ds[src], 2+r.Intn(5))
-				return slices.Contains(x.Filter(q), src)
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-				t.Error(err)
-			}
-		})
+		t.Run(kind, func(t *testing.T) { quickCheck(t, kind, index.Options{MaxPathLen: 4}, 5, 12, 5, 40, keepsSource) })
 	}
 }
 
 // TestAnswerMatchesBruteForce: for every kind, the filter→verify answer is
-// exactly the graphs brute-force VF2 finds the query in.
+// exactly the graphs the oracle finds the query in.
 func TestAnswerMatchesBruteForce(t *testing.T) {
 	for _, kind := range index.Kinds() {
-		t.Run(kind, func(t *testing.T) {
-			f := func(seed int64) bool {
-				r := rand.New(rand.NewSource(seed))
-				ds := randomDataset(r, 5, 10, 3)
-				x, err := index.Build(context.Background(), kind, ds, 1, index.Options{MaxPathLen: 3})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer x.Close()
-				q := extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(3))
-				got, err := index.SequentialAnswer(context.Background(), x, q)
-				return err == nil && sameInts(got, trueAnswers(t, ds, q))
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-				t.Error(err)
-			}
-		})
+		t.Run(kind, func(t *testing.T) { quickCheck(t, kind, index.Options{MaxPathLen: 3}, 5, 10, 3, 25, answersAsOracle) })
 	}
-}
-
-// indexOfKind maps a registered kind to its position in buildAll's output
-// (Kinds() is sorted).
-func indexOfKind(t *testing.T, kind string) int {
-	t.Helper()
-	for i, k := range index.Kinds() {
-		if k == kind {
-			return i
-		}
-	}
-	t.Fatalf("kind %q not registered", kind)
-	return -1
 }
 
 // TestVerifyAllocs: no kind keeps a matcher per graph — a VF2 matcher is its
@@ -436,8 +388,8 @@ func TestVerifyAllocs(t *testing.T) {
 		t.Skip("Grapes verifies from a sync.Pool, which the race detector empties at random")
 	}
 	r := rand.New(rand.NewSource(3))
-	ds := randomDataset(r, 4, 12, 3)
-	q := extractQuery(r, ds[2], 3)
+	ds := difftest.Random(r, 4, 12, 3)
+	q := workload.Extract(r, ds[2], 3)
 	ctx := context.Background()
 	for _, kind := range index.Kinds() {
 		for _, k := range []int{1, 2} {
@@ -471,7 +423,7 @@ func TestVerifyAllocs(t *testing.T) {
 // exported features, through the index or the table — never a panic, and
 // Grapes' CandidateVertices reports such a graph as failing the filter.
 func TestVerifyRejectsOutOfRangeGraphID(t *testing.T) {
-	ds := randomDataset(rand.New(rand.NewSource(5)), 4, 7, 2)
+	ds := difftest.Random(rand.New(rand.NewSource(5)), 4, 7, 2)
 	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})
 	ctx := context.Background()
 	for _, kind := range index.Kinds() {

@@ -1,106 +1,33 @@
 package index_test
 
-// Sharded-index tests: the byte-parity property fuzz the sharding design
-// hangs on (sharded answers identical to monolithic for every K, worker
-// count and index kind), build-shape/clamping unit checks, mid-stream
-// cancellation truncation-safety, and goroutine-leak regression.
+// Sharded-index tests: build-shape/clamping unit checks, mid-stream
+// cancellation truncation-safety, and goroutine-leak regression. The
+// property the sharding design hangs on — candidates and answers at every K,
+// pool and name set identical to the one-shard table's and to the oracle's —
+// is TestDifferential's (parity_test.go), over internal/difftest's datasets.
 
 import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/leakcheck"
+	"github.com/psi-graph/psi/internal/workload"
 )
-
-// fuzzMaxPathLen keeps extraction cheap enough to afford the full
-// kind × K × workers matrix under -race; filtering power is unaffected in
-// kind (only in degree), so parity is exercised just as hard.
-const fuzzMaxPathLen = 3
-
-// fuzzDatasets are the seeded random datasets the parity fuzz sweeps: the
-// two generated shapes (disconnected PPI-like, denser GraphGen-style) plus a
-// small adversarial random dataset with heavy label collisions.
-func fuzzDatasets(r *rand.Rand) map[string][]*graph.Graph {
-	return map[string][]*graph.Graph{
-		"ppi":       gen.PPI(gen.PPIAt(gen.Tiny), 7),
-		"synthetic": gen.Synthetic(gen.SyntheticAt(gen.Tiny), 7),
-		"random":    randomDataset(r, 5, 12, 2),
-	}
-}
-
-// TestShardedParityFuzz is the acceptance property: for random seeded
-// datasets and queries, every index kind sharded at K∈{1,2,3,8} and built
-// and queried at Workers∈{1,N} produces Filter candidates and full
-// streaming-pipeline answers byte-identical to the one-shard index.
-func TestShardedParityFuzz(t *testing.T) {
-	pool1 := exec.New(1)
-	defer pool1.Close()
-	poolN := exec.New(4)
-	defer poolN.Close()
-	r := rand.New(rand.NewSource(42))
-	for shape, ds := range fuzzDatasets(r) {
-		var queries []*graph.Graph
-		for qi := 0; qi < 4; qi++ {
-			queries = append(queries, extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(5)))
-		}
-		queries = append(queries, graph.MustNew("edgeless", []graph.Label{0}, nil))
-		for _, kind := range index.Kinds() {
-			mono, err := index.Build(context.Background(), kind, ds, 1, index.Options{
-				MaxPathLen: fuzzMaxPathLen, Pool: poolN,
-			})
-			if err != nil {
-				t.Fatalf("%s/%s monolithic build: %v", shape, kind, err)
-			}
-			wantFilter := make([][]int, len(queries))
-			wantAnswer := make([][]int, len(queries))
-			for qi, q := range queries {
-				wantFilter[qi] = mono.Filter(q)
-				if wantAnswer[qi], err = index.Answer(context.Background(), mono, q, poolN); err != nil {
-					t.Fatalf("%s/%s monolithic answer: %v", shape, kind, err)
-				}
-			}
-			mono.Close()
-			for _, k := range []int{1, 2, 3, 8} {
-				for _, pool := range []*exec.Pool{pool1, poolN} {
-					sh, err := index.Build(context.Background(), kind, ds, k, index.Options{
-						MaxPathLen: fuzzMaxPathLen, Pool: pool,
-					})
-					if err != nil {
-						t.Fatalf("%s/%s K=%d: %v", shape, kind, k, err)
-					}
-					for qi, q := range queries {
-						if got := sh.Filter(q); !sameInts(got, wantFilter[qi]) {
-							t.Errorf("%s/%s K=%d workers=%d q%d: Filter = %v, want %v",
-								shape, kind, k, pool.Workers(), qi, got, wantFilter[qi])
-						}
-						got, err := index.Answer(context.Background(), sh, q, pool)
-						if err != nil {
-							t.Fatalf("%s/%s K=%d q%d: %v", shape, kind, k, qi, err)
-						}
-						if !sameInts(got, wantAnswer[qi]) {
-							t.Errorf("%s/%s K=%d workers=%d q%d: Answer = %v, want %v",
-								shape, kind, k, pool.Workers(), qi, got, wantAnswer[qi])
-						}
-					}
-					sh.Close()
-				}
-			}
-		}
-	}
-}
 
 // TestShardedBuildShape checks the partitioning rule and the aggregate
 // stats: round-robin shard datasets, clamping of oversized K, per-shard
 // breakdown, and the ×K name.
 func TestShardedBuildShape(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	ds := randomDataset(r, 5, 8, 2)
+	ds := difftest.Random(r, 5, 8, 2)
 	sh, err := index.Build(context.Background(), index.KindPath, ds, 2, index.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +70,7 @@ func TestShardedBuildShape(t *testing.T) {
 	}
 
 	// Verify routes out-of-range IDs to an error, not a panic.
-	q := extractQuery(r, ds[0], 2)
+	q := workload.Extract(r, ds[0], 2)
 	if _, err := sh.Verify(context.Background(), q, len(ds)); err == nil {
 		t.Error("Verify(out of range) = nil error")
 	}
@@ -158,7 +85,7 @@ func TestShardedBuildShape(t *testing.T) {
 // name.
 func TestShardedBuildThroughRegistry(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	ds := randomDataset(r, 4, 8, 2)
+	ds := difftest.Random(r, 4, 8, 2)
 	opts := index.Options{MaxPathLen: 2}
 	for _, kind := range index.Kinds() {
 		x, err := index.Build(context.Background(), kind, ds, 2, opts)
@@ -193,7 +120,7 @@ func TestShardedStreamTruncationSafety(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	ds := gen.Synthetic(gen.SyntheticAt(gen.Tiny), 7)
 	sh, err := index.Build(context.Background(), index.KindPath, ds, 3, index.Options{
-		MaxPathLen: fuzzMaxPathLen, Pool: pool,
+		MaxPathLen: diffMaxPathLen, Pool: pool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +129,7 @@ func TestShardedStreamTruncationSafety(t *testing.T) {
 	var q *graph.Graph
 	var full []int
 	for try := 0; try < 20; try++ {
-		q = extractQuery(r, ds[r.Intn(len(ds))], 2+r.Intn(3))
+		q = workload.Extract(r, ds[r.Intn(len(ds))], 2+r.Intn(3))
 		if full, err = index.Answer(context.Background(), sh, q, pool); err != nil {
 			t.Fatal(err)
 		}
@@ -239,10 +166,10 @@ func TestShardedStreamTruncationSafety(t *testing.T) {
 		cancel()
 		return true
 	})
-	if !sameInts(truncated, full[:len(truncated)]) {
+	if !slices.Equal(truncated, full[:len(truncated)]) {
 		t.Fatalf("cancelled stream emitted %v, not a prefix of %v", truncated, full)
 	}
-	if err == nil && !sameInts(truncated, full) {
+	if err == nil && !slices.Equal(truncated, full) {
 		t.Fatalf("cancelled stream returned nil error for truncated answer %v of %v", truncated, full)
 	}
 
@@ -267,7 +194,7 @@ func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 	pool := exec.New(2)
 	t.Cleanup(pool.Close)
 	r := rand.New(rand.NewSource(13))
-	ds := randomDataset(r, 9, 10, 2)
+	ds := difftest.Random(r, 9, 10, 2)
 	sh, err := index.Build(context.Background(), index.KindPath, ds, 3, index.Options{
 		MaxPathLen: 2, Pool: pool,
 	})
@@ -275,7 +202,7 @@ func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(sh.Close)
-	q := extractQuery(r, ds[0], 2)
+	q := workload.Extract(r, ds[0], 2)
 	// Warm up so pool workers exist before the baseline is taken.
 	if _, err := index.Answer(context.Background(), sh, q, pool); err != nil {
 		t.Fatal(err)
@@ -310,7 +237,7 @@ func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 // still have them scanning at the first ID.
 func TestShardedMergeStartsNoGoroutine(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	ds := randomDataset(r, 600, 6, 2)
+	ds := difftest.Random(r, 600, 6, 2)
 	sh, err := index.Build(context.Background(), index.KindPath, ds, 3, index.Options{MaxPathLen: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +257,7 @@ func TestShardedMergeStartsNoGoroutine(t *testing.T) {
 		}
 		return true
 	})
-	if err != nil || !sameInts(got, want) {
+	if err != nil || !slices.Equal(got, want) {
 		t.Fatalf("FilterStream = %v, %v; want %v", got, err, want)
 	}
 	for _, n := range during {

@@ -10,10 +10,12 @@ import (
 	"context"
 	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/leakcheck"
@@ -23,19 +25,11 @@ import (
 
 const testMaxPathLen = 3
 
+// randomDataset is numGraphs random trees of n vertices over labels labels.
 func randomDataset(r *rand.Rand, numGraphs, n, labels int) []*graph.Graph {
 	ds := make([]*graph.Graph, numGraphs)
 	for i := range ds {
-		b := graph.NewBuilder("g")
-		for v := 0; v < n; v++ {
-			b.AddVertex(graph.Label(r.Intn(labels)))
-		}
-		for v := 1; v < n; v++ {
-			if err := b.AddEdge(r.Intn(v), v); err != nil {
-				panic(err)
-			}
-		}
-		ds[i] = b.MustBuild()
+		ds[i] = difftest.Graph(r, n, 0, labels)
 	}
 	return ds
 }
@@ -54,18 +48,6 @@ func testQueries() []*graph.Graph {
 		graph.MustNew("edge", []graph.Label{0, 1}, [][2]int{{0, 1}}),
 		graph.MustNew("edgeless", []graph.Label{0}, nil),
 	}
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // indexOf is the snapshot's table under kind's verifier.
@@ -97,7 +79,7 @@ func assertParity(t *testing.T, snap *live.Snapshot, kinds []string) {
 			t.Fatalf("fresh %s build: %v", kind, err)
 		}
 		for qi, q := range testQueries() {
-			if got, want := x.Filter(q), fresh.Filter(q); !sameInts(got, want) {
+			if got, want := x.Filter(q), fresh.Filter(q); !slices.Equal(got, want) {
 				t.Errorf("epoch %d %s q%d: Filter = %v, want %v", snap.Epoch(), kind, qi, got, want)
 			}
 			got, err := index.Answer(context.Background(), x, q, nil)
@@ -108,7 +90,7 @@ func assertParity(t *testing.T, snap *live.Snapshot, kinds []string) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameInts(got, want) {
+			if !slices.Equal(got, want) {
 				t.Errorf("epoch %d %s q%d: Answer = %v, want %v", snap.Epoch(), kind, qi, got, want)
 			}
 		}
@@ -249,7 +231,7 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameInts(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("pinned snapshot drifted at step %d: %v, want %v", step, got, want)
 		}
 	}

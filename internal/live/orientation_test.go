@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/psi-graph/psi/internal/gen"
@@ -127,7 +128,7 @@ func TestCandidatesMatchBothSpellingsFilter(t *testing.T) {
 		for _, q := range queries {
 			want := bothSpellingsFilter(snap.Graphs(), q, maxLen)
 			for i, kind := range kinds {
-				if got := indexOf(t, snap, kinds[i]).Filter(q); !sameInts(got, want) {
+				if got := indexOf(t, snap, kinds[i]).Filter(q); !slices.Equal(got, want) {
 					t.Errorf("%s, %s, query %s: candidates %v, both-spellings filter %v", stage, kind, q.Name(), got, want)
 				}
 			}

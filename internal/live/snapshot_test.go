@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,18 +48,6 @@ func roundTripGrid(t *testing.T, state live.State) live.State {
 	return state
 }
 
-func sameHandles(a, b []live.Handle) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // assertStoresAgree compares the two stores' current snapshots: epoch,
 // handle vector, dataset, and per-kind answers over the probe queries.
 func assertStoresAgree(t *testing.T, a, b *live.Store, kinds []string) {
@@ -67,7 +56,7 @@ func assertStoresAgree(t *testing.T, a, b *live.Store, kinds []string) {
 	if sa.Epoch() != sb.Epoch() {
 		t.Fatalf("epoch %d vs %d", sa.Epoch(), sb.Epoch())
 	}
-	if !sameHandles(sa.Handles(), sb.Handles()) {
+	if !slices.Equal(sa.Handles(), sb.Handles()) {
 		t.Fatalf("handles %v vs %v", sa.Handles(), sb.Handles())
 	}
 	ga, gb := sa.Graphs(), sb.Graphs()
@@ -90,7 +79,7 @@ func assertStoresAgree(t *testing.T, a, b *live.Store, kinds []string) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameInts(wa, wb) {
+			if !slices.Equal(wa, wb) {
 				t.Errorf("%s q%d: %v vs %v after restore", kind, qi, wa, wb)
 			}
 		}

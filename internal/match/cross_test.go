@@ -14,6 +14,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/gql"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/match"
@@ -21,6 +22,7 @@ import (
 	"github.com/psi-graph/psi/internal/rewrite"
 	"github.com/psi-graph/psi/internal/spath"
 	"github.com/psi-graph/psi/internal/vf2"
+	"github.com/psi-graph/psi/internal/workload"
 )
 
 func allMatchers(g *graph.Graph) []match.Matcher {
@@ -85,13 +87,13 @@ func collect(t *testing.T, m match.StreamMatcher, q *graph.Graph, limit int) []m
 func TestStreamingParityWithSlicePath(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 15; trial++ {
-		g := randomLabeledGraph(r, 10+r.Intn(15), 10, 2)
+		g := difftest.Graph(r, 10+r.Intn(15), 10, 2)
 		var q *graph.Graph
 		switch trial % 3 {
 		case 0:
-			q = extractQuery(r, g, 2+r.Intn(4))
+			q = workload.Extract(r, g, 2+r.Intn(4))
 		case 1:
-			q = randomLabeledGraph(r, 3+r.Intn(3), 2, 2) // may be absent
+			q = difftest.Graph(r, 3+r.Intn(3), 2, 2) // may be absent
 		default:
 			q = graph.MustNew("empty", nil, nil)
 		}
@@ -116,8 +118,8 @@ func TestStreamingParityWithSlicePath(t *testing.T) {
 // those k must be the first k of the slice path.
 func TestStreamingMidStreamCancellation(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
-	g := randomLabeledGraph(r, 20, 30, 1) // single label: many embeddings
-	q := extractQuery(r, g, 3)
+	g := difftest.Graph(r, 20, 30, 1) // single label: many embeddings
+	q := workload.Extract(r, g, 3)
 	const lim = 100000
 	for _, m := range allStreamMatchers(g) {
 		full, err := m.Match(context.Background(), q, lim)
@@ -150,8 +152,8 @@ func TestStreamingMidStreamCancellation(t *testing.T) {
 // embedding (the decision convention), for both 0 and negative limits.
 func TestStreamingDecisionSemantics(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
-	g := randomLabeledGraph(r, 15, 10, 1)
-	q := extractQuery(r, g, 2)
+	g := difftest.Graph(r, 15, 10, 1)
+	q := workload.Extract(r, g, 2)
 	for _, limit := range []int{0, -3} {
 		for _, m := range allStreamMatchers(g) {
 			got := collect(t, m, q, limit)
@@ -167,8 +169,8 @@ func TestStreamingDecisionSemantics(t *testing.T) {
 // streaming path: a dead context must surface as an error promptly.
 func TestStreamingCancelledContext(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
-	g := randomLabeledGraph(r, 200, 1500, 1)
-	q := extractQuery(r, g, 8)
+	g := difftest.Graph(r, 200, 1500, 1)
+	q := workload.Extract(r, g, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, m := range allStreamMatchers(g) {
@@ -184,8 +186,8 @@ func TestStreamingCancelledContext(t *testing.T) {
 // search continues.
 func TestStreamingEmbeddingsAreClones(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
-	g := randomLabeledGraph(r, 15, 20, 1)
-	q := extractQuery(r, g, 3)
+	g := difftest.Graph(r, 15, 20, 1)
+	q := workload.Extract(r, g, 3)
 	for _, m := range allStreamMatchers(g) {
 		var kept []match.Embedding
 		if err := m.MatchStream(context.Background(), q, 50, match.SinkFunc(func(e match.Embedding) bool {
@@ -204,91 +206,11 @@ func TestStreamingEmbeddingsAreClones(t *testing.T) {
 	}
 }
 
-// randomLabeledGraph builds a connected random graph.
-func randomLabeledGraph(r *rand.Rand, n, extraEdges, labels int) *graph.Graph {
-	b := graph.NewBuilder("g")
-	for i := 0; i < n; i++ {
-		b.AddVertex(graph.Label(r.Intn(labels)))
-	}
-	for v := 1; v < n; v++ {
-		if err := b.AddEdge(r.Intn(v), v); err != nil {
-			panic(err)
-		}
-	}
-	for i := 0; i < extraEdges; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !b.HasEdgePending(u, v) {
-			if err := b.AddEdge(u, v); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return b.MustBuild()
-}
-
-// extractQuery grows a connected query of wantEdges edges from a random
-// start vertex of g (the paper's §3.4 workload procedure), then renumbers
-// vertices 0..k-1.
-func extractQuery(r *rand.Rand, g *graph.Graph, wantEdges int) *graph.Graph {
-	start := r.Intn(g.N())
-	inQ := map[int32]bool{int32(start): true}
-	type edge struct{ u, v int32 }
-	var qEdges []edge
-	has := func(a, b int32) bool {
-		for _, e := range qEdges {
-			if (e.u == a && e.v == b) || (e.u == b && e.v == a) {
-				return true
-			}
-		}
-		return false
-	}
-	for len(qEdges) < wantEdges {
-		// frontier: edges adjacent to current query vertices, not yet used
-		var frontier []edge
-		for v := range inQ {
-			for _, w := range g.Neighbors(int(v)) {
-				if !has(v, w) {
-					frontier = append(frontier, edge{v, w})
-				}
-			}
-		}
-		if len(frontier) == 0 {
-			break
-		}
-		e := frontier[r.Intn(len(frontier))]
-		qEdges = append(qEdges, e)
-		inQ[e.u] = true
-		inQ[e.v] = true
-	}
-	ids := make([]int32, 0, len(inQ))
-	for v := range inQ {
-		ids = append(ids, v)
-	}
-	// deterministic renumbering: sort ascending
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	old2new := make(map[int32]int, len(ids))
-	b := graph.NewBuilder("q")
-	for i, v := range ids {
-		old2new[v] = i
-		b.AddVertex(g.Label(int(v)))
-	}
-	for _, e := range qEdges {
-		if err := b.AddEdge(old2new[e.u], old2new[e.v]); err != nil {
-			panic(err)
-		}
-	}
-	return b.MustBuild()
-}
-
 func TestPlantedQueryIsFound(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
-		g := randomLabeledGraph(r, 20+r.Intn(30), 20, 3)
-		q := extractQuery(r, g, 3+r.Intn(6))
+		g := difftest.Graph(r, 20+r.Intn(30), 20, 3)
+		q := workload.Extract(r, g, 3+r.Intn(6))
 		for _, m := range allMatchers(g) {
 			embs, err := m.Match(context.Background(), q, 1)
 			if err != nil {
@@ -307,9 +229,9 @@ func TestPlantedQueryIsFound(t *testing.T) {
 func TestDecisionAgreesWithReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := randomLabeledGraph(r, 8+r.Intn(10), 6, 3)
+		g := difftest.Graph(r, 8+r.Intn(10), 6, 3)
 		// random query: may or may not be present
-		q := randomLabeledGraph(r, 3+r.Intn(4), 2, 3)
+		q := difftest.Graph(r, 3+r.Intn(4), 2, 3)
 		ref := match.NewReference(g)
 		want, err := ref.Match(context.Background(), q, 1)
 		if err != nil {
@@ -337,8 +259,8 @@ func TestDecisionAgreesWithReference(t *testing.T) {
 func TestEmbeddingCountAgreesWithReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := randomLabeledGraph(r, 7+r.Intn(6), 4, 2)
-		q := extractQuery(r, g, 2+r.Intn(3))
+		g := difftest.Graph(r, 7+r.Intn(6), 4, 2)
+		q := workload.Extract(r, g, 2+r.Intn(3))
 		const lim = 100000
 		ref := match.NewReference(g)
 		want, err := ref.Match(context.Background(), q, lim)
@@ -370,8 +292,8 @@ func TestEmbeddingCountAgreesWithReference(t *testing.T) {
 // would inflate counts.
 func TestEmbeddingsDistinct(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	g := randomLabeledGraph(r, 12, 8, 2)
-	q := extractQuery(r, g, 4)
+	g := difftest.Graph(r, 12, 8, 2)
+	q := workload.Extract(r, g, 4)
 	for _, m := range allMatchers(g) {
 		embs, err := m.Match(context.Background(), q, 100000)
 		if err != nil {
@@ -393,8 +315,8 @@ func TestEmbeddingsDistinct(t *testing.T) {
 
 func TestLimitRespected(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	g := randomLabeledGraph(r, 30, 40, 1) // single label: many embeddings
-	q := extractQuery(r, g, 2)
+	g := difftest.Graph(r, 30, 40, 1) // single label: many embeddings
+	q := workload.Extract(r, g, 2)
 	for _, m := range allMatchers(g) {
 		embs, err := m.Match(context.Background(), q, 5)
 		if err != nil {
@@ -408,8 +330,8 @@ func TestLimitRespected(t *testing.T) {
 
 func TestDecisionLimitZeroMeansOne(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	g := randomLabeledGraph(r, 15, 10, 1)
-	q := extractQuery(r, g, 2)
+	g := difftest.Graph(r, 15, 10, 1)
+	q := workload.Extract(r, g, 2)
 	for _, m := range allMatchers(g) {
 		embs, err := m.Match(context.Background(), q, 0)
 		if err != nil {
@@ -424,8 +346,8 @@ func TestDecisionLimitZeroMeansOne(t *testing.T) {
 func TestCancelledContext(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	// Large single-label graph: enumeration would take a long time.
-	g := randomLabeledGraph(r, 200, 1500, 1)
-	q := extractQuery(r, g, 8)
+	g := difftest.Graph(r, 200, 1500, 1)
+	q := workload.Extract(r, g, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, m := range allMatchers(g) {
@@ -442,8 +364,8 @@ func TestCancelledContext(t *testing.T) {
 
 func TestDeadlineExceeded(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	g := randomLabeledGraph(r, 300, 3000, 1)
-	q := extractQuery(r, g, 10)
+	g := difftest.Graph(r, 300, 3000, 1)
+	q := workload.Extract(r, g, 10)
 	for _, m := range allMatchers(g) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 		_, err := m.Match(ctx, q, 1<<30)
@@ -473,8 +395,8 @@ func rankedMatch(m match.Matcher, q *graph.Graph, rank graph.Permutation, limit 
 func TestRewritingPreservesSemantics(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 10; trial++ {
-		g := randomLabeledGraph(r, 10+r.Intn(8), 6, 2)
-		q := extractQuery(r, g, 3+r.Intn(3))
+		g := difftest.Graph(r, 10+r.Intn(8), 6, 2)
+		q := workload.Extract(r, g, 3+r.Intn(3))
 		freq := rewrite.FrequenciesOf(g)
 		const lim = 100000
 		for _, m := range allMatchers(g) {

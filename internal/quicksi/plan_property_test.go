@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/psi-graph/psi/internal/graph"
+	"github.com/psi-graph/psi/internal/difftest"
 )
 
 // Property: for random stored graphs and random connected queries, the
@@ -14,9 +14,9 @@ import (
 func TestPlanInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := randomGraphQSI(r, 12+r.Intn(10), 3)
+		g := difftest.Random(r, 1, 12+r.Intn(10), 3)[0]
 		m := New(g)
-		q := randomGraphQSI(r, 3+r.Intn(6), 3)
+		q := difftest.Random(r, 1, 3+r.Intn(6), 3)[0]
 		p := m.plan(q)
 		if len(p.Order) != q.N() || len(p.Anchor) != q.N() {
 			return false
@@ -50,9 +50,9 @@ func TestPlanInvariantsProperty(t *testing.T) {
 func TestPlanRootIsRarestLabel(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := randomGraphQSI(r, 20, 4)
+		g := difftest.Random(r, 1, 20, 4)[0]
 		m := New(g)
-		q := randomGraphQSI(r, 4+r.Intn(5), 4)
+		q := difftest.Random(r, 1, 4+r.Intn(5), 4)[0]
 		root := m.plan(q).Order[0]
 		rootFreq := m.lblFreq[q.Label(int(root))]
 		for v := 0; v < q.N(); v++ {
@@ -65,25 +65,4 @@ func TestPlanRootIsRarestLabel(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
-}
-
-func randomGraphQSI(r *rand.Rand, n, labels int) *graph.Graph {
-	b := graph.NewBuilder("g")
-	for i := 0; i < n; i++ {
-		b.AddVertex(graph.Label(r.Intn(labels)))
-	}
-	for v := 1; v < n; v++ {
-		if err := b.AddEdge(r.Intn(v), v); err != nil {
-			panic(err)
-		}
-	}
-	for i := 0; i < n/2; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !b.HasEdgePending(u, v) {
-			if err := b.AddEdge(u, v); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return b.MustBuild()
 }

@@ -20,6 +20,7 @@ import (
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/match"
 	"github.com/psi-graph/psi/internal/vf2"
+	"github.com/psi-graph/psi/internal/workload"
 )
 
 // roundTripKinds is every rewriting the framework races.
@@ -29,63 +30,6 @@ var roundTripKinds = []Kind{Orig, ILF, IND, DND, ILFIND, ILFDND, Random}
 // truncated set cannot be compared — different enumeration orders truncate
 // at different embeddings).
 const embeddingLimit = 20000
-
-// extractConnectedQuery grows a connected query of wantEdges edges from a
-// random vertex of g, relabeling vertices to a compact range.
-func extractConnectedQuery(r *rand.Rand, g *graph.Graph, wantEdges int) *graph.Graph {
-	start := r.Intn(g.N())
-	inQ := map[int32]bool{int32(start): true}
-	type edge struct{ u, v int32 }
-	var qEdges []edge
-	has := func(a, b int32) bool {
-		for _, e := range qEdges {
-			if (e.u == a && e.v == b) || (e.u == b && e.v == a) {
-				return true
-			}
-		}
-		return false
-	}
-	for len(qEdges) < wantEdges {
-		var frontier []edge
-		for v := range inQ {
-			for _, w := range g.Neighbors(int(v)) {
-				if !has(v, w) {
-					frontier = append(frontier, edge{v, w})
-				}
-			}
-		}
-		if len(frontier) == 0 {
-			break
-		}
-		sort.Slice(frontier, func(i, j int) bool {
-			if frontier[i].u != frontier[j].u {
-				return frontier[i].u < frontier[j].u
-			}
-			return frontier[i].v < frontier[j].v
-		})
-		e := frontier[r.Intn(len(frontier))]
-		qEdges = append(qEdges, e)
-		inQ[e.u] = true
-		inQ[e.v] = true
-	}
-	ids := make([]int32, 0, len(inQ))
-	for v := range inQ {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	old2new := make(map[int32]int, len(ids))
-	b := graph.NewBuilder("q")
-	for i, v := range ids {
-		old2new[v] = i
-		b.AddVertex(g.Label(int(v)))
-	}
-	for _, e := range qEdges {
-		if err := b.AddEdge(old2new[e.u], old2new[e.v]); err != nil {
-			panic(err)
-		}
-	}
-	return b.MustBuild()
-}
 
 // embeddingSet canonicalizes a set of embeddings for order-insensitive
 // comparison (matchers enumerate in query-vertex order, which the rewriting
@@ -124,7 +68,7 @@ func TestRewriteRoundTripProperty(t *testing.T) {
 	for seed := int64(1); seed <= samples; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := randomConnected(r, 8+r.Intn(8), 3)
-		q := extractConnectedQuery(r, g, 3+r.Intn(4))
+		q := workload.Extract(r, g, 3+r.Intn(4))
 		m := vf2.New(g)
 		want, err := m.Match(context.Background(), q, embeddingLimit)
 		if err != nil {
@@ -222,7 +166,7 @@ func FuzzRewriteRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, graphSeed int64, size, labels, edges uint8, counts []byte, seed int64) {
 		r := rand.New(rand.NewSource(graphSeed))
 		g := randomConnected(r, 1+int(size%14), 1+int(labels%4))
-		q := extractConnectedQuery(r, g, int(edges%6))
+		q := workload.Extract(r, g, int(edges%6))
 		m := vf2.New(g)
 		want, err := m.Match(context.Background(), q, embeddingLimit)
 		if err != nil {
@@ -251,7 +195,7 @@ func FuzzRewriteRoundTrip(f *testing.F) {
 func TestRewriteRoundTripArbitraryPermutations(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	g := randomConnected(r, 12, 3)
-	q := extractConnectedQuery(r, g, 4)
+	q := workload.Extract(r, g, 4)
 	m := vf2.New(g)
 	want, err := m.Match(context.Background(), q, embeddingLimit)
 	if err != nil {

@@ -102,20 +102,17 @@ func (w *writer) writeFile(path string) error {
 	return nil
 }
 
-// reader is a fully validated open container: every checksum has already
-// been verified when open returns.
+// reader is a fully validated container: every checksum has already been
+// verified when parse returns.
 type reader struct {
 	sections map[string][]byte
 }
 
-// open reads and validates a container file. Every failure mode — short
-// file, wrong magic, wrong version, table damage, payload damage — returns
-// an error mentioning what failed; checksum failures say "checksum".
-func open(path string) (*reader, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
+// parse validates a container: data, the bytes read from the file path
+// names. Every failure mode — short file, wrong magic, wrong version, table
+// damage, payload damage — returns an error mentioning what failed;
+// checksum failures say "checksum".
+func parse(path string, data []byte) (*reader, error) {
 	if len(data) < len(magic)+12 {
 		return nil, fmt.Errorf("snapshot: %s: file too short (%d bytes)", path, len(data))
 	}

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 
 	"github.com/psi-graph/psi/internal/graph"
@@ -134,8 +135,18 @@ func Save(path string, m *Model) error {
 // Pool); layout-affecting parameters (MaxPathLen, shard count) come from the
 // file. Any failure — checksum, shape, structural — returns before any state
 // escapes: never a partial engine.
-func Load(path string, ixOpts index.Options) (m *Model, err error) {
-	r, err := open(path)
+func Load(path string, ixOpts index.Options) (*Model, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	return decode(path, data, ixOpts)
+}
+
+// decode is Load after the file read: it validates and deserializes data,
+// the bytes read from the file path names.
+func decode(path string, data []byte, ixOpts index.Options) (m *Model, err error) {
+	r, err := parse(path, data)
 	if err != nil {
 		return nil, err
 	}

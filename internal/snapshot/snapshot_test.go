@@ -93,8 +93,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 		// A static file leaves the never-mutated store's state out, and Load
 		// fills it back in.
-		if r, err := open(path); err != nil || r.sections["live/alive"] != nil {
-			t.Fatalf("static file holds live sections (open err %v)", err)
+		if data, err := os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		} else if r, err := parse(path, data); err != nil || r.sections["live/alive"] != nil {
+			t.Fatalf("static file holds live sections (parse err %v)", err)
 		}
 		if got.Epoch != 1 || got.NextHandle != live.Handle(len(ds)+1) || !reflect.DeepEqual(got.Alive, m.Alive) ||
 			!reflect.DeepEqual(got.Handles, m.Handles) || !reflect.DeepEqual(got.Tombs, m.Tombs) {
@@ -176,7 +178,8 @@ func TestMutableModelRoundTrip(t *testing.T) {
 // TestEveryByteCorruptionFailsClosed flips every single byte of a small
 // snapshot in turn; each variant must fail to load — the corruption either
 // hits the magic, the version, the section table, or exactly one
-// checksummed payload.
+// checksummed payload. The flips go through Load's in-memory half, one of
+// them through a file on disk too.
 func TestEveryByteCorruptionFailsClosed(t *testing.T) {
 	ds := testDataset(3)
 	m := buildModel(t, ds, []string{index.KindPath}, 1)
@@ -189,15 +192,11 @@ func TestEveryByteCorruptionFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := filepath.Join(dir, "bad.psi")
 	checksumErrs := 0
 	for i := range data {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xFF
-		if err := os.WriteFile(bad, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(bad, index.Options{}); err == nil {
+		if _, err := decode(path, mut, index.Options{}); err == nil {
 			t.Fatalf("flipping byte %d of %d still loaded", i, len(data))
 		} else if strings.Contains(err.Error(), "checksum") {
 			checksumErrs++
@@ -205,6 +204,14 @@ func TestEveryByteCorruptionFailsClosed(t *testing.T) {
 	}
 	if checksumErrs == 0 {
 		t.Fatal("no corruption surfaced as a checksum error")
+	}
+	data[len(data)/2] ^= 0xFF
+	bad := filepath.Join(dir, "bad.psi")
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bad, index.Options{}); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("a file with its middle byte flipped: Load error %v, want a checksum error", err)
 	}
 }
 
@@ -495,11 +502,7 @@ func TestPortfolioBuildDeterministic(t *testing.T) {
 	}
 	sections := func(b []byte, names ...string) [][]byte {
 		t.Helper()
-		path := filepath.Join(t.TempDir(), "snap.psi")
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		r, err := open(path)
+		r, err := parse("snap.psi", b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -147,6 +147,16 @@ echo "== fuzz (FuzzMatchers, 5s) =="
 # edge check shows.
 go test -run='^$' -fuzz=FuzzMatchers -fuzztime=5s ./internal/match
 
+echo "== fuzz (FuzzRewriteRoundTrip, 5s) =="
+# A fuzzed small connected stored graph, a query workload.Extract grows in it
+# from a fuzzed seed, a fuzzed frequency map and rewriting seed, through every
+# rewriting: the ranked search must yield exactly the unranked search's
+# embeddings, and so must the rewritten copy's search translated back. Every
+# race attempt under a rewriting rests on this identity, and this is where a
+# rank that is no permutation or a comparator that breaks on an unseen label
+# shows. Extraction is deterministic, so a failing input reproduces.
+go test -run='^$' -fuzz=FuzzRewriteRoundTrip -fuzztime=5s ./internal/rewrite
+
 echo "== bench smoke (1 iteration) =="
 # Every root benchmark once, BenchmarkExtractFeatures,
 # BenchmarkBuildPortfolio and BenchmarkGrapesVerify (the index-build path and
