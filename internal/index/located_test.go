@@ -259,7 +259,7 @@ func TestConcurrentQueries(t *testing.T) {
 
 func TestVerifyCancelled(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	ds := []*graph.Graph{randomGraphDense(r, 60, 0.3)}
+	ds := []*graph.Graph{difftest.Graph(r, 60, 500, 1)} // dense, one label: a costly search
 	x := buildIndex(t, index.KindGrapes, ds, index.Options{MaxPathLen: 2})
 	q := workload.Extract(r, ds[0], 6)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -304,23 +304,6 @@ func TestParallelVerifyAgreesWithSequential(t *testing.T) {
 			t.Errorf("trial %d: extracted query must be contained", trial)
 		}
 	}
-}
-
-func randomGraphDense(r *rand.Rand, n int, p float64) *graph.Graph {
-	b := graph.NewBuilder("dense")
-	for v := 0; v < n; v++ {
-		b.AddVertex(0)
-	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if r.Float64() < p {
-				if err := b.AddEdge(u, v); err != nil {
-					panic(err)
-				}
-			}
-		}
-	}
-	return b.MustBuild()
 }
 
 // TestBuildContextCancellation: a cancelled context aborts the build

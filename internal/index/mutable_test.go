@@ -7,7 +7,7 @@ package index_test
 // byte-parity the rest of the index layer enforces: derived views answer
 // exactly like a from-scratch build over the equivalent dataset. The masked
 // view's parity is TestDifferential's, which runs every cell of its matrix
-// with tombstoned slots too.
+// with tombstoned slots too, and TestShardedTombstoneParity's slice of it.
 
 import (
 	"context"

@@ -155,12 +155,59 @@ func oneShard(ds []*graph.Graph) *index.Sharded {
 // views also report only the live graphs in their statistics, and the mixed
 // shape's table holds location sets of both forms.
 func TestDifferential(t *testing.T) {
+	differential(t, func(string, cell) bool { return true })
+}
+
+// TestCrossIndexParity is the matrix slice for every name set at K <= 2.
+func TestCrossIndexParity(t *testing.T) {
+	differential(t, func(_ string, c cell) bool { return c.k <= 2 && c.pool.Workers() == 4 && !c.restored && !c.masked })
+}
+
+// TestDifferentialAgainstFTVAndBruteForce is the slice for Grapes over the mixed shape.
+func TestDifferentialAgainstFTVAndBruteForce(t *testing.T) {
+	differential(t, func(shape string, c cell) bool {
+		return shape == "mixed" && slices.Equal(c.names, []string{index.KindGrapes}) && c.k == 1 && !c.masked
+	})
+}
+
+// TestShardedParityFuzz is the slice for each single name at every K and pool.
+func TestShardedParityFuzz(t *testing.T) {
+	differential(t, func(_ string, c cell) bool { return len(c.names) == 1 && !c.restored && !c.masked })
+}
+
+// TestShardedTombstoneParity is the slice for each single name under the alive mask.
+func TestShardedTombstoneParity(t *testing.T) {
+	differential(t, func(_ string, c cell) bool {
+		return len(c.names) == 1 && c.pool.Workers() == 4 && c.masked && !c.restored
+	})
+}
+
+// differential checks, as TestDifferential says, the cells of the index
+// matrix that keep selects by dataset shape.
+func differential(t *testing.T, keep func(shape string, c cell) bool) {
 	pool1, pool4 := exec.New(1), exec.New(4)
 	defer pool1.Close()
 	defer pool4.Close()
 	for _, d := range difftest.Datasets(1) {
+		ds := d.Graphs
+		var cells []cell
+		for _, names := range difftest.Subsets(index.Kinds()) {
+			for _, k := range []int{1, 2, 3, 8, len(ds) + len(ds)/3 + 2} {
+				for _, pool := range []*exec.Pool{pool1, pool4} {
+					for _, restored := range []bool{false, true} {
+						for _, masked := range []bool{false, true} {
+							if c := (cell{names, k, pool, restored, masked}); keep(d.Name, c) {
+								cells = append(cells, c)
+							}
+						}
+					}
+				}
+			}
+		}
+		if len(cells) == 0 {
+			continue
+		}
 		t.Run(d.Name, func(t *testing.T) {
-			ds := d.Graphs
 			queries := difftest.Queries(rand.New(rand.NewSource(1)), ds, 16)
 			want := make([][]int, len(queries))
 			cands := make([][]int, len(queries))
@@ -168,30 +215,21 @@ func TestDifferential(t *testing.T) {
 			for qi, q := range queries {
 				want[qi], cands[qi] = difftest.Want(ds, q), ref.Filter(q)
 			}
-			for _, names := range difftest.Subsets(index.Kinds()) {
-				for _, k := range []int{1, 2, 3, 8, len(ds) + len(ds)/3 + 2} {
-					for _, pool := range []*exec.Pool{pool1, pool4} {
-						for _, restored := range []bool{false, true} {
-							for _, masked := range []bool{false, true} {
-								c := cell{names, k, pool, restored, masked}
-								xs, tables, err := c.views(ds)
-								if err != nil {
-									t.Fatalf("%v: %v", c, err)
-								}
-								checkStats(t, c, xs[0], tables, len(ds))
-								if d.Name == "mixed" && c.names[0] == index.KindGrapes && k == 1 {
-									if st := xs[0].Stats(); st.LocationRows == 0 || st.LocationLists == 0 {
-										t.Fatalf("%v: %d row sets and %d list sets; want both forms", c, st.LocationRows, st.LocationLists)
-									}
-								}
-								for qi, q := range queries {
-									for _, x := range xs {
-										if err := check(x, q, want[qi], cands[qi], pool); err != nil {
-											difftest.Fail(t, fmt.Sprintf("%v: %v", c, err), ds, q, c.fails)
-										}
-									}
-								}
-							}
+			for _, c := range cells {
+				xs, tables, err := c.views(ds)
+				if err != nil {
+					t.Fatalf("%v: %v", c, err)
+				}
+				checkStats(t, c, xs[0], tables, len(ds))
+				if d.Name == "mixed" && c.names[0] == index.KindGrapes && c.k == 1 {
+					if st := xs[0].Stats(); st.LocationRows == 0 || st.LocationLists == 0 {
+						t.Fatalf("%v: %d row sets and %d list sets; want both forms", c, st.LocationRows, st.LocationLists)
+					}
+				}
+				for qi, q := range queries {
+					for _, x := range xs {
+						if err := check(x, q, want[qi], cands[qi], c.pool); err != nil {
+							difftest.Fail(t, fmt.Sprintf("%v: %v", c, err), ds, q, c.fails)
 						}
 					}
 				}
@@ -235,13 +273,20 @@ func checkStats(t *testing.T, c cell, x *index.Sharded, tables []*index.Path, li
 	}
 }
 
-// alternatingDataset alternates large and tiny graphs.
-func alternatingDataset(r *rand.Rand) []*graph.Graph {
+// alternating returns a dataset whose large and tiny graphs alternate, and
+// queries over it: an edgeless one and six cut from its large graphs.
+func alternating() (ds, queries []*graph.Graph) {
+	r := rand.New(rand.NewSource(7))
 	big := func() *graph.Graph { return difftest.Random(r, 1, 300, 3)[0] }
-	return []*graph.Graph{
+	ds = []*graph.Graph{
 		big(), graph.MustNew("one", []graph.Label{1}, nil), graph.MustNew("edgeless", []graph.Label{0, 2, 2}, nil), big(),
 		difftest.Random(r, 1, 14, 3)[0], graph.MustNew("one", []graph.Label{0}, nil), big(), graph.MustNew("edgeless", make([]graph.Label, 70), nil),
 	}
+	queries = []*graph.Graph{graph.MustNew("edgeless", []graph.Label{0}, nil)}
+	for qi := 0; qi < 6; qi++ {
+		queries = append(queries, workload.Extract(r, ds[[]int{0, 3, 4, 6}[r.Intn(4)]], 2+r.Intn(4)))
+	}
+	return ds, queries
 }
 
 // TestBuildDeterminismAcrossWorkerCounts is the acceptance check that a
@@ -254,8 +299,7 @@ func alternatingDataset(r *rand.Rand) []*graph.Graph {
 // meets the same scratch, and the folds, which queue on that pool too, must
 // not deadlock it.
 func TestBuildDeterminismAcrossWorkerCounts(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	ds := alternatingDataset(r)
+	ds, queries := alternating()
 	want := map[int][][][]index.ExportedFeature{} // by K: the 1-worker build's exports, by kind and shard
 	for _, workers := range []int{1, 2, 8} {
 		pool := exec.New(workers)
@@ -281,11 +325,6 @@ func TestBuildDeterminismAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 	}
-	var queries []*graph.Graph
-	for qi := 0; qi < 6; qi++ {
-		queries = append(queries, workload.Extract(r, ds[[]int{0, 3, 4, 6}[r.Intn(4)]], 2+r.Intn(4)))
-	}
-	queries = append(queries, graph.MustNew("edgeless", []graph.Label{0}, nil))
 	// Grapes' paper-facing worker knob must not change filtering either, and
 	// GGSX is the flat path index under another name: all filter alike.
 	ftvX := buildIndex(t, index.KindPath, ds, index.Options{MaxPathLen: 4})
@@ -308,12 +347,7 @@ func TestBuildDeterminismAcrossWorkerCounts(t *testing.T) {
 // the verifying goroutine, and it answers TestBuildDeterminismAcrossWorkerCounts'
 // dataset and queries as Grapes/1 does.
 func TestGrapesFanOutOnOneWorker(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	ds := alternatingDataset(r)
-	queries := []*graph.Graph{graph.MustNew("edgeless", []graph.Label{0}, nil)}
-	for qi := 0; qi < 6; qi++ {
-		queries = append(queries, workload.Extract(r, ds[[]int{0, 3, 4, 6}[r.Intn(4)]], 2+r.Intn(4)))
-	}
+	ds, queries := alternating()
 	pool := exec.New(1)
 	defer pool.Close()
 	g1 := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 1, Pool: pool})

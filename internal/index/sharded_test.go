@@ -4,7 +4,8 @@ package index_test
 // cancellation truncation-safety, and goroutine-leak regression. The
 // property the sharding design hangs on — candidates and answers at every K,
 // pool and name set identical to the one-shard table's and to the oracle's —
-// is TestDifferential's (parity_test.go), over internal/difftest's datasets.
+// is TestDifferential's (parity_test.go), over internal/difftest's datasets;
+// TestShardedParityFuzz and TestShardedTombstoneParity run its sharded slices.
 
 import (
 	"context"
