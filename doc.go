@@ -56,20 +56,21 @@
 // the caller; only the race it launches differs by kind. For a dataset
 // (FTV) query one function owns each step:
 //
-//	plan             Engine.Plan               policy and bandit verdict → arms:
-//	                                           1 verifier (fixed, learned solo) or all
-//	execute          Engine.run                snapshot, result record, budget, kill trim
-//	launch           Engine.launch             the arms; solo → escalate; bandit learns
-//	filter           FilterIndex.FilterStream  one scan of the one table, ascending
-//	ordered verify   index.StreamVerified      pool fan-out, in-order flush
-//	candidate race   core.RaceInstances        arms × prepared rewritings, first wins
-//	emit / collect   Engine.run                caller's emit, or QueryResult.GraphIDs
+//	plan             Engine.Plan                 policy and bandit verdict → arms:
+//	                                             1 verifier (fixed, learned solo) or all
+//	execute          Engine.run                  snapshot, result record, budget, kill trim
+//	launch           Engine.launch               the arms; solo → escalate; bandit learns
+//	filter           index.Sharded.FilterStream  one scan of the one table, ascending
+//	ordered verify   index.StreamVerified        pool fan-out, in-order flush
+//	candidate race   core.RaceInstances          verifiers × prepared rewritings over one table
+//	emit / collect   Engine.run                  caller's emit, or QueryResult.GraphIDs
 //
-// core.StreamFTV rewrites the query once per configured rewriting, under the
-// pinned snapshot's label frequencies, and runs one FilterStream →
-// StreamVerified pipeline: a candidate begins its race the moment the filter
-// surfaces it — every arm under every rewriting, the first finisher deciding
-// it, as the paper's §8 leaves the filter intact and races in verification —
+// core.StreamFTV takes the pinned snapshot's table and the arms' verifiers,
+// rewrites the query once per configured rewriting, under the snapshot's
+// label frequencies, and runs one FilterStream → StreamVerified pipeline: a
+// candidate begins its race the moment the filter surfaces it — every arm
+// under every rewriting, each deciding it over the one table
+// (Sharded.VerifyWith), the first finisher winning, as the paper's §8 leaves the filter intact and races in verification —
 // and verified IDs are flushed in filter order, so the caller sees the
 // ascending answer incrementally and byte-identical to the sequential
 // reference (index.SequentialAnswer) at any pool size. The query's Winner is

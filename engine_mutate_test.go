@@ -158,7 +158,7 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 // readers hammer a fixed query and assert that the answer they get is
 // exactly the recorded answer of the epoch their result reports — snapshot
 // isolation, end to end, under -race — then checks for leaked goroutines. It
-// runs one index, and two-index races whose arms read tombstoned views
+// runs one index, and two-index races whose arms verify over the tombstoned dense table
 // across compactions, their verifications nested on the engine's one pool:
 // one of an inserting kind beside Grapes, which rebuilds, for each flat kind,
 // and once more with Grapes/2, whose component fan-out nests inside the arms'

@@ -410,61 +410,76 @@ func raceFixtureQueries() []*psi.Graph {
 }
 
 // TestDatasetEngineIndexRaceMatchesFixed is the engine-level acceptance
-// test for index racing: an engine naming all three indexes builds one
-// table, plans the race policy over its two verifiers, races them on every
-// query, names one of them the winner, and answers byte-identically to a
-// fixed single-index engine.
+// test for index racing: an engine builds one table whatever index names it
+// is given, plans over the distinct verifiers they select — labelled after
+// the first listed of "ftv" and "ggsx", with Grapes' worker count — races
+// two of them on every query, names one of them the winner, and answers
+// byte-identically to a fixed single-index engine.
 func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 	ds := raceFixtureDataset()
-	race, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"ftv", "grapes", "ggsx"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer race.Close()
 	fixed, err := psi.NewDatasetEngine(ds, psi.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fixed.Close()
-	if race.IndexPolicy() != psi.IndexRace {
-		t.Fatalf("IndexPolicy = %q, want race", race.IndexPolicy())
-	}
-	if st := race.IndexStats(); len(st) != 1 || st[0].Kind != "grapes" {
-		t.Fatalf("IndexStats = %+v, want the one table, built under grapes", st)
-	}
-	for qi, q := range raceFixtureQueries() {
-		p, err := race.Plan(q)
+	// The names select distinct verifiers in listed order: "ftv" and "ggsx"
+	// one, labelled after whichever is listed first.
+	for _, tc := range []struct {
+		names   []string
+		workers int
+		table   string
+		want    []string
+	}{
+		{[]string{"ftv", "grapes", "ggsx"}, 0, "grapes", []string{"FTV", "Grapes/1"}},
+		{[]string{"ftv", "grapes"}, 0, "grapes", []string{"FTV", "Grapes/1"}},
+		{[]string{"ggsx", "ftv"}, 0, "ggsx", []string{"GGSX"}},
+		{[]string{"grapes", "ggsx", "ftv"}, 4, "grapes", []string{"Grapes/4", "GGSX"}},
+	} {
+		race, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: tc.names, IndexWorkers: tc.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Kind != psi.PlanFTV || !slices.Equal(p.Indexes, []string{"FTV", "Grapes/1"}) {
-			t.Fatalf("q%d: plan = kind %v indexes %v", qi, p.Kind, p.Indexes)
+		defer race.Close()
+		wantPolicy := psi.IndexRace
+		if len(tc.want) == 1 {
+			wantPolicy = psi.IndexFixed
 		}
-		got, err := race.Execute(context.Background(), p, 0)
-		if err != nil {
-			t.Fatal(err)
+		if race.IndexPolicy() != wantPolicy {
+			t.Fatalf("%v: IndexPolicy = %q, want %q", tc.names, race.IndexPolicy(), wantPolicy)
 		}
-		want, err := fixed.Query(context.Background(), q, 0)
-		if err != nil {
-			t.Fatal(err)
+		if st := race.IndexStats(); len(st) != 1 || st[0].Kind != tc.table {
+			t.Fatalf("%v: IndexStats = %+v, want the one table, built under %s", tc.names, st, tc.table)
 		}
-		if len(got.GraphIDs) != len(want.GraphIDs) {
-			t.Fatalf("q%d: race answered %v, fixed %v", qi, got.GraphIDs, want.GraphIDs)
-		}
-		for i := range want.GraphIDs {
-			if got.GraphIDs[i] != want.GraphIDs[i] {
-				t.Fatalf("q%d: race answered %v, fixed %v", qi, got.GraphIDs, want.GraphIDs)
+		for qi, q := range raceFixtureQueries() {
+			p, err := race.Plan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Kind != psi.PlanFTV || !slices.Equal(p.Indexes, tc.want) {
+				t.Fatalf("%v q%d: plan = kind %v indexes %v, want %v", tc.names, qi, p.Kind, p.Indexes, tc.want)
+			}
+			got, err := race.Execute(context.Background(), p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fixed.Query(context.Background(), q, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.GraphIDs, want.GraphIDs) {
+				t.Fatalf("%v q%d: race answered %v, fixed %v", tc.names, qi, got.GraphIDs, want.GraphIDs)
+			}
+			if !slices.Contains(p.Indexes, got.Winner) {
+				t.Errorf("%v q%d: winner %q is none of the verifiers %v", tc.names, qi, got.Winner, p.Indexes)
 			}
 		}
-		if !slices.Contains(p.Indexes, got.Winner) {
-			t.Errorf("q%d: winner %q is none of the verifiers %v", qi, got.Winner, p.Indexes)
+		n, races := int64(len(raceFixtureQueries())), int64(0)
+		if len(tc.want) > 1 {
+			races = n
 		}
-	}
-	n := int64(len(raceFixtureQueries()))
-	if c := race.Counters(); c.IndexAttempts != n || c.IndexRaces != n {
-		t.Errorf("%d pipelines, %d raced, for %d queries; want one raced pipeline each", c.IndexAttempts, c.IndexRaces, n)
+		if c := race.Counters(); c.IndexAttempts != n || c.IndexRaces != races {
+			t.Errorf("%v: %d pipelines, %d raced, for %d queries; want %d pipelines, %d raced", tc.names, c.IndexAttempts, c.IndexRaces, n, n, races)
+		}
 	}
 }
 

@@ -240,24 +240,21 @@ func (e *Engine) raceAttempts(q *Graph, limit int, res *QueryResult, sink Sink) 
 // verifier that decided most candidates, the earliest on a tie.
 func (e *Engine) raceVerifiers(q *Graph, snap *live.Snapshot, res *QueryResult, emit func(graphID int) bool) raceFunc {
 	return func(ctx context.Context, arms []int) (int, time.Duration, error) {
-		if arms == nil {
-			arms = make([]int, len(e.verifiers))
-			for i := range arms {
-				arms[i] = i
+		vs := e.verifiers
+		if arms != nil {
+			vs = make([]index.Verifier, len(arms))
+			for i, a := range arms {
+				vs[i] = e.verifiers[a]
 			}
 		}
 		// Counted when it starts, as RaceAttempts is: a pipeline that is
 		// killed, fails or is abandoned for a fallback still ran.
 		e.counters.IndexAttempts.Add(1)
-		if len(arms) > 1 {
+		if len(vs) > 1 {
 			e.counters.IndexRaces.Add(1)
 		}
-		xs := make([]index.Index, len(arms))
-		for i, a := range arms {
-			xs[i] = snap.Table().Using(e.verifiers[a])
-		}
 		start := time.Now()
-		wins, err := core.StreamFTV(ctx, e.pool, xs, snap.Frequencies(), e.rewritings, q, emit)
+		wins, err := core.StreamFTV(ctx, e.pool, snap.Table(), vs, snap.Frequencies(), e.rewritings, q, emit)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -267,8 +264,11 @@ func (e *Engine) raceVerifiers(q *Graph, snap *live.Snapshot, res *QueryResult, 
 				won = i
 			}
 		}
-		res.Winner = e.verifiers[arms[won]].Name()
-		return arms[won], time.Since(start), nil
+		res.Winner = vs[won].Name()
+		if arms != nil {
+			won = arms[won]
+		}
+		return won, time.Since(start), nil
 	}
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -16,14 +18,19 @@ import (
 	"github.com/psi-graph/psi/internal/workload"
 )
 
-// buildIndex builds the one-shard index of kind over ds.
-func buildIndex(t testing.TB, kind string, ds []*graph.Graph, opts index.Options) *index.Sharded {
+// buildIndex builds the one-shard index of kind over ds and returns it with
+// kind's verifier.
+func buildIndex(t testing.TB, kind string, ds []*graph.Graph, opts index.Options) (*index.Sharded, []index.Verifier) {
 	t.Helper()
 	x, err := index.Build(context.Background(), kind, ds, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x
+	v, err := index.NewVerifier(kind, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, []index.Verifier{v}
 }
 
 // TestRaceInstancesNeedsRewritings: the per-candidate race refuses an empty
@@ -31,11 +38,11 @@ func buildIndex(t testing.TB, kind string, ds []*graph.Graph, opts index.Options
 func TestRaceInstancesNeedsRewritings(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	ds := difftest.Random(r, 1, 8, 2)
-	xs := []index.Index{buildIndex(t, index.KindGrapes, ds, index.Options{})}
-	if _, _, err := RaceInstances(context.Background(), nil, xs, nil, 0); err == nil {
+	x, vs := buildIndex(t, index.KindGrapes, ds, index.Options{})
+	if _, _, err := RaceInstances(context.Background(), nil, x, vs, nil, 0); err == nil {
 		t.Error("expected error for empty rewriting list")
 	}
-	if _, _, err := RaceInstances(context.Background(), nil, nil, Instances(ds[0], nil, []rewrite.Kind{rewrite.Orig}), 0); err == nil {
+	if _, _, err := RaceInstances(context.Background(), nil, x, nil, Instances(ds[0], nil, []rewrite.Kind{rewrite.Orig}), 0); err == nil {
 		t.Error("expected error for empty verifier list")
 	}
 }
@@ -44,8 +51,7 @@ func TestRaceInstancesAnswerMatchesPlainPipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ds := difftest.Random(r, 6, 14, 3)
 	for _, kind := range []string{index.KindGrapes, index.KindGGSX} {
-		idx := buildIndex(t, kind, ds, index.Options{MaxPathLen: 3})
-		xs := []index.Index{idx}
+		idx, vs := buildIndex(t, kind, ds, index.Options{MaxPathLen: 3})
 		kinds := []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.DND}
 		for trial := 0; trial < 8; trial++ {
 			q := workload.Extract(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
@@ -53,7 +59,7 @@ func TestRaceInstancesAnswerMatchesPlainPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := collect(context.Background(), nil, kinds, xs, q)
+			got, _, err := collect(context.Background(), nil, kinds, idx, vs, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,11 +73,11 @@ func TestRaceInstancesAnswerMatchesPlainPipeline(t *testing.T) {
 func TestRaceInstancesAnswerMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	ds := difftest.Random(r, 5, 12, 3)
-	xs := []index.Index{buildIndex(t, index.KindGrapes, ds, index.Options{})}
+	x, vs := buildIndex(t, index.KindGrapes, ds, index.Options{})
 	kinds := append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...)
 	for trial := 0; trial < 6; trial++ {
 		q := workload.Extract(r, ds[r.Intn(len(ds))], 3)
-		got, _, err := collect(context.Background(), nil, kinds, xs, q)
+		got, _, err := collect(context.Background(), nil, kinds, x, vs, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,12 +107,12 @@ func TestRaceInstancesOverGrapesFanOut(t *testing.T) {
 	ds := []*graph.Graph{b.MustBuild()}
 	pool := exec.New(1)
 	defer pool.Close()
-	xs := []index.Index{buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 4, Pool: pool})}
+	x, vs := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 4, Pool: pool})
 	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
 	qs := Instances(q, rewrite.FrequenciesOfDataset(ds), []rewrite.Kind{rewrite.Orig, rewrite.DND})
 	done := make(chan error, 1)
 	go func() {
-		contained, _, err := RaceInstances(context.Background(), pool, xs, qs, 0)
+		contained, _, err := RaceInstances(context.Background(), pool, x, vs, qs, 0)
 		if err == nil && !contained {
 			err = fmt.Errorf("RaceInstances = false, want contained")
 		}
@@ -122,24 +128,74 @@ func TestRaceInstancesOverGrapesFanOut(t *testing.T) {
 	}
 }
 
+// raceStub is one candidate's race at its fixed cost: a one-graph table and
+// a verifier that decides at once.
+func raceStub(tb testing.TB) (*index.Sharded, []index.Verifier) {
+	return stubTable(tb, 1, 0), []index.Verifier{&stubVerifier{name: "stub", verify: instantVerify}}
+}
+
 // BenchmarkRaceInstances is the fixed cost of one per-candidate rewriting
-// race — a context, a channel and R pool hand-offs — over a stub index that
-// verifies at once. A dataset query pays it once per candidate, which is why
-// RaceInstances runs on firstDone and not on streamRace.
+// race — a context, a channel and R pool hand-offs — over a stub verifier
+// that decides at once. A dataset query pays it once per candidate, which is
+// why RaceInstances runs on firstDone and not on streamRace.
 func BenchmarkRaceInstances(b *testing.B) {
-	ds := newStubDataset(1)
-	xs := []index.Index{&stubIndex{name: "stub", ds: ds, ids: []int{0}, verify: instantVerify}}
+	x, vs := raceStub(b)
 	pool := exec.New(2)
 	defer pool.Close()
 	for _, kinds := range [][]rewrite.Kind{{rewrite.Orig}, {rewrite.Orig, rewrite.DND}} {
-		qs := Instances(ds[0], nil, kinds)
+		qs := Instances(edge, nil, kinds)
 		b.Run(fmt.Sprintf("R=%d", len(kinds)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := RaceInstances(context.Background(), pool, xs, qs, 0); err != nil {
+				if _, _, err := RaceInstances(context.Background(), pool, x, vs, qs, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// TestRaceInstancesAllocs guards BenchmarkRaceInstances' allocation counts:
+// a race over a one-graph table with a verifier that decides at once makes
+// at most 5 allocations at R = 1 and 7 at R = 2. A pool hand-off that finds
+// no idle worker spawns a goroutine, one allocation more, which depends on
+// the scheduler: so the pool has workers to spare, the count is the fewest
+// of five rounds, and it is taken at the test's GOMAXPROCS, as the benchmark
+// runs — testing.AllocsPerRun would run at 1, where every hand-off spawns.
+func TestRaceInstancesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("at GOMAXPROCS 1 every pool hand-off spawns a goroutine")
+	}
+	x, vs := raceStub(t)
+	pool := exec.New(8)
+	defer pool.Close()
+	for _, tc := range []struct {
+		kinds []rewrite.Kind
+		max   uint64
+	}{{[]rewrite.Kind{rewrite.Orig}, 5}, {[]rewrite.Kind{rewrite.Orig, rewrite.DND}, 7}} {
+		qs := Instances(edge, nil, tc.kinds)
+		race := func() {
+			if _, _, err := RaceInstances(context.Background(), pool, x, vs, qs, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		race() // warm up: the pool's workers exist before the count
+		const runs = 1000
+		fewest := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				race()
+			}
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, (after.Mallocs-before.Mallocs)/runs)
+		}
+		if fewest > tc.max {
+			t.Errorf("R=%d: a race makes %d allocations, want at most %d", len(tc.kinds), fewest, tc.max)
+		}
 	}
 }

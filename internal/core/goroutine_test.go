@@ -16,45 +16,38 @@ import (
 	"github.com/psi-graph/psi/internal/vf2"
 )
 
-// gatedIndex is a filterVerifier whose verifications block until released,
-// counting how many run concurrently. It lets the tests observe goroutine
-// behavior mid-race instead of only before/after.
-type gatedIndex struct {
-	ds       []*graph.Graph
+// gatedVerifier is a Verifier double whose verifications block until
+// released, counting how many run concurrently. It lets the tests observe
+// goroutine behavior mid-race instead of only before/after.
+type gatedVerifier struct {
 	release  chan struct{}
 	inFlight atomic.Int64
 	peak     atomic.Int64
 }
 
-func newGatedIndex(n int) *gatedIndex {
-	ds := make([]*graph.Graph, n)
-	for i := range ds {
-		ds[i] = graph.MustNew("g", []graph.Label{0, 1}, [][2]int{{0, 1}})
-	}
-	return &gatedIndex{ds: ds, release: make(chan struct{})}
-}
-
-func (x *gatedIndex) Name() string            { return "gated" }
-func (x *gatedIndex) Dataset() []*graph.Graph { return x.ds }
-func (x *gatedIndex) Filter(*graph.Graph) []int {
-	ids := make([]int, len(x.ds))
+// newGated returns a table of n candidates for the edge query and a gated
+// verifier for it.
+func newGated(tb testing.TB, n int) (*index.Sharded, *gatedVerifier) {
+	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i
 	}
-	return ids
+	return stubTable(tb, n, ids...), &gatedVerifier{release: make(chan struct{})}
 }
 
-func (x *gatedIndex) Verify(ctx context.Context, q *graph.Graph, id int) (bool, error) {
-	n := x.inFlight.Add(1)
+func (v *gatedVerifier) Name() string { return "gated" }
+
+func (v *gatedVerifier) Verify(ctx context.Context, _ *index.Path, q *graph.Graph, id int) (bool, error) {
+	n := v.inFlight.Add(1)
 	for {
-		p := x.peak.Load()
-		if n <= p || x.peak.CompareAndSwap(p, n) {
+		p := v.peak.Load()
+		if n <= p || v.peak.CompareAndSwap(p, n) {
 			break
 		}
 	}
-	defer x.inFlight.Add(-1)
+	defer v.inFlight.Add(-1)
 	select {
-	case <-x.release:
+	case <-v.release:
 		return true, nil
 	case <-ctx.Done():
 		return false, ctx.Err()
@@ -72,10 +65,9 @@ func TestRaceInstancesAnswerBoundsGoroutines(t *testing.T) {
 		workers    = 4
 	)
 	kinds := []rewrite.Kind{rewrite.Orig, rewrite.DND}
-	x := newGatedIndex(candidates)
+	x, gate := newGated(t, candidates)
 	pool := exec.New(workers)
 	t.Cleanup(pool.Close)
-	xs := []index.Index{lifted{x}}
 
 	// After the race transient goroutines drain back to (near) the baseline;
 	// the pool's workers are accounted to the pool, not the race.
@@ -84,13 +76,13 @@ func TestRaceInstancesAnswerBoundsGoroutines(t *testing.T) {
 	var answer []int
 	go func() {
 		var err error
-		answer, _, err = collect(context.Background(), pool, kinds, xs, x.ds[0])
+		answer, _, err = collect(context.Background(), pool, kinds, x, []index.Verifier{gate}, edge)
 		done <- err
 	}()
 
 	// Wait until the pool's workers are all busy racing candidates.
 	deadline := time.Now().Add(5 * time.Second)
-	for x.inFlight.Load() < int64(workers) && time.Now().Before(deadline) {
+	for gate.inFlight.Load() < int64(workers) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	// Old behavior: one goroutine per (candidate × rewriting) = 400+.
@@ -100,12 +92,12 @@ func TestRaceInstancesAnswerBoundsGoroutines(t *testing.T) {
 		t.Errorf("goroutines during race = %d above the baseline, want <= %d — fan-out is not pool-bounded",
 			during, bound)
 	}
-	if peak := x.peak.Load(); peak > int64(workers*len(kinds)) {
+	if peak := gate.peak.Load(); peak > int64(workers*len(kinds)) {
 		t.Errorf("concurrent verifications = %d, want <= workers×rewritings = %d",
 			peak, workers*len(kinds))
 	}
 
-	close(x.release)
+	close(gate.release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -183,4 +175,4 @@ func (panicMatcher) Match(context.Context, *graph.Graph, int) ([]match.Embedding
 	panic("matcher bug")
 }
 
-var _ filterVerifier = (*gatedIndex)(nil)
+var _ index.Verifier = (*gatedVerifier)(nil)

@@ -224,12 +224,11 @@ func TestRaceStreamParentCancellation(t *testing.T) {
 // TestStreamEarlyStopIsAnswerPrefix: stopping a stream early must truncate
 // cleanly to a prefix of the full ascending answer.
 func TestStreamEarlyStopIsAnswerPrefix(t *testing.T) {
-	x := newGatedIndex(20)
-	close(x.release) // verifications pass immediately
-	xs := []index.Index{lifted{x}}
+	x, gate := newGated(t, 20)
+	close(gate.release) // verifications pass immediately
+	vs := []index.Verifier{gate}
 	kinds := []rewrite.Kind{rewrite.Orig, rewrite.DND}
-	q := x.ds[0]
-	want, _, err := collect(context.Background(), nil, kinds, xs, q)
+	want, _, err := collect(context.Background(), nil, kinds, x, vs, edge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +236,7 @@ func TestStreamEarlyStopIsAnswerPrefix(t *testing.T) {
 		t.Fatalf("full stream %v, want 20 ascending ids", want)
 	}
 	var firstThree []int
-	if _, err := StreamFTV(context.Background(), nil, xs, rewrite.FrequenciesOfDataset(x.ds), kinds, q, func(id int) bool {
+	if _, err := StreamFTV(context.Background(), nil, x, vs, rewrite.FrequenciesOfDataset(x.Dataset()), kinds, edge, func(id int) bool {
 		firstThree = append(firstThree, id)
 		return len(firstThree) < 3
 	}); err != nil {

@@ -17,46 +17,50 @@ import (
 	"github.com/psi-graph/psi/internal/rewrite"
 )
 
-// stubIndex is a controllable index.Index for race tests: a fixed candidate
-// list, a pluggable verifier, and counters recording whether the index
-// observed cancellation mid-verification.
-type stubIndex struct {
+// stubVerifier is a controllable index.Verifier for race tests: a pluggable
+// decision, and a counter recording whether it observed cancellation
+// mid-verification. It decides the candidates of a small real table
+// (stubTable), whose filter fixes the candidate list.
+type stubVerifier struct {
 	name      string
-	ds        []*graph.Graph
-	ids       []int
 	verify    func(ctx context.Context, graphID int) (bool, error)
 	onVerify  func(q *graph.Graph) // optional: observes the query instance each verification receives
 	cancelled atomic.Int64         // verifications that ended on ctx cancellation
-	stats     index.Stats
 }
 
-func newStubDataset(n int) []*graph.Graph {
-	ds := make([]*graph.Graph, n)
-	for i := range ds {
-		ds[i] = graph.MustNew("g", []graph.Label{0, 1}, [][2]int{{0, 1}})
+func (v *stubVerifier) Name() string { return v.name }
+
+func (v *stubVerifier) Verify(ctx context.Context, _ *index.Path, q *graph.Graph, graphID int) (bool, error) {
+	if v.onVerify != nil {
+		v.onVerify(q)
 	}
-	return ds
-}
-
-func (x *stubIndex) Name() string              { return x.name }
-func (x *stubIndex) Dataset() []*graph.Graph   { return x.ds }
-func (x *stubIndex) Stats() index.Stats        { return x.stats }
-func (x *stubIndex) Close()                    {}
-func (x *stubIndex) Filter(*graph.Graph) []int { return append([]int(nil), x.ids...) }
-
-func (x *stubIndex) FilterStream(ctx context.Context, q *graph.Graph, emit func(int) bool) error {
-	return lifted{x}.FilterStream(ctx, q, emit)
-}
-
-func (x *stubIndex) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
-	if x.onVerify != nil {
-		x.onVerify(q)
-	}
-	ok, err := x.verify(ctx, graphID)
+	ok, err := v.verify(ctx, graphID)
 	if err != nil && ctx.Err() != nil {
-		x.cancelled.Add(1)
+		v.cancelled.Add(1)
 	}
 	return ok, err
+}
+
+// edge is the race tests' query: one edge, labelled 0-1.
+var edge = graph.MustNew("edge", []graph.Label{0, 1}, [][2]int{{0, 1}})
+
+// stubTable is the one-shard index over n one-edge graphs whose filter keeps
+// exactly the graphs of ids for the edge query: those are edge's copies, the
+// rest an edge labelled 2-3.
+func stubTable(tb testing.TB, n int, ids ...int) *index.Sharded {
+	tb.Helper()
+	ds := make([]*graph.Graph, n)
+	for i := range ds {
+		ds[i] = graph.MustNew("g", []graph.Label{2, 3}, [][2]int{{0, 1}})
+	}
+	for _, id := range ids {
+		ds[id] = edge
+	}
+	x, err := index.Build(context.Background(), index.KindPath, ds, 1, index.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return x
 }
 
 // blockingVerify blocks until the context dies, recording the cancellation.
@@ -69,38 +73,12 @@ func instantVerify(ctx context.Context, graphID int) (bool, error) { return true
 
 var orig = []rewrite.Kind{rewrite.Orig}
 
-// filterVerifier is the filter-then-verify half of index.Index: all a
-// Filter-only test double implements.
-type filterVerifier interface {
-	Name() string
-	Dataset() []*graph.Graph
-	Filter(q *graph.Graph) []int
-	Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error)
-}
-
-// lifted raises a filterVerifier to the index.Index contract the pipeline
-// consumes: FilterStream replays Filter's list.
-type lifted struct{ filterVerifier }
-
-func (l lifted) Stats() index.Stats { return index.Stats{} }
-func (l lifted) Close()             {}
-func (l lifted) FilterStream(ctx context.Context, q *graph.Graph, emit func(int) bool) error {
-	for _, id := range l.Filter(q) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !emit(id) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// collect runs StreamFTV over xs on pool, racing kinds, under the label frequencies of
-// their dataset, and gathers the streamed answer and the per-verifier wins.
-func collect(ctx context.Context, pool *exec.Pool, kinds []rewrite.Kind, xs []index.Index, q *graph.Graph) ([]int, []int, error) {
+// collect runs StreamFTV over x with vs on pool, racing kinds, under the
+// label frequencies of x's dataset, and gathers the streamed answer and the
+// per-verifier wins.
+func collect(ctx context.Context, pool *exec.Pool, kinds []rewrite.Kind, x *index.Sharded, vs []index.Verifier, q *graph.Graph) ([]int, []int, error) {
 	var ids []int
-	wins, err := StreamFTV(ctx, pool, xs, rewrite.FrequenciesOfDataset(xs[0].Dataset()), kinds, q, func(id int) bool {
+	wins, err := StreamFTV(ctx, pool, x, vs, rewrite.FrequenciesOfDataset(x.Dataset()), kinds, q, func(id int) bool {
 		ids = append(ids, id)
 		return true
 	})
@@ -124,20 +102,20 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // provably cancelled — every one of its verifications observes ctx.Done —
 // with no goroutine outliving the race.
 func TestIndexRaceAdoptsFirstEmitterAndCancelsLoser(t *testing.T) {
-	ds := newStubDataset(3)
-	slow := &stubIndex{name: "slow", ds: ds, ids: []int{0, 1, 2}, verify: blockingVerify}
-	fast := &stubIndex{name: "fast", ds: ds, ids: []int{0, 1, 2}, verify: instantVerify}
+	x := stubTable(t, 3, 0, 1, 2)
+	slow := &stubVerifier{name: "slow", verify: blockingVerify}
+	fast := &stubVerifier{name: "fast", verify: instantVerify}
 	pool := exec.New(4)
 	t.Cleanup(pool.Close)
-	xs := []index.Index{slow, fast}
+	vs := []index.Verifier{slow, fast}
 	// Warm up so the pool's workers exist before the baseline.
-	if _, _, err := collect(context.Background(), pool, orig, xs, ds[0]); err != nil {
+	if _, _, err := collect(context.Background(), pool, orig, x, vs, edge); err != nil {
 		t.Fatal(err)
 	}
 	eventually(t, "the warm-up's losers never observed cancellation", func() bool { return slow.cancelled.Load() == 3 })
 	slow.cancelled.Store(0)
 	leakcheck.Check(t, 0)
-	ids, wins, err := collect(context.Background(), pool, orig, xs, ds[0])
+	ids, wins, err := collect(context.Background(), pool, orig, x, vs, edge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,19 +129,19 @@ func TestIndexRaceAdoptsFirstEmitterAndCancelsLoser(t *testing.T) {
 
 // TestIndexRaceRepeatedNoLeak hammers the race to catch slow accretion.
 func TestIndexRaceRepeatedNoLeak(t *testing.T) {
-	ds := newStubDataset(2)
-	fast := &stubIndex{name: "fast", ds: ds, ids: []int{0, 1}, verify: instantVerify}
-	slow := &stubIndex{name: "slow", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
+	x := stubTable(t, 2, 0, 1)
+	fast := &stubVerifier{name: "fast", verify: instantVerify}
+	slow := &stubVerifier{name: "slow", verify: blockingVerify}
 	pool := exec.New(2)
 	t.Cleanup(pool.Close)
-	xs := []index.Index{fast, slow}
+	vs := []index.Verifier{fast, slow}
 	// Warm-up so transient infrastructure exists before the baseline.
-	if _, _, err := collect(context.Background(), pool, orig, xs, ds[0]); err != nil {
+	if _, _, err := collect(context.Background(), pool, orig, x, vs, edge); err != nil {
 		t.Fatal(err)
 	}
 	leakcheck.Check(t, 4)
 	for i := 0; i < 200; i++ {
-		_, wins, err := collect(context.Background(), pool, orig, xs, ds[0])
+		_, wins, err := collect(context.Background(), pool, orig, x, vs, edge)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,9 +156,9 @@ func TestIndexRaceRepeatedNoLeak(t *testing.T) {
 // straggling verifier that holds the only worker cannot keep the fast one
 // from deciding the candidate.
 func TestIndexRaceStragglerCannotStarveWinner(t *testing.T) {
-	ds := newStubDataset(3)
-	straggler := &stubIndex{name: "straggler", ds: ds, ids: []int{0, 1, 2}, verify: blockingVerify}
-	winner := &stubIndex{name: "winner", ds: ds, ids: []int{0, 1, 2}, verify: instantVerify}
+	x := stubTable(t, 3, 0, 1, 2)
+	straggler := &stubVerifier{name: "straggler", verify: blockingVerify}
+	winner := &stubVerifier{name: "winner", verify: instantVerify}
 	pool := exec.New(1)
 	t.Cleanup(pool.Close)
 	type outcome struct {
@@ -189,7 +167,7 @@ func TestIndexRaceStragglerCannotStarveWinner(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		ids, wins, err := collect(context.Background(), pool, orig, []index.Index{straggler, winner}, ds[0])
+		ids, wins, err := collect(context.Background(), pool, orig, x, []index.Verifier{straggler, winner}, edge)
 		done <- outcome{ids, wins, err}
 	}()
 	select {
@@ -205,12 +183,12 @@ func TestIndexRaceStragglerCannotStarveWinner(t *testing.T) {
 // TestIndexRaceEmptyAnswerWins: a filter with no candidates ends the query
 // at once, with an empty answer, whatever its verifiers would do.
 func TestIndexRaceEmptyAnswerWins(t *testing.T) {
-	ds := newStubDataset(2)
-	empty := &stubIndex{name: "empty", ds: ds, ids: nil, verify: blockingVerify}
-	slow := &stubIndex{name: "slow", ds: ds, ids: nil, verify: blockingVerify}
+	x := stubTable(t, 2)
+	empty := &stubVerifier{name: "empty", verify: blockingVerify}
+	slow := &stubVerifier{name: "slow", verify: blockingVerify}
 	pool := exec.New(2)
 	defer pool.Close()
-	ids, wins, err := collect(context.Background(), pool, orig, []index.Index{empty, slow}, ds[0])
+	ids, wins, err := collect(context.Background(), pool, orig, x, []index.Verifier{empty, slow}, edge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +200,9 @@ func TestIndexRaceEmptyAnswerWins(t *testing.T) {
 // TestIndexRaceSingleIndexDegenerates: one verifier streams directly, every
 // candidate decided by it.
 func TestIndexRaceSingleIndexDegenerates(t *testing.T) {
-	ds := newStubDataset(3)
-	only := &stubIndex{name: "only", ds: ds, ids: []int{0, 2}, verify: instantVerify}
-	ids, wins, err := collect(context.Background(), nil, orig, []index.Index{only}, ds[0])
+	x := stubTable(t, 3, 0, 2)
+	only := &stubVerifier{name: "only", verify: instantVerify}
+	ids, wins, err := collect(context.Background(), nil, orig, x, []index.Verifier{only}, edge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,20 +211,20 @@ func TestIndexRaceSingleIndexDegenerates(t *testing.T) {
 	}
 }
 
-// TestIndexRaceArmsOutOfPortfolioOrder: the first verifier listed filters —
-// the verifiers share one table — and wins count by position in the list,
-// whichever order the caller gives: a verifier that is not listed never runs.
+// TestIndexRaceArmsOutOfPortfolioOrder: the one table filters, and wins
+// count by position in the verifier list, whichever order the caller gives:
+// a verifier that is not listed never runs.
 func TestIndexRaceArmsOutOfPortfolioOrder(t *testing.T) {
-	ds := newStubDataset(2)
-	a := &stubIndex{name: "a", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
-	b := &stubIndex{name: "b", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
-	c := &stubIndex{name: "c", ds: ds, ids: []int{1}, verify: instantVerify}
-	ids, wins, err := collect(context.Background(), nil, orig, []index.Index{c, a}, ds[0])
+	x := stubTable(t, 2, 1)
+	a := &stubVerifier{name: "a", verify: blockingVerify}
+	b := &stubVerifier{name: "b", verify: blockingVerify}
+	c := &stubVerifier{name: "c", verify: instantVerify}
+	ids, wins, err := collect(context.Background(), nil, orig, x, []index.Verifier{c, a}, edge)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(ids, []int{1}) || !slices.Equal(wins, []int{1, 0}) {
-		t.Fatalf("ids %v, wins %v; want [1] from c's filter, decided by c", ids, wins)
+		t.Fatalf("ids %v, wins %v; want [1] from the table's filter, decided by c", ids, wins)
 	}
 	if b.cancelled.Load() != 0 {
 		t.Error("a verifier that was not listed ran")
@@ -256,12 +234,12 @@ func TestIndexRaceArmsOutOfPortfolioOrder(t *testing.T) {
 // TestIndexRaceAllFail joins every verifier's error when no one decides a
 // candidate.
 func TestIndexRaceAllFail(t *testing.T) {
-	ds := newStubDataset(1)
+	x := stubTable(t, 1, 0)
 	boom := errors.New("boom")
 	failing := func(ctx context.Context, graphID int) (bool, error) { return false, boom }
-	a := &stubIndex{name: "a", ds: ds, ids: []int{0}, verify: failing}
-	b := &stubIndex{name: "b", ds: ds, ids: []int{0}, verify: failing}
-	_, _, err := collect(context.Background(), nil, orig, []index.Index{a, b}, ds[0])
+	a := &stubVerifier{name: "a", verify: failing}
+	b := &stubVerifier{name: "b", verify: failing}
+	_, _, err := collect(context.Background(), nil, orig, x, []index.Verifier{a, b}, edge)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -275,15 +253,15 @@ func TestIndexRaceAllFail(t *testing.T) {
 // TestIndexRaceCallerCancel: cancelling the caller's context fails the
 // query with the context error instead of fabricating an answer.
 func TestIndexRaceCallerCancel(t *testing.T) {
-	ds := newStubDataset(2)
-	s1 := &stubIndex{name: "s1", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
-	s2 := &stubIndex{name: "s2", ds: ds, ids: []int{0, 1}, verify: blockingVerify}
+	x := stubTable(t, 2, 0, 1)
+	s1 := &stubVerifier{name: "s1", verify: blockingVerify}
+	s2 := &stubVerifier{name: "s2", verify: blockingVerify}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, _, err := collect(ctx, nil, orig, []index.Index{s1, s2}, ds[0])
+	_, _, err := collect(ctx, nil, orig, x, []index.Verifier{s1, s2}, edge)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -292,11 +270,11 @@ func TestIndexRaceCallerCancel(t *testing.T) {
 // TestIndexRaceEmitStop: the caller's emit returning false stops the
 // stream and ends the query cleanly.
 func TestIndexRaceEmitStop(t *testing.T) {
-	ds := newStubDataset(3)
-	fast := &stubIndex{name: "fast", ds: ds, ids: []int{0, 1, 2}, verify: instantVerify}
-	slow := &stubIndex{name: "slow", ds: ds, ids: []int{0, 1, 2}, verify: blockingVerify}
+	x := stubTable(t, 3, 0, 1, 2)
+	fast := &stubVerifier{name: "fast", verify: instantVerify}
+	slow := &stubVerifier{name: "slow", verify: blockingVerify}
 	var got []int
-	_, err := StreamFTV(context.Background(), nil, []index.Index{fast, slow}, rewrite.FrequenciesOfDataset(ds), orig, ds[0], func(id int) bool {
+	_, err := StreamFTV(context.Background(), nil, x, []index.Verifier{fast, slow}, rewrite.FrequenciesOfDataset(x.Dataset()), orig, edge, func(id int) bool {
 		got = append(got, id)
 		return false
 	})
@@ -317,11 +295,11 @@ func TestIndexRaceEmitStop(t *testing.T) {
 func TestStreamRewritesQueryOncePerKind(t *testing.T) {
 	const candidates = 40
 	kinds := []rewrite.Kind{rewrite.Orig, rewrite.DND}
-	ds := newStubDataset(candidates)
 	ids := make([]int, candidates)
 	for i := range ids {
 		ids[i] = i
 	}
+	x := stubTable(t, candidates, ids...)
 	var (
 		mu        sync.Mutex
 		instances = map[*graph.Graph]int{}
@@ -331,13 +309,13 @@ func TestStreamRewritesQueryOncePerKind(t *testing.T) {
 		instances[q]++
 		mu.Unlock()
 	}
-	var xs []index.Index
+	var vs []index.Verifier
 	for _, name := range []string{"a", "b", "c"} {
-		xs = append(xs, &stubIndex{name: name, ds: ds, ids: ids, verify: instantVerify, onVerify: record})
+		vs = append(vs, &stubVerifier{name: name, verify: instantVerify, onVerify: record})
 	}
-	q := graph.MustNew("q", []graph.Label{0, 1, 0}, [][2]int{{0, 1}, {1, 2}})
+	q := edge
 	var got []int
-	_, err := StreamFTV(context.Background(), nil, xs, rewrite.FrequenciesOfDataset(ds), kinds, q, func(id int) bool {
+	_, err := StreamFTV(context.Background(), nil, x, vs, rewrite.FrequenciesOfDataset(x.Dataset()), kinds, q, func(id int) bool {
 		got = append(got, id)
 		return true
 	})
@@ -355,7 +333,7 @@ func TestStreamRewritesQueryOncePerKind(t *testing.T) {
 		t.Error("the caller's own query graph reached Verify: instances must be the prepared rewritings")
 	}
 	mu.Unlock()
-	contained, _, err := RaceInstances(context.Background(), nil, xs[:1], Instances(q, nil, kinds), 0)
+	contained, _, err := RaceInstances(context.Background(), nil, x, vs[:1], Instances(q, nil, kinds), 0)
 	if err != nil || !contained {
 		t.Fatalf("RaceInstances = %v, %v", contained, err)
 	}

@@ -84,7 +84,6 @@ type Env struct {
 
 	synthetic, ppi []*graph.Graph
 	indexes        map[string]*index.Sharded // FTV dataset -> its one table, with locations
-	views          map[string]*index.Sharded // dataset|verifier name -> a view of it
 	pairs          map[string][]FTVPair      // FTV dataset -> its filtered workload
 
 	single      map[string]*graph.Graph             // dataset name -> stored graph
@@ -119,7 +118,6 @@ func NewEnv(cfg Config) *Env {
 	return &Env{
 		Cfg:         cfg,
 		indexes:     make(map[string]*index.Sharded),
-		views:       make(map[string]*index.Sharded),
 		pairs:       make(map[string][]FTVPair),
 		single:      make(map[string]*graph.Graph),
 		nfvMatchers: make(map[string]map[string]match.Matcher),
@@ -164,7 +162,7 @@ func (e *Env) FTVDataset(name string) []*graph.Graph {
 // ftvIndex returns the named FTV dataset's one index, built with locations
 // on first use. The paper's FTV methods leave indexing and filtering alone
 // and differ in verification (§8), and so do the configurations here: each
-// is a view of this index under its verifier (ftvView).
+// is a verifier timed over this index (Grapes, GGSX).
 func (e *Env) ftvIndex(dataset string) *index.Sharded {
 	ds := e.FTVDataset(dataset)
 	e.mu.Lock()
@@ -180,33 +178,22 @@ func (e *Env) ftvIndex(dataset string) *index.Sharded {
 	return x
 }
 
-// ftvView returns the named FTV dataset's index verified by kind's verifier
-// (workers is Grapes' W).
-func (e *Env) ftvView(dataset, kind string, workers int) *index.Sharded {
-	x := e.ftvIndex(dataset)
+// verifier returns kind's verifier (workers is Grapes' W).
+func verifier(kind string, workers int) index.Verifier {
 	v, err := index.NewVerifier(kind, index.Options{Workers: workers})
 	if err != nil {
 		panic(err) // the harness names only known kinds
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	key := dataset + "|" + v.Name()
-	if y, ok := e.views[key]; ok {
-		return y
-	}
-	y := x.Using(v)
-	e.views[key] = y
-	return y
+	return v
 }
 
-// Grapes returns Grapes/workers over the named FTV dataset.
-func (e *Env) Grapes(dataset string, workers int) *index.Sharded {
-	return e.ftvView(dataset, index.KindGrapes, workers)
-}
+// Grapes returns Grapes/workers, the verifier confined by locations.
+func Grapes(workers int) index.Verifier { return verifier(index.KindGrapes, workers) }
 
-// GGSX returns GGSX over the PPI dataset (the paper omits GGSX on the
-// synthetic dataset because of excessive runtimes; so do we).
-func (e *Env) GGSX() *index.Sharded { return e.ftvView("ppi", index.KindGGSX, 1) }
+// GGSX returns GGSX, the whole-graph verifier; the paper runs it on the PPI
+// dataset only (it omits GGSX on the synthetic dataset because of excessive
+// runtimes; so do we).
+func GGSX() index.Verifier { return verifier(index.KindGGSX, 1) }
 
 // NFVGraph returns the named single stored graph ("yeast", "human",
 // "wordnet").
@@ -351,21 +338,24 @@ func (e *Env) TimeNFV(m match.Matcher, q *graph.Graph) metrics.Timing {
 	})
 }
 
-// TimeFTVVerify measures one pure verification (sub-iso) execution.
-func (e *Env) TimeFTVVerify(x index.Index, q *graph.Graph, graphID int) metrics.Timing {
+// TimeFTVVerify measures one pure verification (sub-iso) execution: v over
+// the named FTV dataset's one index.
+func (e *Env) TimeFTVVerify(v index.Verifier, dataset string, q *graph.Graph, graphID int) metrics.Timing {
+	x := e.ftvIndex(dataset)
 	return e.Cfg.Budget().Run(context.Background(), func(ctx context.Context) error {
-		_, err := x.Verify(ctx, q, graphID)
+		_, err := x.VerifyWith(ctx, v, q, graphID)
 		return err
 	})
 }
 
 // TimeFTVRace measures one Ψ-framework raced verification (§8): the query
 // rewritten under each of kinds, with the dataset's label frequencies, and
-// x's verifier run on every instance at once, the first finisher deciding.
-func (e *Env) TimeFTVRace(x index.Index, dataset string, kinds []rewrite.Kind, q *graph.Graph, graphID int) metrics.Timing {
-	freqs := e.FTVFrequencies(dataset)
+// v run on every instance at once over the dataset's one index, the first
+// finisher deciding.
+func (e *Env) TimeFTVRace(v index.Verifier, dataset string, kinds []rewrite.Kind, q *graph.Graph, graphID int) metrics.Timing {
+	x, freqs := e.ftvIndex(dataset), e.FTVFrequencies(dataset)
 	return e.Cfg.Budget().Run(context.Background(), func(ctx context.Context) error {
-		_, _, err := core.RaceInstances(ctx, nil, []index.Index{x}, core.Instances(q, freqs, kinds), graphID)
+		_, _, err := core.RaceInstances(ctx, nil, x, []index.Verifier{v}, core.Instances(q, freqs, kinds), graphID)
 		return err
 	})
 }

@@ -11,25 +11,25 @@ import (
 	"github.com/psi-graph/psi/internal/rewrite"
 )
 
-// ftvIndexes returns the FTV methods evaluated on a dataset, following the
+// ftvVerifiers returns the FTV methods evaluated on a dataset, following the
 // paper: GGSX is omitted on the synthetic dataset ("because of excessive
 // amount of time required for the experiments to complete", §3.4). They are
 // verifiers over the dataset's one table.
-func (e *Env) ftvIndexes(dataset string) []index.Index {
-	xs := []index.Index{e.Grapes(dataset, 1), e.Grapes(dataset, 4)}
+func ftvVerifiers(dataset string) []index.Verifier {
+	vs := []index.Verifier{Grapes(1), Grapes(4)}
 	if dataset == "ppi" {
-		xs = append(xs, e.GGSX())
+		vs = append(vs, GGSX())
 	}
-	return xs
+	return vs
 }
 
 // ftvVerifyTimed measures (with caching) the verification of a query
 // instance against one dataset graph. The instance key distinguishes
 // rewritings/instances of the same base query.
-func (e *Env) ftvVerifyTimed(x index.Index, dataset string, pairIdx int, instance string, q *graph.Graph, graphID int) metrics.Timing {
+func (e *Env) ftvVerifyTimed(x index.Verifier, dataset string, pairIdx int, instance string, q *graph.Graph, graphID int) metrics.Timing {
 	key := fmt.Sprintf("ftv|%s|%s|%d|%s", x.Name(), dataset, pairIdx, instance)
 	return e.cachedTiming(key, func() metrics.Timing {
-		return e.TimeFTVVerify(x, q, graphID)
+		return e.TimeFTVVerify(x, dataset, q, graphID)
 	})
 }
 
@@ -108,7 +108,7 @@ func runFig1(e *Env, w io.Writer) error {
 			Header: []string{"method", "easy", "2''-600''", "completed"},
 			Note:   "per-(query,graph) pure sub-iso verification time; killed runs excluded from 'completed'",
 		}
-		for _, x := range e.ftvIndexes(dataset) {
+		for _, x := range ftvVerifiers(dataset) {
 			wl := metrics.Workload{Budget: e.Cfg.Budget()}
 			for i, pair := range e.FTVPairs(dataset) {
 				tm := e.ftvVerifyTimed(x, dataset, i, "Orig", pair.Query.Graph, pair.GraphID)
@@ -130,7 +130,7 @@ func runFig1(e *Env, w io.Writer) error {
 
 // isoInstanceTimes measures the verification times of the random isomorphic
 // instances of a pair's query (the §5 study).
-func (e *Env) isoInstanceTimes(x index.Index, dataset string, pairIdx int, pair FTVPair) []metrics.Timing {
+func (e *Env) isoInstanceTimes(x index.Verifier, dataset string, pairIdx int, pair FTVPair) []metrics.Timing {
 	out := make([]metrics.Timing, e.Cfg.IsoInstances)
 	for j := 0; j < e.Cfg.IsoInstances; j++ {
 		perm := rewrite.Compute(pair.Query.Graph, nil, rewrite.Random, e.Cfg.Seed+int64(1000*pairIdx+j))
@@ -147,7 +147,7 @@ func runFig3(e *Env, w io.Writer) error {
 		Note:   "killed instances counted at the cap, so avg/max are lower bounds (as in the paper); 'not-helped' = pairs hard on every instance, excluded",
 	}
 	for _, dataset := range []string{"synthetic", "ppi"} {
-		for _, x := range e.ftvIndexes(dataset) {
+		for _, x := range ftvVerifiers(dataset) {
 			var ratios []float64
 			notHelped, total := 0, 0
 			for i, pair := range e.FTVPairs(dataset) {
@@ -181,7 +181,7 @@ func runFig3(e *Env, w io.Writer) error {
 // rewritingTimes measures the verification time of each structured
 // rewriting (plus Orig) for a pair. Returned in the order Orig, ILF, IND,
 // DND, ILF+IND, ILF+DND.
-func (e *Env) ftvRewritingTimes(x index.Index, dataset string, pairIdx int, pair FTVPair) map[rewrite.Kind]metrics.Timing {
+func (e *Env) ftvRewritingTimes(x index.Verifier, dataset string, pairIdx int, pair FTVPair) map[rewrite.Kind]metrics.Timing {
 	out := make(map[rewrite.Kind]metrics.Timing, 6)
 	kinds := append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...)
 	for _, k := range kinds {
@@ -198,7 +198,7 @@ func runFig7(e *Env, w io.Writer) error {
 		Note:   "speedup* = t(Orig) / min over {ILF,IND,DND,ILF+IND,ILF+DND}; killed runs counted at the cap (lower bounds); pairs hard everywhere excluded",
 	}
 	for _, dataset := range []string{"synthetic", "ppi"} {
-		for _, x := range e.ftvIndexes(dataset) {
+		for _, x := range ftvVerifiers(dataset) {
 			var speedups []float64
 			for i, pair := range e.FTVPairs(dataset) {
 				times := e.ftvRewritingTimes(x, dataset, i, pair)
@@ -246,7 +246,7 @@ var psiFTVVariantsWLA = append(psiFTVVariants, struct {
 }{"Ψ(Or/all_rewritings)", append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...)})
 
 // psiFTVTimed measures a raced verification with caching.
-func (e *Env) psiFTVTimed(x index.Index, dataset, variant string, pairIdx int, kinds []rewrite.Kind, pair FTVPair) metrics.Timing {
+func (e *Env) psiFTVTimed(x index.Verifier, dataset, variant string, pairIdx int, kinds []rewrite.Kind, pair FTVPair) metrics.Timing {
 	key := fmt.Sprintf("psiftv|%s|%s|%s|%d", x.Name(), dataset, variant, pairIdx)
 	return e.cachedTiming(key, func() metrics.Timing {
 		return e.TimeFTVRace(x, dataset, kinds, pair.Query.Graph, pair.GraphID)
@@ -260,7 +260,7 @@ func runFig10(e *Env, w io.Writer) error {
 		Note:   "speedup* = t(Orig)/t(Ψ) per (query,graph) pair, averaged; killed runs at the cap",
 	}
 	for _, dataset := range []string{"synthetic", "ppi"} {
-		for _, x := range e.ftvIndexes(dataset) {
+		for _, x := range ftvVerifiers(dataset) {
 			pairs := e.FTVPairs(dataset)
 			for _, v := range psiFTVVariants {
 				var ratios []float64
@@ -285,7 +285,7 @@ func runFig11(e *Env, w io.Writer) error {
 		Note:   "WLA = avg(t Orig) / avg(t Ψ) over all (query,graph) pairs",
 	}
 	for _, dataset := range []string{"synthetic", "ppi"} {
-		for _, x := range e.ftvIndexes(dataset) {
+		for _, x := range ftvVerifiers(dataset) {
 			pairs := e.FTVPairs(dataset)
 			for _, v := range psiFTVVariantsWLA {
 				var orig, psi []float64
@@ -308,8 +308,7 @@ func runFig12(e *Env, w io.Writer) error {
 		Header: []string{"query size", "Grapes/4", "Ψ(Grapes/1)", "pairs"},
 		Note:   "equal thread budget (4); killed runs counted at the cap",
 	}
-	g4 := e.Grapes("ppi", 4)
-	g1 := e.Grapes("ppi", 1)
+	g4, g1 := Grapes(4), Grapes(1)
 	kinds := []rewrite.Kind{rewrite.ILF, rewrite.IND, rewrite.DND, rewrite.ILFIND}
 	bySize := make(map[int][2][]float64)
 	for i, pair := range e.FTVPairs("ppi") {

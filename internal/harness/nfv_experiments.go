@@ -279,7 +279,7 @@ func runFig6(e *Env, w io.Writer) error {
 		Title:  "(b) PPI dataset, percentage of hard queries per rewriting",
 		Header: append([]string{"method"}, kindNames(kinds)...),
 	}
-	for _, x := range e.ftvIndexes("ppi") {
+	for _, x := range ftvVerifiers("ppi") {
 		avgRow := []string{x.Name()}
 		hardRow := []string{x.Name()}
 		pairs := e.FTVPairs("ppi")
@@ -548,7 +548,7 @@ func runTable10(e *Env, w io.Writer) error {
 	}
 	// FTV row: Grapes/4 on PPI vs Ψ(Grapes/4: Or + all rewritings).
 	{
-		x := e.Grapes("ppi", 4)
+		x := Grapes(4)
 		pairs := e.FTVPairs("ppi")
 		kinds := append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...)
 		baseKilled, psiKilled := 0, 0

@@ -261,11 +261,11 @@ func TestRestoreOntoZeroVertexPlaceholder(t *testing.T) {
 	for qi := 0; qi < 6; qi++ {
 		q := workload.Extract(r, ds[r.Intn(len(ds))], 2+r.Intn(3))
 		for id := range ds {
-			want, err := x.VerifyWith(context.Background(), v, q, id)
+			want, err := v.Verify(context.Background(), x, q, id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := y.VerifyWith(context.Background(), v, q, id)
+			got, err := v.Verify(context.Background(), y, q, id)
 			if err != nil {
 				t.Fatal(err)
 			}

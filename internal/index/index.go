@@ -6,12 +6,13 @@
 // names for it, and a name selects how a candidate is verified over the
 // tables (verify.go): against the whole stored graph ("ftv", "ggsx"), or
 // within the components its location sets leave ("grapes"). A table is not an
-// index: it filters and verifies only through the Sharded view over it. The
-// package also holds the plumbing every query shares: presence/frequency
-// pruning over query features, the sharded ordered merge, and the streaming
-// filter→verify pipeline, in which a dataset engine races its verifiers per
-// candidate (§8 of the paper: the filter is left intact, the alternatives run
-// in verification).
+// index: it filters and verifies only through the Sharded over it, which
+// decides a candidate with any verifier (Sharded.VerifyWith). The package
+// also holds the plumbing every query shares: presence/frequency pruning over
+// query features, the sharded ordered merge, and the streaming filter→verify
+// pipeline, in which a dataset engine races its verifiers per candidate over
+// the one table (§8 of the paper: the filter is left intact, the alternatives
+// run in verification).
 package index
 
 import (
@@ -24,51 +25,10 @@ import (
 	"github.com/psi-graph/psi/internal/graph"
 )
 
-// Index is the filtering-index contract: the filter-then-verify core (Name,
-// Dataset, Filter, Verify), streaming candidate emission (so verification can
-// start before filtering finishes) and build/shape statistics. Sharded is its
-// one implementation here; the interface stays for the public psi.FilterIndex
-// and for test doubles. Implementations are safe for concurrent queries once
-// built.
-type Index interface {
-	// Name identifies the method as in the paper's figures, e.g.
-	// "Grapes/4" or "GGSX".
-	Name() string
-
-	// Dataset returns the indexed graphs; Filter results and Verify's
-	// graphID refer to positions in this slice.
-	Dataset() []*graph.Graph
-
-	// Filter returns the IDs of graphs that may contain q, in ascending
-	// order. It must never prune a graph that actually contains q
-	// (no false negatives); false positives are resolved by Verify.
-	Filter(q *graph.Graph) []int
-
-	// Verify decides whether q is subgraph-isomorphic to dataset graph
-	// graphID. This is the "pure sub-iso time" stage the paper measures.
-	Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error)
-
-	// FilterStream emits the IDs of graphs that may contain q, in the same
-	// ascending order Filter returns, but incrementally: each candidate is
-	// handed to emit as soon as it is known to survive every query feature,
-	// without waiting for the remaining graphs to be checked. emit returning
-	// false abandons the remaining work; a cancelled ctx ends the stream
-	// with the context's error.
-	FilterStream(ctx context.Context, q *graph.Graph, emit func(graphID int) bool) error
-
-	// Stats reports the index's build provenance and shape.
-	Stats() Stats
-
-	// Close releases any resources the index owns. Sharded owns none, so for
-	// it this is a no-op; the method stays for indexes defined outside this
-	// repository (psi.FilterIndex is public).
-	Close()
-}
-
 // Stats describes a built index. The json tags fix the serialized schema
 // (snake_case, durations as nanoseconds) of the /stats endpoint.
 type Stats struct {
-	// Name is the instance name as reported by Index.Name: the view's
+	// Name is the instance name as reported by Sharded.Name: its
 	// verifier's, which Sharded fills in (a table names no verifier).
 	Name string `json:"name"`
 	// Kind is the name the table was built under ("ftv", "grapes", "ggsx").
@@ -343,11 +303,11 @@ func StreamVerified(ctx context.Context, p *exec.Pool, filter func(ctx context.C
 	return nil
 }
 
-// AnswerStream runs the streaming decision pipeline over one index: filter
-// and verification overlap through StreamVerified, and each containing graph
-// ID reaches emit incrementally in ascending order. p sizes the verification
-// fan-out (nil: shared default pool).
-func AnswerStream(ctx context.Context, x Index, q *graph.Graph, p *exec.Pool, emit func(graphID int) bool) error {
+// AnswerStream runs the streaming decision pipeline over one index with its
+// own verifier: filter and verification overlap through StreamVerified, and
+// each containing graph ID reaches emit incrementally in ascending order. p
+// sizes the verification fan-out (nil: shared default pool).
+func AnswerStream(ctx context.Context, x *Sharded, q *graph.Graph, p *exec.Pool, emit func(graphID int) bool) error {
 	return StreamVerified(ctx, p,
 		func(fctx context.Context, femit func(int) bool) error {
 			return x.FilterStream(fctx, q, femit)
@@ -360,7 +320,7 @@ func AnswerStream(ctx context.Context, x Index, q *graph.Graph, p *exec.Pool, em
 
 // Answer is the collecting form of AnswerStream: ascending IDs of dataset
 // graphs containing q, identical to SequentialAnswer over the same index.
-func Answer(ctx context.Context, x Index, q *graph.Graph, p *exec.Pool) ([]int, error) {
+func Answer(ctx context.Context, x *Sharded, q *graph.Graph, p *exec.Pool) ([]int, error) {
 	var out []int
 	err := AnswerStream(ctx, x, q, p, func(id int) bool {
 		out = append(out, id)
@@ -376,7 +336,7 @@ func Answer(ctx context.Context, x Index, q *graph.Graph, p *exec.Pool) ([]int, 
 // every candidate sequentially — and returns the IDs of graphs containing q.
 // It is the reference the streaming pipeline (StreamVerified and everything
 // built on it) is tested against, not a serving path.
-func SequentialAnswer(ctx context.Context, x Index, q *graph.Graph) ([]int, error) {
+func SequentialAnswer(ctx context.Context, x *Sharded, q *graph.Graph) ([]int, error) {
 	var out []int
 	for _, id := range x.Filter(q) {
 		ok, err := x.Verify(ctx, q, id)

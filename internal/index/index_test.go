@@ -458,22 +458,26 @@ func TestAnswerMatchesSequentialOracle(t *testing.T) {
 	}
 }
 
-// fakeIndex exercises SequentialAnswer without a real index: it filters to a
-// fixed list and verifies even IDs. The embedded Index is nil; SequentialAnswer
-// calls none of its other methods.
-type fakeIndex struct {
-	Index
-	filtered []int
-}
+// evenVerifier is a Verifier double that accepts the even graph IDs, so
+// SequentialAnswer's result shows it decided with the index's verifier.
+type evenVerifier struct{}
 
-func (f *fakeIndex) Filter(*graph.Graph) []int { return f.filtered }
-func (f *fakeIndex) Verify(ctx context.Context, q *graph.Graph, id int) (bool, error) {
+func (evenVerifier) Name() string { return "even" }
+func (evenVerifier) Verify(ctx context.Context, t *Path, q *graph.Graph, id int) (bool, error) {
 	return id%2 == 0, nil
 }
 
 func TestSequentialAnswer(t *testing.T) {
-	x := &fakeIndex{filtered: []int{0, 1, 2, 3}}
-	got, err := SequentialAnswer(context.Background(), x, nil)
+	ds := make([]*graph.Graph, 4)
+	for i := range ds {
+		ds[i] = graph.MustNew("g", []graph.Label{0, 1}, [][2]int{{0, 1}})
+	}
+	tables, err := BuildTables(context.Background(), KindPath, ds, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := NewShardedFrom(ds, nil, tables, evenVerifier{})
+	got, err := SequentialAnswer(context.Background(), x, ds[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,9 +57,9 @@ func (c cell) slots(ds []*graph.Graph) ([]*graph.Graph, []bool) {
 	return slots, alive
 }
 
-// views builds c's one table per shard over ds and returns the index under
-// each verifier c's names select, Grapes at W = 1 and at W = 4, and the
-// tables.
+// views builds c's one table per shard over ds and returns the index over
+// those tables under each verifier c's names select, Grapes at W = 1 and at
+// W = 4, and the tables.
 func (c cell) views(ds []*graph.Graph) ([]*index.Sharded, []*index.Path, error) {
 	slots, alive := c.slots(ds)
 	kind := index.TableKind(c.names)
@@ -87,10 +87,9 @@ func (c cell) views(ds []*graph.Graph) ([]*index.Sharded, []*index.Path, error) 
 		}
 		vs = append(vs, w4)
 	}
-	x := index.NewShardedFrom(slots, alive, tables, vs[0])
-	out := []*index.Sharded{x}
-	for _, v := range vs[1:] {
-		out = append(out, x.Using(v))
+	var out []*index.Sharded
+	for _, v := range vs {
+		out = append(out, index.NewShardedFrom(slots, alive, tables, v))
 	}
 	return out, tables, nil
 }
@@ -454,7 +453,7 @@ func TestVerifyAllocs(t *testing.T) {
 
 // TestVerifyRejectsOutOfRangeGraphID: a graph ID outside the dataset is an
 // error from every kind's verification — over a table built or restored from
-// exported features, through the index or the table — never a panic, and
+// exported features, through Verify or VerifyWith — never a panic, and
 // Grapes' CandidateVertices reports such a graph as failing the filter.
 func TestVerifyRejectsOutOfRangeGraphID(t *testing.T) {
 	ds := difftest.Random(rand.New(rand.NewSource(5)), 4, 7, 2)
@@ -476,8 +475,8 @@ func TestVerifyRejectsOutOfRangeGraphID(t *testing.T) {
 				if ok, err := x.Verify(ctx, q, id); err == nil || ok {
 					t.Errorf("%s %s: Verify(graph %d) = %v, %v; want an out-of-range error", kind, tc.name, id, ok, err)
 				}
-				if ok, err := tc.x.VerifyWith(ctx, v, q, id); err == nil || ok {
-					t.Errorf("%s %s: the table's VerifyWith(graph %d) = %v, %v; want an out-of-range error", kind, tc.name, id, ok, err)
+				if ok, err := x.VerifyWith(ctx, v, q, id); err == nil || ok {
+					t.Errorf("%s %s: VerifyWith(graph %d) = %v, %v; want an out-of-range error", kind, tc.name, id, ok, err)
 				}
 				if kind == index.KindGrapes {
 					if vs, ok := tc.x.CandidateVertices(q, id); ok || vs != nil {

@@ -761,11 +761,3 @@ func (x *Path) copyEntries(o *Path, from, to int) {
 		x.entries = append(x.entries, e)
 	}
 }
-
-// VerifyWith decides candidate graphID with v, any name's verifier.
-func (x *Path) VerifyWith(ctx context.Context, v Verifier, q *graph.Graph, graphID int) (bool, error) {
-	if graphID < 0 || graphID >= len(x.ds) {
-		return false, fmt.Errorf("index: graph ID %d out of range [0,%d)", graphID, len(x.ds))
-	}
-	return v.Verify(ctx, x, q, graphID)
-}

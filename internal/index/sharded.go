@@ -6,9 +6,9 @@ package index
 // ID g is g mod K, its ID within the shard is g div K): stable, deterministic,
 // and balanced to within one graph regardless of dataset order.
 //
-// Sharded is the one Index implementation, at every K, K = 1 included: the
-// streaming filter→verify pipeline and its per-candidate races of verifiers
-// and rewritings run over it. Query answers are byte-identical at any K and
+// Sharded is the one index, at every K, K = 1 included: the streaming
+// filter→verify pipeline and its per-candidate races of verifiers and
+// rewritings run over it. Query answers are byte-identical at any K and
 // any worker count: filtering decisions are per-graph (a graph survives iff
 // it contains every query feature often enough, which no amount of
 // partitioning changes), FilterStream merges one posting cursor per shard in
@@ -33,9 +33,10 @@ import (
 	"github.com/psi-graph/psi/internal/graph"
 )
 
-// Sharded is a dataset index partitioned into K per-shard tables and viewed
-// through one verifier. Construct with Build or NewShardedFrom; immutable, so
-// safe for concurrent queries (a mutation assembles a new Sharded).
+// Sharded is a dataset index partitioned into K per-shard tables, named
+// after the verifier it was built with; VerifyWith decides a candidate with
+// any other. Construct with Build or NewShardedFrom; immutable, so safe for
+// concurrent queries (a mutation assembles a new Sharded).
 type Sharded struct {
 	ds     []*graph.Graph // dense: the live graphs in slot order
 	tables []*Path
@@ -151,20 +152,13 @@ func (x *Sharded) Name() string {
 	return fmt.Sprintf("%s×%d", x.v.Name(), x.k)
 }
 
-// Using returns the view of x that verifies with v: the same tables, so the
-// same filter, under v's name.
-func (x *Sharded) Using(v Verifier) *Sharded {
-	y := *x
-	y.v = v
-	return &y
-}
-
-// Dataset implements Index: the live graphs, in global ID order.
+// Dataset returns the live graphs, in global ID order; Filter results and
+// Verify's graphID refer to positions in this slice.
 func (x *Sharded) Dataset() []*graph.Graph { return x.ds }
 
-// Stats implements Index: the aggregate build shape under the view's name,
-// with the per-shard breakdown in Stats.Shards (the shard-balance feed for
-// /stats) when K >= 2, each shard named after the verifier.
+// Stats reports the aggregate build shape under x's name, with the per-shard
+// breakdown in Stats.Shards (the shard-balance feed for /stats) when K >= 2,
+// each shard named after the verifier.
 func (x *Sharded) Stats() Stats {
 	st := x.stats
 	st.Name = x.Name()
@@ -187,16 +181,18 @@ func (x *Sharded) dense(s, local int) int {
 	return x.denseOf[slot]
 }
 
-// Close implements Index; tables own no resources.
+// Close is a no-op, since tables own no resources; it stays because the
+// benchmark module calls it.
 func (x *Sharded) Close() {}
 
-// Verify implements Index with the view's verifier.
+// Verify decides whether dense ID graphID contains q with x's own verifier.
 func (x *Sharded) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool, error) {
 	return x.VerifyWith(ctx, x.v, q, graphID)
 }
 
-// VerifyWith decides dense ID graphID with v by routing it to its slot and
-// the slot to its owning shard's table.
+// VerifyWith decides whether dense ID graphID contains q with v, by routing
+// the ID to its slot and the slot to its owning shard's table: the one
+// table a query's verifiers share. An ID out of range is an error.
 func (x *Sharded) VerifyWith(ctx context.Context, v Verifier, q *graph.Graph, graphID int) (bool, error) {
 	if graphID < 0 || graphID >= len(x.ds) {
 		return false, fmt.Errorf("index: graph ID %d out of range [0,%d)", graphID, len(x.ds))
@@ -205,10 +201,11 @@ func (x *Sharded) VerifyWith(ctx context.Context, v Verifier, q *graph.Graph, gr
 	if x.slots != nil {
 		slot = x.slots[graphID]
 	}
-	return x.tables[ShardOf(slot, x.k)].VerifyWith(ctx, v, q, slot/x.k)
+	return v.Verify(ctx, x.tables[ShardOf(slot, x.k)], q, slot/x.k)
 }
 
-// Filter implements Index: FilterStream collected.
+// Filter returns the IDs of graphs that may contain q, in ascending order:
+// FilterStream collected. It never prunes a graph that contains q.
 func (x *Sharded) Filter(q *graph.Graph) []int {
 	var out []int
 	// The background context never cancels, so the error is always nil.
@@ -219,8 +216,8 @@ func (x *Sharded) Filter(q *graph.Graph) []int {
 	return out
 }
 
-// FilterStream implements Index with an ascending-ID ordered merge on the
-// caller's goroutine: the query's features are extracted once, one posting
+// FilterStream emits the IDs Filter returns, incrementally, through an
+// ascending-ID ordered merge on the caller's goroutine: the query's features are extracted once, one posting
 // cursor per shard scans that shard's table, each shard's head is its next
 // candidate translated to its dense ID (tombstones skipped), and the minimum
 // head is emitted — so the emission order is the same at any K. Each cursor

@@ -27,7 +27,9 @@ import (
 )
 
 // Verifier decides the candidates of a table: the choice an index name
-// makes. Safe for concurrent use.
+// makes. The one implementation here is VF2, over the whole stored graph or
+// confined by the table's location sets; the interface is the pipeline's
+// test seam. Safe for concurrent use.
 type Verifier interface {
 	// Name labels the verifier after the name that selected it: "FTV",
 	// "GGSX" or "Grapes/W".
@@ -44,9 +46,10 @@ func NewVerifier(kind string, opts Options) (Verifier, error) {
 		return nil, err
 	}
 	if kind != KindGrapes {
-		return wholeGraph{strings.ToUpper(kind)}, nil
+		return vf2Verifier{name: strings.ToUpper(kind)}, nil
 	}
-	v := located{workers: max(opts.Workers, 1), pool: opts.Pool}
+	v := vf2Verifier{located: true, workers: max(opts.Workers, 1), pool: opts.Pool}
+	v.name = fmt.Sprintf("Grapes/%d", v.workers)
 	if v.pool == nil {
 		v.pool = exec.Default()
 	}
@@ -63,7 +66,7 @@ func Verifiers(kinds []string, opts Options) ([]Verifier, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, ok := v.(wholeGraph); ok {
+		if !v.(vf2Verifier).located {
 			if whole {
 				continue
 			}
@@ -74,22 +77,17 @@ func Verifiers(kinds []string, opts Options) ([]Verifier, error) {
 	return out, nil
 }
 
-// wholeGraph is FTV's and GGSX's verifier: VF2 against the whole stored graph.
-type wholeGraph struct{ name string }
-
-func (v wholeGraph) Name() string { return v.name }
-
-func (v wholeGraph) Verify(ctx context.Context, t *Path, q *graph.Graph, graphID int) (bool, error) {
-	return vf2.New(t.ds[graphID]).Contains(ctx, q)
-}
-
-// located is Grapes' verifier; its table must keep location sets.
-type located struct {
+// vf2Verifier is every name's verifier: VF2 against the whole stored graph
+// for "ftv" and "ggsx", and, located, confined to the components the
+// table's location sets leave for "grapes" — whose table must keep them.
+type vf2Verifier struct {
+	name    string
+	located bool
 	workers int
 	pool    *exec.Pool
 }
 
-func (v located) Name() string { return fmt.Sprintf("Grapes/%d", v.workers) }
+func (v vf2Verifier) Name() string { return v.name }
 
 // queryPlan is what located verification derives from the query alone. The
 // pipeline filters a query once and then verifies it against one candidate
@@ -237,23 +235,26 @@ func (s *scratch) comp(i int) match.VertexSet {
 	return s.comps[i*words : (i+1)*words]
 }
 
-// Verify splits the query's location info in the candidate graph into
-// connected components and checks each one big enough for q by VF2
-// restricted to it on the stored graph — one after another under one worker
-// and in parallel on the pool above — stopping at the first match, matching
-// the paper's modification of Grapes to "return after the first match of the
-// query graph".
-func (v located) Verify(ctx context.Context, t *Path, q *graph.Graph, graphID int) (bool, error) {
+// Verify runs VF2 against the whole stored graph, or, located, splits the
+// query's location info in the candidate graph into connected components
+// and checks each one big enough for q by VF2 restricted to it on the stored
+// graph — one after another under one worker and in parallel on the pool
+// above — stopping at the first match, matching the paper's modification of
+// Grapes to "return after the first match of the query graph".
+func (v vf2Verifier) Verify(ctx context.Context, t *Path, q *graph.Graph, graphID int) (bool, error) {
+	g := t.ds[graphID]
+	if !v.located {
+		return vf2.New(g).Contains(ctx, q)
+	}
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
 	if t.refs == nil {
-		return false, fmt.Errorf("index: %s verifies with locations, which the %s table does not keep", v.Name(), t.kind)
+		return false, fmt.Errorf("index: %s verifies with locations, which the %s table does not keep", v.name, t.kind)
 	}
 	if q.N() == 0 {
 		return true, nil
 	}
-	g := t.ds[graphID]
 	m, p := vf2.New(g), t.plan(q)
 	if p.unbounded {
 		return m.Contains(ctx, q) // see locate
@@ -290,7 +291,7 @@ var errComponentFound = errors.New("index: component match found")
 // Group task or a rewriting race's attempt, either of which may hold a
 // worker, so the Group is always nested: each component goes to an idle
 // worker or runs on the verifying goroutine, and never waits for one.
-func (v located) verifyParallel(ctx context.Context, q, g *graph.Graph, s *scratch, kept int) (bool, error) {
+func (v vf2Verifier) verifyParallel(ctx context.Context, q, g *graph.Graph, s *scratch, kept int) (bool, error) {
 	var found atomic.Bool
 	grp := v.pool.NewGroup(exec.Nest(ctx))
 	for i := 0; i < kept; i++ {

@@ -127,10 +127,8 @@ func TestCandidatesMatchBothSpellingsFilter(t *testing.T) {
 		snap := st.Current()
 		for _, q := range queries {
 			want := bothSpellingsFilter(snap.Graphs(), q, maxLen)
-			for i, kind := range kinds {
-				if got := indexOf(t, snap, kinds[i]).Filter(q); !slices.Equal(got, want) {
-					t.Errorf("%s, %s, query %s: candidates %v, both-spellings filter %v", stage, kind, q.Name(), got, want)
-				}
+			if got := snap.Table().Filter(q); !slices.Equal(got, want) {
+				t.Errorf("%s, query %s: candidates %v, both-spellings filter %v", stage, q.Name(), got, want)
 			}
 		}
 	}

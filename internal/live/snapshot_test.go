@@ -69,17 +69,8 @@ func assertStoresAgree(t *testing.T, a, b *live.Store, kinds []string) {
 		}
 	}
 	for _, kind := range kinds {
-		xa, xb := indexOf(t, sa, kind), indexOf(t, sb, kind)
 		for qi, q := range testQueries() {
-			wa, err := index.Answer(context.Background(), xa, q, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wb, err := index.Answer(context.Background(), xb, q, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(wa, wb) {
+			if wa, wb := answer(t, sa, kind, q), answer(t, sb, kind, q); !slices.Equal(wa, wb) {
 				t.Errorf("%s q%d: %v vs %v after restore", kind, qi, wa, wb)
 			}
 		}

@@ -235,4 +235,32 @@ func TestGoldenSearch(t *testing.T) {
 		t.Errorf("%d of %d runs skipped at the %v limit; at most %.0f%% may be", skipped, len(got), goldenRunLimit, 100*goldenMaxSkipped)
 	}
 	t.Logf("%d runs, %d skipped", len(got), skipped)
+	t.Log(stepTotals(got))
+}
+
+// stepTotals sums the step counts of records per matcher, in corpus order,
+// skipped runs counting none: the corpus's deterministic work total.
+func stepTotals(records []string) string {
+	var names []string
+	total := map[string]int64{}
+	all := int64(0)
+	for _, rec := range records {
+		f := strings.Fields(rec)
+		var steps int64
+		if _, err := fmt.Sscanf(f[len(f)-1], "steps=%d", &steps); err != nil {
+			continue
+		}
+		if _, ok := total[f[0]]; !ok {
+			names = append(names, f[0])
+		}
+		total[f[0]] += steps
+		all += steps
+	}
+	var b strings.Builder
+	b.WriteString("steps:")
+	for _, name := range names {
+		fmt.Fprintf(&b, " %s %d,", name, total[name])
+	}
+	fmt.Fprintf(&b, " all %d", all)
+	return b.String()
 }

@@ -8,10 +8,12 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/core"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/live"
 	"github.com/psi-graph/psi/internal/match"
+	"github.com/psi-graph/psi/internal/rewrite"
 )
 
 // fuzzSeeds are the three files FuzzSnapshotSections edits, written the way
@@ -153,7 +155,11 @@ func FuzzSnapshotSections(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := index.Answer(context.Background(), snap.Table().Using(v), q, nil)
+				var got []int
+				_, err = core.StreamFTV(context.Background(), nil, snap.Table(), []index.Verifier{v}, snap.Frequencies(), []rewrite.Kind{rewrite.Orig}, q, func(id int) bool {
+					got = append(got, id)
+					return true
+				})
 				if err != nil {
 					t.Fatalf("%s: %v", kind, err)
 				}

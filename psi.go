@@ -45,14 +45,14 @@ type (
 	Matcher = match.Matcher
 	// Attempt pairs an algorithm with a rewriting for racing.
 	Attempt = core.Attempt
-	// FilterIndex is the filtering-index contract: the filter-then-verify
-	// core (Name/Dataset/Filter/Verify) plus streaming candidate emission
-	// (FilterStream) and build statistics (Stats). Every index built here is
-	// one type at every shard count: a path table per shard, viewed through
-	// the verifier of a name — "ftv", "grapes" or "ggsx" — which is what its
-	// Verify runs and its Name reports; a dataset Engine filters with one
-	// table and races the verifiers per candidate.
-	FilterIndex = indexpkg.Index
+	// FilterIndex is the filtering index, one type at every shard count: a
+	// path table per shard, with the filter-then-verify core
+	// (Name/Dataset/Filter/Verify), streaming candidate emission
+	// (FilterStream) and build statistics (Stats). It is built for a name —
+	// "ftv", "grapes" or "ggsx" — whose verifier is what its Verify runs and
+	// its Name reports; a dataset Engine filters with one table and races
+	// the verifiers per candidate over it.
+	FilterIndex = *indexpkg.Sharded
 	// IndexStats describes a built filtering index (build time, feature,
 	// posting and location counts, extraction parallelism).
 	IndexStats = indexpkg.Stats
@@ -196,11 +196,7 @@ func IndexKinds() []string { return indexpkg.Kinds() }
 // routes back to the owning shard — so answers are byte-identical at any
 // shard count. shards is clamped to [1, len(dataset)].
 func NewShardedIndex(ctx context.Context, kind string, dataset []*Graph, shards, workers int) (FilterIndex, error) {
-	x, err := indexpkg.Build(ctx, kind, dataset, shards, indexpkg.Options{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return x, nil
+	return indexpkg.Build(ctx, kind, dataset, shards, indexpkg.Options{Workers: workers})
 }
 
 // ComputeStats summarizes one graph.
