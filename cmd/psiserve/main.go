@@ -8,12 +8,13 @@
 //	psiserve -gen synthetic -scale small -shards 4 -index race   # sharded dataset:
 //	     the table is partitioned into 4 round-robin shards whose streams
 //	     merge in ascending ID order; answers are byte-identical to -shards 1
-//	psiserve -gen ppi -index race -policy auto   # traffic-aware planning:
+//	psiserve -gen ppi -index race -mode auto   # traffic-aware planning:
 //	     a per-query-class bandit learns which verifier wins and runs it
 //	     solo, escalating back to the full race on unfamiliar classes,
 //	     stale statistics, or a budget-killed solo; answers stay identical
-//	     to -policy race. (-mode race|single|auto: auto is the stored-graph
-//	     analogue.)
+//	     to -mode race. (-mode single runs the first -index name's verifier
+//	     alone; on one stored graph the arms are the -algos × -rewritings
+//	     attempts.)
 //
 // Concurrent identical queries are coalesced: overlapping requests for the
 // same canonical query share one engine execution and every client gets the
@@ -52,8 +53,7 @@
 //	GET  /stats    — JSON snapshot: engine counters, win tallies, index
 //	     build provenance, cache effectiveness, admission state, coalescing
 //	     counters, the dataset epoch and mutation counters (with -mutable),
-//	     and (with -policy auto / -mode auto) the learned per-arm policy
-//	     statistics.
+//	     and (with -mode auto) the learned per-arm policy statistics.
 //	GET  /metrics  — the same counters in Prometheus text format.
 //	GET  /healthz  — 200 with status "ok" (and the dataset epoch) while
 //	     serving, 503 with "building" until the engine is ready, 503 with
@@ -99,9 +99,8 @@ func main() {
 	)
 	flag.StringVar(&ef.algos, "algos", "GQL,SPA", "NFV algorithms: GQL,SPA,QSI,VF2")
 	flag.StringVar(&ef.rewritings, "rewritings", "Orig,DND", "raced rewritings: Orig,ILF,IND,DND,ILF+IND,ILF+DND")
-	flag.StringVar(&ef.mode, "mode", "race", "stored-graph planning mode: race|single|auto")
+	flag.StringVar(&ef.mode, "mode", "race", "launch policy: race|single|auto (single on a dataset: the first -index name's verifier)")
 	flag.StringVar(&ef.index, "index", "race", "dataset indexes: ftv|grapes|ggsx, a comma list, or race (all)")
-	flag.StringVar(&ef.policy, "policy", "", "dataset index policy: race|fixed|auto (default: race with several indexes)")
 	flag.BoolVar(&ef.mutable, "mutable", false, "accept online mutations (POST/DELETE/PUT /graphs); the engine builds in the background")
 	flag.IntVar(&ef.compactEvery, "compact-every", 0, "per-shard tombstone count that triggers compaction (0: default)")
 	flag.IntVar(&ef.shards, "shards", 1, "dataset shards per index (round-robin partition; answers identical at any K)")
@@ -285,7 +284,7 @@ func loadDataset(path, genKind, scaleName string, seed int64) ([]*graph.Graph, e
 // server around it).
 type engineFlags struct {
 	algos, rewritings, mode       string
-	index, policy                 string
+	index                         string
 	shards, workers, compactEvery int
 	timeout                       time.Duration
 	mutable                       bool
@@ -294,8 +293,9 @@ type engineFlags struct {
 
 // engineOptions maps the flags onto the engine's options for a dataset of the
 // given size, checking every value whether or not this dataset shape reads
-// it. One graph is a stored-graph (NFV) engine: -algos and -mode apply and the
-// index flags do not; more is a dataset (FTV) engine, the reverse. No graphs
+// it. -mode applies to every shape. One graph is a stored-graph (NFV) engine:
+// -algos applies and the index flags do not; more is a dataset (FTV) engine,
+// the reverse, with -mode spelt as its index policy. No graphs
 // is a cold start from -snapshot: the file carries the dataset, the index
 // portfolio and the shard count, so -index and -shards are forwarded only
 // when the user set them (explicit) — the engine then insists they agree with
@@ -326,7 +326,7 @@ func engineOptions(f engineFlags, explicit map[string]bool, graphs int) (psi.Eng
 		opts.Algorithms, opts.Mode = algos, mode
 		return opts, nil
 	}
-	opts.IndexPolicy = f.policy
+	opts.IndexPolicy = datasetPolicy[mode]
 	opts.Mutable = f.mutable
 	opts.CompactEvery = f.compactEvery
 	if graphs == 0 {
@@ -340,6 +340,10 @@ func engineOptions(f engineFlags, explicit map[string]bool, graphs int) (psi.Eng
 	}
 	return opts, nil
 }
+
+// datasetPolicy is the index policy that spells each -mode on a dataset,
+// whose engine reads IndexPolicy, not Mode.
+var datasetPolicy = map[psi.Mode]string{psi.ModeRace: psi.IndexRace, psi.ModeSingle: psi.IndexFixed, psi.ModeAuto: psi.IndexAuto}
 
 // newEngine constructs the NFV or FTV engine the dataset shape calls for; a
 // nil dataset is a cold start, and opts.Snapshot carries it.

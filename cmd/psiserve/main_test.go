@@ -13,8 +13,7 @@ import (
 // are non-zero, and a value a row can tell from a dropped field where the
 // default is the zero value.
 var baseFlags = engineFlags{
-	algos: "GQL,SPA", rewritings: "Orig,DND", mode: "race",
-	index: "race", policy: "auto",
+	algos: "GQL,SPA", rewritings: "Orig,DND", mode: "auto", index: "race",
 	shards: 1, workers: 3, compactEvery: 5,
 	timeout: time.Minute, mutable: true,
 	snapshot: "s.psisnap",
@@ -70,10 +69,9 @@ func TestEngineOptions(t *testing.T) {
 			},
 		},
 		{
-			name: "a dataset takes the index flags and ignores -algos and -mode",
+			name: "-mode single on a dataset sets IndexPolicy fixed",
 			flags: with(func(f *engineFlags) {
-				f.algos, f.mode = "VF2", "single"
-				f.shards, f.policy = 2, "fixed"
+				f.algos, f.mode, f.shards = "VF2", "single", 2
 			}),
 			graphs: 24,
 			want: psi.EngineOptions{
@@ -81,6 +79,17 @@ func TestEngineOptions(t *testing.T) {
 				Timeout:    time.Minute, IndexWorkers: 3,
 				IndexPolicy: psi.IndexFixed, Mutable: true, CompactEvery: 5,
 				Shards: 2, Indexes: all,
+			},
+		},
+		{
+			name:   "-mode auto on a dataset sets IndexPolicy auto and ignores -algos",
+			flags:  with(func(f *engineFlags) { f.algos = "VF2" }),
+			graphs: 24,
+			want: psi.EngineOptions{
+				Rewritings: []psi.Rewriting{psi.Orig, psi.DND},
+				Timeout:    time.Minute, IndexWorkers: 3,
+				IndexPolicy: psi.IndexAuto, Mutable: true, CompactEvery: 5,
+				Shards: 1, Indexes: all,
 			},
 		},
 	} {

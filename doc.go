@@ -56,8 +56,8 @@
 // the caller; only the race it launches differs by kind. For a dataset
 // (FTV) query one function owns each step:
 //
-//	plan             Engine.Plan                 policy and bandit verdict → arms:
-//	                                             1 verifier (fixed, learned solo) or all
+//	plan             Engine.Plan                 policy and bandit verdict → Kind, Arms:
+//	                                             race (all), fixed or predicted (1 verifier)
 //	execute          Engine.run                  snapshot, result record, budget, kill trim
 //	launch           Engine.launch               the arms; solo → escalate; bandit learns
 //	filter           index.Sharded.FilterStream  one scan of the one table, ascending
@@ -83,7 +83,8 @@
 // each written once in the root package: the per-query budget (runBudgeted:
 // a query that hits the cap comes back Killed, not as an error, on every
 // entry point), the launch of a plan's arms (launch: Mode and IndexPolicy are
-// one policy — race, first or auto — that Plan turns into arms) and
+// one policy — race, first or auto — that Plan turns into one PlanKind and
+// the labels of the arms it starts, on either engine kind) and
 // solo→escalate (soloFirst).
 //
 // # Layers

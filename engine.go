@@ -46,9 +46,13 @@ type Engine struct {
 	winMu    sync.Mutex
 	wins     map[string]int64
 
+	// arms labels the engine's arms, in portfolio order: a stored graph's
+	// attempts or a dataset's verifiers. The bandit and every plan name
+	// arms by these labels.
+	arms []string
+
 	// NFV state.
 	g        *Graph
-	matchers []Matcher
 	attempts []Attempt
 	racer    *core.Racer
 
@@ -92,17 +96,19 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 	if len(algos) == 0 {
 		algos = []Algorithm{GraphQL, SPath}
 	}
-	for _, a := range algos {
-		m, err := NewMatcher(a, g)
-		if err != nil {
+	matchers := make([]Matcher, len(algos))
+	for i, a := range algos {
+		if matchers[i], err = NewMatcher(a, g); err != nil {
 			e.Close()
 			return nil, err
 		}
-		e.matchers = append(e.matchers, m)
 	}
 	e.racer = core.NewRacer(g)
 	e.racer.Pool = e.pool
-	e.attempts = core.Portfolio(e.matchers, engineRewritings(opts))
+	e.attempts = core.Portfolio(matchers, engineRewritings(opts))
+	for _, a := range e.attempts {
+		e.arms = append(e.arms, a.Label())
+	}
 	switch e.mode {
 	case ModeSingle:
 		e.policy = launchFirst
@@ -117,25 +123,8 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 // engine's arms, with the policy's fixed knobs.
 func (e *Engine) startBandit() {
 	if e.policy == launchAuto {
-		e.bandit = predict.NewBandit(e.armNames(), predict.BanditOptions{MinSamples: autoMinSamples, RaceEvery: autoRaceEvery})
+		e.bandit = predict.NewBandit(e.arms, predict.BanditOptions{MinSamples: autoMinSamples, RaceEvery: autoRaceEvery})
 	}
-}
-
-// armNames labels the engine's arms, in portfolio order: a stored graph's
-// attempts or a dataset's verifiers.
-func (e *Engine) armNames() []string {
-	if e.g == nil {
-		names := make([]string, len(e.verifiers))
-		for i, v := range e.verifiers {
-			names[i] = v.Name()
-		}
-		return names
-	}
-	names := make([]string, len(e.attempts))
-	for i, a := range e.attempts {
-		names[i] = a.Label()
-	}
-	return names
 }
 
 // NewDatasetEngine builds an FTV engine serving containment queries against

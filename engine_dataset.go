@@ -38,6 +38,9 @@ func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
 		return err
 	}
 	e.verifiers = vs
+	for _, v := range vs {
+		e.arms = append(e.arms, v.Name())
+	}
 	switch opts.IndexPolicy {
 	case "", IndexRace:
 		e.policy = launchRace

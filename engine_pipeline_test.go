@@ -180,12 +180,25 @@ func checkPipelineAnswer(eng *psi.Engine, q *psi.Graph) error {
 			if !slices.Equal(got, want) {
 				return fmt.Errorf("%s round %d: answered %v, the oracle %v", ep.name, round, got, want)
 			}
-			if res.Found != len(want) || res.Killed || res.Kind != psi.PlanFTV || res.Winner == "" {
+			if res.Found != len(want) || res.Killed || res.Kind != launchKind(eng, res.Policy) || res.Winner == "" {
 				return fmt.Errorf("%s round %d: report %+v for answer %v", ep.name, round, res, want)
 			}
 		}
 	}
 	return nil
+}
+
+// launchKind is the plan kind a dataset engine's launch policy gives a query
+// the auto policy decided d about (nil under the other policies), as a
+// stored-graph engine's Mode would.
+func launchKind(eng *psi.Engine, d *psi.PolicyDecision) psi.PlanKind {
+	switch {
+	case eng.IndexPolicy() == psi.IndexFixed:
+		return psi.PlanFixed
+	case d != nil && d.Solo:
+		return psi.PlanPredicted
+	}
+	return psi.PlanRace
 }
 
 // checkOneTable fails unless eng reports one table, with locations exactly
@@ -274,8 +287,8 @@ func TestPipelineExits(t *testing.T) {
 			if ids, res, err := stream(context.Background(), eng, len(want)+1); err != nil || !res.Killed || res.Found != len(ids) || res.GraphIDs != nil {
 				t.Errorf("killed stream = %v, %+v, %v", ids, res, err)
 			}
-			if c := eng.Counters(); c.Killed != 2 || c.ShardedKilled != 2 {
-				t.Errorf("after two kills: %+v", c)
+			if c := eng.Counters(); c.Queries != 2 || c.Errors != 0 || c.Killed != 2 || eng.Shards() != 2 {
+				t.Errorf("after two kills on %d shards: %+v", eng.Shards(), c)
 			}
 			eng.Close()
 

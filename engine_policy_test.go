@@ -297,9 +297,10 @@ func TestDatasetEngineAutoCancelIsNotEvidence(t *testing.T) {
 
 // TestLaunchPolicyIsOneAcrossEngineKinds: Mode and IndexPolicy are two
 // spellings of one launch policy, so a stored-graph engine with as many
-// matchers as a dataset engine has verifiers must plan the same number of
-// arms, reach the same policy decisions and move the same counters over the
-// same query sequence: the arms started, counted in RaceAttempts on one side
+// matchers as a dataset engine has verifiers must plan the same kind over
+// the same number of arms, reach the same policy decisions and move the same
+// counters over the same query sequence, completed solos among them: the
+// arms started, counted in RaceAttempts on one side
 // and, on the other, as IndexAttempts (a pipeline per launch) plus
 // IndexRaces (a query whose candidates raced both verifiers) times the arms
 // beyond the first. Every non-empty name set runs, at K = 1 and 2, static
@@ -335,7 +336,9 @@ func TestLaunchPolicyIsOneAcrossEngineKinds(t *testing.T) {
 
 // launchCounts are the counters a launch policy moves alike on both engine
 // kinds; started is the arms started.
-type launchCounts struct{ started, queries, killed, errs, fallbacks, solo, races, escalations int64 }
+type launchCounts struct {
+	started, queries, killed, errs, fallbacks, predicted, solo, races, escalations int64
+}
 
 func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string, kind psi.PlanKind, names []string, k int, mutable bool, queries, warmup int) {
 	ds := raceFixtureDataset()
@@ -377,7 +380,7 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 	oracle := difftest.Want(dataset.Dataset(), q)
 	if arms == 1 {
 		// Nothing to race or learn over: the fixed policy.
-		ixPolicy, name = psi.IndexFixed, "first"
+		ixPolicy, name, kind = psi.IndexFixed, "first", psi.PlanFixed
 	}
 	if dataset.IndexPolicy() != ixPolicy || nfv.Mode() != mode || nfv.IndexPolicy() != "" {
 		t.Fatalf("policies read back as mode %q / index policy %q and %q", nfv.Mode(), dataset.IndexPolicy(), nfv.IndexPolicy())
@@ -402,8 +405,8 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 		if solo || name == "first" {
 			wantArms = 1
 		}
-		if dp.Kind != psi.PlanFTV || len(dp.Indexes) != arms {
-			t.Fatalf("query %d: dataset plan %s over %v", i, dp.Kind, dp.Indexes)
+		if dp.Kind != wantKind || len(dp.Arms) != wantArms || (solo && dp.Arms[0] != dp.Decision.ArmName) {
+			t.Fatalf("query %d: dataset plan %s over %v (decision %+v), want %s over %d", i, dp.Kind, dp.Arms, dp.Decision, wantKind, wantArms)
 		}
 		dr, err := dataset.Execute(context.Background(), dp, 0)
 		if err != nil {
@@ -412,17 +415,17 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 		if !slices.Equal(dr.GraphIDs, oracle) {
 			t.Fatalf("query %d: answered %v, index.SequentialAnswer %v", i, dr.GraphIDs, oracle)
 		}
-		if dr.Policy != dp.Decision || dr.FellBack || (dp.Decision == nil) != (name != "auto") {
+		if dr.Policy != dp.Decision || dr.Kind != dp.Kind || dr.FellBack || (dp.Decision == nil) != (name != "auto") {
 			t.Fatalf("query %d: result %+v for decision %+v", i, dr, dp.Decision)
 		}
-		if name == "first" && dr.Winner != dp.Indexes[0] {
-			t.Fatalf("query %d: fixed winner %q, want the first name's verifier %q", i, dr.Winner, dp.Indexes[0])
+		if name == "first" && dr.Winner != dp.Arms[0] {
+			t.Fatalf("query %d: fixed winner %q, want the first name's verifier %q", i, dr.Winner, dp.Arms[0])
 		}
 		if arms == 1 {
 			continue // the stored-graph engine races its one matcher
 		}
-		if np.Kind != wantKind || len(np.Attempts) != wantArms || (solo && np.Attempts[0].Label() != np.Decision.ArmName) {
-			t.Fatalf("query %d: stored-graph plan %s over %d attempts (decision %+v), want %s over %d", i, np.Kind, len(np.Attempts), np.Decision, wantKind, wantArms)
+		if np.Kind != wantKind || len(np.Arms) != wantArms || (solo && np.Arms[0] != np.Decision.ArmName) {
+			t.Fatalf("query %d: stored-graph plan %s over %v (decision %+v), want %s over %d", i, np.Kind, np.Arms, np.Decision, wantKind, wantArms)
 		}
 		if (np.Decision == nil) != (dp.Decision == nil) {
 			t.Fatalf("query %d: decisions %+v / %+v", i, np.Decision, dp.Decision)
@@ -437,7 +440,7 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nr.Policy != np.Decision || nr.FellBack {
+		if nr.Policy != np.Decision || nr.Kind != np.Kind || nr.FellBack {
 			t.Fatalf("query %d: result %+v", i, nr)
 		}
 		if name == "first" && nr.Winner != "VF2-Orig" {
@@ -448,14 +451,14 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 	if dc.IndexAttempts != int64(queries) {
 		t.Errorf("%d index pipelines for %d queries, want one each", dc.IndexAttempts, queries)
 	}
-	d := launchCounts{dc.IndexAttempts + dc.IndexRaces*int64(arms-1), dc.Queries, dc.Killed, dc.Errors, dc.Fallbacks, dc.PolicySolo, dc.PolicyRaces, dc.PolicyEscalations}
+	d := launchCounts{dc.IndexAttempts + dc.IndexRaces*int64(arms-1), dc.Queries, dc.Killed, dc.Errors, dc.Fallbacks, dc.PredictedSolo, dc.PolicySolo, dc.PolicyRaces, dc.PolicyEscalations}
 	want := launchCounts{started: int64(queries * arms), queries: int64(queries)}
 	switch name {
 	case "first":
 		want.started = int64(queries)
 	case "auto":
 		want.started = int64(warmup*arms + (queries - warmup))
-		want.solo, want.races = int64(queries-warmup), int64(warmup)
+		want.predicted, want.solo, want.races = int64(queries-warmup), int64(queries-warmup), int64(warmup)
 	}
 	if d != want {
 		t.Errorf("dataset counters %+v, want %+v", d, want)
@@ -464,10 +467,7 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 		return
 	}
 	nc := nfv.Counters()
-	if n := (launchCounts{nc.RaceAttempts, nc.Queries, nc.Killed, nc.Errors, nc.Fallbacks, nc.PolicySolo, nc.PolicyRaces, nc.PolicyEscalations}); n != d {
+	if n := (launchCounts{nc.RaceAttempts, nc.Queries, nc.Killed, nc.Errors, nc.Fallbacks, nc.PredictedSolo, nc.PolicySolo, nc.PolicyRaces, nc.PolicyEscalations}); n != d {
 		t.Errorf("counters %+v / %+v differ", n, d)
-	}
-	if want := int64(queries - warmup); name == "auto" && nc.PredictedSolo != want {
-		t.Errorf("PredictedSolo = %d, want %d", nc.PredictedSolo, want)
 	}
 }

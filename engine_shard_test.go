@@ -102,8 +102,8 @@ func TestShardedEngineRaceParity(t *testing.T) {
 			t.Errorf("workers=%d: shard balance %v sums to %d, want %d answered IDs",
 				workers, balance, sum, total)
 		}
-		if c := sh.Counters(); c.ShardedQueries != int64(2*len(queries)) {
-			t.Errorf("workers=%d: ShardedQueries = %d, want %d", workers, c.ShardedQueries, 2*len(queries))
+		if c := sh.Counters(); c.Queries-c.Errors != int64(2*len(queries)) || sh.Shards() != 3 {
+			t.Errorf("workers=%d: %d queries, %d errors on %d shards, want %d answered on 3", workers, c.Queries, c.Errors, sh.Shards(), 2*len(queries))
 		}
 		sh.Close()
 	}
@@ -220,14 +220,14 @@ func TestShardedEngineRepeatBalance(t *testing.T) {
 		t.Errorf("shard balance sums to %d after a query and its repeat, want %d (both executions count)",
 			sum, want)
 	}
-	if c := eng.Counters(); c.ShardedQueries != 2 {
-		t.Errorf("ShardedQueries = %d, want 2 (repeats are executed queries)", c.ShardedQueries)
+	if c := eng.Counters(); c.Queries != 2 || c.Errors != 0 || eng.Shards() != 2 {
+		t.Errorf("%d queries, %d errors on %d shards, want 2 answered (repeats are executed queries) on 2", c.Queries, c.Errors, eng.Shards())
 	}
 }
 
 // TestShardedEngineKillCounter checks that a sharded query killed by the
-// per-query budget is tallied under ShardedKilled (and surfaces as a killed
-// result, not an error).
+// per-query budget is tallied under Killed (and surfaces as a killed result,
+// not an error).
 func TestShardedEngineKillCounter(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
@@ -248,7 +248,7 @@ func TestShardedEngineKillCounter(t *testing.T) {
 		t.Fatalf("query under a 1ns budget not killed: %+v", res)
 	}
 	c := eng.Counters()
-	if c.ShardedQueries != 1 || c.ShardedKilled != 1 {
-		t.Errorf("counters = queries %d / killed %d, want 1/1", c.ShardedQueries, c.ShardedKilled)
+	if c.Queries != 1 || c.Errors != 0 || c.Killed != 1 || eng.Shards() != 2 {
+		t.Errorf("counters = queries %d / errors %d / killed %d on %d shards, want 1/0/1 on 2", c.Queries, c.Errors, c.Killed, eng.Shards())
 	}
 }

@@ -121,8 +121,8 @@ func TestEngineModeSinglePlansFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Kind != psi.PlanFixed || len(p.Attempts) != 1 {
-		t.Fatalf("ModeSingle plan = %v with %d attempts, want fixed/1", p.Kind, len(p.Attempts))
+	if p.Kind != psi.PlanFixed || len(p.Arms) != 1 {
+		t.Fatalf("ModeSingle plan = %v with arms %v, want fixed/1", p.Kind, p.Arms)
 	}
 	res, err := eng.Execute(context.Background(), p, 10)
 	if err != nil {
@@ -239,12 +239,36 @@ func TestEnginePlanDoesNotAliasPortfolio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Attempts[0] = psi.Attempt{} // caller scribbles on the plan
-	if p2, err := eng.Plan(q); err != nil || p2.Attempts[0].Matcher == nil {
-		t.Fatal("mutating a plan's attempts corrupted the engine's portfolio")
+	p.Arms[0] = "" // caller scribbles on the plan
+	if p2, err := eng.Plan(q); err != nil || p2.Arms[0] != "GQL-Orig" {
+		t.Fatal("mutating a plan's arms corrupted the engine's labels")
 	}
 	if _, err := eng.Query(context.Background(), q, 1); err != nil {
 		t.Fatalf("engine broken after plan mutation: %v", err)
+	}
+}
+
+// TestEnginePlanAllocs: a race plan costs two allocations on either engine
+// kind, the plan and its copy of the arm labels.
+func TestEnginePlanAllocs(t *testing.T) {
+	ds, q := raceFixtureDataset(), raceFixtureQueries()[0]
+	stored, err := psi.NewEngine(ds[0], psi.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stored.Close()
+	dataset, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dataset.Close()
+	for _, eng := range []*psi.Engine{stored, dataset} {
+		if p, err := eng.Plan(q); err != nil || p.Kind != psi.PlanRace || len(p.Arms) < 2 {
+			t.Fatalf("plan %+v, %v: want a race of several arms", p, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { eng.Plan(q) }); n > 2 {
+			t.Errorf("a race plan over %d graphs costs %.0f allocations, want at most 2", len(eng.Dataset()), n)
+		}
 	}
 }
 
@@ -289,8 +313,8 @@ func TestDatasetEngineMatchesSequentialOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Kind != psi.PlanFTV {
-		t.Errorf("dataset engine planned %v, want ftv", res.Kind)
+	if res.Kind != psi.PlanFixed {
+		t.Errorf("dataset engine over its one default verifier planned %v, want fixed", res.Kind)
 	}
 	if want := difftest.Want(ds, q); !slices.Equal(res.GraphIDs, want) {
 		t.Fatalf("engine answered %v, the oracle %v", res.GraphIDs, want)
@@ -373,7 +397,7 @@ func TestEngineOwnedPoolAndAccessors(t *testing.T) {
 	if eng.Mode() != psi.ModeRace || eng.Graph() != g || eng.Dataset() != nil {
 		t.Error("accessors disagree with construction")
 	}
-	if p, err := eng.Plan(q); err != nil || len(p.Attempts) != 4 { // 2 algorithms × 2 rewritings
+	if p, err := eng.Plan(q); err != nil || len(p.Arms) != 4 { // 2 algorithms × 2 rewritings
 		t.Errorf("default portfolio plans %+v, %v; want 4 attempts", p, err)
 	}
 	if _, err := eng.Query(context.Background(), q, 5); err != nil {
@@ -440,9 +464,9 @@ func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer race.Close()
-		wantPolicy := psi.IndexRace
+		wantPolicy, wantKind := psi.IndexRace, psi.PlanRace
 		if len(tc.want) == 1 {
-			wantPolicy = psi.IndexFixed
+			wantPolicy, wantKind = psi.IndexFixed, psi.PlanFixed
 		}
 		if race.IndexPolicy() != wantPolicy {
 			t.Fatalf("%v: IndexPolicy = %q, want %q", tc.names, race.IndexPolicy(), wantPolicy)
@@ -455,8 +479,8 @@ func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.Kind != psi.PlanFTV || !slices.Equal(p.Indexes, tc.want) {
-				t.Fatalf("%v q%d: plan = kind %v indexes %v, want %v", tc.names, qi, p.Kind, p.Indexes, tc.want)
+			if p.Kind != wantKind || !slices.Equal(p.Arms, tc.want) {
+				t.Fatalf("%v q%d: plan = kind %v arms %v, want %v over %v", tc.names, qi, p.Kind, p.Arms, wantKind, tc.want)
 			}
 			got, err := race.Execute(context.Background(), p, 0)
 			if err != nil {
@@ -469,8 +493,8 @@ func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 			if !slices.Equal(got.GraphIDs, want.GraphIDs) {
 				t.Fatalf("%v q%d: race answered %v, fixed %v", tc.names, qi, got.GraphIDs, want.GraphIDs)
 			}
-			if !slices.Contains(p.Indexes, got.Winner) {
-				t.Errorf("%v q%d: winner %q is none of the verifiers %v", tc.names, qi, got.Winner, p.Indexes)
+			if got.Kind != wantKind || !slices.Contains(p.Arms, got.Winner) {
+				t.Errorf("%v q%d: %v winner %q is none of the verifiers %v", tc.names, qi, got.Kind, got.Winner, p.Arms)
 			}
 		}
 		n, races := int64(len(raceFixtureQueries())), int64(0)

@@ -66,7 +66,7 @@ func Example_quickstart() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("plan:", plan.Kind, len(plan.Attempts), "attempts")
+	fmt.Println("plan:", plan.Kind, len(plan.Arms), "attempts")
 	res, err = eng.Execute(ctx, plan, 1000)
 	if err != nil {
 		log.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/psi-graph/psi/internal/core"
-	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/live"
 	"github.com/psi-graph/psi/internal/metrics"
 	"github.com/psi-graph/psi/internal/predict"
@@ -27,19 +26,19 @@ type QueryResult struct {
 	// only; QueryStream sends them to the sink instead).
 	Embeddings []Embedding
 	// Found is the number of answers surfaced, whether collected here or
-	// streamed: embeddings for NFV plans, containing graph IDs for FTV
-	// plans.
+	// streamed: embeddings on a stored graph, containing graph IDs on a
+	// dataset.
 	Found int
-	// GraphIDs are the containing dataset graphs (FTV plans, collecting
-	// execution only; AnswerStream sends them to emit instead), ascending.
+	// GraphIDs are the containing dataset graphs (FTV, collecting execution
+	// only; AnswerStream sends them to emit instead), ascending.
 	GraphIDs []int
 	// Winner labels the attempt that produced the answer, e.g. "GQL-DND",
-	// or for FTV plans the verifier that decided most candidates, e.g.
+	// or on a dataset the verifier that decided most candidates, e.g.
 	// "Grapes/1" (ties go to the earlier-listed name's).
 	Winner string
-	// Kind echoes the executed plan's strategy; FellBack marks an
-	// auto-policy solo run (a PlanPredicted attempt or a solo verifier) that
-	// overran its solo budget and re-ran as a race.
+	// Kind echoes how the executed plan launched its arms; FellBack marks a
+	// PlanPredicted solo arm that overran its solo budget and re-ran as a
+	// race.
 	Kind     PlanKind
 	FellBack bool
 	// Policy echoes the auto policy's decision for this query (ModeAuto /
@@ -103,8 +102,8 @@ func (e *Engine) QueryStream(ctx context.Context, q *Graph, limit int, sink Sink
 }
 
 // Execute runs a plan and collects its answer. Up to limit embeddings are
-// returned for NFV plans (limit <= 0: decision, stop at the first); FTV
-// plans ignore limit and return containing graph IDs. When the engine has
+// returned on a stored graph (limit <= 0: decision, stop at the first); a
+// dataset ignores limit and returns containing graph IDs. When the engine has
 // a deadline, a query that hits it is not an error: the result comes back
 // with Killed set, Class Hard and an empty answer.
 func (e *Engine) Execute(ctx context.Context, p *Plan, limit int) (*QueryResult, error) {
@@ -211,7 +210,7 @@ func (e *Engine) run(ctx context.Context, p *Plan, limit int, sink Sink, emit fu
 // embeddings on res.
 func (e *Engine) raceAttempts(q *Graph, limit int, res *QueryResult, sink Sink) raceFunc {
 	return func(ctx context.Context, arms []int) (int, time.Duration, error) {
-		attempts := e.attemptsOf(arms)
+		attempts := pick(e.attempts, arms)
 		e.counters.RaceAttempts.Add(int64(len(attempts)))
 		var (
 			r   core.Result
@@ -240,13 +239,7 @@ func (e *Engine) raceAttempts(q *Graph, limit int, res *QueryResult, sink Sink) 
 // verifier that decided most candidates, the earliest on a tie.
 func (e *Engine) raceVerifiers(q *Graph, snap *live.Snapshot, res *QueryResult, emit func(graphID int) bool) raceFunc {
 	return func(ctx context.Context, arms []int) (int, time.Duration, error) {
-		vs := e.verifiers
-		if arms != nil {
-			vs = make([]index.Verifier, len(arms))
-			for i, a := range arms {
-				vs[i] = e.verifiers[a]
-			}
-		}
+		vs := pick(e.verifiers, arms)
 		// Counted when it starts, as RaceAttempts is: a pipeline that is
 		// killed, fails or is abandoned for a fallback still ran.
 		e.counters.IndexAttempts.Add(1)
@@ -319,12 +312,6 @@ func (e *Engine) observeKill(res *QueryResult) {
 func (e *Engine) tally(res *QueryResult) {
 	if res.Killed {
 		e.counters.Killed.Add(1)
-	}
-	if e.shardK >= 2 && res.Kind == PlanFTV {
-		e.counters.ShardedQueries.Add(1)
-		if res.Killed {
-			e.counters.ShardedKilled.Add(1)
-		}
 	}
 	e.recordWin(res.Winner)
 	if res.FellBack {

@@ -17,6 +17,6 @@ func SetAutoPolicy(e *Engine, solo time.Duration, minSamples, raceEvery int) {
 		e.solo = solo
 	}
 	if e.bandit != nil {
-		e.bandit = predict.NewBandit(e.armNames(), predict.BanditOptions{MinSamples: minSamples, RaceEvery: raceEvery})
+		e.bandit = predict.NewBandit(e.arms, predict.BanditOptions{MinSamples: minSamples, RaceEvery: raceEvery})
 	}
 }

@@ -146,12 +146,6 @@ type Counters struct {
 	// PolicyEscalations counts the subset of PolicyRaces forced by a prior
 	// budget-killed solo attempt of the same query class.
 	PolicyEscalations atomic.Int64
-	// ShardedQueries counts dataset queries answered through a sharded
-	// (partitioned) index portfolio.
-	ShardedQueries atomic.Int64
-	// ShardedKilled counts the subset of ShardedQueries that hit the
-	// per-query kill cap.
-	ShardedKilled atomic.Int64
 	// GraphsAdded counts graphs ingested into a mutable dataset engine.
 	GraphsAdded atomic.Int64
 	// GraphsRemoved counts graphs deleted from a mutable dataset engine.
@@ -178,8 +172,6 @@ type CountersSnapshot struct {
 	PolicySolo        int64 `json:"policy_solo"`
 	PolicyRaces       int64 `json:"policy_races"`
 	PolicyEscalations int64 `json:"policy_escalations"`
-	ShardedQueries    int64 `json:"sharded_queries"`
-	ShardedKilled     int64 `json:"sharded_killed"`
 	GraphsAdded       int64 `json:"graphs_added"`
 	GraphsRemoved     int64 `json:"graphs_removed"`
 	GraphsReplaced    int64 `json:"graphs_replaced"`
@@ -202,8 +194,6 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		PolicySolo:        c.PolicySolo.Load(),
 		PolicyRaces:       c.PolicyRaces.Load(),
 		PolicyEscalations: c.PolicyEscalations.Load(),
-		ShardedQueries:    c.ShardedQueries.Load(),
-		ShardedKilled:     c.ShardedKilled.Load(),
 		GraphsAdded:       c.GraphsAdded.Load(),
 		GraphsRemoved:     c.GraphsRemoved.Load(),
 		GraphsReplaced:    c.GraphsReplaced.Load(),

@@ -94,15 +94,18 @@ const (
 // Decision is one planning choice for one query.
 type Decision struct {
 	// Class is the query's traffic class (ClassKey).
-	Class string
+	Class string `json:"class"`
 	// Solo is true when the query should run Arm alone; false means race
 	// the full portfolio.
-	Solo bool
+	Solo bool `json:"solo"`
 	// Arm is the portfolio position to run solo (valid only when Solo).
-	Arm int
+	Arm int `json:"arm"`
+	// ArmName is the solo arm's name, as NewBandit was given it ("Grapes/1",
+	// "GQL-DND"); empty on races.
+	ArmName string `json:"arm_name,omitempty"`
 	// Reason says why: ReasonLearned for solo, ReasonWarmup / ReasonStale /
 	// ReasonEscalated for races.
-	Reason string
+	Reason string `json:"reason"`
 }
 
 // armStats accumulates one arm's evidence within one class.
@@ -219,7 +222,7 @@ func (b *Bandit) Decide(class string) Decision {
 		d.Reason = ReasonWarmup
 		return d
 	}
-	d.Solo, d.Arm, d.Reason = true, best, ReasonLearned
+	d.Solo, d.Arm, d.ArmName, d.Reason = true, best, b.names[best], ReasonLearned
 	return d
 }
 

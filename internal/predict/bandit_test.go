@@ -49,7 +49,7 @@ func TestBanditWarmupRaces(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		d := b.Decide("c")
-		if d.Solo || d.Reason != ReasonWarmup {
+		if d.Solo || d.Reason != ReasonWarmup || d.ArmName != "" {
 			t.Fatalf("decision %d during warmup = %+v, want race/warmup", i, d)
 		}
 		if d.Class != "c" {
@@ -68,7 +68,7 @@ func TestBanditPicksFastestArm(t *testing.T) {
 	b.ObserveRaceWin("c", 0, 10*time.Millisecond)
 	b.ObserveRaceWin("c", 1, time.Millisecond)
 	d := b.Decide("c")
-	if !d.Solo || d.Arm != 1 {
+	if !d.Solo || d.Arm != 1 || d.ArmName != "fast" {
 		t.Fatalf("decision = %+v, want solo arm 1 (the faster arm)", d)
 	}
 	// Solo completions keep refining the estimate; a run of slow solos on

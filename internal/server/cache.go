@@ -16,7 +16,6 @@ type cachedAnswer struct {
 	found      int
 	embeddings []psi.Embedding // NFV answers
 	graphIDs   []int           // FTV answers, ascending
-	ftv        bool            // which of the two answer shapes is populated
 }
 
 // resultCache is the serving layer's shared LRU result cache. It sits in

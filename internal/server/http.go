@@ -375,22 +375,18 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, eng *ps
 	var (
 		res *psi.QueryResult
 		err error
-		ans *cachedAnswer
+		ans = &cachedAnswer{}
 	)
 	if eng.Dataset() != nil {
-		a := &cachedAnswer{ftv: true}
 		res, err = eng.AnswerStream(ctx, q, func(id int) bool {
-			a.graphIDs = append(a.graphIDs, id)
+			ans.graphIDs = append(ans.graphIDs, id)
 			return lw.writeLine(graphIDLine{GraphID: id})
 		})
-		ans = a
 	} else {
-		a := &cachedAnswer{}
 		res, err = eng.QueryStream(ctx, q, req.limit, psi.SinkFunc(func(e psi.Embedding) bool {
-			a.embeddings = append(a.embeddings, e)
+			ans.embeddings = append(ans.embeddings, e)
 			return lw.writeLine(embeddingLine{Embedding: e})
 		}))
-		ans = a
 	}
 	if err != nil {
 		lw.writeLine(StreamSummary{Error: err.Error()})
@@ -432,48 +428,35 @@ func (s *Server) replayAnswer(ctx context.Context, w http.ResponseWriter, req qu
 	if req.stream {
 		lw := newLineWriter(ctx, w)
 		defer lw.release()
-		if ans.ftv {
-			for _, id := range ans.graphIDs {
-				if !lw.writeLine(graphIDLine{GraphID: id}) {
-					return
-				}
+		// An answer holds graph IDs or embeddings, never both.
+		for _, id := range ans.graphIDs {
+			if !lw.writeLine(graphIDLine{GraphID: id}) {
+				return
 			}
-		} else {
-			for _, e := range ans.embeddings {
-				if !lw.writeLine(embeddingLine{Embedding: e}) {
-					return
-				}
+		}
+		for _, e := range ans.embeddings {
+			if !lw.writeLine(embeddingLine{Embedding: e}) {
+				return
 			}
 		}
 		lw.writeLine(StreamSummary{Done: true, Found: ans.found, Winner: ans.winner, Cached: cached, Coalesced: coalesced})
 		return
 	}
-	resp := QueryResponse{
-		Query:     q.Name(),
-		Kind:      ans.kind,
-		Winner:    ans.winner,
-		Found:     ans.found,
-		Cached:    cached,
-		Coalesced: coalesced,
-	}
-	if ans.ftv {
-		resp.GraphIDs = ans.graphIDs
-	} else {
-		resp.Embeddings = ans.embeddings
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, QueryResponse{
+		Query:      q.Name(),
+		Kind:       ans.kind,
+		Winner:     ans.winner,
+		Found:      ans.found,
+		Embeddings: ans.embeddings,
+		GraphIDs:   ans.graphIDs,
+		Cached:     cached,
+		Coalesced:  coalesced,
+	})
 }
 
 // answerFromResult converts a collected execution into a cache entry.
 func answerFromResult(res *psi.QueryResult) *cachedAnswer {
-	a := &cachedAnswer{kind: string(res.Kind), winner: res.Winner, found: res.Found}
-	if res.Kind == psi.PlanFTV {
-		a.ftv = true
-		a.graphIDs = res.GraphIDs
-	} else {
-		a.embeddings = res.Embeddings
-	}
-	return a
+	return &cachedAnswer{kind: string(res.Kind), winner: res.Winner, found: res.Found, embeddings: res.Embeddings, graphIDs: res.GraphIDs}
 }
 
 // StatsResponse is the /stats JSON schema: one consistent snapshot of the
@@ -593,8 +576,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("psi_engine_fallbacks_total", st.Engine.Fallbacks)
 	p("psi_engine_index_races_total", st.Engine.IndexRaces)
 	p("psi_engine_index_attempts_total", st.Engine.IndexAttempts)
-	p("psi_engine_sharded_queries_total", st.Engine.ShardedQueries)
-	p("psi_engine_sharded_killed_total", st.Engine.ShardedKilled)
 	p("psi_engine_policy_solo_total", st.Engine.PolicySolo)
 	p("psi_engine_policy_races_total", st.Engine.PolicyRaces)
 	p("psi_engine_policy_escalations_total", st.Engine.PolicyEscalations)

@@ -150,8 +150,8 @@ func TestKilledShardedQueryNeverCached(t *testing.T) {
 	if st := srv.Stats(); st.ResultCache == nil || st.ResultCache.Entries != 0 {
 		t.Errorf("result cache holds %+v after killed-only traffic, want 0 entries", st.ResultCache)
 	}
-	if c := eng.Counters(); c.ShardedKilled == 0 {
-		t.Errorf("engine counters %+v missing sharded kills", c)
+	if c := eng.Counters(); c.Queries != 3 || c.Killed != 3 || eng.Shards() < 2 {
+		t.Errorf("engine counters %+v on %d shards, want 3 sharded queries, all killed", c, eng.Shards())
 	}
 }
 

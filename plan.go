@@ -4,49 +4,36 @@ package psi
 // or auto, whichever of Mode and IndexPolicy the engine kind reads — and the
 // auto policy's bandit are turned into the arms a query starts, for stored-
 // graph and dataset engines alike. A plan carries what execution or a caller
-// reads of that: the query, its kind, the arms (named by Attempts or
-// Indexes) and the auto policy's decision. Execution (run, launch) lives in
-// execute.go.
+// reads of that: the query, its kind, the labels of the arms it starts and
+// the auto policy's decision. Execution (run, launch) lives in execute.go.
 
 import (
 	"errors"
+	"slices"
 
 	"github.com/psi-graph/psi/internal/predict"
 )
 
-// PlanKind says how Execute will run a planned query.
+// PlanKind says how a plan launches its arms, on either engine kind: a
+// stored graph's attempts or a dataset's verifiers.
 type PlanKind string
 
 const (
-	// PlanRace races the full attempt portfolio.
+	// PlanRace races every arm of the portfolio.
 	PlanRace PlanKind = "race"
-	// PlanPredicted runs only the auto policy's learned-best attempt, with
-	// a full race as fallback if it overruns the solo budget.
+	// PlanPredicted runs only the auto policy's learned-best arm, with a
+	// race of every arm as fallback if it overruns the solo budget.
 	PlanPredicted PlanKind = "predicted"
-	// PlanFixed runs a fixed single attempt with no fallback.
+	// PlanFixed runs the portfolio's first arm alone, with no fallback.
 	PlanFixed PlanKind = "fixed"
-	// PlanFTV answers a containment query through the engine's
-	// filter-then-verify pipeline.
-	PlanFTV PlanKind = "ftv"
 )
 
-// PolicyDecision reports how the auto policy planned one query: the
-// query's traffic class, whether it runs one learned arm solo or races the
-// full portfolio, and why. Carried on Plan.Decision and QueryResult.Policy
-// for engines under ModeAuto / IndexAuto, nil everywhere else.
-type PolicyDecision struct {
-	// Class is the query's traffic class (log-bucketed size/shape key).
-	Class string `json:"class"`
-	// Solo is true when one arm runs alone; false means a full race.
-	Solo bool `json:"solo"`
-	// Arm is the portfolio position of the solo arm (valid when Solo).
-	Arm int `json:"arm"`
-	// ArmName labels the solo arm ("Grapes/1", "GQL-DND"); empty on races.
-	ArmName string `json:"arm_name,omitempty"`
-	// Reason says why: "learned" for solo; "warmup", "stale" or
-	// "escalated" for races.
-	Reason string `json:"reason"`
-}
+// PolicyDecision reports how the auto policy planned one query: the query's
+// traffic class, whether it runs one learned arm solo (Arm, labelled
+// ArmName) or races the full portfolio, and why. Carried on Plan.Decision
+// and QueryResult.Policy for engines under ModeAuto / IndexAuto, nil
+// everywhere else.
+type PolicyDecision = predict.Decision
 
 // PolicySnapshot is a point-in-time copy of an auto-policy engine's learned
 // state: observed class count, pending escalations, per-arm evidence.
@@ -81,34 +68,18 @@ const (
 	launchAuto
 )
 
-// decide runs the bandit for one query, translating the policy's verdict
-// into the exported decision record.
-func (e *Engine) decide(q *Graph) *PolicyDecision {
-	d := e.bandit.Decide(predict.ClassKey(q))
-	pd := &PolicyDecision{Class: d.Class, Solo: d.Solo, Arm: d.Arm, Reason: d.Reason}
-	if d.Solo {
-		if e.g != nil {
-			pd.ArmName = e.attempts[d.Arm].Label()
-		} else {
-			pd.ArmName = e.verifiers[d.Arm].Name()
-		}
-	}
-	return pd
-}
-
 // Plan is an executable query plan produced by Engine.Plan. Plans are
 // cheap, single-use value carriers: planning touches no stored-graph data,
 // only the query's O(|q|) class key.
 type Plan struct {
 	// Query is the planned query graph.
 	Query *Graph
-	// Kind is the selected execution strategy.
+	// Kind is how the plan launches its arms.
 	Kind PlanKind
-	// Attempts are the contenders Execute will run (NFV plans).
-	Attempts []Attempt
-	// Indexes names the engine's verifiers, in the order of the names that
-	// selected them (PlanFTV plans only).
-	Indexes []string
+	// Arms labels the arms the plan starts, in portfolio order: a stored
+	// graph's attempts ("GQL-DND") or a dataset's verifiers ("Grapes/1"),
+	// the latter in the order of the names that selected them.
+	Arms []string
 	// Decision is the auto policy's solo-vs-race verdict for this query
 	// (ModeAuto / IndexAuto engines only, nil otherwise); its Arm is the
 	// solo pick of a PlanPredicted plan.
@@ -122,9 +93,8 @@ type Plan struct {
 
 // Plan selects the arms q starts with under the engine's launch policy: the
 // whole portfolio, its fixed first arm, or — under the auto policy, once the
-// query's class has warmed up — the learned arm alone. For a stored-graph
-// engine the arms are attempts (Kind and Attempts say which); for a dataset
-// engine they are the verifiers each candidate of the PlanFTV pipeline races.
+// query's class has warmed up — the learned arm alone. The arms are a stored
+// graph's attempts or the verifiers each candidate of a dataset races.
 func (e *Engine) Plan(q *Graph) (*Plan, error) {
 	if q == nil {
 		return nil, errors.New("psi: Plan requires a query graph")
@@ -134,31 +104,26 @@ func (e *Engine) Plan(q *Graph) (*Plan, error) {
 	case launchFirst:
 		p.Kind, p.arms = PlanFixed, []int{0}
 	case launchAuto:
-		p.Decision = e.decide(q)
-		if p.Decision.Solo {
-			p.Kind, p.arms = PlanPredicted, []int{p.Decision.Arm}
+		d := e.bandit.Decide(predict.ClassKey(q))
+		if p.Decision = &d; d.Solo {
+			p.Kind, p.arms = PlanPredicted, []int{d.Arm}
 		}
 	}
-	if e.g == nil {
-		p.Kind = PlanFTV
-		p.Indexes = e.armNames()
-		return p, nil
-	}
-	// The plan is a public value: never alias the engine's portfolio,
-	// which a caller could then mutate under every future query.
-	p.Attempts = append([]Attempt(nil), e.attemptsOf(p.arms)...)
+	// The plan is a public value: never alias the engine's labels, which a
+	// caller could then mutate under every future query.
+	p.Arms = slices.Clone(pick(e.arms, p.arms))
 	return p, nil
 }
 
-// attemptsOf resolves arms (portfolio positions; nil means every arm) to the
-// stored-graph engine's attempts.
-func (e *Engine) attemptsOf(arms []int) []Attempt {
+// pick resolves arms (portfolio positions; nil means every arm) to the
+// members of all at those positions.
+func pick[T any](all []T, arms []int) []T {
 	if arms == nil {
-		return e.attempts
+		return all
 	}
-	out := make([]Attempt, len(arms))
+	out := make([]T, len(arms))
 	for i, a := range arms {
-		out[i] = e.attempts[a]
+		out[i] = all[a]
 	}
 	return out
 }

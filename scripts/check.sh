@@ -289,13 +289,18 @@ echo "== psiquery smoke (-mode on a dataset) =="
 # psiquery over the serve smoke's dataset and query, the CLI's only run here:
 # a dataset engine reads its launch policy from the index policy, so -mode
 # single must reach it and leave the first -index name's verifier answering
-# every query alone, with the graph IDs -mode race finds.
+# every query alone, as a "fixed" launch, with the graph IDs -mode race finds
+# as a "race" launch.
 go build -o "$tmpdir/psiquery" ./cmd/psiquery
 ids() { sed -n 's/.*"graph_ids":\[\([^]]*\)\].*/\1/p'; }
 single=$("$tmpdir/psiquery" -data "$tmpdir/ds.txt" -queries "$tmpdir/q.txt" -index ftv,grapes -mode single -json)
 raced=$("$tmpdir/psiquery" -data "$tmpdir/ds.txt" -queries "$tmpdir/q.txt" -index ftv,grapes -mode race -json)
-if [ -z "$single" ] || echo "$single" | grep -qv '"winner":"FTV"'; then
-    echo "psiquery smoke: -mode single did not leave the FTV verifier answering alone: $single" >&2
+if [ -z "$single" ] || echo "$single" | grep -qv '"kind":"fixed".*"winner":"FTV"'; then
+    echo "psiquery smoke: -mode single did not launch the FTV verifier alone: $single" >&2
+    exit 1
+fi
+if [ -z "$raced" ] || echo "$raced" | grep -qv '"kind":"race"'; then
+    echo "psiquery smoke: -mode race did not launch a race: $raced" >&2
     exit 1
 fi
 [ "$(echo "$single" | ids)" = "$(echo "$raced" | ids)" ] || {
