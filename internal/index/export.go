@@ -76,7 +76,8 @@ func Restore(kind string, ds []*graph.Graph, maxPathLen int, opts Options, feats
 // locations in the export's canonical order and searches them by it — and
 // located verification indexes a bitset of the graph's vertices by its
 // locations — so a file that breaks the order or the bounds is rejected here
-// rather than answered from wrongly.
+// rather than answered from wrongly. So is a count below 1: a posting says a
+// graph holds the feature, which no extraction records zero or fewer times.
 func CheckFeatures(kind string, ds []*graph.Graph, feats []ExportedFeature) ([]ExportedFeature, error) {
 	if err := checkKind(kind); err != nil {
 		return nil, err
@@ -91,6 +92,9 @@ func CheckFeatures(kind string, ds []*graph.Graph, feats []ExportedFeature) ([]E
 			}
 			if j > 0 && f.Postings[j-1].GraphID >= p.GraphID {
 				return nil, fmt.Errorf("index: restoring %q: feature %d postings not ascending by graph ID", kind, i)
+			}
+			if p.Count < 1 {
+				return nil, fmt.Errorf("index: restoring %q: feature %d holds count %d for graph %d, want at least 1", kind, i, p.Count, p.GraphID)
 			}
 			// A zero-vertex graph with postings is a tombstoned slot's
 			// placeholder under a mutable store's snapshot: the table
@@ -229,7 +233,6 @@ func RestorePath(kind string, ds []*graph.Graph, maxPathLen int, opts Options, f
 		x.entries = append(x.entries, pathEntry{
 			listEnd: slabOffset(nBytes - len(rest)),
 			postEnd: x.postingCount() + uint32(l.n),
-			next:    l.next,
 		})
 	}
 	x.finish(time.Since(start), opts.Pool)

@@ -8,9 +8,11 @@ package index_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/psi-graph/psi/internal/difftest"
@@ -168,7 +170,8 @@ func TestExportUnsupportedKind(t *testing.T) {
 // TestRestoreRejectsMalformedFeatures: the indexes search features, postings
 // and locations by their canonical order and Grapes indexes a per-graph
 // bitset by its locations, so Restore refuses input that breaks the order or
-// the bounds instead of answering (or panicking) from it later.
+// the bounds instead of answering (or panicking) from it later — and a count
+// below 1, which no extraction records, naming the feature that holds it.
 func TestRestoreRejectsMalformedFeatures(t *testing.T) {
 	ds := difftest.Random(rand.New(rand.NewSource(3)), 5, 8, 2)
 	x := buildTable(t, "grapes", ds, index.Options{MaxPathLen: 3})
@@ -185,31 +188,38 @@ func TestRestoreRejectsMalformedFeatures(t *testing.T) {
 	cases := []struct {
 		name    string
 		corrupt func(feats []index.ExportedFeature, f *index.ExportedFeature)
+		want    string // in the error, when set
 	}{
 		{"feature order", func(feats []index.ExportedFeature, _ *index.ExportedFeature) {
 			feats[at-1], feats[at] = feats[at], feats[at-1]
-		}},
+		}, ""},
 		{"posting order", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
 			f.Postings[0], f.Postings[1] = f.Postings[1], f.Postings[0]
-		}},
+		}, ""},
 		{"graph ID range", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
 			f.Postings[len(f.Postings)-1].GraphID = len(ds)
-		}},
+		}, ""},
 		{"location beyond the graph", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
 			locs := f.Postings[0].Locations
 			locs[len(locs)-1] = n
-		}},
+		}, ""},
 		{"negative location", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
 			f.Postings[0].Locations[0] = -1
-		}},
+		}, ""},
 		{"location order", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
 			locs := f.Postings[0].Locations
 			locs[0], locs[1] = locs[1], locs[0]
-		}},
+		}, ""},
 		{"duplicate location", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
 			locs := f.Postings[0].Locations
 			locs[1] = locs[0]
-		}},
+		}, ""},
+		{"zero count", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
+			f.Postings[1].Count = 0
+		}, fmt.Sprintf("feature %d holds count 0", at)},
+		{"negative count", func(_ []index.ExportedFeature, f *index.ExportedFeature) {
+			f.Postings[1].Count = -1
+		}, fmt.Sprintf("feature %d holds count -1", at)},
 	}
 	for _, tc := range cases {
 		feats := make([]index.ExportedFeature, len(good))
@@ -222,6 +232,8 @@ func TestRestoreRejectsMalformedFeatures(t *testing.T) {
 		tc.corrupt(feats, &feats[at])
 		if _, err := index.Restore("grapes", ds, maxLen, index.Options{}, feats); err == nil {
 			t.Errorf("%s: Restore accepted the corrupted features", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Restore refused with %q, want it to say %q", tc.name, err, tc.want)
 		}
 	}
 	if _, err := index.Restore("grapes", ds, maxLen, index.Options{}, good); err != nil {

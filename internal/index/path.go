@@ -22,7 +22,7 @@ package index
 // end per sequence. A table keeps no labels of its own, only a presence
 // bitmap over the directory's positions marking the sequences it indexes
 // (with a running count per 64-bit word, so that a rank is one popcount),
-// one 12-byte entry per indexed sequence holding no pointer, in directory
+// one 8-byte entry per indexed sequence holding no pointer, in directory
 // order — entry i belongs to the i-th set bit — and every packed posting list
 // back to back. A sequence's list runs from where the previous entry's list
 // ends to where its own does, and its postings from the previous entry's
@@ -84,12 +84,13 @@ type Path struct {
 }
 
 // pathEntry is one indexed sequence: where its list ends in the posting slab,
-// how many postings the table holds up to the end of its list, and the list's
-// next base (PostingList.next). A posting takes two bytes at least, so a count
-// of postings fits wherever the slab's offsets do.
+// and how many postings the table holds up to the end of its list. A posting
+// takes one byte at least, so postEnd ≤ listEnd and a count of postings fits
+// wherever the slab's offsets do. The list's base for a further posting
+// (PostingList.next) is not kept: only an insert needs it, and reads it off
+// the list's last block.
 type pathEntry struct {
 	listEnd, postEnd uint32
-	next             int32
 }
 
 // slabOffset is a slab length as an entry's offset; a slab longer than an
@@ -125,7 +126,25 @@ func (d *PathDirectory) seq(i int) []graph.Label {
 // find returns the position of a label sequence in the directory: where it
 // is, or where it would go.
 func (d *PathDirectory) find(labels []graph.Label) (int, bool) {
-	lo, hi := 0, len(d.ends)
+	return d.search(labels, 0, len(d.ends))
+}
+
+// findFrom is find for a sequence that goes at or after position from, as an
+// insert's features, taken in canonical order, do one after another: the
+// step from there doubles until it passes the sequence, so a sequence k
+// positions on costs about 2·log₂ k comparisons rather than log₂ of the
+// directory.
+func (d *PathDirectory) findFrom(from int, labels []graph.Label) (int, bool) {
+	lo, hi := from, from
+	for step := 1; hi < len(d.ends) && CompareLabelSeqs(d.seq(hi), labels) < 0; step *= 2 {
+		lo, hi = hi+1, hi+step
+	}
+	return d.search(labels, lo, min(hi, len(d.ends)))
+}
+
+// search is find over the positions [lo, hi), where the sequence goes: every
+// one before lo sorts before it, and the one at hi, if any, not.
+func (d *PathDirectory) search(labels []graph.Label, lo, hi int) (int, bool) {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if CompareLabelSeqs(d.seq(mid), labels) < 0 {
@@ -316,7 +335,6 @@ func FoldPath(kind string, ds []*graph.Graph, ex Extraction, opts Options) *Path
 		x.entries = append(x.entries, pathEntry{
 			listEnd: slabOffset(nBytes - len(rest)),
 			postEnd: x.postingCount() + uint32(sizes[s].n),
-			next:    sizes[s].next,
 		})
 	})
 	located := kind == KindGrapes
@@ -448,11 +466,12 @@ func (x *Path) start(i int) (listFrom, postFrom uint32) {
 	return e.listEnd, e.postEnd
 }
 
-// listOf returns entry i's posting list, a view of the slab.
+// listOf returns entry i's posting list, a view of the slab without its base
+// for a further posting (PostingList.tail).
 func (x *Path) listOf(i int) PostingList {
 	from, first := x.start(i)
 	e := x.entries[i]
-	return PostingList{data: x.postings[from:e.listEnd:e.listEnd], n: int32(e.postEnd - first), next: e.next}
+	return PostingList{data: x.postings[from:e.listEnd:e.listEnd], n: int32(e.postEnd - first)}
 }
 
 // refsOf returns the location references of entry i's postings, a view of the
@@ -628,7 +647,8 @@ func (x *Path) cursor(feats []ftv.QueryFeature) featureCursor {
 // append. Only the new
 // graph's features are extracted, and a walk of the trie their extraction
 // grew puts them in canonical order. A first pass places each in the directory
-// by binary search and sizes the result; one merge pass then writes the new
+// by a search from the previous one's place (findFrom) and sizes the result,
+// reading the base of each list it will extend off the list's last block; one merge pass then writes the new
 // entries and posting slab, copying each run of untouched lists whole and
 // each touched list with the new posting appended — the appended graph has
 // the largest ID, so lists stay ascending. The directory is kept whenever it
@@ -654,15 +674,20 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (*Path, error) {
 	id := int32(len(x.ds))
 	// order is f's features in canonical order, and place[k] is where feature
 	// order[k] is in the directory: p when it is the directory's sequence p,
-	// ^p when the directory lacks it and it goes before sequence p.
+	// ^p when the directory lacks it and it goes before sequence p. base[k] is
+	// the base for a further posting of the list feature order[k] extends
+	// (PostingList.tail), read once; one allocation holds both.
 	order := f.Canonical()
-	place := make([]int, len(order))
+	buf := make([]int, 2*len(order))
+	place, base := buf[:len(order):len(order)], buf[len(order):]
 	absent, absentLabels, fresh, listBytes := 0, 0, 0, len(x.postings)
 	var seq [ftv.DefaultMaxPathLen + 1]graph.Label
 	labels := seq[:0]
+	from := 0
 	for k, i := range order {
 		labels = f.AppendLabels(labels[:0], int(i))
-		p, ok := x.dir.find(labels)
+		p, ok := x.dir.findFrom(from, labels)
+		from = p
 		var z listSize
 		switch {
 		case !ok:
@@ -672,7 +697,8 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (*Path, error) {
 			fresh++
 		case x.has.test(p):
 			l := x.listOf(x.has.rank(p))
-			z = l.size()
+			l.next = l.tail()
+			z, base[k] = l.size(), int(l.next)
 			listBytes -= l.Bytes()
 		default:
 			fresh++
@@ -727,12 +753,12 @@ func (x *Path) WithGraph(ctx context.Context, g *graph.Graph) (*Path, error) {
 		done = at
 		if indexed {
 			l, done = x.listOf(at), at+1
+			l.next = int32(base[k])
 		}
 		nx.postings, l = l.appendWith(nx.postings, id, f.Count(int(order[k])))
 		nx.entries = append(nx.entries, pathEntry{
 			listEnd: slabOffset(len(nx.postings)),
 			postEnd: nx.postingCount() + uint32(l.n),
-			next:    l.next,
 		})
 	}
 	nx.copyEntries(x, done, len(x.entries))

@@ -8,11 +8,11 @@ import (
 )
 
 // TestPathEntryLayout pins what a feature costs the flat index beyond its
-// bit in the presence bitmap and its postings: one entry of 12 bytes with no
+// bit in the presence bitmap and its postings: one entry of 8 bytes with no
 // pointer in it (the labels live in the shared directory).
 func TestPathEntryLayout(t *testing.T) {
-	if size := unsafe.Sizeof(pathEntry{}); size > 12 {
-		t.Errorf("pathEntry is %d bytes, want at most 12", size)
+	if size := unsafe.Sizeof(pathEntry{}); size > 8 {
+		t.Errorf("pathEntry is %d bytes, want at most 8", size)
 	}
 	entry := reflect.TypeFor[pathEntry]()
 	for i := range entry.NumField() {

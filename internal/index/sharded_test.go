@@ -56,7 +56,7 @@ func TestShardedBuildShape(t *testing.T) {
 	if sum := st.Shards[0].Features + st.Shards[1].Features; sum != st.Features {
 		t.Errorf("aggregate Features = %d, want per-shard sum %d", st.Features, sum)
 	}
-	if n, bytes := st.Shards[0].Postings+st.Shards[1].Postings, st.Shards[0].PostingBytes+st.Shards[1].PostingBytes; n != st.Postings || bytes != st.PostingBytes || n == 0 || bytes < 2*n {
+	if n, bytes := st.Shards[0].Postings+st.Shards[1].Postings, st.Shards[0].PostingBytes+st.Shards[1].PostingBytes; n != st.Postings || bytes != st.PostingBytes || n == 0 || bytes < n {
 		t.Errorf("aggregate postings = %d in %d bytes, per-shard sums %d in %d", st.Postings, st.PostingBytes, n, bytes)
 	}
 

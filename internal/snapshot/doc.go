@@ -19,8 +19,8 @@
 // model layer then re-validates shape (array lengths must agree across
 // sections) and structure (every graph passes graph.FromCSR's full
 // invariant check; index.Restore rejects features, postings or locations
-// that are out of canonical order or out of bounds) before any index is
-// built from them.
+// that are out of canonical order or out of bounds, and posting counts below
+// 1) before any index is built from them.
 //
 // # The mmap-forward contract
 //

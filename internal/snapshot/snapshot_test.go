@@ -7,6 +7,7 @@ package snapshot
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -386,29 +387,41 @@ func TestLoadShapeValidation(t *testing.T) {
 	s["ix/ftv/0/loclens"] = encI32s([]int32{0})
 	expectLoadError(t, "gid range", s, "out of range")
 
+	// One two-vertex graph and one feature with one posting in it.
+	onePosting := func(count int32) map[string][]byte {
+		s := base()
+		var names buf
+		names.u64(1)
+		names.str("g")
+		s["ds/names"] = names.b
+		s["ds/nverts"] = encI32s([]int32{2})
+		s["ds/labels"] = encI32s([]int32{0, 0})
+		s["ds/offsets"] = encI32s([]int32{0, 1, 2})
+		s["ds/nbrs"] = encI32s([]int32{1, 0})
+		s["ds/elabs"] = encI32s([]int32{0, 0})
+		s["ix/ftv/0/featlens"] = encI32s([]int32{1})
+		s["ix/ftv/0/featlabels"] = encI32s([]int32{0})
+		s["ix/ftv/0/postlens"] = encI32s([]int32{1})
+		s["ix/ftv/0/postgids"] = encI32s([]int32{0})
+		s["ix/ftv/0/postcnts"] = encI32s([]int32{count})
+		s["ix/ftv/0/loclens"] = encI32s([]int32{0})
+		return s
+	}
+
 	// Location beyond the graph's vertex count.
-	s = base()
-	var names buf
-	names.u64(1)
-	names.str("g")
-	s["ds/names"] = names.b
-	s["ds/nverts"] = encI32s([]int32{2})
-	s["ds/labels"] = encI32s([]int32{0, 0})
-	s["ds/offsets"] = encI32s([]int32{0, 1, 2})
-	s["ds/nbrs"] = encI32s([]int32{1, 0})
-	s["ds/elabs"] = encI32s([]int32{0, 0})
-	s["ix/ftv/0/featlens"] = encI32s([]int32{1})
-	s["ix/ftv/0/featlabels"] = encI32s([]int32{0})
-	s["ix/ftv/0/postlens"] = encI32s([]int32{1})
-	s["ix/ftv/0/postgids"] = encI32s([]int32{0})
-	s["ix/ftv/0/postcnts"] = encI32s([]int32{1})
+	s = onePosting(1)
 	s["ix/ftv/0/loclens"] = encI32s([]int32{1})
 	s["ix/ftv/0/locs"] = encI32s([]int32{7})
 	expectLoadError(t, "location range", s, "location")
 
+	// A posting count no extraction records.
+	for _, count := range []int32{0, -1} {
+		expectLoadError(t, fmt.Sprintf("count %d", count), onePosting(count), fmt.Sprintf("feature 0 holds count %d", count))
+	}
+
 	// A structurally broken graph must be caught by FromCSR.
 	s = base()
-	names = buf{}
+	var names buf
 	names.u64(1)
 	names.str("g")
 	s["ds/names"] = names.b

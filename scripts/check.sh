@@ -57,7 +57,13 @@ go test ./internal/leakcheck -race -count=20 -run TestCheck
 echo "== fuzz (FuzzPostings, 5s) =="
 # Random ascending posting lists and seek sequences against a slice oracle:
 # the packed lists and their one cursor sit under every filter, every Grapes
-# verification and every mutable insert. A failing input is written under
+# verification and every mutable insert. A posting is one head varint,
+# gap<<4 | min(count-1, 15), and only a count past 15 escapes (nibble 15) to
+# a second varint, count-16; the lists are also read back as a table's views,
+# whose base for a further posting comes off the last block. The seeds start
+# at the head's edges: counts 0 and 14-17 either side of the escape, gaps 7
+# and 8 either side of a one-byte head, and 2^17, the largest gap the body
+# draws, whose head takes four bytes. A failing input is written under
 # internal/index/testdata/fuzz and then fails the plain test run as well.
 go test -run='^$' -fuzz=FuzzPostings -fuzztime=5s ./internal/index
 
