@@ -1,6 +1,9 @@
 // Command psiquery runs subgraph queries from files through a psi.Engine,
 // with a single algorithm, a Ψ-framework race, or the learned per-query-class
-// policy.
+// policy. Its engine flags are psiserve's (internal/cli), defaults included
+// (GQL,SPA over Orig,DND, -mode race, -index race): a dataset engine for more
+// than one graph or an explicit -index, else a stored-graph engine. Every
+// flag value is checked before either file is read.
 //
 // NFV (single stored graph): match every query, report embeddings found,
 // winner and time per query.
@@ -27,34 +30,29 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
+	"github.com/psi-graph/psi/internal/cli"
 	"github.com/psi-graph/psi/internal/graph"
 )
 
-// engineFlags are the flag values that configure the engine.
-type engineFlags struct {
-	algos, rewritings, mode, index string
-	workers                        int
-	timeout                        time.Duration
-}
-
 func main() {
-	var f engineFlags
 	var (
+		ef          cli.Flags
 		dataFlag    = flag.String("data", "", "stored graph / dataset file (required)")
 		queriesFlag = flag.String("queries", "", "query file (required)")
 		jsonFlag    = flag.Bool("json", false, "emit one JSON object per query instead of text")
 		limitFlag   = flag.Int("limit", 1000, "max embeddings per query (NFV)")
 	)
-	flag.StringVar(&f.algos, "algos", "GQL", "comma-separated NFV algorithms: GQL,SPA,QSI,VF2")
-	flag.StringVar(&f.rewritings, "rewritings", "Orig", "comma-separated rewritings: Orig,ILF,IND,DND,ILF+IND,ILF+DND")
-	flag.StringVar(&f.mode, "mode", "race", "planning policy: race|single|auto (on a dataset: race, the first -index name's verifier alone, or learned)")
-	flag.StringVar(&f.index, "index", "", "FTV indexes for multi-graph datasets: ftv|grapes|ggsx, a comma list, or race (all)")
-	flag.IntVar(&f.workers, "workers", 1, "Grapes worker count")
-	flag.DurationVar(&f.timeout, "timeout", 10*time.Minute, "per-query kill cap")
+	ef.Register(flag.CommandLine)
 	flag.Parse()
 	if *dataFlag == "" || *queriesFlag == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	cfg, err := ef.Parse(explicit)
+	if err != nil {
+		fatal(err)
 	}
 	ds, err := readFile(*dataFlag)
 	if err != nil {
@@ -67,52 +65,12 @@ func main() {
 	if len(ds) == 0 {
 		fatal(fmt.Errorf("dataset %s is empty", *dataFlag))
 	}
-	eng, err := newEngine(ds, f)
+	eng, err := cfg.NewEngine(ds)
 	if err != nil {
 		fatal(err)
 	}
 	defer eng.Close()
-	if eng.Graph() != nil {
-		runQueries(eng, queries, 0, *limitFlag, *jsonFlag)
-	} else {
-		runQueries(eng, queries, len(ds), 0, *jsonFlag)
-	}
-}
-
-// datasetPolicy is the index policy that spells each -mode on a dataset,
-// whose engine reads IndexPolicy, not Mode.
-var datasetPolicy = map[psi.Mode]string{psi.ModeRace: psi.IndexRace, psi.ModeSingle: psi.IndexFixed, psi.ModeAuto: psi.IndexAuto}
-
-// newEngine builds the engine the flags describe over ds: a dataset engine
-// for several graphs or any -index, else a stored-graph engine over the one.
-func newEngine(ds []*graph.Graph, f engineFlags) (*psi.Engine, error) {
-	rewritings, err := psi.ParseRewritings(f.rewritings)
-	if err != nil {
-		return nil, err
-	}
-	mode, err := psi.ParseMode(f.mode)
-	if err != nil {
-		return nil, err
-	}
-	indexes, err := psi.ParseIndexSpec(f.index)
-	if err != nil {
-		return nil, err
-	}
-	opts := psi.EngineOptions{
-		Rewritings:   rewritings,
-		Timeout:      f.timeout,
-		Indexes:      indexes,
-		IndexWorkers: f.workers,
-	}
-	if len(ds) > 1 || f.index != "" {
-		opts.IndexPolicy = datasetPolicy[mode]
-		return psi.NewDatasetEngine(ds, opts)
-	}
-	opts.Mode = mode
-	if opts.Algorithms, err = psi.ParseAlgorithms(f.algos); err != nil {
-		return nil, err
-	}
-	return psi.NewEngine(ds[0], opts)
+	runQueries(eng, queries, *limitFlag, *jsonFlag)
 }
 
 // queryReport is the -json output schema, one object per line per query.
@@ -129,9 +87,10 @@ type queryReport struct {
 	Error      string          `json:"error,omitempty"`
 }
 
-// runQueries plans and executes every query on the engine; datasetSize > 0
-// marks the FTV formatting path.
-func runQueries(eng *psi.Engine, queries []*graph.Graph, datasetSize, limit int, asJSON bool) {
+// runQueries plans and executes every query on the engine; a dataset engine
+// ignores the limit and prints the containing graphs.
+func runQueries(eng *psi.Engine, queries []*graph.Graph, limit int, asJSON bool) {
+	datasetSize := len(eng.Dataset())
 	out := json.NewEncoder(os.Stdout)
 	for _, q := range queries {
 		res, err := eng.Query(context.Background(), q, limit)

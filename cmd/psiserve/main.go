@@ -16,6 +16,11 @@
 //	     alone; on one stored graph the arms are the -algos × -rewritings
 //	     attempts.)
 //
+// The engine flags are psiquery's (internal/cli), defaults included (GQL,SPA
+// over Orig,DND, -mode race, -index race): a dataset engine for more than one
+// graph or an explicit -index, else a stored-graph engine. Every flag value
+// is checked before the dataset is loaded.
+//
 // Concurrent identical queries are coalesced: overlapping requests for the
 // same canonical query share one engine execution and every client gets the
 // full answer, marked coalesced:true. A request carrying ?cache=0 forces
@@ -77,6 +82,7 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
+	"github.com/psi-graph/psi/internal/cli"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/server"
@@ -95,49 +101,37 @@ func main() {
 		cacheFlag    = flag.Int("cache", 256, "server result-cache entries (negative disables)")
 		limitFlag    = flag.Int("limit", 1000, "default embedding limit per query")
 		drainFlag    = flag.Duration("drain", 10*time.Second, "graceful-drain grace before stragglers are cancelled")
-		ef           engineFlags
+		ef           cli.Flags
 	)
-	flag.StringVar(&ef.algos, "algos", "GQL,SPA", "NFV algorithms: GQL,SPA,QSI,VF2")
-	flag.StringVar(&ef.rewritings, "rewritings", "Orig,DND", "raced rewritings: Orig,ILF,IND,DND,ILF+IND,ILF+DND")
-	flag.StringVar(&ef.mode, "mode", "race", "launch policy: race|single|auto (single on a dataset: the first -index name's verifier)")
-	flag.StringVar(&ef.index, "index", "race", "dataset indexes: ftv|grapes|ggsx, a comma list, or race (all)")
-	flag.BoolVar(&ef.mutable, "mutable", false, "accept online mutations (POST/DELETE/PUT /graphs); the engine builds in the background")
-	flag.IntVar(&ef.compactEvery, "compact-every", 0, "per-shard tombstone count that triggers compaction (0: default)")
-	flag.IntVar(&ef.shards, "shards", 1, "dataset shards per index (round-robin partition; answers identical at any K)")
-	flag.IntVar(&ef.workers, "workers", 1, "Grapes verification worker count")
-	flag.DurationVar(&ef.timeout, "timeout", 10*time.Minute, "per-query kill cap (the engine budget)")
-	flag.StringVar(&ef.snapshot, "snapshot", "", "snapshot file: cold-start from it when present (no -data/-gen needed), save to it after a fresh build; POST /snapshot re-saves")
+	ef.Register(flag.CommandLine)
+	flag.BoolVar(&ef.Mutable, "mutable", false, "accept online mutations (POST/DELETE/PUT /graphs); the engine builds in the background")
+	flag.IntVar(&ef.CompactEvery, "compact-every", 0, "per-shard tombstone count that triggers compaction (0: default)")
+	flag.IntVar(&ef.Shards, "shards", 1, "dataset shards per index (round-robin partition; answers identical at any K)")
+	flag.StringVar(&ef.Snapshot, "snapshot", "", "snapshot file: cold-start from it when present (no -data/-gen needed), save to it after a fresh build; POST /snapshot re-saves")
 	flag.Parse()
 	// Flags the user actually set, as opposed to defaults: the snapshot
 	// carries its own shard count and index portfolio, so on a cold start
 	// only explicit flags are forwarded (and must then agree with the file).
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	snapExists := false
-	if ef.snapshot != "" {
-		if _, err := os.Stat(ef.snapshot); err == nil {
-			snapExists = true
-		}
+	// Every flag value is checked here, before any dataset is loaded or
+	// index built.
+	cfg, err := ef.Parse(explicit)
+	if err != nil {
+		fatal(err)
 	}
+
+	_, statErr := os.Stat(ef.Snapshot)
+	snapExists := ef.Snapshot != "" && statErr == nil
 	var ds []*graph.Graph
 	if !snapExists {
-		var err error
 		ds, err = loadDataset(*dataFlag, *genFlag, *scaleFlag, *seedFlag)
 		if err != nil {
 			fatal(err)
 		}
-		if ef.mutable && len(ds) < 2 {
-			fatal(errors.New("-mutable requires a dataset of more than one graph"))
+		if _, dataset := cfg.Options(len(ds)); !dataset && (ef.Mutable || ef.Snapshot != "") {
+			fatal(errors.New("-mutable and -snapshot require a dataset engine (more than one graph, or an explicit -index)"))
 		}
-		if ef.snapshot != "" && len(ds) < 2 {
-			fatal(errors.New("-snapshot requires a dataset engine (more than one graph)"))
-		}
-	}
-	// Every flag value is checked here, before any index is built or loaded.
-	opts, err := engineOptions(ef, explicit, len(ds))
-	if err != nil {
-		fatal(err)
 	}
 
 	srv := server.NewBuilding(server.Options{
@@ -145,7 +139,7 @@ func main() {
 		DefaultLimit:   *limitFlag,
 		RequestTimeout: *reqTimeout,
 		CacheSize:      *cacheFlag,
-		SnapshotPath:   ef.snapshot,
+		SnapshotPath:   ef.Snapshot,
 	})
 	defer func() {
 		if eng := srv.Engine(); eng != nil {
@@ -155,20 +149,20 @@ func main() {
 	buildErr := make(chan error, 1)
 	build := func(announce bool) {
 		start := time.Now()
-		eng, err := newEngine(ds, opts)
+		eng, err := cfg.NewEngine(ds)
 		if err != nil {
 			buildErr <- err
 			return
 		}
 		if snapExists {
-			fmt.Fprintf(os.Stderr, "psiserve: cold-started from %s in %v\n", ef.snapshot, time.Since(start).Round(time.Millisecond))
-		} else if ef.snapshot != "" {
-			if err := eng.SaveSnapshot(ef.snapshot); err != nil {
+			fmt.Fprintf(os.Stderr, "psiserve: cold-started from %s in %v\n", ef.Snapshot, time.Since(start).Round(time.Millisecond))
+		} else if ef.Snapshot != "" {
+			if err := eng.SaveSnapshot(ef.Snapshot); err != nil {
 				eng.Close()
 				buildErr <- fmt.Errorf("saving initial snapshot: %w", err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "psiserve: snapshot saved to %s\n", ef.snapshot)
+			fmt.Fprintf(os.Stderr, "psiserve: snapshot saved to %s\n", ef.Snapshot)
 		}
 		srv.SetEngine(eng)
 		if announce {
@@ -176,7 +170,7 @@ func main() {
 		}
 		buildErr <- nil
 	}
-	if ef.mutable {
+	if ef.Mutable {
 		// A mutable server listens first and builds in the background, so
 		// readiness probes see "building" instead of connection refusals.
 		go build(true)
@@ -280,80 +274,6 @@ func loadDataset(path, genKind, scaleName string, seed int64) ([]*graph.Graph, e
 	return nil, fmt.Errorf("unknown -gen kind %q", genKind)
 }
 
-// engineFlags are the parsed flags that shape the engine (the rest shape the
-// server around it).
-type engineFlags struct {
-	algos, rewritings, mode       string
-	index                         string
-	shards, workers, compactEvery int
-	timeout                       time.Duration
-	mutable                       bool
-	snapshot                      string
-}
-
-// engineOptions maps the flags onto the engine's options for a dataset of the
-// given size, checking every value whether or not this dataset shape reads
-// it. -mode applies to every shape. One graph is a stored-graph (NFV) engine:
-// -algos applies and the index flags do not; more is a dataset (FTV) engine,
-// the reverse, with -mode spelt as its index policy. No graphs
-// is a cold start from -snapshot: the file carries the dataset, the index
-// portfolio and the shard count, so -index and -shards are forwarded only
-// when the user set them (explicit) — the engine then insists they agree with
-// the file rather than silently rebuilding.
-func engineOptions(f engineFlags, explicit map[string]bool, graphs int) (psi.EngineOptions, error) {
-	rewritings, err := psi.ParseRewritings(f.rewritings)
-	if err != nil {
-		return psi.EngineOptions{}, err
-	}
-	mode, err := psi.ParseMode(f.mode)
-	if err != nil {
-		return psi.EngineOptions{}, err
-	}
-	algos, err := psi.ParseAlgorithms(f.algos)
-	if err != nil {
-		return psi.EngineOptions{}, err
-	}
-	indexes, err := psi.ParseIndexSpec(f.index)
-	if err != nil {
-		return psi.EngineOptions{}, err
-	}
-	opts := psi.EngineOptions{
-		Rewritings:   rewritings,
-		Timeout:      f.timeout,
-		IndexWorkers: f.workers,
-	}
-	if graphs == 1 {
-		opts.Algorithms, opts.Mode = algos, mode
-		return opts, nil
-	}
-	opts.IndexPolicy = datasetPolicy[mode]
-	opts.Mutable = f.mutable
-	opts.CompactEvery = f.compactEvery
-	if graphs == 0 {
-		opts.Snapshot = f.snapshot
-	}
-	if graphs > 0 || explicit["index"] {
-		opts.Indexes = indexes
-	}
-	if graphs > 0 || explicit["shards"] {
-		opts.Shards = f.shards
-	}
-	return opts, nil
-}
-
-// datasetPolicy is the index policy that spells each -mode on a dataset,
-// whose engine reads IndexPolicy, not Mode.
-var datasetPolicy = map[psi.Mode]string{psi.ModeRace: psi.IndexRace, psi.ModeSingle: psi.IndexFixed, psi.ModeAuto: psi.IndexAuto}
-
-// newEngine constructs the NFV or FTV engine the dataset shape calls for; a
-// nil dataset is a cold start, and opts.Snapshot carries it.
-func newEngine(ds []*graph.Graph, opts psi.EngineOptions) (*psi.Engine, error) {
-	if len(ds) == 1 {
-		return psi.NewEngine(ds[0], opts)
-	}
-	return psi.NewDatasetEngine(ds, opts)
-}
-
 func describe(eng *psi.Engine) string {
 	if ds := eng.Dataset(); ds != nil {
 		st := eng.IndexStats()[0]
@@ -361,8 +281,8 @@ func describe(eng *psi.Engine) string {
 		if k := eng.Shards(); k > 1 {
 			sharding = fmt.Sprintf(", shards=%d", k)
 		}
-		return fmt.Sprintf("FTV: %d graphs, policy=%s%s, %s table (%d postings, %d bytes)",
-			len(ds), eng.IndexPolicy(), sharding, st.Kind, st.Postings, st.PostingBytes)
+		return fmt.Sprintf("FTV: %d graphs, mode=%s%s, %s table (%d postings, %d bytes)",
+			len(ds), eng.Mode(), sharding, st.Kind, st.Postings, st.PostingBytes)
 	}
 	return fmt.Sprintf("NFV: %d vertices, mode=%s", eng.Graph().N(), eng.Mode())
 }

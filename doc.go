@@ -83,9 +83,11 @@
 // each written once in the root package: the per-query budget (runBudgeted:
 // a query that hits the cap comes back Killed, not as an error, on every
 // entry point), the launch of a plan's arms (launch: Mode and IndexPolicy are
-// one policy — race, first or auto — that Plan turns into one PlanKind and
-// the labels of the arms it starts, on either engine kind) and
-// solo→escalate (soloFirst).
+// two spellings of one policy — race, first or auto — that resolveLaunch
+// reads once per engine, each kind its own field, over the engine's arms,
+// that Engine.Mode reports, and that Plan turns into one PlanKind and the
+// labels of the arms it starts, on either engine kind) and solo→escalate
+// (soloFirst).
 //
 // # Layers
 //
@@ -141,6 +143,9 @@
 // an HTTP query service: admission control, per-request deadlines, NDJSON
 // streaming, a result cache and in-flight coalescing keyed by epoch,
 // /stats and /metrics, mutation endpoints, and a graceful drain.
+// cmd/psiserve and cmd/psiquery map their engine flags onto EngineOptions in
+// one place, internal/cli: one set of defaults, one engine-kind rule, and
+// the one table that spells -mode as a dataset engine's IndexPolicy.
 //
 // Mutation. Every dataset engine serves from an internal/live store, which
 // EngineOptions.Mutable opens to AddGraph, RemoveGraph and ReplaceGraph while

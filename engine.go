@@ -31,10 +31,9 @@ import (
 // FTV); both are safe for concurrent queries. Close releases the dedicated
 // pool when one was requested.
 type Engine struct {
-	// mode is what EngineOptions.Mode said; policy is what the engine does:
-	// Mode's reading for a stored-graph engine, IndexPolicy's for a dataset
-	// engine (plan.go).
-	mode   Mode
+	// policy is what the engine launches per query: Mode's reading for a
+	// stored-graph engine, IndexPolicy's for a dataset engine, over its arms
+	// (resolveLaunch).
 	policy launchPolicy
 	budget metrics.Budget
 	pool   *exec.Pool
@@ -87,15 +86,18 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 	if g == nil {
 		return nil, errors.New("psi: NewEngine requires a stored graph")
 	}
-	e, err := newEngineCommon(opts)
-	if err != nil {
-		return nil, err
-	}
-	e.g = g
 	algos := opts.Algorithms
 	if len(algos) == 0 {
 		algos = []Algorithm{GraphQL, SPath}
 	}
+	rewritings := engineRewritings(opts)
+	// Every attempt is one matcher under one rewriting (core.Portfolio).
+	policy, err := resolveLaunch(opts, false, len(algos)*len(rewritings))
+	if err != nil {
+		return nil, err
+	}
+	e := newEngineCommon(opts)
+	e.g, e.policy = g, policy
 	matchers := make([]Matcher, len(algos))
 	for i, a := range algos {
 		if matchers[i], err = NewMatcher(a, g); err != nil {
@@ -105,15 +107,9 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 	}
 	e.racer = core.NewRacer(g)
 	e.racer.Pool = e.pool
-	e.attempts = core.Portfolio(matchers, engineRewritings(opts))
+	e.attempts = core.Portfolio(matchers, rewritings)
 	for _, a := range e.attempts {
 		e.arms = append(e.arms, a.Label())
-	}
-	switch e.mode {
-	case ModeSingle:
-		e.policy = launchFirst
-	case ModeAuto:
-		e.policy = launchAuto
 	}
 	e.startBandit()
 	return e, nil
@@ -142,11 +138,11 @@ func NewDatasetEngine(ds []*Graph, opts EngineOptions) (*Engine, error) {
 	if len(ds) == 0 {
 		return nil, errors.New("psi: NewDatasetEngine requires a non-empty dataset")
 	}
-	e, err := newEngineCommon(opts)
-	if err != nil {
-		return nil, err
+	e := newEngineCommon(opts)
+	kinds := opts.Indexes
+	if len(kinds) == 0 {
+		kinds = []string{"grapes"}
 	}
-	kinds := engineKinds(opts)
 	if err := e.configurePortfolio(opts, kinds); err != nil {
 		e.Close()
 		return nil, err
@@ -172,22 +168,10 @@ func NewDatasetEngine(ds []*Graph, opts EngineOptions) (*Engine, error) {
 	return e, nil
 }
 
-// engineKinds resolves the configured index names: Indexes, or the "grapes"
-// default.
-func engineKinds(opts EngineOptions) []string {
-	if len(opts.Indexes) > 0 {
-		return opts.Indexes
-	}
-	return []string{"grapes"}
-}
-
-func newEngineCommon(opts EngineOptions) (*Engine, error) {
-	mode, err := ParseMode(string(opts.Mode))
-	if err != nil {
-		return nil, err
-	}
+// newEngineCommon starts an engine of either kind: its budget and, when
+// asked for, its own pool.
+func newEngineCommon(opts EngineOptions) *Engine {
 	e := &Engine{
-		mode:   mode,
 		budget: metrics.Budget{Cap: opts.Timeout},
 		solo:   soloBudget,
 		wins:   map[string]int64{},
@@ -196,7 +180,7 @@ func newEngineCommon(opts EngineOptions) (*Engine, error) {
 		e.pool = exec.New(opts.Workers)
 		e.owned = true
 	}
-	return e, nil
+	return e
 }
 
 func engineRewritings(opts EngineOptions) []Rewriting {
@@ -228,8 +212,10 @@ func (e *Engine) pin() *live.Snapshot {
 	return e.store.Current()
 }
 
-// Mode reports the engine's planning policy.
-func (e *Engine) Mode() Mode { return e.mode }
+// Mode reports the launch policy the engine runs, on either kind (IndexFixed
+// is ModeSingle). A one-arm engine — one attempt, or one verifier — reports
+// ModeSingle, and its PolicyStats is then false.
+func (e *Engine) Mode() Mode { return launchModes[e.policy] }
 
 // Graph returns the stored graph of an NFV engine (nil for dataset engines).
 func (e *Engine) Graph() *Graph { return e.g }
@@ -298,15 +284,6 @@ func (e *Engine) recordWin(label string) {
 	e.winMu.Lock()
 	e.wins[label]++
 	e.winMu.Unlock()
-}
-
-// IndexPolicy reports how a dataset engine uses its verifiers (IndexRace,
-// IndexFixed or IndexAuto); empty for NFV engines.
-func (e *Engine) IndexPolicy() string {
-	if e.g != nil {
-		return ""
-	}
-	return [...]string{launchRace: IndexRace, launchFirst: IndexFixed, launchAuto: IndexAuto}[e.policy]
 }
 
 // Shards reports the effective dataset partition count of a sharded dataset

@@ -7,7 +7,6 @@ package psi
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"github.com/psi-graph/psi/internal/index"
@@ -24,11 +23,11 @@ type GraphHandle = live.Handle
 // issued or has already removed. Match with errors.Is.
 var ErrUnknownGraph = live.ErrUnknownHandle
 
-// configurePortfolio validates the index names (checkIndexNames) and policy,
-// resolves the names to their distinct verifiers, and records whether the
-// mutation API is open, before any build or load is paid for: extracting the
-// features of a large dataset only to report a misspelt option would be
-// hostile.
+// configurePortfolio validates the index names (checkIndexNames), resolves
+// them to their distinct verifiers and the launch policy over those, and
+// records whether the mutation API is open, before any build is paid for:
+// extracting the features of a large dataset only to report a misspelt
+// option would be hostile.
 func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
 	if err := checkIndexNames(kinds); err != nil {
 		return err
@@ -41,19 +40,8 @@ func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
 	for _, v := range vs {
 		e.arms = append(e.arms, v.Name())
 	}
-	switch opts.IndexPolicy {
-	case "", IndexRace:
-		e.policy = launchRace
-	case IndexFixed:
-		e.policy = launchFirst
-	case IndexAuto:
-		e.policy = launchAuto
-	default:
-		return fmt.Errorf("psi: unknown index policy %q (want %q, %q or %q)", opts.IndexPolicy, IndexRace, IndexFixed, IndexAuto)
-	}
-	if len(vs) < 2 {
-		// One verifier is nothing to race or to learn over.
-		e.policy = launchFirst
+	if e.policy, err = resolveLaunch(opts, true, len(vs)); err != nil {
+		return err
 	}
 	e.mutable = opts.Mutable
 	return nil
@@ -91,11 +79,11 @@ func (e *Engine) ShardBalance() []int64 {
 	return out
 }
 
-// tallyShardID attributes one answer graph ID to the shard that owns it; a
-// no-op for monolithic engines.
-func (e *Engine) tallyShardID(graphID int) {
+// tallyShardID attributes one answer graph ID of snap to the shard that owns
+// its slot; a no-op for monolithic engines.
+func (e *Engine) tallyShardID(snap *live.Snapshot, graphID int) {
 	if e.shardK >= 2 {
-		e.shardEmits[index.ShardOf(graphID, e.shardK)].Add(1)
+		e.shardEmits[snap.Table().Shard(graphID)].Add(1)
 	}
 }
 

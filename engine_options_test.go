@@ -7,6 +7,7 @@ package psi_test
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -145,6 +146,50 @@ func TestNewDatasetEngineRejectsBadPolicyBeforeBuilding(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "roundrobin") {
 		t.Errorf("bad policy error = %v, want it to name the offender", err)
+	}
+}
+
+// TestCrossKindPolicyFieldIsRejected: each engine kind reads one launch-policy
+// field, Mode on a stored graph and IndexPolicy on a dataset, and rejects the
+// other's, any value of it, with an error naming the field to set — on the
+// snapshot path as well as on a build.
+func TestCrossKindPolicyFieldIsRejected(t *testing.T) {
+	ds := []*psi.Graph{psi.MustNewGraph("g", []psi.Label{0, 1}, [][2]int{{0, 1}}), psi.MustNewGraph("h", []psi.Label{1, 1}, [][2]int{{0, 1}})}
+	saved, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "e.psisnap")
+	if err := saved.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	saved.Close()
+	build := map[string]func(psi.EngineOptions) (*psi.Engine, error){
+		"stored graph": func(o psi.EngineOptions) (*psi.Engine, error) { return psi.NewEngine(ds[0], o) },
+		"dataset":      func(o psi.EngineOptions) (*psi.Engine, error) { return psi.NewDatasetEngine(ds, o) },
+		"snapshot": func(o psi.EngineOptions) (*psi.Engine, error) {
+			o.Snapshot = path
+			return psi.NewDatasetEngine(nil, o)
+		},
+	}
+	for _, tc := range []struct {
+		kind string
+		opts psi.EngineOptions
+		want string
+	}{
+		{"stored graph", psi.EngineOptions{IndexPolicy: psi.IndexFixed}, `EngineOptions.IndexPolicy ("fixed") does not apply to a stored-graph engine; set Mode`},
+		{"stored graph", psi.EngineOptions{IndexPolicy: psi.IndexRace, Mode: psi.ModeRace}, "set Mode"},
+		{"dataset", psi.EngineOptions{Mode: psi.ModeSingle}, `EngineOptions.Mode ("single") does not apply to a dataset engine; set IndexPolicy`},
+		{"dataset", psi.EngineOptions{Mode: psi.ModeAuto, IndexPolicy: psi.IndexAuto}, "set IndexPolicy"},
+		{"snapshot", psi.EngineOptions{Mode: psi.ModeRace}, "set IndexPolicy"},
+	} {
+		eng, err := build[tc.kind](tc.opts)
+		if err == nil {
+			eng.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s engine with %+v: err = %v, want one containing %q", tc.kind, tc.opts, err, tc.want)
+		}
 	}
 }
 

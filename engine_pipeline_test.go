@@ -193,7 +193,7 @@ func checkPipelineAnswer(eng *psi.Engine, q *psi.Graph) error {
 // stored-graph engine's Mode would.
 func launchKind(eng *psi.Engine, d *psi.PolicyDecision) psi.PlanKind {
 	switch {
-	case eng.IndexPolicy() == psi.IndexFixed:
+	case eng.Mode() == psi.ModeSingle:
 		return psi.PlanFixed
 	case d != nil && d.Solo:
 		return psi.PlanPredicted

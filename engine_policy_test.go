@@ -119,8 +119,8 @@ func TestDatasetEngineAutoPolicySurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if eng.IndexPolicy() != psi.IndexAuto {
-		t.Fatalf("IndexPolicy = %q, want auto", eng.IndexPolicy())
+	if eng.Mode() != psi.ModeAuto {
+		t.Fatalf("Mode = %q, want auto", eng.Mode())
 	}
 	p, err := eng.Plan(raceFixtureQueries()[0])
 	if err != nil {
@@ -144,8 +144,8 @@ func TestDatasetEngineAutoPolicySurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer single.Close()
-	if single.IndexPolicy() != psi.IndexFixed {
-		t.Errorf("single-index auto policy = %q, want fixed", single.IndexPolicy())
+	if single.Mode() != psi.ModeSingle {
+		t.Errorf("single-index auto policy = %q, want single", single.Mode())
 	}
 	if _, ok := single.PolicyStats(); ok {
 		t.Error("degraded engine must not report policy stats")
@@ -305,8 +305,9 @@ func TestDatasetEngineAutoCancelIsNotEvidence(t *testing.T) {
 // IndexRaces (a query whose candidates raced both verifiers) times the arms
 // beyond the first. Every non-empty name set runs, at K = 1 and 2, static
 // and after mutable churn, and must answer as index.SequentialAnswer does; a
-// set whose names select one verifier has nothing to race, so its engine
-// runs the fixed policy whatever it was given.
+// set whose names select one verifier has nothing to race, so both its
+// engines — the dataset one and the stored-graph one of one matcher — run
+// the fixed policy whatever they were given, and report ModeSingle.
 func TestLaunchPolicyIsOneAcrossEngineKinds(t *testing.T) {
 	const queries, warmup = 6, 2
 	cases := []struct {
@@ -378,12 +379,12 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 		}
 	}
 	oracle := difftest.Want(dataset.Dataset(), q)
-	if arms == 1 {
-		// Nothing to race or learn over: the fixed policy.
-		ixPolicy, name, kind = psi.IndexFixed, "first", psi.PlanFixed
+	if arms < 2 {
+		// Nothing to race or learn over, on either kind: the fixed policy.
+		mode, name, kind = psi.ModeSingle, "first", psi.PlanFixed
 	}
-	if dataset.IndexPolicy() != ixPolicy || nfv.Mode() != mode || nfv.IndexPolicy() != "" {
-		t.Fatalf("policies read back as mode %q / index policy %q and %q", nfv.Mode(), dataset.IndexPolicy(), nfv.IndexPolicy())
+	if nfv.Mode() != mode || dataset.Mode() != mode {
+		t.Fatalf("policies read back as %q and %q, want %q", nfv.Mode(), dataset.Mode(), mode)
 	}
 	for i := 0; i < queries; i++ {
 		np, err := nfv.Plan(q)
@@ -420,9 +421,6 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 		}
 		if name == "first" && dr.Winner != dp.Arms[0] {
 			t.Fatalf("query %d: fixed winner %q, want the first name's verifier %q", i, dr.Winner, dp.Arms[0])
-		}
-		if arms == 1 {
-			continue // the stored-graph engine races its one matcher
 		}
 		if np.Kind != wantKind || len(np.Arms) != wantArms || (solo && np.Arms[0] != np.Decision.ArmName) {
 			t.Fatalf("query %d: stored-graph plan %s over %v (decision %+v), want %s over %d", i, np.Kind, np.Arms, np.Decision, wantKind, wantArms)
@@ -462,9 +460,6 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 	}
 	if d != want {
 		t.Errorf("dataset counters %+v, want %+v", d, want)
-	}
-	if arms == 1 {
-		return
 	}
 	nc := nfv.Counters()
 	if n := (launchCounts{nc.RaceAttempts, nc.Queries, nc.Killed, nc.Errors, nc.Fallbacks, nc.PredictedSolo, nc.PolicySolo, nc.PolicyRaces, nc.PolicyEscalations}); n != d {

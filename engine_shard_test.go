@@ -225,6 +225,42 @@ func TestShardedEngineRepeatBalance(t *testing.T) {
 	}
 }
 
+// TestShardBalanceAfterRemoval: shards own slots, and a tombstone shifts the
+// dense answer IDs after it, so the tally must follow an answer's slot, not
+// its ID. Over four identical graphs at K = 2 with the first removed, the
+// three answers are slots 1, 2 and 3: one in shard 0, two in shard 1 — on the
+// collected and the streamed form alike.
+func TestShardBalanceAfterRemoval(t *testing.T) {
+	g := psi.MustNewGraph("g", []psi.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
+	eng, err := psi.NewDatasetEngine([]*psi.Graph{g, g, g, g}, psi.EngineOptions{
+		Indexes: []string{"ftv"}, Shards: 2, Mutable: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.RemoveGraph(context.Background(), eng.Handles()[0]); err != nil {
+		t.Fatal(err)
+	}
+	q := psi.MustNewGraph("q", []psi.Label{0, 1}, [][2]int{{0, 1}})
+	res, err := eng.Query(context.Background(), q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.GraphIDs, []int{0, 1, 2}) {
+		t.Fatalf("answered %v, want all three live graphs", res.GraphIDs)
+	}
+	if got := eng.ShardBalance(); !slices.Equal(got, []int64{1, 2}) {
+		t.Errorf("collected: ShardBalance = %v, want [1 2]", got)
+	}
+	if _, err := eng.AnswerStream(context.Background(), q, func(int) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.ShardBalance(); !slices.Equal(got, []int64{2, 4}) {
+		t.Errorf("streamed: ShardBalance = %v, want [2 4]", got)
+	}
+}
+
 // TestShardedEngineKillCounter checks that a sharded query killed by the
 // per-query budget is tallied under Killed (and surfaces as a killed result,
 // not an error).

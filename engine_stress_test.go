@@ -153,7 +153,7 @@ func TestEngineConcurrentDatasetCallers(t *testing.T) {
 						}
 					default:
 						_ = eng.IndexStats()
-						_ = eng.IndexPolicy()
+						_ = eng.Mode()
 						_ = eng.Counters()
 						_ = eng.WinCounts()
 					}

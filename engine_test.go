@@ -464,12 +464,12 @@ func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer race.Close()
-		wantPolicy, wantKind := psi.IndexRace, psi.PlanRace
+		wantMode, wantKind := psi.ModeRace, psi.PlanRace
 		if len(tc.want) == 1 {
-			wantPolicy, wantKind = psi.IndexFixed, psi.PlanFixed
+			wantMode, wantKind = psi.ModeSingle, psi.PlanFixed
 		}
-		if race.IndexPolicy() != wantPolicy {
-			t.Fatalf("%v: IndexPolicy = %q, want %q", tc.names, race.IndexPolicy(), wantPolicy)
+		if race.Mode() != wantMode {
+			t.Fatalf("%v: Mode = %q, want %q", tc.names, race.Mode(), wantMode)
 		}
 		if st := race.IndexStats(); len(st) != 1 || st[0].Kind != tc.table {
 			t.Fatalf("%v: IndexStats = %+v, want the one table, built under %s", tc.names, st, tc.table)
@@ -576,8 +576,8 @@ func TestDatasetEngineIndexPolicyOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer single.Close()
-	if single.IndexPolicy() != psi.IndexFixed {
-		t.Errorf("single-index policy = %q, want fixed", single.IndexPolicy())
+	if single.Mode() != psi.ModeSingle {
+		t.Errorf("single-index policy = %q, want single", single.Mode())
 	}
 	// Fixed policy over a portfolio consults only the first index.
 	fixed, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
@@ -587,8 +587,8 @@ func TestDatasetEngineIndexPolicyOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fixed.Close()
-	if fixed.IndexPolicy() != psi.IndexFixed {
-		t.Errorf("fixed policy = %q", fixed.IndexPolicy())
+	if fixed.Mode() != psi.ModeSingle {
+		t.Errorf("fixed policy = %q, want single", fixed.Mode())
 	}
 	race, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "ggsx"}})
 	if err != nil {

@@ -174,7 +174,7 @@ func (e *Engine) run(ctx context.Context, p *Plan, limit int, sink Sink, emit fu
 		emit = func(id int) bool {
 			res.Found++
 			res.streamed++
-			e.tallyShardID(id)
+			e.tallyShardID(snap, id)
 			return inner(id)
 		}
 	case snap != nil:
@@ -200,7 +200,7 @@ func (e *Engine) run(ctx context.Context, p *Plan, limit int, sink Sink, emit fu
 		res.Embeddings, res.GraphIDs, res.Found = nil, nil, res.streamed
 	}
 	for _, id := range res.GraphIDs {
-		e.tallyShardID(id) // a streamed ID was tallied as it reached emit
+		e.tallyShardID(snap, id) // a streamed ID was tallied as it reached emit
 	}
 	return res, nil
 }

@@ -248,6 +248,28 @@ func TestPostingWithLeavesReceiverAlone(t *testing.T) {
 	}
 }
 
+// gapEdges are the gaps where a posting's head varint, gap<<4 | nibble,
+// gains a byte (2³, 2¹⁰, 2¹⁷, 2²⁴); countEdges the counts where the escape's
+// second varint, count-16, does (16, 16+2⁷, 16+2¹⁴) and the top of int32.
+var (
+	gapEdges   = [4]uint32{1 << 3, 1 << 10, 1 << 17, 1 << 24}
+	countEdges = [4]uint32{16, 16 + 1<<7, 16 + 1<<14, 1<<31 - 1}
+)
+
+// fuzzValue maps one FuzzPostings byte to a gap or a count: 0x00..0xDF to
+// itself; 0xE0..0xEF to an edge of edges minus 1, plus 0, 1 or 2 (edge
+// (b-0xE0)/4, delta b%4-1), the sum taken in uint32 so that the top count
+// wraps to negative int32s; and 0xF0..0xFF to 1..16 times 2^shift.
+func fuzzValue(b byte, edges [4]uint32, shift uint) int32 {
+	switch {
+	case b >= 0xF0:
+		return int32(b-0xEF) << shift
+	case b >= 0xE0:
+		return int32(edges[(b-0xE0)/4] + uint32(b%4) - 1)
+	}
+	return int32(b)
+}
+
 // FuzzPostings builds a random ascending list from the input's first part and
 // runs a random ascending seek sequence from the rest against the slice
 // oracle, on the list built whole and on the one grown posting by posting.
@@ -260,11 +282,9 @@ func FuzzPostings(f *testing.F) {
 		long[i] = byte(r.Intn(256)) >> (i % 2 * 6) // wild gaps, small counts
 	}
 	f.Add(long, []byte{3, 0, 0, 90, 255, 255, 1})
-	// The head's edges within the body's domain: counts either side of the
-	// nibble's escape (14..17) and 0; gaps either side of the one-byte head
-	// (7, 8) and the largest, 2¹⁷ (0xFF), which needs a four-byte head.
-	// Gaps of 2¹⁰±1 and 2¹⁷-1 and a count of 2³¹-1 lie outside the domain:
-	// TestPostingCursor's head-edges shape has them.
+	// The head's edges: counts either side of the nibble's escape (14..17)
+	// and 0; gaps either side of the one-byte head (7, 8) and 2¹⁷ (0xFF),
+	// which needs a four-byte head.
 	f.Add([]byte{0, 14, 0, 15, 0, 16, 0, 17, 0, 0, 0, 1}, []byte{0, 1, 1, 1, 1, 1, 1})
 	f.Add([]byte{7, 1, 8, 1, 7, 16, 8, 17, 0xFF, 1, 0xFF, 16, 7, 0, 8, 15}, []byte{8, 9, 0xFF, 0xFF, 0xFF, 8})
 	edges := make([]byte, 0, 2*3*postingBlock)
@@ -272,6 +292,14 @@ func FuzzPostings(f *testing.F) {
 		edges = append(edges, []byte{0, 7, 8, 0xF0, 0xFF}[i%5], []byte{15, 16, 17, 0, 1, 0xFF}[i%6])
 	}
 	f.Add(edges, []byte{40, 0xF8, 0, 0xFF, 2})
+	// Every boundary byte once, as gap and as count: gaps 2¹⁰-1 and 2¹⁰,
+	// where the head grows from two bytes to three, and 2¹⁷-1; counts either
+	// side of the escape's second byte and of 2³¹.
+	var bounds []byte
+	for b := byte(0xE0); b < 0xF0; b++ {
+		bounds = append(bounds, b, b)
+	}
+	f.Add(bounds, []byte{0xE4, 0xF8, 0xE8, 0})
 	f.Fuzz(func(t *testing.T, list, seeks []byte) {
 		var ps []posting
 		next := int32(0)
@@ -279,14 +307,8 @@ func FuzzPostings(f *testing.F) {
 		// is quadratic.
 		for ; len(list) >= 2 && len(ps) < 5*postingBlock; list = list[2:] {
 			// A byte each for gap and count, stretched so that every
-			// varint width turns up.
-			gap, count := int32(list[0]), int32(list[1])
-			if gap >= 0xF0 {
-				gap = (gap - 0xEF) << 13
-			}
-			if count >= 0xF0 {
-				count = (count - 0xEF) << 17
-			}
+			// varint width and every width's edge turns up.
+			gap, count := fuzzValue(list[0], gapEdges, 13), fuzzValue(list[1], countEdges, 17)
 			if next > 1<<30-gap {
 				break
 			}

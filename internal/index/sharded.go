@@ -197,11 +197,20 @@ func (x *Sharded) VerifyWith(ctx context.Context, v Verifier, q *graph.Graph, gr
 	if graphID < 0 || graphID >= len(x.ds) {
 		return false, fmt.Errorf("index: graph ID %d out of range [0,%d)", graphID, len(x.ds))
 	}
-	slot := graphID
-	if x.slots != nil {
-		slot = x.slots[graphID]
-	}
+	slot := x.slot(graphID)
 	return v.Verify(ctx, x.tables[ShardOf(slot, x.k)], q, slot/x.k)
+}
+
+// Shard returns the shard owning dense ID graphID: its slot's shard, which
+// is the ID's own only while no slot before it is tombstoned.
+func (x *Sharded) Shard(graphID int) int { return ShardOf(x.slot(graphID), x.k) }
+
+// slot returns the slot behind dense ID graphID.
+func (x *Sharded) slot(graphID int) int {
+	if x.slots != nil {
+		return x.slots[graphID]
+	}
+	return graphID
 }
 
 // Filter returns the IDs of graphs that may contain q, in ascending order:

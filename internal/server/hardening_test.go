@@ -4,6 +4,7 @@ package server
 // Retry-After hint, and the POST /snapshot endpoint.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,4 +233,29 @@ func TestSnapshotEndpoint(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBodyLimit pins the request-body bound on both endpoints that read a
+// graph body: a valid body of exactly maxBodyBytes (a graph padded with
+// blanks, which the parser skips) is served, and one byte more is a 400
+// naming the size, from POST /query and POST /graphs alike.
+func TestBodyLimit(t *testing.T) {
+	eng, q, _ := mutableFixture(t)
+	ts := httptest.NewServer(New(eng, Options{CacheSize: -1}))
+	defer ts.Close()
+	text := graphText(t, q)
+	padded := func(size int) []byte {
+		return append(bytes.Clone(text), bytes.Repeat([]byte(" "), size-len(text))...)
+	}
+	for _, path := range []string{"/query", "/graphs"} {
+		resp, data := do(t, http.MethodPost, ts.URL+path, padded(maxBodyBytes))
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("POST %s at the limit: status %d (%.120s), want 200", path, resp.StatusCode, data)
+		}
+		resp, data = do(t, http.MethodPost, ts.URL+path, padded(maxBodyBytes+1))
+		var e errorResponse
+		if err := json.Unmarshal(data, &e); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "too large") {
+			t.Errorf("POST %s one byte over: status %d, body %.120s, want 400 naming the size", path, resp.StatusCode, data)
+		}
+	}
 }

@@ -125,7 +125,7 @@ func (s *Server) parseQueryRequest(r *http.Request) (queryRequest, *psi.Graph, i
 		}
 		req.timeout = time.Duration(ms) * time.Millisecond
 	}
-	body := http.MaxBytesReader(nil, r.Body, s.opts.MaxBodyBytes)
+	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
 	graphs, err := graph.ReadDataset(body)
 	if err != nil {
 		return req, nil, http.StatusBadRequest, fmt.Errorf("parsing query graph: %w", err)
@@ -175,7 +175,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	eng := s.engine()
+	eng := s.Engine()
 	if eng == nil {
 		writeJSONError(w, http.StatusServiceUnavailable, "engine is building")
 		return
@@ -466,7 +466,6 @@ type StatsResponse struct {
 	UptimeSeconds float64             `json:"uptime_seconds"`
 	Ready         bool                `json:"ready"`
 	Mode          string              `json:"mode,omitempty"`
-	IndexPolicy   string              `json:"index_policy,omitempty"`
 	DatasetGraphs int                 `json:"dataset_graphs,omitempty"`
 	Shards        int                 `json:"shards,omitempty"`
 	ShardBalance  []int64             `json:"shard_balance,omitempty"`
@@ -504,13 +503,12 @@ func (s *Server) Stats() StatsResponse {
 		cc := s.cache.counters()
 		resp.ResultCache = &cc
 	}
-	eng := s.engine()
+	eng := s.Engine()
 	if eng == nil {
 		return resp
 	}
 	resp.Ready = true
 	resp.Mode = string(eng.Mode())
-	resp.IndexPolicy = eng.IndexPolicy()
 	resp.DatasetGraphs = len(eng.Dataset())
 	resp.Shards = eng.Shards()
 	resp.ShardBalance = eng.ShardBalance()
@@ -619,7 +617,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, healthResponse{Status: "draining"})
 		return
 	}
-	eng := s.engine()
+	eng := s.Engine()
 	if eng == nil {
 		writeJSON(w, http.StatusServiceUnavailable, healthResponse{Status: "building"})
 		return

@@ -45,7 +45,7 @@ func (s *Server) admitMutation(w http.ResponseWriter) (eng *psi.Engine, release 
 		s.writeOverloaded(w, status)
 		return nil, nil
 	}
-	eng = s.engine()
+	eng = s.Engine()
 	if eng == nil {
 		release()
 		writeJSONError(w, http.StatusServiceUnavailable, "engine is building")
@@ -67,7 +67,7 @@ func (s *Server) handleAddGraphs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	body := http.MaxBytesReader(nil, r.Body, s.opts.MaxBodyBytes)
+	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
 	graphs, err := graph.ReadDataset(body)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("parsing graphs: %v", err))
@@ -126,7 +126,7 @@ func (s *Server) handleReplaceGraph(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body := http.MaxBytesReader(nil, r.Body, s.opts.MaxBodyBytes)
+	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
 	graphs, err := graph.ReadDataset(body)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("parsing graph: %v", err))

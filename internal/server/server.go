@@ -74,6 +74,10 @@ import (
 	"github.com/psi-graph/psi/internal/exec"
 )
 
+// maxBodyBytes bounds a request body — a query graph, or the graphs of an
+// ingest, in the module's text format; one byte more is a 400.
+const maxBodyBytes = 8 << 20
+
 // Options configures a Server. The zero value serves with a 4×NumCPU
 // admission limit, a 1000-embedding default result limit, no per-request
 // timeout beyond the engine's own budget, and a 256-entry result cache.
@@ -90,9 +94,6 @@ type Options struct {
 	// CacheSize bounds the shared result cache: 0 means 256 entries,
 	// negative disables caching entirely.
 	CacheSize int
-	// MaxBodyBytes bounds a request body (the query graph in the module's
-	// text format); 0 means 8 MiB.
-	MaxBodyBytes int64
 	// SnapshotPath, when set, arms POST /snapshot: each call persists the
 	// engine's full state to this path (atomically, via the snapshot
 	// package's temp-file-plus-rename). Empty disables the endpoint (409).
@@ -171,9 +172,6 @@ func NewBuilding(opts Options) *Server {
 	if opts.DefaultLimit == 0 {
 		opts.DefaultLimit = 1000
 	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 8 << 20
-	}
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
@@ -208,9 +206,6 @@ func (s *Server) SetEngine(eng *psi.Engine) { s.eng.Store(eng) }
 
 // Engine returns the served engine, or nil while it is still building.
 func (s *Server) Engine() *psi.Engine { return s.eng.Load() }
-
-// engine is the handlers' load of the served engine; nil means building.
-func (s *Server) engine() *psi.Engine { return s.eng.Load() }
 
 // InFlight reports the number of currently admitted queries.
 func (s *Server) InFlight() int { return s.lim.InFlight() }

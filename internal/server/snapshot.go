@@ -37,7 +37,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusConflict, "snapshots are not configured (start with -snapshot)")
 		return
 	}
-	eng := s.engine()
+	eng := s.Engine()
 	if eng == nil {
 		writeJSONError(w, http.StatusServiceUnavailable, "engine is building")
 		return

@@ -5,6 +5,7 @@ package psi
 // parsers that turn command-line flag values into them.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -14,7 +15,8 @@ import (
 	"github.com/psi-graph/psi/internal/rewrite"
 )
 
-// Mode selects the Engine's planning policy.
+// Mode names a launch policy: what a stored-graph engine's EngineOptions.Mode
+// selects, and what Engine.Mode reports on either engine kind.
 type Mode string
 
 const (
@@ -30,13 +32,10 @@ const (
 	ModeAuto Mode = "auto"
 )
 
-// ParseMode converts a -mode flag value into a Mode.
+// ParseMode converts a -mode flag value into a Mode; empty is ModeRace.
 func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case ModeRace, ModeSingle, ModeAuto:
-		return Mode(s), nil
-	case "":
-		return ModeRace, nil
+	if m := cmp.Or(Mode(s), ModeRace); slices.Contains(launchModes[:], m) {
+		return m, nil
 	}
 	return "", fmt.Errorf("psi: unknown mode %q (want race, single or auto)", s)
 }
@@ -50,7 +49,9 @@ type EngineOptions struct {
 	Algorithms []Algorithm
 	// Rewritings are the raced query rewritings; empty means {Orig, DND}.
 	Rewritings []Rewriting
-	// Mode is the planning policy; empty means ModeRace.
+	// Mode is a stored-graph engine's launch policy; empty means ModeRace. A
+	// dataset engine rejects it: it reads IndexPolicy. With one attempt the
+	// engine runs ModeSingle whatever Mode says.
 	Mode Mode
 	// Timeout is the per-query deadline enforced by Execute through
 	// metrics.Budget — the paper's kill cap. 0 disables the deadline.
@@ -68,12 +69,12 @@ type EngineOptions struct {
 	// candidate the filter emits — the paper's parallel use of alternative
 	// algorithms, in verification. Empty means {"grapes"}.
 	Indexes []string
-	// IndexPolicy says how a dataset engine uses its verifiers: IndexRace
-	// (default) races them on every candidate; IndexFixed runs only the
-	// first listed name's; IndexAuto learns per query class which verifier
-	// to run alone and races only when uncertain (unfamiliar class,
-	// staleness, or a budget-killed solo). With one verifier the policy is
-	// IndexFixed.
+	// IndexPolicy is a dataset engine's launch policy: IndexRace (default)
+	// races the verifiers on every candidate; IndexFixed runs only the first
+	// listed name's; IndexAuto learns per query class which verifier to run
+	// alone and races only when uncertain (unfamiliar class, staleness, or a
+	// budget-killed solo). A stored-graph engine rejects it: it reads Mode.
+	// With one verifier the policy is IndexFixed.
 	IndexPolicy string
 	// IndexWorkers is the Grapes verification worker count (the paper's
 	// Grapes/1 vs Grapes/4); 0 means 1. Above 1, Grapes fans a candidate's
@@ -107,13 +108,13 @@ type EngineOptions struct {
 	// (for mutable engines) the full mutation state; Indexes, Shards
 	// and Mutable must be left zero or agree with the snapshot — a
 	// mismatch is an error, never a silent rebuild. Runtime knobs
-	// (IndexPolicy, IndexWorkers, CompactEvery, Workers, mode and budget
-	// options) apply as usual.
+	// (IndexPolicy, IndexWorkers, CompactEvery, Workers, Rewritings and
+	// Timeout) apply as usual; Mode is rejected, as on every dataset engine.
 	Snapshot string
 }
 
-// Index policies for EngineOptions.IndexPolicy, as Engine.IndexPolicy
-// reports them.
+// Index policies for EngineOptions.IndexPolicy; Engine.Mode reports them as
+// ModeRace, ModeSingle and ModeAuto.
 const (
 	// IndexRace races every verifier on every candidate; the first to
 	// decide a candidate wins it and the rest are cancelled.

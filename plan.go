@@ -8,7 +8,9 @@ package psi
 // the auto policy's decision. Execution (run, launch) lives in execute.go.
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"slices"
 
 	"github.com/psi-graph/psi/internal/predict"
@@ -44,8 +46,9 @@ type PolicySnapshot = predict.BanditSnapshot
 type PolicyArmSummary = predict.ArmSummary
 
 // PolicyStats reports the auto policy's learned state; ok is false for
-// engines not under ModeAuto / IndexAuto. Safe to call while queries are in
-// flight — the feed for a serving layer's /stats endpoint.
+// engines not under ModeAuto / IndexAuto, a one-arm engine among them (its
+// Mode is ModeSingle). Safe to call while queries are in flight — the feed
+// for a serving layer's /stats endpoint.
 func (e *Engine) PolicyStats() (PolicySnapshot, bool) {
 	if e.bandit == nil {
 		return PolicySnapshot{}, false
@@ -55,7 +58,7 @@ func (e *Engine) PolicyStats() (PolicySnapshot, bool) {
 
 // launchPolicy is how an engine picks the arms of a query. Mode (stored-graph
 // engines) and IndexPolicy (dataset engines) each resolve to one at
-// construction.
+// construction, through resolveLaunch.
 type launchPolicy uint8
 
 const (
@@ -67,6 +70,35 @@ const (
 	// budget, escalating to every arm on an overrun, or every arm at once.
 	launchAuto
 )
+
+// launchModes is each launch policy in Mode's spelling, as Engine.Mode
+// reports it.
+var launchModes = [...]Mode{launchRace: ModeRace, launchFirst: ModeSingle, launchAuto: ModeAuto}
+
+// resolveLaunch is the one resolution of an engine's launch policy, for both
+// kinds: the kind's own field (Mode on a stored graph, IndexPolicy on a
+// dataset) read over the engine's arms. The other kind's field is an error,
+// not silently ignored, and fewer than two arms is nothing to race or learn
+// over, so it is launchFirst whatever the field says.
+func resolveLaunch(opts EngineOptions, dataset bool, arms int) (launchPolicy, error) {
+	kind, field, value, otherField, other := "stored-graph", "Mode", string(opts.Mode), "IndexPolicy", opts.IndexPolicy
+	names := []string{string(ModeRace), string(ModeSingle), string(ModeAuto)}
+	if dataset {
+		kind, field, value, otherField, other = "dataset", "IndexPolicy", opts.IndexPolicy, "Mode", string(opts.Mode)
+		names = []string{IndexRace, IndexFixed, IndexAuto}
+	}
+	if other != "" {
+		return 0, fmt.Errorf("psi: EngineOptions.%s (%q) does not apply to a %s engine; set %s", otherField, other, kind, field)
+	}
+	p := slices.Index(names, cmp.Or(value, names[launchRace]))
+	if p < 0 {
+		return 0, fmt.Errorf("psi: unknown EngineOptions.%s %q (want %v)", field, value, names)
+	}
+	if arms < 2 {
+		return launchFirst, nil
+	}
+	return launchPolicy(p), nil
+}
 
 // Plan is an executable query plan produced by Engine.Plan. Plans are
 // cheap, single-use value carriers: planning touches no stored-graph data,

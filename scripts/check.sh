@@ -60,11 +60,13 @@ echo "== fuzz (FuzzPostings, 5s) =="
 # verification and every mutable insert. A posting is one head varint,
 # gap<<4 | min(count-1, 15), and only a count past 15 escapes (nibble 15) to
 # a second varint, count-16; the lists are also read back as a table's views,
-# whose base for a further posting comes off the last block. The seeds start
-# at the head's edges: counts 0 and 14-17 either side of the escape, gaps 7
-# and 8 either side of a one-byte head, and 2^17, the largest gap the body
-# draws, whose head takes four bytes. A failing input is written under
-# internal/index/testdata/fuzz and then fails the plain test run as well.
+# whose base for a further posting comes off the last block. The body maps a
+# byte to a small value, to a multiple of a large power of two, or to a
+# varint width's edge minus 1 to plus 2 (gaps 2^10-1 and 2^10, where the head
+# grows from two bytes to three, 2^17-1, 2^24; counts at the escape's second
+# byte and either side of 2^31), and the seeds start at those edges. A
+# failing input is written under internal/index/testdata/fuzz and then fails
+# the plain test run as well.
 go test -run='^$' -fuzz=FuzzPostings -fuzztime=5s ./internal/index
 
 echo "== fuzz (FuzzPathDirectory, 5s) =="
@@ -243,6 +245,8 @@ echo "== serve smoke =="
 # curl, then SIGTERM and assert a graceful zero-exit drain. Catches wiring
 # breakage (flags, listener, portfile, signal handling) that the
 # internal/server unit tests, which drive the handler in-process, cannot.
+# -mode reaches a dataset engine, which reports its launch policy as /stats'
+# one "mode" field, with no separate index policy.
 tmpdir=$(mktemp -d)
 serve_pid=""
 mserve_pid=""
@@ -253,7 +257,7 @@ trap '{ [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true; } ; { [ -n
 go build -o "$tmpdir/psiserve" ./cmd/psiserve
 go run ./cmd/psigen -dataset ppi -scale tiny -seed 1 \
     -out "$tmpdir/ds.txt" -queries 1 -sizes 4 -qout "$tmpdir/q.txt"
-"$tmpdir/psiserve" -data "$tmpdir/ds.txt" -index ftv -snapshot "$tmpdir/cs.psisnap" \
+"$tmpdir/psiserve" -data "$tmpdir/ds.txt" -index ftv -mode single -snapshot "$tmpdir/cs.psisnap" \
     -addr 127.0.0.1:0 -portfile "$tmpdir/port" 2> "$tmpdir/serve.log" &
 serve_pid=$!
 for _ in $(seq 100); do [ -s "$tmpdir/port" ] && break; sleep 0.1; done
@@ -274,6 +278,11 @@ curl -sf "http://127.0.0.1:$port/metrics" | grep -q 'psi_server_admitted_total 2
     echo "serve smoke: metrics did not count both queries" >&2
     exit 1
 }
+stats=$(curl -sf "http://127.0.0.1:$port/stats")
+if ! echo "$stats" | grep -q '"mode":"single"' || echo "$stats" | grep -q 'index_policy'; then
+    echo "serve smoke: /stats does not report -mode single as its one mode: $stats" >&2
+    exit 1
+fi
 kill -TERM "$serve_pid"
 if ! wait "$serve_pid"; then
     echo "serve smoke: psiserve did not exit 0 on SIGTERM" >&2
@@ -311,6 +320,16 @@ if [ -z "$raced" ] || echo "$raced" | grep -qv '"kind":"race"'; then
 fi
 [ "$(echo "$single" | ids)" = "$(echo "$raced" | ids)" ] || {
     echo "psiquery smoke: -mode single answered $single, -mode race $raced" >&2
+    exit 1
+}
+# Every flag value is checked before a file is read: a misspelt -algos over
+# a -data path that does not exist is an error naming the flag, not the file.
+if bad=$("$tmpdir/psiquery" -data "$tmpdir/missing.txt" -queries "$tmpdir/q.txt" -algos Ullmann 2>&1); then
+    echo "psiquery smoke: -algos Ullmann was accepted" >&2
+    exit 1
+fi
+echo "$bad" | grep -q -- '-algos' && ! echo "$bad" | grep -q 'missing.txt' || {
+    echo "psiquery smoke: a bad -algos did not fail before the read: $bad" >&2
     exit 1
 }
 

@@ -38,10 +38,7 @@ func (e *Engine) SaveSnapshot(path string) error {
 // cross-check the options against what the snapshot says it is, and restore
 // the store the saved engine served from without rebuilding anything.
 func newSnapshotEngine(opts EngineOptions) (*Engine, error) {
-	e, err := newEngineCommon(opts)
-	if err != nil {
-		return nil, err
-	}
+	e := newEngineCommon(opts)
 	ixOpts := index.Options{Workers: opts.IndexWorkers, Pool: e.pool}
 	m, err := snapshot.Load(opts.Snapshot, ixOpts)
 	if err != nil {
