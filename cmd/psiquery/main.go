@@ -19,6 +19,10 @@
 //	psiquery -data ppi.txt -queries q.txt -index grapes -workers 4 -rewritings ILF,IND,DND
 //	psiquery -data ppi.txt -queries q.txt -index race            # verifiers of ftv|grapes|ggsx raced
 //	psiquery -data ppi.txt -queries q.txt -index ftv,grapes -mode single  # the first name's verifier alone
+//
+// -json prints, per query, the object psiserve's POST /query returns for it
+// (without the cached and coalesced marks, which only a server sets), plus
+// "error" when the query failed.
 package main
 
 import (
@@ -32,6 +36,7 @@ import (
 	psi "github.com/psi-graph/psi"
 	"github.com/psi-graph/psi/internal/cli"
 	"github.com/psi-graph/psi/internal/graph"
+	"github.com/psi-graph/psi/internal/server"
 )
 
 func main() {
@@ -73,18 +78,11 @@ func main() {
 	runQueries(eng, queries, *limitFlag, *jsonFlag)
 }
 
-// queryReport is the -json output schema, one object per line per query.
+// queryReport is the -json output schema, one object per line per query:
+// the object POST /query returns, plus the query's error.
 type queryReport struct {
-	Query      string          `json:"query"`
-	Kind       string          `json:"kind"`
-	Winner     string          `json:"winner,omitempty"`
-	Found      int             `json:"found"`
-	Embeddings []psi.Embedding `json:"embeddings,omitempty"`
-	GraphIDs   []int           `json:"graph_ids,omitempty"`
-	ElapsedUS  int64           `json:"elapsed_us"`
-	Killed     bool            `json:"killed,omitempty"`
-	FellBack   bool            `json:"fell_back,omitempty"`
-	Error      string          `json:"error,omitempty"`
+	server.QueryResponse
+	Error string `json:"error,omitempty"`
 }
 
 // runQueries plans and executes every query on the engine; a dataset engine
@@ -95,18 +93,11 @@ func runQueries(eng *psi.Engine, queries []*graph.Graph, limit int, asJSON bool)
 	for _, q := range queries {
 		res, err := eng.Query(context.Background(), q, limit)
 		if asJSON {
-			rep := queryReport{Query: q.Name()}
+			rep := queryReport{QueryResponse: server.QueryResponse{Query: q.Name()}}
 			if err != nil {
 				rep.Error = err.Error()
 			} else {
-				rep.Kind = string(res.Kind)
-				rep.Winner = res.Winner
-				rep.Found = res.Found
-				rep.Embeddings = res.Embeddings
-				rep.GraphIDs = res.GraphIDs
-				rep.ElapsedUS = res.Elapsed.Microseconds()
-				rep.Killed = res.Killed
-				rep.FellBack = res.FellBack
+				rep.QueryResponse = server.NewQueryResponse(q.Name(), res)
 			}
 			if eerr := out.Encode(rep); eerr != nil {
 				fatal(eerr)

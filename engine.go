@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,13 +41,13 @@ type Engine struct {
 	// Operational counters, bumped by every executed query and snapshotted
 	// by Counters — the feed for a serving layer's /metrics endpoint.
 	counters metrics.Counters
-	winMu    sync.Mutex
-	wins     map[string]int64
 
 	// arms labels the engine's arms, in portfolio order: a stored graph's
-	// attempts or a dataset's verifiers. The bandit and every plan name
-	// arms by these labels.
+	// attempts or a dataset's verifiers. The bandit, every plan and every
+	// result's Winner name arms by these labels; wins tallies, per arm, the
+	// queries it answered.
 	arms []string
+	wins []atomic.Int64
 
 	// NFV state.
 	g        *Graph
@@ -111,6 +110,7 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 	for _, a := range e.attempts {
 		e.arms = append(e.arms, a.Label())
 	}
+	e.wins = make([]atomic.Int64, len(e.arms))
 	e.startBandit()
 	return e, nil
 }
@@ -174,7 +174,6 @@ func newEngineCommon(opts EngineOptions) *Engine {
 	e := &Engine{
 		budget: metrics.Budget{Cap: opts.Timeout},
 		solo:   soloBudget,
-		wins:   map[string]int64{},
 	}
 	if opts.Workers > 0 {
 		e.pool = exec.New(opts.Workers)
@@ -263,27 +262,17 @@ func (e *Engine) Handles() []GraphHandle {
 // fan-out totals. Safe to call while queries are in flight.
 func (e *Engine) Counters() metrics.CountersSnapshot { return e.counters.Snapshot() }
 
-// WinCounts returns a copy of the per-winner tally: how many queries each
-// attempt label ("GQL-DND") or index configuration ("Grapes/1") answered.
-// Safe to call while queries are in flight.
+// WinCounts returns the per-winner tally: how many queries each attempt
+// label ("GQL-DND") or verifier ("Grapes/1") answered, arms that never won
+// left out. Safe to call while queries are in flight.
 func (e *Engine) WinCounts() map[string]int64 {
-	e.winMu.Lock()
-	defer e.winMu.Unlock()
-	out := make(map[string]int64, len(e.wins))
-	for k, v := range e.wins {
-		out[k] = v
+	out := make(map[string]int64)
+	for i := range e.wins {
+		if n := e.wins[i].Load(); n > 0 {
+			out[e.arms[i]] += n
+		}
 	}
 	return out
-}
-
-// recordWin tallies the winning attempt or index configuration.
-func (e *Engine) recordWin(label string) {
-	if label == "" {
-		return
-	}
-	e.winMu.Lock()
-	e.wins[label]++
-	e.winMu.Unlock()
 }
 
 // Shards reports the effective dataset partition count of a sharded dataset

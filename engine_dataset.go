@@ -40,6 +40,7 @@ func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
 	for _, v := range vs {
 		e.arms = append(e.arms, v.Name())
 	}
+	e.wins = make([]atomic.Int64, len(e.arms))
 	if e.policy, err = resolveLaunch(opts, true, len(vs)); err != nil {
 		return err
 	}

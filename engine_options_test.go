@@ -171,6 +171,11 @@ func TestCrossKindPolicyFieldIsRejected(t *testing.T) {
 			o.Snapshot = path
 			return psi.NewDatasetEngine(nil, o)
 		},
+		// The option is rejected before the file is opened.
+		"missing snapshot": func(o psi.EngineOptions) (*psi.Engine, error) {
+			o.Snapshot = filepath.Join(t.TempDir(), "missing.psisnap")
+			return psi.NewDatasetEngine(nil, o)
+		},
 	}
 	for _, tc := range []struct {
 		kind string
@@ -182,6 +187,9 @@ func TestCrossKindPolicyFieldIsRejected(t *testing.T) {
 		{"dataset", psi.EngineOptions{Mode: psi.ModeSingle}, `EngineOptions.Mode ("single") does not apply to a dataset engine; set IndexPolicy`},
 		{"dataset", psi.EngineOptions{Mode: psi.ModeAuto, IndexPolicy: psi.IndexAuto}, "set IndexPolicy"},
 		{"snapshot", psi.EngineOptions{Mode: psi.ModeRace}, "set IndexPolicy"},
+		{"missing snapshot", psi.EngineOptions{Mode: psi.ModeRace}, "set IndexPolicy"},
+		{"missing snapshot", psi.EngineOptions{IndexPolicy: "racce"}, `unknown EngineOptions.IndexPolicy "racce"`},
+		{"missing snapshot", psi.EngineOptions{Indexes: []string{"ftv", "gsx"}}, `unknown index kind "gsx"`},
 	} {
 		eng, err := build[tc.kind](tc.opts)
 		if err == nil {

@@ -9,6 +9,7 @@ package psi_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -332,6 +333,67 @@ func TestLaunchPolicyIsOneAcrossEngineKinds(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWinCountsTallyArms pins WinCounts on both engine kinds: it tallies the
+// results' winners; under the fixed policy n queries are all the first
+// arm's, {Plan.Arms[0]: n}, and under race every key is one of the plan's
+// arm labels and the counts sum to n.
+func TestWinCountsTallyArms(t *testing.T) {
+	const n = 5
+	ds := raceFixtureDataset()
+	q := raceFixtureQueries()[0]
+	for _, fixed := range []bool{true, false} {
+		nfvOpts := psi.EngineOptions{Algorithms: []psi.Algorithm{psi.VF2, psi.GraphQL}, Mode: psi.ModeRace}
+		ftvOpts := psi.EngineOptions{Indexes: []string{"ftv", "grapes"}, IndexPolicy: psi.IndexRace}
+		if fixed {
+			nfvOpts.Mode, ftvOpts.IndexPolicy = psi.ModeSingle, psi.IndexFixed
+		}
+		nfv, err := psi.NewEngine(ds[0], nfvOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nfv.Close()
+		dataset, err := psi.NewDatasetEngine(ds, ftvOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dataset.Close()
+		for kind, eng := range map[string]*psi.Engine{"stored graph": nfv, "dataset": dataset} {
+			p, err := eng.Plan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			won := map[string]int64{}
+			for i := 0; i < n; i++ {
+				res, err := eng.Query(context.Background(), q, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				won[res.Winner]++
+			}
+			wins := eng.WinCounts()
+			if !maps.Equal(wins, won) {
+				t.Errorf("%s engine, fixed %v: WinCounts %v, the results' winners %v", kind, fixed, wins, won)
+			}
+			if fixed {
+				if want := map[string]int64{p.Arms[0]: n}; !maps.Equal(wins, want) {
+					t.Errorf("%s engine, fixed: WinCounts %v, want %v", kind, wins, want)
+				}
+				continue
+			}
+			var sum int64
+			for arm, w := range wins {
+				sum += w
+				if !slices.Contains(p.Arms, arm) {
+					t.Errorf("%s engine, race: WinCounts names %q, not one of the arms %v", kind, arm, p.Arms)
+				}
+			}
+			if sum != n || len(p.Arms) < 2 {
+				t.Errorf("%s engine, race over %v: WinCounts %v sum to %d, want %d", kind, p.Arms, wins, sum, n)
+			}
+		}
 	}
 }
 

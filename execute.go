@@ -68,6 +68,8 @@ type QueryResult struct {
 	// cannot be retracted: a killed run reports them as Found and an overrun
 	// solo that has any is committed.
 	streamed int
+	// won is Winner's position among the engine's arms, set with it.
+	won int
 }
 
 // Contained reports whether the query was found at all.
@@ -224,7 +226,7 @@ func (e *Engine) raceAttempts(q *Graph, limit int, res *QueryResult, sink Sink) 
 		if err != nil {
 			return 0, 0, err
 		}
-		res.Embeddings, res.Found, res.Winner = r.Embeddings, r.Found, r.Winner.Label()
+		res.Embeddings, res.Found = r.Embeddings, r.Found
 		winner := r.WinnerIndex
 		if arms != nil {
 			winner = arms[winner]
@@ -257,7 +259,6 @@ func (e *Engine) raceVerifiers(q *Graph, snap *live.Snapshot, res *QueryResult, 
 				won = i
 			}
 		}
-		res.Winner = vs[won].Name()
 		if arms != nil {
 			won = arms[won]
 		}
@@ -313,7 +314,9 @@ func (e *Engine) tally(res *QueryResult) {
 	if res.Killed {
 		e.counters.Killed.Add(1)
 	}
-	e.recordWin(res.Winner)
+	if res.Winner != "" {
+		e.wins[res.won].Add(1)
+	}
 	if res.FellBack {
 		e.counters.Fallbacks.Add(1)
 	} else if res.Kind == PlanPredicted && !res.Killed {
@@ -338,9 +341,9 @@ type raceFunc func(ctx context.Context, arms []int) (winner int, elapsed time.Du
 
 // launch carries a plan out, for both engine kinds: the plan's arms go
 // through race — every arm, the fixed first arm, or the auto policy's solo
-// pick under soloFirst — and a race of the whole portfolio under the auto
-// policy trains the bandit with the winner's own time (and clears any kill
-// escalation).
+// pick under soloFirst — and the arm that answers labels res.Winner. A race
+// of the whole portfolio under the auto policy trains the bandit with the
+// winner's own time (and clears any kill escalation).
 func (e *Engine) launch(ctx context.Context, p *Plan, res *QueryResult, race raceFunc) error {
 	d := p.Decision
 	if e.bandit == nil {
@@ -348,11 +351,15 @@ func (e *Engine) launch(ctx context.Context, p *Plan, res *QueryResult, race rac
 	}
 	start := func(ctx context.Context, arms []int) (time.Duration, error) {
 		winner, elapsed, err := race(ctx, arms)
-		if err == nil && d != nil && arms == nil {
+		if err != nil {
+			return elapsed, err
+		}
+		res.Winner, res.won = e.arms[winner], winner
+		if d != nil && arms == nil {
 			res.observed = true
 			e.bandit.ObserveRaceWin(d.Class, winner, elapsed)
 		}
-		return elapsed, err
+		return elapsed, nil
 	}
 	if d != nil && d.Solo {
 		return e.soloFirst(ctx, res, d, p.arms, start)

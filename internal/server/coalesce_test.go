@@ -14,7 +14,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,7 +58,7 @@ func streamLines(t *testing.T, data []byte) ([]byte, StreamSummary) {
 }
 
 // waitWaiters polls until the flight has n parked followers.
-func waitWaiters(t *testing.T, fl *flight, n int32) {
+func waitWaiters(t *testing.T, fl *cacheEntry, n int32) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for fl.waiters.Load() < n {
@@ -75,7 +77,7 @@ func waitWaiters(t *testing.T, fl *flight, n int32) {
 func TestCoalesceCollapsesStampede(t *testing.T) {
 	const clients = 16
 	srv, q := coalesceFixture(t, psi.EngineOptions{}, Options{MaxInFlight: 2 * clients})
-	srv.leaderHook = func(fl *flight) { waitWaiters(t, fl, clients-1) }
+	srv.leaderHook = func(fl *cacheEntry) { waitWaiters(t, fl, clients-1) }
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	body := graphText(t, q)
@@ -148,8 +150,8 @@ func TestCoalesceCollectedFollower(t *testing.T) {
 	srv, q := coalesceFixture(t, psi.EngineOptions{}, Options{})
 	release := make(chan struct{})
 	var flMu sync.Mutex
-	var led *flight
-	srv.leaderHook = func(fl *flight) {
+	var led *cacheEntry
+	srv.leaderHook = func(fl *cacheEntry) {
 		flMu.Lock()
 		led = fl
 		flMu.Unlock()
@@ -221,8 +223,8 @@ func TestCoalesceFollowerCancelDoesNotKillLeader(t *testing.T) {
 	srv, q := coalesceFixture(t, psi.EngineOptions{}, Options{})
 	release := make(chan struct{})
 	var flMu sync.Mutex
-	var led *flight
-	srv.leaderHook = func(fl *flight) {
+	var led *cacheEntry
+	srv.leaderHook = func(fl *cacheEntry) {
 		flMu.Lock()
 		led = fl
 		flMu.Unlock()
@@ -302,7 +304,7 @@ func TestCoalesceFollowerCancelDoesNotKillLeader(t *testing.T) {
 func TestCoalesceNeverSharesKilledAnswers(t *testing.T) {
 	const clients = 4
 	srv, q := coalesceFixture(t, psi.EngineOptions{Timeout: time.Nanosecond}, Options{})
-	srv.leaderHook = func(fl *flight) { waitWaiters(t, fl, clients-1) }
+	srv.leaderHook = func(fl *cacheEntry) { waitWaiters(t, fl, clients-1) }
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	body := graphText(t, q)
@@ -353,7 +355,7 @@ func TestCoalesceOptOuts(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, q := coalesceFixture(t, psi.EngineOptions{}, tc.opts)
-			srv.leaderHook = func(fl *flight) {
+			srv.leaderHook = func(fl *cacheEntry) {
 				t.Error("opted-out request opened a flight")
 			}
 			gate := make(chan struct{})
@@ -390,5 +392,150 @@ func TestCoalesceOptOuts(t *testing.T) {
 				t.Errorf("coalesced = %d, want 0", n)
 			}
 		})
+	}
+}
+
+// memoryFixture builds a dataset engine and a server whose result cache
+// remembers at most one answer, plus two queries under different keys.
+func memoryFixture(t *testing.T, engOpts psi.EngineOptions) (srv *Server, a, b *psi.Graph) {
+	t.Helper()
+	ds := psi.GeneratePPI(psi.Tiny, 1)
+	engOpts.Indexes = []string{"ftv"}
+	eng, err := psi.NewDatasetEngine(ds, engOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	srv = New(eng, Options{CacheSize: 1})
+	a, b = psi.ExtractQuery(ds[0], 4, 7), psi.ExtractQuery(ds[1], 5, 7)
+	if srv.cacheKey(eng, a, 0) == srv.cacheKey(eng, b, 0) {
+		t.Fatal("fixture queries share a key")
+	}
+	return srv, a, b
+}
+
+// collect posts a collected query and decodes the reply.
+func collect(t *testing.T, url string, body []byte) QueryResponse {
+	t.Helper()
+	resp, data := postQuery(t, url, body)
+	var qr QueryResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &qr) != nil {
+		t.Errorf("status %d body %s", resp.StatusCode, data)
+	}
+	return qr
+}
+
+// TestMemoryFlightNeverEvictsRemembered: in the one memory, an in-flight
+// entry is neither evicted nor counted. With room for one answer, a flight
+// on key A held at its leader leaves B's remembered answer in place (a
+// repeat of B is a hit), A stays out of result_cache.entries, and A's
+// follower is still answered coalesced; once A finishes it is remembered
+// and evicts B.
+func TestMemoryFlightNeverEvictsRemembered(t *testing.T) {
+	srv, a, b := memoryFixture(t, psi.EngineOptions{})
+	keyA := srv.cacheKey(srv.Engine(), a, 0)
+	var held atomic.Bool
+	release := make(chan struct{})
+	led := make(chan *cacheEntry, 1)
+	srv.leaderHook = func(e *cacheEntry) {
+		if e.key == keyA && held.CompareAndSwap(false, true) {
+			led <- e
+			<-release
+		}
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	bodyA, bodyB := graphText(t, a), graphText(t, b)
+
+	if r := collect(t, ts.URL+"/query", bodyB); r.Cached {
+		t.Fatalf("first B reply = %+v, want a fresh execution", r)
+	}
+	var wg sync.WaitGroup
+	var leader, follower QueryResponse
+	wg.Add(2)
+	go func() { defer wg.Done(); leader = collect(t, ts.URL+"/query", bodyA) }()
+	e := <-led
+	go func() { defer wg.Done(); follower = collect(t, ts.URL+"/query", bodyA) }()
+	waitWaiters(t, e, 1)
+
+	if got := srv.cache.counters().Entries; got != 1 {
+		t.Errorf("entries = %d with A in flight, want 1 (B alone)", got)
+	}
+	if r := collect(t, ts.URL+"/query", bodyB); !r.Cached {
+		t.Errorf("B beside A's flight = %+v, want cached", r)
+	}
+	close(release)
+	wg.Wait()
+	if leader.Coalesced || leader.Cached || !follower.Coalesced {
+		t.Errorf("A's leader %+v and follower %+v, want a fresh leader and a coalesced follower", leader, follower)
+	}
+	if fmt.Sprint(follower.GraphIDs) != fmt.Sprint(leader.GraphIDs) {
+		t.Errorf("follower answered %v, leader %v", follower.GraphIDs, leader.GraphIDs)
+	}
+	if cc := srv.cache.counters(); cc.Entries != 1 {
+		t.Errorf("counters after A finished = %+v, want 1 entry", cc)
+	}
+	if r := collect(t, ts.URL+"/query", bodyA); !r.Cached {
+		t.Errorf("A after its flight = %+v, want cached", r)
+	}
+	if r := collect(t, ts.URL+"/query", bodyB); r.Cached {
+		t.Errorf("B after A was remembered = %+v, want evicted and run afresh", r)
+	}
+}
+
+// TestMemoryRemembersFallbackAnswer: a follower whose leader had nothing
+// shareable — here the leader's own ?timeout_ms killed it — runs the query
+// itself, and its complete answer is remembered: the next identical request
+// is a hit.
+func TestMemoryRemembersFallbackAnswer(t *testing.T) {
+	srv, q, _ := memoryFixture(t, psi.EngineOptions{Timeout: time.Minute})
+	var first atomic.Bool
+	srv.leaderHook = func(e *cacheEntry) {
+		if first.CompareAndSwap(false, true) {
+			waitWaiters(t, e, 1)
+		}
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	body := graphText(t, q)
+
+	var wg sync.WaitGroup
+	var leader QueryResponse
+	wg.Add(1)
+	go func() { defer wg.Done(); leader = collect(t, ts.URL+"/query?timeout_ms=1", body) }()
+	waitFor(t, first.Load)
+	follower := collect(t, ts.URL+"/query", body)
+	wg.Wait()
+	if !leader.Killed {
+		t.Fatalf("leader reply = %+v, want killed by its own timeout", leader)
+	}
+	if follower.Killed || follower.Coalesced || len(follower.GraphIDs) == 0 {
+		t.Errorf("follower reply = %+v, want its own complete answer", follower)
+	}
+	if n := srv.coalescedFallbacks.Load(); n != 1 {
+		t.Errorf("coalescedFallbacks = %d, want 1", n)
+	}
+	again := collect(t, ts.URL+"/query", body)
+	if !again.Cached || fmt.Sprint(again.GraphIDs) != fmt.Sprint(follower.GraphIDs) {
+		t.Errorf("repeat after the fallback = %+v, want cached %v", again, follower.GraphIDs)
+	}
+}
+
+// TestCoalesceOnlyRemembersNothing: a negative CacheSize still coalesces
+// (TestCoalesceCollapsesStampede) but remembers no answer, and /stats and
+// /metrics carry no result cache.
+func TestCoalesceOnlyRemembersNothing(t *testing.T) {
+	srv, q := coalesceFixture(t, psi.EngineOptions{}, Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	body := graphText(t, q)
+	for i := 0; i < 2; i++ {
+		if r := collect(t, ts.URL+"/query", body); r.Cached {
+			t.Errorf("query %d = %+v, want a fresh execution", i, r)
+		}
+	}
+	st, metrics := getStatsAndMetrics(t, ts.URL)
+	if st.ResultCache != nil || strings.Contains(metrics, "psi_server_cache_") {
+		t.Errorf("stats result_cache = %+v, metrics:\n%s\nwant neither", st.ResultCache, metrics)
 	}
 }

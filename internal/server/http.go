@@ -22,9 +22,10 @@ type queryRequest struct {
 	timeout time.Duration
 }
 
-// QueryResponse is the non-streamed /query response schema. The streamed
-// variant sends `{"embedding":[...]}` / `{"graph_id":N}` lines followed by
-// one StreamSummary line.
+// QueryResponse is the non-streamed /query response schema, built by
+// NewQueryResponse. The streamed variant sends `{"embedding":[...]}` /
+// `{"graph_id":N}` lines followed by one StreamSummary line cut from the
+// same record, which is also what the result cache remembers and replays.
 type QueryResponse struct {
 	Query      string          `json:"query"`
 	Kind       string          `json:"kind"`
@@ -165,8 +166,10 @@ func (s *Server) cacheKey(eng *psi.Engine, q *psi.Graph, limit int) string {
 	return fmt.Sprintf("e%d|l%d|%s", eng.Epoch(), limit, psi.CanonicalQueryKey(q))
 }
 
-// handleQuery is the /query endpoint: admission, parse, cache lookup,
-// in-flight coalescing, then a collected JSON answer or an NDJSON stream.
+// handleQuery is the /query endpoint: admission, parse, one lookup in the
+// result cache — a remembered answer, another request's flight to follow,
+// or leadership of a new one — then a collected JSON answer or an NDJSON
+// stream.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	release, status := s.admit()
 	if status != 0 {
@@ -191,78 +194,63 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, s.effectiveTimeout(req.timeout))
 	defer cancel()
 
-	// The cache and the flight group share one key: two requests coalesce
-	// exactly when they would hit the same cache entry. ?cache=0 opts out
-	// of both — it demands a fresh execution.
-	key := ""
-	if req.cache {
-		key = s.cacheKey(eng, q, req.limit)
+	// ?cache=0 opts out of the memory altogether, remembered answers and
+	// shared flights alike: it demands a fresh execution.
+	if !req.cache {
+		s.runQuery(ctx, w, eng, req, q)
+		return
 	}
-	if s.cache != nil && key != "" {
-		if ans, ok := s.cache.get(key); ok {
-			s.replayAnswer(ctx, w, req, q, ans, replayCached)
+	key := s.cacheKey(eng, q, req.limit)
+	ans, e, leader := s.cache.lookup(key)
+	switch {
+	case ans != nil:
+		s.replayAnswer(ctx, w, req, q, ans, replayCached)
+		return
+	case leader:
+		// The deferred finish releases followers even if the execution
+		// path panics — they fall back rather than hang.
+		defer func() { s.cache.finish(e, ans) }()
+		if s.leaderHook != nil {
+			s.leaderHook(e)
+		}
+		ans = s.runQuery(ctx, w, eng, req, q)
+		return
+	}
+	select {
+	case <-e.done:
+		if e.ans != nil {
+			s.coalesced.Add(1)
+			s.replayAnswer(ctx, w, req, q, e.ans, replayCoalesced)
 			return
 		}
+		// The leader had nothing shareable (error, killed, or its client
+		// vanished mid-stream): run the query ourselves.
+		s.coalescedFallbacks.Add(1)
+	case <-ctx.Done():
+		writeQueryError(w, ctx.Err())
+		return
 	}
-	if req.cache {
-		fl, leader := s.flights.join(key)
-		if !leader {
-			select {
-			case <-fl.done:
-				if fl.ans != nil {
-					s.coalesced.Add(1)
-					s.replayAnswer(ctx, w, req, q, fl.ans, replayCoalesced)
-					return
-				}
-				// The leader had nothing shareable (error, killed, or its
-				// client vanished mid-stream): run the query ourselves.
-				s.coalescedFallbacks.Add(1)
-			case <-ctx.Done():
-				writeQueryError(w, ctx.Err())
-				return
-			}
-		} else {
-			// Leader: the deferred finish releases followers even if the
-			// execution path panics — they fall back rather than hang.
-			var ans *cachedAnswer
-			defer func() { s.flights.finish(key, fl, ans) }()
-			if s.leaderHook != nil {
-				s.leaderHook(fl)
-			}
-			ans = s.runQuery(ctx, w, eng, req, q, key)
-			return
-		}
+	if ans = s.runQuery(ctx, w, eng, req, q); ans != nil {
+		s.cache.put(key, ans)
 	}
-	s.runQuery(ctx, w, eng, req, q, key)
 }
 
 // runQuery executes the query in the requested response mode and returns
-// the answer when it is complete and shareable (unkilled, no error, the
+// the reply when it is complete and shareable (unkilled, no error, the
 // client received every line), nil otherwise.
-func (s *Server) runQuery(ctx context.Context, w http.ResponseWriter, eng *psi.Engine, req queryRequest, q *psi.Graph, key string) *cachedAnswer {
+func (s *Server) runQuery(ctx context.Context, w http.ResponseWriter, eng *psi.Engine, req queryRequest, q *psi.Graph) *QueryResponse {
 	if req.stream {
-		return s.streamQuery(ctx, w, eng, req, q, key)
+		return s.streamQuery(ctx, w, eng, req, q)
 	}
-	return s.collectQuery(ctx, w, eng, req, q, key)
+	return s.collectQuery(ctx, w, eng, req, q)
 }
 
-// collectQuery runs the plan to completion and answers with one JSON
-// object, returning the answer when it is complete and shareable.
-func (s *Server) collectQuery(ctx context.Context, w http.ResponseWriter, eng *psi.Engine, req queryRequest, q *psi.Graph, key string) *cachedAnswer {
-	res, err := eng.Query(ctx, q, req.limit)
-	if err != nil {
-		writeQueryError(w, err)
-		return nil
-	}
-	var ans *cachedAnswer
-	if !res.Killed {
-		ans = answerFromResult(res)
-		if s.cache != nil && key != "" {
-			s.cache.put(key, ans)
-		}
-	}
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Query:      q.Name(),
+// NewQueryResponse is the one QueryResponse built from an executed query's
+// result: the collected /query reply, the record a streamed reply's
+// summary is cut from, and psiquery's -json line.
+func NewQueryResponse(query string, res *psi.QueryResult) QueryResponse {
+	return QueryResponse{
+		Query:      query,
 		Kind:       string(res.Kind),
 		Winner:     res.Winner,
 		Found:      res.Found,
@@ -271,8 +259,29 @@ func (s *Server) collectQuery(ctx context.Context, w http.ResponseWriter, eng *p
 		ElapsedUS:  res.Elapsed.Microseconds(),
 		Killed:     res.Killed,
 		FellBack:   res.FellBack,
-	})
-	return ans
+	}
+}
+
+// summary is the one StreamSummary: the last line of a streamed reply,
+// live or replayed.
+func summary(r *QueryResponse) StreamSummary {
+	return StreamSummary{Done: true, Found: r.Found, Winner: r.Winner, ElapsedUS: r.ElapsedUS, Killed: r.Killed, Cached: r.Cached, Coalesced: r.Coalesced}
+}
+
+// collectQuery runs the plan to completion and answers with one JSON
+// object, returning the reply when it is complete and shareable.
+func (s *Server) collectQuery(ctx context.Context, w http.ResponseWriter, eng *psi.Engine, req queryRequest, q *psi.Graph) *QueryResponse {
+	res, err := eng.Query(ctx, q, req.limit)
+	if err != nil {
+		writeQueryError(w, err)
+		return nil
+	}
+	resp := NewQueryResponse(q.Name(), res)
+	writeJSON(w, http.StatusOK, resp)
+	if res.Killed {
+		return nil
+	}
+	return &resp
 }
 
 // writeQueryError maps an execution error onto an HTTP status: deadline
@@ -364,27 +373,27 @@ type graphIDLine struct {
 }
 
 // streamQuery answers with NDJSON: result lines as the engine emits them,
-// then a summary line. Complete unkilled answers fill the result cache —
-// and are returned for the flight group — so repeat and concurrent
-// duplicates replay from memory in either response mode. A stream whose
-// client stopped reading is incomplete by definition and shared with
-// no one.
-func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, eng *psi.Engine, req queryRequest, q *psi.Graph, key string) *cachedAnswer {
+// then a summary line. It returns the reply, with the lines it streamed,
+// when the answer is complete and unkilled, so repeat and concurrent
+// duplicates replay it in either response mode. A stream whose client
+// stopped reading is incomplete by definition and shared with no one.
+func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, eng *psi.Engine, req queryRequest, q *psi.Graph) *QueryResponse {
 	lw := newLineWriter(ctx, w)
 	defer lw.release()
 	var (
-		res *psi.QueryResult
-		err error
-		ans = &cachedAnswer{}
+		res  *psi.QueryResult
+		err  error
+		ids  []int
+		embs []psi.Embedding
 	)
 	if eng.Dataset() != nil {
 		res, err = eng.AnswerStream(ctx, q, func(id int) bool {
-			ans.graphIDs = append(ans.graphIDs, id)
+			ids = append(ids, id)
 			return lw.writeLine(graphIDLine{GraphID: id})
 		})
 	} else {
 		res, err = eng.QueryStream(ctx, q, req.limit, psi.SinkFunc(func(e psi.Embedding) bool {
-			ans.embeddings = append(ans.embeddings, e)
+			embs = append(embs, e)
 			return lw.writeLine(embeddingLine{Embedding: e})
 		}))
 	}
@@ -392,24 +401,14 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, eng *ps
 		lw.writeLine(StreamSummary{Error: err.Error()})
 		return nil
 	}
-	ans.kind = string(res.Kind)
-	ans.winner = res.Winner
-	ans.found = res.Found
+	res.GraphIDs, res.Embeddings = ids, embs
+	resp := NewQueryResponse(q.Name(), res)
 	shareable := !res.Killed && !lw.failed()
-	if shareable && s.cache != nil && key != "" {
-		s.cache.put(key, ans)
-	}
-	lw.writeLine(StreamSummary{
-		Done:      true,
-		Found:     res.Found,
-		Winner:    res.Winner,
-		ElapsedUS: res.Elapsed.Microseconds(),
-		Killed:    res.Killed,
-	})
+	lw.writeLine(summary(&resp))
 	if !shareable {
 		return nil
 	}
-	return ans
+	return &resp
 }
 
 // replayAnswer marks where a replayed answer came from: the result cache
@@ -421,42 +420,31 @@ const (
 	replayCoalesced
 )
 
-// replayAnswer replays a remembered answer in the requested response mode,
-// marked with its provenance.
-func (s *Server) replayAnswer(ctx context.Context, w http.ResponseWriter, req queryRequest, q *psi.Graph, ans *cachedAnswer, src replaySource) {
-	cached, coalesced := src == replayCached, src == replayCoalesced
-	if req.stream {
-		lw := newLineWriter(ctx, w)
-		defer lw.release()
-		// An answer holds graph IDs or embeddings, never both.
-		for _, id := range ans.graphIDs {
-			if !lw.writeLine(graphIDLine{GraphID: id}) {
-				return
-			}
-		}
-		for _, e := range ans.embeddings {
-			if !lw.writeLine(embeddingLine{Embedding: e}) {
-				return
-			}
-		}
-		lw.writeLine(StreamSummary{Done: true, Found: ans.found, Winner: ans.winner, Cached: cached, Coalesced: coalesced})
+// replayAnswer replays a remembered reply in the requested response mode,
+// under this request's query name and marked with its provenance, with no
+// timing or fallback of its own.
+func (s *Server) replayAnswer(ctx context.Context, w http.ResponseWriter, req queryRequest, q *psi.Graph, ans *QueryResponse, src replaySource) {
+	r := *ans
+	r.Query, r.ElapsedUS, r.FellBack = q.Name(), 0, false
+	r.Cached, r.Coalesced = src == replayCached, src == replayCoalesced
+	if !req.stream {
+		writeJSON(w, http.StatusOK, r)
 		return
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Query:      q.Name(),
-		Kind:       ans.kind,
-		Winner:     ans.winner,
-		Found:      ans.found,
-		Embeddings: ans.embeddings,
-		GraphIDs:   ans.graphIDs,
-		Cached:     cached,
-		Coalesced:  coalesced,
-	})
-}
-
-// answerFromResult converts a collected execution into a cache entry.
-func answerFromResult(res *psi.QueryResult) *cachedAnswer {
-	return &cachedAnswer{kind: string(res.Kind), winner: res.Winner, found: res.Found, embeddings: res.Embeddings, graphIDs: res.GraphIDs}
+	lw := newLineWriter(ctx, w)
+	defer lw.release()
+	// An answer holds graph IDs or embeddings, never both.
+	for _, id := range r.GraphIDs {
+		if !lw.writeLine(graphIDLine{GraphID: id}) {
+			return
+		}
+	}
+	for _, e := range r.Embeddings {
+		if !lw.writeLine(embeddingLine{Embedding: e}) {
+			return
+		}
+	}
+	lw.writeLine(summary(&r))
 }
 
 // StatsResponse is the /stats JSON schema: one consistent snapshot of the
@@ -499,7 +487,7 @@ func (s *Server) Stats() StatsResponse {
 		Coalesced:     s.coalesced.Load(),
 		CoalescedFB:   s.coalescedFallbacks.Load(),
 	}
-	if s.cache != nil {
+	if s.cache.max > 0 {
 		cc := s.cache.counters()
 		resp.ResultCache = &cc
 	}

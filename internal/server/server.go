@@ -24,19 +24,22 @@
 //     race wins actually reaches the wire instead of being buffered behind
 //     full enumeration.
 //
-//   - A shared result cache. Complete, unkilled answers are remembered in
-//     an LRU keyed by the canonical query bytes (psi.CanonicalQueryKey) plus
-//     the result limit; repeat queries — the common shape of dataset
-//     workloads — are served from memory and marked cached:true. Partial
-//     answers (client stopped reading, kill cap hit) are never cached.
+//   - One memory of answers. The result cache maps one key — the dataset
+//     epoch, the result limit and the canonical query bytes
+//     (psi.CanonicalQueryKey) — to either a remembered answer or an
+//     in-flight execution. Complete, unkilled answers are remembered in an
+//     LRU, and repeat queries — the common shape of dataset workloads — are
+//     replayed from memory marked cached:true; partial answers (client
+//     stopped reading, kill cap hit) are never remembered.
 //
-//   - In-flight coalescing. Concurrent identical queries — the cache-miss
-//     stampede the LRU cannot absorb — share one engine execution: the
-//     first request in becomes the leader, the rest park until it finishes
-//     and replay its answer marked coalesced:true. Only complete, unkilled
-//     answers are shared; when the leader fails, is killed, or loses its
-//     client mid-stream, each follower falls back to its own execution. A
-//     follower that disconnects while parked never cancels the leader.
+//   - In-flight coalescing, under the same key. Concurrent identical
+//     queries — the cache-miss stampede the LRU cannot absorb — share one
+//     engine execution: the first request in leads, the rest park on its
+//     entry until it finishes and replay its answer marked coalesced:true.
+//     Only complete, unkilled answers are shared; when the leader fails, is
+//     killed, or loses its client mid-stream, each follower falls back to
+//     its own execution. A follower that disconnects while parked never
+//     cancels the leader. In-flight entries are never evicted.
 //
 //   - Observability. /stats is a JSON snapshot of engine counters, race win
 //     tallies, index build provenance and cache effectiveness; /metrics is
@@ -46,9 +49,9 @@
 //   - Online mutation. On a mutable dataset engine (EngineOptions.Mutable),
 //     POST /graphs ingests graphs, DELETE /graphs/{handle} removes one and
 //     PUT /graphs/{handle} replaces one in place; every response reports
-//     the dataset epoch the mutation produced. The result cache and the
-//     flight group are keyed by epoch, so a mutation implicitly invalidates
-//     every remembered answer and coalescing never crosses a mutation.
+//     the dataset epoch the mutation produced. The result cache's key carries
+//     the epoch, so a mutation implicitly invalidates every remembered
+//     answer and coalescing never crosses a mutation.
 //
 //   - Readiness. A server constructed with NewBuilding (before its engine
 //     finishes building indexes) answers /healthz with status "building"
@@ -91,8 +94,9 @@ type Options struct {
 	// RequestTimeout caps each request's context. A client ?timeout_ms may
 	// shorten it but never extend it. 0 leaves only the engine's budget.
 	RequestTimeout time.Duration
-	// CacheSize bounds the shared result cache: 0 means 256 entries,
-	// negative disables caching entirely.
+	// CacheSize bounds the remembered answers of the result cache: 0 means
+	// 256 entries, negative remembers none (identical concurrent queries
+	// still coalesce).
 	CacheSize int
 	// SnapshotPath, when set, arms POST /snapshot: each call persists the
 	// engine's full state to this path (atomically, via the snapshot
@@ -110,13 +114,12 @@ type Server struct {
 	// eng is nil while the engine is still building (NewBuilding before
 	// SetEngine); handlers load it once per request and treat nil as "not
 	// ready yet".
-	eng     atomic.Pointer[psi.Engine]
-	opts    Options
-	lim     *exec.Limiter
-	cache   *resultCache // nil: disabled
-	flights *flightGroup
-	mux     *http.ServeMux
-	start   time.Time
+	eng   atomic.Pointer[psi.Engine]
+	opts  Options
+	lim   *exec.Limiter
+	cache *resultCache // remembered answers and in-flight queries
+	mux   *http.ServeMux
+	start time.Time
 
 	// base is the root of every request context; Shutdown cancels it to
 	// cut stragglers loose after the drain deadline.
@@ -153,7 +156,7 @@ type Server struct {
 	// leaderHook, when non-nil, runs after a request becomes a flight
 	// leader and before it executes. Tests use it to hold the leader until
 	// its followers have parked on the flight.
-	leaderHook func(fl *flight)
+	leaderHook func(e *cacheEntry)
 }
 
 // New returns a Server over eng. The engine must outlive the server.
@@ -172,21 +175,18 @@ func NewBuilding(opts Options) *Server {
 	if opts.DefaultLimit == 0 {
 		opts.DefaultLimit = 1000
 	}
+	remembered := opts.CacheSize
+	if remembered == 0 {
+		remembered = 256
+	}
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
 		lim:        exec.NewLimiter(opts.MaxInFlight),
-		flights:    newFlightGroup(),
+		cache:      newResultCache(max(remembered, 0)), // negative: coalesce only
 		base:       base,
 		cancelBase: cancel,
 		start:      time.Now(),
-	}
-	if opts.CacheSize >= 0 {
-		n := opts.CacheSize
-		if n == 0 {
-			n = 256
-		}
-		s.cache = newResultCache(n)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /query", s.handleQuery)

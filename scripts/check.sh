@@ -339,8 +339,9 @@ echo "== snapshot smoke (corrupt, cold start) =="
 # the middle of the file and the load must be refused with a checksum error,
 # never served from a corrupt state. Then a clean cold start through the real
 # binary: psiserve -snapshot with no -data/-gen must come up from the file
-# alone and answer a query. (Answer parity of a cold start is
-# TestEngineSnapshotRoundTripStatic/Mutable and the bench smoke above.)
+# alone and answer a query with the object psiquery -json prints for it.
+# (Answer parity of a cold start is TestEngineSnapshotRoundTripStatic/Mutable
+# and the bench smoke above.)
 cp "$tmpdir/cs.psisnap" "$tmpdir/corrupt.psisnap"
 size=$(wc -c < "$tmpdir/corrupt.psisnap")
 printf '\xff' | dd of="$tmpdir/corrupt.psisnap" bs=1 seek=$((size / 2)) conv=notrunc 2> /dev/null
@@ -362,6 +363,14 @@ snap_ans=$(curl -sf -X POST --data-binary @"$tmpdir/q.txt" \
 echo "$snap_ans" | grep -q '"graph_ids"' || {
     echo "snapshot smoke: cold-started server gave no answer: $snap_ans" >&2
     cat "$tmpdir/sserve.log" >&2
+    exit 1
+}
+# One schema from engine to wire: the collected reply is the object psiquery
+# -json prints for the same query, byte for byte once the timing is masked.
+mask_elapsed() { sed 's/"elapsed_us":[0-9]*/"elapsed_us":0/'; }
+cli_ans=$("$tmpdir/psiquery" -data "$tmpdir/ds.txt" -queries "$tmpdir/q.txt" -index ftv -json)
+[ "$(echo "$snap_ans" | mask_elapsed)" = "$(echo "$cli_ans" | mask_elapsed)" ] || {
+    echo "snapshot smoke: server reply $snap_ans differs from psiquery -json $cli_ans" >&2
     exit 1
 }
 kill -TERM "$sserve_pid"

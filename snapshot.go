@@ -34,10 +34,22 @@ func (e *Engine) SaveSnapshot(path string) error {
 	})
 }
 
-// newSnapshotEngine is the EngineOptions.Snapshot construction path: load,
-// cross-check the options against what the snapshot says it is, and restore
-// the store the saved engine served from without rebuilding anything.
+// newSnapshotEngine is the EngineOptions.Snapshot construction path: check
+// the options that need nothing from the file, load, cross-check the rest
+// against what the snapshot says it is, and restore the store the saved
+// engine served from without rebuilding anything.
 func newSnapshotEngine(opts EngineOptions) (*Engine, error) {
+	// A cross-kind Mode, a misspelt IndexPolicy or index name is the
+	// caller's slip, reported before the file is read and decoded; only
+	// whether the file's names give fewer than two arms waits for the load.
+	if _, err := resolveLaunch(opts, true, 2); err != nil {
+		return nil, err
+	}
+	if len(opts.Indexes) > 0 {
+		if err := checkIndexNames(opts.Indexes); err != nil {
+			return nil, err
+		}
+	}
 	e := newEngineCommon(opts)
 	ixOpts := index.Options{Workers: opts.IndexWorkers, Pool: e.pool}
 	m, err := snapshot.Load(opts.Snapshot, ixOpts)
