@@ -15,10 +15,12 @@ import (
 )
 
 // TestDocsCiteLiveTests keeps every test, benchmark, fuzz target and example
-// the documentation cites real: each name in a comment of a .go file outside
-// bench/, or in README.md or scripts/check.sh, must be declared by a func in
-// some _test.go outside bench/ (bench/ is its own module). A name followed by * is a prefix pattern, as in go test's -run and
-// -bench arguments. CHANGES.md and ROADMAP.md are history and are not read.
+// the documentation cites real: each name in a comment of a .go file, bench/'s
+// included, or in README.md, scripts/check.sh, scripts/mutants.txt,
+// bench/README.md or bench/run.sh, must be declared by a func in some
+// _test.go, bench/'s own included. A name followed by * is a prefix pattern,
+// as in go test's -run and -bench arguments. CHANGES.md and ROADMAP.md are
+// history and are not read.
 func TestDocsCiteLiveTests(t *testing.T) {
 	cite := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z_]\w*\*?`)
 	declared := map[string]bool{}
@@ -31,7 +33,7 @@ func TestDocsCiteLiveTests(t *testing.T) {
 			return err
 		}
 		if d.IsDir() {
-			if path == "bench" || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+			if path == filepath.Join("bench", "out") || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -62,7 +64,7 @@ func TestDocsCiteLiveTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range []string{"README.md", "scripts/check.sh"} {
+	for _, doc := range []string{"README.md", "scripts/check.sh", "scripts/mutants.txt", "bench/README.md", "bench/run.sh"} {
 		f, err := os.Open(doc)
 		if err != nil {
 			t.Fatal(err)

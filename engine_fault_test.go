@@ -30,11 +30,7 @@ func TestPanickingCallbackIsAnError(t *testing.T) {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("AnswerStream/%s/shards=%d", strings.Join(names, "+"), shards), func(t *testing.T) {
 				leakcheck.Check(t, 0)
-				eng, err := psi.NewDatasetEngine(d.Graphs, psi.EngineOptions{Indexes: names, Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer eng.Close()
+				eng := newDatasetEngine(t, d.Graphs, psi.EngineOptions{Indexes: names, Shards: shards})
 				res, err := eng.AnswerStream(context.Background(), q, func(int) bool { panic("emit bug") })
 				if err == nil || !strings.Contains(err.Error(), "panic") {
 					t.Errorf("AnswerStream with a panicking emit = %+v, %v; want a panic error", res, err)
@@ -48,11 +44,7 @@ func TestPanickingCallbackIsAnError(t *testing.T) {
 	t.Run("QueryStream", func(t *testing.T) {
 		leakcheck.Check(t, 0)
 		g := d.Graphs[0]
-		eng, err := psi.NewEngine(g, psi.EngineOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
+		eng := newEngine(t, g, psi.EngineOptions{})
 		q := psi.ExtractQuery(g, 3, 2)
 		res, err := eng.QueryStream(context.Background(), q, 10, psi.SinkFunc(func(psi.Embedding) bool { panic("sink bug") }))
 		if err == nil || !strings.Contains(err.Error(), "panic") {

@@ -42,8 +42,8 @@ func oracleAnswers(ds, queries []*psi.Graph) [][]int {
 
 // TestMutableEngineParityFuzz drives random interleavings of AddGraph /
 // RemoveGraph / ReplaceGraph across index-kind portfolios × shard counts ×
-// worker counts, checking after every mutation that collected and streamed
-// answers are the oracle's over the live dataset.
+// worker counts, checking after every mutation that every entry point
+// answers as the oracle does over the live dataset, at the engine's epoch.
 func TestMutableEngineParityFuzz(t *testing.T) {
 	configs := []struct {
 		name    string
@@ -60,17 +60,7 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(40 + ci)))
 			ds := psi.GeneratePPI(psi.Tiny, 2)
-			eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-				Indexes:      cfg.indexes,
-				Shards:       cfg.shards,
-				Workers:      cfg.workers,
-				Mutable:      true,
-				CompactEvery: 2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
+			eng := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: cfg.indexes, Shards: cfg.shards, Workers: cfg.workers, Mutable: true, CompactEvery: 2})
 			if !eng.Mutable() {
 				t.Fatal("Mutable() = false on a mutable engine")
 			}
@@ -117,31 +107,9 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 				for qi := 0; qi < 2 && qi < len(cur); qi++ {
 					queries = append(queries, psi.ExtractQuery(cur[(step+qi)%len(cur)], 3+qi, int64(step*7+qi)))
 				}
-				want := oracleAnswers(cur, queries)
 				for qi, q := range queries {
-					res, err := eng.Query(context.Background(), q, 0)
-					if err != nil {
-						t.Fatalf("step %d q%d: %v", step, qi, err)
-					}
-					if !slices.Equal(res.GraphIDs, want[qi]) {
-						t.Errorf("step %d q%d: mutable answer %v, the oracle %v", step, qi, res.GraphIDs, want[qi])
-					}
-					if res.Epoch != eng.Epoch() {
-						t.Errorf("step %d q%d: result epoch %d, engine epoch %d", step, qi, res.Epoch, eng.Epoch())
-					}
-					var streamed []int
-					sres, err := eng.AnswerStream(context.Background(), q, func(id int) bool {
-						streamed = append(streamed, id)
-						return true
-					})
-					if err != nil {
-						t.Fatalf("step %d q%d stream: %v", step, qi, err)
-					}
-					if !slices.Equal(streamed, want[qi]) {
-						t.Errorf("step %d q%d: streamed answer %v, the oracle %v", step, qi, streamed, want[qi])
-					}
-					if sres.Epoch != res.Epoch {
-						t.Errorf("step %d q%d: stream epoch %d, collected epoch %d", step, qi, sres.Epoch, res.Epoch)
+					if err := checkPipelineAnswer(eng, q); err != nil {
+						t.Errorf("step %d q%d: %v", step, qi, err)
 					}
 				}
 			}
@@ -179,17 +147,7 @@ func TestMutableEngineConcurrentChurn(t *testing.T) {
 func concurrentChurn(t *testing.T, kinds []string, indexWorkers int) {
 	leakcheck.Check(t, 2)
 	ds := psi.GeneratePPI(psi.Tiny, 2)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes:      kinds,
-		IndexPolicy:  psi.IndexRace,
-		IndexWorkers: indexWorkers,
-		Shards:       2,
-		Mutable:      true,
-		CompactEvery: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: kinds, IndexPolicy: psi.IndexRace, IndexWorkers: indexWorkers, Shards: 2, Mutable: true, CompactEvery: 2})
 	q := psi.ExtractQuery(ds[0], 3, 77)
 
 	// expected[epoch] is the oracle's answer at that epoch,
@@ -262,7 +220,6 @@ func concurrentChurn(t *testing.T, kinds []string, indexWorkers int) {
 	if eng.Counters().Compactions == 0 {
 		t.Error("the churn never compacted a shard")
 	}
-	eng.Close()
 }
 
 // TestMutableEngineFreshness pins a repeated query's correctness across
@@ -270,33 +227,18 @@ func concurrentChurn(t *testing.T, kinds []string, indexWorkers int) {
 // because every epoch gets fresh query-serving state.
 func TestMutableEngineFreshness(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"ftv"},
-		Mutable: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv"}, Mutable: true})
 	donor := ds[1]
 	q := psi.ExtractQuery(donor, 3, 9)
-	first, err := eng.Query(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := query(t, eng, q, 0)
 	// Repeat the query, then ingest a copy of the donor graph: the query
 	// must now also match the newcomer.
-	if _, err := eng.Query(context.Background(), q, 0); err != nil {
-		t.Fatal(err)
-	}
+	query(t, eng, q, 0)
 	h, err := eng.AddGraph(context.Background(), donor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := eng.Query(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := query(t, eng, q, 0)
 	newID := len(eng.Dataset()) - 1
 	if !slices.Contains(after.GraphIDs, newID) {
 		t.Fatalf("after ingest: answer %v misses the new graph %d (stale state?); before was %v",
@@ -306,11 +248,7 @@ func TestMutableEngineFreshness(t *testing.T) {
 	if _, err := eng.RemoveGraph(context.Background(), h); err != nil {
 		t.Fatal(err)
 	}
-	final, err := eng.Query(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(final.GraphIDs, first.GraphIDs) {
+	if final := query(t, eng, q, 0); !slices.Equal(final.GraphIDs, first.GraphIDs) {
 		t.Fatalf("after remove: answer %v, want the original %v", final.GraphIDs, first.GraphIDs)
 	}
 }
@@ -320,19 +258,9 @@ func TestMutableEngineFreshness(t *testing.T) {
 // and compaction is reported and counted.
 func TestMutableEngineAPI(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
-	static, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer static.Close()
-	if static.Mutable() {
-		t.Error("static engine reports Mutable")
-	}
-	if static.Epoch() != 0 {
-		t.Errorf("static engine Epoch() = %d, want 0", static.Epoch())
-	}
-	if static.Handles() != nil {
-		t.Error("static engine has handles")
+	static := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv"}})
+	if static.Mutable() || static.Epoch() != 0 || static.Handles() != nil {
+		t.Errorf("static engine: Mutable %v, Epoch %d, handles %v; want false, 0, nil", static.Mutable(), static.Epoch(), static.Handles())
 	}
 	if _, err := static.AddGraph(context.Background(), ds[0]); err == nil {
 		t.Error("AddGraph on a static engine did not error")
@@ -344,13 +272,7 @@ func TestMutableEngineAPI(t *testing.T) {
 		t.Error("ReplaceGraph on a static engine did not error")
 	}
 
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"ftv"}, Mutable: true, CompactEvery: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv"}, Mutable: true, CompactEvery: 1})
 	if _, err := eng.RemoveGraph(context.Background(), 999); err == nil {
 		t.Error("RemoveGraph(unknown) did not error")
 	}
@@ -370,11 +292,8 @@ func TestMutableEngineAPI(t *testing.T) {
 	}
 	// CompactEvery=1: the very first removal must compact.
 	compacted, err := eng.RemoveGraph(context.Background(), eng.Handles()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !compacted {
-		t.Error("CompactEvery=1 removal did not compact")
+	if err != nil || !compacted {
+		t.Errorf("CompactEvery=1 removal: compacted %v, %v; want a compaction", compacted, err)
 	}
 	snap := eng.Counters()
 	if snap.GraphsRemoved != 1 || snap.Compactions != 1 {

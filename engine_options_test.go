@@ -36,26 +36,20 @@ func TestParseIndexSpec(t *testing.T) {
 	}
 	for _, c := range cases {
 		got, err := psi.ParseIndexSpec(c.spec)
-		if c.wantErr != "" {
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("ParseIndexSpec(%q) err = %v, want substring %q", c.spec, err, c.wantErr)
-			}
-			continue
+		checkParse(t, "ParseIndexSpec", c.spec, got, c.want, err, c.wantErr)
+	}
+}
+
+// checkParse fails the test unless a parser's result is want, or, when
+// wantErr is set, its error contains wantErr.
+func checkParse[T comparable](t *testing.T, parser, in string, got, want []T, err error, wantErr string) {
+	t.Helper()
+	if wantErr != "" {
+		if err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Errorf("%s(%q) err = %v, want substring %q", parser, in, err, wantErr)
 		}
-		if err != nil {
-			t.Errorf("ParseIndexSpec(%q) failed: %v", c.spec, err)
-			continue
-		}
-		if len(got) != len(c.want) {
-			t.Errorf("ParseIndexSpec(%q) = %v, want %v", c.spec, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("ParseIndexSpec(%q) = %v, want %v", c.spec, got, c.want)
-				break
-			}
-		}
+	} else if err != nil || !slices.Equal(got, want) {
+		t.Errorf("%s(%q) = %v, %v; want %v", parser, in, got, err, want)
 	}
 }
 
@@ -76,13 +70,7 @@ func TestParseAlgorithmsAndRewritings(t *testing.T) {
 	}
 	for _, c := range algoCases {
 		got, err := psi.ParseAlgorithms(c.in)
-		if c.wantErr != "" {
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("ParseAlgorithms(%q) err = %v, want substring %q", c.in, err, c.wantErr)
-			}
-		} else if err != nil || !slices.Equal(got, c.want) {
-			t.Errorf("ParseAlgorithms(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
+		checkParse(t, "ParseAlgorithms", c.in, got, c.want, err, c.wantErr)
 	}
 	rewritingCases := []struct {
 		in      string
@@ -98,55 +86,44 @@ func TestParseAlgorithmsAndRewritings(t *testing.T) {
 	}
 	for _, c := range rewritingCases {
 		got, err := psi.ParseRewritings(c.in)
-		if c.wantErr != "" {
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("ParseRewritings(%q) err = %v, want substring %q", c.in, err, c.wantErr)
-			}
-		} else if err != nil || !slices.Equal(got, c.want) {
-			t.Errorf("ParseRewritings(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
+		checkParse(t, "ParseRewritings", c.in, got, c.want, err, c.wantErr)
 	}
 }
 
-func TestNewEngineRejectsUnknownAlgorithm(t *testing.T) {
-	g := psi.MustNewGraph("g", []psi.Label{0, 1}, [][2]int{{0, 1}})
-	_, err := psi.NewEngine(g, psi.EngineOptions{
-		Algorithms: []psi.Algorithm{psi.GraphQL, "NOPE"},
-	})
-	if err == nil || !strings.Contains(err.Error(), "NOPE") {
-		t.Errorf("unknown algorithm error = %v, want it to name the offender", err)
+// oneEdge is a one-graph dataset for the option checks, which fail before
+// anything is built over it.
+var oneEdge = []*psi.Graph{psi.MustNewGraph("g", []psi.Label{0, 1}, [][2]int{{0, 1}})}
+
+// rejects fails the test unless build(opts) errs with an error containing
+// want; an engine it builds anyway is closed.
+func rejects(t *testing.T, what string, build func(psi.EngineOptions) (*psi.Engine, error), opts psi.EngineOptions, want string) {
+	t.Helper()
+	eng, err := build(opts)
+	if err == nil {
+		eng.Close()
 	}
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("%s engine with %+v: err = %v, want one containing %q", what, opts, err, want)
+	}
+}
+
+func buildStored(o psi.EngineOptions) (*psi.Engine, error)  { return psi.NewEngine(oneEdge[0], o) }
+func buildDataset(o psi.EngineOptions) (*psi.Engine, error) { return psi.NewDatasetEngine(oneEdge, o) }
+
+func TestNewEngineRejectsUnknownAlgorithm(t *testing.T) {
+	rejects(t, "stored graph", buildStored, psi.EngineOptions{Algorithms: []psi.Algorithm{psi.GraphQL, "NOPE"}}, "NOPE")
 }
 
 func TestNewDatasetEngineRejectsDuplicateIndexes(t *testing.T) {
-	ds := []*psi.Graph{psi.MustNewGraph("g", []psi.Label{0, 1}, [][2]int{{0, 1}})}
-	_, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"ftv", "ftv"},
-	})
-	if err == nil || !strings.Contains(err.Error(), "duplicate index kind") {
-		t.Errorf("duplicate portfolio error = %v, want duplicate-kind rejection", err)
-	}
+	rejects(t, "dataset", buildDataset, psi.EngineOptions{Indexes: []string{"ftv", "ftv"}}, "duplicate index kind")
 }
 
 func TestNewDatasetEngineRejectsBadKindInPortfolio(t *testing.T) {
-	ds := []*psi.Graph{psi.MustNewGraph("g", []psi.Label{0, 1}, [][2]int{{0, 1}})}
-	_, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"grapes", "btree"},
-	})
-	if err == nil || !strings.Contains(err.Error(), "btree") {
-		t.Errorf("bad portfolio kind error = %v, want it to name the offender", err)
-	}
+	rejects(t, "dataset", buildDataset, psi.EngineOptions{Indexes: []string{"grapes", "btree"}}, "btree")
 }
 
 func TestNewDatasetEngineRejectsBadPolicyBeforeBuilding(t *testing.T) {
-	ds := []*psi.Graph{psi.MustNewGraph("g", []psi.Label{0, 1}, [][2]int{{0, 1}})}
-	_, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes:     []string{"ftv", "grapes"},
-		IndexPolicy: "roundrobin",
-	})
-	if err == nil || !strings.Contains(err.Error(), "roundrobin") {
-		t.Errorf("bad policy error = %v, want it to name the offender", err)
-	}
+	rejects(t, "dataset", buildDataset, psi.EngineOptions{Indexes: []string{"ftv", "grapes"}, IndexPolicy: "roundrobin"}, "roundrobin")
 }
 
 // TestCrossKindPolicyFieldIsRejected: each engine kind reads one launch-policy
@@ -154,18 +131,10 @@ func TestNewDatasetEngineRejectsBadPolicyBeforeBuilding(t *testing.T) {
 // other's, any value of it, with an error naming the field to set — on the
 // snapshot path as well as on a build.
 func TestCrossKindPolicyFieldIsRejected(t *testing.T) {
-	ds := []*psi.Graph{psi.MustNewGraph("g", []psi.Label{0, 1}, [][2]int{{0, 1}}), psi.MustNewGraph("h", []psi.Label{1, 1}, [][2]int{{0, 1}})}
-	saved, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "e.psisnap")
-	if err := saved.SaveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	saved.Close()
+	ds := []*psi.Graph{oneEdge[0], psi.MustNewGraph("h", []psi.Label{1, 1}, [][2]int{{0, 1}})}
+	path := saveSnapshot(t, newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes"}}))
 	build := map[string]func(psi.EngineOptions) (*psi.Engine, error){
-		"stored graph": func(o psi.EngineOptions) (*psi.Engine, error) { return psi.NewEngine(ds[0], o) },
+		"stored graph": buildStored,
 		"dataset":      func(o psi.EngineOptions) (*psi.Engine, error) { return psi.NewDatasetEngine(ds, o) },
 		"snapshot": func(o psi.EngineOptions) (*psi.Engine, error) {
 			o.Snapshot = path
@@ -191,13 +160,7 @@ func TestCrossKindPolicyFieldIsRejected(t *testing.T) {
 		{"missing snapshot", psi.EngineOptions{IndexPolicy: "racce"}, `unknown EngineOptions.IndexPolicy "racce"`},
 		{"missing snapshot", psi.EngineOptions{Indexes: []string{"ftv", "gsx"}}, `unknown index kind "gsx"`},
 	} {
-		eng, err := build[tc.kind](tc.opts)
-		if err == nil {
-			eng.Close()
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s engine with %+v: err = %v, want one containing %q", tc.kind, tc.opts, err, tc.want)
-		}
+		rejects(t, tc.kind, build[tc.kind], tc.opts, tc.want)
 	}
 }
 
@@ -291,7 +254,7 @@ func TestAnswerStreamReportsKill(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer eng.Close()
+			t.Cleanup(eng.Close)
 			killed := budget > 0
 			var kills int64 // what a call moves the Killed counter by
 			if killed {
@@ -318,30 +281,5 @@ func TestAnswerStreamReportsKill(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestExecuteRejectsForeignPlan(t *testing.T) {
-	g := psi.MustNewGraph("g", []psi.Label{0, 1}, [][2]int{{0, 1}})
-	a, err := psi.NewEngine(g, psi.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := psi.NewEngine(g, psi.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	q := psi.MustNewGraph("q", []psi.Label{0}, nil)
-	p, err := a.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Execute(t.Context(), p, 1); err == nil {
-		t.Error("Execute must reject a plan from a different engine")
-	}
-	if _, err := a.Execute(t.Context(), nil, 1); err == nil {
-		t.Error("Execute must reject a nil plan")
 	}
 }

@@ -168,7 +168,8 @@ func TestPipelineParity(t *testing.T) {
 
 // checkPipelineAnswer asks eng q through every entry point, twice, and
 // returns why an answer is not the oracle's over the engine's current
-// dataset, or its report does not describe that answer.
+// dataset, or its report does not describe that answer at the engine's
+// current epoch.
 func checkPipelineAnswer(eng *psi.Engine, q *psi.Graph) error {
 	want := difftest.Want(eng.Dataset(), q)
 	for _, ep := range entryPoints {
@@ -180,7 +181,7 @@ func checkPipelineAnswer(eng *psi.Engine, q *psi.Graph) error {
 			if !slices.Equal(got, want) {
 				return fmt.Errorf("%s round %d: answered %v, the oracle %v", ep.name, round, got, want)
 			}
-			if res.Found != len(want) || res.Killed || res.Kind != launchKind(eng, res.Policy) || res.Winner == "" {
+			if res.Found != len(want) || res.Killed || res.Kind != launchKind(eng, res.Policy) || res.Winner == "" || res.Epoch != eng.Epoch() {
 				return fmt.Errorf("%s round %d: report %+v for answer %v", ep.name, round, res, want)
 			}
 		}
@@ -325,16 +326,8 @@ func TestPipelineExits(t *testing.T) {
 // dataset query the budget kills still reports the one it ran.
 func TestKilledQueryCountsItsPipeline(t *testing.T) {
 	ds := gen.Synthetic(gen.SyntheticConfig{NumGraphs: 8, AvgNodes: 24, Density: 0.15, Labels: 3}, 7)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}, Timeout: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	res, err := eng.Query(context.Background(), psi.ExtractQuery(ds[0], 3, 5), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := eng.Counters(); !res.Killed || c.Killed != 1 || c.IndexAttempts != 1 {
+	eng := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}, Timeout: time.Nanosecond})
+	if res, c := query(t, eng, psi.ExtractQuery(ds[0], 3, 5), 0), eng.Counters(); !res.Killed || c.Killed != 1 || c.IndexAttempts != 1 {
 		t.Errorf("killed %v, counters %+v; want one killed query that started one pipeline", res.Killed, c)
 	}
 }

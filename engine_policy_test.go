@@ -24,18 +24,9 @@ func autoParityEngines(t *testing.T, ds []*psi.Graph, opts psi.EngineOptions) (a
 	t.Helper()
 	raceOpts := opts
 	raceOpts.IndexPolicy = psi.IndexRace
-	race, err := psi.NewDatasetEngine(ds, raceOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(race.Close)
+	race = newDatasetEngine(t, ds, raceOpts)
 	opts.IndexPolicy = psi.IndexAuto
-	auto, err = psi.NewDatasetEngine(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(auto.Close)
-	return auto, race
+	return newDatasetEngine(t, ds, opts), race
 }
 
 // TestDatasetEngineAutoMatchesRace is the parity fuzz suite for the learned
@@ -53,39 +44,15 @@ func TestDatasetEngineAutoMatchesRace(t *testing.T) {
 	}
 	for pass := 0; pass < 6; pass++ {
 		for qi, q := range queries {
-			want, err := race.Query(context.Background(), q, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := auto.Query(context.Background(), q, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.GraphIDs) != len(want.GraphIDs) {
+			want, got := query(t, race, q, 0), query(t, auto, q, 0)
+			if !slices.Equal(got.GraphIDs, want.GraphIDs) {
 				t.Fatalf("pass %d q%d: auto answered %v, race %v", pass, qi, got.GraphIDs, want.GraphIDs)
-			}
-			for i := range want.GraphIDs {
-				if got.GraphIDs[i] != want.GraphIDs[i] {
-					t.Fatalf("pass %d q%d: auto answered %v, race %v", pass, qi, got.GraphIDs, want.GraphIDs)
-				}
 			}
 			if got.Policy == nil {
 				t.Fatalf("pass %d q%d: auto result missing policy decision", pass, qi)
 			}
-			var streamed []int
-			if _, err := auto.AnswerStream(context.Background(), q, func(id int) bool {
-				streamed = append(streamed, id)
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if len(streamed) != len(want.GraphIDs) {
+			if streamed := streamIDs(t, auto, q); !slices.Equal(streamed, want.GraphIDs) {
 				t.Fatalf("pass %d q%d: auto streamed %v, race %v", pass, qi, streamed, want.GraphIDs)
-			}
-			for i := range streamed {
-				if streamed[i] != want.GraphIDs[i] {
-					t.Fatalf("pass %d q%d: auto streamed %v, race %v", pass, qi, streamed, want.GraphIDs)
-				}
 			}
 		}
 	}
@@ -113,13 +80,7 @@ func TestDatasetEngineAutoMatchesRace(t *testing.T) {
 // mode/policy parsers accept auto.
 func TestDatasetEngineAutoPolicySurface(t *testing.T) {
 	ds := raceFixtureDataset()
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"grapes", "ggsx"}, IndexPolicy: psi.IndexAuto,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"grapes", "ggsx"}, IndexPolicy: psi.IndexAuto})
 	if eng.Mode() != psi.ModeAuto {
 		t.Fatalf("Mode = %q, want auto", eng.Mode())
 	}
@@ -140,11 +101,7 @@ func TestDatasetEngineAutoPolicySurface(t *testing.T) {
 
 	// One configured index cannot race: auto degrades to fixed, keeps the
 	// cache, and plans carry no decision.
-	single, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv"}, IndexPolicy: psi.IndexAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
+	single := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv"}, IndexPolicy: psi.IndexAuto})
 	if single.Mode() != psi.ModeSingle {
 		t.Errorf("single-index auto policy = %q, want single", single.Mode())
 	}
@@ -162,11 +119,7 @@ func TestDatasetEngineAutoPolicySurface(t *testing.T) {
 // (compared as counts — race winners legitimately vary in emission order).
 func TestEngineModeAutoMatchesRace(t *testing.T) {
 	g := psi.GenerateYeastLike(psi.Tiny, 6)
-	auto, err := psi.NewEngine(g, psi.EngineOptions{Mode: psi.ModeAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer auto.Close()
+	auto := newEngine(t, g, psi.EngineOptions{Mode: psi.ModeAuto})
 	psi.SetAutoPolicy(auto, time.Second, 2, 0)
 	ref := psi.MustNewMatcher(psi.VF2, g)
 	for pass := 0; pass < 4; pass++ {
@@ -176,18 +129,11 @@ func TestEngineModeAutoMatchesRace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := auto.Query(context.Background(), q, 10000)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := query(t, auto, q, 10000)
 			if res.Found != len(want) {
 				t.Fatalf("pass %d seed %d: auto found %d, reference %d", pass, seed, res.Found, len(want))
 			}
-			for _, e := range res.Embeddings {
-				if err := psi.VerifyEmbedding(q, g, e); err != nil {
-					t.Fatal(err)
-				}
-			}
+			verifyAll(t, q, g, res.Embeddings)
 		}
 	}
 	c := auto.Counters()
@@ -207,16 +153,9 @@ func TestDatasetEngineAutoSoloOverrunIsKillEvidence(t *testing.T) {
 	auto, race := autoParityEngines(t, ds, psi.EngineOptions{Indexes: []string{"grapes", "ggsx"}})
 	psi.SetAutoPolicy(auto, time.Nanosecond, 1, -1) // every solo overruns instantly
 	q := psi.ExtractQuery(ds[0], 3, 31)
-	want, err := race.Query(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := query(t, race, q, 0)
 	for i := 0; i < 6; i++ {
-		got, err := auto.Query(context.Background(), q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.GraphIDs) != len(want.GraphIDs) {
+		if got := query(t, auto, q, 0); len(got.GraphIDs) != len(want.GraphIDs) {
 			t.Fatalf("iteration %d: auto answered %v, race %v", i, got.GraphIDs, want.GraphIDs)
 		}
 	}
@@ -239,24 +178,17 @@ func TestDatasetEngineAutoSoloOverrunIsKillEvidence(t *testing.T) {
 // the solo eligibility of the class — completely untouched.
 func TestDatasetEngineAutoCancelIsNotEvidence(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 4)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
+	eng := newDatasetEngine(t, ds, psi.EngineOptions{
 		Indexes:     []string{"grapes", "ggsx"},
 		IndexPolicy: psi.IndexAuto,
 		Timeout:     time.Minute, // budgeted engine: the kill path exists but must not fire
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
 	psi.SetAutoPolicy(eng, 0, 1, -1)
 	q := psi.ExtractQuery(ds[0], 3, 37)
 	// Train until the class plans solo.
 	solo := false
 	for i := 0; i < 8 && !solo; i++ {
-		res, err := eng.Query(context.Background(), q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := query(t, eng, q, 0)
 		solo = res.Policy != nil && res.Policy.Solo
 	}
 	if !solo {
@@ -287,11 +219,7 @@ func TestDatasetEngineAutoCancelIsNotEvidence(t *testing.T) {
 		}
 	}
 	// The class must still plan solo afterwards.
-	res, err := eng.Query(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Policy == nil || !res.Policy.Solo {
+	if res := query(t, eng, q, 0); res.Policy == nil || !res.Policy.Solo {
 		t.Errorf("post-cancellation decision = %+v, want solo", res.Policy)
 	}
 }
@@ -350,28 +278,14 @@ func TestWinCountsTallyArms(t *testing.T) {
 		if fixed {
 			nfvOpts.Mode, ftvOpts.IndexPolicy = psi.ModeSingle, psi.IndexFixed
 		}
-		nfv, err := psi.NewEngine(ds[0], nfvOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nfv.Close()
-		dataset, err := psi.NewDatasetEngine(ds, ftvOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dataset.Close()
-		for kind, eng := range map[string]*psi.Engine{"stored graph": nfv, "dataset": dataset} {
+		for kind, eng := range map[string]*psi.Engine{"stored graph": newEngine(t, ds[0], nfvOpts), "dataset": newDatasetEngine(t, ds, ftvOpts)} {
 			p, err := eng.Plan(q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			won := map[string]int64{}
 			for i := 0; i < n; i++ {
-				res, err := eng.Query(context.Background(), q, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				won[res.Winner]++
+				won[query(t, eng, q, 0).Winner]++
 			}
 			wins := eng.WinCounts()
 			if !maps.Equal(wins, won) {
@@ -414,22 +328,14 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 	nfvOpts := opts
 	nfvOpts.Mode = mode
 	nfvOpts.Algorithms = []psi.Algorithm{psi.VF2, psi.GraphQL}[:arms]
-	nfv, err := psi.NewEngine(ds[0], nfvOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nfv.Close()
+	nfv := newEngine(t, ds[0], nfvOpts)
 	psi.SetAutoPolicy(nfv, time.Minute, warmup, -1)
 	ftvOpts := opts
 	ftvOpts.IndexPolicy = ixPolicy
 	ftvOpts.Indexes = names
 	ftvOpts.Shards = k
 	ftvOpts.Mutable = mutable
-	dataset, err := psi.NewDatasetEngine(ds, ftvOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dataset.Close()
+	dataset := newDatasetEngine(t, ds, ftvOpts)
 	psi.SetAutoPolicy(dataset, time.Minute, warmup, -1)
 	if mutable {
 		extra := psi.MustNewGraph("extra", []psi.Label{0, 1, 2, 0}, [][2]int{{0, 1}, {1, 2}, {2, 3}})

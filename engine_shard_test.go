@@ -9,7 +9,6 @@ package psi_test
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -27,11 +26,7 @@ func TestShardedEngineRaceParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mono.Close()
+	mono := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: kinds})
 	if mono.Shards() != 0 {
 		t.Errorf("monolithic engine Shards() = %d, want 0", mono.Shards())
 	}
@@ -39,21 +34,10 @@ func TestShardedEngineRaceParity(t *testing.T) {
 	want := make([][]int, len(queries))
 	for i := range queries {
 		queries[i] = psi.ExtractQuery(ds[i%len(ds)], 3+i, int64(20+i))
-		res, err := mono.Query(context.Background(), queries[i], 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res.GraphIDs
+		want[i] = query(t, mono, queries[i], 0).GraphIDs
 	}
 	for _, workers := range []int{0, 2} {
-		sh, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-			Indexes: kinds,
-			Shards:  3,
-			Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sh := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: kinds, Shards: 3, Workers: workers})
 		if sh.Shards() != 3 {
 			t.Fatalf("workers=%d: Shards() = %d, want 3", workers, sh.Shards())
 		}
@@ -65,10 +49,7 @@ func TestShardedEngineRaceParity(t *testing.T) {
 		}
 		total := 0
 		for i, q := range queries {
-			res, err := sh.Query(context.Background(), q, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := query(t, sh, q, 0)
 			if !slices.Equal(res.GraphIDs, want[i]) {
 				t.Errorf("workers=%d q%d: sharded answer %v, monolithic %v",
 					workers, i, res.GraphIDs, want[i])
@@ -77,13 +58,7 @@ func TestShardedEngineRaceParity(t *testing.T) {
 				t.Errorf("workers=%d q%d: raced sharded query reported no winning verifier", workers, i)
 			}
 			total += len(res.GraphIDs)
-			var streamed []int
-			if _, err := sh.AnswerStream(context.Background(), q, func(id int) bool {
-				streamed = append(streamed, id)
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
+			streamed := streamIDs(t, sh, q)
 			if !slices.Equal(streamed, want[i]) {
 				t.Errorf("workers=%d q%d: sharded stream %v, monolithic %v",
 					workers, i, streamed, want[i])
@@ -105,7 +80,6 @@ func TestShardedEngineRaceParity(t *testing.T) {
 		if c := sh.Counters(); c.Queries-c.Errors != int64(2*len(queries)) || sh.Shards() != 3 {
 			t.Errorf("workers=%d: %d queries, %d errors on %d shards, want %d answered on 3", workers, c.Queries, c.Errors, sh.Shards(), 2*len(queries))
 		}
-		sh.Close()
 	}
 }
 
@@ -123,21 +97,10 @@ func TestIndexStatsAgreeWithShards(t *testing.T) {
 				name := fmt.Sprintf("mutable=%v/loaded=%v/K=%d", mutable, load, shards)
 				t.Run(name, func(t *testing.T) {
 					opts := psi.EngineOptions{Indexes: []string{"ftv", "grapes"}, Shards: shards, Mutable: mutable, CompactEvery: 100}
-					eng, err := psi.NewDatasetEngine(ds, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
+					eng := newDatasetEngine(t, ds, opts)
 					if load {
-						path := filepath.Join(t.TempDir(), "e.psnap")
-						if err := eng.SaveSnapshot(path); err != nil {
-							t.Fatal(err)
-						}
-						eng.Close()
-						if eng, err = psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: path, Mutable: mutable, CompactEvery: 100}); err != nil {
-							t.Fatal(err)
-						}
+						eng = loadSnapshot(t, saveSnapshot(t, eng), psi.EngineOptions{Mutable: mutable, CompactEvery: 100})
 					}
-					defer eng.Close()
 					want := shards
 					if !mutable {
 						want = min(shards, len(ds))
@@ -189,27 +152,13 @@ func assertStatsAgree(t *testing.T, when string, eng *psi.Engine) {
 // tests.)
 func TestShardedEngineRepeatBalance(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"ftv"},
-		Shards:  2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv"}, Shards: 2})
 	q := psi.ExtractQuery(ds[0], 4, 21)
-	first, err := eng.Query(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := query(t, eng, q, 0)
 	if len(first.GraphIDs) == 0 {
 		t.Fatal("fixture query has an empty answer; pick a different seed")
 	}
-	replay, err := eng.Query(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(replay.GraphIDs, first.GraphIDs) {
+	if replay := query(t, eng, q, 0); !slices.Equal(replay.GraphIDs, first.GraphIDs) {
 		t.Fatalf("repeat answered %v, first %v", replay.GraphIDs, first.GraphIDs)
 	}
 	var sum int64
@@ -232,30 +181,18 @@ func TestShardedEngineRepeatBalance(t *testing.T) {
 // collected and the streamed form alike.
 func TestShardBalanceAfterRemoval(t *testing.T) {
 	g := psi.MustNewGraph("g", []psi.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
-	eng, err := psi.NewDatasetEngine([]*psi.Graph{g, g, g, g}, psi.EngineOptions{
-		Indexes: []string{"ftv"}, Shards: 2, Mutable: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newDatasetEngine(t, []*psi.Graph{g, g, g, g}, psi.EngineOptions{Indexes: []string{"ftv"}, Shards: 2, Mutable: true})
 	if _, err := eng.RemoveGraph(context.Background(), eng.Handles()[0]); err != nil {
 		t.Fatal(err)
 	}
 	q := psi.MustNewGraph("q", []psi.Label{0, 1}, [][2]int{{0, 1}})
-	res, err := eng.Query(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(res.GraphIDs, []int{0, 1, 2}) {
+	if res := query(t, eng, q, 0); !slices.Equal(res.GraphIDs, []int{0, 1, 2}) {
 		t.Fatalf("answered %v, want all three live graphs", res.GraphIDs)
 	}
 	if got := eng.ShardBalance(); !slices.Equal(got, []int64{1, 2}) {
 		t.Errorf("collected: ShardBalance = %v, want [1 2]", got)
 	}
-	if _, err := eng.AnswerStream(context.Background(), q, func(int) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
+	streamIDs(t, eng, q)
 	if got := eng.ShardBalance(); !slices.Equal(got, []int64{2, 4}) {
 		t.Errorf("streamed: ShardBalance = %v, want [2 4]", got)
 	}
@@ -266,21 +203,8 @@ func TestShardBalanceAfterRemoval(t *testing.T) {
 // not an error).
 func TestShardedEngineKillCounter(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"ftv"},
-		Shards:  2,
-		Timeout: time.Nanosecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	q := psi.ExtractQuery(ds[0], 4, 33)
-	res, err := eng.Query(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Killed {
+	eng := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv"}, Shards: 2, Timeout: time.Nanosecond})
+	if res := query(t, eng, psi.ExtractQuery(ds[0], 4, 33), 0); !res.Killed {
 		t.Fatalf("query under a 1ns budget not killed: %+v", res)
 	}
 	c := eng.Counters()

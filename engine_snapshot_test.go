@@ -27,13 +27,27 @@ func snapAnswers(t *testing.T, e *psi.Engine, queries []*psi.Graph) [][]int {
 	t.Helper()
 	out := make([][]int, len(queries))
 	for i, q := range queries {
-		res, err := e.Query(context.Background(), q, 0)
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		out[i] = res.GraphIDs
+		out[i] = query(t, e, q, 0).GraphIDs
 	}
 	return out
+}
+
+// saveSnapshot saves e to a new file under the test's temporary directory
+// and returns its path.
+func saveSnapshot(t *testing.T, e *psi.Engine) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "e.psnap")
+	if err := e.SaveSnapshot(path); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	return path
+}
+
+// loadSnapshot cold-starts a dataset engine from path under opts.
+func loadSnapshot(t *testing.T, path string, opts psi.EngineOptions) *psi.Engine {
+	t.Helper()
+	opts.Snapshot = path
+	return newDatasetEngine(t, nil, opts)
 }
 
 func assertSameAnswers(t *testing.T, label string, want, got [][]int) {
@@ -59,19 +73,9 @@ func TestEngineSnapshotRoundTripStatic(t *testing.T) {
 		queries[i] = psi.ExtractQuery(ds[i%len(ds)], 3+i%3, int64(40+i))
 	}
 	for _, shards := range []int{1, 4} {
-		path := filepath.Join(t.TempDir(), "static.psnap")
-		orig, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds, Shards: shards})
-		if err != nil {
-			t.Fatalf("K=%d: %v", shards, err)
-		}
+		orig := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: kinds, Shards: shards})
 		want := snapAnswers(t, orig, queries)
-		if err := orig.SaveSnapshot(path); err != nil {
-			t.Fatalf("K=%d: save: %v", shards, err)
-		}
-		loaded, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: path})
-		if err != nil {
-			t.Fatalf("K=%d: load: %v", shards, err)
-		}
+		loaded := loadSnapshot(t, saveSnapshot(t, orig), psi.EngineOptions{})
 		if loaded.Mutable() {
 			t.Errorf("K=%d: loaded static engine reports mutable", shards)
 		}
@@ -85,32 +89,15 @@ func TestEngineSnapshotRoundTripStatic(t *testing.T) {
 
 		// Streamed answers agree too (exercises the restored merge path).
 		for i, q := range queries {
-			var ids []int
-			if _, err := loaded.AnswerStream(context.Background(), q, func(id int) bool {
-				ids = append(ids, id)
-				return true
-			}); err != nil {
-				t.Fatalf("K=%d: stream: %v", shards, err)
-			}
-			if !slices.Equal(ids, want[i]) {
+			if ids := streamIDs(t, loaded, q); !slices.Equal(ids, want[i]) {
 				t.Errorf("K=%d: streamed query %d = %v, want %v", shards, i, ids, want[i])
 			}
 		}
 
 		// A re-save of the loaded engine must load again (save → load →
 		// save → load is closed under the codec).
-		again := filepath.Join(t.TempDir(), "again.psnap")
-		if err := loaded.SaveSnapshot(again); err != nil {
-			t.Fatalf("K=%d: re-save: %v", shards, err)
-		}
-		reloaded, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: again})
-		if err != nil {
-			t.Fatalf("K=%d: re-load: %v", shards, err)
-		}
+		reloaded := loadSnapshot(t, saveSnapshot(t, loaded), psi.EngineOptions{})
 		assertSameAnswers(t, "reloaded static", want, snapAnswers(t, reloaded, queries))
-		reloaded.Close()
-		loaded.Close()
-		orig.Close()
 	}
 }
 
@@ -127,13 +114,7 @@ func TestEngineSnapshotRoundTripMutable(t *testing.T) {
 		queries[i] = psi.ExtractQuery(ds[i%len(ds)], 3+i%3, int64(60+i))
 	}
 	for _, shards := range []int{1, 4} {
-		path := filepath.Join(t.TempDir(), "mutable.psnap")
-		orig, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-			Indexes: kinds, Shards: shards, Mutable: true, CompactEvery: 2,
-		})
-		if err != nil {
-			t.Fatalf("K=%d: %v", shards, err)
-		}
+		orig := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: kinds, Shards: shards, Mutable: true, CompactEvery: 2})
 		// Churn: adds, a removal (leaves a tombstone), a replace.
 		var handles []psi.GraphHandle
 		for i := 0; i < 4; i++ {
@@ -151,16 +132,7 @@ func TestEngineSnapshotRoundTripMutable(t *testing.T) {
 		}
 		want := snapAnswers(t, orig, queries)
 		epoch := orig.Epoch()
-		if err := orig.SaveSnapshot(path); err != nil {
-			t.Fatalf("K=%d: save: %v", shards, err)
-		}
-
-		loaded, err := psi.NewDatasetEngine(nil, psi.EngineOptions{
-			Snapshot: path, Mutable: true, CompactEvery: 2,
-		})
-		if err != nil {
-			t.Fatalf("K=%d: load: %v", shards, err)
-		}
+		loaded := loadSnapshot(t, saveSnapshot(t, orig), psi.EngineOptions{Mutable: true, CompactEvery: 2})
 		if !loaded.Mutable() {
 			t.Fatalf("K=%d: loaded engine is not mutable", shards)
 		}
@@ -205,8 +177,6 @@ func TestEngineSnapshotRoundTripMutable(t *testing.T) {
 			}
 			assertSameAnswers(t, "lockstep", snapAnswers(t, orig, queries), snapAnswers(t, loaded, queries))
 		}
-		loaded.Close()
-		orig.Close()
 	}
 }
 
@@ -228,10 +198,7 @@ func TestEngineSnapshotResaveByteIdentical(t *testing.T) {
 		{"mutable", psi.EngineOptions{Indexes: kinds, Mutable: true, CompactEvery: 100}},
 		{"mutable K=2", psi.EngineOptions{Indexes: kinds, Shards: 2, Mutable: true, CompactEvery: 100}},
 	} {
-		orig, err := psi.NewDatasetEngine(ds, tc.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		orig := newDatasetEngine(t, ds, tc.opts)
 		if tc.opts.Mutable {
 			// One removal, far below the compaction threshold: the slot
 			// stays, tombstoned, with its features still in the sub-indexes.
@@ -245,29 +212,10 @@ func TestEngineSnapshotResaveByteIdentical(t *testing.T) {
 				}
 			}
 		}
-		first := filepath.Join(t.TempDir(), "first.psnap")
-		if err := orig.SaveSnapshot(first); err != nil {
-			t.Fatalf("%s: save: %v", tc.name, err)
-		}
+		first := saveSnapshot(t, orig)
 		orig.Close()
-		loaded, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: first, Mutable: tc.opts.Mutable, CompactEvery: tc.opts.CompactEvery})
-		if err != nil {
-			t.Fatalf("%s: load: %v", tc.name, err)
-		}
-		second := filepath.Join(t.TempDir(), "second.psnap")
-		if err := loaded.SaveSnapshot(second); err != nil {
-			t.Fatalf("%s: re-save: %v", tc.name, err)
-		}
-		loaded.Close()
-		a, err := os.ReadFile(first)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
+		second := saveSnapshot(t, loadSnapshot(t, first, psi.EngineOptions{Mutable: tc.opts.Mutable, CompactEvery: tc.opts.CompactEvery}))
+		if a, b := readFile(t, first), readFile(t, second); !bytes.Equal(a, b) {
 			t.Errorf("%s: the re-saved snapshot (%d bytes) differs from the one it was loaded from (%d bytes)", tc.name, len(b), len(a))
 		}
 	}
@@ -282,11 +230,7 @@ func TestEngineSnapshotResaveByteIdentical(t *testing.T) {
 func TestSnapshotRacingMutations(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 5)
 	kinds := []string{"ftv", "grapes"}
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds, Shards: 2, Mutable: true, CompactEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: kinds, Shards: 2, Mutable: true, CompactEvery: 2})
 	// committed[epoch] is the dataset the mutator saw right after committing
 	// the epoch; it is the only writer, and it is read after done closes.
 	committed := map[uint64][]*psi.Graph{eng.Epoch(): eng.Dataset()}
@@ -316,18 +260,11 @@ func TestSnapshotRacingMutations(t *testing.T) {
 			saving = false
 		default:
 		}
-		path := filepath.Join(t.TempDir(), "racing.psnap")
-		if err := eng.SaveSnapshot(path); err != nil {
-			t.Fatalf("save %d: %v", len(paths), err)
-		}
-		paths = append(paths, path)
+		paths = append(paths, saveSnapshot(t, eng))
 	}
 	epochs := map[uint64]bool{}
 	for i, path := range paths {
-		loaded, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: path, Mutable: true})
-		if err != nil {
-			t.Fatalf("file %d does not load: %v", i, err)
-		}
+		loaded := loadSnapshot(t, path, psi.EngineOptions{Mutable: true})
 		got := loaded.Dataset()
 		want, ok := committed[loaded.Epoch()]
 		if !ok {
@@ -355,15 +292,7 @@ func TestSnapshotRacingMutations(t *testing.T) {
 // engine.
 func TestEngineSnapshotMismatch(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 5)
-	path := filepath.Join(t.TempDir(), "e.psnap")
-	orig, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes"}, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer orig.Close()
-	if err := orig.SaveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
+	path := saveSnapshot(t, newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes"}, Shards: 2}))
 
 	cases := []struct {
 		name    string
@@ -384,14 +313,8 @@ func TestEngineSnapshotMismatch(t *testing.T) {
 		}
 	}
 
-	// Matching non-zero options are accepted.
-	ok, err := psi.NewDatasetEngine(nil, psi.EngineOptions{
-		Snapshot: path, Shards: 2, Indexes: []string{"grapes", "ftv"}, // order-insensitive
-	})
-	if err != nil {
-		t.Fatalf("matching options rejected: %v", err)
-	}
-	ok.Close()
+	// Matching non-zero options are accepted, in any order of the names.
+	loadSnapshot(t, path, psi.EngineOptions{Shards: 2, Indexes: []string{"grapes", "ftv"}})
 
 	// A dataset alongside Snapshot is ambiguous, not silently resolved.
 	if _, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Snapshot: path}); err == nil {
@@ -399,21 +322,13 @@ func TestEngineSnapshotMismatch(t *testing.T) {
 	}
 
 	// NFV engines have no snapshot surface.
-	nfv, err := psi.NewEngine(ds[0], psi.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nfv.Close()
-	if err := nfv.SaveSnapshot(filepath.Join(t.TempDir(), "nfv.psnap")); err == nil {
+	if err := newEngine(t, ds[0], psi.EngineOptions{}).SaveSnapshot(filepath.Join(t.TempDir(), "nfv.psnap")); err == nil {
 		t.Error("NFV SaveSnapshot succeeded")
 	}
 
 	// Corrupt one byte mid-file: the load must fail with a checksum error,
 	// never hand back a partial engine.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := readFile(t, path)
 	raw[len(raw)/2] ^= 0x40
 	bad := filepath.Join(t.TempDir(), "bad.psnap")
 	if err := os.WriteFile(bad, raw, 0o644); err != nil {
@@ -438,24 +353,13 @@ func TestEngineSnapshotMismatch(t *testing.T) {
 // still format v1, about half the index sections, readable again.
 func TestSnapshotFromParentCommit(t *testing.T) {
 	const fixture = "testdata/parent_portfolio_k2.psnap"
-	old, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: fixture})
-	if err != nil {
-		t.Fatalf("loading the parent-written snapshot: %v", err)
-	}
-	defer loaded.Close()
+	old := readFile(t, fixture)
+	loaded := loadSnapshot(t, fixture, psi.EngineOptions{})
 	ds := loaded.Dataset()
 	if len(ds) != 7 || loaded.Shards() != 2 {
 		t.Fatalf("fixture loaded as %d graphs, %d shards; want 7, 2", len(ds), loaded.Shards())
 	}
-	fresh, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
+	fresh := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}, Shards: 2})
 	var queries []*psi.Graph
 	for i, g := range ds[:6] { // the seventh graph is edgeless
 		queries = append(queries, psi.ExtractQuery(g, 2+i%3, int64(70+i)))
@@ -464,19 +368,9 @@ func TestSnapshotFromParentCommit(t *testing.T) {
 	assertSameAnswers(t, "parent snapshot vs fresh build", snapAnswers(t, fresh, queries), snapAnswers(t, loaded, queries))
 	resaved := map[string][]byte{}
 	for name, e := range map[string]*psi.Engine{"loaded": loaded, "fresh": fresh} {
-		path := filepath.Join(t.TempDir(), "resaved.psnap")
-		if err := e.SaveSnapshot(path); err != nil {
-			t.Fatalf("%s: re-save: %v", name, err)
-		}
-		if resaved[name], err = os.ReadFile(path); err != nil {
-			t.Fatal(err)
-		}
-		again, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: path})
-		if err != nil {
-			t.Fatalf("%s: loading the re-saved snapshot: %v", name, err)
-		}
-		assertSameAnswers(t, name+" re-saved vs fresh build", snapAnswers(t, fresh, queries), snapAnswers(t, again, queries))
-		again.Close()
+		path := saveSnapshot(t, e)
+		resaved[name] = readFile(t, path)
+		assertSameAnswers(t, name+" re-saved vs fresh build", snapAnswers(t, fresh, queries), snapAnswers(t, loadSnapshot(t, path, psi.EngineOptions{}), queries))
 	}
 	if !bytes.Equal(resaved["loaded"], resaved["fresh"]) {
 		t.Errorf("loaded engine re-saves %d bytes, fresh build %d: not the same file", len(resaved["loaded"]), len(resaved["fresh"]))
@@ -485,4 +379,14 @@ func TestSnapshotFromParentCommit(t *testing.T) {
 	if got := len(resaved["loaded"]); got < len(old)*45/100 || got > len(old)*65/100 {
 		t.Errorf("re-saved snapshot is %d bytes, the both-spellings file %d: want roughly half", got, len(old))
 	}
+}
+
+// readFile returns path's bytes and fails the test when it cannot.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -9,7 +9,6 @@ package psi_test
 
 import (
 	"context"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -38,21 +37,10 @@ func TestStaticEngineSurface(t *testing.T) {
 		{"mutable K=64 over 4 graphs", psi.EngineOptions{Indexes: []string{"ftv"}, Shards: 64, Mutable: true}, false, 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, err := psi.NewDatasetEngine(ds, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			eng := newDatasetEngine(t, ds, tc.opts)
 			if tc.load {
-				path := filepath.Join(t.TempDir(), "static.psnap")
-				if err := eng.SaveSnapshot(path); err != nil {
-					t.Fatal(err)
-				}
-				eng.Close()
-				if eng, err = psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: path}); err != nil {
-					t.Fatal(err)
-				}
+				eng = loadSnapshot(t, saveSnapshot(t, eng), psi.EngineOptions{})
 			}
-			defer eng.Close()
 			if got := eng.Shards(); got != tc.wantShards {
 				t.Errorf("Shards() = %d, want %d", got, tc.wantShards)
 			}

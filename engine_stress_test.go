@@ -23,16 +23,9 @@ import (
 // overlap — and checks every answer matches the sequential baseline.
 func TestEngineConcurrentNFVCallers(t *testing.T) {
 	g, q := engineFixture(t)
-	eng, err := psi.NewEngine(g, psi.EngineOptions{Mode: psi.ModeAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newEngine(t, g, psi.EngineOptions{Mode: psi.ModeAuto})
 	psi.SetAutoPolicy(eng, 0, 2, 5)
-	baseline, err := eng.Query(context.Background(), q, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseline := query(t, eng, q, 100000)
 
 	const goroutines, iters = 8, 6
 	var wg sync.WaitGroup
@@ -102,21 +95,14 @@ func TestEngineConcurrentDatasetCallers(t *testing.T) {
 		{Indexes: []string{"ftv", "ggsx"}}, // index race, no cache
 	}
 	for ci, opts := range configs {
-		eng, err := psi.NewDatasetEngine(ds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newDatasetEngine(t, ds, opts)
 		queries := make([]*psi.Graph, 4)
 		for i := range queries {
 			queries[i] = psi.ExtractQuery(ds[i%len(ds)], 4, int64(7+i))
 		}
 		baseline := make([][]int, len(queries))
 		for i, q := range queries {
-			res, err := eng.Query(context.Background(), q, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			baseline[i] = res.GraphIDs
+			baseline[i] = query(t, eng, q, 0).GraphIDs
 		}
 
 		const goroutines, iters = 6, 5
@@ -165,6 +151,5 @@ func TestEngineConcurrentDatasetCallers(t *testing.T) {
 		for err := range errs {
 			t.Error(err)
 		}
-		eng.Close()
 	}
 }

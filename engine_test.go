@@ -12,7 +12,6 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
-	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
@@ -23,32 +22,91 @@ func engineFixture(t *testing.T) (*psi.Graph, *psi.Graph) {
 	return g, q
 }
 
-func TestEngineQueryMatchesDirectMatch(t *testing.T) {
-	g, q := engineFixture(t)
-	eng, err := psi.NewEngine(g, psi.EngineOptions{})
+// newEngine builds a stored-graph engine that the test closes when it ends.
+func newEngine(t testing.TB, g *psi.Graph, opts psi.EngineOptions) *psi.Engine {
+	t.Helper()
+	eng, err := psi.NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
+	t.Cleanup(eng.Close)
+	return eng
+}
+
+// newDatasetEngine builds a dataset engine that the test closes when it ends.
+func newDatasetEngine(t testing.TB, ds []*psi.Graph, opts psi.EngineOptions) *psi.Engine {
+	t.Helper()
+	eng, err := psi.NewDatasetEngine(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	return eng
+}
+
+// query runs eng.Query and fails the test on an error.
+func query(t testing.TB, eng *psi.Engine, q *psi.Graph, limit int) *psi.QueryResult {
+	t.Helper()
+	res, err := eng.Query(context.Background(), q, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// streamEmbeddings runs eng.QueryStream into a sink that keeps every
+// embedding while more is true, and stops after the first otherwise.
+func streamEmbeddings(t testing.TB, eng *psi.Engine, q *psi.Graph, limit int, more bool) (*psi.QueryResult, []psi.Embedding) {
+	t.Helper()
+	var got []psi.Embedding
+	res, err := eng.QueryStream(context.Background(), q, limit, psi.SinkFunc(func(e psi.Embedding) bool {
+		got = append(got, e)
+		return more
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, got
+}
+
+// streamIDs runs eng.AnswerStream and returns the IDs it emitted.
+func streamIDs(t testing.TB, eng *psi.Engine, q *psi.Graph) []int {
+	t.Helper()
+	var ids []int
+	if _, err := eng.AnswerStream(context.Background(), q, func(id int) bool {
+		ids = append(ids, id)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+// verifyAll fails the test unless every embedding is one of q in g.
+func verifyAll(t testing.TB, q, g *psi.Graph, embs []psi.Embedding) {
+	t.Helper()
+	for _, e := range embs {
+		if err := psi.VerifyEmbedding(q, g, e); err != nil {
+			t.Fatalf("invalid embedding: %v", err)
+		}
+	}
+}
+
+func TestEngineQueryMatchesDirectMatch(t *testing.T) {
+	g, q := engineFixture(t)
+	eng := newEngine(t, g, psi.EngineOptions{})
 	want, err := psi.MustNewMatcher(psi.GraphQL, g).Match(context.Background(), q, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Query(context.Background(), q, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := query(t, eng, q, 100000)
 	if res.Kind != psi.PlanRace {
 		t.Errorf("default mode should plan a race, got %v", res.Kind)
 	}
 	if res.Found != len(want) || len(res.Embeddings) != len(want) {
 		t.Fatalf("engine found %d embeddings, direct match %d", res.Found, len(want))
 	}
-	for _, e := range res.Embeddings {
-		if err := psi.VerifyEmbedding(q, g, e); err != nil {
-			t.Fatalf("engine emitted invalid embedding: %v", err)
-		}
-	}
+	verifyAll(t, q, g, res.Embeddings)
 	if res.Winner == "" || res.Elapsed <= 0 {
 		t.Errorf("result missing provenance: winner=%q elapsed=%v", res.Winner, res.Elapsed)
 	}
@@ -56,23 +114,9 @@ func TestEngineQueryMatchesDirectMatch(t *testing.T) {
 
 func TestEngineQueryStreamParity(t *testing.T) {
 	g, q := engineFixture(t)
-	eng, err := psi.NewEngine(g, psi.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	slice, err := eng.Query(context.Background(), q, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []psi.Embedding
-	res, err := eng.QueryStream(context.Background(), q, 100000, psi.SinkFunc(func(e psi.Embedding) bool {
-		streamed = append(streamed, e)
-		return true
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, g, psi.EngineOptions{})
+	slice := query(t, eng, q, 100000)
+	res, streamed := streamEmbeddings(t, eng, q, 100000, true)
 	if len(streamed) != slice.Found || res.Found != slice.Found {
 		t.Fatalf("streamed %d embeddings (Found=%d), slice path found %d",
 			len(streamed), res.Found, slice.Found)
@@ -80,43 +124,23 @@ func TestEngineQueryStreamParity(t *testing.T) {
 	if res.Embeddings != nil {
 		t.Error("streaming execution must not also materialize embeddings")
 	}
-	for _, e := range streamed {
-		if err := psi.VerifyEmbedding(q, g, e); err != nil {
-			t.Fatalf("streamed embedding invalid: %v", err)
-		}
-	}
+	verifyAll(t, q, g, streamed)
 }
 
 func TestEngineFirstResultStopsEarly(t *testing.T) {
 	g, q := engineFixture(t)
-	eng, err := psi.NewEngine(g, psi.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	emitted := 0
-	res, err := eng.QueryStream(context.Background(), q, 100000, psi.SinkFunc(func(psi.Embedding) bool {
-		emitted++
-		return false
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emitted != 1 || res.Found != 1 {
-		t.Fatalf("first-result stream emitted %d (Found=%d), want 1", emitted, res.Found)
+	res, emitted := streamEmbeddings(t, newEngine(t, g, psi.EngineOptions{}), q, 100000, false)
+	if len(emitted) != 1 || res.Found != 1 {
+		t.Fatalf("first-result stream emitted %d (Found=%d), want 1", len(emitted), res.Found)
 	}
 }
 
 func TestEngineModeSinglePlansFixed(t *testing.T) {
 	g, q := engineFixture(t)
-	eng, err := psi.NewEngine(g, psi.EngineOptions{
+	eng := newEngine(t, g, psi.EngineOptions{
 		Mode:       psi.ModeSingle,
 		Algorithms: []psi.Algorithm{psi.VF2, psi.GraphQL},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
 	p, err := eng.Plan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -157,17 +181,11 @@ func denseFixture(t *testing.T) (g, q *psi.Graph) {
 	return g, psi.ExtractQuery(g, 9, 5)
 }
 
+// TestEngineDeadlineKillsQuery: a query the engine's 5 ms cap kills
+// surfaces an empty answer and reports the cap as its time.
 func TestEngineDeadlineKillsQuery(t *testing.T) {
 	g, q := denseFixture(t)
-	eng, err := psi.NewEngine(g, psi.EngineOptions{Timeout: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	res, err := eng.Query(context.Background(), q, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := query(t, newEngine(t, g, psi.EngineOptions{Timeout: 5 * time.Millisecond}), q, 1<<30)
 	if !res.Killed {
 		t.Skip("enumeration finished inside the cap on this machine")
 	}
@@ -184,11 +202,7 @@ func TestEngineDeadlineKillsQuery(t *testing.T) {
 // reports the time it ran, not the cap.
 func TestEngineCallerDeadlineReportsTimeTaken(t *testing.T) {
 	g, q := denseFixture(t)
-	eng, err := psi.NewEngine(g, psi.EngineOptions{Timeout: 10 * time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newEngine(t, g, psi.EngineOptions{Timeout: 10 * time.Minute})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	res, err := eng.Query(ctx, q, 1<<30)
@@ -203,38 +217,23 @@ func TestEngineCallerDeadlineReportsTimeTaken(t *testing.T) {
 	}
 }
 
+// TestEngineDeadlineStreamingKeepsSurfacedCount: the dense fixture
+// streamed under a cap: embeddings that reached the sink before the kill
+// stay counted in Found.
 func TestEngineDeadlineStreamingKeepsSurfacedCount(t *testing.T) {
-	// Same dense fixture as the kill test, streamed: embeddings that
-	// reached the sink before the kill must stay counted in Found.
 	g, q := denseFixture(t)
-	eng, err := psi.NewEngine(g, psi.EngineOptions{Timeout: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	streamed := 0
-	res, err := eng.QueryStream(context.Background(), q, 1<<30, psi.SinkFunc(func(psi.Embedding) bool {
-		streamed++
-		return true
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, streamed := streamEmbeddings(t, newEngine(t, g, psi.EngineOptions{Timeout: 20 * time.Millisecond}), q, 1<<30, true)
 	if !res.Killed {
 		t.Skip("enumeration finished inside the cap on this machine")
 	}
-	if res.Found != streamed {
-		t.Errorf("killed streaming run reports Found=%d, sink saw %d", res.Found, streamed)
+	if res.Found != len(streamed) {
+		t.Errorf("killed streaming run reports Found=%d, sink saw %d", res.Found, len(streamed))
 	}
 }
 
 func TestEnginePlanDoesNotAliasPortfolio(t *testing.T) {
 	g, q := engineFixture(t)
-	eng, err := psi.NewEngine(g, psi.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newEngine(t, g, psi.EngineOptions{})
 	p, err := eng.Plan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -243,25 +242,15 @@ func TestEnginePlanDoesNotAliasPortfolio(t *testing.T) {
 	if p2, err := eng.Plan(q); err != nil || p2.Arms[0] != "GQL-Orig" {
 		t.Fatal("mutating a plan's arms corrupted the engine's labels")
 	}
-	if _, err := eng.Query(context.Background(), q, 1); err != nil {
-		t.Fatalf("engine broken after plan mutation: %v", err)
-	}
+	query(t, eng, q, 1)
 }
 
 // TestEnginePlanAllocs: a race plan costs two allocations on either engine
 // kind, the plan and its copy of the arm labels.
 func TestEnginePlanAllocs(t *testing.T) {
 	ds, q := raceFixtureDataset(), raceFixtureQueries()[0]
-	stored, err := psi.NewEngine(ds[0], psi.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stored.Close()
-	dataset, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dataset.Close()
+	stored := newEngine(t, ds[0], psi.EngineOptions{})
+	dataset := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes"}})
 	for _, eng := range []*psi.Engine{stored, dataset} {
 		if p, err := eng.Plan(q); err != nil || p.Kind != psi.PlanRace || len(p.Arms) < 2 {
 			t.Fatalf("plan %+v, %v: want a race of several arms", p, err)
@@ -274,16 +263,7 @@ func TestEnginePlanAllocs(t *testing.T) {
 
 func TestEnginePlanRejectsForeignAndNil(t *testing.T) {
 	g, q := engineFixture(t)
-	e1, err := psi.NewEngine(g, psi.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e1.Close()
-	e2, err := psi.NewEngine(g, psi.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
+	e1, e2 := newEngine(t, g, psi.EngineOptions{}), newEngine(t, g, psi.EngineOptions{})
 	p, err := e1.Plan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -299,63 +279,28 @@ func TestEnginePlanRejectsForeignAndNil(t *testing.T) {
 	}
 }
 
+// TestDatasetEngineMatchesSequentialOracle: a dataset engine over its one
+// default verifier plans fixed and answers as the oracle does, on every entry
+// point (checkPipelineAnswer).
 func TestDatasetEngineMatchesSequentialOracle(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
-	q := psi.ExtractQuery(ds[0], 4, 9)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Rewritings: []psi.Rewriting{psi.Orig, psi.DND},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	res, err := eng.Query(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kind != psi.PlanFixed {
-		t.Errorf("dataset engine over its one default verifier planned %v, want fixed", res.Kind)
-	}
-	if want := difftest.Want(ds, q); !slices.Equal(res.GraphIDs, want) {
-		t.Fatalf("engine answered %v, the oracle %v", res.GraphIDs, want)
+	eng := newDatasetEngine(t, ds, psi.EngineOptions{Rewritings: []psi.Rewriting{psi.Orig, psi.DND}})
+	if err := checkPipelineAnswer(eng, psi.ExtractQuery(ds[0], 4, 9)); err != nil || eng.Mode() != psi.ModeSingle {
+		t.Fatalf("mode %s: %v", eng.Mode(), err)
 	}
 }
 
+// TestDatasetEngineAnswerStream: AnswerStream emits what Query answers, and
+// a stored-graph engine refuses it.
 func TestDatasetEngineAnswerStream(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
 	q := psi.ExtractQuery(ds[0], 3, 7)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{})
-	if err != nil {
+	if err := checkPipelineAnswer(newDatasetEngine(t, ds, psi.EngineOptions{}), q); err != nil {
 		t.Fatal(err)
-	}
-	defer eng.Close()
-	res, err := eng.Query(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []int
-	if _, err := eng.AnswerStream(context.Background(), q, func(id int) bool {
-		streamed = append(streamed, id)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != len(res.GraphIDs) {
-		t.Fatalf("streamed %v, Query answered %v", streamed, res.GraphIDs)
-	}
-	for i := range streamed {
-		if streamed[i] != res.GraphIDs[i] {
-			t.Fatalf("streamed %v, Query answered %v", streamed, res.GraphIDs)
-		}
 	}
 	// NFV engines must reject AnswerStream.
 	g, _ := engineFixture(t)
-	nfv, err := psi.NewEngine(g, psi.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nfv.Close()
-	if _, err := nfv.AnswerStream(context.Background(), q, func(int) bool { return true }); err == nil {
+	if _, err := newEngine(t, g, psi.EngineOptions{}).AnswerStream(context.Background(), q, func(int) bool { return true }); err == nil {
 		t.Error("AnswerStream on an NFV engine must fail")
 	}
 }
@@ -390,19 +335,14 @@ func TestEngineOptionValidation(t *testing.T) {
 
 func TestEngineOwnedPoolAndAccessors(t *testing.T) {
 	g, q := engineFixture(t)
-	eng, err := psi.NewEngine(g, psi.EngineOptions{Workers: 2, Mode: psi.ModeRace})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, g, psi.EngineOptions{Workers: 2, Mode: psi.ModeRace})
 	if eng.Mode() != psi.ModeRace || eng.Graph() != g || eng.Dataset() != nil {
 		t.Error("accessors disagree with construction")
 	}
 	if p, err := eng.Plan(q); err != nil || len(p.Arms) != 4 { // 2 algorithms × 2 rewritings
 		t.Errorf("default portfolio plans %+v, %v; want 4 attempts", p, err)
 	}
-	if _, err := eng.Query(context.Background(), q, 5); err != nil {
-		t.Fatal(err)
-	}
+	query(t, eng, q, 5)
 	eng.Close() // must not panic; queries after Close degrade gracefully
 	if _, err := eng.Query(context.Background(), q, 5); err != nil {
 		t.Errorf("query after Close should degrade gracefully, got %v", err)
@@ -441,11 +381,7 @@ func raceFixtureQueries() []*psi.Graph {
 // byte-identically to a fixed single-index engine.
 func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 	ds := raceFixtureDataset()
-	fixed, err := psi.NewDatasetEngine(ds, psi.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fixed.Close()
+	fixed := newDatasetEngine(t, ds, psi.EngineOptions{})
 	// The names select distinct verifiers in listed order: "ftv" and "ggsx"
 	// one, labelled after whichever is listed first.
 	for _, tc := range []struct {
@@ -459,11 +395,7 @@ func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 		{[]string{"ggsx", "ftv"}, 0, "ggsx", []string{"GGSX"}},
 		{[]string{"grapes", "ggsx", "ftv"}, 4, "grapes", []string{"Grapes/4", "GGSX"}},
 	} {
-		race, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: tc.names, IndexWorkers: tc.workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer race.Close()
+		race := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: tc.names, IndexWorkers: tc.workers})
 		wantMode, wantKind := psi.ModeRace, psi.PlanRace
 		if len(tc.want) == 1 {
 			wantMode, wantKind = psi.ModeSingle, psi.PlanFixed
@@ -486,11 +418,7 @@ func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fixed.Query(context.Background(), q, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got.GraphIDs, want.GraphIDs) {
+			if want := query(t, fixed, q, 0); !slices.Equal(got.GraphIDs, want.GraphIDs) {
 				t.Fatalf("%v q%d: race answered %v, fixed %v", tc.names, qi, got.GraphIDs, want.GraphIDs)
 			}
 			if got.Kind != wantKind || !slices.Contains(p.Arms, got.Winner) {
@@ -510,31 +438,10 @@ func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 // TestDatasetEngineIndexRaceAnswerStream checks the streaming path of a
 // racing dataset engine agrees with the collecting path.
 func TestDatasetEngineIndexRaceAnswerStream(t *testing.T) {
-	ds := raceFixtureDataset()
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"grapes", "ggsx"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newDatasetEngine(t, raceFixtureDataset(), psi.EngineOptions{Indexes: []string{"grapes", "ggsx"}})
 	for qi, q := range raceFixtureQueries() {
-		res, err := eng.Query(context.Background(), q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var streamed []int
-		if _, err := eng.AnswerStream(context.Background(), q, func(id int) bool {
-			streamed = append(streamed, id)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(streamed) != len(res.GraphIDs) {
-			t.Fatalf("q%d: streamed %v, Query answered %v", qi, streamed, res.GraphIDs)
-		}
-		for i := range streamed {
-			if streamed[i] != res.GraphIDs[i] {
-				t.Fatalf("q%d: streamed %v, Query answered %v", qi, streamed, res.GraphIDs)
-			}
+		if err := checkPipelineAnswer(eng, q); err != nil {
+			t.Fatalf("q%d: %v", qi, err)
 		}
 	}
 }
@@ -543,25 +450,16 @@ func TestDatasetEngineIndexRaceAnswerStream(t *testing.T) {
 // goroutine-leak regression for index racing: repeated raced queries whose
 // losing indexes are cancelled must not accrete goroutines.
 func TestDatasetEngineIndexRaceReleasesGoroutines(t *testing.T) {
-	ds := raceFixtureDataset()
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.Close)
+	eng := newDatasetEngine(t, raceFixtureDataset(), psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}})
 	queries := raceFixtureQueries()
 	// Warm up so pools and per-attempt infrastructure exist first.
 	for _, q := range queries {
-		if _, err := eng.Query(context.Background(), q, 0); err != nil {
-			t.Fatal(err)
-		}
+		query(t, eng, q, 0)
 	}
 	leakcheck.Check(t, 4)
 	for i := 0; i < 30; i++ {
 		for _, q := range queries {
-			if _, err := eng.Query(context.Background(), q, 0); err != nil {
-				t.Fatal(err)
-			}
+			query(t, eng, q, 0)
 		}
 	}
 }
@@ -570,31 +468,17 @@ func TestDatasetEngineIndexRaceReleasesGoroutines(t *testing.T) {
 // validation.
 func TestDatasetEngineIndexPolicyOptions(t *testing.T) {
 	ds := raceFixtureDataset()
-	// A single index degrades to the fixed policy even when race is asked.
-	single, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv"}, IndexPolicy: psi.IndexRace})
-	if err != nil {
-		t.Fatal(err)
+	// A single index degrades to the fixed policy even when race is asked;
+	// the fixed policy over a portfolio consults only the first index.
+	for _, opts := range []psi.EngineOptions{
+		{Indexes: []string{"ftv"}, IndexPolicy: psi.IndexRace},
+		{Indexes: []string{"ggsx", "grapes"}, IndexPolicy: psi.IndexFixed},
+	} {
+		if m := newDatasetEngine(t, ds, opts).Mode(); m != psi.ModeSingle {
+			t.Errorf("%+v: mode %q, want single", opts, m)
+		}
 	}
-	defer single.Close()
-	if single.Mode() != psi.ModeSingle {
-		t.Errorf("single-index policy = %q, want single", single.Mode())
-	}
-	// Fixed policy over a portfolio consults only the first index.
-	fixed, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"ggsx", "grapes"}, IndexPolicy: psi.IndexFixed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fixed.Close()
-	if fixed.Mode() != psi.ModeSingle {
-		t.Errorf("fixed policy = %q, want single", fixed.Mode())
-	}
-	race, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "ggsx"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer race.Close()
+	newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv", "ggsx"}})
 	if _, err := psi.NewDatasetEngine(ds, psi.EngineOptions{IndexPolicy: "tournament"}); err == nil {
 		t.Error("unknown index policy must fail")
 	}

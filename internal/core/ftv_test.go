@@ -47,44 +47,47 @@ func TestRaceInstancesNeedsRewritings(t *testing.T) {
 	}
 }
 
-func TestRaceInstancesAnswerMatchesPlainPipeline(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	ds := difftest.Random(r, 6, 14, 3)
-	for _, kind := range []string{index.KindGrapes, index.KindGGSX} {
-		idx, vs := buildIndex(t, kind, ds, index.Options{MaxPathLen: 3})
-		kinds := []rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.DND}
-		for trial := 0; trial < 8; trial++ {
-			q := workload.Extract(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
-			want, err := index.SequentialAnswer(context.Background(), idx, q)
+// checkRaceAnswers races each kind's verifier under every rewriting of
+// kinds, per candidate, over trials queries workload.Extract grows in ds, of
+// edges() edges each, and compares the streamed answer with want's.
+func checkRaceAnswers(t *testing.T, r *rand.Rand, ds []*graph.Graph, names []string, opts index.Options, kinds []rewrite.Kind, trials int, edges func() int, want func(x *index.Sharded, q *graph.Graph) ([]int, error)) {
+	t.Helper()
+	for _, name := range names {
+		x, vs := buildIndex(t, name, ds, opts)
+		for trial := 0; trial < trials; trial++ {
+			q := workload.Extract(r, ds[r.Intn(len(ds))], edges())
+			w, err := want(x, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := collect(context.Background(), nil, kinds, idx, vs, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s trial %d: raced answer %v, plain answer %v", idx.Name(), trial, got, want)
+			got, _, err := collect(context.Background(), nil, kinds, x, vs, q)
+			if err != nil || !slices.Equal(got, w) {
+				t.Fatalf("%s trial %d: raced answer %v, %v; want %v", x.Name(), trial, got, err, w)
 			}
 		}
 	}
 }
 
+// TestRaceInstancesAnswerMatchesPlainPipeline: Grapes' and GGSX's raced
+// answers under four rewritings are their sequential answers.
+func TestRaceInstancesAnswerMatchesPlainPipeline(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	ds := difftest.Random(r, 6, 14, 3)
+	checkRaceAnswers(t, r, ds, []string{index.KindGrapes, index.KindGGSX}, index.Options{MaxPathLen: 3},
+		[]rewrite.Kind{rewrite.Orig, rewrite.ILF, rewrite.IND, rewrite.DND}, 8, func() int { return 2 + r.Intn(4) },
+		func(x *index.Sharded, q *graph.Graph) ([]int, error) {
+			return index.SequentialAnswer(context.Background(), x, q)
+		})
+}
+
+// TestRaceInstancesAnswerMatchesBruteForce: Grapes' raced answer under every
+// structured rewriting is the oracle's.
 func TestRaceInstancesAnswerMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	ds := difftest.Random(r, 5, 12, 3)
-	x, vs := buildIndex(t, index.KindGrapes, ds, index.Options{})
-	kinds := append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...)
-	for trial := 0; trial < 6; trial++ {
-		q := workload.Extract(r, ds[r.Intn(len(ds))], 3)
-		got, _, err := collect(context.Background(), nil, kinds, x, vs, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := difftest.Want(ds, q); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: got %v, the oracle %v", trial, got, want)
-		}
-	}
+	checkRaceAnswers(t, r, ds, []string{index.KindGrapes}, index.Options{},
+		append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...), 6, func() int { return 3 },
+		func(_ *index.Sharded, q *graph.Graph) ([]int, error) { return difftest.Want(ds, q), nil })
 }
 
 // TestRaceInstancesOverGrapesFanOut: the per-candidate race's attempts run as Go

@@ -73,14 +73,6 @@ func TestRaceAgreesWithSingleAlgorithm(t *testing.T) {
 	}
 }
 
-func TestRaceEmptyAttempts(t *testing.T) {
-	racer := &Racer{}
-	_, err := racer.Race(context.Background(), graph.MustNew("q", nil, nil), 1, nil)
-	if err == nil {
-		t.Error("expected error for empty attempt list")
-	}
-}
-
 // slowMatcher blocks until cancelled; used to prove the race returns as
 // soon as one attempt finishes and cancels stragglers.
 type slowMatcher struct {
@@ -94,21 +86,44 @@ func (s *slowMatcher) Match(ctx context.Context, q *graph.Graph, limit int) ([]m
 	return nil, ctx.Err()
 }
 
+// failMatcher returns a non-context error.
+type failMatcher struct{}
+
+func (failMatcher) Name() string { return "FAIL" }
+func (failMatcher) Match(context.Context, *graph.Graph, int) ([]match.Embedding, error) {
+	return nil, errors.New("boom")
+}
+
+// edgeGraph is a one-edge stored graph, and vertex a one-vertex query it
+// contains.
+var (
+	edgeGraph = graph.MustNew("g", []graph.Label{0, 0}, [][2]int{{0, 1}})
+	vertex    = graph.MustNew("q", []graph.Label{0}, nil)
+)
+
+// raceOf races one attempt per matcher, under Orig, for vertex over
+// edgeGraph, with the caller's context expiring after timeout when it is set.
+func raceOf(timeout time.Duration, matchers ...match.Matcher) (Result, error) {
+	ctx := context.Background()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	return NewRacer(edgeGraph).Race(ctx, vertex, 1, Portfolio(matchers, []rewrite.Kind{rewrite.Orig}))
+}
+
+func TestRaceEmptyAttempts(t *testing.T) {
+	if _, err := raceOf(0); err == nil {
+		t.Error("expected error for empty attempt list")
+	}
+}
+
 func TestRaceCancelsLosers(t *testing.T) {
-	g := graph.MustNew("g", []graph.Label{0, 0}, [][2]int{{0, 1}})
-	q := graph.MustNew("q", []graph.Label{0}, nil)
 	slow := &slowMatcher{}
-	racer := NewRacer(g)
-	attempts := []Attempt{
-		{Matcher: slow, Rewriting: rewrite.Orig},
-		{Matcher: vf2.New(g), Rewriting: rewrite.Orig},
-	}
-	res, err := racer.Race(context.Background(), q, 1, attempts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Winner.Matcher.Name() != "VF2" {
-		t.Errorf("winner = %s, want VF2", res.Winner.Matcher.Name())
+	res, err := raceOf(0, slow, vf2.New(edgeGraph))
+	if err != nil || res.Winner.Matcher.Name() != "VF2" {
+		t.Fatalf("winner %v, %v; want VF2", res.Winner.Label(), err)
 	}
 	// give the loser a moment to observe cancellation
 	deadline := time.Now().Add(2 * time.Second)
@@ -121,54 +136,21 @@ func TestRaceCancelsLosers(t *testing.T) {
 }
 
 func TestRaceParentCancellation(t *testing.T) {
-	g := graph.MustNew("g", []graph.Label{0, 0}, [][2]int{{0, 1}})
-	q := graph.MustNew("q", []graph.Label{0}, nil)
-	racer := NewRacer(g)
-	attempts := []Attempt{{Matcher: &slowMatcher{}, Rewriting: rewrite.Orig}}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	_, err := racer.Race(ctx, q, 1, attempts)
-	if !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := raceOf(20*time.Millisecond, &slowMatcher{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want DeadlineExceeded", err)
 	}
 }
 
-// failMatcher returns a non-context error.
-type failMatcher struct{}
-
-func (failMatcher) Name() string { return "FAIL" }
-func (failMatcher) Match(context.Context, *graph.Graph, int) ([]match.Embedding, error) {
-	return nil, errors.New("boom")
-}
-
 func TestRaceAllAttemptsFail(t *testing.T) {
-	g := graph.MustNew("g", []graph.Label{0}, nil)
-	q := graph.MustNew("q", []graph.Label{0}, nil)
-	racer := NewRacer(g)
-	attempts := []Attempt{
-		{Matcher: failMatcher{}, Rewriting: rewrite.Orig},
-		{Matcher: failMatcher{}, Rewriting: rewrite.IND},
-	}
-	_, err := racer.Race(context.Background(), q, 1, attempts)
-	if err == nil {
+	if _, err := raceOf(0, failMatcher{}, failMatcher{}); err == nil {
 		t.Fatal("expected joined error")
 	}
 }
 
 func TestRaceSurvivesOneFailingAttempt(t *testing.T) {
-	g := graph.MustNew("g", []graph.Label{0, 0}, [][2]int{{0, 1}})
-	q := graph.MustNew("q", []graph.Label{0}, nil)
-	racer := NewRacer(g)
-	attempts := []Attempt{
-		{Matcher: failMatcher{}, Rewriting: rewrite.Orig},
-		{Matcher: vf2.New(g), Rewriting: rewrite.Orig},
-	}
-	res, err := racer.Race(context.Background(), q, 1, attempts)
-	if err != nil {
-		t.Fatalf("race should survive a failing attempt: %v", err)
-	}
-	if !res.Contained() {
-		t.Error("expected containment")
+	res, err := raceOf(0, failMatcher{}, vf2.New(edgeGraph))
+	if err != nil || !res.Contained() {
+		t.Fatalf("race should survive a failing attempt and find the vertex: %+v, %v", res, err)
 	}
 }
 

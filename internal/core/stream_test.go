@@ -5,6 +5,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"strings"
@@ -112,6 +113,32 @@ func TestRaceStreamFirstEmissionStopsRace(t *testing.T) {
 	}
 	if res.WinnerIndex < 0 || res.WinnerIndex >= len(attempts) {
 		t.Fatalf("WinnerIndex %d out of range", res.WinnerIndex)
+	}
+}
+
+// TestStreamRaceCancelsLosersAtAdoption: adoption cancels every other
+// contender at once, while the adopted one is still streaming, not when the
+// race returns. The winner here finishes only after the loser has seen its
+// cancellation.
+func TestStreamRaceCancelsLosersAtAdoption(t *testing.T) {
+	loserCancelled := make(chan struct{})
+	winner, err := streamRace(context.Background(), 2, func(i int) string { return "c" }, func(task func()) { go task() },
+		func(ctx context.Context, i int, claim func() bool) error {
+			if i == 1 {
+				<-ctx.Done()
+				close(loserCancelled)
+				return ctx.Err()
+			}
+			claim()
+			select {
+			case <-loserCancelled:
+				return nil
+			case <-time.After(5 * time.Second):
+				return errors.New("the loser was not cancelled at adoption")
+			}
+		})
+	if err != nil || winner != 0 {
+		t.Fatalf("winner %d, err %v; want contender 0 and no error", winner, err)
 	}
 }
 

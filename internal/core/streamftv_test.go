@@ -180,34 +180,38 @@ func TestIndexRaceStragglerCannotStarveWinner(t *testing.T) {
 	}
 }
 
+// indexRace races stub verifiers a, b, … — one per verify function, in that
+// order — on every candidate of stubTable(n, ids...) under Orig, through a
+// pool of the given size (0: the shared default), and returns the streamed
+// IDs, the per-verifier wins and the error.
+func indexRace(t *testing.T, ctx context.Context, workers, n int, ids []int, verify ...func(context.Context, int) (bool, error)) ([]int, []int, error) {
+	var pool *exec.Pool
+	if workers > 0 {
+		pool = exec.New(workers)
+		defer pool.Close()
+	}
+	var vs []index.Verifier
+	for i, f := range verify {
+		vs = append(vs, &stubVerifier{name: string(rune('a' + i)), verify: f})
+	}
+	return collect(ctx, pool, orig, stubTable(t, n, ids...), vs, edge)
+}
+
 // TestIndexRaceEmptyAnswerWins: a filter with no candidates ends the query
 // at once, with an empty answer, whatever its verifiers would do.
 func TestIndexRaceEmptyAnswerWins(t *testing.T) {
-	x := stubTable(t, 2)
-	empty := &stubVerifier{name: "empty", verify: blockingVerify}
-	slow := &stubVerifier{name: "slow", verify: blockingVerify}
-	pool := exec.New(2)
-	defer pool.Close()
-	ids, wins, err := collect(context.Background(), pool, orig, x, []index.Verifier{empty, slow}, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 0 || !slices.Equal(wins, []int{0, 0}) {
-		t.Fatalf("ids %v, wins %v; want none", ids, wins)
+	ids, wins, err := indexRace(t, context.Background(), 2, 2, nil, blockingVerify, blockingVerify)
+	if err != nil || len(ids) != 0 || !slices.Equal(wins, []int{0, 0}) {
+		t.Fatalf("ids %v, wins %v, err %v; want none", ids, wins, err)
 	}
 }
 
 // TestIndexRaceSingleIndexDegenerates: one verifier streams directly, every
 // candidate decided by it.
 func TestIndexRaceSingleIndexDegenerates(t *testing.T) {
-	x := stubTable(t, 3, 0, 2)
-	only := &stubVerifier{name: "only", verify: instantVerify}
-	ids, wins, err := collect(context.Background(), nil, orig, x, []index.Verifier{only}, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(ids, []int{0, 2}) || !slices.Equal(wins, []int{2}) {
-		t.Fatalf("ids %v, wins %v", ids, wins)
+	ids, wins, err := indexRace(t, context.Background(), 0, 3, []int{0, 2}, instantVerify)
+	if err != nil || !slices.Equal(ids, []int{0, 2}) || !slices.Equal(wins, []int{2}) {
+		t.Fatalf("ids %v, wins %v, err %v", ids, wins, err)
 	}
 }
 
@@ -220,11 +224,8 @@ func TestIndexRaceArmsOutOfPortfolioOrder(t *testing.T) {
 	b := &stubVerifier{name: "b", verify: blockingVerify}
 	c := &stubVerifier{name: "c", verify: instantVerify}
 	ids, wins, err := collect(context.Background(), nil, orig, x, []index.Verifier{c, a}, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(ids, []int{1}) || !slices.Equal(wins, []int{1, 0}) {
-		t.Fatalf("ids %v, wins %v; want [1] from the table's filter, decided by c", ids, wins)
+	if err != nil || !slices.Equal(ids, []int{1}) || !slices.Equal(wins, []int{1, 0}) {
+		t.Fatalf("ids %v, wins %v, err %v; want [1] from the table's filter, decided by c", ids, wins, err)
 	}
 	if b.cancelled.Load() != 0 {
 		t.Error("a verifier that was not listed ran")
@@ -234,12 +235,9 @@ func TestIndexRaceArmsOutOfPortfolioOrder(t *testing.T) {
 // TestIndexRaceAllFail joins every verifier's error when no one decides a
 // candidate.
 func TestIndexRaceAllFail(t *testing.T) {
-	x := stubTable(t, 1, 0)
 	boom := errors.New("boom")
 	failing := func(ctx context.Context, graphID int) (bool, error) { return false, boom }
-	a := &stubVerifier{name: "a", verify: failing}
-	b := &stubVerifier{name: "b", verify: failing}
-	_, _, err := collect(context.Background(), nil, orig, x, []index.Verifier{a, b}, edge)
+	_, _, err := indexRace(t, context.Background(), 0, 1, []int{0}, failing, failing)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -253,16 +251,12 @@ func TestIndexRaceAllFail(t *testing.T) {
 // TestIndexRaceCallerCancel: cancelling the caller's context fails the
 // query with the context error instead of fabricating an answer.
 func TestIndexRaceCallerCancel(t *testing.T) {
-	x := stubTable(t, 2, 0, 1)
-	s1 := &stubVerifier{name: "s1", verify: blockingVerify}
-	s2 := &stubVerifier{name: "s2", verify: blockingVerify}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, _, err := collect(ctx, nil, orig, x, []index.Verifier{s1, s2}, edge)
-	if !errors.Is(err, context.Canceled) {
+	if _, _, err := indexRace(t, ctx, 0, 2, []int{0, 1}, blockingVerify, blockingVerify); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -271,18 +265,14 @@ func TestIndexRaceCallerCancel(t *testing.T) {
 // stream and ends the query cleanly.
 func TestIndexRaceEmitStop(t *testing.T) {
 	x := stubTable(t, 3, 0, 1, 2)
-	fast := &stubVerifier{name: "fast", verify: instantVerify}
-	slow := &stubVerifier{name: "slow", verify: blockingVerify}
+	vs := []index.Verifier{&stubVerifier{name: "fast", verify: instantVerify}, &stubVerifier{name: "slow", verify: blockingVerify}}
 	var got []int
-	_, err := StreamFTV(context.Background(), nil, x, []index.Verifier{fast, slow}, rewrite.FrequenciesOfDataset(x.Dataset()), orig, edge, func(id int) bool {
+	_, err := StreamFTV(context.Background(), nil, x, vs, rewrite.FrequenciesOfDataset(x.Dataset()), orig, edge, func(id int) bool {
 		got = append(got, id)
 		return false
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != 0 {
-		t.Errorf("emitted %v, want [0]", got)
+	if err != nil || !slices.Equal(got, []int{0}) {
+		t.Errorf("emitted %v, %v; want [0]", got, err)
 	}
 }
 

@@ -139,7 +139,7 @@ func (g *Graph) HasEdgeLabeled(u, v int, l Label) bool {
 func (g *Graph) EdgeLabels(v int) []Label { return g.elabs[g.offsets[v]:g.offsets[v+1]] }
 
 // HasEdgeLabelsBeyondDefault reports whether any edge carries a non-zero
-// label; indexes use it to decide whether edge-label pruning can pay off.
+// label, that is, whether g is edge-labelled at all.
 func (g *Graph) HasEdgeLabelsBeyondDefault() bool {
 	for _, l := range g.elabs {
 		if l != 0 {

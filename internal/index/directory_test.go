@@ -39,7 +39,13 @@ func verifier(t testing.TB, kind string) index.Verifier {
 // buildIndex builds the one-shard index of kind over ds.
 func buildIndex(t testing.TB, kind string, ds []*graph.Graph, opts index.Options) *index.Sharded {
 	t.Helper()
-	x, err := index.Build(context.Background(), kind, ds, 1, opts)
+	return buildSharded(t, kind, ds, 1, opts)
+}
+
+// buildSharded builds kind's index over ds at K = k.
+func buildSharded(t testing.TB, kind string, ds []*graph.Graph, k int, opts index.Options) *index.Sharded {
+	t.Helper()
+	x, err := index.Build(context.Background(), kind, ds, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,13 +78,12 @@ func checkFlatName(t *testing.T, x *Sharded, kind, name string) {
 
 func checkFlatFilter(t *testing.T, x *Sharded) {
 	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
-	got := x.Filter(q)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+	if got := x.Filter(q); !slices.Equal(got, []int{0, 1}) {
 		t.Errorf("Filter = %v, want [0 1]", got)
 	}
 	// Frequency pruning: two 0-leaves on a 1-center needs (0,1) twice.
 	q2 := graph.MustNew("q2", []graph.Label{1, 0, 0}, [][2]int{{0, 1}, {0, 2}})
-	if got2 := x.Filter(q2); len(got2) != 1 || got2[0] != 2 {
+	if got2 := x.Filter(q2); !slices.Equal(got2, []int{2}) {
 		t.Errorf("Filter = %v, want [2]", got2)
 	}
 	// Edgeless query: all graphs.
@@ -138,6 +137,17 @@ func TestLookupCounts(t *testing.T) {
 	}
 }
 
+// streamIDs collects what x.FilterStream emits for q, declining after stop
+// IDs when stop > 0.
+func streamIDs(ctx context.Context, x *Sharded, q *graph.Graph, stop int) ([]int, error) {
+	var got []int
+	err := x.FilterStream(ctx, q, func(id int) bool {
+		got = append(got, id)
+		return stop <= 0 || len(got) < stop
+	})
+	return got, err
+}
+
 // TestFilterStreamMatchesFilter: the index's merge over its one shard emits
 // what the table's own scan does.
 func TestFilterStreamMatchesFilter(t *testing.T) {
@@ -158,15 +168,8 @@ func TestFilterStreamMatchesFilter(t *testing.T) {
 		if got := x.Filter(q); !slices.Equal(got, want) {
 			t.Fatalf("query %d: Filter %v vs the table's scan %v", qi, got, want)
 		}
-		var got []int
-		if err := x.FilterStream(context.Background(), q, func(id int) bool {
-			got = append(got, id)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("query %d: stream %v vs filter %v", qi, got, want)
+		if got, err := streamIDs(context.Background(), x, q, 0); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("query %d: stream %v, %v vs filter %v", qi, got, err, want)
 		}
 	}
 }
@@ -174,63 +177,70 @@ func TestFilterStreamMatchesFilter(t *testing.T) {
 func TestFilterStreamEarlyStopAndCancel(t *testing.T) {
 	x := buildFlat(t, KindPath, smallDataset(), Options{})
 	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})
-	var got []int
-	if err := x.FilterStream(context.Background(), q, func(id int) bool {
-		got = append(got, id)
-		return false
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Errorf("early stop emitted %v, want one ID", got)
+	if got, err := streamIDs(context.Background(), x, q, 1); err != nil || len(got) != 1 {
+		t.Errorf("early stop emitted %v, %v; want one ID", got, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := x.FilterStream(ctx, q, func(int) bool { return true }); !errors.Is(err, context.Canceled) {
+	if _, err := streamIDs(ctx, x, q, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled FilterStream = %v, want context.Canceled", err)
 	}
 }
 
-// TestStreamVerifiedOrderingAndOverlap drives StreamVerified with a filter
-// that emits slowly and asserts verified IDs still arrive in filter order,
-// with verification having started before the filter finished.
-func TestStreamVerifiedOrderingAndOverlap(t *testing.T) {
-	pool := exec.New(2)
-	defer pool.Close()
-	var (
-		mu            sync.Mutex
-		verifyStarted bool
-		overlapped    bool
-	)
-	filter := func(ctx context.Context, emit func(int) bool) error {
-		for id := 0; id < 8; id++ {
-			mu.Lock()
-			if verifyStarted {
-				overlapped = true // a check ran while we were still scanning
+// upTo is a StreamVerified filter that emits the IDs 0..n-1 in order, until
+// emit declines; each emission first runs before, when it is set.
+func upTo(n int, before func(id int)) func(context.Context, func(int) bool) error {
+	return func(_ context.Context, emit func(int) bool) error {
+		for id := 0; id < n; id++ {
+			if before != nil {
+				before(id)
 			}
-			mu.Unlock()
 			if !emit(id) {
 				return nil
 			}
 		}
 		return nil
 	}
+}
+
+// verified runs StreamVerified on a new pool of the given size and collects
+// what it emits, declining after stop IDs when stop > 0.
+func verified(ctx context.Context, workers int, filter func(context.Context, func(int) bool) error, stop int, check func(context.Context, int) (bool, error)) ([]int, error) {
+	pool := exec.New(workers)
+	defer pool.Close()
+	var got []int
+	err := StreamVerified(ctx, pool, filter, func(id int) bool {
+		got = append(got, id)
+		return stop <= 0 || len(got) < stop
+	}, check)
+	return got, err
+}
+
+// TestStreamVerifiedOrderingAndOverlap drives StreamVerified with a filter
+// that emits slowly and asserts verified IDs still arrive in filter order,
+// with verification having started before the filter finished.
+func TestStreamVerifiedOrderingAndOverlap(t *testing.T) {
+	var (
+		mu            sync.Mutex
+		verifyStarted bool
+		overlapped    bool
+	)
+	filter := upTo(8, func(int) {
+		mu.Lock()
+		overlapped = overlapped || verifyStarted // a check ran while we were still scanning
+		mu.Unlock()
+	})
 	check := func(ctx context.Context, id int) (bool, error) {
 		mu.Lock()
 		verifyStarted = true
 		mu.Unlock()
 		return id%2 == 0, nil
 	}
-	var got []int
-	err := StreamVerified(context.Background(), pool, filter, func(id int) bool {
-		got = append(got, id)
-		return true
-	}, check)
+	got, err := verified(context.Background(), 2, filter, 0, check)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{0, 2, 4, 6}
-	if !slices.Equal(got, want) {
+	if want := []int{0, 2, 4, 6}; !slices.Equal(got, want) {
 		t.Fatalf("emitted %v, want %v (order must match the filter)", got, want)
 	}
 	if !overlapped {
@@ -239,49 +249,20 @@ func TestStreamVerifiedOrderingAndOverlap(t *testing.T) {
 }
 
 func TestStreamVerifiedEmitStop(t *testing.T) {
-	pool := exec.New(2)
-	defer pool.Close()
-	filter := func(ctx context.Context, emit func(int) bool) error {
-		for id := 0; id < 100; id++ {
-			if !emit(id) {
-				return nil
-			}
-		}
-		return nil
-	}
-	check := func(ctx context.Context, id int) (bool, error) { return true, nil }
-	count := 0
-	err := StreamVerified(context.Background(), pool, filter, func(id int) bool {
-		count++
-		return count < 3
-	}, check)
-	if err != nil {
-		t.Fatalf("emit-stop stream = %v, want nil", err)
-	}
-	if count != 3 {
-		t.Errorf("emitted %d, want 3", count)
+	got, err := verified(context.Background(), 2, upTo(100, nil), 3, func(context.Context, int) (bool, error) { return true, nil })
+	if err != nil || len(got) != 3 {
+		t.Errorf("emit-stop stream emitted %d, %v; want 3 and nil", len(got), err)
 	}
 }
 
 func TestStreamVerifiedErrorPropagates(t *testing.T) {
-	pool := exec.New(2)
-	defer pool.Close()
 	boom := errors.New("boom")
-	filter := func(ctx context.Context, emit func(int) bool) error {
-		for id := 0; id < 50; id++ {
-			if !emit(id) {
-				return nil
-			}
-		}
-		return nil
-	}
-	check := func(ctx context.Context, id int) (bool, error) {
+	_, err := verified(context.Background(), 2, upTo(50, nil), 0, func(ctx context.Context, id int) (bool, error) {
 		if id == 5 {
 			return false, boom
 		}
 		return false, nil
-	}
-	err := StreamVerified(context.Background(), pool, filter, func(int) bool { return true }, check)
+	})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -296,40 +277,25 @@ func TestStreamVerifiedTable(t *testing.T) {
 	boom := errors.New("boom")
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	upTo := func(n int) []int {
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-		return ids
-	}
 	cases := []struct {
 		name    string
 		ctx     context.Context
-		ids     []int
+		filter  func(context.Context, func(int) bool) error
 		errOn   int // candidate whose check fails, -1 for none
 		want    []int
 		wantErr error
 	}{
-		{name: "out-of-order completion", ctx: context.Background(), ids: upTo(40), errOn: -1,
+		{name: "out-of-order completion", ctx: context.Background(), filter: upTo(40, nil), errOn: -1,
 			want: []int{0, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24, 26, 27, 29, 30, 32, 33, 35, 36, 38, 39}},
-		{name: "first error cancels the rest", ctx: context.Background(), ids: upTo(20), errOn: 7, wantErr: boom},
-		{name: "pre-cancelled context", ctx: cancelled, ids: upTo(20), errOn: -1, wantErr: context.Canceled},
-		{name: "no candidates", ctx: context.Background(), errOn: -1},
-		{name: "one candidate", ctx: context.Background(), ids: []int{5}, errOn: -1, want: []int{5}},
+		{name: "first error cancels the rest", ctx: context.Background(), filter: upTo(20, nil), errOn: 7, wantErr: boom},
+		{name: "pre-cancelled context", ctx: cancelled, filter: upTo(20, nil), errOn: -1, wantErr: context.Canceled},
+		{name: "no candidates", ctx: context.Background(), filter: upTo(0, nil), errOn: -1},
+		{name: "one candidate", ctx: context.Background(), errOn: -1, want: []int{5},
+			filter: func(_ context.Context, emit func(int) bool) error { emit(5); return nil }},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 2, 4, 8} {
-			pool := exec.New(workers)
-			filter := func(ctx context.Context, emit func(int) bool) error {
-				for _, id := range tc.ids {
-					if !emit(id) {
-						return nil
-					}
-				}
-				return nil
-			}
-			check := func(ctx context.Context, id int) (bool, error) {
+			got, err := verified(tc.ctx, workers, tc.filter, 0, func(ctx context.Context, id int) (bool, error) {
 				if err := ctx.Err(); err != nil {
 					return false, err
 				}
@@ -342,13 +308,7 @@ func TestStreamVerifiedTable(t *testing.T) {
 					time.Sleep(200 * time.Microsecond)
 				}
 				return id%3 != 1, nil
-			}
-			var got []int
-			err := StreamVerified(tc.ctx, pool, filter, func(id int) bool {
-				got = append(got, id)
-				return true
-			}, check)
-			pool.Close()
+			})
 			if !errors.Is(err, tc.wantErr) {
 				t.Errorf("%s, %d workers: err = %v, want %v", tc.name, workers, err, tc.wantErr)
 			}
@@ -368,14 +328,7 @@ func TestStreamVerifiedSlowEmitDoesNotStallVerification(t *testing.T) {
 	pool := exec.New(2)
 	defer pool.Close()
 	const n = 20
-	filter := func(ctx context.Context, emit func(int) bool) error {
-		for id := 0; id < n; id++ {
-			if !emit(id) {
-				return nil
-			}
-		}
-		return nil
-	}
+	filter := upTo(n, nil)
 	var checked atomic.Int64
 	allChecked := make(chan struct{})
 	check := func(ctx context.Context, id int) (bool, error) {
@@ -408,27 +361,18 @@ func TestStreamVerifiedSlowEmitDoesNotStallVerification(t *testing.T) {
 // TestStreamVerifiedCancelNotSilentlyEmpty proves a cancelled pipeline
 // reports the cancellation instead of a complete-looking empty answer.
 func TestStreamVerifiedCancelNotSilentlyEmpty(t *testing.T) {
-	pool := exec.New(2)
-	defer pool.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	filter := func(fctx context.Context, emit func(int) bool) error {
-		for id := 0; id < 100; id++ {
-			if id == 3 {
-				cancel() // caller goes away mid-scan
-			}
-			if !emit(id) {
-				return nil
-			}
+	filter := upTo(100, func(id int) {
+		if id == 3 {
+			cancel() // caller goes away mid-scan
 		}
-		return nil
-	}
-	check := func(gctx context.Context, id int) (bool, error) {
+	})
+	_, err := verified(ctx, 2, filter, 0, func(gctx context.Context, id int) (bool, error) {
 		if err := gctx.Err(); err != nil {
 			return false, err
 		}
 		return false, nil
-	}
-	err := StreamVerified(ctx, pool, filter, func(int) bool { return true }, check)
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled pipeline = %v, want context.Canceled", err)
 	}
@@ -481,7 +425,7 @@ func TestSequentialAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
+	if !slices.Equal(got, []int{0, 2}) {
 		t.Errorf("SequentialAnswer = %v, want [0 2]", got)
 	}
 }

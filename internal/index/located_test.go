@@ -90,45 +90,38 @@ func TestBuildStartsNoGoroutine(t *testing.T) {
 	}
 }
 
-func TestFilterPresence(t *testing.T) {
+// checkGrapesFilter holds Grapes' filter over locatedDataset to each query's
+// candidates.
+func checkGrapesFilter(t *testing.T, cases map[*graph.Graph][]int) {
+	t.Helper()
 	x := buildIndex(t, index.KindGrapes, locatedDataset(), index.Options{})
-	// query edge 0-1: present in all three graphs
-	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})
-	got := x.Filter(q)
-	if len(got) != 3 {
-		t.Errorf("Filter = %v, want all graphs", got)
-	}
-	// query path 0-1-2: the chain exists in g0 and g1 only
-	q2 := graph.MustNew("q2", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
-	got2 := x.Filter(q2)
-	if len(got2) != 2 || got2[0] != 0 || got2[1] != 1 {
-		t.Errorf("Filter = %v, want [0 1]", got2)
-	}
-	// unknown label: no candidates
-	q3 := graph.MustNew("q3", []graph.Label{9, 9}, [][2]int{{0, 1}})
-	if got3 := x.Filter(q3); len(got3) != 0 {
-		t.Errorf("Filter = %v, want empty", got3)
+	for q, want := range cases {
+		if got := x.Filter(q); !slices.Equal(got, want) {
+			t.Errorf("%s: Filter = %v, want %v", q.Name(), got, want)
+		}
 	}
 }
 
+func TestFilterPresence(t *testing.T) {
+	checkGrapesFilter(t, map[*graph.Graph][]int{
+		// edge 0-1: present in all three graphs
+		graph.MustNew("edge", []graph.Label{0, 1}, [][2]int{{0, 1}}): {0, 1, 2},
+		// path 0-1-2: the chain exists in g0 and g1 only
+		graph.MustNew("path", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}}): {0, 1},
+		// unknown label: no candidates
+		graph.MustNew("unknown label", []graph.Label{9, 9}, [][2]int{{0, 1}}): nil,
+	})
+}
+
+// TestFilterFrequencyPruning: a star with two 0-leaves on a 1-centre needs
+// the path 0-1 at least twice. g2 (three leaves) qualifies; g0 and g1 have it
+// only once per direction.
 func TestFilterFrequencyPruning(t *testing.T) {
-	x := buildIndex(t, index.KindGrapes, locatedDataset(), index.Options{})
-	// query star with two 0-leaves on a 1-center: path 0-1 must occur at
-	// least twice. g2 (three leaves) qualifies; g0/g1 have the 0-1 path
-	// only once per direction.
-	q := graph.MustNew("q", []graph.Label{1, 0, 0}, [][2]int{{0, 1}, {0, 2}})
-	got := x.Filter(q)
-	if len(got) != 1 || got[0] != 2 {
-		t.Errorf("Filter = %v, want [2]", got)
-	}
+	checkGrapesFilter(t, map[*graph.Graph][]int{graph.MustNew("star", []graph.Label{1, 0, 0}, [][2]int{{0, 1}, {0, 2}}): {2}})
 }
 
 func TestFilterEdgelessQuery(t *testing.T) {
-	x := buildIndex(t, index.KindGrapes, locatedDataset(), index.Options{})
-	q := graph.MustNew("q", []graph.Label{0}, nil)
-	if got := x.Filter(q); len(got) != 3 {
-		t.Errorf("edgeless query: Filter = %v, want all graphs", got)
-	}
+	checkGrapesFilter(t, map[*graph.Graph][]int{graph.MustNew("edgeless", []graph.Label{0}, nil): {0, 1, 2}})
 }
 
 func TestCandidateVertices(t *testing.T) {
@@ -155,18 +148,12 @@ func TestVerifyDecision(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		x := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: workers})
 		q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
-		for id, want := range []bool{true, true, false} {
-			if want && !slices.Contains(x.Filter(q), id) {
-				t.Fatalf("graph %d should pass filter", id)
-			}
-			if slices.Contains(x.Filter(q), id) {
-				got, err := x.Verify(context.Background(), q, id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("workers=%d graph %d: Verify = %v, want %v", workers, id, got, want)
-				}
+		if got := x.Filter(q); !slices.Equal(got, []int{0, 1}) {
+			t.Fatalf("Filter = %v, want [0 1]", got)
+		}
+		for id, want := range []bool{true, true} {
+			if got, err := x.Verify(context.Background(), q, id); err != nil || got != want {
+				t.Errorf("workers=%d graph %d: Verify = %v, %v; want %v", workers, id, got, err, want)
 			}
 		}
 	}
@@ -294,14 +281,8 @@ func TestParallelVerifyAgreesWithSequential(t *testing.T) {
 		}
 		a, err1 := x1.Verify(context.Background(), q, 0)
 		bb, err2 := x4.Verify(context.Background(), q, 0)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if a != bb {
-			t.Errorf("trial %d: Grapes/1 = %v, Grapes/4 = %v", trial, a, bb)
-		}
-		if !a {
-			t.Errorf("trial %d: extracted query must be contained", trial)
+		if err1 != nil || err2 != nil || !a || !bb {
+			t.Errorf("trial %d: Grapes/1 = %v, %v, Grapes/4 = %v, %v; want the extracted query contained", trial, a, err1, bb, err2)
 		}
 	}
 }
@@ -357,13 +338,11 @@ func TestStatsAndFilterStream(t *testing.T) {
 	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})
 	want := buildIndex(t, index.KindPath, ds, index.Options{}).Filter(q)
 	var got []int
-	if err := x.FilterStream(context.Background(), q, func(id int) bool {
+	err := x.FilterStream(context.Background(), q, func(id int) bool {
 		got = append(got, id)
 		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("FilterStream %v vs the flat index's Filter %v", got, want)
+	})
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("FilterStream %v, %v vs the flat index's Filter %v", got, err, want)
 	}
 }

@@ -29,17 +29,10 @@ import (
 func TestShardedBuildShape(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ds := difftest.Random(r, 5, 8, 2)
-	sh, err := index.Build(context.Background(), index.KindPath, ds, 2, index.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
+	sh := buildSharded(t, index.KindPath, ds, 2, index.Options{})
 	st := sh.Stats()
-	if st.ShardCount != 2 || len(st.Shards) != 2 {
-		t.Fatalf("ShardCount = %d, Shards = %d entries, want 2", st.ShardCount, len(st.Shards))
-	}
-	if st.Graphs != len(ds) {
-		t.Errorf("Graphs = %d, want %d", st.Graphs, len(ds))
+	if st.ShardCount != 2 || len(st.Shards) != 2 || st.Graphs != len(ds) {
+		t.Fatalf("ShardCount = %d, Shards = %d entries, Graphs = %d; want 2, 2, %d", st.ShardCount, len(st.Shards), st.Graphs, len(ds))
 	}
 	// Round-robin over 5 graphs: shard 0 owns {0,2,4}, shard 1 owns {1,3}.
 	if st.Shards[0].Graphs != 3 || st.Shards[1].Graphs != 2 {
@@ -61,22 +54,17 @@ func TestShardedBuildShape(t *testing.T) {
 	}
 
 	// Oversized K clamps to the dataset size; every shard owns one graph.
-	big, err := index.Build(context.Background(), index.KindPath, ds, 64, index.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer big.Close()
+	big := buildSharded(t, index.KindPath, ds, 64, index.Options{})
 	if k := big.Stats().ShardCount; k != len(ds) {
 		t.Errorf("ShardCount = %d after clamping, want %d", k, len(ds))
 	}
 
 	// Verify routes out-of-range IDs to an error, not a panic.
 	q := workload.Extract(r, ds[0], 2)
-	if _, err := sh.Verify(context.Background(), q, len(ds)); err == nil {
-		t.Error("Verify(out of range) = nil error")
-	}
-	if _, err := sh.Verify(context.Background(), q, -1); err == nil {
-		t.Error("Verify(-1) = nil error")
+	for _, id := range []int{len(ds), -1} {
+		if _, err := sh.Verify(context.Background(), q, id); err == nil {
+			t.Errorf("Verify(%d) = nil error", id)
+		}
 	}
 }
 
@@ -89,17 +77,11 @@ func TestShardedBuildThroughRegistry(t *testing.T) {
 	ds := difftest.Random(r, 4, 8, 2)
 	opts := index.Options{MaxPathLen: 2}
 	for _, kind := range index.Kinds() {
-		x, err := index.Build(context.Background(), kind, ds, 2, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
+		x := buildSharded(t, kind, ds, 2, opts)
 		if x.Stats().Kind != kind {
 			t.Errorf("%s: sharded Stats.Kind = %q", kind, x.Stats().Kind)
 		}
-		one, err := index.Build(context.Background(), kind, ds, 1, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
+		one := buildSharded(t, kind, ds, 1, opts)
 		got, want := one.Stats(), buildTable(t, kind, ds, opts).Stats()
 		if got.ShardCount != 0 || got.Shards != nil || got.Name != verifier(t, kind).Name() || got.Kind != kind || got.Graphs != want.Graphs || got.Features != want.Features {
 			t.Errorf("%s: K=1 stats %+v, want the table's %+v under its verifier's name", kind, got, want)
@@ -120,22 +102,14 @@ func TestShardedStreamTruncationSafety(t *testing.T) {
 	defer pool.Close()
 	r := rand.New(rand.NewSource(11))
 	ds := gen.Synthetic(gen.SyntheticAt(gen.Tiny), 7)
-	sh, err := index.Build(context.Background(), index.KindPath, ds, 3, index.Options{
-		MaxPathLen: diffMaxPathLen, Pool: pool,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
+	sh := buildSharded(t, index.KindPath, ds, 3, index.Options{MaxPathLen: diffMaxPathLen, Pool: pool})
 	var q *graph.Graph
 	var full []int
-	for try := 0; try < 20; try++ {
+	for try := 0; try < 20 && len(full) < 2; try++ {
 		q = workload.Extract(r, ds[r.Intn(len(ds))], 2+r.Intn(3))
+		var err error
 		if full, err = index.Answer(context.Background(), sh, q, pool); err != nil {
 			t.Fatal(err)
-		}
-		if len(full) >= 2 {
-			break
 		}
 	}
 	if len(full) < 2 {
@@ -144,15 +118,12 @@ func TestShardedStreamTruncationSafety(t *testing.T) {
 
 	// Consumer stops after the first ID: nil error, 1-element prefix.
 	var stopped []int
-	err = index.AnswerStream(context.Background(), sh, q, pool, func(id int) bool {
+	err := index.AnswerStream(context.Background(), sh, q, pool, func(id int) bool {
 		stopped = append(stopped, id)
 		return false
 	})
-	if err != nil {
-		t.Fatalf("stopped stream: %v", err)
-	}
-	if len(stopped) != 1 || stopped[0] != full[0] {
-		t.Fatalf("stopped stream emitted %v, want prefix [%d]", stopped, full[0])
+	if err != nil || !slices.Equal(stopped, full[:1]) {
+		t.Fatalf("stopped stream emitted %v, %v; want prefix %v", stopped, err, full[:1])
 	}
 
 	// Context cancelled after the first ID: the emitted IDs must be a
@@ -196,13 +167,7 @@ func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 	t.Cleanup(pool.Close)
 	r := rand.New(rand.NewSource(13))
 	ds := difftest.Random(r, 9, 10, 2)
-	sh, err := index.Build(context.Background(), index.KindPath, ds, 3, index.Options{
-		MaxPathLen: 2, Pool: pool,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sh.Close)
+	sh := buildSharded(t, index.KindPath, ds, 3, index.Options{MaxPathLen: 2, Pool: pool})
 	q := workload.Extract(r, ds[0], 2)
 	// Warm up so pool workers exist before the baseline is taken.
 	if _, err := index.Answer(context.Background(), sh, q, pool); err != nil {
@@ -239,11 +204,7 @@ func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 func TestShardedMergeStartsNoGoroutine(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	ds := difftest.Random(r, 600, 6, 2)
-	sh, err := index.Build(context.Background(), index.KindPath, ds, 3, index.Options{MaxPathLen: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
+	sh := buildSharded(t, index.KindPath, ds, 3, index.Options{MaxPathLen: 2})
 	q := graph.MustNew("edge", []graph.Label{0, 1}, [][2]int{{0, 1}})
 	want := sh.Filter(q)
 	if len(want) < 300 {
@@ -251,7 +212,7 @@ func TestShardedMergeStartsNoGoroutine(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	var got, during []int
-	err = sh.FilterStream(context.Background(), q, func(id int) bool {
+	err := sh.FilterStream(context.Background(), q, func(id int) bool {
 		got = append(got, id)
 		if len(got) == 1 || len(got) == len(want) {
 			during = append(during, runtime.NumGoroutine())

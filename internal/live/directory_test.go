@@ -89,19 +89,11 @@ func TestFlatRowSharesDirectory(t *testing.T) {
 		Kinds: []string{index.KindPath}, Shards: k, CompactEvery: 2,
 		Index: index.Options{MaxPathLen: testMaxPathLen},
 	}
-	st, err := live.NewStore(context.Background(), ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	st := newStore(t, ds, opts)
 	assertSharedRow(t, "NewStore", st)
 
 	state := exportState(t, st)
-	restored, err := live.Restore(roundTripGrid(t, state), opts.CompactEvery, opts.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
+	restored := restore(t, roundTripGrid(t, state), opts.CompactEvery, opts.Index)
 	assertSharedRow(t, "Restore", restored)
 	assertStoresAgree(t, st, restored, opts.Kinds)
 
@@ -178,17 +170,9 @@ func TestGridSharesOneDirectory(t *testing.T) {
 	kinds := []string{index.KindPath, index.KindGGSX, index.KindGrapes}
 	r := rand.New(rand.NewSource(29))
 	opts := live.Options{Kinds: kinds, Shards: 3, Index: index.Options{MaxPathLen: testMaxPathLen}}
-	st, err := live.NewStore(context.Background(), randomDataset(r, 9, 8, 3), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	st := newStore(t, randomDataset(r, 9, 8, 3), opts)
 	assertOneDirectory(t, "NewStore", st)
-	restored, err := live.Restore(roundTripGrid(t, exportState(t, st)), 0, opts.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
+	restored := restore(t, roundTripGrid(t, exportState(t, st)), 0, opts.Index)
 	assertOneDirectory(t, "Restore", restored)
 	assertStoresAgree(t, st, restored, kinds)
 }
@@ -208,13 +192,9 @@ func TestAddInsertsGGSXAndRebuildsGrapes(t *testing.T) {
 	}
 	g := graph.MustNew("new label", []graph.Label{0, 4, 1, 4}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	added := func(kinds []string) (*live.Store, *index.Path) {
-		st, err := live.NewStore(context.Background(), ds, live.Options{
+		st := newStore(t, ds, live.Options{
 			Kinds: kinds, Shards: 2, Index: index.Options{MaxPathLen: testMaxPathLen},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(st.Close)
 		if _, err := st.Add(context.Background(), g); err != nil { // slot 2: shard 0, local ID 1
 			t.Fatal(err)
 		}

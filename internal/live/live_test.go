@@ -35,6 +35,29 @@ func randomDataset(r *rand.Rand, numGraphs, n, labels int) []*graph.Graph {
 	return ds
 }
 
+// newStore builds a store over ds under opts that the test closes when it
+// ends.
+func newStore(t *testing.T, ds []*graph.Graph, opts live.Options) *live.Store {
+	t.Helper()
+	st, err := live.NewStore(context.Background(), ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return st
+}
+
+// restore restores a store from state that the test closes when it ends.
+func restore(t *testing.T, state live.State, compactEvery int, opts index.Options) *live.Store {
+	t.Helper()
+	st, err := live.Restore(state, compactEvery, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return st
+}
+
 // pathQuery is a deterministic little 2-edge path query over the label
 // alphabet; with 2 labels it hits most random graphs and misses some, which
 // is exactly the discriminating shape a parity check wants.
@@ -113,13 +136,10 @@ func TestMutationParityFuzz(t *testing.T) {
 	for _, k := range []int{1, 2, 3} {
 		r := rand.New(rand.NewSource(int64(100 + k)))
 		ds := randomDataset(r, 4, 8, 2)
-		st, err := live.NewStore(context.Background(), ds, live.Options{
+		st := newStore(t, ds, live.Options{
 			Kinds: kinds, Shards: k, CompactEvery: 2,
 			Index: index.Options{MaxPathLen: testMaxPathLen},
 		})
-		if err != nil {
-			t.Fatalf("K=%d: %v", k, err)
-		}
 		if st.Shards() != k {
 			t.Fatalf("K=%d: Shards() = %d", k, st.Shards())
 		}
@@ -177,13 +197,10 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 	leakcheck.Check(t, 2) // everything spawned must drain
 	r := rand.New(rand.NewSource(5))
 	ds := randomDataset(r, 6, 8, 2)
-	st, err := live.NewStore(context.Background(), ds, live.Options{
+	st := newStore(t, ds, live.Options{
 		Kinds: []string{index.KindPath}, Shards: 2, CompactEvery: 2,
 		Index: index.Options{MaxPathLen: testMaxPathLen},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pinned := st.Current()
 	q := pathQuery(0, 0, 1)
 	want, err := index.Answer(context.Background(), pinned.Table(), q, nil)
@@ -259,13 +276,9 @@ func TestStoreErrors(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(1))
 	ds := randomDataset(r, 2, 6, 2)
-	st, err := live.NewStore(context.Background(), ds, live.Options{
+	st := newStore(t, ds, live.Options{
 		Kinds: []string{index.KindPath}, Index: index.Options{MaxPathLen: 2},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
 	if _, err := st.Remove(context.Background(), 99); err == nil {
 		t.Error("Remove(unknown) did not error")
 	}

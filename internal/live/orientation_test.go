@@ -136,11 +136,7 @@ func TestCandidatesMatchBothSpellingsFilter(t *testing.T) {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
 			ctx := context.Background()
 			ixOpts := index.Options{MaxPathLen: maxLen}
-			st, err := live.NewStore(ctx, initial, live.Options{Kinds: kinds, Shards: k, CompactEvery: 2, Index: ixOpts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
+			st := newStore(t, initial, live.Options{Kinds: kinds, Shards: k, CompactEvery: 2, Index: ixOpts})
 			check(t, "built", st)
 			var added []live.Handle
 			for _, g := range later {
@@ -166,11 +162,7 @@ func TestCandidatesMatchBothSpellingsFilter(t *testing.T) {
 			}
 			check(t, "compacted", st)
 			state := exportState(t, st)
-			restored, err := live.Restore(roundTripGrid(t, state), 2, ixOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer restored.Close()
+			restored := restore(t, roundTripGrid(t, state), 2, ixOpts)
 			check(t, "round-tripped", restored)
 		})
 	}

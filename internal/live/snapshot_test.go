@@ -87,14 +87,10 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	kinds := index.Kinds()
 	r := rand.New(rand.NewSource(42))
 	ds := randomDataset(r, 6, 8, 2)
-	st, err := live.NewStore(context.Background(), ds, live.Options{
+	st := newStore(t, ds, live.Options{
 		Kinds: kinds, Shards: 2, CompactEvery: 3,
 		Index: index.Options{MaxPathLen: testMaxPathLen},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
 
 	// Churn: leave live slots, tombstoned slots, and a replaced slot behind.
 	h, err := st.Add(context.Background(), randomDataset(r, 1, 8, 2)[0])
@@ -116,11 +112,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("%d tombstone counters for %d shards", len(state.Tombs), state.Shards)
 	}
 
-	restored, err := live.Restore(roundTripGrid(t, state), 3, index.Options{MaxPathLen: testMaxPathLen})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
+	restored := restore(t, roundTripGrid(t, state), 3, index.Options{MaxPathLen: testMaxPathLen})
 	if restored.Shards() != st.Shards() {
 		t.Fatalf("restored Shards() = %d, want %d", restored.Shards(), st.Shards())
 	}
@@ -162,12 +154,9 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 // grid of closed sub-indexes.
 func TestExportStateClosed(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	st, err := live.NewStore(context.Background(), randomDataset(r, 2, 6, 2), live.Options{
+	st := newStore(t, randomDataset(r, 2, 6, 2), live.Options{
 		Kinds: []string{index.KindPath}, Index: index.Options{MaxPathLen: testMaxPathLen},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	saved := 0
 	save := func(live.State) error { saved++; return nil }
 	if err := st.ExportState(save); err != nil || saved != 1 {
@@ -198,16 +187,12 @@ func exportState(t *testing.T, st *live.Store) live.State {
 // throughout, and the save's error is ExportState's.
 func TestExportStateHoldsMutations(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	st, err := live.NewStore(context.Background(), randomDataset(r, 2, 6, 2), live.Options{
+	st := newStore(t, randomDataset(r, 2, 6, 2), live.Options{
 		Kinds: []string{index.KindPath}, Index: index.Options{MaxPathLen: testMaxPathLen},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
 	boom, g := errors.New("disk full"), randomDataset(r, 1, 6, 2)[0]
 	added := make(chan error, 1)
-	err = st.ExportState(func(s live.State) error {
+	err := st.ExportState(func(s live.State) error {
 		go func() {
 			_, err := st.Add(context.Background(), g)
 			added <- err
@@ -237,14 +222,10 @@ func TestExportStateHoldsMutations(t *testing.T) {
 // store is built.
 func TestRestoreValidation(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	st, err := live.NewStore(context.Background(), randomDataset(r, 4, 6, 2), live.Options{
+	st := newStore(t, randomDataset(r, 4, 6, 2), live.Options{
 		Kinds: []string{index.KindPath}, Shards: 2,
 		Index: index.Options{MaxPathLen: testMaxPathLen},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
 	good := exportState(t, st)
 
 	cases := []struct {
@@ -304,13 +285,10 @@ func TestRestoreValidation(t *testing.T) {
 func TestCurrentCloseStress(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		r := rand.New(rand.NewSource(int64(round)))
-		st, err := live.NewStore(context.Background(), randomDataset(r, 4, 6, 2), live.Options{
+		st := newStore(t, randomDataset(r, 4, 6, 2), live.Options{
 			Kinds: []string{index.KindPath}, Shards: 2, CompactEvery: 2,
 			Index: index.Options{MaxPathLen: testMaxPathLen},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		var wg sync.WaitGroup
 		var closed, failed atomic.Bool
 		q := pathQuery(0, 0, 1)

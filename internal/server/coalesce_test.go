@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,18 +27,9 @@ import (
 // cache off, so every answer observed in these tests comes from a live
 // execution or a shared flight — never from a cache.
 func coalesceFixture(t *testing.T, engOpts psi.EngineOptions, srvOpts Options) (*Server, *psi.Graph) {
-	t.Helper()
-	ds := psi.GeneratePPI(psi.Tiny, 1)
-	if len(engOpts.Indexes) == 0 {
-		engOpts.Indexes = []string{"ftv"}
-	}
-	eng, err := psi.NewDatasetEngine(ds, engOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.Close)
+	eng, q, _ := ppiFixture(t, engOpts)
 	srvOpts.CacheSize = -1
-	return New(eng, srvOpts), psi.ExtractQuery(ds[0], 4, 7)
+	return New(eng, srvOpts), q
 }
 
 // streamLines splits an NDJSON body into result lines and the parsed
@@ -50,10 +40,7 @@ func streamLines(t *testing.T, data []byte) ([]byte, StreamSummary) {
 	if len(lines) < 2 {
 		t.Fatalf("stream too short: %q", data)
 	}
-	var sum StreamSummary
-	if err := json.Unmarshal(lines[len(lines)-2], &sum); err != nil {
-		t.Fatalf("summary line: %v (%q)", err, lines[len(lines)-2])
-	}
+	sum := decode[StreamSummary](t, lines[len(lines)-2])
 	return bytes.Join(lines[:len(lines)-2], nil), sum
 }
 
@@ -69,6 +56,38 @@ func waitWaiters(t *testing.T, fl *cacheEntry, n int32) {
 	}
 }
 
+// holdLeader makes the leader of srv's next flight wait for release; the
+// flight it leads arrives on the returned channel.
+func holdLeader(srv *Server, release <-chan struct{}) <-chan *cacheEntry {
+	led := make(chan *cacheEntry, 1)
+	srv.leaderHook = func(fl *cacheEntry) {
+		led <- fl
+		<-release
+	}
+	return led
+}
+
+// stampede posts body to url from n clients at once and returns each one's
+// streamed result lines and summary.
+func stampede(t *testing.T, url string, body []byte, n int) ([][]byte, []StreamSummary) {
+	lines, sums := make([][]byte, n), make([]StreamSummary, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, data := postQuery(t, url, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("client %d: status %d body %s", i, resp.StatusCode, data)
+				return
+			}
+			lines[i], sums[i] = streamLines(t, data)
+		}(i)
+	}
+	wg.Wait()
+	return lines, sums
+}
+
 // TestCoalesceCollapsesStampede is the acceptance test for the tentpole's
 // coalescing half: 16 concurrent identical streamed queries execute once,
 // and all 16 clients read byte-identical result lines. The leaderHook
@@ -78,31 +97,9 @@ func TestCoalesceCollapsesStampede(t *testing.T) {
 	const clients = 16
 	srv, q := coalesceFixture(t, psi.EngineOptions{}, Options{MaxInFlight: 2 * clients})
 	srv.leaderHook = func(fl *cacheEntry) { waitWaiters(t, fl, clients-1) }
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	body := graphText(t, q)
-
+	ts := serve(t, srv)
 	leakcheck.Check(t, 2)
-	type reply struct {
-		lines []byte
-		sum   StreamSummary
-	}
-	replies := make([]reply, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, data := postQuery(t, ts.URL+"/query?stream=1", body)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("client %d: status %d body %s", i, resp.StatusCode, data)
-				return
-			}
-			lines, sum := streamLines(t, data)
-			replies[i] = reply{lines: lines, sum: sum}
-		}(i)
-	}
-	wg.Wait()
+	lines, sums := stampede(t, ts.URL+"/query?stream=1", graphText(t, q), clients)
 
 	if n := srv.Engine().Counters().Queries; n != 1 {
 		t.Errorf("%d identical queries cost %d engine executions, want 1", clients, n)
@@ -113,21 +110,21 @@ func TestCoalesceCollapsesStampede(t *testing.T) {
 	if n := srv.coalescedFallbacks.Load(); n != 0 {
 		t.Errorf("coalescedFallbacks = %d, want 0", n)
 	}
-	if len(replies[0].lines) == 0 {
+	if len(lines[0]) == 0 {
 		t.Fatal("empty answer; pick a different fixture seed")
 	}
 	leaders, followers := 0, 0
-	for i, r := range replies {
-		if !bytes.Equal(r.lines, replies[0].lines) {
-			t.Errorf("client %d result lines differ:\ngot  %q\nwant %q", i, r.lines, replies[0].lines)
+	for i, sum := range sums {
+		if !bytes.Equal(lines[i], lines[0]) {
+			t.Errorf("client %d result lines differ:\ngot  %q\nwant %q", i, lines[i], lines[0])
 		}
-		if !r.sum.Done || r.sum.Killed || r.sum.Error != "" {
-			t.Errorf("client %d summary = %+v", i, r.sum)
+		if !sum.Done || sum.Killed || sum.Error != "" {
+			t.Errorf("client %d summary = %+v", i, sum)
 		}
-		if r.sum.Found != replies[0].sum.Found || r.sum.Winner != replies[0].sum.Winner {
-			t.Errorf("client %d summary %+v disagrees with %+v", i, r.sum, replies[0].sum)
+		if sum.Found != sums[0].Found || sum.Winner != sums[0].Winner {
+			t.Errorf("client %d summary %+v disagrees with %+v", i, sum, sums[0])
 		}
-		if r.sum.Coalesced {
+		if sum.Coalesced {
 			followers++
 		} else {
 			leaders++
@@ -149,16 +146,8 @@ func TestCoalesceCollapsesStampede(t *testing.T) {
 func TestCoalesceCollectedFollower(t *testing.T) {
 	srv, q := coalesceFixture(t, psi.EngineOptions{}, Options{})
 	release := make(chan struct{})
-	var flMu sync.Mutex
-	var led *cacheEntry
-	srv.leaderHook = func(fl *cacheEntry) {
-		flMu.Lock()
-		led = fl
-		flMu.Unlock()
-		<-release
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	led := holdLeader(srv, release)
+	ts := serve(t, srv)
 	body := graphText(t, q)
 
 	// The streamed request goes first and is held as leader; the collected
@@ -168,35 +157,17 @@ func TestCoalesceCollectedFollower(t *testing.T) {
 		leader   []byte
 		follower QueryResponse
 	)
-	wg.Add(1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		resp, data := postQuery(t, ts.URL+"/query?stream=1", body)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("leader status %d body %s", resp.StatusCode, data)
-		}
-		leader, _ = streamLines(t, data)
+		lines, _ := stampede(t, ts.URL+"/query?stream=1", body, 1)
+		leader = lines[0]
 	}()
-	waitFor(t, func() bool {
-		flMu.Lock()
-		defer flMu.Unlock()
-		return led != nil
-	})
-	wg.Add(1)
+	fl := <-led
 	go func() {
 		defer wg.Done()
-		resp, data := postQuery(t, ts.URL+"/query", body)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("follower status %d body %s", resp.StatusCode, data)
-			return
-		}
-		if err := json.Unmarshal(data, &follower); err != nil {
-			t.Errorf("follower body: %v (%q)", err, data)
-		}
+		follower = collect(t, ts.URL+"/query", body)
 	}()
-	flMu.Lock()
-	fl := led
-	flMu.Unlock()
 	waitWaiters(t, fl, 1)
 	close(release)
 	wg.Wait()
@@ -222,37 +193,19 @@ func TestCoalesceCollectedFollower(t *testing.T) {
 func TestCoalesceFollowerCancelDoesNotKillLeader(t *testing.T) {
 	srv, q := coalesceFixture(t, psi.EngineOptions{}, Options{})
 	release := make(chan struct{})
-	var flMu sync.Mutex
-	var led *cacheEntry
-	srv.leaderHook = func(fl *cacheEntry) {
-		flMu.Lock()
-		led = fl
-		flMu.Unlock()
-		<-release
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	led := holdLeader(srv, release)
+	ts := serve(t, srv)
 	body := graphText(t, q)
 
 	// Leader in, held at the hook.
-	var wg sync.WaitGroup
-	var leaderLines []byte
-	var leaderSum StreamSummary
-	wg.Add(1)
+	var leaderLines [][]byte
+	var leaderSums []StreamSummary
+	leaderDone := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		resp, data := postQuery(t, ts.URL+"/query?stream=1", body)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("leader status %d body %s", resp.StatusCode, data)
-			return
-		}
-		leaderLines, leaderSum = streamLines(t, data)
+		defer close(leaderDone)
+		leaderLines, leaderSums = stampede(t, ts.URL+"/query?stream=1", body, 1)
 	}()
-	waitFor(t, func() bool {
-		flMu.Lock()
-		defer flMu.Unlock()
-		return led != nil
-	})
+	fl := <-led
 
 	// Follower in, parked on the flight, then its client disconnects.
 	cancelCtx, cancel := context.WithCancel(context.Background())
@@ -270,9 +223,6 @@ func TestCoalesceFollowerCancelDoesNotKillLeader(t *testing.T) {
 		}
 		followerErr <- err
 	}()
-	flMu.Lock()
-	fl := led
-	flMu.Unlock()
 	waitWaiters(t, fl, 1)
 	cancel()
 	if err := <-followerErr; err == nil || !errors.Is(err, context.Canceled) {
@@ -284,10 +234,10 @@ func TestCoalesceFollowerCancelDoesNotKillLeader(t *testing.T) {
 
 	// The leader proceeds and answers in full.
 	close(release)
-	wg.Wait()
-	if !leaderSum.Done || leaderSum.Killed || leaderSum.Error != "" || len(leaderLines) == 0 {
+	<-leaderDone
+	if sum := leaderSums[0]; !sum.Done || sum.Killed || sum.Error != "" || len(leaderLines[0]) == 0 {
 		t.Errorf("leader summary = %+v with %d result bytes; follower cancellation leaked into the leader",
-			leaderSum, len(leaderLines))
+			sum, len(leaderLines[0]))
 	}
 	if n := srv.Engine().Counters().Queries; n != 1 {
 		t.Errorf("engine executions = %d, want 1", n)
@@ -305,32 +255,11 @@ func TestCoalesceNeverSharesKilledAnswers(t *testing.T) {
 	const clients = 4
 	srv, q := coalesceFixture(t, psi.EngineOptions{Timeout: time.Nanosecond}, Options{})
 	srv.leaderHook = func(fl *cacheEntry) { waitWaiters(t, fl, clients-1) }
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	body := graphText(t, q)
-
-	sums := make([]StreamSummary, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, data := postQuery(t, ts.URL+"/query?stream=1", body)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("client %d: status %d body %s", i, resp.StatusCode, data)
-				return
-			}
-			_, sums[i] = streamLines(t, data)
-		}(i)
-	}
-	wg.Wait()
-
+	ts := serve(t, srv)
+	_, sums := stampede(t, ts.URL+"/query?stream=1", graphText(t, q), clients)
 	for i, sum := range sums {
-		if sum.Coalesced {
-			t.Errorf("client %d received a coalesced answer from a killed execution: %+v", i, sum)
-		}
-		if !sum.Killed {
-			t.Errorf("client %d summary = %+v, want killed", i, sum)
+		if sum.Coalesced || !sum.Killed {
+			t.Errorf("client %d summary = %+v, want killed and not coalesced from a killed execution", i, sum)
 		}
 	}
 	if n := srv.Engine().Counters().Queries; n != clients {
@@ -369,8 +298,7 @@ func TestCoalesceOptOuts(t *testing.T) {
 				admitted.Wait()
 				close(gate)
 			}()
-			ts := httptest.NewServer(srv)
-			defer ts.Close()
+			ts := serve(t, srv)
 			body := graphText(t, q)
 
 			var wg sync.WaitGroup
@@ -398,16 +326,9 @@ func TestCoalesceOptOuts(t *testing.T) {
 // memoryFixture builds a dataset engine and a server whose result cache
 // remembers at most one answer, plus two queries under different keys.
 func memoryFixture(t *testing.T, engOpts psi.EngineOptions) (srv *Server, a, b *psi.Graph) {
-	t.Helper()
-	ds := psi.GeneratePPI(psi.Tiny, 1)
 	engOpts.Indexes = []string{"ftv"}
-	eng, err := psi.NewDatasetEngine(ds, engOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.Close)
-	srv = New(eng, Options{CacheSize: 1})
-	a, b = psi.ExtractQuery(ds[0], 4, 7), psi.ExtractQuery(ds[1], 5, 7)
+	eng, a, ds := ppiFixture(t, engOpts)
+	srv, b = New(eng, Options{CacheSize: 1}), psi.ExtractQuery(ds[1], 5, 7)
 	if srv.cacheKey(eng, a, 0) == srv.cacheKey(eng, b, 0) {
 		t.Fatal("fixture queries share a key")
 	}
@@ -443,8 +364,7 @@ func TestMemoryFlightNeverEvictsRemembered(t *testing.T) {
 			<-release
 		}
 	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 	bodyA, bodyB := graphText(t, a), graphText(t, b)
 
 	if r := collect(t, ts.URL+"/query", bodyB); r.Cached {
@@ -495,8 +415,7 @@ func TestMemoryRemembersFallbackAnswer(t *testing.T) {
 			waitWaiters(t, e, 1)
 		}
 	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 	body := graphText(t, q)
 
 	var wg sync.WaitGroup
@@ -526,8 +445,7 @@ func TestMemoryRemembersFallbackAnswer(t *testing.T) {
 // /metrics carry no result cache.
 func TestCoalesceOnlyRemembersNothing(t *testing.T) {
 	srv, q := coalesceFixture(t, psi.EngineOptions{}, Options{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 	body := graphText(t, q)
 	for i := 0; i < 2; i++ {
 		if r := collect(t, ts.URL+"/query", body); r.Cached {

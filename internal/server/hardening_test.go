@@ -24,8 +24,7 @@ import (
 func TestQueryParamValidation(t *testing.T) {
 	eng, q := datasetFixture(t)
 	srv := New(eng, Options{}) // maxLimit 10000, maxTimeout 24h
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 	body := graphText(t, q)
 
 	huge := strconv.FormatInt(1<<40, 10)
@@ -75,8 +74,7 @@ func TestQueryParamValidation(t *testing.T) {
 func TestQueryParamCapsTrackConfig(t *testing.T) {
 	eng, q := datasetFixture(t)
 	srv := New(eng, Options{DefaultLimit: 50000, RequestTimeout: 100 * time.Millisecond})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 	body := graphText(t, q)
 
 	cases := []struct {
@@ -131,8 +129,7 @@ func TestRetryAfterHeaderOnCapacity(t *testing.T) {
 	srv := New(eng, Options{MaxInFlight: 1})
 	gate := make(chan struct{})
 	srv.admittedHook = func(ctx context.Context) { <-gate }
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 	body := graphText(t, q)
 
 	done := make(chan struct{})
@@ -166,8 +163,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 
 	t.Run("unconfigured", func(t *testing.T) {
 		srv := New(eng, Options{})
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
+		ts := serve(t, srv)
 		resp, data := postQuery(t, ts.URL+"/snapshot", nil)
 		if resp.StatusCode != http.StatusConflict {
 			t.Fatalf("status = %d, want 409 (body %.120s)", resp.StatusCode, data)
@@ -178,8 +174,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 
 	t.Run("building", func(t *testing.T) {
 		srv := NewBuilding(Options{SnapshotPath: path})
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
+		ts := serve(t, srv)
 		resp, data := postQuery(t, ts.URL+"/snapshot", nil)
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("status = %d, want 503 (body %.120s)", resp.StatusCode, data)
@@ -188,17 +183,13 @@ func TestSnapshotEndpoint(t *testing.T) {
 
 	t.Run("save and cold-start", func(t *testing.T) {
 		srv := New(eng, Options{SnapshotPath: path})
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
+		ts := serve(t, srv)
 
 		resp, data := postQuery(t, ts.URL+"/snapshot", nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status = %d, want 200 (body %.120s)", resp.StatusCode, data)
 		}
-		var sr SnapshotResponse
-		if err := json.Unmarshal(data, &sr); err != nil {
-			t.Fatal(err)
-		}
+		sr := decode[SnapshotResponse](t, data)
 		if sr.Path != path {
 			t.Errorf("response path = %q, want %q", sr.Path, path)
 		}

@@ -21,17 +21,7 @@ import (
 // mutableFixture builds a small mutable FTV engine (two shards) plus a
 // query with a non-empty answer contained in ds[0].
 func mutableFixture(t *testing.T) (*psi.Engine, *psi.Graph, []*psi.Graph) {
-	t.Helper()
-	ds := psi.GeneratePPI(psi.Tiny, 1)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"ftv"}, Mutable: true, Shards: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.Close)
-	q := psi.ExtractQuery(ds[0], 4, 7)
-	return eng, q, ds
+	return ppiFixture(t, psi.EngineOptions{Mutable: true, Shards: 2})
 }
 
 func do(t *testing.T, method, url string, body []byte) (*http.Response, []byte) {
@@ -58,10 +48,7 @@ func queryIDs(t *testing.T, ts *httptest.Server, body []byte) ([]int, QueryRespo
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status = %d, body %s", resp.StatusCode, data)
 	}
-	var qr QueryResponse
-	if err := json.Unmarshal(data, &qr); err != nil {
-		t.Fatal(err)
-	}
+	qr := decode[QueryResponse](t, data)
 	return qr.GraphIDs, qr
 }
 
@@ -71,15 +58,11 @@ func queryIDs(t *testing.T, ts *httptest.Server, body []byte) ([]int, QueryRespo
 func TestMutationEndpoints(t *testing.T) {
 	eng, q, ds := mutableFixture(t)
 	srv := New(eng, Options{CacheSize: -1})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 	qbody := graphText(t, q)
 
 	resp, data := do(t, http.MethodGet, ts.URL+"/healthz", nil)
-	var hz healthResponse
-	if err := json.Unmarshal(data, &hz); err != nil {
-		t.Fatal(err)
-	}
+	hz := decode[healthResponse](t, data)
 	if resp.StatusCode != http.StatusOK || hz.Status != "ok" || hz.Epoch != 1 {
 		t.Fatalf("healthz = %d %+v, want 200 ok epoch 1", resp.StatusCode, hz)
 	}
@@ -95,10 +78,7 @@ func TestMutationEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status = %d, body %s", resp.StatusCode, data)
 	}
-	var ing IngestResponse
-	if err := json.Unmarshal(data, &ing); err != nil {
-		t.Fatal(err)
-	}
+	ing := decode[IngestResponse](t, data)
 	if len(ing.Handles) != 1 || ing.Epoch != 2 {
 		t.Fatalf("ingest = %+v, want 1 handle at epoch 2", ing)
 	}
@@ -114,10 +94,7 @@ func TestMutationEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("replace status = %d, body %s", resp.StatusCode, data)
 	}
-	var mut MutateResponse
-	if err := json.Unmarshal(data, &mut); err != nil {
-		t.Fatal(err)
-	}
+	mut := decode[MutateResponse](t, data)
 	if mut.Handle != h || mut.Epoch != 3 {
 		t.Fatalf("replace = %+v, want handle %d at epoch 3", mut, h)
 	}
@@ -184,8 +161,7 @@ func TestMutationEndpoints(t *testing.T) {
 func TestMutationRequiresMutableEngine(t *testing.T) {
 	eng, q := datasetFixture(t)
 	srv := New(eng, Options{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 	resp, data := do(t, http.MethodPost, ts.URL+"/graphs", graphText(t, q))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("ingest on immutable engine = %d (%s), want 409", resp.StatusCode, data)
@@ -202,8 +178,7 @@ func TestMutationRequiresMutableEngine(t *testing.T) {
 func TestEpochKeyedCache(t *testing.T) {
 	eng, q, ds := mutableFixture(t)
 	srv := New(eng, Options{CacheSize: 8})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 	qbody := graphText(t, q)
 
 	before, first := queryIDs(t, ts, qbody)
@@ -218,10 +193,7 @@ func TestEpochKeyedCache(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status = %d, body %s", resp.StatusCode, data)
 	}
-	var ing IngestResponse
-	if err := json.Unmarshal(data, &ing); err != nil {
-		t.Fatal(err)
-	}
+	ing := decode[IngestResponse](t, data)
 
 	// The very next identical query must re-execute (the old entry's key
 	// carries the old epoch) and see the ingested graph.
@@ -254,14 +226,10 @@ func TestEpochKeyedCache(t *testing.T) {
 // are refused, and /stats and /metrics still serve the admission layer.
 func TestBuildingReadiness(t *testing.T) {
 	srv := NewBuilding(Options{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 
 	resp, data := do(t, http.MethodGet, ts.URL+"/healthz", nil)
-	var hz healthResponse
-	if err := json.Unmarshal(data, &hz); err != nil {
-		t.Fatal(err)
-	}
+	hz := decode[healthResponse](t, data)
 	if resp.StatusCode != http.StatusServiceUnavailable || hz.Status != "building" {
 		t.Fatalf("healthz while building = %d %+v, want 503 building", resp.StatusCode, hz)
 	}

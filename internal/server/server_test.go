@@ -26,18 +26,27 @@ import (
 	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
-// datasetFixture builds a small FTV engine (flat path index, no engine
-// cache, so server-cache behavior is observable in isolation) plus a query
-// with a non-empty answer.
-func datasetFixture(t *testing.T) (*psi.Engine, *psi.Graph) {
+// ppiFixture builds a dataset engine over a tiny PPI dataset under opts,
+// serving "ftv" when opts names no index, that the test closes when it ends,
+// plus a query with a non-empty answer and the dataset.
+func ppiFixture(t *testing.T, opts psi.EngineOptions) (*psi.Engine, *psi.Graph, []*psi.Graph) {
 	t.Helper()
 	ds := psi.GeneratePPI(psi.Tiny, 1)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv"}})
+	if len(opts.Indexes) == 0 {
+		opts.Indexes = []string{"ftv"}
+	}
+	eng, err := psi.NewDatasetEngine(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	q := psi.ExtractQuery(ds[0], 4, 7)
+	return eng, psi.ExtractQuery(ds[0], 4, 7), ds
+}
+
+// datasetFixture is ppiFixture's one-table FTV engine (no engine cache, so
+// server-cache behavior is observable in isolation) and its query.
+func datasetFixture(t *testing.T) (*psi.Engine, *psi.Graph) {
+	eng, q, _ := ppiFixture(t, psi.EngineOptions{})
 	return eng, q
 }
 
@@ -49,6 +58,24 @@ func graphText(t *testing.T, q *psi.Graph) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// serve starts srv behind an httptest server that the test closes when it
+// ends.
+func serve(t *testing.T, srv *Server) *httptest.Server {
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// decode unmarshals a JSON body into a T and fails the test when it cannot.
+func decode[T any](t *testing.T, data []byte) T {
+	t.Helper()
+	var v T
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatalf("decoding %T: %v (%q)", v, err, data)
+	}
+	return v
 }
 
 func postQuery(t *testing.T, url string, body []byte) (*http.Response, []byte) {
@@ -71,8 +98,7 @@ func postQuery(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 func TestStreamMatchesExecuteBytes(t *testing.T) {
 	eng, q := datasetFixture(t)
 	srv := New(eng, Options{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 
 	direct, err := eng.Query(context.Background(), q, 0)
 	if err != nil {
@@ -101,10 +127,7 @@ func TestStreamMatchesExecuteBytes(t *testing.T) {
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("streamed NDJSON differs from Execute serialization:\ngot  %q\nwant %q", got, want.Bytes())
 	}
-	var sum StreamSummary
-	if err := json.Unmarshal(lines[len(lines)-2], &sum); err != nil {
-		t.Fatalf("summary line: %v (%q)", err, lines[len(lines)-2])
-	}
+	sum := decode[StreamSummary](t, lines[len(lines)-2])
 	if !sum.Done || sum.Found != len(direct.GraphIDs) || sum.Killed || sum.Error != "" {
 		t.Errorf("summary = %+v, want done with found=%d", sum, len(direct.GraphIDs))
 	}
@@ -119,8 +142,7 @@ func TestStreamMatchesExecuteBytes(t *testing.T) {
 func TestCollectedQueryAndCache(t *testing.T) {
 	eng, q := datasetFixture(t)
 	srv := New(eng, Options{CacheSize: 8})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 
 	direct, err := eng.Query(context.Background(), q, 0)
 	if err != nil {
@@ -131,10 +153,7 @@ func TestCollectedQueryAndCache(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, data)
 	}
-	var first QueryResponse
-	if err := json.Unmarshal(data, &first); err != nil {
-		t.Fatal(err)
-	}
+	first := decode[QueryResponse](t, data)
 	if first.Cached || fmt.Sprint(first.GraphIDs) != fmt.Sprint(direct.GraphIDs) {
 		t.Fatalf("first answer = %+v, want uncached %v", first, direct.GraphIDs)
 	}
@@ -143,10 +162,7 @@ func TestCollectedQueryAndCache(t *testing.T) {
 	}
 
 	_, data = postQuery(t, ts.URL+"/query", body)
-	var second QueryResponse
-	if err := json.Unmarshal(data, &second); err != nil {
-		t.Fatal(err)
-	}
+	second := decode[QueryResponse](t, data)
 	if !second.Cached {
 		t.Error("second identical query was not served from cache")
 	}
@@ -165,10 +181,7 @@ func TestCollectedQueryAndCache(t *testing.T) {
 		t.Fatalf("cached stream status = %d", resp.StatusCode)
 	}
 	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	var sum StreamSummary
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil {
-		t.Fatal(err)
-	}
+	sum := decode[StreamSummary](t, []byte(lines[len(lines)-1]))
 	if !sum.Cached || sum.Found != len(direct.GraphIDs) || len(lines)-1 != len(direct.GraphIDs) {
 		t.Errorf("cached stream: %d id lines, summary %+v; want %d cached ids", len(lines)-1, sum, len(direct.GraphIDs))
 	}
@@ -186,8 +199,7 @@ func TestAdmissionLimitRejectsOverflow(t *testing.T) {
 	srv := New(eng, Options{MaxInFlight: 2})
 	gate := make(chan struct{})
 	srv.admittedHook = func(ctx context.Context) { <-gate }
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 
 	body := graphText(t, q)
 	var wg sync.WaitGroup
@@ -260,8 +272,7 @@ func slowFixture(t *testing.T) (*psi.Engine, *psi.Graph) {
 func TestClientDisconnectCancelsQuery(t *testing.T) {
 	eng, q := slowFixture(t)
 	srv := New(eng, Options{CacheSize: -1})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	ts := serve(t, srv)
 
 	leakcheck.Check(t, 2) // a leak here means the disconnect did not cancel the race
 	ctx, cancel := context.WithCancel(context.Background())
@@ -294,8 +305,7 @@ func TestGracefulDrain(t *testing.T) {
 	srv := New(eng, Options{})
 	gate := make(chan struct{})
 	srv.admittedHook = func(ctx context.Context) { <-gate }
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 
 	body := graphText(t, q)
 	type outcome struct {
@@ -332,10 +342,7 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatalf("in-flight query dropped during drain: status %d", out.code)
 	}
 	lines := strings.Split(strings.TrimSuffix(string(out.data), "\n"), "\n")
-	var sum StreamSummary
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil {
-		t.Fatalf("drained response has no summary line: %v (%q)", err, out.data)
-	}
+	sum := decode[StreamSummary](t, []byte(lines[len(lines)-1]))
 	if !sum.Done {
 		t.Errorf("drained response summary = %+v, want done", sum)
 	}
@@ -347,8 +354,7 @@ func TestGracefulDrain(t *testing.T) {
 func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	eng, q := slowFixture(t)
 	srv := New(eng, Options{CacheSize: -1, DefaultLimit: 1_000_000})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 
 	held := make(chan []byte, 1)
 	go func() {
@@ -377,8 +383,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 func TestSlowReaderCannotStallDrain(t *testing.T) {
 	eng, q := slowFixture(t)
 	srv := New(eng, Options{CacheSize: -1, DefaultLimit: 1_000_000})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 
 	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 	if err != nil {
@@ -409,8 +414,7 @@ func TestSlowReaderCannotStallDrain(t *testing.T) {
 func TestRequestValidation(t *testing.T) {
 	eng, q := datasetFixture(t)
 	srv := New(eng, Options{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 
 	cases := []struct {
 		name, url string
@@ -446,10 +450,7 @@ func TestRequestValidation(t *testing.T) {
 func getStatsAndMetrics(t *testing.T, url string) (StatsResponse, string) {
 	t.Helper()
 	_, data := do(t, http.MethodGet, url+"/stats", nil)
-	var st StatsResponse
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatalf("stats decode: %v (%s)", err, data)
-	}
+	st := decode[StatsResponse](t, data)
 	_, metrics := do(t, http.MethodGet, url+"/metrics", nil)
 	return st, string(metrics)
 }
@@ -461,8 +462,7 @@ func getStatsAndMetrics(t *testing.T, url string) (StatsResponse, string) {
 func TestStatsAndMetrics(t *testing.T) {
 	eng, q := datasetFixture(t)
 	srv := New(eng, Options{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 
 	body := graphText(t, q)
 	postQuery(t, ts.URL+"/query", body)
@@ -552,8 +552,7 @@ func TestPerRequestTimeoutMapsToKill(t *testing.T) {
 	// A DefaultLimit this high raises the request-limit cap so the huge
 	// ?limit below is admitted rather than rejected as absurd.
 	srv := New(eng, Options{CacheSize: 8, DefaultLimit: 1_000_000})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 
 	// The engine has no budget, so the deadline surfaces as 504 here.
 	resp, data := postQuery(t, ts.URL+"/query?timeout_ms=30&limit=10000000", graphText(t, q))
@@ -574,10 +573,7 @@ func TestPerRequestTimeoutMapsToKill(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("budgeted status = %d, want 200 (body %.120s)", resp.StatusCode, data)
 	}
-	var qr QueryResponse
-	if err := json.Unmarshal(data, &qr); err != nil {
-		t.Fatal(err)
-	}
+	qr := decode[QueryResponse](t, data)
 	if !qr.Killed {
 		t.Errorf("response = %+v, want killed", qr)
 	}

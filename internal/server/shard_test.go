@@ -20,18 +20,7 @@ import (
 // shardedFixture builds a sharded FTV engine (K=3, flat path index, no
 // engine-level cache) plus a query with a non-empty answer.
 func shardedFixture(t *testing.T, timeout time.Duration) (*psi.Engine, *psi.Graph) {
-	t.Helper()
-	ds := psi.GeneratePPI(psi.Tiny, 1)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"ftv"},
-		Shards:  3,
-		Timeout: timeout,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.Close)
-	q := psi.ExtractQuery(ds[0], 4, 7)
+	eng, q, _ := ppiFixture(t, psi.EngineOptions{Shards: 3, Timeout: timeout})
 	return eng, q
 }
 
@@ -43,8 +32,7 @@ func shardedFixture(t *testing.T, timeout time.Duration) (*psi.Engine, *psi.Grap
 func TestShardedCachedReplayByteParity(t *testing.T) {
 	eng, q := shardedFixture(t, 0)
 	srv := New(eng, Options{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 	body := graphText(t, q)
 
 	// Streamed: fresh, then cached.
@@ -79,10 +67,7 @@ func TestShardedCachedReplayByteParity(t *testing.T) {
 
 	// Collected: the cached JSON answer carries the same graph IDs.
 	_, cdata := postQuery(t, ts.URL+"/query", body)
-	var collected QueryResponse
-	if err := json.Unmarshal(cdata, &collected); err != nil {
-		t.Fatal(err)
-	}
+	collected := decode[QueryResponse](t, cdata)
 	if !collected.Cached {
 		t.Error("collected repeat of a streamed query not served from the shared cache")
 	}
@@ -97,10 +82,7 @@ func TestShardedCachedReplayByteParity(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/stats status %d", resp.StatusCode)
 	}
-	var stats StatsResponse
-	if err := json.Unmarshal(sdata, &stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := decode[StatsResponse](t, sdata)
 	if stats.Shards != 3 || len(stats.ShardBalance) != 3 {
 		t.Fatalf("/stats shards=%d balance=%v, want 3 shards", stats.Shards, stats.ShardBalance)
 	}
@@ -121,16 +103,12 @@ func TestShardedCachedReplayByteParity(t *testing.T) {
 func TestKilledShardedQueryNeverCached(t *testing.T) {
 	eng, q := shardedFixture(t, time.Nanosecond)
 	srv := New(eng, Options{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	ts := serve(t, srv)
 	body := graphText(t, q)
 
 	for i := 0; i < 2; i++ {
 		_, data := postQuery(t, ts.URL+"/query", body)
-		var resp QueryResponse
-		if err := json.Unmarshal(data, &resp); err != nil {
-			t.Fatal(err)
-		}
+		resp := decode[QueryResponse](t, data)
 		if !resp.Killed {
 			t.Fatalf("request %d under a 1ns budget not killed: %s", i, data)
 		}
@@ -140,10 +118,7 @@ func TestKilledShardedQueryNeverCached(t *testing.T) {
 	}
 	_, sdata := postQuery(t, ts.URL+"/query?stream=1", body)
 	lines := bytes.SplitAfter(sdata, []byte("\n"))
-	var sum StreamSummary
-	if err := json.Unmarshal(lines[len(lines)-2], &sum); err != nil {
-		t.Fatal(err)
-	}
+	sum := decode[StreamSummary](t, lines[len(lines)-2])
 	if !sum.Killed || sum.Cached {
 		t.Fatalf("streamed killed query summary = %+v, want killed and uncached", sum)
 	}
@@ -172,10 +147,7 @@ func TestStatsReportsLocationSets(t *testing.T) {
 	ts := httptest.NewServer(New(eng, Options{}))
 	defer ts.Close()
 	_, data := getStats(t, ts.URL)
-	var stats StatsResponse
-	if err := json.Unmarshal(data, &stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := decode[StatsResponse](t, data)
 	for _, x := range stats.Indexes {
 		var held, postings, postingBytes int64
 		sets := 0

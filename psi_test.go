@@ -30,11 +30,7 @@ func TestNewMatcherAllAlgorithms(t *testing.T) {
 	g := storedGraph()
 	q := psi.MustNewGraph("q", []psi.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}, {2, 0}})
 	for _, algo := range []psi.Algorithm{psi.VF2, psi.QuickSI, psi.GraphQL, psi.SPath} {
-		m, err := psi.NewMatcher(algo, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		embs, err := m.Match(context.Background(), q, 100)
+		embs, err := psi.MustNewMatcher(algo, g).Match(context.Background(), q, 100)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -43,11 +39,7 @@ func TestNewMatcherAllAlgorithms(t *testing.T) {
 		if len(embs) != 2 {
 			t.Errorf("%s: got %d embeddings, want 2", algo, len(embs))
 		}
-		for _, e := range embs {
-			if err := psi.VerifyEmbedding(q, g, e); err != nil {
-				t.Errorf("%s: %v", algo, err)
-			}
-		}
+		verifyAll(t, q, g, embs)
 	}
 }
 
@@ -115,22 +107,8 @@ func TestFTVPipelineAPI(t *testing.T) {
 		t.Error("source graph must contain the extracted query")
 	}
 	// the raced pipeline streams the same answer
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		IndexWorkers: 2,
-		Rewritings:   []psi.Rewriting{psi.Orig, psi.ILF, psi.DND},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	var ids2 []int
-	if _, err := eng.AnswerStream(context.Background(), q, func(id int) bool {
-		ids2 = append(ids2, id)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(ids, ids2) {
+	eng := newDatasetEngine(t, ds, psi.EngineOptions{IndexWorkers: 2, Rewritings: []psi.Rewriting{psi.Orig, psi.ILF, psi.DND}})
+	if ids2 := streamIDs(t, eng, q); !slices.Equal(ids, ids2) {
 		t.Errorf("raced answer %v != plain answer %v", ids2, ids)
 	}
 	// GGSX agrees too
@@ -222,13 +200,8 @@ func TestFilterIndexFacade(t *testing.T) {
 			want = got
 			continue
 		}
-		if len(got) != len(want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("%s answered %v, first kind answered %v", kind, got, want)
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("%s answered %v, first kind answered %v", kind, got, want)
-			}
 		}
 	}
 	if _, err := psi.BuildIndex(context.Background(), "btree", ds, 1); err == nil {
@@ -248,13 +221,8 @@ func TestFilterIndexFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("sharded index answered %v, monolithic %v", got, want)
-	}
-	for j := range got {
-		if got[j] != want[j] {
-			t.Fatalf("sharded index answered %v, monolithic %v", got, want)
-		}
 	}
 	if _, err := psi.NewShardedIndex(context.Background(), "btree", ds, 2, 1); err == nil {
 		t.Error("NewShardedIndex of unknown kind must fail")

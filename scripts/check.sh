@@ -9,6 +9,7 @@
 # surface here rather than at measurement time, the nested bench/
 # module's own vet and tests and its oracle-checked smoke over all four
 # workloads, one run of the paper replay (psibench), the coverage floor, the
+# mutant stage (every mutant of scripts/mutants.txt must be killed), the
 # psiserve binary driven end to end (serve, snapshot, churn) and psiquery's
 # -mode over a dataset. It gates behaviour, not speed: the former floors
 # on snapshot load vs build and on mutation vs rebuild were ratios of two
@@ -216,18 +217,11 @@ for want in 'GGSX' 'Grapes/4' 'Ψ(Grapes/4: Or/all)'; do
     }
 done
 
-echo "== coverage gate (internal/core, internal/index, internal/rewrite, internal/predict, internal/metrics, internal/live, internal/snapshot, internal/spath, internal/gql, internal/match, internal/ftv, internal/graph, internal/vf2, internal/quicksi, internal/server, internal/exec) =="
-# Per-package coverage for the packages this repo's correctness arguments
-# lean on hardest (the one race/stream pipeline every query runs through,
-# the filtering/sharding contract, the rewritings' rankings, the learned
-# planning policy's evidence rules, the operational counters, the
-# epoch-versioned mutation store, the persistent snapshot format, and the
-# default NFV portfolio's two matchers with the contract and candidate sets
-# they share, and the feature extraction with its location sets, the graph
-# type with the parser untrusted request bodies go through, the other two
-# matchers, the HTTP server, and the execution pool every fan-out and race
-# runs on); regressing below the floor fails the gate.
-cov_out=$(go test -cover ./internal/core ./internal/index ./internal/rewrite ./internal/predict ./internal/metrics ./internal/live ./internal/snapshot ./internal/spath ./internal/gql ./internal/match ./internal/ftv ./internal/graph ./internal/vf2 ./internal/quicksi ./internal/server ./internal/exec)
+echo "== coverage gate (every package outside cmd/) =="
+# Per-package statement coverage of every package but the cmd/ programs,
+# which the smokes below drive as binaries; regressing below the floor fails
+# the gate.
+cov_out=$(go test -cover $(go list ./... | grep -v /cmd/))
 echo "$cov_out"
 echo "$cov_out" | awk '
     /coverage:/ {
@@ -238,6 +232,13 @@ echo "$cov_out" | awk '
     }
     END { exit bad }
 ' || exit 1
+
+echo "== mutants (scripts/mutants.txt) =="
+# The gauge of the net above: each mutant is one source line replaced by a
+# defect this repo has had or guards against, applied alone to a copy of the
+# tree, and the tests it names must fail. A survivor, a line no longer found
+# exactly once or a mutant that no longer compiles fails the stage.
+scripts/mutants.sh
 
 echo "== serve smoke =="
 # End-to-end over the real binary: start psiserve on a random port over a
