@@ -80,7 +80,8 @@ type Engine struct {
 }
 
 // NewEngine builds an NFV engine serving subgraph-matching queries against
-// one stored graph.
+// one stored graph. Set-up runs on the engine's pool: the matchers' indexing
+// phases build side by side, sPath's fanned out over the workers.
 func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 	if g == nil {
 		return nil, errors.New("psi: NewEngine requires a stored graph")
@@ -97,12 +98,25 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) {
 	}
 	e := newEngineCommon(opts)
 	e.g, e.policy = g, policy
+	// The matchers' indexing phases are tasks of one group on the engine's
+	// pool, and sPath's batched BFS fans out inside its task. The group is
+	// nested, so set-up never waits for a worker: a busy or one-worker pool
+	// runs the tasks on this goroutine.
+	pool := e.pool
+	if pool == nil {
+		pool = exec.Default()
+	}
 	matchers := make([]Matcher, len(algos))
+	grp := pool.NewGroup(exec.Nest(context.Background()))
 	for i, a := range algos {
-		if matchers[i], err = NewMatcher(a, g); err != nil {
-			e.Close()
-			return nil, err
-		}
+		grp.Go(func(context.Context) (err error) {
+			matchers[i], err = newMatcher(a, g, pool)
+			return err
+		})
+	}
+	if err := grp.Wait(); err != nil {
+		e.Close()
+		return nil, err
 	}
 	e.racer = core.NewRacer(g)
 	e.racer.Pool = e.pool

@@ -89,3 +89,20 @@ func BenchmarkEngineDecision(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEngineSetup is what nfv_race's setup_s times, in-repo: an engine
+// with default options (GraphQL and sPath under Orig and DND) over the
+// paper-scale yeast graph, closed after each build. Set-up runs on the
+// engine's pool, so compare it at GOMAXPROCS 1 and 2.
+func BenchmarkEngineSetup(b *testing.B) {
+	g := psi.GenerateYeastLike(psi.Paper, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := psi.NewEngine(g, psi.EngineOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng.Close()
+	}
+}

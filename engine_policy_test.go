@@ -173,6 +173,49 @@ func TestDatasetEngineAutoSoloOverrunIsKillEvidence(t *testing.T) {
 	}
 }
 
+// TestEngineAutoBudgetKilledSoloIsKillEvidence: a learned solo killed by
+// the engine's own cap, not by the solo budget, never reaches soloFirst's
+// fallback, so the budget wrapper must record it against the solo arm, and
+// must not count it as a completed prediction. The class trains to solo
+// under a generous cap; the cap then drops to a nanosecond, long past when
+// the solo's search first checks its context, so the kill is not a race
+// against the clock.
+func TestEngineAutoBudgetKilledSoloIsKillEvidence(t *testing.T) {
+	g := psi.GenerateYeastLike(psi.Tiny, 6)
+	eng := newEngine(t, g, psi.EngineOptions{Mode: psi.ModeAuto, Timeout: time.Minute})
+	psi.SetAutoPolicy(eng, time.Minute, 1, -1)
+	q := psi.ExtractQuery(g, 6, 21)
+	const limit = 1 << 20
+	var d *psi.PolicyDecision
+	for i := 0; i < 8 && d == nil; i++ {
+		if res := query(t, eng, q, limit); res.Policy != nil && res.Policy.Solo {
+			d = res.Policy
+		}
+	}
+	if d == nil {
+		t.Fatal("class never became solo-eligible")
+	}
+	before, _ := eng.PolicyStats()
+	counted := eng.Counters()
+
+	psi.SetTimeout(eng, time.Nanosecond)
+	res := query(t, eng, q, limit)
+	if !res.Killed || res.Kind != psi.PlanPredicted || res.FellBack {
+		t.Fatalf("under a nanosecond cap: killed %v, kind %q, fell back %v; want a killed learned solo", res.Killed, res.Kind, res.FellBack)
+	}
+	after, _ := eng.PolicyStats()
+	if got, want := after.Arms[d.Arm].Kills, before.Arms[d.Arm].Kills+1; got != want {
+		t.Errorf("solo arm %q: kills %d after a budget kill, want %d", d.ArmName, got, want)
+	}
+	c := eng.Counters()
+	if c.Killed != counted.Killed+1 {
+		t.Errorf("Killed %d -> %d, want one more", counted.Killed, c.Killed)
+	}
+	if c.PredictedSolo != counted.PredictedSolo {
+		t.Errorf("PredictedSolo %d -> %d: a killed solo counted as a completed prediction", counted.PredictedSolo, c.PredictedSolo)
+	}
+}
+
 // TestDatasetEngineAutoCancelIsNotEvidence is the second half: a caller
 // cancellation (client disconnect) must leave the learned statistics — and
 // the solo eligibility of the class — completely untouched.

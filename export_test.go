@@ -20,3 +20,8 @@ func SetAutoPolicy(e *Engine, solo time.Duration, minSamples, raceEvery int) {
 		e.bandit = predict.NewBandit(e.arms, predict.BanditOptions{MinSamples: minSamples, RaceEvery: raceEvery})
 	}
 }
+
+// SetTimeout replaces the engine's per-query cap between queries, for tests
+// that train a class under a generous cap and then need the cap itself, not
+// the solo budget, to kill a learned solo.
+func SetTimeout(e *Engine, cap time.Duration) { e.budget.Cap = cap }

@@ -3,23 +3,25 @@ package graph
 import "slices"
 
 // BFSBatches runs a breadth-first search bounded to maxDepth levels from
-// every vertex of g, 64 sources per batch: one machine word per vertex holds
-// the batch's sources that have reached it, so a level of all 64 searches is
-// one sweep over the frontier's adjacency instead of 64. Batch b's sources
-// are vertices 64b..64b+63 (the last batch may be partial); source first+i
-// is bit i.
+// the sources of batches lo..hi-1 of g, 64 sources per batch: one machine
+// word per vertex holds the batch's sources that have reached it, so a level
+// of all 64 searches is one sweep over the frontier's adjacency instead of
+// 64. Batch b's sources are vertices 64b..64b+63 (the last batch, b =
+// ⌈n/64⌉−1, may be partial); source first+i is bit i. Batches are
+// independent, so disjoint ranges may run concurrently, each call with its
+// own scratch.
 //
 // After each level d = 1..maxDepth of each batch, level(first, d, reached)
 // is called with reached[v] holding bit i iff v lies at distance exactly d
 // from source first+i. Every level of every batch is reported, empty ones
 // included; batches come in ascending order of first, levels in ascending
 // order within a batch. reached is reused: level must not retain it.
-func (g *Graph) BFSBatches(maxDepth int, level func(first, depth int, reached []uint64)) {
+func (g *Graph) BFSBatches(lo, hi, maxDepth int, level func(first, depth int, reached []uint64)) {
 	n := g.N()
 	seen := make([]uint64, n)
 	frontier := make([]uint64, n)
 	next := make([]uint64, n)
-	for first := 0; first < n; first += 64 {
+	for first := 64 * lo; first < min(n, 64*hi); first += 64 {
 		clear(seen)
 		clear(frontier)
 		for i := 0; i < 64 && first+i < n; i++ {

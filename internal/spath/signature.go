@@ -1,11 +1,13 @@
 package spath
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 
+	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/graph"
 )
 
@@ -61,8 +63,9 @@ func (s *signatures) row(v, d int) []byte {
 
 // buildSignatures computes g's signatures out to radius in the rank space of
 // space: g itself for the stored graph, the stored graph for a query. With a
-// label in g that space lacks it builds nothing and reports false.
-func buildSignatures(g *graph.Graph, radius int, space *graph.Graph) (signatures, bool) {
+// label in g that space lacks it builds nothing and reports false. A graph of
+// more than one BFS batch fans out on p (nil: exec.Default()).
+func buildSignatures(g *graph.Graph, radius int, space *graph.Graph, p *exec.Pool) (signatures, bool) {
 	ranks := make([]uint16, g.DistinctLabels())
 	for i, l := range g.LabelValues() {
 		rank, ok := space.LabelRank(l)
@@ -71,48 +74,124 @@ func buildSignatures(g *graph.Graph, radius int, space *graph.Graph) (signatures
 		}
 		ranks[i] = clampRank(rank)
 	}
-	return buildRows(g, radius, ranks, min(space.DistinctLabels(), maxWidth)), true
+	return buildRows(g, radius, ranks, min(space.DistinctLabels(), maxWidth), p), true
 }
 
-// buildRows computes the signatures with graph.BFSBatches; ranks[i] is the
-// rank of g's i-th distinct label, ascending with the labels. Each level of a
-// batch is walked in (label, vertex) order, so every source's ranks at that
-// distance come out ascending: a rank's vertices are counted into one counter
-// per source, and the counters a rank touched are flushed as that source's
-// next triple. The exact-distance triples of a batch are then summed, source
-// by source and level by level, into the cumulative rows, each written in its
-// final form. Scratch is 64 counters and the batch's triples: nothing is
-// sized by graph.MaxLabel.
-func buildRows(g *graph.Graph, radius int, ranks []uint16, width int) signatures {
+// chunksPerWorker is how many chunks a build cuts per pool worker, so that a
+// chunk run on the submitting goroutine, or a worker that frees up late,
+// still leaves chunks for the others.
+const chunksPerWorker = 4
+
+// buildRows computes the signatures; ranks[i] is the rank of g's i-th
+// distinct label, ascending with the labels. The 64-source BFS batches
+// (graph.BFSBatches) depend on nothing but g, so a graph of more than one
+// batch cuts them into contiguous chunks run as a nested exec.Group on p
+// (nil: exec.Default()), each chunk with its own scratch and slab (chunkRows),
+// and stitches the chunks' rows and offsets, in batch order, into one
+// exactly-sized slab: the same bytes for every pool size. A graph of one
+// batch — a query of up to 64 vertices — is one chunk built on the calling
+// goroutine, and never touches the pool.
+func buildRows(g *graph.Graph, radius int, ranks []uint16, width int, p *exec.Pool) signatures {
 	n := g.N()
-	sig := signatures{radius: radius, width: width, off: make([]uint32, 1, n*radius+1)}
 	groups := make([][]int32, len(ranks))
 	for i, l := range g.LabelValues() {
 		groups[i] = g.VerticesWithLabel(l)
 	}
+	batches := (n + 63) / 64
+	if batches <= 1 {
+		return chunkRows(g, groups, ranks, radius, width, 0, batches)
+	}
+	if p == nil {
+		p = exec.Default()
+	}
+	chunks := make([]signatures, min(batches, chunksPerWorker*p.Workers()))
+	grp := p.NewGroup(exec.Nest(context.Background()))
+	for c := range chunks {
+		grp.Go(func(context.Context) error {
+			chunks[c] = chunkRows(g, groups, ranks, radius, width, c*batches/len(chunks), (c+1)*batches/len(chunks))
+			return nil
+		})
+	}
+	if err := grp.Wait(); err != nil {
+		panic(err) // a chunk panicked, as an oversized slab does
+	}
+	size := 0
+	for _, c := range chunks {
+		size += len(c.rows)
+	}
+	sig := signatures{radius: radius, width: width, off: make([]uint32, 1, n*radius+1), rows: make([]byte, 0, size)}
+	for _, c := range chunks {
+		base := len(sig.rows)
+		for _, end := range c.off[1:] {
+			sig.off = append(sig.off, slabOffset(base+int(end), n, width))
+		}
+		sig.rows = append(sig.rows, c.rows...)
+	}
+	return sig
+}
+
+// chunkRows computes the rows of the sources of batches lo..hi-1, in a slab
+// of their own: off[0] is 0 and the offsets are relative to that slab. Each
+// level of a batch is walked in (label, vertex) order, so every source's
+// ranks at that distance come out ascending: a rank's vertices are counted
+// into bit-sliced counters, 64 sources at a time, and the sources a rank
+// reached are flushed as their next triple. The exact-distance triples of a
+// batch are then summed, source by source and level by level, into the
+// cumulative rows, each written in its final form. Scratch is the BFS's three
+// words per vertex and the batch's triples: nothing is sized by
+// graph.MaxLabel.
+func chunkRows(g *graph.Graph, groups [][]int32, ranks []uint16, radius, width, lo, hi int) signatures {
+	n := g.N()
+	last := min(n, 64*hi) // one past the chunk's last source
+	sig := signatures{radius: radius, width: width, off: make([]uint32, 1, (last-64*lo)*radius+1)}
 	var (
-		count [64]int32
 		exact [64][]byte // per source: its sparse triples, level after level
 		ends  = make([]int, 64*radius)
 	)
-	g.BFSBatches(radius, func(first, depth int, reached []uint64) {
-		var touched uint64
+	// Each source's triples start in its own stretch of one buffer, room for
+	// a triple per level of up to 64 ranks; a source that needs more regrows
+	// alone.
+	per, sources := 3*radius*min(len(ranks), 64), min(64, last-64*lo)
+	buf := make([]byte, sources*per)
+	for src := range sources {
+		exact[src] = buf[src*per : src*per : (src+1)*per]
+	}
+	g.BFSBatches(lo, hi, radius, func(first, depth int, reached []uint64) {
+		// Bit-sliced counters, one per source: bit i of p<j> is bit j of
+		// source i's count, and sat holds the sources whose count passed 255,
+		// where a row saturates anyway. Each non-zero reached word is added
+		// with a branch-free ripple carry; a sparse level's zero words cost
+		// one test.
+		var p0, p1, p2, p3, p4, p5, p6, p7, sat uint64
 		for i, group := range groups {
 			for _, v := range group {
-				r := reached[v]
-				touched |= r
-				for ; r != 0; r &= r - 1 {
-					count[bits.TrailingZeros64(r)]++
+				c := reached[v]
+				if c == 0 {
+					continue
 				}
+				p0, c = p0^c, p0&c
+				p1, c = p1^c, p1&c
+				p2, c = p2^c, p2&c
+				p3, c = p3^c, p3&c
+				p4, c = p4^c, p4&c
+				p5, c = p5^c, p5&c
+				p6, c = p6^c, p6&c
+				p7, c = p7^c, p7&c
+				sat |= c
 			}
 			if i+1 < len(ranks) && ranks[i+1] == ranks[i] {
 				continue // the next label shares this rank: their counts add
 			}
-			for ; touched != 0; touched &= touched - 1 {
+			for touched := p0 | p1 | p2 | p3 | p4 | p5 | p6 | p7 | sat; touched != 0; touched &= touched - 1 {
 				src := bits.TrailingZeros64(touched)
-				exact[src] = append(exact[src], byte(ranks[i]>>8), byte(ranks[i]), clampCount(int(count[src])))
-				count[src] = 0
+				c := byte(p0>>src&1 | p1>>src&1<<1 | p2>>src&1<<2 | p3>>src&1<<3 |
+					p4>>src&1<<4 | p5>>src&1<<5 | p6>>src&1<<6 | p7>>src&1<<7)
+				if sat>>src&1 != 0 {
+					c = math.MaxUint8
+				}
+				exact[src] = append(exact[src], byte(ranks[i]>>8), byte(ranks[i]), c)
 			}
+			p0, p1, p2, p3, p4, p5, p6, p7, sat = 0, 0, 0, 0, 0, 0, 0, 0, 0
 		}
 		for src := range exact {
 			ends[src*radius+depth-1] = len(exact[src])
@@ -131,10 +210,10 @@ func buildRows(g *graph.Graph, radius int, ranks []uint16, width int) signatures
 			}
 			exact[src] = exact[src][:0]
 		}
-		// Size the slab for the batches to come by the ones so far, so that
-		// appending seldom regrows (and copies) it.
-		if done := first + 64; done < n {
-			sig.rows = slices.Grow(sig.rows, len(sig.rows)/done*(n-done))
+		// Size the slab for the chunk's batches to come by the ones so far,
+		// so that appending seldom regrows (and copies) it.
+		if done := first + 64; done < last {
+			sig.rows = slices.Grow(sig.rows, len(sig.rows)/(done-64*lo)*(last-done))
 		}
 	})
 	return sig

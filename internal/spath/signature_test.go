@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/match"
@@ -93,7 +94,7 @@ func checkForm(t *testing.T, name string, sig signatures) {
 // does for its stored graph.
 func ownSignatures(t *testing.T, g *graph.Graph, radius int) signatures {
 	t.Helper()
-	sig, ok := buildSignatures(g, radius, g)
+	sig, ok := buildSignatures(g, radius, g, nil)
 	if !ok {
 		t.Fatalf("%s: a graph lacks one of its own labels", g.Name())
 	}
@@ -316,9 +317,9 @@ func TestByteClamps(t *testing.T) {
 	g := graph.MustNew("g", []graph.Label{0, 1, 4095, 1}, [][2]int{{0, 1}, {0, 2}, {2, 3}})
 	exact := ownSignatures(t, g, 2)
 	q := graph.MustNew("q", []graph.Label{0, 4095, 4095}, [][2]int{{0, 1}, {0, 2}})
-	qExact, _ := buildSignatures(q, 2, g)
+	qExact, _ := buildSignatures(q, 2, g, nil)
 	for _, width := range []int{2, 6} {
-		shared := buildRows(g, 2, []uint16{0, 1, 1}, width)
+		shared := buildRows(g, 2, []uint16{0, 1, 1}, width, nil)
 		for v := 0; v < g.N(); v++ {
 			for d, want := range oracleSignature(g, v, 2) {
 				bucket := map[graph.Label]int32{}
@@ -333,7 +334,7 @@ func TestByteClamps(t *testing.T) {
 		// Sound: whatever is contained label by label is contained bucket by
 		// bucket. Not exact: a query vertex seeing two label-4095 vertices at
 		// distance 1 passes against vertex 0's bucket of two, which has one.
-		qShared := buildRows(q, 2, []uint16{0, 1}, width)
+		qShared := buildRows(q, 2, []uint16{0, 1}, width, nil)
 		if exact.contains(0, &qExact, 0) || !shared.contains(0, &qShared, 0) {
 			t.Errorf("width %d: two label-4095 neighbours against one: exact rows must reject, bucketed rows accept", width)
 		}
@@ -457,7 +458,7 @@ func oracleCandidates(g, q *graph.Graph, radius int) []match.VertexSet {
 // bit for bit.
 func checkCandidates(t *testing.T, g, q *graph.Graph, radius int) {
 	t.Helper()
-	got, err := NewWithRadius(g, radius).candidates(q, match.NewBudget(context.Background()))
+	got, err := NewWithRadius(g, radius, nil).candidates(q, match.NewBudget(context.Background()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +550,7 @@ func FuzzSPathCandidates(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, q, radius := fuzzCase(data)
 		checkForm(t, "stored", ownSignatures(t, g, radius))
-		if qSig, ok := buildSignatures(q, radius, g); ok {
+		if qSig, ok := buildSignatures(q, radius, g, nil); ok {
 			checkForm(t, "query", qSig)
 		}
 		checkCandidates(t, g, q, radius)
@@ -592,6 +593,46 @@ func TestCountClampOnAStar(t *testing.T) {
 		cand, err := m.candidates(star(leaves), match.NewBudget(context.Background()))
 		if err != nil || cand == nil || !cand[0].Has(0) {
 			t.Errorf("%d leaves: candidates %v, error %v; want the centre for the centre", leaves, cand, err)
+		}
+	}
+}
+
+// TestSignaturesPoolParity: a build fanned out on a pool of 1, 2 or 3
+// workers, its batches cut into chunks and stitched, holds the same rows and
+// offsets, byte for byte, as all batches built as one chunk on the calling
+// goroutine, and a stitched slab has no spare capacity. The sizes straddle
+// one batch and leave a partial last one; the yeast graph is nfv_race's
+// stored graph.
+func TestSignaturesPoolParity(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	graphs := []*graph.Graph{gen.YeastLike(gen.Paper, 1)}
+	for _, n := range []int{0, 1, 63, 64, 65, 64*7 + 1} {
+		graphs = append(graphs, sparseGraph(r, n, 4, []graph.Label{0, 1, 2, 4096, 1 << 20}))
+	}
+	var pools []*exec.Pool
+	for workers := 1; workers <= 3; workers++ {
+		p := exec.New(workers)
+		defer p.Close()
+		pools = append(pools, p)
+	}
+	for _, g := range graphs {
+		ranks := make([]uint16, g.DistinctLabels())
+		groups := make([][]int32, len(ranks))
+		for i, l := range g.LabelValues() {
+			ranks[i], groups[i] = clampRank(i), g.VerticesWithLabel(l)
+		}
+		batches := (g.N() + 63) / 64
+		for _, radius := range []int{1, DefaultRadius} {
+			want := chunkRows(g, groups, ranks, radius, len(ranks), 0, batches)
+			for _, p := range pools {
+				got := buildRows(g, radius, ranks, len(ranks), p)
+				if !slices.Equal(got.off, want.off) || !bytes.Equal(got.rows, want.rows) {
+					t.Fatalf("%s (n=%d), radius %d, %d workers: the stitched rows differ from one chunk's", g.Name(), g.N(), radius, p.Workers())
+				}
+				if batches > 1 && cap(got.rows) != len(got.rows) {
+					t.Errorf("%s, %d workers: slab of %d bytes has capacity %d", g.Name(), p.Workers(), len(got.rows), cap(got.rows))
+				}
+			}
 		}
 	}
 }

@@ -8,9 +8,12 @@
 // verifies the chosen paths edge by edge.
 //
 // The signatures are byte rows in the rank space of the stored graph's label
-// alphabet, each dense or sparse, whichever is shorter, all in one slab and
-// built by one batched BFS (signature.go); a query vertex's candidates are a
-// bitset over the stored vertices (match.VertexSet), as in GraphQL.
+// alphabet, each dense or sparse, whichever is shorter, all in one slab
+// (signature.go). A batched BFS, 64 sources per batch, counts each label's
+// vertices at each distance in bit-sliced counters, and the stored graph's
+// batches are cut into chunks built in parallel on an exec pool and stitched
+// into the slab in batch order; a query vertex's candidates are a bitset over
+// the stored vertices (match.VertexSet), as in GraphQL.
 package spath
 
 import (
@@ -18,6 +21,7 @@ import (
 	"context"
 	"slices"
 
+	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/match"
 )
@@ -35,18 +39,18 @@ type Matcher struct {
 	sig signatures // of g
 }
 
-// New builds the sPath distance-wise signature index with DefaultRadius.
-func New(g *graph.Graph) *Matcher { return NewWithRadius(g, DefaultRadius) }
+// New builds the sPath distance-wise signature index with DefaultRadius, on
+// the default pool.
+func New(g *graph.Graph) *Matcher { return NewWithRadius(g, DefaultRadius, nil) }
 
-// NewWithRadius builds the index with an explicit neighbourhood radius.
-func NewWithRadius(g *graph.Graph, radius int) *Matcher {
+// NewWithRadius builds the index with an explicit neighbourhood radius; the
+// BFS batches of a graph of more than 64 vertices fan out on p (nil:
+// exec.Default()).
+func NewWithRadius(g *graph.Graph, radius int, p *exec.Pool) *Matcher {
 	if radius < 1 {
 		radius = 1
 	}
-	sig, _ := buildSignatures(g, radius, g)
-	// The slab lives as long as the matcher: drop the spare capacity (up to
-	// a quarter) that appending left.
-	sig.rows = slices.Clone(sig.rows)
+	sig, _ := buildSignatures(g, radius, g, p)
 	return &Matcher{g: g, sig: sig}
 }
 
@@ -86,7 +90,7 @@ func (m *Matcher) Plan(q *graph.Graph, budget *match.Budget) (match.Plan, error)
 // distance-signature containment. Returns nil if any set is empty, which a
 // query label the stored graph lacks decides before any signature is built.
 func (m *Matcher) candidates(q *graph.Graph, budget *match.Budget) ([]match.VertexSet, error) {
-	qSig, ok := buildSignatures(q, m.sig.radius, m.g)
+	qSig, ok := buildSignatures(q, m.sig.radius, m.g, nil)
 	if !ok {
 		return nil, nil
 	}

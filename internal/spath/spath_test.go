@@ -26,7 +26,7 @@ func TestName(t *testing.T) {
 
 func TestRadiusClamp(t *testing.T) {
 	g := graph.MustNew("g", []graph.Label{0}, nil)
-	if NewWithRadius(g, 0).sig.radius != 1 {
+	if NewWithRadius(g, 0, nil).sig.radius != 1 {
 		t.Error("radius must clamp to >= 1")
 	}
 }
@@ -105,7 +105,7 @@ func TestContainsIsCumulative(t *testing.T) {
 		for i := 1; i < len(tc.labels); i++ {
 			edges = append(edges, [2]int{0, i})
 		}
-		qs, ok := buildSignatures(graph.MustNew(tc.name, tc.labels, edges), 1, stored)
+		qs, ok := buildSignatures(graph.MustNew(tc.name, tc.labels, edges), 1, stored, nil)
 		if !ok {
 			t.Fatalf("%s: labels %v are all in the stored graph", tc.name, tc.labels)
 		}
@@ -120,7 +120,7 @@ func TestContainsIsCumulative(t *testing.T) {
 	// labels, {1, 3} cannot fit in {1}, whatever the counts.
 	wide := graph.MustNew("wide", []graph.Label{0, 1, 1, 2, 3, 4, 5, 6}, [][2]int{{0, 1}, {0, 2}})
 	ws := ownSignatures(t, wide, 1)
-	more, _ := buildSignatures(graph.MustNew("more", []graph.Label{0, 1, 3}, [][2]int{{0, 1}, {0, 2}}), 1, wide)
+	more, _ := buildSignatures(graph.MustNew("more", []graph.Label{0, 1, 3}, [][2]int{{0, 1}, {0, 2}}), 1, wide, nil)
 	if len(ws.row(0, 0)) != 3 || len(more.row(0, 0)) != 6 || ws.contains(0, &more, 0) {
 		t.Errorf("query row %v must not fit in stored row %v", more.row(0, 0), ws.row(0, 0))
 	}
@@ -223,7 +223,7 @@ func TestCandidateFilterByDistanceSignature(t *testing.T) {
 	// candidates, decided before any row is built.
 	for _, l := range []graph.Label{5, 10} {
 		foreign := graph.MustNew("foreign", []graph.Label{0, 1, l}, [][2]int{{0, 1}, {1, 2}})
-		if sig, ok := buildSignatures(foreign, DefaultRadius, g); ok || sig.off != nil || sig.rows != nil {
+		if sig, ok := buildSignatures(foreign, DefaultRadius, g, nil); ok || sig.off != nil || sig.rows != nil {
 			t.Errorf("label %d: built %+v, ok %v; want nothing built", l, sig, ok)
 		}
 		if cand, err := m.candidates(foreign, match.NewBudget(context.Background())); cand != nil || err != nil {

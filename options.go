@@ -57,7 +57,10 @@ type EngineOptions struct {
 	// metrics.Budget — the paper's kill cap. 0 disables the deadline.
 	Timeout time.Duration
 	// Workers sizes a dedicated execution pool owned (and closed) by the
-	// Engine; 0 shares the process-wide CPU-sized pool.
+	// Engine; 0 shares the process-wide CPU-sized pool. Set-up runs on that
+	// pool as queries do: a stored graph's matchers build side by side, with
+	// sPath's signatures fanned out, and a dataset's features are extracted
+	// graph by graph across it.
 	Workers int
 
 	// Indexes names the index methods a dataset engine serves ("ftv", the

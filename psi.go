@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"github.com/psi-graph/psi/internal/core"
+	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/gql"
@@ -124,6 +125,12 @@ func NewMatcher(algo Algorithm, g *Graph) (Matcher, error) {
 	if g == nil {
 		return nil, errors.New("psi: NewMatcher requires a stored graph")
 	}
+	return newMatcher(algo, g, nil)
+}
+
+// newMatcher is NewMatcher over a non-nil g, with the indexing phases that
+// fan out — sPath's batched BFS — on p (nil: exec.Default()).
+func newMatcher(algo Algorithm, g *Graph, p *exec.Pool) (Matcher, error) {
 	switch algo {
 	case VF2:
 		return vf2.New(g), nil
@@ -132,7 +139,7 @@ func NewMatcher(algo Algorithm, g *Graph) (Matcher, error) {
 	case GraphQL:
 		return gql.New(g), nil
 	case SPath:
-		return spath.New(g), nil
+		return spath.NewWithRadius(g, spath.DefaultRadius, p), nil
 	}
 	return nil, fmt.Errorf("psi: unknown algorithm %q", algo)
 }
