@@ -1,64 +1,23 @@
 package psi_test
 
-// One benchmark per table and figure of the paper: each regenerates the
-// artifact end to end (datasets, indexes, workload, measurements) at Tiny
-// scale through the experiment harness. Set -timeout generously; macro
-// benchmarks take seconds per iteration by design.
-//
-// Micro-benchmarks at the bottom measure the framework's moving parts:
-// rewriting cost (§8 reports tens to hundreds of µs), matcher throughput,
-// index construction, and the racing overhead ablation (the harness's
-// ablation1, as a micro-benchmark).
+// Micro-benchmarks of the framework's moving parts: rewriting cost (§8
+// reports tens to hundreds of µs), matcher throughput and indexing, and the
+// sequential oracle against the pooled filter→verify pipeline. The paper's
+// tables and figures are replayed by cmd/psibench and, once each per test
+// run, by internal/harness's TestAllExperimentsRun; the racing-overhead
+// ablation is the harness's ablation1.
 
 import (
 	"context"
-	"io"
+	"fmt"
 	"testing"
 
 	psi "github.com/psi-graph/psi"
-	"github.com/psi-graph/psi/internal/core"
 	"github.com/psi-graph/psi/internal/exec"
-	"github.com/psi-graph/psi/internal/gen"
-	"github.com/psi-graph/psi/internal/harness"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/rewrite"
 	"github.com/psi-graph/psi/internal/spath"
 )
-
-// benchExperiment regenerates one paper artifact per iteration.
-func benchExperiment(b *testing.B, id string) {
-	cfg := harness.DefaultConfig(gen.Tiny)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := harness.Run(cfg, io.Discard, id); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable1DatasetStats(b *testing.B)   { benchExperiment(b, "table1") }
-func BenchmarkTable2DatasetStats(b *testing.B)   { benchExperiment(b, "table2") }
-func BenchmarkFig1FTVStragglers(b *testing.B)    { benchExperiment(b, "fig1") }
-func BenchmarkFig2NFVStragglers(b *testing.B)    { benchExperiment(b, "fig2") }
-func BenchmarkTable3YeastBreakdown(b *testing.B) { benchExperiment(b, "table3") }
-func BenchmarkTable4HumanBreakdown(b *testing.B) { benchExperiment(b, "table4") }
-func BenchmarkFig3MaxMinFTV(b *testing.B)        { benchExperiment(b, "fig3") }
-func BenchmarkFig4MaxMinNFV(b *testing.B)        { benchExperiment(b, "fig4") }
-func BenchmarkFig5RewritingExample(b *testing.B) { benchExperiment(b, "fig5") }
-func BenchmarkFig6RewritingSweep(b *testing.B)   { benchExperiment(b, "fig6") }
-func BenchmarkFig7SpeedupFTV(b *testing.B)       { benchExperiment(b, "fig7") }
-func BenchmarkFig8SpeedupNFV(b *testing.B)       { benchExperiment(b, "fig8") }
-func BenchmarkFig9AlgPortfolio(b *testing.B)     { benchExperiment(b, "fig9") }
-func BenchmarkFig10PsiFTVQLA(b *testing.B)       { benchExperiment(b, "fig10") }
-func BenchmarkFig11PsiFTVWLA(b *testing.B)       { benchExperiment(b, "fig11") }
-func BenchmarkFig12GrapesVsPsi(b *testing.B)     { benchExperiment(b, "fig12") }
-func BenchmarkFig13PsiNFVRewr(b *testing.B)      { benchExperiment(b, "fig13") }
-func BenchmarkFig14PsiNFVAlgQLA(b *testing.B)    { benchExperiment(b, "fig14") }
-func BenchmarkFig15PsiNFVAlgWLA(b *testing.B)    { benchExperiment(b, "fig15") }
-func BenchmarkTable10Killed(b *testing.B)        { benchExperiment(b, "table10") }
-func BenchmarkAblationOverhead(b *testing.B)     { benchExperiment(b, "ablation1") }
-
-// --- micro-benchmarks -----------------------------------------------------
 
 // BenchmarkRewritingCost measures producing one ILF+DND rewriting of a
 // 24-edge query — the overhead §8 of the paper reports as "a few tens (for
@@ -118,39 +77,6 @@ func BenchmarkMatcherBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkGrapesIndexBuild measures FTV index construction over the
-// Tiny PPI dataset with 4 workers.
-func BenchmarkGrapesIndexBuild(b *testing.B) {
-	ds := psi.GeneratePPI(psi.Tiny, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustBuildIndex(b, "grapes", ds, 4).Close()
-	}
-}
-
-// BenchmarkGGSXIndexBuild measures the suffix-trie construction.
-func BenchmarkGGSXIndexBuild(b *testing.B) {
-	ds := psi.GeneratePPI(psi.Tiny, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustBuildIndex(b, "ggsx", ds, 0).Close()
-	}
-}
-
-// BenchmarkGrapesFilter measures the filtering stage alone.
-func BenchmarkGrapesFilter(b *testing.B) {
-	ds := psi.GeneratePPI(psi.Tiny, 1)
-	x := mustBuildIndex(b, "grapes", ds, 4)
-	q := psi.ExtractQuery(ds[0], 16, 9)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Filter(q)
-	}
-}
-
 // answerBench builds the GGSX index over the Tiny synthetic dataset and a
 // workload of queries with non-trivial candidate sets — the fixture for the
 // sequential-vs-pooled answer comparison. GGSX verifies against whole stored
@@ -190,7 +116,7 @@ func BenchmarkAnswerSequential(b *testing.B) {
 func BenchmarkAnswerWorkers(b *testing.B) {
 	x, queries := answerBench(b)
 	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(byThreads(w), func(b *testing.B) {
+		b.Run(fmt.Sprintf("threads=%d", w), func(b *testing.B) {
 			pool := exec.New(w)
 			defer pool.Close()
 			b.ReportAllocs()
@@ -203,32 +129,4 @@ func BenchmarkAnswerWorkers(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkRaceOverhead is the racing-overhead ablation: racing k
-// identical VF2 attempts against running one, quantifying goroutine
-// instantiation + synchronization overhead (§8: "the instantiation and
-// synchronization of many threads come with a non-trivial overhead").
-func BenchmarkRaceOverhead(b *testing.B) {
-	g := psi.GenerateYeastLike(psi.Tiny, 1)
-	q := psi.ExtractQuery(g, 8, 3)
-	racer := core.NewRacer(g)
-	for _, k := range []int{1, 2, 4, 8} {
-		attempts := make([]core.Attempt, k)
-		for i := range attempts {
-			attempts[i] = core.Attempt{Matcher: psi.MustNewMatcher(psi.VF2, g), Rewriting: rewrite.Orig}
-		}
-		b.Run(byThreads(k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := racer.Race(context.Background(), q, 1, attempts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func byThreads(k int) string {
-	return map[int]string{1: "threads=1", 2: "threads=2", 4: "threads=4", 8: "threads=8"}[k]
 }

@@ -37,20 +37,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var ds []*graph.Graph
-	switch *dsFlag {
-	case "synthetic":
-		ds = gen.Synthetic(gen.SyntheticAt(scale), *seedFlag)
-	case "ppi":
-		ds = gen.PPI(gen.PPIAt(scale), *seedFlag)
-	case "yeast":
-		ds = []*graph.Graph{gen.YeastLike(scale, *seedFlag)}
-	case "human":
-		ds = []*graph.Graph{gen.HumanLike(scale, *seedFlag)}
-	case "wordnet":
-		ds = []*graph.Graph{gen.WordnetLike(scale, *seedFlag)}
-	default:
-		fatal(fmt.Errorf("unknown dataset %q", *dsFlag))
+	ds, err := gen.Dataset(*dsFlag, scale, *seedFlag)
+	if err != nil {
+		fatal(err)
 	}
 
 	if err := writeTo(*outFlag, func(w io.Writer) error {

@@ -259,19 +259,7 @@ func loadDataset(path, genKind, scaleName string, seed int64) ([]*graph.Graph, e
 	if err != nil {
 		return nil, err
 	}
-	switch genKind {
-	case "synthetic":
-		return gen.Synthetic(gen.SyntheticAt(scale), seed), nil
-	case "ppi":
-		return gen.PPI(gen.PPIAt(scale), seed), nil
-	case "yeast":
-		return []*graph.Graph{gen.YeastLike(scale, seed)}, nil
-	case "human":
-		return []*graph.Graph{gen.HumanLike(scale, seed)}, nil
-	case "wordnet":
-		return []*graph.Graph{gen.WordnetLike(scale, seed)}, nil
-	}
-	return nil, fmt.Errorf("unknown -gen kind %q", genKind)
+	return gen.Dataset(genKind, scale, seed)
 }
 
 func describe(eng *psi.Engine) string {

@@ -5,7 +5,6 @@ package psi_test
 // any dataset extraction is paid for — with messages naming the offender.
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -15,6 +14,7 @@ import (
 
 	psi "github.com/psi-graph/psi"
 	"github.com/psi-graph/psi/internal/difftest"
+	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
 func TestParseIndexSpec(t *testing.T) {
@@ -165,13 +165,16 @@ func TestCrossKindPolicyFieldIsRejected(t *testing.T) {
 }
 
 // TestAnswerStreamReportsKill pins the one kill convention on both engine
-// kinds and every entry point form — Query, Plan+Execute and the stream form
-// (QueryStream or AnswerStream): without a budget each answers what the
-// oracle does, and under an expired one each returns a nil error, Killed,
-// and Found equal to what reached the caller, never an error over a
-// truncated answer. Each call moves Queries by one, Streamed only on the
-// stream form, and Killed once per killed run.
+// kinds, a dataset engine under each launch policy at two shards, and every
+// entry point form — Query, Plan+Execute and the stream form (QueryStream or
+// AnswerStream): without a budget each answers what the oracle does, and
+// under an expired one each returns a nil error, Killed, and Found equal to
+// what reached the caller — nothing, on the collected forms — never an error
+// over a truncated answer. Each call moves Queries by one, Streamed only on
+// the stream form, Killed once per killed run and Errors never, and the
+// engines' goroutines are gone once they are closed.
 func TestAnswerStreamReportsKill(t *testing.T) {
+	leakcheck.Check(t, 2)
 	const limit = 100000
 	ctx := t.Context()
 	g := psi.GenerateYeastLike(psi.Tiny, 3)
@@ -182,73 +185,21 @@ func TestAnswerStreamReportsKill(t *testing.T) {
 	}
 	ds := psi.GeneratePPI(psi.Tiny, 1)
 	dq := psi.ExtractQuery(ds[0], 4, 7)
-	ids := difftest.Want(ds, dq)
-	// items renders an answer for comparison; embeddings come in the order
-	// the winning attempt found them, so they compare as a set.
-	items := func(embs []psi.Embedding, ids []int) []string {
-		var out []string
-		for _, e := range embs {
-			out = append(out, fmt.Sprint(e))
-		}
-		slices.Sort(out)
-		for _, id := range ids {
-			out = append(out, fmt.Sprint(id))
-		}
-		return out
+	type kind struct {
+		name  string
+		build func(psi.EngineOptions) (*psi.Engine, error)
+		q     *psi.Graph
+		want  []string
 	}
-	kinds := []struct {
-		name   string
-		build  func(psi.EngineOptions) (*psi.Engine, error)
-		q      *psi.Graph
-		want   []string
-		stream func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]string, *psi.QueryResult, error)
-	}{
-		{"stored graph", func(o psi.EngineOptions) (*psi.Engine, error) { return psi.NewEngine(g, o) }, gq, items(embs, nil),
-			func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]string, *psi.QueryResult, error) {
-				var got []psi.Embedding
-				res, err := eng.QueryStream(ctx, q, limit, psi.SinkFunc(func(e psi.Embedding) bool {
-					got = append(got, e)
-					return true
-				}))
-				return items(got, nil), res, err
-			}},
-		{"dataset", func(o psi.EngineOptions) (*psi.Engine, error) {
-			o.Indexes = []string{"ftv"}
+	kinds := []kind{{"stored graph", func(o psi.EngineOptions) (*psi.Engine, error) { return psi.NewEngine(g, o) }, gq,
+		answerItems(&psi.QueryResult{Embeddings: embs})}}
+	for _, pol := range pipelinePolicies {
+		kinds = append(kinds, kind{"dataset " + pol.name, func(o psi.EngineOptions) (*psi.Engine, error) {
+			o.Indexes, o.IndexPolicy, o.Shards = pol.opts.Indexes, pol.opts.IndexPolicy, 2
 			return psi.NewDatasetEngine(ds, o)
-		}, dq, items(nil, ids),
-			func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]string, *psi.QueryResult, error) {
-				var got []int
-				res, err := eng.AnswerStream(ctx, q, func(id int) bool {
-					got = append(got, id)
-					return true
-				})
-				return items(nil, got), res, err
-			}},
-	}
-	collect := func(res *psi.QueryResult, err error) ([]string, *psi.QueryResult, error) {
-		if err != nil {
-			return nil, nil, err
-		}
-		return items(res.Embeddings, res.GraphIDs), res, nil
+		}, dq, answerItems(&psi.QueryResult{GraphIDs: difftest.Want(ds, dq)})})
 	}
 	for _, kind := range kinds {
-		forms := []struct {
-			name     string
-			streamed int64 // what the form moves the Streamed counter by
-			ask      func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]string, *psi.QueryResult, error)
-		}{
-			{"Query", 0, func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]string, *psi.QueryResult, error) {
-				return collect(eng.Query(ctx, q, limit))
-			}},
-			{"Plan+Execute", 0, func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]string, *psi.QueryResult, error) {
-				p, err := eng.Plan(q)
-				if err != nil {
-					return nil, nil, err
-				}
-				return collect(eng.Execute(ctx, p, limit))
-			}},
-			{"stream", 1, kind.stream},
-		}
 		for _, budget := range []time.Duration{0, time.Nanosecond} {
 			eng, err := kind.build(psi.EngineOptions{Timeout: budget})
 			if err != nil {
@@ -260,26 +211,41 @@ func TestAnswerStreamReportsKill(t *testing.T) {
 			if killed {
 				kills = 1
 			}
-			for _, form := range forms {
-				name := fmt.Sprintf("%s/%s/budget=%v", kind.name, form.name, budget)
+			for _, ep := range entryPoints {
+				name := fmt.Sprintf("%s/%s/budget=%v", kind.name, ep.name, budget)
 				c0 := eng.Counters()
-				got, res, err := form.ask(ctx, eng, kind.q)
+				res, err := ep.ask(ctx, eng, kind.q, limit)
 				if err != nil {
 					t.Errorf("%s: %v", name, err)
 					continue
 				}
-				if res.Killed != killed || res.Found != len(got) {
+				got := answerItems(res)
+				if res.Killed != killed || res.Found != len(got) || killed && ep.streamed == 0 && len(got) != 0 {
 					t.Errorf("%s: Killed %v, Found %d for %d items that reached the caller; want Killed %v", name, res.Killed, res.Found, len(got), killed)
 				}
 				if !killed && !slices.Equal(got, kind.want) {
 					t.Errorf("%s: answered %v, oracle %v", name, got, kind.want)
 				}
 				c := eng.Counters()
-				moved := [3]int64{c.Queries - c0.Queries, c.Streamed - c0.Streamed, c.Killed - c0.Killed}
-				if want := [3]int64{1, form.streamed, kills}; moved != want {
-					t.Errorf("%s: Queries, Streamed, Killed moved by %v, want %v", name, moved, want)
+				moved := [4]int64{c.Queries - c0.Queries, c.Streamed - c0.Streamed, c.Killed - c0.Killed, c.Errors - c0.Errors}
+				if want := [4]int64{1, ep.streamed, kills, 0}; moved != want {
+					t.Errorf("%s: Queries, Streamed, Killed, Errors moved by %v, want %v", name, moved, want)
 				}
 			}
 		}
 	}
+}
+
+// answerItems renders the answer in res for comparison; embeddings come in
+// the order the winning attempt found them, so they compare as a set.
+func answerItems(res *psi.QueryResult) []string {
+	var out []string
+	for _, e := range res.Embeddings {
+		out = append(out, fmt.Sprint(e))
+	}
+	slices.Sort(out)
+	for _, id := range res.GraphIDs {
+		out = append(out, fmt.Sprint(id))
+	}
+	return out
 }

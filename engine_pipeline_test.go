@@ -3,9 +3,9 @@ package psi_test
 // Tests for the collapsed dataset pipeline: every name set, policy, shard
 // count, engine flavour and entry point runs the same Engine.run →
 // core.StreamFTV path and must return the sequential oracle's IDs, and
-// the pipeline's four exits — emit stop, caller cancel, budget kill, solo
-// overrun — behave the same through the collecting and the streaming form
-// and leave no goroutines behind.
+// the pipeline's exits — emit stop, caller cancel, solo overrun, and the
+// budget kill (TestAnswerStreamReportsKill) — behave the same through the
+// collecting and the streaming form and leave no goroutines behind.
 
 import (
 	"context"
@@ -25,37 +25,49 @@ import (
 	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
-// entryPoints are the three ways to ask a dataset engine for an answer; each
-// returns the IDs the caller ended up with and the execution report.
+// entryPoints are the three ways to ask an engine of either kind for an
+// answer, and what each moves the Streamed counter by. Each returns the
+// execution report with the answer that reached the caller in it: the
+// stream form's too, once it has checked that its report carries none.
 var entryPoints = []struct {
-	name string
-	ask  func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]int, *psi.QueryResult, error)
+	name     string
+	streamed int64
+	ask      func(ctx context.Context, eng *psi.Engine, q *psi.Graph, limit int) (*psi.QueryResult, error)
 }{
-	{"Query", func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]int, *psi.QueryResult, error) {
-		res, err := eng.Query(ctx, q, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res.GraphIDs, res, nil
+	{"Query", 0, func(ctx context.Context, eng *psi.Engine, q *psi.Graph, limit int) (*psi.QueryResult, error) {
+		return eng.Query(ctx, q, limit)
 	}},
-	{"Plan+Execute", func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]int, *psi.QueryResult, error) {
+	{"Plan+Execute", 0, func(ctx context.Context, eng *psi.Engine, q *psi.Graph, limit int) (*psi.QueryResult, error) {
 		p, err := eng.Plan(q)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		res, err := eng.Execute(ctx, p, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res.GraphIDs, res, nil
+		return eng.Execute(ctx, p, limit)
 	}},
-	{"AnswerStream", func(ctx context.Context, eng *psi.Engine, q *psi.Graph) ([]int, *psi.QueryResult, error) {
+	{"stream", 1, func(ctx context.Context, eng *psi.Engine, q *psi.Graph, limit int) (*psi.QueryResult, error) {
 		var ids []int
-		res, err := eng.AnswerStream(ctx, q, func(id int) bool {
-			ids = append(ids, id)
-			return true
-		})
-		return ids, res, err
+		var embs []psi.Embedding
+		var res *psi.QueryResult
+		var err error
+		if eng.Graph() == nil {
+			res, err = eng.AnswerStream(ctx, q, func(id int) bool {
+				ids = append(ids, id)
+				return true
+			})
+		} else {
+			res, err = eng.QueryStream(ctx, q, limit, psi.SinkFunc(func(e psi.Embedding) bool {
+				embs = append(embs, e)
+				return true
+			}))
+		}
+		if err != nil {
+			return nil, err
+		}
+		if res.GraphIDs != nil || res.Embeddings != nil {
+			return nil, fmt.Errorf("a streamed run's report holds an answer: %+v", res)
+		}
+		res.GraphIDs, res.Embeddings = ids, embs
+		return res, nil
 	}},
 }
 
@@ -174,12 +186,12 @@ func checkPipelineAnswer(eng *psi.Engine, q *psi.Graph) error {
 	want := difftest.Want(eng.Dataset(), q)
 	for _, ep := range entryPoints {
 		for round := 0; round < 2; round++ { // round 1 reaches the auto policy's solo arm
-			got, res, err := ep.ask(context.Background(), eng, q)
+			res, err := ep.ask(context.Background(), eng, q, 0)
 			if err != nil {
 				return fmt.Errorf("%s round %d: %v", ep.name, round, err)
 			}
-			if !slices.Equal(got, want) {
-				return fmt.Errorf("%s round %d: answered %v, the oracle %v", ep.name, round, got, want)
+			if !slices.Equal(res.GraphIDs, want) {
+				return fmt.Errorf("%s round %d: answered %v, the oracle %v", ep.name, round, res.GraphIDs, want)
 			}
 			if res.Found != len(want) || res.Killed || res.Kind != launchKind(eng, res.Policy) || res.Winner == "" || res.Epoch != eng.Epoch() {
 				return fmt.Errorf("%s round %d: report %+v for answer %v", ep.name, round, res, want)
@@ -223,10 +235,11 @@ func checkOneTable(t *testing.T, eng *psi.Engine, names []string, shards int, fr
 	}
 }
 
-// TestPipelineExits drives the pipeline's four early exits through the
+// TestPipelineExits drives the pipeline's early exits through the
 // collecting form (Query) and the streaming form (AnswerStream) under
 // every policy, checking the report each one owes the caller and that the
-// engine's goroutines are gone once it is closed.
+// engine's goroutines are gone once it is closed. The fourth exit, the
+// budget kill, is TestAnswerStreamReportsKill's.
 func TestPipelineExits(t *testing.T) {
 	ds := raceFixtureDataset()
 	q := raceFixtureQueries()[1] // contained in several graphs
@@ -277,19 +290,6 @@ func TestPipelineExits(t *testing.T) {
 			}
 			if c := eng.Counters(); c.Errors != 2 || c.Killed != 0 {
 				t.Errorf("after two cancellations: %+v", c)
-			}
-			eng.Close()
-
-			// budget kill: data, not an error; Found is what reached the caller.
-			eng = build(func(o *psi.EngineOptions) { o.Timeout = time.Nanosecond }, 0)
-			if res, err := eng.Query(context.Background(), q, 0); err != nil || !res.Killed || res.Found != 0 || res.GraphIDs != nil {
-				t.Errorf("killed Query = %+v, %v", res, err)
-			}
-			if ids, res, err := stream(context.Background(), eng, len(want)+1); err != nil || !res.Killed || res.Found != len(ids) || res.GraphIDs != nil {
-				t.Errorf("killed stream = %v, %+v, %v", ids, res, err)
-			}
-			if c := eng.Counters(); c.Queries != 2 || c.Errors != 0 || c.Killed != 2 || eng.Shards() != 2 {
-				t.Errorf("after two kills on %d shards: %+v", eng.Shards(), c)
 			}
 			eng.Close()
 

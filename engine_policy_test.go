@@ -76,11 +76,11 @@ func TestDatasetEngineAutoMatchesRace(t *testing.T) {
 }
 
 // TestDatasetEngineAutoPolicySurface checks the decision plumbing: the plan
-// carries the verdict, the policy degrades to fixed with one index, and the
-// mode/policy parsers accept auto.
+// carries the verdict and the result echoes it. Auto over one verifier is
+// TestDatasetEngineIndexPolicyOptions' row, and ParseMode
+// TestEngineOptionValidation's.
 func TestDatasetEngineAutoPolicySurface(t *testing.T) {
-	ds := raceFixtureDataset()
-	eng := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"grapes", "ggsx"}, IndexPolicy: psi.IndexAuto})
+	eng := newDatasetEngine(t, raceFixtureDataset(), psi.EngineOptions{Indexes: []string{"grapes", "ggsx"}, IndexPolicy: psi.IndexAuto})
 	if eng.Mode() != psi.ModeAuto {
 		t.Fatalf("Mode = %q, want auto", eng.Mode())
 	}
@@ -97,20 +97,6 @@ func TestDatasetEngineAutoPolicySurface(t *testing.T) {
 	}
 	if res.Policy != p.Decision {
 		t.Error("result must echo the plan's policy decision")
-	}
-
-	// One configured index cannot race: auto degrades to fixed, keeps the
-	// cache, and plans carry no decision.
-	single := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv"}, IndexPolicy: psi.IndexAuto})
-	if single.Mode() != psi.ModeSingle {
-		t.Errorf("single-index auto policy = %q, want single", single.Mode())
-	}
-	if _, ok := single.PolicyStats(); ok {
-		t.Error("degraded engine must not report policy stats")
-	}
-
-	if m, err := psi.ParseMode("auto"); err != nil || m != psi.ModeAuto {
-		t.Errorf("ParseMode(auto) = %v, %v", m, err)
 	}
 }
 

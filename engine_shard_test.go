@@ -14,71 +14,34 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
+	"github.com/psi-graph/psi/internal/difftest"
 )
 
-// TestShardedEngineRaceParity builds the full racing portfolio monolithic
-// and sharded (K=3) at two pool sizes and asserts byte-identical collected
-// and streamed answers, per-shard stats in IndexStats, and a shard balance
-// that accounts for every answered graph ID.
+// TestShardedEngineRaceParity: the full racing portfolio at K=3, on the
+// engine's own pool and on one of two workers, answers every query as the
+// oracle does through every entry point, reports per-shard stats, and keeps
+// a shard balance that accounts for every answered graph ID.
 func TestShardedEngineRaceParity(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
-	kinds, err := psi.ParseIndexSpec("race")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mono := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: kinds})
-	if mono.Shards() != 0 {
-		t.Errorf("monolithic engine Shards() = %d, want 0", mono.Shards())
-	}
-	queries := make([]*psi.Graph, 4)
-	want := make([][]int, len(queries))
-	for i := range queries {
-		queries[i] = psi.ExtractQuery(ds[i%len(ds)], 3+i, int64(20+i))
-		want[i] = query(t, mono, queries[i], 0).GraphIDs
-	}
 	for _, workers := range []int{0, 2} {
-		sh := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: kinds, Shards: 3, Workers: workers})
-		if sh.Shards() != 3 {
-			t.Fatalf("workers=%d: Shards() = %d, want 3", workers, sh.Shards())
-		}
-		for _, st := range sh.IndexStats() {
-			if st.ShardCount != 3 || len(st.Shards) != 3 {
-				t.Errorf("workers=%d: %s ShardCount=%d Shards=%d, want 3/3",
-					workers, st.Name, st.ShardCount, len(st.Shards))
+		eng := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}, Shards: 3, Workers: workers})
+		const queries = 4
+		answered := 0 // checkPipelineAnswer asks each entry point twice
+		for i := range queries {
+			q := psi.ExtractQuery(ds[i%len(ds)], 3+i, int64(20+i))
+			if err := checkPipelineAnswer(eng, q); err != nil {
+				t.Errorf("workers=%d q%d: %v", workers, i, err)
 			}
+			answered += 2 * len(entryPoints) * len(difftest.Want(ds, q))
 		}
-		total := 0
-		for i, q := range queries {
-			res := query(t, sh, q, 0)
-			if !slices.Equal(res.GraphIDs, want[i]) {
-				t.Errorf("workers=%d q%d: sharded answer %v, monolithic %v",
-					workers, i, res.GraphIDs, want[i])
-			}
-			if res.Winner == "" {
-				t.Errorf("workers=%d q%d: raced sharded query reported no winning verifier", workers, i)
-			}
-			total += len(res.GraphIDs)
-			streamed := streamIDs(t, sh, q)
-			if !slices.Equal(streamed, want[i]) {
-				t.Errorf("workers=%d q%d: sharded stream %v, monolithic %v",
-					workers, i, streamed, want[i])
-			}
-			total += len(streamed)
-		}
-		balance := sh.ShardBalance()
-		if len(balance) != 3 {
-			t.Fatalf("workers=%d: ShardBalance = %v, want 3 shards", workers, balance)
-		}
+		assertStatsAgree(t, fmt.Sprintf("workers=%d", workers), eng)
 		var sum int64
-		for _, n := range balance {
+		for _, n := range eng.ShardBalance() {
 			sum += n
 		}
-		if sum != int64(total) {
-			t.Errorf("workers=%d: shard balance %v sums to %d, want %d answered IDs",
-				workers, balance, sum, total)
-		}
-		if c := sh.Counters(); c.Queries-c.Errors != int64(2*len(queries)) || sh.Shards() != 3 {
-			t.Errorf("workers=%d: %d queries, %d errors on %d shards, want %d answered on 3", workers, c.Queries, c.Errors, sh.Shards(), 2*len(queries))
+		if c := eng.Counters(); eng.Shards() != 3 || sum != int64(answered) || c.Queries != 2*queries*int64(len(entryPoints)) || c.Errors != 0 {
+			t.Errorf("workers=%d: %d shards, balance %v summing to %d, counters %+v; want 3 shards, %d answered IDs, no errors",
+				workers, eng.Shards(), eng.ShardBalance(), sum, c, answered)
 		}
 	}
 }

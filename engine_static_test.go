@@ -18,10 +18,7 @@ import (
 
 func TestStaticEngineSurface(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 8)[:4]
-	queries := make([]*psi.Graph, 3)
-	for i := range queries {
-		queries[i] = psi.ExtractQuery(ds[i], 2+i, int64(30+i))
-	}
+	q := psi.ExtractQuery(ds[0], 2, 30)
 	for _, tc := range []struct {
 		name       string
 		opts       psi.EngineOptions
@@ -47,30 +44,6 @@ func TestStaticEngineSurface(t *testing.T) {
 			if tc.opts.Mutable {
 				return // the shard count is all this row pins
 			}
-			if eng.Mutable() || eng.Epoch() != 0 || eng.Handles() != nil {
-				t.Errorf("Mutable() = %v, Epoch() = %d, Handles() = %v; want false, 0, nil", eng.Mutable(), eng.Epoch(), eng.Handles())
-			}
-			got := eng.Dataset()
-			if len(got) != len(ds) {
-				t.Fatalf("Dataset() has %d graphs, want %d", len(got), len(ds))
-			}
-			for i, g := range got {
-				if !g.Equal(ds[i]) || g.Name() != ds[i].Name() {
-					t.Errorf("Dataset()[%d] is not input graph %d", i, i)
-				}
-			}
-			p, err := eng.Plan(queries[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := eng.Execute(context.Background(), p, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if eng.Epoch() != 0 || res.Epoch != 0 {
-				t.Errorf("Engine.Epoch = %d, QueryResult.Epoch = %d; want 0, 0", eng.Epoch(), res.Epoch)
-			}
-			before := snapAnswers(t, eng, queries)
 			ctx := context.Background()
 			_, addErr := eng.AddGraph(ctx, ds[0])
 			_, removeErr := eng.RemoveGraph(ctx, 1)
@@ -80,11 +53,14 @@ func TestStaticEngineSurface(t *testing.T) {
 					t.Errorf("%s on a static engine: %v, want the EngineOptions.Mutable requirement", name, err)
 				}
 			}
-			if after := snapAnswers(t, eng, queries); !slices.EqualFunc(after, before, slices.Equal[[]int]) {
-				t.Errorf("answers moved after refused mutations: %v, were %v", after, before)
+			// The engine still serves its input, answering its oracle through
+			// every entry point at epoch 0.
+			input := slices.EqualFunc(eng.Dataset(), ds, func(a, b *psi.Graph) bool { return a.Equal(b) && a.Name() == b.Name() })
+			if eng.Mutable() || eng.Epoch() != 0 || eng.Handles() != nil || !input {
+				t.Errorf("Mutable() = %v, Epoch() = %d, Handles() = %v, Dataset() the input %v; want false, 0, nil, true", eng.Mutable(), eng.Epoch(), eng.Handles(), input)
 			}
-			if eng.Epoch() != 0 || eng.Handles() != nil {
-				t.Errorf("refused mutations left Epoch() = %d, Handles() = %v", eng.Epoch(), eng.Handles())
+			if err := checkPipelineAnswer(eng, q); err != nil {
+				t.Error(err)
 			}
 		})
 	}

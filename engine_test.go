@@ -92,37 +92,25 @@ func verifyAll(t testing.TB, q, g *psi.Graph, embs []psi.Embedding) {
 	}
 }
 
+// TestEngineQueryMatchesDirectMatch: a default engine plans a race, reports
+// its winner and time, and finds valid embeddings; that they are the ones a
+// direct match finds, on every entry point, is TestAnswerStreamReportsKill's.
 func TestEngineQueryMatchesDirectMatch(t *testing.T) {
 	g, q := engineFixture(t)
-	eng := newEngine(t, g, psi.EngineOptions{})
-	want, err := psi.MustNewMatcher(psi.GraphQL, g).Match(context.Background(), q, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := query(t, eng, q, 100000)
-	if res.Kind != psi.PlanRace {
-		t.Errorf("default mode should plan a race, got %v", res.Kind)
-	}
-	if res.Found != len(want) || len(res.Embeddings) != len(want) {
-		t.Fatalf("engine found %d embeddings, direct match %d", res.Found, len(want))
+	res := query(t, newEngine(t, g, psi.EngineOptions{}), q, 100000)
+	if res.Kind != psi.PlanRace || res.Winner == "" || res.Elapsed <= 0 || res.Found != len(res.Embeddings) || res.Found == 0 {
+		t.Errorf("default engine: kind %v, winner %q, elapsed %v, found %d of %d; want a race's provenance and its embeddings", res.Kind, res.Winner, res.Elapsed, res.Found, len(res.Embeddings))
 	}
 	verifyAll(t, q, g, res.Embeddings)
-	if res.Winner == "" || res.Elapsed <= 0 {
-		t.Errorf("result missing provenance: winner=%q elapsed=%v", res.Winner, res.Elapsed)
-	}
 }
 
+// TestEngineQueryStreamParity: a streamed run hands the sink every embedding
+// it counts and materializes none in its report.
 func TestEngineQueryStreamParity(t *testing.T) {
 	g, q := engineFixture(t)
-	eng := newEngine(t, g, psi.EngineOptions{})
-	slice := query(t, eng, q, 100000)
-	res, streamed := streamEmbeddings(t, eng, q, 100000, true)
-	if len(streamed) != slice.Found || res.Found != slice.Found {
-		t.Fatalf("streamed %d embeddings (Found=%d), slice path found %d",
-			len(streamed), res.Found, slice.Found)
-	}
-	if res.Embeddings != nil {
-		t.Error("streaming execution must not also materialize embeddings")
+	res, streamed := streamEmbeddings(t, newEngine(t, g, psi.EngineOptions{}), q, 100000, true)
+	if res.Embeddings != nil || res.Found != len(streamed) || res.Found == 0 {
+		t.Errorf("streamed %d embeddings, reported Found=%d and %d materialized; want them all streamed, none materialized", len(streamed), res.Found, len(res.Embeddings))
 	}
 	verifyAll(t, q, g, streamed)
 }
@@ -316,9 +304,6 @@ func TestEngineOptionValidation(t *testing.T) {
 	if _, err := psi.NewEngine(g, psi.EngineOptions{Mode: "warp"}); err == nil {
 		t.Error("unknown mode must fail")
 	}
-	if _, err := psi.NewDatasetEngine([]*psi.Graph{g}, psi.EngineOptions{Indexes: []string{"btree"}}); err == nil {
-		t.Error("unknown index must fail")
-	}
 	_, err := psi.ParseMode("predict")
 	if err == nil {
 		t.Fatal("ParseMode must reject predict")
@@ -464,31 +449,21 @@ func TestDatasetEngineIndexRaceReleasesGoroutines(t *testing.T) {
 	}
 }
 
-// TestDatasetEngineIndexPolicyOptions covers policy selection and
-// validation.
+// TestDatasetEngineIndexPolicyOptions covers policy selection; the
+// rejections of a bad policy or name are engine_options_test.go's.
 func TestDatasetEngineIndexPolicyOptions(t *testing.T) {
 	ds := raceFixtureDataset()
-	// A single index degrades to the fixed policy even when race is asked;
-	// the fixed policy over a portfolio consults only the first index.
+	// A single verifier degrades race and auto to the fixed policy, which
+	// keeps no policy stats; the fixed policy over a portfolio consults only
+	// the first index.
 	for _, opts := range []psi.EngineOptions{
 		{Indexes: []string{"ftv"}, IndexPolicy: psi.IndexRace},
+		{Indexes: []string{"ftv"}, IndexPolicy: psi.IndexAuto},
 		{Indexes: []string{"ggsx", "grapes"}, IndexPolicy: psi.IndexFixed},
 	} {
-		if m := newDatasetEngine(t, ds, opts).Mode(); m != psi.ModeSingle {
-			t.Errorf("%+v: mode %q, want single", opts, m)
+		eng := newDatasetEngine(t, ds, opts)
+		if _, stats := eng.PolicyStats(); eng.Mode() != psi.ModeSingle || stats {
+			t.Errorf("%+v: mode %q, policy stats %v; want single, none", opts, eng.Mode(), stats)
 		}
-	}
-	newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv", "ggsx"}})
-	if _, err := psi.NewDatasetEngine(ds, psi.EngineOptions{IndexPolicy: "tournament"}); err == nil {
-		t.Error("unknown index policy must fail")
-	}
-	if _, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: []string{"ftv", "btree"}}); err == nil {
-		t.Error("unknown index kind in portfolio must fail")
-	}
-	if kinds, err := psi.ParseIndexSpec("race"); err != nil || len(kinds) < 3 {
-		t.Errorf("ParseIndexSpec(race) = %v, %v", kinds, err)
-	}
-	if kinds, err := psi.ParseIndexSpec("grapes,ggsx"); err != nil || len(kinds) != 2 {
-		t.Errorf("ParseIndexSpec(grapes,ggsx) = %v, %v", kinds, err)
 	}
 }

@@ -1,8 +1,8 @@
 package psi_test
 
 // Benchmarks for the unified filtering-index layer: per-kind build cost
-// (pooled extraction), and the index race against a fixed single index on
-// dataset containment queries. bench/ reports the same per kind, with
+// (pooled extraction), and the verifier race against a fixed single verifier
+// on dataset containment queries. bench/ reports the same per kind, with
 // filter precision and race win shares (index.<kind>.*, core.win_share.*).
 
 import (
@@ -49,45 +49,32 @@ func BenchmarkIndexBuildFTV(b *testing.B)    { benchIndexBuild(b, "ftv") }
 func BenchmarkIndexBuildGrapes(b *testing.B) { benchIndexBuild(b, "grapes") }
 func BenchmarkIndexBuildGGSX(b *testing.B)   { benchIndexBuild(b, "ggsx") }
 
-// BenchmarkIndexRaceAnswer runs the decision workload through a dataset
-// engine racing all three filtering indexes per query.
-func BenchmarkIndexRaceAnswer(b *testing.B) {
+// BenchmarkIndexAnswer runs the decision workload through a dataset engine
+// racing all three verifiers per candidate (race) and through the
+// single-verifier baseline the race is compared against (fixed: Grapes alone).
+func BenchmarkIndexAnswer(b *testing.B) {
 	ds, queries := indexBenchFixture(b)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"ftv", "grapes", "ggsx"},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		if _, err := eng.Query(context.Background(), q, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIndexFixedAnswer is the single-index baseline the race is
-// compared against (Grapes alone).
-func BenchmarkIndexFixedAnswer(b *testing.B) {
-	ds, queries := indexBenchFixture(b)
-	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: []string{"grapes"},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		if _, err := eng.Query(context.Background(), q, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, row := range []struct {
+		name    string
+		indexes []string
+	}{
+		{"race", []string{"ftv", "grapes", "ggsx"}},
+		{"fixed", []string{"grapes"}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: row.indexes})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Query(context.Background(), queries[i%len(queries)], 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

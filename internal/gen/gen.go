@@ -69,6 +69,24 @@ func (s Scale) String() string {
 	}
 }
 
+// Dataset generates the dataset a command line names, at scale from seed:
+// synthetic and ppi are FTV datasets, yeast, human and wordnet one graph.
+func Dataset(name string, scale Scale, seed int64) ([]*graph.Graph, error) {
+	switch name {
+	case "synthetic":
+		return Synthetic(SyntheticAt(scale), seed), nil
+	case "ppi":
+		return PPI(PPIAt(scale), seed), nil
+	case "yeast":
+		return []*graph.Graph{YeastLike(scale, seed)}, nil
+	case "human":
+		return []*graph.Graph{HumanLike(scale, seed)}, nil
+	case "wordnet":
+		return []*graph.Graph{WordnetLike(scale, seed)}, nil
+	}
+	return nil, fmt.Errorf("gen: unknown dataset %q (want synthetic|ppi|yeast|human|wordnet)", name)
+}
+
 // SyntheticConfig mirrors GraphGen's parameters as described in §3.3 of the
 // paper: "number of graphs, average number of nodes and density per graph,
 // number of labels in the dataset".

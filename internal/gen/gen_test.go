@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/psi-graph/psi/internal/graph"
@@ -189,5 +190,30 @@ func TestSingleEdgeLabels(t *testing.T) {
 	// presets stay edge-unlabeled (paper datasets are vertex-labeled)
 	if YeastLike(Tiny, 1).HasEdgeLabelsBeyondDefault() {
 		t.Error("yeast preset must not have edge labels")
+	}
+}
+
+// TestDataset: each name the commands accept gives its generator's graphs,
+// and an unknown name is an error that names it.
+func TestDataset(t *testing.T) {
+	for name, want := range map[string][]*graph.Graph{
+		"synthetic": Synthetic(SyntheticAt(Tiny), 3),
+		"ppi":       PPI(PPIAt(Tiny), 3),
+		"yeast":     {YeastLike(Tiny, 3)},
+		"human":     {HumanLike(Tiny, 3)},
+		"wordnet":   {WordnetLike(Tiny, 3)},
+	} {
+		got, err := Dataset(name, Tiny, 3)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("Dataset(%q) = %d graphs, %v; want %d", name, len(got), err, len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				t.Errorf("Dataset(%q) graph %d differs from its generator's", name, i)
+			}
+		}
+	}
+	if _, err := Dataset("pdbs", Tiny, 3); err == nil || !strings.Contains(err.Error(), `"pdbs"`) {
+		t.Errorf("Dataset(pdbs) err = %v, want one naming it", err)
 	}
 }

@@ -211,23 +211,30 @@ func assertPanics(t *testing.T, f func()) {
 }
 
 // TestAllExperimentsRun executes every registered experiment end to end at
-// the trimmed test scale and checks each produces table output.
+// the trimmed test scale and checks each produces table output; then again
+// under a cap that kills every timed run, as long runs are at the paper's.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite is slow; run without -short")
 	}
-	env := NewEnv(testConfig())
-	for _, exp := range All() {
-		exp := exp
-		t.Run(exp.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := exp.Run(env, &buf); err != nil {
-				t.Fatalf("%s: %v", exp.ID, err)
-			}
-			if !strings.Contains(buf.String(), "---") {
-				t.Errorf("%s produced no table output:\n%s", exp.ID, buf.String())
-			}
-		})
+	killing := testConfig()
+	killing.Cap = time.Nanosecond
+	for _, run := range []struct {
+		prefix string
+		cfg    Config
+	}{{"", testConfig()}, {"killed at the cap/", killing}} {
+		env := NewEnv(run.cfg)
+		for _, exp := range All() {
+			t.Run(run.prefix+exp.ID, func(t *testing.T) {
+				var buf bytes.Buffer
+				if err := exp.Run(env, &buf); err != nil {
+					t.Fatalf("%s: %v", exp.ID, err)
+				}
+				if !strings.Contains(buf.String(), "---") {
+					t.Errorf("%s produced no table output:\n%s", exp.ID, buf.String())
+				}
+			})
+		}
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 // Experiment regenerates one of the paper's tables or figures.
 type Experiment struct {
-	// ID is the experiment identifier used by cmd/psibench and
-	// bench_test.go (e.g. "fig10", "table3").
+	// ID is the experiment identifier used by cmd/psibench (e.g. "fig10",
+	// "table3").
 	ID string
 	// Title describes the paper artifact being reproduced.
 	Title string

@@ -22,13 +22,13 @@ import (
 	"github.com/psi-graph/psi/internal/workload"
 )
 
+// TestExportRestoreParityAllKinds: per kind, the export is deterministic and
+// in canonical order, and the table restored from it has the built one's
+// shape and location sets and exports the same features again. That a
+// restored table answers as the oracle does is TestDifferential's restored
+// cells.
 func TestExportRestoreParityAllKinds(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	ds := difftest.Random(r, 12, 9, 3)
-	queries := make([]*graph.Graph, 6)
-	for i := range queries {
-		queries[i] = workload.Extract(r, ds[r.Intn(len(ds))], 2+r.Intn(4))
-	}
+	ds := difftest.Random(rand.New(rand.NewSource(7)), 12, 9, 3)
 	for _, kind := range index.Kinds() {
 		t.Run(kind, func(t *testing.T) {
 			x := buildTable(t, kind, ds, index.Options{MaxPathLen: 3, Workers: 2})
@@ -36,8 +36,6 @@ func TestExportRestoreParityAllKinds(t *testing.T) {
 			if maxLen != 3 {
 				t.Fatalf("exported MaxPathLen = %d, want 3", maxLen)
 			}
-			// Determinism: a second export yields the same features in the
-			// same order.
 			if again := index.Export(x); !reflect.DeepEqual(feats, again) {
 				t.Fatalf("%s export is not deterministic", kind)
 			}
@@ -50,29 +48,13 @@ func TestExportRestoreParityAllKinds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restore %s: %v", kind, err)
 			}
-			if y.Stats().Features != x.Stats().Features || y.Stats().Postings != x.Stats().Postings {
-				t.Fatalf("%s restored shape %+v != built %+v", kind, y.Stats(), x.Stats())
-			}
 			// Location sets are packed on restore by the rule the extraction
 			// stored them by, and expand to the IDs they were packed from.
-			if xs, ys := x.Stats(), y.Stats(); xs.LocationBytes != ys.LocationBytes || xs.LocationRows != ys.LocationRows || xs.LocationLists != ys.LocationLists {
-				t.Fatalf("%s restored location sets %+v != built %+v", kind, ys, xs)
+			if xs, ys := x.Stats(), y.Stats(); xs.Features != ys.Features || xs.Postings != ys.Postings || xs.LocationBytes != ys.LocationBytes || xs.LocationRows != ys.LocationRows || xs.LocationLists != ys.LocationLists {
+				t.Fatalf("%s restored shape %+v != built %+v", kind, ys, xs)
 			}
 			if back := index.Export(y); !reflect.DeepEqual(back, feats) {
 				t.Fatalf("%s: export of the restored table differs from the export it was restored from", kind)
-			}
-			for qi, q := range queries {
-				want, err := index.Answer(context.Background(), view(t, kind, x), q, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := index.Answer(context.Background(), view(t, kind, y), q, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s query %d: restored answers %v != built %v", kind, qi, got, want)
-				}
 			}
 		})
 	}

@@ -9,6 +9,7 @@ package index_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -115,36 +116,11 @@ func TestShardedStreamTruncationSafety(t *testing.T) {
 	if len(full) < 2 {
 		t.Fatalf("could not find a query with >= 2 answers (got %v)", full)
 	}
-
-	// Consumer stops after the first ID: nil error, 1-element prefix.
-	var stopped []int
-	err := index.AnswerStream(context.Background(), sh, q, pool, func(id int) bool {
-		stopped = append(stopped, id)
-		return false
-	})
-	if err != nil || !slices.Equal(stopped, full[:1]) {
-		t.Fatalf("stopped stream emitted %v, %v; want prefix %v", stopped, err, full[:1])
+	for exit := range 3 {
+		if err := streamExit(exit, sh, q, pool, full); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	// Context cancelled after the first ID: the emitted IDs must be a
-	// prefix of the full answer and the error must surface — unless the
-	// pipeline raced cancellation to a genuine completion, in which case
-	// the answer must be the whole thing.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var truncated []int
-	err = index.AnswerStream(ctx, sh, q, pool, func(id int) bool {
-		truncated = append(truncated, id)
-		cancel()
-		return true
-	})
-	if !slices.Equal(truncated, full[:len(truncated)]) {
-		t.Fatalf("cancelled stream emitted %v, not a prefix of %v", truncated, full)
-	}
-	if err == nil && !slices.Equal(truncated, full) {
-		t.Fatalf("cancelled stream returned nil error for truncated answer %v of %v", truncated, full)
-	}
-
 	// FilterStream cut mid-scan by cancellation reports the context error.
 	fctx, fcancel := context.WithCancel(context.Background())
 	ferr := sh.FilterStream(fctx, q, func(int) bool {
@@ -157,11 +133,38 @@ func TestShardedStreamTruncationSafety(t *testing.T) {
 	}
 }
 
-// TestShardedStreamNoGoroutineLeak hammers the three early-exit paths —
-// consumer stop, context cancellation, and normal completion — across many
-// iterations and asserts the goroutine count returns to (near) baseline:
-// the verifications a stopped or cancelled pipeline abandons must all be
-// joined.
+// streamExit streams q's answer from sh to one of its three ends — 0
+// completion, 1 the consumer stopping at the first ID, 2 the context
+// cancelled at the first ID — and says how what it emitted is not what that
+// end owes given the full answer: all of it, its first ID, or a prefix with
+// the context's error, unless the pipeline raced the cancellation to a
+// genuine completion, when the whole of it.
+func streamExit(exit int, sh *index.Sharded, q *graph.Graph, pool *exec.Pool, full []int) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var got []int
+	err := index.AnswerStream(ctx, sh, q, pool, func(id int) bool {
+		got = append(got, id)
+		if exit == 2 {
+			cancel()
+		}
+		return exit != 1
+	})
+	switch {
+	case exit == 0 && (err != nil || !slices.Equal(got, full)):
+		return fmt.Errorf("completed stream emitted %v, %v; want %v", got, err, full)
+	case exit == 1 && (err != nil || !slices.Equal(got, full[:1])):
+		return fmt.Errorf("stopped stream emitted %v, %v; want prefix %v", got, err, full[:1])
+	case exit == 2 && (len(got) > len(full) || !slices.Equal(got, full[:len(got)]) || err == nil && len(got) != len(full)):
+		return fmt.Errorf("cancelled stream emitted %v, %v: not the context's error over a prefix of %v", got, err, full)
+	}
+	return nil
+}
+
+// TestShardedStreamNoGoroutineLeak hammers the three ends of streamExit
+// across many iterations and asserts the goroutine count returns to (near)
+// baseline: the verifications a stopped or cancelled pipeline abandons must
+// all be joined.
 func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 	pool := exec.New(2)
 	t.Cleanup(pool.Close)
@@ -170,28 +173,14 @@ func TestShardedStreamNoGoroutineLeak(t *testing.T) {
 	sh := buildSharded(t, index.KindPath, ds, 3, index.Options{MaxPathLen: 2, Pool: pool})
 	q := workload.Extract(r, ds[0], 2)
 	// Warm up so pool workers exist before the baseline is taken.
-	if _, err := index.Answer(context.Background(), sh, q, pool); err != nil {
+	full, err := index.Answer(context.Background(), sh, q, pool)
+	if err != nil {
 		t.Fatal(err)
 	}
 	leakcheck.Check(t, 4) // a query must leave no verification behind
 	for i := 0; i < 200; i++ {
-		switch i % 3 {
-		case 0: // normal completion
-			if _, err := index.Answer(context.Background(), sh, q, pool); err != nil {
-				t.Fatal(err)
-			}
-		case 1: // consumer stops at first emission
-			err := index.AnswerStream(context.Background(), sh, q, pool, func(int) bool { return false })
-			if err != nil {
-				t.Fatal(err)
-			}
-		default: // context cancelled mid-stream
-			ctx, cancel := context.WithCancel(context.Background())
-			_ = index.AnswerStream(ctx, sh, q, pool, func(int) bool {
-				cancel()
-				return true
-			})
-			cancel()
+		if err := streamExit(i%3, sh, q, pool, full); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

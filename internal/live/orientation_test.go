@@ -69,15 +69,18 @@ func maximalPaths(q *graph.Graph, maxLen int, visit func(path []int32)) {
 	}
 }
 
-// bothSpellingsFilter is the reference filter.
-func bothSpellingsFilter(ds []*graph.Graph, q *graph.Graph, maxLen int) []int {
+// bothSpellingsFilter is the reference filter. have holds each stored
+// graph's spelling counts, counted on its first query.
+func bothSpellingsFilter(have map[*graph.Graph]map[string]int, ds []*graph.Graph, q *graph.Graph, maxLen int) []int {
 	need := spellingCounts(q, func(visit func([]int32)) { maximalPaths(q, maxLen, visit) })
 	var out []int
 	for id, g := range ds {
-		have := spellingCounts(g, func(visit func([]int32)) { g.EnumeratePaths(maxLen, visit) })
+		if have[g] == nil {
+			have[g] = spellingCounts(g, func(visit func([]int32)) { g.EnumeratePaths(maxLen, visit) })
+		}
 		ok := true
 		for spelling, n := range need {
-			ok = ok && have[spelling] >= n
+			ok = ok && have[g][spelling] >= n
 		}
 		if ok {
 			out = append(out, id)
@@ -122,11 +125,12 @@ func TestCandidatesMatchBothSpellingsFilter(t *testing.T) {
 		}
 	}
 
+	have := map[*graph.Graph]map[string]int{}
 	check := func(t *testing.T, stage string, st *live.Store) {
 		t.Helper()
 		snap := st.Current()
 		for _, q := range queries {
-			want := bothSpellingsFilter(snap.Graphs(), q, maxLen)
+			want := bothSpellingsFilter(have, snap.Graphs(), q, maxLen)
 			if got := snap.Table().Filter(q); !slices.Equal(got, want) {
 				t.Errorf("%s, query %s: candidates %v, both-spellings filter %v", stage, q.Name(), got, want)
 			}

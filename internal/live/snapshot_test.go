@@ -122,29 +122,21 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	// handles, epochs, compaction points and answers on both stores.
 	for step := 0; step < 6; step++ {
 		g := randomDataset(r, 1, 8, 2)[0]
-		h1, err := st.Add(context.Background(), g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h2, err := restored.Add(context.Background(), g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h1 != h2 {
-			t.Fatalf("step %d: original issued handle %d, restored %d", step, h1, h2)
-		}
-		if step%2 == 1 {
-			c1, err := st.Remove(context.Background(), h1)
-			if err != nil {
+		var handles [2]live.Handle
+		var compacted [2]bool
+		for i, s := range []*live.Store{st, restored} {
+			var err error
+			if handles[i], err = s.Add(context.Background(), g); err != nil {
 				t.Fatal(err)
 			}
-			c2, err := restored.Remove(context.Background(), h1)
-			if err != nil {
-				t.Fatal(err)
+			if step%2 == 1 {
+				if compacted[i], err = s.Remove(context.Background(), handles[i]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if c1 != c2 {
-				t.Fatalf("step %d: compaction diverged (%v vs %v)", step, c1, c2)
-			}
+		}
+		if handles[0] != handles[1] || compacted[0] != compacted[1] {
+			t.Fatalf("step %d: handles %v, compacted %v diverged", step, handles, compacted)
 		}
 		assertStoresAgree(t, st, restored, kinds)
 	}

@@ -158,7 +158,7 @@ func isTrue(v string) bool {
 // older epoch's key — an entry no future request looks up, never a stale
 // answer under a fresh key.
 func (s *Server) cacheKey(eng *psi.Engine, q *psi.Graph, limit int) string {
-	if eng.Dataset() != nil {
+	if eng.Graph() == nil {
 		limit = 0
 	} else if limit <= 0 {
 		limit = -1
@@ -386,16 +386,16 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, eng *ps
 		ids  []int
 		embs []psi.Embedding
 	)
-	if eng.Dataset() != nil {
-		res, err = eng.AnswerStream(ctx, q, func(id int) bool {
-			ids = append(ids, id)
-			return lw.writeLine(graphIDLine{GraphID: id})
-		})
-	} else {
+	if eng.Graph() != nil {
 		res, err = eng.QueryStream(ctx, q, req.limit, psi.SinkFunc(func(e psi.Embedding) bool {
 			embs = append(embs, e)
 			return lw.writeLine(embeddingLine{Embedding: e})
 		}))
+	} else {
+		res, err = eng.AnswerStream(ctx, q, func(id int) bool {
+			ids = append(ids, id)
+			return lw.writeLine(graphIDLine{GraphID: id})
+		})
 	}
 	if err != nil {
 		lw.writeLine(StreamSummary{Error: err.Error()})

@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -94,45 +95,15 @@ func postQuery(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 
 // TestStreamMatchesExecuteBytes verifies the acceptance contract: the
 // streamed NDJSON answer is byte-identical to what Engine.Execute's
-// collected answer serializes to, line for line.
+// collected answer serializes to, line for line (checkCachedReplay), sent as
+// NDJSON and closed by a summary naming the winner.
 func TestStreamMatchesExecuteBytes(t *testing.T) {
 	eng, q := datasetFixture(t)
-	srv := New(eng, Options{})
-	ts := serve(t, srv)
-
-	direct, err := eng.Query(context.Background(), q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(direct.GraphIDs) == 0 {
-		t.Fatal("fixture query has an empty answer; pick a different seed")
-	}
-	var want bytes.Buffer
-	for _, id := range direct.GraphIDs {
-		fmt.Fprintf(&want, "{\"graph_id\":%d}\n", id)
-	}
-
+	ts, _ := checkCachedReplay(t, eng, q)
 	resp, data := postQuery(t, ts.URL+"/query?stream=1&cache=0", graphText(t, q))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream status = %d, body %s", resp.StatusCode, data)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("stream Content-Type = %q", ct)
-	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	if len(lines) < 2 {
-		t.Fatalf("stream too short: %q", data)
-	}
-	got := bytes.Join(lines[:len(lines)-2], nil) // all but the summary line
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("streamed NDJSON differs from Execute serialization:\ngot  %q\nwant %q", got, want.Bytes())
-	}
-	sum := decode[StreamSummary](t, lines[len(lines)-2])
-	if !sum.Done || sum.Found != len(direct.GraphIDs) || sum.Killed || sum.Error != "" {
-		t.Errorf("summary = %+v, want done with found=%d", sum, len(direct.GraphIDs))
-	}
-	if sum.Winner == "" {
-		t.Error("summary missing winner provenance")
+	_, sum := streamLines(t, data)
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/x-ndjson" || !sum.Done || sum.Winner == "" {
+		t.Errorf("stream status %d, Content-Type %q, summary %+v; want 200 NDJSON done with its winner", resp.StatusCode, ct, sum)
 	}
 }
 
@@ -141,54 +112,51 @@ func TestStreamMatchesExecuteBytes(t *testing.T) {
 // response modes.
 func TestCollectedQueryAndCache(t *testing.T) {
 	eng, q := datasetFixture(t)
+	checkCachedReplay(t, eng, q)
+}
+
+// checkCachedReplay serves eng and asks it q four times: collected without
+// the cache, then streamed, collected and streamed again through it. It
+// fails unless the fresh answers are eng's own, uncached, the stream writing
+// its IDs one line each, and both repeats replay the streamed answer from
+// the one cache entry: the reply the fresh collected execution gave apart
+// from the cached marker, and the very ID lines the fresh stream wrote. It
+// returns the server and the answer's size; eng ran q three times.
+func checkCachedReplay(t *testing.T, eng *psi.Engine, q *psi.Graph) (*httptest.Server, int) {
+	t.Helper()
 	srv := New(eng, Options{CacheSize: 8})
 	ts := serve(t, srv)
-
 	direct, err := eng.Query(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := graphText(t, q)
-	resp, data := postQuery(t, ts.URL+"/query", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, data)
+	fresh := collect(t, ts.URL+"/query?cache=0", body)
+	if fresh.Cached || !slices.Equal(fresh.GraphIDs, direct.GraphIDs) || fresh.Found != len(direct.GraphIDs) {
+		t.Fatalf("fresh answer = %+v, want uncached %v", fresh, direct.GraphIDs)
 	}
-	first := decode[QueryResponse](t, data)
-	if first.Cached || fmt.Sprint(first.GraphIDs) != fmt.Sprint(direct.GraphIDs) {
-		t.Fatalf("first answer = %+v, want uncached %v", first, direct.GraphIDs)
+	_, streamed := postQuery(t, ts.URL+"/query?stream=1", body)
+	cached := collect(t, ts.URL+"/query", body)
+	_, replay := postQuery(t, ts.URL+"/query?stream=1", body)
+	freshIDs, freshSum := streamLines(t, streamed)
+	replayIDs, replaySum := streamLines(t, replay)
+	var want bytes.Buffer
+	for _, id := range direct.GraphIDs {
+		fmt.Fprintf(&want, "{\"graph_id\":%d}\n", id)
 	}
-	if first.Found != len(direct.GraphIDs) {
-		t.Errorf("collected FTV found = %d, want %d", first.Found, len(direct.GraphIDs))
+	if !bytes.Equal(freshIDs, want.Bytes()) || freshSum.Found != len(direct.GraphIDs) || freshSum.Cached || freshSum.Killed || freshSum.Error != "" {
+		t.Errorf("fresh stream %q (%+v), want the Execute answer's lines %q", freshIDs, freshSum, want.Bytes())
 	}
-
-	_, data = postQuery(t, ts.URL+"/query", body)
-	second := decode[QueryResponse](t, data)
-	if !second.Cached {
-		t.Error("second identical query was not served from cache")
+	if !cached.Cached || !slices.Equal(cached.GraphIDs, fresh.GraphIDs) || cached.Kind != fresh.Kind || cached.Winner != freshSum.Winner || cached.Found != fresh.Found {
+		t.Errorf("collected repeat %+v is not the streamed answer (%+v) served from cache", cached, freshSum)
 	}
-	if fmt.Sprint(second.GraphIDs) != fmt.Sprint(direct.GraphIDs) {
-		t.Errorf("cached answer %v != direct %v", second.GraphIDs, direct.GraphIDs)
+	if !bytes.Equal(replayIDs, freshIDs) || !replaySum.Cached || replaySum.Found != freshSum.Found {
+		t.Errorf("streamed repeat %q (%+v), fresh %q (%+v); want the same ids, cached", replayIDs, replaySum, freshIDs, freshSum)
 	}
-	// A cache hit must be indistinguishable from a fresh execution apart
-	// from the cached marker: same kind, same winner, same found.
-	if second.Kind != first.Kind || second.Winner != first.Winner || second.Found != first.Found {
-		t.Errorf("cached reply %+v disagrees with fresh reply %+v", second, first)
-	}
-
-	// Streamed replay from the same cache entry.
-	resp, data = postQuery(t, ts.URL+"/query?stream=1", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cached stream status = %d", resp.StatusCode)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	sum := decode[StreamSummary](t, []byte(lines[len(lines)-1]))
-	if !sum.Cached || sum.Found != len(direct.GraphIDs) || len(lines)-1 != len(direct.GraphIDs) {
-		t.Errorf("cached stream: %d id lines, summary %+v; want %d cached ids", len(lines)-1, sum, len(direct.GraphIDs))
-	}
-
 	if cc := srv.cache.counters(); cc.Hits != 2 || cc.Entries != 1 {
 		t.Errorf("cache counters = %+v, want 2 hits over 1 entry", cc)
 	}
+	return ts, len(direct.GraphIDs)
 }
 
 // TestAdmissionLimitRejectsOverflow holds MaxInFlight requests open and
@@ -443,6 +411,18 @@ func TestRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /query status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestStreamOnClosedDatasetEngine: a closed dataset engine holds no dataset
+// but is still a dataset engine, so a streamed query on it ends on the error
+// the collected path reports, not on the stored-graph stream's.
+func TestStreamOnClosedDatasetEngine(t *testing.T) {
+	eng, q := datasetFixture(t)
+	eng.Close()
+	_, data := postQuery(t, serve(t, New(eng, Options{})).URL+"/query?stream=1", graphText(t, q))
+	if sum := decode[StreamSummary](t, bytes.TrimSpace(data)); !strings.Contains(sum.Error, "engine closed") {
+		t.Errorf("streamed query on a closed dataset engine ended on %+v, want the engine closed error", sum)
 	}
 }
 

@@ -7,7 +7,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -24,75 +23,27 @@ func shardedFixture(t *testing.T, timeout time.Duration) (*psi.Engine, *psi.Grap
 	return eng, q
 }
 
-// TestShardedCachedReplayByteParity issues the same query against a sharded
-// engine twice in each response mode and asserts the cached replay is
-// byte-identical to the fresh answer: same NDJSON result lines, same
-// collected graph IDs — the sharding merge must not leak into cache
-// semantics.
+// TestShardedCachedReplayByteParity: behind a sharded engine the cached
+// replay is byte-identical to the fresh answer in both response modes — the
+// sharding merge must not leak into cache semantics — and the shard balance
+// reaches /stats, counting the executions but never a replay.
 func TestShardedCachedReplayByteParity(t *testing.T) {
 	eng, q := shardedFixture(t, 0)
-	srv := New(eng, Options{})
-	ts := serve(t, srv)
-	body := graphText(t, q)
-
-	// Streamed: fresh, then cached.
-	_, fresh := postQuery(t, ts.URL+"/query?stream=1", body)
-	_, replay := postQuery(t, ts.URL+"/query?stream=1", body)
-	freshLines := bytes.SplitAfter(fresh, []byte("\n"))
-	replayLines := bytes.SplitAfter(replay, []byte("\n"))
-	if len(freshLines) < 3 {
-		t.Fatalf("fixture query answered too little to exercise the merge: %q", fresh)
+	ts, found := checkCachedReplay(t, eng, q)
+	if found < 2 {
+		t.Fatalf("fixture query answered %d graphs, too few to exercise the merge", found)
 	}
-	if len(freshLines) != len(replayLines) {
-		t.Fatalf("cached replay has %d lines, fresh %d", len(replayLines), len(freshLines))
-	}
-	freshResults := bytes.Join(freshLines[:len(freshLines)-2], nil)
-	replayResults := bytes.Join(replayLines[:len(replayLines)-2], nil)
-	if !bytes.Equal(freshResults, replayResults) {
-		t.Errorf("cached replay result lines differ from fresh:\nfresh  %q\nreplay %q", freshResults, replayResults)
-	}
-	var freshSum, replaySum StreamSummary
-	if err := json.Unmarshal(freshLines[len(freshLines)-2], &freshSum); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(replayLines[len(replayLines)-2], &replaySum); err != nil {
-		t.Fatal(err)
-	}
-	if freshSum.Cached || !replaySum.Cached {
-		t.Errorf("cached flags: fresh %v, replay %v — want false/true", freshSum.Cached, replaySum.Cached)
-	}
-	if replaySum.Found != freshSum.Found {
-		t.Errorf("replay found %d, fresh %d", replaySum.Found, freshSum.Found)
-	}
-
-	// Collected: the cached JSON answer carries the same graph IDs.
-	_, cdata := postQuery(t, ts.URL+"/query", body)
-	collected := decode[QueryResponse](t, cdata)
-	if !collected.Cached {
-		t.Error("collected repeat of a streamed query not served from the shared cache")
-	}
-	if collected.Found != freshSum.Found || len(collected.GraphIDs) != freshSum.Found {
-		t.Errorf("collected cached answer found=%d ids=%d, fresh stream found=%d",
-			collected.Found, len(collected.GraphIDs), freshSum.Found)
-	}
-
-	// The shard balance reaches /stats (answers attributed to shards once;
-	// cached replays never re-count).
 	resp, sdata := getStats(t, ts.URL)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/stats status %d", resp.StatusCode)
 	}
 	stats := decode[StatsResponse](t, sdata)
-	if stats.Shards != 3 || len(stats.ShardBalance) != 3 {
-		t.Fatalf("/stats shards=%d balance=%v, want 3 shards", stats.Shards, stats.ShardBalance)
-	}
 	var sum int64
 	for _, n := range stats.ShardBalance {
 		sum += n
 	}
-	if sum != int64(freshSum.Found) {
-		t.Errorf("shard balance %v sums to %d, want the %d fresh answers (cached replays must not re-count)",
-			stats.ShardBalance, sum, freshSum.Found)
+	if stats.Shards != 3 || len(stats.ShardBalance) != 3 || sum != int64(3*found) {
+		t.Errorf("/stats shards=%d balance=%v, want 3 shards summing to the %d answers of three executions", stats.Shards, stats.ShardBalance, 3*found)
 	}
 }
 

@@ -44,12 +44,12 @@ func send(method, url string, body []byte, out any) error {
 
 // TestSnapshotEndpointRacingMutations drives POST /snapshot from one client
 // while another ingests and deletes graphs through POST /graphs and DELETE
-// /graphs/{handle}, compactions included. Every file a save wrote must load,
-// hold an epoch a mutation response named and exactly the dataset of that
-// epoch, and stream byte-identical answers to a from-scratch engine's over
-// that dataset. The save's response names the epoch current when the save
-// returned, which a mutation may have moved past the file's by then: it is
-// never below the file's.
+// /graphs/{handle}, compactions included. Every file a save wrote must load
+// and hold an epoch a mutation response named and exactly the dataset of that
+// epoch; that a loaded file answers as a from-scratch engine over its dataset
+// is the engine's TestSnapshotRacingMutations. The save's response names the
+// epoch current when the save returned, which a mutation may have moved past
+// the file's by then: it is never below the file's.
 func TestSnapshotEndpointRacingMutations(t *testing.T) {
 	kinds := []string{"ftv", "grapes"}
 	ds := psi.GeneratePPI(psi.Tiny, 5)
@@ -137,25 +137,7 @@ func TestSnapshotEndpointRacingMutations(t *testing.T) {
 		if !slices.EqualFunc(got, want, (*psi.Graph).Equal) {
 			t.Errorf("file %d: epoch %d with %d graphs, not the %d the epoch committed", i, loaded.Epoch(), len(got), len(want))
 		}
-		fresh, err := psi.NewDatasetEngine(got, psi.EngineOptions{Indexes: kinds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lts, fts := httptest.NewServer(New(loaded, Options{CacheSize: -1})), httptest.NewServer(New(fresh, Options{CacheSize: -1}))
-		for qi := range 3 {
-			body := graphText(t, psi.ExtractQuery(got[(i+qi)%len(got)], 3+qi, int64(i*3+qi)))
-			_, fromFile := postQuery(t, lts.URL+"/query?stream=1", body)
-			_, fromScratch := postQuery(t, fts.URL+"/query?stream=1", body)
-			a, _ := streamLines(t, fromFile)
-			b, _ := streamLines(t, fromScratch)
-			if !bytes.Equal(a, b) {
-				t.Errorf("file %d q%d: streams %q, a from-scratch engine %q", i, qi, a, b)
-			}
-		}
-		lts.Close()
-		fts.Close()
 		loaded.Close()
-		fresh.Close()
 	}
 	t.Logf("%d saves over %d of %d committed epochs", len(saves), len(epochs), len(committed))
 	if len(epochs) < 2 {

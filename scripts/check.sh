@@ -20,7 +20,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== gofmt =="
+# stage NAME ends the running stage, printing its wall seconds, and starts
+# NAME; a stage that spends minutes on a duplicate shows on every run.
+stage_name="" stage_start=$SECONDS
+stage() {
+    if [ -n "$stage_name" ]; then echo "-- $stage_name: $((SECONDS - stage_start)) s"; fi
+    stage_name=$1 stage_start=$SECONDS
+    if [ -n "$1" ]; then echo "== $1 =="; fi
+}
+
+stage "gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
@@ -28,10 +37,10 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go build =="
+stage "go build"
 go build ./...
 
-echo "== examples at GOMAXPROCS 1, 2, 4 =="
+stage "examples at GOMAXPROCS 1, 2, 4"
 # The Example functions are the executed usage documentation, and each
 # output block states an answer equality that must hold on any scheduler.
 # GOMAXPROCS, not -cpu: testing.M.Run runs examples outside its -cpu loop.
@@ -39,23 +48,23 @@ for p in 1 2 4; do
     GOMAXPROCS=$p go test -count=1 -run '^Example' . ./internal/server
 done
 
-echo "== go vet =="
+stage "go vet"
 go vet ./...
 
-echo "== go test -race -shuffle=on =="
+stage "go test -race -shuffle=on"
 # -shuffle=on randomizes test (and subtest-parent) execution order so
 # order-dependent tests fail here instead of flaking later; the shuffle
 # seed is printed on failure for reproduction.
 go test -race -shuffle=on ./...
 
-echo "== leakcheck under the race detector (20 runs) =="
+stage "leakcheck under the race detector (20 runs)"
 # The goroutine-leak check every no-leak test leans on, run repeatedly where
 # scheduling varies most: it tells goroutines apart by ID, so one from the
 # snapshot that exits meanwhile cannot hide a new one, and it must report a
 # leak every time, not most times.
 go test ./internal/leakcheck -race -count=20 -run TestCheck
 
-echo "== fuzz (FuzzPostings, 5s) =="
+stage "fuzz (FuzzPostings, 5s)"
 # Random ascending posting lists and seek sequences against a slice oracle:
 # the packed lists and their one cursor sit under every filter, every Grapes
 # verification and every mutable insert. A posting is one head varint,
@@ -70,7 +79,7 @@ echo "== fuzz (FuzzPostings, 5s) =="
 # the plain test run as well.
 go test -run='^$' -fuzz=FuzzPostings -fuzztime=5s ./internal/index
 
-echo "== fuzz (FuzzPathDirectory, 5s) =="
+stage "fuzz (FuzzPathDirectory, 5s)"
 # A small decoded dataset as one to four tables of each index name sharing
 # one sequence directory, each against a table of its own over the same graphs:
 # the same export, statistics and lookups, present and absent sequences
@@ -83,7 +92,7 @@ echo "== fuzz (FuzzPathDirectory, 5s) =="
 # past a stop shows here.
 go test -run='^$' -fuzz=FuzzPathDirectory -fuzztime=5s ./internal/index
 
-echo "== fuzz (FuzzExtractFeatures, 5s) =="
+stage "fuzz (FuzzExtractFeatures, 5s)"
 # Two small graphs over labels of every width, maxLen 1..5, with and without
 # locations, against the map-based oracle extractor: the path DFS that every
 # index build, insert and compaction is made of works a label run at a time
@@ -94,7 +103,7 @@ echo "== fuzz (FuzzExtractFeatures, 5s) =="
 # shows in the second's features.
 go test -run='^$' -fuzz=FuzzExtractFeatures -fuzztime=5s ./internal/ftv
 
-echo "== fuzz (FuzzLocSets, 5s) =="
+stage "fuzz (FuzzLocSets, 5s)"
 # Location sets of fuzzed membership over graphs of 0 to 299 vertices, each
 # built from a bitset row and from a vertex-ID list, then copied behind other
 # sets, against a sorted-list oracle: Grapes verifies through these sets and
@@ -102,7 +111,7 @@ echo "== fuzz (FuzzLocSets, 5s) =="
 # form, a member lost at a word boundary or a reference shifted wrongly shows.
 go test -run='^$' -fuzz=FuzzLocSets -fuzztime=5s ./internal/ftv
 
-echo "== fuzz (FuzzSPathCandidates, 5s) =="
+stage "fuzz (FuzzSPathCandidates, 5s)"
 # A stored graph of up to 32 vertices and a query of up to 8 over alphabets of
 # one to eight labels of every width, radius 1..5, against the filter's
 # definition on the map-based oracle signatures, with every stored and query
@@ -113,7 +122,7 @@ echo "== fuzz (FuzzSPathCandidates, 5s) =="
 # containment that reads one form as the other shows.
 go test -run='^$' -fuzz=FuzzSPathCandidates -fuzztime=5s ./internal/spath
 
-echo "== fuzz (FuzzSnapshotSections, 5s) =="
+stage "fuzz (FuzzSnapshotSections, 5s)"
 # One section payload of a saved snapshot (static at K=1 and K=2, mutable
 # churned to a tombstone) edited by one xor or truncation and re-framed with
 # fresh checksums, so the edit reaches the decoders, index.Restore and
@@ -122,20 +131,20 @@ echo "== fuzz (FuzzSnapshotSections, 5s) =="
 # yields answers a subset of brute force over its own graphs.
 go test -run='^$' -fuzz=FuzzSnapshotSections -fuzztime=5s ./internal/snapshot
 
-echo "== fuzz (FuzzReadDataset, 5s) =="
+stage "fuzz (FuzzReadDataset, 5s)"
 # Arbitrary text through the dataset parser, the code that reads untrusted
 # POST /query and POST /graphs bodies: it must never panic, and what it
 # accepts must write back out as text that parses to equal graphs. Seeded with
 # a generated dataset and with labels on both sides of the 32-bit bound.
 go test -run='^$' -fuzz=FuzzReadDataset -fuzztime=5s ./internal/graph
 
-echo "== fuzz (FuzzFromCSR, 5s) =="
+stage "fuzz (FuzzFromCSR, 5s)"
 # Arbitrary label, offset, neighbour and edge-label arrays through the graph
 # decoder every snapshot load runs: it must never panic, and an accepted
 # graph must hand its arrays back and equal what a Builder makes of its edges.
 go test -run='^$' -fuzz=FuzzFromCSR -fuzztime=5s ./internal/graph
 
-echo "== fuzz (FuzzRankedSearch, 5s) =="
+stage "fuzz (FuzzRankedSearch, 5s)"
 # Fuzzed stored graphs, queries and permutations through VF2, QuickSI,
 # GraphQL and sPath at limits 0 and 1000: a search of the query under the
 # permutation as a vertex ranking emits the embeddings of a plain search of
@@ -145,7 +154,7 @@ echo "== fuzz (FuzzRankedSearch, 5s) =="
 # shows.
 go test -run='^$' -fuzz=FuzzRankedSearch -fuzztime=5s ./internal/match
 
-echo "== fuzz (FuzzMatchers, 5s) =="
+stage "fuzz (FuzzMatchers, 5s)"
 # Fuzzed stored graphs of up to 24 vertices and queries of up to 7, over one
 # to four vertex labels and one to three edge labels, disconnected and with
 # isolated vertices, through VF2, QuickSI, GraphQL and sPath against the
@@ -156,7 +165,7 @@ echo "== fuzz (FuzzMatchers, 5s) =="
 # edge check shows.
 go test -run='^$' -fuzz=FuzzMatchers -fuzztime=5s ./internal/match
 
-echo "== fuzz (FuzzRewriteRoundTrip, 5s) =="
+stage "fuzz (FuzzRewriteRoundTrip, 5s)"
 # A fuzzed small connected stored graph, a query workload.Extract grows in it
 # from a fuzzed seed, a fuzzed frequency map and rewriting seed, through every
 # rewriting: the ranked search must yield exactly the unranked search's
@@ -166,26 +175,32 @@ echo "== fuzz (FuzzRewriteRoundTrip, 5s) =="
 # shows. Extraction is deterministic, so a failing input reproduces.
 go test -run='^$' -fuzz=FuzzRewriteRoundTrip -fuzztime=5s ./internal/rewrite
 
-echo "== bench smoke (1 iteration) =="
-# Every root benchmark once, BenchmarkExtractFeatures,
-# BenchmarkBuildPortfolio and BenchmarkGrapesVerify (the index-build path and
-# Grapes' verification over the repo benchmark's two dataset shapes and one
-# large sparse many-label graph, which between them store location sets in
-# both forms) and BenchmarkMatcherBuild and BenchmarkMatch*Paper (the
-# matchers' indexing phase and query path at the nfv_race scale) and
-# BenchmarkShardedFilterStream (the sharded filter's merge at K = 1, 2 and 4
-# on ftv_selective's and serve_mixed's dataset shapes) included,
+stage "bench smoke (1 iteration)"
+# Every micro-benchmark of the root package and internal/core once, so a
+# benchmark-only regression (a compile error, a panic) surfaces here rather
+# than at measurement time, in about 20 s: rewriting cost, each matcher's
+# query path and indexing phase (BenchmarkMatch*, BenchmarkMatcherBuild, at
+# Tiny and at the nfv_race scale), the sequential oracle against the pooled
+# pipeline (BenchmarkAnswerSequential, BenchmarkAnswerWorkers), the engine's
+# set-up, decision, first result and enumeration (BenchmarkEngine*), each
+# table kind's build and the verifier race against Grapes alone
+# (BenchmarkIndexBuild*, BenchmarkIndexAnswer), the index-build path and
+# Grapes' verification over the repo benchmark's dataset shapes
+# (BenchmarkExtractFeatures, BenchmarkBuildPortfolio, BenchmarkGrapesVerify),
+# the sharded filter's merge at K = 1, 2 and 4 (BenchmarkShardedFilterStream),
 # and internal/core's BenchmarkRaceInstances (the fixed cost of one
-# per-candidate rewriting race, the number that keeps firstDone its own loop).
+# per-candidate rewriting race, the number that keeps firstDone its own
+# loop). The paper replay is not among them: psibench's smoke below and
+# internal/harness's TestAllExperimentsRun run it.
 go test -run='^$' -bench=. -benchtime=1x . ./internal/core
 
-echo "== bench module (vet + tests against this root) =="
+stage "bench module (vet + tests against this root)"
 # bench/ is a nested module (replace ../), so ./... above never descends
 # into it: a root API change that breaks the benchmark's compile surface
 # would otherwise be found only when the benchmark is next run.
 (cd bench && go vet ./... && go test ./...)
 
-echo "== bench smoke (four workloads, every answer oracle-checked) =="
+stage "bench smoke (four workloads, every answer oracle-checked)"
 # The repo's benchmark at a scale that runs in about a second: the NFV race,
 # the three names' verifiers raced per candidate over one table, the sharded
 # server and the mutable server under churn,
@@ -203,7 +218,7 @@ clean=$(echo "$smoke_out" | grep -c '^== .* parity=true attempted=[0-9]* failed=
     exit 1
 }
 
-echo "== psibench smoke (the paper replay: fig1, fig12, table10) =="
+stage "psibench smoke (the paper replay: fig1, fig12, table10)"
 # The paper replay at its smallest, about half a second: it must run and name
 # what it reproduces — GGSX and Grapes/4 among fig1's and fig12's FTV
 # configurations, all verifiers over one table per dataset, and table10's Ψ
@@ -217,7 +232,7 @@ for want in 'GGSX' 'Grapes/4' 'Ψ(Grapes/4: Or/all)'; do
     }
 done
 
-echo "== coverage gate (every package outside cmd/) =="
+stage "coverage gate (every package outside cmd/)"
 # Per-package statement coverage of every package but the cmd/ programs,
 # which the smokes below drive as binaries; regressing below the floor fails
 # the gate.
@@ -233,14 +248,14 @@ echo "$cov_out" | awk '
     END { exit bad }
 ' || exit 1
 
-echo "== mutants (scripts/mutants.txt) =="
+stage "mutants (scripts/mutants.txt)"
 # The gauge of the net above: each mutant is one source line replaced by a
 # defect this repo has had or guards against, applied alone to a copy of the
 # tree, and the tests it names must fail. A survivor, a line no longer found
 # exactly once or a mutant that no longer compiles fails the stage.
 scripts/mutants.sh
 
-echo "== serve smoke =="
+stage "serve smoke"
 # End-to-end over the real binary: start psiserve on a random port over a
 # tiny generated dataset, issue one streamed and one cached query with
 # curl, then SIGTERM and assert a graceful zero-exit drain. Catches wiring
@@ -301,7 +316,7 @@ grep -q "snapshot saved" "$tmpdir/serve.log" && [ -s "$tmpdir/cs.psisnap" ] || {
     exit 1
 }
 
-echo "== psiquery smoke (-mode on a dataset) =="
+stage "psiquery smoke (-mode on a dataset)"
 # psiquery over the serve smoke's dataset and query, the CLI's only run here:
 # a dataset engine reads its launch policy from the index policy, so -mode
 # single must reach it and leave the first -index name's verifier answering
@@ -334,7 +349,7 @@ echo "$bad" | grep -q -- '-algos' && ! echo "$bad" | grep -q 'missing.txt' || {
     exit 1
 }
 
-echo "== snapshot smoke (corrupt, cold start) =="
+stage "snapshot smoke (corrupt, cold start)"
 # On the snapshot the serve smoke's server saved after its fresh build, the
 # way an operator makes one. First the fail-closed guarantee: flip one byte in
 # the middle of the file and the load must be refused with a checksum error,
@@ -382,7 +397,7 @@ if ! wait "$sserve_pid"; then
 fi
 sserve_pid=""
 
-echo "== snapshot smoke (three names, one table) =="
+stage "snapshot smoke (three names, one table)"
 # psiserve -index race serves ftv, grapes and ggsx from one table per shard
 # and saves a version-1 file with a section per name, all written from that
 # table. A second server cold-starts from the file alone — restoring one
@@ -416,7 +431,7 @@ if ! wait "$sserve_pid"; then
 fi
 sserve_pid=""
 
-echo "== churn smoke (mutable engine, race-enabled binary) =="
+stage "churn smoke (mutable engine, race-enabled binary)"
 # Mutable serving end to end over a race-enabled psiserve (parity of a
 # churned engine with a from-scratch rebuild is TestMutableEngineParityFuzz
 # and the bench smoke above): start with -mutable (the engine builds in the
@@ -477,4 +492,5 @@ grep -q "drained cleanly" "$tmpdir/mserve.log" || {
     exit 1
 }
 
-echo "All checks passed."
+stage ""
+echo "All checks passed in $SECONDS s."
