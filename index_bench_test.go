@@ -16,6 +16,7 @@ import (
 	psi "github.com/psi-graph/psi"
 	"github.com/psi-graph/psi/internal/ftv"
 	"github.com/psi-graph/psi/internal/gen"
+	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/workload"
 )
@@ -135,11 +136,13 @@ func BenchmarkExtractFeatures(b *testing.B) {
 // BenchmarkBuildPortfolio is the whole build — one extraction, one table
 // per shard, the BuildTables every dataset engine's store makes — as the
 // stragglers workload (three names, K=1) and the selective workload (ftv
-// alone, K=2) configure it, and Grapes alone. Every build reports what a
-// posting costs, skip tables included (bytes/posting); builds serving Grapes,
-// whose table keeps locations, report what its location sets hold (loc-MB)
-// and the share stored as bitset rows (loc-rows): all of them on the first
-// two shapes, none on the sparse one.
+// alone, K=2) configure it, and Grapes alone, on every shape; and as
+// serve_mixed configures it (ftv alone, K=4, on its 200 graphs of 50
+// vertices over 8 labels), so that each FTV workload's set-up has a twin
+// here. Every build reports what a posting costs, skip tables included
+// (bytes/posting); builds serving Grapes, whose table keeps locations, report
+// what its location sets hold (loc-MB) and the share stored as bitset rows
+// (loc-rows): all of them on the first two shapes, none on the sparse one.
 func BenchmarkBuildPortfolio(b *testing.B) {
 	for _, shape := range buildBenchShapes {
 		ds := gen.Synthetic(shape.cfg, 20170321)
@@ -151,23 +154,30 @@ func BenchmarkBuildPortfolio(b *testing.B) {
 			{[]string{"ftv"}, 2},
 			{[]string{"grapes"}, 1},
 		} {
-			b.Run(fmt.Sprintf("%s/%s/K=%d", shape.name, strings.Join(pf.kinds, "+"), pf.shards), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					x, err := index.Build(context.Background(), index.TableKind(pf.kinds), ds, pf.shards, index.Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					st := x.Stats() // the shards' totals
-					b.ReportMetric(float64(st.PostingBytes)/float64(st.Postings), "bytes/posting")
-					if st.LocationBytes > 0 {
-						b.ReportMetric(float64(st.LocationBytes)/(1<<20), "loc-MB")
-						b.ReportMetric(float64(st.LocationRows)/float64(st.LocationRows+st.LocationLists), "loc-rows")
-					}
-				}
-			})
+			benchBuild(b, shape.name, ds, pf.kinds, pf.shards)
 		}
 	}
+	mixed := gen.Synthetic(gen.SyntheticConfig{NumGraphs: 200, AvgNodes: 50, Density: 5.0 / 50, Labels: 8}, 20170321)
+	benchBuild(b, "200x50n8l", mixed, []string{"ftv"}, 4)
+}
+
+// benchBuild is one BenchmarkBuildPortfolio case.
+func benchBuild(b *testing.B, shape string, ds []*graph.Graph, kinds []string, shards int) {
+	b.Run(fmt.Sprintf("%s/%s/K=%d", shape, strings.Join(kinds, "+"), shards), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			x, err := index.Build(context.Background(), index.TableKind(kinds), ds, shards, index.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := x.Stats() // the shards' totals
+			b.ReportMetric(float64(st.PostingBytes)/float64(st.Postings), "bytes/posting")
+			if st.LocationBytes > 0 {
+				b.ReportMetric(float64(st.LocationBytes)/(1<<20), "loc-MB")
+				b.ReportMetric(float64(st.LocationRows)/float64(st.LocationRows+st.LocationLists), "loc-rows")
+			}
+		}
+	})
 }
 
 // BenchmarkGrapesVerify is Grapes' verification stage alone, one operation per

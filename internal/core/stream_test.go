@@ -142,6 +142,35 @@ func TestStreamRaceCancelsLosersAtAdoption(t *testing.T) {
 	}
 }
 
+// TestStreamRaceRefusesALateClaim: a contender that reaches its first
+// emission after another was adopted is refused, and its error — whatever
+// it stopped with — is not the race's. Contender 0 claims and then waits for
+// contender 1 to claim and be refused, so the refusal happens on every
+// schedule.
+func TestStreamRaceRefusesALateClaim(t *testing.T) {
+	claimed, refused := make(chan struct{}), make(chan struct{})
+	winner, err := streamRace(context.Background(), 2, func(i int) string { return "c" }, func(task func()) { go task() },
+		func(ctx context.Context, i int, claim func() bool) error {
+			if i == 1 {
+				<-claimed
+				if claim() {
+					return errors.New("a second contender was adopted")
+				}
+				close(refused)
+				return errors.New("stopped after losing the claim")
+			}
+			if !claim() {
+				return errors.New("the first claim was refused")
+			}
+			close(claimed)
+			<-refused
+			return nil
+		})
+	if err != nil || winner != 0 {
+		t.Fatalf("winner %d, err %v; want contender 0 and no error", winner, err)
+	}
+}
+
 // TestRaceStreamEmptyAnswer: a query with no embeddings wins an empty race
 // with Found == 0 and no error.
 func TestRaceStreamEmptyAnswer(t *testing.T) {

@@ -9,24 +9,50 @@ package ftv
 // verification in one form (LocSets).
 //
 // The enumeration is the extractor's own DFS over the graph's adjacency
-// regrouped, in build scratch, into runs of equally labelled neighbours: every
-// node below a start vertex is one path occurrence, and all the extensions of
-// a path by one run share a label sequence, so the extractor works a run at a
-// time. It walks a LabelTrie alongside the DFS — the slot of a sequence is the
-// child, under its last label, of its prefix's slot: one table probe per run —
+// regrouped, in build scratch, into runs of equally labelled neighbours: all
+// the extensions of a path by one run share a label sequence, so the
+// extractor works a run at a time. It walks a LabelTrie alongside the DFS —
+// the slot of a sequence is the child, under its last label, of its prefix's
+// slot: one lookup per run, an index into the parent's row over the
+// alphabet's label ranks when the alphabet is small, a hash probe otherwise —
 // adds the run's members off the path to the slot's count and, when the slot
 // is an oriented spelling (decided once, when the slot is made), records their
-// vertices in the slot's location set (locate). The DFS meets every undirected
-// path from both ends; at the deepest level, most of the walk, a run that
-// spells its paths backwards is skipped on its label alone, so no slot is ever
-// made for a mirror spelling of full length. No label slice, key or hash set
-// is built per path, and the same code serves any label width and any maxLen.
+// vertices in the slot's location set (locate).
+//
+// The DFS stops at depth D = maxLen-2 and counts both remaining levels there
+// at once, for each run R of the last vertex (lastTwo): the paths two edges
+// longer through R that end on label b number S(R, b), R's members'
+// neighbours of label b summed once per graph (twoHop), less the extensions
+// that are not simple paths, which a pass over R and the path finds. So the
+// walk visits a graph's paths of maxLen-2 edges, not its far more numerous
+// full-length ones (the stragglers dataset: 0.93 M against 8.45 M). A
+// full-length spelling's count is taken where it is oriented; its mirror,
+// which the DFS meets from the path's other end, only locates. Grapes'
+// location sets of full-length features need no walk over the last two
+// levels either: every occurrence is met from both of its ends, and the
+// prefixes of D+1 vertices met at the two ends cover all its vertices once
+// maxLen >= 3, so a feature's set is the union of P over the nodes P that
+// give either spelling a non-zero count, the mirror's reaching the feature's
+// set through its slot's mirror (mirror).
+//
+// That pays over a rowed trie's small alphabet, where a run's members repeat
+// their labels and a dataset spells few sequences, so each is paired with
+// its mirror once. Over a wide alphabet nearly every run holds one vertex
+// and most sequences occur once: there the aggregate saves nothing, the
+// pairing costs a chain of probes per sequence, and stepping through every
+// level was measured faster (BenchmarkExtractFeatures' sparse 8000-vertex,
+// 300-label graph on 2 vCPUs: 155–211 ns a path against 195–209 with the
+// aggregate, and 336–349 against 390–413 with locations). So do maxLen 1, maxLen 2 with locations, where the two ends miss the middle
+// vertex, and maxLen past 66, past a word of path positions. That walk skips
+// a full-length mirror spelling on its label alone and counts and locates
+// each path from its oriented end. No label slice, key or hash set is built
+// per path, and the same code serves any label width.
 //
 // A feature leaves the extractor as its trie slot. The graphs of one dataset
 // spell mostly the same sequences (the benchmark's 300 × 50-vertex, 8-label
 // dataset: 1.59 M (graph, feature) pairs over 19 044 distinct sequences), so
 // a worker keeps its trie from graph to graph, a graph's features are the
-// slots it counted, in the order it first counted them, and a fold interns
+// slots it counted, in the order it first reached them, and a fold interns
 // each slot of each trie once rather than every label of every posting
 // (index.FoldPath).
 
@@ -42,7 +68,7 @@ import (
 
 // Features is one graph's path features — each undirected label path once,
 // under its oriented spelling — as slots of the label trie its extraction
-// walked, in the order the walk first counted each. That trie may hold other
+// walked, in the order the walk first reached each. That trie may hold other
 // graphs' slots too (ExtractDatasetFeatures), so a feature's slot names its
 // sequence only within Trie. Canonical gives the features in canonical order
 // — label sequences ascending lexicographically, a shorter prefix first, the
@@ -128,7 +154,7 @@ const extractCancelCheckEvery = 1 << 12
 // of bounded simple paths, so an uncancellable extraction would pin a worker
 // long after its query or build was abandoned.
 func ExtractFeaturesContext(ctx context.Context, g *graph.Graph, maxLen int, withLocations bool) (*Features, error) {
-	return new(extractor).extract(ctx, g, maxLen, withLocations)
+	return newExtractor(g.LabelValues()).extract(ctx, g, maxLen, withLocations)
 }
 
 // trieSealSlots is how large a worker's trie may grow before the worker
@@ -148,9 +174,17 @@ var trieSealSlots = 1 << 18
 // its per-slot state, which outlive a graph. An oriented slot of two or more
 // labels is a feature; the others are only stepped through.
 type extractor struct {
-	ctx     context.Context
-	vlabels []graph.Label
-	maxLen  int
+	ctx    context.Context
+	maxLen int
+	// split is the depth of the DFS nodes that count the last two levels
+	// (lastTwo), maxLen-2, or -1 when the walk steps through every level.
+	split int
+
+	// alphabet is the labels of every graph the extractor is given,
+	// ascending; the walk reads a label as its rank in it, which orders
+	// sequences as their labels do.
+	alphabet []graph.Label
+	vrank    []graph.Label // per vertex: its label's rank
 
 	// The adjacency regrouped by (neighbour label, neighbour ID): vertex v's
 	// neighbours are adj[off[v]:off[v+1]], cut into runs[runOff[v]:runOff[v+1]],
@@ -158,14 +192,21 @@ type extractor struct {
 	// which fixes every matcher's embedding order, is not touched.
 	off, adj, runOff, fill []int32
 	runs                   []labelRun
+	// two holds, per run R, the S(R, b) of every label b its members
+	// neighbour: run i's are two[runs[i-1].twoEnd:runs[i].twoEnd].
+	two []rankCount
+	sub []int32 // per rank: the scratch of twoHop and lastTwo, zero between runs
 
-	path    []int32       // the DFS path, min(maxLen+1, n) long
-	plabels []graph.Label // its vertices' labels
-	onPath  []uint8       // per vertex: 1 while on the path
+	path   []int32       // the DFS path, min(maxLen+1, n) long
+	pranks []graph.Label // its vertices' label ranks, and those of the one or two it is extended by
+	onPath []uint8       // per vertex: 1 while on the path
+	near   []uint64      // per vertex: bit i set while it neighbours path[i], i < split
+	rev    []graph.Label // mirror's scratch
 
 	trie    *LabelTrie
 	state   []slotState // per slot of trie
-	touched []int32     // the slots the graph counted, in the order it first did
+	mirrors []int32     // per slot of trie, as far as mirror has grown it: its mirror's slot, 0 until looked up
+	touched []int32     // the slots the graph counted or located, in the order it first did
 
 	// Locations, one set of vertices per slot (see locate). words is
 	// Words(n), the length of a bitset row over the graph's vertices, and 0
@@ -177,6 +218,10 @@ type extractor struct {
 	sinceCheck int
 }
 
+// newExtractor returns the scratch of an extraction over graphs whose labels
+// are all in alphabet.
+func newExtractor(alphabet []graph.Label) *extractor { return &extractor{alphabet: alphabet} }
+
 // slotState is what the extractor holds per trie slot. A slot's count and
 // location set are the current graph's, zero outside touched.
 type slotState struct {
@@ -187,11 +232,17 @@ type slotState struct {
 	oriented bool // the slot's sequence is an oriented spelling
 }
 
-// labelRun is the neighbours of one vertex that carry label: its adjacency
-// from the previous run's end up to adj[end].
+// labelRun is the neighbours of one vertex that carry the label of rank
+// rank: its adjacency from the previous run's end up to adj[end].
 type labelRun struct {
-	label graph.Label
-	end   int32
+	rank        graph.Label
+	end, twoEnd int32
+}
+
+// rankCount is one S(R, b): rank is b's.
+type rankCount struct {
+	rank graph.Label
+	n    int32
 }
 
 // resized returns s with length n, reallocated only when its capacity is
@@ -206,7 +257,7 @@ func (e *extractor) extract(ctx context.Context, g *graph.Graph, maxLen int, wit
 		return nil, err
 	}
 	n := g.N()
-	e.ctx, e.vlabels, e.maxLen, e.sinceCheck = ctx, g.Labels(), maxLen, 0
+	e.ctx, e.maxLen, e.sinceCheck = ctx, maxLen, 0
 	// The previous graph's counts and locations go through the slots it
 	// touched, which a cancelled walk leaves in place too.
 	for _, s := range e.touched {
@@ -214,48 +265,62 @@ func (e *extractor) extract(ctx context.Context, g *graph.Graph, maxLen int, wit
 	}
 	e.touched = e.touched[:0]
 	if e.trie == nil {
-		e.trie = NewLabelTrie()
+		e.trie = newRankTrie(e.alphabet)
 		e.state = append(e.state, slotState{oriented: true})
 	} else if n := e.trie.Len(); n > trieSealSlots {
 		// The next trie likely grows as large, so it gets the room now.
 		e.trie = newLabelTrie(e.trie.seal(), n)
-		e.state = e.state[:1]
+		e.state, e.mirrors = e.state[:1], e.mirrors[:0]
 	}
 	e.words, e.lists, e.rows = 0, e.lists[:0], e.rows[:0]
 	if withLocations {
 		e.words = Words(n)
 	}
+	// lastTwo needs a rowed trie's small alphabet to pay (see the file's
+	// header), takes a long path's locations from its two ends, which miss
+	// the middle vertex of a 2-edge path, and marks the path's positions in
+	// a word per vertex; the walks it cannot serve step through every level.
+	e.split = maxLen - 2
+	if e.trie.width == 0 || maxLen < 2 || maxLen == 2 && withLocations || e.split > 64 {
+		e.split = -1
+	}
 	e.regroup(g)
+	if e.split >= 0 {
+		e.twoHop()
+	}
 	// A simple path visits at most every vertex: maxLen, which may come from
 	// a snapshot file, sizes nothing beyond that.
-	depth := min(maxLen+1, n)
-	e.path, e.plabels, e.onPath = resized(e.path, depth), resized(e.plabels, depth), resized(e.onPath, n)
+	e.path, e.pranks = resized(e.path, min(maxLen+1, n)), resized(e.pranks, min(maxLen+1, n+2))
+	e.onPath, e.near = resized(e.onPath, n), resized(e.near, n)
 	clear(e.onPath) // a cancelled walk leaves its path marked
+	clear(e.near)
 	for v := 0; v < n && maxLen >= 1; v++ {
-		e.path[0], e.plabels[0] = int32(v), e.vlabels[v]
-		if !e.descend(e.child(0, 1), 0) {
+		e.path[0], e.pranks[0] = int32(v), e.vrank[v]
+		if !e.descend(e.child(0, e.pranks[:1]), 0) {
 			return nil, ctx.Err()
 		}
 	}
 	return e.features(), nil
 }
 
-// regroup lays out g's label-run adjacency (after Mhedhbi & Salihoglu's
-// label-partitioned adjacency lists). It is extraction scratch only: the
-// stored graph's CSR neighbour order, and with it every matcher's embedding
-// order, is untouched. Taking the vertices in (label, ID) order and
-// appending each to its neighbours' lists fills every list in that order with
-// no sort.
+// regroup ranks g's labels and lays out its label-run adjacency (after
+// Mhedhbi & Salihoglu's label-partitioned adjacency lists). It is extraction
+// scratch only: the stored graph's CSR neighbour order, and with it every
+// matcher's embedding order, is untouched. Taking the vertices in (label, ID)
+// order and appending each to its neighbours' lists fills every list in that
+// order with no sort.
 func (e *extractor) regroup(g *graph.Graph) {
 	n := g.N()
-	e.off = resized(e.off, n+1)
+	e.off, e.vrank = resized(e.off, n+1), resized(e.vrank, n)
 	e.off[0] = 0
 	for v := 0; v < n; v++ {
 		e.off[v+1] = e.off[v] + int32(g.Degree(v))
 	}
 	e.adj, e.fill = resized(e.adj, int(e.off[n])), append(e.fill[:0], e.off[:n]...)
 	for _, l := range g.LabelValues() {
+		rank, _ := slices.BinarySearch(e.alphabet, l)
 		for _, u := range g.VerticesWithLabel(l) {
+			e.vrank[u] = graph.Label(rank)
 			for _, v := range g.Neighbors(int(u)) {
 				e.adj[e.fill[v]] = u
 				e.fill[v]++
@@ -265,8 +330,8 @@ func (e *extractor) regroup(g *graph.Graph) {
 	e.runs, e.runOff = e.runs[:0], append(e.runOff[:0], 0)
 	for v := 0; v < n; v++ {
 		for i := e.off[v]; i < e.off[v+1]; i++ {
-			if l := e.vlabels[e.adj[i]]; i == e.off[v] || l != e.runs[len(e.runs)-1].label {
-				e.runs = append(e.runs, labelRun{label: l})
+			if r := e.vrank[e.adj[i]]; i == e.off[v] || r != e.runs[len(e.runs)-1].rank {
+				e.runs = append(e.runs, labelRun{rank: r})
 			}
 			e.runs[len(e.runs)-1].end = i + 1
 		}
@@ -274,62 +339,143 @@ func (e *extractor) regroup(g *graph.Graph) {
 	}
 }
 
-// child returns the slot of plabels[:n], the child of its prefix's slot
-// parent, making it on first use.
-func (e *extractor) child(parent int32, n int) int32 {
-	s := e.trie.Child(parent, e.plabels[n-1])
+// twoHop sums, for every run R and every label b its members neighbour,
+// S(R, b) = Σ_{u∈R} |N(u) ∩ L_b|: the 2-edge extensions through R of any
+// path ending at R's vertex, before lastTwo takes out those that are not
+// simple. A run's labels come in the order its members first meet them.
+func (e *extractor) twoHop() {
+	if len(e.sub) < len(e.alphabet) {
+		e.sub = make([]int32, len(e.alphabet))
+	}
+	e.two = e.two[:0]
+	from := int32(0) // the runs tile adj
+	for i := range e.runs {
+		r := &e.runs[i]
+		start := len(e.two)
+		for _, u := range e.adj[from:r.end] {
+			at := e.off[u]
+			for _, q := range e.runs[e.runOff[u]:e.runOff[u+1]] {
+				if e.sub[q.rank] == 0 {
+					e.two = append(e.two, rankCount{rank: q.rank})
+				}
+				e.sub[q.rank] += q.end - at
+				at = q.end
+			}
+		}
+		for j := start; j < len(e.two); j++ {
+			t := &e.two[j]
+			t.n, e.sub[t.rank] = e.sub[t.rank], 0
+		}
+		from, r.twoEnd = r.end, int32(len(e.two))
+	}
+}
+
+// child returns the slot of seq, the child of its prefix's slot parent,
+// making it on first use.
+func (e *extractor) child(parent int32, seq []graph.Label) int32 {
+	var s int32
+	if t, rank := e.trie, seq[len(seq)-1]; t.width > 0 {
+		s = t.rowChild(parent, rank)
+	} else {
+		s = t.Child(parent, rank)
+	}
 	if int(s) == len(e.state) {
-		e.state = appendDoubling(e.state, slotState{oriented: Oriented(e.plabels[:n])})
+		e.state = appendDoubling(e.state, slotState{oriented: Oriented(seq)})
 	}
 	return s
 }
 
+// mirror returns the slot of pranks[:n] read backwards, where s is the slot
+// of pranks[:n], making it and its prefixes on first use; s keeps the answer.
+func (e *extractor) mirror(s int32, n int) int32 {
+	if len(e.mirrors) <= int(s) {
+		e.mirrors = append(e.mirrors, make([]int32, len(e.state)-len(e.mirrors))...)
+	}
+	if m := e.mirrors[s]; m != 0 {
+		return m
+	}
+	e.rev = append(e.rev[:0], e.pranks[:n]...)
+	slices.Reverse(e.rev)
+	m := int32(0)
+	for i := 1; i <= n; i++ {
+		m = e.child(m, e.rev[:i])
+	}
+	e.mirrors[s] = m
+	return m
+}
+
+// touch returns slot s's state for a count or a location, listing s among
+// the graph's touched slots on its first.
+func (e *extractor) touch(s int32) *slotState {
+	st := &e.state[s]
+	if st.count == 0 && st.locRef == 0 {
+		e.touched = append(e.touched, s)
+	}
+	return st
+}
+
+// poll counts paths towards the next context check and reports whether the
+// walk goes on: false once ctx, polled every extractCancelCheckEvery paths,
+// is cancelled.
+func (e *extractor) poll(paths int32) bool {
+	if e.sinceCheck += int(paths); e.sinceCheck >= extractCancelCheckEvery {
+		e.sinceCheck = 0
+		return e.ctx.Err() == nil
+	}
+	return true
+}
+
+// orientedEnd reports whether pranks[:n-1] extended by b is an oriented
+// spelling: when b is the larger end, or an equal one around an oriented
+// inner segment.
+func (e *extractor) orientedEnd(b graph.Label, n int) bool {
+	return b > e.pranks[0] || b == e.pranks[0] && Oriented(e.pranks[1:n-1])
+}
+
 // descend extends path[:depth+1], whose sequence has slot slot, by every
 // neighbour of its last vertex that is off it, one label run — one child slot
-// — at a time, and reports whether the walk goes on: false once ctx, polled
-// every extractCancelCheckEvery paths, is cancelled.
+// — at a time, and reports whether the walk goes on. At depth split it counts
+// the last two levels at once instead (lastTwo). At full length a run that
+// spells its paths backwards is skipped on its label alone, so no slot is
+// made for a mirror spelling of full length.
 func (e *extractor) descend(slot int32, depth int) bool {
+	if depth == e.split {
+		return e.lastTwo(slot, depth)
+	}
 	v := e.path[depth]
 	e.onPath[v] = 1
-	leaf := depth+1 == e.maxLen
-	from, runs := e.off[v], e.runs[e.runOff[v]:e.runOff[v+1]]
-	if leaf {
-		// At full length nothing is stepped through, so a mirror spelling is
-		// nobody's prefix: the walks from the other ends record its paths,
-		// and its run goes untouched. Such runs come first: a label below the
-		// start vertex's, or equal to it with path[1:] spelt backwards.
-		first := e.plabels[0]
-		for len(runs) > 0 && (runs[0].label < first || runs[0].label == first && !Oriented(e.plabels[1:depth+1])) {
-			from, runs = runs[0].end, runs[1:]
+	nbrs := e.adj[e.off[v]:e.off[v+1]]
+	if depth < e.split {
+		for _, u := range nbrs {
+			e.near[u] |= 1 << depth
 		}
 	}
-	for _, r := range runs {
+	leaf := depth+1 == e.maxLen
+	from := e.off[v]
+	for _, r := range e.runs[e.runOff[v]:e.runOff[v+1]] {
 		members := e.adj[from:r.end]
 		from = r.end
-		k := len(members)
+		if leaf && !e.orientedEnd(r.rank, depth+2) {
+			continue // the walk from the paths' other ends counts and locates them
+		}
+		k := int32(len(members))
 		for _, u := range members {
-			k -= int(e.onPath[u])
+			k -= int32(e.onPath[u])
 		}
 		if k == 0 {
 			continue // probing would make a slot that counts nothing
 		}
-		e.plabels[depth+1] = r.label
-		child := e.child(slot, depth+2)
+		e.pranks[depth+1] = r.rank
+		child := e.child(slot, e.pranks[:depth+2])
 		// A mirror spelling stepped through is counted too and dropped in
 		// features().
-		st := &e.state[child]
-		if st.count == 0 {
-			e.touched = append(e.touched, child)
-		}
-		st.count += int32(k)
+		st := e.touch(child)
+		st.count += k
 		if e.words > 0 && st.oriented {
 			e.locate(st, e.path[:depth+1], members)
 		}
-		if e.sinceCheck += k; e.sinceCheck >= extractCancelCheckEvery {
-			e.sinceCheck = 0
-			if e.ctx.Err() != nil {
-				return false
-			}
+		if !e.poll(k) {
+			return false
 		}
 		if leaf {
 			continue
@@ -341,6 +487,92 @@ func (e *extractor) descend(slot int32, depth int) bool {
 					return false
 				}
 			}
+		}
+	}
+	if depth < e.split {
+		for _, u := range nbrs {
+			e.near[u] &^= 1 << depth
+		}
+	}
+	e.onPath[v] = 0
+	return true
+}
+
+// lastTwo counts, at a node P = path[:depth+1] of depth split whose last
+// vertex is v, the paths one and two edges longer, a run R (label a) of v at
+// a time. The longer ones it counts in aggregate, from S(R, b) (twoHop) for
+// each label b, less the extensions that are not simple paths:
+//
+//	count(P, a, b) = S(R, b) − Σ_{x∈R∩P} |N(x)∩L_b| − Σ_{x∈P, l(x)=b} |N(x)∩R∖P|
+//
+// where the last sum is one pass over R's members, reading the path
+// positions each neighbours from near, v's own being every member's. A mirror
+// spelling's count is left to the walk from the path's other end. With
+// locations, P goes into the location set of its full-length feature under
+// either spelling: every occurrence is met from both of its ends, and the two
+// prefixes cover all its vertices once a path has three edges or more.
+func (e *extractor) lastTwo(slot int32, depth int) bool {
+	v := e.path[depth]
+	e.onPath[v] = 1
+	prefix := e.path[:depth+1]
+	from, two := e.off[v], int32(0)
+	if ri := e.runOff[v]; ri > 0 {
+		two = e.runs[ri-1].twoEnd
+	}
+	for _, r := range e.runs[e.runOff[v]:e.runOff[v+1]] {
+		members, sums := e.adj[from:r.end], e.two[two:r.twoEnd]
+		from, two = r.end, r.twoEnd
+		k := int32(len(members))
+		for _, u := range members {
+			k -= int32(e.onPath[u])
+		}
+		if k == 0 {
+			continue
+		}
+		for _, u := range members {
+			if e.onPath[u] == 0 {
+				for near := e.near[u]; near != 0; near &= near - 1 {
+					e.sub[e.pranks[bits.TrailingZeros64(near)]]++ // u's neighbour on the path
+				}
+				continue
+			}
+			at := e.off[u]
+			for _, q := range e.runs[e.runOff[u]:e.runOff[u+1]] {
+				e.sub[q.rank] += q.end - at // u ∈ R∩P: no neighbour extends P through it
+				at = q.end
+			}
+		}
+		e.sub[e.pranks[depth]] += k // every member neighbours v
+		e.pranks[depth+1] = r.rank
+		mid := e.child(slot, e.pranks[:depth+2])
+		st := e.touch(mid)
+		st.count += k
+		if e.words > 0 && st.oriented {
+			e.locate(st, prefix, members)
+		}
+		paths := k
+		for _, t := range sums {
+			c := t.n - e.sub[t.rank]
+			e.sub[t.rank] = 0
+			oriented := e.orientedEnd(t.rank, depth+3)
+			if c == 0 || !oriented && e.words == 0 {
+				continue
+			}
+			paths += c
+			e.pranks[depth+2] = t.rank
+			leaf := e.child(mid, e.pranks[:depth+3])
+			if !oriented {
+				e.locate(e.touch(e.mirror(leaf, depth+3)), prefix, nil)
+				continue
+			}
+			st := e.touch(leaf)
+			st.count += c
+			if e.words > 0 {
+				e.locate(st, prefix, nil)
+			}
+		}
+		if !e.poll(paths) {
+			return false
 		}
 	}
 	e.onPath[v] = 0
@@ -463,6 +695,9 @@ func (e *extractor) features() *Features {
 // ctx aborts extraction (including mid-graph, as ExtractFeaturesContext does)
 // and returns the context's error.
 //
+// Every extractor reads labels as ranks in the dataset's alphabet, which
+// covers whichever graphs it takes.
+//
 // The call owns the extraction scratch: a task takes the extractor a finished
 // task put back, or makes one, so a worker regrows nothing from graph to
 // graph and its graphs share its trie, and all of the scratch but the tries
@@ -488,6 +723,12 @@ func ExtractDatasetFeatures(ctx context.Context, p *exec.Pool, ds []*graph.Graph
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ds[b].M(), ds[a].M()) })
+	var alphabet []graph.Label
+	for _, g := range ds {
+		alphabet = append(alphabet, g.LabelValues()...)
+	}
+	slices.Sort(alphabet)
+	alphabet = slices.Compact(alphabet)
 	free := make(chan *extractor, p.Workers()) // one per task that can run at once
 	grp := p.NewGroup(ctx)
 	for _, i := range order {
@@ -496,7 +737,7 @@ func ExtractDatasetFeatures(ctx context.Context, p *exec.Pool, ds []*graph.Graph
 			select {
 			case e = <-free:
 			default:
-				e = new(extractor)
+				e = newExtractor(alphabet)
 			}
 			feats, err := e.extract(gctx, ds[i], maxLen, withLocations)
 			if err != nil {

@@ -220,6 +220,18 @@ func runCases() map[string]*graph.Graph {
 		// Shorter than any maxLen above 2.
 		"short-path": path(1, 0, 1),
 	}
+	// Two labels over the octahedron, every edge on triangles and 4-cycles:
+	// the last two levels' count takes out both a run's members on the path
+	// and the path vertices its other members neighbour, of either label.
+	var octahedron [][2]int
+	for u := 0; u < 6; u++ {
+		for v := u + 1; v < 6; v++ {
+			if v != u^1 {
+				octahedron = append(octahedron, [2]int{u, v})
+			}
+		}
+	}
+	cases["two-label-octahedron"] = build([]int{0, 0, 3, 0, 3, 3}, octahedron)
 	for k := 3; k <= 7; k++ { // C_k closes on the start vertex at maxLen k-1
 		labels := make([]int, k)
 		for v := range labels {
@@ -236,8 +248,10 @@ func runCases() map[string]*graph.Graph {
 // oriented twin lacks — on random graphs for maxLen 1..6, with labels of any
 // width, at the 63/64/65-vertex bitset word edges, on edgeless and empty graphs, and on
 // large many-label graphs, where the location sets of rare features stay
-// lists and those of common ones spill to bitset rows within one extraction;
-// and on runCases and random graphs over wideLabels.
+// lists and those of common ones spill to bitset rows within one extraction
+// and full-length locations are read from the adjacency rather than from
+// both ends; on runCases and random graphs over wideLabels; and at the
+// maxLen where the last two levels' path bits run out.
 func TestExtractFeaturesMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	full := func() graph.Label { return wideLabels[r.Intn(len(wideLabels))] }
@@ -263,6 +277,25 @@ func TestExtractFeaturesMatchesOracle(t *testing.T) {
 		assertMatchesOracle(t, "edgeless", graph.MustNew("edgeless", []graph.Label{0, 1, 1}, nil), maxLen)
 		assertMatchesOracle(t, "empty", graph.MustNew("empty", nil, nil), maxLen)
 	}
+	// A 70-vertex path with a pendant triangle on vertices 63 and 64: at
+	// maxLen 66 the last two levels are counted at depth 64, where the
+	// triangle's apex neighbours the path's 64th vertex, the last position a
+	// word of path bits holds; from maxLen 67 on the walk steps through every
+	// level.
+	long := make([]int, 71)
+	var edges [][2]int
+	for v := 1; v < 70; v++ {
+		long[v] = v % 3 / 2 * 3
+		edges = append(edges, [2]int{v - 1, v})
+	}
+	edges = append(edges, [2]int{63, 70}, [2]int{64, 70})
+	ls := make([]graph.Label, len(long))
+	for v, l := range long {
+		ls[v] = wideLabels[l]
+	}
+	for _, maxLen := range []int{66, 67} {
+		assertMatchesOracle(t, "long-path", graph.MustNew("long", ls, edges), maxLen)
+	}
 	// Half the vertices share label 0, the rest spread over 200 labels: the
 	// all-zero features recur thousands of times, most others once or twice.
 	skewed := func() graph.Label { return graph.Label(max(0, r.Intn(400)-199)) }
@@ -286,13 +319,21 @@ func TestMirrorSpellingsAgree(t *testing.T) {
 		"near-palindrome":  graph.MustNew("n", []graph.Label{1, 2, 2, 1, 3}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}),
 		"one-label-clique": graph.MustNew("k", []graph.Label{7, 7, 7, 7, 7}, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}}),
 	}
+	for name, g := range cases {
+		for maxLen := 1; maxLen <= 6; maxLen++ {
+			assertMatchesOracle(t, name, g, maxLen)
+		}
+	}
+	// The generated shapes hold millions of paths of six edges, so they stop
+	// at five.
+	generated := map[string]*graph.Graph{}
 	for i, g := range gen.Synthetic(gen.SyntheticConfig{NumGraphs: 6, AvgNodes: 24, NodeSpread: 10, Density: 0.12, Labels: 3}, 21) {
-		cases[fmt.Sprintf("synthetic-%d", i)] = g
+		generated[fmt.Sprintf("synthetic-%d", i)] = g
 	}
 	for i, g := range gen.PPI(gen.PPIConfig{NumGraphs: 4, AvgNodes: 40, NodeSpread: 10, AvgDegree: 5, Labels: 4, LabelsPer: 3, IsolatedPct: 0.1}, 22) {
-		cases[fmt.Sprintf("ppi-%d", i)] = g
+		generated[fmt.Sprintf("ppi-%d", i)] = g
 	}
-	for name, g := range cases {
+	for name, g := range generated {
 		for maxLen := 1; maxLen <= 5; maxLen++ {
 			assertMatchesOracle(t, name, g, maxLen)
 		}
@@ -306,7 +347,7 @@ func TestMirrorSpellingsAgree(t *testing.T) {
 func TestExtractLocationForms(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := randomGraph(r, 1500, 3, func() graph.Label { return graph.Label(max(0, r.Intn(400)-199)) })
-	e := new(extractor)
+	e := newExtractor(g.LabelValues())
 	if _, err := e.extract(context.Background(), g, 4, true); err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,12 @@
 // Orientation: an undirected path reads as a label sequence L from one end
 // and as reverse(L) from the other, and every graph holds both spellings
 // equally often over the same vertices, so a path is stored once, under its
-// oriented spelling (Oriented). The extractor still walks both directions,
-// aggregating only into oriented trie slots (extract.go), and a query folds
-// its two spellings into one feature requiring the larger count
-// (QueryFeatures). Orientation picks the spelling of one feature; "canonical
+// oriented spelling (Oriented). The extractor still meets every path from
+// both ends: it keeps a path's count where the path reads as its oriented
+// spelling and, for a full-length path, takes into that feature's location
+// set the vertices met from the other end as well, so each end need only see
+// the path's first maxLen-1 vertices (extract.go). A query folds its two
+// spellings into one feature requiring the larger count (QueryFeatures). Orientation picks the spelling of one feature; "canonical
 // order" is the lexicographic order of features among themselves
 // (LabelTrie.Walk). They are different things.
 package ftv

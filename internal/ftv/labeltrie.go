@@ -10,15 +10,16 @@ import (
 // LabelTrie assigns dense slots to label sequences. Slot 0 is the empty
 // sequence, and Child(p, l) is the slot of p's sequence extended by l,
 // allocated on first use — so a consumer that meets sequences one label at a
-// time pays one probe per step, whatever the labels' width or the sequences'
+// time pays one lookup per step, whatever the labels' width or the sequences'
 // length: the path DFS one per run, a fold one per slot of the tries it reads
 // (index.FoldPath). A slot's number is above its parent's, and a slot keeps
-// its number for the trie's life. The trie lives in a single open-addressing
-// table with linear probing over a power-of-two size and a multiplicative
-// hash of the packed (parent slot, label) pair, where the runtime map's
-// general hashing was most of a feature extraction's CPU profile. Not safe
-// for concurrent use while it makes slots; once it makes no more, any number
-// of readers may share it.
+// its number for the trie's life. The lookup is an open-addressing table with
+// linear probing over a power-of-two size and a multiplicative hash of the
+// packed (parent slot, label) pair, where the runtime map's general hashing
+// was most of a feature extraction's CPU profile; an extraction's trie over
+// an alphabet of at most rowAlphabet labels looks a child up by index instead
+// (rowChild). Not safe for concurrent use while it makes slots; once it makes
+// no more, any number of readers may share it.
 type LabelTrie struct {
 	labelTable
 
@@ -27,26 +28,57 @@ type LabelTrie struct {
 	depth  []int32       // per slot: the length of its sequence
 }
 
-// labelTable is a trie's hash table: slots[i] == 0 marks an empty cell (slot
-// 0 is nobody's child), keys[i] is the packed pair bound to slots[i]. Keys
-// are never removed.
+// rowAlphabet is the largest alphabet whose tries find a child by index: a
+// row of one cell per label for every slot that has children costs 4·|Σ|
+// bytes a parent. Over a few labels, where the lookup is most of an
+// extraction, the rows fill and are small (the benchmark's datasets at
+// maxLen 4: 4 labels, 341 parents, 5 KB; 8 labels, 4 681 parents, 146 KB;
+// 16 labels: at most 70 k parents, 4.5 MB). Over a wide alphabet a parent
+// has a handful of children and a row is mostly empty, and at 32 labels a
+// dense dataset's rows could reach a million parents, 140 MB.
+const rowAlphabet = 16
+
+// labelTable is a trie's lookup. Hashed: slots[i] == 0 marks an empty cell
+// (slot 0 is nobody's child), keys[i] is the packed pair bound to slots[i];
+// keys are never removed. Rowed (width > 0): every slot that has children
+// owns a row of width cells in rows, its children by the rank of their label
+// in alphabet, 0 for none, and rowOf[s] is 1 + the row number of slot s, 0
+// until it has a child.
 type labelTable struct {
 	keys  []uint64
 	slots []int32
 	shift uint // 64 - log2(len(keys))
+
+	alphabet    []graph.Label // the labels a rank names, ascending; nil on a trie keyed by label only
+	width       int           // len(alphabet) when rowed, else 0
+	rows, rowOf []int32
 }
 
 // NewLabelTrie returns a trie holding only the empty sequence.
 func NewLabelTrie() *LabelTrie { return newLabelTrie(labelTable{}, 1) }
 
+// newRankTrie returns a trie holding only the empty sequence whose children
+// are found by the rank of their label in alphabet: rowed
+// when alphabet has at most rowAlphabet labels, hashed otherwise.
+func newRankTrie(alphabet []graph.Label) *LabelTrie {
+	tab := labelTable{alphabet: alphabet}
+	if len(alphabet) <= rowAlphabet {
+		tab.width = len(alphabet)
+	}
+	return newLabelTrie(tab, 1)
+}
+
 // newLabelTrie returns a trie holding only the empty sequence, with room for
 // slots slots, in tab — a sealed trie's table, as large as the fullest use so
-// far made it — when it has one.
+// far made it, or a new one.
 func newLabelTrie(tab labelTable, slots int) *LabelTrie {
-	if tab.keys == nil {
+	switch {
+	case tab.width > 0:
+		tab.rows, tab.rowOf = tab.rows[:0], append(slices.Grow(tab.rowOf[:0], slots), 0)
+	case tab.keys == nil:
 		const bits = 8
-		tab = labelTable{keys: make([]uint64, 1<<bits), slots: make([]int32, 1<<bits), shift: 64 - bits}
-	} else {
+		tab.keys, tab.slots, tab.shift = make([]uint64, 1<<bits), make([]int32, 1<<bits), 64-bits
+	default:
 		clear(tab.slots)
 	}
 	return &LabelTrie{
@@ -92,7 +124,9 @@ func (t *LabelTrie) AppendLabels(dst []graph.Label, s int32) []graph.Label {
 
 const labelTrieHash = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
 
-// Child returns the slot of parent's sequence extended by l.
+// Child returns the slot of parent's sequence extended by l; on a trie made
+// by newRankTrie, l is the label's rank, and a rowed one finds its children
+// through rowChild only.
 func (t *LabelTrie) Child(parent int32, l graph.Label) int32 {
 	key := uint64(parent)<<32 | uint64(uint32(l))
 	mask := len(t.keys) - 1
@@ -109,10 +143,34 @@ func (t *LabelTrie) Child(parent int32, l graph.Label) int32 {
 	}
 	s := int32(len(t.parent))
 	t.keys[i], t.slots[i] = key, s
+	if t.alphabet != nil {
+		l = t.alphabet[l]
+	}
 	t.parent = appendDoubling(t.parent, parent)
 	t.label = appendDoubling(t.label, l)
 	t.depth = appendDoubling(t.depth, t.depth[parent]+1)
 	return s
+}
+
+// rowChild is Child on a rowed trie.
+func (t *LabelTrie) rowChild(parent int32, rank graph.Label) int32 {
+	r := int(t.rowOf[parent])
+	if r == 0 {
+		at := len(t.rows)
+		t.rows = slices.Grow(t.rows, t.width)[:at+t.width]
+		clear(t.rows[at:]) // capacity a sealed trie left holds its rows
+		r = at/t.width + 1
+		t.rowOf[parent] = int32(r)
+	}
+	cell := &t.rows[(r-1)*t.width+int(rank)]
+	if *cell == 0 {
+		*cell = int32(len(t.parent))
+		t.parent = appendDoubling(t.parent, parent)
+		t.label = appendDoubling(t.label, t.alphabet[rank])
+		t.depth = appendDoubling(t.depth, t.depth[parent]+1)
+		t.rowOf = appendDoubling(t.rowOf, 0)
+	}
+	return *cell
 }
 
 // appendDoubling is append with the capacity doubled whenever it runs out:

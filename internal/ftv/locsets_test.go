@@ -152,12 +152,12 @@ func TestFeaturesIndependentOfOccurrenceOrder(t *testing.T) {
 			occs = append(occs, []int32{int32(v), int32(v + 1)})
 		}
 		feed := func(occs [][]int32) *Features {
-			e := new(extractor)
+			e := newExtractor(g.LabelValues())
 			if _, err := e.extract(context.Background(), g, 1, true); err != nil { // sets the scratch up; g has no paths
 				t.Fatal(err)
 			}
-			e.plabels[0], e.plabels[1] = 0, 0
-			slot := e.child(e.child(0, 1), 2) // the feature (0, 0)
+			e.pranks[0], e.pranks[1] = 0, 0
+			slot := e.child(e.child(0, e.pranks[:1]), e.pranks[:2]) // the feature (0, 0)
 			e.touched = append(e.touched, slot)
 			st := &e.state[slot]
 			for _, path := range occs {

@@ -95,9 +95,13 @@ go test -run='^$' -fuzz=FuzzPathDirectory -fuzztime=5s ./internal/index
 stage "fuzz (FuzzExtractFeatures, 5s)"
 # Two small graphs over labels of every width, maxLen 1..5, with and without
 # locations, against the map-based oracle extractor: the path DFS that every
-# index build, insert and compaction is made of works a label run at a time
-# and skips mirror spellings at full length, and this is where a run that is
-# wrongly skipped, or counted with a neighbour already on the path, shows.
+# index build, insert and compaction is made of works a label run at a time,
+# counts its last two levels in aggregate from per-run label sums less the
+# extensions that revisit the path, and takes a full-length feature's
+# locations from the prefixes met at both of its ends; this is where a
+# subtraction missed (the seeds include dense two-label graphs, whose
+# triangles and 4-cycles close on the path), a run counted with a neighbour
+# already on the path, or a vertex a location set lacks shows.
 # The second graph is extracted after the first by the same extractor, on the
 # trie the first grew, so a count or a location set the first left behind
 # shows in the second's features.
