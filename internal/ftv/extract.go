@@ -26,27 +26,27 @@ package ftv
 // that are not simple paths, which a pass over R and the path finds. So the
 // walk visits a graph's paths of maxLen-2 edges, not its far more numerous
 // full-length ones (the stragglers dataset: 0.93 M against 8.45 M). A
-// full-length spelling's count is taken where it is oriented; its mirror,
-// which the DFS meets from the path's other end, only locates. Grapes'
-// location sets of full-length features need no walk over the last two
-// levels either: every occurrence is met from both of its ends, and the
+// full-length spelling's count is taken where it is oriented; the DFS meets
+// its mirror from the path's other end. Counting alone, that pays over any
+// alphabet: on synthetic and PPI-style datasets of 10 to 46 labels it ran
+// 10–43 % faster than stepping through every level, and over 32 to 300 labels
+// within 3 % of it.
+//
+// Grapes' location sets of full-length features need no walk over the last
+// two levels either: every occurrence is met from both of its ends, and the
 // prefixes of D+1 vertices met at the two ends cover all its vertices once
 // maxLen >= 3, so a feature's set is the union of P over the nodes P that
 // give either spelling a non-zero count, the mirror's reaching the feature's
-// set through its slot's mirror (mirror).
-//
-// That pays over a rowed trie's small alphabet, where a run's members repeat
-// their labels and a dataset spells few sequences, so each is paired with
-// its mirror once. Over a wide alphabet nearly every run holds one vertex
-// and most sequences occur once: there the aggregate saves nothing, the
-// pairing costs a chain of probes per sequence, and stepping through every
-// level was measured faster (BenchmarkExtractFeatures' sparse 8000-vertex,
-// 300-label graph on 2 vCPUs: 155–211 ns a path against 195–209 with the
-// aggregate, and 336–349 against 390–413 with locations). So do maxLen 1, maxLen 2 with locations, where the two ends miss the middle
-// vertex, and maxLen past 66, past a word of path positions. That walk skips
-// a full-length mirror spelling on its label alone and counts and locates
-// each path from its oriented end. No label slice, key or hash set is built
-// per path, and the same code serves any label width.
+// set through its slot's mirror (mirror). That costs a lookup and a location
+// per node, run and label b under each spelling, where stepping through the
+// last level costs one per oriented run of full-length paths, so it pays only
+// where a (P, a, b) triple stands for several paths: in graphs whose label
+// runs are long (bothEndsMinRun). A walk with locations over shorter runs, or
+// at maxLen 2, where the two ends miss the middle vertex, steps through every
+// level, as do maxLen 1 and maxLen past 66, past a word of path positions.
+// That walk skips a full-length mirror spelling on its label alone and counts
+// and locates each path from its oriented end. No label slice, key or hash
+// set is built per path, and the same code serves any label width.
 //
 // A feature leaves the extractor as its trie slot. The graphs of one dataset
 // spell mostly the same sequences (the benchmark's 300 × 50-vertex, 8-label
@@ -168,6 +168,17 @@ func ExtractFeaturesContext(ctx context.Context, g *graph.Graph, maxLen int, wit
 // grows to 2^22 cells, 12 %. Only tests change it.
 var trieSealSlots = 1 << 18
 
+// bothEndsMinRun is the mean label run, a graph's adjacency entries per run,
+// from which an extraction with locations takes its full-length location
+// sets from both ends of each path (lastTwo) rather than stepping through
+// every level: a (P, a, b) triple stands for about as many paths as a run
+// holds members. Both ways against each other on 2 vCPUs, with locations, on
+// datasets from 6 to 300 labels, both ends took 0.62–0.64 of the walk's time
+// at mean runs of 1.90–2.14, 0.94 at 1.86, 1.12–1.16 at 1.63–1.64, 1.3–1.9 at
+// 1.35–1.50 and 2.4–2.9 at 1.21–1.27; the stragglers dataset's runs average
+// 2.45. Only tests change it.
+var bothEndsMinRun = 1.75
+
 // extractor is one extraction's scratch, reused from graph to graph by the
 // build that owns it (ExtractDatasetFeatures): the graph's label-run
 // adjacency, the DFS state, and the label trie grown alongside the DFS with
@@ -177,7 +188,9 @@ type extractor struct {
 	ctx    context.Context
 	maxLen int
 	// split is the depth of the DFS nodes that count the last two levels
-	// (lastTwo), maxLen-2, or -1 when the walk steps through every level.
+	// (lastTwo), maxLen-2, or -1 when the walk steps through every level:
+	// at maxLen 1, past a word of path positions, and with locations at
+	// maxLen 2 or over short label runs (bothEndsMinRun).
 	split int
 
 	// alphabet is the labels of every graph the extractor is given,
@@ -276,15 +289,15 @@ func (e *extractor) extract(ctx context.Context, g *graph.Graph, maxLen int, wit
 	if withLocations {
 		e.words = Words(n)
 	}
-	// lastTwo needs a rowed trie's small alphabet to pay (see the file's
-	// header), takes a long path's locations from its two ends, which miss
-	// the middle vertex of a 2-edge path, and marks the path's positions in
-	// a word per vertex; the walks it cannot serve step through every level.
+	e.regroup(g)
+	// lastTwo marks the path's positions in a word per vertex and takes a
+	// long path's locations from its two ends, which miss the middle vertex
+	// of a 2-edge path and pay only over long label runs; the walks it does
+	// not serve step through every level.
 	e.split = maxLen - 2
-	if e.trie.width == 0 || maxLen < 2 || maxLen == 2 && withLocations || e.split > 64 {
+	if maxLen < 2 || e.split > 64 || withLocations && (maxLen == 2 || float64(len(e.adj)) < bothEndsMinRun*float64(len(e.runs))) {
 		e.split = -1
 	}
-	e.regroup(g)
 	if e.split >= 0 {
 		e.twoHop()
 	}

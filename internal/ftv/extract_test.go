@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -160,8 +161,24 @@ func assertFeatures(t *testing.T, name string, got *Features, want []oracleFeatu
 func assertMatchesOracle(t *testing.T, name string, g *graph.Graph, maxLen int) {
 	t.Helper()
 	want := oracleWant(t, name, g, maxLen)
-	for _, withLocs := range []bool{false, true} {
-		assertFeatures(t, name, ExtractFeatures(g, maxLen, withLocs), want, maxLen, withLocs)
+	assertFeatures(t, name, ExtractFeatures(g, maxLen, false), want, maxLen, false)
+	eachLocationRule(func(rule string) {
+		assertFeatures(t, name+", locations "+rule, ExtractFeatures(g, maxLen, true), want, maxLen, true)
+	})
+}
+
+// eachLocationRule calls f once with every extraction with locations taking
+// its full-length sets from both ends of each path wherever it can (lastTwo),
+// and once with it stepping through every level, so that each way is checked
+// whatever the graph's label runs (bothEndsMinRun).
+func eachLocationRule(f func(rule string)) {
+	defer func(run float64) { bothEndsMinRun = run }(bothEndsMinRun)
+	for _, rule := range []struct {
+		name string
+		run  float64
+	}{{"from both ends", 0}, {"by the walk", math.Inf(1)}} {
+		bothEndsMinRun = rule.run
+		f(rule.name)
 	}
 }
 
@@ -325,7 +342,7 @@ func TestMirrorSpellingsAgree(t *testing.T) {
 		}
 	}
 	// The generated shapes hold millions of paths of six edges, so they stop
-	// at five.
+	// at five but for one graph of each.
 	generated := map[string]*graph.Graph{}
 	for i, g := range gen.Synthetic(gen.SyntheticConfig{NumGraphs: 6, AvgNodes: 24, NodeSpread: 10, Density: 0.12, Labels: 3}, 21) {
 		generated[fmt.Sprintf("synthetic-%d", i)] = g
@@ -338,6 +355,8 @@ func TestMirrorSpellingsAgree(t *testing.T) {
 			assertMatchesOracle(t, name, g, maxLen)
 		}
 	}
+	assertMatchesOracle(t, "synthetic-0", generated["synthetic-0"], 6)
+	assertMatchesOracle(t, "ppi-0", generated["ppi-0"], 6)
 }
 
 // TestExtractLocationForms pins the premise of the large-graph cases above:
@@ -479,7 +498,13 @@ func FuzzExtractFeatures(f *testing.F) {
 		first, rest := fuzzGraph(data[2:])
 		second, _ := fuzzGraph(rest)
 		want := [][]oracleFeature{oracleWant(t, "first", first, maxLen), oracleWant(t, "second", second, maxLen)}
-		assertFeatures(t, "first alone", ExtractFeatures(first, maxLen, withLocs), want[0], maxLen, withLocs)
+		if withLocs {
+			eachLocationRule(func(rule string) {
+				assertFeatures(t, "first alone, locations "+rule, ExtractFeatures(first, maxLen, true), want[0], maxLen, true)
+			})
+		} else {
+			assertFeatures(t, "first alone", ExtractFeatures(first, maxLen, false), want[0], maxLen, false)
+		}
 		both, err := ExtractDatasetFeatures(context.Background(), pool, []*graph.Graph{first, second}, maxLen, withLocs)
 		if err != nil {
 			t.Fatal(err)

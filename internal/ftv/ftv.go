@@ -10,7 +10,7 @@
 // both ends: it keeps a path's count where the path reads as its oriented
 // spelling and, for a full-length path, takes into that feature's location
 // set the vertices met from the other end as well, so each end need only see
-// the path's first maxLen-1 vertices (extract.go). A query folds its two
+// the path's first maxLen-1 vertices wherever that pays (extract.go). A query folds its two
 // spellings into one feature requiring the larger count (QueryFeatures). Orientation picks the spelling of one feature; "canonical
 // order" is the lexicographic order of features among themselves
 // (LabelTrie.Walk). They are different things.

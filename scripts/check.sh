@@ -98,8 +98,9 @@ stage "fuzz (FuzzExtractFeatures, 5s)"
 # index build, insert and compaction is made of works a label run at a time,
 # counts its last two levels in aggregate from per-run label sums less the
 # extensions that revisit the path, and takes a full-length feature's
-# locations from the prefixes met at both of its ends; this is where a
-# subtraction missed (the seeds include dense two-label graphs, whose
+# locations from the prefixes met at both of its ends or, over short label
+# runs, by stepping through every level (the first graph is checked both
+# ways); this is where a subtraction missed (the seeds include dense two-label graphs, whose
 # triangles and 4-cycles close on the path), a run counted with a neighbour
 # already on the path, or a vertex a location set lacks shows.
 # The second graph is extracted after the first by the same extractor, on the
