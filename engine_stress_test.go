@@ -10,6 +10,7 @@ package psi_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -38,11 +39,10 @@ func TestEngineConcurrentNFVCallers(t *testing.T) {
 				switch (gi + i) % 4 {
 				case 0: // plan + execute
 					p, err := eng.Plan(q)
-					if err != nil {
-						errs <- err
-						return
+					var res *psi.QueryResult
+					if err == nil {
+						res, err = eng.Execute(context.Background(), p, 100000)
 					}
-					res, err := eng.Execute(context.Background(), p, 100000)
 					if err != nil {
 						errs <- err
 						return
@@ -118,24 +118,19 @@ func TestEngineConcurrentDatasetCallers(t *testing.T) {
 					switch (gi + i) % 3 {
 					case 0:
 						res, err := eng.Query(context.Background(), q, 0)
-						if err != nil {
-							errs <- err
+						if err != nil || !slices.Equal(res.GraphIDs, baseline[qi]) {
+							errs <- fmt.Errorf("config %d: concurrent answer %v (%v), baseline %v", ci, res, err, baseline[qi])
 							return
-						}
-						if fmt.Sprint(res.GraphIDs) != fmt.Sprint(baseline[qi]) {
-							errs <- fmt.Errorf("config %d: concurrent answer %v, baseline %v", ci, res.GraphIDs, baseline[qi])
 						}
 					case 1:
 						var ids []int
-						if _, err := eng.AnswerStream(context.Background(), q, func(id int) bool {
+						_, err := eng.AnswerStream(context.Background(), q, func(id int) bool {
 							ids = append(ids, id)
 							return true
-						}); err != nil {
-							errs <- err
+						})
+						if err != nil || !slices.Equal(ids, baseline[qi]) {
+							errs <- fmt.Errorf("config %d: streamed answer %v (%v), baseline %v", ci, ids, err, baseline[qi])
 							return
-						}
-						if fmt.Sprint(ids) != fmt.Sprint(baseline[qi]) {
-							errs <- fmt.Errorf("config %d: streamed answer %v, baseline %v", ci, ids, baseline[qi])
 						}
 					default:
 						_ = eng.IndexStats()

@@ -130,18 +130,11 @@ func TestEngineModeSinglePlansFixed(t *testing.T) {
 		Algorithms: []psi.Algorithm{psi.VF2, psi.GraphQL},
 	})
 	p, err := eng.Plan(q)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || p.Kind != psi.PlanFixed || len(p.Arms) != 1 {
+		t.Fatalf("ModeSingle plan = %+v (%v), want fixed over one arm", p, err)
 	}
-	if p.Kind != psi.PlanFixed || len(p.Arms) != 1 {
-		t.Fatalf("ModeSingle plan = %v with arms %v, want fixed/1", p.Kind, p.Arms)
-	}
-	res, err := eng.Execute(context.Background(), p, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Winner != "VF2-Orig" {
-		t.Errorf("fixed plan should run the portfolio's first attempt, winner=%q", res.Winner)
+	if res, err := eng.Execute(context.Background(), p, 10); err != nil || res.Winner != "VF2-Orig" {
+		t.Errorf("fixed plan should run the portfolio's first attempt: %v, %v", res, err)
 	}
 }
 
@@ -150,22 +143,14 @@ func TestEngineModeSinglePlansFixed(t *testing.T) {
 // than a few milliseconds.
 func denseFixture(t *testing.T) (g, q *psi.Graph) {
 	t.Helper()
-	b := psi.NewBuilder("dense")
 	const n = 300
-	for i := 0; i < n; i++ {
-		b.AddVertex(0)
-	}
+	var edges [][2]int
 	for i := 0; i < n; i++ {
 		for d := 1; d <= 4 && i+d < n; d++ {
-			if err := b.AddEdge(i, i+d); err != nil {
-				t.Fatal(err)
-			}
+			edges = append(edges, [2]int{i, i + d})
 		}
 	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g = psi.MustNewGraph("dense", make([]psi.Label, n), edges)
 	return g, psi.ExtractQuery(g, 9, 5)
 }
 
@@ -177,11 +162,8 @@ func TestEngineDeadlineKillsQuery(t *testing.T) {
 	if !res.Killed {
 		t.Skip("enumeration finished inside the cap on this machine")
 	}
-	if res.Found != 0 || res.Embeddings != nil {
-		t.Error("killed query must surface an empty answer")
-	}
-	if res.Elapsed != 5*time.Millisecond {
-		t.Errorf("killed query Elapsed = %v, want clamped to the 5ms cap", res.Elapsed)
+	if res.Found != 0 || res.Embeddings != nil || res.Elapsed != 5*time.Millisecond {
+		t.Errorf("killed query found %d, Elapsed %v; want an empty answer, clamped to the 5ms cap", res.Found, res.Elapsed)
 	}
 }
 
@@ -256,14 +238,10 @@ func TestEnginePlanRejectsForeignAndNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e2.Execute(context.Background(), p, 1); err == nil {
-		t.Error("executing another engine's plan must fail")
-	}
-	if _, err := e1.Execute(context.Background(), nil, 1); err == nil {
-		t.Error("executing a nil plan must fail")
-	}
-	if _, err := e1.QueryStream(context.Background(), q, 1, nil); err == nil {
-		t.Error("QueryStream without a sink must fail")
+	_, foreign := e2.Execute(context.Background(), p, 1)
+	_, none := e1.Execute(context.Background(), nil, 1)
+	if _, noSink := e1.QueryStream(context.Background(), q, 1, nil); foreign == nil || none == nil || noSink == nil {
+		t.Errorf("another engine's plan: %v; a nil plan: %v; QueryStream without a sink: %v; want three errors", foreign, none, noSink)
 	}
 }
 
@@ -294,15 +272,10 @@ func TestDatasetEngineAnswerStream(t *testing.T) {
 }
 
 func TestEngineOptionValidation(t *testing.T) {
-	if _, err := psi.NewEngine(nil, psi.EngineOptions{}); err == nil {
-		t.Error("NewEngine(nil) must fail")
-	}
-	if _, err := psi.NewDatasetEngine(nil, psi.EngineOptions{}); err == nil {
-		t.Error("NewDatasetEngine(empty) must fail")
-	}
-	g := psi.MustNewGraph("g", []psi.Label{0}, nil)
-	if _, err := psi.NewEngine(g, psi.EngineOptions{Mode: "warp"}); err == nil {
-		t.Error("unknown mode must fail")
+	_, noGraph := psi.NewEngine(nil, psi.EngineOptions{})
+	_, noDataset := psi.NewDatasetEngine(nil, psi.EngineOptions{})
+	if _, warp := psi.NewEngine(psi.MustNewGraph("g", []psi.Label{0}, nil), psi.EngineOptions{Mode: "warp"}); noGraph == nil || noDataset == nil || warp == nil {
+		t.Errorf("NewEngine(nil): %v; NewDatasetEngine(empty): %v; an unknown mode: %v; want three errors", noGraph, noDataset, warp)
 	}
 	_, err := psi.ParseMode("predict")
 	if err == nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -192,13 +193,20 @@ func TestRaceEmbeddingCountMatchesDirectRun(t *testing.T) {
 	}
 	racer := NewRacer(g)
 	attempts := Portfolio([]match.Matcher{vf2.New(g)}, append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...))
-	res, err := racer.Race(context.Background(), q, 1000, attempts)
-	if err != nil {
-		t.Fatal(err)
+	if res, err := racer.Race(context.Background(), q, 1000, attempts); err != nil || len(res.Embeddings) != len(direct) {
+		t.Errorf("race returned %d embeddings (%v), direct run %d", len(res.Embeddings), err, len(direct))
 	}
-	if len(res.Embeddings) != len(direct) {
-		t.Errorf("race returned %d embeddings, direct run %d", len(res.Embeddings), len(direct))
+}
+
+// hubStar is a label-1 hub joined to the given number of label-0 leaves.
+func hubStar(leaves int) *graph.Graph {
+	labels := []graph.Label{1}
+	var edges [][2]int
+	for v := 1; v <= leaves; v++ {
+		labels = append(labels, 0)
+		edges = append(edges, [2]int{0, v})
 	}
+	return graph.MustNew("star", labels, edges)
 }
 
 // TestRaceAllocsPerEmbedding: an attempt under a rewriting searches the
@@ -207,13 +215,7 @@ func TestRaceEmbeddingCountMatchesDirectRun(t *testing.T) {
 func TestRaceAllocsPerEmbedding(t *testing.T) {
 	// A label-1 hub with 60 label-0 leaves holds 60·59 embeddings of the
 	// 0-1-0 path.
-	labels := []graph.Label{1}
-	var edges [][2]int
-	for v := 1; v <= 60; v++ {
-		labels = append(labels, 0)
-		edges = append(edges, [2]int{0, v})
-	}
-	g := graph.MustNew("star", labels, edges)
+	g := hubStar(60)
 	q := graph.MustNew("q", []graph.Label{0, 1, 0}, [][2]int{{0, 1}, {1, 2}})
 	racer := NewRacer(g)
 	attempts := []Attempt{{Matcher: gql.New(g), Rewriting: rewrite.DND}}
@@ -243,30 +245,19 @@ func TestRaceAllocsPerEmbedding(t *testing.T) {
 }
 
 func TestAttemptLabel(t *testing.T) {
-	g := graph.MustNew("g", []graph.Label{0}, nil)
-	a := Attempt{Matcher: gql.New(g), Rewriting: rewrite.ILFIND}
-	if a.Label() != "GQL-ILF+IND" {
+	if a := (Attempt{Matcher: gql.New(edgeGraph), Rewriting: rewrite.ILFIND}); a.Label() != "GQL-ILF+IND" {
 		t.Errorf("Label = %q", a.Label())
 	}
 }
 
 func TestPortfolioShape(t *testing.T) {
-	g := graph.MustNew("g", []graph.Label{0}, nil)
-	ms := []match.Matcher{gql.New(g), spath.New(g)}
-	ks := []rewrite.Kind{rewrite.Orig, rewrite.DND}
-	p := Portfolio(ms, ks)
-	if len(p) != 4 {
-		t.Fatalf("portfolio size = %d", len(p))
+	// Ψ([GQL/SPA]-[Or/DND]): both algorithms appear with both rewritings.
+	var labels []string
+	for _, a := range Portfolio([]match.Matcher{gql.New(edgeGraph), spath.New(edgeGraph)}, []rewrite.Kind{rewrite.Orig, rewrite.DND}) {
+		labels = append(labels, a.Label())
 	}
-	// Ψ([GQL/SPA]-[Or/DND]): both algorithms appear with both rewritings
-	seen := make(map[string]bool)
-	for _, a := range p {
-		seen[a.Label()] = true
-	}
-	for _, want := range []string{"GQL-Orig", "SPA-Orig", "GQL-DND", "SPA-DND"} {
-		if !seen[want] {
-			t.Errorf("missing attempt %s", want)
-		}
+	if slices.Sort(labels); !slices.Equal(labels, []string{"GQL-DND", "GQL-Orig", "SPA-DND", "SPA-Orig"}) {
+		t.Errorf("portfolio %v, want GQL and SPA under Orig and DND", labels)
 	}
 }
 

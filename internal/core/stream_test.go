@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/gql"
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/index"
@@ -22,30 +23,25 @@ import (
 	"github.com/psi-graph/psi/internal/vf2"
 )
 
+// streamTestGraph is a connected 30-vertex graph over two labels and the
+// path 0-1-0, which it holds many times.
 func streamTestGraph() (*graph.Graph, *graph.Graph) {
-	r := rand.New(rand.NewSource(7))
-	b := graph.NewBuilder("g")
-	const n = 30
-	for i := 0; i < n; i++ {
-		b.AddVertex(graph.Label(r.Intn(2)))
-	}
-	for v := 1; v < n; v++ {
-		if err := b.AddEdge(r.Intn(v), v); err != nil {
-			panic(err)
-		}
-	}
-	for i := 0; i < 40; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !b.HasEdgePending(u, v) {
-			if err := b.AddEdge(u, v); err != nil {
-				panic(err)
-			}
-		}
-	}
-	g := b.MustBuild()
-	q := graph.MustNew("q", []graph.Label{0, 1, 0}, [][2]int{{0, 1}, {1, 2}})
-	return g, q
+	return difftest.Graph(rand.New(rand.NewSource(7)), 30, 40, 2), graph.MustNew("q", []graph.Label{0, 1, 0}, [][2]int{{0, 1}, {1, 2}})
 }
+
+// raceStream runs racer's streamed race and returns what reached a sink that
+// keeps every embedding and asks for more while more says so.
+func raceStream(racer *Racer, q *graph.Graph, limit int, attempts []Attempt, more func(n int) bool) ([]match.Embedding, Result, error) {
+	var got []match.Embedding
+	res, err := racer.RaceStream(context.Background(), q, limit, attempts, match.SinkFunc(func(e match.Embedding) bool {
+		got = append(got, e)
+		return more(len(got))
+	}))
+	return got, res, err
+}
+
+// always is a raceStream sink rule that never stops.
+func always(int) bool { return true }
 
 func streamAttempts(g *graph.Graph) []Attempt {
 	return Portfolio(
@@ -64,26 +60,13 @@ func TestRaceStreamMatchesRaceCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []match.Embedding
-	res, err := racer.RaceStream(context.Background(), q, 100000, attempts,
-		match.SinkFunc(func(e match.Embedding) bool {
-			got = append(got, e)
-			return true
-		}))
-	if err != nil {
-		t.Fatal(err)
+	got, res, err := raceStream(racer, q, 100000, attempts, always)
+	if err != nil || len(got) != len(want.Embeddings) {
+		t.Fatalf("streamed %d embeddings (%v), slice race found %d", len(got), err, len(want.Embeddings))
 	}
-	if len(got) != len(want.Embeddings) {
-		t.Fatalf("streamed %d embeddings, slice race found %d", len(got), len(want.Embeddings))
-	}
-	if res.Found != len(got) {
-		t.Errorf("Result.Found = %d, sink saw %d", res.Found, len(got))
-	}
-	if res.Embeddings != nil {
-		t.Error("RaceStream must not materialize embeddings in the Result")
-	}
-	if !res.Contained() {
-		t.Error("Contained() must be true for a non-empty stream")
+	// RaceStream counts what it streams and materializes none of it.
+	if res.Found != len(got) || res.Embeddings != nil || !res.Contained() {
+		t.Errorf("Result.Found = %d with %d materialized, Contained %v; sink saw %d", res.Found, len(res.Embeddings), res.Contained(), len(got))
 	}
 	for _, e := range got {
 		if verr := match.VerifyEmbedding(q, g, e); verr != nil {
@@ -99,20 +82,9 @@ func TestRaceStreamFirstEmissionStopsRace(t *testing.T) {
 	g, q := streamTestGraph()
 	racer := NewRacer(g)
 	attempts := streamAttempts(g)
-	emitted := 0
-	res, err := racer.RaceStream(context.Background(), q, 100000, attempts,
-		match.SinkFunc(func(match.Embedding) bool {
-			emitted++
-			return false
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emitted != 1 || res.Found != 1 {
-		t.Fatalf("emitted %d / Found %d, want exactly 1", emitted, res.Found)
-	}
-	if res.WinnerIndex < 0 || res.WinnerIndex >= len(attempts) {
-		t.Fatalf("WinnerIndex %d out of range", res.WinnerIndex)
+	got, res, err := raceStream(racer, q, 100000, attempts, func(int) bool { return false })
+	if err != nil || len(got) != 1 || res.Found != 1 || res.WinnerIndex < 0 || res.WinnerIndex >= len(attempts) {
+		t.Fatalf("emitted %d / Found %d, winner %d (%v); want exactly 1 from one of %d attempts", len(got), res.Found, res.WinnerIndex, err, len(attempts))
 	}
 }
 
@@ -177,35 +149,16 @@ func TestRaceStreamEmptyAnswer(t *testing.T) {
 	hex := graph.MustNew("hex", []graph.Label{0, 0, 0, 0, 0, 0},
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
 	tri := graph.MustNew("tri", []graph.Label{0, 0, 0}, [][2]int{{0, 1}, {1, 2}, {2, 0}})
-	racer := NewRacer(hex)
-	res, err := racer.RaceStream(context.Background(), tri, 10, streamAttempts(hex),
-		match.SinkFunc(func(match.Embedding) bool {
-			t.Error("empty race must not emit")
-			return false
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Found != 0 || res.Contained() {
-		t.Fatalf("empty race reported Found=%d Contained=%v", res.Found, res.Contained())
+	if got, res, err := raceStream(NewRacer(hex), tri, 10, streamAttempts(hex), always); err != nil || len(got) != 0 || res.Found != 0 || res.Contained() {
+		t.Fatalf("empty race emitted %v and reported Found=%d Contained=%v (%v)", got, res.Found, res.Contained(), err)
 	}
 }
 
 // TestRaceStreamDecisionLimit: limit <= 0 streams exactly one embedding.
 func TestRaceStreamDecisionLimit(t *testing.T) {
 	g, q := streamTestGraph()
-	racer := NewRacer(g)
-	emitted := 0
-	res, err := racer.RaceStream(context.Background(), q, 0, streamAttempts(g),
-		match.SinkFunc(func(match.Embedding) bool {
-			emitted++
-			return true
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emitted != 1 || res.Found != 1 {
-		t.Fatalf("decision stream emitted %d / Found %d, want 1", emitted, res.Found)
+	if got, res, err := raceStream(NewRacer(g), q, 0, streamAttempts(g), always); err != nil || len(got) != 1 || res.Found != 1 {
+		t.Fatalf("decision stream emitted %d / Found %d (%v), want 1", len(got), res.Found, err)
 	}
 }
 
@@ -216,28 +169,15 @@ func TestRaceStreamSingleEmitter(t *testing.T) {
 	racer := NewRacer(g)
 	attempts := streamAttempts(g)
 	for i := 0; i < 50; i++ {
-		var want []match.Embedding
-		res, err := racer.RaceStream(context.Background(), q, 1000, attempts,
-			match.SinkFunc(func(e match.Embedding) bool {
-				want = append(want, e)
-				return true
-			}))
+		want, res, err := raceStream(racer, q, 1000, attempts, always)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The winner's own slice-path enumeration must reproduce the
 		// stream exactly: interleaving two attempts would break this.
 		direct, err := racer.Race(context.Background(), q, 1000, []Attempt{res.Winner})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(direct.Embeddings) != len(want) {
-			t.Fatalf("iter %d: stream has %d embeddings, winner alone finds %d", i, len(want), len(direct.Embeddings))
-		}
-		for j, e := range direct.Embeddings {
-			if !slices.Equal(e, want[j]) {
-				t.Fatalf("iter %d: stream diverges from winner's own order at %d", i, j)
-			}
+		if err != nil || !slices.EqualFunc(direct.Embeddings, want, slices.Equal[match.Embedding]) {
+			t.Fatalf("iter %d: a stream of %d embeddings; the winner alone finds %d in another order (%v)", i, len(want), len(direct.Embeddings), err)
 		}
 	}
 }
@@ -248,13 +188,7 @@ func TestRaceStreamParentCancellation(t *testing.T) {
 	// A label-1 hub with 60 label-0 leaves holds 60·59 embeddings of the
 	// 0-1-0 path, so thousands of search steps remain after the first
 	// emission and the matcher's budget must poll the cancelled context.
-	labels := []graph.Label{1}
-	var edges [][2]int
-	for v := 1; v <= 60; v++ {
-		labels = append(labels, 0)
-		edges = append(edges, [2]int{0, v})
-	}
-	g := graph.MustNew("star", labels, edges)
+	g := hubStar(60)
 	_, q := streamTestGraph()
 	racer := NewRacer(g)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -269,11 +203,8 @@ func TestRaceStreamParentCancellation(t *testing.T) {
 			return true
 		}))
 	cancel()
-	if err == nil {
-		t.Fatalf("stream finished after %d embeddings despite cancellation", streamed.Load())
-	}
-	if !strings.Contains(err.Error(), context.Canceled.Error()) {
-		t.Fatalf("expected a cancellation error, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
+		t.Fatalf("stream ended after %d embeddings with %v, want a cancellation error", streamed.Load(), err)
 	}
 }
 
@@ -285,11 +216,8 @@ func TestStreamEarlyStopIsAnswerPrefix(t *testing.T) {
 	vs := []index.Verifier{gate}
 	kinds := []rewrite.Kind{rewrite.Orig, rewrite.DND}
 	want, _, err := collect(context.Background(), nil, kinds, x, vs, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != 20 || !slices.IsSorted(want) {
-		t.Fatalf("full stream %v, want 20 ascending ids", want)
+	if err != nil || len(want) != 20 || !slices.IsSorted(want) {
+		t.Fatalf("full stream %v (%v), want 20 ascending ids", want, err)
 	}
 	var firstThree []int
 	if _, err := StreamFTV(context.Background(), nil, x, vs, rewrite.FrequenciesOfDataset(x.Dataset()), kinds, edge, func(id int) bool {

@@ -141,12 +141,8 @@ func TestIndexRaceRepeatedNoLeak(t *testing.T) {
 	}
 	leakcheck.Check(t, 4)
 	for i := 0; i < 200; i++ {
-		_, wins, err := collect(context.Background(), pool, orig, x, vs, edge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(wins, []int{2, 0}) {
-			t.Fatalf("iteration %d: wins = %v", i, wins)
+		if _, wins, err := collect(context.Background(), pool, orig, x, vs, edge); err != nil || !slices.Equal(wins, []int{2, 0}) {
+			t.Fatalf("iteration %d: wins = %v, %v", i, wins, err)
 		}
 	}
 }
@@ -237,14 +233,8 @@ func TestIndexRaceArmsOutOfPortfolioOrder(t *testing.T) {
 func TestIndexRaceAllFail(t *testing.T) {
 	boom := errors.New("boom")
 	failing := func(ctx context.Context, graphID int) (bool, error) { return false, boom }
-	_, _, err := indexRace(t, context.Background(), 0, 1, []int{0}, failing, failing)
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	for _, name := range []string{"a-Orig", "b-Orig"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("err = %v, want it to name %s", err, name)
-		}
+	if _, _, err := indexRace(t, context.Background(), 0, 1, []int{0}, failing, failing); !errors.Is(err, boom) || !strings.Contains(err.Error(), "a-Orig") || !strings.Contains(err.Error(), "b-Orig") {
+		t.Fatalf("err = %v, want boom under a-Orig and b-Orig", err)
 	}
 }
 
@@ -285,11 +275,7 @@ func TestIndexRaceEmitStop(t *testing.T) {
 func TestStreamRewritesQueryOncePerKind(t *testing.T) {
 	const candidates = 40
 	kinds := []rewrite.Kind{rewrite.Orig, rewrite.DND}
-	ids := make([]int, candidates)
-	for i := range ids {
-		ids[i] = i
-	}
-	x := stubTable(t, candidates, ids...)
+	x, _ := newGated(t, candidates)
 	var (
 		mu        sync.Mutex
 		instances = map[*graph.Graph]int{}
@@ -304,23 +290,14 @@ func TestStreamRewritesQueryOncePerKind(t *testing.T) {
 		vs = append(vs, &stubVerifier{name: name, verify: instantVerify, onVerify: record})
 	}
 	q := edge
-	var got []int
-	_, err := StreamFTV(context.Background(), nil, x, vs, rewrite.FrequenciesOfDataset(x.Dataset()), kinds, q, func(id int) bool {
-		got = append(got, id)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != candidates {
-		t.Fatalf("answered %d ids, want %d", len(got), candidates)
+	if got, _, err := collect(context.Background(), nil, kinds, x, vs, q); err != nil || len(got) != candidates {
+		t.Fatalf("answered %d ids (%v), want %d", len(got), err, candidates)
 	}
 	mu.Lock() // a candidate race's losing rewriting may still be finishing
-	if len(instances) == 0 || len(instances) > len(kinds) {
-		t.Errorf("%d distinct query graphs reached Verify, want at most %d", len(instances), len(kinds))
-	}
-	if instances[q] != 0 {
-		t.Error("the caller's own query graph reached Verify: instances must be the prepared rewritings")
+	// The caller's own query graph never reaches Verify: the instances are
+	// the prepared rewritings.
+	if len(instances) == 0 || len(instances) > len(kinds) || instances[q] != 0 {
+		t.Errorf("%d distinct query graphs reached Verify (the caller's %d times), want at most %d, the caller's never", len(instances), instances[q], len(kinds))
 	}
 	mu.Unlock()
 	contained, _, err := RaceInstances(context.Background(), nil, x, vs[:1], Instances(q, nil, kinds), 0)

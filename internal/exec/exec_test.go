@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,34 +14,30 @@ import (
 	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
+// runGroup submits n copies of task to a new group on p, the i-th called
+// with i, and returns the group's Wait.
+func runGroup(p *Pool, n int, task func(i int)) error {
+	g := p.NewGroup(context.Background())
+	for i := 0; i < n; i++ {
+		g.Go(func(context.Context) error { task(i); return nil })
+	}
+	return g.Wait()
+}
+
 func TestPoolDefaultsToNumCPU(t *testing.T) {
 	p := New(0)
 	defer p.Close()
-	if p.Workers() != runtime.NumCPU() {
-		t.Errorf("Workers() = %d, want %d", p.Workers(), runtime.NumCPU())
-	}
-	if Default().Workers() != runtime.NumCPU() {
-		t.Errorf("Default().Workers() = %d, want %d", Default().Workers(), runtime.NumCPU())
+	if p.Workers() != runtime.NumCPU() || Default().Workers() != runtime.NumCPU() {
+		t.Errorf("Workers() = %d, Default().Workers() = %d, want %d", p.Workers(), Default().Workers(), runtime.NumCPU())
 	}
 }
 
 func TestGroupRunsAllTasks(t *testing.T) {
 	p := New(4)
 	defer p.Close()
-	const n = 100
 	var ran atomic.Int64
-	g := p.NewGroup(context.Background())
-	for i := 0; i < n; i++ {
-		g.Go(func(ctx context.Context) error {
-			ran.Add(1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != n {
-		t.Errorf("ran %d tasks, want %d", ran.Load(), n)
+	if err := runGroup(p, 100, func(int) { ran.Add(1) }); err != nil || ran.Load() != 100 {
+		t.Errorf("ran %d tasks (%v), want 100", ran.Load(), err)
 	}
 }
 
@@ -118,15 +115,12 @@ func TestGroupPanicRecovery(t *testing.T) {
 	defer p.Close()
 	g := p.NewGroup(context.Background())
 	g.Go(func(ctx context.Context) error { panic("kaboom") })
-	err := g.Wait()
-	if err == nil || !strings.Contains(err.Error(), "kaboom") {
+	if err := g.Wait(); err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("Wait() = %v, want panic error containing %q", err, "kaboom")
 	}
 	// Pool must still run work after absorbing a panic.
-	g2 := p.NewGroup(context.Background())
 	ok := false
-	g2.Go(func(ctx context.Context) error { ok = true; return nil })
-	if err := g2.Wait(); err != nil || !ok {
+	if err := runGroup(p, 1, func(int) { ok = true }); err != nil || !ok {
 		t.Fatalf("pool unusable after panic: err=%v ok=%v", err, ok)
 	}
 }
@@ -163,25 +157,14 @@ func TestMaxWorkers1Determinism(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		p := New(1)
 		var order []int
-		g := p.NewGroup(context.Background())
-		for i := 0; i < 50; i++ {
-			i := i
-			g.Go(func(ctx context.Context) error {
-				order = append(order, i)
-				return nil
-			})
-		}
-		if err := g.Wait(); err != nil {
-			t.Fatal(err)
-		}
+		err := runGroup(p, 50, func(i int) { order = append(order, i) })
 		p.Close()
-		if len(order) != 50 {
-			t.Fatalf("trial %d: ran %d tasks, want 50", trial, len(order))
-		}
+		ordered := len(order) == 50
 		for i, v := range order {
-			if v != i {
-				t.Fatalf("trial %d: order[%d] = %d, want %d (MaxWorkers=1 must preserve submission order)", trial, i, v, i)
-			}
+			ordered = ordered && v == i
+		}
+		if err != nil || !ordered {
+			t.Fatalf("trial %d: ran %v (%v), want 0..49 in submission order", trial, order, err)
 		}
 	}
 }
@@ -218,14 +201,7 @@ func TestStress(t *testing.T) {
 		outer.Add(1)
 		go func() {
 			defer outer.Done()
-			g := p.NewGroup(context.Background())
-			for i := 0; i < 200; i++ {
-				g.Go(func(ctx context.Context) error {
-					total.Add(1)
-					return nil
-				})
-			}
-			if err := g.Wait(); err != nil {
+			if err := runGroup(p, 200, func(int) { total.Add(1) }); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -282,22 +258,15 @@ func TestClosedPoolGroupStaysBounded(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	var running, peak atomic.Int64
-	g := p.NewGroup(context.Background())
-	for i := 0; i < 200; i++ {
-		g.Go(func(context.Context) error {
-			n := running.Add(1)
-			for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
-			}
-			time.Sleep(50 * time.Microsecond)
-			running.Add(-1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if n := peak.Load(); n != 1 {
-		t.Errorf("%d tasks of one group ran at once on a closed pool, want 1", n)
+	err := runGroup(p, 200, func(int) {
+		n := running.Add(1)
+		for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+		}
+		time.Sleep(50 * time.Microsecond)
+		running.Add(-1)
+	})
+	if n := peak.Load(); err != nil || n != 1 {
+		t.Errorf("%d tasks of one group ran at once on a closed pool (%v), want 1", n, err)
 	}
 }
 
@@ -305,11 +274,7 @@ func TestClosedPoolGroupStaysBounded(t *testing.T) {
 func TestPoolCloseStopsWorkers(t *testing.T) {
 	leakcheck.Check(t, 1)
 	p := New(8)
-	g := p.NewGroup(context.Background())
-	for i := 0; i < 32; i++ {
-		g.Go(func(ctx context.Context) error { return nil })
-	}
-	if err := g.Wait(); err != nil {
+	if err := runGroup(p, 32, func(int) {}); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
@@ -319,19 +284,9 @@ func TestPoolCloseStopsWorkers(t *testing.T) {
 // slots, the Cap+1st TryAcquire rejected, slots reusable after Release.
 func TestLimiterAdmission(t *testing.T) {
 	l := NewLimiter(3)
-	if l.Cap() != 3 {
-		t.Fatalf("Cap = %d, want 3", l.Cap())
-	}
-	for i := 0; i < 3; i++ {
-		if !l.TryAcquire() {
-			t.Fatalf("TryAcquire %d rejected below the limit", i)
-		}
-	}
-	if l.TryAcquire() {
-		t.Fatal("TryAcquire succeeded beyond the limit")
-	}
-	if l.InFlight() != 3 {
-		t.Fatalf("InFlight = %d, want 3", l.InFlight())
+	got := []bool{l.TryAcquire(), l.TryAcquire(), l.TryAcquire(), l.TryAcquire()}
+	if !slices.Equal(got, []bool{true, true, true, false}) || l.Cap() != 3 || l.InFlight() != 3 {
+		t.Fatalf("four TryAcquires = %v with Cap %d, InFlight %d; want the fourth rejected at 3 and 3", got, l.Cap(), l.InFlight())
 	}
 	l.Release()
 	if !l.TryAcquire() {
@@ -380,13 +335,7 @@ func TestLimiterConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if over.Load() {
-		t.Error("in-flight count exceeded the cap")
-	}
-	if admitted.Load() == 0 {
-		t.Error("no acquisition ever succeeded")
-	}
-	if l.InFlight() != 0 {
-		t.Errorf("slots leaked: InFlight = %d after all releases", l.InFlight())
+	if over.Load() || admitted.Load() == 0 || l.InFlight() != 0 {
+		t.Errorf("exceeded the cap %v, %d admitted, InFlight %d after all releases; want never, some, 0", over.Load(), admitted.Load(), l.InFlight())
 	}
 }

@@ -384,6 +384,22 @@ func TestExtractLocationForms(t *testing.T) {
 	}
 }
 
+// complete is K_n, vertex v labelled v mod labels.
+func complete(n, labels int) *graph.Graph {
+	b := graph.NewBuilder("clique")
+	for v := 0; v < n; v++ {
+		b.AddVertex(graph.Label(v % labels))
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if err := b.AddEdge(u, v); err != nil {
+				panic(err) // both endpoints exist
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
 // flipContext reports cancellation from its n-th Err call on: a context that
 // is cancelled while an extraction is under way.
 type flipContext struct {
@@ -404,21 +420,9 @@ func (c *flipContext) Err() error {
 // K24 holds about 1.7 billion simple paths of up to 6 edges, so returning at
 // all within the test timeout means the walk was abandoned.
 func TestExtractFeaturesCancelMidGraph(t *testing.T) {
-	b := graph.NewBuilder("clique")
-	const n = 24
-	for v := 0; v < n; v++ {
-		b.AddVertex(graph.Label(v % 2))
-	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if err := b.AddEdge(u, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	for _, withLocs := range []bool{false, true} {
 		ctx := &flipContext{Context: context.Background(), n: 3} // upfront check, one periodic check, then cancelled
-		feats, err := ExtractFeaturesContext(ctx, b.MustBuild(), 6, withLocs)
+		feats, err := ExtractFeaturesContext(ctx, complete(24, 2), 6, withLocs)
 		if !errors.Is(err, context.Canceled) || feats != nil {
 			t.Fatalf("locations=%v: got (%v, %v), want (nil, context.Canceled)", withLocs, feats, err)
 		}

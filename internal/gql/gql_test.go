@@ -11,17 +11,21 @@ import (
 
 func newTestBudget() *match.Budget { return match.NewBudget(context.Background()) }
 
+// search runs m's search of q up to limit embeddings and fails the test on
+// an error.
+func search(t *testing.T, m *Matcher, q *graph.Graph, limit int) []match.Embedding {
+	t.Helper()
+	embs, err := m.Match(context.Background(), q, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return embs
+}
+
 func TestName(t *testing.T) {
 	g := graph.MustNew("g", []graph.Label{0}, nil)
-	m := New(g)
-	if m.Name() != "GQL" {
-		t.Errorf("Name = %q", m.Name())
-	}
-	if m.Graph() != g {
-		t.Error("Graph accessor")
-	}
-	if m.refine != DefaultRefineLevel {
-		t.Errorf("default refine = %d", m.refine)
+	if m := New(g); m.Name() != "GQL" || m.Graph() != g || m.refine != DefaultRefineLevel {
+		t.Errorf("Name %q, Graph %v, refine %d; want GQL, g, %d", m.Name(), m.Graph(), m.refine, DefaultRefineLevel)
 	}
 }
 
@@ -68,12 +72,7 @@ func TestRefinementPrunes(t *testing.T) {
 		[][2]int{{0, 1}, {0, 2}, {4, 5}, {4, 6}})
 	// q: center (label 0) with neighbors 1,2 — only vertex 4 qualifies.
 	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {0, 2}})
-	m := New(g)
-	embs, err := m.Match(context.Background(), q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(embs) != 1 || embs[0][0] != 4 {
+	if embs := search(t, New(g), q, 10); len(embs) != 1 || embs[0][0] != 4 {
 		t.Errorf("embeddings = %v, want center mapped to 4", embs)
 	}
 }
@@ -86,12 +85,7 @@ func TestNeighborhoodFeasibleAugmenting(t *testing.T) {
 	// q: u has neighbors x (label 1), y (label 1). Feasible: both distinct.
 	g := graph.MustNew("g", []graph.Label{0, 1, 1}, [][2]int{{0, 1}, {0, 2}})
 	q := graph.MustNew("q", []graph.Label{0, 1, 1}, [][2]int{{0, 1}, {0, 2}})
-	m := New(g)
-	embs, err := m.Match(context.Background(), q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(embs) != 2 {
+	if embs := search(t, New(g), q, 10); len(embs) != 2 {
 		t.Errorf("got %d embeddings, want 2 (swap of the two leaves)", len(embs))
 	}
 }
@@ -100,9 +94,8 @@ func TestInfeasibleNeighborhood(t *testing.T) {
 	// q center needs two distinct label-1 neighbours; g center has only one.
 	g := graph.MustNew("g", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {0, 2}})
 	q := graph.MustNew("q", []graph.Label{0, 1, 1}, [][2]int{{0, 1}, {0, 2}})
-	embs, err := New(g).Match(context.Background(), q, 10)
-	if err != nil || len(embs) != 0 {
-		t.Errorf("infeasible query matched: %v, %v", embs, err)
+	if embs := search(t, New(g), q, 10); len(embs) != 0 {
+		t.Errorf("infeasible query matched: %v", embs)
 	}
 }
 
@@ -111,8 +104,7 @@ func TestSearchOrderStartsAtSmallestCandidateList(t *testing.T) {
 	g := graph.MustNew("g", []graph.Label{0, 0, 0, 0, 2},
 		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
 	q := graph.MustNew("q", []graph.Label{0, 0, 2}, [][2]int{{0, 1}, {1, 2}})
-	m := New(g)
-	cand, err := m.candidates(q, newTestBudget())
+	cand, err := New(g).candidates(q, newTestBudget())
 	if err != nil || cand == nil {
 		t.Fatalf("candidates: %v %v", cand, err)
 	}
@@ -124,31 +116,18 @@ func TestSearchOrderStartsAtSmallestCandidateList(t *testing.T) {
 		}
 	}
 	// order must be connected: each subsequent vertex adjacent to prefix
-	placed := map[int32]bool{order[0]: true}
-	for _, u := range order[1:] {
-		adj := false
-		for _, w := range q.Neighbors(int(u)) {
-			if placed[w] {
-				adj = true
-			}
-		}
-		if !adj {
+	for i, u := range order[1:] {
+		if !slices.ContainsFunc(q.Neighbors(int(u)), func(w int32) bool { return slices.Contains(order[:i+1], w) }) {
 			t.Errorf("order %v breaks connectivity at %d", order, u)
 		}
-		placed[u] = true
 	}
 }
 
 func TestRefineLevelZeroStillCorrect(t *testing.T) {
 	g := graph.MustNew("g", []graph.Label{0, 1, 0, 1}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})
-	m := NewWithRefinement(g, 0)
-	embs, err := m.Match(context.Background(), q, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(embs) != 3 {
-		// edges (0,1),(1,2),(2,3): label-(0,1) oriented matches: (0,1),(2,1),(2,3) = 3
+	// edges (0,1),(1,2),(2,3): label-(0,1) oriented matches: (0,1),(2,1),(2,3) = 3
+	if embs := search(t, NewWithRefinement(g, 0), q, 100); len(embs) != 3 {
 		t.Errorf("got %d embeddings, want 3", len(embs))
 	}
 }

@@ -2,6 +2,7 @@ package gql
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -26,26 +27,16 @@ func TestSearchOrderProperty(t *testing.T) {
 		if cand == nil {
 			return true // query not matchable; no order to validate
 		}
+		// A permutation, starting unanchored at a minimal candidate set.
 		p := searchOrder(q, cand)
 		order := p.Order
-		if len(order) != q.N() {
+		if len(order) != q.N() || len(slices.Compact(slices.Sorted(slices.Values(order)))) != q.N() || p.Anchor[0] != -1 {
 			return false
 		}
-		seen := make(map[int32]bool, len(order))
-		for _, u := range order {
-			if seen[u] {
-				return false
-			}
-			seen[u] = true
-		}
-		// starts at a minimal candidate set, unanchored
 		for u := range cand {
 			if cand[u].Len() < cand[order[0]].Len() {
 				return false
 			}
-		}
-		if p.Anchor[0] != -1 {
-			return false
 		}
 		// connected prefix, each vertex anchored on its first placed
 		// neighbour in adjacency order
@@ -86,11 +77,8 @@ func TestRefinementSoundnessProperty(t *testing.T) {
 		ids := bfsVertices(g, start, k)
 		q, new2old := inducedSubgraph(g, ids), ids
 		cand, err := m.candidates(q, newTestBudget())
-		if err != nil || cand == nil {
+		if err != nil || cand == nil || m.refineCandidates(q, cand, newTestBudget()) != nil {
 			return false // planted query must have candidates
-		}
-		if err := m.refineCandidates(q, cand, newTestBudget()); err != nil {
-			return false
 		}
 		for u := 0; u < q.N(); u++ {
 			if !cand[u].Has(new2old[u]) {

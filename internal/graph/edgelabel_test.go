@@ -2,23 +2,25 @@ package graph
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// edge-labeled fixture: triangle with distinct edge labels plus a pendant.
-func edgeLabeledGraph(t *testing.T) *Graph {
+// edgeLabeledGraph is testGraph's triangle with a pendant, edges 0-1, 1-2,
+// 2-0 and 2-3 labelled 5, 6, 7 and 0 unless elabs says otherwise.
+func edgeLabeledGraph(t *testing.T, elabs ...Label) *Graph {
 	t.Helper()
+	if elabs == nil {
+		elabs = []Label{5, 6, 7, 0}
+	}
 	b := NewBuilder("el")
 	for _, l := range []Label{0, 1, 2, 1} {
 		b.AddVertex(l)
 	}
-	for _, e := range []struct {
-		u, v int
-		l    Label
-	}{{0, 1, 5}, {1, 2, 6}, {2, 0, 7}, {2, 3, 0}} {
-		if err := b.AddLabeledEdge(e.u, e.v, e.l); err != nil {
+	for i, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}} {
+		if err := b.AddLabeledEdge(e[0], e[1], elabs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,11 +38,8 @@ func TestEdgeLabelLookup(t *testing.T) {
 			t.Errorf("EdgeLabel(%d,%d) = %d, want %d", c.u, c.v, got, c.want)
 		}
 	}
-	if !g.HasEdgeLabeled(0, 1, 5) || g.HasEdgeLabeled(0, 1, 6) {
-		t.Error("HasEdgeLabeled")
-	}
-	if g.HasEdgeLabeled(0, 3, 0) {
-		t.Error("HasEdgeLabeled on a non-edge")
+	if !g.HasEdgeLabeled(0, 1, 5) || g.HasEdgeLabeled(0, 1, 6) || g.HasEdgeLabeled(0, 3, 0) {
+		t.Error("HasEdgeLabeled must hold for an edge's own label only, and not on a non-edge")
 	}
 }
 
@@ -63,8 +62,7 @@ func TestHasEdgeLabelsBeyondDefault(t *testing.T) {
 	if !edgeLabeledGraph(t).HasEdgeLabelsBeyondDefault() {
 		t.Error("edge-labeled graph should report non-default labels")
 	}
-	plain := MustNew("p", []Label{0, 0}, [][2]int{{0, 1}})
-	if plain.HasEdgeLabelsBeyondDefault() {
+	if MustNew("p", []Label{0, 0}, [][2]int{{0, 1}}).HasEdgeLabelsBeyondDefault() {
 		t.Error("default-labeled graph should report false")
 	}
 }
@@ -73,21 +71,14 @@ func TestLabeledEdgesIteration(t *testing.T) {
 	g := edgeLabeledGraph(t)
 	got := map[[2]int]Label{}
 	g.LabeledEdges(func(u, v int, l Label) { got[[2]int{u, v}] = l })
-	want := map[[2]int]Label{{0, 1}: 5, {0, 2}: 7, {1, 2}: 6, {2, 3}: 0}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for k, l := range want {
-		if got[k] != l {
-			t.Errorf("edge %v label = %d, want %d", k, got[k], l)
-		}
+	if want := map[[2]int]Label{{0, 1}: 5, {0, 2}: 7, {1, 2}: 6, {2, 3}: 0}; !maps.Equal(got, want) {
+		t.Errorf("LabeledEdges = %v, want %v", got, want)
 	}
 }
 
 func TestBuilderRejectsNegativeEdgeLabel(t *testing.T) {
 	b := NewBuilder("x")
-	b.AddVertex(0)
-	b.AddVertex(0)
+	b.AddVertices(0, 2)
 	if err := b.AddLabeledEdge(0, 1, -1); err == nil {
 		t.Error("expected error for negative edge label")
 	}
@@ -97,43 +88,22 @@ func TestPermutePreservesEdgeLabels(t *testing.T) {
 	g := edgeLabeledGraph(t)
 	perm := Permutation{2, 0, 3, 1}
 	h := g.MustPermute(perm)
-	if !IsIsomorphismWitness(g, h, perm) {
-		t.Fatal("permutation must be a label-preserving isomorphism")
+	if !IsIsomorphismWitness(g, h, perm) || h.EdgeLabel(perm[0], perm[1]) != 5 || h.EdgeLabel(perm[1], perm[2]) != 6 {
+		t.Fatal("permutation must be a label-preserving isomorphism, its edge labels moving with it")
 	}
-	if h.EdgeLabel(perm[0], perm[1]) != 5 || h.EdgeLabel(perm[1], perm[2]) != 6 {
-		t.Error("edge labels must move with the permutation")
-	}
-	// A graph with a *different* edge label is not isomorphic under perm.
-	b := NewBuilder("el2")
-	for _, l := range []Label{0, 1, 2, 1} {
-		b.AddVertex(l)
-	}
-	mustLabeled(t, b, 0, 1, 9) // changed from 5
-	mustLabeled(t, b, 1, 2, 6)
-	mustLabeled(t, b, 2, 0, 7)
-	mustLabeled(t, b, 2, 3, 0)
-	g2 := b.MustBuild()
-	if IsIsomorphismWitness(g2, h, perm) {
+	// A graph with a *different* edge label (9 for 5) is not isomorphic under perm.
+	if IsIsomorphismWitness(edgeLabeledGraph(t, 9, 6, 7, 0), h, perm) {
 		t.Error("witness must reject mismatched edge labels")
 	}
 }
 
 func TestCloneEqualWithEdgeLabels(t *testing.T) {
 	g := edgeLabeledGraph(t)
-	h := g.Clone("c")
-	if !g.Equal(h) {
+	if !g.Equal(g.Clone("c")) {
 		t.Error("clone must be Equal")
 	}
-	// differing only in one edge label => not Equal
-	b := NewBuilder("el")
-	for _, l := range []Label{0, 1, 2, 1} {
-		b.AddVertex(l)
-	}
-	mustLabeled(t, b, 0, 1, 5)
-	mustLabeled(t, b, 1, 2, 6)
-	mustLabeled(t, b, 2, 0, 7)
-	mustLabeled(t, b, 2, 3, 4) // was 0
-	if g.Equal(b.MustBuild()) {
+	// differing only in one edge label (4 for 0) => not Equal
+	if g.Equal(edgeLabeledGraph(t, 5, 6, 7, 4)) {
 		t.Error("Equal must compare edge labels")
 	}
 }
@@ -148,12 +118,8 @@ func TestIOEdgeLabelsRoundTrip(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte("0 1 5")) {
 		t.Errorf("labeled edge not serialized:\n%s", buf.String())
 	}
-	back, err := ReadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || !back[0].Equal(g) {
-		t.Error("edge-labeled graph failed to round-trip")
+	if back, err := ReadDataset(&buf); err != nil || len(back) != 1 || !back[0].Equal(g) {
+		t.Errorf("edge-labeled graph failed to round-trip: %v, %v", back, err)
 	}
 }
 
@@ -183,13 +149,6 @@ func TestPermuteEdgeLabelProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func mustLabeled(t *testing.T, b *Builder, u, v int, l Label) {
-	t.Helper()
-	if err := b.AddLabeledEdge(u, v, l); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -219,18 +219,6 @@ func (g *Graph) VerticesWithLabel(l Label) []int32 {
 	return g.lblOrder[g.lblStart[i]:g.lblStart[i+1]]
 }
 
-// VerticesByLabel returns, for each label, the ascending list of vertices
-// carrying it. The returned lists alias the graph's label index; callers
-// must not modify them. Prefer VerticesWithLabel for single-label lookups —
-// it avoids materializing the map.
-func (g *Graph) VerticesByLabel() map[Label][]int32 {
-	idx := make(map[Label][]int32, len(g.lblVals))
-	for i, l := range g.lblVals {
-		idx[l] = g.lblOrder[g.lblStart[i]:g.lblStart[i+1]]
-	}
-	return idx
-}
-
 // buildLabelIndex populates lblOrder/lblVals/lblStart from labels. Vertices
 // are sorted by (label, ID), so each label's range is ascending by ID.
 func (g *Graph) buildLabelIndex() {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -23,23 +24,9 @@ func testGraph(t *testing.T) *Graph {
 
 func TestBasicAccessors(t *testing.T) {
 	g := testGraph(t)
-	if g.N() != 4 {
-		t.Errorf("N = %d, want 4", g.N())
-	}
-	if g.M() != 4 {
-		t.Errorf("M = %d, want 4", g.M())
-	}
-	if g.Label(3) != 1 {
-		t.Errorf("Label(3) = %d, want 1", g.Label(3))
-	}
-	if g.MaxLabel() != 2 {
-		t.Errorf("MaxLabel = %d, want 2", g.MaxLabel())
-	}
-	if g.Degree(2) != 3 {
-		t.Errorf("Degree(2) = %d, want 3", g.Degree(2))
-	}
-	if g.Degree(3) != 1 {
-		t.Errorf("Degree(3) = %d, want 1", g.Degree(3))
+	got := []int{g.N(), g.M(), int(g.Label(3)), int(g.MaxLabel()), g.Degree(2), g.Degree(3)}
+	if want := []int{4, 4, 1, 2, 3, 1}; !slices.Equal(got, want) {
+		t.Errorf("N, M, Label(3), MaxLabel, Degree(2), Degree(3) = %v, want %v", got, want)
 	}
 }
 
@@ -50,39 +37,20 @@ func TestHasEdgeSymmetric(t *testing.T) {
 			t.Errorf("edge %v should exist in both directions", e)
 		}
 	}
-	if g.HasEdge(0, 3) || g.HasEdge(3, 0) {
-		t.Error("edge (0,3) should not exist")
-	}
-	if g.HasEdge(1, 3) {
-		t.Error("edge (1,3) should not exist")
+	if g.HasEdge(0, 3) || g.HasEdge(3, 0) || g.HasEdge(1, 3) {
+		t.Error("edges (0,3) and (1,3) should not exist")
 	}
 }
 
 func TestNeighborsSorted(t *testing.T) {
-	g := testGraph(t)
-	nb := g.Neighbors(2)
-	want := []int32{0, 1, 3}
-	if len(nb) != len(want) {
-		t.Fatalf("Neighbors(2) = %v, want %v", nb, want)
-	}
-	for i := range nb {
-		if nb[i] != want[i] {
-			t.Fatalf("Neighbors(2) = %v, want %v", nb, want)
-		}
+	if nb := testGraph(t).Neighbors(2); !slices.Equal(nb, []int32{0, 1, 3}) {
+		t.Fatalf("Neighbors(2) = %v, want [0 1 3]", nb)
 	}
 }
 
 func TestEdgesDeterministicOrder(t *testing.T) {
-	g := testGraph(t)
-	got := g.EdgeList()
-	want := [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}}
-	if len(got) != len(want) {
+	if got, want := testGraph(t).EdgeList(), [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}}; !slices.Equal(got, want) {
 		t.Fatalf("EdgeList = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("EdgeList = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -97,22 +65,15 @@ func TestBuilderRejectsSelfLoop(t *testing.T) {
 func TestBuilderRejectsOutOfRange(t *testing.T) {
 	b := NewBuilder("x")
 	b.AddVertex(0)
-	if err := b.AddEdge(0, 1); err == nil {
-		t.Error("expected error for out-of-range endpoint")
-	}
-	if err := b.AddEdge(-1, 0); err == nil {
-		t.Error("expected error for negative endpoint")
+	if b.AddEdge(0, 1) == nil || b.AddEdge(-1, 0) == nil {
+		t.Error("expected errors for an out-of-range and a negative endpoint")
 	}
 }
 
 func TestBuilderRejectsDuplicateEdges(t *testing.T) {
 	b := NewBuilder("x")
-	b.AddVertex(0)
-	b.AddVertex(1)
-	if err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(1, 0); err != nil {
+	b.AddVertices(0, 2)
+	if err := errors.Join(b.AddEdge(0, 1), b.AddEdge(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Build(); err == nil {
@@ -141,20 +102,8 @@ func TestDegreeSumInvariant(t *testing.T) {
 
 func TestLabelFrequencies(t *testing.T) {
 	g := testGraph(t)
-	f := g.LabelFrequencies()
-	if f[0] != 1 || f[1] != 2 || f[2] != 1 {
-		t.Errorf("frequencies = %v", f)
-	}
-	if g.DistinctLabels() != 3 {
-		t.Errorf("DistinctLabels = %d, want 3", g.DistinctLabels())
-	}
-}
-
-func TestVerticesByLabel(t *testing.T) {
-	g := testGraph(t)
-	idx := g.VerticesByLabel()
-	if len(idx[1]) != 2 || idx[1][0] != 1 || idx[1][1] != 3 {
-		t.Errorf("VerticesByLabel()[1] = %v, want [1 3]", idx[1])
+	if f := g.LabelFrequencies(); f[0] != 1 || f[1] != 2 || f[2] != 1 || g.DistinctLabels() != 3 {
+		t.Errorf("frequencies = %v, DistinctLabels = %d, want 3", f, g.DistinctLabels())
 	}
 }
 
@@ -199,15 +148,10 @@ func TestLabelRank(t *testing.T) {
 
 func TestCloneAndEqual(t *testing.T) {
 	g := testGraph(t)
-	h := g.Clone("copy")
-	if !g.Equal(h) {
-		t.Error("clone should be Equal to original")
+	if h := g.Clone("copy"); !g.Equal(h) || h.Name() != "copy" {
+		t.Errorf("clone %q should be Equal to the original and named copy", h.Name())
 	}
-	if h.Name() != "copy" {
-		t.Errorf("clone name = %q", h.Name())
-	}
-	g2 := MustNew("t", []Label{0, 1, 2, 2}, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
-	if g.Equal(g2) {
+	if g.Equal(MustNew("t", []Label{0, 1, 2, 2}, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}})) {
 		t.Error("graphs with different labels must not be Equal")
 	}
 }
@@ -216,46 +160,35 @@ func TestPermuteIsIsomorphism(t *testing.T) {
 	g := testGraph(t)
 	perm := Permutation{2, 0, 3, 1}
 	h, err := g.Permute(perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsIsomorphismWitness(g, h, perm) {
-		t.Error("permutation must be an isomorphism witness")
-	}
-	// label moved with vertex
-	if h.Label(2) != g.Label(0) {
-		t.Errorf("label of image vertex: got %d want %d", h.Label(2), g.Label(0))
+	// The label moves with its vertex.
+	if err != nil || !IsIsomorphismWitness(g, h, perm) || h.Label(2) != g.Label(0) {
+		t.Errorf("Permute(%v) = %v, %v; want an isomorphism witness", perm, h, err)
 	}
 }
 
 func TestPermuteRejectsBadPermutations(t *testing.T) {
 	g := testGraph(t)
-	if _, err := g.Permute(Permutation{0, 1, 2}); err == nil {
-		t.Error("expected length-mismatch error")
-	}
-	if _, err := g.Permute(Permutation{0, 1, 2, 2}); err == nil {
-		t.Error("expected non-bijection error")
-	}
-	if _, err := g.Permute(Permutation{0, 1, 2, 9}); err == nil {
-		t.Error("expected out-of-range error")
+	// A length mismatch, a non-bijection, an out-of-range image.
+	for _, p := range []Permutation{{0, 1, 2}, {0, 1, 2, 2}, {0, 1, 2, 9}} {
+		if _, err := g.Permute(p); err == nil {
+			t.Errorf("Permute(%v) succeeded", p)
+		}
 	}
 }
 
 func TestPermutationInverseCompose(t *testing.T) {
 	p := Permutation{2, 0, 3, 1}
 	inv := p.Inverse()
-	id := p.Compose(inv)
-	for v := range id {
-		if id[v] != v {
-			t.Fatalf("p∘p⁻¹ not identity: %v", id)
+	for v := range p {
+		if inv[p[v]] != v {
+			t.Fatalf("p⁻¹∘p not identity: p = %v, p⁻¹ = %v", p, inv)
 		}
 	}
 }
 
 func TestIdentityPermutation(t *testing.T) {
 	g := testGraph(t)
-	h := g.MustPermute(Identity(g.N()))
-	if !g.Equal(h) {
+	if !g.Equal(g.MustPermute(Identity(g.N()))) {
 		t.Error("identity permutation must produce an Equal graph")
 	}
 }
@@ -283,107 +216,63 @@ func TestPermuteRoundTripProperty(t *testing.T) {
 
 func TestConnectedComponents(t *testing.T) {
 	g := MustNew("c", []Label{0, 0, 0, 0, 0}, [][2]int{{0, 1}, {3, 4}})
-	comps := g.ConnectedComponents()
-	if len(comps) != 3 {
-		t.Fatalf("components = %v, want 3 components", comps)
-	}
-	if g.IsConnected() {
-		t.Error("graph is not connected")
-	}
-	if !testGraph(t).IsConnected() {
-		t.Error("test graph is connected")
+	if comps := g.ConnectedComponents(); len(comps) != 3 || g.IsConnected() || !testGraph(t).IsConnected() {
+		t.Fatalf("components = %v, want 3 and not connected; the test graph connected", comps)
 	}
 }
 
 func TestEnumeratePathsCountsOnPathGraph(t *testing.T) {
 	// path 0-1-2: directed simple paths of >=1 edge:
 	// len1: 0-1,1-0,1-2,2-1 (4); len2: 0-1-2, 2-1-0 (2) => 6
-	g := MustNew("p3", []Label{0, 0, 0}, [][2]int{{0, 1}, {1, 2}})
 	count := 0
-	g.EnumeratePaths(4, func(p []int32) { count++ })
+	MustNew("p3", []Label{0, 0, 0}, [][2]int{{0, 1}, {1, 2}}).EnumeratePaths(4, func(p []int32) { count++ })
 	if count != 6 {
 		t.Errorf("path count = %d, want 6", count)
 	}
 }
 
 func TestEnumeratePathsRespectsMaxLen(t *testing.T) {
-	g := MustNew("p4", []Label{0, 0, 0, 0}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	maxSeen := 0
-	g.EnumeratePaths(2, func(p []int32) {
-		if len(p)-1 > maxSeen {
-			maxSeen = len(p) - 1
-		}
-	})
+	MustNew("p4", []Label{0, 0, 0, 0}, [][2]int{{0, 1}, {1, 2}, {2, 3}}).EnumeratePaths(2, func(p []int32) { maxSeen = max(maxSeen, len(p)-1) })
 	if maxSeen != 2 {
 		t.Errorf("max path edges = %d, want 2", maxSeen)
 	}
 }
 
 func TestStats(t *testing.T) {
-	g := testGraph(t)
-	s := ComputeStats(g)
-	if s.Nodes != 4 || s.Edges != 4 {
-		t.Errorf("stats nodes/edges = %d/%d", s.Nodes, s.Edges)
-	}
-	if s.AvgDegree != 2.0 {
-		t.Errorf("avg degree = %f, want 2.0", s.AvgDegree)
-	}
-	wantDensity := 2.0 * 4 / (4 * 3)
-	if s.Density != wantDensity {
-		t.Errorf("density = %f, want %f", s.Density, wantDensity)
-	}
-	if !s.Connected {
-		t.Error("test graph is connected")
-	}
-	if s.Labels != 3 {
-		t.Errorf("labels = %d, want 3", s.Labels)
-	}
-	if s.String() == "" {
-		t.Error("Stats.String should be non-empty")
+	s := ComputeStats(testGraph(t))
+	if s.Nodes != 4 || s.Edges != 4 || s.AvgDegree != 2.0 || s.Density != 2.0*4/(4*3) || !s.Connected || s.Labels != 3 || s.String() == "" {
+		t.Errorf("stats = %+v (%q), want 4 nodes, 4 edges, degree 2, density 2/3, connected, 3 labels", s, s)
 	}
 }
 
 func TestDatasetStats(t *testing.T) {
-	g1 := testGraph(t)
 	g2 := MustNew("d", []Label{5, 5}, nil) // disconnected, new label
-	ds := ComputeDatasetStats("mini", []*Graph{g1, g2})
-	if ds.NumGraphs != 2 {
-		t.Errorf("NumGraphs = %d", ds.NumGraphs)
-	}
-	if ds.NumDisconnected != 1 {
-		t.Errorf("NumDisconnected = %d, want 1", ds.NumDisconnected)
-	}
-	if ds.Labels != 4 {
-		t.Errorf("dataset labels = %d, want 4", ds.Labels)
-	}
-	if ds.AvgNodes != 3 {
-		t.Errorf("avg nodes = %f, want 3", ds.AvgNodes)
-	}
-	if !strings.Contains(ds.String(), "#graphs") {
-		t.Error("DatasetStats.String should mention #graphs")
+	ds := ComputeDatasetStats("mini", []*Graph{testGraph(t), g2})
+	if ds.NumGraphs != 2 || ds.NumDisconnected != 1 || ds.Labels != 4 || ds.AvgNodes != 3 || !strings.Contains(ds.String(), "#graphs") {
+		t.Errorf("dataset stats = %+v (%q), want 2 graphs, 1 disconnected, 4 labels, 3 nodes on average", ds, ds)
 	}
 }
 
 func TestIOWriteReadRoundTrip(t *testing.T) {
-	g1 := testGraph(t)
-	g2 := MustNew("second graph", []Label{3, 4}, [][2]int{{0, 1}})
+	gs := []*Graph{testGraph(t), MustNew("second graph", []Label{3, 4}, [][2]int{{0, 1}})}
+	if back := roundTrip(t, gs); len(back) != 2 || !back[0].Equal(gs[0]) || !back[1].Equal(gs[1]) || back[1].Name() != "second graph" {
+		t.Errorf("round-tripped graphs %v differ from %v", back, gs)
+	}
+}
+
+// roundTrip writes gs as dataset text and reads it back.
+func roundTrip(t *testing.T, gs []*Graph) []*Graph {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteDataset(&buf, []*Graph{g1, g2}); err != nil {
+	if err := WriteDataset(&buf, gs); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadDataset(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 2 {
-		t.Fatalf("read %d graphs, want 2", len(back))
-	}
-	if !back[0].Equal(g1) || !back[1].Equal(g2) {
-		t.Error("round-tripped graphs differ")
-	}
-	if back[1].Name() != "second graph" {
-		t.Errorf("name = %q", back[1].Name())
-	}
+	return back
 }
 
 func TestIORoundTripProperty(t *testing.T) {
@@ -393,20 +282,7 @@ func TestIORoundTripProperty(t *testing.T) {
 		for i := 0; i < 1+r.Intn(3); i++ {
 			gs = append(gs, randomGraph(r, 1+r.Intn(15), 0.3, 4))
 		}
-		var buf bytes.Buffer
-		if err := WriteDataset(&buf, gs); err != nil {
-			return false
-		}
-		back, err := ReadDataset(&buf)
-		if err != nil || len(back) != len(gs) {
-			return false
-		}
-		for i := range gs {
-			if !gs[i].Equal(back[i]) {
-				return false
-			}
-		}
-		return true
+		return slices.EqualFunc(gs, roundTrip(t, gs), (*Graph).Equal)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -479,12 +355,8 @@ func TestReadDatasetLabelRange(t *testing.T) {
 }
 
 func TestReadDatasetEmpty(t *testing.T) {
-	gs, err := ReadDataset(strings.NewReader("\n \n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gs) != 0 {
-		t.Errorf("expected no graphs, got %d", len(gs))
+	if gs, err := ReadDataset(strings.NewReader("\n \n")); err != nil || len(gs) != 0 {
+		t.Errorf("blank input read as %d graphs, %v; want none", len(gs), err)
 	}
 }
 

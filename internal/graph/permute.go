@@ -39,15 +39,6 @@ func (p Permutation) Inverse() Permutation {
 	return q
 }
 
-// Compose returns the permutation r = q∘p, i.e. r[v] = q[p[v]].
-func (p Permutation) Compose(q Permutation) Permutation {
-	r := make(Permutation, len(p))
-	for v := range p {
-		r[v] = q[p[v]]
-	}
-	return r
-}
-
 // Permute returns a new graph isomorphic to g in which vertex v of g has
 // become vertex perm[v]. Labels and adjacency move with the vertices, so the
 // result is isomorphic to g by construction (Definition 2 of the paper: an

@@ -77,39 +77,28 @@ func checkFlatName(t *testing.T, x *Sharded, kind, name string) {
 }
 
 func checkFlatFilter(t *testing.T, x *Sharded) {
-	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
-	if got := x.Filter(q); !slices.Equal(got, []int{0, 1}) {
-		t.Errorf("Filter = %v, want [0 1]", got)
-	}
-	// Frequency pruning: two 0-leaves on a 1-center needs (0,1) twice.
-	q2 := graph.MustNew("q2", []graph.Label{1, 0, 0}, [][2]int{{0, 1}, {0, 2}})
-	if got2 := x.Filter(q2); !slices.Equal(got2, []int{2}) {
-		t.Errorf("Filter = %v, want [2]", got2)
-	}
-	// Edgeless query: all graphs.
-	q3 := graph.MustNew("q3", []graph.Label{0}, nil)
-	if got3 := x.Filter(q3); len(got3) != 3 {
-		t.Errorf("Filter = %v, want all", got3)
-	}
-	// Unknown label: no candidates.
-	q4 := graph.MustNew("q4", []graph.Label{9, 9}, [][2]int{{0, 1}})
-	if got4 := x.Filter(q4); len(got4) != 0 {
-		t.Errorf("Filter = %v, want empty", got4)
+	for _, tc := range []struct {
+		q    *graph.Graph
+		want []int
+	}{
+		{graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}}), []int{0, 1}},
+		// Frequency pruning: two 0-leaves on a 1-center needs (0,1) twice.
+		{graph.MustNew("q2", []graph.Label{1, 0, 0}, [][2]int{{0, 1}, {0, 2}}), []int{2}},
+		{graph.MustNew("edgeless", []graph.Label{0}, nil), []int{0, 1, 2}},
+		{graph.MustNew("unknown label", []graph.Label{9, 9}, [][2]int{{0, 1}}), nil},
+	} {
+		if got := x.Filter(tc.q); !slices.Equal(got, tc.want) {
+			t.Errorf("Filter(%s) = %v, want %v", tc.q.Name(), got, tc.want)
+		}
 	}
 }
 
 func checkFlatVerify(t *testing.T, x *Sharded) {
 	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
-	ok, err := x.Verify(context.Background(), q, 0)
-	if err != nil || !ok {
-		t.Errorf("Verify(g0) = %v, %v", ok, err)
-	}
-	ok, err = x.Verify(context.Background(), q, 2)
-	if err != nil || ok {
-		t.Errorf("Verify(g2) = %v, %v; q not contained", ok, err)
-	}
-	if _, err := x.Verify(context.Background(), q, 99); err == nil {
-		t.Error("Verify out of range should fail")
+	in, err0 := x.Verify(context.Background(), q, 0)
+	out, err2 := x.Verify(context.Background(), q, 2)
+	if _, err := x.Verify(context.Background(), q, 99); !in || out || err0 != nil || err2 != nil || err == nil {
+		t.Errorf("Verify(g0) = %v, %v; Verify(g2) = %v, %v; out of range %v; want true, false and an error", in, err0, out, err2, err)
 	}
 }
 
@@ -159,17 +148,12 @@ func TestFilterStreamMatchesFilter(t *testing.T) {
 	}
 	for qi, q := range queries {
 		var want []int
-		if err := x.tables[0].FilterFeatures(context.Background(), ftv.QueryFeatures(q, ftv.DefaultMaxPathLen), func(id int) bool {
+		err := x.tables[0].FilterFeatures(context.Background(), ftv.QueryFeatures(q, ftv.DefaultMaxPathLen), func(id int) bool {
 			want = append(want, id)
 			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if got := x.Filter(q); !slices.Equal(got, want) {
-			t.Fatalf("query %d: Filter %v vs the table's scan %v", qi, got, want)
-		}
-		if got, err := streamIDs(context.Background(), x, q, 0); err != nil || !slices.Equal(got, want) {
-			t.Fatalf("query %d: stream %v, %v vs filter %v", qi, got, err, want)
+		})
+		if got, serr := streamIDs(context.Background(), x, q, 0); err != nil || serr != nil || !slices.Equal(got, want) || !slices.Equal(x.Filter(q), want) {
+			t.Fatalf("query %d: stream %v (%v), Filter %v vs the table's scan %v (%v)", qi, got, serr, x.Filter(q), want, err)
 		}
 	}
 }
@@ -236,12 +220,8 @@ func TestStreamVerifiedOrderingAndOverlap(t *testing.T) {
 		mu.Unlock()
 		return id%2 == 0, nil
 	}
-	got, err := verified(context.Background(), 2, filter, 0, check)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{0, 2, 4, 6}; !slices.Equal(got, want) {
-		t.Fatalf("emitted %v, want %v (order must match the filter)", got, want)
+	if got, err := verified(context.Background(), 2, filter, 0, check); err != nil || !slices.Equal(got, []int{0, 2, 4, 6}) {
+		t.Fatalf("emitted %v, %v; want [0 2 4 6] in the filter's order", got, err)
 	}
 	if !overlapped {
 		t.Error("verification never overlapped filtering — pipeline is not streaming-first")
@@ -252,19 +232,6 @@ func TestStreamVerifiedEmitStop(t *testing.T) {
 	got, err := verified(context.Background(), 2, upTo(100, nil), 3, func(context.Context, int) (bool, error) { return true, nil })
 	if err != nil || len(got) != 3 {
 		t.Errorf("emit-stop stream emitted %d, %v; want 3 and nil", len(got), err)
-	}
-}
-
-func TestStreamVerifiedErrorPropagates(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := verified(context.Background(), 2, upTo(50, nil), 0, func(ctx context.Context, id int) (bool, error) {
-		if id == 5 {
-			return false, boom
-		}
-		return false, nil
-	})
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
 	}
 }
 
@@ -389,15 +356,8 @@ func TestAnswerMatchesSequentialOracle(t *testing.T) {
 	}
 	for qi, q := range queries {
 		want, err := SequentialAnswer(context.Background(), x, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Answer(context.Background(), x, q, pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("query %d: Answer %v vs SequentialAnswer %v", qi, got, want)
+		if got, gerr := Answer(context.Background(), x, q, pool); err != nil || gerr != nil || !slices.Equal(got, want) {
+			t.Fatalf("query %d: Answer %v (%v) vs SequentialAnswer %v (%v)", qi, got, gerr, want, err)
 		}
 	}
 }
@@ -420,12 +380,7 @@ func TestSequentialAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := NewShardedFrom(ds, nil, tables, evenVerifier{})
-	got, err := SequentialAnswer(context.Background(), x, ds[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, []int{0, 2}) {
-		t.Errorf("SequentialAnswer = %v, want [0 2]", got)
+	if got, err := SequentialAnswer(context.Background(), NewShardedFrom(ds, nil, tables, evenVerifier{}), ds[0]); err != nil || !slices.Equal(got, []int{0, 2}) {
+		t.Errorf("SequentialAnswer = %v, %v; want [0 2]", got, err)
 	}
 }

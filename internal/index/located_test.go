@@ -7,6 +7,7 @@ package index_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -47,17 +48,11 @@ func grapesView(t testing.TB, x *index.Path, workers int, pool *exec.Pool) *inde
 
 func TestBuildAndName(t *testing.T) {
 	x := buildIndex(t, index.KindGrapes, locatedDataset(), index.Options{Workers: 4})
-	if x.Name() != "Grapes/4" {
-		t.Errorf("Name = %q", x.Name())
-	}
-	if len(x.Dataset()) != 3 {
-		t.Error("Dataset")
+	if st := x.Stats(); x.Name() != "Grapes/4" || len(x.Dataset()) != 3 || st.Features == 0 || st.Kind != index.KindGrapes || st.Name != "Grapes/4" || st.LocationBytes == 0 {
+		t.Errorf("Name %q over %d graphs, Stats = %+v; want Grapes/4's table of 3 with locations", x.Name(), len(x.Dataset()), st)
 	}
 	// g2 holds (0,1) three times, touching its every vertex; g0 and g1 once,
 	// touching vertices 0 and 1.
-	if st := x.Stats(); st.Features == 0 || st.Kind != index.KindGrapes || st.Name != "Grapes/4" || st.LocationBytes == 0 {
-		t.Errorf("Stats = %+v, want Grapes/4's table with locations", st)
-	}
 	tab := buildTable(t, index.KindGrapes, locatedDataset(), index.Options{})
 	if tab.MaxPathLen() != ftv.DefaultMaxPathLen {
 		t.Errorf("MaxPathLen = %d", tab.MaxPathLen())
@@ -127,19 +122,13 @@ func TestFilterEdgelessQuery(t *testing.T) {
 func TestCandidateVertices(t *testing.T) {
 	x := buildTable(t, index.KindGrapes, locatedDataset(), index.Options{})
 	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
-	verts, ok := x.CandidateVertices(q, 1)
-	if !ok {
-		t.Fatal("g1 must pass the filter")
-	}
 	// g1 = 0(0)-1(1)-2(2)-3(0): the query's maximal label paths are (0,1,2)
 	// and (2,1,0), and their one occurrence in g1 touches vertices 0, 1 and
-	// 2. Vertex 3 has label 0, but its neighbour 2 has label 2, not 1.
-	if len(verts) != 3 {
-		t.Errorf("candidate vertices = %v, want {0,1,2}", verts)
-	}
-	_, ok = x.CandidateVertices(q, 2)
-	if ok {
-		t.Error("g2 must fail the filter for the 0-1-2 chain")
+	// 2. Vertex 3 has label 0, but its neighbour 2 has label 2, not 1. g2
+	// fails the filter for the 0-1-2 chain.
+	verts, ok := x.CandidateVertices(q, 1)
+	if _, ok2 := x.CandidateVertices(q, 2); !ok || len(verts) != 3 || ok2 {
+		t.Errorf("candidate vertices in g1 = %v, %v; g2 passes %v; want {0,1,2}, true and false", verts, ok, ok2)
 	}
 }
 
@@ -175,8 +164,7 @@ func TestVerifyDisconnectedQuery(t *testing.T) {
 	}
 	x := buildIndex(t, index.KindGrapes, ds, index.Options{})
 	q := graph.MustNew("q", []graph.Label{0, 1, 0, 1}, [][2]int{{0, 1}, {2, 3}})
-	ok, err := x.Verify(context.Background(), q, 0)
-	if err != nil || !ok {
+	if ok, err := x.Verify(context.Background(), q, 0); err != nil || !ok {
 		t.Errorf("disconnected query should verify: %v %v", ok, err)
 	}
 }
@@ -203,12 +191,8 @@ func TestVerifyVertexOnNoPath(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			x := grapesView(t, tab, workers, nil)
-			if got := x.Filter(q); len(got) != 1 {
-				t.Fatalf("%s: Filter = %v, want the graph kept", tc.name, got)
-			}
-			got, err := x.Verify(context.Background(), q, 0)
-			if err != nil || got != tc.want {
-				t.Errorf("%s, workers=%d: Verify = %v, %v; want %v", tc.name, workers, got, err, tc.want)
+			if got, err := x.Verify(context.Background(), q, 0); len(x.Filter(q)) != 1 || err != nil || got != tc.want {
+				t.Errorf("%s, workers=%d: Filter = %v, Verify = %v, %v; want the graph kept, %v", tc.name, workers, x.Filter(q), got, err, tc.want)
 			}
 		}
 	}
@@ -306,22 +290,34 @@ func TestBuildContextCancellation(t *testing.T) {
 	}
 }
 
-// TestBuildContextCancelMidExtraction cancels while extraction is running
-// and asserts the build returns promptly with the context error.
+// TestBuildContextCancelMidExtraction: a build's pooled extraction stops
+// when its context does. The dataset's second graph is K24 at paths of up to
+// 8 edges: the extraction's walk to depth 6 alone visits about 1.7 billion
+// paths, so the build returns only if the group's tasks see the deadline. A
+// build still running after the bounded wait fails the test instead of
+// hanging it.
 func TestBuildContextCancelMidExtraction(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	// A single label and high connectivity make path enumeration heavy
-	// enough that cancellation lands mid-graph.
-	ds := difftest.Random(r, 4, 60, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := index.Build(ctx, index.KindGrapes, ds, 1, index.Options{MaxPathLen: 6})
-	if err == nil {
-		t.Skip("build finished before the deadline; machine too fast for this fixture")
+	var k24 [][2]int
+	for u := 0; u < 24; u++ {
+		for v := u + 1; v < 24; v++ {
+			k24 = append(k24, [2]int{u, v})
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("cancelled build took %v — cancellation is not cooperative", elapsed)
+	ds := []*graph.Graph{locatedDataset()[0], graph.MustNew("K24", make([]graph.Label, 24), k24)}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := index.Build(ctx, index.KindGrapes, ds, 1, index.Options{MaxPathLen: 8})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Build = %v, want the context's deadline error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Build still running 10 s after its 50 ms deadline: extraction ignores the context")
 	}
 }
 

@@ -409,7 +409,7 @@ func (x *Path) finish(buildTime time.Duration, pool *exec.Pool) {
 		MaxPathLen:   x.maxPathLen,
 		Features:     len(x.entries),
 		BuildTime:    buildTime,
-		BuildWorkers: PoolWorkers(pool),
+		BuildWorkers: poolWorkers(pool),
 		Postings:     int64(x.postingCount()),
 		PostingBytes: int64(len(x.postings)),
 	}
@@ -420,10 +420,9 @@ func (x *Path) finish(buildTime time.Duration, pool *exec.Pool) {
 	}
 }
 
-// PoolWorkers reports a build pool's parallelism for Stats.BuildWorkers; 0
-// marks the shared default pool (whose size is the CPU count). Shared by
-// every index implementation.
-func PoolWorkers(p *exec.Pool) int {
+// poolWorkers reports a build pool's parallelism for Stats.BuildWorkers; 0
+// marks the shared default pool (whose size is the CPU count).
+func poolWorkers(p *exec.Pool) int {
 	if p == nil {
 		return 0
 	}

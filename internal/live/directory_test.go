@@ -67,12 +67,6 @@ func buildTable(t *testing.T, kind string, ds []*graph.Graph) *index.Path {
 	return tables[0]
 }
 
-func assertCurrentParity(t *testing.T, st *live.Store, kinds []string) {
-	t.Helper()
-	snap := st.Current()
-	assertParity(t, snap, kinds)
-}
-
 // TestFlatRowSharesDirectory follows one K = 4 store through a build, a
 // restore and every kind of mutation. The first four graphs each carry a
 // label of their own, so no shard's sequences cover another's and the shared
@@ -103,21 +97,17 @@ func TestFlatRowSharesDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSharedRow(t, "Add of known sequences", st)
-	assertCurrentParity(t, st, opts.Kinds)
+	assertParity(t, st.Current(), opts.Kinds)
 
 	// Two removals from shard 1 compact it; the rebuilt shard adopts the
 	// directory.
 	for i, h := range []live.Handle{2, 6} {
-		compacted, err := st.Remove(context.Background(), h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if compacted != (i == 1) {
-			t.Fatalf("removal %d compacted: %v", i, compacted)
+		if compacted, err := st.Remove(context.Background(), h); err != nil || compacted != (i == 1) {
+			t.Fatalf("removal %d compacted: %v, %v", i, compacted, err)
 		}
 	}
 	assertSharedRow(t, "compaction", st)
-	assertCurrentParity(t, st, opts.Kinds)
+	assertParity(t, st.Current(), opts.Kinds)
 
 	// A brand-new label inserted into shard 1 (slot 13) gives that shard a
 	// superset directory and leaves the others sharing theirs.
@@ -133,7 +123,7 @@ func TestFlatRowSharesDirectory(t *testing.T) {
 	if row[0].Directory() != before || row[1].Directory().Len() <= before.Len() {
 		t.Errorf("after an insert of a new label: shard 1's directory holds %d sequences, the shared one %d", row[1].Directory().Len(), before.Len())
 	}
-	assertCurrentParity(t, st, opts.Kinds)
+	assertParity(t, st.Current(), opts.Kinds)
 
 	// A replacement bringing a brand-new label rebuilds shard 2 (handle 3 is
 	// slot 2) with a directory of its own.
@@ -147,7 +137,7 @@ func TestFlatRowSharesDirectory(t *testing.T) {
 	if row[0].Directory() != before {
 		t.Error("a replacement rebound a shard it does not own")
 	}
-	assertCurrentParity(t, st, opts.Kinds)
+	assertParity(t, st.Current(), opts.Kinds)
 }
 
 // assertOneDirectory checks that every shard's table looks its features up
@@ -201,16 +191,13 @@ func TestAddInsertsGGSXAndRebuildsGrapes(t *testing.T) {
 		return st, exportState(t, st).Tables[0]
 	}
 	st, gg := added([]string{index.KindGGSX})
-	if st := gg.Stats(); st.Kind != index.KindGGSX {
-		t.Errorf("the inserted GGSX shard reports kind %q", st.Kind)
-	}
-	if name := st.Current().Table().Name(); name != "GGSX×2" {
-		t.Errorf("the store serving GGSX names its index %q, want GGSX×2", name)
+	if kind, name := gg.Stats().Kind, st.Current().Table().Name(); kind != index.KindGGSX || name != "GGSX×2" {
+		t.Errorf("the inserted GGSX shard reports kind %q, the store's index name %q; want ggsx and GGSX×2", kind, name)
 	}
 	if gg.Directory().Len() <= gg.Stats().Features {
 		t.Errorf("GGSX shard 0 indexes %d sequences of a %d-sequence directory: rebuilt, not inserted", gg.Stats().Features, gg.Directory().Len())
 	}
-	assertCurrentParity(t, st, []string{index.KindGGSX})
+	assertParity(t, st.Current(), []string{index.KindGGSX})
 	kinds := []string{index.KindGGSX, index.KindGrapes}
 	st, sub := added(kinds)
 	if sub.Stats().LocationBytes == 0 {
@@ -234,5 +221,5 @@ func TestAddInsertsGGSXAndRebuildsGrapes(t *testing.T) {
 	if !hit {
 		t.Error("no query passes the new graph's filter; the test checks nothing")
 	}
-	assertCurrentParity(t, st, kinds)
+	assertParity(t, st.Current(), kinds)
 }

@@ -115,12 +115,8 @@ func assertParity(t *testing.T, snap *live.Snapshot, kinds []string) {
 				t.Errorf("epoch %d %s q%d: Filter = %v, want %v", snap.Epoch(), kind, qi, got, want)
 			}
 			got := answer(t, snap, kind, q)
-			want, err := index.Answer(context.Background(), fresh, q, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got, want) {
-				t.Errorf("epoch %d %s q%d: Answer = %v, want %v", snap.Epoch(), kind, qi, got, want)
+			if want, err := index.Answer(context.Background(), fresh, q, nil); err != nil || !slices.Equal(got, want) {
+				t.Errorf("epoch %d %s q%d: Answer = %v, want %v (%v)", snap.Epoch(), kind, qi, got, want, err)
 			}
 		}
 		fresh.Close()
@@ -140,12 +136,9 @@ func TestMutationParityFuzz(t *testing.T) {
 			Kinds: kinds, Shards: k, CompactEvery: 2,
 			Index: index.Options{MaxPathLen: testMaxPathLen},
 		})
-		if st.Shards() != k {
-			t.Fatalf("K=%d: Shards() = %d", k, st.Shards())
-		}
 		lastEpoch := st.Epoch()
-		if lastEpoch != 1 {
-			t.Fatalf("initial epoch = %d, want 1", lastEpoch)
+		if st.Shards() != k || lastEpoch != 1 {
+			t.Fatalf("K=%d: Shards() = %d, initial epoch %d; want %d and 1", k, st.Shards(), lastEpoch, k)
 		}
 		sawCompaction := false
 		for step := 0; step < 10; step++ {
@@ -155,31 +148,23 @@ func TestMutationParityFuzz(t *testing.T) {
 			if len(handles) == 0 {
 				op = 0
 			}
+			var err error
 			switch op {
 			case 0:
-				if _, err := st.Add(context.Background(), randomDataset(r, 1, 8, 2)[0]); err != nil {
-					t.Fatalf("K=%d step %d: Add: %v", k, step, err)
-				}
+				_, err = st.Add(context.Background(), randomDataset(r, 1, 8, 2)[0])
 			case 1:
-				compacted, err := st.Remove(context.Background(), handles[r.Intn(len(handles))])
-				if err != nil {
-					t.Fatalf("K=%d step %d: Remove: %v", k, step, err)
-				}
+				var compacted bool
+				compacted, err = st.Remove(context.Background(), handles[r.Intn(len(handles))])
 				sawCompaction = sawCompaction || compacted
 			case 2:
 				h := handles[r.Intn(len(handles))]
-				if err := st.Replace(context.Background(), h, randomDataset(r, 1, 8, 2)[0]); err != nil {
-					t.Fatalf("K=%d step %d: Replace: %v", k, step, err)
-				}
+				err = st.Replace(context.Background(), h, randomDataset(r, 1, 8, 2)[0])
 			}
 			cur := st.Current()
-			if cur.Epoch() != lastEpoch+1 {
-				t.Fatalf("K=%d step %d: epoch %d after %d", k, step, cur.Epoch(), lastEpoch)
+			if err != nil || cur.Epoch() != lastEpoch+1 || len(cur.Handles()) != len(cur.Graphs()) {
+				t.Fatalf("K=%d step %d: op %d = %v, epoch %d after %d, %d handles for %d graphs", k, step, op, err, cur.Epoch(), lastEpoch, len(cur.Handles()), len(cur.Graphs()))
 			}
 			lastEpoch = cur.Epoch()
-			if len(cur.Handles()) != len(cur.Graphs()) {
-				t.Fatalf("K=%d step %d: %d handles for %d graphs", k, step, len(cur.Handles()), len(cur.Graphs()))
-			}
 			assertParity(t, cur, kinds)
 		}
 		if !sawCompaction && k == 1 {
@@ -222,20 +207,14 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 				default:
 				}
 				snap := st.Current()
-				if _, err := index.Answer(context.Background(), snap.Table(), q, nil); err != nil {
-					failed.Store(true)
-				}
-				if len(snap.Handles()) != len(snap.Graphs()) {
+				if _, err := index.Answer(context.Background(), snap.Table(), q, nil); err != nil || len(snap.Handles()) != len(snap.Graphs()) {
 					failed.Store(true)
 				}
 			}
 		}()
 	}
 	mr := rand.New(rand.NewSource(17))
-	var handles []live.Handle
-	for _, h := range pinned.Handles() {
-		handles = append(handles, h)
-	}
+	handles := slices.Clone(pinned.Handles())
 	for step := 0; step < 30; step++ {
 		if len(handles) > 2 && mr.Intn(2) == 0 {
 			i := mr.Intn(len(handles))
@@ -250,12 +229,8 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 			}
 			handles = append(handles, h)
 		}
-		got, err := index.Answer(context.Background(), pinned.Table(), q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("pinned snapshot drifted at step %d: %v, want %v", step, got, want)
+		if got, err := index.Answer(context.Background(), pinned.Table(), q, nil); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("pinned snapshot drifted at step %d: %v (%v), want %v", step, got, err, want)
 		}
 	}
 	close(stop)
@@ -268,26 +243,22 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 
 // TestStoreErrors covers the argument-validation surface.
 func TestStoreErrors(t *testing.T) {
-	if _, err := live.NewStore(context.Background(), nil, live.Options{}); err == nil {
-		t.Error("NewStore with no kinds did not error")
-	}
-	if _, err := live.NewStore(context.Background(), nil, live.Options{Kinds: []string{"no-such-kind"}}); err == nil {
-		t.Error("NewStore with unregistered kind did not error")
+	for _, kinds := range [][]string{nil, {"no-such-kind"}} {
+		if _, err := live.NewStore(context.Background(), nil, live.Options{Kinds: kinds}); err == nil {
+			t.Errorf("NewStore with kinds %v did not error", kinds)
+		}
 	}
 	r := rand.New(rand.NewSource(1))
 	ds := randomDataset(r, 2, 6, 2)
 	st := newStore(t, ds, live.Options{
 		Kinds: []string{index.KindPath}, Index: index.Options{MaxPathLen: 2},
 	})
-	if _, err := st.Remove(context.Background(), 99); err == nil {
-		t.Error("Remove(unknown) did not error")
-	}
-	if err := st.Replace(context.Background(), 99, ds[0]); err == nil {
-		t.Error("Replace(unknown) did not error")
+	_, errRemove := st.Remove(context.Background(), 99)
+	if errReplace := st.Replace(context.Background(), 99, ds[0]); errRemove == nil || errReplace == nil {
+		t.Error("Remove or Replace of an unknown handle did not error")
 	}
 	// Double-remove of the same handle must fail the second time.
-	snap := st.Current()
-	h := snap.Handles()[0]
+	h := st.Current().Handles()[0]
 	if _, err := st.Remove(context.Background(), h); err != nil {
 		t.Fatal(err)
 	}

@@ -49,11 +49,7 @@ func maximalPaths(q *graph.Graph, maxLen int, visit func(path []int32)) {
 		extended := false
 		if len(path) <= maxLen {
 			for _, w := range q.Neighbors(int(v)) {
-				onPath := false
-				for _, u := range path {
-					onPath = onPath || u == w
-				}
-				if !onPath {
+				if !slices.Contains(path, w) {
 					extended = true
 					dfs(w)
 				}
@@ -165,9 +161,7 @@ func TestCandidatesMatchBothSpellingsFilter(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(t, "compacted", st)
-			state := exportState(t, st)
-			restored := restore(t, roundTripGrid(t, state), 2, ixOpts)
-			check(t, "round-tripped", restored)
+			check(t, "round-tripped", restore(t, roundTripGrid(t, exportState(t, st)), 2, ixOpts))
 		})
 	}
 }

@@ -53,20 +53,8 @@ func roundTripGrid(t *testing.T, state live.State) live.State {
 func assertStoresAgree(t *testing.T, a, b *live.Store, kinds []string) {
 	t.Helper()
 	sa, sb := a.Current(), b.Current()
-	if sa.Epoch() != sb.Epoch() {
-		t.Fatalf("epoch %d vs %d", sa.Epoch(), sb.Epoch())
-	}
-	if !slices.Equal(sa.Handles(), sb.Handles()) {
-		t.Fatalf("handles %v vs %v", sa.Handles(), sb.Handles())
-	}
-	ga, gb := sa.Graphs(), sb.Graphs()
-	if len(ga) != len(gb) {
-		t.Fatalf("%d vs %d graphs", len(ga), len(gb))
-	}
-	for i := range ga {
-		if !ga[i].Equal(gb[i]) {
-			t.Fatalf("graph %d differs after restore", i)
-		}
+	if sa.Epoch() != sb.Epoch() || !slices.Equal(sa.Handles(), sb.Handles()) || !slices.EqualFunc(sa.Graphs(), sb.Graphs(), (*graph.Graph).Equal) {
+		t.Fatalf("epoch %d vs %d, handles %v vs %v, or the graphs differ after restore", sa.Epoch(), sb.Epoch(), sa.Handles(), sb.Handles())
 	}
 	for _, kind := range kinds {
 		for qi, q := range testQueries() {
@@ -94,22 +82,15 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 
 	// Churn: leave live slots, tombstoned slots, and a replaced slot behind.
 	h, err := st.Add(context.Background(), randomDataset(r, 1, 8, 2)[0])
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		_, err = st.Remove(context.Background(), live.Handle(2))
 	}
-	if _, err := st.Remove(context.Background(), live.Handle(2)); err != nil {
-		t.Fatal(err)
+	if err == nil {
+		err = st.Replace(context.Background(), h, randomDataset(r, 1, 8, 2)[0])
 	}
-	if err := st.Replace(context.Background(), h, randomDataset(r, 1, 8, 2)[0]); err != nil {
-		t.Fatal(err)
-	}
-
 	state := exportState(t, st)
-	if state.Epoch != st.Epoch() {
-		t.Fatalf("exported epoch %d, store at %d", state.Epoch, st.Epoch())
-	}
-	if len(state.Tombs) != state.Shards {
-		t.Fatalf("%d tombstone counters for %d shards", len(state.Tombs), state.Shards)
+	if err != nil || state.Epoch != st.Epoch() || len(state.Tombs) != state.Shards {
+		t.Fatalf("churn: %v; exported epoch %d, store at %d; %d tombstone counters for %d shards", err, state.Epoch, st.Epoch(), len(state.Tombs), state.Shards)
 	}
 
 	restored := restore(t, roundTripGrid(t, state), 3, index.Options{MaxPathLen: testMaxPathLen})
@@ -155,11 +136,8 @@ func TestExportStateClosed(t *testing.T) {
 		t.Fatalf("ExportState before close: %v after %d saves", err, saved)
 	}
 	st.Close()
-	if st.Current() != nil {
-		t.Fatal("Current() non-nil after Close")
-	}
-	if err := st.ExportState(save); err == nil || saved != 1 {
-		t.Fatalf("ExportState after Close: %v after %d saves, want an error and no save", err, saved)
+	if err := st.ExportState(save); st.Current() != nil || err == nil || saved != 1 {
+		t.Fatalf("after Close: Current() %v, ExportState %v after %d saves; want nil, an error and no save", st.Current(), err, saved)
 	}
 }
 
@@ -199,14 +177,8 @@ func TestExportStateHoldsMutations(t *testing.T) {
 		}
 		return boom
 	})
-	if !errors.Is(err, boom) {
-		t.Errorf("ExportState = %v, want the save's error", err)
-	}
-	if err := <-added; err != nil {
-		t.Fatalf("the mutation held back by the save: %v", err)
-	}
-	if st.Epoch() != 2 {
-		t.Errorf("epoch %d after the save and one mutation, want 2", st.Epoch())
+	if addErr := <-added; !errors.Is(err, boom) || addErr != nil || st.Epoch() != 2 {
+		t.Errorf("ExportState = %v, the held-back mutation %v, epoch %d; want the save's error, nil and 2", err, addErr, st.Epoch())
 	}
 }
 
@@ -247,10 +219,8 @@ func TestRestoreValidation(t *testing.T) {
 	for _, tc := range cases {
 		s := good
 		tc.mutate(&s)
-		if _, err := live.Restore(s, 0, index.Options{MaxPathLen: testMaxPathLen}); err == nil {
-			t.Errorf("%s: Restore succeeded", tc.name)
-		} else if !strings.Contains(err.Error(), tc.wantSub) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantSub)
+		if _, err := live.Restore(s, 0, index.Options{MaxPathLen: testMaxPathLen}); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("%s: Restore error %v, want one mentioning %q", tc.name, err, tc.wantSub)
 		}
 	}
 
@@ -263,10 +233,8 @@ func TestRestoreValidation(t *testing.T) {
 	// Sub-index over the wrong shard dataset size.
 	bad := good
 	bad.Tables = []*index.Path{buildTable(t, index.KindPath, nil), good.Tables[1]}
-	if _, err := live.Restore(bad, 0, index.Options{MaxPathLen: testMaxPathLen}); err == nil {
-		t.Error("Restore accepted sub-index with wrong dataset size")
-	} else if !strings.Contains(err.Error(), "shard holds") {
-		t.Errorf("wrong-size error: %v", err)
+	if _, err := live.Restore(bad, 0, index.Options{MaxPathLen: testMaxPathLen}); err == nil || !strings.Contains(err.Error(), "shard holds") {
+		t.Errorf("a sub-index over the wrong dataset size: Restore error %v", err)
 	}
 }
 
@@ -304,18 +272,18 @@ func TestCurrentCloseStress(t *testing.T) {
 		}
 		var handles []live.Handle
 		for step := 0; step < 30; step++ {
+			var err error
 			if len(handles) == 0 || r.Intn(2) == 0 {
-				h, err := st.Add(context.Background(), randomDataset(r, 1, 6, 2)[0])
-				if err != nil {
-					t.Fatal(err)
-				}
+				var h live.Handle
+				h, err = st.Add(context.Background(), randomDataset(r, 1, 6, 2)[0])
 				handles = append(handles, h)
 			} else {
 				i := r.Intn(len(handles))
-				if _, err := st.Remove(context.Background(), handles[i]); err != nil {
-					t.Fatal(err)
-				}
+				_, err = st.Remove(context.Background(), handles[i])
 				handles = append(handles[:i], handles[i+1:]...)
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
 		closed.Store(true)
@@ -325,14 +293,10 @@ func TestCurrentCloseStress(t *testing.T) {
 		if failed.Load() {
 			t.Fatalf("round %d: a reader saw nil before Close or a snapshot that did not answer", round)
 		}
-		if _, err := st.Add(context.Background(), randomDataset(r, 1, 6, 2)[0]); err == nil {
-			t.Error("Add after Close did not error")
-		}
-		if _, err := st.Remove(context.Background(), 1); err == nil {
-			t.Error("Remove after Close did not error")
-		}
-		if err := st.Replace(context.Background(), 1, randomDataset(r, 1, 6, 2)[0]); err == nil {
-			t.Error("Replace after Close did not error")
+		_, errAdd := st.Add(context.Background(), randomDataset(r, 1, 6, 2)[0])
+		_, errRemove := st.Remove(context.Background(), 1)
+		if errReplace := st.Replace(context.Background(), 1, randomDataset(r, 1, 6, 2)[0]); errAdd == nil || errRemove == nil || errReplace == nil {
+			t.Errorf("after Close: Add %v, Remove %v, Replace %v; want three errors", errAdd, errRemove, errReplace)
 		}
 	}
 }

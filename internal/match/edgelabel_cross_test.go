@@ -6,14 +6,13 @@ package match_test
 // edge with a different label.
 
 import (
-	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/psi-graph/psi/internal/graph"
 	"github.com/psi-graph/psi/internal/match"
-	"github.com/psi-graph/psi/internal/rewrite"
 )
 
 func randomEdgeLabeledGraph(r *rand.Rand, n, extra, vLabels, eLabels int) *graph.Graph {
@@ -37,27 +36,18 @@ func randomEdgeLabeledGraph(r *rand.Rand, n, extra, vLabels, eLabels int) *graph
 	return b.MustBuild()
 }
 
-// extractEdgeLabeledQuery grows a connected query carrying the source
-// graph's edge labels.
+// extractEdgeLabeledQuery grows a connected query of up to wantEdges edges
+// from a random vertex of g, carrying g's vertex and edge labels.
 func extractEdgeLabeledQuery(r *rand.Rand, g *graph.Graph, wantEdges int) *graph.Graph {
-	start := r.Intn(g.N())
-	inQ := map[int32]bool{int32(start): true}
-	ordered := []int32{int32(start)}
-	type edge struct{ u, v int32 }
-	var qEdges []edge
+	ids := []int32{int32(r.Intn(g.N()))} // in the order they join
+	var edges [][2]int32
 	used := map[[2]int32]bool{}
-	key := func(a, b int32) [2]int32 {
-		if a > b {
-			a, b = b, a
-		}
-		return [2]int32{a, b}
-	}
-	for len(qEdges) < wantEdges {
-		var frontier []edge
-		for _, v := range ordered {
+	for len(edges) < wantEdges {
+		var frontier [][2]int32
+		for _, v := range ids {
 			for _, w := range g.Neighbors(int(v)) {
-				if !used[key(v, w)] {
-					frontier = append(frontier, edge{v, w})
+				if !used[[2]int32{min(v, w), max(v, w)}] {
+					frontier = append(frontier, [2]int32{v, w})
 				}
 			}
 		}
@@ -65,31 +55,31 @@ func extractEdgeLabeledQuery(r *rand.Rand, g *graph.Graph, wantEdges int) *graph
 			break
 		}
 		e := frontier[r.Intn(len(frontier))]
-		qEdges = append(qEdges, e)
-		used[key(e.u, e.v)] = true
-		for _, x := range []int32{e.u, e.v} {
-			if !inQ[x] {
-				inQ[x] = true
-				ordered = append(ordered, x)
-			}
+		edges = append(edges, e)
+		used[[2]int32{min(e[0], e[1]), max(e[0], e[1])}] = true
+		if !slices.Contains(ids, e[1]) {
+			ids = append(ids, e[1])
 		}
 	}
-	ids := append([]int32(nil), ordered...)
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	old2new := make(map[int32]int, len(ids))
+	slices.Sort(ids)
 	b := graph.NewBuilder("q")
-	for i, v := range ids {
-		old2new[v] = i
+	for _, v := range ids {
 		b.AddVertex(g.Label(int(v)))
 	}
-	for _, e := range qEdges {
-		if err := b.AddLabeledEdge(old2new[e.u], old2new[e.v], g.EdgeLabel(int(e.u), int(e.v))); err != nil {
+	for _, e := range edges {
+		if err := b.AddLabeledEdge(slices.Index(ids, e[0]), slices.Index(ids, e[1]), g.EdgeLabel(int(e[0]), int(e[1]))); err != nil {
 			panic(err)
 		}
+	}
+	return b.MustBuild()
+}
+
+// labeledEdge is two label-0 vertices joined by an edge of label l.
+func labeledEdge(name string, l graph.Label) *graph.Graph {
+	b := graph.NewBuilder(name)
+	b.AddVertices(0, 2)
+	if err := b.AddLabeledEdge(0, 1, l); err != nil {
+		panic(err)
 	}
 	return b.MustBuild()
 }
@@ -98,19 +88,7 @@ func TestEdgeLabeledPlantedQueryFound(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 15; trial++ {
 		g := randomEdgeLabeledGraph(r, 20+r.Intn(20), 15, 3, 3)
-		q := extractEdgeLabeledQuery(r, g, 3+r.Intn(5))
-		for _, m := range allMatchers(g) {
-			embs, err := m.Match(context.Background(), q, 1)
-			if err != nil {
-				t.Fatalf("%s: %v", m.Name(), err)
-			}
-			if len(embs) == 0 {
-				t.Fatalf("trial %d %s: edge-labeled planted query not found", trial, m.Name())
-			}
-			if err := match.VerifyEmbedding(q, g, embs[0]); err != nil {
-				t.Fatalf("%s: %v", m.Name(), err)
-			}
-		}
+		wantCount(t, g, extractEdgeLabeledQuery(r, g, 3+r.Intn(5)), 1, 1)
 	}
 }
 
@@ -118,24 +96,7 @@ func TestEdgeLabeledCountsAgreeWithReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomEdgeLabeledGraph(r, 8+r.Intn(6), 5, 2, 2)
-		q := extractEdgeLabeledQuery(r, g, 2+r.Intn(3))
-		const lim = 100000
-		want, err := match.NewReference(g).Match(context.Background(), q, lim)
-		if err != nil {
-			return false
-		}
-		for _, m := range allMatchers(g) {
-			got, err := m.Match(context.Background(), q, lim)
-			if err != nil || len(got) != len(want) {
-				return false
-			}
-			for _, e := range got {
-				if match.VerifyEmbedding(q, g, e) != nil {
-					return false
-				}
-			}
-		}
-		return true
+		return agreesWithReference(g, extractEdgeLabeledQuery(r, g, 2+r.Intn(3)), 100000)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -145,29 +106,7 @@ func TestEdgeLabeledCountsAgreeWithReference(t *testing.T) {
 // An edge-label mismatch alone must rule out all embeddings: same
 // structure, same vertex labels, different edge label.
 func TestEdgeLabelMismatchRejectsEmbedding(t *testing.T) {
-	b := graph.NewBuilder("g")
-	b.AddVertex(0)
-	b.AddVertex(0)
-	if err := b.AddLabeledEdge(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	g := b.MustBuild()
-	qb := graph.NewBuilder("q")
-	qb.AddVertex(0)
-	qb.AddVertex(0)
-	if err := qb.AddLabeledEdge(0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	q := qb.MustBuild()
-	for _, m := range allMatchers(g) {
-		embs, err := m.Match(context.Background(), q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(embs) != 0 {
-			t.Errorf("%s: edge-label mismatch must yield no embeddings, got %v", m.Name(), embs)
-		}
-	}
+	wantCount(t, labeledEdge("g", 1), labeledEdge("q", 2), 10, 0)
 }
 
 // Rewritings must preserve edge labels, so searching an edge-labeled query
@@ -175,47 +114,11 @@ func TestEdgeLabelMismatchRejectsEmbedding(t *testing.T) {
 func TestEdgeLabeledRewritingPreservesSemantics(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	g := randomEdgeLabeledGraph(r, 15, 10, 2, 2)
-	q := extractEdgeLabeledQuery(r, g, 4)
-	freq := rewrite.FrequenciesOf(g)
-	const lim = 100000
-	for _, m := range allMatchers(g) {
-		orig, err := m.Match(context.Background(), q, lim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range rewrite.Structured {
-			got, err := rankedMatch(m, q, rewrite.Compute(q, freq, k, 0), lim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(orig) {
-				t.Fatalf("%s/%v: %d vs %d embeddings", m.Name(), k, len(got), len(orig))
-			}
-			for _, e := range got {
-				if err := match.VerifyEmbedding(q, g, e); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
+	checkRankings(t, g, extractEdgeLabeledQuery(r, g, 4))
 }
 
 func TestVerifyEmbeddingChecksEdgeLabels(t *testing.T) {
-	b := graph.NewBuilder("g")
-	b.AddVertex(0)
-	b.AddVertex(0)
-	if err := b.AddLabeledEdge(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	g := b.MustBuild()
-	qb := graph.NewBuilder("q")
-	qb.AddVertex(0)
-	qb.AddVertex(0)
-	if err := qb.AddLabeledEdge(0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	q := qb.MustBuild()
-	if match.VerifyEmbedding(q, g, match.Embedding{0, 1}) == nil {
+	if match.VerifyEmbedding(labeledEdge("q", 2), labeledEdge("g", 1), match.Embedding{0, 1}) == nil {
 		t.Error("VerifyEmbedding must reject edge-label mismatches")
 	}
 }

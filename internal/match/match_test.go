@@ -46,18 +46,9 @@ func TestCollectorLimit(t *testing.T) {
 		got = append(got, e)
 		return true
 	}))
-	if err := c.found(Embedding{1}); err != nil {
-		t.Errorf("first found: %v", err)
-	}
-	err := c.found(Embedding{2})
-	if err != errStop {
-		t.Errorf("second found should hit limit, got %v", err)
-	}
-	if finishErr := c.finish(err); finishErr != nil {
-		t.Errorf("finish should swallow the stop sentinel, got %v", finishErr)
-	}
-	if len(got) != 2 {
-		t.Errorf("sink saw %d embeddings, want 2", len(got))
+	first, second := c.found(Embedding{1}), c.found(Embedding{2})
+	if finishErr := c.finish(second); first != nil || second != errStop || finishErr != nil || len(got) != 2 {
+		t.Errorf("found = %v then %v, finish = %v, %d embeddings seen; want nil, the stop sentinel at the limit, nil (swallowed) and 2", first, second, finishErr, len(got))
 	}
 }
 
@@ -94,27 +85,22 @@ func TestCollectorClonesEmbeddings(t *testing.T) {
 func TestVerifyEmbedding(t *testing.T) {
 	g := graph.MustNew("g", []graph.Label{0, 1, 0}, [][2]int{{0, 1}, {1, 2}})
 	q := graph.MustNew("q", []graph.Label{0, 1}, [][2]int{{0, 1}})
-	if err := VerifyEmbedding(q, g, Embedding{0, 1}); err != nil {
-		t.Errorf("valid embedding rejected: %v", err)
-	}
-	if err := VerifyEmbedding(q, g, Embedding{0}); err == nil {
-		t.Error("wrong length accepted")
-	}
-	if err := VerifyEmbedding(q, g, Embedding{0, 5}); err == nil {
-		t.Error("out-of-range vertex accepted")
-	}
-	if err := VerifyEmbedding(q, g, Embedding{1, 1}); err == nil {
-		t.Error("non-injective embedding accepted")
-	}
-	if err := VerifyEmbedding(q, g, Embedding{1, 0}); err == nil {
-		t.Error("label-mismatched embedding accepted")
-	}
-	if err := VerifyEmbedding(q, g, Embedding{0, 2}); err == nil {
-		t.Error("embedding with missing edge accepted (0-2 not an edge)")
-	}
-	// non-adjacent but label-correct pair 2,1: edge (2,1) exists, valid
-	if err := VerifyEmbedding(q, g, Embedding{2, 1}); err != nil {
-		t.Errorf("valid embedding rejected: %v", err)
+	for _, tc := range []struct {
+		name  string
+		e     Embedding
+		valid bool
+	}{
+		{"valid", Embedding{0, 1}, true},
+		{"valid, the edge (2,1)", Embedding{2, 1}, true},
+		{"wrong length", Embedding{0}, false},
+		{"out-of-range vertex", Embedding{0, 5}, false},
+		{"non-injective", Embedding{1, 1}, false},
+		{"label-mismatched", Embedding{1, 0}, false},
+		{"missing edge (0-2)", Embedding{0, 2}, false},
+	} {
+		if err := VerifyEmbedding(q, g, tc.e); (err == nil) != tc.valid {
+			t.Errorf("%s embedding %v: error %v, want valid %v", tc.name, tc.e, err, tc.valid)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package rewrite
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -32,15 +34,12 @@ func apply(g *graph.Graph, f Frequencies, k Kind, seed int64) (*graph.Graph, gra
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{
 		Orig: "Orig", ILF: "ILF", IND: "IND", DND: "DND",
-		ILFIND: "ILF+IND", ILFDND: "ILF+DND", Random: "Random",
+		ILFIND: "ILF+IND", ILFDND: "ILF+DND", Random: "Random", Kind(99): "Kind(99)",
 	}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), s)
 		}
-	}
-	if Kind(99).String() != "Kind(99)" {
-		t.Errorf("unknown kind string = %q", Kind(99).String())
 	}
 }
 
@@ -58,110 +57,65 @@ func TestParseKindRoundTrip(t *testing.T) {
 
 func TestOrigIsIdentity(t *testing.T) {
 	g, f := fig5Graph(t)
-	perm := Compute(g, f, Orig, 0)
-	for v, nw := range perm {
-		if v != nw {
-			t.Fatalf("Orig permutation not identity: %v", perm)
+	if perm := Compute(g, f, Orig, 0); !slices.Equal(perm, graph.Identity(g.N())) {
+		t.Fatalf("Orig permutation not identity: %v", perm)
+	}
+}
+
+// fig5ILF is Fig. 5's labels by new ID under ILF: with freqs C(10) < B(15) <
+// A(20), C-vertices get IDs {0,1}, B-vertices {2,3}, A-vertices {4,5,6}.
+var fig5ILF = []graph.Label{2, 2, 1, 1, 0, 0, 0}
+
+// checkOrder fails unless k's rewriting of Fig. 5 is an isomorphism whose
+// labels by new ID are labels and whose degrees are monotone — non-decreasing
+// for dir 1, non-increasing for dir -1 — within each run of equal labels, or
+// over all IDs when labels is nil.
+func checkOrder(t *testing.T, k Kind, labels []graph.Label, dir int) {
+	t.Helper()
+	g, f := fig5Graph(t)
+	h, perm := apply(g, f, k, 0)
+	if !graph.IsIsomorphismWitness(g, h, perm) {
+		t.Fatalf("%v must be an isomorphism", k)
+	}
+	if labels != nil && !slices.Equal(h.Labels(), labels) {
+		t.Errorf("%v: labels by new ID %v, want %v", k, h.Labels(), labels)
+	}
+	for v := 1; v < h.N(); v++ {
+		if (labels == nil || h.Label(v) == h.Label(v-1)) && dir*(h.Degree(v)-h.Degree(v-1)) < 0 {
+			t.Errorf("%v: degree %d at ID %d after %d at ID %d", k, h.Degree(v), v, h.Degree(v-1), v-1)
 		}
 	}
 }
 
 // ILF invariant: new IDs are ordered by non-decreasing stored-graph label
-// frequency. With freqs C(10) < B(15) < A(20): C-vertices get IDs {0,1},
-// B-vertices {2,3}, A-vertices {4,5,6}.
+// frequency.
 func TestILFOrdersByLabelFrequency(t *testing.T) {
-	g, f := fig5Graph(t)
-	h, perm := apply(g, f, ILF, 0)
-	if !graph.IsIsomorphismWitness(g, h, perm) {
-		t.Fatal("ILF must be an isomorphism")
-	}
-	wantLabelAt := []graph.Label{2, 2, 1, 1, 0, 0, 0} // C C B B A A A
-	for v, want := range wantLabelAt {
-		if h.Label(v) != want {
-			t.Errorf("ILF: label at new ID %d = %d, want %d", v, h.Label(v), want)
-		}
-	}
+	checkOrder(t, ILF, fig5ILF, 0)
 }
 
 func TestINDOrdersByIncreasingDegree(t *testing.T) {
-	g, f := fig5Graph(t)
-	h, perm := apply(g, f, IND, 0)
-	if !graph.IsIsomorphismWitness(g, h, perm) {
-		t.Fatal("IND must be an isomorphism")
-	}
-	for v := 1; v < h.N(); v++ {
-		if h.Degree(v) < h.Degree(v-1) {
-			t.Fatalf("IND: degree at ID %d (%d) < degree at ID %d (%d)",
-				v, h.Degree(v), v-1, h.Degree(v-1))
-		}
-	}
+	checkOrder(t, IND, nil, 1)
 }
 
 func TestDNDOrdersByDecreasingDegree(t *testing.T) {
-	g, f := fig5Graph(t)
-	h, perm := apply(g, f, DND, 0)
-	if !graph.IsIsomorphismWitness(g, h, perm) {
-		t.Fatal("DND must be an isomorphism")
-	}
-	for v := 1; v < h.N(); v++ {
-		if h.Degree(v) > h.Degree(v-1) {
-			t.Fatalf("DND: degree at ID %d (%d) > degree at ID %d (%d)",
-				v, h.Degree(v), v-1, h.Degree(v-1))
-		}
-	}
+	checkOrder(t, DND, nil, -1)
 }
 
 // ILF+IND and ILF+DND must respect label frequency first, then degree
 // within equal-frequency groups. The paper notes any ILF+IND rewriting is
 // also a valid ILF rewriting.
 func TestILFCombosRespectBothKeys(t *testing.T) {
-	g, f := fig5Graph(t)
-	for _, k := range []Kind{ILFIND, ILFDND} {
-		h, perm := apply(g, f, k, 0)
-		if !graph.IsIsomorphismWitness(g, h, perm) {
-			t.Fatalf("%v must be an isomorphism", k)
-		}
-		// label-frequency blocks identical to plain ILF
-		wantLabelAt := []graph.Label{2, 2, 1, 1, 0, 0, 0}
-		for v, want := range wantLabelAt {
-			if h.Label(v) != want {
-				t.Errorf("%v: label at new ID %d = %d, want %d", k, v, h.Label(v), want)
-			}
-		}
-		// within each block, degree monotone (increasing for ILFIND,
-		// decreasing for ILFDND)
-		blocks := [][2]int{{0, 2}, {2, 4}, {4, 7}}
-		for _, blk := range blocks {
-			for v := blk[0] + 1; v < blk[1]; v++ {
-				if k == ILFIND && h.Degree(v) < h.Degree(v-1) {
-					t.Errorf("ILF+IND: degrees not increasing within block at %d", v)
-				}
-				if k == ILFDND && h.Degree(v) > h.Degree(v-1) {
-					t.Errorf("ILF+DND: degrees not decreasing within block at %d", v)
-				}
-			}
-		}
-	}
+	checkOrder(t, ILFIND, fig5ILF, 1)
+	checkOrder(t, ILFDND, fig5ILF, -1)
 }
 
 func TestRandomIsSeededDeterministic(t *testing.T) {
 	g, _ := fig5Graph(t)
-	p1 := Compute(g, nil, Random, 7)
-	p2 := Compute(g, nil, Random, 7)
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatal("same seed must give same permutation")
-		}
+	p7 := Compute(g, nil, Random, 7)
+	if !slices.Equal(p7, Compute(g, nil, Random, 7)) {
+		t.Fatal("same seed must give same permutation")
 	}
-	p3 := Compute(g, nil, Random, 8)
-	same := true
-	for i := range p1 {
-		if p1[i] != p3[i] {
-			same = false
-			break
-		}
-	}
-	if same {
+	if slices.Equal(p7, Compute(g, nil, Random, 8)) {
 		t.Error("different seeds should (overwhelmingly) give different permutations")
 	}
 }
@@ -172,8 +126,7 @@ func TestAllKindsProduceValidIsomorphisms(t *testing.T) {
 		g := randomConnected(r, 3+r.Intn(15), 4)
 		freq := FrequenciesOf(g)
 		for _, k := range []Kind{Orig, ILF, IND, DND, ILFIND, ILFDND, Random} {
-			h, perm := apply(g, freq, k, seed)
-			if !graph.IsIsomorphismWitness(g, h, perm) {
+			if h, perm := apply(g, freq, k, seed); !graph.IsIsomorphismWitness(g, h, perm) {
 				return false
 			}
 		}
@@ -187,12 +140,8 @@ func TestAllKindsProduceValidIsomorphisms(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	g, f := fig5Graph(t)
 	for _, k := range Structured {
-		p1 := Compute(g, f, k, 0)
-		p2 := Compute(g, f, k, 0)
-		for i := range p1 {
-			if p1[i] != p2[i] {
-				t.Fatalf("%v not deterministic", k)
-			}
+		if !slices.Equal(Compute(g, f, k, 0), Compute(g, f, k, 0)) {
+			t.Fatalf("%v not deterministic", k)
 		}
 	}
 }
@@ -200,8 +149,7 @@ func TestDeterminism(t *testing.T) {
 func TestFrequenciesOfDataset(t *testing.T) {
 	g1 := graph.MustNew("a", []graph.Label{0, 0, 1}, nil)
 	g2 := graph.MustNew("b", []graph.Label{1, 2}, nil)
-	f := FrequenciesOfDataset([]*graph.Graph{g1, g2})
-	if f[0] != 2 || f[1] != 2 || f[2] != 1 {
+	if f := FrequenciesOfDataset([]*graph.Graph{g1, g2}); !maps.Equal(f, Frequencies{0: 2, 1: 2, 2: 1}) {
 		t.Errorf("dataset frequencies = %v", f)
 	}
 }
@@ -209,29 +157,25 @@ func TestFrequenciesOfDataset(t *testing.T) {
 // Missing labels in the frequency map sort first (treated as frequency 0).
 func TestILFMissingLabelSortsFirst(t *testing.T) {
 	g := graph.MustNew("g", []graph.Label{5, 9}, [][2]int{{0, 1}})
-	f := Frequencies{5: 10} // label 9 unknown => freq 0
-	h, _ := apply(g, f, ILF, 0)
-	if h.Label(0) != 9 {
+	if h, _ := apply(g, Frequencies{5: 10}, ILF, 0); h.Label(0) != 9 { // label 9 unknown => freq 0
 		t.Errorf("unknown label should receive ID 0, labels now %v", h.Labels())
 	}
 }
 
+// randomConnected is a random spanning tree over n vertices plus up to n-1
+// more edges, labels drawn from 0..labels-1.
 func randomConnected(r *rand.Rand, n, labels int) *graph.Graph {
 	b := graph.NewBuilder("rc")
 	for i := 0; i < n; i++ {
 		b.AddVertex(graph.Label(r.Intn(labels)))
 	}
-	// random spanning tree first, then extra edges
 	for v := 1; v < n; v++ {
-		u := r.Intn(v)
-		if err := b.AddEdge(u, v); err != nil {
+		if err := b.AddEdge(r.Intn(v), v); err != nil {
 			panic(err)
 		}
 	}
-	extra := r.Intn(n)
-	for i := 0; i < extra; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !b.HasEdgePending(u, v) {
+	for extra := r.Intn(n); extra > 0; extra-- {
+		if u, v := r.Intn(n), r.Intn(n); u != v && !b.HasEdgePending(u, v) {
 			if err := b.AddEdge(u, v); err != nil {
 				panic(err)
 			}

@@ -67,6 +67,17 @@ func holdLeader(srv *Server, release <-chan struct{}) <-chan *cacheEntry {
 	return led
 }
 
+// wantFlights checks what srv's flights cost: the engine's executions, the
+// followers answered from another request's execution, and the followers
+// that fell back to their own.
+func wantFlights(t *testing.T, srv *Server, executions, coalesced, fallbacks int64) {
+	t.Helper()
+	e, c, f := srv.Engine().Counters().Queries, srv.coalesced.Load(), srv.coalescedFallbacks.Load()
+	if e != executions || c != coalesced || f != fallbacks {
+		t.Errorf("%d engine executions, %d coalesced, %d fallbacks; want %d, %d, %d", e, c, f, executions, coalesced, fallbacks)
+	}
+}
+
 // stampede posts body to url from n clients at once and returns each one's
 // streamed result lines and summary.
 func stampede(t *testing.T, url string, body []byte, n int) ([][]byte, []StreamSummary) {
@@ -100,16 +111,7 @@ func TestCoalesceCollapsesStampede(t *testing.T) {
 	ts := serve(t, srv)
 	leakcheck.Check(t, 2)
 	lines, sums := stampede(t, ts.URL+"/query?stream=1", graphText(t, q), clients)
-
-	if n := srv.Engine().Counters().Queries; n != 1 {
-		t.Errorf("%d identical queries cost %d engine executions, want 1", clients, n)
-	}
-	if n := srv.coalesced.Load(); n != clients-1 {
-		t.Errorf("coalesced = %d, want %d", n, clients-1)
-	}
-	if n := srv.coalescedFallbacks.Load(); n != 0 {
-		t.Errorf("coalescedFallbacks = %d, want 0", n)
-	}
+	wantFlights(t, srv, 1, clients-1, 0)
 	if len(lines[0]) == 0 {
 		t.Fatal("empty answer; pick a different fixture seed")
 	}
@@ -118,11 +120,8 @@ func TestCoalesceCollapsesStampede(t *testing.T) {
 		if !bytes.Equal(lines[i], lines[0]) {
 			t.Errorf("client %d result lines differ:\ngot  %q\nwant %q", i, lines[i], lines[0])
 		}
-		if !sum.Done || sum.Killed || sum.Error != "" {
-			t.Errorf("client %d summary = %+v", i, sum)
-		}
-		if sum.Found != sums[0].Found || sum.Winner != sums[0].Winner {
-			t.Errorf("client %d summary %+v disagrees with %+v", i, sum, sums[0])
+		if !sum.Done || sum.Killed || sum.Error != "" || sum.Found != sums[0].Found || sum.Winner != sums[0].Winner {
+			t.Errorf("client %d summary = %+v, want a complete answer agreeing with %+v", i, sum, sums[0])
 		}
 		if sum.Coalesced {
 			followers++
@@ -172,9 +171,7 @@ func TestCoalesceCollectedFollower(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	if n := srv.Engine().Counters().Queries; n != 1 {
-		t.Errorf("engine executions = %d, want 1", n)
-	}
+	wantFlights(t, srv, 1, 1, 0)
 	if !follower.Coalesced || follower.Cached {
 		t.Errorf("follower response = %+v, want coalesced and not cached", follower)
 	}
@@ -211,11 +208,7 @@ func TestCoalesceFollowerCancelDoesNotKillLeader(t *testing.T) {
 	cancelCtx, cancel := context.WithCancel(context.Background())
 	followerErr := make(chan error, 1)
 	go func() {
-		req, err := http.NewRequestWithContext(cancelCtx, http.MethodPost, ts.URL+"/query?stream=1", bytes.NewReader(body))
-		if err != nil {
-			followerErr <- err
-			return
-		}
+		req, _ := http.NewRequestWithContext(cancelCtx, http.MethodPost, ts.URL+"/query?stream=1", bytes.NewReader(body))
 		resp, err := http.DefaultClient.Do(req)
 		if err == nil {
 			resp.Body.Close()
@@ -225,7 +218,7 @@ func TestCoalesceFollowerCancelDoesNotKillLeader(t *testing.T) {
 	}()
 	waitWaiters(t, fl, 1)
 	cancel()
-	if err := <-followerErr; err == nil || !errors.Is(err, context.Canceled) {
+	if err := <-followerErr; !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled follower error = %v, want context.Canceled", err)
 	}
 	// Wait until the follower's handler has unwound — its admission slot is
@@ -239,12 +232,7 @@ func TestCoalesceFollowerCancelDoesNotKillLeader(t *testing.T) {
 		t.Errorf("leader summary = %+v with %d result bytes; follower cancellation leaked into the leader",
 			sum, len(leaderLines[0]))
 	}
-	if n := srv.Engine().Counters().Queries; n != 1 {
-		t.Errorf("engine executions = %d, want 1", n)
-	}
-	if n := srv.coalesced.Load(); n != 0 {
-		t.Errorf("coalesced = %d, want 0 (the only follower disconnected)", n)
-	}
+	wantFlights(t, srv, 1, 0, 0) // the only follower disconnected
 }
 
 // TestCoalesceNeverSharesKilledAnswers: when the leader's execution is
@@ -262,65 +250,25 @@ func TestCoalesceNeverSharesKilledAnswers(t *testing.T) {
 			t.Errorf("client %d summary = %+v, want killed and not coalesced from a killed execution", i, sum)
 		}
 	}
-	if n := srv.Engine().Counters().Queries; n != clients {
-		t.Errorf("engine executions = %d, want %d (killed answers force independent runs)", n, clients)
-	}
-	if n := srv.coalescedFallbacks.Load(); n != clients-1 {
-		t.Errorf("coalescedFallbacks = %d, want %d", n, clients-1)
-	}
-	if n := srv.coalesced.Load(); n != 0 {
-		t.Errorf("coalesced = %d, want 0", n)
-	}
+	wantFlights(t, srv, clients, 0, clients-1) // killed answers force independent runs
 }
 
-// TestCoalesceOptOuts: ?cache=0 requests never share executions.
+// TestCoalesceOptOuts: ?cache=0 requests never share executions. Both
+// requests are admitted before either runs, so a flight, had one opened,
+// would have gathered the other.
 func TestCoalesceOptOuts(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-		url  string
-	}{
-		{"cache_zero_request", Options{}, "/query?stream=1&cache=0"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, q := coalesceFixture(t, psi.EngineOptions{}, tc.opts)
-			srv.leaderHook = func(fl *cacheEntry) {
-				t.Error("opted-out request opened a flight")
-			}
-			gate := make(chan struct{})
-			var admitted sync.WaitGroup
-			admitted.Add(2)
-			srv.admittedHook = func(ctx context.Context) {
-				admitted.Done()
-				<-gate
-			}
-			go func() {
-				admitted.Wait()
-				close(gate)
-			}()
-			ts := serve(t, srv)
-			body := graphText(t, q)
-
-			var wg sync.WaitGroup
-			for i := 0; i < 2; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					resp, data := postQuery(t, ts.URL+tc.url, body)
-					if resp.StatusCode != http.StatusOK {
-						t.Errorf("status %d body %s", resp.StatusCode, data)
-					}
-				}()
-			}
-			wg.Wait()
-			if n := srv.Engine().Counters().Queries; n != 2 {
-				t.Errorf("engine executions = %d, want 2 (no sharing)", n)
-			}
-			if n := srv.coalesced.Load(); n != 0 {
-				t.Errorf("coalesced = %d, want 0", n)
-			}
-		})
-	}
+	t.Run("cache_zero_request", func(t *testing.T) {
+		srv, q := coalesceFixture(t, psi.EngineOptions{}, Options{})
+		srv.leaderHook = func(*cacheEntry) { t.Error("opted-out request opened a flight") }
+		var admitted sync.WaitGroup
+		admitted.Add(2)
+		srv.admittedHook = func(context.Context) {
+			admitted.Done()
+			admitted.Wait()
+		}
+		stampede(t, serve(t, srv).URL+"/query?stream=1&cache=0", graphText(t, q), 2)
+		wantFlights(t, srv, 2, 0, 0)
+	})
 }
 
 // memoryFixture builds a dataset engine and a server whose result cache
@@ -431,9 +379,7 @@ func TestMemoryRemembersFallbackAnswer(t *testing.T) {
 	if follower.Killed || follower.Coalesced || len(follower.GraphIDs) == 0 {
 		t.Errorf("follower reply = %+v, want its own complete answer", follower)
 	}
-	if n := srv.coalescedFallbacks.Load(); n != 1 {
-		t.Errorf("coalescedFallbacks = %d, want 1", n)
-	}
+	wantFlights(t, srv, 2, 0, 1)
 	again := collect(t, ts.URL+"/query", body)
 	if !again.Cached || fmt.Sprint(again.GraphIDs) != fmt.Sprint(follower.GraphIDs) {
 		t.Errorf("repeat after the fallback = %+v, want cached %v", again, follower.GraphIDs)

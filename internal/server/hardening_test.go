@@ -9,8 +9,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -97,27 +97,20 @@ func TestQueryParamCapsTrackConfig(t *testing.T) {
 // TestRetryAfterDerivation exercises the EWMA → Retry-After pipeline: the
 // cold-start floor, tracking of observed durations, and the 30s cap.
 func TestRetryAfterDerivation(t *testing.T) {
+	// Cold, then after one 5s request, after 64 sub-second ones (back down
+	// to the floor) and after 64 pathologically slow ones (at the cap).
 	srv := NewBuilding(Options{})
-	if got := srv.retryAfterSeconds(); got != 1 {
-		t.Errorf("cold retryAfterSeconds = %d, want the floor 1", got)
-	}
-	srv.observeRequest(5 * time.Second)
-	if got := srv.retryAfterSeconds(); got != 5 {
-		t.Errorf("after one 5s request, retryAfterSeconds = %d, want 5", got)
-	}
-	// Sub-second requests pull the estimate back down toward the floor.
-	for i := 0; i < 64; i++ {
-		srv.observeRequest(10 * time.Millisecond)
-	}
-	if got := srv.retryAfterSeconds(); got != 1 {
-		t.Errorf("after fast requests, retryAfterSeconds = %d, want 1", got)
-	}
-	// Pathologically slow requests saturate at the cap.
-	for i := 0; i < 64; i++ {
-		srv.observeRequest(10 * time.Minute)
-	}
-	if got := srv.retryAfterSeconds(); got != maxRetryAfterSeconds {
-		t.Errorf("after slow requests, retryAfterSeconds = %d, want the %d cap", got, maxRetryAfterSeconds)
+	for _, step := range []struct {
+		d    time.Duration
+		n    int
+		want int
+	}{{0, 0, 1}, {5 * time.Second, 1, 5}, {10 * time.Millisecond, 64, 1}, {10 * time.Minute, 64, maxRetryAfterSeconds}} {
+		for i := 0; i < step.n; i++ {
+			srv.observeRequest(step.d)
+		}
+		if got := srv.retryAfterSeconds(); got != step.want {
+			t.Errorf("after %d requests of %v, retryAfterSeconds = %d, want %d", step.n, step.d, got, step.want)
+		}
 	}
 }
 
@@ -161,67 +154,38 @@ func TestSnapshotEndpoint(t *testing.T) {
 	eng, q := datasetFixture(t)
 	body := graphText(t, q)
 
-	t.Run("unconfigured", func(t *testing.T) {
-		srv := New(eng, Options{})
-		ts := serve(t, srv)
-		resp, data := postQuery(t, ts.URL+"/snapshot", nil)
-		if resp.StatusCode != http.StatusConflict {
-			t.Fatalf("status = %d, want 409 (body %.120s)", resp.StatusCode, data)
-		}
-	})
-
 	path := filepath.Join(t.TempDir(), "srv.psisnap")
-
-	t.Run("building", func(t *testing.T) {
-		srv := NewBuilding(Options{SnapshotPath: path})
-		ts := serve(t, srv)
-		resp, data := postQuery(t, ts.URL+"/snapshot", nil)
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("status = %d, want 503 (body %.120s)", resp.StatusCode, data)
-		}
-	})
+	for _, tc := range []struct {
+		name string
+		srv  *Server
+		want int
+	}{
+		{"unconfigured", New(eng, Options{}), http.StatusConflict},
+		{"building", NewBuilding(Options{SnapshotPath: path}), http.StatusServiceUnavailable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if resp, data := postQuery(t, serve(t, tc.srv).URL+"/snapshot", nil); resp.StatusCode != tc.want {
+				t.Fatalf("status = %d, want %d (body %.120s)", resp.StatusCode, tc.want, data)
+			}
+		})
+	}
 
 	t.Run("save and cold-start", func(t *testing.T) {
 		srv := New(eng, Options{SnapshotPath: path})
 		ts := serve(t, srv)
 
 		resp, data := postQuery(t, ts.URL+"/snapshot", nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, want 200 (body %.120s)", resp.StatusCode, data)
+		if resp.StatusCode != http.StatusOK || decode[SnapshotResponse](t, data).Path != path {
+			t.Fatalf("status = %d (body %.120s), want 200 naming %q", resp.StatusCode, data, path)
 		}
-		sr := decode[SnapshotResponse](t, data)
-		if sr.Path != path {
-			t.Errorf("response path = %q, want %q", sr.Path, path)
-		}
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("snapshot file missing: %v", err)
-		}
-
 		cold, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: path})
 		if err != nil {
 			t.Fatalf("cold-start from server snapshot: %v", err)
 		}
-		defer cold.Close()
-		cts := httptest.NewServer(New(cold, Options{}))
-		defer cts.Close()
-
-		_, live := postQuery(t, ts.URL+"/query?cache=0", body)
-		_, restored := postQuery(t, cts.URL+"/query?cache=0", body)
-		var lr, rr QueryResponse
-		if err := json.Unmarshal(live, &lr); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(restored, &rr); err != nil {
-			t.Fatal(err)
-		}
-		if lr.Found != rr.Found || len(lr.GraphIDs) != len(rr.GraphIDs) {
+		t.Cleanup(cold.Close)
+		lr := collect(t, ts.URL+"/query?cache=0", body)
+		if rr := collect(t, serve(t, New(cold, Options{})).URL+"/query?cache=0", body); lr.Found != rr.Found || !slices.Equal(lr.GraphIDs, rr.GraphIDs) {
 			t.Errorf("cold-start answer %+v != live answer %+v", rr, lr)
-		}
-		for i := range lr.GraphIDs {
-			if lr.GraphIDs[i] != rr.GraphIDs[i] {
-				t.Errorf("graph id %d: cold %d != live %d", i, rr.GraphIDs[i], lr.GraphIDs[i])
-				break
-			}
 		}
 	})
 }

@@ -7,7 +7,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -42,6 +41,16 @@ func do(t *testing.T, method, url string, body []byte) (*http.Response, []byte) 
 	return resp, data.Bytes()
 }
 
+// call is do, failing the test unless the reply's status is want.
+func call(t *testing.T, method, url string, body []byte, want int) []byte {
+	t.Helper()
+	resp, data := do(t, method, url, body)
+	if resp.StatusCode != want {
+		t.Fatalf("%s %s: status %d (body %.120s), want %d", method, url, resp.StatusCode, data, want)
+	}
+	return data
+}
+
 func queryIDs(t *testing.T, ts *httptest.Server, body []byte) ([]int, QueryResponse) {
 	t.Helper()
 	resp, data := postQuery(t, ts.URL+"/query", body)
@@ -61,10 +70,8 @@ func TestMutationEndpoints(t *testing.T) {
 	ts := serve(t, srv)
 	qbody := graphText(t, q)
 
-	resp, data := do(t, http.MethodGet, ts.URL+"/healthz", nil)
-	hz := decode[healthResponse](t, data)
-	if resp.StatusCode != http.StatusOK || hz.Status != "ok" || hz.Epoch != 1 {
-		t.Fatalf("healthz = %d %+v, want 200 ok epoch 1", resp.StatusCode, hz)
+	if hz := decode[healthResponse](t, call(t, http.MethodGet, ts.URL+"/healthz", nil, http.StatusOK)); hz.Status != "ok" || hz.Epoch != 1 {
+		t.Fatalf("healthz = %+v, want ok epoch 1", hz)
 	}
 
 	baseline, _ := queryIDs(t, ts, qbody)
@@ -74,11 +81,7 @@ func TestMutationEndpoints(t *testing.T) {
 
 	// Ingest a copy of ds[0]: q is a subgraph of it by construction, so the
 	// answer must grow by exactly the new dense ID (the largest).
-	resp, data = do(t, http.MethodPost, ts.URL+"/graphs", graphText(t, ds[0]))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status = %d, body %s", resp.StatusCode, data)
-	}
-	ing := decode[IngestResponse](t, data)
+	ing := decode[IngestResponse](t, call(t, http.MethodPost, ts.URL+"/graphs", graphText(t, ds[0]), http.StatusOK))
 	if len(ing.Handles) != 1 || ing.Epoch != 2 {
 		t.Fatalf("ingest = %+v, want 1 handle at epoch 2", ing)
 	}
@@ -90,12 +93,8 @@ func TestMutationEndpoints(t *testing.T) {
 
 	// Replace the copy with a single-vertex graph: the answer shrinks back.
 	solo := graph.MustNew("solo", []graph.Label{0}, nil)
-	resp, data = do(t, http.MethodPut, fmt.Sprintf("%s/graphs/%d", ts.URL, h), graphText(t, solo))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("replace status = %d, body %s", resp.StatusCode, data)
-	}
-	mut := decode[MutateResponse](t, data)
-	if mut.Handle != h || mut.Epoch != 3 {
+	graphURL := fmt.Sprintf("%s/graphs/%d", ts.URL, h)
+	if mut := decode[MutateResponse](t, call(t, http.MethodPut, graphURL, graphText(t, solo), http.StatusOK)); mut.Handle != h || mut.Epoch != 3 {
 		t.Fatalf("replace = %+v, want handle %d at epoch 3", mut, h)
 	}
 	if ids, _ := queryIDs(t, ts, qbody); fmt.Sprint(ids) != fmt.Sprint(baseline) {
@@ -103,45 +102,26 @@ func TestMutationEndpoints(t *testing.T) {
 	}
 
 	// Remove it; a second remove of the same handle is the client's 404.
-	resp, data = do(t, http.MethodDelete, fmt.Sprintf("%s/graphs/%d", ts.URL, h), nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("remove status = %d, body %s", resp.StatusCode, data)
-	}
-	if err := json.Unmarshal(data, &mut); err != nil {
-		t.Fatal(err)
-	}
-	if mut.Epoch != 4 {
+	if mut := decode[MutateResponse](t, call(t, http.MethodDelete, graphURL, nil, http.StatusOK)); mut.Epoch != 4 {
 		t.Fatalf("remove = %+v, want epoch 4", mut)
 	}
 	if ids, _ := queryIDs(t, ts, qbody); fmt.Sprint(ids) != fmt.Sprint(baseline) {
 		t.Fatalf("answer after remove = %v, want %v", ids, baseline)
 	}
-	if resp, _ = do(t, http.MethodDelete, fmt.Sprintf("%s/graphs/%d", ts.URL, h), nil); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("double remove status = %d, want 404", resp.StatusCode)
-	}
+	call(t, http.MethodDelete, graphURL, nil, http.StatusNotFound)
 
-	// Malformed requests.
-	if resp, _ = do(t, http.MethodDelete, ts.URL+"/graphs/abc", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad handle status = %d, want 400", resp.StatusCode)
-	}
-	if resp, _ = do(t, http.MethodPost, ts.URL+"/graphs", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty ingest status = %d, want 400", resp.StatusCode)
-	}
-	two := append(graphText(t, solo), graphText(t, solo)...)
-	if resp, _ = do(t, http.MethodPut, fmt.Sprintf("%s/graphs/%d", ts.URL, 1), two); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("two-graph replace status = %d, want 400", resp.StatusCode)
-	}
+	// Malformed requests: a bad handle, an empty ingest, a two-graph replace.
+	call(t, http.MethodDelete, ts.URL+"/graphs/abc", nil, http.StatusBadRequest)
+	call(t, http.MethodPost, ts.URL+"/graphs", nil, http.StatusBadRequest)
+	call(t, http.MethodPut, ts.URL+"/graphs/1", append(graphText(t, solo), graphText(t, solo)...), http.StatusBadRequest)
 
 	// Observability: /stats and /metrics carry the epoch and the mutation
 	// counters.
 	st := srv.Stats()
-	if !st.Ready || !st.Mutable || st.Epoch != 4 {
-		t.Errorf("stats ready=%v mutable=%v epoch=%d, want true/true/4", st.Ready, st.Mutable, st.Epoch)
+	if !st.Ready || !st.Mutable || st.Epoch != 4 || st.Engine.GraphsAdded != 1 || st.Engine.GraphsRemoved != 1 || st.Engine.GraphsReplaced != 1 {
+		t.Errorf("stats ready=%v mutable=%v epoch=%d, counters %+v; want true/true/4 and 1/1/1", st.Ready, st.Mutable, st.Epoch, st.Engine)
 	}
-	if st.Engine.GraphsAdded != 1 || st.Engine.GraphsRemoved != 1 || st.Engine.GraphsReplaced != 1 {
-		t.Errorf("mutation counters = %+v, want 1/1/1", st.Engine)
-	}
-	_, data = do(t, http.MethodGet, ts.URL+"/metrics", nil)
+	_, data := do(t, http.MethodGet, ts.URL+"/metrics", nil)
 	for _, want := range []string{
 		"psi_server_ready 1",
 		"psi_engine_dataset_epoch 4",
@@ -160,15 +140,9 @@ func TestMutationEndpoints(t *testing.T) {
 // against a server whose engine was built without EngineOptions.Mutable.
 func TestMutationRequiresMutableEngine(t *testing.T) {
 	eng, q := datasetFixture(t)
-	srv := New(eng, Options{})
-	ts := serve(t, srv)
-	resp, data := do(t, http.MethodPost, ts.URL+"/graphs", graphText(t, q))
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("ingest on immutable engine = %d (%s), want 409", resp.StatusCode, data)
-	}
-	if resp, _ := do(t, http.MethodDelete, ts.URL+"/graphs/1", nil); resp.StatusCode != http.StatusConflict {
-		t.Errorf("remove on immutable engine = %d, want 409", resp.StatusCode)
-	}
+	ts := serve(t, New(eng, Options{}))
+	call(t, http.MethodPost, ts.URL+"/graphs", graphText(t, q), http.StatusConflict)
+	call(t, http.MethodDelete, ts.URL+"/graphs/1", nil, http.StatusConflict)
 }
 
 // TestEpochKeyedCache is the mutation-vs-cache regression test: a cached
@@ -189,35 +163,21 @@ func TestEpochKeyedCache(t *testing.T) {
 		t.Fatal("identical repeat not served from cache")
 	}
 
-	resp, data := do(t, http.MethodPost, ts.URL+"/graphs", graphText(t, ds[0]))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status = %d, body %s", resp.StatusCode, data)
-	}
-	ing := decode[IngestResponse](t, data)
+	ing := decode[IngestResponse](t, call(t, http.MethodPost, ts.URL+"/graphs", graphText(t, ds[0]), http.StatusOK))
 
 	// The very next identical query must re-execute (the old entry's key
 	// carries the old epoch) and see the ingested graph.
-	after, third := queryIDs(t, ts, qbody)
-	if third.Cached {
-		t.Fatal("query after mutation served a pre-mutation cache entry")
-	}
-	if fmt.Sprint(after) != fmt.Sprint(append(append([]int{}, before...), len(ds))) {
-		t.Fatalf("answer after ingest = %v, want %v + [%d]", after, before, len(ds))
+	if after, third := queryIDs(t, ts, qbody); third.Cached || fmt.Sprint(after) != fmt.Sprint(append(append([]int{}, before...), len(ds))) {
+		t.Fatalf("answer after ingest = %v (cached %v), want %v + [%d] afresh", after, third.Cached, before, len(ds))
 	}
 	if _, fourth := queryIDs(t, ts, qbody); !fourth.Cached {
 		t.Fatal("repeat within the new epoch not served from cache")
 	}
 
 	// And the same again across a removal.
-	if resp, data := do(t, http.MethodDelete, fmt.Sprintf("%s/graphs/%d", ts.URL, ing.Handles[0]), nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("remove status = %d, body %s", resp.StatusCode, data)
-	}
-	final, fifth := queryIDs(t, ts, qbody)
-	if fifth.Cached {
-		t.Fatal("query after removal served a pre-removal cache entry")
-	}
-	if fmt.Sprint(final) != fmt.Sprint(before) {
-		t.Fatalf("answer after removal = %v, want %v", final, before)
+	call(t, http.MethodDelete, fmt.Sprintf("%s/graphs/%d", ts.URL, ing.Handles[0]), nil, http.StatusOK)
+	if final, fifth := queryIDs(t, ts, qbody); fifth.Cached || fmt.Sprint(final) != fmt.Sprint(before) {
+		t.Fatalf("answer after removal = %v (cached %v), want %v afresh", final, fifth.Cached, before)
 	}
 }
 
@@ -228,37 +188,21 @@ func TestBuildingReadiness(t *testing.T) {
 	srv := NewBuilding(Options{})
 	ts := serve(t, srv)
 
-	resp, data := do(t, http.MethodGet, ts.URL+"/healthz", nil)
-	hz := decode[healthResponse](t, data)
-	if resp.StatusCode != http.StatusServiceUnavailable || hz.Status != "building" {
-		t.Fatalf("healthz while building = %d %+v, want 503 building", resp.StatusCode, hz)
+	if hz := decode[healthResponse](t, call(t, http.MethodGet, ts.URL+"/healthz", nil, http.StatusServiceUnavailable)); hz.Status != "building" {
+		t.Fatalf("healthz while building = %+v, want building", hz)
 	}
 	eng, q, _ := mutableFixture(t)
 	qbody := graphText(t, q)
-	if resp, _ := postQuery(t, ts.URL+"/query", qbody); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("query while building = %d, want 503", resp.StatusCode)
-	}
-	if resp, _ := do(t, http.MethodPost, ts.URL+"/graphs", qbody); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("ingest while building = %d, want 503", resp.StatusCode)
-	}
-	if st := srv.Stats(); st.Ready {
-		t.Error("stats ready while building")
-	}
-	_, data = do(t, http.MethodGet, ts.URL+"/metrics", nil)
-	if !strings.Contains(string(data), "psi_server_ready 0\n") {
-		t.Error("metrics missing psi_server_ready 0 while building")
-	}
-	if strings.Contains(string(data), "psi_engine_queries_total") {
-		t.Error("metrics serve engine counters while building")
+	call(t, http.MethodPost, ts.URL+"/query", qbody, http.StatusServiceUnavailable)
+	call(t, http.MethodPost, ts.URL+"/graphs", qbody, http.StatusServiceUnavailable)
+	metrics := string(call(t, http.MethodGet, ts.URL+"/metrics", nil, http.StatusOK))
+	if srv.Stats().Ready || !strings.Contains(metrics, "psi_server_ready 0\n") || strings.Contains(metrics, "psi_engine_queries_total") {
+		t.Errorf("while building: stats ready %v, metrics\n%s\nwant not ready, psi_server_ready 0 and no engine counters", srv.Stats().Ready, metrics)
 	}
 
 	srv.SetEngine(eng)
-	resp, data = do(t, http.MethodGet, ts.URL+"/healthz", nil)
-	if err := json.Unmarshal(data, &hz); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || hz.Status != "ok" || hz.Epoch != 1 {
-		t.Fatalf("healthz after SetEngine = %d %+v, want 200 ok epoch 1", resp.StatusCode, hz)
+	if hz := decode[healthResponse](t, call(t, http.MethodGet, ts.URL+"/healthz", nil, http.StatusOK)); hz.Status != "ok" || hz.Epoch != 1 {
+		t.Fatalf("healthz after SetEngine = %+v, want ok epoch 1", hz)
 	}
 	if ids, _ := queryIDs(t, ts, qbody); len(ids) == 0 {
 		t.Error("query after SetEngine returned an empty answer")

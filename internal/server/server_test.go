@@ -18,7 +18,6 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -170,33 +169,16 @@ func TestAdmissionLimitRejectsOverflow(t *testing.T) {
 	ts := serve(t, srv)
 
 	body := graphText(t, q)
-	var wg sync.WaitGroup
-	codes := make([]int, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, _ := postQuery(t, ts.URL+"/query", body)
-			codes[i] = resp.StatusCode
-		}(i)
-	}
+	held := make(chan struct{})
+	go func() { defer close(held); stampede(t, ts.URL+"/query?stream=1", body, 2) }() // each must end 200
 	waitFor(t, func() bool { return srv.InFlight() == 2 })
 
 	resp, data := postQuery(t, ts.URL+"/query", body)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("N+1st query status = %d (%s), want 429", resp.StatusCode, data)
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("N+1st query status = %d (%s), Retry-After %q; want 429 with a Retry-After", resp.StatusCode, data, resp.Header.Get("Retry-After"))
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
-	}
-
 	close(gate)
-	wg.Wait()
-	for i, c := range codes {
-		if c != http.StatusOK {
-			t.Errorf("held request %d finished with %d", i, c)
-		}
-	}
+	<-held
 	resp, _ = postQuery(t, ts.URL+"/query", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("post-release query status = %d, want 200", resp.StatusCode)
@@ -220,18 +202,19 @@ func slowFixture(t *testing.T) (*psi.Engine, *psi.Graph) {
 			}
 		}
 	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := psi.NewEngine(g, psi.EngineOptions{})
+	return nfvEngine(t, b.MustBuild(), psi.EngineOptions{}), psi.MustNewGraph("path5", []psi.Label{0, 0, 0, 0, 0}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
+}
+
+// nfvEngine builds a stored-graph engine over g that the test closes when it
+// ends.
+func nfvEngine(t *testing.T, g *psi.Graph, opts psi.EngineOptions) *psi.Engine {
+	t.Helper()
+	eng, err := psi.NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	q := psi.MustNewGraph("path5", []psi.Label{0, 0, 0, 0, 0},
-		[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
-	return eng, q
+	return eng
 }
 
 // TestClientDisconnectCancelsQuery reads one streamed line, drops the
@@ -244,17 +227,12 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 
 	leakcheck.Check(t, 2) // a leak here means the disconnect did not cancel the race
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		ts.URL+"/query?stream=1&limit=10000", bytes.NewReader(graphText(t, q)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query?stream=1&limit=10000", bytes.NewReader(graphText(t, q)))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	br := bufio.NewReader(resp.Body)
-	if _, err := br.ReadString('\n'); err != nil {
+	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
 		t.Fatalf("reading first streamed line: %v", err)
 	}
 	cancel() // client walks away mid-stream
@@ -306,13 +284,8 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatalf("clean drain returned %v", err)
 	}
 	out := <-held
-	if out.code != http.StatusOK {
-		t.Fatalf("in-flight query dropped during drain: status %d", out.code)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(out.data), "\n"), "\n")
-	sum := decode[StreamSummary](t, []byte(lines[len(lines)-1]))
-	if !sum.Done {
-		t.Errorf("drained response summary = %+v, want done", sum)
+	if _, sum := streamLines(t, out.data); out.code != http.StatusOK || !sum.Done {
+		t.Errorf("in-flight query during drain: status %d, summary %+v; want 200, done", out.code, sum)
 	}
 }
 
@@ -482,18 +455,12 @@ func TestStatsAndMetrics(t *testing.T) {
 	// The learned policy. The result cache is off so every repeat reaches the
 	// engine: the first three passes race and train the bandit (its default
 	// warm-up of three samples per query class), the fourth runs solo.
-	ds := psi.GeneratePPI(psi.Tiny, 1)
+	_, _, ds := ppiFixture(t, psi.EngineOptions{})
 	kinds := []string{"ftv", "grapes", "ggsx"}
 	urls := map[string]string{}
 	for _, policy := range []string{psi.IndexAuto, psi.IndexRace} {
-		peng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: kinds, IndexPolicy: policy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer peng.Close()
-		pts := httptest.NewServer(New(peng, Options{CacheSize: -1}))
-		defer pts.Close()
-		urls[policy] = pts.URL
+		peng, _, _ := ppiFixture(t, psi.EngineOptions{Indexes: kinds, IndexPolicy: policy})
+		urls[policy] = serve(t, New(peng, Options{CacheSize: -1})).URL
 	}
 	for pass := 0; pass < 4; pass++ {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -541,21 +508,10 @@ func TestPerRequestTimeoutMapsToKill(t *testing.T) {
 	}
 
 	// With a budget, the same overrun is a kill: HTTP 200, killed=true.
-	beng, err := psi.NewEngine(eng.Graph(), psi.EngineOptions{Timeout: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer beng.Close()
-	bsrv := New(beng, Options{CacheSize: 8, DefaultLimit: 1_000_000})
-	bts := httptest.NewServer(bsrv)
-	defer bts.Close()
-	resp, data = postQuery(t, bts.URL+"/query?limit=10000000", graphText(t, q))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("budgeted status = %d, want 200 (body %.120s)", resp.StatusCode, data)
-	}
-	qr := decode[QueryResponse](t, data)
-	if !qr.Killed {
-		t.Errorf("response = %+v, want killed", qr)
+	bsrv := New(nfvEngine(t, eng.Graph(), psi.EngineOptions{Timeout: 30 * time.Millisecond}), Options{CacheSize: 8, DefaultLimit: 1_000_000})
+	resp, data = postQuery(t, serve(t, bsrv).URL+"/query?limit=10000000", graphText(t, q))
+	if resp.StatusCode != http.StatusOK || !decode[QueryResponse](t, data).Killed {
+		t.Fatalf("budgeted status = %d (body %.120s), want 200 and killed", resp.StatusCode, data)
 	}
 	if got := bsrv.cache.counters().Entries; got != 0 {
 		t.Errorf("killed result was cached (%d entries)", got)

@@ -6,9 +6,7 @@ package server
 // the shard balance through /stats.
 
 import (
-	"bytes"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -33,11 +31,7 @@ func TestShardedCachedReplayByteParity(t *testing.T) {
 	if found < 2 {
 		t.Fatalf("fixture query answered %d graphs, too few to exercise the merge", found)
 	}
-	resp, sdata := getStats(t, ts.URL)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/stats status %d", resp.StatusCode)
-	}
-	stats := decode[StatsResponse](t, sdata)
+	stats := decode[StatsResponse](t, call(t, http.MethodGet, ts.URL+"/stats", nil, http.StatusOK))
 	var sum int64
 	for _, n := range stats.ShardBalance {
 		sum += n
@@ -58,19 +52,12 @@ func TestKilledShardedQueryNeverCached(t *testing.T) {
 	body := graphText(t, q)
 
 	for i := 0; i < 2; i++ {
-		_, data := postQuery(t, ts.URL+"/query", body)
-		resp := decode[QueryResponse](t, data)
-		if !resp.Killed {
-			t.Fatalf("request %d under a 1ns budget not killed: %s", i, data)
-		}
-		if resp.Cached {
-			t.Fatalf("request %d served a killed answer from cache: %s", i, data)
+		if resp := collect(t, ts.URL+"/query", body); !resp.Killed || resp.Cached {
+			t.Fatalf("request %d under a 1ns budget: %+v, want killed and not served from cache", i, resp)
 		}
 	}
 	_, sdata := postQuery(t, ts.URL+"/query?stream=1", body)
-	lines := bytes.SplitAfter(sdata, []byte("\n"))
-	sum := decode[StreamSummary](t, lines[len(lines)-2])
-	if !sum.Killed || sum.Cached {
+	if _, sum := streamLines(t, sdata); !sum.Killed || sum.Cached {
 		t.Fatalf("streamed killed query summary = %+v, want killed and uncached", sum)
 	}
 	if st := srv.Stats(); st.ResultCache == nil || st.ResultCache.Entries != 0 {
@@ -87,17 +74,8 @@ func TestKilledShardedQueryNeverCached(t *testing.T) {
 // postings it holds in how many bytes — the same postings whatever the kind,
 // at a couple of bytes each.
 func TestStatsReportsLocationSets(t *testing.T) {
-	eng, err := psi.NewDatasetEngine(psi.GeneratePPI(psi.Tiny, 1), psi.EngineOptions{
-		Indexes: []string{"ftv", "grapes"},
-		Shards:  2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	ts := httptest.NewServer(New(eng, Options{}))
-	defer ts.Close()
-	_, data := getStats(t, ts.URL)
+	eng, _, _ := ppiFixture(t, psi.EngineOptions{Indexes: []string{"ftv", "grapes"}, Shards: 2})
+	data := call(t, http.MethodGet, serve(t, New(eng, Options{})).URL+"/stats", nil, http.StatusOK)
 	stats := decode[StatsResponse](t, data)
 	for _, x := range stats.Indexes {
 		var held, postings, postingBytes int64
@@ -124,19 +102,4 @@ func TestStatsReportsLocationSets(t *testing.T) {
 	if n := strings.Count(string(data), `"location_bytes"`); n != 3 { // grapes and its two shards
 		t.Errorf("/stats mentions location_bytes %d times, want 3: %s", n, data)
 	}
-}
-
-// getStats fetches /stats.
-func getStats(t *testing.T, base string) (*http.Response, []byte) {
-	t.Helper()
-	resp, err := http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	return resp, buf.Bytes()
 }

@@ -6,12 +6,14 @@ package snapshot
 // closed before an index or graph escapes.
 
 import (
+	"bytes"
 	"context"
-	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,6 +58,20 @@ func buildModel(t *testing.T, ds []*graph.Graph, kinds []string, k int) *Model {
 	return m
 }
 
+// save writes m to a fresh file and returns its path and bytes.
+func save(t *testing.T, m *Model) (string, []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "snap.psi")
+	if err := Save(path, m); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, data
+}
+
 // answers answers queries over the tables under kind's verifier.
 func answers(t *testing.T, ds []*graph.Graph, kind string, tables []*index.Path, queries []*graph.Graph) [][]int {
 	t.Helper()
@@ -78,13 +94,9 @@ func answers(t *testing.T, ds []*graph.Graph, kind string, tables []*index.Path,
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ds := testDataset(9)
 	kinds := index.Kinds()
-	queries := ds[:4]
 	for _, k := range []int{1, 3} {
 		m := buildModel(t, ds, kinds, k)
-		path := filepath.Join(t.TempDir(), "snap.psi")
-		if err := Save(path, m); err != nil {
-			t.Fatalf("Save k=%d: %v", k, err)
-		}
+		path, data := save(t, m)
 		got, err := Load(path, index.Options{})
 		if err != nil {
 			t.Fatalf("Load k=%d: %v", k, err)
@@ -94,27 +106,19 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 		// A static file leaves the never-mutated store's state out, and Load
 		// fills it back in.
-		if data, err := os.ReadFile(path); err != nil {
-			t.Fatal(err)
-		} else if r, err := parse(path, data); err != nil || r.sections["live/alive"] != nil {
+		if r, err := parse(path, data); err != nil || r.sections["live/alive"] != nil {
 			t.Fatalf("static file holds live sections (parse err %v)", err)
 		}
 		if got.Epoch != 1 || got.NextHandle != live.Handle(len(ds)+1) || !reflect.DeepEqual(got.Alive, m.Alive) ||
 			!reflect.DeepEqual(got.Handles, m.Handles) || !reflect.DeepEqual(got.Tombs, m.Tombs) {
 			t.Fatalf("static state not filled in: %+v", got.State)
 		}
-		if len(got.SlotGraphs) != len(ds) {
-			t.Fatalf("got %d graphs, want %d", len(got.SlotGraphs), len(ds))
-		}
-		for i := range ds {
-			if !ds[i].Equal(got.SlotGraphs[i]) || ds[i].Name() != got.SlotGraphs[i].Name() {
-				t.Fatalf("graph %d not reconstructed identically", i)
-			}
+		if !slices.EqualFunc(ds, got.SlotGraphs, func(a, b *graph.Graph) bool { return a.Equal(b) && a.Name() == b.Name() }) {
+			t.Fatalf("graphs not reconstructed identically: %v", got.SlotGraphs)
 		}
 		for _, kind := range kinds {
-			want := answers(t, ds, kind, m.Tables, queries)
-			have := answers(t, got.SlotGraphs, kind, got.Tables, queries)
-			if !reflect.DeepEqual(want, have) {
+			want := answers(t, ds, kind, m.Tables, ds[:4])
+			if have := answers(t, got.SlotGraphs, kind, got.Tables, ds[:4]); !reflect.DeepEqual(want, have) {
 				t.Fatalf("k=%d kind=%s: restored answers %v != built %v", k, kind, have, want)
 			}
 		}
@@ -122,19 +126,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestSaveLoadDeterministicBytes(t *testing.T) {
-	ds := testDataset(6)
-	m := buildModel(t, ds, []string{index.KindPath}, 2)
-	dir := t.TempDir()
-	p1, p2 := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	if err := Save(p1, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := Save(p2, m); err != nil {
-		t.Fatal(err)
-	}
-	b1, _ := os.ReadFile(p1)
-	b2, _ := os.ReadFile(p2)
-	if !reflect.DeepEqual(b1, b2) {
+	m := buildModel(t, testDataset(6), []string{index.KindPath}, 2)
+	_, b1 := save(t, m)
+	if _, b2 := save(t, m); !bytes.Equal(b1, b2) {
 		t.Fatal("two saves of the same model produced different bytes")
 	}
 }
@@ -146,32 +140,24 @@ func TestMutableModelRoundTrip(t *testing.T) {
 	placeholder := graph.NewBuilder("live:dead-slot").MustBuild()
 	slots := []*graph.Graph{ds[0], ds[1], placeholder, ds[3], ds[4]}
 	m := buildModel(t, slots, []string{index.KindPath, "ggsx"}, 2)
-	m.Mutable = true
-	m.Epoch = 7
-	m.NextHandle = 9
+	m.Mutable, m.Epoch, m.NextHandle = true, 7, 9
 	m.Alive = []bool{true, true, false, true, true}
 	m.Handles = []live.Handle{1, 2, 3, 4, 5}
 	m.Tombs = []int{1, 0}
-	path := filepath.Join(t.TempDir(), "snap.psi")
-	if err := Save(path, m); err != nil {
-		t.Fatal(err)
-	}
+	path, _ := save(t, m)
 	got, err := Load(path, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Mutable || got.Epoch != 7 || got.NextHandle != 9 {
-		t.Fatalf("live counters mangled: %+v", got)
-	}
-	if !reflect.DeepEqual(got.Alive, m.Alive) || !reflect.DeepEqual(got.Handles, m.Handles) || !reflect.DeepEqual(got.Tombs, m.Tombs) {
-		t.Fatalf("live arrays mangled: %+v", got)
+	if !got.Mutable || got.Epoch != 7 || got.NextHandle != 9 || !reflect.DeepEqual(got.Alive, m.Alive) ||
+		!reflect.DeepEqual(got.Handles, m.Handles) || !reflect.DeepEqual(got.Tombs, m.Tombs) {
+		t.Fatalf("live state mangled: %+v", got.State)
 	}
 	if got.SlotGraphs[2].N() != 0 || got.SlotGraphs[2].Name() != "live:dead-slot" {
 		t.Fatal("placeholder slot not reconstructed")
 	}
 	want := answers(t, slots, index.KindPath, m.Tables, slots[:2])
-	have := answers(t, got.SlotGraphs, index.KindPath, got.Tables, slots[:2])
-	if !reflect.DeepEqual(want, have) {
+	if have := answers(t, got.SlotGraphs, index.KindPath, got.Tables, slots[:2]); !reflect.DeepEqual(want, have) {
 		t.Fatalf("mutable restored answers diverged: %v != %v", have, want)
 	}
 }
@@ -182,17 +168,7 @@ func TestMutableModelRoundTrip(t *testing.T) {
 // checksummed payload. The flips go through Load's in-memory half, one of
 // them through a file on disk too.
 func TestEveryByteCorruptionFailsClosed(t *testing.T) {
-	ds := testDataset(3)
-	m := buildModel(t, ds, []string{index.KindPath}, 1)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.psi")
-	if err := Save(path, m); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path, data := save(t, buildModel(t, testDataset(3), []string{index.KindPath}, 1))
 	checksumErrs := 0
 	for i := range data {
 		mut := append([]byte(nil), data...)
@@ -207,74 +183,61 @@ func TestEveryByteCorruptionFailsClosed(t *testing.T) {
 		t.Fatal("no corruption surfaced as a checksum error")
 	}
 	data[len(data)/2] ^= 0xFF
-	bad := filepath.Join(dir, "bad.psi")
-	if err := os.WriteFile(bad, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bad, index.Options{}); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := Load(path, index.Options{}); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("a file with its middle byte flipped: Load error %v, want a checksum error", err)
 	}
 }
 
 func TestLoadErrors(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Load(filepath.Join(dir, "absent"), index.Options{}); err == nil {
-		t.Fatal("loading a missing file succeeded")
-	}
-	short := filepath.Join(dir, "short")
-	os.WriteFile(short, []byte("PSIS"), 0o644)
-	if _, err := Load(short, index.Options{}); err == nil || !strings.Contains(err.Error(), "too short") {
-		t.Fatalf("short file: %v", err)
-	}
-	notSnap := filepath.Join(dir, "notsnap")
-	os.WriteFile(notSnap, []byte("definitely not a snapshot file"), 0o644)
-	if _, err := Load(notSnap, index.Options{}); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("bad magic: %v", err)
-	}
-	// Wrong version: take a valid header and bump the version field.
+	// Wrong version: a valid header with the version field bumped, which
+	// invalidates the table CRC too, but the version is checked first.
 	w := &writer{}
 	w.add("meta", []byte{1, 2, 3})
-	vpath := filepath.Join(dir, "version")
-	if err := w.writeFile(vpath); err != nil {
+	if err := w.writeFile(filepath.Join(dir, "version")); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := os.ReadFile(vpath)
-	data[8] = 99 // version byte — invalidates the table CRC too, but version is checked first
-	os.WriteFile(vpath, data, 0o644)
-	if _, err := Load(vpath, index.Options{}); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("bad version: %v", err)
+	version, _ := os.ReadFile(filepath.Join(dir, "version"))
+	version[8] = 99
+	for _, tc := range []struct {
+		name string
+		data []byte // nil: no file
+		want string
+	}{
+		{"absent", nil, "no such file"},
+		{"short", []byte("PSIS"), "too short"},
+		{"notsnap", []byte("definitely not a snapshot file"), "magic"},
+		{"version", version, "version"},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if tc.data != nil {
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Load(path, index.Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 
-// corruptContainer writes a structurally valid container with the given
+// expectLoadError writes a structurally valid container with the given
 // sections and expects Load to fail mentioning want.
 func expectLoadError(t *testing.T, name string, sections map[string][]byte, want string) {
 	t.Helper()
 	w := &writer{}
-	order := []string{"meta", "ds/names", "ds/nverts", "ds/labels", "ds/offsets", "ds/nbrs", "ds/elabs",
-		"live/alive", "live/handles", "live/tombs"}
-	seen := map[string]bool{}
-	for _, n := range order {
-		if b, ok := sections[n]; ok {
-			w.add(n, b)
-			seen[n] = true
-		}
-	}
-	for n, b := range sections {
-		if !seen[n] {
-			w.add(n, b)
-		}
+	for _, n := range slices.Sorted(maps.Keys(sections)) {
+		w.add(n, sections[n])
 	}
 	path := filepath.Join(t.TempDir(), "c.psi")
 	if err := w.writeFile(path); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Load(path, index.Options{})
-	if err == nil {
-		t.Fatalf("%s: corrupt container loaded", name)
-	}
-	if !strings.Contains(err.Error(), want) {
-		t.Fatalf("%s: error %q does not mention %q", name, err, want)
+	if _, err := Load(path, index.Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("%s: Load error %v, want one mentioning %q", name, err, want)
 	}
 }
 
@@ -292,203 +255,123 @@ func encMeta(mutable bool, shards int, kinds []string, maxLen int) []byte {
 	return b.b
 }
 
-func encI32s(v []int32) []byte {
+func encI32s(v ...int32) []byte {
 	var b buf
 	i32s(&b, v)
 	return b.b
 }
 
-func emptyDataset() map[string][]byte {
-	var names buf
-	names.u64(0)
-	return map[string][]byte{
-		"ds/names": names.b, "ds/nverts": encI32s(nil), "ds/labels": encI32s(nil),
-		"ds/offsets": encI32s(nil), "ds/nbrs": encI32s(nil), "ds/elabs": encI32s(nil),
+// names encodes a dataset's graph names.
+func names(ns ...string) []byte {
+	var b buf
+	b.u64(uint64(len(ns)))
+	for _, n := range ns {
+		b.str(n)
 	}
+	return b.b
 }
 
+// emptyFeatures is the feature sections of an empty table under prefix.
 func emptyFeatures(prefix string) map[string][]byte {
 	out := map[string][]byte{}
 	for _, n := range []string{"featlens", "featlabels", "postlens", "postgids", "postcnts", "loclens", "locs"} {
-		out[prefix+n] = encI32s(nil)
+		out[prefix+n] = encI32s()
 	}
 	return out
 }
 
 func TestLoadShapeValidation(t *testing.T) {
-	base := func() map[string][]byte {
-		s := emptyDataset()
-		s["meta"] = encMeta(false, 1, []string{index.KindPath}, 3)
-		for k, v := range emptyFeatures("ix/ftv/0/") {
-			s[k] = v
-		}
-		return s
+	// base is an empty static ftv store at K = 1; oneGraph adds one
+	// two-vertex graph, and onePosting one feature with one posting in it.
+	base := emptyFeatures("ix/ftv/0/")
+	maps.Copy(base, map[string][]byte{
+		"meta": encMeta(false, 1, []string{index.KindPath}, 3), "ds/names": names(),
+		"ds/nverts": encI32s(), "ds/labels": encI32s(), "ds/offsets": encI32s(), "ds/nbrs": encI32s(), "ds/elabs": encI32s(),
+	})
+	oneGraph := map[string][]byte{"ds/names": names("g"), "ds/nverts": encI32s(2), "ds/labels": encI32s(0, 0),
+		"ds/offsets": encI32s(0, 1, 2), "ds/nbrs": encI32s(1, 0), "ds/elabs": encI32s(0, 0)}
+	onePosting := func(count int32) map[string][]byte {
+		return map[string][]byte{"ix/ftv/0/featlens": encI32s(1), "ix/ftv/0/featlabels": encI32s(0), "ix/ftv/0/postlens": encI32s(1),
+			"ix/ftv/0/postgids": encI32s(0), "ix/ftv/0/postcnts": encI32s(count), "ix/ftv/0/loclens": encI32s(0)}
 	}
-
-	s := base()
-	delete(s, "ds/nbrs")
-	expectLoadError(t, "missing section", s, "missing section")
-
-	s = base()
-	s["meta"] = encMeta(false, 0, []string{index.KindPath}, 3)
-	expectLoadError(t, "zero shards", s, "shard count")
-
-	s = base()
-	s["meta"] = encMeta(false, 1, nil, 3)
-	expectLoadError(t, "no kinds", s, "no index kinds")
-
-	s = base()
-	s["meta"] = []byte{0, 1}
-	expectLoadError(t, "truncated meta", s, "meta")
-
-	s = base()
-	s["meta"] = encMeta(false, 1, []string{"no-such-kind"}, 3)
-	for k, v := range emptyFeatures("ix/no-such-kind/0/") {
-		s[k] = v
-	}
-	expectLoadError(t, "unknown kind", s, "unknown kind")
-
-	s = base()
-	s["ds/nverts"] = encI32s([]int32{4}) // one count, zero names
-	expectLoadError(t, "count mismatch", s, "vertex counts")
-
-	s = base()
-	s["ix/ftv/0/postlens"] = encI32s([]int32{1}) // 1 posting count, 0 featlens
-	expectLoadError(t, "posting/feature mismatch", s, "posting counts")
-
-	s = base()
-	s["ix/ftv/0/featlens"] = encI32s([]int32{2})
-	s["ix/ftv/0/postlens"] = encI32s([]int32{0})
-	expectLoadError(t, "label overflow", s, "label length")
-
-	s = base()
-	s["ix/ftv/0/featlens"] = encI32s([]int32{0})
-	s["ix/ftv/0/postlens"] = encI32s([]int32{3})
-	expectLoadError(t, "posting overflow", s, "posting length")
-
-	// Mutable meta with disagreeing slot arrays.
-	s = base()
-	s["meta"] = encMeta(true, 1, []string{index.KindPath}, 3)
 	var alive, handles buf
 	alive.bools([]bool{true})
 	i64s(&handles, []live.Handle(nil))
-	var tombs buf
-	i32s(&tombs, []int32{0})
-	s["live/alive"], s["live/handles"], s["live/tombs"] = alive.b, handles.b, tombs.b
-	expectLoadError(t, "slot arrays", s, "slot arrays disagree")
-
-	// Posting graph ID beyond the (empty) shard dataset.
-	s = base()
-	s["ix/ftv/0/featlens"] = encI32s([]int32{1})
-	s["ix/ftv/0/featlabels"] = encI32s([]int32{1})
-	s["ix/ftv/0/postlens"] = encI32s([]int32{1})
-	s["ix/ftv/0/postgids"] = encI32s([]int32{5})
-	s["ix/ftv/0/postcnts"] = encI32s([]int32{1})
-	s["ix/ftv/0/loclens"] = encI32s([]int32{0})
-	expectLoadError(t, "gid range", s, "out of range")
-
-	// One two-vertex graph and one feature with one posting in it.
-	onePosting := func(count int32) map[string][]byte {
-		s := base()
-		var names buf
-		names.u64(1)
-		names.str("g")
-		s["ds/names"] = names.b
-		s["ds/nverts"] = encI32s([]int32{2})
-		s["ds/labels"] = encI32s([]int32{0, 0})
-		s["ds/offsets"] = encI32s([]int32{0, 1, 2})
-		s["ds/nbrs"] = encI32s([]int32{1, 0})
-		s["ds/elabs"] = encI32s([]int32{0, 0})
-		s["ix/ftv/0/featlens"] = encI32s([]int32{1})
-		s["ix/ftv/0/featlabels"] = encI32s([]int32{0})
-		s["ix/ftv/0/postlens"] = encI32s([]int32{1})
-		s["ix/ftv/0/postgids"] = encI32s([]int32{0})
-		s["ix/ftv/0/postcnts"] = encI32s([]int32{count})
-		s["ix/ftv/0/loclens"] = encI32s([]int32{0})
-		return s
+	for _, tc := range []struct {
+		name  string
+		edits []map[string][]byte // applied to base in turn; a nil payload deletes the section
+		want  string
+	}{
+		{"missing section", []map[string][]byte{{"ds/nbrs": nil}}, "missing section"},
+		{"zero shards", []map[string][]byte{{"meta": encMeta(false, 0, []string{index.KindPath}, 3)}}, "shard count"},
+		{"no kinds", []map[string][]byte{{"meta": encMeta(false, 1, nil, 3)}}, "no index kinds"},
+		{"truncated meta", []map[string][]byte{{"meta": {0, 1}}}, "meta"},
+		{"unknown kind", []map[string][]byte{{"meta": encMeta(false, 1, []string{"no-such-kind"}, 3)}, emptyFeatures("ix/no-such-kind/0/")}, "unknown kind"},
+		{"count mismatch", []map[string][]byte{{"ds/nverts": encI32s(4)}}, "vertex counts"}, // one count, zero names
+		{"posting/feature mismatch", []map[string][]byte{{"ix/ftv/0/postlens": encI32s(1)}}, "posting counts"},
+		{"label overflow", []map[string][]byte{{"ix/ftv/0/featlens": encI32s(2), "ix/ftv/0/postlens": encI32s(0)}}, "label length"},
+		{"posting overflow", []map[string][]byte{{"ix/ftv/0/featlens": encI32s(0), "ix/ftv/0/postlens": encI32s(3)}}, "posting length"},
+		{"slot arrays", []map[string][]byte{{"meta": encMeta(true, 1, []string{index.KindPath}, 3),
+			"live/alive": alive.b, "live/handles": handles.b, "live/tombs": encI32s(0)}}, "slot arrays disagree"},
+		// A posting's graph ID beyond the (empty) shard dataset.
+		{"gid range", []map[string][]byte{onePosting(1), {"ix/ftv/0/postgids": encI32s(5)}}, "out of range"},
+		{"location range", []map[string][]byte{oneGraph, onePosting(1), {"ix/ftv/0/loclens": encI32s(1), "ix/ftv/0/locs": encI32s(7)}}, "location"},
+		// Posting counts no extraction records.
+		{"count 0", []map[string][]byte{oneGraph, onePosting(0)}, "feature 0 holds count 0"},
+		{"count -1", []map[string][]byte{oneGraph, onePosting(-1)}, "feature 0 holds count -1"},
+		// Vertex 0 lists two neighbours and vertex 1 none: FromCSR's catch.
+		{"asymmetric graph", []map[string][]byte{oneGraph, {"ds/offsets": encI32s(0, 2, 2), "ds/nbrs": encI32s(1, 1)}}, "graph"},
+	} {
+		s := maps.Clone(base)
+		for _, edit := range tc.edits {
+			for k, v := range edit {
+				if s[k] = v; v == nil {
+					delete(s, k)
+				}
+			}
+		}
+		expectLoadError(t, tc.name, s, tc.want)
 	}
-
-	// Location beyond the graph's vertex count.
-	s = onePosting(1)
-	s["ix/ftv/0/loclens"] = encI32s([]int32{1})
-	s["ix/ftv/0/locs"] = encI32s([]int32{7})
-	expectLoadError(t, "location range", s, "location")
-
-	// A posting count no extraction records.
-	for _, count := range []int32{0, -1} {
-		expectLoadError(t, fmt.Sprintf("count %d", count), onePosting(count), fmt.Sprintf("feature 0 holds count %d", count))
-	}
-
-	// A structurally broken graph must be caught by FromCSR.
-	s = base()
-	var names buf
-	names.u64(1)
-	names.str("g")
-	s["ds/names"] = names.b
-	s["ds/nverts"] = encI32s([]int32{2})
-	s["ds/labels"] = encI32s([]int32{0, 0})
-	s["ds/offsets"] = encI32s([]int32{0, 2, 2}) // vertex 0 lists two nbrs, vertex 1 none
-	s["ds/nbrs"] = encI32s([]int32{1, 1})
-	s["ds/elabs"] = encI32s([]int32{0, 0})
-	expectLoadError(t, "asymmetric graph", s, "graph")
 }
 
 func TestSaveValidation(t *testing.T) {
 	ds := testDataset(3)
-	if err := Save("x", &Model{State: live.State{Shards: 0, Kinds: []string{"ftv"}}}); err == nil {
-		t.Fatal("zero shards accepted")
-	}
-	if err := Save("x", &Model{State: live.State{Shards: 1}}); err == nil {
-		t.Fatal("no kinds accepted")
-	}
-	m := buildModel(t, ds, []string{index.KindPath}, 1)
-	m.Shards = 2 // one table
-	m.State = neverMutated(m.State)
-	if err := Save("x", m); err == nil || !strings.Contains(err.Error(), "tables for") {
-		t.Fatalf("grid/shard mismatch: %v", err)
-	}
-	m = buildModel(t, ds, []string{index.KindPath}, 1)
-	m.Mutable = true
-	m.Alive = []bool{true} // wrong length
-	if err := Save("x", m); err == nil || !strings.Contains(err.Error(), "slot arrays") {
-		t.Fatalf("slot array mismatch: %v", err)
-	}
-	// A static file leaves the store state out, so a static model must hold
-	// the state a load fills back in: a tombstone would be lost.
-	m = buildModel(t, ds, []string{index.KindPath}, 1)
-	m.Alive[1] = false
-	if err := Save("x", m); err == nil || !strings.Contains(err.Error(), "never-mutated") {
-		t.Fatalf("static model with a tombstone: %v", err)
-	}
-	// A "grapes" section needs a table that keeps locations.
-	m = buildModel(t, ds, []string{index.KindPath}, 1)
-	m.Kinds = []string{index.KindPath, index.KindGrapes}
-	if err := Save("x", m); err == nil || !strings.Contains(err.Error(), "keeps no locations") {
-		t.Fatalf("grapes section from a table without locations: %v", err)
+	for _, tc := range []struct {
+		name string
+		edit func(m *Model)
+		want string
+	}{
+		{"zero shards", func(m *Model) { m.Shards = 0 }, "shard count"},
+		{"no kinds", func(m *Model) { m.Kinds = nil }, "no index kinds"},
+		{"grid/shard mismatch", func(m *Model) { m.Shards = 2; m.State = neverMutated(m.State) }, "tables for"}, // one table
+		{"slot array mismatch", func(m *Model) { m.Mutable, m.Alive = true, []bool{true} }, "slot arrays"},
+		// A static file leaves the store state out, so a static model must
+		// hold the state a load fills back in: a tombstone would be lost.
+		{"static model with a tombstone", func(m *Model) { m.Alive[1] = false }, "never-mutated"},
+		// A "grapes" section needs a table that keeps locations.
+		{"grapes section from a table without locations", func(m *Model) { m.Kinds = []string{index.KindPath, index.KindGrapes} }, "keeps no locations"},
+	} {
+		m := buildModel(t, ds, []string{index.KindPath}, 1)
+		tc.edit(m)
+		if err := Save(filepath.Join(t.TempDir(), "x"), m); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Save error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 
 func TestSaveAtomicReplace(t *testing.T) {
-	ds := testDataset(3)
-	m := buildModel(t, ds, []string{index.KindPath}, 1)
-	path := filepath.Join(t.TempDir(), "snap.psi")
-	if err := Save(path, m); err != nil {
-		t.Fatal(err)
-	}
-	// Saving over an existing snapshot must replace it whole.
+	m := buildModel(t, testDataset(3), []string{index.KindPath}, 1)
+	path, _ := save(t, m)
+	// Saving over an existing snapshot must replace it whole and leave no
+	// temp file behind.
 	if err := Save(path, m); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(path, index.Options{}); err != nil {
 		t.Fatalf("re-saved snapshot unreadable: %v", err)
 	}
-	// No temp files left behind.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("leftover files after save: %v", entries)
+	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+		t.Fatalf("files after save: %v (%v)", entries, err)
 	}
 }
 
@@ -501,27 +384,15 @@ func TestSaveAtomicReplace(t *testing.T) {
 func TestPortfolioBuildDeterministic(t *testing.T) {
 	ds := testDataset(10)
 	kinds := []string{index.KindPath, "grapes", "ggsx"}
-	save := func(m *Model) []byte {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), "snap.psi")
-		if err := Save(path, m); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	sections := func(b []byte, names ...string) [][]byte {
+	sections := func(b []byte, kind string, shard int) [][]byte {
 		t.Helper()
 		r, err := parse("snap.psi", b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out [][]byte
-		for _, name := range names {
-			sec, err := r.section(name)
+		for _, arr := range []string{"featlens", "featlabels", "postlens", "postgids", "postcnts", "loclens", "locs"} {
+			sec, err := r.section(ixPrefix(kind, shard) + arr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -531,7 +402,7 @@ func TestPortfolioBuildDeterministic(t *testing.T) {
 	}
 	for _, k := range []int{1, 3} {
 		separate := buildModel(t, ds, kinds, k)
-		wantBytes := save(separate)
+		_, wantBytes := save(t, separate)
 		for _, workers := range []int{1, 4} {
 			pool := exec.New(workers)
 			tables, err := index.BuildTables(context.Background(), index.TableKind(kinds), ds, k, index.Options{MaxPathLen: 3, Pool: pool})
@@ -539,28 +410,20 @@ func TestPortfolioBuildDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := &Model{State: neverMutated(live.State{Shards: k, Kinds: kinds, SlotGraphs: ds, Tables: tables})}
 			for s, sub := range tables {
 				if !reflect.DeepEqual(index.Export(sub), index.Export(separate.Tables[s])) {
 					t.Errorf("K=%d workers=%d: shard %d exports differ between the one build and the shard's own", k, workers, s)
 				}
 			}
-			if !reflect.DeepEqual(save(m), wantBytes) {
+			m := &Model{State: neverMutated(live.State{Shards: k, Kinds: kinds, SlotGraphs: ds, Tables: tables})}
+			if _, got := save(t, m); !bytes.Equal(got, wantBytes) {
 				t.Errorf("K=%d workers=%d: snapshot bytes differ from the separate builds'", k, workers)
 			}
 		}
-		flat := save(buildModel(t, ds, []string{index.KindPath}, k))
+		_, flat := save(t, buildModel(t, ds, []string{index.KindPath}, k))
 		for s := range k {
 			for _, kind := range []string{index.KindPath, index.KindGGSX} {
-				var names []string
-				for _, arr := range []string{"featlens", "featlabels", "postlens", "postgids", "postcnts", "loclens", "locs"} {
-					names = append(names, ixPrefix(kind, s)+arr)
-				}
-				got := sections(wantBytes, names...)
-				for i, name := range names {
-					names[i] = ixPrefix(index.KindPath, s) + name[len(ixPrefix(kind, s)):]
-				}
-				if want := sections(flat, names...); !reflect.DeepEqual(got, want) {
+				if !reflect.DeepEqual(sections(wantBytes, kind, s), sections(flat, index.KindPath, s)) {
 					t.Errorf("K=%d shard %d: the %s sections differ from an ftv-only store's", k, s, kind)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -590,8 +591,7 @@ func TestCountClampOnAStar(t *testing.T) {
 	}
 	for _, leaves := range []int{254, 255} {
 		checkCandidates(t, g, star(leaves), DefaultRadius)
-		cand, err := m.candidates(star(leaves), match.NewBudget(context.Background()))
-		if err != nil || cand == nil || !cand[0].Has(0) {
+		if cand, err := m.candidates(star(leaves), match.NewBudget(context.Background())); err != nil || cand == nil || !cand[0].Has(0) {
 			t.Errorf("%d leaves: candidates %v, error %v; want the centre for the centre", leaves, cand, err)
 		}
 	}
@@ -655,18 +655,12 @@ func TestCandidatesKeepEveryEmbedding(t *testing.T) {
 		m := New(c.g)
 		for _, q := range c.queries {
 			embs, err := match.NewReference(c.g).Match(ctx, q, 50)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(embs) == 0 {
-				t.Fatalf("round %d: extracted query %s has no embedding", round, q.Name())
+			if err != nil || len(embs) == 0 {
+				t.Fatalf("round %d: extracted query %s has no embedding (%v)", round, q.Name(), err)
 			}
 			cand, err := m.candidates(q, match.NewBudget(ctx))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cand == nil {
-				t.Fatalf("round %d: filter emptied a candidate set of a contained query", round)
+			if err != nil || cand == nil {
+				t.Fatalf("round %d: filter emptied a candidate set of a contained query (%v)", round, err)
 			}
 			for _, emb := range embs {
 				for u, v := range emb {
@@ -687,28 +681,25 @@ func TestConcurrentQueries(t *testing.T) {
 	g := sparseGraph(rand.New(rand.NewSource(9)), 200, 4, []graph.Label{0, 1, 2})
 	m := New(g)
 	queries := workload.GenerateSingle(g, []int{4, 8}, 6, 1)
-	want := make([][]match.Embedding, len(queries))
-	for i, wq := range queries {
-		embs, err := m.Match(ctx, wq.Graph, 100)
-		if err != nil {
-			t.Fatal(err)
+	answers := func() [][]match.Embedding {
+		out := make([][]match.Embedding, len(queries))
+		for i, wq := range queries {
+			embs, err := m.Match(ctx, wq.Graph, 100)
+			if err != nil {
+				t.Error(err)
+			}
+			out[i] = embs
 		}
-		want[i] = embs
+		return out
 	}
+	want := answers()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i, wq := range queries {
-				got, err := m.Match(ctx, wq.Graph, 100)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !slices.EqualFunc(got, want[i], func(a, b match.Embedding) bool { return slices.Equal(a, b) }) {
-					t.Errorf("query %d: concurrent answer differs from sequential", i)
-				}
+			if got := answers(); !reflect.DeepEqual(got, want) {
+				t.Errorf("a concurrent goroutine's answers differ from the sequential ones")
 			}
 		}()
 	}

@@ -66,13 +66,9 @@ func TestApplyRewritingRoundTrip(t *testing.T) {
 	g := storedGraph()
 	q := psi.MustNewGraph("q", []psi.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
 	q2, perm := psi.ApplyRewriting(q, g, psi.ILFDND)
-	if q2.N() != q.N() || q2.M() != q.M() {
-		t.Fatal("rewriting changed the graph size")
-	}
-	m := psi.MustNewMatcher(psi.VF2, g)
-	embs, err := m.Match(context.Background(), q2, 1)
-	if err != nil || len(embs) == 0 {
-		t.Fatalf("rewritten query should match: %v %v", embs, err)
+	embs, err := psi.MustNewMatcher(psi.VF2, g).Match(context.Background(), q2, 1)
+	if err != nil || len(embs) == 0 || q2.N() != q.N() || q2.M() != q.M() {
+		t.Fatalf("rewritten query %v should keep its size and match: %v %v", q2, embs, err)
 	}
 	back := make(psi.Embedding, q.N())
 	for u := range back {
@@ -85,12 +81,9 @@ func TestApplyRewritingRoundTrip(t *testing.T) {
 
 func TestStructuredRewritingsCopy(t *testing.T) {
 	a := psi.StructuredRewritings()
-	if len(a) != 5 {
-		t.Fatalf("got %d rewritings", len(a))
-	}
 	a[0] = psi.Orig
-	if psi.StructuredRewritings()[0] == psi.Orig {
-		t.Error("StructuredRewritings must return a copy")
+	if len(a) != 5 || psi.StructuredRewritings()[0] == psi.Orig {
+		t.Errorf("got %d rewritings, or the caller's copy was the package's own; want 5 and a copy", len(a))
 	}
 }
 
@@ -100,11 +93,8 @@ func TestFTVPipelineAPI(t *testing.T) {
 	defer x.Close()
 	q := psi.ExtractQuery(ds[0], 5, 99)
 	ids, err := index.SequentialAnswer(context.Background(), x, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Contains(ids, 0) {
-		t.Error("source graph must contain the extracted query")
+	if err != nil || !slices.Contains(ids, 0) {
+		t.Fatalf("answer %v (%v): the source graph must contain the extracted query", ids, err)
 	}
 	// the raced pipeline streams the same answer
 	eng := newDatasetEngine(t, ds, psi.EngineOptions{IndexWorkers: 2, Rewritings: []psi.Rewriting{psi.Orig, psi.ILF, psi.DND}})
@@ -114,12 +104,8 @@ func TestFTVPipelineAPI(t *testing.T) {
 	// GGSX agrees too
 	x2 := mustBuildIndex(t, "ggsx", ds, 0)
 	defer x2.Close()
-	ids3, err := index.SequentialAnswer(context.Background(), x2, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids3) != len(ids) {
-		t.Errorf("GGSX answer %v != Grapes answer %v", ids3, ids)
+	if ids3, err := index.SequentialAnswer(context.Background(), x2, q); err != nil || len(ids3) != len(ids) {
+		t.Errorf("GGSX answer %v (%v) != Grapes answer %v", ids3, err, ids)
 	}
 }
 
@@ -127,44 +113,26 @@ func TestGeneratorsAndStats(t *testing.T) {
 	y := psi.GenerateYeastLike(psi.Tiny, 1)
 	h := psi.GenerateHumanLike(psi.Tiny, 1)
 	w := psi.GenerateWordnetLike(psi.Tiny, 1)
-	if psi.ComputeStats(h).AvgDegree <= psi.ComputeStats(y).AvgDegree {
-		t.Error("human-like should be denser than yeast-like")
-	}
-	if psi.ComputeStats(w).Labels > 5 {
-		t.Error("wordnet-like should have at most 5 labels")
-	}
 	syn := psi.GenerateSynthetic(psi.Tiny, 1)
-	st := psi.ComputeDatasetStats("syn", syn)
-	if st.NumGraphs != len(syn) {
-		t.Error("dataset stats")
+	if psi.ComputeStats(h).AvgDegree <= psi.ComputeStats(y).AvgDegree || psi.ComputeStats(w).Labels > 5 || psi.ComputeDatasetStats("syn", syn).NumGraphs != len(syn) {
+		t.Error("human-like should be denser than yeast-like, wordnet-like have at most 5 labels, dataset stats count the graphs")
 	}
 }
 
 func TestExtractQueryDeterministic(t *testing.T) {
 	g := psi.GenerateYeastLike(psi.Tiny, 2)
-	a := psi.ExtractQuery(g, 8, 5)
-	b := psi.ExtractQuery(g, 8, 5)
-	if !a.Equal(b) {
-		t.Error("same seed must reproduce the query")
-	}
-	if a.M() != 8 {
-		t.Errorf("query has %d edges", a.M())
+	if a := psi.ExtractQuery(g, 8, 5); !a.Equal(psi.ExtractQuery(g, 8, 5)) || a.M() != 8 {
+		t.Errorf("query of %d edges; the same seed must reproduce it with 8", a.M())
 	}
 }
 
 func TestBuilderAPI(t *testing.T) {
 	b := psi.NewBuilder("g")
-	v0 := b.AddVertex(3)
-	v1 := b.AddVertex(4)
-	if err := b.AddEdge(v0, v1); err != nil {
+	if err := b.AddEdge(b.AddVertex(3), b.AddVertex(4)); err != nil {
 		t.Fatal(err)
 	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 2 || g.M() != 1 {
-		t.Error("builder result")
+	if g, err := b.Build(); err != nil || g.N() != 2 || g.M() != 1 {
+		t.Errorf("builder result %v, %v; want 2 vertices and 1 edge", g, err)
 	}
 }
 
@@ -193,15 +161,11 @@ func TestFilterIndexFacade(t *testing.T) {
 		}
 		got, err := index.SequentialAnswer(context.Background(), x, q)
 		x.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if i == 0 {
 			want = got
-			continue
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s answered %v, first kind answered %v", kind, got, want)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s answered %v (%v), first kind answered %v", kind, got, err, want)
 		}
 	}
 	if _, err := psi.BuildIndex(context.Background(), "btree", ds, 1); err == nil {
@@ -217,12 +181,8 @@ func TestFilterIndexFacade(t *testing.T) {
 	if st := sh.Stats(); st.ShardCount != 2 || len(st.Shards) != 2 {
 		t.Errorf("sharded Stats = %+v, want ShardCount 2 with per-shard breakdown", st)
 	}
-	got, err := index.SequentialAnswer(context.Background(), sh, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("sharded index answered %v, monolithic %v", got, want)
+	if got, err := index.SequentialAnswer(context.Background(), sh, q); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("sharded index answered %v (%v), monolithic %v", got, err, want)
 	}
 	if _, err := psi.NewShardedIndex(context.Background(), "btree", ds, 2, 1); err == nil {
 		t.Error("NewShardedIndex of unknown kind must fail")
