@@ -61,8 +61,11 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(40 + ci)))
 			ds := psi.GeneratePPI(psi.Tiny, 2)
 			eng := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: cfg.indexes, Shards: cfg.shards, Workers: cfg.workers, Mutable: true, CompactEvery: 2})
-			if !eng.Mutable() || eng.Epoch() != 1 {
-				t.Fatalf("Mutable() = %v, initial Epoch() = %d; want true and 1", eng.Mutable(), eng.Epoch())
+			if !eng.Mutable() {
+				t.Fatal("Mutable() = false on a mutable engine")
+			}
+			if eng.Epoch() != 1 {
+				t.Fatalf("initial Epoch() = %d, want 1", eng.Epoch())
 			}
 			supply := mutablePool(int64(90+ci), 8)
 			steps := 8
@@ -78,19 +81,27 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 				if len(handles) < 3 {
 					op = 0 // keep the dataset big enough to query
 				}
-				var err error
 				switch op {
 				case 0:
-					_, err = eng.AddGraph(context.Background(), supply[step%len(supply)])
+					if _, err := eng.AddGraph(context.Background(), supply[step%len(supply)]); err != nil {
+						t.Fatalf("step %d: AddGraph: %v", step, err)
+					}
 				case 1:
-					_, err = eng.RemoveGraph(context.Background(), handles[r.Intn(len(handles))])
+					if _, err := eng.RemoveGraph(context.Background(), handles[r.Intn(len(handles))]); err != nil {
+						t.Fatalf("step %d: RemoveGraph: %v", step, err)
+					}
 				case 2:
 					h := handles[r.Intn(len(handles))]
-					err = eng.ReplaceGraph(context.Background(), h, supply[(step+3)%len(supply)])
+					if err := eng.ReplaceGraph(context.Background(), h, supply[(step+3)%len(supply)]); err != nil {
+						t.Fatalf("step %d: ReplaceGraph: %v", step, err)
+					}
+				}
+				if eng.Epoch() != epochBefore+1 {
+					t.Fatalf("step %d: epoch %d after %d", step, eng.Epoch(), epochBefore)
 				}
 				cur := eng.Dataset()
-				if err != nil || eng.Epoch() != epochBefore+1 || len(eng.Handles()) != len(cur) {
-					t.Fatalf("step %d: op %d = %v, epoch %d after %d, %d handles for %d graphs", step, op, err, eng.Epoch(), epochBefore, len(eng.Handles()), len(cur))
+				if got := eng.Handles(); len(got) != len(cur) {
+					t.Fatalf("step %d: %d handles for %d graphs", step, len(got), len(cur))
 				}
 				var queries []*psi.Graph
 				for qi := 0; qi < 2 && qi < len(cur); qi++ {
@@ -102,8 +113,10 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 					}
 				}
 			}
-			if c := eng.Counters(); c.GraphsAdded+c.GraphsRemoved+c.GraphsReplaced != int64(steps) {
-				t.Errorf("mutation counters sum %d+%d+%d, want %d", c.GraphsAdded, c.GraphsRemoved, c.GraphsReplaced, steps)
+			snap := eng.Counters()
+			if snap.GraphsAdded+snap.GraphsRemoved+snap.GraphsReplaced != int64(steps) {
+				t.Errorf("mutation counters sum %d+%d+%d, want %d",
+					snap.GraphsAdded, snap.GraphsRemoved, snap.GraphsReplaced, steps)
 			}
 		})
 	}
@@ -190,14 +203,15 @@ func concurrentChurn(t *testing.T, kinds []string, indexWorkers int) {
 	r := rand.New(rand.NewSource(13))
 	supply := mutablePool(55, 8)
 	for step := 0; step < 10; step++ {
-		var err error
-		if handles := eng.Handles(); len(handles) > 3 && r.Intn(2) == 0 {
-			_, err = eng.RemoveGraph(context.Background(), handles[r.Intn(len(handles))])
+		handles := eng.Handles()
+		if len(handles) > 3 && r.Intn(2) == 0 {
+			if _, err := eng.RemoveGraph(context.Background(), handles[r.Intn(len(handles))]); err != nil {
+				t.Fatal(err)
+			}
 		} else {
-			_, err = eng.AddGraph(context.Background(), supply[step%len(supply)])
-		}
-		if err != nil {
-			t.Fatal(err)
+			if _, err := eng.AddGraph(context.Background(), supply[step%len(supply)]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		record()
 	}
@@ -221,8 +235,12 @@ func TestMutableEngineFreshness(t *testing.T) {
 	// must now also match the newcomer.
 	query(t, eng, q, 0)
 	h, err := eng.AddGraph(context.Background(), donor)
-	after, newID := query(t, eng, q, 0), len(eng.Dataset())-1
-	if err != nil || !slices.Contains(after.GraphIDs, newID) {
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := query(t, eng, q, 0)
+	newID := len(eng.Dataset()) - 1
+	if !slices.Contains(after.GraphIDs, newID) {
 		t.Fatalf("after ingest: answer %v misses the new graph %d (stale state?); before was %v",
 			after.GraphIDs, newID, first.GraphIDs)
 	}
@@ -244,24 +262,32 @@ func TestMutableEngineAPI(t *testing.T) {
 	if static.Mutable() || static.Epoch() != 0 || static.Handles() != nil {
 		t.Errorf("static engine: Mutable %v, Epoch %d, handles %v; want false, 0, nil", static.Mutable(), static.Epoch(), static.Handles())
 	}
-	_, errAdd := static.AddGraph(context.Background(), ds[0])
-	_, errRemove := static.RemoveGraph(context.Background(), 1)
-	if errReplace := static.ReplaceGraph(context.Background(), 1, ds[0]); errAdd == nil || errRemove == nil || errReplace == nil {
-		t.Errorf("a static engine's AddGraph %v, RemoveGraph %v, ReplaceGraph %v; want three errors", errAdd, errRemove, errReplace)
+	if _, err := static.AddGraph(context.Background(), ds[0]); err == nil {
+		t.Error("AddGraph on a static engine did not error")
+	}
+	if _, err := static.RemoveGraph(context.Background(), 1); err == nil {
+		t.Error("RemoveGraph on a static engine did not error")
+	}
+	if err := static.ReplaceGraph(context.Background(), 1, ds[0]); err == nil {
+		t.Error("ReplaceGraph on a static engine did not error")
 	}
 
 	eng := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: []string{"ftv"}, Mutable: true, CompactEvery: 1})
-	_, errRemove = eng.RemoveGraph(context.Background(), 999)
-	if errReplace := eng.ReplaceGraph(context.Background(), 999, ds[0]); errRemove == nil || errReplace == nil {
-		t.Errorf("RemoveGraph(unknown) %v, ReplaceGraph(unknown) %v; want two errors", errRemove, errReplace)
+	if _, err := eng.RemoveGraph(context.Background(), 999); err == nil {
+		t.Error("RemoveGraph(unknown) did not error")
+	}
+	if err := eng.ReplaceGraph(context.Background(), 999, ds[0]); err == nil {
+		t.Error("ReplaceGraph(unknown) did not error")
 	}
 	p, err := eng.Plan(psi.ExtractQuery(ds[0], 3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := eng.Execute(context.Background(), p, 0); err != nil {
+	res, err := eng.Execute(context.Background(), p, 0)
+	if err != nil {
 		t.Fatal(err)
-	} else if res.Epoch != 1 {
+	}
+	if res.Epoch != 1 {
 		t.Errorf("epoch after construction = %d, want 1", res.Epoch)
 	}
 	// CompactEvery=1: the very first removal must compact.
@@ -269,7 +295,8 @@ func TestMutableEngineAPI(t *testing.T) {
 	if err != nil || !compacted {
 		t.Errorf("CompactEvery=1 removal: compacted %v, %v; want a compaction", compacted, err)
 	}
-	if c := eng.Counters(); c.GraphsRemoved != 1 || c.Compactions != 1 {
-		t.Errorf("counters removed=%d compactions=%d, want 1/1", c.GraphsRemoved, c.Compactions)
+	snap := eng.Counters()
+	if snap.GraphsRemoved != 1 || snap.Compactions != 1 {
+		t.Errorf("counters removed=%d compactions=%d, want 1/1", snap.GraphsRemoved, snap.Compactions)
 	}
 }

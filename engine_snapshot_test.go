@@ -52,8 +52,10 @@ func loadSnapshot(t *testing.T, path string, opts psi.EngineOptions) *psi.Engine
 
 func assertSameAnswers(t *testing.T, label string, want, got [][]int) {
 	t.Helper()
-	if !slices.EqualFunc(want, got, slices.Equal[[]int]) {
-		t.Errorf("%s: answered %v, want %v", label, got, want)
+	for i := range want {
+		if !slices.Equal(want[i], got[i]) {
+			t.Errorf("%s: query %d answered %v, want %v", label, i, got[i], want[i])
+		}
 	}
 }
 
@@ -103,17 +105,23 @@ func TestEngineSnapshotRoundTripMutable(t *testing.T) {
 			}
 			handles = append(handles, h)
 		}
-		_, err := orig.RemoveGraph(context.Background(), handles[1])
-		if err == nil {
-			err = orig.ReplaceGraph(context.Background(), handles[2], pool[4])
+		if _, err := orig.RemoveGraph(context.Background(), handles[1]); err != nil {
+			t.Fatal(err)
 		}
-		if err != nil {
+		if err := orig.ReplaceGraph(context.Background(), handles[2], pool[4]); err != nil {
 			t.Fatal(err)
 		}
 		want := snapAnswers(t, orig, queries)
+		epoch := orig.Epoch()
 		loaded := loadSnapshot(t, saveSnapshot(t, orig), psi.EngineOptions{Mutable: true, CompactEvery: 2})
-		if !loaded.Mutable() || loaded.Epoch() != orig.Epoch() || !slices.Equal(loaded.Handles(), orig.Handles()) {
-			t.Fatalf("K=%d: loaded mutable %v at epoch %d with handles %v; want mutable, %d, %v", shards, loaded.Mutable(), loaded.Epoch(), loaded.Handles(), orig.Epoch(), orig.Handles())
+		if !loaded.Mutable() {
+			t.Fatalf("K=%d: loaded engine is not mutable", shards)
+		}
+		if loaded.Epoch() != epoch {
+			t.Errorf("K=%d: loaded epoch %d, want %d", shards, loaded.Epoch(), epoch)
+		}
+		if !slices.Equal(loaded.Handles(), orig.Handles()) {
+			t.Errorf("K=%d: loaded handles %v, want %v", shards, loaded.Handles(), orig.Handles())
 		}
 		assertSameAnswers(t, "loaded mutable", want, snapAnswers(t, loaded, queries))
 
@@ -229,8 +237,12 @@ func TestSnapshotRacingMutations(t *testing.T) {
 		loaded := loadSnapshot(t, path, psi.EngineOptions{Mutable: true})
 		got := loaded.Dataset()
 		want, ok := committed[loaded.Epoch()]
-		if epochs[loaded.Epoch()] = true; !ok || !slices.EqualFunc(got, want, (*psi.Graph).Equal) {
-			t.Fatalf("file %d: epoch %d with %d graphs; the mutator committed it %v, with %d", i, loaded.Epoch(), len(got), ok, len(want))
+		if !ok {
+			t.Fatalf("file %d holds epoch %d, which the mutator never committed", i, loaded.Epoch())
+		}
+		epochs[loaded.Epoch()] = true
+		if !slices.EqualFunc(got, want, (*psi.Graph).Equal) {
+			t.Errorf("file %d: epoch %d with %d graphs, not the %d the epoch committed", i, loaded.Epoch(), len(got), len(want))
 		}
 		queries := make([]*psi.Graph, 3)
 		for qi := range queries {
@@ -264,8 +276,10 @@ func TestEngineSnapshotMismatch(t *testing.T) {
 		{"missing file", psi.EngineOptions{Snapshot: path + ".nope"}, ""},
 	}
 	for _, tc := range cases {
-		if _, err := psi.NewDatasetEngine(nil, tc.opts); err == nil || !strings.Contains(strings.ToLower(err.Error()), tc.wantSub) {
-			t.Errorf("%s: load error %v, want one mentioning %q", tc.name, err, tc.wantSub)
+		if _, err := psi.NewDatasetEngine(nil, tc.opts); err == nil {
+			t.Errorf("%s: load succeeded", tc.name)
+		} else if tc.wantSub != "" && !strings.Contains(strings.ToLower(err.Error()), tc.wantSub) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantSub)
 		}
 	}
 
@@ -290,8 +304,10 @@ func TestEngineSnapshotMismatch(t *testing.T) {
 	if err := os.WriteFile(bad, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: bad}); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Errorf("corrupted snapshot: load error %v, want a checksum error", err)
+	if _, err := psi.NewDatasetEngine(nil, psi.EngineOptions{Snapshot: bad}); err == nil {
+		t.Error("corrupted snapshot loaded")
+	} else if !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("corrupt-load error %q does not mention checksum", err)
 	}
 }
 

@@ -39,10 +39,11 @@ func TestEngineConcurrentNFVCallers(t *testing.T) {
 				switch (gi + i) % 4 {
 				case 0: // plan + execute
 					p, err := eng.Plan(q)
-					var res *psi.QueryResult
-					if err == nil {
-						res, err = eng.Execute(context.Background(), p, 100000)
+					if err != nil {
+						errs <- err
+						return
 					}
+					res, err := eng.Execute(context.Background(), p, 100000)
 					if err != nil {
 						errs <- err
 						return

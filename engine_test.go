@@ -130,11 +130,18 @@ func TestEngineModeSinglePlansFixed(t *testing.T) {
 		Algorithms: []psi.Algorithm{psi.VF2, psi.GraphQL},
 	})
 	p, err := eng.Plan(q)
-	if err != nil || p.Kind != psi.PlanFixed || len(p.Arms) != 1 {
-		t.Fatalf("ModeSingle plan = %+v (%v), want fixed over one arm", p, err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res, err := eng.Execute(context.Background(), p, 10); err != nil || res.Winner != "VF2-Orig" {
-		t.Errorf("fixed plan should run the portfolio's first attempt: %v, %v", res, err)
+	if p.Kind != psi.PlanFixed || len(p.Arms) != 1 {
+		t.Fatalf("ModeSingle plan = %v with arms %v, want fixed/1", p.Kind, p.Arms)
+	}
+	res, err := eng.Execute(context.Background(), p, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Winner != "VF2-Orig" {
+		t.Errorf("fixed plan should run the portfolio's first attempt, winner=%q", res.Winner)
 	}
 }
 
@@ -162,8 +169,11 @@ func TestEngineDeadlineKillsQuery(t *testing.T) {
 	if !res.Killed {
 		t.Skip("enumeration finished inside the cap on this machine")
 	}
-	if res.Found != 0 || res.Embeddings != nil || res.Elapsed != 5*time.Millisecond {
-		t.Errorf("killed query found %d, Elapsed %v; want an empty answer, clamped to the 5ms cap", res.Found, res.Elapsed)
+	if res.Found != 0 || res.Embeddings != nil {
+		t.Error("killed query must surface an empty answer")
+	}
+	if res.Elapsed != 5*time.Millisecond {
+		t.Errorf("killed query Elapsed = %v, want clamped to the 5ms cap", res.Elapsed)
 	}
 }
 
@@ -272,10 +282,15 @@ func TestDatasetEngineAnswerStream(t *testing.T) {
 }
 
 func TestEngineOptionValidation(t *testing.T) {
-	_, noGraph := psi.NewEngine(nil, psi.EngineOptions{})
-	_, noDataset := psi.NewDatasetEngine(nil, psi.EngineOptions{})
-	if _, warp := psi.NewEngine(psi.MustNewGraph("g", []psi.Label{0}, nil), psi.EngineOptions{Mode: "warp"}); noGraph == nil || noDataset == nil || warp == nil {
-		t.Errorf("NewEngine(nil): %v; NewDatasetEngine(empty): %v; an unknown mode: %v; want three errors", noGraph, noDataset, warp)
+	if _, err := psi.NewEngine(nil, psi.EngineOptions{}); err == nil {
+		t.Error("NewEngine(nil) must fail")
+	}
+	if _, err := psi.NewDatasetEngine(nil, psi.EngineOptions{}); err == nil {
+		t.Error("NewDatasetEngine(empty) must fail")
+	}
+	g := psi.MustNewGraph("g", []psi.Label{0}, nil)
+	if _, err := psi.NewEngine(g, psi.EngineOptions{Mode: "warp"}); err == nil {
+		t.Error("unknown mode must fail")
 	}
 	_, err := psi.ParseMode("predict")
 	if err == nil {

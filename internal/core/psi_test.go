@@ -193,20 +193,13 @@ func TestRaceEmbeddingCountMatchesDirectRun(t *testing.T) {
 	}
 	racer := NewRacer(g)
 	attempts := Portfolio([]match.Matcher{vf2.New(g)}, append([]rewrite.Kind{rewrite.Orig}, rewrite.Structured...))
-	if res, err := racer.Race(context.Background(), q, 1000, attempts); err != nil || len(res.Embeddings) != len(direct) {
-		t.Errorf("race returned %d embeddings (%v), direct run %d", len(res.Embeddings), err, len(direct))
+	res, err := racer.Race(context.Background(), q, 1000, attempts)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// hubStar is a label-1 hub joined to the given number of label-0 leaves.
-func hubStar(leaves int) *graph.Graph {
-	labels := []graph.Label{1}
-	var edges [][2]int
-	for v := 1; v <= leaves; v++ {
-		labels = append(labels, 0)
-		edges = append(edges, [2]int{0, v})
+	if len(res.Embeddings) != len(direct) {
+		t.Errorf("race returned %d embeddings, direct run %d", len(res.Embeddings), len(direct))
 	}
-	return graph.MustNew("star", labels, edges)
 }
 
 // TestRaceAllocsPerEmbedding: an attempt under a rewriting searches the
@@ -215,7 +208,13 @@ func hubStar(leaves int) *graph.Graph {
 func TestRaceAllocsPerEmbedding(t *testing.T) {
 	// A label-1 hub with 60 label-0 leaves holds 60·59 embeddings of the
 	// 0-1-0 path.
-	g := hubStar(60)
+	labels := []graph.Label{1}
+	var edges [][2]int
+	for v := 1; v <= 60; v++ {
+		labels = append(labels, 0)
+		edges = append(edges, [2]int{0, v})
+	}
+	g := graph.MustNew("star", labels, edges)
 	q := graph.MustNew("q", []graph.Label{0, 1, 0}, [][2]int{{0, 1}, {1, 2}})
 	racer := NewRacer(g)
 	attempts := []Attempt{{Matcher: gql.New(g), Rewriting: rewrite.DND}}

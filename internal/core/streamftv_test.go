@@ -141,8 +141,12 @@ func TestIndexRaceRepeatedNoLeak(t *testing.T) {
 	}
 	leakcheck.Check(t, 4)
 	for i := 0; i < 200; i++ {
-		if _, wins, err := collect(context.Background(), pool, orig, x, vs, edge); err != nil || !slices.Equal(wins, []int{2, 0}) {
-			t.Fatalf("iteration %d: wins = %v, %v", i, wins, err)
+		_, wins, err := collect(context.Background(), pool, orig, x, vs, edge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(wins, []int{2, 0}) {
+			t.Fatalf("iteration %d: wins = %v", i, wins)
 		}
 	}
 }

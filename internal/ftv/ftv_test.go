@@ -19,10 +19,19 @@ func TestExtractFeaturesPathGraph(t *testing.T) {
 	if feats.Len() != 3 {
 		t.Fatalf("got %d features, want 3", feats.Len())
 	}
-	for _, want := range [][]graph.Label{{10, 11, 12}, {10, 11}} {
-		if f, ok := find(feats, want); !ok || feats.Count(f) != 1 || len(feats.Locations(f)) != len(want) {
-			t.Errorf("feature %v: found %v, want it once, located at its %d vertices", want, ok, len(want))
-		}
+	f, ok := find(feats, []graph.Label{10, 11, 12})
+	if !ok || feats.Count(f) != 1 {
+		t.Fatalf("a-b-c feature: found=%v", ok)
+	}
+	if len(feats.Locations(f)) != 3 {
+		t.Errorf("a-b-c locations = %v, want all 3 vertices", feats.Locations(f))
+	}
+	f2, ok := find(feats, []graph.Label{10, 11})
+	if !ok || feats.Count(f2) != 1 {
+		t.Fatalf("a-b feature: found=%v", ok)
+	}
+	if len(feats.Locations(f2)) != 2 {
+		t.Errorf("a-b locations = %v", feats.Locations(f2))
 	}
 	if _, ok := find(feats, []graph.Label{11, 10}); ok {
 		t.Error("b-a is a-b read backwards and must not be a feature of its own")
@@ -32,13 +41,18 @@ func TestExtractFeaturesPathGraph(t *testing.T) {
 func TestExtractFeaturesCountsMultipleOccurrences(t *testing.T) {
 	// star: center label 0, two leaves label 1: path 0-1 occurs twice
 	g := graph.MustNew("s", []graph.Label{0, 1, 1}, [][2]int{{0, 1}, {0, 2}})
-	// and 1-0-1 twice (both directions); locations are nil when not
-	// requested.
 	feats := ExtractFeatures(g, 2, false)
-	for _, want := range [][]graph.Label{{0, 1}, {1, 0, 1}} {
-		if f, ok := find(feats, want); !ok || feats.Count(f) != 2 || feats.Locations(f) != nil {
-			t.Errorf("feature %v: found %v, want count 2 and no locations", want, ok)
-		}
+	f, ok := find(feats, []graph.Label{0, 1})
+	if !ok || feats.Count(f) != 2 {
+		t.Fatalf("center-leaf feature: found=%v, want count 2", ok)
+	}
+	if feats.Locations(f) != nil {
+		t.Error("locations must be nil when not requested")
+	}
+	// 1-0-1 path occurs twice (both directions)
+	f2, ok := find(feats, []graph.Label{1, 0, 1})
+	if !ok || feats.Count(f2) != 2 {
+		t.Fatalf("leaf-center-leaf feature: found=%v, want count 2", ok)
 	}
 }
 
@@ -60,8 +74,17 @@ func TestQueryFeaturesMaximalOnly(t *testing.T) {
 	// a-b-c.
 	g := graph.MustNew("p", []graph.Label{10, 11, 12}, [][2]int{{0, 1}, {1, 2}})
 	feats := QueryFeatures(g, 4)
-	if len(feats) != 3 || queryFeature(feats, 10, 11, 12) != 1 || queryFeature(feats, 10, 11) != 1 || queryFeature(feats, 11, 10) != 0 || queryFeature(feats, 11, 12) != 1 {
-		t.Fatalf("query features %v, want a-b-c, b-c and b-a once each, b-a spelled a-b", feats)
+	if len(feats) != 3 {
+		t.Fatalf("got %d query features, want 3: %v", len(feats), feats)
+	}
+	if queryFeature(feats, 10, 11, 12) != 1 {
+		t.Error("missing maximal path a-b-c")
+	}
+	if queryFeature(feats, 10, 11) != 1 || queryFeature(feats, 11, 10) != 0 {
+		t.Error("maximal path b-a must appear once, spelled a-b")
+	}
+	if queryFeature(feats, 11, 12) != 1 {
+		t.Error("missing maximal path b-c")
 	}
 	// With maxLen 1 every edge is maximal from both ends, and the two
 	// readings of an edge are one requirement, not two.
@@ -93,7 +116,8 @@ func TestQueryFeaturesFoldTakesLargerCount(t *testing.T) {
 }
 
 func TestQueryFeaturesEdgelessQuery(t *testing.T) {
-	if len(QueryFeatures(graph.MustNew("v", []graph.Label{0}, nil), 4)) != 0 {
+	g := graph.MustNew("v", []graph.Label{0}, nil)
+	if len(QueryFeatures(g, 4)) != 0 {
 		t.Error("edgeless query has no path features")
 	}
 }

@@ -1,9 +1,7 @@
 package gen
 
 import (
-	"maps"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -17,8 +15,11 @@ func TestParseScale(t *testing.T) {
 			t.Errorf("ParseScale(%q) = %v, %v", s.String(), got, err)
 		}
 	}
-	if _, err := ParseScale("huge"); err == nil || Scale(42).String() == "" {
-		t.Errorf("ParseScale(huge) = %v, Scale(42) = %q; want an error and a name", err, Scale(42))
+	if _, err := ParseScale("huge"); err == nil {
+		t.Error("expected error for unknown scale")
+	}
+	if Scale(42).String() == "" {
+		t.Error("unknown scale should still stringify")
 	}
 }
 
@@ -28,19 +29,34 @@ func TestSyntheticShape(t *testing.T) {
 	if len(ds) != cfg.NumGraphs {
 		t.Fatalf("got %d graphs, want %d", len(ds), cfg.NumGraphs)
 	}
-	// GraphGen graphs are connected, their density within a factor ~2 of
-	// the target.
 	st := graph.ComputeDatasetStats("synthetic", ds)
-	if st.Labels > cfg.Labels || math.Abs(st.AvgNodes-float64(cfg.AvgNodes)) > float64(cfg.NodeSpread) || st.NumDisconnected != 0 ||
-		st.AvgDensity < cfg.Density/2 || st.AvgDensity > cfg.Density*3 {
-		t.Errorf("stats %+v for config %+v", st, cfg)
+	if st.Labels > cfg.Labels {
+		t.Errorf("labels = %d > %d", st.Labels, cfg.Labels)
+	}
+	if math.Abs(st.AvgNodes-float64(cfg.AvgNodes)) > float64(cfg.NodeSpread) {
+		t.Errorf("avg nodes %.1f too far from %d", st.AvgNodes, cfg.AvgNodes)
+	}
+	// GraphGen graphs are connected
+	if st.NumDisconnected != 0 {
+		t.Errorf("%d disconnected synthetic graphs, want 0", st.NumDisconnected)
+	}
+	// density within a factor ~2 of target
+	if st.AvgDensity < cfg.Density/2 || st.AvgDensity > cfg.Density*3 {
+		t.Errorf("avg density %.4f vs target %.4f", st.AvgDensity, cfg.Density)
 	}
 }
 
 func TestSyntheticDeterministic(t *testing.T) {
 	a := Synthetic(SyntheticAt(Tiny), 7)
-	if !slices.EqualFunc(a, Synthetic(SyntheticAt(Tiny), 7), (*graph.Graph).Equal) || a[0].Equal(Synthetic(SyntheticAt(Tiny), 8)[0]) {
-		t.Error("equal seeds must give equal graphs, different seeds different ones")
+	b := Synthetic(SyntheticAt(Tiny), 7)
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			t.Fatalf("graph %d differs between equal-seed runs", i)
+		}
+	}
+	c := Synthetic(SyntheticAt(Tiny), 8)
+	if a[0].Equal(c[0]) {
+		t.Error("different seeds should differ")
 	}
 }
 
@@ -50,9 +66,13 @@ func TestPPIShape(t *testing.T) {
 	if len(ds) != cfg.NumGraphs {
 		t.Fatalf("got %d graphs", len(ds))
 	}
-	// Table 1: all PPI graphs are disconnected (isolated vertices).
-	if st := graph.ComputeDatasetStats("ppi", ds); st.NumDisconnected != cfg.NumGraphs || st.Labels > cfg.Labels {
-		t.Errorf("%d/%d disconnected over %d labels, want all over at most %d", st.NumDisconnected, cfg.NumGraphs, st.Labels, cfg.Labels)
+	st := graph.ComputeDatasetStats("ppi", ds)
+	// Table 1: all PPI graphs are disconnected
+	if st.NumDisconnected != cfg.NumGraphs {
+		t.Errorf("%d/%d disconnected, want all (isolated vertices)", st.NumDisconnected, cfg.NumGraphs)
+	}
+	if st.Labels > cfg.Labels {
+		t.Errorf("dataset labels %d > %d", st.Labels, cfg.Labels)
 	}
 	// per-graph label subset ≈ LabelsPer
 	for _, g := range ds {
@@ -64,18 +84,29 @@ func TestPPIShape(t *testing.T) {
 
 func TestSingleRespectsCounts(t *testing.T) {
 	cfg := SingleConfig{Nodes: 300, Edges: 900, Labels: 10, LabelZipfS: 1.5, PrefAttach: 0.5, Tree: true}
-	// A Tree config gives a connected graph.
-	if g := Single("s", cfg, 3); g.N() != 300 || g.M() < 850 || g.M() > 900 || !g.IsConnected() {
-		t.Errorf("n = %d, m = %d, connected %v; want 300, ≈900, true", g.N(), g.M(), g.IsConnected())
+	g := Single("s", cfg, 3)
+	if g.N() != 300 {
+		t.Errorf("n = %d", g.N())
+	}
+	if g.M() < 850 || g.M() > 900 {
+		t.Errorf("m = %d, want ≈900", g.M())
+	}
+	if !g.IsConnected() {
+		t.Error("Tree config must produce a connected graph")
 	}
 }
 
 func TestYeastLikeShape(t *testing.T) {
 	g := YeastLike(Tiny, 1)
-	// Degree and label skew: each standard deviation exceeds its mean
-	// (Table 2: yeast 14.5 vs 8.04 and 322 vs 127).
-	if st := graph.ComputeStats(g); st.StdDevDegree < st.AvgDegree || st.StdDevLblFreq < st.AvgLabelFreq {
-		t.Errorf("degree %.2f ± %.2f, label frequency %.2f ± %.2f; want heavy tails", st.AvgDegree, st.StdDevDegree, st.AvgLabelFreq, st.StdDevLblFreq)
+	st := graph.ComputeStats(g)
+	// degree skew: stddev should exceed the mean substantially (Table 2:
+	// yeast 14.5 vs 8.04)
+	if st.StdDevDegree < st.AvgDegree {
+		t.Errorf("degree stddev %.2f should exceed avg %.2f (heavy tail)", st.StdDevDegree, st.AvgDegree)
+	}
+	// label skew: stddev of label frequency > avg (Table 2: 322 vs 127)
+	if st.StdDevLblFreq < st.AvgLabelFreq {
+		t.Errorf("label-freq stddev %.2f should exceed avg %.2f", st.StdDevLblFreq, st.AvgLabelFreq)
 	}
 }
 
@@ -89,11 +120,22 @@ func TestHumanLikeIsDenser(t *testing.T) {
 
 func TestWordnetLikeShape(t *testing.T) {
 	g := WordnetLike(Tiny, 1)
-	if st := graph.ComputeStats(g); st.Labels > 5 || st.AvgDegree > 4 {
-		t.Errorf("%d labels, avg degree %.1f; want ≤5 and near-tree sparsity", st.Labels, st.AvgDegree)
+	st := graph.ComputeStats(g)
+	if st.Labels > 5 {
+		t.Errorf("wordnet-like labels = %d, want ≤5", st.Labels)
+	}
+	if st.AvgDegree > 4 {
+		t.Errorf("wordnet-like avg degree %.1f, want near-tree sparsity", st.AvgDegree)
 	}
 	// extreme label skew: most frequent label covers the majority
-	if maxF := slices.Max(slices.Collect(maps.Values(g.LabelFrequencies()))); float64(maxF) < 0.5*float64(g.N()) {
+	freq := g.LabelFrequencies()
+	maxF := 0
+	for _, c := range freq {
+		if c > maxF {
+			maxF = c
+		}
+	}
+	if float64(maxF) < 0.5*float64(g.N()) {
 		t.Errorf("dominant label covers %d/%d vertices, want majority", maxF, g.N())
 	}
 }
@@ -122,7 +164,9 @@ func TestPaperScaleConfigsMatchTable(t *testing.T) {
 }
 
 func TestSingleDeterministic(t *testing.T) {
-	if !YeastLike(Tiny, 5).Equal(YeastLike(Tiny, 5)) {
+	a := YeastLike(Tiny, 5)
+	b := YeastLike(Tiny, 5)
+	if !a.Equal(b) {
 		t.Error("same seed must reproduce the graph")
 	}
 }
@@ -133,11 +177,19 @@ func TestSingleEdgeLabels(t *testing.T) {
 	if !g.HasEdgeLabelsBeyondDefault() {
 		t.Fatal("EdgeLabels config must produce non-default edge labels")
 	}
-	seen, outside := map[graph.Label]bool{}, false
-	g.LabeledEdges(func(u, v int, l graph.Label) { seen[l], outside = true, outside || l < 0 || l >= 3 })
-	// Presets stay edge-unlabeled (paper datasets are vertex-labeled).
-	if len(seen) < 2 || outside || YeastLike(Tiny, 1).HasEdgeLabelsBeyondDefault() {
-		t.Errorf("edge labels %v, want at least 2 of 0..2; the yeast preset's none", seen)
+	seen := map[graph.Label]bool{}
+	g.LabeledEdges(func(u, v int, l graph.Label) {
+		if l < 0 || l >= 3 {
+			t.Fatalf("edge label %d out of range", l)
+		}
+		seen[l] = true
+	})
+	if len(seen) < 2 {
+		t.Errorf("expected at least 2 distinct edge labels, got %v", seen)
+	}
+	// presets stay edge-unlabeled (paper datasets are vertex-labeled)
+	if YeastLike(Tiny, 1).HasEdgeLabelsBeyondDefault() {
+		t.Error("yeast preset must not have edge labels")
 	}
 }
 
@@ -151,8 +203,14 @@ func TestDataset(t *testing.T) {
 		"human":     {HumanLike(Tiny, 3)},
 		"wordnet":   {WordnetLike(Tiny, 3)},
 	} {
-		if got, err := Dataset(name, Tiny, 3); err != nil || !slices.EqualFunc(got, want, (*graph.Graph).Equal) {
-			t.Errorf("Dataset(%q) = %d graphs, %v; want its generator's %d", name, len(got), err, len(want))
+		got, err := Dataset(name, Tiny, 3)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("Dataset(%q) = %d graphs, %v; want %d", name, len(got), err, len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				t.Errorf("Dataset(%q) graph %d differs from its generator's", name, i)
+			}
 		}
 	}
 	if _, err := Dataset("pdbs", Tiny, 3); err == nil || !strings.Contains(err.Error(), `"pdbs"`) {

@@ -24,8 +24,15 @@ func search(t *testing.T, m *Matcher, q *graph.Graph, limit int) []match.Embeddi
 
 func TestName(t *testing.T) {
 	g := graph.MustNew("g", []graph.Label{0}, nil)
-	if m := New(g); m.Name() != "GQL" || m.Graph() != g || m.refine != DefaultRefineLevel {
-		t.Errorf("Name %q, Graph %v, refine %d; want GQL, g, %d", m.Name(), m.Graph(), m.refine, DefaultRefineLevel)
+	m := New(g)
+	if m.Name() != "GQL" {
+		t.Errorf("Name = %q", m.Name())
+	}
+	if m.Graph() != g {
+		t.Error("Graph accessor")
+	}
+	if m.refine != DefaultRefineLevel {
+		t.Errorf("default refine = %d", m.refine)
 	}
 }
 

@@ -101,8 +101,12 @@ func CorruptCSRCases() []CSRCase {
 func TestFromCSRRejectsCorruption(t *testing.T) {
 	for _, tc := range CorruptCSRCases() {
 		t.Run(tc.Name, func(t *testing.T) {
-			if _, err := FromCSR("c", tc.Labels, tc.Offsets, tc.Nbrs, tc.Elabs); err == nil || !strings.Contains(err.Error(), tc.Want) {
-				t.Fatalf("FromCSR error %v, want one mentioning %q", err, tc.Want)
+			_, err := FromCSR("c", tc.Labels, tc.Offsets, tc.Nbrs, tc.Elabs)
+			if err == nil {
+				t.Fatal("corrupt CSR accepted")
+			}
+			if !strings.Contains(err.Error(), tc.Want) {
+				t.Fatalf("error %q does not mention %q", err, tc.Want)
 			}
 		})
 	}

@@ -37,8 +37,11 @@ func TestHasEdgeSymmetric(t *testing.T) {
 			t.Errorf("edge %v should exist in both directions", e)
 		}
 	}
-	if g.HasEdge(0, 3) || g.HasEdge(3, 0) || g.HasEdge(1, 3) {
-		t.Error("edges (0,3) and (1,3) should not exist")
+	if g.HasEdge(0, 3) || g.HasEdge(3, 0) {
+		t.Error("edge (0,3) should not exist")
+	}
+	if g.HasEdge(1, 3) {
+		t.Error("edge (1,3) should not exist")
 	}
 }
 
@@ -65,8 +68,11 @@ func TestBuilderRejectsSelfLoop(t *testing.T) {
 func TestBuilderRejectsOutOfRange(t *testing.T) {
 	b := NewBuilder("x")
 	b.AddVertex(0)
-	if b.AddEdge(0, 1) == nil || b.AddEdge(-1, 0) == nil {
-		t.Error("expected errors for an out-of-range and a negative endpoint")
+	if err := b.AddEdge(0, 1); err == nil {
+		t.Error("expected error for out-of-range endpoint")
+	}
+	if err := b.AddEdge(-1, 0); err == nil {
+		t.Error("expected error for negative endpoint")
 	}
 }
 
@@ -102,8 +108,12 @@ func TestDegreeSumInvariant(t *testing.T) {
 
 func TestLabelFrequencies(t *testing.T) {
 	g := testGraph(t)
-	if f := g.LabelFrequencies(); f[0] != 1 || f[1] != 2 || f[2] != 1 || g.DistinctLabels() != 3 {
-		t.Errorf("frequencies = %v, DistinctLabels = %d, want 3", f, g.DistinctLabels())
+	f := g.LabelFrequencies()
+	if f[0] != 1 || f[1] != 2 || f[2] != 1 {
+		t.Errorf("frequencies = %v", f)
+	}
+	if g.DistinctLabels() != 3 {
+		t.Errorf("DistinctLabels = %d, want 3", g.DistinctLabels())
 	}
 }
 
@@ -148,10 +158,15 @@ func TestLabelRank(t *testing.T) {
 
 func TestCloneAndEqual(t *testing.T) {
 	g := testGraph(t)
-	if h := g.Clone("copy"); !g.Equal(h) || h.Name() != "copy" {
-		t.Errorf("clone %q should be Equal to the original and named copy", h.Name())
+	h := g.Clone("copy")
+	if !g.Equal(h) {
+		t.Error("clone should be Equal to original")
 	}
-	if g.Equal(MustNew("t", []Label{0, 1, 2, 2}, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}})) {
+	if h.Name() != "copy" {
+		t.Errorf("clone name = %q", h.Name())
+	}
+	g2 := MustNew("t", []Label{0, 1, 2, 2}, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
+	if g.Equal(g2) {
 		t.Error("graphs with different labels must not be Equal")
 	}
 }
@@ -160,9 +175,15 @@ func TestPermuteIsIsomorphism(t *testing.T) {
 	g := testGraph(t)
 	perm := Permutation{2, 0, 3, 1}
 	h, err := g.Permute(perm)
-	// The label moves with its vertex.
-	if err != nil || !IsIsomorphismWitness(g, h, perm) || h.Label(2) != g.Label(0) {
-		t.Errorf("Permute(%v) = %v, %v; want an isomorphism witness", perm, h, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !IsIsomorphismWitness(g, h, perm) {
+		t.Error("permutation must be an isomorphism witness")
+	}
+	// label moved with vertex
+	if h.Label(2) != g.Label(0) {
+		t.Errorf("label of image vertex: got %d want %d", h.Label(2), g.Label(0))
 	}
 }
 
@@ -188,7 +209,8 @@ func TestPermutationInverseCompose(t *testing.T) {
 
 func TestIdentityPermutation(t *testing.T) {
 	g := testGraph(t)
-	if !g.Equal(g.MustPermute(Identity(g.N()))) {
+	h := g.MustPermute(Identity(g.N()))
+	if !g.Equal(h) {
 		t.Error("identity permutation must produce an Equal graph")
 	}
 }
@@ -216,41 +238,84 @@ func TestPermuteRoundTripProperty(t *testing.T) {
 
 func TestConnectedComponents(t *testing.T) {
 	g := MustNew("c", []Label{0, 0, 0, 0, 0}, [][2]int{{0, 1}, {3, 4}})
-	if comps := g.ConnectedComponents(); len(comps) != 3 || g.IsConnected() || !testGraph(t).IsConnected() {
-		t.Fatalf("components = %v, want 3 and not connected; the test graph connected", comps)
+	comps := g.ConnectedComponents()
+	if len(comps) != 3 {
+		t.Fatalf("components = %v, want 3 components", comps)
+	}
+	if g.IsConnected() {
+		t.Error("graph is not connected")
+	}
+	if !testGraph(t).IsConnected() {
+		t.Error("test graph is connected")
 	}
 }
 
 func TestEnumeratePathsCountsOnPathGraph(t *testing.T) {
 	// path 0-1-2: directed simple paths of >=1 edge:
 	// len1: 0-1,1-0,1-2,2-1 (4); len2: 0-1-2, 2-1-0 (2) => 6
+	g := MustNew("p3", []Label{0, 0, 0}, [][2]int{{0, 1}, {1, 2}})
 	count := 0
-	MustNew("p3", []Label{0, 0, 0}, [][2]int{{0, 1}, {1, 2}}).EnumeratePaths(4, func(p []int32) { count++ })
+	g.EnumeratePaths(4, func(p []int32) { count++ })
 	if count != 6 {
 		t.Errorf("path count = %d, want 6", count)
 	}
 }
 
 func TestEnumeratePathsRespectsMaxLen(t *testing.T) {
+	g := MustNew("p4", []Label{0, 0, 0, 0}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	maxSeen := 0
-	MustNew("p4", []Label{0, 0, 0, 0}, [][2]int{{0, 1}, {1, 2}, {2, 3}}).EnumeratePaths(2, func(p []int32) { maxSeen = max(maxSeen, len(p)-1) })
+	g.EnumeratePaths(2, func(p []int32) {
+		if len(p)-1 > maxSeen {
+			maxSeen = len(p) - 1
+		}
+	})
 	if maxSeen != 2 {
 		t.Errorf("max path edges = %d, want 2", maxSeen)
 	}
 }
 
 func TestStats(t *testing.T) {
-	s := ComputeStats(testGraph(t))
-	if s.Nodes != 4 || s.Edges != 4 || s.AvgDegree != 2.0 || s.Density != 2.0*4/(4*3) || !s.Connected || s.Labels != 3 || s.String() == "" {
-		t.Errorf("stats = %+v (%q), want 4 nodes, 4 edges, degree 2, density 2/3, connected, 3 labels", s, s)
+	g := testGraph(t)
+	s := ComputeStats(g)
+	if s.Nodes != 4 || s.Edges != 4 {
+		t.Errorf("stats nodes/edges = %d/%d", s.Nodes, s.Edges)
+	}
+	if s.AvgDegree != 2.0 {
+		t.Errorf("avg degree = %f, want 2.0", s.AvgDegree)
+	}
+	wantDensity := 2.0 * 4 / (4 * 3)
+	if s.Density != wantDensity {
+		t.Errorf("density = %f, want %f", s.Density, wantDensity)
+	}
+	if !s.Connected {
+		t.Error("test graph is connected")
+	}
+	if s.Labels != 3 {
+		t.Errorf("labels = %d, want 3", s.Labels)
+	}
+	if s.String() == "" {
+		t.Error("Stats.String should be non-empty")
 	}
 }
 
 func TestDatasetStats(t *testing.T) {
+	g1 := testGraph(t)
 	g2 := MustNew("d", []Label{5, 5}, nil) // disconnected, new label
-	ds := ComputeDatasetStats("mini", []*Graph{testGraph(t), g2})
-	if ds.NumGraphs != 2 || ds.NumDisconnected != 1 || ds.Labels != 4 || ds.AvgNodes != 3 || !strings.Contains(ds.String(), "#graphs") {
-		t.Errorf("dataset stats = %+v (%q), want 2 graphs, 1 disconnected, 4 labels, 3 nodes on average", ds, ds)
+	ds := ComputeDatasetStats("mini", []*Graph{g1, g2})
+	if ds.NumGraphs != 2 {
+		t.Errorf("NumGraphs = %d", ds.NumGraphs)
+	}
+	if ds.NumDisconnected != 1 {
+		t.Errorf("NumDisconnected = %d, want 1", ds.NumDisconnected)
+	}
+	if ds.Labels != 4 {
+		t.Errorf("dataset labels = %d, want 4", ds.Labels)
+	}
+	if ds.AvgNodes != 3 {
+		t.Errorf("avg nodes = %f, want 3", ds.AvgNodes)
+	}
+	if !strings.Contains(ds.String(), "#graphs") {
+		t.Error("DatasetStats.String should mention #graphs")
 	}
 }
 
@@ -355,8 +420,12 @@ func TestReadDatasetLabelRange(t *testing.T) {
 }
 
 func TestReadDatasetEmpty(t *testing.T) {
-	if gs, err := ReadDataset(strings.NewReader("\n \n")); err != nil || len(gs) != 0 {
-		t.Errorf("blank input read as %d graphs, %v; want none", len(gs), err)
+	gs, err := ReadDataset(strings.NewReader("\n \n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gs) != 0 {
+		t.Errorf("expected no graphs, got %d", len(gs))
 	}
 }
 

@@ -24,10 +24,12 @@ func testConfig() Config {
 
 func TestDefaultConfigs(t *testing.T) {
 	for _, s := range []gen.Scale{gen.Tiny, gen.Small, gen.Medium, gen.Paper} {
-		// The paper's constants: 6 isomorphic instances, 1000 embeddings.
 		cfg := DefaultConfig(s)
-		if cfg.Cap <= 0 || cfg.QueriesPerSize <= 0 || len(cfg.FTVSizes) == 0 || len(cfg.NFVSizes) == 0 || cfg.IsoInstances != 6 || cfg.EmbedLimit != 1000 {
+		if cfg.Cap <= 0 || cfg.QueriesPerSize <= 0 || len(cfg.FTVSizes) == 0 || len(cfg.NFVSizes) == 0 {
 			t.Errorf("scale %v: bad config %+v", s, cfg)
+		}
+		if cfg.IsoInstances != 6 || cfg.EmbedLimit != 1000 {
+			t.Errorf("scale %v: paper constants wrong: %+v", s, cfg)
 		}
 	}
 	if DefaultConfig(gen.Paper).Cap != 600*time.Second {
@@ -53,20 +55,30 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestRegistryOrdering(t *testing.T) {
-	// fig2 must come before fig10, table2 before table10 (numeric, not
-	// lexicographic).
+	all := All()
+	if all[0].ID != "ablation1" {
+		t.Errorf("first experiment = %s, want ablation1", all[0].ID)
+	}
+	// fig2 must come before fig10 (numeric, not lexicographic)
 	pos := map[string]int{}
-	for i, exp := range All() {
+	for i, exp := range all {
 		pos[exp.ID] = i
 	}
-	if pos["ablation1"] != 0 || pos["fig2"] > pos["fig10"] || pos["table2"] > pos["table10"] {
-		t.Errorf("experiment order %v, want ablation1 first and numeric order", pos)
+	if pos["fig2"] > pos["fig10"] {
+		t.Error("numeric ordering violated: fig2 after fig10")
+	}
+	if pos["table2"] > pos["table10"] {
+		t.Error("numeric ordering violated: table2 after table10")
 	}
 }
 
 func TestLookupUnknown(t *testing.T) {
-	if _, ok := Lookup("fig99"); ok || Run(testConfig(), &bytes.Buffer{}, "fig99") == nil {
-		t.Error("fig99 should not exist, and Run of it should fail")
+	if _, ok := Lookup("fig99"); ok {
+		t.Error("fig99 should not exist")
+	}
+	var buf bytes.Buffer
+	if err := Run(testConfig(), &buf, "fig99"); err == nil {
+		t.Error("Run with unknown ID should fail")
 	}
 }
 
@@ -100,13 +112,19 @@ func TestFormatters(t *testing.T) {
 
 func TestEnvCaching(t *testing.T) {
 	e := NewEnv(testConfig())
-	if e.Synthetic()[0] != e.Synthetic()[0] || e.ftvIndex("ppi") != e.ftvIndex("ppi") || e.NFVMatcher("yeast", "GQL") != e.NFVMatcher("yeast", "GQL") {
-		t.Error("dataset, index or matcher not cached")
+	if e.Synthetic()[0] != e.Synthetic()[0] {
+		t.Error("dataset not cached")
+	}
+	if e.ftvIndex("ppi") != e.ftvIndex("ppi") {
+		t.Error("index not cached")
 	}
 	e.TimeFTVVerify(Grapes(1), "ppi", e.PPI()[0], 0)
 	e.TimeFTVVerify(Grapes(4), "ppi", e.PPI()[0], 0)
 	if g1, g4 := Grapes(1), Grapes(4); g1 == g4 || g1.Name() == g4.Name() || len(e.indexes) != 1 {
 		t.Error("different worker counts must be distinct verifiers over one table")
+	}
+	if e.NFVMatcher("yeast", "GQL") != e.NFVMatcher("yeast", "GQL") {
+		t.Error("matcher not cached")
 	}
 	calls := 0
 	f := func() metrics.Timing { calls++; return metrics.Timing{} }
@@ -213,7 +231,11 @@ func TestRunSelected(t *testing.T) {
 		t.Skip("slow")
 	}
 	var buf bytes.Buffer
-	if err := Run(testConfig(), &buf, "table1", "fig5"); err != nil || !strings.Contains(buf.String(), "=== table1") || !strings.Contains(buf.String(), "=== fig5") {
-		t.Errorf("Run = %v, want both experiments' banners:\n%s", err, buf.String())
+	if err := Run(testConfig(), &buf, "table1", "fig5"); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "=== table1") || !strings.Contains(out, "=== fig5") {
+		t.Errorf("missing experiment banners:\n%s", out)
 	}
 }

@@ -212,8 +212,10 @@ func TestRestoreRejectsMalformedFeatures(t *testing.T) {
 			}
 		}
 		tc.corrupt(feats, &feats[at])
-		if _, err := index.Restore("grapes", ds, maxLen, index.Options{}, feats); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Restore error %v, want a refusal saying %q", tc.name, err, tc.want)
+		if _, err := index.Restore("grapes", ds, maxLen, index.Options{}, feats); err == nil {
+			t.Errorf("%s: Restore accepted the corrupted features", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Restore refused with %q, want it to say %q", tc.name, err, tc.want)
 		}
 	}
 	if _, err := index.Restore("grapes", ds, maxLen, index.Options{}, good); err != nil {
@@ -253,10 +255,13 @@ func TestRestoreOntoZeroVertexPlaceholder(t *testing.T) {
 	for qi := 0; qi < 6; qi++ {
 		q := workload.Extract(r, ds[r.Intn(len(ds))], 2+r.Intn(3))
 		for id := range ds {
-			want, err1 := v.Verify(context.Background(), x, q, id)
-			got, err2 := v.Verify(context.Background(), y, q, id)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
+			want, err := v.Verify(context.Background(), x, q, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := v.Verify(context.Background(), y, q, id)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if id == dead {
 				want = false
@@ -325,16 +330,21 @@ func TestLocationStats(t *testing.T) {
 func TestShardedSubsAndShardDataset(t *testing.T) {
 	ds := difftest.Random(rand.New(rand.NewSource(2)), 7, 6, 2)
 	subs, err := index.BuildTables(context.Background(), index.KindPath, ds, 3, index.Options{})
-	if err != nil || len(subs) != 3 {
-		t.Fatalf("build = %d shards (%v), want 3", len(subs), err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(subs) != 3 {
+		t.Fatalf("build = %d shards, want 3", len(subs))
 	}
 	for s, sub := range subs {
-		var every3 []*graph.Graph // graphs s, s+3, s+6, … in order
-		for i := s; i < len(ds); i += 3 {
-			every3 = append(every3, ds[i])
+		want := index.ShardDataset(ds, s, 3)
+		if !reflect.DeepEqual(sub.Dataset(), want) {
+			t.Fatalf("shard %d dataset mismatch", s)
 		}
-		if want := index.ShardDataset(ds, s, 3); !reflect.DeepEqual(sub.Dataset(), want) || !slices.Equal(want, every3) {
-			t.Fatalf("shard %d holds %v, ShardDataset %v, want %v", s, sub.Dataset(), want, every3)
+		for i, g := range want {
+			if ds[s+i*3] != g {
+				t.Fatalf("ShardDataset order broken at shard %d pos %d", s, i)
+			}
 		}
 	}
 }
@@ -372,8 +382,15 @@ func TestExportWideLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err1 := index.Answer(context.Background(), view(t, index.KindPath, x), g, nil)
-	if got, err2 := index.Answer(context.Background(), view(t, index.KindPath, y), g, nil); err1 != nil || err2 != nil || !reflect.DeepEqual(want, got) {
-		t.Fatalf("wide-label restore diverged: %v (%v) != %v (%v)", got, err2, want, err1)
+	want, err := index.Answer(context.Background(), view(t, index.KindPath, x), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := index.Answer(context.Background(), view(t, index.KindPath, y), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("wide-label restore diverged: %v != %v", got, want)
 	}
 }

@@ -95,10 +95,16 @@ func checkFlatFilter(t *testing.T, x *Sharded) {
 
 func checkFlatVerify(t *testing.T, x *Sharded) {
 	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
-	in, err0 := x.Verify(context.Background(), q, 0)
-	out, err2 := x.Verify(context.Background(), q, 2)
-	if _, err := x.Verify(context.Background(), q, 99); !in || out || err0 != nil || err2 != nil || err == nil {
-		t.Errorf("Verify(g0) = %v, %v; Verify(g2) = %v, %v; out of range %v; want true, false and an error", in, err0, out, err2, err)
+	ok, err := x.Verify(context.Background(), q, 0)
+	if err != nil || !ok {
+		t.Errorf("Verify(g0) = %v, %v", ok, err)
+	}
+	ok, err = x.Verify(context.Background(), q, 2)
+	if err != nil || ok {
+		t.Errorf("Verify(g2) = %v, %v; q not contained", ok, err)
+	}
+	if _, err := x.Verify(context.Background(), q, 99); err == nil {
+		t.Error("Verify out of range should fail")
 	}
 }
 
@@ -148,12 +154,17 @@ func TestFilterStreamMatchesFilter(t *testing.T) {
 	}
 	for qi, q := range queries {
 		var want []int
-		err := x.tables[0].FilterFeatures(context.Background(), ftv.QueryFeatures(q, ftv.DefaultMaxPathLen), func(id int) bool {
+		if err := x.tables[0].FilterFeatures(context.Background(), ftv.QueryFeatures(q, ftv.DefaultMaxPathLen), func(id int) bool {
 			want = append(want, id)
 			return true
-		})
-		if got, serr := streamIDs(context.Background(), x, q, 0); err != nil || serr != nil || !slices.Equal(got, want) || !slices.Equal(x.Filter(q), want) {
-			t.Fatalf("query %d: stream %v (%v), Filter %v vs the table's scan %v (%v)", qi, got, serr, x.Filter(q), want, err)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := x.Filter(q); !slices.Equal(got, want) {
+			t.Fatalf("query %d: Filter %v vs the table's scan %v", qi, got, want)
+		}
+		if got, err := streamIDs(context.Background(), x, q, 0); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("query %d: stream %v, %v vs filter %v", qi, got, err, want)
 		}
 	}
 }
@@ -220,8 +231,12 @@ func TestStreamVerifiedOrderingAndOverlap(t *testing.T) {
 		mu.Unlock()
 		return id%2 == 0, nil
 	}
-	if got, err := verified(context.Background(), 2, filter, 0, check); err != nil || !slices.Equal(got, []int{0, 2, 4, 6}) {
-		t.Fatalf("emitted %v, %v; want [0 2 4 6] in the filter's order", got, err)
+	got, err := verified(context.Background(), 2, filter, 0, check)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 2, 4, 6}; !slices.Equal(got, want) {
+		t.Fatalf("emitted %v, want %v (order must match the filter)", got, want)
 	}
 	if !overlapped {
 		t.Error("verification never overlapped filtering — pipeline is not streaming-first")
@@ -356,8 +371,15 @@ func TestAnswerMatchesSequentialOracle(t *testing.T) {
 	}
 	for qi, q := range queries {
 		want, err := SequentialAnswer(context.Background(), x, q)
-		if got, gerr := Answer(context.Background(), x, q, pool); err != nil || gerr != nil || !slices.Equal(got, want) {
-			t.Fatalf("query %d: Answer %v (%v) vs SequentialAnswer %v (%v)", qi, got, gerr, want, err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Answer(context.Background(), x, q, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %d: Answer %v vs SequentialAnswer %v", qi, got, want)
 		}
 	}
 }
@@ -380,7 +402,12 @@ func TestSequentialAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := SequentialAnswer(context.Background(), NewShardedFrom(ds, nil, tables, evenVerifier{}), ds[0]); err != nil || !slices.Equal(got, []int{0, 2}) {
-		t.Errorf("SequentialAnswer = %v, %v; want [0 2]", got, err)
+	x := NewShardedFrom(ds, nil, tables, evenVerifier{})
+	got, err := SequentialAnswer(context.Background(), x, ds[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, []int{0, 2}) {
+		t.Errorf("SequentialAnswer = %v, want [0 2]", got)
 	}
 }

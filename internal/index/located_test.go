@@ -48,11 +48,17 @@ func grapesView(t testing.TB, x *index.Path, workers int, pool *exec.Pool) *inde
 
 func TestBuildAndName(t *testing.T) {
 	x := buildIndex(t, index.KindGrapes, locatedDataset(), index.Options{Workers: 4})
-	if st := x.Stats(); x.Name() != "Grapes/4" || len(x.Dataset()) != 3 || st.Features == 0 || st.Kind != index.KindGrapes || st.Name != "Grapes/4" || st.LocationBytes == 0 {
-		t.Errorf("Name %q over %d graphs, Stats = %+v; want Grapes/4's table of 3 with locations", x.Name(), len(x.Dataset()), st)
+	if x.Name() != "Grapes/4" {
+		t.Errorf("Name = %q", x.Name())
+	}
+	if len(x.Dataset()) != 3 {
+		t.Error("Dataset")
 	}
 	// g2 holds (0,1) three times, touching its every vertex; g0 and g1 once,
 	// touching vertices 0 and 1.
+	if st := x.Stats(); st.Features == 0 || st.Kind != index.KindGrapes || st.Name != "Grapes/4" || st.LocationBytes == 0 {
+		t.Errorf("Stats = %+v, want Grapes/4's table with locations", st)
+	}
 	tab := buildTable(t, index.KindGrapes, locatedDataset(), index.Options{})
 	if tab.MaxPathLen() != ftv.DefaultMaxPathLen {
 		t.Errorf("MaxPathLen = %d", tab.MaxPathLen())
@@ -122,13 +128,19 @@ func TestFilterEdgelessQuery(t *testing.T) {
 func TestCandidateVertices(t *testing.T) {
 	x := buildTable(t, index.KindGrapes, locatedDataset(), index.Options{})
 	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
+	verts, ok := x.CandidateVertices(q, 1)
+	if !ok {
+		t.Fatal("g1 must pass the filter")
+	}
 	// g1 = 0(0)-1(1)-2(2)-3(0): the query's maximal label paths are (0,1,2)
 	// and (2,1,0), and their one occurrence in g1 touches vertices 0, 1 and
-	// 2. Vertex 3 has label 0, but its neighbour 2 has label 2, not 1. g2
-	// fails the filter for the 0-1-2 chain.
-	verts, ok := x.CandidateVertices(q, 1)
-	if _, ok2 := x.CandidateVertices(q, 2); !ok || len(verts) != 3 || ok2 {
-		t.Errorf("candidate vertices in g1 = %v, %v; g2 passes %v; want {0,1,2}, true and false", verts, ok, ok2)
+	// 2. Vertex 3 has label 0, but its neighbour 2 has label 2, not 1.
+	if len(verts) != 3 {
+		t.Errorf("candidate vertices = %v, want {0,1,2}", verts)
+	}
+	_, ok = x.CandidateVertices(q, 2)
+	if ok {
+		t.Error("g2 must fail the filter for the 0-1-2 chain")
 	}
 }
 
@@ -164,7 +176,8 @@ func TestVerifyDisconnectedQuery(t *testing.T) {
 	}
 	x := buildIndex(t, index.KindGrapes, ds, index.Options{})
 	q := graph.MustNew("q", []graph.Label{0, 1, 0, 1}, [][2]int{{0, 1}, {2, 3}})
-	if ok, err := x.Verify(context.Background(), q, 0); err != nil || !ok {
+	ok, err := x.Verify(context.Background(), q, 0)
+	if err != nil || !ok {
 		t.Errorf("disconnected query should verify: %v %v", ok, err)
 	}
 }
@@ -191,8 +204,12 @@ func TestVerifyVertexOnNoPath(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			x := grapesView(t, tab, workers, nil)
-			if got, err := x.Verify(context.Background(), q, 0); len(x.Filter(q)) != 1 || err != nil || got != tc.want {
-				t.Errorf("%s, workers=%d: Filter = %v, Verify = %v, %v; want the graph kept, %v", tc.name, workers, x.Filter(q), got, err, tc.want)
+			if got := x.Filter(q); len(got) != 1 {
+				t.Fatalf("%s: Filter = %v, want the graph kept", tc.name, got)
+			}
+			got, err := x.Verify(context.Background(), q, 0)
+			if err != nil || got != tc.want {
+				t.Errorf("%s, workers=%d: Verify = %v, %v; want %v", tc.name, workers, got, err, tc.want)
 			}
 		}
 	}

@@ -69,9 +69,16 @@ func withGraphParity(t *testing.T, kind string) {
 			if got, expect := nv.Filter(q), wv.Filter(q); !slices.Equal(got, expect) {
 				t.Errorf("n=%d q%d: Filter = %v, want %v", n, qi, got, expect)
 			}
-			got, err1 := index.Answer(context.Background(), nv, q, nil)
-			if expect, err2 := index.Answer(context.Background(), wv, q, nil); err1 != nil || err2 != nil || !slices.Equal(got, expect) {
-				t.Errorf("n=%d q%d: Answer = %v (%v), want %v (%v)", n, qi, got, err1, expect, err2)
+			got, err := index.Answer(context.Background(), nv, q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expect, err := index.Answer(context.Background(), wv, q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, expect) {
+				t.Errorf("n=%d q%d: Answer = %v, want %v", n, qi, got, expect)
 			}
 		}
 		st, wst := next.Stats(), want.Stats()
@@ -102,8 +109,12 @@ func withGraphParity(t *testing.T, kind string) {
 	}
 	// The original two-graph index must still answer as before the appends.
 	for qi, q := range queries {
-		if got, err := index.Answer(context.Background(), view(t, kind, base), q, nil); err != nil || !slices.Equal(got, baseAnswers[qi]) {
-			t.Errorf("receiver mutated: q%d = %v (%v), want %v", qi, got, err, baseAnswers[qi])
+		got, err := index.Answer(context.Background(), view(t, kind, base), q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, baseAnswers[qi]) {
+			t.Errorf("receiver mutated: q%d = %v, want %v", qi, got, baseAnswers[qi])
 		}
 	}
 }
@@ -147,8 +158,12 @@ func TestPathWithGraphAllocs(t *testing.T) {
 		if with-extract > bound {
 			t.Errorf("%s: a graph of %d features: WithGraph makes %.0f allocations beyond the extraction's %.0f, want at most %d", name, touched, with-extract, extract, bound)
 		}
-		if kept, grew := nx.Directory() == x.Directory(), nx.Stats().Features > x.Stats().Features; kept != (name != "new") || grew != (name != "indexed") {
-			t.Errorf("%s: the directory was kept: %v, the index grew: %v", name, kept, grew)
+		kept, grew := nx.Directory() == x.Directory(), nx.Stats().Features > x.Stats().Features
+		if want := name != "new"; kept != want {
+			t.Errorf("%s: the directory was kept: %v, want %v", name, kept, want)
+		}
+		if want := name != "indexed"; grew != want {
+			t.Errorf("%s: the index grew: %v, want %v", name, grew, want)
 		}
 	}
 }

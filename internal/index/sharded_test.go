@@ -35,18 +35,28 @@ func TestShardedBuildShape(t *testing.T) {
 	if st.ShardCount != 2 || len(st.Shards) != 2 || st.Graphs != len(ds) {
 		t.Fatalf("ShardCount = %d, Shards = %d entries, Graphs = %d; want 2, 2, %d", st.ShardCount, len(st.Shards), st.Graphs, len(ds))
 	}
-	// Round-robin over 5 graphs: shard 0 owns {0,2,4}, shard 1 owns {1,3};
-	// each shard is named after its verifier, the index ×2.
-	a, b := st.Shards[0], st.Shards[1]
-	if a.Graphs != 3 || b.Graphs != 2 || a.Name != "FTV" || b.Name != "FTV" || sh.Name() != "FTV×2" || st.Name != "FTV×2" || a.Features+b.Features != st.Features {
-		t.Errorf("index %q (%q) over shards %+v and %+v, %d features; want FTV×2 over FTV shards of 3 and 2 graphs, features summed", sh.Name(), st.Name, a, b, st.Features)
+	// Round-robin over 5 graphs: shard 0 owns {0,2,4}, shard 1 owns {1,3}.
+	if st.Shards[0].Graphs != 3 || st.Shards[1].Graphs != 2 {
+		t.Errorf("shard balance = %d/%d, want 3/2", st.Shards[0].Graphs, st.Shards[1].Graphs)
+	}
+	if want := "FTV×2"; sh.Name() != want || st.Name != want {
+		t.Errorf("Name = %q, Stats.Name = %q, want %q", sh.Name(), st.Name, want)
+	}
+	for s, shard := range st.Shards {
+		if shard.Name != "FTV" {
+			t.Errorf("shard %d is named %q, want its verifier's FTV", s, shard.Name)
+		}
+	}
+	if sum := st.Shards[0].Features + st.Shards[1].Features; sum != st.Features {
+		t.Errorf("aggregate Features = %d, want per-shard sum %d", st.Features, sum)
 	}
 	if n, bytes := st.Shards[0].Postings+st.Shards[1].Postings, st.Shards[0].PostingBytes+st.Shards[1].PostingBytes; n != st.Postings || bytes != st.PostingBytes || n == 0 || bytes < n {
 		t.Errorf("aggregate postings = %d in %d bytes, per-shard sums %d in %d", st.Postings, st.PostingBytes, n, bytes)
 	}
 
 	// Oversized K clamps to the dataset size; every shard owns one graph.
-	if k := buildSharded(t, index.KindPath, ds, 64, index.Options{}).Stats().ShardCount; k != len(ds) {
+	big := buildSharded(t, index.KindPath, ds, 64, index.Options{})
+	if k := big.Stats().ShardCount; k != len(ds) {
 		t.Errorf("ShardCount = %d after clamping, want %d", k, len(ds))
 	}
 
@@ -68,10 +78,12 @@ func TestShardedBuildThroughRegistry(t *testing.T) {
 	ds := difftest.Random(r, 4, 8, 2)
 	opts := index.Options{MaxPathLen: 2}
 	for _, kind := range index.Kinds() {
-		got, want := buildSharded(t, kind, ds, 1, opts).Stats(), buildTable(t, kind, ds, opts).Stats()
-		if k := buildSharded(t, kind, ds, 2, opts).Stats().Kind; k != kind {
-			t.Errorf("%s: sharded Stats.Kind = %q", kind, k)
+		x := buildSharded(t, kind, ds, 2, opts)
+		if x.Stats().Kind != kind {
+			t.Errorf("%s: sharded Stats.Kind = %q", kind, x.Stats().Kind)
 		}
+		one := buildSharded(t, kind, ds, 1, opts)
+		got, want := one.Stats(), buildTable(t, kind, ds, opts).Stats()
 		if got.ShardCount != 0 || got.Shards != nil || got.Name != verifier(t, kind).Name() || got.Kind != kind || got.Graphs != want.Graphs || got.Features != want.Features {
 			t.Errorf("%s: K=1 stats %+v, want the table's %+v under its verifier's name", kind, got, want)
 		}

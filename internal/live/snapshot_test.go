@@ -82,15 +82,22 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 
 	// Churn: leave live slots, tombstoned slots, and a replaced slot behind.
 	h, err := st.Add(context.Background(), randomDataset(r, 1, 8, 2)[0])
-	if err == nil {
-		_, err = st.Remove(context.Background(), live.Handle(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err == nil {
-		err = st.Replace(context.Background(), h, randomDataset(r, 1, 8, 2)[0])
+	if _, err := st.Remove(context.Background(), live.Handle(2)); err != nil {
+		t.Fatal(err)
 	}
+	if err := st.Replace(context.Background(), h, randomDataset(r, 1, 8, 2)[0]); err != nil {
+		t.Fatal(err)
+	}
+
 	state := exportState(t, st)
-	if err != nil || state.Epoch != st.Epoch() || len(state.Tombs) != state.Shards {
-		t.Fatalf("churn: %v; exported epoch %d, store at %d; %d tombstone counters for %d shards", err, state.Epoch, st.Epoch(), len(state.Tombs), state.Shards)
+	if state.Epoch != st.Epoch() {
+		t.Fatalf("exported epoch %d, store at %d", state.Epoch, st.Epoch())
+	}
+	if len(state.Tombs) != state.Shards {
+		t.Fatalf("%d tombstone counters for %d shards", len(state.Tombs), state.Shards)
 	}
 
 	restored := restore(t, roundTripGrid(t, state), 3, index.Options{MaxPathLen: testMaxPathLen})
@@ -136,8 +143,11 @@ func TestExportStateClosed(t *testing.T) {
 		t.Fatalf("ExportState before close: %v after %d saves", err, saved)
 	}
 	st.Close()
-	if err := st.ExportState(save); st.Current() != nil || err == nil || saved != 1 {
-		t.Fatalf("after Close: Current() %v, ExportState %v after %d saves; want nil, an error and no save", st.Current(), err, saved)
+	if st.Current() != nil {
+		t.Fatal("Current() non-nil after Close")
+	}
+	if err := st.ExportState(save); err == nil || saved != 1 {
+		t.Fatalf("ExportState after Close: %v after %d saves, want an error and no save", err, saved)
 	}
 }
 
@@ -177,8 +187,14 @@ func TestExportStateHoldsMutations(t *testing.T) {
 		}
 		return boom
 	})
-	if addErr := <-added; !errors.Is(err, boom) || addErr != nil || st.Epoch() != 2 {
-		t.Errorf("ExportState = %v, the held-back mutation %v, epoch %d; want the save's error, nil and 2", err, addErr, st.Epoch())
+	if !errors.Is(err, boom) {
+		t.Errorf("ExportState = %v, want the save's error", err)
+	}
+	if err := <-added; err != nil {
+		t.Fatalf("the mutation held back by the save: %v", err)
+	}
+	if st.Epoch() != 2 {
+		t.Errorf("epoch %d after the save and one mutation, want 2", st.Epoch())
 	}
 }
 
@@ -219,8 +235,10 @@ func TestRestoreValidation(t *testing.T) {
 	for _, tc := range cases {
 		s := good
 		tc.mutate(&s)
-		if _, err := live.Restore(s, 0, index.Options{MaxPathLen: testMaxPathLen}); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
-			t.Errorf("%s: Restore error %v, want one mentioning %q", tc.name, err, tc.wantSub)
+		if _, err := live.Restore(s, 0, index.Options{MaxPathLen: testMaxPathLen}); err == nil {
+			t.Errorf("%s: Restore succeeded", tc.name)
+		} else if !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantSub)
 		}
 	}
 
@@ -233,8 +251,10 @@ func TestRestoreValidation(t *testing.T) {
 	// Sub-index over the wrong shard dataset size.
 	bad := good
 	bad.Tables = []*index.Path{buildTable(t, index.KindPath, nil), good.Tables[1]}
-	if _, err := live.Restore(bad, 0, index.Options{MaxPathLen: testMaxPathLen}); err == nil || !strings.Contains(err.Error(), "shard holds") {
-		t.Errorf("a sub-index over the wrong dataset size: Restore error %v", err)
+	if _, err := live.Restore(bad, 0, index.Options{MaxPathLen: testMaxPathLen}); err == nil {
+		t.Error("Restore accepted sub-index with wrong dataset size")
+	} else if !strings.Contains(err.Error(), "shard holds") {
+		t.Errorf("wrong-size error: %v", err)
 	}
 }
 

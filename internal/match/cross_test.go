@@ -27,14 +27,25 @@ import (
 )
 
 func allMatchers(g *graph.Graph) []match.Matcher {
-	return []match.Matcher{vf2.New(g), quicksi.New(g), gql.New(g), spath.New(g)}
+	return []match.Matcher{
+		vf2.New(g),
+		quicksi.New(g),
+		gql.New(g),
+		spath.New(g),
+	}
 }
 
 // allStreamMatchers is every matcher in the module — the four algorithms
 // plus the naive reference — as stream matchers. The conversion is a
 // compile-time check that each implements match.StreamMatcher.
 func allStreamMatchers(g *graph.Graph) []match.StreamMatcher {
-	return []match.StreamMatcher{vf2.New(g), quicksi.New(g), gql.New(g), spath.New(g), match.NewReference(g)}
+	return []match.StreamMatcher{
+		vf2.New(g),
+		quicksi.New(g),
+		gql.New(g),
+		spath.New(g),
+		match.NewReference(g),
+	}
 }
 
 // embeddingsEqual reports byte-identical embedding slices: same length,

@@ -46,9 +46,18 @@ func TestCollectorLimit(t *testing.T) {
 		got = append(got, e)
 		return true
 	}))
-	first, second := c.found(Embedding{1}), c.found(Embedding{2})
-	if finishErr := c.finish(second); first != nil || second != errStop || finishErr != nil || len(got) != 2 {
-		t.Errorf("found = %v then %v, finish = %v, %d embeddings seen; want nil, the stop sentinel at the limit, nil (swallowed) and 2", first, second, finishErr, len(got))
+	if err := c.found(Embedding{1}); err != nil {
+		t.Errorf("first found: %v", err)
+	}
+	err := c.found(Embedding{2})
+	if err != errStop {
+		t.Errorf("second found should hit limit, got %v", err)
+	}
+	if finishErr := c.finish(err); finishErr != nil {
+		t.Errorf("finish should swallow the stop sentinel, got %v", finishErr)
+	}
+	if len(got) != 2 {
+		t.Errorf("sink saw %d embeddings, want 2", len(got))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -38,15 +37,22 @@ func TestClassifyPreservesPaperRatio(t *testing.T) {
 }
 
 func TestClassString(t *testing.T) {
-	if Easy.String() != "easy" || Mid.String() != "2''-600''" || Hard.String() != "hard" || Class(9).String() != "unknown" {
+	if Easy.String() != "easy" || Mid.String() != "2''-600''" || Hard.String() != "hard" {
 		t.Error("class strings")
+	}
+	if Class(9).String() != "unknown" {
+		t.Error("unknown class string")
 	}
 }
 
 func TestRunFastFunction(t *testing.T) {
 	b := Budget{Cap: time.Second}
-	if tm := b.Run(context.Background(), func(ctx context.Context) error { return nil }); tm.Killed || tm.Err != nil || tm.Elapsed <= 0 || tm.Elapsed > 100*time.Millisecond {
+	tm := b.Run(context.Background(), func(ctx context.Context) error { return nil })
+	if tm.Killed || tm.Err != nil {
 		t.Errorf("timing = %+v", tm)
+	}
+	if tm.Elapsed <= 0 || tm.Elapsed > 100*time.Millisecond {
+		t.Errorf("elapsed = %v", tm.Elapsed)
 	}
 }
 
@@ -56,8 +62,11 @@ func TestRunKillsAtCap(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	})
-	if !tm.Killed || tm.Elapsed != b.Cap {
-		t.Fatalf("timing %+v, want killed and clamped to the cap", tm)
+	if !tm.Killed {
+		t.Fatal("expected Killed")
+	}
+	if tm.Elapsed != b.Cap {
+		t.Errorf("killed timing must clamp to cap, got %v", tm.Elapsed)
 	}
 }
 
@@ -104,12 +113,27 @@ func TestRunPropagatesRealError(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	if s := Summarize([]float64{1, 2, 3, 4, 100}); s.N != 5 || s.Min != 1 || s.Max != 100 || s.Median != 3 || math.Abs(s.Mean-22) > 1e-9 || s.StdDev <= 0 {
+	s := Summarize([]float64{1, 2, 3, 4, 100})
+	if s.N != 5 || s.Min != 1 || s.Max != 100 || s.Median != 3 {
 		t.Errorf("summary = %+v", s)
 	}
-	even, empty, single := Summarize([]float64{1, 2, 3, 4}), Summarize(nil), Summarize([]float64{7})
-	if even.Median != 2.5 || empty.N != 0 || empty.Mean != 0 || single.StdDev != 0 || single.Median != 7 {
-		t.Errorf("summaries of 1..4, nothing and 7 = %+v, %+v, %+v", even, empty, single)
+	if math.Abs(s.Mean-22) > 1e-9 {
+		t.Errorf("mean = %f", s.Mean)
+	}
+	if s.StdDev <= 0 {
+		t.Error("stddev must be positive")
+	}
+	even := Summarize([]float64{1, 2, 3, 4})
+	if even.Median != 2.5 {
+		t.Errorf("even median = %f", even.Median)
+	}
+	empty := Summarize(nil)
+	if empty.N != 0 || empty.Mean != 0 {
+		t.Errorf("empty summary = %+v", empty)
+	}
+	single := Summarize([]float64{7})
+	if single.StdDev != 0 || single.Median != 7 {
+		t.Errorf("single summary = %+v", single)
 	}
 }
 
@@ -118,20 +142,31 @@ func TestWLAvsQLADiverge(t *testing.T) {
 	// but is averaged away in QLA.
 	orig := []float64{1, 1, 1, 600}
 	best := []float64{1, 1, 1, 1}
-	if wla, qla := WLARatio(orig, best), QLARatio(orig, best); math.Abs(wla-150.75) > 1e-9 || math.Abs(qla-150.75) > 1e-9 {
-		t.Errorf("WLA = %f, QLA = %f, want 150.75 both", wla, qla)
+	wla := WLARatio(orig, best)
+	qla := QLARatio(orig, best)
+	if math.Abs(wla-150.75) > 1e-9 {
+		t.Errorf("WLA = %f, want 150.75", wla)
+	}
+	if math.Abs(qla-150.75) > 1e-9 {
+		t.Errorf("QLA = %f, want 150.75", qla)
 	}
 	// Now the straggler improves only 2× while an easy query improves 10×:
 	orig2 := []float64{10, 600}
 	best2 := []float64{1, 300}
-	if w, q := WLARatio(orig2, best2), QLARatio(orig2, best2); math.Abs(w-610.0/301.0) > 1e-9 || math.Abs(q-6) > 1e-9 {
-		t.Errorf("WLA = %f, QLA = %f, want 610/301 and 6", w, q)
+	if w := WLARatio(orig2, best2); math.Abs(w-610.0/301.0) > 1e-9 {
+		t.Errorf("WLA = %f", w)
+	}
+	if q := QLARatio(orig2, best2); math.Abs(q-6) > 1e-9 {
+		t.Errorf("QLA = %f, want 6", q)
 	}
 }
 
 func TestQLARatioSkipsZeroDenominator(t *testing.T) {
-	if q, e := QLARatio([]float64{4, 8}, []float64{2, 0}), QLARatio(nil, nil); q != 2 || e != 0 {
-		t.Errorf("QLA = %f, of nothing %f; want 2 and 0", q, e)
+	if q := QLARatio([]float64{4, 8}, []float64{2, 0}); q != 2 {
+		t.Errorf("QLA = %f, want 2", q)
+	}
+	if q := QLARatio(nil, nil); q != 0 {
+		t.Errorf("QLA(empty) = %f", q)
 	}
 }
 
@@ -145,10 +180,17 @@ func TestQLARatioPanicsOnUnpaired(t *testing.T) {
 }
 
 func TestMaxMin(t *testing.T) {
-	// A single value is 1; nothing, or a zero minimum, is 0.
-	got := []float64{MaxMin([]float64{2, 8, 4}), MaxMin([]float64{5}), MaxMin(nil), MaxMin([]float64{0, 3})}
-	if want := []float64{4, 1, 0, 0}; !slices.Equal(got, want) {
-		t.Errorf("MaxMin = %v, want %v", got, want)
+	if m := MaxMin([]float64{2, 8, 4}); m != 4 {
+		t.Errorf("MaxMin = %f, want 4", m)
+	}
+	if m := MaxMin([]float64{5}); m != 1 {
+		t.Errorf("MaxMin single = %f, want 1", m)
+	}
+	if m := MaxMin(nil); m != 0 {
+		t.Errorf("MaxMin empty = %f", m)
+	}
+	if m := MaxMin([]float64{0, 3}); m != 0 {
+		t.Errorf("MaxMin with zero min = %f", m)
 	}
 }
 
@@ -171,15 +213,25 @@ func TestMaxMinAtLeastOneProperty(t *testing.T) {
 }
 
 func TestSpeedup(t *testing.T) {
-	if s, z := Speedup(10, 2), Speedup(10, 0); s != 5 || z != 0 {
-		t.Errorf("Speedup = %f, over a zero best %f; want 5 and 0", s, z)
+	if s := Speedup(10, 2); s != 5 {
+		t.Errorf("Speedup = %f", s)
+	}
+	if s := Speedup(10, 0); s != 0 {
+		t.Errorf("Speedup zero best = %f", s)
 	}
 }
 
 func TestClassCounts(t *testing.T) {
 	c := ClassCounts{Easy: 90, Mid: 8, Hard: 2}
-	if c.Total() != 100 || c.Pct(Easy) != 90 || c.Pct(Mid) != 8 || c.Pct(Hard) != 2 || (ClassCounts{}).Pct(Easy) != 0 {
-		t.Errorf("total = %d, pcts = %f %f %f; want 100, 90 8 2", c.Total(), c.Pct(Easy), c.Pct(Mid), c.Pct(Hard))
+	if c.Total() != 100 {
+		t.Errorf("total = %d", c.Total())
+	}
+	if c.Pct(Easy) != 90 || c.Pct(Mid) != 8 || c.Pct(Hard) != 2 {
+		t.Errorf("pcts = %f %f %f", c.Pct(Easy), c.Pct(Mid), c.Pct(Hard))
+	}
+	var empty ClassCounts
+	if empty.Pct(Easy) != 0 {
+		t.Error("empty pct")
 	}
 }
 
@@ -192,11 +244,20 @@ func TestWorkloadAccumulation(t *testing.T) {
 	if w.Counts.Easy != 2 || w.Counts.Mid != 1 || w.Counts.Hard != 1 {
 		t.Fatalf("counts = %+v", w.Counts)
 	}
-	// completed = (0.1 + 0.3 + 10) / 3 ms: the straggler pulls it far
-	// above the easy average.
+	if w.AvgEasy() != 200*time.Microsecond {
+		t.Errorf("avg easy = %v", w.AvgEasy())
+	}
+	if w.AvgMid() != 10*time.Millisecond {
+		t.Errorf("avg mid = %v", w.AvgMid())
+	}
+	// completed = (0.1 + 0.3 + 10) / 3 ms
 	want := (100*time.Microsecond + 300*time.Microsecond + 10*time.Millisecond) / 3
-	if w.AvgEasy() != 200*time.Microsecond || w.AvgMid() != 10*time.Millisecond || w.AvgCompleted() != want || w.AvgCompleted() < 10*w.AvgEasy() {
-		t.Errorf("averages easy %v, mid %v, completed %v; want 200µs, 10ms, %v", w.AvgEasy(), w.AvgMid(), w.AvgCompleted(), want)
+	if w.AvgCompleted() != want {
+		t.Errorf("avg completed = %v, want %v", w.AvgCompleted(), want)
+	}
+	// the straggler dominates: completed avg is pulled far above easy avg
+	if w.AvgCompleted() < 10*w.AvgEasy() {
+		t.Error("straggler should dominate the completed average")
 	}
 }
 
@@ -208,14 +269,18 @@ func TestWorkloadEmptyAverages(t *testing.T) {
 }
 
 func TestMeanEmpty(t *testing.T) {
-	if Mean(nil) != 0 || WLARatio(nil, nil) != 0 {
-		t.Error("Mean and WLARatio of nothing must be 0")
+	if Mean(nil) != 0 {
+		t.Error("Mean(nil)")
+	}
+	if WLARatio(nil, nil) != 0 {
+		t.Error("WLARatio(empty)")
 	}
 }
 
 func TestTimingSeconds(t *testing.T) {
-	if s := (Timing{Elapsed: 1500 * time.Millisecond}).Seconds(); s != 1.5 {
-		t.Errorf("Seconds = %f", s)
+	tm := Timing{Elapsed: 1500 * time.Millisecond}
+	if tm.Seconds() != 1.5 {
+		t.Errorf("Seconds = %f", tm.Seconds())
 	}
 }
 
@@ -239,9 +304,18 @@ func TestCountersSnapshot(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
-	// Untouched counters snapshot to zero.
-	if s := c.Snapshot(); s.Queries != 8*500 || s.RaceAttempts != 8*1000 || s.Killed != 8*100 || s.Streamed != 0 || s.Errors != 0 || s.Fallbacks != 0 {
-		t.Errorf("snapshot %+v, want 4000 queries, 8000 race attempts, 800 killed, nothing else", s)
+	s := c.Snapshot()
+	if s.Queries != 8*500 {
+		t.Errorf("Queries = %d, want %d", s.Queries, 8*500)
+	}
+	if s.RaceAttempts != 8*1000 {
+		t.Errorf("RaceAttempts = %d, want %d", s.RaceAttempts, 8*1000)
+	}
+	if s.Killed != 8*100 {
+		t.Errorf("Killed = %d, want %d", s.Killed, 8*100)
+	}
+	if s.Streamed != 0 || s.Errors != 0 || s.Fallbacks != 0 {
+		t.Error("untouched counters must snapshot to zero")
 	}
 }
 
@@ -255,8 +329,11 @@ func TestMutationCountersSnapshot(t *testing.T) {
 	c.GraphsReplaced.Add(1)
 	c.Compactions.Add(4)
 	s := c.Snapshot()
-	// Mutation bumps must not touch query counters.
-	if s.GraphsAdded != 3 || s.GraphsRemoved != 2 || s.GraphsReplaced != 1 || s.Compactions != 4 || s.Queries != 0 {
-		t.Errorf("mutation counters = %d/%d/%d/%d, queries %d; want 3/2/1/4 and 0", s.GraphsAdded, s.GraphsRemoved, s.GraphsReplaced, s.Compactions, s.Queries)
+	if s.GraphsAdded != 3 || s.GraphsRemoved != 2 || s.GraphsReplaced != 1 || s.Compactions != 4 {
+		t.Errorf("mutation counters = %d/%d/%d/%d, want 3/2/1/4",
+			s.GraphsAdded, s.GraphsRemoved, s.GraphsReplaced, s.Compactions)
+	}
+	if s.Queries != 0 {
+		t.Error("mutation bumps must not touch query counters")
 	}
 }

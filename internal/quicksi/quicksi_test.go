@@ -14,22 +14,36 @@ func storedGraph() *graph.Graph {
 }
 
 func TestName(t *testing.T) {
-	if m := New(storedGraph()); m.Name() != "QSI" || m.Graph() == nil {
-		t.Errorf("Name = %q, Graph %v", m.Name(), m.Graph())
+	m := New(storedGraph())
+	if m.Name() != "QSI" {
+		t.Errorf("Name = %q", m.Name())
+	}
+	if m.Graph() == nil {
+		t.Error("Graph accessor")
 	}
 }
 
 func TestIndexFrequencies(t *testing.T) {
-	// Edge (5,6) has labels (1,2); edges (0,1),(1,2),(2,3) label pair (0,0).
 	m := New(storedGraph())
-	if m.lblFreq[0] != 4 || m.lblFreq[1] != 2 || m.lblFreq[2] != 1 || m.edgeFreq[edgeKey(1, 2, 0)] != 1 || m.edgeFreq[edgeKey(0, 0, 0)] != 3 {
-		t.Errorf("label frequencies %v, edgeFreq(1,2) = %d, edgeFreq(0,0) = %d; want 4/2/1, 1, 3", m.lblFreq, m.edgeFreq[edgeKey(1, 2, 0)], m.edgeFreq[edgeKey(0, 0, 0)])
+	if m.lblFreq[0] != 4 || m.lblFreq[1] != 2 || m.lblFreq[2] != 1 {
+		t.Errorf("label frequencies = %v", m.lblFreq)
+	}
+	// edge (5,6) has labels (1,2); edge (6,0) labels (0,2)
+	if m.edgeFreq[edgeKey(1, 2, 0)] != 1 {
+		t.Errorf("edgeFreq(1,2) = %d", m.edgeFreq[edgeKey(1, 2, 0)])
+	}
+	if m.edgeFreq[edgeKey(0, 0, 0)] != 3 {
+		// edges (0,1),(1,2),(2,3) all have label pair (0,0)
+		t.Errorf("edgeFreq(0,0) = %d", m.edgeFreq[edgeKey(0, 0, 0)])
 	}
 }
 
 func TestEdgeKeyCanonical(t *testing.T) {
-	if edgeKey(3, 1, 5) != edgeKey(1, 3, 5) || edgeKey(1, 3, 5) == edgeKey(1, 3, 6) {
-		t.Error("edgeKey must be endpoint-order-insensitive and distinguish edge labels")
+	if edgeKey(3, 1, 5) != edgeKey(1, 3, 5) {
+		t.Error("edgeKey must be endpoint-order-insensitive")
+	}
+	if edgeKey(1, 3, 5) == edgeKey(1, 3, 6) {
+		t.Error("edgeKey must distinguish edge labels")
 	}
 }
 
@@ -80,22 +94,35 @@ func TestPlanHandlesDisconnectedQuery(t *testing.T) {
 	m := New(storedGraph())
 	q := graph.MustNew("q", []graph.Label{0, 0, 1, 1},
 		[][2]int{{0, 1}, {2, 3}})
-	p, roots := m.plan(q), 0
+	p := m.plan(q)
+	if len(p.Order) != 4 {
+		t.Fatalf("plan entries = %d", len(p.Order))
+	}
+	roots := 0
 	for _, parent := range p.Anchor {
 		if parent < 0 {
 			roots++
 		}
 	}
-	if len(p.Order) != 4 || roots != 2 {
-		t.Errorf("%d plan entries and %d roots, want 4 and one per component, 2", len(p.Order), roots)
+	if roots != 2 {
+		t.Errorf("expected 2 roots for 2 components, got %d", roots)
 	}
 }
 
 func TestMatchSimple(t *testing.T) {
-	// only edge (5,6) matches labels (1,2): one orientation valid
+	g := storedGraph()
+	m := New(g)
 	q := graph.MustNew("q", []graph.Label{1, 2}, [][2]int{{0, 1}})
-	if embs, err := New(storedGraph()).Match(context.Background(), q, 100); err != nil || len(embs) != 1 || embs[0][0] != 5 || embs[0][1] != 6 {
-		t.Fatalf("embeddings %v (%v), want [[5 6]]", embs, err)
+	embs, err := m.Match(context.Background(), q, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// only edge (5,6) matches labels (1,2): one orientation valid
+	if len(embs) != 1 {
+		t.Fatalf("got %d embeddings, want 1: %v", len(embs), embs)
+	}
+	if embs[0][0] != 5 || embs[0][1] != 6 {
+		t.Errorf("embedding = %v, want [5 6]", embs[0])
 	}
 }
 

@@ -271,7 +271,6 @@ func names(ns ...string) []byte {
 	return b.b
 }
 
-// emptyFeatures is the feature sections of an empty table under prefix.
 func emptyFeatures(prefix string) map[string][]byte {
 	out := map[string][]byte{}
 	for _, n := range []string{"featlens", "featlabels", "postlens", "postgids", "postcnts", "loclens", "locs"} {

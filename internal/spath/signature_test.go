@@ -591,7 +591,8 @@ func TestCountClampOnAStar(t *testing.T) {
 	}
 	for _, leaves := range []int{254, 255} {
 		checkCandidates(t, g, star(leaves), DefaultRadius)
-		if cand, err := m.candidates(star(leaves), match.NewBudget(context.Background())); err != nil || cand == nil || !cand[0].Has(0) {
+		cand, err := m.candidates(star(leaves), match.NewBudget(context.Background()))
+		if err != nil || cand == nil || !cand[0].Has(0) {
 			t.Errorf("%d leaves: candidates %v, error %v; want the centre for the centre", leaves, cand, err)
 		}
 	}
@@ -655,12 +656,18 @@ func TestCandidatesKeepEveryEmbedding(t *testing.T) {
 		m := New(c.g)
 		for _, q := range c.queries {
 			embs, err := match.NewReference(c.g).Match(ctx, q, 50)
-			if err != nil || len(embs) == 0 {
-				t.Fatalf("round %d: extracted query %s has no embedding (%v)", round, q.Name(), err)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(embs) == 0 {
+				t.Fatalf("round %d: extracted query %s has no embedding", round, q.Name())
 			}
 			cand, err := m.candidates(q, match.NewBudget(ctx))
-			if err != nil || cand == nil {
-				t.Fatalf("round %d: filter emptied a candidate set of a contained query (%v)", round, err)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cand == nil {
+				t.Fatalf("round %d: filter emptied a candidate set of a contained query", round)
 			}
 			for _, emb := range embs {
 				for u, v := range emb {

@@ -12,14 +12,22 @@ import (
 
 func TestName(t *testing.T) {
 	g := graph.MustNew("g", []graph.Label{0}, nil)
-	if m := New(g); m.Name() != "SPA" || m.Graph() != g || m.sig.radius != DefaultRadius {
-		t.Errorf("Name %q, Graph %v, radius %d; want SPA, g and %d", m.Name(), m.Graph(), m.sig.radius, DefaultRadius)
+	m := New(g)
+	if m.Name() != "SPA" {
+		t.Errorf("Name = %q", m.Name())
+	}
+	if m.Graph() != g {
+		t.Error("Graph accessor")
+	}
+	if m.sig.radius != DefaultRadius {
+		t.Errorf("radius = %d", m.sig.radius)
 	}
 }
 
 func TestRadiusClamp(t *testing.T) {
-	if r := NewWithRadius(graph.MustNew("g", []graph.Label{0}, nil), 0, nil).sig.radius; r != 1 {
-		t.Errorf("radius 0 became %d; it must clamp to >= 1", r)
+	g := graph.MustNew("g", []graph.Label{0}, nil)
+	if NewWithRadius(g, 0, nil).sig.radius != 1 {
+		t.Error("radius must clamp to >= 1")
 	}
 }
 
@@ -55,10 +63,13 @@ func TestContainsIsCumulative(t *testing.T) {
 	// is the other's.)
 	q := ownSignatures(t, graph.MustNew("q", []graph.Label{0, 1, 7}, [][2]int{{0, 1}, {1, 2}}), 2)
 	g := ownSignatures(t, graph.MustNew("g", []graph.Label{0, 1, 7}, [][2]int{{0, 1}, {0, 2}}), 2)
+	if !g.contains(0, &q, 0) {
+		t.Error("cumulative containment should accept closer labels")
+	}
 	// The reverse must reject: a label required at distance 1 cannot be
 	// satisfied at distance 2.
-	if !g.contains(0, &q, 0) || q.contains(0, &g, 0) {
-		t.Error("cumulative containment should accept closer labels and reject farther ones")
+	if q.contains(0, &g, 0) {
+		t.Error("label required at distance 1 cannot be satisfied at distance 2")
 	}
 	// Counts matter, not just presence.
 	two := ownSignatures(t, graph.MustNew("two", []graph.Label{0, 1, 1}, [][2]int{{0, 1}, {0, 2}}), 2)
@@ -148,10 +159,14 @@ func TestMatchTriangleQuery(t *testing.T) {
 	g := graph.MustNew("g", []graph.Label{0, 0, 0, 0},
 		[][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
 	q := graph.MustNew("q", []graph.Label{0, 0, 0}, [][2]int{{0, 1}, {1, 2}, {2, 0}})
+	m := New(g)
+	embs, err := m.Match(context.Background(), q, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// triangle {0,1,2}: 3! = 6 automorphic embeddings
-	embs, err := New(g).Match(context.Background(), q, 100)
-	if err != nil || len(embs) != 6 {
-		t.Errorf("got %d embeddings (%v), want 6", len(embs), err)
+	if len(embs) != 6 {
+		t.Errorf("got %d embeddings, want 6", len(embs))
 	}
 	for _, e := range embs {
 		if err := match.VerifyEmbedding(q, g, e); err != nil {
@@ -167,9 +182,18 @@ func TestCandidateFilterByDistanceSignature(t *testing.T) {
 		[][2]int{{0, 1}, {1, 2}, {3, 4}})
 	q := graph.MustNew("q", []graph.Label{0, 1, 9}, [][2]int{{0, 1}, {1, 2}})
 	m := New(g)
-	// Vertex 3 is pruned: it has no label-9 vertex within distance 2.
-	if cand, err := m.candidates(q, match.NewBudget(context.Background())); err != nil || cand == nil || !cand[0].Has(0) || cand[0].Has(3) {
-		t.Fatalf("candidates %v, %v; want vertex 0 and not 3 for query vertex 0", cand, err)
+	cand, err := m.candidates(q, match.NewBudget(context.Background()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cand == nil {
+		t.Fatal("candidates should exist")
+	}
+	if !cand[0].Has(0) {
+		t.Error("vertex 0 must be a candidate for query vertex 0")
+	}
+	if cand[0].Has(3) {
+		t.Error("vertex 3 must be pruned: no label-9 within distance 2")
 	}
 
 	// A label the stored graph lacks, between or above its own, means no

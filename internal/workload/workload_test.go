@@ -16,8 +16,12 @@ func TestExtractSizeAndConnectivity(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 30; trial++ {
 		size := 4 + r.Intn(12)
-		if q := Extract(r, g, size); q.M() != size || !q.IsConnected() {
-			t.Errorf("trial %d: extracted %d edges, connected %v; want %d (graph is large enough), connected", trial, q.M(), q.IsConnected(), size)
+		q := Extract(r, g, size)
+		if q.M() != size {
+			t.Errorf("trial %d: extracted %d edges, want %d (graph is large enough)", trial, q.M(), size)
+		}
+		if !q.IsConnected() {
+			t.Errorf("trial %d: extracted query must be connected", trial)
 		}
 	}
 }
@@ -40,13 +44,17 @@ func TestExtractedQueryIsContained(t *testing.T) {
 func TestExtractExhaustsSmallComponent(t *testing.T) {
 	// tiny triangle: asking for 10 edges must stop at 3
 	g := graph.MustNew("tri", []graph.Label{0, 0, 0}, [][2]int{{0, 1}, {1, 2}, {2, 0}})
-	if q := Extract(rand.New(rand.NewSource(1)), g, 10); q.M() != 3 {
+	r := rand.New(rand.NewSource(1))
+	q := Extract(r, g, 10)
+	if q.M() != 3 {
 		t.Errorf("got %d edges, want 3 (component exhausted)", q.M())
 	}
 }
 
 func TestExtractEmptyGraph(t *testing.T) {
-	if q := Extract(rand.New(rand.NewSource(1)), graph.MustNew("empty", nil, nil), 5); q.N() != 0 {
+	g := graph.MustNew("empty", nil, nil)
+	q := Extract(rand.New(rand.NewSource(1)), g, 5)
+	if q.N() != 0 {
 		t.Errorf("empty graph should yield empty query")
 	}
 }
@@ -59,8 +67,15 @@ func TestGenerateShape(t *testing.T) {
 		t.Fatalf("got %d queries, want 10", len(qs))
 	}
 	for i, q := range qs {
-		if want := sizes[i/5]; q.WantEdges != want || q.Source < 0 || q.Source >= len(ds) || q.Graph.M() > want {
-			t.Errorf("query %d: %d edges from graph %d for WantEdges %d; want at most %d from one of %d", i, q.Graph.M(), q.Source, q.WantEdges, want, len(ds))
+		wantSize := sizes[i/5]
+		if q.WantEdges != wantSize {
+			t.Errorf("query %d: WantEdges = %d, want %d", i, q.WantEdges, wantSize)
+		}
+		if q.Source < 0 || q.Source >= len(ds) {
+			t.Errorf("query %d: bad source %d", i, q.Source)
+		}
+		if q.Graph.M() > wantSize {
+			t.Errorf("query %d: %d edges exceeds requested %d", i, q.Graph.M(), wantSize)
 		}
 	}
 }
@@ -79,7 +94,12 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateSingle(t *testing.T) {
 	g := gen.YeastLike(gen.Tiny, 3)
 	qs := GenerateSingle(g, []int{5}, 3, 1)
-	if len(qs) != 3 || qs[0].Source != 0 || qs[1].Source != 0 || qs[2].Source != 0 {
-		t.Fatalf("got %d queries (%+v), want 3 from graph 0", len(qs), qs)
+	if len(qs) != 3 {
+		t.Fatalf("got %d queries", len(qs))
+	}
+	for _, q := range qs {
+		if q.Source != 0 {
+			t.Errorf("single-graph source = %d", q.Source)
+		}
 	}
 }

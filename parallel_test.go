@@ -32,9 +32,16 @@ func TestPooledAnswerMatchesSequential(t *testing.T) {
 		}
 		for _, x := range indexes {
 			for qi, q := range queries {
-				want, err1 := index.SequentialAnswer(ctx, x, q)
-				if got, err2 := index.Answer(ctx, x, q, pool); err1 != nil || err2 != nil || !slices.Equal(got, want) {
-					t.Fatalf("%s query %d, %d workers: pooled answer %v (%v), sequential %v (%v)", x.Name(), qi, workers, got, err2, want, err1)
+				want, err := index.SequentialAnswer(ctx, x, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := index.Answer(ctx, x, q, pool)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s query %d, %d workers: pooled answer %v, sequential %v", x.Name(), qi, workers, got, want)
 				}
 			}
 		}

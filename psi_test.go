@@ -66,9 +66,13 @@ func TestApplyRewritingRoundTrip(t *testing.T) {
 	g := storedGraph()
 	q := psi.MustNewGraph("q", []psi.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
 	q2, perm := psi.ApplyRewriting(q, g, psi.ILFDND)
-	embs, err := psi.MustNewMatcher(psi.VF2, g).Match(context.Background(), q2, 1)
-	if err != nil || len(embs) == 0 || q2.N() != q.N() || q2.M() != q.M() {
-		t.Fatalf("rewritten query %v should keep its size and match: %v %v", q2, embs, err)
+	if q2.N() != q.N() || q2.M() != q.M() {
+		t.Fatal("rewriting changed the graph size")
+	}
+	m := psi.MustNewMatcher(psi.VF2, g)
+	embs, err := m.Match(context.Background(), q2, 1)
+	if err != nil || len(embs) == 0 {
+		t.Fatalf("rewritten query should match: %v %v", embs, err)
 	}
 	back := make(psi.Embedding, q.N())
 	for u := range back {
@@ -81,9 +85,12 @@ func TestApplyRewritingRoundTrip(t *testing.T) {
 
 func TestStructuredRewritingsCopy(t *testing.T) {
 	a := psi.StructuredRewritings()
+	if len(a) != 5 {
+		t.Fatalf("got %d rewritings", len(a))
+	}
 	a[0] = psi.Orig
-	if len(a) != 5 || psi.StructuredRewritings()[0] == psi.Orig {
-		t.Errorf("got %d rewritings, or the caller's copy was the package's own; want 5 and a copy", len(a))
+	if psi.StructuredRewritings()[0] == psi.Orig {
+		t.Error("StructuredRewritings must return a copy")
 	}
 }
 
@@ -93,8 +100,11 @@ func TestFTVPipelineAPI(t *testing.T) {
 	defer x.Close()
 	q := psi.ExtractQuery(ds[0], 5, 99)
 	ids, err := index.SequentialAnswer(context.Background(), x, q)
-	if err != nil || !slices.Contains(ids, 0) {
-		t.Fatalf("answer %v (%v): the source graph must contain the extracted query", ids, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(ids, 0) {
+		t.Error("source graph must contain the extracted query")
 	}
 	// the raced pipeline streams the same answer
 	eng := newDatasetEngine(t, ds, psi.EngineOptions{IndexWorkers: 2, Rewritings: []psi.Rewriting{psi.Orig, psi.ILF, psi.DND}})
@@ -104,8 +114,12 @@ func TestFTVPipelineAPI(t *testing.T) {
 	// GGSX agrees too
 	x2 := mustBuildIndex(t, "ggsx", ds, 0)
 	defer x2.Close()
-	if ids3, err := index.SequentialAnswer(context.Background(), x2, q); err != nil || len(ids3) != len(ids) {
-		t.Errorf("GGSX answer %v (%v) != Grapes answer %v", ids3, err, ids)
+	ids3, err := index.SequentialAnswer(context.Background(), x2, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids3) != len(ids) {
+		t.Errorf("GGSX answer %v != Grapes answer %v", ids3, ids)
 	}
 }
 
@@ -113,26 +127,44 @@ func TestGeneratorsAndStats(t *testing.T) {
 	y := psi.GenerateYeastLike(psi.Tiny, 1)
 	h := psi.GenerateHumanLike(psi.Tiny, 1)
 	w := psi.GenerateWordnetLike(psi.Tiny, 1)
+	if psi.ComputeStats(h).AvgDegree <= psi.ComputeStats(y).AvgDegree {
+		t.Error("human-like should be denser than yeast-like")
+	}
+	if psi.ComputeStats(w).Labels > 5 {
+		t.Error("wordnet-like should have at most 5 labels")
+	}
 	syn := psi.GenerateSynthetic(psi.Tiny, 1)
-	if psi.ComputeStats(h).AvgDegree <= psi.ComputeStats(y).AvgDegree || psi.ComputeStats(w).Labels > 5 || psi.ComputeDatasetStats("syn", syn).NumGraphs != len(syn) {
-		t.Error("human-like should be denser than yeast-like, wordnet-like have at most 5 labels, dataset stats count the graphs")
+	st := psi.ComputeDatasetStats("syn", syn)
+	if st.NumGraphs != len(syn) {
+		t.Error("dataset stats")
 	}
 }
 
 func TestExtractQueryDeterministic(t *testing.T) {
 	g := psi.GenerateYeastLike(psi.Tiny, 2)
-	if a := psi.ExtractQuery(g, 8, 5); !a.Equal(psi.ExtractQuery(g, 8, 5)) || a.M() != 8 {
-		t.Errorf("query of %d edges; the same seed must reproduce it with 8", a.M())
+	a := psi.ExtractQuery(g, 8, 5)
+	b := psi.ExtractQuery(g, 8, 5)
+	if !a.Equal(b) {
+		t.Error("same seed must reproduce the query")
+	}
+	if a.M() != 8 {
+		t.Errorf("query has %d edges", a.M())
 	}
 }
 
 func TestBuilderAPI(t *testing.T) {
 	b := psi.NewBuilder("g")
-	if err := b.AddEdge(b.AddVertex(3), b.AddVertex(4)); err != nil {
+	v0 := b.AddVertex(3)
+	v1 := b.AddVertex(4)
+	if err := b.AddEdge(v0, v1); err != nil {
 		t.Fatal(err)
 	}
-	if g, err := b.Build(); err != nil || g.N() != 2 || g.M() != 1 {
-		t.Errorf("builder result %v, %v; want 2 vertices and 1 edge", g, err)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() != 2 || g.M() != 1 {
+		t.Error("builder result")
 	}
 }
 
@@ -161,11 +193,15 @@ func TestFilterIndexFacade(t *testing.T) {
 		}
 		got, err := index.SequentialAnswer(context.Background(), x, q)
 		x.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if i == 0 {
 			want = got
+			continue
 		}
-		if err != nil || !slices.Equal(got, want) {
-			t.Fatalf("%s answered %v (%v), first kind answered %v", kind, got, err, want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s answered %v, first kind answered %v", kind, got, want)
 		}
 	}
 	if _, err := psi.BuildIndex(context.Background(), "btree", ds, 1); err == nil {
@@ -181,8 +217,12 @@ func TestFilterIndexFacade(t *testing.T) {
 	if st := sh.Stats(); st.ShardCount != 2 || len(st.Shards) != 2 {
 		t.Errorf("sharded Stats = %+v, want ShardCount 2 with per-shard breakdown", st)
 	}
-	if got, err := index.SequentialAnswer(context.Background(), sh, q); err != nil || !slices.Equal(got, want) {
-		t.Fatalf("sharded index answered %v (%v), monolithic %v", got, err, want)
+	got, err := index.SequentialAnswer(context.Background(), sh, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("sharded index answered %v, monolithic %v", got, want)
 	}
 	if _, err := psi.NewShardedIndex(context.Background(), "btree", ds, 2, 1); err == nil {
 		t.Error("NewShardedIndex of unknown kind must fail")
