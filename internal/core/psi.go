@@ -44,18 +44,11 @@ type Result struct {
 	// len(Embeddings) for Race, and the count streamed into the sink for
 	// RaceStream.
 	Found int
-	// Winner is the attempt that finished first.
-	Winner Attempt
 	// WinnerIndex is the winner's position in the attempts slice.
 	WinnerIndex int
 	// Elapsed is the wall-clock time from race start to the win.
 	Elapsed time.Duration
-	// Attempts is the number of contenders raced.
-	Attempts int
 }
-
-// Contained reports whether the query was found at all.
-func (r Result) Contained() bool { return r.Found > 0 }
 
 // Racer runs Ψ-framework races. The zero value works for rewritings that
 // need no label statistics (Orig, IND, DND, Random); construct with NewRacer
@@ -101,10 +94,8 @@ func (r *Racer) Race(ctx context.Context, q *graph.Graph, limit int, attempts []
 	return Result{
 		Embeddings:  embs,
 		Found:       len(embs),
-		Winner:      attempts[winner],
 		WinnerIndex: winner,
 		Elapsed:     time.Since(start),
-		Attempts:    len(attempts),
 	}, nil
 }
 
@@ -257,10 +248,8 @@ func (r *Racer) RaceStream(ctx context.Context, q *graph.Graph, limit int, attem
 	}
 	return Result{
 		Found:       found,
-		Winner:      attempts[winner],
 		WinnerIndex: winner,
 		Elapsed:     time.Since(start),
-		Attempts:    len(attempts),
 	}, nil
 }
 

@@ -95,6 +95,23 @@ func Graph(r *rand.Rand, n, extra, labels int) *graph.Graph {
 	return b.MustBuild()
 }
 
+// Sparse is a random graph named name of n vertices, not always connected:
+// vertex v is labelled label(v), for every vertex in turn before any edge is
+// drawn, and then ⌊degree·n/2⌋ random vertex pairs each become an edge
+// unless they are a loop or an edge already drawn.
+func Sparse(r *rand.Rand, name string, n int, degree float64, label func(v int) graph.Label) *graph.Graph {
+	b := graph.NewBuilder(name)
+	for v := 0; v < n; v++ {
+		b.AddVertex(label(v))
+	}
+	for e := 0; n > 1 && e < int(degree*float64(n)/2); e++ {
+		if u, v := r.Intn(n), r.Intn(n); u != v && !b.HasEdgePending(u, v) {
+			mustEdge(b, u, v)
+		}
+	}
+	return b.MustBuild()
+}
+
 // Mixed is graphs whose Grapes location sets take both stored forms in one
 // table: small or label-poor ones, whose sets are all bitset rows, and
 // 70-to-140-vertex ones over many labels, most of whose features touch too

@@ -37,6 +37,17 @@ func TestGeneratorIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestSparse pins Sparse's draws, which the ftv, spath and gql tests' cases
+// are: vertex v is labelled label(v), and of the ⌊degree·n/2⌋ vertex pairs
+// the loop (5, 5) and the repeat (2, 1) are skipped.
+func TestSparse(t *testing.T) {
+	g := Sparse(rand.New(rand.NewSource(1)), "s", 6, 2, func(v int) graph.Label { return graph.Label(v % 2) })
+	want := graph.MustNew("s", []graph.Label{0, 1, 0, 1, 0, 1}, [][2]int{{5, 3}, {1, 0}, {1, 2}, {4, 0}})
+	if !g.Equal(want) || g.Name() != "s" {
+		t.Errorf("Sparse drew %v, want %v", g, want)
+	}
+}
+
 // TestShapes: every dataset shape is there and holds what its name promises,
 // and Queries draws each query kind.
 func TestShapes(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/graph"
@@ -83,24 +84,6 @@ func oracleExtract(g *graph.Graph, maxLen int) []oracleFeature {
 	}
 	slices.SortFunc(out, func(a, b oracleFeature) int { return slices.Compare(a.labels, b.labels) })
 	return out
-}
-
-// randomGraph draws n vertices with labels from pick and about degree·n/2
-// random edges.
-func randomGraph(r *rand.Rand, n int, degree float64, pick func() graph.Label) *graph.Graph {
-	b := graph.NewBuilder(fmt.Sprintf("rand-%d", n))
-	for v := 0; v < n; v++ {
-		b.AddVertex(pick())
-	}
-	for e := 0; n > 1 && e < int(degree*float64(n)/2); e++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !b.HasEdgePending(u, v) {
-			if err := b.AddEdge(u, v); err != nil {
-				panic(err) // both endpoints exist
-			}
-		}
-	}
-	return b.MustBuild()
 }
 
 // assertMirrorsAgree checks the invariant orientation rests on: in an
@@ -271,10 +254,10 @@ func runCases() map[string]*graph.Graph {
 // maxLen where the last two levels' path bits run out.
 func TestExtractFeaturesMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
-	full := func() graph.Label { return wideLabels[r.Intn(len(wideLabels))] }
-	small := func() graph.Label { return graph.Label(r.Intn(3)) }
-	wide := func() graph.Label { return graph.Label(4090 + r.Intn(12)) } // straddles 4095
-	mixed := func() graph.Label {
+	full := func(int) graph.Label { return wideLabels[r.Intn(len(wideLabels))] }
+	small := func(int) graph.Label { return graph.Label(r.Intn(3)) }
+	wide := func(int) graph.Label { return graph.Label(4090 + r.Intn(12)) } // straddles 4095
+	mixed := func(int) graph.Label {
 		if r.Intn(2) == 0 {
 			return graph.Label(r.Intn(2))
 		}
@@ -282,15 +265,15 @@ func TestExtractFeaturesMatchesOracle(t *testing.T) {
 	}
 	for maxLen := 1; maxLen <= 6; maxLen++ {
 		for _, n := range []int{2, 9, 30, 63, 64, 65} {
-			assertMatchesOracle(t, fmt.Sprintf("small-%d", n), randomGraph(r, n, 2.5, small), maxLen)
-			assertMatchesOracle(t, fmt.Sprintf("wide-%d", n), randomGraph(r, n, 2.5, wide), maxLen)
+			assertMatchesOracle(t, fmt.Sprintf("small-%d", n), difftest.Sparse(r, fmt.Sprintf("rand-%d", n), n, 2.5, small), maxLen)
+			assertMatchesOracle(t, fmt.Sprintf("wide-%d", n), difftest.Sparse(r, fmt.Sprintf("rand-%d", n), n, 2.5, wide), maxLen)
 		}
-		assertMatchesOracle(t, "mixed-40", randomGraph(r, 40, 3, mixed), maxLen)
-		assertMatchesOracle(t, "full-width-30", randomGraph(r, 30, 3, full), maxLen)
+		assertMatchesOracle(t, "mixed-40", difftest.Sparse(r, "rand-40", 40, 3, mixed), maxLen)
+		assertMatchesOracle(t, "full-width-30", difftest.Sparse(r, "rand-30", 30, 3, full), maxLen)
 		for name, g := range runCases() {
 			assertMatchesOracle(t, name, g, maxLen)
 		}
-		assertMatchesOracle(t, "dense-12", randomGraph(r, 12, 6, small), maxLen)
+		assertMatchesOracle(t, "dense-12", difftest.Sparse(r, "rand-12", 12, 6, small), maxLen)
 		assertMatchesOracle(t, "edgeless", graph.MustNew("edgeless", []graph.Label{0, 1, 1}, nil), maxLen)
 		assertMatchesOracle(t, "empty", graph.MustNew("empty", nil, nil), maxLen)
 	}
@@ -315,11 +298,11 @@ func TestExtractFeaturesMatchesOracle(t *testing.T) {
 	}
 	// Half the vertices share label 0, the rest spread over 200 labels: the
 	// all-zero features recur thousands of times, most others once or twice.
-	skewed := func() graph.Label { return graph.Label(max(0, r.Intn(400)-199)) }
-	many := func() graph.Label { return graph.Label(r.Intn(300)) }
+	skewed := func(int) graph.Label { return graph.Label(max(0, r.Intn(400)-199)) }
+	many := func(int) graph.Label { return graph.Label(r.Intn(300)) }
 	for maxLen := 1; maxLen <= 4; maxLen++ {
-		assertMatchesOracle(t, "skewed-1500", randomGraph(r, 1500, 3, skewed), maxLen)
-		assertMatchesOracle(t, "sparse-3000", randomGraph(r, 3000, 3, many), maxLen)
+		assertMatchesOracle(t, "skewed-1500", difftest.Sparse(r, "rand-1500", 1500, 3, skewed), maxLen)
+		assertMatchesOracle(t, "sparse-3000", difftest.Sparse(r, "rand-3000", 3000, 3, many), maxLen)
 	}
 }
 
@@ -365,7 +348,7 @@ func TestMirrorSpellingsAgree(t *testing.T) {
 // rather than to features × vertices.
 func TestExtractLocationForms(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	g := randomGraph(r, 1500, 3, func() graph.Label { return graph.Label(max(0, r.Intn(400)-199)) })
+	g := difftest.Sparse(r, "rand-1500", 1500, 3, func(int) graph.Label { return graph.Label(max(0, r.Intn(400)-199)) })
 	e := newExtractor(g.LabelValues())
 	if _, err := e.extract(context.Background(), g, 4, true); err != nil {
 		t.Fatal(err)

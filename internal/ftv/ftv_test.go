@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/graph"
 )
@@ -156,12 +157,12 @@ func TestExtractDatasetFeaturesDeterministicAcrossPools(t *testing.T) {
 			[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}))
 	}
 	r := rand.New(rand.NewSource(3))
-	few := func() graph.Label { return graph.Label(r.Intn(3)) }
-	many := func() graph.Label { return graph.Label(r.Intn(40)) }
+	few := func(int) graph.Label { return graph.Label(r.Intn(3)) }
+	many := func(int) graph.Label { return graph.Label(r.Intn(40)) }
 	ds = append(ds,
-		randomGraph(r, 300, 3, few), graph.MustNew("one", []graph.Label{1}, nil), graph.MustNew("edgeless", []graph.Label{0, 2, 2}, nil),
-		randomGraph(r, 300, 3, many), randomGraph(r, 14, 3, few), randomGraph(r, 300, 3, many),
-		randomGraph(r, 300, 3, few), graph.MustNew("edgeless", make([]graph.Label, 70), nil), randomGraph(r, 100, 3, many))
+		difftest.Sparse(r, "rand-300", 300, 3, few), graph.MustNew("one", []graph.Label{1}, nil), graph.MustNew("edgeless", []graph.Label{0, 2, 2}, nil),
+		difftest.Sparse(r, "rand-300", 300, 3, many), difftest.Sparse(r, "rand-14", 14, 3, few), difftest.Sparse(r, "rand-300", 300, 3, many),
+		difftest.Sparse(r, "rand-300", 300, 3, few), graph.MustNew("edgeless", make([]graph.Label, 70), nil), difftest.Sparse(r, "rand-100", 100, 3, many))
 	want := make([][]oracleFeature, len(ds))
 	for i, g := range ds {
 		want[i] = oracleWant(t, g.Name(), g, 4)

@@ -174,9 +174,6 @@ func TestSingleDeterministic(t *testing.T) {
 func TestSingleEdgeLabels(t *testing.T) {
 	cfg := SingleConfig{Nodes: 100, Edges: 300, Labels: 5, EdgeLabels: 3, Tree: true}
 	g := Single("el", cfg, 9)
-	if !g.HasEdgeLabelsBeyondDefault() {
-		t.Fatal("EdgeLabels config must produce non-default edge labels")
-	}
 	seen := map[graph.Label]bool{}
 	g.LabeledEdges(func(u, v int, l graph.Label) {
 		if l < 0 || l >= 3 {
@@ -188,7 +185,7 @@ func TestSingleEdgeLabels(t *testing.T) {
 		t.Errorf("expected at least 2 distinct edge labels, got %v", seen)
 	}
 	// presets stay edge-unlabeled (paper datasets are vertex-labeled)
-	if YeastLike(Tiny, 1).HasEdgeLabelsBeyondDefault() {
+	if y := YeastLike(Tiny, 1); !y.Equal(graph.MustNew("y", y.Labels(), y.EdgeList())) {
 		t.Error("yeast preset must not have edge labels")
 	}
 }

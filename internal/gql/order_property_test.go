@@ -17,7 +17,7 @@ import (
 func TestSearchOrderProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := randomGraphGQL(r, 15+r.Intn(10), 3)
+		g := difftest.Sparse(r, "g", 15+r.Intn(10), 4, func(int) graph.Label { return graph.Label(r.Intn(3)) })
 		m := New(g)
 		q := difftest.Random(r, 1, 3+r.Intn(7), 3)[0]
 		cand, err := m.candidates(q, newTestBudget())
@@ -128,20 +128,4 @@ func bfsVertices(g *graph.Graph, start, k int) []int32 {
 		}
 	}
 	return out
-}
-
-func randomGraphGQL(r *rand.Rand, n, labels int) *graph.Graph {
-	b := graph.NewBuilder("g")
-	for i := 0; i < n; i++ {
-		b.AddVertex(graph.Label(r.Intn(labels)))
-	}
-	for i := 0; i < 2*n; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !b.HasEdgePending(u, v) {
-			if err := b.AddEdge(u, v); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return b.MustBuild()
 }

@@ -13,8 +13,9 @@ import (
 // section would: labels, offsets, neighbours and edge labels, each a run of
 // little-endian 32-bit words. It must never panic, and a graph it accepts
 // must give its inputs back from CSR() and equal the graph a Builder makes
-// from the edges the arrays list. Seeded with a generated graph and with
-// every rejection case of TestFromCSRRejectsCorruption.
+// from the edges the arrays list. Seeded with generated graphs, one of them
+// edge-labelled, and with every rejection case of
+// TestFromCSRRejectsCorruption.
 func FuzzFromCSR(f *testing.F) {
 	add := func(labels []graph.Label, offsets, nbrs []int32, elabs []graph.Label) {
 		f.Add(words(labels), words(offsets), words(nbrs), words(elabs))
@@ -22,6 +23,7 @@ func FuzzFromCSR(f *testing.F) {
 	for _, g := range gen.Synthetic(gen.SyntheticConfig{NumGraphs: 2, AvgNodes: 6, NodeSpread: 2, Density: 0.4, Labels: 3}, 1) {
 		add(g.CSR())
 	}
+	add(gen.Single("el", gen.SingleConfig{Nodes: 8, Edges: 12, Labels: 3, EdgeLabels: 3}, 1).CSR())
 	for _, c := range graph.CorruptCSRCases() {
 		add(c.Labels, c.Offsets, c.Nbrs, c.Elabs)
 	}

@@ -61,16 +61,6 @@ func TestEdgeLabelsAlignedWithNeighbors(t *testing.T) {
 	}
 }
 
-func TestHasEdgeLabelsBeyondDefault(t *testing.T) {
-	if !edgeLabeledGraph(t).HasEdgeLabelsBeyondDefault() {
-		t.Error("edge-labeled graph should report non-default labels")
-	}
-	plain := MustNew("p", []Label{0, 0}, [][2]int{{0, 1}})
-	if plain.HasEdgeLabelsBeyondDefault() {
-		t.Error("default-labeled graph should report false")
-	}
-}
-
 func TestLabeledEdgesIteration(t *testing.T) {
 	g := edgeLabeledGraph(t)
 	got := map[[2]int]Label{}

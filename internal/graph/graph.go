@@ -138,17 +138,6 @@ func (g *Graph) HasEdgeLabeled(u, v int, l Label) bool {
 // the edge to Neighbors(v)[i]. Callers must not modify the slice.
 func (g *Graph) EdgeLabels(v int) []Label { return g.elabs[g.offsets[v]:g.offsets[v+1]] }
 
-// HasEdgeLabelsBeyondDefault reports whether any edge carries a non-zero
-// label, that is, whether g is edge-labelled at all.
-func (g *Graph) HasEdgeLabelsBeyondDefault() bool {
-	for _, l := range g.elabs {
-		if l != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Edges calls fn once per undirected edge with u < v. Iteration order is
 // deterministic (ascending u, then ascending v).
 func (g *Graph) Edges(fn func(u, v int)) {

@@ -154,11 +154,9 @@ func TestFilterStreamMatchesFilter(t *testing.T) {
 	}
 	for qi, q := range queries {
 		var want []int
-		if err := x.tables[0].FilterFeatures(context.Background(), ftv.QueryFeatures(q, ftv.DefaultMaxPathLen), func(id int) bool {
+		c := x.tables[0].cursor(ftv.QueryFeatures(q, ftv.DefaultMaxPathLen))
+		for id, ok, _ := c.next(context.Background()); ok; id, ok, _ = c.next(context.Background()) {
 			want = append(want, id)
-			return true
-		}); err != nil {
-			t.Fatal(err)
 		}
 		if got := x.Filter(q); !slices.Equal(got, want) {
 			t.Fatalf("query %d: Filter %v vs the table's scan %v", qi, got, want)

@@ -622,21 +622,10 @@ func mergeDirectories(dirs []*PathDirectory, visit func([]graph.Label)) {
 	}
 }
 
-// FilterFeatures emits, in ascending local ID order, the graphs of the table
-// that contain each of the query's features, extracted at the table's path
-// length, at least as often as the query does. emit returning false abandons
-// the scan; a cancelled ctx ends it with the context's error.
-func (x *Path) FilterFeatures(ctx context.Context, feats []ftv.QueryFeature, emit func(graphID int) bool) error {
-	c := x.cursor(feats)
-	for {
-		id, ok, err := c.next(ctx)
-		if !ok || !emit(id) {
-			return err
-		}
-	}
-}
-
-// cursor opens FilterFeatures' scan as a pull cursor.
+// cursor opens the table's filter scan as a pull cursor: it yields, in
+// ascending local ID order, the graphs of the table that contain each of the
+// query's features, extracted at the table's path length, at least as often
+// as the query does.
 func (x *Path) cursor(feats []ftv.QueryFeature) featureCursor {
 	return newFeatureCursor(len(x.ds), feats, x.lookup)
 }

@@ -145,8 +145,8 @@ func (b *Budget) Step() error {
 	return nil
 }
 
-// Steps reports how many steps have been counted; used by tests and by the
-// instrumentation in the harness.
+// Steps reports how many steps have been counted. Tests read it, and so
+// will the per-attempt work counts of ROADMAP.md item 1(a).
 func (b *Budget) Steps() uint32 { return b.counter }
 
 // VerifyEmbedding checks that emb is a valid non-induced subgraph

@@ -266,28 +266,6 @@ func WLARatio(a, b []float64) float64 {
 	return ma / mb
 }
 
-// QLARatio is the Query-Level Average of per-query ratios:
-// avg_i(A_i / B_i) — the user-centric metric. Pairs with B_i = 0 are
-// skipped.
-func QLARatio(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("metrics: QLARatio requires paired samples")
-	}
-	var sum float64
-	n := 0
-	for i := range a {
-		if b[i] == 0 {
-			continue
-		}
-		sum += a[i] / b[i]
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // MaxMin is the paper's (max/min) metric over the execution times of a
 // query's isomorphic instances: max_j(t_j) / min_j(t_j), minimum value 1.
 func MaxMin(ts []float64) float64 {

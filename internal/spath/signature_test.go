@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/exec"
 	"github.com/psi-graph/psi/internal/gen"
 	"github.com/psi-graph/psi/internal/graph"
@@ -123,25 +124,16 @@ func checkAgainstOracle(t *testing.T, g *graph.Graph, radius int) {
 	checkForm(t, fmt.Sprintf("%s radius=%d", g.Name(), radius), sig)
 }
 
-// sparseGraph draws n vertices with labels from alphabet and about
-// n*degree/2 random edges: at degree 1.5 it is disconnected and has isolated
-// vertices.
+// sparseGraph is difftest.Sparse with labels drawn from alphabet: at degree
+// 1.5 it is disconnected and has isolated vertices.
 func sparseGraph(r *rand.Rand, n int, degree float64, alphabet []graph.Label) *graph.Graph {
-	labels := make([]graph.Label, n)
-	for i := range labels {
-		labels[i] = alphabet[r.Intn(len(alphabet))]
-	}
-	return randomEdges(r, labels, degree)
+	return difftest.Sparse(r, fmt.Sprintf("g%d", n), n, degree, func(int) graph.Label { return alphabet[r.Intn(len(alphabet))] })
 }
 
 // everyLabel is sparseGraph with alphabet dealt round the vertices in turn,
 // so a graph of at least len(alphabet) vertices carries all of it.
 func everyLabel(r *rand.Rand, n int, degree float64, alphabet []graph.Label) *graph.Graph {
-	labels := make([]graph.Label, n)
-	for i := range labels {
-		labels[i] = alphabet[i%len(alphabet)]
-	}
-	return randomEdges(r, labels, degree)
+	return difftest.Sparse(r, fmt.Sprintf("g%d", n), n, degree, func(v int) graph.Label { return alphabet[v%len(alphabet)] })
 }
 
 // wideAlphabet is n labels, 7 apart: at 300 the rank space's last 44 ranks
@@ -152,24 +144,6 @@ func wideAlphabet(n int) []graph.Label {
 		alphabet[i] = graph.Label(7 * i)
 	}
 	return alphabet
-}
-
-// randomEdges builds a graph over labels with about n*degree/2 random edges.
-func randomEdges(r *rand.Rand, labels []graph.Label, degree float64) *graph.Graph {
-	n := len(labels)
-	b := graph.NewBuilder(fmt.Sprintf("g%d", n))
-	for _, l := range labels {
-		b.AddVertex(l)
-	}
-	for i := 0; n > 1 && i < int(float64(n)*degree/2); i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !b.HasEdgePending(u, v) {
-			if err := b.AddEdge(u, v); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return b.MustBuild()
 }
 
 // wideLabels straddle 4095 and reach 2^30: the labels the hand-built cases

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # check.sh — the repo's CI gate: formatting, vet, full compilation
 # (including the cmd/ programs without tests, which would otherwise only
-# break at release time), the Example functions at GOMAXPROCS 1, 2 and 4 (their
+# break at release time) followed by a report line of Go line counts, the
+# Example functions at GOMAXPROCS 1, 2 and 4 (their
 # checked output must not depend on the core count), the full test suite
 # under the race detector, a few seconds of
 # each fuzz target, a one-iteration
@@ -39,6 +40,12 @@ fi
 
 stage "go build"
 go build ./...
+# The size gauge, a report and not a gate: lines of the Go files git tracks
+# outside bench/, product code and tests, with the internal/difftest test
+# generator apart from the product.
+go_files=$(git ls-files -- '*.go' ':(exclude)bench')
+go_lines() { grep -E "$1" <<<"$go_files" | grep -vE "$2" | xargs cat | wc -l; }
+echo "go lines outside bench/: product $(go_lines . '_test[.]go$|^internal/difftest/'), internal/difftest $(go_lines '^internal/difftest/' '_test[.]go$'), tests $(go_lines '_test[.]go$' '^$')"
 
 stage "examples at GOMAXPROCS 1, 2, 4"
 # The Example functions are the executed usage documentation, and each
