@@ -12,13 +12,13 @@
 //	psiquery -data yeast.txt -queries q.txt -mode auto -json
 //
 // FTV (multi-graph dataset): filter-then-verify decision over one path
-// table, verified as the flat path index, Grapes or GGSX do — or by several
-// of them raced per candidate — with rewritings raced in the verification
-// stage.
+// table, verified as the table's one verifier does — Grapes' when "grapes"
+// is listed, else the flat path index's whole-graph VF2 — with the
+// rewritings raced in the verification stage.
 //
 //	psiquery -data ppi.txt -queries q.txt -index grapes -workers 4 -rewritings ILF,IND,DND
-//	psiquery -data ppi.txt -queries q.txt -index race            # verifiers of ftv|grapes|ggsx raced
-//	psiquery -data ppi.txt -queries q.txt -index ftv,grapes -mode single  # the first name's verifier alone
+//	psiquery -data ppi.txt -queries q.txt -index race            # ftv|grapes|ggsx: Grapes' verifier
+//	psiquery -data ppi.txt -queries q.txt -index ftv,grapes -mode single  # the first rewriting alone
 //
 // -json prints, per query, the object psiserve's POST /query returns for it
 // (without the cached and coalesced marks, which only a server sets), plus

@@ -9,10 +9,10 @@
 //	     the table is partitioned into 4 round-robin shards whose streams
 //	     merge in ascending ID order; answers are byte-identical to -shards 1
 //	psiserve -gen ppi -index race -mode auto   # traffic-aware planning:
-//	     a per-query-class bandit learns which verifier wins and runs it
+//	     a per-query-class bandit learns which rewriting wins and runs it
 //	     solo, escalating back to the full race on unfamiliar classes,
 //	     stale statistics, or a budget-killed solo; answers stay identical
-//	     to -mode race. (-mode single runs the first -index name's verifier
+//	     to -mode race. (-mode single runs the first -rewritings entry
 //	     alone; on one stored graph the arms are the -algos × -rewritings
 //	     attempts.)
 //

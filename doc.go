@@ -57,24 +57,28 @@
 // (FTV) query one function owns each step:
 //
 //	plan             Engine.Plan                 policy and bandit verdict → Kind, Arms:
-//	                                             race (all), fixed or predicted (1 verifier)
+//	                                             race (all), fixed or predicted (1 rewriting)
 //	execute          Engine.run                  snapshot, result record, budget, kill trim
 //	launch           Engine.launch               the arms; solo → escalate; bandit learns
 //	filter           index.Sharded.FilterStream  one scan of the one table, ascending
 //	ordered verify   index.StreamVerified        pool fan-out, in-order flush
-//	candidate race   core.RaceInstances          verifiers × prepared rewritings over one table
+//	candidate race   core.RaceInstances          the verifier × prepared rewritings, one table
 //	emit / collect   Engine.run                  caller's emit, or QueryResult.GraphIDs
 //
-// core.StreamFTV takes the pinned snapshot's table and the arms' verifiers,
-// rewrites the query once per configured rewriting, under the snapshot's
-// label frequencies, and runs one FilterStream → StreamVerified pipeline: a
-// candidate begins its race the moment the filter surfaces it — every arm
-// under every rewriting, each deciding it over the one table
-// (Sharded.VerifyWith), the first finisher winning, as the paper's §8 leaves the filter intact and races in verification —
-// and verified IDs are flushed in filter order, so the caller sees the
+// A dataset engine's arms are its one verifier — the one its table carries,
+// Grapes/W when "grapes" is served, else the whole-graph VF2 — under each
+// rewriting ("Grapes/1-DND"), as a stored graph's are matcher × rewriting.
+// core.StreamFTV takes the pinned snapshot's table, that verifier and the
+// arms' rewritings, rewrites the query once per rewriting, under the
+// snapshot's label frequencies, and runs one FilterStream → StreamVerified
+// pipeline: a candidate begins its race the moment the filter surfaces it —
+// the verifier on every rewritten instance, each deciding it over the one
+// table (Sharded.VerifyWith), the first finisher winning, as the paper's §8
+// leaves the filter intact and races the rewritings in verification — and
+// verified IDs are flushed in filter order, so the caller sees the
 // ascending answer incrementally and byte-identical to the sequential
 // reference (index.SequentialAnswer) at any pool size. The query's Winner is
-// the verifier that decided most of its candidates. A stored-graph (NFV)
+// the rewriting that decided most of its candidates. A stored-graph (NFV)
 // query differs only in what is raced (Engine.raceAttempts): Racer.Race
 // adopts the first attempt to finish, the paper's semantics, and
 // Racer.RaceStream the first to emit, so first-result latency is the fastest
@@ -114,8 +118,9 @@
 // Grapes' location sets when "grapes" is served. The paper's three methods
 // are three names for it, and a name selects a verifier (verify.go): "ftv"
 // and "ggsx" run VF2 on whole graphs, "grapes" within the components its
-// locations leave. Every build is one feature extraction folded per shard
-// (build.go); the features — each undirected path once, under its oriented
+// locations leave; a set of names verifies with the one its table carries.
+// Every build is one feature extraction folded per shard (build.go); the
+// features — each undirected path once, under its oriented
 // spelling — and their extraction are internal/ftv. Build one name's index
 // with BuildIndex or NewShardedIndex, or let a dataset Engine build it for
 // the names it serves (EngineOptions.Indexes). All three names give the
@@ -133,7 +138,8 @@
 // Adaptive planning. ModeAuto (stored graph) and IndexAuto (dataset) keep
 // the race's tail protection while recovering most of its work on
 // repetitive traffic: a per-query-class bandit (internal/predict) races a
-// class until it is confident, then runs the class's best arm alone with
+// class until it is confident — a dataset's arms being rewritings, it learns
+// one rewriting per class — then runs the class's best arm alone with
 // periodic audit races, and a solo run that overruns its solo budget falls
 // back to the race within the same query (the constants are in options.go).
 // Every arm is exact, so the policy moves only cost (TestDatasetEngineAutoMatchesRace,

@@ -3,7 +3,7 @@ package psi
 // Engine is the serving-shaped facade over the Ψ-framework: a long-lived
 // object that owns everything a query needs — the stored graph or dataset,
 // prebuilt matchers, label frequencies, the filtering index and its
-// verifiers, the execution pool, and the learned planning policy — and
+// verifier, the execution pool, and the learned planning policy — and
 // splits query processing into an explicit Plan step (the arms a query
 // starts, plan.go) and one execution body behind every entry point (the
 // plan's arms raced under a per-query deadline, execute.go).
@@ -43,9 +43,9 @@ type Engine struct {
 	counters metrics.Counters
 
 	// arms labels the engine's arms, in portfolio order: a stored graph's
-	// attempts or a dataset's verifiers. The bandit, every plan and every
-	// result's Winner name arms by these labels; wins tallies, per arm, the
-	// queries it answered.
+	// attempts or a dataset's verifier under each rewriting. The bandit,
+	// every plan and every result's Winner name arms by these labels; wins
+	// tallies, per arm, the queries it answered.
 	arms []string
 	wins []atomic.Int64
 
@@ -65,9 +65,9 @@ type Engine struct {
 	// query pins the store's current snapshot — dataset, handles, table and
 	// label frequencies of one epoch — so a mutation never disturbs it
 	// (snapshot isolation). Only what outlives an epoch lives here: the
-	// verifiers (the arms), the rewritings and the learned policy.
+	// verifier, the rewritings (with it, the arms) and the learned policy.
 	store      *live.Store // nil for NFV engines
-	verifiers  []index.Verifier
+	verifier   index.Verifier
 	rewritings []Rewriting
 	mutable    bool
 
@@ -139,9 +139,9 @@ func (e *Engine) startBandit() {
 
 // NewDatasetEngine builds an FTV engine serving containment queries against
 // a multi-graph dataset: one table per shard, whatever the Indexes, and the
-// distinct verifiers those names select. Every query streams through the one
+// one verifier that table carries. Every query streams through the one
 // pipeline of core.StreamFTV: one filter scan, and each candidate races the
-// policy's verifiers × the rewritings, first finisher deciding.
+// verifier under the policy's rewritings, first finisher deciding.
 func NewDatasetEngine(ds []*Graph, opts EngineOptions) (*Engine, error) {
 	if opts.Snapshot != "" {
 		if ds != nil {
@@ -178,7 +178,7 @@ func NewDatasetEngine(ds []*Graph, opts EngineOptions) (*Engine, error) {
 		e.Close()
 		return nil, fmt.Errorf("psi: building FTV index: %w", err)
 	}
-	e.finishPortfolio(store, opts)
+	e.finishPortfolio(store)
 	return e, nil
 }
 
@@ -226,8 +226,8 @@ func (e *Engine) pin() *live.Snapshot {
 }
 
 // Mode reports the launch policy the engine runs, on either kind (IndexFixed
-// is ModeSingle). A one-arm engine — one attempt, or one verifier — reports
-// ModeSingle, and its PolicyStats is then false.
+// is ModeSingle). A one-arm engine — one attempt, or one rewriting on a
+// dataset — reports ModeSingle, and its PolicyStats is then false.
 func (e *Engine) Mode() Mode { return launchModes[e.policy] }
 
 // Graph returns the stored graph of an NFV engine (nil for dataset engines).
@@ -276,9 +276,9 @@ func (e *Engine) Handles() []GraphHandle {
 // fan-out totals. Safe to call while queries are in flight.
 func (e *Engine) Counters() metrics.CountersSnapshot { return e.counters.Snapshot() }
 
-// WinCounts returns the per-winner tally: how many queries each attempt
-// label ("GQL-DND") or verifier ("Grapes/1") answered, arms that never won
-// left out. Safe to call while queries are in flight.
+// WinCounts returns the per-winner tally: how many queries each arm
+// ("GQL-DND" on a stored graph, "Grapes/1-DND" on a dataset) answered, arms
+// that never won left out. Safe to call while queries are in flight.
 func (e *Engine) WinCounts() map[string]int64 {
 	out := make(map[string]int64)
 	for i := range e.wins {

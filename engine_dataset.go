@@ -1,8 +1,8 @@
 package psi
 
-// Dataset-engine wiring: the verifier set-up around the live.Store every
-// dataset engine serves from (whose snapshots are the epochs), the mutation
-// API that commits through it, and the per-shard answer tally.
+// Dataset-engine wiring: the verifier and arm set-up around the live.Store
+// every dataset engine serves from (whose snapshots are the epochs), the
+// mutation API that commits through it, and the per-shard answer tally.
 
 import (
 	"context"
@@ -24,24 +24,26 @@ type GraphHandle = live.Handle
 var ErrUnknownGraph = live.ErrUnknownHandle
 
 // configurePortfolio validates the index names (checkIndexNames), resolves
-// them to their distinct verifiers and the launch policy over those, and
-// records whether the mutation API is open, before any build is paid for:
-// extracting the features of a large dataset only to report a misspelt
-// option would be hostile.
+// them to the one verifier their table carries (the store builds the same
+// one) and the engine's arms, that verifier under each rewriting
+// ("Grapes/1-DND"), and the launch policy over those, and records whether
+// the mutation API is open, before any build is paid for: extracting the
+// features of a large dataset only to report a misspelt option would be
+// hostile.
 func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
 	if err := checkIndexNames(kinds); err != nil {
 		return err
 	}
-	vs, err := index.Verifiers(kinds, index.Options{Workers: opts.IndexWorkers, Pool: e.pool})
+	v, err := index.NewVerifier(index.TableKind(kinds), index.Options{Workers: opts.IndexWorkers, Pool: e.pool})
 	if err != nil {
 		return err
 	}
-	e.verifiers = vs
-	for _, v := range vs {
-		e.arms = append(e.arms, v.Name())
+	e.verifier, e.rewritings = v, engineRewritings(opts)
+	for _, k := range e.rewritings {
+		e.arms = append(e.arms, v.Name()+"-"+k.String())
 	}
 	e.wins = make([]atomic.Int64, len(e.arms))
-	if e.policy, err = resolveLaunch(opts, true, len(vs)); err != nil {
+	if e.policy, err = resolveLaunch(opts, true, len(e.arms)); err != nil {
 		return err
 	}
 	e.mutable = opts.Mutable
@@ -50,15 +52,14 @@ func (e *Engine) configurePortfolio(opts EngineOptions, kinds []string) error {
 
 // finishPortfolio makes the built or restored store the engine's dataset:
 // the partition count of a sharded one (K <= 1 leaves the engine monolithic)
-// with its per-shard answer tally, the rewritings every candidate races and,
-// under the auto policy, the bandit over the verifiers.
-func (e *Engine) finishPortfolio(store *live.Store, opts EngineOptions) {
+// with its per-shard answer tally and, under the auto policy, the bandit
+// over the arms.
+func (e *Engine) finishPortfolio(store *live.Store) {
 	e.store = store
 	if k := store.Shards(); k > 1 {
 		e.shardK = k
 		e.shardEmits = make([]atomic.Int64, k)
 	}
-	e.rewritings = engineRewritings(opts)
 	e.startBandit()
 }
 

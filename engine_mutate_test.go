@@ -126,11 +126,10 @@ func TestMutableEngineParityFuzz(t *testing.T) {
 // readers hammer a fixed query and assert that the answer they get is
 // exactly the recorded answer of the epoch their result reports — snapshot
 // isolation, end to end, under -race — then checks for leaked goroutines. It
-// runs one index, and two-index races whose arms verify over the tombstoned dense table
-// across compactions, their verifications nested on the engine's one pool:
-// one of an inserting kind beside Grapes, which rebuilds, for each flat kind,
-// and once more with Grapes/2, whose component fan-out nests inside the arms'
-// verifications.
+// runs one flat kind, which inserts, and Grapes beside each flat kind, which
+// rebuilds, their rewriting races verifying over the tombstoned dense table
+// across compactions on the engine's one pool, and once more with Grapes/2,
+// whose component fan-out nests inside the arms' verifications.
 func TestMutableEngineConcurrentChurn(t *testing.T) {
 	for _, tc := range []struct {
 		kinds   []string

@@ -71,7 +71,8 @@ var entryPoints = []struct {
 	}},
 }
 
-// pipelinePolicies are the three ways a dataset engine uses its verifiers.
+// pipelinePolicies are the three ways a dataset engine launches its
+// rewritings.
 // Each engine built from them goes through SetAutoPolicy(eng, solo, 1, -1),
 // so the auto engine learns after one observation and never audits: from
 // the second query of a class on it exercises the learned-solo arm.
@@ -79,7 +80,7 @@ var pipelinePolicies = []struct {
 	name string
 	opts psi.EngineOptions
 }{
-	{"fixed", psi.EngineOptions{Indexes: []string{"ftv"}}},
+	{"fixed", psi.EngineOptions{Indexes: []string{"ftv"}, IndexPolicy: psi.IndexFixed}},
 	{"race", psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}, IndexPolicy: psi.IndexRace}},
 	{"auto", psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}, IndexPolicy: psi.IndexAuto}},
 }

@@ -64,7 +64,7 @@ func TestDatasetEngineAutoMatchesRace(t *testing.T) {
 		t.Errorf("auto engine never raced (warmup must race): %+v", c)
 	}
 	if c.IndexRaces >= c.Queries {
-		t.Errorf("auto raced the verifiers of %d of %d queries — no cheaper than always-race", c.IndexRaces, c.Queries)
+		t.Errorf("auto raced the rewritings of %d of %d queries — no cheaper than always-race", c.IndexRaces, c.Queries)
 	}
 	snap, ok := auto.PolicyStats()
 	if !ok || len(snap.Arms) != 2 || snap.Classes == 0 {
@@ -76,7 +76,7 @@ func TestDatasetEngineAutoMatchesRace(t *testing.T) {
 }
 
 // TestDatasetEngineAutoPolicySurface checks the decision plumbing: the plan
-// carries the verdict and the result echoes it. Auto over one verifier is
+// carries the verdict and the result echoes it. Auto over one rewriting is
 // TestDatasetEngineIndexPolicyOptions' row, and ParseMode
 // TestEngineOptionValidation's.
 func TestDatasetEngineAutoPolicySurface(t *testing.T) {
@@ -254,18 +254,19 @@ func TestDatasetEngineAutoCancelIsNotEvidence(t *testing.T) {
 }
 
 // TestLaunchPolicyIsOneAcrossEngineKinds: Mode and IndexPolicy are two
-// spellings of one launch policy, so a stored-graph engine with as many
-// matchers as a dataset engine has verifiers must plan the same kind over
-// the same number of arms, reach the same policy decisions and move the same
+// spellings of one launch policy, so a stored-graph engine of one matcher
+// and a dataset engine under the same rewritings — VF2 and the dataset's one
+// verifier, each under every rewriting — must plan the same kind over the
+// same number of arms, reach the same policy decisions and move the same
 // counters over the same query sequence, completed solos among them: the
-// arms started, counted in RaceAttempts on one side
-// and, on the other, as IndexAttempts (a pipeline per launch) plus
-// IndexRaces (a query whose candidates raced both verifiers) times the arms
-// beyond the first. Every non-empty name set runs, at K = 1 and 2, static
-// and after mutable churn, and must answer as index.SequentialAnswer does; a
-// set whose names select one verifier has nothing to race, so both its
-// engines — the dataset one and the stored-graph one of one matcher — run
-// the fixed policy whatever they were given, and report ModeSingle.
+// arms started, counted in RaceAttempts on one side and, on the other, as
+// IndexAttempts (a pipeline per launch) plus IndexRaces (a query whose
+// candidates raced both rewritings) times the arms beyond the first. Every
+// non-empty name set runs, at K = 1 and 2, static and after mutable churn,
+// and must answer as index.SequentialAnswer does. A set of several names
+// runs under {Orig, DND}; a single name runs under Orig alone, which leaves
+// nothing to race, so both its engines run the fixed policy whatever they
+// were given, and report ModeSingle.
 func TestLaunchPolicyIsOneAcrossEngineKinds(t *testing.T) {
 	const queries, warmup = 6, 2
 	cases := []struct {
@@ -349,14 +350,11 @@ type launchCounts struct {
 func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string, kind psi.PlanKind, names []string, k int, mutable bool, queries, warmup int) {
 	ds := raceFixtureDataset()
 	q := raceFixtureQueries()[0]
-	arms := 1
-	if slices.Contains(names, "grapes") && len(names) > 1 && !slices.Equal(names, []string{"ftv", "ggsx"}) {
-		arms = 2
-	}
-	opts := psi.EngineOptions{Rewritings: []psi.Rewriting{psi.Orig}}
+	arms := min(len(names), 2)
+	opts := psi.EngineOptions{Rewritings: []psi.Rewriting{psi.Orig, psi.DND}[:arms]}
 	nfvOpts := opts
 	nfvOpts.Mode = mode
-	nfvOpts.Algorithms = []psi.Algorithm{psi.VF2, psi.GraphQL}[:arms]
+	nfvOpts.Algorithms = []psi.Algorithm{psi.VF2}
 	nfv := newEngine(t, ds[0], nfvOpts)
 	psi.SetAutoPolicy(nfv, time.Minute, warmup, -1)
 	ftvOpts := opts
@@ -417,7 +415,7 @@ func launchPolicyCase(t *testing.T, name string, mode psi.Mode, ixPolicy string,
 			t.Fatalf("query %d: result %+v for decision %+v", i, dr, dp.Decision)
 		}
 		if name == "first" && dr.Winner != dp.Arms[0] {
-			t.Fatalf("query %d: fixed winner %q, want the first name's verifier %q", i, dr.Winner, dp.Arms[0])
+			t.Fatalf("query %d: fixed winner %q, want the first rewriting's %q", i, dr.Winner, dp.Arms[0])
 		}
 		if np.Kind != wantKind || len(np.Arms) != wantArms || (solo && np.Arms[0] != np.Decision.ArmName) {
 			t.Fatalf("query %d: stored-graph plan %s over %v (decision %+v), want %s over %d", i, np.Kind, np.Arms, np.Decision, wantKind, wantArms)

@@ -84,16 +84,15 @@ func TestEngineConcurrentNFVCallers(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentDatasetCallers exercises the two dataset shapes at
-// once per engine: the fixed pipeline behind the iGQ-style result cache
-// (shared cache entries, shared stats) and the index-racing portfolio
-// (per-query attempt pools), each mixing collected queries, streamed
-// answers and stats snapshots from many goroutines.
+// TestEngineConcurrentDatasetCallers exercises the two dataset launches at
+// once per engine: the fixed pipeline (one rewriting) and the rewriting race
+// of Grapes (per-candidate attempt pools), each mixing collected queries,
+// streamed answers and stats snapshots from many goroutines.
 func TestEngineConcurrentDatasetCallers(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 1)
 	configs := []psi.EngineOptions{
-		{Indexes: []string{"ftv"}},         // fixed policy + result cache
-		{Indexes: []string{"ftv", "ggsx"}}, // index race, no cache
+		{Indexes: []string{"ftv"}, IndexPolicy: psi.IndexFixed},
+		{Indexes: []string{"ftv", "grapes"}},
 	}
 	for ci, opts := range configs {
 		eng := newDatasetEngine(t, ds, opts)

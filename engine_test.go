@@ -12,7 +12,6 @@ import (
 	"time"
 
 	psi "github.com/psi-graph/psi"
-	"github.com/psi-graph/psi/internal/leakcheck"
 )
 
 func engineFixture(t *testing.T) (*psi.Graph, *psi.Graph) {
@@ -256,12 +255,12 @@ func TestEnginePlanRejectsForeignAndNil(t *testing.T) {
 }
 
 // TestDatasetEngineMatchesSequentialOracle: a dataset engine over its one
-// default verifier plans fixed and answers as the oracle does, on every entry
-// point (checkPipelineAnswer).
+// default verifier races the rewritings and answers as the oracle does, on
+// every entry point (checkPipelineAnswer).
 func TestDatasetEngineMatchesSequentialOracle(t *testing.T) {
 	ds := psi.GeneratePPI(psi.Tiny, 2)
 	eng := newDatasetEngine(t, ds, psi.EngineOptions{Rewritings: []psi.Rewriting{psi.Orig, psi.DND}})
-	if err := checkPipelineAnswer(eng, psi.ExtractQuery(ds[0], 4, 9)); err != nil || eng.Mode() != psi.ModeSingle {
+	if err := checkPipelineAnswer(eng, psi.ExtractQuery(ds[0], 4, 9)); err != nil || eng.Mode() != psi.ModeRace {
 		t.Fatalf("mode %s: %v", eng.Mode(), err)
 	}
 }
@@ -347,34 +346,30 @@ func raceFixtureQueries() []*psi.Graph {
 }
 
 // TestDatasetEngineIndexRaceMatchesFixed is the engine-level acceptance
-// test for index racing: an engine builds one table whatever index names it
-// is given, plans over the distinct verifiers they select — labelled after
-// the first listed of "ftv" and "ggsx", with Grapes' worker count — races
-// two of them on every query, names one of them the winner, and answers
-// byte-identically to a fixed single-index engine.
+// test for the per-candidate rewriting race: an engine builds one table
+// whatever index names it is given and verifies with the one verifier that
+// table carries — Grapes', with its worker count, when "grapes" is listed,
+// else the whole-graph one labelled after the first name — and plans over
+// that verifier under each rewriting, races them on every query, names one
+// of them the winner, and answers byte-identically to a fixed engine.
 func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 	ds := raceFixtureDataset()
-	fixed := newDatasetEngine(t, ds, psi.EngineOptions{})
-	// The names select distinct verifiers in listed order: "ftv" and "ggsx"
-	// one, labelled after whichever is listed first.
+	fixed := newDatasetEngine(t, ds, psi.EngineOptions{IndexPolicy: psi.IndexFixed})
 	for _, tc := range []struct {
 		names   []string
 		workers int
 		table   string
 		want    []string
 	}{
-		{[]string{"ftv", "grapes", "ggsx"}, 0, "grapes", []string{"FTV", "Grapes/1"}},
-		{[]string{"ftv", "grapes"}, 0, "grapes", []string{"FTV", "Grapes/1"}},
-		{[]string{"ggsx", "ftv"}, 0, "ggsx", []string{"GGSX"}},
-		{[]string{"grapes", "ggsx", "ftv"}, 4, "grapes", []string{"Grapes/4", "GGSX"}},
+		{nil, 0, "grapes", []string{"Grapes/1-Orig", "Grapes/1-DND"}},
+		{[]string{"ftv", "grapes", "ggsx"}, 0, "grapes", []string{"Grapes/1-Orig", "Grapes/1-DND"}},
+		{[]string{"ggsx", "ftv"}, 0, "ggsx", []string{"GGSX-Orig", "GGSX-DND"}},
+		{[]string{"ftv"}, 0, "ftv", []string{"FTV-Orig", "FTV-DND"}},
+		{[]string{"grapes", "ggsx", "ftv"}, 4, "grapes", []string{"Grapes/4-Orig", "Grapes/4-DND"}},
 	} {
 		race := newDatasetEngine(t, ds, psi.EngineOptions{Indexes: tc.names, IndexWorkers: tc.workers})
-		wantMode, wantKind := psi.ModeRace, psi.PlanRace
-		if len(tc.want) == 1 {
-			wantMode, wantKind = psi.ModeSingle, psi.PlanFixed
-		}
-		if race.Mode() != wantMode {
-			t.Fatalf("%v: Mode = %q, want %q", tc.names, race.Mode(), wantMode)
+		if race.Mode() != psi.ModeRace {
+			t.Fatalf("%v: Mode = %q, want %q", tc.names, race.Mode(), psi.ModeRace)
 		}
 		if st := race.IndexStats(); len(st) != 1 || st[0].Kind != tc.table {
 			t.Fatalf("%v: IndexStats = %+v, want the one table, built under %s", tc.names, st, tc.table)
@@ -384,8 +379,8 @@ func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.Kind != wantKind || !slices.Equal(p.Arms, tc.want) {
-				t.Fatalf("%v q%d: plan = kind %v arms %v, want %v over %v", tc.names, qi, p.Kind, p.Arms, wantKind, tc.want)
+			if p.Kind != psi.PlanRace || !slices.Equal(p.Arms, tc.want) {
+				t.Fatalf("%v q%d: plan = kind %v arms %v, want race over %v", tc.names, qi, p.Kind, p.Arms, tc.want)
 			}
 			got, err := race.Execute(context.Background(), p, 0)
 			if err != nil {
@@ -394,45 +389,12 @@ func TestDatasetEngineIndexRaceMatchesFixed(t *testing.T) {
 			if want := query(t, fixed, q, 0); !slices.Equal(got.GraphIDs, want.GraphIDs) {
 				t.Fatalf("%v q%d: race answered %v, fixed %v", tc.names, qi, got.GraphIDs, want.GraphIDs)
 			}
-			if got.Kind != wantKind || !slices.Contains(p.Arms, got.Winner) {
-				t.Errorf("%v q%d: %v winner %q is none of the verifiers %v", tc.names, qi, got.Kind, got.Winner, p.Arms)
+			if got.Kind != psi.PlanRace || !slices.Contains(p.Arms, got.Winner) {
+				t.Errorf("%v q%d: %v winner %q is none of the arms %v", tc.names, qi, got.Kind, got.Winner, p.Arms)
 			}
 		}
-		n, races := int64(len(raceFixtureQueries())), int64(0)
-		if len(tc.want) > 1 {
-			races = n
-		}
-		if c := race.Counters(); c.IndexAttempts != n || c.IndexRaces != races {
-			t.Errorf("%v: %d pipelines, %d raced, for %d queries; want %d pipelines, %d raced", tc.names, c.IndexAttempts, c.IndexRaces, n, n, races)
-		}
-	}
-}
-
-// TestDatasetEngineIndexRaceAnswerStream checks the streaming path of a
-// racing dataset engine agrees with the collecting path.
-func TestDatasetEngineIndexRaceAnswerStream(t *testing.T) {
-	eng := newDatasetEngine(t, raceFixtureDataset(), psi.EngineOptions{Indexes: []string{"grapes", "ggsx"}})
-	for qi, q := range raceFixtureQueries() {
-		if err := checkPipelineAnswer(eng, q); err != nil {
-			t.Fatalf("q%d: %v", qi, err)
-		}
-	}
-}
-
-// TestDatasetEngineIndexRaceReleasesGoroutines is the engine-level
-// goroutine-leak regression for index racing: repeated raced queries whose
-// losing indexes are cancelled must not accrete goroutines.
-func TestDatasetEngineIndexRaceReleasesGoroutines(t *testing.T) {
-	eng := newDatasetEngine(t, raceFixtureDataset(), psi.EngineOptions{Indexes: []string{"ftv", "grapes", "ggsx"}})
-	queries := raceFixtureQueries()
-	// Warm up so pools and per-attempt infrastructure exist first.
-	for _, q := range queries {
-		query(t, eng, q, 0)
-	}
-	leakcheck.Check(t, 4)
-	for i := 0; i < 30; i++ {
-		for _, q := range queries {
-			query(t, eng, q, 0)
+		if c, n := race.Counters(), int64(len(raceFixtureQueries())); c.IndexAttempts != n || c.IndexRaces != n {
+			t.Errorf("%v: %d pipelines, %d raced, for %d queries; want every one raced", tc.names, c.IndexAttempts, c.IndexRaces, n)
 		}
 	}
 }
@@ -441,12 +403,12 @@ func TestDatasetEngineIndexRaceReleasesGoroutines(t *testing.T) {
 // rejections of a bad policy or name are engine_options_test.go's.
 func TestDatasetEngineIndexPolicyOptions(t *testing.T) {
 	ds := raceFixtureDataset()
-	// A single verifier degrades race and auto to the fixed policy, which
-	// keeps no policy stats; the fixed policy over a portfolio consults only
-	// the first index.
+	// A single rewriting degrades race and auto to the fixed policy, which
+	// keeps no policy stats; the fixed policy over several runs only the
+	// first.
 	for _, opts := range []psi.EngineOptions{
-		{Indexes: []string{"ftv"}, IndexPolicy: psi.IndexRace},
-		{Indexes: []string{"ftv"}, IndexPolicy: psi.IndexAuto},
+		{Indexes: []string{"ftv"}, Rewritings: []psi.Rewriting{psi.Orig}, IndexPolicy: psi.IndexRace},
+		{Indexes: []string{"ftv"}, Rewritings: []psi.Rewriting{psi.DND}, IndexPolicy: psi.IndexAuto},
 		{Indexes: []string{"ggsx", "grapes"}, IndexPolicy: psi.IndexFixed},
 	} {
 		eng := newDatasetEngine(t, ds, opts)

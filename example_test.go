@@ -203,13 +203,13 @@ func Example_proteins() {
 }
 
 // A mutable, sharded dataset engine serving all three index names: one
-// table per shard, whose candidates race the whole-graph and Grapes
-// verifiers. A graph added is visible to the next query, under a new epoch.
+// table per shard, whose candidates race Grapes' verifier under the
+// rewritings. A graph added is visible to the next query, under a new epoch.
 func ExampleEngine_AddGraph() {
 	ctx := context.Background()
 	ds := psi.GeneratePPI(psi.Tiny, 1)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{
-		Indexes: psi.IndexKinds(), // "ftv", "grapes", "ggsx": one table, verifiers raced per candidate
+		Indexes: psi.IndexKinds(), // "ftv", "grapes", "ggsx": one table, verified by Grapes
 		Shards:  4,                // answers identical at any K
 		Mutable: true,             // opens AddGraph, RemoveGraph, ReplaceGraph
 	})

@@ -7,7 +7,7 @@ package psi
 // launch, the one carrier of a plan, decides which arms start and what the
 // bandit learns, with the solo→escalate step (soloFirst) inside it. Only the
 // race differs by kind: raceAttempts races a stored graph's attempts,
-// raceVerifiers a dataset snapshot's verifiers on every candidate.
+// raceRewritings a dataset's rewritings on every candidate of its snapshot.
 
 import (
 	"context"
@@ -33,8 +33,9 @@ type QueryResult struct {
 	// only; AnswerStream sends them to emit instead), ascending.
 	GraphIDs []int
 	// Winner labels the attempt that produced the answer, e.g. "GQL-DND",
-	// or on a dataset the verifier that decided most candidates, e.g.
-	// "Grapes/1" (ties go to the earlier-listed name's).
+	// or on a dataset the rewriting that decided most candidates, under the
+	// engine's one verifier, e.g. "Grapes/1-DND" (ties go to the earlier
+	// listed rewriting).
 	Winner string
 	// Kind echoes how the executed plan launched its arms; FellBack marks a
 	// PlanPredicted solo arm that overran its solo budget and re-ran as a
@@ -119,7 +120,7 @@ func (e *Engine) Execute(ctx context.Context, p *Plan, limit int) (*QueryResult,
 // runs on verification goroutines, one call at a time; the ordered stream
 // waits for it, so it must not block on work that only proceeds after
 // AnswerStream returns. The result is the execution report a serving layer
-// needs alongside the stream: the winning verifier, the measured time and —
+// needs alongside the stream: the winning arm, the measured time and —
 // when the engine has a per-query deadline — the kill marker, with Found
 // keeping the count of graph IDs that reached emit before the kill. Its
 // GraphIDs stays nil; the IDs go to emit.
@@ -188,7 +189,7 @@ func (e *Engine) run(ctx context.Context, p *Plan, limit int, sink Sink, emit fu
 	}
 	var race raceFunc
 	if snap != nil {
-		race = e.raceVerifiers(p.Query, snap, res, emit)
+		race = e.raceRewritings(p.Query, snap, emit)
 	} else {
 		race = e.raceAttempts(p.Query, limit, res, sink)
 	}
@@ -235,21 +236,22 @@ func (e *Engine) raceAttempts(q *Graph, limit int, res *QueryResult, sink Sink) 
 	}
 }
 
-// raceVerifiers races a dataset query's arms, verifiers of the pinned
-// snapshot's table, on every candidate through core.StreamFTV, handing the
-// ascending graph IDs to emit as they settle. The query's winner is the
-// verifier that decided most candidates, the earliest on a tie.
-func (e *Engine) raceVerifiers(q *Graph, snap *live.Snapshot, res *QueryResult, emit func(graphID int) bool) raceFunc {
+// raceRewritings races a dataset query's arms, the engine's verifier under
+// each of the arms' rewritings, on every candidate of the pinned snapshot's
+// table through core.StreamFTV, handing the ascending graph IDs to emit as
+// they settle. The query's winner is the rewriting that decided most
+// candidates, the earliest on a tie.
+func (e *Engine) raceRewritings(q *Graph, snap *live.Snapshot, emit func(graphID int) bool) raceFunc {
 	return func(ctx context.Context, arms []int) (int, time.Duration, error) {
-		vs := pick(e.verifiers, arms)
+		kinds := pick(e.rewritings, arms)
 		// Counted when it starts, as RaceAttempts is: a pipeline that is
 		// killed, fails or is abandoned for a fallback still ran.
 		e.counters.IndexAttempts.Add(1)
-		if len(vs) > 1 {
+		if len(kinds) > 1 {
 			e.counters.IndexRaces.Add(1)
 		}
 		start := time.Now()
-		wins, err := core.StreamFTV(ctx, e.pool, snap.Table(), vs, snap.Frequencies(), e.rewritings, q, emit)
+		wins, err := core.StreamFTV(ctx, e.pool, snap.Table(), e.verifier, snap.Frequencies(), kinds, q, emit)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -29,7 +29,7 @@ type Flags struct {
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Algos, "algos", "GQL,SPA", "stored-graph algorithms: GQL,SPA,QSI,VF2")
 	fs.StringVar(&f.Rewritings, "rewritings", "Orig,DND", "raced rewritings: Orig,ILF,IND,DND,ILF+IND,ILF+DND")
-	fs.StringVar(&f.Mode, "mode", "race", "launch policy: race|single|auto (single on a dataset: the first -index name's verifier)")
+	fs.StringVar(&f.Mode, "mode", "race", "launch policy: race|single|auto (single: the first attempt, or on a dataset the first rewriting)")
 	fs.StringVar(&f.Index, "index", "race", "dataset indexes: ftv|grapes|ggsx, a comma list, or race (all)")
 	fs.IntVar(&f.Workers, "workers", 1, "Grapes verification worker count")
 	fs.DurationVar(&f.Timeout, "timeout", 10*time.Minute, "per-query kill cap (the engine budget)")

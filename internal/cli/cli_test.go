@@ -167,8 +167,8 @@ func TestEngineOptionsRejectsBadValues(t *testing.T) {
 
 // checkLaunches builds cfg's engine over ds and fails the test unless it is
 // the engine kind dataset asks for, under mode. On a dataset engine it asks
-// five queries: under -mode single the first -index name's verifier answers
-// every one, and races counts the queries that race the verifiers (-1: not
+// five queries: under -mode single the first rewriting, Orig, answers every
+// one, and races counts the queries that race the rewritings (-1: not
 // checked).
 func checkLaunches(t *testing.T, cfg *Config, ds []*psi.Graph, dataset bool, mode psi.Mode, races int64) {
 	t.Helper()
@@ -189,20 +189,20 @@ func checkLaunches(t *testing.T, cfg *Config, ds []*psi.Graph, dataset bool, mod
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mode == psi.ModeSingle && res.Winner != "FTV" {
-			t.Errorf("-mode single: winner %q, want the first name's verifier FTV", res.Winner)
+		if mode == psi.ModeSingle && !strings.HasSuffix(res.Winner, "-Orig") {
+			t.Errorf("-mode single: winner %q, want the first rewriting, Orig", res.Winner)
 		}
 	}
 	if n := eng.Counters().IndexRaces; races >= 0 && n != races {
-		t.Errorf("-mode %s: %d of %d queries raced the verifiers, want %d", mode, n, queries, races)
+		t.Errorf("-mode %s: %d of %d queries raced the rewritings, want %d", mode, n, queries, races)
 	}
 }
 
 // TestNewEngine: the engine-kind rule as NewEngine applies it. One graph
 // builds a stored-graph engine under -mode unless -index is explicit, which
 // builds a dataset engine over that graph with -mode as its index policy;
-// there, -mode single answers every query with the first -index name's
-// verifier and races none.
+// there, -mode single answers every query with the first rewriting and races
+// none.
 func TestNewEngine(t *testing.T) {
 	ds := psi.GenerateSynthetic(psi.Tiny, 1)
 	for _, tc := range []struct {
@@ -240,9 +240,9 @@ func TestNewEngine(t *testing.T) {
 
 // TestModeReachesDatasetEngines: a dataset engine reads its launch policy
 // from IndexPolicy, so -mode must arrive there, and the engine reports it
-// back as its Mode. Under -mode single no query races verifiers and the
-// first -index name's verifier answers every one; under -mode race every
-// query does race them; -mode auto is the learned policy.
+// back as its Mode. Under -mode single no query races the rewritings and the
+// first one answers every query; under -mode race every query does race
+// them; -mode auto is the learned policy.
 func TestModeReachesDatasetEngines(t *testing.T) {
 	ds := psi.GenerateSynthetic(psi.Tiny, 1)
 	for _, c := range []struct {
@@ -253,7 +253,7 @@ func TestModeReachesDatasetEngines(t *testing.T) {
 		{psi.ModeRace, 5},
 		{psi.ModeAuto, -1},
 	} {
-		f := Flags{Algos: "GQL", Rewritings: "Orig", Mode: string(c.mode), Index: "ftv,grapes", Workers: 1, Timeout: time.Minute}
+		f := Flags{Algos: "GQL", Rewritings: "Orig,DND", Mode: string(c.mode), Index: "ftv,grapes", Workers: 1, Timeout: time.Minute}
 		cfg, err := f.Parse(map[string]bool{})
 		if err != nil {
 			t.Fatal(err)

@@ -12,30 +12,30 @@ import (
 )
 
 // StreamFTV is the one dataset-query pipeline, the paper's FTV design (§8):
-// the filter runs once and the alternatives race in verification. x's scan
+// the filter runs once and the rewritings race in verification. x's scan
 // streams candidates into verification (index.StreamVerified), and each
-// candidate races every verifier of vs over x's table under every rewriting
-// (RaceInstances) — the query is rewritten once per kind, under freqs, the
-// label frequencies of x's dataset — the first finisher deciding it and the
-// rest cancelled. Verified IDs reach emit in ascending order; emit is called
-// from verification goroutines, one call at a time, and returning false
-// stops the stream with a nil error. wins[i] counts the candidates vs[i]
-// decided. Verifications wait for the pool's workers (nil: the default
-// pool), which paces the filter; a candidate's race reuses idle workers but
-// never waits for one.
-func StreamFTV(ctx context.Context, pool *exec.Pool, x *index.Sharded, vs []index.Verifier, freqs rewrite.Frequencies, kinds []rewrite.Kind, q *graph.Graph, emit func(graphID int) bool) (wins []int, err error) {
-	if len(vs) == 0 {
-		return nil, errors.New("psi: StreamFTV needs at least one verifier")
+// candidate races v over x's table under every rewriting (RaceInstances) —
+// the query is rewritten once per kind, under freqs, the label frequencies
+// of x's dataset — the first finisher deciding it and the rest cancelled.
+// Verified IDs reach emit in ascending order; emit is called from
+// verification goroutines, one call at a time, and returning false stops the
+// stream with a nil error. wins[i] counts the candidates kinds[i] decided.
+// Verifications wait for the pool's workers (nil: the default pool), which
+// paces the filter; a candidate's race reuses idle workers but never waits
+// for one.
+func StreamFTV(ctx context.Context, pool *exec.Pool, x *index.Sharded, v index.Verifier, freqs rewrite.Frequencies, kinds []rewrite.Kind, q *graph.Graph, emit func(graphID int) bool) (wins []int, err error) {
+	if len(kinds) == 0 {
+		return nil, errors.New("psi: StreamFTV needs at least one rewriting")
 	}
 	qs := Instances(q, freqs, kinds)
-	won := make([]atomic.Int64, len(vs))
+	won := make([]atomic.Int64, len(qs))
 	err = index.StreamVerified(ctx, pool,
 		func(fctx context.Context, femit func(int) bool) error {
 			return x.FilterStream(fctx, q, femit)
 		},
 		emit,
 		func(gctx context.Context, id int) (bool, error) {
-			contained, arm, err := RaceInstances(gctx, pool, x, vs, qs, id)
+			contained, arm, err := RaceInstances(gctx, pool, x, v, qs, id)
 			if err != nil {
 				return false, err
 			}
@@ -45,7 +45,7 @@ func StreamFTV(ctx context.Context, pool *exec.Pool, x *index.Sharded, vs []inde
 	if err != nil {
 		return nil, err
 	}
-	wins = make([]int, len(vs))
+	wins = make([]int, len(qs))
 	for i := range won {
 		wins[i] = int(won[i].Load())
 	}
@@ -74,36 +74,35 @@ func Instances(q *graph.Graph, freqs rewrite.Frequencies, kinds []rewrite.Kind) 
 // RaceInstances is the per-candidate race, the paper's Ψ over an FTV method
 // (§8: "for every graph in the candidate set, we instantiate a number of
 // threads equal to the number of the isomorphic-query rewritings"): one
-// verification of x's dataset graph graphID per verifier of vs and prepared
-// instance, first finisher wins, the rest are cancelled. Every instance is
-// isomorphic to the query, so every contender computes the same boolean. It
-// also reports the winner's position in vs. Attempts go through pool (nil:
-// the shared default pool) with guaranteed concurrency, so idle workers are
+// verification of x's dataset graph graphID by v per prepared instance,
+// first finisher wins, the rest are cancelled. Every instance is isomorphic
+// to the query, so every contender computes the same boolean. It also
+// reports the winner's position in qs. Attempts go through pool (nil: the
+// shared default pool) with guaranteed concurrency, so idle workers are
 // reused but the race never serializes.
-func RaceInstances(ctx context.Context, pool *exec.Pool, x *index.Sharded, vs []index.Verifier, qs []Instance, graphID int) (contained bool, arm int, err error) {
-	if len(vs) == 0 || len(qs) == 0 {
-		return false, 0, errors.New("psi: RaceInstances needs at least one verifier and one rewriting")
+func RaceInstances(ctx context.Context, pool *exec.Pool, x *index.Sharded, v index.Verifier, qs []Instance, graphID int) (contained bool, arm int, err error) {
+	if len(qs) == 0 {
+		return false, 0, errors.New("psi: RaceInstances needs at least one rewriting")
 	}
-	winner, contained, err := firstDone(ctx, pool, len(vs)*len(qs), verifyRace{x, vs, qs, graphID})
+	winner, contained, err := firstDone(ctx, pool, len(qs), verifyRace{x, v, qs, graphID})
 	if err != nil {
 		return false, 0, err
 	}
-	return contained, winner / len(qs), nil
+	return contained, winner, nil
 }
 
-// verifyRace is RaceInstances' contender: contender i is verifier i / len(qs)
-// on instance i % len(qs).
+// verifyRace is RaceInstances' contender: contender i is v on instance i.
 type verifyRace struct {
 	x       *index.Sharded
-	vs      []index.Verifier
+	v       index.Verifier
 	qs      []Instance
 	graphID int
 }
 
-func (v verifyRace) label(i int) string {
-	return v.vs[i/len(v.qs)].Name() + "-" + v.qs[i%len(v.qs)].kind.String()
+func (r verifyRace) label(i int) string {
+	return r.v.Name() + "-" + r.qs[i].kind.String()
 }
 
-func (v verifyRace) run(ctx context.Context, i int) (bool, error) {
-	return v.x.VerifyWith(ctx, v.vs[i/len(v.qs)], v.qs[i%len(v.qs)].q, v.graphID)
+func (r verifyRace) run(ctx context.Context, i int) (bool, error) {
+	return r.x.VerifyWith(ctx, r.v, r.qs[i].q, r.graphID)
 }

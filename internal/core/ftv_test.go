@@ -20,7 +20,7 @@ import (
 
 // buildIndex builds the one-shard index of kind over ds and returns it with
 // kind's verifier.
-func buildIndex(t testing.TB, kind string, ds []*graph.Graph, opts index.Options) (*index.Sharded, []index.Verifier) {
+func buildIndex(t testing.TB, kind string, ds []*graph.Graph, opts index.Options) (*index.Sharded, index.Verifier) {
 	t.Helper()
 	x, err := index.Build(context.Background(), kind, ds, 1, opts)
 	if err != nil {
@@ -30,20 +30,20 @@ func buildIndex(t testing.TB, kind string, ds []*graph.Graph, opts index.Options
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x, []index.Verifier{v}
+	return x, v
 }
 
-// TestRaceInstancesNeedsRewritings: the per-candidate race refuses an empty
-// rewriting list, and an empty verifier list.
+// TestRaceInstancesNeedsRewritings: the per-candidate race and the pipeline
+// refuse an empty rewriting list.
 func TestRaceInstancesNeedsRewritings(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	ds := difftest.Random(r, 1, 8, 2)
-	x, vs := buildIndex(t, index.KindGrapes, ds, index.Options{})
-	if _, _, err := RaceInstances(context.Background(), nil, x, vs, nil, 0); err == nil {
-		t.Error("expected error for empty rewriting list")
+	x, v := buildIndex(t, index.KindGrapes, ds, index.Options{})
+	if _, _, err := RaceInstances(context.Background(), nil, x, v, nil, 0); err == nil {
+		t.Error("RaceInstances: expected error for empty rewriting list")
 	}
-	if _, _, err := RaceInstances(context.Background(), nil, x, nil, Instances(ds[0], nil, []rewrite.Kind{rewrite.Orig}), 0); err == nil {
-		t.Error("expected error for empty verifier list")
+	if _, _, err := collect(context.Background(), nil, nil, x, v, ds[0]); err == nil {
+		t.Error("StreamFTV: expected error for empty rewriting list")
 	}
 }
 
@@ -53,14 +53,14 @@ func TestRaceInstancesNeedsRewritings(t *testing.T) {
 func checkRaceAnswers(t *testing.T, r *rand.Rand, ds []*graph.Graph, names []string, opts index.Options, kinds []rewrite.Kind, trials int, edges func() int, want func(x *index.Sharded, q *graph.Graph) ([]int, error)) {
 	t.Helper()
 	for _, name := range names {
-		x, vs := buildIndex(t, name, ds, opts)
+		x, v := buildIndex(t, name, ds, opts)
 		for trial := 0; trial < trials; trial++ {
 			q := workload.Extract(r, ds[r.Intn(len(ds))], edges())
 			w, err := want(x, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := collect(context.Background(), nil, kinds, x, vs, q)
+			got, _, err := collect(context.Background(), nil, kinds, x, v, q)
 			if err != nil || !slices.Equal(got, w) {
 				t.Fatalf("%s trial %d: raced answer %v, %v; want %v", x.Name(), trial, got, err, w)
 			}
@@ -110,12 +110,12 @@ func TestRaceInstancesOverGrapesFanOut(t *testing.T) {
 	ds := []*graph.Graph{b.MustBuild()}
 	pool := exec.New(1)
 	defer pool.Close()
-	x, vs := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 4, Pool: pool})
+	x, v := buildIndex(t, index.KindGrapes, ds, index.Options{Workers: 4, Pool: pool})
 	q := graph.MustNew("q", []graph.Label{0, 1, 2}, [][2]int{{0, 1}, {1, 2}})
 	qs := Instances(q, rewrite.FrequenciesOfDataset(ds), []rewrite.Kind{rewrite.Orig, rewrite.DND})
 	done := make(chan error, 1)
 	go func() {
-		contained, _, err := RaceInstances(context.Background(), pool, x, vs, qs, 0)
+		contained, _, err := RaceInstances(context.Background(), pool, x, v, qs, 0)
 		if err == nil && !contained {
 			err = fmt.Errorf("RaceInstances = false, want contained")
 		}
@@ -133,8 +133,8 @@ func TestRaceInstancesOverGrapesFanOut(t *testing.T) {
 
 // raceStub is one candidate's race at its fixed cost: a one-graph table and
 // a verifier that decides at once.
-func raceStub(tb testing.TB) (*index.Sharded, []index.Verifier) {
-	return stubTable(tb, 1, 0), []index.Verifier{&stubVerifier{name: "stub", verify: instantVerify}}
+func raceStub(tb testing.TB) (*index.Sharded, index.Verifier) {
+	return stubTable(tb, 1, 0), &stubVerifier{verify: []verifyFunc{instantVerify}}
 }
 
 // BenchmarkRaceInstances is the fixed cost of one per-candidate rewriting
@@ -142,7 +142,7 @@ func raceStub(tb testing.TB) (*index.Sharded, []index.Verifier) {
 // that decides at once. A dataset query pays it once per candidate, which is
 // why RaceInstances runs on firstDone and not on streamRace.
 func BenchmarkRaceInstances(b *testing.B) {
-	x, vs := raceStub(b)
+	x, v := raceStub(b)
 	pool := exec.New(2)
 	defer pool.Close()
 	for _, kinds := range [][]rewrite.Kind{{rewrite.Orig}, {rewrite.Orig, rewrite.DND}} {
@@ -150,7 +150,7 @@ func BenchmarkRaceInstances(b *testing.B) {
 		b.Run(fmt.Sprintf("R=%d", len(kinds)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := RaceInstances(context.Background(), pool, x, vs, qs, 0); err != nil {
+				if _, _, err := RaceInstances(context.Background(), pool, x, v, qs, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -172,7 +172,7 @@ func TestRaceInstancesAllocs(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("at GOMAXPROCS 1 every pool hand-off spawns a goroutine")
 	}
-	x, vs := raceStub(t)
+	x, v := raceStub(t)
 	pool := exec.New(8)
 	defer pool.Close()
 	for _, tc := range []struct {
@@ -181,7 +181,7 @@ func TestRaceInstancesAllocs(t *testing.T) {
 	}{{[]rewrite.Kind{rewrite.Orig}, 5}, {[]rewrite.Kind{rewrite.Orig, rewrite.DND}, 7}} {
 		qs := Instances(edge, nil, tc.kinds)
 		race := func() {
-			if _, _, err := RaceInstances(context.Background(), pool, x, vs, qs, 0); err != nil {
+			if _, _, err := RaceInstances(context.Background(), pool, x, v, qs, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -76,7 +76,7 @@ func TestRaceInstancesAnswerBoundsGoroutines(t *testing.T) {
 	var answer []int
 	go func() {
 		var err error
-		answer, _, err = collect(context.Background(), pool, kinds, x, []index.Verifier{gate}, edge)
+		answer, _, err = collect(context.Background(), pool, kinds, x, gate, edge)
 		done <- err
 	}()
 

@@ -145,7 +145,7 @@ type contender[T any] interface {
 
 // firstDone is the adopt-first-finisher race, the one loop behind Racer.Race
 // (matcher attempts, T = embeddings) and RaceInstances (one candidate's
-// verifiers × rewriting instances, T = bool). It starts n contenders through pool (nil:
+// rewriting instances, T = bool). It starts n contenders through pool (nil:
 // the shared default pool; Pool.Go, so all n run concurrently) under one
 // shared cancellable context; the first to return without an error wins, the
 // rest are cancelled and exit into the buffered channel on their own, so

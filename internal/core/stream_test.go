@@ -16,7 +16,6 @@ import (
 	"github.com/psi-graph/psi/internal/difftest"
 	"github.com/psi-graph/psi/internal/gql"
 	"github.com/psi-graph/psi/internal/graph"
-	"github.com/psi-graph/psi/internal/index"
 	"github.com/psi-graph/psi/internal/match"
 	"github.com/psi-graph/psi/internal/rewrite"
 	"github.com/psi-graph/psi/internal/spath"
@@ -222,9 +221,8 @@ func TestRaceStreamParentCancellation(t *testing.T) {
 func TestStreamEarlyStopIsAnswerPrefix(t *testing.T) {
 	x, gate := newGated(t, 20)
 	close(gate.release) // verifications pass immediately
-	vs := []index.Verifier{gate}
 	kinds := []rewrite.Kind{rewrite.Orig, rewrite.DND}
-	want, _, err := collect(context.Background(), nil, kinds, x, vs, edge)
+	want, _, err := collect(context.Background(), nil, kinds, x, gate, edge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +230,7 @@ func TestStreamEarlyStopIsAnswerPrefix(t *testing.T) {
 		t.Fatalf("full stream %v, want 20 ascending ids", want)
 	}
 	var firstThree []int
-	if _, err := StreamFTV(context.Background(), nil, x, vs, rewrite.FrequenciesOfDataset(x.Dataset()), kinds, edge, func(id int) bool {
+	if _, err := StreamFTV(context.Background(), nil, x, gate, skewed, kinds, edge, func(id int) bool {
 		firstThree = append(firstThree, id)
 		return len(firstThree) < 3
 	}); err != nil {

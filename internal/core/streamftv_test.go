@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -17,24 +18,33 @@ import (
 	"github.com/psi-graph/psi/internal/rewrite"
 )
 
+// verifyFunc is a stub's decision of one candidate.
+type verifyFunc func(ctx context.Context, graphID int) (bool, error)
+
 // stubVerifier is a controllable index.Verifier for race tests: a pluggable
-// decision, and a counter recording whether it observed cancellation
-// mid-verification. It decides the candidates of a small real table
-// (stubTable), whose filter fixes the candidate list.
+// decision per rewritten instance of the edge query, and a counter recording
+// whether it observed cancellation mid-verification. It decides the
+// candidates of a small real table (stubTable), whose filter fixes the
+// candidate list. Under skewed, Orig's instance of edge keeps label 0 on its
+// first vertex and ILF's puts label 1 there, so verify[q.Label(0)] decides
+// each contender of an origILF race; a single entry decides every instance.
 type stubVerifier struct {
-	name      string
-	verify    func(ctx context.Context, graphID int) (bool, error)
-	onVerify  func(q *graph.Graph) // optional: observes the query instance each verification receives
-	cancelled atomic.Int64         // verifications that ended on ctx cancellation
+	verify    []verifyFunc
+	onVerify  func(q *graph.Graph, graphID int) // optional: observes each verification's instance
+	cancelled atomic.Int64                      // verifications that ended on ctx cancellation
 }
 
-func (v *stubVerifier) Name() string { return v.name }
+func (v *stubVerifier) Name() string { return "stub" }
 
 func (v *stubVerifier) Verify(ctx context.Context, _ *index.Path, q *graph.Graph, graphID int) (bool, error) {
 	if v.onVerify != nil {
-		v.onVerify(q)
+		v.onVerify(q, graphID)
 	}
-	ok, err := v.verify(ctx, graphID)
+	f := v.verify[0]
+	if l := int(q.Label(0)); l < len(v.verify) {
+		f = v.verify[l]
+	}
+	ok, err := f(ctx, graphID)
 	if err != nil && ctx.Err() != nil {
 		v.cancelled.Add(1)
 	}
@@ -71,14 +81,20 @@ func blockingVerify(ctx context.Context, graphID int) (bool, error) {
 
 func instantVerify(ctx context.Context, graphID int) (bool, error) { return true, nil }
 
-var orig = []rewrite.Kind{rewrite.Orig}
+// origILF are two rewritings whose instances of edge a stubVerifier tells
+// apart under skewed.
+var origILF = []rewrite.Kind{rewrite.Orig, rewrite.ILF}
 
-// collect runs StreamFTV over x with vs on pool, racing kinds, under the
-// label frequencies of x's dataset, and gathers the streamed answer and the
-// per-verifier wins.
-func collect(ctx context.Context, pool *exec.Pool, kinds []rewrite.Kind, x *index.Sharded, vs []index.Verifier, q *graph.Graph) ([]int, []int, error) {
+// skewed are the label frequencies the race tests rewrite under: label 0 is
+// common, so ILF ranks edge's label-1 vertex first. Any frequencies give the
+// same answers.
+var skewed = rewrite.Frequencies{0: 1}
+
+// collect runs StreamFTV over x with v on pool, racing kinds under skewed,
+// and gathers the streamed answer and the per-rewriting wins.
+func collect(ctx context.Context, pool *exec.Pool, kinds []rewrite.Kind, x *index.Sharded, v index.Verifier, q *graph.Graph) ([]int, []int, error) {
 	var ids []int
-	wins, err := StreamFTV(ctx, pool, x, vs, rewrite.FrequenciesOfDataset(x.Dataset()), kinds, q, func(id int) bool {
+	wins, err := StreamFTV(ctx, pool, x, v, skewed, kinds, q, func(id int) bool {
 		ids = append(ids, id)
 		return true
 	})
@@ -97,51 +113,72 @@ func eventually(t *testing.T, what string, cond func() bool) {
 }
 
 // TestIndexRaceAdoptsFirstEmitterAndCancelsLoser is the core acceptance
-// scenario of the per-candidate verifier race: two verifiers of one table
-// race on every candidate, the fast one decides each, and the slow loser is
-// provably cancelled — every one of its verifications observes ctx.Done —
-// with no goroutine outliving the race.
+// scenario of the per-candidate rewriting race: the verifier under two
+// rewritings races on every candidate, the fast instance decides each, and
+// the slow loser is provably cancelled — every one of its verifications
+// observes ctx.Done — with no goroutine outliving the race.
 func TestIndexRaceAdoptsFirstEmitterAndCancelsLoser(t *testing.T) {
 	x := stubTable(t, 3, 0, 1, 2)
-	slow := &stubVerifier{name: "slow", verify: blockingVerify}
-	fast := &stubVerifier{name: "fast", verify: instantVerify}
+	v := &stubVerifier{verify: []verifyFunc{blockingVerify, instantVerify}}
 	pool := exec.New(4)
 	t.Cleanup(pool.Close)
-	vs := []index.Verifier{slow, fast}
 	// Warm up so the pool's workers exist before the baseline.
-	if _, _, err := collect(context.Background(), pool, orig, x, vs, edge); err != nil {
+	if _, _, err := collect(context.Background(), pool, origILF, x, v, edge); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, "the warm-up's losers never observed cancellation", func() bool { return slow.cancelled.Load() == 3 })
-	slow.cancelled.Store(0)
+	eventually(t, "the warm-up's losers never observed cancellation", func() bool { return v.cancelled.Load() == 3 })
+	v.cancelled.Store(0)
 	leakcheck.Check(t, 0)
-	ids, wins, err := collect(context.Background(), pool, orig, x, vs, edge)
+	ids, wins, err := collect(context.Background(), pool, origILF, x, v, edge)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(ids, []int{0, 1, 2}) || !slices.Equal(wins, []int{0, 3}) {
-		t.Fatalf("ids %v, wins %v; want [0 1 2], every candidate decided by fast", ids, wins)
+		t.Fatalf("ids %v, wins %v; want [0 1 2], every candidate decided by ILF", ids, wins)
 	}
-	eventually(t, "the losing verifier never observed cancellation — losers are not being cancelled", func() bool {
-		return slow.cancelled.Load() == 3
+	eventually(t, "the losing instance never observed cancellation — losers are not being cancelled", func() bool {
+		return v.cancelled.Load() == 3
+	})
+}
+
+// TestStreamFTVVerifiesEachInstanceOnce: each candidate's race starts
+// exactly one verification per prepared instance — the one verifier under
+// every rewriting — and the wins are counted per rewriting, here every
+// candidate Orig's, whose instance decides at once.
+func TestStreamFTVVerifiesEachInstanceOnce(t *testing.T) {
+	var mu sync.Mutex
+	starts := map[[2]int]int{} // (graph ID, the instance's first label) → verifications
+	v := &stubVerifier{verify: []verifyFunc{instantVerify, blockingVerify}, onVerify: func(q *graph.Graph, id int) {
+		mu.Lock()
+		defer mu.Unlock()
+		starts[[2]int{id, int(q.Label(0))}]++
+	}}
+	ids, wins, err := collect(context.Background(), nil, origILF, stubTable(t, 5, 0, 2, 3), v, edge)
+	if err != nil || !slices.Equal(ids, []int{0, 2, 3}) || !slices.Equal(wins, []int{3, 0}) {
+		t.Fatalf("ids %v, wins %v, err %v; want [0 2 3], each decided by Orig", ids, wins, err)
+	}
+	want := map[[2]int]int{{0, 0}: 1, {0, 1}: 1, {2, 0}: 1, {2, 1}: 1, {3, 0}: 1, {3, 1}: 1}
+	// A cancelled loser may reach Verify after its candidate is decided.
+	eventually(t, "the verifications started are not one per (candidate, instance)", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Equal(starts, want)
 	})
 }
 
 // TestIndexRaceRepeatedNoLeak hammers the race to catch slow accretion.
 func TestIndexRaceRepeatedNoLeak(t *testing.T) {
 	x := stubTable(t, 2, 0, 1)
-	fast := &stubVerifier{name: "fast", verify: instantVerify}
-	slow := &stubVerifier{name: "slow", verify: blockingVerify}
+	v := &stubVerifier{verify: []verifyFunc{instantVerify, blockingVerify}}
 	pool := exec.New(2)
 	t.Cleanup(pool.Close)
-	vs := []index.Verifier{fast, slow}
 	// Warm-up so transient infrastructure exists before the baseline.
-	if _, _, err := collect(context.Background(), pool, orig, x, vs, edge); err != nil {
+	if _, _, err := collect(context.Background(), pool, origILF, x, v, edge); err != nil {
 		t.Fatal(err)
 	}
 	leakcheck.Check(t, 4)
 	for i := 0; i < 200; i++ {
-		_, wins, err := collect(context.Background(), pool, orig, x, vs, edge)
+		_, wins, err := collect(context.Background(), pool, origILF, x, v, edge)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,13 +189,12 @@ func TestIndexRaceRepeatedNoLeak(t *testing.T) {
 }
 
 // TestIndexRaceStragglerCannotStarveWinner: a candidate's race runs every
-// verifier at once, whether or not the pool has a worker free, so a
-// straggling verifier that holds the only worker cannot keep the fast one
+// instance at once, whether or not the pool has a worker free, so a
+// straggling instance that holds the only worker cannot keep the fast one
 // from deciding the candidate.
 func TestIndexRaceStragglerCannotStarveWinner(t *testing.T) {
 	x := stubTable(t, 3, 0, 1, 2)
-	straggler := &stubVerifier{name: "straggler", verify: blockingVerify}
-	winner := &stubVerifier{name: "winner", verify: instantVerify}
+	v := &stubVerifier{verify: []verifyFunc{blockingVerify, instantVerify}}
 	pool := exec.New(1)
 	t.Cleanup(pool.Close)
 	type outcome struct {
@@ -167,38 +203,35 @@ func TestIndexRaceStragglerCannotStarveWinner(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		ids, wins, err := collect(context.Background(), pool, orig, x, []index.Verifier{straggler, winner}, edge)
+		ids, wins, err := collect(context.Background(), pool, origILF, x, v, edge)
 		done <- outcome{ids, wins, err}
 	}()
 	select {
 	case o := <-done:
 		if o.err != nil || !slices.Equal(o.wins, []int{0, 3}) || !slices.Equal(o.ids, []int{0, 1, 2}) {
-			t.Fatalf("ids %v, wins %v, err %v; want [0 1 2], all won by the winner", o.ids, o.wins, o.err)
+			t.Fatalf("ids %v, wins %v, err %v; want [0 1 2], all won by ILF", o.ids, o.wins, o.err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the winner's verifications starved behind the straggler's")
 	}
 }
 
-// indexRace races stub verifiers a, b, … — one per verify function, in that
-// order — on every candidate of stubTable(n, ids...) under Orig, through a
-// pool of the given size (0: the shared default), and returns the streamed
-// IDs, the per-verifier wins and the error.
-func indexRace(t *testing.T, ctx context.Context, workers, n int, ids []int, verify ...func(context.Context, int) (bool, error)) ([]int, []int, error) {
+// indexRace races a stub verifier on every candidate of stubTable(n,
+// ids...) under the first len(verify) rewritings of origILF, the i'th
+// instance decided by verify[i], through a pool of the given size (0: the
+// shared default), and returns the streamed IDs, the per-rewriting wins and
+// the error.
+func indexRace(t *testing.T, ctx context.Context, workers, n int, ids []int, verify ...verifyFunc) ([]int, []int, error) {
 	var pool *exec.Pool
 	if workers > 0 {
 		pool = exec.New(workers)
 		defer pool.Close()
 	}
-	var vs []index.Verifier
-	for i, f := range verify {
-		vs = append(vs, &stubVerifier{name: string(rune('a' + i)), verify: f})
-	}
-	return collect(ctx, pool, orig, stubTable(t, n, ids...), vs, edge)
+	return collect(ctx, pool, origILF[:len(verify)], stubTable(t, n, ids...), &stubVerifier{verify: verify}, edge)
 }
 
 // TestIndexRaceEmptyAnswerWins: a filter with no candidates ends the query
-// at once, with an empty answer, whatever its verifiers would do.
+// at once, with an empty answer, whatever its instances would do.
 func TestIndexRaceEmptyAnswerWins(t *testing.T) {
 	ids, wins, err := indexRace(t, context.Background(), 2, 2, nil, blockingVerify, blockingVerify)
 	if err != nil || len(ids) != 0 || !slices.Equal(wins, []int{0, 0}) {
@@ -206,39 +239,33 @@ func TestIndexRaceEmptyAnswerWins(t *testing.T) {
 	}
 }
 
-// TestIndexRaceSingleIndexDegenerates: one verifier streams directly, every
-// candidate decided by it.
-func TestIndexRaceSingleIndexDegenerates(t *testing.T) {
-	ids, wins, err := indexRace(t, context.Background(), 0, 3, []int{0, 2}, instantVerify)
-	if err != nil || !slices.Equal(ids, []int{0, 2}) || !slices.Equal(wins, []int{2}) {
-		t.Fatalf("ids %v, wins %v, err %v", ids, wins, err)
-	}
-}
-
 // TestIndexRaceArmsOutOfPortfolioOrder: the one table filters, and wins
-// count by position in the verifier list, whichever order the caller gives:
-// a verifier that is not listed never runs.
+// count by position in the rewriting list, whichever order the caller
+// gives; a rewriting that is not listed never runs, and a single one decides
+// every candidate.
 func TestIndexRaceArmsOutOfPortfolioOrder(t *testing.T) {
 	x := stubTable(t, 2, 1)
-	a := &stubVerifier{name: "a", verify: blockingVerify}
-	b := &stubVerifier{name: "b", verify: blockingVerify}
-	c := &stubVerifier{name: "c", verify: instantVerify}
-	ids, wins, err := collect(context.Background(), nil, orig, x, []index.Verifier{c, a}, edge)
-	if err != nil || !slices.Equal(ids, []int{1}) || !slices.Equal(wins, []int{1, 0}) {
-		t.Fatalf("ids %v, wins %v, err %v; want [1] from the table's filter, decided by c", ids, wins, err)
-	}
-	if b.cancelled.Load() != 0 {
-		t.Error("a verifier that was not listed ran")
+	var origRan atomic.Bool
+	v := &stubVerifier{verify: []verifyFunc{blockingVerify, instantVerify}, onVerify: func(q *graph.Graph, _ int) {
+		if q.Label(0) == 0 {
+			origRan.Store(true)
+		}
+	}}
+	for _, kinds := range [][]rewrite.Kind{{rewrite.ILF}, {rewrite.ILF, rewrite.Orig}} {
+		ids, wins, err := collect(context.Background(), nil, kinds, x, v, edge)
+		if err != nil || !slices.Equal(ids, []int{1}) || !slices.Equal(wins, []int{1, 0}[:len(kinds)]) || len(kinds) == 1 && origRan.Load() {
+			t.Fatalf("%v: ids %v, wins %v, err %v, Orig ran %v; want [1] from the table's filter, decided by ILF", kinds, ids, wins, err, origRan.Load())
+		}
 	}
 }
 
-// TestIndexRaceAllFail joins every verifier's error when no one decides a
+// TestIndexRaceAllFail joins every instance's error when no one decides a
 // candidate.
 func TestIndexRaceAllFail(t *testing.T) {
 	boom := errors.New("boom")
 	failing := func(ctx context.Context, graphID int) (bool, error) { return false, boom }
-	if _, _, err := indexRace(t, context.Background(), 0, 1, []int{0}, failing, failing); !errors.Is(err, boom) || !strings.Contains(err.Error(), "a-Orig") || !strings.Contains(err.Error(), "b-Orig") {
-		t.Fatalf("err = %v, want boom under a-Orig and b-Orig", err)
+	if _, _, err := indexRace(t, context.Background(), 0, 1, []int{0}, failing, failing); !errors.Is(err, boom) || !strings.Contains(err.Error(), "stub-Orig") || !strings.Contains(err.Error(), "stub-ILF") {
+		t.Fatalf("err = %v, want boom under stub-Orig and stub-ILF", err)
 	}
 }
 
@@ -259,9 +286,9 @@ func TestIndexRaceCallerCancel(t *testing.T) {
 // stream and ends the query cleanly.
 func TestIndexRaceEmitStop(t *testing.T) {
 	x := stubTable(t, 3, 0, 1, 2)
-	vs := []index.Verifier{&stubVerifier{name: "fast", verify: instantVerify}, &stubVerifier{name: "slow", verify: blockingVerify}}
+	v := &stubVerifier{verify: []verifyFunc{instantVerify, blockingVerify}}
 	var got []int
-	_, err := StreamFTV(context.Background(), nil, x, vs, rewrite.FrequenciesOfDataset(x.Dataset()), orig, edge, func(id int) bool {
+	_, err := StreamFTV(context.Background(), nil, x, v, skewed, origILF, edge, func(id int) bool {
 		got = append(got, id)
 		return false
 	})
@@ -272,10 +299,10 @@ func TestIndexRaceEmitStop(t *testing.T) {
 
 // TestStreamRewritesQueryOncePerKind: the rewritten instances depend only on
 // (query, frequencies, kind), so one pipeline run prepares them once and
-// every candidate's race reuses them — a three-verifier query of 40
-// candidates under {Orig, DND} hands Verify at most two distinct query
-// graphs, not one fresh permutation per candidate × rewriting × verifier.
-// The per-candidate race keeps working on its own.
+// every candidate's race reuses them — a query of 40 candidates under
+// {Orig, DND} hands Verify at most two distinct query graphs, not one fresh
+// permutation per candidate × rewriting. The per-candidate race keeps
+// working on its own.
 func TestStreamRewritesQueryOncePerKind(t *testing.T) {
 	const candidates = 40
 	kinds := []rewrite.Kind{rewrite.Orig, rewrite.DND}
@@ -284,17 +311,13 @@ func TestStreamRewritesQueryOncePerKind(t *testing.T) {
 		mu        sync.Mutex
 		instances = map[*graph.Graph]int{}
 	)
-	record := func(q *graph.Graph) {
+	v := &stubVerifier{verify: []verifyFunc{instantVerify}, onVerify: func(q *graph.Graph, _ int) {
 		mu.Lock()
 		instances[q]++
 		mu.Unlock()
-	}
-	var vs []index.Verifier
-	for _, name := range []string{"a", "b", "c"} {
-		vs = append(vs, &stubVerifier{name: name, verify: instantVerify, onVerify: record})
-	}
+	}}
 	q := edge
-	if got, _, err := collect(context.Background(), nil, kinds, x, vs, q); err != nil || len(got) != candidates {
+	if got, _, err := collect(context.Background(), nil, kinds, x, v, q); err != nil || len(got) != candidates {
 		t.Fatalf("answered %d ids (%v), want %d", len(got), err, candidates)
 	}
 	mu.Lock() // a candidate race's losing rewriting may still be finishing
@@ -304,7 +327,7 @@ func TestStreamRewritesQueryOncePerKind(t *testing.T) {
 		t.Errorf("%d distinct query graphs reached Verify (the caller's %d times), want at most %d, the caller's never", len(instances), instances[q], len(kinds))
 	}
 	mu.Unlock()
-	contained, _, err := RaceInstances(context.Background(), nil, x, vs[:1], Instances(q, nil, kinds), 0)
+	contained, _, err := RaceInstances(context.Background(), nil, x, v, Instances(q, nil, kinds), 0)
 	if err != nil || !contained {
 		t.Fatalf("RaceInstances = %v, %v", contained, err)
 	}

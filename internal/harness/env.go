@@ -355,7 +355,7 @@ func (e *Env) TimeFTVVerify(v index.Verifier, dataset string, q *graph.Graph, gr
 func (e *Env) TimeFTVRace(v index.Verifier, dataset string, kinds []rewrite.Kind, q *graph.Graph, graphID int) metrics.Timing {
 	x, freqs := e.ftvIndex(dataset), e.FTVFrequencies(dataset)
 	return e.Cfg.Budget().Run(context.Background(), func(ctx context.Context) error {
-		_, _, err := core.RaceInstances(ctx, nil, x, []index.Verifier{v}, core.Instances(q, freqs, kinds), graphID)
+		_, _, err := core.RaceInstances(ctx, nil, x, v, core.Instances(q, freqs, kinds), graphID)
 		return err
 	})
 }

@@ -10,9 +10,9 @@
 // decides a candidate with any verifier (Sharded.VerifyWith). The package
 // also holds the plumbing every query shares: presence/frequency pruning over
 // query features, the sharded ordered merge, and the streaming filter→verify
-// pipeline, in which a dataset engine races its verifiers per candidate over
-// the one table (§8 of the paper: the filter is left intact, the alternatives
-// run in verification).
+// pipeline, in which a dataset engine races the query's rewritings per
+// candidate under its table's one verifier (§8 of the paper: the filter is
+// left intact, the alternatives run in verification).
 package index
 
 import (

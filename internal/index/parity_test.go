@@ -59,7 +59,8 @@ func (c cell) slots(ds []*graph.Graph) ([]*graph.Graph, []bool) {
 
 // views builds c's one table per shard over ds and returns the index over
 // those tables under each verifier c's names select, Grapes at W = 1 and at
-// W = 4, and the tables.
+// W = 4 — the engine verifies with the table's own, and the paper replay
+// times the others over it — and the tables.
 func (c cell) views(ds []*graph.Graph) ([]*index.Sharded, []*index.Path, error) {
 	slots, alive := c.slots(ds)
 	kind := index.TableKind(c.names)
@@ -75,9 +76,17 @@ func (c cell) views(ds []*graph.Graph) ([]*index.Sharded, []*index.Path, error) 
 			}
 		}
 	}
-	vs, err := index.Verifiers(c.names, opts)
-	if err != nil {
-		return nil, nil, err
+	flat := slices.IndexFunc(c.names, func(n string) bool { return n != index.KindGrapes })
+	var vs []index.Verifier
+	for i, name := range c.names {
+		if name != index.KindGrapes && i != flat {
+			continue // "ftv" and "ggsx" select one whole-graph verifier
+		}
+		v, err := index.NewVerifier(name, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		vs = append(vs, v)
 	}
 	if slices.Contains(c.names, index.KindGrapes) {
 		opts.Workers = 4

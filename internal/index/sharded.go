@@ -7,8 +7,8 @@ package index
 // and balanced to within one graph regardless of dataset order.
 //
 // Sharded is the one index, at every K, K = 1 included: the streaming
-// filter→verify pipeline and its per-candidate races of verifiers and
-// rewritings run over it. Query answers are byte-identical at any K and
+// filter→verify pipeline and its per-candidate races of rewritings run over
+// it. Query answers are byte-identical at any K and
 // any worker count: filtering decisions are per-graph (a graph survives iff
 // it contains every query feature often enough, which no amount of
 // partitioning changes), FilterStream merges one posting cursor per shard in
@@ -191,8 +191,9 @@ func (x *Sharded) Verify(ctx context.Context, q *graph.Graph, graphID int) (bool
 }
 
 // VerifyWith decides whether dense ID graphID contains q with v, by routing
-// the ID to its slot and the slot to its owning shard's table: the one
-// table a query's verifiers share. An ID out of range is an error.
+// the ID to its slot and the slot to its owning shard's table, so several
+// verifiers can be timed over one table (the paper replay does). An ID out
+// of range is an error.
 func (x *Sharded) VerifyWith(ctx context.Context, v Verifier, q *graph.Graph, graphID int) (bool, error) {
 	if graphID < 0 || graphID >= len(x.ds) {
 		return false, fmt.Errorf("index: graph ID %d out of range [0,%d)", graphID, len(x.ds))

@@ -1,6 +1,7 @@
 package index
 
-// The verifiers an index name selects over the one table. "ftv" and "ggsx"
+// The verifier an index name selects over the one table; a set of names
+// verifies with the one its table kind selects (TableKind). "ftv" and "ggsx"
 // run VF2 against the whole stored graph. "grapes" is Grapes' verification
 // (Giugno et al., PLoS One 2013, §3.1.1 of the paper): the query's maximal
 // paths locate, through the table's location sets, the vertices any
@@ -54,27 +55,6 @@ func NewVerifier(kind string, opts Options) (Verifier, error) {
 		v.pool = exec.Default()
 	}
 	return v, nil
-}
-
-// Verifiers returns the distinct verifiers kinds select, in listed order:
-// "ftv" and "ggsx" select one, labelled after whichever is listed first.
-func Verifiers(kinds []string, opts Options) ([]Verifier, error) {
-	var out []Verifier
-	whole := false
-	for _, kind := range kinds {
-		v, err := NewVerifier(kind, opts)
-		if err != nil {
-			return nil, err
-		}
-		if !v.(vf2Verifier).located {
-			if whole {
-				continue
-			}
-			whole = true
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // vf2Verifier is every name's verifier: VF2 against the whole stored graph

@@ -83,7 +83,7 @@ func answer(t *testing.T, snap *live.Snapshot, kind string, q *graph.Graph) []in
 		t.Fatal(err)
 	}
 	var ids []int
-	_, err = core.StreamFTV(context.Background(), nil, snap.Table(), []index.Verifier{v}, snap.Frequencies(), []rewrite.Kind{rewrite.Orig}, q, func(id int) bool {
+	_, err = core.StreamFTV(context.Background(), nil, snap.Table(), v, snap.Frequencies(), []rewrite.Kind{rewrite.Orig}, q, func(id int) bool {
 		ids = append(ids, id)
 		return true
 	})

@@ -9,8 +9,10 @@ package match_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -262,15 +264,32 @@ func TestCancelledContext(t *testing.T) {
 	}
 }
 
+// deadlineContext reports context.DeadlineExceeded from its n-th Err call
+// on: a deadline that passes while a search is under way.
+type deadlineContext struct {
+	context.Context
+	calls atomic.Int32
+	n     int32
+}
+
+func (c *deadlineContext) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestDeadlineExceeded: a deadline that passes mid-search is every
+// matcher's error. The upfront check passes and the search's first budget
+// poll reports the deadline, long before a single-label enumeration of
+// every embedding could end, so a collector that swallowed it would return
+// a nil error.
 func TestDeadlineExceeded(t *testing.T) {
 	g, q := planted(7, 300, 3000, 1, 10)
 	for _, m := range allMatchers(g) {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-		_, err := m.Match(ctx, q, 1<<30)
-		cancel()
-		// The search may finish legitimately; only the wrong error fails.
-		if err != nil && err != context.DeadlineExceeded {
-			t.Errorf("%s: unexpected error %v", m.Name(), err)
+		ctx := &deadlineContext{Context: context.Background(), n: 2}
+		if _, err := m.Match(ctx, q, 1<<30); !errors.Is(err, context.DeadlineExceeded) || ctx.calls.Load() < 2 {
+			t.Errorf("%s: error %v after %d context checks, want context.DeadlineExceeded from a poll mid-search", m.Name(), err, ctx.calls.Load())
 		}
 	}
 }

@@ -130,7 +130,7 @@ type Counters struct {
 	// fell back to a full race.
 	Fallbacks atomic.Int64
 	// IndexRaces counts dataset queries whose candidates raced more than
-	// one verifier.
+	// one arm: the verifier under more than one rewriting.
 	IndexRaces atomic.Int64
 	// IndexAttempts counts filter→verify pipelines started, one per launch:
 	// a query's one pipeline, plus the abandoned solo before a fallback.

@@ -21,7 +21,7 @@ import (
 // only what no scheduler can change: never a winner or an elapsed time.
 func Example_serve() {
 	// A protein-interaction-style dataset under all three index names: one
-	// table, whose candidates race the whole-graph and Grapes verifiers.
+	// table, whose candidates race Grapes' verifier under the rewritings.
 	ds := psi.GeneratePPI(psi.Tiny, 1)
 	eng, err := psi.NewDatasetEngine(ds, psi.EngineOptions{Indexes: psi.IndexKinds()})
 	if err != nil {

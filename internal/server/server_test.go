@@ -498,9 +498,9 @@ func TestStatsAndMetrics(t *testing.T) {
 		}
 	}
 	st, metrics = getStatsAndMetrics(t, urls[psi.IndexAuto])
-	// One arm per verifier: ftv and ggsx select the same one.
+	// One arm per rewriting of the one verifier.
 	if st.Mode != string(psi.ModeAuto) || st.Policy == nil || len(st.Policy.Arms) != 2 {
-		t.Fatalf("stats policy = %q %+v, want auto with one arm per verifier", st.Mode, st.Policy)
+		t.Fatalf("stats policy = %q %+v, want auto with one arm per rewriting", st.Mode, st.Policy)
 	}
 	if st.Engine.PolicySolo == 0 || !strings.Contains(metrics, fmt.Sprintf("psi_engine_policy_solo_total %d\n", st.Engine.PolicySolo)) {
 		t.Errorf("solo runs = %d, want > 0 and on /metrics:\n%s", st.Engine.PolicySolo, metrics)

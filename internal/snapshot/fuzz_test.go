@@ -156,7 +156,7 @@ func FuzzSnapshotSections(f *testing.F) {
 					t.Fatal(err)
 				}
 				var got []int
-				_, err = core.StreamFTV(context.Background(), nil, snap.Table(), []index.Verifier{v}, snap.Frequencies(), []rewrite.Kind{rewrite.Orig}, q, func(id int) bool {
+				_, err = core.StreamFTV(context.Background(), nil, snap.Table(), v, snap.Frequencies(), []rewrite.Kind{rewrite.Orig}, q, func(id int) bool {
 					got = append(got, id)
 					return true
 				})

@@ -66,18 +66,20 @@ type EngineOptions struct {
 	// Indexes names the index methods a dataset engine serves ("ftv", the
 	// flat path index; "grapes"; "ggsx"). The engine builds one table per
 	// shard whatever the names — with location sets when "grapes" is listed
-	// — and each name selects a verifier over it: "ftv" and "ggsx" the
-	// whole-graph one (they share it), "grapes" the located one. With two
-	// verifiers the engine races them, under every rewriting, on each
-	// candidate the filter emits — the paper's parallel use of alternative
-	// algorithms, in verification. Empty means {"grapes"}.
+	// — and verifies with the one verifier that table carries: Grapes'
+	// located one when "grapes" is listed, else the whole-graph one, named
+	// after the first name. Its arms are that verifier under each of
+	// Rewritings ("Grapes/1-Orig", "Grapes/1-DND"), raced on each candidate
+	// the filter emits — the paper's Ψ over an FTV method, in verification.
+	// Empty means {"grapes"}.
 	Indexes []string
-	// IndexPolicy is a dataset engine's launch policy: IndexRace (default)
-	// races the verifiers on every candidate; IndexFixed runs only the first
-	// listed name's; IndexAuto learns per query class which verifier to run
-	// alone and races only when uncertain (unfamiliar class, staleness, or a
+	// IndexPolicy is a dataset engine's launch policy over its arms:
+	// IndexRace (default) races every rewriting on every candidate;
+	// IndexFixed runs only the first rewriting, the plain FTV method;
+	// IndexAuto learns per query class which rewriting to run alone and
+	// races only when uncertain (unfamiliar class, staleness, or a
 	// budget-killed solo). A stored-graph engine rejects it: it reads Mode.
-	// With one verifier the policy is IndexFixed.
+	// With one rewriting the policy is IndexFixed.
 	IndexPolicy string
 	// IndexWorkers is the Grapes verification worker count (the paper's
 	// Grapes/1 vs Grapes/4); 0 means 1. Above 1, Grapes fans a candidate's
@@ -119,14 +121,15 @@ type EngineOptions struct {
 // Index policies for EngineOptions.IndexPolicy; Engine.Mode reports them as
 // ModeRace, ModeSingle and ModeAuto.
 const (
-	// IndexRace races every verifier on every candidate; the first to
-	// decide a candidate wins it and the rest are cancelled.
+	// IndexRace races the verifier under every rewriting on every
+	// candidate; the first to decide a candidate wins it and the rest are
+	// cancelled.
 	IndexRace = "race"
-	// IndexFixed runs only the first listed name's verifier.
+	// IndexFixed runs the verifier under the first rewriting alone.
 	IndexFixed = "fixed"
-	// IndexAuto runs the learned best verifier solo per query class,
+	// IndexAuto runs the learned best rewriting solo per query class,
 	// racing them all only when uncertain. Answers are identical to
-	// IndexRace in every case: every verifier is exact.
+	// IndexRace in every case: every rewriting is exact.
 	IndexAuto = "auto"
 )
 

@@ -17,7 +17,7 @@ import (
 )
 
 // PlanKind says how a plan launches its arms, on either engine kind: a
-// stored graph's attempts or a dataset's verifiers.
+// stored graph's attempts or a dataset's rewritings of its one verifier.
 type PlanKind string
 
 const (
@@ -109,8 +109,8 @@ type Plan struct {
 	// Kind is how the plan launches its arms.
 	Kind PlanKind
 	// Arms labels the arms the plan starts, in portfolio order: a stored
-	// graph's attempts ("GQL-DND") or a dataset's verifiers ("Grapes/1"),
-	// the latter in the order of the names that selected them.
+	// graph's attempts ("GQL-DND") or a dataset's verifier under each
+	// rewriting ("Grapes/1-DND"), in the order of EngineOptions.Rewritings.
 	Arms []string
 	// Decision is the auto policy's solo-vs-race verdict for this query
 	// (ModeAuto / IndexAuto engines only, nil otherwise); its Arm is the
@@ -126,7 +126,7 @@ type Plan struct {
 // Plan selects the arms q starts with under the engine's launch policy: the
 // whole portfolio, its fixed first arm, or — under the auto policy, once the
 // query's class has warmed up — the learned arm alone. The arms are a stored
-// graph's attempts or the verifiers each candidate of a dataset races.
+// graph's attempts or the rewritings each candidate of a dataset races.
 func (e *Engine) Plan(q *Graph) (*Plan, error) {
 	if q == nil {
 		return nil, errors.New("psi: Plan requires a query graph")

@@ -52,7 +52,7 @@ type (
 	// (FilterStream) and build statistics (Stats). It is built for a name —
 	// "ftv", "grapes" or "ggsx" — whose verifier is what its Verify runs and
 	// its Name reports; a dataset Engine filters with one table and races
-	// the verifiers per candidate over it.
+	// the rewritings per candidate under that table's verifier.
 	FilterIndex = *indexpkg.Sharded
 	// IndexStats describes a built filtering index (build time, feature,
 	// posting and location counts, extraction parallelism).

@@ -195,7 +195,7 @@ stage "bench smoke (1 iteration)"
 # Tiny and at the nfv_race scale), the sequential oracle against the pooled
 # pipeline (BenchmarkAnswerSequential, BenchmarkAnswerWorkers), the engine's
 # set-up, decision, first result and enumeration (BenchmarkEngine*), each
-# table kind's build and the verifier race against Grapes alone
+# table kind's build and the rewriting race against Orig alone
 # (BenchmarkIndexBuild*, BenchmarkIndexAnswer), the index-build path and
 # Grapes' verification over the repo benchmark's dataset shapes
 # (BenchmarkExtractFeatures, BenchmarkBuildPortfolio, BenchmarkGrapesVerify),
@@ -214,9 +214,9 @@ stage "bench module (vet + tests against this root)"
 
 stage "bench smoke (four workloads, every answer oracle-checked)"
 # The repo's benchmark at a scale that runs in about a second: the NFV race,
-# the three names' verifiers raced per candidate over one table, the sharded
-# server and the mutable server under churn,
-# each answer compared with the sequential oracle, the cold start from a
+# the three names over one table with Grapes under each rewriting raced per
+# candidate, the sharded server and the mutable server under churn, each
+# answer compared with the sequential oracle, the cold start from a
 # snapshot and the churned engine against a from-scratch rebuild included.
 # The run exits non-zero on a wrong answer; a failed operation is caught here
 # from the per-workload summary lines. Its files land in the git-ignored
@@ -331,15 +331,15 @@ grep -q "snapshot saved" "$tmpdir/serve.log" && [ -s "$tmpdir/cs.psisnap" ] || {
 stage "psiquery smoke (-mode on a dataset)"
 # psiquery over the serve smoke's dataset and query, the CLI's only run here:
 # a dataset engine reads its launch policy from the index policy, so -mode
-# single must reach it and leave the first -index name's verifier answering
-# every query alone, as a "fixed" launch, with the graph IDs -mode race finds
-# as a "race" launch.
+# single must reach it and leave the table's one verifier (Grapes, as "grapes"
+# is listed) under the first rewriting answering every query alone, as a
+# "fixed" launch, with the graph IDs -mode race finds as a "race" launch.
 go build -o "$tmpdir/psiquery" ./cmd/psiquery
 ids() { sed -n 's/.*"graph_ids":\[\([^]]*\)\].*/\1/p'; }
 single=$("$tmpdir/psiquery" -data "$tmpdir/ds.txt" -queries "$tmpdir/q.txt" -index ftv,grapes -mode single -json)
 raced=$("$tmpdir/psiquery" -data "$tmpdir/ds.txt" -queries "$tmpdir/q.txt" -index ftv,grapes -mode race -json)
-if [ -z "$single" ] || echo "$single" | grep -qv '"kind":"fixed".*"winner":"FTV"'; then
-    echo "psiquery smoke: -mode single did not launch the FTV verifier alone: $single" >&2
+if [ -z "$single" ] || echo "$single" | grep -qv '"kind":"fixed".*"winner":"Grapes/1-Orig"'; then
+    echo "psiquery smoke: -mode single did not launch Grapes/1-Orig alone: $single" >&2
     exit 1
 fi
 if [ -z "$raced" ] || echo "$raced" | grep -qv '"kind":"race"'; then
@@ -410,10 +410,11 @@ fi
 sserve_pid=""
 
 stage "snapshot smoke (three names, one table)"
-# psiserve -index race serves ftv, grapes and ggsx from one table per shard
-# and saves a version-1 file with a section per name, all written from that
-# table. A second server cold-starts from the file alone — restoring one
-# table from the three sections — and must answer a query.
+# psiserve -index race serves ftv, grapes and ggsx from one table per shard,
+# verified by Grapes under each rewriting, and saves a version-1 file with a
+# section per name, all written from that table. A second server cold-starts
+# from the file alone — restoring one table from the three sections — and
+# must answer a query.
 "$tmpdir/psiserve" -data "$tmpdir/ds.txt" -index race -snapshot "$tmpdir/race.psisnap" \
     -addr 127.0.0.1:0 -portfile "$tmpdir/rport" 2> "$tmpdir/rserve.log" &
 sserve_pid=$!

@@ -86,6 +86,6 @@ func newSnapshotEngine(opts EngineOptions) (*Engine, error) {
 	if err != nil {
 		return fail(err)
 	}
-	e.finishPortfolio(store, opts)
+	e.finishPortfolio(store)
 	return e, nil
 }
